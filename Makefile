@@ -5,13 +5,16 @@
 #   make scenario-smoke  run every bundled fault scenario end to end
 #   make profile-smoke   run nqueens with -profile/-metrics, validate the JSONL schema
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
+#   make bench-test      the benchmark harness's own tests (bench/ is its own module)
 #   make check           all of the above
+#   make bench           the repository benchmark (BENCHMARK.json): bash bench/run.sh
+#   make bench-trace     its traced pass: per-layer metrics for every workload
 #   make bench-baseline  run the perf suite, save BENCH_<date>.json
 #   make bench-compare   run the perf suite, diff against BASELINE json
 #   make bench-gate      fail if the gated benchmarks regress >GATE_PCT% vs BASELINE
 #   make cover           per-package test coverage summary
 
-.PHONY: all tier1 vet-race scenario-smoke profile-smoke regress check cover bench-baseline bench-compare bench-gate
+.PHONY: all tier1 vet-race scenario-smoke profile-smoke regress check cover bench bench-trace bench-test bench-baseline bench-compare bench-gate
 
 all: tier1
 
@@ -26,7 +29,7 @@ tier1:
 vet-race:
 	go vet ./...
 	go test -race ./internal/parexec/... ./internal/core/... ./internal/sim/... ./internal/conformance/... ./internal/remote/...
-	go test -race -run 'TestWirePath|TestCrash|TestSnapshot|TestCheckpoint|TestMultiactive|TestOptimistic' .
+	go test -race -run 'TestWirePath|TestCrash|TestSnapshot|TestCheckpoint|TestMultiactive|TestOptimistic|TestRecordPool' .
 
 scenario-smoke:
 	go run ./cmd/abclsim -workload scenario -scenario all
@@ -45,7 +48,20 @@ profile-smoke:
 regress:
 	go run ./cmd/abclsim regress testdata/runpacks
 
-check: tier1 vet-race scenario-smoke
+check: tier1 vet-race scenario-smoke bench-test
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): four
+# whole-system workloads, end-to-end metrics with tracing off; bench-trace
+# is the separate traced pass with the per-layer numbers. bench/ is a module
+# of its own, so the root `go test ./...` does not reach its tests.
+bench:
+	bash bench/run.sh
+
+bench-trace:
+	bash bench/run.sh --trace 1
+
+bench-test:
+	cd bench && go test ./...
 
 cover:
 	go test -cover ./... | grep -v 'no test files'

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // --- frameQueue ------------------------------------------------------------
@@ -203,31 +205,84 @@ func TestSchedQueueCompaction(t *testing.T) {
 
 // --- Value -------------------------------------------------------------------
 
+// sized is an opaque payload that reports its own wire size.
+type sized int
+
+func (s sized) SizeBytes() int { return int(s) }
+
+// Every kind survives the tag + scalar word + reference pair encoding bit
+// for bit, and is sized on the wire exactly as the six-field encoding sized
+// it (the want column was recorded before the re-encoding).
 func TestValueRoundTrips(t *testing.T) {
-	if v := IntV(-42); v.Kind() != KindInt || v.Int() != -42 {
-		t.Error("int round trip")
+	if sz := unsafe.Sizeof(Value{}); sz > 32 {
+		t.Errorf("Value is %d bytes, want <= 32: frames, wire records and state arenas are made of these", sz)
 	}
-	if v := BoolV(true); !v.Bool() {
-		t.Error("bool round trip")
-	}
-	if v := BoolV(false); v.Bool() {
-		t.Error("bool false round trip")
-	}
-	if v := FloatV(2.5); v.Float() != 2.5 {
-		t.Error("float round trip")
-	}
-	if v := StrV("abc"); v.Str() != "abc" {
-		t.Error("string round trip")
-	}
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with payload bits
 	obj := &Object{node: 3}
-	if v := RefV(obj.Addr()); v.Ref().Obj != obj || v.Ref().Node != 3 {
-		t.Error("ref round trip")
+	slice := []int{1, 2}
+	cases := []struct {
+		name string
+		v    Value
+		kind Kind
+		same func(Value) bool
+		size int
+	}{
+		{"nil", Nil, KindNil, func(v Value) bool { return v.IsNil() }, 8},
+		{"int", IntV(-42), KindInt, func(v Value) bool { return v.Int() == -42 }, 8},
+		{"int-min", IntV(math.MinInt64), KindInt, func(v Value) bool { return v.Int() == math.MinInt64 }, 8},
+		{"true", BoolV(true), KindBool, func(v Value) bool { return v.Bool() }, 8},
+		{"false", BoolV(false), KindBool, func(v Value) bool { return !v.Bool() }, 8},
+		{"float", FloatV(2.5), KindFloat, func(v Value) bool { return v.Float() == 2.5 }, 8},
+		{"nan-payload", FloatV(nan), KindFloat, func(v Value) bool { return math.Float64bits(v.Float()) == math.Float64bits(nan) }, 8},
+		{"neg-zero", FloatV(math.Copysign(0, -1)), KindFloat, func(v Value) bool { return v.Float() == 0 && math.Signbit(v.Float()) }, 8},
+		{"string", StrV("abcd"), KindString, func(v Value) bool { return v.Str() == "abcd" }, 12},
+		{"empty-string", StrV(""), KindString, func(v Value) bool { return v.Str() == "" }, 8},
+		{"ref", RefV(obj.Addr()), KindRef, func(v Value) bool { return v.Ref() == Address{Node: 3, Obj: obj} }, 8},
+		{"nil-obj-ref", RefV(Address{Node: 5}), KindRef, func(v Value) bool { return v.Ref() == Address{Node: 5} && v.Ref().IsNil() }, 8},
+		{"any", AnyV(slice), KindAny, func(v Value) bool { return &v.Any().([]int)[0] == &slice[0] }, 32},
+		{"any-nil", AnyV(nil), KindAny, func(v Value) bool { return v.Any() == nil }, 32},
+		{"any-sizer", AnyV(sized(100)), KindAny, func(v Value) bool { return v.Any() == sized(100) }, 100},
 	}
-	if v := AnyV([]int{1, 2}); v.Any().([]int)[1] != 2 {
-		t.Error("any round trip")
+	total := 0
+	args := make([]Value, 0, len(cases))
+	for _, c := range cases {
+		v := c.v // a copy is the same value
+		if v.Kind() != c.kind || !c.same(v) {
+			t.Errorf("%s: round trip lost the value: %v (kind %v)", c.name, v, v.Kind())
+		}
+		if v.IsNil() != (c.kind == KindNil) {
+			t.Errorf("%s: IsNil = %v", c.name, v.IsNil())
+		}
+		if got := v.SizeBytes(); got != c.size {
+			t.Errorf("%s: SizeBytes = %d, want %d", c.name, got, c.size)
+		}
+		total += c.size
+		args = append(args, v)
 	}
-	if !Nil.IsNil() || IntV(0).IsNil() {
-		t.Error("IsNil")
+	if got := ArgsSize(args); got != total {
+		t.Errorf("ArgsSize = %d, want %d", got, total)
+	}
+	if ArgsSize(nil) != 0 {
+		t.Error("empty args have zero size")
+	}
+}
+
+// No constructor on the message path touches the allocator, whether or not
+// the compiler can see the string.
+func TestValueConstructorsDoNotAllocate(t *testing.T) {
+	obj := &Object{node: 3}
+	name := t.Name() + "/dynamic"
+	var sink Value
+	n := testing.AllocsPerRun(100, func() {
+		sink = IntV(int64(len(name)))
+		sink = BoolV(sink.Int() > 3)
+		sink = FloatV(float64(obj.node) / 7)
+		sink = RefV(obj.Addr())
+		sink = StrV("constant")
+		sink = StrV(name)
+	})
+	if n != 0 || sink.Str() != name {
+		t.Errorf("constructors allocated %.0f times per run (last value %v), want 0", n, sink)
 	}
 }
 
@@ -262,24 +317,6 @@ func TestValueStringRendering(t *testing.T) {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("%v.String() = %q, want %q", c.v.Kind(), got, c.want)
 		}
-	}
-}
-
-func TestValueSizes(t *testing.T) {
-	if IntV(1).SizeBytes() != 8 || RefV(Address{}).SizeBytes() != 8 {
-		t.Error("scalar sizes must be one word")
-	}
-	if StrV("abcd").SizeBytes() != 12 {
-		t.Error("string size = header + bytes")
-	}
-	if AnyV(struct{}{}).SizeBytes() != 32 {
-		t.Error("opaque payloads default to 32 bytes")
-	}
-	if got := ArgsSize([]Value{IntV(1), StrV("ab")}); got != 18 {
-		t.Errorf("ArgsSize = %d, want 18", got)
-	}
-	if ArgsSize(nil) != 0 {
-		t.Error("empty args have zero size")
 	}
 }
 

@@ -128,3 +128,156 @@ func TestNilFaultsUnchanged(t *testing.T) {
 		t.Fatalf("fault-free delivery broken: n=%d dropped=%d duped=%d", n, m.TotalDropped(), m.TotalDuped())
 	}
 }
+
+// recycled counts how often each tracked packet comes back out of the
+// machine's pools, failing if any record at all is handed out twice — which
+// is what a record released twice (a self-looped free list) looks like.
+func recycled(t *testing.T, m *Machine, tracked ...*Packet) map[*Packet]int {
+	t.Helper()
+	seen := make(map[*Packet]bool)
+	count := make(map[*Packet]int)
+	for id := 0; id < m.Nodes(); id++ {
+		for i := 0; i < 64; i++ {
+			p := m.Node(id).AcquirePacket()
+			if seen[p] {
+				t.Fatalf("node %d pool handed out %p twice", id, p)
+			}
+			seen[p] = true
+			if p.Handler != nil || p.Size != 0 || p.next != nil {
+				t.Fatalf("node %d pool handed out a dirty record: %+v", id, *p)
+			}
+			for _, tp := range tracked {
+				if tp == p {
+					count[p]++
+				}
+			}
+		}
+	}
+	return count
+}
+
+// Every way a packet can leave the machine — delivered, duplicated, dropped
+// on the link, revoked by an era bump, lost at or inside a crashed node —
+// must recycle a pooled packet exactly once, only after it has left the
+// receive queue, and must never recycle a packet the machine does not own
+// (a literal, a fault-model copy).
+func TestPacketRecycledAtMostOnce(t *testing.T) {
+	const size = 24
+	newMachine := func(outcomes ...[]sim.Time) *Machine {
+		m := MustNew(DefaultConfig(2))
+		m.SetFaults(&scriptFaults{outcomes: outcomes})
+		return m
+	}
+	pooled := func(m *Machine, h func(*Node, *Packet)) *Packet {
+		p := m.Node(0).AcquirePacket()
+		p.Dst, p.Size, p.Handler = 1, size, h
+		return p
+	}
+
+	t.Run("duplicated", func(t *testing.T) {
+		m := newMachine([]sim.Time{0, 700}, []sim.Time{0, 700})
+		var got []*Packet
+		h := func(n *Node, p *Packet) {
+			if p.Size != size {
+				t.Errorf("copy %d delivered after its record was recycled: %+v", len(got), *p)
+			}
+			got = append(got, p)
+		}
+		orig := pooled(m, h)
+		lit := &Packet{Dst: 1, Size: size, Handler: h}
+		m.Node(0).Send(orig)
+		m.Node(0).Send(lit)
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 4 {
+			t.Fatalf("deliveries = %d, want 4", len(got))
+		}
+		n := recycled(t, m, got...)
+		for _, p := range got {
+			want := 0 // literals and fault-model copies are not the machine's
+			if p == orig {
+				want = 1
+			}
+			if n[p] != want {
+				t.Errorf("packet %p (pooled original: %v) recycled %d times, want %d", p, p == orig, n[p], want)
+			}
+		}
+	})
+
+	t.Run("dropped", func(t *testing.T) {
+		m := newMachine(nil)
+		p := pooled(m, func(*Node, *Packet) { t.Error("dropped packet delivered") })
+		if at := m.Node(0).Send(p); at != Dropped {
+			t.Fatalf("Send = %v, want Dropped", at)
+		}
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := recycled(t, m, p)[p]; n != 1 {
+			t.Errorf("dropped packet recycled %d times, want 1", n)
+		}
+	})
+
+	t.Run("era-revoked", func(t *testing.T) {
+		m := newMachine()
+		p := pooled(m, func(*Node, *Packet) { t.Error("revoked packet delivered") })
+		m.Node(0).Send(p)
+		m.BumpEra()
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m.TotalEraDrops() != 1 {
+			t.Fatalf("era drops = %d, want 1", m.TotalEraDrops())
+		}
+		if n := recycled(t, m, p)[p]; n != 1 {
+			t.Errorf("revoked packet recycled %d times, want 1", n)
+		}
+	})
+
+	t.Run("crash-dropped", func(t *testing.T) {
+		m := newMachine()
+		h := func(*Node, *Packet) { t.Error("packet delivered to a crashed node") }
+		queued := []*Packet{pooled(m, h), pooled(m, h)}
+		dst := m.Node(1)
+		dst.Charge(1 << 20) // busy: arrivals wait in the receive queue
+		var last sim.Time
+		for _, p := range queued {
+			last = m.Node(0).Send(p)
+		}
+		if _, err := m.Eng.RunUntil(last); err != nil {
+			t.Fatal(err)
+		}
+		if dst.PendingRx() != 2 {
+			t.Fatalf("PendingRx = %d, want 2", dst.PendingRx())
+		}
+		// Still queued: intact, and not reachable through any pool.
+		for _, p := range queued {
+			if p.Size != size || !p.pooled {
+				t.Fatalf("queued packet was recycled: %+v", *p)
+			}
+		}
+		if n := recycled(t, m, queued...); len(n) != 0 {
+			t.Fatalf("queued packets handed out by a pool: %v", n)
+		}
+		dst.BeginOutage(last + sim.Millisecond)
+		if dst.PendingRx() != 0 {
+			t.Fatalf("PendingRx after crash = %d, want 0", dst.PendingRx())
+		}
+		inFlight := pooled(m, h) // lands at the dead controller
+		m.Node(0).Send(inFlight)
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m.TotalCrashDrops() != 3 {
+			t.Fatalf("crash drops = %d, want 3", m.TotalCrashDrops())
+		}
+		all := append(queued, inFlight)
+		n := recycled(t, m, all...)
+		for _, p := range all {
+			if n[p] != 1 {
+				t.Errorf("crash-dropped packet %p recycled %d times, want 1", p, n[p])
+			}
+		}
+	})
+}

@@ -141,6 +141,15 @@ type Packet struct {
 	// can account logical traffic separately from packet launches.
 	Msgs int
 
+	// OnArrive, if set, runs in engine context the moment the packet
+	// reaches the destination's message controller — before the software
+	// handler is scheduled, and regardless of how backlogged or paused the
+	// receiving processor is. It models hardware-level actions such as
+	// transport acknowledgments. A packet with OnArrive set and a nil
+	// Handler is consumed entirely at the controller and never enters the
+	// receive queue.
+	OnArrive func(n *Node, p *Packet)
+
 	// Ctrl routes the packet over the link's control virtual channel:
 	// transport acknowledgments and similar protocol traffic that must not
 	// queue behind the data stream. Data sends record their arrival into the
@@ -151,18 +160,10 @@ type Packet struct {
 	// keeps its own FIFO clamp instead.
 	Ctrl bool
 
-	// OnArrive, if set, runs in engine context the moment the packet
-	// reaches the destination's message controller — before the software
-	// handler is scheduled, and regardless of how backlogged or paused the
-	// receiving processor is. It models hardware-level actions such as
-	// transport acknowledgments. A packet with OnArrive set and a nil
-	// Handler is consumed entirely at the controller and never enters the
-	// receive queue.
-	OnArrive func(n *Node, p *Packet)
-
 	// pooled marks packets obtained from AcquirePacket; the machine
-	// recycles them into the receiving node's free list once consumed.
-	// Packets built as plain literals are never recycled.
+	// recycles them into the receiving node's pool once consumed. Any other
+	// packet — a literal, a fault-model copy, a header embedded in its
+	// sender's own record — is its builder's and never recycled here.
 	pooled bool
 
 	// era stamps the machine era the packet was launched in. A global
@@ -170,6 +171,38 @@ type Packet struct {
 	// still in flight from the rolled-back timeline: a stale-era packet is
 	// discarded at the destination controller instead of delivered.
 	era uint32
+
+	// next chains the packet into the one list it is on: a node's receive
+	// queue while delivered-but-unpolled, a pool's free list while idle.
+	next *Packet
+}
+
+// PoolLink names the intrusive link for sim.Slab.
+func (p *Packet) PoolLink() **Packet { return &p.next }
+
+// pktQueue is a FIFO of packets chained through their next links.
+type pktQueue struct{ head, tail *Packet }
+
+func (q *pktQueue) push(p *Packet) {
+	p.next = nil
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+}
+
+// pop unlinks and returns the oldest packet, or nil when the queue is empty.
+func (q *pktQueue) pop() *Packet {
+	p := q.head
+	if p != nil {
+		if q.head = p.next; q.head == nil {
+			q.tail = nil
+		}
+		p.next = nil
+	}
+	return p
 }
 
 // Retain removes p from pool management: the machine will not recycle or
@@ -177,33 +210,26 @@ type Packet struct {
 // handler call (e.g. a reorder buffer) must call Retain first.
 func (p *Packet) Retain() { p.pooled = false }
 
-// AcquirePacket returns a zeroed packet from the node's free list (or a new
-// one), marked for recycling at the receiver once its handler has run.
+// AcquirePacket returns a zeroed packet from the node's pool, marked for
+// recycling at the receiver once its handler has run.
 func (n *Node) AcquirePacket() *Packet {
 	if n.m.opt {
 		// Optimistic mode: a rollback may replay this packet's delivery, so
 		// it must never be recycled out from under the restored event.
 		return &Packet{}
 	}
-	if last := len(n.pktFree) - 1; last >= 0 {
-		p := n.pktFree[last]
-		n.pktFree[last] = nil
-		n.pktFree = n.pktFree[:last]
-		p.pooled = true
-		return p
-	}
-	return &Packet{pooled: true}
+	p := n.pkts.Get()
+	p.pooled = true
+	return p
 }
 
-// ReleasePacket returns a pooled packet to this node's free list. Calling
-// it on a non-pooled (or retained) packet is a no-op, so it is always safe
-// after a handler has run.
+// ReleasePacket returns a pooled packet to this node's pool. Calling it on
+// a non-pooled (or retained) packet is a no-op, so it is always safe after
+// a handler has run.
 func (n *Node) ReleasePacket(p *Packet) {
-	if !p.pooled {
-		return
+	if p.pooled {
+		n.pkts.Put(p)
 	}
-	*p = Packet{}
-	n.pktFree = append(n.pktFree, p)
 }
 
 // Runner is the per-node scheduler installed by the language runtime.
@@ -221,9 +247,9 @@ type Node struct {
 	Busy  sim.Time // accumulated compute time, for utilization
 
 	m             *Machine
-	lane          int       // engine event lane (node ID + 1; lane 0 is the host)
-	rx            []*Packet // delivered packets awaiting poll, in arrival order
-	pktFree       []*Packet // recycled packets available to AcquirePacket
+	lane          int      // engine event lane (node ID + 1; lane 0 is the host)
+	rx            pktQueue // delivered packets awaiting poll, in arrival order
+	pkts          sim.Slab[Packet, *Packet]
 	lastArrival   []sim.Time
 	lastCtrl      []sim.Time // FIFO clamp of the control virtual channel
 	Runner        Runner
@@ -547,7 +573,10 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	for i, extra := range copies {
 		cp := p
 		if i > 0 {
+			// A fresh heap object outside every pool and list: inheriting
+			// pooled would let the machine recycle a header it does not own.
 			dup := *p
+			dup.pooled, dup.next = false, nil
 			cp = &dup
 			n.PacketsDuped++
 			if n.m.faultSink != nil {
@@ -591,12 +620,10 @@ var oneCopy = []sim.Time{0}
 // for restoring it at restart; the machine only models the dead interval.
 func (n *Node) BeginOutage(until sim.Time) {
 	n.downUntil = until
-	for i, p := range n.rx {
-		n.rx[i] = nil
+	for p := n.rx.pop(); p != nil; p = n.rx.pop() {
 		n.CrashDrops++
 		n.ReleasePacket(p)
 	}
-	n.rx = n.rx[:0]
 }
 
 // EndOutage marks the node as up again, advances its clock to the restart
@@ -621,12 +648,10 @@ func (m *Machine) BumpEra() { m.era++ }
 // era drops. Used by a global checkpoint restore to clear the receive
 // queues of surviving nodes before their state is rolled back.
 func (n *Node) DropRx() {
-	for i, p := range n.rx {
-		n.rx[i] = nil
+	for p := n.rx.pop(); p != nil; p = n.rx.pop() {
 		n.EraDrops++
 		n.ReleasePacket(p)
 	}
-	n.rx = n.rx[:0]
 }
 
 // TotalEraDrops returns the machine-wide count of packets revoked by
@@ -669,7 +694,7 @@ func (n *Node) deliver(p *Packet) {
 	if n.Clock < p.Arrival {
 		n.Clock = p.Arrival
 	}
-	n.rx = append(n.rx, p)
+	n.rx.push(p)
 	n.ensureResume()
 }
 
@@ -733,7 +758,7 @@ func (n *Node) resumeAt(now sim.Time) {
 		more = n.Runner.Step()
 	}
 	n.inResume = false
-	if more || len(n.rx) > 0 {
+	if more || n.rx.head != nil {
 		n.ensureResume()
 	}
 }
@@ -741,20 +766,22 @@ func (n *Node) resumeAt(now sim.Time) {
 // Poll dispatches all arrived packets to their attached handlers, in
 // arrival order. Handlers run on this node and may advance its clock.
 func (n *Node) Poll() {
-	// Cursor walk instead of shifting the queue per packet: handlers never
-	// deliver synchronously (delivery is an engine event), but the bound is
-	// re-read each iteration in case that ever changes.
-	for i := 0; i < len(n.rx); i++ {
-		p := n.rx[i]
-		n.rx[i] = nil
+	// Each packet is unlinked before its handler runs: the handler of an
+	// embedded header releases the record around it, after which p reads as
+	// a zeroed, non-pooled packet and ReleasePacket leaves it alone.
+	for p := n.rx.pop(); p != nil; p = n.rx.pop() {
 		n.PacketsRecvd++
 		if p.Handler != nil {
 			p.Handler(n, p)
 		}
 		n.ReleasePacket(p)
 	}
-	n.rx = n.rx[:0]
 }
 
 // PendingRx reports the number of delivered-but-unpolled packets.
-func (n *Node) PendingRx() int { return len(n.rx) }
+func (n *Node) PendingRx() (k int) {
+	for p := n.rx.head; p != nil; p = p.next {
+		k++
+	}
+	return k
+}

@@ -14,7 +14,7 @@ import "repro/internal/sim"
 // launch to its final poll, so replaying a delivery is safe.
 
 // SetOptimistic switches the machine into optimistic-execution mode:
-// AcquirePacket stops drawing from the per-node free lists and every packet
+// AcquirePacket stops drawing from the per-node pools and every packet
 // becomes garbage-collected rather than recycled. Call before Run.
 func (m *Machine) SetOptimistic() { m.opt = true }
 
@@ -66,8 +66,8 @@ func (n *Node) OptCapture() *NodeSnap {
 		crashDrops:     n.CrashDrops,
 		eraDrops:       n.EraDrops,
 	}
-	if len(n.rx) > 0 {
-		s.rx = append([]*Packet(nil), n.rx...)
+	for p := n.rx.head; p != nil; p = p.next {
+		s.rx = append(s.rx, p)
 	}
 	s.arrivalCol = make([]sim.Time, len(n.m.nodes))
 	s.ctrlCol = make([]sim.Time, len(n.m.nodes))
@@ -97,7 +97,10 @@ func (n *Node) OptRestore(s *NodeSnap) {
 	n.CrashDrops = s.crashDrops
 	n.EraDrops = s.eraDrops
 
-	n.rx = append(n.rx[:0], s.rx...)
+	n.rx = pktQueue{}
+	for _, p := range s.rx {
+		n.rx.push(p)
+	}
 	for d, dn := range n.m.nodes {
 		dn.lastArrival[n.ID] = s.arrivalCol[d]
 		dn.lastCtrl[n.ID] = s.ctrlCol[d]

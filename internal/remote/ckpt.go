@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/profile"
-	"repro/internal/sim"
 )
 
 // Checkpoint support for the inter-node layer.
@@ -101,8 +100,7 @@ type RelImage struct {
 	nextExpected []uint64
 	rr, rrNext   int
 	rng          uint64
-	loads        []int32
-	loadAt       []sim.Time
+	loads        []loadSample
 	stock        []stockImage
 	locCache     map[core.Address]core.Address
 	advert       map[advertKey]core.Address
@@ -142,8 +140,7 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 		rr:           ns.rr,
 		rrNext:       ns.rrNext,
 		rng:          ns.rng,
-		loads:        append([]int32(nil), ns.loads...),
-		loadAt:       append([]sim.Time(nil), ns.loadAt...),
+		loads:        append([]loadSample(nil), ns.loads...),
 	}
 	im.bytes = 16*len(im.nextSeq) + 12*len(im.loads) + 16
 	if len(ns.stock) > 0 {
@@ -245,7 +242,6 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 	copy(rv.nextExpected, im.nextExpected)
 	ns.rr, ns.rrNext, ns.rng = im.rr, im.rrNext, im.rng
 	copy(ns.loads, im.loads)
-	copy(ns.loadAt, im.loadAt)
 	for _, e := range ns.stock {
 		e.seeded = false
 		e.chunks = nil
@@ -393,11 +389,5 @@ func (l *Layer) SendCkpt(src, dst, extraBytes int, fn func()) {
 	w.src = src
 	w.load = l.piggyback(src)
 	w.then = fn
-	pkt := mn.AcquirePacket()
-	pkt.Dst = dst
-	pkt.Size = packetHeaderBytes + extraBytes
-	pkt.Category = CatCkpt
-	pkt.Handler = l.hWire
-	pkt.Payload = w
-	l.transmit(mn, pkt)
+	l.launch(mn, w, dst, packetHeaderBytes+extraBytes, CatCkpt)
 }

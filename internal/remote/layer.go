@@ -117,7 +117,7 @@ type Layer struct {
 	optim bool       // optimistic-execution mode (see optimistic.go)
 
 	// hWire is the shared receive handler for all layer packets; the
-	// per-send state travels in the packet's Payload as a *wireMsg instead
+	// per-send state travels in the *wireMsg around the packet header instead
 	// of a freshly allocated closure. hBatchArr/hBatchDel are the shared
 	// controller and poll handlers of CatBatch containers.
 	hWire     func(*machine.Node, *machine.Packet)
@@ -125,17 +125,22 @@ type Layer struct {
 	hBatchDel func(*machine.Node, *machine.Packet)
 }
 
-// wireMsg is the decoded payload of one layer packet. Records are pooled:
-// the sender fills one from its node's free list, the receive handler
-// recycles it into the receiving node's — they migrate between per-node
-// pools exactly like the packets that carry them, so each pool is only
-// touched by its own lane. Recycling is skipped when the machine can
-// duplicate packets (see wirePooled): a duplicated packet shares the record
-// and the handler runs once per copy.
+// wireMsg is one layer message on the wire — the machine packet header it
+// travels under and its decoded payload in a single record, so a hop is one
+// acquire at the sender and one release at the receiver. Records are pooled:
+// the sender fills one from its node's slab, handleWire recycles it into the
+// receiving node's, so each pool is only touched by its own lane. The
+// machine never recycles the embedded header (it is not AcquirePacket's);
+// the reliable protocol sends per-attempt copies under headers of its own
+// and leaves pkt unused after the hand-off. Recycling is skipped when the
+// machine can duplicate packets (see wirePooled): a duplicated packet shares
+// the record and the handler runs once per copy.
 type wireMsg struct {
+	pkt       machine.Packet // pkt.Payload points back at the record
+	next      *wireMsg       // pool link
 	kind      uint8
-	src       int
 	load      int32
+	src       int
 	to        core.Address   // wmMessage: receiver
 	pat       core.PatternID // wmMessage: pattern
 	args      []core.Value   // message or constructor arguments (owned copy)
@@ -192,24 +197,33 @@ func (l *Layer) wirePooled() bool {
 	return l.m.Faults() == nil || l.rel != nil
 }
 
+// PoolLink names the intrusive link for sim.Slab.
+func (w *wireMsg) PoolLink() **wireMsg { return &w.next }
+
+// acquireWire returns a zeroed record — allocated singly when records are
+// not recycled: one that never comes back must not pin a slab block.
 func (l *Layer) acquireWire(src int) *wireMsg {
-	ns := l.nodes[src]
-	if last := len(ns.wireFree) - 1; last >= 0 {
-		w := ns.wireFree[last]
-		ns.wireFree[last] = nil
-		ns.wireFree = ns.wireFree[:last]
-		return w
+	if !l.wirePooled() {
+		return &wireMsg{}
 	}
-	return &wireMsg{}
+	return l.nodes[src].wires.Get()
 }
 
 func (l *Layer) releaseWire(dst int, w *wireMsg) {
-	if !l.wirePooled() {
-		return
+	if l.wirePooled() {
+		l.nodes[dst].wires.Put(w)
 	}
-	*w = wireMsg{}
-	ns := l.nodes[dst]
-	ns.wireFree = append(ns.wireFree, w)
+}
+
+// launch fills w's embedded header and puts the record on the wire.
+func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size, category int) {
+	pkt := &w.pkt
+	pkt.Dst = dst
+	pkt.Size = size
+	pkt.Category = category
+	pkt.Handler = l.hWire
+	pkt.Payload = w
+	l.transmit(mn, pkt)
 }
 
 // handleWire is the single receive-side dispatcher for categories 1-3: the
@@ -338,13 +352,12 @@ type nodeState struct {
 	rrNext int
 	rng    uint64
 	stock  map[stockKey]*stockEntry
-	loads  []int32    // last known scheduling-queue lengths, piggybacked
-	loadAt []sim.Time // arrival time of each load sample (staleness horizon)
-	sent   [3]uint64  // category 1/2/3 sends, node-local (lane-safe)
+	loads  []loadSample // per peer: last piggybacked scheduling-queue length
+	sent   [3]uint64    // category 1/2/3 sends, node-local (lane-safe)
 
-	wireFree  []*wireMsg   // recycled payload records (lane-local)
-	batchFree []*wireBatch // recycled batch containers (lane-local)
-	batchPos  int          // 1-based record cursor while delivering a batch
+	wires     sim.Slab[wireMsg, *wireMsg] // recycled wire records (lane-local)
+	batchFree []*wireBatch                // recycled batch containers, slices and all (lane-local)
+	batchPos  int                         // 1-based record cursor while delivering a batch
 
 	// Remote-location cache: stale address -> latest known home, filled by
 	// wmLocUpd messages from forwarding nodes. advert is the forwarding
@@ -352,6 +365,13 @@ type nodeState struct {
 	// each sender is told about each migration generation exactly once.
 	locCache map[core.Address]core.Address
 	advert   map[advertKey]core.Address
+}
+
+// loadSample is one peer's piggybacked load and the arrival time it was
+// observed at (the staleness horizon), written together on every receive.
+type loadSample struct {
+	at   sim.Time
+	load int32
 }
 
 type advertKey struct {
@@ -378,13 +398,13 @@ func (ns *nodeState) knownLoad(node int, l *Layer) int {
 		return l.rt.NodeRT(node).SchedQueueLen()
 	}
 	if h := l.opt.LoadHorizon; h > 0 {
-		if at := ns.loadAt[node]; at == 0 || at+h < l.m.Node(ns.id).Now() {
+		if at := ns.loads[node].at; at == 0 || at+h < l.m.Node(ns.id).Now() {
 			// No sample inside the horizon: treat the peer as unknown
 			// rather than idle, so placement stops chasing stale minima.
 			return staleLoad
 		}
 	}
-	return int(ns.loads[node])
+	return int(ns.loads[node].load)
 }
 
 // Attach builds the layer and installs it into the runtime. Must run before
@@ -398,11 +418,10 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 	l.nodes = make([]*nodeState, rt.Nodes())
 	for i := range l.nodes {
 		l.nodes[i] = &nodeState{
-			id:     i,
-			rng:    uint64(opt.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1,
-			stock:  make(map[stockKey]*stockEntry),
-			loads:  make([]int32, rt.Nodes()),
-			loadAt: make([]sim.Time, rt.Nodes()),
+			id:    i,
+			rng:   uint64(opt.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1,
+			stock: make(map[stockKey]*stockEntry),
+			loads: make([]loadSample, rt.Nodes()),
 		}
 	}
 	if opt.Reliable {
@@ -525,9 +544,7 @@ func (l *Layer) piggyback(src int) int32 {
 // noteLoad stores a piggybacked load sample with the arrival time it was
 // observed at, so placement can discount samples beyond the LoadHorizon.
 func (l *Layer) noteLoad(dst, src int, load int32, at sim.Time) {
-	ns := l.nodes[dst]
-	ns.loads[src] = load
-	ns.loadAt[src] = at
+	l.nodes[dst].loads[src] = loadSample{at: at, load: load}
 }
 
 // SendMessage implements core.Remote: category-1 normal message
@@ -578,13 +595,7 @@ func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, a
 	w.pat = p
 	w.setArgs(args)
 	w.replyTo = replyTo
-	pkt := mn.AcquirePacket()
-	pkt.Dst = to.Node
-	pkt.Size = size
-	pkt.Category = CatMessage
-	pkt.Handler = l.hWire
-	pkt.Payload = w
-	l.transmit(mn, pkt)
+	l.launch(mn, w, to.Node, size, CatMessage)
 }
 
 // Create implements core.Remote: remote object creation with latency hiding
@@ -680,13 +691,7 @@ func (l *Layer) sendCreateRequest(n *core.NodeRT, target int, chunk *core.Object
 	w.cl = cl
 	w.setArgs(ctorArgs)
 	w.entry = e
-	pkt := sn.AcquirePacket()
-	pkt.Dst = target
-	pkt.Size = packetHeaderBytes + 8 + core.ArgsSize(ctorArgs)
-	pkt.Category = CatCreate
-	pkt.Handler = l.hWire
-	pkt.Payload = w
-	l.transmit(sn, pkt)
+	l.launch(sn, w, target, packetHeaderBytes+8+core.ArgsSize(ctorArgs), CatCreate)
 }
 
 // sendBlockingCreate is the stock-miss path: a category-2 request without a
@@ -706,13 +711,7 @@ func (l *Layer) sendBlockingCreate(n *core.NodeRT, target int, cl *core.Class, c
 	w.setArgs(ctorArgs)
 	w.entry = e
 	w.onCreated = onCreated
-	pkt := sn.AcquirePacket()
-	pkt.Dst = target
-	pkt.Size = packetHeaderBytes + core.ArgsSize(ctorArgs)
-	pkt.Category = CatCreate
-	pkt.Handler = l.hWire
-	pkt.Payload = w
-	l.transmit(sn, pkt)
+	l.launch(sn, w, target, packetHeaderBytes+core.ArgsSize(ctorArgs), CatCreate)
 }
 
 // sendChunkReply is the category-3 handler: deliver a replacement chunk
@@ -731,13 +730,7 @@ func (l *Layer) sendChunkReply(n *core.NodeRT, requester int, chunk *core.Object
 	w.chunk = chunk
 	w.entry = e
 	w.then = then
-	pkt := sn.AcquirePacket()
-	pkt.Dst = requester
-	pkt.Size = packetHeaderBytes + 8
-	pkt.Category = CatChunk
-	pkt.Handler = l.hWire
-	pkt.Payload = w
-	l.transmit(sn, pkt)
+	l.launch(sn, w, requester, packetHeaderBytes+8, CatChunk)
 }
 
 // advertiseLocation tells a stale sender where a migrated object lives now —
@@ -779,15 +772,9 @@ func (l *Layer) advertiseLocation(rn *machine.Node, src int, stale, fwd core.Add
 	w.load = l.piggyback(rn.ID)
 	w.to = stale
 	w.replyTo = final
-	pkt := rn.AcquirePacket()
-	pkt.Dst = src
-	pkt.Size = packetHeaderBytes + 16 // stale + authoritative address
-	pkt.Category = CatService
-	pkt.Handler = l.hWire
-	pkt.Payload = w
 	l.tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
 		"advertise to n%d: object moved n%d -> n%d", src, stale.Node, final.Node)
-	l.transmit(rn, pkt)
+	l.launch(rn, w, src, packetHeaderBytes+16, CatService) // stale + authoritative address
 }
 
 // learnLocation installs an advertised location in the stale sender's cache.

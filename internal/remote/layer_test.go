@@ -3,6 +3,7 @@ package remote
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -369,9 +370,9 @@ func TestPlacementLoadBased(t *testing.T) {
 	rt, l := buildSys(t, 4, core.Options{}, Options{StockDepth: 1, Placement: LoadBased{Candidates: 4}, Seed: 7})
 	rt.Freeze()
 	// Make node 2 look heavily loaded in node 0's view; others idle.
-	l.nodes[0].loads[1] = 0
-	l.nodes[0].loads[2] = 1000
-	l.nodes[0].loads[3] = 0
+	l.nodes[0].loads[1].load = 0
+	l.nodes[0].loads[2].load = 1000
+	l.nodes[0].loads[3].load = 0
 	heavyPicks := 0
 	for i := 0; i < 64; i++ {
 		if l.Placement().Pick(l, 0, nil) == 2 {
@@ -622,5 +623,14 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("hinted remote send never arrived")
+	}
+}
+
+// One message hop is one wireMsg, packet header included, and an all-to-all
+// burst keeps every record of the run live at once: its size is most of the
+// simulator's bytes per message.
+func TestWireMsgSize(t *testing.T) {
+	if sz := unsafe.Sizeof(wireMsg{}); sz > 304 {
+		t.Errorf("wireMsg is %d bytes with its embedded packet header, want <= 304", sz)
 	}
 }

@@ -69,8 +69,7 @@ type lbSnap struct {
 type NodeSnap struct {
 	rr, rrNext int
 	rng        uint64
-	loads      []int32
-	loadAt     []sim.Time
+	loads      []loadSample
 	sent       [3]uint64
 	stock      []stockSnap
 	locCache   map[core.Address]core.Address
@@ -102,8 +101,7 @@ func (l *Layer) OptCaptureNode(node int) *NodeSnap {
 		rr:     ns.rr,
 		rrNext: ns.rrNext,
 		rng:    ns.rng,
-		loads:  append([]int32(nil), ns.loads...),
-		loadAt: append([]sim.Time(nil), ns.loadAt...),
+		loads:  append([]loadSample(nil), ns.loads...),
 		sent:   ns.sent,
 	}
 	for _, e := range ns.stock {
@@ -197,7 +195,6 @@ func (l *Layer) OptRestoreNode(node int, s *NodeSnap) {
 	ns.rrNext = s.rrNext
 	ns.rng = s.rng
 	copy(ns.loads, s.loads)
-	copy(ns.loadAt, s.loadAt)
 	ns.sent = s.sent
 	known := make(map[*stockEntry]bool, len(s.stock))
 	for _, es := range s.stock {

@@ -222,7 +222,7 @@ func (e *Engine) barrier(active []int32) (uint64, error) {
 		for i := range ln.births {
 			b := &ln.births[i]
 			if !b.consumed {
-				e.lanes[b.dst].push(event{at: b.at, seq: b.seq, kind: b.kind, fn: b.fn, arg: b.arg})
+				e.lanes[b.dst].push(event{at: b.at, seq: b.seq, kind: b.kind, arg: b.arg})
 			}
 			ln.births[i] = birth{}
 		}

@@ -1,0 +1,61 @@
+package sim
+
+// Slab is a free list of T records carved out of block allocations, for the
+// per-hop records of the layers above (machine packets, wire records). A
+// burst that finds the free list empty costs one allocation per block rather
+// than one per record, and the collector sees one pointer-bearing object per
+// block rather than hundreds.
+//
+// Blocks grow geometrically from slabMinBlock to slabMaxBlock records, so a
+// lightly loaded owner (one of 256 nodes that sends a dozen messages) holds
+// a few records while a heavily loaded one amortizes quickly. Free records
+// are chained through a link field inside T — T's pointer type names it with
+// a PoolLink method — so the list itself never allocates or regrows.
+//
+// A Slab is owned by one event lane. Records may migrate: a record acquired
+// from one slab can be released into another of the same type. The zero
+// value is ready to use.
+//
+// PoolLink is a call through a type parameter, which Go compiles to an
+// indirect call: a Get/Put pair measures 6.9 ns against 2.6 ns for a
+// hand-written list. That is noise on a remote hop and a quarter of a local
+// send, which is why core's frames and contexts keep their own free lists.
+type Slab[T any, P interface {
+	*T
+	PoolLink() **T
+}] struct {
+	free  *T
+	block []T // uncarved tail of the newest block
+	grown int // size of the newest block
+}
+
+const (
+	slabMinBlock = 8
+	slabMaxBlock = 256
+)
+
+// Get returns a zeroed record: the most recently released one if any,
+// otherwise the next record of the current block.
+func (s *Slab[T, P]) Get() *T {
+	if r := s.free; r != nil {
+		link := P(r).PoolLink()
+		s.free, *link = *link, nil
+		return r
+	}
+	if len(s.block) == 0 {
+		s.grown = min(max(2*s.grown, slabMinBlock), slabMaxBlock)
+		s.block = make([]T, s.grown)
+	}
+	r := &s.block[0]
+	s.block = s.block[1:]
+	return r
+}
+
+// Put zeroes r, dropping every pointer it held, and makes it the next
+// record Get returns. The caller must hold the only live reference.
+func (s *Slab[T, P]) Put(r *T) {
+	var zero T
+	*r = zero
+	*P(r).PoolLink() = s.free
+	s.free = r
+}
