@@ -28,8 +28,8 @@ tier1:
 
 vet-race:
 	go vet ./...
-	go test -race ./internal/parexec/... ./internal/core/... ./internal/sim/... ./internal/conformance/... ./internal/remote/...
-	go test -race -run 'TestWirePath|TestCrash|TestSnapshot|TestCheckpoint|TestMultiactive|TestOptimistic|TestRecordPool' .
+	go test -race ./internal/parexec/... ./internal/core/... ./internal/sim/... ./internal/conformance/... ./internal/remote/... ./internal/checkpoint/...
+	go test -race -run 'TestWirePath|TestCrash|TestSnapshot|TestCheckpoint|TestMultiactive|TestOptimistic|TestRecordPool|TestRetryEquivalencePin|TestReliableSteadyState' .
 
 scenario-smoke:
 	go run ./cmd/abclsim -workload scenario -scenario all

@@ -143,7 +143,7 @@ func recycled(t *testing.T, m *Machine, tracked ...*Packet) map[*Packet]int {
 				t.Fatalf("node %d pool handed out %p twice", id, p)
 			}
 			seen[p] = true
-			if p.Handler != nil || p.Size != 0 || p.next != nil {
+			if p.Handler != nil || p.OnArrive != nil || p.Seq != 0 || p.Ctrl || p.Size != 0 || p.next != nil {
 				t.Fatalf("node %d pool handed out a dirty record: %+v", id, *p)
 			}
 			for _, tp := range tracked {
@@ -160,7 +160,10 @@ func recycled(t *testing.T, m *Machine, tracked ...*Packet) map[*Packet]int {
 // on the link, revoked by an era bump, lost at or inside a crashed node —
 // must recycle a pooled packet exactly once, only after it has left the
 // receive queue, and must never recycle a packet the machine does not own
-// (a literal, a fault-model copy).
+// (a literal, a fault-model copy). That holds for both shapes a pooled packet
+// takes: a data packet polled off the receive queue, and a transport
+// acknowledgment — control channel, header word, controller hook only —
+// that the destination's controller consumes on arrival.
 func TestPacketRecycledAtMostOnce(t *testing.T) {
 	const size = 24
 	newMachine := func(outcomes ...[]sim.Time) *Machine {
@@ -168,77 +171,107 @@ func TestPacketRecycledAtMostOnce(t *testing.T) {
 		m.SetFaults(&scriptFaults{outcomes: outcomes})
 		return m
 	}
-	pooled := func(m *Machine, h func(*Node, *Packet)) *Packet {
-		p := m.Node(0).AcquirePacket()
-		p.Dst, p.Size, p.Handler = 1, size, h
+	// shape fills in what makes p a data packet or an acknowledgment.
+	shape := func(p *Packet, ack bool, h func(*Node, *Packet)) *Packet {
+		p.Dst, p.Size = 1, size
+		if ack {
+			p.Ctrl, p.Seq, p.OnArrive = true, 7, h
+		} else {
+			p.Handler = h
+		}
 		return p
 	}
+	pooled := func(m *Machine, ack bool, h func(*Node, *Packet)) *Packet {
+		return shape(m.Node(0).AcquirePacket(), ack, h)
+	}
 
-	t.Run("duplicated", func(t *testing.T) {
-		m := newMachine([]sim.Time{0, 700}, []sim.Time{0, 700})
-		var got []*Packet
-		h := func(n *Node, p *Packet) {
-			if p.Size != size {
-				t.Errorf("copy %d delivered after its record was recycled: %+v", len(got), *p)
+	for _, ack := range []bool{false, true} {
+		name := map[bool]string{false: "data", true: "ack"}[ack]
+
+		t.Run(name+"/duplicated", func(t *testing.T) {
+			m := newMachine([]sim.Time{0, 700}, []sim.Time{0, 700})
+			var got []*Packet
+			h := func(n *Node, p *Packet) {
+				if p.Size != size || (ack && p.Seq != 7) {
+					t.Errorf("copy %d delivered after its record was recycled: %+v", len(got), *p)
+				}
+				got = append(got, p)
 			}
-			got = append(got, p)
-		}
-		orig := pooled(m, h)
-		lit := &Packet{Dst: 1, Size: size, Handler: h}
-		m.Node(0).Send(orig)
-		m.Node(0).Send(lit)
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 4 {
-			t.Fatalf("deliveries = %d, want 4", len(got))
-		}
-		n := recycled(t, m, got...)
-		for _, p := range got {
-			want := 0 // literals and fault-model copies are not the machine's
-			if p == orig {
-				want = 1
+			orig := pooled(m, ack, h)
+			lit := shape(&Packet{}, ack, h)
+			m.Node(0).Send(orig)
+			m.Node(0).Send(lit)
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
 			}
-			if n[p] != want {
-				t.Errorf("packet %p (pooled original: %v) recycled %d times, want %d", p, p == orig, n[p], want)
+			if len(got) != 4 {
+				t.Fatalf("deliveries = %d, want 4", len(got))
 			}
-		}
-	})
+			n := recycled(t, m, got...)
+			for _, p := range got {
+				want := 0 // literals and fault-model copies are not the machine's
+				if p == orig {
+					want = 1
+				}
+				if n[p] != want {
+					t.Errorf("packet %p (pooled original: %v) recycled %d times, want %d", p, p == orig, n[p], want)
+				}
+			}
+		})
 
-	t.Run("dropped", func(t *testing.T) {
-		m := newMachine(nil)
-		p := pooled(m, func(*Node, *Packet) { t.Error("dropped packet delivered") })
-		if at := m.Node(0).Send(p); at != Dropped {
-			t.Fatalf("Send = %v, want Dropped", at)
-		}
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if n := recycled(t, m, p)[p]; n != 1 {
-			t.Errorf("dropped packet recycled %d times, want 1", n)
-		}
-	})
+		t.Run(name+"/dropped", func(t *testing.T) {
+			m := newMachine(nil)
+			p := pooled(m, ack, func(*Node, *Packet) { t.Error("dropped packet delivered") })
+			if at := m.Node(0).Send(p); at != Dropped {
+				t.Fatalf("Send = %v, want Dropped", at)
+			}
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if n := recycled(t, m, p)[p]; n != 1 {
+				t.Errorf("dropped packet recycled %d times, want 1", n)
+			}
+		})
 
-	t.Run("era-revoked", func(t *testing.T) {
-		m := newMachine()
-		p := pooled(m, func(*Node, *Packet) { t.Error("revoked packet delivered") })
-		m.Node(0).Send(p)
-		m.BumpEra()
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if m.TotalEraDrops() != 1 {
-			t.Fatalf("era drops = %d, want 1", m.TotalEraDrops())
-		}
-		if n := recycled(t, m, p)[p]; n != 1 {
-			t.Errorf("revoked packet recycled %d times, want 1", n)
-		}
-	})
+		t.Run(name+"/era-revoked", func(t *testing.T) {
+			m := newMachine()
+			p := pooled(m, ack, func(*Node, *Packet) { t.Error("revoked packet delivered") })
+			m.Node(0).Send(p)
+			m.BumpEra()
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if m.TotalEraDrops() != 1 {
+				t.Fatalf("era drops = %d, want 1", m.TotalEraDrops())
+			}
+			if n := recycled(t, m, p)[p]; n != 1 {
+				t.Errorf("revoked packet recycled %d times, want 1", n)
+			}
+		})
 
+		t.Run(name+"/crash-in-flight", func(t *testing.T) {
+			m := newMachine()
+			p := pooled(m, ack, func(*Node, *Packet) { t.Error("packet delivered to a crashed node") })
+			m.Node(1).BeginOutage(sim.Millisecond)
+			m.Node(0).Send(p) // lands at the dead controller
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if m.TotalCrashDrops() != 1 {
+				t.Fatalf("crash drops = %d, want 1", m.TotalCrashDrops())
+			}
+			if n := recycled(t, m, p)[p]; n != 1 {
+				t.Errorf("crash-dropped packet recycled %d times, want 1", n)
+			}
+		})
+	}
+
+	// Only data packets wait in a receive queue for a crash to find them.
+	pooledData := func(m *Machine, h func(*Node, *Packet)) *Packet { return pooled(m, false, h) }
 	t.Run("crash-dropped", func(t *testing.T) {
 		m := newMachine()
 		h := func(*Node, *Packet) { t.Error("packet delivered to a crashed node") }
-		queued := []*Packet{pooled(m, h), pooled(m, h)}
+		queued := []*Packet{pooledData(m, h), pooledData(m, h)}
 		dst := m.Node(1)
 		dst.Charge(1 << 20) // busy: arrivals wait in the receive queue
 		var last sim.Time
@@ -264,7 +297,7 @@ func TestPacketRecycledAtMostOnce(t *testing.T) {
 		if dst.PendingRx() != 0 {
 			t.Fatalf("PendingRx after crash = %d, want 0", dst.PendingRx())
 		}
-		inFlight := pooled(m, h) // lands at the dead controller
+		inFlight := pooledData(m, h) // lands at the dead controller
 		m.Node(0).Send(inFlight)
 		if err := m.Run(); err != nil {
 			t.Fatal(err)

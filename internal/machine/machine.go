@@ -131,15 +131,14 @@ type Packet struct {
 	Src, Dst int
 	Size     int // bytes, for bandwidth modelling
 	Arrival  sim.Time
-	Category int // handler category (for statistics only)
 	Handler  func(n *Node, p *Packet)
 	Payload  any
 
-	// Msgs is the number of logical messages this physical packet carries.
-	// Zero and one both mean an ordinary single-message packet; the wire-path
-	// batching layer sets it to the count of coalesced records so the machine
-	// can account logical traffic separately from packet launches.
-	Msgs int
+	// Seq is a header word for the transport protocol above (a link sequence
+	// number, a cumulative acknowledgment): it rides the packet the way the
+	// handler address does, so a protocol packet needs no state of its own.
+	// Opaque to the machine.
+	Seq uint64
 
 	// OnArrive, if set, runs in engine context the moment the packet
 	// reaches the destination's message controller — before the software
@@ -149,6 +148,14 @@ type Packet struct {
 	// Handler is consumed entirely at the controller and never enters the
 	// receive queue.
 	OnArrive func(n *Node, p *Packet)
+
+	Category int32 // handler category (for statistics only)
+
+	// Msgs is the number of logical messages this physical packet carries.
+	// Zero and one both mean an ordinary single-message packet; the wire-path
+	// batching layer sets it to the count of coalesced records so the machine
+	// can account logical traffic separately from packet launches.
+	Msgs int32
 
 	// Ctrl routes the packet over the link's control virtual channel:
 	// transport acknowledgments and similar protocol traffic that must not
@@ -563,7 +570,7 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	if len(copies) == 0 {
 		n.PacketsDropped++
 		if n.m.faultSink != nil {
-			n.m.faultSink.PacketDropped(n.ID, p.Dst, at, p.Category)
+			n.m.faultSink.PacketDropped(n.ID, p.Dst, at, int(p.Category))
 		}
 		// The packet never reaches a receiver, so the sender recycles it.
 		n.ReleasePacket(p)
@@ -580,7 +587,7 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 			cp = &dup
 			n.PacketsDuped++
 			if n.m.faultSink != nil {
-				n.m.faultSink.PacketDuplicated(n.ID, p.Dst, at, p.Category)
+				n.m.faultSink.PacketDuplicated(n.ID, p.Dst, at, int(p.Category))
 			}
 		}
 		arrival := at + base + extra

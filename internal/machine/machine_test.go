@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -438,5 +439,14 @@ func TestFIFOUnderRandomStormProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every hop of every workload carries a Packet, most of them embedded in a
+// wire record: a word added here is a word on every message of every run,
+// reliable or not.
+func TestPacketSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Packet{}); sz > 96 {
+		t.Errorf("Packet is %d bytes, want <= 96", sz)
 	}
 }

@@ -39,72 +39,40 @@ const batchHeaderSave = packetHeaderBytes - batchPerMsgBytes
 // zero byte budget.
 const DefaultBatchBytes = 512
 
-// batcher is the machine-wide batching state: one lazily allocated linkBatch
-// per (src, dst) pair that actually communicates. All per-link state is
-// touched only from the sender's event lane, keeping ParallelRun safe.
+// batcher is the machine-wide batching configuration; the open batch of each
+// (src, dst) pair that actually communicates lives in the sender's link
+// record, touched only from the sender's event lane.
 type batcher struct {
-	l        *Layer
-	window   sim.Time
-	maxBytes int
-	links    [][]*linkBatch // [src][dst]; inner slices allocated on first use
+	l         *Layer
+	window    sim.Time
+	maxBytes  int
+	flushKind sim.Kind // the flush deadline's callback; arg: *link
 }
 
 func newBatcher(l *Layer, window sim.Time, maxBytes int) *batcher {
 	if maxBytes <= 0 {
 		maxBytes = DefaultBatchBytes
 	}
-	return &batcher{
-		l:        l,
-		window:   window,
-		maxBytes: maxBytes,
-		links:    make([][]*linkBatch, l.rt.Nodes()),
-	}
-}
-
-// linkBatch accumulates outbound records for one (src, dst) link until the
-// window timer fires or the byte budget fills.
-type linkBatch struct {
-	b          *batcher
-	mn         *machine.Node // sending node
-	dst        int
-	pkts       []*machine.Packet // pending records, in enqueue (= seq) order
-	bytes      int               // sum of the records' standalone wire sizes
-	firstClock sim.Time          // sender clock when the batch was opened
-	maxClock   sim.Time          // latest sender clock among enqueued records
-	timer      sim.Timer
-	flushFn    func()
-}
-
-func (b *batcher) link(mn *machine.Node, dst int) *linkBatch {
-	row := b.links[mn.ID]
-	if row == nil {
-		row = make([]*linkBatch, len(b.links))
-		b.links[mn.ID] = row
-	}
-	lb := row[dst]
-	if lb == nil {
-		lb = &linkBatch{b: b, mn: mn, dst: dst}
-		lb.flushFn = lb.flush
-		row[dst] = lb
-	}
-	return lb
+	b := &batcher{l: l, window: window, maxBytes: maxBytes}
+	b.flushKind = l.m.Eng.RegisterHandler(func(_ sim.Time, arg any) { b.flush(arg.(*link)) })
+	return b
 }
 
 // enqueue defers pkt into the link's open batch, opening one (and arming its
 // flush timer) if the link was idle.
 func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
-	lb := b.link(mn, pkt.Dst)
+	k := b.l.link(mn.ID, pkt.Dst)
 	// The window bounds the spread of the records' *write clocks*, not just
 	// the flush timer: a long method body advances the processor clock far
 	// beyond the lane's event time, and its flush timer cannot fire until the
 	// event completes. Without this check every send of the body would share
 	// one batch no matter how far apart the records were actually written.
-	if len(lb.pkts) > 0 && mn.Clock > lb.firstClock+b.window {
-		lb.flush()
+	if len(k.pkts) > 0 && mn.Clock > k.firstClock+b.window {
+		b.flush(k)
 	}
-	if len(lb.pkts) == 0 {
-		lb.firstClock = mn.Clock
-		lb.maxClock = 0
+	if len(k.pkts) == 0 {
+		k.firstClock = mn.Clock
+		k.maxClock = 0
 		// The flush fires just after the writing event completes (the
 		// sender's clock may run far ahead of its lane inside a method
 		// body, so the deadline is measured from the record's write clock).
@@ -115,35 +83,35 @@ func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 		// is backdated to the last record's write clock in flush, so a
 		// lone record leaves (virtually) when an unbatched send would
 		// have. A timer left pending by an earlier flush of this link is
-		// an earlier-than-window deadline; re-arming a pending timer is
-		// illegal, and an early flush is merely conservative.
-		if !lb.timer.Pending() {
+		// an earlier-than-window deadline, and stays: an early flush is
+		// merely conservative.
+		if !k.timer.Pending() {
 			d := sim.Time(1)
 			if ahead := mn.Clock - mn.EventNow(); ahead > 0 {
 				d += ahead
 			}
-			b.l.m.Eng.StartTimer(mn.Lane(), mn.Lane(), &lb.timer, d, lb.flushFn)
+			b.l.m.Eng.StartTimerKind(mn.Lane(), mn.Lane(), &k.timer, d, b.flushKind, k)
 		}
 	}
-	lb.pkts = append(lb.pkts, pkt)
-	lb.bytes += pkt.Size
-	if mn.Clock > lb.maxClock {
-		lb.maxClock = mn.Clock
+	k.pkts = append(k.pkts, pkt)
+	k.bytes += pkt.Size
+	if mn.Clock > k.maxClock {
+		k.maxClock = mn.Clock
 	}
-	if lb.bytes >= b.maxBytes {
-		lb.flush()
+	if k.bytes >= b.maxBytes {
+		b.flush(k)
 	}
 }
 
-// flush launches the open batch. It runs from the window timer or a
+// flush launches k's open batch. It runs from the window timer or a
 // byte-budget overflow; a timer firing on an already-flushed link is a no-op.
-func (lb *linkBatch) flush() {
-	n := len(lb.pkts)
+func (b *batcher) flush(k *link) {
+	n := len(k.pkts)
 	if n == 0 {
 		return
 	}
-	mn := lb.mn
-	l := lb.b.l
+	mn := k.mn
+	l := b.l
 	if mn.Down(mn.EventNow()) {
 		// The sender crashed with this batch open: a dead node launches
 		// nothing. The records stay queued; the restart's global restore
@@ -154,7 +122,7 @@ func (lb *linkBatch) flush() {
 	// written, and no earlier than the deadline event itself. The launch is
 	// the message controller's work, so no processor time is charged here —
 	// each record's software cost was charged at its original send.
-	at := lb.maxClock
+	at := k.maxClock
 	if ev := mn.EventNow(); ev > at {
 		at = ev
 	}
@@ -164,8 +132,8 @@ func (lb *linkBatch) flush() {
 		// carries any acknowledgments owed to its destination — request/
 		// reply traffic rarely fills a batch, but almost always has a
 		// reverse-direction data packet for the ack to ride.
-		p := lb.pkts[0]
-		lb.reset()
+		p := k.pkts[0]
+		k.resetBatch()
 		if l.rel != nil {
 			p.Size += l.rel.piggybackOnPacket(mn, p, at)
 		}
@@ -173,35 +141,36 @@ func (lb *linkBatch) flush() {
 		return
 	}
 	wb := l.acquireBatch(mn.ID)
-	wb.pkts = append(wb.pkts, lb.pkts...)
-	size := packetHeaderBytes + lb.bytes - n*batchHeaderSave
-	lb.reset()
+	wb.pkts = append(wb.pkts, k.pkts...)
+	size := packetHeaderBytes + k.bytes - n*batchHeaderSave
+	k.resetBatch()
 	if l.rel != nil {
 		// A reverse-direction batch carries any acknowledgments this node
 		// owes the destination for free (plus a few bytes of framing).
-		size += l.rel.piggybackAck(mn, lb.dst, wb, at)
+		size += l.rel.piggybackAck(mn, k.peer, wb, at)
 	}
 	pkt := mn.AcquirePacket()
-	pkt.Dst = lb.dst
+	pkt.Dst = k.peer
 	pkt.Size = size
 	pkt.Category = CatBatch
-	pkt.Msgs = n
+	pkt.Msgs = int32(n)
 	pkt.Payload = wb
 	pkt.OnArrive = l.hBatchArr
 	pkt.Handler = l.hBatchDel
 	c := &l.rt.NodeRT(mn.ID).C
 	c.BatchesSent++
 	c.BatchedMsgs += uint64(n)
-	l.tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, lb.dst, size)
+	if l.tracing() {
+		l.tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, k.peer, size)
+	}
 	mn.ControllerSend(at, pkt)
 }
 
-func (lb *linkBatch) reset() {
-	for i := range lb.pkts {
-		lb.pkts[i] = nil
-	}
-	lb.pkts = lb.pkts[:0]
-	lb.bytes = 0
+// resetBatch empties k's open batch, keeping its backing.
+func (k *link) resetBatch() {
+	clear(k.pkts)
+	k.pkts = k.pkts[:0]
+	k.bytes = 0
 }
 
 // wireBatch is the payload of a CatBatch packet: the coalesced records in

@@ -2,10 +2,8 @@ package remote
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/profile"
 )
 
@@ -44,24 +42,18 @@ import (
 // the original send (wire-record pooling is disabled while checkpointing is
 // on — see wirePooled).
 type ckptRec struct {
-	size     int
-	category int
-	inner    func(*machine.Node, *machine.Packet)
+	size     int32
+	category int32
 	payload  any
 }
 
-// retainLink is the retention buffer of one (src, dst) link: recs[i] holds
-// sequence number base+i. Appended at send, trimmed at the front as records
-// become stable, truncated at the back by a rollback.
+// retainLink is the retention buffer of one (src, dst) link, kept in the
+// sender's link record: recs[i] holds sequence number base+i. Appended at
+// send, trimmed at the front as records become stable, truncated at the back
+// by a rollback.
 type retainLink struct {
 	base uint64
 	recs []ckptRec
-}
-
-// ckptState is the layer-wide retention state, allocated by
-// EnableCheckpoint.
-type ckptState struct {
-	links [][]retainLink // [src][dst]
 }
 
 // EnableCheckpoint switches the layer into checkpoint mode: every reliable
@@ -71,26 +63,18 @@ func (l *Layer) EnableCheckpoint() {
 	if l.rel == nil {
 		panic("remote: checkpointing requires the reliable protocol")
 	}
-	if l.ck != nil {
-		return
-	}
-	n := l.rt.Nodes()
-	ck := &ckptState{links: make([][]retainLink, n)}
-	for i := range ck.links {
-		ck.links[i] = make([]retainLink, n)
-	}
-	l.ck = ck
+	l.ckpt = true
 }
 
 // retain records one transmission for replay-after-rollback.
-func (ck *ckptState) retain(src, dst int, seq uint64, m *relMsg) {
-	lk := &ck.links[src][dst]
+func (k *link) retain(m *relMsg) {
+	lk := &k.ret
 	if len(lk.recs) == 0 {
-		lk.base = seq
-	} else if want := lk.base + uint64(len(lk.recs)); seq != want {
-		panic(fmt.Sprintf("remote: retention gap on link %d->%d: seq %d, want %d", src, dst, seq, want))
+		lk.base = m.seq
+	} else if want := lk.base + uint64(len(lk.recs)); m.seq != want {
+		panic(fmt.Sprintf("remote: retention gap on link %d->%d: seq %d, want %d", k.mn.ID, k.peer, m.seq, want))
 	}
-	lk.recs = append(lk.recs, ckptRec{size: m.size, category: m.category, inner: m.inner, payload: m.payload})
+	lk.recs = append(lk.recs, ckptRec{size: m.size, category: m.category, payload: m.payload})
 }
 
 // RelImage is one node's inter-node-layer snapshot.
@@ -127,21 +111,22 @@ func (im *RelImage) NextExpected(src int) uint64 { return im.nextExpected[src] }
 // CaptureRel snapshots one node's inter-node state. Must run between engine
 // events, with checkpoint mode enabled.
 func (l *Layer) CaptureRel(node int) *RelImage {
-	if l.ck == nil {
+	if !l.ckpt {
 		panic("remote: CaptureRel without EnableCheckpoint")
 	}
 	ns := l.nodes[node]
-	s := l.rel.senders[node]
-	rv := l.rel.receivers[node]
 	im := &RelImage{
 		node:         node,
-		nextSeq:      append([]uint64(nil), s.nextSeq...),
-		nextExpected: append([]uint64(nil), rv.nextExpected...),
+		nextSeq:      make([]uint64, len(l.nodes)),
+		nextExpected: make([]uint64, len(l.nodes)),
 		rr:           ns.rr,
 		rrNext:       ns.rrNext,
 		rng:          ns.rng,
 		loads:        append([]loadSample(nil), ns.loads...),
 	}
+	ns.eachLink(func(k *link) {
+		im.nextSeq[k.peer], im.nextExpected[k.peer] = k.nextSeq, k.nextExpected
+	})
 	im.bytes = 16*len(im.nextSeq) + 12*len(im.loads) + 16
 	if len(ns.stock) > 0 {
 		im.stock = make([]stockImage, 0, len(ns.stock))
@@ -168,63 +153,29 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 }
 
 // CkptTeardown discards every piece of in-flight protocol state of the
-// rolled-back timeline, in deterministic node order: pending retransmissions
-// (timers stopped, records recycled), reorder buffers, delayed-ack ledgers,
-// and open batches. Runs once per restore, before the per-node state is
-// restored.
+// rolled-back timeline, in deterministic node order: in-flight records and
+// their retry deadlines, reorder buffers, delayed-ack ledgers, and open
+// batches. Runs once per restore, before the per-node state is restored.
 func (l *Layer) CkptTeardown() {
-	r := l.rel
-	n := l.rt.Nodes()
-	for src := 0; src < n; src++ {
-		s := r.senders[src]
-		for dst := 0; dst < n; dst++ {
-			pending := s.pending[dst]
-			if len(pending) == 0 {
-				continue
+	for _, ns := range l.nodes {
+		ns.eachLink(func(k *link) {
+			for len(k.win) > 0 {
+				l.rel.finish(ns, k, k.win[0])
 			}
-			seqs := s.scratch[:0]
-			for seq := range pending {
-				seqs = append(seqs, seq)
-			}
-			slices.Sort(seqs)
-			for _, seq := range seqs {
-				m := pending[seq]
-				m.acked = true
-				m.timer.Stop()
-				delete(pending, seq)
-				s.releaseMsg(m)
-			}
-			s.scratch = seqs[:0]
-		}
-		rv := r.receivers[src]
-		for d := range rv.held {
-			rv.held[d] = nil
-		}
-		if r.acks != nil {
-			a := r.acks[src]
-			a.timer.Stop()
-			for i := range a.above {
-				a.above[i] = nil
-			}
-			for i := range a.owed {
-				a.owed[i] = 0
-			}
-			a.owedTo = a.owedTo[:0]
-		}
-		if l.bat != nil {
-			if row := l.bat.links[src]; row != nil {
-				for _, lb := range row {
-					if lb == nil || len(lb.pkts) == 0 {
-						continue
-					}
-					lb.timer.Stop()
-					for _, p := range lb.pkts {
-						lb.mn.ReleasePacket(p)
-					}
-					lb.reset()
+			k.held = nil
+			k.above = nil
+			k.owed = 0
+			if len(k.pkts) > 0 {
+				k.timer.Stop()
+				for _, p := range k.pkts {
+					k.mn.ReleasePacket(p)
 				}
+				k.resetBatch()
 			}
-		}
+		})
+		ns.rel.ackTimer.Stop()
+		clear(ns.rel.owedTo)
+		ns.rel.owedTo = ns.rel.owedTo[:0]
 	}
 }
 
@@ -236,10 +187,13 @@ func (l *Layer) CkptTeardown() {
 // forgotten timeline.
 func (l *Layer) CkptRestoreNode(im *RelImage) {
 	ns := l.nodes[im.node]
-	s := l.rel.senders[im.node]
-	rv := l.rel.receivers[im.node]
-	copy(s.nextSeq, im.nextSeq)
-	copy(rv.nextExpected, im.nextExpected)
+	ns.eachLink(func(k *link) {
+		k.nextSeq, k.nextExpected = im.nextSeq[k.peer], im.nextExpected[k.peer]
+		// The delayed-ack ledger restarts from the restored receive cursor:
+		// everything below it is consumed, nothing above has arrived in the
+		// restored timeline.
+		k.cum = k.nextExpected
+	})
 	ns.rr, ns.rrNext, ns.rng = im.rr, im.rrNext, im.rng
 	copy(ns.loads, im.loads)
 	for _, e := range ns.stock {
@@ -265,13 +219,6 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 			ns.advert[k] = v
 		}
 	}
-	if l.rel.acks != nil {
-		// The delayed-ack ledger restarts from the restored receive cursors:
-		// everything below them is consumed, nothing above has arrived in
-		// the restored timeline.
-		a := l.rel.acks[im.node]
-		copy(a.cum, im.nextExpected)
-	}
 }
 
 // CkptTruncate discards the rolled-back suffix of every retention buffer:
@@ -281,25 +228,15 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 // snapshot marker) under a restored sequence number must find its link's
 // buffer already truncated.
 func (l *Layer) CkptTruncate(imgs []*RelImage) {
-	n := l.rt.Nodes()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if dst == src {
-				continue
+	for src, ns := range l.nodes {
+		ns.eachLink(func(k *link) {
+			lk := &k.ret
+			keep := max(int(imgs[src].nextSeq[k.peer]-lk.base), 0)
+			if keep < len(lk.recs) {
+				clear(lk.recs[keep:])
+				lk.recs = lk.recs[:keep]
 			}
-			lk := &l.ck.links[src][dst]
-			keep := int(imgs[src].nextSeq[dst] - lk.base)
-			if keep < 0 {
-				keep = 0
-			}
-			if keep >= len(lk.recs) {
-				continue
-			}
-			for i := keep; i < len(lk.recs); i++ {
-				lk.recs[i] = ckptRec{}
-			}
-			lk.recs = lk.recs[:keep]
-		}
+		})
 	}
 }
 
@@ -311,38 +248,31 @@ func (l *Layer) CkptTruncate(imgs []*RelImage) {
 // armed against fresh event times. Returns the number of replayed records.
 func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 	r := l.rel
-	s := r.senders[src]
+	ns := l.nodes[src]
 	mn := l.m.Node(src)
 	replayed := 0
-	for dst := 0; dst < l.rt.Nodes(); dst++ {
-		if dst == src {
+	// In destination order, not first-contact order: each replayed record
+	// transmits, and the order of transmissions is part of the timeline.
+	for dst, k := range ns.links {
+		if k == nil || len(k.ret.recs) == 0 {
 			continue
 		}
-		lk := &l.ck.links[src][dst]
-		if len(lk.recs) == 0 {
-			continue
-		}
+		lk := &k.ret
 		start := 0
 		if from := imgs[dst].nextExpected[src]; from > lk.base {
 			start = int(from - lk.base)
 		}
 		for i := start; i < len(lk.recs); i++ {
 			rec := &lk.recs[i]
-			m := r.acquireMsg(mn, s)
-			m.dst = dst
+			m := r.acquireMsg(ns)
+			m.dst = int32(dst)
 			m.seq = lk.base + uint64(i)
 			m.size = rec.size
 			m.category = rec.category
-			m.inner = rec.inner
 			m.payload = rec.payload
-			m.attempts = 0
-			m.acked = false
-			if s.pending[dst] == nil {
-				s.pending[dst] = make(map[uint64]*relMsg)
-			}
-			s.pending[dst][m.seq] = m
+			k.track(m)
 			replayed++
-			r.xmit(mn, m)
+			r.xmit(mn, ns, m)
 		}
 	}
 	return replayed
@@ -352,24 +282,17 @@ func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 // made stable: every record below the receiver's captured cursor is part of
 // the receiver's snapshot and will never need replaying.
 func (l *Layer) CkptStableTrim(imgs []*RelImage) {
-	n := l.rt.Nodes()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if dst == src {
-				continue
-			}
-			lk := &l.ck.links[src][dst]
-			cur := imgs[dst].nextExpected[src]
+	for src, ns := range l.nodes {
+		ns.eachLink(func(k *link) {
+			lk := &k.ret
+			cur := imgs[k.peer].nextExpected[src]
 			if cur <= lk.base || len(lk.recs) == 0 {
-				continue
+				return
 			}
-			drop := int(cur - lk.base)
-			if drop > len(lk.recs) {
-				drop = len(lk.recs)
-			}
+			drop := min(int(cur-lk.base), len(lk.recs))
 			lk.recs = append(lk.recs[:0:0], lk.recs[drop:]...)
 			lk.base += uint64(drop)
-		}
+		})
 	}
 }
 

@@ -110,11 +110,11 @@ type Layer struct {
 	m     *machine.Machine
 	opt   Options
 	nodes []*nodeState
-	rel   *reliable  // nil unless Options.Reliable
-	bat   *batcher   // nil unless Options.BatchWindow > 0
-	ck    *ckptState // nil unless EnableCheckpoint was called
-	locOn bool       // remote-location cache enabled
-	optim bool       // optimistic-execution mode (see optimistic.go)
+	rel   *reliable // nil unless Options.Reliable
+	bat   *batcher  // nil unless Options.BatchWindow > 0
+	ckpt  bool      // checkpoint mode: transmissions are retained (see ckpt.go)
+	locOn bool      // remote-location cache enabled
+	optim bool      // optimistic-execution mode (see optimistic.go)
 
 	// hWire is the shared receive handler for all layer packets; the
 	// per-send state travels in the *wireMsg around the packet header instead
@@ -183,7 +183,7 @@ func (w *wireMsg) setArgs(args []core.Value) {
 // to the handler twice. The reliable protocol deduplicates by sequence
 // number before the handler runs, so it restores pooling under faults.
 func (l *Layer) wirePooled() bool {
-	if l.ck != nil {
+	if l.ckpt {
 		// Checkpoint retention holds payload records by reference until they
 		// become stable; recycling would rewrite a record the replay path may
 		// still need verbatim.
@@ -216,7 +216,7 @@ func (l *Layer) releaseWire(dst int, w *wireMsg) {
 }
 
 // launch fills w's embedded header and puts the record on the wire.
-func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size, category int) {
+func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size int, category int32) {
 	pkt := &w.pkt
 	pkt.Dst = dst
 	pkt.Size = size
@@ -355,6 +355,8 @@ type nodeState struct {
 	loads  []loadSample // per peer: last piggybacked scheduling-queue length
 	sent   [3]uint64    // category 1/2/3 sends, node-local (lane-safe)
 
+	*peers // nil unless the reliable protocol or batching is on (see link.go)
+
 	wires     sim.Slab[wireMsg, *wireMsg] // recycled wire records (lane-local)
 	batchFree []*wireBatch                // recycled batch containers, slices and all (lane-local)
 	batchPos  int                         // 1-based record cursor while delivering a batch
@@ -424,6 +426,11 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 			loads: make([]loadSample, rt.Nodes()),
 		}
 	}
+	if opt.Reliable || opt.BatchWindow > 0 {
+		for _, ns := range l.nodes {
+			ns.peers = &peers{}
+		}
+	}
 	if opt.Reliable {
 		l.rel = newReliable(l)
 	}
@@ -480,9 +487,14 @@ func (l *Layer) transmit(mn *machine.Node, pkt *machine.Packet) {
 // Reliable reports whether the ack/retry protocol is active.
 func (l *Layer) Reliable() bool { return l.rel != nil }
 
+// tracing reports whether a trace sink is attached. Call sites on the
+// per-message path check it before tracef, so that with tracing off their
+// arguments are never boxed into tracef's variadic slice.
+func (l *Layer) tracing() bool { return l.opt.Trace != nil }
+
 // tracef records a reliable-delivery event when tracing is enabled.
 func (l *Layer) tracef(at sim.Time, node int, kind trace.Kind, format string, args ...any) {
-	if l.opt.Trace != nil {
+	if l.tracing() {
 		l.opt.Trace.Event(trace.Event{
 			At:   at,
 			Node: node,
@@ -509,7 +521,7 @@ func (l *Layer) profCharge(mn *machine.Node, p profile.Path, instr int) {
 }
 
 // pathForCategory maps a packet category to its attribution path.
-func pathForCategory(cat int) profile.Path {
+func pathForCategory(cat int32) profile.Path {
 	switch cat {
 	case CatMessage:
 		return profile.RemoteSend
@@ -660,7 +672,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	n.C.RemoteCreations++
 	self := ctx.SelfObject()
 	frame := ctx.CurrentFrame()
-	if l.ck != nil {
+	if l.ckpt {
 		// The frame pointer rides the request's onCreated closure, which
 		// checkpoint retention may replay after a crash — long after the
 		// original invocation completed and released the frame. Pin it out

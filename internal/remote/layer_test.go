@@ -628,9 +628,18 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 
 // One message hop is one wireMsg, packet header included, and an all-to-all
 // burst keeps every record of the run live at once: its size is most of the
-// simulator's bytes per message.
-func TestWireMsgSize(t *testing.T) {
+// simulator's bytes per message. A reliable hop adds a relMsg while it is
+// unacknowledged; and under random placement a node opens a link record to
+// most of the machine while sending each peer a handful of messages, so the
+// link record's size is paid per message too.
+func TestRecordSizes(t *testing.T) {
 	if sz := unsafe.Sizeof(wireMsg{}); sz > 304 {
 		t.Errorf("wireMsg is %d bytes with its embedded packet header, want <= 304", sz)
+	}
+	if sz := unsafe.Sizeof(relMsg{}); sz > 80 {
+		t.Errorf("relMsg is %d bytes, want <= 80", sz)
+	}
+	if sz := unsafe.Sizeof(link{}); sz > 336 {
+		t.Errorf("link is %d bytes with its inline window and batch, want <= 336", sz)
 	}
 }

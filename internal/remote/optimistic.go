@@ -1,9 +1,10 @@
 package remote
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // Optimistic-execution support: the inter-node layer's half of a lane's
@@ -16,27 +17,20 @@ import (
 // speculative release would rewrite them. With pooling off, every record is
 // immutable from fill to collection.
 //
-// The snapshot itself is lane-owned by construction: senders[n], the
-// batcher's links[n] row, the retention links[n] row and nodeState[n] are
-// only touched from node n's lane (acks arrive back on the sender's lane),
-// and receivers[n]/acks[n] only from the receiving lane — so each node's
-// capture runs race-free on its own worker. Embedded sim.Timer values
-// (retransmission, batch flush, delayed ack) are restored by the engine's
-// own timer snapshot; the value copies taken here restore the surrounding
-// record fields and coincide with the engine's values, both being taken at
-// the same capture instant.
+// The snapshot itself is lane-owned by construction: nodeState[n] and its
+// link records are only touched from node n's lane (acks arrive back on the
+// sender's lane), so each node's capture runs race-free on its own worker.
+// Embedded sim.Timer values (batch flush, delayed ack) are restored by the
+// engine's own timer snapshot, and the value copies taken here coincide with
+// the engine's, both being taken at the same capture instant. The retry
+// timer is the exception the copy is needed for: StartTimerAt queues it
+// without a birth, so when it was idle at capture the engine holds no value
+// to put back.
 
 // EnableOptimistic switches the layer into optimistic-execution mode.
 // Call before Run, after Attach and after the reliable protocol (if any)
 // is configured.
-func (l *Layer) EnableOptimistic() {
-	l.optim = true
-	if l.rel != nil {
-		for _, s := range l.rel.senders {
-			s.noPool = true
-		}
-	}
-}
+func (l *Layer) EnableOptimistic() { l.optim = true }
 
 // Optimistic reports whether the layer is in optimistic-execution mode.
 func (l *Layer) Optimistic() bool { return l.optim }
@@ -49,20 +43,17 @@ type stockSnap struct {
 	chunks []*core.Object
 }
 
-// savedRel pairs an in-flight retransmission record with its captured value.
-type savedRel struct {
-	m *relMsg
-	v relMsg
-}
-
-// lbSnap is the captured state of one open link batch (lb nil: the link had
-// no batch object at capture time).
-type lbSnap struct {
-	lb         *linkBatch
-	pkts       []*machine.Packet
-	bytes      int
-	firstClock sim.Time
-	maxClock   sim.Time
+// linkSnap is the captured state of one link record: the record by value —
+// cursors, ledger, slice headers, inline backing, flush timer — plus the
+// contents of its slices (which later traffic may rewrite in place) and the
+// values of its in-flight records.
+type linkSnap struct {
+	v     link
+	win   []*relMsg
+	recs  []relMsg // values of the non-nil entries of win, in order
+	held  []*machine.Packet
+	above []uint64
+	pkts  []*machine.Packet
 }
 
 // NodeSnap is the layer-level rollback snapshot of one node.
@@ -75,22 +66,11 @@ type NodeSnap struct {
 	locCache   map[core.Address]core.Address
 	advert     map[advertKey]core.Address
 
-	// Reliable protocol: sending half (sequence cursors, in-flight records
-	// with their values), receiving half (expectation cursors, reorder
-	// buffer), delayed-ack ledger.
-	nextSeq      []uint64
-	pending      []map[uint64]*relMsg
-	pendingVals  []savedRel
-	nextExpected []uint64
-	held         []map[uint64]*heldDelivery
-	ackCum       []uint64
-	ackAbove     [][]uint64
-	ackOwed      []int
-	ackOwedSince []sim.Time
-	ackOwedTo    []int
-
-	bat []lbSnap // per destination; nil slice when batching is off
-	ret []int    // retention record counts per destination; nil without ckpt
+	// Reliable, delayed-ack and batching state: the node's share by value
+	// and its link records in first-contact order.
+	rel    relNode
+	owedTo []*link
+	links  []linkSnap
 }
 
 // OptCaptureNode snapshots node's layer state for a speculative window.
@@ -120,69 +100,20 @@ func (l *Layer) OptCaptureNode(node int) *NodeSnap {
 			s.advert[k] = v
 		}
 	}
-	if r := l.rel; r != nil {
-		sn := r.senders[node]
-		s.nextSeq = append([]uint64(nil), sn.nextSeq...)
-		s.pending = make([]map[uint64]*relMsg, len(sn.pending))
-		for dst, pm := range sn.pending {
-			if pm == nil {
-				continue
-			}
-			cp := make(map[uint64]*relMsg, len(pm))
-			for seq, m := range pm {
-				cp[seq] = m
-				s.pendingVals = append(s.pendingVals, savedRel{m: m, v: *m})
-			}
-			s.pending[dst] = cp
-		}
-		rv := r.receivers[node]
-		s.nextExpected = append([]uint64(nil), rv.nextExpected...)
-		s.held = make([]map[uint64]*heldDelivery, len(rv.held))
-		for src, hm := range rv.held {
-			if hm == nil {
-				continue
-			}
-			cp := make(map[uint64]*heldDelivery, len(hm))
-			for seq, h := range hm {
-				cp[seq] = h
-			}
-			s.held[src] = cp
-		}
-		if r.acks != nil {
-			if a := r.acks[node]; a != nil {
-				s.ackCum = append([]uint64(nil), a.cum...)
-				s.ackAbove = make([][]uint64, len(a.above))
-				for i, ab := range a.above {
-					s.ackAbove[i] = append([]uint64(nil), ab...)
-				}
-				s.ackOwed = append([]int(nil), a.owed...)
-				s.ackOwedSince = append([]sim.Time(nil), a.owedSince...)
-				s.ackOwedTo = append([]int(nil), a.owedTo...)
-			}
-		}
+	if ns.peers != nil {
+		s.rel = ns.rel
+		s.owedTo = slices.Clone(ns.rel.owedTo)
 	}
-	if b := l.bat; b != nil {
-		s.bat = make([]lbSnap, len(b.links))
-		if row := b.links[node]; row != nil {
-			for dst, lb := range row {
-				if lb == nil {
-					continue
-				}
-				s.bat[dst] = lbSnap{lb: lb,
-					pkts:       append([]*machine.Packet(nil), lb.pkts...),
-					bytes:      lb.bytes,
-					firstClock: lb.firstClock,
-					maxClock:   lb.maxClock}
+	ns.eachLink(func(k *link) {
+		sv := linkSnap{v: *k, win: slices.Clone(k.win), held: slices.Clone(k.held),
+			above: slices.Clone(k.above), pkts: slices.Clone(k.pkts)}
+		for _, m := range k.win {
+			if m != nil {
+				sv.recs = append(sv.recs, *m)
 			}
 		}
-	}
-	if l.ck != nil {
-		row := l.ck.links[node]
-		s.ret = make([]int, len(row))
-		for dst := range row {
-			s.ret[dst] = len(row[dst].recs)
-		}
-	}
+		s.links = append(s.links, sv)
+	})
 	return s
 }
 
@@ -212,53 +143,34 @@ func (l *Layer) OptRestoreNode(node int, s *NodeSnap) {
 	}
 	ns.locCache = s.locCache
 	ns.advert = s.advert
-	if r := l.rel; r != nil {
-		sn := r.senders[node]
-		copy(sn.nextSeq, s.nextSeq)
-		copy(sn.pending, s.pending)
-		for _, sv := range s.pendingVals {
-			*sv.m = sv.v
+	if ns.peers != nil {
+		ns.rel = s.rel
+		copy(ns.rel.owedTo, s.owedTo)
+	}
+	i := 0
+	ns.eachLink(func(k *link) {
+		if i >= len(s.links) {
+			// First contact was speculative: back to a fresh record, still
+			// linked where it is (its timers were revoked with the lane's
+			// birth log).
+			*k = link{mn: k.mn, peer: k.peer, next: k.next}
+			k.win, k.pkts = k.winBuf[:0], k.pktBuf[:0]
+			return
 		}
-		rv := r.receivers[node]
-		copy(rv.nextExpected, s.nextExpected)
-		copy(rv.held, s.held)
-		if r.acks != nil {
-			if a := r.acks[node]; a != nil {
-				copy(a.cum, s.ackCum)
-				copy(a.above, s.ackAbove)
-				copy(a.owed, s.ackOwed)
-				copy(a.owedSince, s.ackOwedSince)
-				a.owedTo = append(a.owedTo[:0:0], s.ackOwedTo...)
+		sv := &s.links[i]
+		i++
+		sv.v.next = k.next
+		clear(k.ret.recs[min(len(sv.v.ret.recs), len(k.ret.recs)):])
+		*k = sv.v
+		copy(k.win, sv.win)
+		copy(k.held, sv.held)
+		copy(k.above, sv.above)
+		copy(k.pkts, sv.pkts)
+		recs := sv.recs
+		for _, m := range k.win {
+			if m != nil {
+				*m, recs = recs[0], recs[1:]
 			}
 		}
-	}
-	if b := l.bat; b != nil {
-		if row := b.links[node]; row != nil {
-			for dst, lb := range row {
-				if lb == nil {
-					continue
-				}
-				if sv := &s.bat[dst]; sv.lb != nil {
-					lb.pkts = append(lb.pkts[:0:0], sv.pkts...)
-					lb.bytes = sv.bytes
-					lb.firstClock = sv.firstClock
-					lb.maxClock = sv.maxClock
-				} else {
-					// Opened speculatively: back to idle (its flush timer was
-					// revoked with the lane's birth log).
-					lb.reset()
-				}
-			}
-		}
-	}
-	if l.ck != nil {
-		row := l.ck.links[node]
-		for dst := range row {
-			recs := row[dst].recs
-			for i := s.ret[dst]; i < len(recs); i++ {
-				recs[i] = ckptRec{}
-			}
-			row[dst].recs = recs[:s.ret[dst]]
-		}
-	}
+	})
 }

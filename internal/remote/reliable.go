@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -52,126 +53,74 @@ const ackBytes = packetHeaderBytes + 8
 // ack or repaired by retransmission.
 const maxSelAcks = 32
 
-// relMsg is one unacknowledged in-flight message at its sender. Records are
-// pooled per sender: the retransmission timer is embedded (re-armed in place,
-// never reallocated) and retryFn is built once, on first allocation.
+// relMsg is one unacknowledged in-flight message at its sender, slab-backed
+// and reachable from its link's window. It carries no timer: the current
+// attempt's retry deadline is a time and a reserved tie-break position, and
+// the node's one retry timer stands at the earliest of them (see schedule).
 type relMsg struct {
-	dst      int
-	seq      uint64
-	size     int // wire size including relHeaderBytes
-	category int
-	inner    func(*machine.Node, *machine.Packet)
-	payload  any // forwarded to every attempt's packet
-	attempts int
-	acked    bool
-	timer    sim.Timer
-	retryFn  func()
+	free       *relMsg  // the slab's
+	prev, next *relMsg  // the node's deadlines, earliest first
+	due        sim.Time // retry deadline of the current attempt; 0: none
+	dueSeq     uint64   // its reserved position among equal-time events
+	seq        uint64
+	payload    any   // forwarded to every attempt's packet (see send)
+	size       int32 // wire size including relHeaderBytes
+	category   int32
+	dst        int32
+	attempts   int32
 }
 
-// relSender is the per-node sending half: sequence counters, the
-// retransmission buffer, and the relMsg recycling pool.
-type relSender struct {
-	nextSeq []uint64             // per destination
-	pending []map[uint64]*relMsg // per destination: seq -> in-flight message
+// PoolLink names the intrusive link for sim.Slab.
+func (m *relMsg) PoolLink() **relMsg { return &m.free }
 
-	free []*relMsg // reusable records whose timer slot is resolved
-	// retired holds acknowledged records whose stopped timer slot is still
-	// queued in the lane heap; they migrate to free once the slot is popped
-	// or swept (re-arming a still-queued timer is illegal).
-	retired []*relMsg
+// relNode is one node's share of the protocol beyond its link records: the
+// record pool, the retry schedule and the delayed-ack schedule.
+type relNode struct {
+	msgs sim.Slab[relMsg, *relMsg]
 
-	// scratch collects the pending seqs a cumulative ack covers, sorted
-	// before completion so recycling and tracing stay deterministic (map
-	// iteration order must never leak into event order).
-	scratch []uint64
+	// The retry schedule: every in-flight record with a deadline, earliest
+	// first, and the one timer that stands at the first of them (armed) —
+	// moved when that changes, stopped when the list empties, so a node with
+	// nothing unacknowledged holds no live event.
+	head, tail *relMsg
+	armed      *relMsg
+	retry      sim.Timer
 
-	// noPool disables record recycling (optimistic execution): a rollback
-	// restores in-flight records through their original pointers, which a
-	// speculative release-and-reuse would alias to a different message.
-	noPool bool
+	owedTo   []*link   // links with owed arrivals, in first-owed order
+	ackTimer sim.Timer // the delayed-ack deadline
 }
 
-// acquireMsg returns a recycled relMsg or allocates one with its retry
-// closure bound to this sender's node.
-func (r *reliable) acquireMsg(mn *machine.Node, s *relSender) *relMsg {
-	if s.noPool {
-		m := &relMsg{}
-		m.retryFn = func() { r.retry(mn, m) }
-		return m
-	}
-	if len(s.retired) > 0 {
-		kept := s.retired[:0]
-		for _, m := range s.retired {
-			if m.timer.Pending() {
-				kept = append(kept, m)
-			} else {
-				s.free = append(s.free, m)
-			}
-		}
-		for i := len(kept); i < len(s.retired); i++ {
-			s.retired[i] = nil
-		}
-		s.retired = kept
-	}
-	if n := len(s.free); n > 0 {
-		m := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return m
-	}
-	m := &relMsg{}
-	m.retryFn = func() { r.retry(mn, m) }
-	return m
+// ackRider wraps the payload of a lone data packet that also carries a
+// cumulative acknowledgment for the reverse direction (see
+// piggybackOnPacket). The packet's own header word holds its sequence number.
+type ackRider struct {
+	payload any
+	cum     uint64
+	sel     []uint64
 }
 
-// releaseMsg recycles a finished (acked or abandoned) record.
-func (s *relSender) releaseMsg(m *relMsg) {
-	m.inner = nil
-	m.payload = nil
-	if s.noPool {
-		return
-	}
-	if m.timer.Pending() {
-		s.retired = append(s.retired, m)
-		return
-	}
-	s.free = append(s.free, m)
-}
-
-// relReceiver is the per-node receiving half: per-source cursor and reorder
-// buffer.
-type relReceiver struct {
-	nextExpected []uint64                   // per source
-	held         []map[uint64]*heldDelivery // per source: seq -> waiting copy
-}
-
-type heldDelivery struct {
-	inner func(*machine.Node, *machine.Packet)
-	pkt   *machine.Packet
-}
-
-// reliable is the machine-wide protocol state (one instance per Layer; all
-// access happens on the simulation goroutine).
+// reliable is the machine-wide protocol configuration (one instance per
+// Layer); the state lives in the nodes' link records and relNodes.
 type reliable struct {
 	l           *Layer
 	rto         sim.Time
 	maxBackoff  sim.Time
 	maxAttempts int
 	ackDelay    sim.Time // > 0 enables cumulative delayed acks
-	senders     []*relSender
-	receivers   []*relReceiver
-	acks        []*ackState // per node; nil unless ackDelay > 0
+
+	// Every protocol packet dispatches through these, bound once: what a
+	// packet means rides in its header word and payload.
+	hArrive, hPolled, hAck, hAckCum func(*machine.Node, *machine.Packet)
+	wakeKind, ackKind               sim.Kind // timer callbacks; arg: *nodeState
 }
 
 func newReliable(l *Layer) *reliable {
-	n := l.rt.Nodes()
 	r := &reliable{
 		l:           l,
 		rto:         l.opt.RetryTimeout,
 		maxBackoff:  l.opt.MaxBackoff,
 		maxAttempts: l.opt.MaxAttempts,
-		senders:     make([]*relSender, n),
-		receivers:   make([]*relReceiver, n),
+		ackDelay:    max(l.opt.AckDelay, 0),
 	}
 	if r.rto <= 0 {
 		r.rto = DefaultRetryTimeout
@@ -182,86 +131,123 @@ func newReliable(l *Layer) *reliable {
 	if r.maxAttempts <= 0 {
 		r.maxAttempts = DefaultMaxAttempts
 	}
-	for i := 0; i < n; i++ {
-		r.senders[i] = &relSender{
-			nextSeq: make([]uint64, n),
-			pending: make([]map[uint64]*relMsg, n),
-		}
-		r.receivers[i] = &relReceiver{
-			nextExpected: make([]uint64, n),
-			held:         make([]map[uint64]*heldDelivery, n),
-		}
+	r.hArrive, r.hPolled = r.dataArrived, r.receive
+	r.hAck = func(sn *machine.Node, p *machine.Packet) { r.ackReceived(sn, p.Src, p.Seq) }
+	r.hAckCum = func(sn *machine.Node, p *machine.Packet) {
+		sel, _ := p.Payload.([]uint64)
+		r.ackCumReceived(sn, p.Src, p.Seq, sel)
 	}
-	if l.opt.AckDelay > 0 {
-		r.ackDelay = l.opt.AckDelay
-		r.acks = make([]*ackState, n)
-		for i := 0; i < n; i++ {
-			r.acks[i] = newAckState(r, l.m.Node(i), n)
-		}
-	}
+	r.wakeKind = l.m.Eng.RegisterHandler(func(_ sim.Time, arg any) { r.wake(arg.(*nodeState)) })
+	r.ackKind = l.m.Eng.RegisterHandler(func(_ sim.Time, arg any) { r.flushAcks(arg.(*nodeState)) })
 	return r
+}
+
+// acquireMsg returns a zeroed record — allocated singly under optimistic
+// execution: a rollback restores in-flight records through their original
+// pointers, which a speculative release-and-reuse would alias to a different
+// message.
+func (r *reliable) acquireMsg(ns *nodeState) *relMsg {
+	if r.l.optim {
+		return &relMsg{}
+	}
+	return ns.rel.msgs.Get()
+}
+
+// finish takes an acknowledged or abandoned record out of its link's window
+// and out of the retry schedule, and recycles it.
+func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
+	k.untrack(m.seq)
+	if m.due != 0 {
+		ns.rel.unschedule(m)
+		r.schedule(ns)
+	}
+	if !r.l.optim {
+		ns.rel.msgs.Put(m)
+	}
+}
+
+// unschedule takes m's deadline off the list.
+func (n *relNode) unschedule(m *relMsg) {
+	if m.prev == nil {
+		n.head = m.next
+	} else {
+		m.prev.next = m.next
+	}
+	if m.next == nil {
+		n.tail = m.prev
+	} else {
+		m.next.prev = m.prev
+	}
+	m.prev, m.next, m.due = nil, nil, 0
+}
+
+// schedule keeps the node's retry timer at its earliest deadline, at that
+// message's own reserved position: retries fire exactly where per-message
+// timers would have fired them, from one queued slot per node.
+func (r *reliable) schedule(ns *nodeState) {
+	n := &ns.rel
+	m := n.head
+	if m == n.armed {
+		return
+	}
+	if n.armed = m; m == nil {
+		n.retry.Stop()
+		return
+	}
+	r.l.m.Eng.StartTimerAt(r.l.m.Node(ns.id).Lane(), &n.retry, m.due, m.dueSeq, r.wakeKind, ns)
 }
 
 // send assigns the next sequence number on the (src, dst) link, records the
 // message as in-flight, and transmits the first copy. Same-node packets (the
 // machine would loop them back untouched) skip the protocol.
+//
+// The message is remembered by its payload alone: a wire record names its
+// handler (hWire); any other packet must leave Payload free, and its handler
+// rides there instead.
 func (r *reliable) send(mn *machine.Node, pkt *machine.Packet) {
 	src, dst := mn.ID, pkt.Dst
 	if src == dst {
 		mn.Send(pkt)
 		return
 	}
-	s := r.senders[src]
-	seq := s.nextSeq[dst]
-	s.nextSeq[dst]++
-	m := r.acquireMsg(mn, s)
-	m.dst = dst
-	m.seq = seq
-	m.size = pkt.Size + relHeaderBytes
+	ns := r.l.nodes[src]
+	k := r.l.link(src, dst)
+	m := r.acquireMsg(ns)
+	m.dst = int32(dst)
+	m.seq = k.nextSeq
+	k.nextSeq++
+	m.size = int32(pkt.Size + relHeaderBytes)
 	m.category = pkt.Category
-	m.inner = pkt.Handler
-	m.payload = pkt.Payload
-	m.attempts = 0
-	m.acked = false
+	if _, wire := pkt.Payload.(*wireMsg); wire {
+		m.payload = pkt.Payload
+	} else if pkt.Payload == nil {
+		m.payload = pkt.Handler
+	} else {
+		panic("remote: reliable packet with both a foreign payload and a handler")
+	}
 	// Per-attempt copies are built in xmit; the caller's packet is done.
 	mn.ReleasePacket(pkt)
-	if s.pending[dst] == nil {
-		s.pending[dst] = make(map[uint64]*relMsg)
-	}
-	s.pending[dst][seq] = m
-	if r.l.ck != nil {
-		r.l.ck.retain(src, dst, seq, m)
+	k.track(m)
+	if r.l.ckpt {
+		k.retain(m)
 	}
 	r.l.rt.NodeRT(src).C.RelSent++
-	r.xmit(mn, m)
+	r.xmit(mn, ns, m)
 }
 
-// xmit transmits one copy of m and arms the retransmission timer for the
-// current attempt.
-func (r *reliable) xmit(mn *machine.Node, m *relMsg) {
-	src := mn.ID
-	seq := m.seq
-	// Capture inner locally: a straggler copy of this attempt may arrive
-	// after m has been recycled for a different message.
-	inner := m.inner
+// xmit transmits one copy of m and sets the retry deadline of the attempt.
+func (r *reliable) xmit(mn *machine.Node, ns *nodeState, m *relMsg) {
 	p := mn.AcquirePacket()
-	p.Dst = m.dst
-	p.Size = m.size
+	p.Dst = int(m.dst)
+	p.Size = int(m.size)
 	p.Category = m.category
 	p.Payload = m.payload
-	// The receiving message controller acknowledges every physical
-	// copy the instant it arrives, independent of how backlogged or
-	// paused the receiving processor is.
-	p.OnArrive = func(rn *machine.Node, p *machine.Packet) {
-		if r.acks != nil {
-			r.noteArrival(rn, src, seq)
-		} else {
-			r.sendAck(rn, src, seq, p.Arrival)
-		}
-	}
-	p.Handler = func(rn *machine.Node, p *machine.Packet) {
-		r.receive(rn, src, seq, inner, p)
-	}
+	p.Seq = m.seq
+	// The receiving message controller acknowledges every physical copy the
+	// instant it arrives, independent of how backlogged or paused the
+	// receiving processor is.
+	p.OnArrive = r.hArrive
+	p.Handler = r.hPolled
 	arrival, batched := r.l.send(mn, p)
 	backoff := r.rto << uint(m.attempts)
 	if backoff > r.maxBackoff || backoff <= 0 {
@@ -278,38 +264,67 @@ func (r *reliable) xmit(mn *machine.Node, m *relMsg) {
 		// The copy departs with its batch: no later than the record's write
 		// clock plus the window (the batcher bounds the clock spread), plus
 		// the wire time of a full batch as a conservative transit bound.
-		delay += r.l.bat.window + r.l.m.Cfg.Net.Latency(mn.Hops(m.dst), r.l.bat.maxBytes)
+		delay += r.l.bat.window + r.l.m.Cfg.Net.Latency(mn.Hops(int(m.dst)), r.l.bat.maxBytes)
 		if ahead := mn.Clock - mn.EventNow(); ahead > 0 {
 			delay += ahead
 		}
 	} else if now := mn.EventNow(); arrival > now {
 		delay += arrival - now
 	}
-	r.l.m.Eng.StartTimer(mn.Lane(), mn.Lane(), &m.timer, delay, m.retryFn)
+	// The deadline takes the place in the event order a timer armed here
+	// would take. Deadlines mostly come in order, so the list is searched
+	// from its far end; a new position is later than every earlier one, so
+	// among equal times m goes last.
+	n := &ns.rel
+	m.due = mn.EventNow() + delay
+	r.l.m.Eng.ReserveSeq(mn.Lane(), &m.dueSeq)
+	after := n.tail
+	for after != nil && after.due > m.due {
+		after = after.prev
+	}
+	if m.prev = after; after == nil {
+		m.next, n.head = n.head, m
+	} else {
+		m.next, after.next = after.next, m
+	}
+	if m.next == nil {
+		n.tail = m
+	} else {
+		m.next.prev = m
+	}
+	r.schedule(ns)
 }
 
-// retry fires when the ack timer expires: retransmit with backoff, or
+// wake fires at the node's earliest retry deadline.
+func (r *reliable) wake(ns *nodeState) {
+	n := &ns.rel
+	m := n.armed
+	n.armed = nil
+	n.unschedule(m)
+	r.retry(r.l.m.Node(ns.id), ns, m)
+	r.schedule(ns)
+}
+
+// retry runs when m's ack deadline expires: retransmit with backoff, or
 // abandon the message past the attempt limit.
-func (r *reliable) retry(mn *machine.Node, m *relMsg) {
-	if m.acked {
-		return
-	}
+func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 	if mn.Down(mn.EventNow()) {
 		// The sender is inside a crash outage: a dead node transmits nothing.
-		// The record stays pending; the restart's global restore re-pends and
-		// retransmits everything the restored cut still owes.
+		// The record stays in flight without a deadline; the restart's global
+		// restore re-pends and retransmits everything the restored cut still
+		// owes.
 		return
 	}
 	c := &r.l.rt.NodeRT(mn.ID).C
-	if m.attempts+1 >= r.maxAttempts {
+	if int(m.attempts)+1 >= r.maxAttempts {
 		// Give up loudly: the message counts as lost so scenario assertions
 		// and LostMessages() surface it.
 		c.RelAbandoned++
-		s := r.senders[mn.ID]
-		delete(s.pending[m.dst], m.seq)
-		r.l.tracef(mn.EventNow(), mn.ID, trace.EvRetry,
-			"abandon seq %d to n%d after %d attempts", m.seq, m.dst, r.maxAttempts)
-		s.releaseMsg(m)
+		if r.l.tracing() {
+			r.l.tracef(mn.EventNow(), mn.ID, trace.EvRetry,
+				"abandon seq %d to n%d after %d attempts", m.seq, m.dst, r.maxAttempts)
+		}
+		r.finish(ns, ns.links[m.dst], m)
 		return
 	}
 	m.attempts++
@@ -320,216 +335,239 @@ func (r *reliable) retry(mn *machine.Node, m *relMsg) {
 	mn.Charge(r.l.cost().RemoteSendSetup)
 	if np := r.l.prof(mn.ID); np != nil {
 		np.ChargeInstr(profile.Retransmit, r.l.cost().RemoteSendSetup, mn.Now())
-		np.Packet(profile.Retransmit, m.size, mn.Now())
+		np.Packet(profile.Retransmit, int(m.size), mn.Now())
 	}
-	r.l.tracef(mn.Now(), mn.ID, trace.EvRetry,
-		"retransmit seq %d to n%d (attempt %d)", m.seq, m.dst, m.attempts+1)
-	r.xmit(mn, m)
+	if r.l.tracing() {
+		r.l.tracef(mn.Now(), mn.ID, trace.EvRetry,
+			"retransmit seq %d to n%d (attempt %d)", m.seq, m.dst, m.attempts+1)
+	}
+	r.xmit(mn, ns, m)
 }
 
-// receive runs at the receiver for every delivered copy of a data packet:
-// always acknowledge, suppress duplicates, and deliver in sequence order.
-func (r *reliable) receive(rn *machine.Node, src int, seq uint64, inner func(*machine.Node, *machine.Packet), pkt *machine.Packet) {
-	rv := r.receivers[rn.ID]
+// dataArrived is the controller hook of every data packet copy: a
+// piggybacked acknowledgment is consumed, and the copy itself acknowledged
+// (or noted for a cumulative ack).
+func (r *reliable) dataArrived(rn *machine.Node, p *machine.Packet) {
+	if rd, ok := p.Payload.(*ackRider); ok {
+		r.ackCumReceived(rn, p.Src, rd.cum, rd.sel)
+	}
+	if r.ackDelay > 0 {
+		r.noteArrival(rn, p.Src, p.Seq)
+	} else {
+		r.sendAck(rn, p.Src, p.Seq, p.Arrival)
+	}
+}
+
+// receive is the poll-time handler of every data packet copy: suppress
+// duplicates, and deliver in sequence order.
+func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
+	if rd, ok := pkt.Payload.(*ackRider); ok {
+		pkt.Payload = rd.payload
+	}
+	src, seq := pkt.Src, pkt.Seq
+	k := r.l.link(rn.ID, src)
 	c := &r.l.rt.NodeRT(rn.ID).C
 
-	next := rv.nextExpected[src]
+	next := k.nextExpected
 	switch {
 	case seq < next:
 		c.DupSuppressed++
-		r.l.tracef(rn.Now(), rn.ID, trace.EvDupMsg, "drop dup seq %d from n%d", seq, src)
-		return
+		if r.l.tracing() {
+			r.l.tracef(rn.Now(), rn.ID, trace.EvDupMsg, "drop dup seq %d from n%d", seq, src)
+		}
 	case seq == next:
-		r.deliver(rn, c, inner, pkt)
-		rv.nextExpected[src]++
+		r.deliver(rn, c, pkt)
+		k.nextExpected++
 		// Flush any consecutive held messages the gap was blocking.
-		held := rv.held[src]
-		for held != nil {
-			h, ok := held[rv.nextExpected[src]]
-			if !ok {
-				break
-			}
-			delete(held, rv.nextExpected[src])
-			r.deliver(rn, c, h.inner, h.pkt)
-			rv.nextExpected[src]++
+		for len(k.held) > 0 && k.held[0].Seq == k.nextExpected {
+			h := k.held[0]
+			k.held = slices.Delete(k.held, 0, 1)
+			r.deliver(rn, c, h)
+			k.nextExpected++
 		}
 	default: // seq > next: a gap — hold for in-order delivery
-		if rv.held[src] == nil {
-			rv.held[src] = make(map[uint64]*heldDelivery)
-		}
-		if _, dup := rv.held[src][seq]; dup {
+		i, dup := slices.BinarySearchFunc(k.held, seq, func(h *machine.Packet, seq uint64) int {
+			return cmp.Compare(h.Seq, seq)
+		})
+		if dup {
 			c.DupSuppressed++
-			r.l.tracef(rn.Now(), rn.ID, trace.EvDupMsg, "drop dup held seq %d from n%d", seq, src)
+			if r.l.tracing() {
+				r.l.tracef(rn.Now(), rn.ID, trace.EvDupMsg, "drop dup held seq %d from n%d", seq, src)
+			}
 			return
 		}
 		// The packet outlives this handler; keep it out of the pool.
 		pkt.Retain()
-		rv.held[src][seq] = &heldDelivery{inner: inner, pkt: pkt}
+		k.held = slices.Insert(k.held, i, pkt)
 		c.HeldOutOfOrder++
-		r.l.tracef(rn.Now(), rn.ID, trace.EvHold,
-			"hold seq %d from n%d (awaiting %d)", seq, src, next)
+		if r.l.tracing() {
+			r.l.tracef(rn.Now(), rn.ID, trace.EvHold,
+				"hold seq %d from n%d (awaiting %d)", seq, src, next)
+		}
 	}
 }
 
-// deliver hands one in-order message to its attached handler.
-func (r *reliable) deliver(rn *machine.Node, c *stats.Counters, inner func(*machine.Node, *machine.Packet), pkt *machine.Packet) {
+// deliver hands one in-order message to its handler: hWire for a wire
+// record, otherwise the function that rode in the payload.
+func (r *reliable) deliver(rn *machine.Node, c *stats.Counters, pkt *machine.Packet) {
 	c.RelDelivered++
-	inner(rn, pkt)
+	if h, ok := pkt.Payload.(func(*machine.Node, *machine.Packet)); ok {
+		h(rn, pkt)
+		return
+	}
+	r.l.handleWire(rn, pkt)
 }
 
-// sendAck transmits a category-5 acknowledgment for (src link, seq) back to
-// the sender. Acks are generated and consumed by the message controllers —
-// they occupy wire bandwidth but no processor time — and ride the faulty
-// interconnect unprotected: a lost ack is repaired by the data
-// retransmission it fails to cancel, a duplicated ack is idempotent.
+// ack returns a category-5 acknowledgment packet to dst. Acks are generated
+// and consumed by the message controllers — they occupy wire bandwidth but no
+// processor time — and ride the faulty interconnect unprotected: a lost ack
+// is repaired by the data retransmission it fails to cancel, a duplicated ack
+// is idempotent.
+func (r *reliable) ack(rn *machine.Node, dst, size int, word uint64, h func(*machine.Node, *machine.Packet)) *machine.Packet {
+	p := rn.AcquirePacket()
+	p.Dst = dst
+	p.Size = size
+	p.Category = CatAck
+	p.Ctrl = true
+	p.Seq = word
+	p.OnArrive = h
+	return p
+}
+
+// sendAck acknowledges one copy of (src link, seq) the instant it arrives.
 func (r *reliable) sendAck(rn *machine.Node, src int, seq uint64, at sim.Time) {
 	rcv := rn.ID
 	r.l.rt.NodeRT(rcv).C.AcksSent++
 	if np := r.l.prof(rcv); np != nil {
 		np.Packet(profile.Ack, ackBytes, at)
 	}
-	rn.ControllerSend(at, &machine.Packet{
-		Dst:      src,
-		Size:     ackBytes,
-		Category: CatAck,
-		Ctrl:     true,
-		OnArrive: func(sn *machine.Node, p *machine.Packet) {
-			r.ackReceived(sn, rcv, seq)
-		},
-	})
+	rn.ControllerSend(at, r.ack(rn, src, ackBytes, seq, r.hAck))
 }
 
-// ackState is one node's delayed-acknowledgment ledger: which sequence
-// numbers have physically arrived on each inbound link, and which arrivals
-// still owe their sender an acknowledgment. All state is touched only on
-// the receiving node's lane.
-type ackState struct {
-	r         *reliable
-	rn        *machine.Node
-	cum       []uint64   // per source: every seq < cum has arrived here
-	above     [][]uint64 // per source: sorted arrived seqs beyond a gap
-	owed      []int      // per source: arrivals not yet acknowledged
-	owedSince []sim.Time // per source: arrival time of the first owed copy
-	owedTo    []int      // sources with owed arrivals, in first-owed order
-	timer     sim.Timer
-	fireFn    func()
-}
-
-func newAckState(r *reliable, rn *machine.Node, n int) *ackState {
-	a := &ackState{
-		r:         r,
-		rn:        rn,
-		cum:       make([]uint64, n),
-		above:     make([][]uint64, n),
-		owed:      make([]int, n),
-		owedSince: make([]sim.Time, n),
-	}
-	a.fireFn = a.flush
-	return a
+// selAcks returns the out-of-order arrivals a cumulative ack for k lists
+// beside its cursor (a view into the ledger, to be copied by the caller).
+func selAcks(k *link) []uint64 {
+	return k.above[:min(len(k.above), maxSelAcks)]
 }
 
 // noteArrival records the controller-level arrival of seq on the src link
 // and schedules a cumulative acknowledgment instead of acking the copy
 // immediately. Runs in the data packet's OnArrive hook.
 func (r *reliable) noteArrival(rn *machine.Node, src int, seq uint64) {
-	a := r.acks[rn.ID]
+	k := r.l.link(rn.ID, src)
 	switch {
-	case seq == a.cum[src]:
-		a.cum[src]++
-		ab := a.above[src]
-		for len(ab) > 0 && ab[0] == a.cum[src] {
+	case seq == k.cum:
+		k.cum++
+		ab := k.above
+		for len(ab) > 0 && ab[0] == k.cum {
 			ab = ab[1:]
-			a.cum[src]++
+			k.cum++
 		}
-		a.above[src] = ab
-	case seq > a.cum[src]:
-		if i, ok := slices.BinarySearch(a.above[src], seq); !ok {
-			a.above[src] = slices.Insert(a.above[src], i, seq)
+		k.above = ab
+	case seq > k.cum:
+		if i, ok := slices.BinarySearch(k.above, seq); !ok {
+			k.above = slices.Insert(k.above, i, seq)
 		}
 		// seq < cum: a duplicate copy; the pending cumulative ack covers it.
 	}
-	if a.owed[src] == 0 {
-		a.owedTo = append(a.owedTo, src)
-		a.owedSince[src] = rn.EventNow()
+	ns := r.l.nodes[rn.ID]
+	n := &ns.rel
+	if k.owed == 0 {
+		n.owedTo = append(n.owedTo, k)
+		k.owedSince = rn.EventNow()
 	}
-	a.owed[src]++
-	if !a.timer.Pending() {
-		r.l.m.Eng.StartTimer(rn.Lane(), rn.Lane(), &a.timer, r.ackDelay, a.fireFn)
+	k.owed++
+	if !n.ackTimer.Pending() {
+		r.l.m.Eng.StartTimerKind(rn.Lane(), rn.Lane(), &n.ackTimer, r.ackDelay, r.ackKind, ns)
 	}
 }
 
-// flush emits the owed acknowledgments of every inbound link whose delay has
-// elapsed. It fires on the delayed-ack timer; links already covered by a
+// flushAcks emits the owed acknowledgments of every inbound link whose delay
+// has elapsed. It fires on the delayed-ack timer; links already covered by a
 // piggybacked ack since the timer was armed are skipped, and links whose
 // first owed arrival is more recent than the ack delay keep waiting (the
 // timer re-arms for the earliest of them), preserving each link's full
 // coalescing and piggybacking window.
-func (a *ackState) flush() {
-	now := a.rn.EventNow()
-	if a.rn.Down(now) {
+func (r *reliable) flushAcks(ns *nodeState) {
+	rn := r.l.m.Node(ns.id)
+	n := &ns.rel
+	now := rn.EventNow()
+	if rn.Down(now) {
 		// Dead controllers acknowledge nothing; the crash discarded the owed
 		// arrivals along with the rest of the node, and the restore resets
 		// this ledger from the restored cursors.
 		return
 	}
-	kept := a.owedTo[:0]
+	kept := n.owedTo[:0]
 	var nextDue sim.Time = -1
-	for _, src := range a.owedTo {
-		if a.owed[src] == 0 {
+	for _, k := range n.owedTo {
+		if k.owed == 0 {
 			continue
 		}
-		due := a.owedSince[src] + a.r.ackDelay
+		due := k.owedSince + r.ackDelay
 		if due <= now {
-			a.emit(src, now)
+			r.emit(rn, k, now)
 			continue
 		}
-		kept = append(kept, src)
+		kept = append(kept, k)
 		if nextDue < 0 || due < nextDue {
 			nextDue = due
 		}
 	}
-	a.owedTo = kept
+	clear(n.owedTo[len(kept):])
+	n.owedTo = kept
 	if nextDue >= 0 {
-		a.r.l.m.Eng.StartTimer(a.rn.Lane(), a.rn.Lane(), &a.timer, nextDue-now, a.fireFn)
+		r.l.m.Eng.StartTimerKind(rn.Lane(), rn.Lane(), &n.ackTimer, nextDue-now, r.ackKind, ns)
 	}
 }
 
-// emit sends one cumulative acknowledgment packet for the src link,
+// emit sends one cumulative acknowledgment packet for k's inbound direction,
 // replacing owed-1 individual ack packets. Like per-copy acks it is
 // controller traffic: wire bandwidth, no processor time.
-func (a *ackState) emit(src int, at sim.Time) {
-	r := a.r
-	rcv := a.rn.ID
-	cum := a.cum[src]
-	var sel []uint64
-	if ab := a.above[src]; len(ab) > 0 {
-		k := len(ab)
-		if k > maxSelAcks {
-			k = maxSelAcks
-		}
-		sel = append([]uint64(nil), ab[:k]...)
-	}
-	owed := a.owed[src]
-	a.owed[src] = 0
+func (r *reliable) emit(rn *machine.Node, k *link, at sim.Time) {
+	rcv, src := rn.ID, k.peer
+	size := ackBytes + 8*len(selAcks(k))
+	owed := k.owed
+	k.owed = 0
 	c := &r.l.rt.NodeRT(rcv).C
 	c.AcksSent++
 	if np := r.l.prof(rcv); np != nil {
-		np.Packet(profile.Ack, ackBytes+8*len(sel), at)
+		np.Packet(profile.Ack, size, at)
 	}
 	if owed > 1 {
 		c.AcksCoalesced += uint64(owed - 1)
-		r.l.tracef(at, rcv, trace.EvAckCoalesce,
-			"cum ack %d to n%d covers %d arrivals", cum, src, owed)
+		if r.l.tracing() {
+			r.l.tracef(at, rcv, trace.EvAckCoalesce,
+				"cum ack %d to n%d covers %d arrivals", k.cum, src, owed)
+		}
 	}
-	a.rn.ControllerSend(at, &machine.Packet{
-		Dst:      src,
-		Size:     ackBytes + 8*len(sel),
-		Category: CatAck,
-		Ctrl:     true,
-		OnArrive: func(sn *machine.Node, p *machine.Packet) {
-			r.ackCumReceived(sn, rcv, cum, sel)
-		},
-	})
+	p := r.ack(rn, src, size, k.cum, r.hAckCum)
+	if sel := selAcks(k); len(sel) > 0 {
+		p.Payload = slices.Clone(sel)
+	}
+	rn.ControllerSend(at, p)
+}
+
+// owes reports how many arrivals mn still owes dst an acknowledgment for that
+// a carrier departing at the given instant may take along — zero when acks
+// are immediate, nothing is owed, or the carrier departs later than the
+// standalone delayed ack would: stealing the owed acks then would stretch
+// the ack latency past the bound the retransmission timeout budgets.
+func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (*link, int) {
+	if r.ackDelay == 0 {
+		return nil, 0
+	}
+	k := r.l.nodes[mn.ID].peer(dst)
+	if k == nil || k.owed == 0 || at > k.owedSince+r.ackDelay {
+		return nil, 0
+	}
+	owed := k.owed
+	k.owed = 0
+	r.l.rt.NodeRT(mn.ID).C.AcksCoalesced += uint64(owed)
+	if np := r.l.prof(mn.ID); np != nil {
+		np.PacketBytes(profile.Ack, 8+8*len(selAcks(k)))
+	}
+	return k, owed
 }
 
 // piggybackAck attaches the acknowledgments this node owes dst to a
@@ -537,99 +575,47 @@ func (a *ackState) emit(src int, at sim.Time) {
 // standalone ack packets entirely. It returns the extra wire bytes the ack
 // contributes.
 func (r *reliable) piggybackAck(mn *machine.Node, dst int, wb *wireBatch, at sim.Time) int {
-	if r.acks == nil {
+	k, owed := r.owes(mn, dst, at)
+	if k == nil {
 		return 0
 	}
-	a := r.acks[mn.ID]
-	owed := a.owed[dst]
-	if owed == 0 || at > a.owedSince[dst]+r.ackDelay {
-		// See piggybackOnPacket: a late-departing carrier must not steal
-		// acks the standalone timer would deliver sooner.
-		return 0
-	}
-	a.owed[dst] = 0
 	wb.hasAck = true
-	wb.ackCum = a.cum[dst]
-	if ab := a.above[dst]; len(ab) > 0 {
-		k := len(ab)
-		if k > maxSelAcks {
-			k = maxSelAcks
-		}
-		wb.ackSel = append(wb.ackSel[:0], ab[:k]...)
+	wb.ackCum = k.cum
+	wb.ackSel = append(wb.ackSel[:0], selAcks(k)...)
+	if r.l.tracing() {
+		r.l.tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
+			"piggyback ack %d on batch to n%d covers %d arrivals", wb.ackCum, dst, owed)
 	}
-	c := &r.l.rt.NodeRT(mn.ID).C
-	c.AcksCoalesced += uint64(owed)
-	if np := r.l.prof(mn.ID); np != nil {
-		np.PacketBytes(profile.Ack, 8+8*len(wb.ackSel))
-	}
-	r.l.tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
-		"piggyback ack %d on batch to n%d covers %d arrivals", wb.ackCum, dst, owed)
 	return 8 + 8*len(wb.ackSel)
 }
 
 // piggybackOnPacket attaches the acknowledgments this node owes the packet's
-// destination onto a lone outbound packet (the degenerate one-record batch)
-// departing at the given instant, chaining the packet's arrival hook and
-// growing its wire size by the ack framing. Like piggybackAck it replaces the
-// owed standalone ack packets.
+// destination onto a lone outbound data packet (the degenerate one-record
+// batch) departing at the given instant, growing its wire size by the ack
+// framing. Like piggybackAck it replaces the owed standalone ack packets.
 func (r *reliable) piggybackOnPacket(mn *machine.Node, p *machine.Packet, at sim.Time) int {
-	if r.acks == nil {
+	k, owed := r.owes(mn, p.Dst, at)
+	if k == nil {
 		return 0
 	}
-	a := r.acks[mn.ID]
-	dst := p.Dst
-	owed := a.owed[dst]
-	if owed == 0 || at > a.owedSince[dst]+r.ackDelay {
-		// Nothing owed, or the carrier departs later than the standalone
-		// delayed ack would: stealing the owed acks here would stretch the
-		// ack latency past the bound the retransmission timeout budgets.
-		return 0
+	rd := &ackRider{payload: p.Payload, cum: k.cum, sel: slices.Clone(selAcks(k))}
+	p.Payload = rd
+	if r.l.tracing() {
+		r.l.tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
+			"piggyback ack %d on packet to n%d covers %d arrivals", rd.cum, p.Dst, owed)
 	}
-	a.owed[dst] = 0
-	cum := a.cum[dst]
-	var sel []uint64
-	if ab := a.above[dst]; len(ab) > 0 {
-		k := len(ab)
-		if k > maxSelAcks {
-			k = maxSelAcks
-		}
-		sel = append([]uint64(nil), ab[:k]...)
-	}
-	c := &r.l.rt.NodeRT(mn.ID).C
-	c.AcksCoalesced += uint64(owed)
-	if np := r.l.prof(mn.ID); np != nil {
-		np.PacketBytes(profile.Ack, 8+8*len(sel))
-	}
-	r.l.tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
-		"piggyback ack %d on packet to n%d covers %d arrivals", cum, dst, owed)
-	rcv := mn.ID
-	orig := p.OnArrive
-	p.OnArrive = func(sn *machine.Node, pk *machine.Packet) {
-		r.ackCumReceived(sn, rcv, cum, sel)
-		if orig != nil {
-			orig(sn, pk)
-		}
-	}
-	return 8 + 8*len(sel)
+	return 8 + 8*len(rd.sel)
 }
 
-// ackCumReceived completes every pending message a cumulative ack covers:
-// all seqs below cum on the (sender -> rcv) link plus the selectively
-// listed out-of-order arrivals.
+// ackCumReceived completes every in-flight message a cumulative ack covers:
+// all seqs below cum on the (sender -> rcv) link, in sequence order, plus the
+// selectively listed out-of-order arrivals.
 func (r *reliable) ackCumReceived(sn *machine.Node, rcv int, cum uint64, sel []uint64) {
-	s := r.senders[sn.ID]
-	if pending := s.pending[rcv]; len(pending) > 0 {
-		scratch := s.scratch[:0]
-		for seq := range pending {
-			if seq < cum {
-				scratch = append(scratch, seq)
-			}
+	if k := r.l.nodes[sn.ID].peer(rcv); k != nil {
+		for len(k.win) > 0 && k.base < cum {
+			// Completing the window's first record slides the window.
+			r.ackReceived(sn, rcv, k.base)
 		}
-		slices.Sort(scratch)
-		for _, seq := range scratch {
-			r.ackReceived(sn, rcv, seq)
-		}
-		s.scratch = scratch[:0]
 	}
 	for _, seq := range sel {
 		r.ackReceived(sn, rcv, seq)
@@ -637,20 +623,22 @@ func (r *reliable) ackCumReceived(sn *machine.Node, rcv int, cum uint64, sel []u
 }
 
 // ackReceived runs at the sender's message controller: it marks (dst, seq)
-// delivered and cancels the retransmission timer. Duplicate and stale acks
+// delivered and takes it off the retry schedule. Duplicate and stale acks
 // are idempotent.
 func (r *reliable) ackReceived(sn *machine.Node, dst int, seq uint64) {
-	s := r.senders[sn.ID]
-	pending := s.pending[dst]
-	m := pending[seq]
-	if m == nil || m.acked {
+	ns := r.l.nodes[sn.ID]
+	k := ns.peer(dst)
+	if k == nil {
 		return
 	}
-	m.acked = true
-	m.timer.Stop()
-	delete(pending, seq)
-	s.releaseMsg(m)
-	r.l.tracef(sn.EventNow(), sn.ID, trace.EvAck, "acked seq %d by n%d", seq, dst)
+	m := k.inflight(seq)
+	if m == nil {
+		return
+	}
+	r.finish(ns, k, m)
+	if r.l.tracing() {
+		r.l.tracef(sn.EventNow(), sn.ID, trace.EvAck, "acked seq %d by n%d", seq, dst)
+	}
 }
 
 // Unacked reports the number of in-flight (sent but unacknowledged)
@@ -658,10 +646,14 @@ func (r *reliable) ackReceived(sn *machine.Node, dst int, seq uint64) {
 // abandoned.
 func (r *reliable) Unacked() int {
 	total := 0
-	for _, s := range r.senders {
-		for _, p := range s.pending {
-			total += len(p)
-		}
+	for _, ns := range r.l.nodes {
+		ns.eachLink(func(k *link) {
+			for _, m := range k.win {
+				if m != nil {
+					total++
+				}
+			}
+		})
 	}
 	return total
 }

@@ -1,0 +1,299 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestStartTimerAtMovesSlot pins the positioning contract: putting a queued
+// timer elsewhere moves its one slot — later, earlier, or back to life after
+// a Stop — and never leaves a dead slot behind.
+func TestStartTimerAtMovesSlot(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	k := e.RegisterHandler(func(at Time, _ any) { fired = append(fired, at) })
+	var seqs [4]uint64
+	for i := range seqs {
+		e.After(Time(10*(i+1)), func() {}) // other traffic to sift through
+		e.ReserveSeq(0, &seqs[i])
+	}
+	var tm Timer
+	e.StartTimerAt(0, &tm, 25, seqs[1], k, &tm)
+	e.StartTimerAt(0, &tm, 35, seqs[3], k, &tm)
+	e.StartTimerAt(0, &tm, 5, seqs[0], k, &tm)
+	if p, live := e.Pending(), e.LivePending(); p != 5 || live != 5 {
+		t.Fatalf("pending/live = %d/%d after three positionings, want 5/5", p, live)
+	}
+	tm.Stop()
+	if live := e.LivePending(); live != 4 {
+		t.Fatalf("live = %d after Stop, want 4", live)
+	}
+	e.StartTimerAt(0, &tm, 15, seqs[2], k, &tm)
+	if p, live := e.Pending(), e.LivePending(); p != 5 || live != 5 || tm.Stopped() {
+		t.Fatalf("pending/live = %d/%d stopped=%v after revival, want 5/5 false", p, live, tm.Stopped())
+	}
+	n, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fired, []Time{15}) || n != 5 {
+		t.Fatalf("fired at %v over %d events, want [15] over 5", fired, n)
+	}
+	if tm.Pending() || !tm.Fired() || e.LivePending() != 0 {
+		t.Fatalf("after run: pending=%v fired=%v live=%d", tm.Pending(), tm.Fired(), e.LivePending())
+	}
+}
+
+// The deadline workload: every lane keeps a set of cancellable deadlines, set
+// with delays that are not monotone, most of them cancelled before they fire,
+// some re-set when they do — the shape of a retransmission buffer. Times are
+// small, so deadlines tie with each other and with the cross-lane pokes all
+// the time; the global firing log shows every tie-break.
+
+type dlRec struct {
+	id    int
+	due   Time
+	seq   uint64 // shared variant: the reserved tie-break position
+	timer Timer  // per-deadline variant
+}
+
+type dlLane struct {
+	rng   uint64
+	steps int
+	next  int
+	pend  []*dlRec
+	log   []dlFire
+	// Shared variant: one timer for the lane, standing at the earliest of
+	// pend (armed), stopped when there is none.
+	timer Timer
+	armed *dlRec
+}
+
+type dlFire struct {
+	at Time
+	id int // < 0: a poke from the neighbouring lane
+}
+
+type dlWorld struct {
+	e      *Engine
+	shared bool // one timer per lane (ReserveSeq + StartTimerAt) or one per deadline
+	look   Time
+	lanes  []dlLane
+	global []dlFire // firing order across lanes, kept for sequential runs (nil: off)
+	wakeK  Kind     // shared variant's timer callback; arg: the lane index
+}
+
+func (l *dlLane) rand(n int) int {
+	l.rng = l.rng*6364136223846793005 + 1442695040888963407
+	return int((l.rng >> 33) % uint64(n))
+}
+
+func (w *dlWorld) fired(l int, f dlFire) {
+	w.lanes[l].log = append(w.lanes[l].log, f)
+	if w.global != nil {
+		w.global = append(w.global, f)
+	}
+}
+
+func (w *dlWorld) set(l int, d *dlRec, delay Time) {
+	ln := &w.lanes[l]
+	d.due = w.e.LaneNow(l) + delay
+	ln.pend = append(ln.pend, d)
+	if !w.shared {
+		w.e.StartTimer(l, l, &d.timer, delay, func() { w.expire(l, d) })
+		return
+	}
+	w.e.ReserveSeq(l, &d.seq)
+	w.schedule(l)
+}
+
+// schedule keeps the shared timer at the earliest deadline pending.
+func (w *dlWorld) schedule(l int) {
+	ln := &w.lanes[l]
+	var min *dlRec
+	for _, d := range ln.pend {
+		if min == nil || d.due < min.due || (d.due == min.due && d.seq < min.seq) {
+			min = d
+		}
+	}
+	if min == ln.armed {
+		return
+	}
+	if ln.armed = min; min == nil {
+		ln.timer.Stop()
+		return
+	}
+	w.e.StartTimerAt(l, &ln.timer, min.due, min.seq, w.wakeK, l)
+}
+
+func (w *dlWorld) drop(l int, d *dlRec) {
+	ln := &w.lanes[l]
+	for i, p := range ln.pend {
+		if p == d {
+			ln.pend = append(ln.pend[:i], ln.pend[i+1:]...)
+			break
+		}
+	}
+	if !w.shared {
+		d.timer.Stop()
+		return
+	}
+	w.schedule(l)
+}
+
+// wake is the shared timer's callback: the deadline it stands at expires, and
+// the timer moves on to the earliest one left.
+func (w *dlWorld) wake(l int) {
+	ln := &w.lanes[l]
+	d := ln.armed
+	ln.armed = nil
+	w.expire(l, d)
+	w.schedule(l)
+}
+
+func (w *dlWorld) expire(l int, d *dlRec) {
+	ln := &w.lanes[l]
+	w.fired(l, dlFire{w.e.LaneNow(l), d.id})
+	for i, p := range ln.pend {
+		if p == d {
+			ln.pend = append(ln.pend[:i], ln.pend[i+1:]...)
+			break
+		}
+	}
+	if ln.rand(3) == 0 {
+		w.set(l, &dlRec{id: d.id + 1000}, Time(6+ln.rand(60)))
+	}
+}
+
+func (w *dlWorld) step(l int) {
+	ln := &w.lanes[l]
+	ln.steps--
+	switch r := ln.rand(10); {
+	case r < 5:
+		ln.next++
+		w.set(l, &dlRec{id: l*100000 + ln.next}, Time(6+ln.rand(40)))
+	case r < 9:
+		if n := len(ln.pend); n > 0 {
+			w.drop(l, ln.pend[ln.rand(n)])
+		}
+	default:
+		dst := (l + 1) % len(w.lanes)
+		w.e.ScheduleFuncOn(l, dst, w.e.LaneNow(l)+w.look, func() {
+			w.fired(dst, dlFire{w.e.LaneNow(dst), -1 - l})
+		})
+	}
+	if ln.steps > 0 {
+		w.e.ScheduleFuncOn(l, l, w.e.LaneNow(l)+Time(1+ln.rand(5)), func() { w.step(l) })
+	}
+}
+
+func newDLWorld(shared bool, lanes, steps int, look Time) *dlWorld {
+	w := &dlWorld{e: NewEngine(), shared: shared, look: look, lanes: make([]dlLane, lanes)}
+	w.e.SetLanes(lanes)
+	w.wakeK = w.e.RegisterHandler(func(_ Time, arg any) { w.wake(arg.(int)) })
+	for l := range w.lanes {
+		l := l
+		w.lanes[l].rng = uint64(l)*977 + 13
+		w.lanes[l].steps = steps
+		w.e.ScheduleFuncOn(l, l, Time(1+l), func() { w.step(l) })
+	}
+	return w
+}
+
+// Capture and Restore make dlWorld a LaneSaver. Deadline records are restored
+// by value through their pointers, like the retransmission records of the
+// layer this models.
+type dlSnap struct {
+	ln   dlLane
+	recs []dlRec
+}
+
+func (w *dlWorld) Capture(l int) any {
+	ln := &w.lanes[l]
+	s := &dlSnap{ln: *ln}
+	s.ln.pend = append([]*dlRec(nil), ln.pend...)
+	s.ln.log = ln.log[:len(ln.log):len(ln.log)]
+	for _, d := range ln.pend {
+		s.recs = append(s.recs, *d)
+	}
+	return s
+}
+
+func (w *dlWorld) Restore(l int, snap any) {
+	s := snap.(*dlSnap)
+	w.lanes[l] = s.ln
+	for i, d := range s.ln.pend {
+		*d = s.recs[i]
+	}
+}
+
+func (w *dlWorld) laneLogs() [][]dlFire {
+	out := make([][]dlFire, len(w.lanes))
+	for l := range w.lanes {
+		out[l] = w.lanes[l].log
+	}
+	return out
+}
+
+// TestReservedDeadlineEquivalence is the contract of ReserveSeq and
+// StartTimerAt: one timer per lane, armed at reserved positions, fires every
+// deadline at the instant and in the global order that one timer per deadline
+// does — and keeps doing so inside conservative and speculative windows,
+// where reserved numbers are provisional until the barrier.
+func TestReservedDeadlineEquivalence(t *testing.T) {
+	const lanes, steps = 5, 600
+	const look = Time(12)
+
+	ref := newDLWorld(false, lanes, steps, look)
+	ref.global = []dlFire{}
+	if _, err := ref.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	seq := newDLWorld(true, lanes, steps, look)
+	seq.global = []dlFire{}
+	seqN, err := seq.e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.global) < steps || !reflect.DeepEqual(ref.global, seq.global) {
+		t.Fatalf("shared timer diverged from one timer per deadline: %d vs %d firings", len(seq.global), len(ref.global))
+	}
+	ties := 0
+	for i := 1; i < len(ref.global); i++ {
+		if ref.global[i].at == ref.global[i-1].at {
+			ties++
+		}
+	}
+	if ties < 50 {
+		t.Fatalf("only %d equal-time firings: the workload does not test tie-breaks", ties)
+	}
+	if seq.e.LivePending() != 0 {
+		t.Fatalf("%d live events left", seq.e.LivePending())
+	}
+	if seqN >= ref.e.Fired() {
+		t.Errorf("shared timer fired %d events, one per deadline %d: nothing saved", seqN, ref.e.Fired())
+	}
+
+	par := newDLWorld(true, lanes, steps, look)
+	parN, err := par.e.RunParallel(3, look)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Event counts may differ between executors: whether a dead slot is
+	// swept or popped depends on what else the heap holds at the time.
+	if !reflect.DeepEqual(par.laneLogs(), seq.laneLogs()) {
+		t.Fatalf("RunParallel diverged (%d events vs %d sequential)", parN, seqN)
+	}
+
+	opt := newDLWorld(true, lanes, steps, look)
+	optN, err := opt.e.RunOptimistic(3, OptimisticConfig{Lookahead: look, Window: look * 8, Saver: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := opt.e.OptimisticStats(); st.Rollbacks == 0 || st.Speculative == 0 {
+		t.Fatalf("optimistic run never rolled back: %+v", st)
+	}
+	if !reflect.DeepEqual(opt.laneLogs(), seq.laneLogs()) {
+		t.Fatalf("RunOptimistic diverged (%d events vs %d sequential)", optN, seqN)
+	}
+}

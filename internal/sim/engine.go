@@ -16,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -61,6 +62,7 @@ type Kind uint8
 const (
 	kindClosure Kind = iota
 	kindTimer
+	kindReserve // a birth that holds a reserved sequence number, never an event
 	kindHandlerBase
 )
 
@@ -113,20 +115,12 @@ type lane struct {
 	births   []birth
 	log      []firedRec
 	winFired uint64
+	reserved bool // ReserveSeq ran in this window: the barrier must settle it
 }
 
 func (ln *lane) push(ev event) {
-	h := append(ln.heap, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	ln.heap = h
+	ln.heap = append(ln.heap, ev)
+	ln.up(len(ln.heap) - 1)
 }
 
 func (ln *lane) pop() event {
@@ -135,8 +129,35 @@ func (ln *lane) pop() event {
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = event{}
-	h = h[:n]
-	i := 0
+	ln.heap = h[:n]
+	ln.down(0)
+	return ev
+}
+
+func (ln *lane) heapify() {
+	for i := len(ln.heap)/2 - 1; i >= 0; i-- {
+		ln.down(i)
+	}
+}
+
+// up sifts entry i towards the root; it reports where the entry ended up.
+func (ln *lane) up(i int) int {
+	h := ln.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !evLess(&h[i], &h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return i
+}
+
+// down sifts entry i towards the leaves.
+func (ln *lane) down(i int) {
+	h := ln.heap
+	n := len(h)
 	for {
 		l := 2*i + 1
 		if l >= n {
@@ -151,31 +172,6 @@ func (ln *lane) pop() event {
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
-	}
-	ln.heap = h
-	return ev
-}
-
-func (ln *lane) heapify() {
-	h := ln.heap
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		j := i
-		for {
-			l := 2*j + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if r := l + 1; r < n && evLess(&h[r], &h[l]) {
-				m = r
-			}
-			if !evLess(&h[m], &h[j]) {
-				break
-			}
-			h[j], h[m] = h[m], h[j]
-			j = m
-		}
 	}
 }
 
@@ -325,15 +321,42 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 		at = e.now
 	}
 	e.seq++
+	e.insert(dst, event{at: at, seq: e.seq, kind: kind, arg: arg})
+}
+
+// insert queues ev on lane dst outside a parallel window and keeps the
+// tournament current.
+func (e *Engine) insert(dst int, ev event) {
 	ln := &e.lanes[dst]
 	wasEmpty := len(ln.heap) == 0
-	ln.push(event{at: at, seq: e.seq, kind: kind, arg: arg})
+	ln.push(ev)
 	if wasEmpty {
 		e.orderAdd(dst)
-	} else if ln.heap[0].seq == e.seq {
+	} else if ln.heap[0].seq == ev.seq {
 		// New head: the lane got earlier, fix its tournament position.
 		e.orderUp(int(e.pos[dst]))
 	}
+}
+
+// ReserveSeq draws the sequence number an event scheduled now from lane src
+// would receive and stores it in *into, without queueing anything. With
+// StartTimerAt it lets one timer stand in for many deadlines: each deadline
+// reserves its tie-break position when it is set, and the timer stands at
+// whichever (time, position) is earliest — firing exactly where a timer
+// armed per deadline would have. Inside a parallel window *into holds a
+// provisional number, ordered correctly against everything on the lane, that
+// the barrier replaces with the final one; a target rewritten by then (its
+// record was reused) is left alone.
+func (e *Engine) ReserveSeq(src int, into *uint64) {
+	if e.inPar {
+		sl := &e.lanes[src]
+		sl.reserved = true
+		*into = e.provBase + 1 + uint64(len(sl.births))
+		sl.births = append(sl.births, birth{kind: kindReserve, consumed: true, arg: into})
+		return
+	}
+	e.seq++
+	*into = e.seq
 }
 
 // Schedule enqueues fire to run at virtual time at, on lane 0. Scheduling
@@ -369,8 +392,6 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // fire dispatches one popped event from lane l.
 func (e *Engine) fire(l int, ev *event) {
 	switch ev.kind {
-	case kindClosure:
-		ev.arg.(func())()
 	case kindTimer:
 		t := ev.arg.(*Timer)
 		t.pending = false
@@ -382,10 +403,19 @@ func (e *Engine) fire(l int, ev *event) {
 			return
 		}
 		t.fired = true
-		t.fn()
+		e.dispatch(t.kind, ev.at, t.arg)
 	default:
-		e.handlers[ev.kind-kindHandlerBase](ev.at, ev.arg)
+		e.dispatch(ev.kind, ev.at, ev.arg)
 	}
+}
+
+// dispatch runs a closure or a registered handler.
+func (e *Engine) dispatch(kind Kind, at Time, arg any) {
+	if kind == kindClosure {
+		arg.(func())()
+		return
+	}
+	e.handlers[kind-kindHandlerBase](at, arg)
 }
 
 // Run fires events in (time, seq) order until the queue is empty, Stop is
@@ -559,7 +589,8 @@ func (e *Engine) orderRebuild() {
 // with StartTimer; AfterTimer allocates one on lane 0.
 type Timer struct {
 	eng     *Engine
-	fn      func()
+	arg     any // the callback: a func() or the payload of a registered kind
+	kind    Kind
 	lane    int32
 	epoch   uint32
 	stopped bool
@@ -593,23 +624,74 @@ func (t *Timer) Pending() bool { return t.pending }
 // stop it and wait for the slot to be swept or popped first (Pending
 // reports this).
 func (e *Engine) StartTimer(src, lane int, t *Timer, d Time, fn func()) {
+	var arg any
+	if fn != nil {
+		arg = fn
+	}
+	e.StartTimerKind(src, lane, t, d, kindClosure, arg)
+}
+
+// StartTimerKind is StartTimer for a registered event kind: the timer fires
+// the kind's handler with arg, so a timer embedded in a record needs no
+// closure bound to it.
+func (e *Engine) StartTimerKind(src, lane int, t *Timer, d Time, kind Kind, arg any) {
 	if t.pending && t.epoch == e.epoch {
 		panic("sim: StartTimer on a timer whose slot is still queued")
 	}
+	e.arm(lane, t, kind, arg)
+	now := e.now
+	if e.inPar {
+		now = e.lanes[src].now
+	}
+	e.post(src, lane, now+d, kindTimer, t)
+}
+
+func (e *Engine) arm(lane int, t *Timer, kind Kind, arg any) {
 	t.eng = e
 	t.lane = int32(lane)
 	t.epoch = e.epoch
 	t.stopped = false
 	t.fired = false
 	t.pending = true
-	if fn != nil {
-		t.fn = fn
+	if arg != nil {
+		t.kind, t.arg = kind, arg
 	}
-	now := e.now
+}
+
+// StartTimerAt puts t at an explicit queue position: virtual time at,
+// tie-broken by a sequence number drawn earlier with ReserveSeq on the same
+// lane. It consumes no sequence number of its own, and a slot still queued —
+// live or stopped — is moved rather than left behind, so a timer that follows
+// the earliest of many deadlines leaves no dead slots in its wake (finding
+// the slot is a linear scan of the lane's queue). Must
+// be called from the lane itself, with at no earlier than the lane's clock,
+// on a timer only ever armed this way.
+func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind, arg any) {
+	ln := &e.lanes[lane]
+	if t.pending && t.epoch == e.epoch {
+		if t.stopped && ln.dead > 0 {
+			ln.dead--
+		}
+		e.arm(lane, t, kind, arg)
+		i := slices.IndexFunc(ln.heap, func(ev event) bool { return ev.kind == kindTimer && ev.arg == any(t) })
+		ln.heap[i].at, ln.heap[i].seq = at, seq
+		ln.down(ln.up(i))
+		if !e.inPar {
+			e.orderFixLane(lane)
+		}
+		return
+	}
+	e.arm(lane, t, kind, arg)
+	ev := event{at: at, seq: seq, kind: kindTimer, arg: t}
 	if e.inPar {
-		now = e.lanes[src].now
+		// The lane's heap is this worker's for the window, and an event keyed
+		// by an existing number needs no birth: in-window it fires in place,
+		// beyond the window it is already where the barrier would put it (a
+		// provisional key is settled there, see settleReserved).
+		ln.push(ev)
+		return
 	}
-	e.post(src, lane, now+d, kindTimer, t)
+	e.insert(lane, ev)
 }
 
 // AfterTimer schedules fire to run d nanoseconds from now on lane 0 unless

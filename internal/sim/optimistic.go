@@ -118,7 +118,7 @@ func (e *Engine) captureLane(l int, saver LaneSaver) *laneSnap {
 	s.heap = make([]event, 0, len(ln.heap))
 	for i := range ln.heap {
 		ev := ln.heap[i]
-		if ev.seq > e.provBase {
+		if ln.provisionalBirth(&ev, e.provBase) {
 			continue
 		}
 		s.heap = append(s.heap, ev)
@@ -241,6 +241,15 @@ func (e *Engine) runLaneWindowOpt(l int, sHor Time, saver LaneSaver, snaps []*la
 	return fired
 }
 
+// provisionalBirth reports whether the queued ev is a same-lane in-window
+// birth: pushed under a provisional sequence number, and pushed again by the
+// barrier from its birth record unless it fires first. A timer put at a
+// number reserved in this window (StartTimerAt) also carries a provisional
+// key, but has no birth record of its own to come back from.
+func (ln *lane) provisionalBirth(ev *event, provBase uint64) bool {
+	return ev.seq > provBase && ln.births[ev.seq-provBase-1].kind != kindReserve
+}
+
 // dropProvisional removes same-lane in-window births (provisional sequence
 // numbers > provBase) from the lane heap and recounts its dead slots. Their
 // birth records remain and are re-sequenced at the barrier.
@@ -249,7 +258,7 @@ func (ln *lane) dropProvisional(provBase uint64) {
 	dead := 0
 	for i := range ln.heap {
 		ev := ln.heap[i]
-		if ev.seq > provBase {
+		if ln.provisionalBirth(&ev, provBase) {
 			continue
 		}
 		if ev.kind == kindTimer && ev.arg.(*Timer).stopped {
@@ -391,9 +400,9 @@ func (e *Engine) RunOptimistic(workers int, cfg OptimisticConfig) (uint64, error
 	// Adaptive width state. All inputs are virtual-time facts, so the window
 	// sequence (and OptStats) is reproducible run to run.
 	weffCur := win
-	probeIn := 0     // conservative windows to run before probing wider again
-	penalty := 16    // next hold-down length; doubles on repeated collapse
-	streak := 0      // consecutive rolled-back speculative windows
+	probeIn := 0  // conservative windows to run before probing wider again
+	penalty := 16 // next hold-down length; doubles on repeated collapse
+	streak := 0   // consecutive rolled-back speculative windows
 
 	for len(e.order) > 0 && !e.stopped {
 		if cfg.SerialNow != nil && cfg.SerialNow() {

@@ -216,6 +216,13 @@ func (e *Engine) barrier(active []int32) (uint64, error) {
 			ln.births[k].seq = e.seq
 		}
 	}
+	// Reserved numbers settle before any birth is pushed: until then the
+	// only queued keys above provBase are provisional ones.
+	for _, l := range active {
+		if ln := &e.lanes[l]; ln.reserved {
+			ln.settleReserved(e.provBase)
+		}
+	}
 	var fired uint64
 	for _, l := range active {
 		ln := &e.lanes[l]
@@ -240,4 +247,25 @@ func (e *Engine) barrier(active []int32) (uint64, error) {
 		return fired, errEventLimit(e.limit, e.now)
 	}
 	return fired, nil
+}
+
+// settleReserved replaces the provisional sequence numbers ReserveSeq handed
+// out in the closing window with the final ones: in each target that still
+// holds its provisional number, and in the key of a timer put at one with
+// StartTimerAt that has yet to fire. Provisional and final numbers order the
+// lane identically, so the heap stays a heap.
+func (ln *lane) settleReserved(provBase uint64) {
+	ln.reserved = false
+	for i := range ln.births {
+		if b := &ln.births[i]; b.kind == kindReserve {
+			if into := b.arg.(*uint64); *into == provBase+1+uint64(i) {
+				*into = b.seq
+			}
+		}
+	}
+	for i := range ln.heap {
+		if s := ln.heap[i].seq; s > provBase {
+			ln.heap[i].seq = ln.births[s-provBase-1].seq
+		}
+	}
 }

@@ -10,7 +10,10 @@ package sim
 // lightly loaded owner (one of 256 nodes that sends a dozen messages) holds
 // a few records while a heavily loaded one amortizes quickly. Free records
 // are chained through a link field inside T — T's pointer type names it with
-// a PoolLink method — so the list itself never allocates or regrows.
+// a PoolLink method — so the list itself never allocates or regrows. The
+// link is nil exactly while the record is out (the last free record links to
+// itself), which is how Put catches a record released twice; a record's
+// owner must leave the field alone.
 //
 // A Slab is owned by one event lane. Records may migrate: a record acquired
 // from one slab can be released into another of the same type. The zero
@@ -39,7 +42,10 @@ const (
 func (s *Slab[T, P]) Get() *T {
 	if r := s.free; r != nil {
 		link := P(r).PoolLink()
-		s.free, *link = *link, nil
+		if s.free = *link; s.free == r {
+			s.free = nil
+		}
+		*link = nil
 		return r
 	}
 	if len(s.block) == 0 {
@@ -52,10 +58,17 @@ func (s *Slab[T, P]) Get() *T {
 }
 
 // Put zeroes r, dropping every pointer it held, and makes it the next
-// record Get returns. The caller must hold the only live reference.
+// record Get returns. The caller must hold the only live reference; a record
+// that is already free panics.
 func (s *Slab[T, P]) Put(r *T) {
+	link := P(r).PoolLink()
+	if *link != nil {
+		panic("sim: Slab.Put of a record that is already free")
+	}
 	var zero T
 	*r = zero
-	*P(r).PoolLink() = s.free
+	if *link = s.free; s.free == nil {
+		*link = r
+	}
 	s.free = r
 }

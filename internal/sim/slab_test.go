@@ -88,3 +88,32 @@ func TestSlabReuse(t *testing.T) {
 		t.Errorf("drained slab handed out %p again", r)
 	}
 }
+
+// Four record types share the slab; releasing any of them twice would hand
+// one record to two owners. Put catches it at the second release — also when
+// the record is the only one on the free list.
+func TestSlabPutTwicePanics(t *testing.T) {
+	for _, others := range []int{0, 3} {
+		var s Slab[slabRec, *slabRec]
+		r := s.Get()
+		for i := 0; i < others; i++ {
+			s.Put(s.Get())
+		}
+		s.Put(r)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second Put with %d other free records did not panic", others)
+				}
+			}()
+			s.Put(r)
+		}()
+		// The list is intact: the record comes back exactly once.
+		if got := s.Get(); got != r {
+			t.Errorf("Get after the rejected Put = %p, want %p", got, r)
+		}
+		if got := s.Get(); got == r {
+			t.Errorf("record %p handed out twice", r)
+		}
+	}
+}

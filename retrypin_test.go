@@ -1,0 +1,90 @@
+// Retry-equivalence pin for the reliable layer's host-side bookkeeping.
+//
+// How a sender remembers what it has in flight — a timer per message or one
+// deadline per node, a map or a window, closures or header words — is host
+// bookkeeping and must not show in the simulation: every retransmission fires
+// at the same virtual instant, in the same place among equal-time events.
+// The constants below were recorded before the per-link records and the node
+// retry deadline replaced the per-message timers; the trace hash covers the
+// order of every retry, ack, hold and duplicate drop.
+package abcl_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	abcl "repro"
+	"repro/internal/apps/nqueens"
+	"repro/internal/trace"
+)
+
+type retryPin struct {
+	elapsed                                     abcl.Time
+	retransmits, acksSent, acksCoalesced        uint64
+	dupSuppressed, heldOutOfOrder, relAbandoned uint64
+	traceSHA                                    string
+}
+
+func TestRetryEquivalencePin(t *testing.T) {
+	cases := []struct {
+		name     string
+		ackDelay abcl.Time
+		want     retryPin
+	}{
+		{"delayed-acks", 500 * abcl.Microsecond, retryPin{
+			elapsed: 12995459, retransmits: 1616, acksSent: 1183, acksCoalesced: 7543,
+			dupSuppressed: 1014, heldOutOfOrder: 1194, relAbandoned: 0,
+			traceSHA: "731943320589d474711895504366f93b504e412048568d7203716763c00bb6fb",
+		}},
+		{"immediate-acks", 0, retryPin{
+			elapsed: 11496214, retransmits: 1795, acksSent: 8927, acksCoalesced: 0,
+			dupSuppressed: 1207, heldOutOfOrder: 582, relAbandoned: 0,
+			traceSHA: "11b1112d44ca98c3ef3024e3118d4343838e20a22c24e8bc9880a02c4088542d",
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(ex abcl.ExecutorSpec, obs abcl.Sink) retryPin {
+				res, err := nqueens.Run(nqueens.Options{
+					N: 8, Nodes: 16, Seed: 3,
+					Faults:      abcl.UniformFaults(0.10, 0.05, 2*abcl.Microsecond),
+					Reliable:    true,
+					BatchWindow: 10 * abcl.Microsecond,
+					AckDelay:    tc.ackDelay,
+					Observer:    obs,
+					Extra:       []abcl.Option{abcl.WithExecutor(ex)},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Solutions != 92 {
+					t.Fatalf("N=8 solutions = %d, want 92", res.Solutions)
+				}
+				c := res.Stats
+				return retryPin{
+					elapsed: res.Elapsed, retransmits: c.Retransmits,
+					acksSent: c.AcksSent, acksCoalesced: c.AcksCoalesced,
+					dupSuppressed: c.DupSuppressed, heldOutOfOrder: c.HeldOutOfOrder,
+					relAbandoned: c.RelAbandoned,
+				}
+			}
+			// Observers need the single global interleaving of the sequential
+			// executor, so only that run is traced.
+			h := sha256.New()
+			seq := run(abcl.Sequential(), trace.NewJSONL(h))
+			seq.traceSHA = hex.EncodeToString(h.Sum(nil))
+			if seq != tc.want {
+				t.Errorf("Sequential():\n got  %+v\n want %+v", seq, tc.want)
+			}
+			if seq.retransmits == 0 || seq.dupSuppressed == 0 || seq.heldOutOfOrder == 0 {
+				t.Errorf("fault plan idle: %+v", seq)
+			}
+			par := run(abcl.Conservative(2), nil)
+			par.traceSHA = tc.want.traceSHA
+			if par != tc.want {
+				t.Errorf("Conservative(2):\n got  %+v\n want %+v", par, tc.want)
+			}
+		})
+	}
+}
