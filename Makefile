@@ -1,7 +1,7 @@
 # Convenience targets for the ABCL/onAP1000 reproduction.
 #
 #   make tier1           build + full test suite + bench smoke + perf gate + profile smoke + runpack regress
-#   make vet-race        go vet + race-detector pass over the parallel core
+#   make vet-race        go vet + the whole test suite under the race detector
 #   make scenario-smoke  run every bundled fault scenario end to end
 #   make profile-smoke   run nqueens with -profile/-metrics, validate the JSONL schema
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
@@ -28,8 +28,7 @@ tier1:
 
 vet-race:
 	go vet ./...
-	go test -race ./internal/parexec/... ./internal/core/... ./internal/sim/... ./internal/conformance/... ./internal/remote/... ./internal/checkpoint/...
-	go test -race -run 'TestWirePath|TestCrash|TestSnapshot|TestCheckpoint|TestMultiactive|TestOptimistic|TestRecordPool|TestRetryEquivalencePin|TestReliableSteadyState' .
+	go test -race ./...
 
 scenario-smoke:
 	go run ./cmd/abclsim -workload scenario -scenario all
@@ -71,7 +70,7 @@ cover:
 # diff against BASELINE. The default hands benchjson the repo root, and it
 # picks the BENCH_<date>*.json with the newest embedded date — erroring out
 # (instead of a silent lexical tiebreak) when several reports share it.
-BENCH_PATTERN ?= BenchmarkTable1_IntraNodeDormant|BenchmarkTable4_NQueensScale|BenchmarkFigure5_Speedup|BenchmarkFigure5_TimeWarp|BenchmarkSimulatorThroughput|BenchmarkForkJoin|BenchmarkTable_AllToAll|BenchmarkProfilerOffOverhead|BenchmarkHotKeyContention
+BENCH_PATTERN ?= BenchmarkTable1_IntraNodeDormant|BenchmarkTable4_NQueensScale|BenchmarkFigure5_Speedup|BenchmarkSimulatorThroughput|BenchmarkForkJoin|BenchmarkTable_AllToAll|BenchmarkProfilerOffOverhead|BenchmarkHotKeyContention
 BENCH_TIME ?= 20x
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BASELINE ?= .
@@ -89,20 +88,12 @@ BASELINE ?= .
 # run gates the multiactive scheduler's per-group queue machinery; at
 # ~2.5 ms/op its 20x sample is short enough that shared-host noise
 # routinely exceeds 10%, so its wall clock gets 25% headroom while its
-# allocation count stays exact-reproducible at 2%. The Figure5_TimeWarp pair gates the Time Warp executor
-# on the all-to-all workload at P256 by its deterministic signals: the
-# benchmark's own Fatalf asserts the optimistic runner needs at most half
-# the conservative barrier count (wall-clock speedup is unobservable on
-# single-core CI hosts), and the per-name entries hold each executor's
-# allocation count to 2% (exactly reproducible run to run). Their ns/op
-# gets 75% headroom: multi-worker executors on a loaded single-core host
-# see scheduler-noise swings far beyond the 10% default, so wall clock
-# is a tripwire there, not the regression signal.
-GATE_BENCH ?= Figure5_Speedup/N10_P256,ProfilerOffOverhead:10:2,HotKeyContention/full:25:2,Figure5_TimeWarp/R8_P256_conservative:75:2,Figure5_TimeWarp/R8_P256_optimistic:75:2
+# allocation count stays exact-reproducible at 2%.
+GATE_BENCH ?= Figure5_Speedup/N10_P256,ProfilerOffOverhead:10:2,HotKeyContention/full:25:2
 GATE_PCT ?= 10
 
 bench-gate:
-	go test -run xxx -bench 'BenchmarkFigure5_Speedup$$/N10_P256$$|BenchmarkProfilerOffOverhead$$|BenchmarkHotKeyContention$$/full$$|BenchmarkFigure5_TimeWarp$$' -benchmem -benchtime $(BENCH_TIME) . \
+	go test -run xxx -bench 'BenchmarkFigure5_Speedup$$/N10_P256$$|BenchmarkProfilerOffOverhead$$|BenchmarkHotKeyContention$$/full$$' -benchmem -benchtime $(BENCH_TIME) . \
 		| go run ./cmd/benchjson -compare $(BASELINE) -gate '$(GATE_BENCH)' -gate-pct $(GATE_PCT)
 
 bench-baseline:

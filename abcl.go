@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/parexec"
 	"repro/internal/profile"
 	"repro/internal/remote"
 	"repro/internal/sim"
@@ -287,7 +286,7 @@ func WithTrace(capacity int) Option {
 // the simulation's single deterministic event order. Multiple observers (or
 // an observer plus WithTrace) compose via trace.Tee. Sinks must not retain
 // the Event or any memory reachable from it beyond the call; see the trace
-// package for the full contract. Incompatible with the parallel executors
+// package for the full contract. Incompatible with the parallel executor
 // (WithExecutor): parallel windows have no single global interleaving to
 // observe.
 func WithObserver(sink trace.Sink) Option {
@@ -457,7 +456,7 @@ func WithoutLocationCache() Option {
 // without WithCheckpoint recovers from an automatic baseline checkpoint
 // taken before execution starts (restart-from-the-beginning). Incompatible
 // with the Conservative executor — a restore touches every event lane at
-// once — but works under Optimistic, which fences the marker rounds.
+// once.
 func WithCheckpoint(interval Time) Option {
 	return func(s *settings) error {
 		if interval <= 0 {
@@ -468,62 +467,24 @@ func WithCheckpoint(interval Time) Option {
 	}
 }
 
-// execKind discriminates the execution strategies an ExecutorSpec can name.
-type execKind int
-
-const (
-	execSequential execKind = iota
-	execConservative
-	execOptimistic
-)
-
-// OptimisticOptions tunes the Time Warp executor selected by Optimistic.
-// The zero value is a good default for every field.
-type OptimisticOptions struct {
-	// Window is the initial (and floor of the maximum) speculation window
-	// width in virtual time. Zero picks 16× the network lookahead. The
-	// executor adapts around this starting point: rollbacks shrink the
-	// window toward the conservative lookahead, clean wide commits grow it.
-	Window Time
-
-	// MaxRollbackDepth is the number of consecutive rolled-back windows
-	// tolerated before the executor collapses to conservative width and
-	// waits for a probe to succeed before speculating again. Zero picks 8.
-	MaxRollbackDepth int
-
-	// GVTInterval caps how far the commit horizon (the Time Warp GVT — the
-	// virtual time below which no event can be rolled back) may trail a
-	// single window: the adaptive window width never exceeds
-	// max(Window, GVTInterval), so state is committed and snapshots are
-	// released (fossil collection) at least this often. Zero leaves the
-	// cap at Window. Must be zero or >= Window.
-	GVTInterval Time
-}
-
 // ExecutorSpec names an execution strategy for WithExecutor. Build one with
-// Sequential, Conservative or Optimistic.
+// Sequential or Conservative.
 type ExecutorSpec struct {
-	kind    execKind
-	workers int
-	opt     OptimisticOptions
+	workers int // > 1: conservative windows on that many workers
 }
 
-// String names the strategy for reports and manifests: "sequential",
-// "conservative(8)", "optimistic(8)".
+// String names the strategy that runs, for reports and manifests:
+// "sequential", "conservative(8)".
 func (e ExecutorSpec) String() string {
-	switch e.kind {
-	case execConservative:
+	if e.workers > 1 {
 		return fmt.Sprintf("conservative(%d)", e.workers)
-	case execOptimistic:
-		return fmt.Sprintf("optimistic(%d)", e.workers)
-	default:
-		return "sequential"
 	}
+	return "sequential"
 }
 
 // Sequential selects the default single-threaded event engine: one global
 // event order, compatible with every other option.
-func Sequential() ExecutorSpec { return ExecutorSpec{kind: execSequential} }
+func Sequential() ExecutorSpec { return ExecutorSpec{} }
 
 // Conservative selects the conservative parallel executor with the given
 // worker count: node event lanes whose next events fall inside one
@@ -532,67 +493,20 @@ func Sequential() ExecutorSpec { return ExecutorSpec{kind: execSequential} }
 // (same final state, same statistics); only wall-clock time differs.
 // workers <= 1 selects the sequential engine.
 func Conservative(workers int) ExecutorSpec {
-	return ExecutorSpec{kind: execConservative, workers: workers}
+	return ExecutorSpec{workers: workers}
 }
 
-// Optimistic selects the optimistic (Time Warp) parallel executor: lanes
-// speculate past the conservative lookahead horizon inside adaptive windows,
-// snapshotting their state at the horizon; a cross-lane message into
-// another lane's speculated past rolls the window back (restoring state,
-// revoking the speculative events — the sender-side form of anti-messages)
-// and the window re-commits conservatively. Results are byte-identical to
-// the sequential engine, including statistics, multiactive scheduling
-// decisions, fault injections and checkpoint rounds; only wall-clock time
-// differs. workers <= 1 selects the sequential engine.
-//
-// Compared to Conservative, Optimistic wins when the conservative lookahead
-// is small relative to event spacing (wide-area or congested topologies)
-// and cross-lane conflicts are rare; it loses on tightly-coupled all-to-all
-// traffic at small scale, where most windows abort.
-func Optimistic(workers int, opt OptimisticOptions) ExecutorSpec {
-	return ExecutorSpec{kind: execOptimistic, workers: workers, opt: opt}
-}
-
-// WithExecutor picks the execution strategy (default Sequential). The
-// parallel executors are incompatible with WithTrace/WithObserver — the
-// trace contract is a single global interleaving that parallel windows do
-// not have — and Conservative is additionally incompatible with
-// WithCheckpoint or a crash plan (a restore touches every event lane at
-// once; Optimistic handles both by fencing the checkpoint protocol).
-// WithProfiler requires Sequential or Conservative.
+// WithExecutor picks the execution strategy (default Sequential).
+// Conservative is incompatible with WithTrace/WithObserver — the trace
+// contract is a single global interleaving that parallel windows do not
+// have — and with WithCheckpoint or a crash plan (a restore touches every
+// event lane at once).
 func WithExecutor(e ExecutorSpec) Option {
 	return func(s *settings) error {
 		if e.workers < 0 {
 			return fmt.Errorf("abcl: WithExecutor: worker count %d must be non-negative", e.workers)
 		}
-		if e.opt.Window < 0 {
-			return fmt.Errorf("abcl: WithExecutor: OptimisticOptions.Window %v must be non-negative", e.opt.Window)
-		}
-		if e.opt.MaxRollbackDepth < 0 {
-			return fmt.Errorf("abcl: WithExecutor: OptimisticOptions.MaxRollbackDepth %d must be non-negative", e.opt.MaxRollbackDepth)
-		}
-		if e.opt.GVTInterval < 0 {
-			return fmt.Errorf("abcl: WithExecutor: OptimisticOptions.GVTInterval %v must be non-negative", e.opt.GVTInterval)
-		}
-		if e.opt.GVTInterval > 0 && e.opt.GVTInterval < e.opt.Window {
-			return fmt.Errorf("abcl: WithExecutor: OptimisticOptions.GVTInterval %v must be zero or >= Window %v", e.opt.GVTInterval, e.opt.Window)
-		}
 		s.exec = e
-		return nil
-	}
-}
-
-// WithParallelSim runs the simulation on the conservative parallel executor
-// with the given worker count.
-//
-// Deprecated: use WithExecutor(Conservative(workers)); WithParallelSim
-// remains as an exact alias.
-func WithParallelSim(workers int) Option {
-	return func(s *settings) error {
-		if workers < 0 {
-			return fmt.Errorf("abcl: WithParallelSim(%d): worker count must be non-negative", workers)
-		}
-		s.exec = Conservative(workers)
 		return nil
 	}
 }
@@ -608,7 +522,6 @@ type System struct {
 	seed        int64
 	faults      FaultPlan
 	exec        ExecutorSpec
-	inj         *fault.Injector     // nil unless faults are enabled
 	prof        *profile.Profiler   // nil unless WithProfiler
 	ckpt        *checkpoint.Manager // nil unless checkpointing is active
 	ckptStarted bool
@@ -653,17 +566,12 @@ func NewSystem(opts ...Option) (*System, error) {
 	// per-link sequence space.
 	ckptOn := s.ckptEvery > 0 || len(s.faults.Crashes) > 0
 	reliable := s.reliable || s.faults.Enabled() || ckptOn
-	parallel := s.exec.workers > 1 &&
-		(s.exec.kind == execConservative || s.exec.kind == execOptimistic)
-	optimistic := s.exec.kind == execOptimistic && s.exec.workers > 1
+	parallel := s.exec.workers > 1
 	if (s.observer != nil || s.traceCap > 0) && parallel {
 		errs = append(errs, fmt.Errorf("abcl: WithTrace/WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
 	}
-	if ckptOn && parallel && !optimistic {
-		errs = append(errs, fmt.Errorf("abcl: WithCheckpoint (or a crash plan) and the Conservative executor are incompatible: a restore touches every event lane at once (the Optimistic executor supports checkpointing)"))
-	}
-	if s.prof != nil && optimistic {
-		errs = append(errs, fmt.Errorf("abcl: WithProfiler and the Optimistic executor are incompatible: profile accumulators are monotonic and cannot be rolled back"))
+	if ckptOn && parallel {
+		errs = append(errs, fmt.Errorf("abcl: WithCheckpoint (or a crash plan) and the Conservative executor are incompatible: a restore touches every event lane at once"))
 	}
 	if s.ackDelay > 0 && !reliable {
 		errs = append(errs, fmt.Errorf("abcl: WithDelayedAcks requires the reliable protocol (combine with WithFaults or WithReliable)"))
@@ -715,19 +623,10 @@ func NewSystem(opts ...Option) (*System, error) {
 		Trace:         sink,
 		Prof:          prof,
 	})
-	if ckptOn || optimistic {
+	if ckptOn {
 		// Object tracking must be on before anything — bootstrap objects,
-		// stocked chunks, reply destinations — is created. The optimistic
-		// executor needs it for the same reason checkpointing does: lane
-		// rollback restores nodes through the snapshot machinery.
+		// stocked chunks, reply destinations — is created.
 		rt.EnableSnapshots()
-	}
-	if optimistic {
-		rt.SetOptimistic()
-		m.SetOptimistic()
-		if inj != nil {
-			inj.SetOptimistic()
-		}
 	}
 	net := remote.Attach(rt, remote.Options{
 		StockDepth:      s.stock,
@@ -742,12 +641,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		LoadHorizon:     s.loadHorizon,
 		NoLocationCache: s.noLocCache,
 	})
-	if optimistic {
-		// After Attach: the reliable-protocol senders must exist so their
-		// record pooling can be switched off.
-		net.EnableOptimistic()
-	}
-	sys := &System{M: m, RT: rt, Net: net, Trace: ring, prof: prof, seed: s.seed, faults: s.faults, exec: s.exec, inj: inj}
+	sys := &System{M: m, RT: rt, Net: net, Trace: ring, prof: prof, seed: s.seed, faults: s.faults, exec: s.exec}
 	if ckptOn {
 		// Retention must cover every reliable send, including host-time ones
 		// (e.g. a Migrate before the first Run), so it starts here rather
@@ -835,66 +729,17 @@ func (s *System) startCkpt() {
 func (s *System) Run() error {
 	s.startCkpt()
 	if s.exec.workers > 1 {
-		switch s.exec.kind {
-		case execConservative:
-			s.RT.Freeze()
-			return s.M.ParallelRun(s.exec.workers)
-		case execOptimistic:
-			return s.runOptimistic()
-		}
+		s.RT.Freeze()
+		return s.M.ParallelRun(s.exec.workers)
 	}
 	return s.RT.Run()
 }
 
-// runOptimistic drives the machine under the Time Warp executor. Lane 0 (the
-// host lane, which owns no node state) is permanently fenced; when the
-// checkpoint subsystem is active its marker rounds are fenced too — the next
-// scheduled tick bounds every window, and an in-flight round forces serial
-// stepping until the cut completes.
-func (s *System) runOptimistic() error {
-	s.RT.Freeze()
-	cfg := sim.OptimisticConfig{
-		Window:           s.exec.opt.Window,
-		MaxRollbackDepth: s.exec.opt.MaxRollbackDepth,
-		GVTInterval:      s.exec.opt.GVTInterval,
-		Saver:            parexec.NewTimeWarpSaver(s.RT, s.M, s.Net, s.inj),
-		FenceLanes:       []int{0},
-	}
-	if g := s.ckpt; g != nil {
-		cfg.Fence = func() sim.Time {
-			// The engine ignores negative fences; a pending tick at virtual
-			// time 0 cannot happen (intervals are positive).
-			if t := g.NextTick(); t > 0 {
-				return t
-			}
-			return -1
-		}
-		cfg.SerialNow = g.RoundInFlight
-	}
-	return s.M.OptimisticRun(s.exec.workers, cfg)
-}
-
-// OptStats reports the Time Warp executor's deterministic run statistics
-// (windows, speculative windows, rollbacks, serial steps). All zeros unless
-// Run executed under WithExecutor(Optimistic(...)).
-func (s *System) OptStats() sim.OptStats { return s.M.OptStats() }
-
 // SyncWindows reports how many parallel windows — one cross-lane
-// synchronization barrier each — the run executed: lookahead-width windows
-// under Conservative(n), adaptive windows under Optimistic(n). The count
-// is deterministic (it depends only on virtual time, never on the worker
-// schedule) and is the machine-independent scaling signal: fewer, wider
-// windows mean less barrier synchronization per event. Zero for
-// sequential runs.
-func (s *System) SyncWindows() uint64 {
-	switch s.exec.kind {
-	case execConservative:
-		return s.M.ParWindows()
-	case execOptimistic:
-		return s.M.OptStats().Windows
-	}
-	return 0
-}
+// synchronization barrier each — the run executed under Conservative(n),
+// one per lookahead width. The count is deterministic (it depends only on
+// virtual time, never on the worker schedule). Zero for sequential runs.
+func (s *System) SyncWindows() uint64 { return s.M.ParWindows() }
 
 // Checkpointing returns the checkpoint manager, or nil when neither
 // WithCheckpoint nor a crash plan was configured.

@@ -129,14 +129,8 @@ func TestOptionCombinationErrors(t *testing.T) {
 		opts []abcl.Option
 	}{
 		{"trace+conservative", []abcl.Option{abcl.WithTrace(64), abcl.WithExecutor(abcl.Conservative(2))}},
-		{"trace+optimistic", []abcl.Option{abcl.WithTrace(64), abcl.WithExecutor(abcl.Optimistic(2, abcl.OptimisticOptions{}))}},
-		{"trace+parallel (deprecated alias)", []abcl.Option{abcl.WithTrace(64), abcl.WithParallelSim(2)}},
 		{"checkpoint+conservative", []abcl.Option{abcl.WithNodes(2), abcl.WithCheckpoint(abcl.Time(1000)), abcl.WithExecutor(abcl.Conservative(2))}},
-		{"profiler+optimistic", []abcl.Option{abcl.WithNodes(2), abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(1000)}), abcl.WithExecutor(abcl.Optimistic(2, abcl.OptimisticOptions{}))}},
 		{"negative workers", []abcl.Option{abcl.WithExecutor(abcl.Conservative(-1))}},
-		{"negative window", []abcl.Option{abcl.WithExecutor(abcl.Optimistic(2, abcl.OptimisticOptions{Window: -1}))}},
-		{"negative rollback depth", []abcl.Option{abcl.WithExecutor(abcl.Optimistic(2, abcl.OptimisticOptions{MaxRollbackDepth: -1}))}},
-		{"gvt below window", []abcl.Option{abcl.WithExecutor(abcl.Optimistic(2, abcl.OptimisticOptions{Window: abcl.Time(1000), GVTInterval: abcl.Time(500)}))}},
 		{"delayed-acks unreliable", []abcl.Option{abcl.WithNodes(2), abcl.WithDelayedAcks(abcl.Time(50))}},
 	}
 	for _, tc := range cases {
@@ -147,12 +141,6 @@ func TestOptionCombinationErrors(t *testing.T) {
 	// The same ingredients in compatible form still construct.
 	if _, err := abcl.NewSystem(abcl.WithNodes(2), abcl.WithReliable(), abcl.WithDelayedAcks(abcl.Time(50))); err != nil {
 		t.Errorf("reliable delayed acks must construct: %v", err)
-	}
-	// Checkpointing is forbidden on the conservative executor but legal on
-	// the optimistic one, which fences the marker protocol.
-	if _, err := abcl.NewSystem(abcl.WithNodes(2), abcl.WithCheckpoint(abcl.Time(1000)),
-		abcl.WithExecutor(abcl.Optimistic(2, abcl.OptimisticOptions{}))); err != nil {
-		t.Errorf("checkpoint + optimistic executor must construct: %v", err)
 	}
 }
 

@@ -468,60 +468,6 @@ func BenchmarkFigure5_SpeedupBatched(b *testing.B) {
 	}
 }
 
-// --- Figure 5, Time Warp: optimistic vs conservative at P256 ---------------
-//
-// The all-to-all exchange at 256 nodes is where the conservative parallel
-// driver flatlines: every cross-lane effect lands exactly one lookahead
-// ahead, so the driver is pinned to lookahead-width windows — one global
-// barrier per ~9µs of virtual time, ~2000 barriers for the run — and the
-// barrier rate, not the event work, bounds multicore scaling. The Time Warp
-// executor widens its windows adaptively once the kick burst drains (the
-// deliveries themselves send nothing, so speculation commits clean), cutting
-// the barrier count by an order of magnitude at identical results.
-//
-// Wall-clock ns/op is reported per executor for host-speed tracking, but the
-// gated scaling signal is deterministic: events-per-barrier (synchronization
-// grain). The optimistic executor must run the workload in at most half the
-// conservative barrier count — measured on virtual time alone, so the gate
-// holds on any host, including single-core CI runners where wall-clock
-// parallel speedup is unobservable.
-func BenchmarkFigure5_TimeWarp(b *testing.B) {
-	const nodes, rounds = 256, 8
-	run := func(b *testing.B, exec abcl.Option) *misc.AllToAllResult {
-		var res *misc.AllToAllResult
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = misc.RunAllToAll(misc.AllToAllOptions{
-				Nodes: nodes, Rounds: rounds, Opts: []abcl.Option{exec},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		return res
-	}
-	var consWins, optWins uint64
-	b.Run(fmt.Sprintf("R%d_P%d_conservative", rounds, nodes), func(b *testing.B) {
-		res := run(b, abcl.WithExecutor(abcl.Conservative(4)))
-		consWins = res.SyncWindows
-		b.ReportMetric(float64(res.SyncWindows), "barriers")
-		b.ReportMetric(float64(res.Delivered)/float64(res.SyncWindows), "msgs-per-barrier")
-	})
-	b.Run(fmt.Sprintf("R%d_P%d_optimistic", rounds, nodes), func(b *testing.B) {
-		res := run(b, abcl.WithExecutor(abcl.Optimistic(4, abcl.OptimisticOptions{})))
-		optWins = res.SyncWindows
-		b.ReportMetric(float64(res.SyncWindows), "barriers")
-		b.ReportMetric(float64(res.Delivered)/float64(res.SyncWindows), "msgs-per-barrier")
-	})
-	if optWins == 0 || consWins == 0 {
-		b.Fatalf("executor never windowed: conservative=%d optimistic=%d", consWins, optWins)
-	}
-	if optWins*2 > consWins {
-		b.Fatalf("Time Warp did not beat the conservative runner at P%d: %d optimistic windows vs %d conservative barriers (want <= half)",
-			nodes, optWins, consWins)
-	}
-}
-
 // Object migration service: cost of moving an object and of sending through
 // its forwarder afterwards.
 func BenchmarkMigrationForwarding(b *testing.B) {

@@ -60,8 +60,8 @@ import (
 	"repro/internal/apps/diffusion"
 	"repro/internal/apps/hotkey"
 	"repro/internal/apps/misc"
-	"repro/internal/apps/orderbook"
 	"repro/internal/apps/nqueens"
+	"repro/internal/apps/orderbook"
 	"repro/internal/apps/pingpong"
 	"repro/internal/machine"
 	"repro/internal/runpack"
@@ -105,8 +105,6 @@ var (
 	noLocCache  = flag.Bool("no-loc-cache", false, "disable the post-migration remote-location cache")
 
 	execFlag   executorFlag
-	optWindow  timeFlag // -optimistic-window
-	parSim     = flag.Int("parallel-sim", 0, "deprecated: alias for -executor conservative:N")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	benchJSON  = flag.String("bench-json", "", "write a wall-clock benchmark summary (JSON) to this file")
@@ -134,13 +132,11 @@ func init() {
 	flag.Var(&profWindow, "profile-window",
 		"cost-profiler time-series slice width, as ns or a Go duration; implies -cost-table")
 	flag.Var(&execFlag, "executor",
-		"execution strategy: sequential | conservative[:N] | optimistic[:N] (N workers, default GOMAXPROCS)")
-	flag.Var(&optWindow, "optimistic-window",
-		"optimistic executor: speculation window width, as ns or a Go duration (0 = adaptive default)")
+		"execution strategy: sequential | conservative[:N] (N workers, default GOMAXPROCS)")
 }
 
-// executorFlag is the -executor value: sequential, or a parallel strategy
-// with an optional ":N" worker count.
+// executorFlag is the -executor value: sequential, or conservative with an
+// optional ":N" worker count.
 type executorFlag struct {
 	kind    string
 	workers int
@@ -169,26 +165,19 @@ func (e *executorFlag) Set(s string) error {
 			return fmt.Errorf("executor %q: sequential takes no worker count", s)
 		}
 		*e = executorFlag{kind: name}
-	case "conservative", "optimistic":
+	case "conservative":
 		*e = executorFlag{kind: name, workers: w}
 	default:
-		return fmt.Errorf("executor %q: want sequential | conservative[:N] | optimistic[:N]", s)
+		return fmt.Errorf("executor %q: want sequential | conservative[:N]", s)
 	}
 	return nil
 }
 
-// executorSpec folds -executor and the deprecated -parallel-sim into one
-// spec; ok is false when the run is sequential.
+// executorSpec translates -executor into a spec; ok is false when the run
+// is sequential.
 func executorSpec() (spec abcl.ExecutorSpec, ok bool) {
-	kind, workers := execFlag.kind, execFlag.workers
-	if kind == "" && *parSim > 1 {
-		kind, workers = "conservative", *parSim
-	}
-	switch kind {
-	case "conservative":
-		return abcl.Conservative(workers), workers > 1
-	case "optimistic":
-		return abcl.Optimistic(workers, abcl.OptimisticOptions{Window: abcl.Time(optWindow)}), workers > 1
+	if execFlag.kind == "conservative" {
+		return abcl.Conservative(execFlag.workers), execFlag.workers > 1
 	}
 	return abcl.Sequential(), false
 }
@@ -644,15 +633,9 @@ func packConfig() (runpack.RunConfig, error) {
 		CkptIntervalNs:  int64(ckptInterval),
 		ProfileWindowNs: int64(profWindow),
 	}
-	if kind := execFlag.kind; kind != "" && kind != "sequential" {
-		cfg.Executor = kind
+	if execFlag.kind == "conservative" {
+		cfg.Executor = execFlag.kind
 		cfg.Workers = execFlag.workers
-		if kind == "optimistic" {
-			cfg.OptimisticWindowNs = int64(optWindow)
-		}
-	} else if *parSim > 1 {
-		cfg.Executor = "conservative"
-		cfg.Workers = *parSim
 	}
 	for _, c := range crashes {
 		cfg.Crashes = append(cfg.Crashes, runpack.Crash{

@@ -1,0 +1,96 @@
+package abcl_test
+
+import (
+	"reflect"
+	"testing"
+
+	abcl "repro"
+	"repro/internal/apps/hotkey"
+	"repro/internal/apps/misc"
+	"repro/internal/conformance"
+)
+
+// TestConservativeEquivalence: the conservative parallel executor is
+// byte-identical to the sequential engine — same observations, same full
+// report (virtual time, all counters) — on every program below.
+func TestConservativeEquivalence(t *testing.T) {
+	type observed struct {
+		obs any
+		rep abcl.Report
+	}
+	rows := []struct {
+		name string
+		run  func(t *testing.T, exec abcl.Option) any
+	}{
+		// The 25 generated conformance programs, through the facade.
+		{"conformance", func(t *testing.T, exec abcl.Option) any {
+			var out []observed
+			for seed := int64(1); seed <= 25; seed++ {
+				nodes := 2 + int(seed)%6
+				p := conformance.Generate(seed, nodes)
+				p.Reset()
+				sys, err := abcl.NewSystem(abcl.WithNodes(nodes), abcl.WithSeed(1), exec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inject := p.Build(sys.RT)
+				inject()
+				if err := sys.Run(); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, observed{p.Observe(sys.RT), sys.Report()})
+			}
+			return out
+		}},
+		// Every lane sends to every other: each window closes on cross-lane
+		// births for all of them.
+		{"alltoall", func(t *testing.T, exec abcl.Option) any {
+			res, err := misc.RunAllToAll(misc.AllToAllOptions{
+				Nodes: 8, Rounds: 6, Opts: []abcl.Option{exec},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// SyncWindows is executor bookkeeping, not a simulation result.
+			res.SyncWindows = 0
+			return res
+		}},
+		// Fault injection draws from per-link random streams on the sending
+		// lane, under the full reliable protocol with coalesced (delayed)
+		// acks.
+		{"lossy-hotkey", func(t *testing.T, exec abcl.Option) any {
+			res, err := hotkey.Run(hotkey.Options{
+				Nodes: 4, Clients: 6, Ops: 8, Seed: 7,
+				Faults:   abcl.UniformFaults(0.10, 0.05, 2*abcl.Microsecond),
+				AckDelay: 3 * abcl.Microsecond,
+				Extra:    []abcl.Option{exec},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+		// Creation-heavy traffic: the remote chunk-stock path pre-seeds a
+		// target's chunks from the requester's lane.
+		{"forkjoin", func(t *testing.T, exec abcl.Option) any {
+			sys, err := abcl.NewSystem(abcl.WithNodes(6), abcl.WithSeed(5), exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaves, err := misc.RunForkJoinOn(sys, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return observed{leaves, sys.Report()}
+		}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			seq := r.run(t, abcl.WithExecutor(abcl.Sequential()))
+			par := r.run(t, abcl.WithExecutor(abcl.Conservative(4)))
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("Conservative(4) diverged from Sequential():\nseq %+v\npar %+v", seq, par)
+			}
+		})
+	}
+}

@@ -94,11 +94,6 @@ type Manager struct {
 	snapped []bool    // per node: captured in the current round
 	acks    int       // coordinator: snapshot-acks received for the round
 	stable  *Snapshot // last complete round — the restore target
-
-	// nextTickAt is the virtual time of the next armed coordinator tick
-	// (zero when the tick chain has ended). The optimistic executor fences
-	// its speculative windows on it so no window spans the start of a round.
-	nextTickAt sim.Time
 }
 
 // New builds a manager over an attached runtime/layer pair. interval is the
@@ -208,21 +203,9 @@ func (g *Manager) capture(round int, at sim.Time) *Snapshot {
 
 // scheduleTick arms the coordinator's next interval tick.
 func (g *Manager) scheduleTick(at sim.Time) {
-	g.nextTickAt = at
 	ln := g.m.Node(0).Lane()
 	g.m.Eng.ScheduleFuncOn(ln, ln, at, func() { g.tick(at) })
 }
-
-// NextTick returns the virtual time of the next armed coordinator tick, or
-// zero when no tick is pending. The optimistic executor uses it as a window
-// fence: a speculative window never extends past the start of a round, so
-// the marker protocol always begins from committed state.
-func (g *Manager) NextTick() sim.Time { return g.nextTickAt }
-
-// RoundInFlight reports whether a snapshot round is currently collecting.
-// The optimistic executor steps serially while true: a round's captures and
-// marker traffic span many lanes and must observe a committed global state.
-func (g *Manager) RoundInFlight() bool { return g.cur != nil }
 
 // tick begins a snapshot round on the coordinator, unless a node is dead
 // (the round could never collect its ack, so it is skipped until every node
@@ -235,7 +218,6 @@ func (g *Manager) tick(now sim.Time) {
 	// leaves retry-timer slots behind that would otherwise read as pending
 	// work and sustain the rounds forever.
 	if g.m.Eng.LivePending() == 0 {
-		g.nextTickAt = 0
 		return
 	}
 	g.scheduleTick(now + g.interval)

@@ -86,10 +86,6 @@ type Runtime struct {
 	replyVFT   *VFT // native table for reply destination objects
 	faultVFT   *VFT // generic fault table for uninitialized chunks
 	forwardVFT *VFT // forwarder table for migrated objects
-
-	// optim is the optimistic-execution (Time Warp) mode state; see
-	// optimistic.go.
-	optim optRuntimeState
 }
 
 // NewRuntime builds a runtime over the discrete-event machine m. Classes

@@ -64,12 +64,8 @@ type NodeRT struct {
 	// hosted lists every object homed on this node in creation order, for
 	// checkpoint traversal. Populated only when snapshots are enabled
 	// (track), keeping the default path untouched and parallel-run safe.
-	// hostedX holds objects homed here but registered from another node's
-	// lane (remote-creation stock pre-seeding under optimistic execution);
-	// it is guarded by the runtime's optim.mu — see optimistic.go.
-	hosted  []*Object
-	hostedX []*Object
-	track   bool
+	hosted []*Object
+	track  bool
 
 	C stats.Counters
 }
@@ -126,14 +122,6 @@ func (n *NodeRT) NewFrame(p PatternID, args []Value, replyTo Address) *Frame {
 }
 
 func (n *NodeRT) newFrame(p PatternID, args []Value, replyTo Address, hints SendHint) *Frame {
-	if n.rt.optim.on {
-		// Optimistic mode: queued frames outlive the event that created them
-		// and a rollback replays deliveries against restored queues, so no
-		// frame may ever be recycled and rewritten (pooled stays false).
-		f := &Frame{Pattern: p, ReplyTo: replyTo, hints: hints}
-		f.setArgs(args)
-		return f
-	}
 	f := n.frameFree
 	if f == nil {
 		f = &Frame{}
@@ -527,7 +515,7 @@ func (n *NodeRT) enqueueSched(obj *Object) {
 // active mode for the duration; at completion the message queue is checked
 // and the object either returns to dormant mode or re-enqueues itself.
 func (n *NodeRT) invokeBody(obj *Object, f *Frame, body MethodFunc) {
-	prevPath := n.curPath // nested sends inside the body overwrite the register
+	prevPath := n.curPath     // nested sends inside the body overwrite the register
 	wasRunning := obj.running // nested multiactive invocations stack
 	obj.running = true
 	n.stackDepth++

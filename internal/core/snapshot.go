@@ -104,12 +104,11 @@ type multiImage struct {
 
 // NodeImage is one node's language-level snapshot.
 type NodeImage struct {
-	Node       int
-	bytes      int
-	objs       []objImage
-	hostedLen  int
-	hostedXLen int
-	sched      []*Object
+	Node      int
+	bytes     int
+	objs      []objImage
+	hostedLen int
+	sched     []*Object
 }
 
 // SizeBytes reports the modelled stable-store footprint of the image,
@@ -156,16 +155,6 @@ func (r *Runtime) CaptureNode(node int, codec SnapshotCodec) *NodeImage {
 	img := &NodeImage{Node: node, hostedLen: len(n.hosted)}
 	img.objs = make([]objImage, 0, len(n.hosted))
 	for _, o := range n.hosted {
-		img.capture(o, codec)
-	}
-	// Cross-lane chunk registrations (optimistic mode) live on a side list
-	// that other lanes append to concurrently; read the slice header under
-	// the lock and walk the stable prefix (the list is append-only).
-	r.optim.mu.Lock()
-	hx := n.hostedX
-	r.optim.mu.Unlock()
-	img.hostedXLen = len(hx)
-	for _, o := range hx {
 		img.capture(o, codec)
 	}
 	if q := &n.schedQ; !q.empty() {
@@ -262,27 +251,11 @@ func (img *NodeImage) capture(o *Object, codec SnapshotCodec) {
 // for revoking the rolled-back timeline's in-flight packets
 // (machine.BumpEra), restoring the inter-node layer, and waking the node.
 func (r *Runtime) RestoreNode(img *NodeImage, codec SnapshotCodec) {
-	r.restoreNode(img, codec, true)
-}
-
-// restoreNode implements RestoreNode. truncX controls whether the cross-lane
-// side list is rolled back to the image: the checkpoint restart path owns the
-// whole timeline and truncates it, while an optimistic lane rollback must
-// leave hostedX alone — entries appended there after this node's capture may
-// belong to a creating lane's committed prefix, and the speculative ones are
-// revoked by each creator's own journal (see optimistic.go).
-func (r *Runtime) restoreNode(img *NodeImage, codec SnapshotCodec, truncX bool) {
 	n := r.nodes[img.Node]
 	for i := img.hostedLen; i < len(n.hosted); i++ {
 		n.hosted[i] = nil
 	}
 	n.hosted = n.hosted[:img.hostedLen]
-	if truncX {
-		for i := img.hostedXLen; i < len(n.hostedX); i++ {
-			n.hostedX[i] = nil
-		}
-		n.hostedX = n.hostedX[:img.hostedXLen]
-	}
 	for i := range img.objs {
 		oi := &img.objs[i]
 		o := oi.obj

@@ -218,48 +218,16 @@ type Injector struct {
 	drops     atomic.Uint64
 	dups      atomic.Uint64
 	pauseHits atomic.Uint64
-
-	// Optimistic mode: rollback-able per-lane tallies replace the atomics
-	// (see optimistic.go).
-	opt     bool
-	tallies []laneTally
 }
 
 // Drops returns the whole-run count of dropped transmission attempts.
-func (in *Injector) Drops() uint64 {
-	if in.opt {
-		var t uint64
-		for i := range in.tallies {
-			t += in.tallies[i].drops
-		}
-		return t
-	}
-	return in.drops.Load()
-}
+func (in *Injector) Drops() uint64 { return in.drops.Load() }
 
 // Dups returns the whole-run count of duplicated deliveries.
-func (in *Injector) Dups() uint64 {
-	if in.opt {
-		var t uint64
-		for i := range in.tallies {
-			t += in.tallies[i].dups
-		}
-		return t
-	}
-	return in.dups.Load()
-}
+func (in *Injector) Dups() uint64 { return in.dups.Load() }
 
 // Pauses returns the whole-run count of pause-window hits.
-func (in *Injector) Pauses() uint64 {
-	if in.opt {
-		var t uint64
-		for i := range in.tallies {
-			t += in.tallies[i].pauseHits
-		}
-		return t
-	}
-	return in.pauseHits.Load()
-}
+func (in *Injector) Pauses() uint64 { return in.pauseHits.Load() }
 
 // NewInjector validates plan against the node count and builds the injector.
 // When plan.Seed is zero the fault streams derive from seed (the system
@@ -340,11 +308,7 @@ func (in *Injector) Link(src, dst int, at sim.Time, size int) []sim.Time {
 	// Draw in a fixed order (drop, jitter, dup, dup-jitter) so the stream
 	// consumption per attempt is schedule-independent.
 	if r.Drop > 0 && ls.unit() < r.Drop {
-		if in.opt {
-			in.tallies[src].drops++
-		} else {
-			in.drops.Add(1)
-		}
+		in.drops.Add(1)
 		return nil
 	}
 	jitter := func() sim.Time {
@@ -355,11 +319,7 @@ func (in *Injector) Link(src, dst int, at sim.Time, size int) []sim.Time {
 	}
 	out := []sim.Time{jitter()}
 	if r.Dup > 0 && ls.unit() < r.Dup {
-		if in.opt {
-			in.tallies[src].dups++
-		} else {
-			in.dups.Add(1)
-		}
+		in.dups.Add(1)
 		out = append(out, jitter())
 	}
 	return out
@@ -373,11 +333,7 @@ func (in *Injector) PausedUntil(node int, at sim.Time) sim.Time {
 			break
 		}
 		if end := w.At + w.For; at < end {
-			if in.opt {
-				in.tallies[node].pauseHits++
-			} else {
-				in.pauseHits.Add(1)
-			}
+			in.pauseHits.Add(1)
 			return end
 		}
 	}

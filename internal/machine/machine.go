@@ -220,11 +220,6 @@ func (p *Packet) Retain() { p.pooled = false }
 // AcquirePacket returns a zeroed packet from the node's pool, marked for
 // recycling at the receiver once its handler has run.
 func (n *Node) AcquirePacket() *Packet {
-	if n.m.opt {
-		// Optimistic mode: a rollback may replay this packet's delivery, so
-		// it must never be recycled out from under the restored event.
-		return &Packet{}
-	}
 	p := n.pkts.Get()
 	p.pooled = true
 	return p
@@ -292,12 +287,6 @@ type Machine struct {
 	// bumps it, invalidating every packet launched before the restore (see
 	// Packet.era); zero-cost on the default path.
 	era uint32
-
-	// opt marks optimistic-execution mode: packet pooling is disabled so a
-	// rolled-back delivery can be replayed against an intact packet (see
-	// optimistic.go). optStats accumulates the Time Warp run statistics.
-	opt      bool
-	optStats sim.OptStats
 
 	// Typed event kinds registered with the engine, so the hot delivery
 	// and scheduling paths dispatch through a switch instead of allocating

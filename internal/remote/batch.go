@@ -235,9 +235,8 @@ func (l *Layer) handleBatchDeliver(rn *machine.Node, p *machine.Packet) {
 	ns := l.nodes[rn.ID]
 	// Recycling the records and the container is only safe when the fault
 	// model cannot have handed out a duplicate copy sharing this payload;
-	// under faults — and under optimistic execution, where a rollback may
-	// replay the delivery — both are left to the garbage collector.
-	recycle := l.m.Faults() == nil && !l.optim
+	// under faults both are left to the garbage collector.
+	recycle := l.m.Faults() == nil
 	for i, sub := range wb.pkts {
 		ns.batchPos = i + 1
 		if sub.Handler != nil {

@@ -264,7 +264,7 @@ func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 		}
 		for i := start; i < len(lk.recs); i++ {
 			rec := &lk.recs[i]
-			m := r.acquireMsg(ns)
+			m := ns.rel.msgs.Get()
 			m.dst = int32(dst)
 			m.seq = lk.base + uint64(i)
 			m.size = rec.size

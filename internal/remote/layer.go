@@ -114,7 +114,6 @@ type Layer struct {
 	bat   *batcher  // nil unless Options.BatchWindow > 0
 	ckpt  bool      // checkpoint mode: transmissions are retained (see ckpt.go)
 	locOn bool      // remote-location cache enabled
-	optim bool      // optimistic-execution mode (see optimistic.go)
 
 	// hWire is the shared receive handler for all layer packets; the
 	// per-send state travels in the *wireMsg around the packet header instead
@@ -187,11 +186,6 @@ func (l *Layer) wirePooled() bool {
 		// Checkpoint retention holds payload records by reference until they
 		// become stable; recycling would rewrite a record the replay path may
 		// still need verbatim.
-		return false
-	}
-	if l.optim {
-		// A rollback replays deliveries whose payload records must still
-		// hold their original content.
 		return false
 	}
 	return l.m.Faults() == nil || l.rel != nil
@@ -638,10 +632,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		// memory proportional to the pairs actually communicating.
 		e.seeded = true
 		for i := 0; i < l.opt.StockDepth; i++ {
-			// The chunk is homed on target but allocated from the requester's
-			// lane; NewFaultChunkFrom keeps the registration safe (and
-			// revocable) under optimistic execution.
-			e.chunks = append(e.chunks, l.rt.NewFaultChunkFrom(n.ID(), target))
+			e.chunks = append(e.chunks, l.rt.NewFaultChunk(target))
 		}
 	}
 

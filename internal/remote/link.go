@@ -96,7 +96,7 @@ func (ns *nodeState) peer(peer int) *link {
 }
 
 // eachLink visits the node's link records in first-contact order — the one
-// way checkpoint images, rollback snapshots and teardown read them.
+// way checkpoint images and teardown read them.
 func (ns *nodeState) eachLink(visit func(*link)) {
 	if ns.peers == nil {
 		return

@@ -142,17 +142,6 @@ func newReliable(l *Layer) *reliable {
 	return r
 }
 
-// acquireMsg returns a zeroed record — allocated singly under optimistic
-// execution: a rollback restores in-flight records through their original
-// pointers, which a speculative release-and-reuse would alias to a different
-// message.
-func (r *reliable) acquireMsg(ns *nodeState) *relMsg {
-	if r.l.optim {
-		return &relMsg{}
-	}
-	return ns.rel.msgs.Get()
-}
-
 // finish takes an acknowledged or abandoned record out of its link's window
 // and out of the retry schedule, and recycles it.
 func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
@@ -161,9 +150,7 @@ func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
 		ns.rel.unschedule(m)
 		r.schedule(ns)
 	}
-	if !r.l.optim {
-		ns.rel.msgs.Put(m)
-	}
+	ns.rel.msgs.Put(m)
 }
 
 // unschedule takes m's deadline off the list.
@@ -212,7 +199,7 @@ func (r *reliable) send(mn *machine.Node, pkt *machine.Packet) {
 	}
 	ns := r.l.nodes[src]
 	k := r.l.link(src, dst)
-	m := r.acquireMsg(ns)
+	m := ns.rel.msgs.Get()
 	m.dst = int32(dst)
 	m.seq = k.nextSeq
 	k.nextSeq++

@@ -115,22 +115,16 @@ func (r *ExecResult) ProfileJSONL() []byte {
 // executorSpec resolves the configured cross-check executor (only
 // meaningful when ParallelConfigured()).
 func (c RunConfig) executorSpec() abcl.ExecutorSpec {
-	if c.ExecutorKind() == "optimistic" {
-		return abcl.Optimistic(c.ExecutorWorkers(), abcl.OptimisticOptions{
-			Window: sim.Time(c.OptimisticWindowNs),
-		})
-	}
-	return abcl.Conservative(c.ExecutorWorkers())
+	return abcl.Conservative(c.Workers)
 }
 
 // Execute runs the configuration deterministically and assembles the
 // replay evidence. The run is always executed sequentially with a JSONL
 // observer and the cost profiler attached (neither perturbs virtual-time
-// results); when a parallel executor is configured (conservative or
-// optimistic) the configuration additionally runs on it, and its answer
-// and report must match the sequential run exactly — the
-// byte-identical-to-sequential guarantee, certified at pack time and
-// re-certified by every verify.
+// results); when the conservative executor is configured the
+// configuration additionally runs on it, and its answer and report must
+// match the sequential run exactly — the byte-identical-to-sequential
+// guarantee, certified at pack time and re-certified by every verify.
 func Execute(cfg RunConfig) (*ExecResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -99,19 +99,13 @@ type RunConfig struct {
 	NoLocCache     bool  `json:"no_loc_cache,omitempty"`
 	CkptIntervalNs int64 `json:"checkpoint_interval_ns,omitempty"`
 	// Executor selects a parallel engine to cross-check at pack time:
-	// "conservative" or "optimistic" (with Workers lanes) re-runs the
-	// configuration on that executor and compares its Report against the
-	// instrumented sequential run. The trace itself is always captured
-	// sequentially — parallel windows have no single global interleaving
-	// to observe. "" or "sequential" packs without a cross-check.
+	// "conservative" (with Workers lanes) re-runs the configuration on
+	// that executor and compares its Report against the instrumented
+	// sequential run. The trace itself is always captured sequentially —
+	// parallel windows have no single global interleaving to observe. ""
+	// or "sequential" packs without a cross-check.
 	Executor string `json:"executor,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
-	// OptimisticWindowNs overrides the Time Warp speculation window for
-	// the optimistic executor (0 selects the adaptive default).
-	OptimisticWindowNs int64 `json:"optimistic_window_ns,omitempty"`
-	// ParallelSim is the deprecated spelling of Executor "conservative"
-	// with Workers = ParallelSim; old packs keep verifying unchanged.
-	ParallelSim int `json:"parallel_sim,omitempty"`
 	// ProfileWindowNs slices the packed profile into a time series.
 	ProfileWindowNs int64 `json:"profile_window_ns,omitempty"`
 
@@ -120,41 +114,15 @@ type RunConfig struct {
 	Scenario *scenario.Spec `json:"-"`
 }
 
-// ExecutorKind normalizes the configured executor name, folding the
-// deprecated parallel_sim alias into "conservative". The zero
-// configuration is "sequential" (pack without a cross-check).
-func (c RunConfig) ExecutorKind() string {
-	if c.Executor != "" {
-		return c.Executor
-	}
-	if c.ParallelSim > 1 {
-		return "conservative"
-	}
-	return "sequential"
-}
-
-// ExecutorWorkers is the lane count of the cross-check executor (0 when
-// no parallel executor is configured).
-func (c RunConfig) ExecutorWorkers() int {
-	if c.ExecutorKind() == "sequential" {
-		return 0
-	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return c.ParallelSim
-}
-
-// ParallelConfigured reports whether the pack cross-checks a parallel
+// ParallelConfigured reports whether the pack cross-checks the parallel
 // executor at build and verify time.
 func (c RunConfig) ParallelConfigured() bool {
-	return c.ExecutorWorkers() > 1
+	return c.Executor == "conservative" && c.Workers > 1
 }
 
 // Validate rejects configurations Execute cannot replay.
 func (c RunConfig) Validate() error {
 	var errs []error
-	kind := c.ExecutorKind()
 	parallel := c.ParallelConfigured()
 	switch c.Workload {
 	case "nqueens", "pingpong", "forkjoin", "diffusion", "hotkey", "orderbook":
@@ -178,24 +146,18 @@ func (c RunConfig) Validate() error {
 	default:
 		errs = append(errs, fmt.Errorf("runpack: unknown workload %q", c.Workload))
 	}
-	switch kind {
-	case "sequential", "conservative", "optimistic":
+	switch c.Executor {
+	case "", "sequential", "conservative":
 	default:
 		errs = append(errs, fmt.Errorf("runpack: unknown executor %q", c.Executor))
 	}
-	if c.Executor != "" && c.ParallelSim > 1 {
-		errs = append(errs, fmt.Errorf("runpack: executor and the deprecated parallel_sim are mutually exclusive"))
-	}
-	if c.Workers > 1 && kind == "sequential" {
+	if c.Workers > 1 && (c.Executor == "" || c.Executor == "sequential") {
 		errs = append(errs, fmt.Errorf("runpack: workers requires a parallel executor"))
-	}
-	if c.OptimisticWindowNs != 0 && kind != "optimistic" {
-		errs = append(errs, fmt.Errorf("runpack: optimistic_window_ns requires the optimistic executor"))
 	}
 	if c.Workload == "pingpong" && parallel {
 		errs = append(errs, fmt.Errorf("runpack: pingpong packs run sequentially (drop the executor)"))
 	}
-	if kind == "conservative" && parallel && (c.CkptIntervalNs > 0 || len(c.Crashes) > 0) {
+	if parallel && (c.CkptIntervalNs > 0 || len(c.Crashes) > 0) {
 		errs = append(errs, fmt.Errorf("runpack: the conservative executor is incompatible with checkpoints and crash faults"))
 	}
 	switch c.Policy {
@@ -358,6 +320,21 @@ func (p *Pack) WriteFile(path string) (string, error) {
 	return path, os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
+// decodeStrict is json.Unmarshal that also rejects keys v does not declare:
+// a pack written with a key this build no longer reads must not verify as a
+// different configuration.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the top-level value")
+	}
+	return nil
+}
+
 // Open reads an archive and checks its integrity: the format tag, every
 // section's SHA-256 sum, and the content-derived id must all match the
 // manifest. A pack that fails here is corrupt or hand-edited — distinct
@@ -409,12 +386,12 @@ func Open(path string) (*Pack, error) {
 			return nil, fmt.Errorf("runpack %s: integrity: unmanifested section %s", path, name)
 		}
 	}
-	if err := json.Unmarshal(raw[SecConfig], &p.Config); err != nil {
+	if err := decodeStrict(raw[SecConfig], &p.Config); err != nil {
 		return nil, fmt.Errorf("runpack %s: %s: %w", path, SecConfig, err)
 	}
 	if sp, ok := raw[SecScenario]; ok {
 		p.Config.Scenario = &scenario.Spec{}
-		if err := json.Unmarshal(sp, p.Config.Scenario); err != nil {
+		if err := decodeStrict(sp, p.Config.Scenario); err != nil {
 			return nil, fmt.Errorf("runpack %s: %s: %w", path, SecScenario, err)
 		}
 	}

@@ -3,6 +3,7 @@ package runpack
 import (
 	"archive/zip"
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,9 +13,8 @@ import (
 )
 
 // testConfigs are the acceptance matrix: a fault-free workload, a lossy
-// batched scenario, a crash-recovery scenario, a conservative-executor run
-// (in both the modern and the deprecated parallel_sim spelling), and an
-// optimistic (Time Warp) run.
+// batched scenario, a crash-recovery scenario and a conservative-executor
+// run.
 func testConfigs(t *testing.T) map[string]RunConfig {
 	t.Helper()
 	lossy, err := scenario.Find("nqueens-lossy-batched")
@@ -26,13 +26,10 @@ func testConfigs(t *testing.T) map[string]RunConfig {
 		t.Fatal(err)
 	}
 	return map[string]RunConfig{
-		"nqueens-plain":      {Workload: "nqueens", N: 6, Nodes: 8, Seed: 1},
-		"scenario-lossy":     {Workload: "scenario", Scenario: &lossy},
-		"scenario-crash":     {Workload: "scenario", Scenario: &crash},
-		"hotkey-parallel":    {Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, ParallelSim: 4},
-		"hotkey-cons":        {Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, Executor: "conservative", Workers: 4},
-		"hotkey-optimistic":  {Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, Executor: "optimistic", Workers: 4},
-		"nqueens-optimistic": {Workload: "nqueens", N: 6, Nodes: 8, Seed: 1, Executor: "optimistic", Workers: 4, CkptIntervalNs: 40_000},
+		"nqueens-plain":  {Workload: "nqueens", N: 6, Nodes: 8, Seed: 1},
+		"scenario-lossy": {Workload: "scenario", Scenario: &lossy},
+		"scenario-crash": {Workload: "scenario", Scenario: &crash},
+		"hotkey-cons":    {Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, Executor: "conservative", Workers: 4},
 	}
 }
 
@@ -54,7 +51,7 @@ func TestRoundTrip(t *testing.T) {
 				if !p.Manifest.ParallelChecked {
 					t.Error("parallel run was not cross-checked")
 				}
-				if want := cfg.ExecutorKind(); !strings.HasPrefix(p.Manifest.Executor, want) {
+				if want := cfg.Executor; !strings.HasPrefix(p.Manifest.Executor, want) {
 					t.Errorf("manifest executor %q, want %s(…)", p.Manifest.Executor, want)
 				}
 			}
@@ -139,56 +136,93 @@ func TestVerifyNamesFirstDivergentEvent(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsTampering rewrites one section's bytes without resealing:
-// Open must refuse the archive (integrity failure, not a verify failure).
+// TestOpenRejectsTampering rewrites one section's bytes: Open must refuse
+// the archive (an integrity failure, not a verify failure). With the
+// manifest's section sum left stale that is a checksum mismatch; with the sum
+// brought up to date — a hand-edited or older-format pack — a key the
+// configuration does not declare is refused by name, rather than dropped and
+// the pack verified as a different configuration.
 func TestOpenRejectsTampering(t *testing.T) {
-	_, path, err := Create(RunConfig{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}, t.TempDir())
+	lossy, err := scenario.Find("nqueens-lossy-batched")
 	if err != nil {
 		t.Fatal(err)
 	}
-	zr, err := zip.OpenReader(path)
-	if err != nil {
-		t.Fatal(err)
+	plain := RunConfig{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}
+	cases := []struct {
+		name     string
+		cfg      RunConfig
+		section  string
+		old, new string
+		resum    bool
+		want     string
+	}{
+		{"stale sum", plain, SecTrace, `"at":`, `"at":7`, false, "integrity"},
+		{"misspelt config key", plain, SecConfig, `"seed"`, `"checkpoint_interval": 500000, "seed"`, true, `config.json: json: unknown field "checkpoint_interval"`},
+		{"removed config key", plain, SecConfig, `"seed"`, `"parallel_sim": 4, "seed"`, true, `config.json: json: unknown field "parallel_sim"`},
+		{"removed scenario key", RunConfig{Workload: "scenario", Scenario: &lossy}, SecScenario,
+			`"name"`, `"optimistic_window_ns": 9, "name"`, true, `scenario.json: json: unknown field "optimistic_window_ns"`},
 	}
-	tampered := filepath.Join(t.TempDir(), "tampered.zip")
-	out, err := os.Create(tampered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zw := zip.NewWriter(out)
-	for _, f := range zr.File {
-		rc, err := f.Open()
+	for _, tc := range cases {
+		_, path, err := Create(tc.cfg, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(rc); err != nil {
-			t.Fatal(err)
-		}
-		rc.Close()
-		b := buf.Bytes()
-		if f.Name == SecTrace {
-			b = bytes.Replace(b, []byte(`"at":`), []byte(`"at":7`), 1)
-		}
-		w, err := zw.Create(f.Name)
+		zr, err := zip.OpenReader(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Write(b); err != nil {
+		secs := map[string][]byte{}
+		for _, f := range zr.File {
+			rc, err := f.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(rc); err != nil {
+				t.Fatal(err)
+			}
+			rc.Close()
+			secs[f.Name] = buf.Bytes()
+		}
+		zr.Close()
+		edited := bytes.Replace(secs[tc.section], []byte(tc.old), []byte(tc.new), 1)
+		if bytes.Equal(edited, secs[tc.section]) {
+			t.Fatalf("%s: %s does not contain %s", tc.name, tc.section, tc.old)
+		}
+		secs[tc.section] = edited
+		if tc.resum {
+			var man Manifest
+			if err := json.Unmarshal(secs[SecManifest], &man); err != nil {
+				t.Fatal(err)
+			}
+			man.Sections[tc.section] = SectionSum{SHA256: sum(edited), Bytes: int64(len(edited))}
+			if secs[SecManifest], err = json.Marshal(man); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out bytes.Buffer
+		zw := zip.NewWriter(&out)
+		for name, b := range secs {
+			w, err := zw.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := zw.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	zr.Close()
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(tampered); err == nil {
-		t.Fatal("Open accepted a tampered archive")
-	} else if !strings.Contains(err.Error(), "integrity") {
-		t.Errorf("tampering error does not mention integrity: %v", err)
+		tampered := filepath.Join(t.TempDir(), "tampered.zip")
+		if err := os.WriteFile(tampered, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(tampered); err == nil {
+			t.Errorf("%s: Open accepted the archive", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tampered) {
+			t.Errorf("%s: error %q does not name %q and the file", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -281,14 +315,12 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown workload", RunConfig{Workload: "quicksort"}, "unknown workload"},
 		{"scenario without spec", RunConfig{Workload: "scenario"}, "needs an embedded spec"},
 		{"spec outside scenario", RunConfig{Workload: "nqueens", Scenario: &scenario.Spec{}}, "must not embed"},
-		{"parallel pingpong", RunConfig{Workload: "pingpong", ParallelSim: 4}, "sequentially"},
-		{"optimistic pingpong", RunConfig{Workload: "pingpong", Executor: "optimistic", Workers: 4}, "sequentially"},
-		{"parallel crash", RunConfig{Workload: "nqueens", ParallelSim: 4, CkptIntervalNs: 100, Crashes: []Crash{{Node: 1, AtNs: 5, RestartAfterNs: 5}}}, "incompatible with checkpoints"},
+		{"parallel pingpong", RunConfig{Workload: "pingpong", Executor: "conservative", Workers: 4}, "sequentially"},
+		{"parallel crash", RunConfig{Workload: "nqueens", Executor: "conservative", Workers: 4, Crashes: []Crash{{Node: 1, AtNs: 5, RestartAfterNs: 5}}}, "incompatible with checkpoints"},
 		{"conservative ckpt", RunConfig{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}, "incompatible with checkpoints"},
 		{"unknown executor", RunConfig{Workload: "nqueens", Executor: "timewarp", Workers: 4}, "unknown executor"},
-		{"both spellings", RunConfig{Workload: "nqueens", Executor: "conservative", Workers: 4, ParallelSim: 4}, "mutually exclusive"},
+		{"removed executor", RunConfig{Workload: "nqueens", Executor: "optimistic", Workers: 4}, "unknown executor"},
 		{"workers sequential", RunConfig{Workload: "nqueens", Workers: 4}, "requires a parallel executor"},
-		{"window without optimistic", RunConfig{Workload: "nqueens", Executor: "conservative", Workers: 4, OptimisticWindowNs: 100}, "requires the optimistic executor"},
 		{"bad policy", RunConfig{Workload: "nqueens", Policy: "fifo"}, "unknown policy"},
 		{"bad placement", RunConfig{Workload: "nqueens", Placement: "hash"}, "unknown placement"},
 	}

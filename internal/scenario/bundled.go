@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"embed"
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -25,7 +24,7 @@ func Bundled() ([]Spec, error) {
 			return nil, err
 		}
 		var sp Spec
-		if err := json.Unmarshal(data, &sp); err != nil {
+		if err := decodeStrict(data, &sp); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", e.Name(), err)
 		}
 		if err := sp.Validate(); err != nil {

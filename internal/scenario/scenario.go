@@ -14,9 +14,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -44,10 +46,24 @@ type Link struct {
 func (l *Link) UnmarshalJSON(data []byte) error {
 	type raw Link
 	r := raw{Src: abcl.Wildcard, Dst: abcl.Wildcard}
-	if err := json.Unmarshal(data, &r); err != nil {
+	if err := decodeStrict(data, &r); err != nil {
 		return err
 	}
 	*l = Link(r)
+	return nil
+}
+
+// decodeStrict is json.Unmarshal that also rejects keys v does not declare:
+// a misspelt key must not silently run a different configuration.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the top-level value")
+	}
 	return nil
 }
 
@@ -158,37 +174,20 @@ type Spec struct {
 	ProfileWindowNs int64 `json:"profile_window_ns,omitempty"`
 
 	// Executor selects the execution engine for both runs: "" or
-	// "sequential" (the default), "conservative" or "optimistic" with
-	// Workers lanes. Parallel engines forbid observers, so a spec that
-	// names one cannot be packed (runpack traces are captured
-	// sequentially). OptimisticWindowNs overrides the Time Warp
-	// speculation window (0 = adaptive default).
-	Executor           string `json:"executor,omitempty"`
-	Workers            int    `json:"workers,omitempty"`
-	OptimisticWindowNs int64  `json:"optimistic_window_ns,omitempty"`
+	// "sequential" (the default), or "conservative" with Workers lanes.
+	// The parallel engine forbids observers, so a spec that names it
+	// cannot be packed (runpack traces are captured sequentially).
+	Executor string `json:"executor,omitempty"`
+	Workers  int    `json:"workers,omitempty"`
 
 	Faults Faults `json:"faults"`
 	Assert Assert `json:"assert"`
 }
 
-// ParallelConfigured reports whether the spec names a parallel execution
+// ParallelConfigured reports whether the spec names the parallel execution
 // engine (which forbids observers, and therefore packing).
 func (sp Spec) ParallelConfigured() bool {
-	return (sp.Executor == "conservative" || sp.Executor == "optimistic") && sp.Workers > 1
-}
-
-// executorOption translates the spec's executor knob into a System
-// option; ok is false for sequential specs.
-func (sp Spec) executorOption() (abcl.Option, bool) {
-	if !sp.ParallelConfigured() {
-		return nil, false
-	}
-	if sp.Executor == "optimistic" {
-		return abcl.WithExecutor(abcl.Optimistic(sp.Workers, abcl.OptimisticOptions{
-			Window: sim.Time(sp.OptimisticWindowNs),
-		})), true
-	}
-	return abcl.WithExecutor(abcl.Conservative(sp.Workers)), true
+	return sp.Executor == "conservative" && sp.Workers > 1
 }
 
 // Validate rejects malformed specs before anything runs. Like NewSystem's
@@ -220,18 +219,14 @@ func (sp Spec) Validate() error {
 		errs = append(errs, fmt.Errorf("scenario %s: unknown workload %q", name, sp.Workload))
 	}
 	switch sp.Executor {
-	case "", "sequential", "conservative", "optimistic":
+	case "", "sequential", "conservative":
 	default:
 		errs = append(errs, fmt.Errorf("scenario %s: unknown executor %q", name, sp.Executor))
 	}
 	if sp.Workers > 1 && (sp.Executor == "" || sp.Executor == "sequential") {
 		errs = append(errs, fmt.Errorf("scenario %s: workers requires a parallel executor", name))
 	}
-	if sp.OptimisticWindowNs != 0 && sp.Executor != "optimistic" {
-		errs = append(errs, fmt.Errorf("scenario %s: optimistic_window_ns requires the optimistic executor", name))
-	}
-	if sp.Executor == "conservative" && sp.ParallelConfigured() &&
-		(sp.CheckpointIntervalNs > 0 || len(sp.Faults.Crashes) > 0) {
+	if sp.ParallelConfigured() && (sp.CheckpointIntervalNs > 0 || len(sp.Faults.Crashes) > 0) {
 		errs = append(errs, fmt.Errorf("scenario %s: the conservative executor is incompatible with checkpoints and crash faults", name))
 	}
 	// The fault schedule is only checkable against a sane fleet size; with
@@ -371,8 +366,8 @@ func runWorkload(sp Spec, plan abcl.FaultPlan, ro RunOpts) (RunResult, error) {
 	if ro.Observer != nil {
 		extra = append(extra, abcl.WithObserver(ro.Observer))
 	}
-	if opt, ok := sp.executorOption(); ok {
-		extra = append(extra, opt)
+	if sp.ParallelConfigured() {
+		extra = append(extra, abcl.WithExecutor(abcl.Conservative(sp.Workers)))
 	}
 	switch sp.Workload {
 	case "nqueens":
@@ -500,7 +495,7 @@ func Load(path string) (Spec, error) {
 		return Spec{}, err
 	}
 	var sp Spec
-	if err := json.Unmarshal(data, &sp); err != nil {
+	if err := decodeStrict(data, &sp); err != nil {
 		return Spec{}, fmt.Errorf("scenario %s: %w", path, err)
 	}
 	return sp, sp.Validate()

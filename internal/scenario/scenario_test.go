@@ -57,24 +57,33 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
+// TestSpecValidation loads each broken spec from a file: every one must be
+// refused, with an error that names the offending value or key. Unknown keys
+// are refused at decode time, anywhere in the document — a misspelt or
+// retired key must not silently run a different configuration.
 func TestSpecValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		json string
+		want string
 	}{
-		{"missing name", `{"workload":"forkjoin","nodes":2}`},
-		{"bad workload", `{"name":"x","workload":"nope","nodes":2}`},
-		{"zero nodes", `{"name":"x","workload":"forkjoin"}`},
-		{"drop = 1", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"links":[{"drop":1.0}]}}`},
-		{"pause out of range", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"pauses":[{"node":9,"at_ns":0,"for_ns":10}]}}`},
+		{"missing name", `{"workload":"forkjoin","nodes":2}`, "missing name"},
+		{"bad workload", `{"name":"x","workload":"nope","nodes":2}`, `unknown workload "nope"`},
+		{"zero nodes", `{"name":"x","workload":"forkjoin"}`, "nodes must be >= 1"},
+		{"drop = 1", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"links":[{"drop":1.0}]}}`, "drop probability 1"},
+		{"pause out of range", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"pauses":[{"node":9,"at_ns":0,"for_ns":10}]}}`, "node 9"},
+		{"misspelt key", `{"name":"x","workload":"forkjoin","nodes":2,"checkpoint_interval":500000}`, `unknown field "checkpoint_interval"`},
+		{"misspelt link key", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"links":[{"jitter":5}]}}`, `unknown field "jitter"`},
+		{"removed executor", `{"name":"x","workload":"forkjoin","nodes":2,"executor":"optimistic","workers":4}`, `unknown executor "optimistic"`},
+		{"removed window key", `{"name":"x","workload":"forkjoin","nodes":2,"optimistic_window_ns":1000}`, `unknown field "optimistic_window_ns"`},
+		{"trailing data", `{"name":"x","workload":"forkjoin","nodes":2} {}`, "after the top-level value"},
 	}
 	for _, tc := range cases {
-		var sp Spec
-		if err := json.Unmarshal([]byte(tc.json), &sp); err != nil {
-			continue // malformed JSON is also a pass for this test
-		}
-		if err := sp.Validate(); err == nil {
-			t.Errorf("%s: want validation error", tc.name)
+		_, err := Load(writeSpec(t, tc.json))
+		if err == nil {
+			t.Errorf("%s: want an error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
 	}
 }

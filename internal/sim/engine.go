@@ -194,8 +194,6 @@ type Engine struct {
 	provBase uint64 // e.seq at window start; provisional seqs are > provBase
 	winEnd   Time
 	limitHit atomic.Bool // set by a worker that tripped the event limit
-	conflict atomic.Bool // optimistic window: a cross-lane birth landed in-window
-	optStats OptStats    // statistics of the last RunOptimistic drive
 	parWins  uint64      // windows (barriers) of the last RunParallel drive
 	heads    []int       // barrier scratch: per-active-lane log cursor
 }
@@ -309,11 +307,6 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 			// provisional sequence number that encodes the birth index and
 			// preserves lane-local order (see parallel.go).
 			sl.push(event{at: at, seq: e.provBase + 1 + uint64(idx), kind: kind, arg: arg})
-		} else if dst != src && at < e.winEnd {
-			// A cross-lane birth inside the window: impossible under the
-			// conservative lookahead, a straggler under speculation — the
-			// optimistic runner rolls the window back (see optimistic.go).
-			e.conflict.Store(true)
 		}
 		return
 	}

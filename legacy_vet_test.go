@@ -87,31 +87,6 @@ func TestNoLegacyConstruction(t *testing.T) {
 	})
 }
 
-// deprecatedIdents are identifiers that still exist for compatibility but
-// must not be reintroduced anywhere in the tree's own packages; each maps
-// to its replacement.
-var deprecatedIdents = map[string]string{
-	"WithParallelSim": "abcl.WithExecutor(abcl.Conservative(n)) — or abcl.Optimistic(n, ...)",
-}
-
-// TestNoDeprecatedExecutorOption asserts that no internal package, command
-// or example reaches for the deprecated WithParallelSim spelling: every
-// caller migrated to the unified WithExecutor API, and new code must not
-// regress to the alias.
-func TestNoDeprecatedExecutorOption(t *testing.T) {
-	walkGoFiles(t, []string{"internal", "cmd", "examples"}, false, func(path string, f *ast.File, fset *token.FileSet) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if fix, banned := deprecatedIdents[id.Name]; banned {
-					t.Errorf("%s: uses deprecated option %s; use %s",
-						fset.Position(id.Pos()), id.Name, fix)
-				}
-			}
-			return true
-		})
-	})
-}
-
 // TestNoLegacyRedeclaration asserts that the root package does not
 // re-declare the deleted compatibility surface: the Config type, its
 // constructors, or any of the removed accessor methods on System.
