@@ -13,8 +13,9 @@
 #   make bench-compare   run the perf suite, diff against BASELINE json
 #   make bench-gate      fail if the gated benchmarks regress >GATE_PCT% vs BASELINE
 #   make cover           per-package test coverage summary
+#   make loc             non-test and test Go line counts outside bench/
 
-.PHONY: all tier1 vet-race scenario-smoke profile-smoke regress check cover bench bench-trace bench-test bench-baseline bench-compare bench-gate
+.PHONY: all tier1 vet-race scenario-smoke profile-smoke regress check cover loc bench bench-trace bench-test bench-baseline bench-compare bench-gate
 
 all: tier1
 
@@ -64,6 +65,11 @@ bench-test:
 
 cover:
 	go test -cover ./... | grep -v 'no test files'
+
+# The size a simplicity PR reads its delta off (ROADMAP item 4).
+loc:
+	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines outside bench/:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 
 # Performance tracking. bench-baseline records the suite into a dated JSON
 # report; bench-compare records a fresh report and prints a side-by-side

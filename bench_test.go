@@ -107,7 +107,7 @@ func BenchmarkTable4_NQueensScale(b *testing.B) {
 	var res nqueens.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = nqueens.Run(nqueens.Options{N: 8, Nodes: 64, Seed: 1})
+		res, err = nqueens.Run(nqueens.Options{N: 8}, abcl.WithNodes(64), abcl.WithSeed(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFigure5_Speedup(b *testing.B) {
 		b.Run(fmt.Sprintf("N%d_P%d", n, procs), func(b *testing.B) {
 			var sp, util float64
 			for i := 0; i < b.N; i++ {
-				res, err := nqueens.Run(nqueens.Options{N: n, Nodes: procs, Seed: 1})
+				res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(procs), abcl.WithSeed(1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -150,7 +150,7 @@ func BenchmarkFigure6_StackVsNaive(b *testing.B) {
 		b.Run(fmt.Sprintf("N%d_%s", n, pol), func(b *testing.B) {
 			var ms, dormant float64
 			for i := 0; i < b.N; i++ {
-				res, err := nqueens.Run(nqueens.Options{N: n, Nodes: procs, Seed: 1, Policy: pol})
+				res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(procs), abcl.WithSeed(1), abcl.WithPolicy(pol))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -175,8 +175,12 @@ func BenchmarkAblation_ChunkStock(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var ms float64
 			var misses uint64
+			stock := abcl.WithoutChunkStock()
+			if depth > 0 {
+				stock = abcl.WithChunkStock(depth)
+			}
 			for i := 0; i < b.N; i++ {
-				res, err := nqueens.Run(nqueens.Options{N: 9, Nodes: 64, Seed: 1, StockDepth: depth})
+				res, err := nqueens.Run(nqueens.Options{N: 9}, abcl.WithNodes(64), abcl.WithSeed(1), stock)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -197,7 +201,7 @@ func BenchmarkAblation_Placement(b *testing.B) {
 		b.Run(p.Name(), func(b *testing.B) {
 			var ms, util float64
 			for i := 0; i < b.N; i++ {
-				res, err := nqueens.Run(nqueens.Options{N: 9, Nodes: 64, Seed: 1, Placement: p})
+				res, err := nqueens.Run(nqueens.Options{N: 9}, abcl.WithNodes(64), abcl.WithSeed(1), abcl.WithPlacement(p))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -218,7 +222,7 @@ func BenchmarkAblation_MaxStackDepth(b *testing.B) {
 			var ms float64
 			var preempts uint64
 			for i := 0; i < b.N; i++ {
-				res, err := nqueens.Run(nqueens.Options{N: 9, Nodes: 16, Seed: 1, MaxDepth: d})
+				res, err := nqueens.Run(nqueens.Options{N: 9}, abcl.WithNodes(16), abcl.WithSeed(1), abcl.WithMaxStackDepth(d))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -271,7 +275,11 @@ func BenchmarkAblation_Topology(b *testing.B) {
 // Fork-join with now-type joins: the blocking/resume machinery under load.
 func BenchmarkForkJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		leaves, err := misc.RunForkJoin(10, 16, abcl.StackBased)
+		sys, err := abcl.NewSystem(abcl.WithNodes(16), abcl.WithPolicy(abcl.StackBased))
+		if err != nil {
+			b.Fatal(err)
+		}
+		leaves, err := misc.RunForkJoinOn(sys, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +294,7 @@ func BenchmarkForkJoin(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var msgs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := nqueens.Run(nqueens.Options{N: 9, Nodes: 64, Seed: 1})
+		res, err := nqueens.Run(nqueens.Options{N: 9}, abcl.WithNodes(64), abcl.WithSeed(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -378,8 +386,8 @@ func BenchmarkDiffusion(b *testing.B) {
 			var ms, util float64
 			for i := 0; i < b.N; i++ {
 				res, err := diffusion.Run(diffusion.Options{
-					W: 16, H: 16, Iters: 10, Nodes: 16, BlockPlace: blockPlace,
-				})
+					W: 16, H: 16, Iters: 10, BlockPlace: blockPlace,
+				}, abcl.WithNodes(16))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -448,12 +456,10 @@ func BenchmarkFigure5_SpeedupBatched(b *testing.B) {
 		b.Run(fmt.Sprintf("N%d_P%d", n, procs), func(b *testing.B) {
 			var sp, util, pkts float64
 			for i := 0; i < b.N; i++ {
-				res, err := nqueens.Run(nqueens.Options{
-					N: n, Nodes: procs, Seed: 1,
-					Reliable:    true,
-					BatchWindow: 10 * abcl.Microsecond,
-					AckDelay:    500 * abcl.Microsecond,
-				})
+				res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(procs), abcl.WithSeed(1),
+					abcl.WithReliable(),
+					abcl.WithBatching(10*abcl.Microsecond, 0),
+					abcl.WithDelayedAcks(500*abcl.Microsecond))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -516,9 +522,9 @@ func BenchmarkMigrationForwarding(b *testing.B) {
 // simulator-side cost of the per-group ready queues, which is what the
 // perf gate pins.
 func BenchmarkHotKeyContention(b *testing.B) {
-	opts := hotkey.Options{Nodes: 16, Clients: 16, Ops: 40, WritePct: 20}
+	opts := hotkey.Options{Clients: 16, Ops: 40, WritePct: 20}
 	opts.Coverage = hotkey.CoverNone
-	base, err := hotkey.Run(opts)
+	base, err := hotkey.Run(opts, abcl.WithNodes(16))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -527,7 +533,7 @@ func BenchmarkHotKeyContention(b *testing.B) {
 			var res hotkey.Result
 			for i := 0; i < b.N; i++ {
 				opts.Coverage = cov
-				res, err = hotkey.Run(opts)
+				res, err = hotkey.Run(opts, abcl.WithNodes(16))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -549,7 +555,7 @@ func BenchmarkHotKeyContention(b *testing.B) {
 // by TestProfilerEquivalence.
 func BenchmarkProfilerOffOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := nqueens.Run(nqueens.Options{N: 10, Nodes: 64, Seed: 1})
+		res, err := nqueens.Run(nqueens.Options{N: 10}, abcl.WithNodes(64), abcl.WithSeed(1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,0 +1,125 @@
+package main
+
+import (
+	"archive/zip"
+	"bytes"
+	"encoding/json"
+	"io"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestFlagsMarshalToPackedConfig pins the flag → spec binding against a
+// checked-in artifact: the flags that packed runpack_68ffd0295291 must still
+// marshal to its config.json byte for byte (same keys, order and defaults),
+// or re-packing would no longer reproduce the archive's id.
+func TestFlagsMarshalToPackedConfig(t *testing.T) {
+	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_68ffd0295291.zip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zr.Close()
+	f, err := zr.Open("config.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseFlags(strings.Fields("-workload hotkey -nodes 16 -clients 8 -ops 20"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(c.spec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, '\n'); !bytes.Equal(got, want) {
+		t.Errorf("flags marshal to\n%s\nthe pack's config.json is\n%s", got, want)
+	}
+}
+
+// TestRunEveryWorkload drives each workload at its smallest size through the
+// whole command and checks the app's own header plus the lines every
+// workload on the spec's machine shares.
+func TestRunEveryWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		args   string
+		header string
+		shared bool // ran on the spec's machine: comms + counters follow
+	}{
+		{"-workload nqueens -n 4 -nodes 2", "N-queens N=4 on 2 nodes (stack scheduling, random placement)", true},
+		{"-workload forkjoin -depth 3 -nodes 2", "fork-join depth=3 on 2 nodes: 8 leaves (expected 8)", true},
+		{"-workload diffusion -grid 4 -grid-iters 2 -nodes 2", "diffusion 4x4, 2 iterations on 2 nodes (block placement)", true},
+		{"-workload hotkey -nodes 2 -clients 2 -ops 4", "hotkey: 2 clients x 4 ops on 2 nodes (coverage full, 20% writes)", true},
+		{"-workload orderbook -nodes 2 -clients 2 -ops 4", "orderbook: 2 clients x 4 ops on 2 nodes (grouped=true)", true},
+		{"-workload pingpong -iters 10", "ping-pong microbenchmarks (10 iterations)", false},
+		{"-workload scenario -scenario forkjoin-dup-jitter", "scenario forkjoin-dup-jitter", false},
+	} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(tc.args), &out); err != nil {
+			t.Errorf("%s: %v", tc.args, err)
+			continue
+		}
+		if !strings.HasPrefix(out.String(), tc.header) {
+			t.Errorf("%s: output does not open with %q:\n%s", tc.args, tc.header, out.String())
+		}
+		for _, line := range []string{"  comms: unbatched\n", "  runtime counters:\n"} {
+			if strings.Contains(out.String(), line) != tc.shared {
+				t.Errorf("%s: shared line %q present=%v, want %v", tc.args, line, !tc.shared, tc.shared)
+			}
+		}
+	}
+}
+
+// TestSystemFlagsReachEveryWorkload pins the bugs the single dispatcher
+// fixed: orderbook used to run fault-free under -drop, and hotkey used to
+// ignore -cost-table, -policy, -batch-window and -trace.
+func TestSystemFlagsReachEveryWorkload(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(strings.Fields("-workload orderbook -nodes 4 -clients 4 -ops 10 -drop 0.3"), &out); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`faults: drops=(\d+)`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no faults line:\n%s", out.String())
+	}
+	if n, _ := strconv.Atoi(m[1]); n == 0 {
+		t.Error("-drop 0.3 dropped nothing")
+	}
+
+	out.Reset()
+	if err := run(strings.Fields("-workload hotkey -nodes 4 -clients 4 -ops 6 -cost-table -batch-window 10000 -trace 3"), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"per-path cost attribution", "comms: batch=10.000µs/", "last 3 trace events:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("hotkey output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestUnknownNamesAreErrors pins that a misspelt setting fails on every
+// path instead of falling back to a default.
+func TestUnknownNamesAreErrors(t *testing.T) {
+	for args, want := range map[string]string{
+		"-workload nqueens -n 4 -policy naiv":                           `unknown policy "naiv"`,
+		"-workload hotkey -placement rand":                              `unknown placement "rand"`,
+		"-workload forkjoin -executor timewarp:2":                       `unknown executor "timewarp"`,
+		"-workload scenario -scenario forkjoin-dup-jitter -policy naiv": `unknown policy "naiv"`,
+		"-workload nqueens -policy naiv -pack " + t.TempDir():           `unknown policy "naiv"`,
+		"-workload quicksort":                                           `unknown workload "quicksort"`,
+		"-executor sequential:2":                                        "sequential takes no worker count",
+		"-bench-json out.json":                                          "flag provided but not defined",
+	} {
+		err := run(strings.Fields(args), io.Discard)
+		if err == nil {
+			t.Errorf("%s: accepted", args)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q lacks %q", args, err, want)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/runpack"
+	"repro/internal/workload"
 )
 
 var (
@@ -59,11 +60,11 @@ func check(err error) {
 // returns its artifact id ("-" when packing is off). The pack re-executes
 // the run under the deterministic tracer, so the id pins the exact table
 // row: `abclsim verify <pack>` replays and byte-compares it.
-func packPoint(cfg runpack.RunConfig) string {
+func packPoint(cfg workload.Spec) string {
 	if *packDir == "" {
 		return "-"
 	}
-	p, _, err := runpack.Create(cfg, *packDir)
+	p, _, err := runpack.Create(cfg, nil, *packDir)
 	check(err)
 	return p.Manifest.ID
 }
@@ -78,7 +79,7 @@ func figure5() {
 	check(err)
 	ids := make([]string, len(pts))
 	for i, p := range pts {
-		ids[i] = packPoint(runpack.RunConfig{Workload: "nqueens", N: p.N, Nodes: p.Procs, Seed: *seed})
+		ids[i] = packPoint(workload.Spec{Workload: "nqueens", N: p.N, Nodes: p.Procs, Seed: *seed})
 	}
 
 	if *csv {
@@ -114,8 +115,8 @@ func figure6() {
 	naiveIDs := make([]string, len(rows))
 	stackIDs := make([]string, len(rows))
 	for i, r := range rows {
-		naiveIDs[i] = packPoint(runpack.RunConfig{Workload: "nqueens", N: r.N, Nodes: procs, Seed: *seed, Policy: "naive"})
-		stackIDs[i] = packPoint(runpack.RunConfig{Workload: "nqueens", N: r.N, Nodes: procs, Seed: *seed, Policy: "stack"})
+		naiveIDs[i] = packPoint(workload.Spec{Workload: "nqueens", N: r.N, Nodes: procs, Seed: *seed, Policy: "naive"})
+		stackIDs[i] = packPoint(workload.Spec{Workload: "nqueens", N: r.N, Nodes: procs, Seed: *seed, Policy: "stack"})
 	}
 
 	if *csv {

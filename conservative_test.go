@@ -59,12 +59,11 @@ func TestConservativeEquivalence(t *testing.T) {
 		// lane, under the full reliable protocol with coalesced (delayed)
 		// acks.
 		{"lossy-hotkey", func(t *testing.T, exec abcl.Option) any {
-			res, err := hotkey.Run(hotkey.Options{
-				Nodes: 4, Clients: 6, Ops: 8, Seed: 7,
-				Faults:   abcl.UniformFaults(0.10, 0.05, 2*abcl.Microsecond),
-				AckDelay: 3 * abcl.Microsecond,
-				Extra:    []abcl.Option{exec},
-			})
+			res, err := hotkey.Run(hotkey.Options{Clients: 6, Ops: 8},
+				abcl.WithNodes(4), abcl.WithSeed(7),
+				abcl.WithFaults(abcl.UniformFaults(0.10, 0.05, 2*abcl.Microsecond)),
+				abcl.WithDelayedAcks(3*abcl.Microsecond),
+				exec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	abcl "repro"
 	"repro/internal/apps/nqueens"
 	"repro/internal/machine"
 )
@@ -24,7 +25,7 @@ func main() {
 	fmt.Printf("sequential baseline: %d solutions in %v (model: SS1+-class CPU)\n",
 		seq.Solutions, seq.Elapsed)
 
-	res, err := nqueens.Run(nqueens.Options{N: *n, Nodes: *nodes, Seed: 1})
+	res, err := nqueens.Run(nqueens.Options{N: *n}, abcl.WithNodes(*nodes), abcl.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,32 +26,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Options configures a diffusion run.
+// Options are the stencil's own parameters; the machine it runs on is
+// described by the abcl options passed alongside.
 type Options struct {
-	W, H       int // grid dimensions (cells)
-	Iters      int // Jacobi iterations
-	Nodes      int // processor count
-	Policy     abcl.Policy
+	W, H       int  // grid dimensions (cells)
+	Iters      int  // Jacobi iterations
 	WorkInstr  int  // modelled compute per cell update (default 40)
 	BlockPlace bool // true: block decomposition (locality); false: scatter
-	Seed       int64
-	Faults     abcl.FaultPlan
-
-	// Wire-path options: per-link batching window, delayed cumulative acks,
-	// and the reliable protocol they ride on.
-	BatchWindow abcl.Time
-	AckDelay    abcl.Time
-	Reliable    bool
-
-	// CheckpointInterval, when positive, enables periodic coordinated
-	// checkpoints (crashes in Faults restart from the latest one).
-	CheckpointInterval abcl.Time
-
-	// Profile, when non-nil, attaches the cost-attribution profiler.
-	Profile *abcl.ProfileOptions
-	// Extra system options appended after everything above (an observer
-	// sink, the parallel executor, ...). Later options win.
-	Extra []abcl.Option
 }
 
 // Result reports a run.
@@ -60,7 +41,7 @@ type Result struct {
 	Utilization float64
 	Residual    float64 // final max |update| across cells
 	Stats       abcl.Counters
-	Report      abcl.Report // grouped snapshot; Profile section set when Options.Profile was given
+	Report      abcl.Report // grouped snapshot; Profile section set under abcl.WithProfiler
 }
 
 // State variable indices for a cell object.
@@ -77,53 +58,24 @@ const (
 	stGot1   = 9 // join counter, parity 1
 )
 
-// Run executes the stencil and returns the result. The initial condition is
-// a hot spot at the grid centre.
-func Run(opt Options) (Result, error) {
+// Run executes the stencil on a system built from opts and returns the
+// result. The initial condition is a hot spot at the grid centre.
+func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	if opt.W < 1 || opt.H < 1 || opt.W*opt.H < 2 {
 		return Result{}, fmt.Errorf("diffusion: grid %dx%d invalid", opt.W, opt.H)
 	}
 	if opt.Iters < 1 {
 		return Result{}, fmt.Errorf("diffusion: iterations must be >= 1")
 	}
-	if opt.Nodes < 1 {
-		opt.Nodes = 1
-	}
 	work := opt.WorkInstr
 	if work <= 0 {
 		work = 40
 	}
-
-	opts := []abcl.Option{abcl.WithNodes(opt.Nodes)}
-	if opt.Policy != abcl.StackBased {
-		opts = append(opts, abcl.WithPolicy(opt.Policy))
-	}
-	if opt.Seed != 0 {
-		opts = append(opts, abcl.WithSeed(opt.Seed))
-	}
-	if opt.Faults.Enabled() {
-		opts = append(opts, abcl.WithFaults(opt.Faults))
-	}
-	if opt.BatchWindow > 0 {
-		opts = append(opts, abcl.WithBatching(opt.BatchWindow, 0))
-	}
-	if opt.Reliable {
-		opts = append(opts, abcl.WithReliable())
-	}
-	if opt.AckDelay > 0 {
-		opts = append(opts, abcl.WithDelayedAcks(opt.AckDelay))
-	}
-	if opt.CheckpointInterval > 0 {
-		opts = append(opts, abcl.WithCheckpoint(opt.CheckpointInterval))
-	}
-	if opt.Profile != nil {
-		opts = append(opts, abcl.WithProfiler(*opt.Profile))
-	}
-	opts = append(opts, opt.Extra...)
 	sys, err := abcl.NewSystem(opts...)
 	if err != nil {
 		return Result{}, err
 	}
+	nodes := sys.Nodes()
 
 	valP := [2]abcl.Pattern{
 		sys.Pattern("df.val0", 1),
@@ -246,13 +198,13 @@ func Run(opt Options) (Result, error) {
 	// Placement: contiguous row bands (locality) or scatter.
 	place := func(idx int) int {
 		if opt.BlockPlace {
-			band := (idx / w) * opt.Nodes / h
-			if band >= opt.Nodes {
-				band = opt.Nodes - 1
+			band := (idx / w) * nodes / h
+			if band >= nodes {
+				band = nodes - 1
 			}
 			return band
 		}
-		return idx % opt.Nodes
+		return idx % nodes
 	}
 	for idx := range cells {
 		x, y := idx%w, idx/w

@@ -19,7 +19,7 @@ func TestMatchesSequentialJacobi(t *testing.T) {
 		{8, 8, 10, 16},
 		{5, 9, 7, 3},
 	} {
-		res, err := Run(Options{W: tc.w, H: tc.h, Iters: tc.iters, Nodes: tc.nodes})
+		res, err := Run(Options{W: tc.w, H: tc.h, Iters: tc.iters}, abcl.WithNodes(tc.nodes))
 		if err != nil {
 			t.Fatalf("%dx%d iters=%d nodes=%d: %v", tc.w, tc.h, tc.iters, tc.nodes, err)
 		}
@@ -32,11 +32,11 @@ func TestMatchesSequentialJacobi(t *testing.T) {
 }
 
 func TestNaivePolicyEquivalent(t *testing.T) {
-	st, err := Run(Options{W: 6, H: 6, Iters: 6, Nodes: 4, Policy: abcl.StackBased})
+	st, err := Run(Options{W: 6, H: 6, Iters: 6}, abcl.WithNodes(4), abcl.WithPolicy(abcl.StackBased))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := Run(Options{W: 6, H: 6, Iters: 6, Nodes: 4, Policy: abcl.Naive})
+	nv, err := Run(Options{W: 6, H: 6, Iters: 6}, abcl.WithNodes(4), abcl.WithPolicy(abcl.Naive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestNaivePolicyEquivalent(t *testing.T) {
 }
 
 func TestBlockPlacementReducesRemoteTraffic(t *testing.T) {
-	scatter, err := Run(Options{W: 16, H: 16, Iters: 4, Nodes: 8})
+	scatter, err := Run(Options{W: 16, H: 16, Iters: 4}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := Run(Options{W: 16, H: 16, Iters: 4, Nodes: 8, BlockPlace: true})
+	block, err := Run(Options{W: 16, H: 16, Iters: 4, BlockPlace: true}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestBlockPlacementReducesRemoteTraffic(t *testing.T) {
 }
 
 func TestBlockPlacementFaster(t *testing.T) {
-	scatter, err := Run(Options{W: 16, H: 16, Iters: 6, Nodes: 8})
+	scatter, err := Run(Options{W: 16, H: 16, Iters: 6}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := Run(Options{W: 16, H: 16, Iters: 6, Nodes: 8, BlockPlace: true})
+	block, err := Run(Options{W: 16, H: 16, Iters: 6, BlockPlace: true}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestBlockPlacementFaster(t *testing.T) {
 }
 
 func TestDiffusionDeterminism(t *testing.T) {
-	a, err := Run(Options{W: 6, H: 6, Iters: 5, Nodes: 4})
+	a, err := Run(Options{W: 6, H: 6, Iters: 5}, abcl.WithNodes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Options{W: 6, H: 6, Iters: 5, Nodes: 4})
+	b, err := Run(Options{W: 6, H: 6, Iters: 5}, abcl.WithNodes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestValidation(t *testing.T) {
 func TestWaitHeavyStats(t *testing.T) {
 	// Every iteration is a selective-reception join: the waiting machinery
 	// must dominate the statistics.
-	res, err := Run(Options{W: 8, H: 8, Iters: 8, Nodes: 4})
+	res, err := Run(Options{W: 8, H: 8, Iters: 8}, abcl.WithNodes(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,29 +58,15 @@ func ParseCoverage(s string) (Coverage, error) {
 	return CoverNone, fmt.Errorf("hotkey: unknown coverage %q (want none|partial|full)", s)
 }
 
-// Options configures a hot-key run.
+// Options are the workload's own parameters; the machine it runs on is
+// described by the abcl options passed alongside (>= 2 nodes: the counter
+// sits on node 0, one store shard on every other node).
 type Options struct {
-	Nodes    int      // processor count (>= 2: counter on 0, store on Nodes-1)
 	Clients  int      // closed-loop client objects (spread over nodes 1..)
 	Ops      int      // operations per client
 	WritePct int      // percentage of operations that are adds (default 20)
 	Coverage Coverage // annotation coverage on the counter class
 	Reorder  int      // bounded-reordering annotation (0 = strict order)
-	Seed     int64
-	Faults   abcl.FaultPlan
-
-	// Wire-path and recovery options, so the workload composes with the
-	// scenario runner like the other apps.
-	BatchWindow        abcl.Time
-	AckDelay           abcl.Time
-	Reliable           bool
-	CheckpointInterval abcl.Time
-
-	// Profile, when non-nil, attaches the cost-attribution profiler.
-	Profile *abcl.ProfileOptions
-	// Extra system options appended after everything above (an observer
-	// sink, the parallel executor, ...). Later options win.
-	Extra []abcl.Option
 }
 
 // Result reports a run.
@@ -108,11 +94,9 @@ const (
 	stReads  = 2 // completed read operations
 )
 
-// Run executes the workload and returns the result.
-func Run(opt Options) (Result, error) {
-	if opt.Nodes < 2 {
-		return Result{}, fmt.Errorf("hotkey: need >= 2 nodes (counter and store must be remote), got %d", opt.Nodes)
-	}
+// Run executes the workload on a system built from opts and returns the
+// result.
+func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	if opt.Clients < 1 || opt.Ops < 1 {
 		return Result{}, fmt.Errorf("hotkey: clients and ops must be >= 1")
 	}
@@ -123,33 +107,13 @@ func Run(opt Options) (Result, error) {
 	if writePct == 0 {
 		writePct = 20
 	}
-
-	opts := []abcl.Option{abcl.WithNodes(opt.Nodes)}
-	if opt.Seed != 0 {
-		opts = append(opts, abcl.WithSeed(opt.Seed))
-	}
-	if opt.Faults.Enabled() {
-		opts = append(opts, abcl.WithFaults(opt.Faults))
-	}
-	if opt.BatchWindow > 0 {
-		opts = append(opts, abcl.WithBatching(opt.BatchWindow, 0))
-	}
-	if opt.Reliable {
-		opts = append(opts, abcl.WithReliable())
-	}
-	if opt.AckDelay > 0 {
-		opts = append(opts, abcl.WithDelayedAcks(opt.AckDelay))
-	}
-	if opt.CheckpointInterval > 0 {
-		opts = append(opts, abcl.WithCheckpoint(opt.CheckpointInterval))
-	}
-	if opt.Profile != nil {
-		opts = append(opts, abcl.WithProfiler(*opt.Profile))
-	}
-	opts = append(opts, opt.Extra...)
 	sys, err := abcl.NewSystem(opts...)
 	if err != nil {
 		return Result{}, err
+	}
+	nodes := sys.Nodes()
+	if nodes < 2 {
+		return Result{}, fmt.Errorf("hotkey: need >= 2 nodes (counter and store must be remote), got %d", nodes)
 	}
 
 	get := sys.Pattern("hk.get", 0)
@@ -173,7 +137,7 @@ func Run(opt Options) (Result, error) {
 			ctx.Charge(500)
 			ctx.Reply(abcl.Int(0))
 		})
-	shards := make([]abcl.Address, opt.Nodes-1)
+	shards := make([]abcl.Address, nodes-1)
 	for i := range shards {
 		shards[i] = sys.NewObjectOn(i+1, store)
 	}
@@ -275,7 +239,7 @@ func Run(opt Options) (Result, error) {
 	for i := range clients {
 		// Clients spread over nodes 1..Nodes-1 (the counter's node stays
 		// dedicated to the contended object).
-		node := 1 + i%(opt.Nodes-1)
+		node := 1 + i%(nodes-1)
 		clients[i] = sys.NewObjectOn(node, client, abcl.Int(int64(i)))
 	}
 	for _, c := range clients {

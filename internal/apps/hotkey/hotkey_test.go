@@ -10,15 +10,15 @@ import (
 // coverage must buy at least 3x throughput over the unannotated serial
 // counter, on the identical request stream.
 func TestHotKeyMultiactiveSpeedup(t *testing.T) {
-	opts := Options{Nodes: 16, Clients: 16, Ops: 40, WritePct: 20}
+	opts := Options{Clients: 16, Ops: 40, WritePct: 20}
 
 	opts.Coverage = CoverNone
-	serial, err := Run(opts)
+	serial, err := Run(opts, abcl.WithNodes(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Coverage = CoverFull
-	full, err := Run(opts)
+	full, err := Run(opts, abcl.WithNodes(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestHotKeyMultiactiveSpeedup(t *testing.T) {
 // Partial coverage lands between serial and full: reads overlap, writes
 // still serialize the object.
 func TestHotKeyCoverageMonotonic(t *testing.T) {
-	opts := Options{Nodes: 8, Clients: 12, Ops: 25, WritePct: 20}
+	opts := Options{Clients: 12, Ops: 25, WritePct: 20}
 	var thr [3]float64
 	for i, cov := range []Coverage{CoverNone, CoverPartial, CoverFull} {
 		opts.Coverage = cov
-		res, err := Run(opts)
+		res, err := Run(opts, abcl.WithNodes(8))
 		if err != nil {
 			t.Fatalf("%v: %v", cov, err)
 		}
@@ -62,7 +62,7 @@ func TestHotKeyCoverageMonotonic(t *testing.T) {
 // Bounded reordering may only help: annotating the counter with a reorder
 // bound keeps the run exact and must not lose operations.
 func TestHotKeyReorderBound(t *testing.T) {
-	res, err := Run(Options{Nodes: 8, Clients: 8, Ops: 20, Coverage: CoverFull, Reorder: 4})
+	res, err := Run(Options{Clients: 8, Ops: 20, Coverage: CoverFull, Reorder: 4}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +74,12 @@ func TestHotKeyReorderBound(t *testing.T) {
 // Runs are a pure function of the options: repeated executions produce
 // identical virtual-time results.
 func TestHotKeyDeterminism(t *testing.T) {
-	opts := Options{Nodes: 8, Clients: 8, Ops: 20, Coverage: CoverFull}
-	a, err := Run(opts)
+	opts := Options{Clients: 8, Ops: 20, Coverage: CoverFull}
+	a, err := Run(opts, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(opts)
+	b, err := Run(opts, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,8 @@ func TestHotKeyDeterminism(t *testing.T) {
 // The workload composes with the reliable wire path: lossy links change
 // timing but not the ledger.
 func TestHotKeyLossyLinks(t *testing.T) {
-	res, err := Run(Options{
-		Nodes: 4, Clients: 6, Ops: 15, Coverage: CoverFull,
-		Faults: abcl.UniformFaults(0.05, 0.05, 0),
-	})
+	res, err := Run(Options{Clients: 6, Ops: 15, Coverage: CoverFull},
+		abcl.WithNodes(4), abcl.WithFaults(abcl.UniformFaults(0.05, 0.05, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,19 +109,6 @@ func BuildForkJoin(sys *abcl.System) *ForkJoin {
 	return fj
 }
 
-// RunForkJoin builds a system, runs a fork-join tree of the given depth on
-// the given node count, and returns the leaf count (must be 2^depth).
-func RunForkJoin(depth, nodes int, policy abcl.Policy) (int64, error) {
-	if nodes < 1 {
-		nodes = 1
-	}
-	sys, err := abcl.NewSystem(abcl.WithNodes(nodes), abcl.WithPolicy(policy))
-	if err != nil {
-		return 0, err
-	}
-	return RunForkJoinOn(sys, depth)
-}
-
 // AllToAllOptions configures the all-to-all exchange workload.
 type AllToAllOptions struct {
 	Nodes  int           // node count; one peer object per node

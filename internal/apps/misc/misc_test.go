@@ -184,7 +184,7 @@ func TestForkJoin(t *testing.T) {
 		{5, 4, 32},
 		{8, 16, 256},
 	} {
-		got, err := RunForkJoin(tc.depth, tc.nodes, abcl.StackBased)
+		got, err := RunForkJoinOn(abcl.MustNewSystem(abcl.WithNodes(tc.nodes), abcl.WithPolicy(abcl.StackBased)), tc.depth)
 		if err != nil {
 			t.Fatalf("depth=%d nodes=%d: %v", tc.depth, tc.nodes, err)
 		}
@@ -195,7 +195,7 @@ func TestForkJoin(t *testing.T) {
 }
 
 func TestForkJoinNaive(t *testing.T) {
-	got, err := RunForkJoin(6, 4, abcl.Naive)
+	got, err := RunForkJoinOn(abcl.MustNewSystem(abcl.WithNodes(4), abcl.WithPolicy(abcl.Naive)), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,37 +42,11 @@ func WorkInstr(n, factor int) int {
 	return factor * n * n / 10
 }
 
-// Options configures a parallel N-queens run.
+// Options are the program's own parameters; the machine it runs on is
+// described by the abcl options passed alongside.
 type Options struct {
 	N          int // board size
-	Nodes      int // processor count
-	Policy     abcl.Policy
-	Placement  abcl.Placement // default: random (for load balance)
-	Seed       int64
-	StockDepth int // -1 disables the chunk stock
 	WorkFactor int // tenths of instructions per N^2; 0 = DefaultWorkFactor
-	MaxDepth   int // stack-depth bound; 0 = runtime default
-	Faults     abcl.FaultPlan
-
-	// Wire-path options: per-link packet batching, the reliable protocol
-	// and delayed (coalesced) acks. Zero values leave them all off.
-	BatchWindow   sim.Time
-	BatchMaxBytes int
-	Reliable      bool
-	AckDelay      sim.Time
-
-	// CheckpointInterval, when positive, enables periodic coordinated
-	// checkpoints (crashes in Faults restart from the latest one).
-	CheckpointInterval sim.Time
-
-	// Profile, when non-nil, enables the cost-attribution profiler; the
-	// report lands in Result.Report.Profile.
-	Profile *abcl.ProfileOptions
-	// Observer, when non-nil, receives every runtime event (abcl.WithObserver).
-	Observer abcl.Sink
-	// Extra system options appended after everything above (parallel
-	// execution, location-cache control, ...). Later options win.
-	Extra []abcl.Option
 }
 
 // Result reports one parallel run.
@@ -87,60 +61,17 @@ type Result struct {
 	MemoryBytes uint64 // modelled heap usage (objects + message frames)
 	Packets     uint64 // hardware packets launched
 	Stats       stats.Counters
-	Report      abcl.Report // grouped snapshot; Profile section set when Options.Profile was given
+	Report      abcl.Report // grouped snapshot; Profile section set under abcl.WithProfiler
 }
 
-// Run executes a parallel N-queens search and returns its result.
-func Run(opt Options) (Result, error) {
+// Run executes a parallel N-queens search on a system built from opts and
+// returns its result. Placement defaults to random, for load balance; a
+// WithPlacement among opts overrides it.
+func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	if opt.N < 1 {
 		return Result{}, fmt.Errorf("nqueens: N must be >= 1, got %d", opt.N)
 	}
-	if opt.Nodes < 1 {
-		opt.Nodes = 1
-	}
-	placement := opt.Placement
-	if placement == nil {
-		placement = abcl.PlaceRandom
-	}
-	opts := []abcl.Option{abcl.WithNodes(opt.Nodes), abcl.WithPlacement(placement)}
-	if opt.Policy != abcl.StackBased {
-		opts = append(opts, abcl.WithPolicy(opt.Policy))
-	}
-	if opt.Seed != 0 {
-		opts = append(opts, abcl.WithSeed(opt.Seed))
-	}
-	switch {
-	case opt.StockDepth < 0:
-		opts = append(opts, abcl.WithoutChunkStock())
-	case opt.StockDepth > 0:
-		opts = append(opts, abcl.WithChunkStock(opt.StockDepth))
-	}
-	if opt.MaxDepth > 0 {
-		opts = append(opts, abcl.WithMaxStackDepth(opt.MaxDepth))
-	}
-	if opt.Faults.Enabled() {
-		opts = append(opts, abcl.WithFaults(opt.Faults))
-	}
-	if opt.BatchWindow > 0 {
-		opts = append(opts, abcl.WithBatching(opt.BatchWindow, opt.BatchMaxBytes))
-	}
-	if opt.Reliable {
-		opts = append(opts, abcl.WithReliable())
-	}
-	if opt.AckDelay > 0 {
-		opts = append(opts, abcl.WithDelayedAcks(opt.AckDelay))
-	}
-	if opt.CheckpointInterval > 0 {
-		opts = append(opts, abcl.WithCheckpoint(opt.CheckpointInterval))
-	}
-	if opt.Profile != nil {
-		opts = append(opts, abcl.WithProfiler(*opt.Profile))
-	}
-	if opt.Observer != nil {
-		opts = append(opts, abcl.WithObserver(opt.Observer))
-	}
-	opts = append(opts, opt.Extra...)
-	sys, err := abcl.NewSystem(opts...)
+	sys, err := abcl.NewSystem(append([]abcl.Option{abcl.WithPlacement(abcl.PlaceRandom)}, opts...)...)
 	if err != nil {
 		return Result{}, err
 	}

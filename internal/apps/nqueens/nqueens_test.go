@@ -87,7 +87,7 @@ func TestValidColumnsAgainstBruteForce(t *testing.T) {
 
 func TestParallelMatchesSequentialSmall(t *testing.T) {
 	for n := 1; n <= 8; n++ {
-		res, err := Run(Options{N: n, Nodes: 4, Seed: 3})
+		res, err := Run(Options{N: n}, abcl.WithNodes(4), abcl.WithSeed(3))
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -103,7 +103,7 @@ func TestParallelMatchesSequentialSmall(t *testing.T) {
 
 func TestParallelTable4Counts(t *testing.T) {
 	// Table 4's N=8 column: 92 solutions, 2,056 creations, ~4,104 messages.
-	res, err := Run(Options{N: 8, Nodes: 64, Seed: 1})
+	res, err := Run(Options{N: 8}, abcl.WithNodes(64), abcl.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestParallelTable4Counts(t *testing.T) {
 }
 
 func TestParallelSingleNode(t *testing.T) {
-	res, err := Run(Options{N: 6, Nodes: 1, Seed: 1})
+	res, err := Run(Options{N: 6}, abcl.WithNodes(1), abcl.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestParallelSingleNode(t *testing.T) {
 
 func TestParallelDeterminism(t *testing.T) {
 	run := func() Result {
-		res, err := Run(Options{N: 7, Nodes: 8, Seed: 5})
+		res, err := Run(Options{N: 7}, abcl.WithNodes(8), abcl.WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +149,11 @@ func TestParallelDeterminism(t *testing.T) {
 func TestSpeedupImprovesWithNodes(t *testing.T) {
 	// Figure 5's premise: more nodes, shorter makespan (for a problem with
 	// enough parallelism).
-	t1, err := Run(Options{N: 9, Nodes: 1, Seed: 1})
+	t1, err := Run(Options{N: 9}, abcl.WithNodes(1), abcl.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := Run(Options{N: 9, Nodes: 16, Seed: 1})
+	t16, err := Run(Options{N: 9}, abcl.WithNodes(16), abcl.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestSpeedupImprovesWithNodes(t *testing.T) {
 func TestStackBeatsNaive(t *testing.T) {
 	// Figure 6's premise: stack-based scheduling outperforms naive
 	// always-queue scheduling on the same program.
-	st, err := Run(Options{N: 8, Nodes: 16, Seed: 1, Policy: abcl.StackBased})
+	st, err := Run(Options{N: 8}, abcl.WithNodes(16), abcl.WithSeed(1), abcl.WithPolicy(abcl.StackBased))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := Run(Options{N: 8, Nodes: 16, Seed: 1, Policy: abcl.Naive})
+	nv, err := Run(Options{N: 8}, abcl.WithNodes(16), abcl.WithSeed(1), abcl.WithPolicy(abcl.Naive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStackBeatsNaive(t *testing.T) {
 func TestDormantFraction(t *testing.T) {
 	// Section 6.3: "approximately 75% of local messages are sent to dormant
 	// mode objects" in the N-queens programs.
-	res, err := Run(Options{N: 9, Nodes: 8, Seed: 1})
+	res, err := Run(Options{N: 9}, abcl.WithNodes(8), abcl.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestWorkInstr(t *testing.T) {
 }
 
 func TestStockDisabledStillCorrect(t *testing.T) {
-	res, err := Run(Options{N: 7, Nodes: 8, Seed: 1, StockDepth: -1})
+	res, err := Run(Options{N: 7}, abcl.WithNodes(8), abcl.WithSeed(1), abcl.WithoutChunkStock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPlacementPoliciesAllCorrect(t *testing.T) {
 		abcl.PlaceRoundRobin, abcl.PlaceRandom, abcl.PlaceLocal,
 		abcl.PlaceLoadBased, abcl.PlaceDepthLocal,
 	} {
-		res, err := Run(Options{N: 7, Nodes: 8, Seed: 2, Placement: p})
+		res, err := Run(Options{N: 7}, abcl.WithNodes(8), abcl.WithSeed(2), abcl.WithPlacement(p))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}

@@ -24,9 +24,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Options configures a run.
+// Options are the workload's own parameters; the machine it runs on is
+// described by the abcl options passed alongside (>= 2 nodes: the book sits
+// on node 0, one audit-log shard on every other node).
 type Options struct {
-	Nodes    int // processor count (>= 2: book on node 0, audit log remote)
 	Accounts int // balances held by the book (default 8)
 	Clients  int // closed-loop client objects
 	Ops      int // operations per client
@@ -37,13 +38,6 @@ type Options struct {
 	DepositPct  int
 	Grouped     bool // declare the compatibility groups (false = fully serial book)
 	Reorder     int  // bounded-reordering annotation (0 = strict)
-	Seed        int64
-
-	// Profile, when non-nil, attaches the cost-attribution profiler.
-	Profile *abcl.ProfileOptions
-	// Extra system options appended after everything above (an observer
-	// sink, the parallel executor, ...). Later options win.
-	Extra []abcl.Option
 }
 
 // Result reports a run.
@@ -64,11 +58,9 @@ type Result struct {
 
 const initialBalance = 1000
 
-// Run executes the workload and returns the result.
-func Run(opt Options) (Result, error) {
-	if opt.Nodes < 2 {
-		return Result{}, fmt.Errorf("orderbook: need >= 2 nodes, got %d", opt.Nodes)
-	}
+// Run executes the workload on a system built from opts and returns the
+// result.
+func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	if opt.Clients < 1 || opt.Ops < 1 {
 		return Result{}, fmt.Errorf("orderbook: clients and ops must be >= 1")
 	}
@@ -88,17 +80,13 @@ func Run(opt Options) (Result, error) {
 		return Result{}, fmt.Errorf("orderbook: transfer%%+deposit%% = %d > 100", transferPct+depositPct)
 	}
 
-	opts := []abcl.Option{abcl.WithNodes(opt.Nodes)}
-	if opt.Seed != 0 {
-		opts = append(opts, abcl.WithSeed(opt.Seed))
-	}
-	if opt.Profile != nil {
-		opts = append(opts, abcl.WithProfiler(*opt.Profile))
-	}
-	opts = append(opts, opt.Extra...)
 	sys, err := abcl.NewSystem(opts...)
 	if err != nil {
 		return Result{}, err
+	}
+	nodes := sys.Nodes()
+	if nodes < 2 {
+		return Result{}, fmt.Errorf("orderbook: need >= 2 nodes, got %d", nodes)
 	}
 
 	balance := sys.Pattern("ob.balance", 1)   // acct
@@ -118,7 +106,7 @@ func Run(opt Options) (Result, error) {
 			auditLen++
 			ctx.Reply(abcl.Int(0))
 		})
-	logs := make([]abcl.Address, opt.Nodes-1)
+	logs := make([]abcl.Address, nodes-1)
 	for i := range logs {
 		logs[i] = sys.NewObjectOn(i+1, audit)
 	}
@@ -233,7 +221,7 @@ func Run(opt Options) (Result, error) {
 	collector = sys.NewObjectOn(0, coll)
 
 	for ci := 0; ci < opt.Clients; ci++ {
-		node := 1 + ci%(opt.Nodes-1)
+		node := 1 + ci%(nodes-1)
 		c := sys.NewObjectOn(node, client, abcl.Int(int64(ci)))
 		sys.Send(c, step, abcl.Int(int64(opt.Ops)))
 	}

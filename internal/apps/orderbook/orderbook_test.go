@@ -1,13 +1,17 @@
 package orderbook
 
-import "testing"
+import (
+	"testing"
+
+	abcl "repro"
+)
 
 // Funds are conserved and the audit trail is complete whether or not the
 // book is annotated; the grouped run overlaps compatible operations while
 // transfers stay exclusive (a violated exclusion panics inside the method).
 func TestOrderBookConservation(t *testing.T) {
 	for _, grouped := range []bool{false, true} {
-		res, err := Run(Options{Nodes: 8, Clients: 12, Ops: 30, Grouped: grouped})
+		res, err := Run(Options{Clients: 12, Ops: 30, Grouped: grouped}, abcl.WithNodes(8))
 		if err != nil {
 			t.Fatalf("grouped=%v: %v", grouped, err)
 		}
@@ -29,11 +33,11 @@ func TestOrderBookConservation(t *testing.T) {
 // Both runs execute the identical operation stream, so the op breakdown
 // must match exactly; only the schedule (and throughput) may differ.
 func TestOrderBookGroupingSpeedsUp(t *testing.T) {
-	serial, err := Run(Options{Nodes: 8, Clients: 12, Ops: 30, Grouped: false})
+	serial, err := Run(Options{Clients: 12, Ops: 30, Grouped: false}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := Run(Options{Nodes: 8, Clients: 12, Ops: 30, Grouped: true})
+	grouped, err := Run(Options{Clients: 12, Ops: 30, Grouped: true}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +55,7 @@ func TestOrderBookGroupingSpeedsUp(t *testing.T) {
 }
 
 func TestOrderBookReorderBound(t *testing.T) {
-	res, err := Run(Options{Nodes: 4, Clients: 6, Ops: 20, Grouped: true, Reorder: 2})
+	res, err := Run(Options{Clients: 6, Ops: 20, Grouped: true, Reorder: 2}, abcl.WithNodes(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,10 +191,8 @@ type PathCost struct {
 // attribution. The profiler only observes, so the run's virtual-time results
 // equal an unprofiled run with the same seed.
 func PathBreakdown(n, nodes int, seed int64) (PathCost, error) {
-	res, err := nqueens.Run(nqueens.Options{
-		N: n, Nodes: nodes, Seed: seed,
-		Profile: &abcl.ProfileOptions{Classes: true},
-	})
+	res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(nodes), abcl.WithSeed(seed),
+		abcl.WithProfiler(abcl.ProfileOptions{Classes: true}))
 	if err != nil {
 		return PathCost{}, fmt.Errorf("exp: path breakdown N=%d P=%d: %w", n, nodes, err)
 	}
@@ -222,7 +220,7 @@ func Figure5(ns, procs []int, seed int64) ([]SpeedupPoint, error) {
 	out := make([]SpeedupPoint, len(ns)*len(procs))
 	err := forEachIndexed(len(out), func(i int) error {
 		n, p := ns[i/len(procs)], procs[i%len(procs)]
-		res, err := nqueens.Run(nqueens.Options{N: n, Nodes: p, Seed: seed})
+		res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(p), abcl.WithSeed(seed))
 		if err != nil {
 			return fmt.Errorf("exp: figure 5 N=%d P=%d: %w", n, p, err)
 		}
@@ -257,11 +255,11 @@ func Figure6(ns []int, procs int, seed int64) ([]Figure6Row, error) {
 	out := make([]Figure6Row, len(ns))
 	err := forEachIndexed(len(ns), func(i int) error {
 		n := ns[i]
-		st, err := nqueens.Run(nqueens.Options{N: n, Nodes: procs, Seed: seed, Policy: abcl.StackBased})
+		st, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(procs), abcl.WithSeed(seed), abcl.WithPolicy(abcl.StackBased))
 		if err != nil {
 			return fmt.Errorf("exp: figure 6 N=%d stack: %w", n, err)
 		}
-		nv, err := nqueens.Run(nqueens.Options{N: n, Nodes: procs, Seed: seed, Policy: abcl.Naive})
+		nv, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(procs), abcl.WithSeed(seed), abcl.WithPolicy(abcl.Naive))
 		if err != nil {
 			return fmt.Errorf("exp: figure 6 N=%d naive: %w", n, err)
 		}

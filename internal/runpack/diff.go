@@ -43,7 +43,7 @@ func (d CostDelta) String() string {
 // Diff compares two opened packs.
 func Diff(a, b *Pack) *DiffResult {
 	d := &DiffResult{Identical: a.Manifest.ID == b.Manifest.ID}
-	d.ConfigDeltas = configDeltas(a.Config, b.Config)
+	d.ConfigDeltas = configDeltas(a, b)
 	var da, db reportDoc
 	json.Unmarshal(a.ReportJSON, &da)
 	json.Unmarshal(b.ReportJSON, &db)
@@ -56,7 +56,7 @@ func Diff(a, b *Pack) *DiffResult {
 
 // configDeltas compares the two configs field by field through their JSON
 // form (scenario specs compare as embedded documents).
-func configDeltas(a, b RunConfig) []string {
+func configDeltas(a, b *Pack) []string {
 	am, bm := configMap(a), configMap(b)
 	keys := make(map[string]bool)
 	for k := range am {
@@ -80,12 +80,12 @@ func configDeltas(a, b RunConfig) []string {
 	return out
 }
 
-func configMap(c RunConfig) map[string]any {
-	b, _ := json.Marshal(c)
+func configMap(p *Pack) map[string]any {
+	b, _ := json.Marshal(p.Config)
 	m := map[string]any{}
 	json.Unmarshal(b, &m)
-	if c.Scenario != nil {
-		sb, _ := json.Marshal(c.Scenario)
+	if p.Scenario != nil {
+		sb, _ := json.Marshal(p.Scenario)
 		var sv any
 		json.Unmarshal(sb, &sv)
 		m["scenario"] = sv

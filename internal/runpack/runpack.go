@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"repro/internal/scenario"
+	"repro/internal/workload"
 )
 
 // Format identifies the archive layout; bump on incompatible changes.
@@ -51,124 +52,36 @@ const (
 	SecReport   = "report.json"
 )
 
-// Crash mirrors abcl.NodeCrash in JSON-friendly form.
-type Crash struct {
-	Node           int   `json:"node"`
-	AtNs           int64 `json:"at_ns"`
-	RestartAfterNs int64 `json:"restart_after_ns"`
-}
-
-// RunConfig is the complete, replayable configuration of one run: together
-// with the runtime's determinism guarantee (same seed ⇒ byte-identical
-// traces) it pins every byte of the packed trace and report. Field
-// conventions follow the abclsim flags: zero values select the workload
-// defaults, Stock -1 disables the chunk stock.
-type RunConfig struct {
-	Workload  string `json:"workload"`
-	Nodes     int    `json:"nodes,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-	Policy    string `json:"policy,omitempty"`    // "" | "stack" | "naive"
-	Placement string `json:"placement,omitempty"` // "" | "random" | "rr" | "local" | "load" | "depth"
-	Stock     int    `json:"stock,omitempty"`     // chunk-stock depth; -1 disables
-
-	// Workload parameters (each workload reads its own).
-	N         int    `json:"n,omitempty"`          // nqueens board size
-	Depth     int    `json:"depth,omitempty"`      // forkjoin tree depth
-	Grid      int    `json:"grid,omitempty"`       // diffusion grid edge
-	GridIters int    `json:"grid_iters,omitempty"` // diffusion iterations
-	Scatter   bool   `json:"scatter,omitempty"`    // diffusion: scatter placement (default block)
-	Iters     int    `json:"iters,omitempty"`      // pingpong iterations
-	Clients   int    `json:"clients,omitempty"`    // hotkey/orderbook clients
-	Ops       int    `json:"ops,omitempty"`        // hotkey/orderbook ops per client
-	WritePct  int    `json:"write_pct,omitempty"`  // hotkey write percentage
-	Coverage  string `json:"coverage,omitempty"`   // hotkey: none | partial | full
-	Ungrouped bool   `json:"ungrouped,omitempty"`  // orderbook: drop the compatibility groups
-	Reorder   int    `json:"reorder,omitempty"`    // bounded-reordering annotation
-
-	// Fault schedule.
-	Drop     float64 `json:"drop,omitempty"`
-	Dup      float64 `json:"dup,omitempty"`
-	JitterNs int64   `json:"jitter_ns,omitempty"`
-	Crashes  []Crash `json:"crashes,omitempty"`
-
-	// Wire-path, recovery and execution options.
-	BatchWindowNs  int64 `json:"batch_window_ns,omitempty"`
-	BatchBytes     int   `json:"batch_bytes,omitempty"`
-	AckDelayNs     int64 `json:"ack_delay_ns,omitempty"`
-	Reliable       bool  `json:"reliable,omitempty"`
-	NoLocCache     bool  `json:"no_loc_cache,omitempty"`
-	CkptIntervalNs int64 `json:"checkpoint_interval_ns,omitempty"`
-	// Executor selects a parallel engine to cross-check at pack time:
-	// "conservative" (with Workers lanes) re-runs the configuration on
-	// that executor and compares its Report against the instrumented
-	// sequential run. The trace itself is always captured sequentially —
-	// parallel windows have no single global interleaving to observe. ""
-	// or "sequential" packs without a cross-check.
-	Executor string `json:"executor,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	// ProfileWindowNs slices the packed profile into a time series.
-	ProfileWindowNs int64 `json:"profile_window_ns,omitempty"`
-
-	// Scenario is the embedded spec when Workload == "scenario"; it is
-	// stored in its own archive section, not inside config.json.
-	Scenario *scenario.Spec `json:"-"`
-}
-
-// ParallelConfigured reports whether the pack cross-checks the parallel
-// executor at build and verify time.
-func (c RunConfig) ParallelConfigured() bool {
-	return c.Executor == "conservative" && c.Workers > 1
-}
-
-// Validate rejects configurations Execute cannot replay.
-func (c RunConfig) Validate() error {
+// validate rejects configurations Execute cannot replay. sc is the embedded
+// spec of a scenario pack and nil for every other workload.
+func validate(cfg workload.Spec, sc *scenario.Spec) error {
 	var errs []error
-	parallel := c.ParallelConfigured()
-	switch c.Workload {
-	case "nqueens", "pingpong", "forkjoin", "diffusion", "hotkey", "orderbook":
-		if c.Scenario != nil {
-			errs = append(errs, fmt.Errorf("runpack: workload %q must not embed a scenario spec", c.Workload))
-		}
-	case "scenario":
-		if c.Scenario == nil {
+	parallel := cfg.ParallelConfigured()
+	if cfg.Workload == "scenario" {
+		// The scenario's own spec names the program; cfg contributes only
+		// its setting names, which must still be known ones.
+		_, err := cfg.Options()
+		errs = append(errs, err)
+		if sc == nil {
 			errs = append(errs, fmt.Errorf("runpack: scenario workload needs an embedded spec"))
 		} else {
-			if err := c.Scenario.Validate(); err != nil {
-				errs = append(errs, err)
-			}
-			if c.Scenario.ParallelConfigured() {
+			errs = append(errs, sc.Validate())
+			if sc.ParallelConfigured() {
 				errs = append(errs, fmt.Errorf("runpack: scenario packs run sequentially (drop the spec's executor)"))
 			}
 		}
 		if parallel {
 			errs = append(errs, fmt.Errorf("runpack: scenario packs run sequentially (drop the executor)"))
 		}
-	default:
-		errs = append(errs, fmt.Errorf("runpack: unknown workload %q", c.Workload))
+		return errors.Join(errs...)
 	}
-	switch c.Executor {
-	case "", "sequential", "conservative":
-	default:
-		errs = append(errs, fmt.Errorf("runpack: unknown executor %q", c.Executor))
+	errs = append(errs, cfg.Validate())
+	if sc != nil {
+		errs = append(errs, fmt.Errorf("runpack: workload %q must not embed a scenario spec", cfg.Workload))
 	}
-	if c.Workers > 1 && (c.Executor == "" || c.Executor == "sequential") {
-		errs = append(errs, fmt.Errorf("runpack: workers requires a parallel executor"))
-	}
-	if c.Workload == "pingpong" && parallel {
-		errs = append(errs, fmt.Errorf("runpack: pingpong packs run sequentially (drop the executor)"))
-	}
-	if parallel && (c.CkptIntervalNs > 0 || len(c.Crashes) > 0) {
-		errs = append(errs, fmt.Errorf("runpack: the conservative executor is incompatible with checkpoints and crash faults"))
-	}
-	switch c.Policy {
-	case "", "stack", "naive":
-	default:
-		errs = append(errs, fmt.Errorf("runpack: unknown policy %q", c.Policy))
-	}
-	switch c.Placement {
-	case "", "random", "rr", "local", "load", "depth":
-	default:
-		errs = append(errs, fmt.Errorf("runpack: unknown placement %q", c.Placement))
+	// An app on machines of its own has no system report to cross-check.
+	if parallel && workload.OwnMachines(cfg.Workload) {
+		errs = append(errs, fmt.Errorf("runpack: %s packs run sequentially (drop the executor)", cfg.Workload))
 	}
 	return errors.Join(errs...)
 }
@@ -201,7 +114,10 @@ type Manifest struct {
 // Pack is one archive, opened or freshly built.
 type Pack struct {
 	Manifest Manifest
-	Config   RunConfig
+	Config   workload.Spec
+	// Scenario is the embedded spec when Config.Workload == "scenario"; it
+	// is stored in its own archive section, not inside config.json.
+	Scenario *scenario.Spec
 	// TraceJSONL is the full runtime event stream (one JSON object per
 	// line); ReportJSON the canonical report document (see ExecResult);
 	// ProfileJSONL the profile series derived from the report.
@@ -227,8 +143,8 @@ func (p *Pack) sections() (map[string][]byte, error) {
 		SecProfile: p.ProfileJSONL,
 		SecReport:  p.ReportJSON,
 	}
-	if p.Config.Scenario != nil {
-		sp, err := json.MarshalIndent(p.Config.Scenario, "", "  ")
+	if p.Scenario != nil {
+		sp, err := json.MarshalIndent(p.Scenario, "", "  ")
 		if err != nil {
 			return nil, err
 		}
@@ -390,8 +306,8 @@ func Open(path string) (*Pack, error) {
 		return nil, fmt.Errorf("runpack %s: %s: %w", path, SecConfig, err)
 	}
 	if sp, ok := raw[SecScenario]; ok {
-		p.Config.Scenario = &scenario.Spec{}
-		if err := decodeStrict(sp, p.Config.Scenario); err != nil {
+		p.Scenario = &scenario.Spec{}
+		if err := decodeStrict(sp, p.Scenario); err != nil {
 			return nil, fmt.Errorf("runpack %s: %s: %w", path, SecScenario, err)
 		}
 	}
@@ -411,9 +327,10 @@ func Open(path string) (*Pack, error) {
 }
 
 // Build assembles a sealed pack from a configuration and its execution.
-func Build(cfg RunConfig, res *ExecResult) (*Pack, error) {
+func Build(cfg workload.Spec, sc *scenario.Spec, res *ExecResult) (*Pack, error) {
 	p := &Pack{
 		Config:       cfg,
+		Scenario:     sc,
 		TraceJSONL:   res.Trace,
 		ReportJSON:   res.ReportJSON,
 		ProfileJSONL: res.ProfileJSONL(),
@@ -423,14 +340,15 @@ func Build(cfg RunConfig, res *ExecResult) (*Pack, error) {
 	return p, p.seal()
 }
 
-// Create executes the configuration and writes its archive; the final path
-// and the sealed pack are returned.
-func Create(cfg RunConfig, path string) (*Pack, string, error) {
-	res, err := Execute(cfg)
+// Create executes the configuration (with its embedded spec, for a scenario
+// pack) and writes its archive; the final path and the sealed pack are
+// returned.
+func Create(cfg workload.Spec, sc *scenario.Spec, path string) (*Pack, string, error) {
+	res, err := Execute(cfg, sc)
 	if err != nil {
 		return nil, "", err
 	}
-	p, err := Build(cfg, res)
+	p, err := Build(cfg, sc, res)
 	if err != nil {
 		return nil, "", err
 	}

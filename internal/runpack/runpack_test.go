@@ -10,12 +10,20 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/workload"
 )
+
+// packCase is one packable configuration: the run spec plus, for a scenario
+// pack, its embedded spec.
+type packCase struct {
+	cfg workload.Spec
+	sc  *scenario.Spec
+}
 
 // testConfigs are the acceptance matrix: a fault-free workload, a lossy
 // batched scenario, a crash-recovery scenario and a conservative-executor
 // run.
-func testConfigs(t *testing.T) map[string]RunConfig {
+func testConfigs(t *testing.T) map[string]packCase {
 	t.Helper()
 	lossy, err := scenario.Find("nqueens-lossy-batched")
 	if err != nil {
@@ -25,11 +33,11 @@ func testConfigs(t *testing.T) map[string]RunConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]RunConfig{
-		"nqueens-plain":  {Workload: "nqueens", N: 6, Nodes: 8, Seed: 1},
-		"scenario-lossy": {Workload: "scenario", Scenario: &lossy},
-		"scenario-crash": {Workload: "scenario", Scenario: &crash},
-		"hotkey-cons":    {Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, Executor: "conservative", Workers: 4},
+	return map[string]packCase{
+		"nqueens-plain":  {cfg: workload.Spec{Workload: "nqueens", N: 6, Nodes: 8, Seed: 1}},
+		"scenario-lossy": {workload.Spec{Workload: "scenario"}, &lossy},
+		"scenario-crash": {workload.Spec{Workload: "scenario"}, &crash},
+		"hotkey-cons":    {cfg: workload.Spec{Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, Executor: "conservative", Workers: 4}},
 	}
 }
 
@@ -38,12 +46,12 @@ func testConfigs(t *testing.T) map[string]RunConfig {
 // and answer byte-for-byte. Packing the same configuration twice must also
 // produce byte-identical archives (deterministic zip output).
 func TestRoundTrip(t *testing.T) {
-	for name, cfg := range testConfigs(t) {
-		cfg := cfg
+	for name, pc := range testConfigs(t) {
+		cfg, sc := pc.cfg, pc.sc
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			p, path, err := Create(cfg, dir)
+			p, path, err := Create(cfg, sc, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +78,7 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("verify failed: %v", v.Mismatches)
 			}
 			// Determinism: a second pack of the same config is byte-identical.
-			_, path2, err := Create(cfg, filepath.Join(dir, "again"))
+			_, path2, err := Create(cfg, sc, filepath.Join(dir, "again"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,12 +101,12 @@ func TestRoundTrip(t *testing.T) {
 // manifest, so the archive itself stays intact) and asserts Verify fails
 // naming exactly the perturbed event.
 func TestVerifyNamesFirstDivergentEvent(t *testing.T) {
-	cfg := RunConfig{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}
-	res, err := Execute(cfg)
+	cfg := workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}
+	res, err := Execute(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(cfg, res)
+	p, err := Build(cfg, nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +155,10 @@ func TestOpenRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := RunConfig{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}
+	plain := packCase{cfg: workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}}
 	cases := []struct {
 		name     string
-		cfg      RunConfig
+		pc       packCase
 		section  string
 		old, new string
 		resum    bool
@@ -159,11 +167,11 @@ func TestOpenRejectsTampering(t *testing.T) {
 		{"stale sum", plain, SecTrace, `"at":`, `"at":7`, false, "integrity"},
 		{"misspelt config key", plain, SecConfig, `"seed"`, `"checkpoint_interval": 500000, "seed"`, true, `config.json: json: unknown field "checkpoint_interval"`},
 		{"removed config key", plain, SecConfig, `"seed"`, `"parallel_sim": 4, "seed"`, true, `config.json: json: unknown field "parallel_sim"`},
-		{"removed scenario key", RunConfig{Workload: "scenario", Scenario: &lossy}, SecScenario,
+		{"removed scenario key", packCase{workload.Spec{Workload: "scenario"}, &lossy}, SecScenario,
 			`"name"`, `"optimistic_window_ns": 9, "name"`, true, `scenario.json: json: unknown field "optimistic_window_ns"`},
 	}
 	for _, tc := range cases {
-		_, path, err := Create(tc.cfg, t.TempDir())
+		_, path, err := Create(tc.pc.cfg, tc.pc.sc, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,11 +238,11 @@ func TestOpenRejectsTampering(t *testing.T) {
 // diff reports the config delta and a first divergent trace event.
 func TestDiff(t *testing.T) {
 	dir := t.TempDir()
-	a, _, err := Create(RunConfig{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}, dir)
+	a, _, err := Create(workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}, nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Create(RunConfig{Workload: "nqueens", N: 6, Nodes: 4, Seed: 1}, filepath.Join(dir, "b"))
+	b, _, err := Create(workload.Spec{Workload: "nqueens", N: 6, Nodes: 4, Seed: 1}, nil, filepath.Join(dir, "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +278,8 @@ func TestDiff(t *testing.T) {
 // pack fails the run and is named in the error.
 func TestRegress(t *testing.T) {
 	dir := t.TempDir()
-	cfg := RunConfig{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}
-	if _, _, err := Create(cfg, dir); err != nil {
+	cfg := workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}
+	if _, _, err := Create(cfg, nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
@@ -283,11 +291,11 @@ func TestRegress(t *testing.T) {
 	}
 
 	// Add a perturbed-but-resealed pack: it opens fine but fails Verify.
-	res, err := Execute(cfg)
+	res, err := Execute(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(cfg, res)
+	p, err := Build(cfg, nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,23 +317,25 @@ func TestRegress(t *testing.T) {
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  RunConfig
+		cfg  workload.Spec
+		sc   *scenario.Spec
 		want string
 	}{
-		{"unknown workload", RunConfig{Workload: "quicksort"}, "unknown workload"},
-		{"scenario without spec", RunConfig{Workload: "scenario"}, "needs an embedded spec"},
-		{"spec outside scenario", RunConfig{Workload: "nqueens", Scenario: &scenario.Spec{}}, "must not embed"},
-		{"parallel pingpong", RunConfig{Workload: "pingpong", Executor: "conservative", Workers: 4}, "sequentially"},
-		{"parallel crash", RunConfig{Workload: "nqueens", Executor: "conservative", Workers: 4, Crashes: []Crash{{Node: 1, AtNs: 5, RestartAfterNs: 5}}}, "incompatible with checkpoints"},
-		{"conservative ckpt", RunConfig{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}, "incompatible with checkpoints"},
-		{"unknown executor", RunConfig{Workload: "nqueens", Executor: "timewarp", Workers: 4}, "unknown executor"},
-		{"removed executor", RunConfig{Workload: "nqueens", Executor: "optimistic", Workers: 4}, "unknown executor"},
-		{"workers sequential", RunConfig{Workload: "nqueens", Workers: 4}, "requires a parallel executor"},
-		{"bad policy", RunConfig{Workload: "nqueens", Policy: "fifo"}, "unknown policy"},
-		{"bad placement", RunConfig{Workload: "nqueens", Placement: "hash"}, "unknown placement"},
+		{"unknown workload", workload.Spec{Workload: "quicksort"}, nil, "unknown workload"},
+		{"scenario without spec", workload.Spec{Workload: "scenario"}, nil, "needs an embedded spec"},
+		{"spec outside scenario", workload.Spec{Workload: "nqueens"}, &scenario.Spec{}, "must not embed"},
+		{"parallel pingpong", workload.Spec{Workload: "pingpong", Executor: "conservative", Workers: 4}, nil, "sequentially"},
+		{"parallel crash", workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, Crashes: []workload.Crash{{Node: 1, AtNs: 5, RestartAfterNs: 5}}}, nil, "incompatible with checkpoints"},
+		{"conservative ckpt", workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}, nil, "incompatible with checkpoints"},
+		{"unknown executor", workload.Spec{Workload: "nqueens", Executor: "timewarp", Workers: 4}, nil, "unknown executor"},
+		{"removed executor", workload.Spec{Workload: "nqueens", Executor: "optimistic", Workers: 4}, nil, "unknown executor"},
+		{"workers sequential", workload.Spec{Workload: "nqueens", Workers: 4}, nil, "requires a parallel executor"},
+		{"bad policy", workload.Spec{Workload: "nqueens", Policy: "fifo"}, nil, "unknown policy"},
+		{"bad placement", workload.Spec{Workload: "nqueens", Placement: "hash"}, nil, "unknown placement"},
+		{"bad scenario-pack placement", workload.Spec{Workload: "scenario", Placement: "hash"}, &scenario.Spec{Name: "x", Workload: "forkjoin", Nodes: 2}, "unknown placement"},
 	}
 	for _, tc := range cases {
-		err := tc.cfg.Validate()
+		err := validate(tc.cfg, tc.sc)
 		if err == nil {
 			t.Errorf("%s: want error", tc.name)
 			continue

@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,13 +24,9 @@ import (
 	"sort"
 
 	abcl "repro"
-	"repro/internal/apps/diffusion"
-	"repro/internal/apps/hotkey"
-	"repro/internal/apps/misc"
-	"repro/internal/apps/nqueens"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Link is one link-fault rule. Src/Dst -1 — the default when omitted —
@@ -139,7 +136,7 @@ type Assert struct {
 // Spec is one declarative scenario.
 type Spec struct {
 	Name     string `json:"name"`
-	Workload string `json:"workload"` // nqueens | forkjoin | diffusion | hotkey
+	Workload string `json:"workload"` // any app of internal/workload that runs on the spec's machine
 	Nodes    int    `json:"nodes"`
 	Seed     int64  `json:"seed,omitempty"`
 
@@ -204,29 +201,14 @@ func (sp Spec) Validate() error {
 	if sp.Nodes < 1 {
 		errs = append(errs, fmt.Errorf("scenario %s: nodes must be >= 1", name))
 	}
-	switch sp.Workload {
-	case "nqueens", "forkjoin", "diffusion":
-	case "hotkey":
-		if sp.Nodes < 2 {
-			errs = append(errs, fmt.Errorf("scenario %s: hotkey needs >= 2 nodes", name))
-		}
-		if sp.Coverage != "" {
-			if _, err := hotkey.ParseCoverage(sp.Coverage); err != nil {
-				errs = append(errs, fmt.Errorf("scenario %s: %w", name, err))
-			}
-		}
-	default:
-		errs = append(errs, fmt.Errorf("scenario %s: unknown workload %q", name, sp.Workload))
+	// Workload name, app parameters and executor are the run spec's to judge.
+	if err := sp.runSpec().Validate(); err != nil {
+		errs = append(errs, fmt.Errorf("scenario %s: %w", name, err))
 	}
-	switch sp.Executor {
-	case "", "sequential", "conservative":
-	default:
-		errs = append(errs, fmt.Errorf("scenario %s: unknown executor %q", name, sp.Executor))
+	if workload.OwnMachines(sp.Workload) {
+		errs = append(errs, fmt.Errorf("scenario %s: workload %q builds its own machines, which no fault plan reaches", name, sp.Workload))
 	}
-	if sp.Workers > 1 && (sp.Executor == "" || sp.Executor == "sequential") {
-		errs = append(errs, fmt.Errorf("scenario %s: workers requires a parallel executor", name))
-	}
-	if sp.ParallelConfigured() && (sp.CheckpointIntervalNs > 0 || len(sp.Faults.Crashes) > 0) {
+	if sp.ParallelConfigured() && len(sp.Faults.Crashes) > 0 {
 		errs = append(errs, fmt.Errorf("scenario %s: the conservative executor is incompatible with checkpoints and crash faults", name))
 	}
 	// The fault schedule is only checkable against a sane fleet size; with
@@ -243,7 +225,6 @@ func (sp Spec) Validate() error {
 type RunResult struct {
 	Answer  string // canonical workload answer, comparable across runs
 	Elapsed sim.Time
-	Packets uint64
 	Stats   stats.Counters
 	Profile *abcl.ProfileReport // set when the spec asked for profiling
 }
@@ -260,34 +241,21 @@ type Outcome struct {
 // OK reports whether every assertion held.
 func (o Outcome) OK() bool { return len(o.Violations) == 0 }
 
-// RunOpts carries cross-cutting instrumentation for a scenario execution;
-// the zero value runs the scenario bare. The runpack subsystem uses it to
-// capture a replayable event trace of a whole scenario.
-type RunOpts struct {
-	// Observer, when non-nil, receives every runtime event of the baseline
-	// run followed by every event of the faulted run (the two systems
-	// execute strictly in that order).
-	Observer trace.Sink
-	// Profile, when non-nil, attaches the cost-attribution profiler to both
-	// runs, overriding the spec's ProfileWindowNs.
-	Profile *abcl.ProfileOptions
-}
-
 // Run executes the scenario: baseline first, then the faulted run, then the
-// assertions. The error return is for infrastructure failures (bad spec,
-// workload error); assertion failures land in Outcome.Violations.
-func Run(sp Spec) (Outcome, error) { return RunWith(sp, RunOpts{}) }
-
-// RunWith is Run with instrumentation attached to both executions.
-func RunWith(sp Spec, ro RunOpts) (Outcome, error) {
+// assertions. extra attaches instrumentation to both runs alike (an observer
+// receives every event of the baseline followed by every event of the
+// faulted run; the runpack subsystem captures its replayable trace this
+// way). The error return is for infrastructure failures (bad spec, workload
+// error); assertion failures land in Outcome.Violations.
+func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 	if err := sp.Validate(); err != nil {
 		return Outcome{}, err
 	}
-	base, err := runWorkload(sp, abcl.FaultPlan{}, ro)
+	base, err := runWorkload(sp, abcl.FaultPlan{}, extra)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("scenario %s: baseline: %w", sp.Name, err)
 	}
-	faulted, err := runWorkload(sp, sp.Faults.Plan(), ro)
+	faulted, err := runWorkload(sp, sp.Faults.Plan(), extra)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("scenario %s: faulted: %w", sp.Name, err)
 	}
@@ -349,143 +317,32 @@ func (o *Outcome) check() {
 	}
 }
 
+// runSpec converts the scenario to a run spec, filling the scenario's own
+// defaults: small sizes, and round-robin placement so that the fault-free
+// and the faulted run place their objects alike.
+func (sp Spec) runSpec() workload.Spec {
+	return workload.Spec{
+		Workload: sp.Workload, Nodes: sp.Nodes, Seed: sp.Seed, Placement: "rr",
+		N: cmp.Or(sp.N, 6), Depth: cmp.Or(sp.Depth, 6), Grid: cmp.Or(sp.Grid, 8), GridIters: cmp.Or(sp.Iters, 5),
+		Clients: cmp.Or(sp.Clients, 8), Ops: cmp.Or(sp.Ops, 20), Coverage: sp.Coverage,
+		BatchWindowNs: sp.BatchWindowNs, AckDelayNs: sp.AckDelayNs,
+		CkptIntervalNs: sp.CheckpointIntervalNs, ProfileWindowNs: sp.ProfileWindowNs,
+		Executor: sp.Executor, Workers: sp.Workers,
+	}
+}
+
 // runWorkload executes the spec's workload once under the given plan.
-func runWorkload(sp Spec, plan abcl.FaultPlan, ro RunOpts) (RunResult, error) {
-	seed := sp.Seed
-	if seed == 0 {
-		seed = abcl.DefaultSeed
+func runWorkload(sp Spec, plan abcl.FaultPlan, extra []abcl.Option) (RunResult, error) {
+	out, err := workload.Run(sp.runSpec(), append([]abcl.Option{abcl.WithFaults(plan)}, extra...)...)
+	if err != nil {
+		return RunResult{}, err
 	}
-	batch := sim.Time(sp.BatchWindowNs)
-	ackDelay := sim.Time(sp.AckDelayNs)
-	ckpt := sim.Time(sp.CheckpointIntervalNs)
-	prof := ro.Profile
-	if prof == nil && sp.ProfileWindowNs > 0 {
-		prof = &abcl.ProfileOptions{Window: sim.Time(sp.ProfileWindowNs)}
-	}
-	var extra []abcl.Option
-	if ro.Observer != nil {
-		extra = append(extra, abcl.WithObserver(ro.Observer))
-	}
-	if sp.ParallelConfigured() {
-		extra = append(extra, abcl.WithExecutor(abcl.Conservative(sp.Workers)))
-	}
-	switch sp.Workload {
-	case "nqueens":
-		n := sp.N
-		if n == 0 {
-			n = 6
-		}
-		res, err := nqueens.Run(nqueens.Options{
-			N: n, Nodes: sp.Nodes, Seed: seed, Faults: plan,
-			Placement:   abcl.PlaceRoundRobin, // deterministic across runs
-			BatchWindow: batch, AckDelay: ackDelay, Reliable: ackDelay > 0,
-			CheckpointInterval: ckpt,
-			Profile:            prof,
-			Extra:              extra,
-		})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{
-			Answer:  fmt.Sprintf("solutions=%d", res.Solutions),
-			Elapsed: res.Elapsed,
-			Stats:   res.Stats,
-			Profile: res.Report.Profile,
-		}, nil
-	case "forkjoin":
-		depth := sp.Depth
-		if depth == 0 {
-			depth = 6
-		}
-		opts := []abcl.Option{abcl.WithNodes(sp.Nodes), abcl.WithSeed(seed), abcl.WithFaults(plan)}
-		if batch > 0 {
-			opts = append(opts, abcl.WithBatching(batch, 0))
-		}
-		if ackDelay > 0 {
-			opts = append(opts, abcl.WithReliable(), abcl.WithDelayedAcks(ackDelay))
-		}
-		if ckpt > 0 {
-			opts = append(opts, abcl.WithCheckpoint(ckpt))
-		}
-		if prof != nil {
-			opts = append(opts, abcl.WithProfiler(*prof))
-		}
-		opts = append(opts, extra...)
-		sys, err := abcl.NewSystem(opts...)
-		if err != nil {
-			return RunResult{}, err
-		}
-		leaves, err := misc.RunForkJoinOn(sys, depth)
-		if err != nil {
-			return RunResult{}, err
-		}
-		rep := sys.Report()
-		return RunResult{
-			Answer:  fmt.Sprintf("leaves=%d", leaves),
-			Elapsed: rep.Sched.Elapsed,
-			Packets: rep.Wire.Packets,
-			Stats:   rep.Sched.Counters,
-			Profile: rep.Profile,
-		}, nil
-	case "hotkey":
-		clients, ops := sp.Clients, sp.Ops
-		if clients == 0 {
-			clients = 8
-		}
-		if ops == 0 {
-			ops = 20
-		}
-		cov := hotkey.CoverFull
-		if sp.Coverage != "" {
-			cov, _ = hotkey.ParseCoverage(sp.Coverage) // validated by Validate
-		}
-		res, err := hotkey.Run(hotkey.Options{
-			Nodes: sp.Nodes, Clients: clients, Ops: ops,
-			Coverage: cov, Seed: seed, Faults: plan,
-			BatchWindow: batch, AckDelay: ackDelay, Reliable: ackDelay > 0,
-			CheckpointInterval: ckpt,
-			Profile:            prof,
-			Extra:              extra,
-		})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{
-			// The op ledger and final value are interleaving-independent, so
-			// they stay comparable between the baseline and the faulted run
-			// even though faults reorder the overlapped invocations.
-			Answer:  fmt.Sprintf("ops=%d final=%d", res.Ops, res.Final),
-			Elapsed: res.Elapsed,
-			Stats:   res.Stats,
-			Profile: res.Report.Profile,
-		}, nil
-	case "diffusion":
-		grid, iters := sp.Grid, sp.Iters
-		if grid == 0 {
-			grid = 8
-		}
-		if iters == 0 {
-			iters = 5
-		}
-		res, err := diffusion.Run(diffusion.Options{
-			W: grid, H: grid, Iters: iters, Nodes: sp.Nodes,
-			BlockPlace: true, Seed: seed, Faults: plan,
-			BatchWindow: batch, AckDelay: ackDelay, Reliable: ackDelay > 0,
-			CheckpointInterval: ckpt,
-			Profile:            prof,
-			Extra:              extra,
-		})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{
-			Answer:  fmt.Sprintf("residual=%.9g", res.Residual),
-			Elapsed: res.Elapsed,
-			Stats:   res.Stats,
-			Profile: res.Report.Profile,
-		}, nil
-	}
-	return RunResult{}, fmt.Errorf("unknown workload %q", sp.Workload)
+	return RunResult{
+		Answer:  out.Invariant,
+		Elapsed: out.Elapsed,
+		Stats:   out.Report.Sched.Counters,
+		Profile: out.Report.Profile,
+	}, nil
 }
 
 // Load reads one scenario spec from a JSON file.

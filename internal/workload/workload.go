@@ -1,0 +1,256 @@
+// Package workload is the one place that turns a workload name plus
+// declarative settings into a program running on a System: the
+// JSON-serialisable Spec, its translation into abcl options, its defaults,
+// and the name → app table. abclsim flags, runpack configs and scenario
+// specs are adapters over it (DESIGN.md §13, "Run spec and app table").
+package workload
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+
+	abcl "repro"
+)
+
+// Crash mirrors abcl.NodeCrash in JSON-friendly form.
+type Crash struct {
+	Node           int   `json:"node"`
+	AtNs           int64 `json:"at_ns"`
+	RestartAfterNs int64 `json:"restart_after_ns"`
+}
+
+// Spec is the complete, replayable description of one run: together with
+// the runtime's determinism guarantee (same seed ⇒ byte-identical traces) it
+// pins every byte of the run's trace and report. It is a runpack's
+// config.json verbatim. Field conventions follow the abclsim flags: zero
+// values select the defaults (WithDefaults for sizes, NewSystem's for system
+// settings), Stock -1 disables the chunk stock.
+type Spec struct {
+	Workload  string `json:"workload"`
+	Nodes     int    `json:"nodes,omitempty"`
+	Seed      int64  `json:"seed,omitempty"`
+	Policy    string `json:"policy,omitempty"`    // "" | "stack" | "naive"
+	Placement string `json:"placement,omitempty"` // "" | "random" | "rr" | "local" | "load" | "depth"
+	Stock     int    `json:"stock,omitempty"`     // chunk-stock depth; -1 disables
+
+	// Workload parameters (each workload reads its own).
+	N         int    `json:"n,omitempty"`          // nqueens board size
+	Depth     int    `json:"depth,omitempty"`      // forkjoin tree depth
+	Grid      int    `json:"grid,omitempty"`       // diffusion grid edge
+	GridIters int    `json:"grid_iters,omitempty"` // diffusion iterations
+	Scatter   bool   `json:"scatter,omitempty"`    // diffusion: scatter placement (default block)
+	Iters     int    `json:"iters,omitempty"`      // pingpong iterations
+	Clients   int    `json:"clients,omitempty"`    // hotkey/orderbook clients
+	Ops       int    `json:"ops,omitempty"`        // hotkey/orderbook ops per client
+	WritePct  int    `json:"write_pct,omitempty"`  // hotkey write percentage
+	Coverage  string `json:"coverage,omitempty"`   // hotkey: none | partial | full
+	Ungrouped bool   `json:"ungrouped,omitempty"`  // orderbook: drop the compatibility groups
+	Reorder   int    `json:"reorder,omitempty"`    // bounded-reordering annotation
+
+	// Fault schedule.
+	Drop     float64 `json:"drop,omitempty"`
+	Dup      float64 `json:"dup,omitempty"`
+	JitterNs int64   `json:"jitter_ns,omitempty"`
+	Crashes  []Crash `json:"crashes,omitempty"`
+
+	// Wire-path, recovery and execution options.
+	BatchWindowNs  int64 `json:"batch_window_ns,omitempty"`
+	BatchBytes     int   `json:"batch_bytes,omitempty"`
+	AckDelayNs     int64 `json:"ack_delay_ns,omitempty"`
+	Reliable       bool  `json:"reliable,omitempty"`
+	NoLocCache     bool  `json:"no_loc_cache,omitempty"`
+	CkptIntervalNs int64 `json:"checkpoint_interval_ns,omitempty"`
+	// Executor selects the engine: "" or "sequential", or "conservative"
+	// with Workers lanes.
+	Executor string `json:"executor,omitempty"`
+	Workers  int    `json:"workers,omitempty"`
+	// ProfileWindowNs, when positive, attaches the cost-attribution
+	// profiler and slices its report into a time series of this width.
+	ProfileWindowNs int64 `json:"profile_window_ns,omitempty"`
+}
+
+// ParallelConfigured reports whether the spec names the parallel executor.
+func (sp Spec) ParallelConfigured() bool {
+	return sp.Executor == "conservative" && sp.Workers > 1
+}
+
+// WithDefaults fills the fleet size and every workload parameter left zero.
+// System settings keep their zero values: Options leaves them to NewSystem.
+func (sp Spec) WithDefaults() Spec {
+	sp.Nodes = cmp.Or(sp.Nodes, 64)
+	sp.N = cmp.Or(sp.N, 10)
+	sp.Depth = cmp.Or(sp.Depth, 10)
+	sp.Grid = cmp.Or(sp.Grid, 16)
+	sp.GridIters = cmp.Or(sp.GridIters, 10)
+	sp.Iters = cmp.Or(sp.Iters, 1000)
+	sp.Clients = cmp.Or(sp.Clients, 16)
+	sp.Ops = cmp.Or(sp.Ops, 40)
+	sp.Coverage = cmp.Or(sp.Coverage, "full")
+	return sp
+}
+
+var policies = map[string]abcl.Policy{"stack": abcl.StackBased, "naive": abcl.Naive}
+
+var placements = map[string]abcl.Placement{
+	"random": abcl.PlaceRandom,
+	"rr":     abcl.PlaceRoundRobin,
+	"local":  abcl.PlaceLocal,
+	"load":   abcl.PlaceLoadBased,
+	"depth":  abcl.PlaceDepthLocal,
+}
+
+// lookup resolves a name in its table; the error lists the names the table
+// knows. It is the one parser behind every workload, policy and placement
+// name, whichever front end supplied it.
+func lookup[T any](kind string, table map[string]T, name string) (T, error) {
+	v, ok := table[name]
+	if ok {
+		return v, nil
+	}
+	names := make([]string, 0, len(table))
+	for n := range table {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return v, fmt.Errorf("workload: unknown %s %q (want %s)", kind, name, strings.Join(names, " | "))
+}
+
+// Options translates the spec's system settings into abcl options — the one
+// such translation in the repository. Names it does not know are errors,
+// all of them reported at once; out-of-range values flow through so that
+// NewSystem's own validation rejects them.
+func (sp Spec) Options() ([]abcl.Option, error) {
+	var errs []error
+	opts := []abcl.Option{abcl.WithNodes(sp.Nodes)}
+	if sp.Policy != "" {
+		if pol, err := lookup("policy", policies, sp.Policy); err != nil {
+			errs = append(errs, err)
+		} else {
+			opts = append(opts, abcl.WithPolicy(pol))
+		}
+	}
+	if sp.Placement != "" {
+		if pl, err := lookup("placement", placements, sp.Placement); err != nil {
+			errs = append(errs, err)
+		} else {
+			opts = append(opts, abcl.WithPlacement(pl))
+		}
+	}
+	if sp.Seed != 0 {
+		opts = append(opts, abcl.WithSeed(sp.Seed))
+	}
+	switch {
+	case sp.Stock < 0:
+		opts = append(opts, abcl.WithoutChunkStock())
+	case sp.Stock > 0:
+		opts = append(opts, abcl.WithChunkStock(sp.Stock))
+	}
+	var plan abcl.FaultPlan
+	if sp.Drop != 0 || sp.Dup != 0 || sp.JitterNs != 0 {
+		plan = abcl.UniformFaults(sp.Drop, sp.Dup, abcl.Time(sp.JitterNs))
+	}
+	for _, c := range sp.Crashes {
+		plan = plan.WithCrash(c.Node, abcl.Time(c.AtNs), abcl.Time(c.RestartAfterNs))
+	}
+	if plan.Enabled() {
+		opts = append(opts, abcl.WithFaults(plan))
+	}
+	if sp.BatchWindowNs != 0 {
+		opts = append(opts, abcl.WithBatching(abcl.Time(sp.BatchWindowNs), sp.BatchBytes))
+	}
+	// Delayed acks only exist inside the reliable protocol, so asking for
+	// them turns it on.
+	if sp.Reliable || sp.AckDelayNs > 0 {
+		opts = append(opts, abcl.WithReliable())
+	}
+	if sp.AckDelayNs != 0 {
+		opts = append(opts, abcl.WithDelayedAcks(abcl.Time(sp.AckDelayNs)))
+	}
+	if sp.NoLocCache {
+		opts = append(opts, abcl.WithoutLocationCache())
+	}
+	if sp.CkptIntervalNs != 0 {
+		opts = append(opts, abcl.WithCheckpoint(abcl.Time(sp.CkptIntervalNs)))
+	}
+	switch sp.Executor {
+	case "", "sequential":
+		if sp.Workers > 1 {
+			errs = append(errs, fmt.Errorf("workload: workers requires a parallel executor"))
+		}
+	case "conservative":
+		if !sp.ParallelConfigured() {
+			break
+		}
+		if sp.CkptIntervalNs > 0 || len(sp.Crashes) > 0 {
+			errs = append(errs, fmt.Errorf("workload: the conservative executor is incompatible with checkpoints and crash faults"))
+		}
+		opts = append(opts, abcl.WithExecutor(abcl.Conservative(sp.Workers)))
+	default:
+		errs = append(errs, fmt.Errorf("workload: unknown executor %q (want sequential | conservative)", sp.Executor))
+	}
+	if sp.ProfileWindowNs > 0 {
+		opts = append(opts, abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(sp.ProfileWindowNs), Classes: true}))
+	}
+	return opts, errors.Join(errs...)
+}
+
+// Validate rejects, before anything is built, a spec Run cannot execute:
+// an unknown workload, parameters its app refuses, unknown setting names.
+// Every complaint is collected into one joined error.
+func (sp Spec) Validate() error {
+	sp = sp.WithDefaults()
+	var errs []error
+	if a, err := lookup("workload", apps, sp.Workload); err != nil {
+		errs = append(errs, err)
+	} else if a.check != nil {
+		errs = append(errs, a.check(sp))
+	}
+	_, err := sp.Options()
+	return errors.Join(append(errs, err)...)
+}
+
+// Outcome is what one run of a spec produced.
+type Outcome struct {
+	// Answer is everything the program computed, in canonical form: equal
+	// across re-executions of the same spec, the string a replay compares.
+	Answer string
+	// Invariant is the part of the answer no fault schedule may change: what
+	// a scenario compares between its fault-free and its faulted run. Empty
+	// for an app that builds its own machines.
+	Invariant string
+	// Elapsed is the app-defined completion time in virtual ns.
+	Elapsed abcl.Time
+	// Report is the grouped report of the system the program ran on; nil
+	// for an app that builds its own machines.
+	Report *abcl.Report
+	// Result is the app's own result value (nqueens.Result, hotkey.Result,
+	// ...), for front ends that print app-specific detail.
+	Result any
+}
+
+// Run executes the spec: defaults, then the spec's options followed by extra
+// (instrumentation the spec cannot carry — observer sinks, a fault timeline
+// richer than the uniform one; later options win), then the app.
+func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
+	sp = sp.WithDefaults()
+	a, err := lookup("workload", apps, sp.Workload)
+	if err != nil {
+		return Outcome{}, err
+	}
+	opts, err := sp.Options()
+	if err != nil {
+		return Outcome{}, err
+	}
+	if a.ownMachines {
+		opts = nil
+	}
+	return a.run(sp, append(opts, extra...))
+}
+
+// OwnMachines reports whether the named app builds fixed machines of its
+// own and therefore ignores the spec's system settings and any fault plan —
+// which makes it meaningless as the subject of a fault scenario.
+func OwnMachines(name string) bool { return apps[name].ownMachines }

@@ -105,11 +105,12 @@ func TestMultiactiveParallelEquivalence(t *testing.T) {
 // workload keeps its operation counts in object state so the rollback
 // rewinds them consistently (the host-write rule).
 func TestCrashRestartMidGroup(t *testing.T) {
-	base := hotkey.Options{
-		Nodes: 8, Clients: 8, Ops: 20, Coverage: hotkey.CoverFull,
-		CheckpointInterval: 500_000, // 500µs rounds; the run takes ~3.4ms
+	base := hotkey.Options{Clients: 8, Ops: 20, Coverage: hotkey.CoverFull}
+	sysOpts := []abcl.Option{
+		abcl.WithNodes(8),
+		abcl.WithCheckpoint(500_000), // 500µs rounds; the run takes ~3.4ms
 	}
-	clean, err := hotkey.Run(base)
+	clean, err := hotkey.Run(base, sysOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,9 @@ func TestCrashRestartMidGroup(t *testing.T) {
 		t.Fatalf("workload never overlapped invocations (maxLive=%d); crash would not land mid-group", clean.MaxLive)
 	}
 
-	crashed := base
-	crashed.Faults = abcl.FaultPlan{Crashes: []abcl.NodeCrash{
+	res, err := hotkey.Run(base, append(sysOpts, abcl.WithFaults(abcl.FaultPlan{Crashes: []abcl.NodeCrash{
 		{Node: 0, At: 1_500_000, RestartAfter: 300_000},
-	}}
-	res, err := hotkey.Run(crashed)
+	}}))...)
 	if err != nil {
 		t.Fatal(err)
 	}

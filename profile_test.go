@@ -20,14 +20,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // changes no virtual-time result — solutions, elapsed time, packet counts
 // and every runtime counter match the unprofiled run bit for bit.
 func TestProfilerEquivalence(t *testing.T) {
-	base := nqueens.Options{N: 8, Nodes: 8, Seed: 7}
-	plain, err := nqueens.Run(base)
+	base := []abcl.Option{abcl.WithNodes(8), abcl.WithSeed(7)}
+	plain, err := nqueens.Run(nqueens.Options{N: 8}, base...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := base
-	prof.Profile = &abcl.ProfileOptions{Window: 100 * abcl.Microsecond, Classes: true}
-	profiled, err := nqueens.Run(prof)
+	profiled, err := nqueens.Run(nqueens.Options{N: 8}, append(base,
+		abcl.WithProfiler(abcl.ProfileOptions{Window: 100 * abcl.Microsecond, Classes: true}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +56,12 @@ func TestProfilerEquivalence(t *testing.T) {
 // checkpoint and retransmission subsystems. An unpaired Charge call anywhere
 // in the engine shows up here as a deficit.
 func TestProfilerCompleteness(t *testing.T) {
-	res, err := nqueens.Run(nqueens.Options{
-		N: 8, Nodes: 8, Seed: 3,
-		Faults:             abcl.UniformFaults(0.05, 0.02, 0),
-		BatchWindow:        10 * abcl.Microsecond,
-		AckDelay:           50 * abcl.Microsecond,
-		CheckpointInterval: 500 * abcl.Microsecond,
-		Profile:            &abcl.ProfileOptions{Classes: true},
-	})
+	res, err := nqueens.Run(nqueens.Options{N: 8}, abcl.WithNodes(8), abcl.WithSeed(3),
+		abcl.WithFaults(abcl.UniformFaults(0.05, 0.02, 0)),
+		abcl.WithBatching(10*abcl.Microsecond, 0),
+		abcl.WithDelayedAcks(50*abcl.Microsecond),
+		abcl.WithCheckpoint(500*abcl.Microsecond),
+		abcl.WithProfiler(abcl.ProfileOptions{Classes: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +96,13 @@ func TestProfilerCompleteness(t *testing.T) {
 // TestObserverEquivalence asserts the Sink contract's passive side: an
 // attached observer changes no virtual-time result.
 func TestObserverEquivalence(t *testing.T) {
-	base := nqueens.Options{N: 8, Nodes: 4, Seed: 5}
-	plain, err := nqueens.Run(base)
+	base := []abcl.Option{abcl.WithNodes(4), abcl.WithSeed(5)}
+	plain, err := nqueens.Run(nqueens.Options{N: 8}, base...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := trace.NewMetrics()
-	observed := base
-	observed.Observer = m
-	res, err := nqueens.Run(observed)
+	res, err := nqueens.Run(nqueens.Options{N: 8}, append(base, abcl.WithObserver(m))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,15 +46,20 @@ func TestRetryEquivalencePin(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(ex abcl.ExecutorSpec, obs abcl.Sink) retryPin {
-				res, err := nqueens.Run(nqueens.Options{
-					N: 8, Nodes: 16, Seed: 3,
-					Faults:      abcl.UniformFaults(0.10, 0.05, 2*abcl.Microsecond),
-					Reliable:    true,
-					BatchWindow: 10 * abcl.Microsecond,
-					AckDelay:    tc.ackDelay,
-					Observer:    obs,
-					Extra:       []abcl.Option{abcl.WithExecutor(ex)},
-				})
+				opts := []abcl.Option{
+					abcl.WithNodes(16), abcl.WithSeed(3),
+					abcl.WithFaults(abcl.UniformFaults(0.10, 0.05, 2*abcl.Microsecond)),
+					abcl.WithReliable(),
+					abcl.WithBatching(10*abcl.Microsecond, 0),
+					abcl.WithExecutor(ex),
+				}
+				if tc.ackDelay > 0 {
+					opts = append(opts, abcl.WithDelayedAcks(tc.ackDelay))
+				}
+				if obs != nil {
+					opts = append(opts, abcl.WithObserver(obs))
+				}
+				res, err := nqueens.Run(nqueens.Options{N: 8}, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
