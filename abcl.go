@@ -83,10 +83,6 @@ type (
 	NodeCrash = fault.NodeCrash
 	// Snapshot is one complete coordinated checkpoint (System.Snapshot).
 	Snapshot = checkpoint.Snapshot
-	// Snapshotter converts one class's state box to and from its
-	// stable-store image (System.RegisterSnapshotter). Classes without one
-	// use the default plain-copy codec.
-	Snapshotter = checkpoint.Snapshotter
 	// Sink observes runtime events (WithObserver). See the trace package for
 	// the full contract: sinks are called synchronously from the simulation's
 	// single deterministic event order and must not retain the Event.
@@ -647,7 +643,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		// (e.g. a Migrate before the first Run), so it starts here rather
 		// than at the manager's Start.
 		net.EnableCheckpoint()
-		sys.ckpt = checkpoint.New(rt, net, s.ckptEvery, nil)
+		sys.ckpt = checkpoint.New(rt, net, s.ckptEvery)
 		if sink != nil {
 			sys.ckpt.SetTrace(sink)
 		}
@@ -740,21 +736,6 @@ func (s *System) Run() error {
 // one per lookahead width. The count is deterministic (it depends only on
 // virtual time, never on the worker schedule). Zero for sequential runs.
 func (s *System) SyncWindows() uint64 { return s.M.ParWindows() }
-
-// Checkpointing returns the checkpoint manager, or nil when neither
-// WithCheckpoint nor a crash plan was configured.
-func (s *System) Checkpointing() *checkpoint.Manager { return s.ckpt }
-
-// RegisterSnapshotter installs a per-class checkpoint codec; classes without
-// one are captured by the default plain copy of their state box. Requires
-// checkpointing (WithCheckpoint or a crash plan).
-func (s *System) RegisterSnapshotter(cl *Class, sn Snapshotter) error {
-	if s.ckpt == nil {
-		return fmt.Errorf("abcl: RegisterSnapshotter requires WithCheckpoint or a crash plan")
-	}
-	s.ckpt.Registry().Register(cl, sn)
-	return nil
-}
 
 // Snapshot captures a consistent global checkpoint of the current machine
 // state and makes it the restore target. The system must be quiescent

@@ -183,12 +183,12 @@ func (t *timeFlag) Set(s string) error {
 }
 
 // crashList collects repeated -crash flags, each "node@at+restartAfter".
-type crashList []workload.Crash
+type crashList []abcl.NodeCrash
 
 func (c *crashList) String() string {
 	parts := make([]string, len(*c))
 	for i, nc := range *c {
-		parts[i] = fmt.Sprintf("%d@%d+%d", nc.Node, nc.AtNs, nc.RestartAfterNs)
+		parts[i] = fmt.Sprintf("%d@%d+%d", nc.Node, nc.At, nc.RestartAfter)
 	}
 	return strings.Join(parts, ",")
 }
@@ -214,7 +214,7 @@ func (c *crashList) Set(s string) error {
 	if err != nil {
 		return fmt.Errorf("crash %q: bad restart-after: %v", s, err)
 	}
-	*c = append(*c, workload.Crash{Node: node, AtNs: at, RestartAfterNs: dur})
+	*c = append(*c, abcl.NodeCrash{Node: node, At: abcl.Time(at), RestartAfter: abcl.Time(dur)})
 	return nil
 }
 

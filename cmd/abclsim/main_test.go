@@ -103,7 +103,8 @@ func TestSystemFlagsReachEveryWorkload(t *testing.T) {
 }
 
 // TestUnknownNamesAreErrors pins that a misspelt setting fails on every
-// path instead of falling back to a default.
+// path instead of falling back to a default, and a size no run can finish
+// (a negative fork-join depth never reaches a leaf) instead of hanging.
 func TestUnknownNamesAreErrors(t *testing.T) {
 	for args, want := range map[string]string{
 		"-workload nqueens -n 4 -policy naiv":                           `unknown policy "naiv"`,
@@ -114,6 +115,8 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 		"-workload quicksort":                                           `unknown workload "quicksort"`,
 		"-executor sequential:2":                                        "sequential takes no worker count",
 		"-bench-json out.json":                                          "flag provided but not defined",
+		"-workload forkjoin -depth -1 -nodes 4":                         "forkjoin depth must be >= 0",
+		"-workload forkjoin -depth -1 -pack " + t.TempDir():             "forkjoin depth must be >= 0",
 	} {
 		err := run(strings.Fields(args), io.Discard)
 		if err == nil {

@@ -21,7 +21,7 @@
 //
 //   - language state: every hosted object with its state box, buffered
 //     message queue, saved contexts and scheduling-queue position
-//     (core.CaptureNode, through the Snapshotter codec registry);
+//     (core.CaptureNode);
 //   - inter-node state: sequence cursors, chunk stocks, placement state,
 //     location cache (remote.CaptureRel);
 //   - channel state, held implicitly: the reliable layer retains every
@@ -86,8 +86,6 @@ type Manager struct {
 	tr       trace.Sink
 	prof     *profile.Profiler
 
-	reg *Registry
-
 	n       int
 	round   int       // last round started
 	cur     *Snapshot // in-progress round; nil when idle
@@ -99,18 +97,13 @@ type Manager struct {
 // New builds a manager over an attached runtime/layer pair. interval is the
 // coordinator's tick period; zero means no periodic rounds — only the
 // baseline round-0 checkpoint captured at Start (enough for crash plans that
-// tolerate restarting from the beginning). reg may be nil (plain-copy codec
-// for every class).
-func New(rt *core.Runtime, l *remote.Layer, interval sim.Time, reg *Registry) *Manager {
-	if reg == nil {
-		reg = NewRegistry()
-	}
+// tolerate restarting from the beginning).
+func New(rt *core.Runtime, l *remote.Layer, interval sim.Time) *Manager {
 	g := &Manager{
 		rt:       rt,
 		l:        l,
 		m:        rt.M,
 		interval: interval,
-		reg:      reg,
 		n:        rt.Nodes(),
 	}
 	g.snapped = make([]bool, g.n)
@@ -123,9 +116,6 @@ func (g *Manager) SetTrace(tr trace.Sink) { g.tr = tr }
 // SetProfiler attaches the cost-attribution profiler; snapshot and restore
 // charges then land on the ckpt path with their stable-store bytes.
 func (g *Manager) SetProfiler(p *profile.Profiler) { g.prof = p }
-
-// Registry returns the manager's codec registry.
-func (g *Manager) Registry() *Registry { return g.reg }
 
 // Stable returns the last complete checkpoint (the current restore target).
 func (g *Manager) Stable() *Snapshot { return g.stable }
@@ -295,7 +285,7 @@ func (g *Manager) completeRound() {
 // snapNode captures one node's language and inter-node state into the
 // current round and charges the stable-store write.
 func (g *Manager) snapNode(i int) {
-	ci := g.rt.CaptureNode(i, g.reg.encode)
+	ci := g.rt.CaptureNode(i)
 	ri := g.l.CaptureRel(i)
 	g.cur.core[i] = ci
 	g.cur.rel[i] = ri
@@ -339,7 +329,7 @@ func (g *Manager) restore(at sim.Time, node int) {
 		g.m.Node(i).DropRx()
 	}
 	for i := 0; i < g.n; i++ {
-		g.rt.RestoreNode(snap.core[i], g.reg.decode)
+		g.rt.RestoreNode(snap.core[i])
 		g.l.CkptRestoreNode(snap.rel[i])
 	}
 	// Truncation must be synchronous with the cursor restore: any event of

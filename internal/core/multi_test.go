@@ -453,7 +453,7 @@ func TestMultiactiveSnapshotRestoresMidGroup(t *testing.T) {
 			t.Fatal("never reached the mid-group state")
 		}
 	}
-	img := r.CaptureNode(0, nil)
+	img := r.CaptureNode(0)
 
 	// Let the run finish, then roll back and finish again.
 	run(t, r)
@@ -463,7 +463,7 @@ func TestMultiactiveSnapshotRestoresMidGroup(t *testing.T) {
 	}
 
 	log = nil
-	r.RestoreNode(img, nil)
+	r.RestoreNode(img)
 	r.M.Node(0).Wake()
 	if hotAddr.Obj.LiveInvocations() != 1 || hotAddr.Obj.ReadyLen() != 1 {
 		t.Fatalf("restored live=%d ready=%d, want 1/1",

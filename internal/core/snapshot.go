@@ -23,11 +23,6 @@ package core
 // is parked (see DESIGN.md §10). The bundled applications keep loop cursors
 // in simulated object state for exactly this reason.
 
-// SnapshotCodec converts an object's state box into a stable-store image.
-// The default (nil) codec copies the slice; package checkpoint routes
-// per-class Snapshotter registrations through this hook.
-type SnapshotCodec func(cl *Class, state []Value) []Value
-
 // Modelled stable-store record sizes (bytes), used to account the simulated
 // cost of a snapshot: an object header (class id, mode, flags), a frame
 // header (pattern, reply destination, link), a saved execution context
@@ -143,11 +138,11 @@ func (n *NodeRT) PinFrame(f *Frame) {
 }
 
 // CaptureNode snapshots the full language-level state of one node: every
-// hosted object (state box via the codec, constructor arguments, buffered
+// hosted object (state box, constructor arguments, buffered
 // message queue, saved contexts, reply-destination payloads, forwarding
 // address, mode table) and the scheduling-queue order. Requires
 // EnableSnapshots; must run between engine events.
-func (r *Runtime) CaptureNode(node int, codec SnapshotCodec) *NodeImage {
+func (r *Runtime) CaptureNode(node int) *NodeImage {
 	n := r.nodes[node]
 	if !n.track {
 		panic("core: CaptureNode without EnableSnapshots")
@@ -155,7 +150,7 @@ func (r *Runtime) CaptureNode(node int, codec SnapshotCodec) *NodeImage {
 	img := &NodeImage{Node: node, hostedLen: len(n.hosted)}
 	img.objs = make([]objImage, 0, len(n.hosted))
 	for _, o := range n.hosted {
-		img.capture(o, codec)
+		img.capture(o)
 	}
 	if q := &n.schedQ; !q.empty() {
 		img.sched = append(img.sched, q.items[q.head:]...)
@@ -165,7 +160,7 @@ func (r *Runtime) CaptureNode(node int, codec SnapshotCodec) *NodeImage {
 }
 
 // capture appends one object's image, accounting its stable-store bytes.
-func (img *NodeImage) capture(o *Object, codec SnapshotCodec) {
+func (img *NodeImage) capture(o *Object) {
 	{
 		if o.running {
 			panic("core: snapshot of a running object")
@@ -180,11 +175,7 @@ func (img *NodeImage) capture(o *Object, codec SnapshotCodec) {
 		b := objHeaderBytes
 		if o.state != nil {
 			oi.hasState = true
-			if codec != nil && o.class != nil {
-				oi.state = codec(o.class, o.state)
-			} else {
-				oi.state = append([]Value(nil), o.state...)
-			}
+			oi.state = append([]Value(nil), o.state...)
 			b += ArgsSize(oi.state)
 		}
 		if o.ctorArgs != nil {
@@ -245,12 +236,10 @@ func (img *NodeImage) capture(o *Object, codec SnapshotCodec) {
 
 // RestoreNode rolls the node back to the image: every captured object is
 // rewritten in place, objects created after the snapshot are forgotten, and
-// the scheduling queue is rebuilt in captured order. codec, when non-nil,
-// decodes state images produced by an encoding SnapshotCodec (nil state
-// images pass through a plain copy either way). The caller is responsible
-// for revoking the rolled-back timeline's in-flight packets
+// the scheduling queue is rebuilt in captured order. The caller is
+// responsible for revoking the rolled-back timeline's in-flight packets
 // (machine.BumpEra), restoring the inter-node layer, and waking the node.
-func (r *Runtime) RestoreNode(img *NodeImage, codec SnapshotCodec) {
+func (r *Runtime) RestoreNode(img *NodeImage) {
 	n := r.nodes[img.Node]
 	for i := img.hostedLen; i < len(n.hosted); i++ {
 		n.hosted[i] = nil
@@ -262,18 +251,14 @@ func (r *Runtime) RestoreNode(img *NodeImage, codec SnapshotCodec) {
 		o.class = oi.class
 		o.vftp = oi.vftp
 		if oi.hasState {
-			src := oi.state
-			if codec != nil && oi.class != nil {
-				src = codec(oi.class, oi.state)
-			}
 			if o.state == nil {
 				// The live slice was handed away after the snapshot (e.g.
 				// BeginMigration detached it); restoring must not write into
 				// storage another node may have adopted, so a fresh box is
 				// carved from the arena.
-				o.state = n.allocState(len(src))
+				o.state = n.allocState(len(oi.state))
 			}
-			copy(o.state, src)
+			copy(o.state, oi.state)
 		} else {
 			o.state = nil
 		}

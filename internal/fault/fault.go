@@ -20,6 +20,8 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -31,17 +33,33 @@ const Wildcard = -1
 
 // LinkFault describes the fault behaviour of one link (or a set of links
 // when an endpoint is Wildcard). The first rule matching (src, dst) wins;
-// list specific links before wildcard rules.
+// list specific links before wildcard rules. The JSON tags here and below
+// are the fault schedule of scenario files and run specs.
 type LinkFault struct {
 	// Src and Dst select the link; Wildcard (-1) matches any node.
-	Src, Dst int
+	Src int `json:"src"`
+	Dst int `json:"dst"`
 	// Drop is the per-transmission-attempt probability of losing the packet.
-	Drop float64
+	Drop float64 `json:"drop,omitempty"`
 	// Dup is the per-attempt probability of delivering one extra copy.
-	Dup float64
+	Dup float64 `json:"dup,omitempty"`
 	// Jitter is the maximum extra delivery latency; each delivered copy is
 	// delayed by a uniform draw from [0, Jitter].
-	Jitter sim.Time
+	Jitter sim.Time `json:"jitter_ns,omitempty"`
+}
+
+// UnmarshalJSON defaults omitted src/dst to the wildcard and, like the
+// decoders of the files a rule sits in, rejects keys it does not declare.
+func (lf *LinkFault) UnmarshalJSON(data []byte) error {
+	type raw LinkFault
+	r := raw{Src: Wildcard, Dst: Wildcard}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		return err
+	}
+	*lf = LinkFault(r)
+	return nil
 }
 
 // Matches reports whether the rule covers the (src, dst) link.
@@ -54,9 +72,9 @@ func (lf LinkFault) Matches(src, dst int) bool {
 // scheduler runs in [At, At+For). Packets keep arriving and buffer in the
 // node's receive queue; execution resumes at the window's end.
 type NodePause struct {
-	Node int
-	At   sim.Time
-	For  sim.Time
+	Node int      `json:"node"`
+	At   sim.Time `json:"at_ns"`
+	For  sim.Time `json:"for_ns"`
 }
 
 // NodeCrash fails a node at virtual time At, discarding all of its volatile
@@ -66,22 +84,22 @@ type NodePause struct {
 // restarts RestartAfter later from its most recent checkpoint (see package
 // checkpoint); a crash plan therefore requires checkpointing to be enabled.
 type NodeCrash struct {
-	Node         int
-	At           sim.Time
-	RestartAfter sim.Time
+	Node         int      `json:"node"`
+	At           sim.Time `json:"at_ns"`
+	RestartAfter sim.Time `json:"restart_after_ns"`
 }
 
 // Plan is a declarative fault schedule. The zero Plan injects nothing.
 type Plan struct {
 	// Seed overrides the fault stream seed; 0 derives it from the system
 	// seed so a run is reproducible from a single logged value.
-	Seed int64
+	Seed int64 `json:"-"`
 	// Links are first-match-wins link fault rules.
-	Links []LinkFault
+	Links []LinkFault `json:"links,omitempty"`
 	// Pauses are node pause windows.
-	Pauses []NodePause
+	Pauses []NodePause `json:"pauses,omitempty"`
 	// Crashes are node crash/restart events (state-losing, unlike Pauses).
-	Crashes []NodeCrash
+	Crashes []NodeCrash `json:"crashes,omitempty"`
 }
 
 // Enabled reports whether the plan injects any fault at all.

@@ -1,6 +1,10 @@
 package fault
 
 import (
+	"cmp"
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -172,5 +176,56 @@ func TestPlanSeedOverride(t *testing.T) {
 	}
 	if in2.Seed() != 7 {
 		t.Fatalf("zero plan seed must derive from system seed, got %d", in2.Seed())
+	}
+}
+
+// TestPlanJSON pins the one JSON shape of a fault schedule — the "faults"
+// object of a scenario file, the "crashes" list of a run spec: omitted
+// src/dst mean any node, a key a link rule does not declare is an error (the
+// enclosing decoder's DisallowUnknownFields does not reach a custom
+// unmarshaller), and Plan → JSON → Plan is the identity.
+func TestPlanJSON(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		want     Plan
+		out      string // the canonical form in marshals back to
+		err      string
+	}{
+		{name: "empty", in: `{}`, out: `{}`},
+		{name: "omitted src/dst are wildcards", in: `{"links":[{"drop":0.5},{"src":2,"dup":0.1}]}`,
+			want: Plan{Links: []LinkFault{{Src: Wildcard, Dst: Wildcard, Drop: 0.5}, {Src: 2, Dst: Wildcard, Dup: 0.1}}},
+			out:  `{"links":[{"src":-1,"dst":-1,"drop":0.5},{"src":2,"dst":-1,"dup":0.1}]}`},
+		{name: "every kind of fault",
+			in: `{"links":[{"src":0,"dst":1,"drop":0.6,"dup":0.2,"jitter_ns":3000}],"pauses":[{"node":2,"at_ns":100,"for_ns":50}],"crashes":[{"node":3,"at_ns":1500000,"restart_after_ns":400000}]}`,
+			want: Plan{
+				Links:   []LinkFault{{Src: 0, Dst: 1, Drop: 0.6, Dup: 0.2, Jitter: 3 * sim.Microsecond}},
+				Pauses:  []NodePause{{Node: 2, At: 100, For: 50}},
+				Crashes: []NodeCrash{{Node: 3, At: 1500 * sim.Microsecond, RestartAfter: 400 * sim.Microsecond}},
+			}},
+		{name: "unknown key in a link rule", in: `{"links":[{"jitter":5}]}`, err: `unknown field "jitter"`},
+	} {
+		var p Plan
+		err := json.Unmarshal([]byte(tc.in), &p)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(p, tc.want) {
+			t.Errorf("%s: decoded %+v (err %v), want %+v", tc.name, p, err, tc.want)
+		}
+		out, err := json.Marshal(p)
+		if want := cmp.Or(tc.out, tc.in); err != nil || string(out) != want {
+			t.Errorf("%s: marshals to %s (err %v), want %s", tc.name, out, err, want)
+		}
+		var back Plan
+		if err := json.Unmarshal(out, &back); err != nil || !reflect.DeepEqual(back, p) {
+			t.Errorf("%s: Plan -> JSON -> Plan gave %+v (err %v), want %+v", tc.name, back, err, p)
+		}
+	}
+	// The stream seed is a property of the run, not of the schedule.
+	if out, err := json.Marshal(Plan{Seed: 7}); err != nil || string(out) != `{}` {
+		t.Errorf("Plan{Seed: 7} marshals to %s (err %v), want {}", out, err)
 	}
 }

@@ -104,10 +104,6 @@ func (im *RelImage) SizeBytes() int { return im.bytes }
 // Node reports which node the image belongs to.
 func (im *RelImage) Node() int { return im.node }
 
-// NextExpected reports the captured receive cursor for the src link (the
-// per-link "everything below this was consumed before the cut" watermark).
-func (im *RelImage) NextExpected(src int) uint64 { return im.nextExpected[src] }
-
 // CaptureRel snapshots one node's inter-node state. Must run between engine
 // events, with checkpoint mode enabled.
 func (l *Layer) CaptureRel(node int) *RelImage {

@@ -47,17 +47,6 @@ type Options struct {
 	// machine injects link faults; off by default because the paper's
 	// AP1000 interconnect is reliable and the protocol adds ack traffic.
 	Reliable bool
-	// RetryTimeout is the base acknowledgment timeout before the first
-	// retransmission; it doubles per attempt up to MaxBackoff. Zero selects
-	// DefaultRetryTimeout.
-	RetryTimeout sim.Time
-	// MaxBackoff caps the exponential backoff. Zero selects
-	// DefaultMaxBackoff.
-	MaxBackoff sim.Time
-	// MaxAttempts bounds retransmissions per message; beyond it the message
-	// is abandoned (counted in Counters.RelAbandoned, never silently).
-	// Zero selects DefaultMaxAttempts.
-	MaxAttempts int
 	// Trace, when non-nil, receives reliable-delivery events (retries,
 	// acks, duplicate suppression, reorder holds).
 	Trace trace.Sink
@@ -89,9 +78,12 @@ type Options struct {
 	NoLocationCache bool
 }
 
-// Reliable-delivery protocol defaults. The base timeout covers a small
-// message's round trip (~2×1.5µs hardware + ~9µs software each way) with
-// headroom for queueing at a loaded receiver.
+// Reliable-delivery protocol constants. The base acknowledgment timeout
+// before the first retransmission covers a small message's round trip
+// (~2×1.5µs hardware + ~9µs software each way) with headroom for queueing at
+// a loaded receiver; it doubles per attempt up to DefaultMaxBackoff, and
+// after DefaultMaxAttempts transmissions the message is abandoned (counted
+// in Counters.RelAbandoned, never silently).
 const (
 	DefaultRetryTimeout sim.Time = 60 * sim.Microsecond
 	DefaultMaxBackoff   sim.Time = 2 * sim.Millisecond

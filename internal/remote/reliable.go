@@ -2,7 +2,6 @@ package remote
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/machine"
@@ -102,11 +101,8 @@ type ackRider struct {
 // reliable is the machine-wide protocol configuration (one instance per
 // Layer); the state lives in the nodes' link records and relNodes.
 type reliable struct {
-	l           *Layer
-	rto         sim.Time
-	maxBackoff  sim.Time
-	maxAttempts int
-	ackDelay    sim.Time // > 0 enables cumulative delayed acks
+	l        *Layer
+	ackDelay sim.Time // > 0 enables cumulative delayed acks
 
 	// Every protocol packet dispatches through these, bound once: what a
 	// packet means rides in its header word and payload.
@@ -115,22 +111,7 @@ type reliable struct {
 }
 
 func newReliable(l *Layer) *reliable {
-	r := &reliable{
-		l:           l,
-		rto:         l.opt.RetryTimeout,
-		maxBackoff:  l.opt.MaxBackoff,
-		maxAttempts: l.opt.MaxAttempts,
-		ackDelay:    max(l.opt.AckDelay, 0),
-	}
-	if r.rto <= 0 {
-		r.rto = DefaultRetryTimeout
-	}
-	if r.maxBackoff < r.rto {
-		r.maxBackoff = DefaultMaxBackoff
-	}
-	if r.maxAttempts <= 0 {
-		r.maxAttempts = DefaultMaxAttempts
-	}
+	r := &reliable{l: l, ackDelay: max(l.opt.AckDelay, 0)}
 	r.hArrive, r.hPolled = r.dataArrived, r.receive
 	r.hAck = func(sn *machine.Node, p *machine.Packet) { r.ackReceived(sn, p.Src, p.Seq) }
 	r.hAckCum = func(sn *machine.Node, p *machine.Packet) {
@@ -236,9 +217,9 @@ func (r *reliable) xmit(mn *machine.Node, ns *nodeState, m *relMsg) {
 	p.OnArrive = r.hArrive
 	p.Handler = r.hPolled
 	arrival, batched := r.l.send(mn, p)
-	backoff := r.rto << uint(m.attempts)
-	if backoff > r.maxBackoff || backoff <= 0 {
-		backoff = r.maxBackoff
+	backoff := DefaultRetryTimeout << uint(m.attempts)
+	if backoff > DefaultMaxBackoff || backoff <= 0 {
+		backoff = DefaultMaxBackoff
 	}
 	// Time out relative to the copy's scheduled arrival (which includes
 	// link queueing), not the send instant — a congested link must not
@@ -303,13 +284,13 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 		return
 	}
 	c := &r.l.rt.NodeRT(mn.ID).C
-	if int(m.attempts)+1 >= r.maxAttempts {
+	if int(m.attempts)+1 >= DefaultMaxAttempts {
 		// Give up loudly: the message counts as lost so scenario assertions
 		// and LostMessages() surface it.
 		c.RelAbandoned++
 		if r.l.tracing() {
 			r.l.tracef(mn.EventNow(), mn.ID, trace.EvRetry,
-				"abandon seq %d to n%d after %d attempts", m.seq, m.dst, r.maxAttempts)
+				"abandon seq %d to n%d after %d attempts", m.seq, m.dst, DefaultMaxAttempts)
 		}
 		r.finish(ns, ns.links[m.dst], m)
 		return
@@ -643,13 +624,4 @@ func (r *reliable) Unacked() int {
 		})
 	}
 	return total
-}
-
-// String describes the protocol configuration.
-func (r *reliable) String() string {
-	s := fmt.Sprintf("reliable{rto=%v maxBackoff=%v maxAttempts=%d", r.rto, r.maxBackoff, r.maxAttempts)
-	if r.ackDelay > 0 {
-		s += fmt.Sprintf(" ackDelay=%v", r.ackDelay)
-	}
-	return s + "}"
 }

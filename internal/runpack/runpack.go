@@ -236,21 +236,6 @@ func (p *Pack) WriteFile(path string) (string, error) {
 	return path, os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// decodeStrict is json.Unmarshal that also rejects keys v does not declare:
-// a pack written with a key this build no longer reads must not verify as a
-// different configuration.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("unexpected data after the top-level value")
-	}
-	return nil
-}
-
 // Open reads an archive and checks its integrity: the format tag, every
 // section's SHA-256 sum, and the content-derived id must all match the
 // manifest. A pack that fails here is corrupt or hand-edited — distinct
@@ -302,12 +287,12 @@ func Open(path string) (*Pack, error) {
 			return nil, fmt.Errorf("runpack %s: integrity: unmanifested section %s", path, name)
 		}
 	}
-	if err := decodeStrict(raw[SecConfig], &p.Config); err != nil {
+	if err := scenario.DecodeStrict(raw[SecConfig], &p.Config); err != nil {
 		return nil, fmt.Errorf("runpack %s: %s: %w", path, SecConfig, err)
 	}
 	if sp, ok := raw[SecScenario]; ok {
 		p.Scenario = &scenario.Spec{}
-		if err := decodeStrict(sp, p.Scenario); err != nil {
+		if err := scenario.DecodeStrict(sp, p.Scenario); err != nil {
 			return nil, fmt.Errorf("runpack %s: %s: %w", path, SecScenario, err)
 		}
 	}

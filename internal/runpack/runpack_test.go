@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	abcl "repro"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -144,6 +146,59 @@ func TestVerifyNamesFirstDivergentEvent(t *testing.T) {
 	}
 }
 
+// readSections returns the raw bytes of every section of an archive.
+func readSections(t *testing.T, path string) map[string][]byte {
+	t.Helper()
+	zr, err := zip.OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zr.Close()
+	secs := map[string][]byte{}
+	for _, f := range zr.File {
+		rc, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(rc); err != nil {
+			t.Fatal(err)
+		}
+		rc.Close()
+		secs[f.Name] = buf.Bytes()
+	}
+	return secs
+}
+
+// TestCheckedInPacksReseal opens every pack under testdata/runpacks and
+// compares the manifest on disk with the one Open re-derived by marshalling
+// the decoded config and scenario structs: a change to the JSON shape of a
+// run spec, a scenario or a fault schedule moves a section digest, and with
+// it the id the pack is filed under.
+func TestCheckedInPacksReseal(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/runpacks/*.zip")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in packs found (err %v)", err)
+	}
+	for _, path := range paths {
+		p, err := Open(path)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		var onDisk Manifest
+		if err := json.Unmarshal(readSections(t, path)[SecManifest], &onDisk); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.Manifest, onDisk) {
+			t.Errorf("%s: re-sealed manifest differs from the archive's:\n got %+v\nwant %+v", path, p.Manifest, onDisk)
+		}
+		if filepath.Base(path) != p.DefaultName() {
+			t.Errorf("%s re-seals to %s", path, p.DefaultName())
+		}
+	}
+}
+
 // TestOpenRejectsTampering rewrites one section's bytes: Open must refuse
 // the archive (an integrity failure, not a verify failure). With the
 // manifest's section sum left stale that is a checksum mismatch; with the sum
@@ -175,24 +230,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		zr, err := zip.OpenReader(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		secs := map[string][]byte{}
-		for _, f := range zr.File {
-			rc, err := f.Open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if _, err := buf.ReadFrom(rc); err != nil {
-				t.Fatal(err)
-			}
-			rc.Close()
-			secs[f.Name] = buf.Bytes()
-		}
-		zr.Close()
+		secs := readSections(t, path)
 		edited := bytes.Replace(secs[tc.section], []byte(tc.old), []byte(tc.new), 1)
 		if bytes.Equal(edited, secs[tc.section]) {
 			t.Fatalf("%s: %s does not contain %s", tc.name, tc.section, tc.old)
@@ -325,7 +363,7 @@ func TestValidateRejections(t *testing.T) {
 		{"scenario without spec", workload.Spec{Workload: "scenario"}, nil, "needs an embedded spec"},
 		{"spec outside scenario", workload.Spec{Workload: "nqueens"}, &scenario.Spec{}, "must not embed"},
 		{"parallel pingpong", workload.Spec{Workload: "pingpong", Executor: "conservative", Workers: 4}, nil, "sequentially"},
-		{"parallel crash", workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, Crashes: []workload.Crash{{Node: 1, AtNs: 5, RestartAfterNs: 5}}}, nil, "incompatible with checkpoints"},
+		{"parallel crash", workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, Crashes: []abcl.NodeCrash{{Node: 1, At: 5, RestartAfter: 5}}}, nil, "incompatible with checkpoints"},
 		{"conservative ckpt", workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}, nil, "incompatible with checkpoints"},
 		{"unknown executor", workload.Spec{Workload: "nqueens", Executor: "timewarp", Workers: 4}, nil, "unknown executor"},
 		{"removed executor", workload.Spec{Workload: "nqueens", Executor: "optimistic", Workers: 4}, nil, "unknown executor"},

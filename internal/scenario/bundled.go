@@ -24,7 +24,7 @@ func Bundled() ([]Spec, error) {
 			return nil, err
 		}
 		var sp Spec
-		if err := decodeStrict(data, &sp); err != nil {
+		if err := DecodeStrict(data, &sp); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", e.Name(), err)
 		}
 		if err := sp.Validate(); err != nil {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	abcl "repro"
 )
 
 func writeSpec(t *testing.T, body string) string {
@@ -72,9 +74,9 @@ func TestValidatePauseCrashOverlap(t *testing.T) {
 	sp := Spec{
 		Name: "overlap", Workload: "forkjoin", Nodes: 4,
 		CheckpointIntervalNs: 1000,
-		Faults: Faults{
-			Pauses:  []Pause{{Node: 2, At: 100, For: 500}},
-			Crashes: []Crash{{Node: 2, At: 300, RestartAfter: 400}},
+		Faults: abcl.FaultPlan{
+			Pauses:  []abcl.NodePause{{Node: 2, At: 100, For: 500}},
+			Crashes: []abcl.NodeCrash{{Node: 2, At: 300, RestartAfter: 400}},
 		},
 	}
 	err := sp.Validate()

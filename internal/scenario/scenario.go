@@ -29,30 +29,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Link is one link-fault rule. Src/Dst -1 — the default when omitted —
-// matches any node; the first matching rule wins.
-type Link struct {
-	Src    int     `json:"src"`
-	Dst    int     `json:"dst"`
-	Drop   float64 `json:"drop,omitempty"`
-	Dup    float64 `json:"dup,omitempty"`
-	Jitter int64   `json:"jitter_ns,omitempty"`
-}
-
-// UnmarshalJSON defaults omitted src/dst to the wildcard.
-func (l *Link) UnmarshalJSON(data []byte) error {
-	type raw Link
-	r := raw{Src: abcl.Wildcard, Dst: abcl.Wildcard}
-	if err := decodeStrict(data, &r); err != nil {
-		return err
-	}
-	*l = Link(r)
-	return nil
-}
-
-// decodeStrict is json.Unmarshal that also rejects keys v does not declare:
+// DecodeStrict is json.Unmarshal that also rejects keys v does not declare:
 // a misspelt key must not silently run a different configuration.
-func decodeStrict(data []byte, v any) error {
+func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -62,50 +41,6 @@ func decodeStrict(data []byte, v any) error {
 		return errors.New("unexpected data after the top-level value")
 	}
 	return nil
-}
-
-// Pause suspends one node's processor for a virtual-time window.
-type Pause struct {
-	Node int   `json:"node"`
-	At   int64 `json:"at_ns"`
-	For  int64 `json:"for_ns"`
-}
-
-// Crash kills one node at a virtual time; the machine rolls back to the
-// latest coordinated checkpoint when the node restarts RestartAfter later.
-type Crash struct {
-	Node         int   `json:"node"`
-	At           int64 `json:"at_ns"`
-	RestartAfter int64 `json:"restart_after_ns"`
-}
-
-// Faults is the declarative fault schedule of a scenario.
-type Faults struct {
-	Links   []Link  `json:"links,omitempty"`
-	Pauses  []Pause `json:"pauses,omitempty"`
-	Crashes []Crash `json:"crashes,omitempty"`
-}
-
-// Plan translates the schedule into a FaultPlan.
-func (f Faults) Plan() abcl.FaultPlan {
-	var p abcl.FaultPlan
-	for _, l := range f.Links {
-		p.Links = append(p.Links, abcl.LinkFault{
-			Src: l.Src, Dst: l.Dst,
-			Drop: l.Drop, Dup: l.Dup, Jitter: sim.Time(l.Jitter),
-		})
-	}
-	for _, pa := range f.Pauses {
-		p.Pauses = append(p.Pauses, abcl.NodePause{
-			Node: pa.Node, At: sim.Time(pa.At), For: sim.Time(pa.For),
-		})
-	}
-	for _, c := range f.Crashes {
-		p.Crashes = append(p.Crashes, abcl.NodeCrash{
-			Node: c.Node, At: sim.Time(c.At), RestartAfter: sim.Time(c.RestartAfter),
-		})
-	}
-	return p
 }
 
 // Assert lists the optional assertions of a scenario. Quiescence, an
@@ -177,8 +112,11 @@ type Spec struct {
 	Executor string `json:"executor,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
 
-	Faults Faults `json:"faults"`
-	Assert Assert `json:"assert"`
+	// Faults is the declarative fault schedule: link drop / duplication /
+	// jitter rules (first match wins; omitted src/dst match any node), node
+	// pause windows and node crashes.
+	Faults abcl.FaultPlan `json:"faults"`
+	Assert Assert         `json:"assert"`
 }
 
 // ParallelConfigured reports whether the spec names the parallel execution
@@ -214,7 +152,7 @@ func (sp Spec) Validate() error {
 	// The fault schedule is only checkable against a sane fleet size; with
 	// nodes < 1 every rule would drown in out-of-range noise.
 	if sp.Nodes >= 1 {
-		if err := sp.Faults.Plan().Validate(sp.Nodes); err != nil {
+		if err := sp.Faults.Validate(sp.Nodes); err != nil {
 			errs = append(errs, fmt.Errorf("scenario %s: %w", name, err))
 		}
 	}
@@ -255,7 +193,7 @@ func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("scenario %s: baseline: %w", sp.Name, err)
 	}
-	faulted, err := runWorkload(sp, sp.Faults.Plan(), extra)
+	faulted, err := runWorkload(sp, sp.Faults, extra)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("scenario %s: faulted: %w", sp.Name, err)
 	}
@@ -352,7 +290,7 @@ func Load(path string) (Spec, error) {
 		return Spec{}, err
 	}
 	var sp Spec
-	if err := decodeStrict(data, &sp); err != nil {
+	if err := DecodeStrict(data, &sp); err != nil {
 		return Spec{}, fmt.Errorf("scenario %s: %w", path, err)
 	}
 	return sp, sp.Validate()

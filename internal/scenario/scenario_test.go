@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -76,6 +75,7 @@ func TestSpecValidation(t *testing.T) {
 		{"misspelt link key", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"links":[{"jitter":5}]}}`, `unknown field "jitter"`},
 		{"removed executor", `{"name":"x","workload":"forkjoin","nodes":2,"executor":"optimistic","workers":4}`, `unknown executor "optimistic"`},
 		{"removed window key", `{"name":"x","workload":"forkjoin","nodes":2,"optimistic_window_ns":1000}`, `unknown field "optimistic_window_ns"`},
+		{"negative depth", `{"name":"x","workload":"forkjoin","nodes":2,"depth":-1}`, "forkjoin depth must be >= 0"},
 		{"trailing data", `{"name":"x","workload":"forkjoin","nodes":2} {}`, "after the top-level value"},
 	}
 	for _, tc := range cases {
@@ -85,17 +85,6 @@ func TestSpecValidation(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-// TestLinkWildcardDefault pins that omitted src/dst mean "any node".
-func TestLinkWildcardDefault(t *testing.T) {
-	var l Link
-	if err := json.Unmarshal([]byte(`{"drop":0.5}`), &l); err != nil {
-		t.Fatal(err)
-	}
-	if l.Src != -1 || l.Dst != -1 {
-		t.Errorf("omitted src/dst = (%d,%d), want wildcard (-1,-1)", l.Src, l.Dst)
 	}
 }
 

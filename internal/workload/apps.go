@@ -20,7 +20,7 @@ type app struct {
 	// opts.
 	run func(sp Spec, opts []abcl.Option) (Outcome, error)
 	// check, when set, rejects parameters the program cannot run, before
-	// anything is built.
+	// anything is built: Validate and Run both ask it.
 	check func(sp Spec) error
 	// ownMachines marks a program that measures fixed machines it builds
 	// itself: it is handed only Run's extra options, never the spec's.
@@ -40,19 +40,29 @@ var apps = map[string]app{
 			Elapsed:   res.Elapsed, Report: &res.Report, Result: res,
 		}, nil
 	}},
-	"forkjoin": {run: func(sp Spec, opts []abcl.Option) (Outcome, error) {
-		sys, err := abcl.NewSystem(opts...)
-		if err != nil {
-			return Outcome{}, err
-		}
-		leaves, err := misc.RunForkJoinOn(sys, sp.Depth)
-		if err != nil {
-			return Outcome{}, err
-		}
-		rep := sys.Report()
-		ans := fmt.Sprintf("leaves=%d", leaves)
-		return Outcome{Answer: ans, Invariant: ans, Elapsed: rep.Sched.Elapsed, Report: &rep, Result: leaves}, nil
-	}},
+	"forkjoin": {
+		// A negative depth never reaches the tree's leaf case: the run
+		// would fork without end.
+		check: func(sp Spec) error {
+			if sp.Depth < 0 {
+				return fmt.Errorf("workload: forkjoin depth must be >= 0, got %d", sp.Depth)
+			}
+			return nil
+		},
+		run: func(sp Spec, opts []abcl.Option) (Outcome, error) {
+			sys, err := abcl.NewSystem(opts...)
+			if err != nil {
+				return Outcome{}, err
+			}
+			leaves, err := misc.RunForkJoinOn(sys, sp.Depth)
+			if err != nil {
+				return Outcome{}, err
+			}
+			rep := sys.Report()
+			ans := fmt.Sprintf("leaves=%d", leaves)
+			return Outcome{Answer: ans, Invariant: ans, Elapsed: rep.Sched.Elapsed, Report: &rep, Result: leaves}, nil
+		},
+	},
 	"diffusion": {run: func(sp Spec, opts []abcl.Option) (Outcome, error) {
 		res, err := diffusion.Run(diffusion.Options{
 			W: sp.Grid, H: sp.Grid, Iters: sp.GridIters, BlockPlace: !sp.Scatter,

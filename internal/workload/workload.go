@@ -15,13 +15,6 @@ import (
 	abcl "repro"
 )
 
-// Crash mirrors abcl.NodeCrash in JSON-friendly form.
-type Crash struct {
-	Node           int   `json:"node"`
-	AtNs           int64 `json:"at_ns"`
-	RestartAfterNs int64 `json:"restart_after_ns"`
-}
-
 // Spec is the complete, replayable description of one run: together with
 // the runtime's determinism guarantee (same seed ⇒ byte-identical traces) it
 // pins every byte of the run's trace and report. It is a runpack's
@@ -51,10 +44,10 @@ type Spec struct {
 	Reorder   int    `json:"reorder,omitempty"`    // bounded-reordering annotation
 
 	// Fault schedule.
-	Drop     float64 `json:"drop,omitempty"`
-	Dup      float64 `json:"dup,omitempty"`
-	JitterNs int64   `json:"jitter_ns,omitempty"`
-	Crashes  []Crash `json:"crashes,omitempty"`
+	Drop     float64          `json:"drop,omitempty"`
+	Dup      float64          `json:"dup,omitempty"`
+	JitterNs int64            `json:"jitter_ns,omitempty"`
+	Crashes  []abcl.NodeCrash `json:"crashes,omitempty"`
 
 	// Wire-path, recovery and execution options.
 	BatchWindowNs  int64 `json:"batch_window_ns,omitempty"`
@@ -152,9 +145,7 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 	if sp.Drop != 0 || sp.Dup != 0 || sp.JitterNs != 0 {
 		plan = abcl.UniformFaults(sp.Drop, sp.Dup, abcl.Time(sp.JitterNs))
 	}
-	for _, c := range sp.Crashes {
-		plan = plan.WithCrash(c.Node, abcl.Time(c.AtNs), abcl.Time(c.RestartAfterNs))
-	}
+	plan.Crashes = sp.Crashes
 	if plan.Enabled() {
 		opts = append(opts, abcl.WithFaults(plan))
 	}
@@ -239,6 +230,11 @@ func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 	a, err := lookup("workload", apps, sp.Workload)
 	if err != nil {
 		return Outcome{}, err
+	}
+	if a.check != nil {
+		if err := a.check(sp); err != nil {
+			return Outcome{}, err
+		}
 	}
 	opts, err := sp.Options()
 	if err != nil {

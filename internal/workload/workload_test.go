@@ -140,9 +140,13 @@ func TestSpecRejections(t *testing.T) {
 		{Workload: "nqueens", Executor: "conservativ", Workers: 2},
 		{Workload: "nqueens", Workers: 2},
 		{Workload: "nqueens", BatchWindowNs: -5},
+		{Workload: "forkjoin", Depth: -1}, // would fork without end
 	} {
 		if _, err := Run(sp); err == nil {
 			t.Errorf("Run(%+v) accepted the spec", sp)
 		}
+	}
+	if err := (Spec{Workload: "forkjoin", Depth: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "depth must be >= 0") {
+		t.Errorf("Validate accepted a negative fork-join depth: %v", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	abcl "repro"
+	"repro/internal/apps/hotkey"
 	"repro/internal/apps/misc"
 	"repro/internal/apps/nqueens"
 )
@@ -33,7 +34,12 @@ func mallocsDuring(run func()) uint64 {
 // slot per message. Budgets sit about 15 % above the measured figures
 // (construction included): all-to-all 0.13 allocations per message; reliable
 // n-queens 5.64 allocations and 4.07 events, against 13.41 and 5.57 with
-// per-copy closures, per-link heap objects and per-message retry timers.
+// per-copy closures, per-link heap objects and per-message retry timers. The
+// last two rows are the product's default path (profiler compiled in, off)
+// and the multiactive scheduler's per-group ready queues: 3.96 allocations
+// per message (281 562 a run) and 1.59 (5 115 a run), exact run to run. Only
+// one hot-key message in sixteen parks in a ready queue, so an allocation per
+// push moves that figure by 4 %: its budget sits 2 % above, not 15 %.
 func TestMessageAllocationBudget(t *testing.T) {
 	allToAll := func() (msgs, events uint64, err error) {
 		res, err := misc.RunAllToAll(misc.AllToAllOptions{Nodes: 32, Rounds: 8})
@@ -59,6 +65,20 @@ func TestMessageAllocationBudget(t *testing.T) {
 		}
 		return res.Messages, sys.M.Eng.Fired(), err
 	}
+	defaultQueens := func() (msgs, events uint64, err error) {
+		res, err := nqueens.Run(nqueens.Options{N: 10}, abcl.WithNodes(64), abcl.WithSeed(1))
+		if err == nil && (res.Solutions != 724 || res.Report.Profile != nil) {
+			err = fmt.Errorf("solutions=%d profiler on=%v, want 724/false", res.Solutions, res.Report.Profile != nil)
+		}
+		return res.Messages, 0, err
+	}
+	hotKeyFull := func() (msgs, events uint64, err error) {
+		res, err := hotkey.Run(hotkey.Options{Clients: 16, Ops: 40, WritePct: 20, Coverage: hotkey.CoverFull}, abcl.WithNodes(16))
+		if err == nil && (res.Ops != 16*40 || res.Final != res.Writes) {
+			err = fmt.Errorf("ops=%d final=%d writes=%d, want %d ops and final == writes", res.Ops, res.Final, res.Writes, 16*40)
+		}
+		return res.Stats.TotalMessages(), 0, err
+	}
 	for _, tc := range []struct {
 		name         string
 		run          func() (msgs, events uint64, err error)
@@ -67,6 +87,8 @@ func TestMessageAllocationBudget(t *testing.T) {
 	}{
 		{"sequential all-to-all 32x8", allToAll, 0.25, 0},
 		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 6.5, 4.7},
+		{"default n-queens N10 P64, profiler off", defaultQueens, 4.55, 0},
+		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.62, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			best, perEvent := 0.0, 0.0
