@@ -10,7 +10,7 @@
 #   make bench           the repository benchmark (BENCHMARK.json): bash bench/run.sh
 #   make bench-trace     its traced pass: per-layer metrics for every workload
 #   make cover           per-package test coverage summary
-#   make loc             non-test and test Go line counts outside bench/
+#   make loc             non-test and test Go line counts outside bench/, and the docs' line counts
 
 .PHONY: all tier1 vet-race scenario-smoke profile-smoke regress check cover loc bench bench-trace bench-test
 
@@ -67,3 +67,4 @@ cover:
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines outside bench/:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@wc -l README.md DESIGN.md EXPERIMENTS.md

@@ -168,8 +168,8 @@ var (
 )
 
 // DefaultSeed drives placement and fault-injection randomness when no
-// WithSeed option is given (and when the legacy Config.Seed is zero). The
-// seed is never silently remapped: Seed() always reports the value in use.
+// WithSeed option is given. The seed is never silently remapped: Seed()
+// always reports the value in use.
 const DefaultSeed int64 = 1
 
 // DefaultStockDepth is the chunk-stock depth per (node, class) when neither
@@ -185,7 +185,6 @@ type settings struct {
 	placement   Placement
 	seed        int64
 	machine     *machine.Config
-	traceCap    int
 	faults      FaultPlan
 	exec        ExecutorSpec
 	reliable    bool // ack/retry protocol even without faults
@@ -261,30 +260,14 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithTrace enables runtime event tracing into a ring buffer of capacity
-// events, available as System.Trace.
-//
-// Deprecated: use WithObserver(trace.NewRing(capacity)) — the ring buffer is
-// now one Sink among several. WithTrace remains as a shorthand that also
-// populates the System.Trace field.
-func WithTrace(capacity int) Option {
-	return func(s *settings) error {
-		if capacity <= 0 {
-			return fmt.Errorf("abcl: WithTrace(%d): capacity must be positive", capacity)
-		}
-		s.traceCap = capacity
-		return nil
-	}
-}
-
 // WithObserver attaches a trace sink to the runtime: every scheduler, wire,
 // reliable-protocol and checkpoint event is delivered to it synchronously, in
-// the simulation's single deterministic event order. Multiple observers (or
-// an observer plus WithTrace) compose via trace.Tee. Sinks must not retain
-// the Event or any memory reachable from it beyond the call; see the trace
-// package for the full contract. Incompatible with the parallel executor
-// (WithExecutor): parallel windows have no single global interleaving to
-// observe.
+// the simulation's single deterministic event order. Multiple observers
+// compose via trace.Tee; a bounded in-memory trace is
+// WithObserver(trace.NewRing(n)). Sinks must not retain the Event or any
+// memory reachable from it beyond the call; see the trace package for the
+// full contract. Incompatible with the parallel executor (WithExecutor):
+// parallel windows have no single global interleaving to observe.
 func WithObserver(sink trace.Sink) Option {
 	return func(s *settings) error {
 		if sink == nil {
@@ -493,7 +476,7 @@ func Conservative(workers int) ExecutorSpec {
 }
 
 // WithExecutor picks the execution strategy (default Sequential).
-// Conservative is incompatible with WithTrace/WithObserver — the trace
+// Conservative is incompatible with WithObserver — the trace
 // contract is a single global interleaving that parallel windows do not
 // have — and with WithCheckpoint or a crash plan (a restore touches every
 // event lane at once).
@@ -512,8 +495,6 @@ type System struct {
 	M   *machine.Machine
 	RT  *core.Runtime
 	Net *remote.Layer
-	// Trace holds runtime events when tracing was enabled (WithTrace).
-	Trace *trace.Ring
 
 	seed        int64
 	faults      FaultPlan
@@ -563,8 +544,8 @@ func NewSystem(opts ...Option) (*System, error) {
 	ckptOn := s.ckptEvery > 0 || len(s.faults.Crashes) > 0
 	reliable := s.reliable || s.faults.Enabled() || ckptOn
 	parallel := s.exec.workers > 1
-	if (s.observer != nil || s.traceCap > 0) && parallel {
-		errs = append(errs, fmt.Errorf("abcl: WithTrace/WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
+	if s.observer != nil && parallel {
+		errs = append(errs, fmt.Errorf("abcl: WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
 	}
 	if ckptOn && parallel {
 		errs = append(errs, fmt.Errorf("abcl: WithCheckpoint (or a crash plan) and the Conservative executor are incompatible: a restore touches every event lane at once"))
@@ -583,19 +564,6 @@ func NewSystem(opts ...Option) (*System, error) {
 	m, err := machine.New(mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("abcl: %w", err)
-	}
-	// Resolve the observer sink. A nil *trace.Ring must never be stored into
-	// the Sink interface fields below — the typed-nil interface value would
-	// defeat the engine's `sink != nil` fast path.
-	var ring *trace.Ring
-	sink := s.observer
-	if s.traceCap > 0 {
-		ring = trace.NewRing(s.traceCap)
-		if sink != nil {
-			sink = trace.Tee(ring, sink)
-		} else {
-			sink = ring
-		}
 	}
 	var prof *profile.Profiler
 	if s.prof != nil {
@@ -616,7 +584,7 @@ func NewSystem(opts ...Option) (*System, error) {
 	rt := core.NewRuntime(m, core.Options{
 		Policy:        s.policy,
 		MaxStackDepth: s.maxStack,
-		Trace:         sink,
+		Trace:         s.observer,
 		Prof:          prof,
 	})
 	if ckptOn {
@@ -629,7 +597,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		Placement:       s.placement,
 		Seed:            s.seed,
 		Reliable:        reliable,
-		Trace:           sink,
+		Trace:           s.observer,
 		Prof:            prof,
 		BatchWindow:     s.batchWindow,
 		BatchMaxBytes:   s.batchBytes,
@@ -637,15 +605,15 @@ func NewSystem(opts ...Option) (*System, error) {
 		LoadHorizon:     s.loadHorizon,
 		NoLocationCache: s.noLocCache,
 	})
-	sys := &System{M: m, RT: rt, Net: net, Trace: ring, prof: prof, seed: s.seed, faults: s.faults, exec: s.exec}
+	sys := &System{M: m, RT: rt, Net: net, prof: prof, seed: s.seed, faults: s.faults, exec: s.exec}
 	if ckptOn {
 		// Retention must cover every reliable send, including host-time ones
 		// (e.g. a Migrate before the first Run), so it starts here rather
 		// than at the manager's Start.
 		net.EnableCheckpoint()
 		sys.ckpt = checkpoint.New(rt, net, s.ckptEvery)
-		if sink != nil {
-			sys.ckpt.SetTrace(sink)
+		if s.observer != nil {
+			sys.ckpt.SetTrace(s.observer)
 		}
 		if prof != nil {
 			sys.ckpt.SetProfiler(prof)
@@ -669,15 +637,10 @@ func (s *System) Pattern(name string, arity int) Pattern {
 }
 
 // Class defines a new object class with stateSize state variables and an
-// optional lazy initializer.
-func (s *System) Class(name string, stateSize int, init InitFunc) *Class {
-	return s.RT.DefineClass(name, stateSize, init)
-}
-
-// NewClass is the builder entry point for class definition: it returns the
-// fresh class for chaining Method, Group, Priority and ReorderBound calls.
+// optional lazy initializer, and returns it for chaining Method, Group,
+// Priority and ReorderBound calls:
 //
-//	counter := sys.NewClass("counter", 1, nil).
+//	counter := sys.Class("counter", 1, nil).
 //	    Method(get, getBody).
 //	    Method(add, addBody).
 //	    Group("reads", get).
@@ -688,9 +651,8 @@ func (s *System) Class(name string, stateSize int, init InitFunc) *Class {
 // whose patterns share a group may be live on one object simultaneously
 // (running, or blocked in a now-type wait), while ungrouped patterns stay
 // exclusive with everything. A class with no groups keeps the paper's serial
-// semantics exactly. NewClass and Class are the same definition under two
-// idioms; both return the chainable *Class.
-func (s *System) NewClass(name string, stateSize int, init InitFunc) *Class {
+// semantics exactly.
+func (s *System) Class(name string, stateSize int, init InitFunc) *Class {
 	return s.RT.DefineClass(name, stateSize, init)
 }
 

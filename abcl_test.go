@@ -6,6 +6,7 @@ import (
 
 	abcl "repro"
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 func TestNewSystemDefaults(t *testing.T) {
@@ -105,7 +106,7 @@ func TestOptionValidationAggregated(t *testing.T) {
 	_, err := abcl.NewSystem(
 		abcl.WithNodes(0),                       // bad argument
 		abcl.WithSeed(0),                        // bad argument
-		abcl.WithTrace(64),                      // incompatible with a parallel executor
+		abcl.WithObserver(trace.NewRing(64)),    // incompatible with a parallel executor
 		abcl.WithExecutor(abcl.Conservative(4)), //
 		abcl.WithDelayedAcks(abcl.Time(50)),     // needs the reliable protocol
 	)
@@ -128,7 +129,7 @@ func TestOptionCombinationErrors(t *testing.T) {
 		name string
 		opts []abcl.Option
 	}{
-		{"trace+conservative", []abcl.Option{abcl.WithTrace(64), abcl.WithExecutor(abcl.Conservative(2))}},
+		{"observer+conservative", []abcl.Option{abcl.WithObserver(trace.NewRing(64)), abcl.WithExecutor(abcl.Conservative(2))}},
 		{"checkpoint+conservative", []abcl.Option{abcl.WithNodes(2), abcl.WithCheckpoint(abcl.Time(1000)), abcl.WithExecutor(abcl.Conservative(2))}},
 		{"negative workers", []abcl.Option{abcl.WithExecutor(abcl.Conservative(-1))}},
 		{"delayed-acks unreliable", []abcl.Option{abcl.WithNodes(2), abcl.WithDelayedAcks(abcl.Time(50))}},
@@ -152,7 +153,7 @@ func TestOptionValidation(t *testing.T) {
 		{"WithNodes(0)", abcl.WithNodes(0)},
 		{"WithNodes(-3)", abcl.WithNodes(-3)},
 		{"WithSeed(0)", abcl.WithSeed(0)},
-		{"WithTrace(0)", abcl.WithTrace(0)},
+		{"WithObserver(nil)", abcl.WithObserver(nil)},
 		{"WithPlacement(nil)", abcl.WithPlacement(nil)},
 		{"WithMaxStackDepth(0)", abcl.WithMaxStackDepth(0)},
 		{"WithChunkStock(-1)", abcl.WithChunkStock(-1)},
@@ -241,7 +242,8 @@ func TestCustomMachineConfig(t *testing.T) {
 }
 
 func TestTracing(t *testing.T) {
-	sys := abcl.MustNewSystem(abcl.WithNodes(1), abcl.WithTrace(256))
+	ring := trace.NewRing(256)
+	sys := abcl.MustNewSystem(abcl.WithNodes(1), abcl.WithObserver(ring))
 	ping := sys.Pattern("ping", 1)
 	cls := sys.Class("cls", 0, nil)
 	cls.Method(ping, func(ctx *abcl.Ctx) {
@@ -254,11 +256,11 @@ func TestTracing(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Trace == nil || sys.Trace.Len() == 0 {
+	if ring.Len() == 0 {
 		t.Fatal("tracing enabled but no events recorded")
 	}
 	var sends, scheds, dispatches int
-	for _, e := range sys.Trace.Events() {
+	for _, e := range ring.Events() {
 		switch e.Kind.String() {
 		case "send":
 			sends++
@@ -271,13 +273,6 @@ func TestTracing(t *testing.T) {
 	if sends == 0 || scheds == 0 || dispatches == 0 {
 		t.Errorf("trace kinds missing: sends=%d scheds=%d dispatches=%d",
 			sends, scheds, dispatches)
-	}
-}
-
-func TestTracingDisabledByDefault(t *testing.T) {
-	sys := abcl.MustNewSystem(abcl.WithNodes(1))
-	if sys.Trace != nil {
-		t.Fatal("trace ring allocated without TraceCapacity")
 	}
 }
 

@@ -149,6 +149,9 @@ func parseFlags(args []string) (*cli, error) {
 		return nil, err
 	}
 	sp.Scatter, sp.Ungrouped = !*block, !*grouped
+	if c.traceN < 0 {
+		return nil, fmt.Errorf("-trace %d: event count must be a non-negative integer", c.traceN)
+	}
 	// -executor name[:N]: the name is judged with the other setting names
 	// (Spec.Options); only the worker-count syntax is this flag's own.
 	name, n, hasN := strings.Cut(*executor, ":")

@@ -82,6 +82,49 @@ func TestConservativeEquivalence(t *testing.T) {
 			}
 			return observed{leaves, sys.Report()}
 		}},
+		// Selective reception across lanes: a producer and a consumer on
+		// their own nodes drive a capacity-1 buffer on a third. The consumer
+		// asks first, so the buffer waits (Ctx.WaitFor) for a put once and
+		// for a take after every put.
+		{"bounded-buffer", func(t *testing.T, exec abcl.Option) any {
+			const pairs = 40
+			sys, err := abcl.NewSystem(abcl.WithNodes(4), abcl.WithSeed(3), exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb := misc.BuildBoundedBuffer(sys)
+			produce := sys.Pattern("t.produce", 0)
+			consume := sys.Pattern("t.consume", 0)
+			var buf abcl.Address
+			var got []int64
+			producer := sys.Class("t.producer", 0, nil).Method(produce, func(ctx *abcl.Ctx) {
+				ctx.Charge(5000) // let the first take find the buffer empty
+				for i := int64(1); i <= pairs; i++ {
+					ctx.SendPast(buf, bb.Put, abcl.Int(i*i))
+				}
+			})
+			var take func(ctx *abcl.Ctx)
+			take = func(ctx *abcl.Ctx) {
+				if len(got) == pairs {
+					return
+				}
+				ctx.SendNow(buf, bb.Take, nil, func(ctx *abcl.Ctx, v abcl.Value) {
+					got = append(got, v.Int())
+					take(ctx)
+				})
+			}
+			consumer := sys.Class("t.consumer", 0, nil).Method(consume, take)
+			buf = sys.NewObjectOn(0, bb.Cls)
+			sys.Send(sys.NewObjectOn(1, producer), produce)
+			sys.Send(sys.NewObjectOn(2, consumer), consume)
+			if err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != pairs || got[0] != 1 || got[pairs-1] != pairs*pairs {
+				t.Fatalf("took %v, want the %d squares in order", got, pairs)
+			}
+			return observed{got, sys.Report()}
+		}},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

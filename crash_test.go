@@ -7,6 +7,7 @@ import (
 	abcl "repro"
 	"repro/internal/apps/misc"
 	"repro/internal/apps/nqueens"
+	"repro/internal/trace"
 )
 
 // crashRun executes one N-queens search under the given options and returns
@@ -15,7 +16,6 @@ type crashRun struct {
 	solutions int64
 	elapsed   abcl.Time
 	stats     abcl.Counters
-	trace     []string
 }
 
 func runQueens(t *testing.T, n int, opts ...abcl.Option) crashRun {
@@ -34,13 +34,7 @@ func runQueens(t *testing.T, n int, opts ...abcl.Option) crashRun {
 		t.Fatal(err)
 	}
 	rep := sys.Report()
-	r := crashRun{solutions: res.Solutions, elapsed: rep.Sched.Elapsed, stats: rep.Sched.Counters}
-	if sys.Trace != nil {
-		for _, e := range sys.Trace.Events() {
-			r.trace = append(r.trace, e.String())
-		}
-	}
-	return r
+	return crashRun{solutions: res.Solutions, elapsed: rep.Sched.Elapsed, stats: rep.Sched.Counters}
 }
 
 // queensSolutions holds the exact answers the search must produce.
@@ -99,10 +93,10 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 		abcl.WithNodes(4), abcl.WithSeed(7),
 		abcl.WithCheckpoint(clean.elapsed / 6),
 		abcl.WithFaults(plan),
-		abcl.WithTrace(1 << 15),
 	}
-	a := runQueens(t, n, opts...)
-	b := runQueens(t, n, opts...)
+	ringA, ringB := trace.NewRing(1<<15), trace.NewRing(1<<15)
+	a := runQueens(t, n, append(opts, abcl.WithObserver(ringA))...)
+	b := runQueens(t, n, append(opts, abcl.WithObserver(ringB))...)
 	if a.stats != b.stats {
 		t.Errorf("counters differ across identical crash runs:\n%+v\nvs\n%+v", a.stats, b.stats)
 	}
@@ -110,14 +104,14 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 		t.Errorf("elapsed/answer differ: (%v, %d) vs (%v, %d)",
 			a.elapsed, a.solutions, b.elapsed, b.solutions)
 	}
-	if !reflect.DeepEqual(a.trace, b.trace) {
-		for i := range a.trace {
-			if i < len(b.trace) && a.trace[i] != b.trace[i] {
-				t.Errorf("trace diverges at %d:\n  %s\n  %s", i, a.trace[i], b.trace[i])
+	if ta, tb := ringA.Events(), ringB.Events(); !reflect.DeepEqual(ta, tb) {
+		for i := range ta {
+			if i < len(tb) && ta[i] != tb[i] {
+				t.Errorf("trace diverges at %d:\n  %s\n  %s", i, ta[i], tb[i])
 				break
 			}
 		}
-		t.Errorf("traces differ (%d vs %d events)", len(a.trace), len(b.trace))
+		t.Errorf("traces differ (%d vs %d events)", len(ta), len(tb))
 	}
 }
 

@@ -23,7 +23,6 @@ func main() {
 		abcl.WithNodes(4),
 		abcl.WithSeed(42),
 		abcl.WithFaults(abcl.UniformFaults(0.10, 0.05, 2000)),
-		abcl.WithTrace(64),
 	)
 	if err != nil {
 		log.Fatal(err)

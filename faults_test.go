@@ -6,17 +6,17 @@ import (
 
 	abcl "repro"
 	"repro/internal/apps/misc"
+	"repro/internal/trace"
 )
 
 // faultRun executes one fork-join workload under the given options and
 // returns everything that must be reproducible: counters, elapsed time,
-// packet totals, the trace, and the workload's answer.
+// packet totals and the workload's answer.
 type faultRun struct {
 	answer  int64
 	elapsed abcl.Time
 	packets uint64
 	stats   abcl.Counters
-	trace   []string
 }
 
 func runFaulted(t *testing.T, depth int, opts ...abcl.Option) faultRun {
@@ -30,18 +30,12 @@ func runFaulted(t *testing.T, depth int, opts ...abcl.Option) faultRun {
 		t.Fatal(err)
 	}
 	rep := sys.Report()
-	r := faultRun{
+	return faultRun{
 		answer:  answer,
 		elapsed: rep.Sched.Elapsed,
 		packets: rep.Wire.Packets,
 		stats:   rep.Sched.Counters,
 	}
-	if sys.Trace != nil {
-		for _, e := range sys.Trace.Events() {
-			r.trace = append(r.trace, e.String())
-		}
-	}
-	return r
 }
 
 // TestFaultDeterminism is the reproducibility contract of the fault
@@ -71,10 +65,11 @@ func TestFaultDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := []abcl.Option{
 				abcl.WithNodes(4), abcl.WithSeed(tc.seed),
-				abcl.WithFaults(tc.plan), abcl.WithTrace(4096),
+				abcl.WithFaults(tc.plan),
 			}
-			a := runFaulted(t, 7, opts...)
-			b := runFaulted(t, 7, opts...)
+			ringA, ringB := trace.NewRing(4096), trace.NewRing(4096)
+			a := runFaulted(t, 7, append(opts, abcl.WithObserver(ringA))...)
+			b := runFaulted(t, 7, append(opts, abcl.WithObserver(ringB))...)
 			if a.stats != b.stats {
 				t.Errorf("counters differ across identical runs:\n%+v\nvs\n%+v", a.stats, b.stats)
 			}
@@ -82,8 +77,8 @@ func TestFaultDeterminism(t *testing.T) {
 				t.Errorf("run differs: elapsed %v/%v packets %d/%d answer %d/%d",
 					a.elapsed, b.elapsed, a.packets, b.packets, a.answer, b.answer)
 			}
-			if !reflect.DeepEqual(a.trace, b.trace) {
-				t.Errorf("traces differ: %d vs %d events", len(a.trace), len(b.trace))
+			if ta, tb := ringA.Events(), ringB.Events(); !reflect.DeepEqual(ta, tb) {
+				t.Errorf("traces differ: %d vs %d events", len(ta), len(tb))
 			}
 			// The faults must not corrupt the computation itself.
 			if a.answer != 128 {

@@ -128,7 +128,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	// in real systems. One shard per non-counter node: a serial counter can
 	// only ever use one at a time (it is blocked for the whole round trip),
 	// while overlapped invocations fan out across all of them.
-	store := sys.NewClass("hk.store", 0, nil).
+	store := sys.Class("hk.store", 0, nil).
 		Method(load, func(ctx *abcl.Ctx) {
 			ctx.Charge(500)
 			ctx.Reply(abcl.Int(0))
@@ -158,7 +158,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		ctx.SetState(stCursor, abcl.Int(cur+1))
 		return shards[cur%int64(len(shards))]
 	}
-	counter := sys.NewClass("hk.counter", 3, func(ic *abcl.InitCtx) {
+	counter := sys.Class("hk.counter", 3, func(ic *abcl.InitCtx) {
 		ic.SetState(stValue, abcl.Int(0))
 		ic.SetState(stCursor, abcl.Int(0))
 		ic.SetState(stReads, abcl.Int(0))
@@ -203,7 +203,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		}
 	}
 	var collector abcl.Address
-	client := sys.NewClass("hk.client", 1, func(ic *abcl.InitCtx) {
+	client := sys.Class("hk.client", 1, func(ic *abcl.InitCtx) {
 		ic.SetState(0, ic.CtorArg(0)) // client id
 	}).
 		Method(step, func(ctx *abcl.Ctx) {
@@ -226,7 +226,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		})
 	reported := make([]bool, opt.Clients)
 	finished := 0
-	coll := sys.NewClass("hk.coll", 0, nil).
+	coll := sys.Class("hk.coll", 0, nil).
 		Method(done, func(ctx *abcl.Ctx) {
 			if id := int(ctx.Arg(0).Int()); !reported[id] {
 				reported[id] = true

@@ -100,7 +100,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	// journal; every book operation round-trips to one shard before it
 	// replies. Entries are counted host-side for the ledger check.
 	var auditLen int64
-	audit := sys.NewClass("ob.audit", 0, nil).
+	audit := sys.Class("ob.audit", 0, nil).
 		Method(record, func(ctx *abcl.Ctx) {
 			ctx.Charge(300)
 			auditLen++
@@ -127,7 +127,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 			maxLive = l
 		}
 	}
-	book := sys.NewClass("ob.book", accounts+1, func(ic *abcl.InitCtx) {
+	book := sys.Class("ob.book", accounts+1, func(ic *abcl.InitCtx) {
 		for a := 0; a < accounts; a++ {
 			ic.SetState(a, abcl.Int(initialBalance))
 		}
@@ -200,7 +200,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 			return balance, []abcl.Value{abcl.Int(int64(acct))}
 		}
 	}
-	client := sys.NewClass("ob.client", 1, func(ic *abcl.InitCtx) {
+	client := sys.Class("ob.client", 1, func(ic *abcl.InitCtx) {
 		ic.SetState(0, ic.CtorArg(0)) // client id, fixes the op mix
 	}).
 		Method(step, func(ctx *abcl.Ctx) {
@@ -216,7 +216,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 				ctx.SendPast(ctx.Self(), step, next)
 			})
 		})
-	coll := sys.NewClass("ob.coll", 0, nil).
+	coll := sys.Class("ob.coll", 0, nil).
 		Method(done, func(ctx *abcl.Ctx) { finished++ })
 	collector = sys.NewObjectOn(0, coll)
 

@@ -54,8 +54,8 @@ type Options struct {
 	// deep recursion). Zero means the default of 64.
 	MaxStackDepth int
 	// Trace, when non-nil, receives runtime events (sends, invocations,
-	// blocks, scheduling). Supported on the discrete-event engine only; the
-	// bundled sinks are not safe for concurrent nodes.
+	// blocks, scheduling). Sinks see one global event interleaving, so
+	// abcl.NewSystem rejects one together with a parallel executor.
 	Trace trace.Sink
 	// Prof, when non-nil, receives per-path cost attribution for every
 	// simulated charge. Like Trace it only observes; enabling it changes no
@@ -92,27 +92,11 @@ type Runtime struct {
 // and patterns must be defined before the first Run (which freezes the
 // runtime).
 func NewRuntime(m *machine.Machine, opt Options) *Runtime {
-	nodes := make([]ExecNode, m.Nodes())
-	for i := range nodes {
-		nodes[i] = m.Node(i)
-	}
-	r := NewRuntimeOn(nodes, &m.Cfg.Cost, opt)
-	r.M = m
-	for i := range nodes {
-		m.Node(i).Runner = r.nodes[i]
-		r.nodes[i].mn = m.Node(i)
-	}
-	return r
-}
-
-// NewRuntimeOn builds a runtime over custom execution nodes (used by the
-// real-parallel driver). The caller is responsible for driving each NodeRT's
-// Step loop; Run is unavailable on such runtimes.
-func NewRuntimeOn(nodes []ExecNode, cost *machine.Cost, opt Options) *Runtime {
 	if opt.MaxStackDepth <= 0 {
 		opt.MaxStackDepth = 64
 	}
 	r := &Runtime{
+		M:             m,
 		Reg:           NewRegistry(),
 		policy:        opt.Policy,
 		maxStackDepth: opt.MaxStackDepth,
@@ -120,12 +104,13 @@ func NewRuntimeOn(nodes []ExecNode, cost *machine.Cost, opt Options) *Runtime {
 	}
 	r.PatReply = r.Reg.Register("reply:", 1)
 	r.prof = opt.Prof
-	r.nodes = make([]*NodeRT, len(nodes))
+	r.nodes = make([]*NodeRT, m.Nodes())
 	for i := range r.nodes {
-		r.nodes[i] = &NodeRT{rt: r, id: i, node: nodes[i], cost: cost, tr: opt.Trace}
+		r.nodes[i] = &NodeRT{rt: r, id: i, node: m.Node(i), cost: &m.Cfg.Cost, tr: opt.Trace}
 		if opt.Prof != nil {
 			r.nodes[i].prof = opt.Prof.Node(i)
 		}
+		m.Node(i).Runner = r.nodes[i]
 	}
 	return r
 }

@@ -5,23 +5,9 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/profile"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
-
-// ExecNode abstracts the processing element a NodeRT runs on: the
-// discrete-event simulator's machine.Node, or a real goroutine-backed node
-// in the parallel execution driver. All methods are called only from the
-// node's own execution context.
-type ExecNode interface {
-	// Charge accounts instr instructions of computation.
-	Charge(instr int)
-	// Wake signals that the node has queued scheduler work.
-	Wake()
-	// Now returns the node's current (virtual or real) time.
-	Now() sim.Time
-}
 
 // NodeRT is the per-node half of the runtime: it owns the node-wide
 // scheduling queue and implements message dispatch for objects on its node.
@@ -30,8 +16,7 @@ type ExecNode interface {
 type NodeRT struct {
 	rt   *Runtime
 	id   int
-	node ExecNode
-	mn   *machine.Node // devirtualized node when running on the DES machine
+	node *machine.Node
 	cost *machine.Cost
 
 	schedQ     schedQueue
@@ -73,12 +58,8 @@ type NodeRT struct {
 // ID returns the node index.
 func (n *NodeRT) ID() int { return n.id }
 
-// MachineNode returns the underlying simulated node; it panics when the
-// runtime is not running on the discrete-event machine.
-func (n *NodeRT) MachineNode() *machine.Node { return n.node.(*machine.Node) }
-
-// Exec returns the underlying execution node.
-func (n *NodeRT) Exec() ExecNode { return n.node }
+// MachineNode returns the simulated node this runtime half runs on.
+func (n *NodeRT) MachineNode() *machine.Node { return n.node }
 
 // Runtime returns the owning runtime.
 func (n *NodeRT) Runtime() *Runtime { return n.rt }
@@ -90,13 +71,7 @@ func (n *NodeRT) SchedQueueLen() int { return n.schedQ.len() }
 func (n *NodeRT) MaxObservedDepth() int { return n.maxDepth }
 
 func (n *NodeRT) charge(instr int) {
-	// Devirtualized fast path: on the discrete-event machine the concrete
-	// node is cached so the hot charge path avoids an interface call.
-	if n.mn != nil {
-		n.mn.Charge(instr)
-	} else {
-		n.node.Charge(instr)
-	}
+	n.node.Charge(instr)
 	if n.prof != nil {
 		n.prof.ChargeInstr(n.curPath, instr, n.node.Now())
 	}

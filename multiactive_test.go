@@ -29,7 +29,7 @@ func runGroupedContention(t *testing.T, extra ...abcl.Option) (int64, abcl.Time,
 	req := sys.Pattern("mx.req", 0)
 	step := sys.Pattern("mx.step", 1)
 
-	echo := sys.NewClass("mx.echo", 0, nil).
+	echo := sys.Class("mx.echo", 0, nil).
 		Method(ping, func(ctx *abcl.Ctx) {
 			ctx.Charge(300)
 			ctx.Reply(abcl.Int(0))
@@ -39,7 +39,7 @@ func runGroupedContention(t *testing.T, extra ...abcl.Option) (int64, abcl.Time,
 		shards[i] = sys.NewObjectOn(i+1, echo)
 	}
 
-	hot := sys.NewClass("mx.hot", 2, func(ic *abcl.InitCtx) {
+	hot := sys.Class("mx.hot", 2, func(ic *abcl.InitCtx) {
 		ic.SetState(0, abcl.Int(0)) // completed requests
 		ic.SetState(1, abcl.Int(0)) // shard cursor
 	}).
@@ -55,7 +55,7 @@ func runGroupedContention(t *testing.T, extra ...abcl.Option) (int64, abcl.Time,
 		Group("reqs", req)
 	hotAddr := sys.NewObjectOn(0, hot)
 
-	client := sys.NewClass("mx.client", 0, nil).
+	client := sys.Class("mx.client", 0, nil).
 		Method(step, func(ctx *abcl.Ctx) {
 			rem := ctx.Arg(0).Int()
 			if rem == 0 {
