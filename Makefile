@@ -29,7 +29,7 @@ vet-race:
 	go test -race ./...
 
 scenario-smoke:
-	go run ./cmd/abclsim -workload scenario -scenario all
+	go run ./cmd/abclsim -scenario all
 
 # End-to-end check of the observability exporters: run a profiled workload,
 # then validate the JSONL stream against the documented schema and the

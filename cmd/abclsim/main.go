@@ -26,22 +26,24 @@
 //
 //	abclsim -workload nqueens -n 8 -nodes 8 -checkpoint-interval 500us -crash 3@1500us+400us
 //
-// Declarative fault scenarios (fleet + fault schedule + assertions) run via
-// the scenario workload:
+// A scenario document is a run spec plus a name and assertions; -scenario
+// runs it fault-free and faulted and checks the assertions. The document
+// states the run, so no run-spec flag may accompany it:
 //
-//	abclsim -workload scenario -scenario all
-//	abclsim -workload scenario -scenario nqueens-lossy
-//	abclsim -workload scenario -scenario path/to/spec.json
+//	abclsim -scenario all
+//	abclsim -scenario nqueens-lossy
+//	abclsim -scenario path/to/scenario.json
 //
-// Any configured run can be captured as a verifiable artifact: -pack writes
-// an integrity-checked runpack archive (config + seed + full trace + profile
-// + report), and the verify/diff/regress subcommands replay and compare
-// archives:
+// Any run, plain or scenario, can be captured as a verifiable artifact:
+// -pack writes an integrity-checked runpack archive (config + full trace +
+// profile + report); verify/diff/regress replay and compare archives, and
+// validate checks a spec file, a scenario file or a pack without running it:
 //
 //	abclsim -workload hotkey -coverage full -pack out/
 //	abclsim verify out/runpack_<id>.zip
 //	abclsim diff a.zip b.zip
 //	abclsim regress testdata/runpacks
+//	abclsim validate path/to/spec.json
 package main
 
 import (
@@ -55,8 +57,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	abcl "repro"
@@ -73,8 +73,9 @@ import (
 )
 
 // cli is one parsed command line: the run spec the system flags bind into
-// directly, plus what only this front end knows — where output goes and
-// which instrumentation to attach.
+// directly (or, instead, the scenario documents -scenario names), plus what
+// only this front end knows — where output goes and which instrumentation
+// to attach.
 type cli struct {
 	spec     workload.Spec
 	scenario string
@@ -94,8 +95,8 @@ func parseFlags(args []string) (*cli, error) {
 	def := workload.Spec{}.WithDefaults()
 	fs := flag.NewFlagSet("abclsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // run reports the error, or the usage, itself
-	fs.StringVar(&sp.Workload, "workload", "nqueens", "workload: nqueens | pingpong | forkjoin | diffusion | hotkey | orderbook | scenario")
-	fs.StringVar(&c.scenario, "scenario", "all", "scenario to run: all | <bundled name> | <path to .json>")
+	fs.StringVar(&sp.Workload, "workload", "nqueens", "workload: nqueens | pingpong | forkjoin | diffusion | hotkey | orderbook")
+	fs.StringVar(&c.scenario, "scenario", "", "run scenario documents instead of the flags' spec: all | <bundled name> | <path to .json>")
 	fs.IntVar(&sp.N, "n", def.N, "N-queens board size")
 	fs.IntVar(&sp.Depth, "depth", def.Depth, "fork-join tree depth")
 	fs.IntVar(&sp.Grid, "grid", def.Grid, "diffusion grid edge length")
@@ -115,12 +116,13 @@ func parseFlags(args []string) (*cli, error) {
 	fs.IntVar(&sp.Iters, "iters", def.Iters, "ping-pong iterations")
 	fs.IntVar(&c.traceN, "trace", 0, "dump the last N runtime trace events")
 
-	fs.Float64Var(&sp.Drop, "drop", 0, "link fault: per-packet drop probability [0,1)")
-	fs.Float64Var(&sp.Dup, "dup", 0, "link fault: per-packet duplication probability [0,1]")
-	fs.Int64Var(&sp.JitterNs, "jitter", 0, "link fault: max extra latency per packet (ns)")
+	drop := fs.Float64("drop", 0, "link fault: per-packet drop probability [0,1)")
+	dup := fs.Float64("dup", 0, "link fault: per-packet duplication probability [0,1]")
+	jitter := fs.Int64("jitter", 0, "link fault: max extra latency per packet (ns)")
+	var crashes crashList
 	fs.Var((*timeFlag)(&sp.CkptIntervalNs), "checkpoint-interval",
 		"coordinated checkpoint cadence, as ns or a Go duration (e.g. 200us); 0 disables periodic checkpoints")
-	fs.Var((*crashList)(&sp.Crashes), "crash",
+	fs.Var(&crashes, "crash",
 		"crash fault node@at+restartAfter (ns or Go durations, e.g. 2@1ms+300us); repeatable; implies checkpoint support")
 
 	fs.Int64Var(&sp.BatchWindowNs, "batch-window", 0, "per-link packet batching window (ns); 0 disables batching")
@@ -148,7 +150,27 @@ func parseFlags(args []string) (*cli, error) {
 		}
 		return nil, err
 	}
+	if c.scenario != "" {
+		// The scenario document states the run: a run-spec flag beside it
+		// would be silently ignored, so it is an error instead.
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if !instrumentFlags[f.Name] {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return nil, fmt.Errorf("-scenario %s states the run itself; drop %s", c.scenario, strings.Join(stray, " "))
+		}
+	}
 	sp.Scatter, sp.Ungrouped = !*block, !*grouped
+	var plan abcl.FaultPlan
+	if *drop != 0 || *dup != 0 || *jitter != 0 {
+		plan = abcl.UniformFaults(*drop, *dup, abcl.Time(*jitter))
+	}
+	if plan.Crashes = crashes; plan.Enabled() {
+		sp.Faults = &plan
+	}
 	if c.traceN < 0 {
 		return nil, fmt.Errorf("-trace %d: event count must be a non-negative integer", c.traceN)
 	}
@@ -171,6 +193,13 @@ func parseFlags(args []string) (*cli, error) {
 	}
 	sp.Executor = name
 	return c, nil
+}
+
+// instrumentFlags are the flags that attach output to a run without being
+// part of its spec: the only ones -scenario admits beside itself.
+var instrumentFlags = map[string]bool{
+	"scenario": true, "pack": true, "trace": true, "profile": true, "metrics": true,
+	"cost-table": true, "cpuprofile": true, "memprofile": true,
 }
 
 // timeFlag is a virtual-time flag value accepting either raw nanoseconds
@@ -307,7 +336,7 @@ func run(args []string, stdout io.Writer) error {
 	// before flag parsing so "abclsim verify pack.zip" just works.
 	if len(args) > 0 {
 		switch args[0] {
-		case "verify", "diff", "regress":
+		case "verify", "diff", "regress", "validate":
 			return runSubcommand(args[0], args[1:], stdout)
 		}
 	}
@@ -340,7 +369,7 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case c.packOut != "":
 		err = c.runPack(stdout)
-	case c.spec.Workload == "scenario":
+	case c.scenario != "":
 		err = c.runScenarios(stdout, in)
 	default:
 		err = c.runWorkload(stdout, in)
@@ -370,8 +399,9 @@ func writeMemProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// runSubcommand handles the positional archive commands: verify replays one
-// pack, diff explains two, regress re-verifies a directory of them.
+// runSubcommand handles the positional commands: verify replays one pack,
+// diff explains two, regress re-verifies a directory of them, validate
+// checks a spec file, a scenario file or a pack and runs nothing.
 func runSubcommand(cmd string, args []string, stdout io.Writer) error {
 	switch cmd {
 	case "verify":
@@ -414,6 +444,35 @@ func runSubcommand(cmd string, args []string, stdout io.Writer) error {
 			dir = args[0]
 		}
 		return runpack.Regress(dir, stdout)
+	case "validate":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: abclsim validate <spec.json | scenario.json | pack.zip>")
+		}
+		var doc scenario.Spec
+		if strings.HasSuffix(args[0], ".zip") {
+			p, err := runpack.Open(args[0])
+			if err != nil {
+				return err
+			}
+			doc = p.Config
+		} else {
+			data, err := os.ReadFile(args[0])
+			if err != nil {
+				return err
+			}
+			if err := workload.DecodeStrict(data, &doc); err != nil {
+				return fmt.Errorf("%s: %w", args[0], err)
+			}
+		}
+		check := doc.Validate
+		if doc.Plain() {
+			check = doc.Spec.Validate
+		}
+		if err := check(); err != nil {
+			return fmt.Errorf("%s: %w", args[0], err)
+		}
+		fmt.Fprintf(stdout, "%s: ok\n", args[0])
+		return nil
 	}
 	return fmt.Errorf("unknown subcommand %q", cmd)
 }
@@ -433,11 +492,11 @@ func (c *cli) scenarios() ([]scenario.Spec, error) {
 }
 
 // runPack executes the configured run under the runpack executor and writes
-// the archive. A scenario pack embeds one named spec — "all" has no single
+// the archive. A scenario pack holds one document — "all" has no single
 // trace to pin.
 func (c *cli) runPack(stdout io.Writer) error {
-	var sc *scenario.Spec
-	if c.spec.Workload == "scenario" {
+	doc := scenario.Spec{Spec: c.spec}
+	if c.scenario != "" {
 		specs, err := c.scenarios()
 		if err != nil {
 			return err
@@ -445,9 +504,9 @@ func (c *cli) runPack(stdout io.Writer) error {
 		if len(specs) != 1 {
 			return fmt.Errorf("-pack needs one scenario (-scenario <name|file.json>), not %q", c.scenario)
 		}
-		sc = &specs[0]
+		doc = specs[0]
 	}
-	p, path, err := runpack.Create(c.spec, sc, c.packOut)
+	p, path, err := runpack.Create(doc, c.packOut)
 	if err != nil {
 		return err
 	}
@@ -600,42 +659,25 @@ func (c *cli) runScenarios(stdout io.Writer, in *instrumentation) error {
 		return err
 	}
 	// Each scenario builds its own fault-free and faulted systems, so the
-	// suite runs concurrently across GOMAXPROCS. Reports are collected into
-	// indexed slots and printed in spec order, identical to a serial run.
-	// With instrumentation attached the sinks are shared, so the suite runs
-	// serially to keep the event stream deterministic.
+	// suite runs concurrently across GOMAXPROCS, reports printed in spec
+	// order. With instrumentation attached the sinks are shared, so the suite
+	// runs serially to keep the event stream deterministic.
 	outs := make([]scenario.Outcome, len(specs))
-	errs := make([]error, len(specs))
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs) {
-		workers = len(specs)
-	}
 	if len(in.opts) > 0 {
 		workers = 1
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				outs[i], errs[i] = scenario.Run(specs[i], in.opts...)
-			}
-		}()
+	err = workload.ForEachIndexed(len(specs), workers, func(i int) (err error) {
+		outs[i], err = scenario.Run(specs[i], in.opts...)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
 	failed := 0
-	for i := range specs {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		fmt.Fprint(stdout, outs[i].Report())
-		if !outs[i].OK() {
+	for _, o := range outs {
+		fmt.Fprint(stdout, o.Report())
+		if !o.OK() {
 			failed++
 		}
 	}

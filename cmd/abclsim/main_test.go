@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -57,7 +59,7 @@ func TestRunEveryWorkload(t *testing.T) {
 		{"-workload hotkey -nodes 2 -clients 2 -ops 4", "hotkey: 2 clients x 4 ops on 2 nodes (coverage full, 20% writes)", true},
 		{"-workload orderbook -nodes 2 -clients 2 -ops 4", "orderbook: 2 clients x 4 ops on 2 nodes (grouped=true)", true},
 		{"-workload pingpong -iters 10", "ping-pong microbenchmarks (10 iterations)", false},
-		{"-workload scenario -scenario forkjoin-dup-jitter", "scenario forkjoin-dup-jitter", false},
+		{"-scenario forkjoin-dup-jitter", "scenario forkjoin-dup-jitter", false},
 	} {
 		var out bytes.Buffer
 		if err := run(strings.Fields(tc.args), &out); err != nil {
@@ -107,23 +109,123 @@ func TestSystemFlagsReachEveryWorkload(t *testing.T) {
 // (a negative fork-join depth never reaches a leaf) instead of hanging.
 func TestUnknownNamesAreErrors(t *testing.T) {
 	for args, want := range map[string]string{
-		"-workload nqueens -n 4 -policy naiv":                           `unknown policy "naiv"`,
-		"-workload hotkey -placement rand":                              `unknown placement "rand"`,
-		"-workload forkjoin -executor timewarp:2":                       `unknown executor "timewarp"`,
-		"-workload scenario -scenario forkjoin-dup-jitter -policy naiv": `unknown policy "naiv"`,
-		"-workload nqueens -policy naiv -pack " + t.TempDir():           `unknown policy "naiv"`,
-		"-workload quicksort":                                           `unknown workload "quicksort"`,
-		"-executor sequential:2":                                        "sequential takes no worker count",
-		"-workload nqueens -n 4 -trace -3":                              "-trace -3: event count must be a non-negative integer",
-		"-bench-json out.json":                                          "flag provided but not defined",
-		"-workload forkjoin -depth -1 -nodes 4":                         "forkjoin depth must be >= 0",
-		"-workload forkjoin -depth -1 -pack " + t.TempDir():             "forkjoin depth must be >= 0",
+		"-workload nqueens -n 4 -policy naiv":                          `unknown policy "naiv"`,
+		"-workload hotkey -placement rand":                             `unknown placement "rand"`,
+		"-workload forkjoin -executor timewarp:2":                      `unknown executor "timewarp"`,
+		"-scenario forkjoin-dup-jitter -policy naiv":                   "states the run itself; drop -policy",
+		"-scenario all -nodes 4 -seed 9":                               "drop -nodes -seed",
+		"-scenario nqueens-lossy -drop 0.2 -cost-table":                "drop -drop",
+		"-scenario nqueens-lossy -executor conservative:2 -trace 5":    "drop -executor",
+		"-scenario hotkey-lossy -workload hotkey -pack " + t.TempDir(): "drop -workload",
+		"-workload scenario":                                           `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook | pingpong)`,
+		"-scenario no-such-scenario":                                   `no bundled scenario named "no-such-scenario"`,
+		"-workload nqueens -policy naiv -pack " + t.TempDir():          `unknown policy "naiv"`,
+		"-workload quicksort":                                          `unknown workload "quicksort"`,
+		"-executor sequential:2":                                       "sequential takes no worker count",
+		"-workload nqueens -n 4 -trace -3":                             "-trace -3: event count must be a non-negative integer",
+		"-bench-json out.json":                                         "flag provided but not defined",
+		"-workload forkjoin -depth -1 -nodes 4":                        "forkjoin depth must be >= 0",
+		"-workload forkjoin -depth -1 -pack " + t.TempDir():            "forkjoin depth must be >= 0",
 	} {
 		err := run(strings.Fields(args), io.Discard)
 		if err == nil {
 			t.Errorf("%s: accepted", args)
 		} else if !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %q lacks %q", args, err, want)
+		}
+	}
+}
+
+// TestDocumentedCommandsParse extracts every abclsim command line from
+// README.md's fenced blocks and from this package's doc comment and requires
+// the command to accept it: flags parse, the spec they bind validates, a
+// named scenario exists, a subcommand is one run knows. A flag or a spelling
+// retired without its documentation fails here.
+func TestDocumentedCommandsParse(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	var lines []string
+	fenced := false
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		} else if fenced {
+			lines = append(lines, line)
+		}
+	}
+	lines = append(lines, strings.Split(doc, "\n")...)
+	checked := 0
+	for _, line := range lines {
+		cmd, ok := strings.CutPrefix(strings.TrimPrefix(strings.TrimLeft(line, "/ \t"), "go run ./cmd/"), "abclsim ")
+		if !ok {
+			continue
+		}
+		cmd, _, _ = strings.Cut(cmd, "#")
+		args := strings.Fields(cmd)
+		checked++
+		if !strings.HasPrefix(args[0], "-") {
+			if err := runSubcommand(args[0], nil, io.Discard); err != nil && !strings.HasPrefix(err.Error(), "usage:") {
+				t.Errorf("%q: %v", line, err)
+			}
+			continue
+		}
+		c, err := parseFlags(args)
+		if err != nil {
+			t.Errorf("%q: %v", line, err)
+			continue
+		}
+		if c.scenario == "" {
+			err = c.spec.Validate()
+		} else if !strings.HasSuffix(c.scenario, ".json") {
+			_, err = c.scenarios()
+		}
+		if err != nil {
+			t.Errorf("%q: %v", line, err)
+		}
+	}
+	if checked < 15 {
+		t.Errorf("found only %d documented abclsim commands; the extraction is broken", checked)
+	}
+}
+
+// TestValidateSubcommand pins validate on each kind of file it takes: it
+// prints ok for a plain spec, a scenario document and a pack, names the file
+// and the key for a retired one, and applies the scenario's rules only to a
+// document that is one.
+func TestValidateSubcommand(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for path, want := range map[string]string{
+		write("spec.json", `{"workload":"hotkey","executor":"conservative","workers":4}`):                             "",
+		"../../internal/scenario/scenarios/nqueens-crash-recover.json":                                                "",
+		"../../testdata/runpacks/runpack_68ffd0295291.zip":                                                            "",
+		write("flat.json", `{"workload":"nqueens","drop":0.1}`):                                                       `flat.json: json: unknown field "drop"`,
+		write("crashes.json", `{"workload":"nqueens","crashes":[]}`):                                                  `crashes.json: json: unknown field "crashes"`,
+		write("lossless.json", `{"workload":"nqueens","nodes":2,"faults":{"links":[{"drop":1}]}}`):                    "lossless.json: fault: link rule 0: drop probability 1",
+		write("anon.json", `{"workload":"nqueens","nodes":2,"assert":{"min_drops":1}}`):                               "anon.json: scenario: missing name",
+		write("own.json", `{"name":"x","workload":"pingpong","nodes":2}`):                                             "builds its own machines",
+		write("cons.json", `{"workload":"nqueens","executor":"conservative","workers":2,"checkpoint_interval_ns":5}`): "incompatible with checkpoints",
+	} {
+		var out bytes.Buffer
+		err := run([]string{"validate", path}, &out)
+		switch {
+		case want == "" && (err != nil || out.String() != path+": ok\n"):
+			t.Errorf("%s: err %v, output %q", path, err, out.String())
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: error %v lacks %q", path, err, want)
 		}
 	}
 }

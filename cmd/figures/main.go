@@ -21,6 +21,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/runpack"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -64,7 +65,7 @@ func packPoint(cfg workload.Spec) string {
 	if *packDir == "" {
 		return "-"
 	}
-	p, _, err := runpack.Create(cfg, nil, *packDir)
+	p, _, err := runpack.Create(scenario.Spec{Spec: cfg}, *packDir)
 	check(err)
 	return p.Manifest.ID
 }

@@ -7,58 +7,14 @@ package exp
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	abcl "repro"
 	"repro/internal/apps/nqueens"
 	"repro/internal/apps/pingpong"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
-
-// forEachIndexed runs fn(i) for i in [0, n) on up to GOMAXPROCS goroutines
-// and returns the first error by index. Each sweep point builds its own
-// System, so points share no state; results land in pre-indexed slots, which
-// keeps output order (and therefore printed tables) identical to the
-// sequential loop.
-func forEachIndexed(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Table1Row is one basic-operation cost (paper's Table 1).
 type Table1Row struct {
@@ -218,7 +174,7 @@ func Figure5(ns, procs []int, seed int64) ([]SpeedupPoint, error) {
 		seqElapsed[n] = nqueens.Sequential(n, machine.DefaultConfig(1), 0).Elapsed
 	}
 	out := make([]SpeedupPoint, len(ns)*len(procs))
-	err := forEachIndexed(len(out), func(i int) error {
+	err := workload.ForEachIndexed(len(out), runtime.GOMAXPROCS(0), func(i int) error {
 		n, p := ns[i/len(procs)], procs[i%len(procs)]
 		res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(p), abcl.WithSeed(seed))
 		if err != nil {
@@ -253,7 +209,7 @@ type Figure6Row struct {
 // GOMAXPROCS; row order matches the input sizes.
 func Figure6(ns []int, procs int, seed int64) ([]Figure6Row, error) {
 	out := make([]Figure6Row, len(ns))
-	err := forEachIndexed(len(ns), func(i int) error {
+	err := workload.ForEachIndexed(len(ns), runtime.GOMAXPROCS(0), func(i int) error {
 		n := ns[i]
 		st, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(procs), abcl.WithSeed(seed), abcl.WithPolicy(abcl.StackBased))
 		if err != nil {

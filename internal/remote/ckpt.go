@@ -101,9 +101,6 @@ type stockImage struct {
 // SizeBytes reports the modelled stable-store footprint of the image.
 func (im *RelImage) SizeBytes() int { return im.bytes }
 
-// Node reports which node the image belongs to.
-func (im *RelImage) Node() int { return im.node }
-
 // CaptureRel snapshots one node's inter-node state. Must run between engine
 // events, with checkpoint mode enabled.
 func (l *Layer) CaptureRel(node int) *RelImage {

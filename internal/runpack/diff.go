@@ -55,7 +55,7 @@ func Diff(a, b *Pack) *DiffResult {
 }
 
 // configDeltas compares the two configs field by field through their JSON
-// form (scenario specs compare as embedded documents).
+// form.
 func configDeltas(a, b *Pack) []string {
 	am, bm := configMap(a), configMap(b)
 	keys := make(map[string]bool)
@@ -84,12 +84,6 @@ func configMap(p *Pack) map[string]any {
 	b, _ := json.Marshal(p.Config)
 	m := map[string]any{}
 	json.Unmarshal(b, &m)
-	if p.Scenario != nil {
-		sb, _ := json.Marshal(p.Scenario)
-		var sv any
-		json.Unmarshal(sb, &sv)
-		m["scenario"] = sv
-	}
 	return m
 }
 

@@ -59,7 +59,7 @@ func (r *ExecResult) Profile() *profile.Report {
 	case r.System != nil:
 		return r.System.Profile
 	case r.Outcome != nil:
-		return r.Outcome.Faulted.Profile
+		return r.Outcome.Faulted.Report.Profile
 	}
 	return nil
 }
@@ -114,13 +114,13 @@ func (r *ExecResult) ProfileJSONL() []byte {
 // configuration additionally runs on it, and its answer and report must
 // match the sequential run exactly — the byte-identical-to-sequential
 // guarantee, certified at pack time and re-certified by every verify.
-func Execute(cfg workload.Spec, sc *scenario.Spec) (*ExecResult, error) {
-	if err := validate(cfg, sc); err != nil {
+func Execute(cfg scenario.Spec) (*ExecResult, error) {
+	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
 	sink := trace.NewJSONL(&buf)
-	seq, err := runOnce(cfg, sc, sink)
+	seq, err := runOnce(cfg, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func Execute(cfg workload.Spec, sc *scenario.Spec) (*ExecResult, error) {
 	res.TraceEvents = bytes.Count(res.Trace, []byte{'\n'})
 	if cfg.ParallelConfigured() {
 		spec := abcl.Conservative(cfg.Workers)
-		par, err := runOnce(cfg, nil, nil)
+		par, err := runOnce(cfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("runpack: %s cross-run: %w", spec, err)
 		}
@@ -178,7 +178,7 @@ func stripProfile(r *abcl.Report) []byte {
 // instrumented sequential run: the observer and the cost profiler attached,
 // the configured executor left out. Without one it is the bare cross-run on
 // the configured parallel executor, which admits neither.
-func runOnce(cfg workload.Spec, sc *scenario.Spec, sink trace.Sink) (*ExecResult, error) {
+func runOnce(cfg scenario.Spec, sink trace.Sink) (*ExecResult, error) {
 	var extra []abcl.Option
 	if sink != nil {
 		cfg.Executor, cfg.Workers = "", 0
@@ -189,18 +189,18 @@ func runOnce(cfg workload.Spec, sc *scenario.Spec, sink trace.Sink) (*ExecResult
 	} else {
 		cfg.ProfileWindowNs = 0
 	}
-	if sc != nil {
-		out, err := scenario.Run(*sc, extra...)
+	if !cfg.Plain() {
+		out, err := scenario.Run(cfg, extra...)
 		if err != nil {
 			return nil, err
 		}
 		return &ExecResult{
-			Answer:    fmt.Sprintf("%s violations=%d", out.Faulted.Answer, len(out.Violations)),
+			Answer:    fmt.Sprintf("%s violations=%d", out.Faulted.Invariant, len(out.Violations)),
 			ElapsedNs: int64(out.Faulted.Elapsed),
 			Outcome:   &out,
 		}, nil
 	}
-	out, err := workload.Run(cfg, extra...)
+	out, err := workload.Run(cfg.Spec, extra...)
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,7 @@ package runpack
 import (
 	"archive/zip"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -46,42 +47,23 @@ const Format = "abcl-runpack/1"
 const (
 	SecManifest = "manifest.json"
 	SecConfig   = "config.json"
-	SecScenario = "scenario.json"
 	SecTrace    = "trace.jsonl"
 	SecProfile  = "profile.jsonl"
 	SecReport   = "report.json"
 )
 
-// validate rejects configurations Execute cannot replay. sc is the embedded
-// spec of a scenario pack and nil for every other workload.
-func validate(cfg workload.Spec, sc *scenario.Spec) error {
+// validate rejects configurations Execute cannot replay.
+func validate(cfg scenario.Spec) error {
 	var errs []error
-	parallel := cfg.ParallelConfigured()
-	if cfg.Workload == "scenario" {
-		// The scenario's own spec names the program; cfg contributes only
-		// its setting names, which must still be known ones.
-		_, err := cfg.Options()
-		errs = append(errs, err)
-		if sc == nil {
-			errs = append(errs, fmt.Errorf("runpack: scenario workload needs an embedded spec"))
-		} else {
-			errs = append(errs, sc.Validate())
-			if sc.ParallelConfigured() {
-				errs = append(errs, fmt.Errorf("runpack: scenario packs run sequentially (drop the spec's executor)"))
-			}
-		}
-		if parallel {
-			errs = append(errs, fmt.Errorf("runpack: scenario packs run sequentially (drop the executor)"))
-		}
-		return errors.Join(errs...)
+	if cfg.Plain() {
+		errs = append(errs, cfg.Spec.Validate())
+	} else {
+		errs = append(errs, cfg.Validate())
 	}
-	errs = append(errs, cfg.Validate())
-	if sc != nil {
-		errs = append(errs, fmt.Errorf("runpack: workload %q must not embed a scenario spec", cfg.Workload))
-	}
-	// An app on machines of its own has no system report to cross-check.
-	if parallel && workload.OwnMachines(cfg.Workload) {
-		errs = append(errs, fmt.Errorf("runpack: %s packs run sequentially (drop the executor)", cfg.Workload))
+	// The parallel cross-run compares one system report with another: a
+	// scenario's two runs, or an app on machines of its own, have none.
+	if cfg.ParallelConfigured() && (!cfg.Plain() || workload.OwnMachines(cfg.Workload)) {
+		errs = append(errs, fmt.Errorf("runpack: %s packs run sequentially (drop the executor)", cmp.Or(cfg.Name, cfg.Workload)))
 	}
 	return errors.Join(errs...)
 }
@@ -114,10 +96,9 @@ type Manifest struct {
 // Pack is one archive, opened or freshly built.
 type Pack struct {
 	Manifest Manifest
-	Config   workload.Spec
-	// Scenario is the embedded spec when Config.Workload == "scenario"; it
-	// is stored in its own archive section, not inside config.json.
-	Scenario *scenario.Spec
+	// Config is config.json: the run spec of a plain pack, the whole
+	// document — name and assertions included — of a scenario pack.
+	Config scenario.Spec
 	// TraceJSONL is the full runtime event stream (one JSON object per
 	// line); ReportJSON the canonical report document (see ExecResult);
 	// ProfileJSONL the profile series derived from the report.
@@ -137,20 +118,12 @@ func (p *Pack) sections() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	secs := map[string][]byte{
+	return map[string][]byte{
 		SecConfig:  append(cfg, '\n'),
 		SecTrace:   p.TraceJSONL,
 		SecProfile: p.ProfileJSONL,
 		SecReport:  p.ReportJSON,
-	}
-	if p.Scenario != nil {
-		sp, err := json.MarshalIndent(p.Scenario, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		secs[SecScenario] = append(sp, '\n')
-	}
-	return secs, nil
+	}, nil
 }
 
 // seal computes the manifest from the current sections. The pack id is
@@ -211,7 +184,7 @@ func (p *Pack) WriteFile(path string) (string, error) {
 
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)
-	order := []string{SecManifest, SecConfig, SecScenario, SecTrace, SecProfile, SecReport}
+	order := []string{SecManifest, SecConfig, SecTrace, SecProfile, SecReport}
 	for _, name := range order {
 		b, ok := secs[name]
 		if !ok {
@@ -287,14 +260,8 @@ func Open(path string) (*Pack, error) {
 			return nil, fmt.Errorf("runpack %s: integrity: unmanifested section %s", path, name)
 		}
 	}
-	if err := scenario.DecodeStrict(raw[SecConfig], &p.Config); err != nil {
+	if err := workload.DecodeStrict(raw[SecConfig], &p.Config); err != nil {
 		return nil, fmt.Errorf("runpack %s: %s: %w", path, SecConfig, err)
-	}
-	if sp, ok := raw[SecScenario]; ok {
-		p.Scenario = &scenario.Spec{}
-		if err := scenario.DecodeStrict(sp, p.Scenario); err != nil {
-			return nil, fmt.Errorf("runpack %s: %s: %w", path, SecScenario, err)
-		}
 	}
 	p.TraceJSONL = raw[SecTrace]
 	p.ProfileJSONL = raw[SecProfile]
@@ -312,10 +279,9 @@ func Open(path string) (*Pack, error) {
 }
 
 // Build assembles a sealed pack from a configuration and its execution.
-func Build(cfg workload.Spec, sc *scenario.Spec, res *ExecResult) (*Pack, error) {
+func Build(cfg scenario.Spec, res *ExecResult) (*Pack, error) {
 	p := &Pack{
 		Config:       cfg,
-		Scenario:     sc,
 		TraceJSONL:   res.Trace,
 		ReportJSON:   res.ReportJSON,
 		ProfileJSONL: res.ProfileJSONL(),
@@ -325,15 +291,14 @@ func Build(cfg workload.Spec, sc *scenario.Spec, res *ExecResult) (*Pack, error)
 	return p, p.seal()
 }
 
-// Create executes the configuration (with its embedded spec, for a scenario
-// pack) and writes its archive; the final path and the sealed pack are
-// returned.
-func Create(cfg workload.Spec, sc *scenario.Spec, path string) (*Pack, string, error) {
-	res, err := Execute(cfg, sc)
+// Create executes the configuration and writes its archive; the final path
+// and the sealed pack are returned.
+func Create(cfg scenario.Spec, path string) (*Pack, string, error) {
+	res, err := Execute(cfg)
 	if err != nil {
 		return nil, "", err
 	}
-	p, err := Build(cfg, sc, res)
+	p, err := Build(cfg, res)
 	if err != nil {
 		return nil, "", err
 	}

@@ -15,17 +15,13 @@ import (
 	"repro/internal/workload"
 )
 
-// packCase is one packable configuration: the run spec plus, for a scenario
-// pack, its embedded spec.
-type packCase struct {
-	cfg workload.Spec
-	sc  *scenario.Spec
-}
+// plain wraps a run spec as the document of a plain pack.
+func plain(sp workload.Spec) scenario.Spec { return scenario.Spec{Spec: sp} }
 
 // testConfigs are the acceptance matrix: a fault-free workload, a lossy
 // batched scenario, a crash-recovery scenario and a conservative-executor
 // run.
-func testConfigs(t *testing.T) map[string]packCase {
+func testConfigs(t *testing.T) map[string]scenario.Spec {
 	t.Helper()
 	lossy, err := scenario.Find("nqueens-lossy-batched")
 	if err != nil {
@@ -35,11 +31,11 @@ func testConfigs(t *testing.T) map[string]packCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]packCase{
-		"nqueens-plain":  {cfg: workload.Spec{Workload: "nqueens", N: 6, Nodes: 8, Seed: 1}},
-		"scenario-lossy": {workload.Spec{Workload: "scenario"}, &lossy},
-		"scenario-crash": {workload.Spec{Workload: "scenario"}, &crash},
-		"hotkey-cons":    {cfg: workload.Spec{Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, Executor: "conservative", Workers: 4}},
+	return map[string]scenario.Spec{
+		"nqueens-plain":  plain(workload.Spec{Workload: "nqueens", N: 6, Nodes: 8, Seed: 1}),
+		"scenario-lossy": lossy,
+		"scenario-crash": crash,
+		"hotkey-cons":    plain(workload.Spec{Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, Executor: "conservative", Workers: 4}),
 	}
 }
 
@@ -48,12 +44,11 @@ func testConfigs(t *testing.T) map[string]packCase {
 // and answer byte-for-byte. Packing the same configuration twice must also
 // produce byte-identical archives (deterministic zip output).
 func TestRoundTrip(t *testing.T) {
-	for name, pc := range testConfigs(t) {
-		cfg, sc := pc.cfg, pc.sc
+	for name, cfg := range testConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			p, path, err := Create(cfg, sc, dir)
+			p, path, err := Create(cfg, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("verify failed: %v", v.Mismatches)
 			}
 			// Determinism: a second pack of the same config is byte-identical.
-			_, path2, err := Create(cfg, sc, filepath.Join(dir, "again"))
+			_, path2, err := Create(cfg, filepath.Join(dir, "again"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,12 +98,12 @@ func TestRoundTrip(t *testing.T) {
 // manifest, so the archive itself stays intact) and asserts Verify fails
 // naming exactly the perturbed event.
 func TestVerifyNamesFirstDivergentEvent(t *testing.T) {
-	cfg := workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}
-	res, err := Execute(cfg, nil)
+	cfg := plain(workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1})
+	res, err := Execute(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(cfg, nil, res)
+	p, err := Build(cfg, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +167,9 @@ func readSections(t *testing.T, path string) map[string][]byte {
 
 // TestCheckedInPacksReseal opens every pack under testdata/runpacks and
 // compares the manifest on disk with the one Open re-derived by marshalling
-// the decoded config and scenario structs: a change to the JSON shape of a
-// run spec, a scenario or a fault schedule moves a section digest, and with
-// it the id the pack is filed under.
+// the decoded config: a change to the JSON shape of a run spec, a scenario
+// document or a fault schedule moves a section digest, and with it the id the
+// pack is filed under.
 func TestCheckedInPacksReseal(t *testing.T) {
 	paths, err := filepath.Glob("../../testdata/runpacks/*.zip")
 	if err != nil || len(paths) == 0 {
@@ -210,23 +205,24 @@ func TestOpenRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := packCase{cfg: workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}}
+	run := plain(workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1})
 	cases := []struct {
 		name     string
-		pc       packCase
+		cfg      scenario.Spec
 		section  string
 		old, new string
 		resum    bool
 		want     string
 	}{
-		{"stale sum", plain, SecTrace, `"at":`, `"at":7`, false, "integrity"},
-		{"misspelt config key", plain, SecConfig, `"seed"`, `"checkpoint_interval": 500000, "seed"`, true, `config.json: json: unknown field "checkpoint_interval"`},
-		{"removed config key", plain, SecConfig, `"seed"`, `"parallel_sim": 4, "seed"`, true, `config.json: json: unknown field "parallel_sim"`},
-		{"removed scenario key", packCase{workload.Spec{Workload: "scenario"}, &lossy}, SecScenario,
-			`"name"`, `"optimistic_window_ns": 9, "name"`, true, `scenario.json: json: unknown field "optimistic_window_ns"`},
+		{"stale sum", run, SecTrace, `"at":`, `"at":7`, false, "integrity"},
+		{"misspelt config key", run, SecConfig, `"seed"`, `"checkpoint_interval": 500000, "seed"`, true, `config.json: json: unknown field "checkpoint_interval"`},
+		{"removed config key", run, SecConfig, `"seed"`, `"parallel_sim": 4, "seed"`, true, `config.json: json: unknown field "parallel_sim"`},
+		{"retired flat fault key", run, SecConfig, `"seed"`, `"drop": 0.1, "seed"`, true, `config.json: json: unknown field "drop"`},
+		{"retired flat crash key", run, SecConfig, `"seed"`, `"crashes": [], "seed"`, true, `config.json: json: unknown field "crashes"`},
+		{"removed scenario key", lossy, SecConfig, `"name"`, `"optimistic_window_ns": 9, "name"`, true, `config.json: json: unknown field "optimistic_window_ns"`},
 	}
 	for _, tc := range cases {
-		_, path, err := Create(tc.pc.cfg, tc.pc.sc, t.TempDir())
+		_, path, err := Create(tc.cfg, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,11 +272,11 @@ func TestOpenRejectsTampering(t *testing.T) {
 // diff reports the config delta and a first divergent trace event.
 func TestDiff(t *testing.T) {
 	dir := t.TempDir()
-	a, _, err := Create(workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}, nil, dir)
+	a, _, err := Create(plain(workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Create(workload.Spec{Workload: "nqueens", N: 6, Nodes: 4, Seed: 1}, nil, filepath.Join(dir, "b"))
+	b, _, err := Create(plain(workload.Spec{Workload: "nqueens", N: 6, Nodes: 4, Seed: 1}), filepath.Join(dir, "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +312,8 @@ func TestDiff(t *testing.T) {
 // pack fails the run and is named in the error.
 func TestRegress(t *testing.T) {
 	dir := t.TempDir()
-	cfg := workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1}
-	if _, _, err := Create(cfg, nil, dir); err != nil {
+	cfg := plain(workload.Spec{Workload: "nqueens", N: 5, Nodes: 4, Seed: 1})
+	if _, _, err := Create(cfg, dir); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
@@ -329,11 +325,11 @@ func TestRegress(t *testing.T) {
 	}
 
 	// Add a perturbed-but-resealed pack: it opens fine but fails Verify.
-	res, err := Execute(cfg, nil)
+	res, err := Execute(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(cfg, nil, res)
+	p, err := Build(cfg, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,27 +349,29 @@ func TestRegress(t *testing.T) {
 
 // TestValidateRejections pins the configuration validator's error cases.
 func TestValidateRejections(t *testing.T) {
+	crash := &abcl.FaultPlan{Crashes: []abcl.NodeCrash{{Node: 1, At: 5, RestartAfter: 5}}}
 	cases := []struct {
 		name string
-		cfg  workload.Spec
-		sc   *scenario.Spec
+		cfg  scenario.Spec
 		want string
 	}{
-		{"unknown workload", workload.Spec{Workload: "quicksort"}, nil, "unknown workload"},
-		{"scenario without spec", workload.Spec{Workload: "scenario"}, nil, "needs an embedded spec"},
-		{"spec outside scenario", workload.Spec{Workload: "nqueens"}, &scenario.Spec{}, "must not embed"},
-		{"parallel pingpong", workload.Spec{Workload: "pingpong", Executor: "conservative", Workers: 4}, nil, "sequentially"},
-		{"parallel crash", workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, Crashes: []abcl.NodeCrash{{Node: 1, At: 5, RestartAfter: 5}}}, nil, "incompatible with checkpoints"},
-		{"conservative ckpt", workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}, nil, "incompatible with checkpoints"},
-		{"unknown executor", workload.Spec{Workload: "nqueens", Executor: "timewarp", Workers: 4}, nil, "unknown executor"},
-		{"removed executor", workload.Spec{Workload: "nqueens", Executor: "optimistic", Workers: 4}, nil, "unknown executor"},
-		{"workers sequential", workload.Spec{Workload: "nqueens", Workers: 4}, nil, "requires a parallel executor"},
-		{"bad policy", workload.Spec{Workload: "nqueens", Policy: "fifo"}, nil, "unknown policy"},
-		{"bad placement", workload.Spec{Workload: "nqueens", Placement: "hash"}, nil, "unknown placement"},
-		{"bad scenario-pack placement", workload.Spec{Workload: "scenario", Placement: "hash"}, &scenario.Spec{Name: "x", Workload: "forkjoin", Nodes: 2}, "unknown placement"},
+		{"unknown workload", plain(workload.Spec{Workload: "quicksort"}), "unknown workload"},
+		{"retired pseudo-workload", plain(workload.Spec{Workload: "scenario"}), `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook | pingpong)`},
+		{"assertions without a name", scenario.Spec{Spec: workload.Spec{Workload: "nqueens", Nodes: 2}, Assert: &scenario.Assert{}}, "missing name"},
+		{"parallel pingpong", plain(workload.Spec{Workload: "pingpong", Executor: "conservative", Workers: 4}), "sequentially"},
+		{"parallel scenario", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "forkjoin", Nodes: 2, Executor: "conservative", Workers: 4}}, "x packs run sequentially"},
+		{"parallel crash", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, Faults: crash}), "incompatible with checkpoints"},
+		{"parallel crash scenario", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "nqueens", Nodes: 2, Executor: "conservative", Workers: 4, Faults: crash}}, "incompatible with checkpoints"},
+		{"conservative ckpt", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}), "incompatible with checkpoints"},
+		{"unknown executor", plain(workload.Spec{Workload: "nqueens", Executor: "timewarp", Workers: 4}), "unknown executor"},
+		{"removed executor", plain(workload.Spec{Workload: "nqueens", Executor: "optimistic", Workers: 4}), "unknown executor"},
+		{"workers sequential", plain(workload.Spec{Workload: "nqueens", Workers: 4}), "requires a parallel executor"},
+		{"bad policy", plain(workload.Spec{Workload: "nqueens", Policy: "fifo"}), "unknown policy"},
+		{"bad placement", plain(workload.Spec{Workload: "nqueens", Placement: "hash"}), "unknown placement"},
+		{"bad scenario-pack placement", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "forkjoin", Nodes: 2, Placement: "hash"}}, "unknown placement"},
 	}
 	for _, tc := range cases {
-		err := validate(tc.cfg, tc.sc)
+		err := validate(tc.cfg)
 		if err == nil {
 			t.Errorf("%s: want error", tc.name)
 			continue
@@ -381,5 +379,42 @@ func TestValidateRejections(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestScenarioPackConfigIsTheDocument pins what the (cfg, sc) pair got wrong:
+// a scenario pack's config.json states the fleet, seed and workload that
+// actually ran — the ones its report shows — and there is no second config
+// section beside it.
+func TestScenarioPackConfigIsTheDocument(t *testing.T) {
+	_, path, err := Create(testConfigs(t)["scenario-crash"], t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := readSections(t, path)
+	if _, ok := secs["scenario.json"]; ok || len(secs) != 5 {
+		t.Errorf("%d sections (scenario.json present: %v), want manifest, config, trace, profile, report", len(secs), ok)
+	}
+	var cfg struct {
+		Name, Workload string
+		Nodes          int
+		Seed           int64
+	}
+	if err := json.Unmarshal(secs[SecConfig], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Scenario struct {
+			Faulted struct {
+				Report abcl.Report
+			}
+		}
+	}
+	if err := json.Unmarshal(secs[SecReport], &rep); err != nil {
+		t.Fatal(err)
+	}
+	ran := rep.Scenario.Faulted.Report.Sched
+	if cfg.Name != "nqueens-crash-recover" || cfg.Workload != "nqueens" || cfg.Nodes != 8 || cfg.Seed != 7 || ran.Nodes != cfg.Nodes {
+		t.Errorf("config.json says %+v; the report ran on %d nodes", cfg, ran.Nodes)
 	}
 }

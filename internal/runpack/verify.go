@@ -68,7 +68,7 @@ type VerifyResult struct {
 // assumes the pack itself is intact (Open already checked the manifest
 // sums); a failure here means the code base no longer reproduces the run.
 func Verify(p *Pack) (*VerifyResult, error) {
-	fresh, err := Execute(p.Config, p.Scenario)
+	fresh, err := Execute(p.Config)
 	if err != nil {
 		return nil, fmt.Errorf("runpack verify: re-execution failed: %w", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"embed"
 	"fmt"
 	"sort"
+
+	"repro/internal/workload"
 )
 
 //go:embed scenarios/*.json
@@ -24,7 +26,7 @@ func Bundled() ([]Spec, error) {
 			return nil, err
 		}
 		var sp Spec
-		if err := DecodeStrict(data, &sp); err != nil {
+		if err := workload.DecodeStrict(data, &sp); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", e.Name(), err)
 		}
 		if err := sp.Validate(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	abcl "repro"
+	"repro/internal/workload"
 )
 
 func writeSpec(t *testing.T, body string) string {
@@ -47,7 +48,7 @@ func TestLoadUnknownWorkload(t *testing.T) {
 // stopping at the first: a spec with three independent problems must
 // surface all three at once.
 func TestValidateAggregatesErrors(t *testing.T) {
-	sp := Spec{Workload: "nope"} // missing name, zero nodes, unknown workload
+	sp := Spec{Spec: workload.Spec{Workload: "nope"}} // missing name, zero nodes, unknown workload
 	err := sp.Validate()
 	if err == nil {
 		t.Fatal("want validation errors")
@@ -71,14 +72,13 @@ func TestValidateAggregatesErrors(t *testing.T) {
 // and a crash outage on the same node at the same time have no well-defined
 // semantics, and the error names both windows.
 func TestValidatePauseCrashOverlap(t *testing.T) {
-	sp := Spec{
-		Name: "overlap", Workload: "forkjoin", Nodes: 4,
-		CheckpointIntervalNs: 1000,
-		Faults: abcl.FaultPlan{
+	sp := Spec{Name: "overlap", Spec: workload.Spec{
+		Workload: "forkjoin", Nodes: 4, CkptIntervalNs: 1000,
+		Faults: &abcl.FaultPlan{
 			Pauses:  []abcl.NodePause{{Node: 2, At: 100, For: 500}},
 			Crashes: []abcl.NodeCrash{{Node: 2, At: 300, RestartAfter: 400}},
 		},
-	}
+	}}
 	err := sp.Validate()
 	if err == nil {
 		t.Fatal("want error for overlapping pause and crash on one node")
@@ -93,7 +93,7 @@ func TestValidatePauseCrashOverlap(t *testing.T) {
 
 // TestValidateHotkeyFleet pins the hotkey minimum-fleet and coverage checks.
 func TestValidateHotkeyFleet(t *testing.T) {
-	sp := Spec{Name: "tiny", Workload: "hotkey", Nodes: 1, Coverage: "most"}
+	sp := Spec{Name: "tiny", Spec: workload.Spec{Workload: "hotkey", Nodes: 1, Coverage: "most"}}
 	err := sp.Validate()
 	if err == nil {
 		t.Fatal("want error for a 1-node hotkey scenario with bad coverage")

@@ -1,11 +1,11 @@
 // Package scenario executes declarative fault-injection scenarios: a JSON
-// spec names a workload, a fleet size, a fault schedule (link drop /
-// duplication / jitter rules, node pause windows and node crashes that
-// recover from coordinated checkpoints) and assertions. The
-// runner executes the workload twice with the same seed — once on a
-// fault-free machine, once under the declared faults — and checks that the
-// faulted run reaches quiescence, computes the same answer, loses no
-// messages, and satisfies the spec's extra assertions.
+// document is a run spec (internal/workload: the program, the fleet and the
+// fault schedule — link drop / duplication / jitter rules, node pause
+// windows, node crashes that recover from coordinated checkpoints) plus a
+// name and assertions. The runner executes the spec twice with the same seed
+// — once with its fault schedule removed, once as written — and checks that
+// the faulted run reaches quiescence, computes the same answer, loses no
+// messages, and satisfies the document's extra assertions.
 //
 // The format is intentionally small and declarative (compare the fleet /
 // events / assertions scenario files of distributed-system simulators):
@@ -14,34 +14,16 @@
 package scenario
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
 	abcl "repro"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// DecodeStrict is json.Unmarshal that also rejects keys v does not declare:
-// a misspelt key must not silently run a different configuration.
-func DecodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("unexpected data after the top-level value")
-	}
-	return nil
-}
 
 // Assert lists the optional assertions of a scenario. Quiescence, an
 // answer identical to the fault-free baseline, zero lost messages and zero
@@ -68,67 +50,28 @@ type Assert struct {
 	MinCkptRounds uint64 `json:"min_ckpt_rounds,omitempty"`
 }
 
-// Spec is one declarative scenario.
+// Spec is one scenario document: a run spec with a name and assertions. Its
+// keys are the run spec's own — every setting a plain run takes, a scenario
+// takes, applied to the baseline and the faulted run alike so the two stay
+// comparable (checkpoints cost both runs the same; a positive ack_delay_ns
+// forces the reliable protocol on in the fault-free baseline too). Without a
+// name and assertions the document is a plain run spec (Plain), which is
+// how a runpack's config.json holds either.
 type Spec struct {
-	Name     string `json:"name"`
-	Workload string `json:"workload"` // any app of internal/workload that runs on the spec's machine
-	Nodes    int    `json:"nodes"`
-	Seed     int64  `json:"seed,omitempty"`
-
-	// Workload parameters (each workload reads its own).
-	N        int    `json:"n,omitempty"`        // nqueens board size
-	Depth    int    `json:"depth,omitempty"`    // forkjoin tree depth
-	Grid     int    `json:"grid,omitempty"`     // diffusion grid edge
-	Iters    int    `json:"iters,omitempty"`    // diffusion iterations
-	Clients  int    `json:"clients,omitempty"`  // hotkey client objects
-	Ops      int    `json:"ops,omitempty"`      // hotkey operations per client
-	Coverage string `json:"coverage,omitempty"` // hotkey annotation coverage: none|partial|full
-
-	// Wire-path options, applied to the baseline and the faulted run alike
-	// so the two runs stay comparable. A positive AckDelayNs forces the
-	// reliable protocol on in the (fault-free) baseline too, since delayed
-	// acks only exist inside it.
-	BatchWindowNs int64 `json:"batch_window_ns,omitempty"`
-	AckDelayNs    int64 `json:"ack_delay_ns,omitempty"`
-
-	// CheckpointIntervalNs, when positive, enables periodic coordinated
-	// checkpoints. Like the wire-path options it applies to the baseline
-	// too, so both runs pay the same snapshot cost and the crash-recovery
-	// claim — same answer as a fault-free run of the same configuration —
-	// is exactly what the answer check verifies.
-	CheckpointIntervalNs int64 `json:"checkpoint_interval_ns,omitempty"`
-
-	// ProfileWindowNs, when positive, attaches the cost-attribution
-	// profiler with this time-series window to both runs. The profiler
-	// only observes (it never perturbs the schedule), so the answer and
-	// ledger checks are unaffected; the faulted run's per-path and
-	// per-slice "where did the time go" digest is appended to the report.
-	ProfileWindowNs int64 `json:"profile_window_ns,omitempty"`
-
-	// Executor selects the execution engine for both runs: "" or
-	// "sequential" (the default), or "conservative" with Workers lanes.
-	// The parallel engine forbids observers, so a spec that names it
-	// cannot be packed (runpack traces are captured sequentially).
-	Executor string `json:"executor,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-
-	// Faults is the declarative fault schedule: link drop / duplication /
-	// jitter rules (first match wins; omitted src/dst match any node), node
-	// pause windows and node crashes.
-	Faults abcl.FaultPlan `json:"faults"`
-	Assert Assert         `json:"assert"`
+	Name string `json:"name,omitempty"`
+	workload.Spec
+	Assert *Assert `json:"assert,omitempty"`
 }
 
-// ParallelConfigured reports whether the spec names the parallel execution
-// engine (which forbids observers, and therefore packing).
-func (sp Spec) ParallelConfigured() bool {
-	return sp.Executor == "conservative" && sp.Workers > 1
-}
+// Plain reports whether the document is a bare run spec — no name, no
+// assertions: it runs once and is judged by the run spec's rules alone,
+// where a scenario runs twice and is held to its assertions.
+func (sp Spec) Plain() bool { return sp.Name == "" && sp.Assert == nil }
 
-// Validate rejects malformed specs before anything runs. Like NewSystem's
-// option validation, every complaint — missing fields, unknown workloads,
-// bad fault schedules — is collected and returned as one joined error, so a
-// broken spec reports all of its problems at once.
+// Validate rejects malformed scenarios before anything runs. Like
+// NewSystem's option validation, every complaint — missing fields, unknown
+// workloads, bad fault schedules — is collected and returned as one joined
+// error, so a broken document reports all of its problems at once.
 func (sp Spec) Validate() error {
 	var errs []error
 	name := sp.Name
@@ -136,43 +79,27 @@ func (sp Spec) Validate() error {
 		name = "(unnamed)"
 		errs = append(errs, fmt.Errorf("scenario: missing name"))
 	}
+	// A fault schedule names nodes, so a scenario states its fleet.
 	if sp.Nodes < 1 {
 		errs = append(errs, fmt.Errorf("scenario %s: nodes must be >= 1", name))
 	}
-	// Workload name, app parameters and executor are the run spec's to judge.
-	if err := sp.runSpec().Validate(); err != nil {
+	// Everything else — workload, app parameters, setting names, the fault
+	// schedule, executor × crash — is the run spec's to judge.
+	if err := sp.Spec.Validate(); err != nil {
 		errs = append(errs, fmt.Errorf("scenario %s: %w", name, err))
 	}
 	if workload.OwnMachines(sp.Workload) {
 		errs = append(errs, fmt.Errorf("scenario %s: workload %q builds its own machines, which no fault plan reaches", name, sp.Workload))
 	}
-	if sp.ParallelConfigured() && len(sp.Faults.Crashes) > 0 {
-		errs = append(errs, fmt.Errorf("scenario %s: the conservative executor is incompatible with checkpoints and crash faults", name))
-	}
-	// The fault schedule is only checkable against a sane fleet size; with
-	// nodes < 1 every rule would drown in out-of-range noise.
-	if sp.Nodes >= 1 {
-		if err := sp.Faults.Validate(sp.Nodes); err != nil {
-			errs = append(errs, fmt.Errorf("scenario %s: %w", name, err))
-		}
-	}
 	return errors.Join(errs...)
-}
-
-// RunResult is one execution of the scenario's workload.
-type RunResult struct {
-	Answer  string // canonical workload answer, comparable across runs
-	Elapsed sim.Time
-	Stats   stats.Counters
-	Profile *abcl.ProfileReport // set when the spec asked for profiling
 }
 
 // Outcome reports a full scenario execution: the fault-free baseline, the
 // faulted run, and any assertion violations (empty = pass).
 type Outcome struct {
 	Spec       Spec
-	Baseline   RunResult
-	Faulted    RunResult
+	Baseline   workload.Outcome
+	Faulted    workload.Outcome
 	Violations []string
 }
 
@@ -189,11 +116,17 @@ func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 	if err := sp.Validate(); err != nil {
 		return Outcome{}, err
 	}
-	base, err := runWorkload(sp, abcl.FaultPlan{}, extra)
+	// Round-robin placement unless stated, so that the fault-free and the
+	// faulted run place their objects alike.
+	run := sp.Spec
+	run.Placement = cmp.Or(run.Placement, "rr")
+	clean := run
+	clean.Faults = nil
+	base, err := workload.Run(clean, extra...)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("scenario %s: baseline: %w", sp.Name, err)
 	}
-	faulted, err := runWorkload(sp, sp.Faults, extra)
+	faulted, err := workload.Run(run, extra...)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("scenario %s: faulted: %w", sp.Name, err)
 	}
@@ -203,20 +136,24 @@ func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 }
 
 func (o *Outcome) check() {
-	sp := o.Spec
-	c := o.Faulted.Stats
+	crashes := len(o.Spec.FaultPlan().Crashes)
+	var want Assert
+	if o.Spec.Assert != nil {
+		want = *o.Spec.Assert
+	}
+	c := o.Faulted.Report.Sched.Counters
 	fail := func(format string, args ...any) {
 		o.Violations = append(o.Violations, fmt.Sprintf(format, args...))
 	}
-	if o.Faulted.Answer != o.Baseline.Answer {
-		fail("answer diverged under faults: %s != %s (baseline)", o.Faulted.Answer, o.Baseline.Answer)
+	if o.Faulted.Invariant != o.Baseline.Invariant {
+		fail("answer diverged under faults: %s != %s (baseline)", o.Faulted.Invariant, o.Baseline.Invariant)
 	}
 	// The sent/delivered ledger is only meaningful without crashes: counters
 	// are monotonic across a rollback, so a send the restore truncated (sent
 	// once, re-sent and delivered once after the rollback) leaves the ledger
 	// permanently off by one. Under crashes the delivery guarantee is carried
 	// by the answer check plus the abandoned count instead.
-	if len(sp.Faults.Crashes) == 0 {
+	if crashes == 0 {
 		if lost := c.LostMessages(); lost != 0 {
 			fail("%d messages lost", lost)
 		}
@@ -224,63 +161,35 @@ func (o *Outcome) check() {
 	if c.RelAbandoned != 0 {
 		fail("%d messages abandoned after max retries", c.RelAbandoned)
 	}
-	if c.Retransmits < sp.Assert.MinRetries {
-		fail("retransmits = %d, want >= %d", c.Retransmits, sp.Assert.MinRetries)
+	if c.Retransmits < want.MinRetries {
+		fail("retransmits = %d, want >= %d", c.Retransmits, want.MinRetries)
 	}
-	if c.LinkDrops < sp.Assert.MinDrops {
-		fail("link drops = %d, want >= %d", c.LinkDrops, sp.Assert.MinDrops)
+	if c.LinkDrops < want.MinDrops {
+		fail("link drops = %d, want >= %d", c.LinkDrops, want.MinDrops)
 	}
-	if c.DupSuppressed < sp.Assert.MinDupSuppressed {
-		fail("dup-suppressed = %d, want >= %d", c.DupSuppressed, sp.Assert.MinDupSuppressed)
+	if c.DupSuppressed < want.MinDupSuppressed {
+		fail("dup-suppressed = %d, want >= %d", c.DupSuppressed, want.MinDupSuppressed)
 	}
-	if c.NodePauses < sp.Assert.MinPauses {
-		fail("node pauses = %d, want >= %d", c.NodePauses, sp.Assert.MinPauses)
+	if c.NodePauses < want.MinPauses {
+		fail("node pauses = %d, want >= %d", c.NodePauses, want.MinPauses)
 	}
-	if m := sp.Assert.MaxSlowdown; m > 0 && o.Baseline.Elapsed > 0 {
+	if m := want.MaxSlowdown; m > 0 && o.Baseline.Elapsed > 0 {
 		slow := float64(o.Faulted.Elapsed) / float64(o.Baseline.Elapsed)
 		if slow > m {
 			fail("slowdown %.2fx exceeds limit %.2fx", slow, m)
 		}
 	}
-	if c.NodeRestarts < sp.Assert.MinRestarts {
-		fail("node restarts = %d, want >= %d", c.NodeRestarts, sp.Assert.MinRestarts)
+	if c.NodeRestarts < want.MinRestarts {
+		fail("node restarts = %d, want >= %d", c.NodeRestarts, want.MinRestarts)
 	}
-	if c.CkptRounds < sp.Assert.MinCkptRounds {
-		fail("checkpoint rounds = %d, want >= %d", c.CkptRounds, sp.Assert.MinCkptRounds)
+	if c.CkptRounds < want.MinCkptRounds {
+		fail("checkpoint rounds = %d, want >= %d", c.CkptRounds, want.MinCkptRounds)
 	}
 	// Every declared crash must have restarted by quiescence — a crash whose
 	// outage outlives the workload would silently weaken the recovery claim.
-	if want := uint64(len(sp.Faults.Crashes)); c.NodeRestarts < want {
-		fail("node restarts = %d, want %d (one per declared crash)", c.NodeRestarts, want)
+	if c.NodeRestarts < uint64(crashes) {
+		fail("node restarts = %d, want %d (one per declared crash)", c.NodeRestarts, crashes)
 	}
-}
-
-// runSpec converts the scenario to a run spec, filling the scenario's own
-// defaults: small sizes, and round-robin placement so that the fault-free
-// and the faulted run place their objects alike.
-func (sp Spec) runSpec() workload.Spec {
-	return workload.Spec{
-		Workload: sp.Workload, Nodes: sp.Nodes, Seed: sp.Seed, Placement: "rr",
-		N: cmp.Or(sp.N, 6), Depth: cmp.Or(sp.Depth, 6), Grid: cmp.Or(sp.Grid, 8), GridIters: cmp.Or(sp.Iters, 5),
-		Clients: cmp.Or(sp.Clients, 8), Ops: cmp.Or(sp.Ops, 20), Coverage: sp.Coverage,
-		BatchWindowNs: sp.BatchWindowNs, AckDelayNs: sp.AckDelayNs,
-		CkptIntervalNs: sp.CheckpointIntervalNs, ProfileWindowNs: sp.ProfileWindowNs,
-		Executor: sp.Executor, Workers: sp.Workers,
-	}
-}
-
-// runWorkload executes the spec's workload once under the given plan.
-func runWorkload(sp Spec, plan abcl.FaultPlan, extra []abcl.Option) (RunResult, error) {
-	out, err := workload.Run(sp.runSpec(), append([]abcl.Option{abcl.WithFaults(plan)}, extra...)...)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{
-		Answer:  out.Invariant,
-		Elapsed: out.Elapsed,
-		Stats:   out.Report.Sched.Counters,
-		Profile: out.Report.Profile,
-	}, nil
 }
 
 // Load reads one scenario spec from a JSON file.
@@ -290,7 +199,7 @@ func Load(path string) (Spec, error) {
 		return Spec{}, err
 	}
 	var sp Spec
-	if err := DecodeStrict(data, &sp); err != nil {
+	if err := workload.DecodeStrict(data, &sp); err != nil {
 		return Spec{}, fmt.Errorf("scenario %s: %w", path, err)
 	}
 	return sp, sp.Validate()
@@ -298,8 +207,8 @@ func Load(path string) (Spec, error) {
 
 // Report writes a human-readable outcome summary.
 func (o Outcome) Report() string {
-	c := o.Faulted.Stats
-	s := fmt.Sprintf("scenario %-24s %-9s  %s\n", o.Spec.Name, o.Spec.Workload, o.Faulted.Answer)
+	c := o.Faulted.Report.Sched.Counters
+	s := fmt.Sprintf("scenario %-24s %-9s  %s\n", o.Spec.Name, o.Spec.Workload, o.Faulted.Invariant)
 	s += fmt.Sprintf("  baseline %-12v faulted %-12v (%.2fx)\n",
 		o.Baseline.Elapsed, o.Faulted.Elapsed, slowdown(o.Baseline.Elapsed, o.Faulted.Elapsed))
 	s += fmt.Sprintf("  drops=%d dups=%d pauses=%d retransmits=%d dup-suppressed=%d held=%d lost=%d\n",
@@ -309,7 +218,7 @@ func (o Outcome) Report() string {
 		s += fmt.Sprintf("  checkpoint: rounds=%d stable-bytes=%d crashes=%d restarts=%d replayed=%d\n",
 			c.CkptRounds, c.CkptBytes, c.NodeCrashes, c.NodeRestarts, c.ReplayedMsgs)
 	}
-	s += profileDigest(o.Faulted.Profile)
+	s += profileDigest(o.Faulted.Report.Profile)
 	if o.OK() {
 		s += "  PASS\n"
 	} else {

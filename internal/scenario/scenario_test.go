@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestBundledScenariosPass is the conformance suite: every shipped
@@ -47,8 +50,8 @@ func TestScenarioDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Faulted.Stats != b.Faulted.Stats {
-		t.Errorf("same spec produced different counters:\n%+v\nvs\n%+v", a.Faulted.Stats, b.Faulted.Stats)
+	if ca, cb := a.Faulted.Report.Sched.Counters, b.Faulted.Report.Sched.Counters; ca != cb {
+		t.Errorf("same spec produced different counters:\n%+v\nvs\n%+v", ca, cb)
 	}
 	if a.Faulted.Elapsed != b.Faulted.Elapsed || a.Faulted.Answer != b.Faulted.Answer {
 		t.Errorf("same spec produced different runs: %v/%s vs %v/%s",
@@ -77,13 +80,49 @@ func TestSpecValidation(t *testing.T) {
 		{"removed window key", `{"name":"x","workload":"forkjoin","nodes":2,"optimistic_window_ns":1000}`, `unknown field "optimistic_window_ns"`},
 		{"negative depth", `{"name":"x","workload":"forkjoin","nodes":2,"depth":-1}`, "forkjoin depth must be >= 0"},
 		{"trailing data", `{"name":"x","workload":"forkjoin","nodes":2} {}`, "after the top-level value"},
+		{"retired flat drop", `{"name":"x","workload":"forkjoin","nodes":2,"drop":0.1}`, `unknown field "drop"`},
+		{"retired flat crashes", `{"name":"x","workload":"nqueens","nodes":2,"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}`, `unknown field "crashes"`},
+		{"conservative crash", `{"name":"x","workload":"nqueens","nodes":2,"executor":"conservative","workers":2,"faults":{"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}}`, "incompatible with checkpoints"},
+		{"own machines", `{"name":"x","workload":"pingpong","nodes":2}`, "builds its own machines"},
 	}
 	for _, tc := range cases {
-		_, err := Load(writeSpec(t, tc.json))
+		path := writeSpec(t, tc.json)
+		_, err := Load(path)
 		if err == nil {
 			t.Errorf("%s: want an error", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		} else if strings.Contains(tc.want, "unknown field") && !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name the file", tc.name, err)
+		}
+	}
+}
+
+// TestSpecDeclaresNoRunSpecKey pins the shape: a scenario document is a run
+// spec plus a name and assertions, so Spec has exactly those three members
+// and none of its own JSON keys is one workload.Spec declares (encoding/json
+// would let the outer key silently shadow the run spec's).
+func TestSpecDeclaresNoRunSpecKey(t *testing.T) {
+	key := func(f reflect.StructField) string {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		return name
+	}
+	runKeys := map[string]bool{}
+	rt := reflect.TypeOf(workload.Spec{})
+	for i := 0; i < rt.NumField(); i++ {
+		runKeys[key(rt.Field(i))] = true
+	}
+	st := reflect.TypeOf(Spec{})
+	if st.NumField() != 3 {
+		t.Errorf("Spec has %d members, want name, the embedded run spec and assertions", st.NumField())
+	}
+	for i := 0; i < st.NumField(); i++ {
+		if f := st.Field(i); f.Anonymous {
+			if f.Type != rt {
+				t.Errorf("Spec embeds %v, want workload.Spec", f.Type)
+			}
+		} else if runKeys[key(f)] {
+			t.Errorf("Spec.%s re-declares the run spec's key %q", f.Name, key(f))
 		}
 	}
 }
@@ -93,7 +132,7 @@ func TestSpecValidation(t *testing.T) {
 // changes no checked result (the run still passes), and its digest lands
 // in the report.
 func TestProfileWindowKnob(t *testing.T) {
-	plain := Spec{Name: "prof", Workload: "forkjoin", Nodes: 4, Depth: 5}
+	plain := Spec{Name: "prof", Spec: workload.Spec{Workload: "forkjoin", Nodes: 4, Depth: 5}}
 	profiled := plain
 	profiled.ProfileWindowNs = 20_000
 	a, err := Run(plain)
@@ -104,14 +143,14 @@ func TestProfileWindowKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Faulted.Profile != nil {
+	if a.Faulted.Report.Profile != nil {
 		t.Error("unprofiled scenario produced a profile report")
 	}
-	p := b.Faulted.Profile
+	p := b.Faulted.Report.Profile
 	if p == nil {
 		t.Fatal("profiled scenario produced no profile report")
 	}
-	if b.Baseline.Profile == nil {
+	if b.Baseline.Report.Profile == nil {
 		t.Error("baseline run produced no profile report")
 	}
 	if len(p.Slices) < 2 {

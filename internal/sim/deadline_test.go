@@ -14,7 +14,7 @@ func TestStartTimerAtMovesSlot(t *testing.T) {
 	k := e.RegisterHandler(func(at Time, _ any) { fired = append(fired, at) })
 	var seqs [4]uint64
 	for i := range seqs {
-		e.After(Time(10*(i+1)), func() {}) // other traffic to sift through
+		e.ScheduleFuncOn(0, 0, Time(10*(i+1)), func() {}) // other traffic to sift through
 		e.ReserveSeq(0, &seqs[i])
 	}
 	var tm Timer
@@ -52,6 +52,7 @@ func TestStartTimerAtMovesSlot(t *testing.T) {
 
 type dlRec struct {
 	id    int
+	lane  int
 	due   Time
 	seq   uint64 // shared variant: the reserved tie-break position
 	timer Timer  // per-deadline variant
@@ -81,6 +82,8 @@ type dlWorld struct {
 	lanes  []dlLane
 	global []dlFire // firing order across lanes, kept for sequential runs (nil: off)
 	wakeK  Kind     // shared variant's timer callback; arg: the lane index
+	// expireK is the per-deadline variant's timer callback; arg: the *dlRec.
+	expireK Kind
 }
 
 func (l *dlLane) rand(n int) int {
@@ -97,10 +100,10 @@ func (w *dlWorld) fired(l int, f dlFire) {
 
 func (w *dlWorld) set(l int, d *dlRec, delay Time) {
 	ln := &w.lanes[l]
-	d.due = w.e.LaneNow(l) + delay
+	d.lane, d.due = l, w.e.LaneNow(l)+delay
 	ln.pend = append(ln.pend, d)
 	if !w.shared {
-		w.e.StartTimer(l, l, &d.timer, delay, func() { w.expire(l, d) })
+		w.e.StartTimerKind(l, l, &d.timer, delay, w.expireK, d)
 		return
 	}
 	w.e.ReserveSeq(l, &d.seq)
@@ -191,6 +194,7 @@ func newDLWorld(shared bool, lanes, steps int, look Time) *dlWorld {
 	w := &dlWorld{e: NewEngine(), shared: shared, look: look, lanes: make([]dlLane, lanes)}
 	w.e.SetLanes(lanes)
 	w.wakeK = w.e.RegisterHandler(func(_ Time, arg any) { w.wake(arg.(int)) })
+	w.expireK = w.e.RegisterHandler(func(_ Time, arg any) { w.expire(arg.(*dlRec).lane, arg.(*dlRec)) })
 	for l := range w.lanes {
 		l := l
 		w.lanes[l].rng = uint64(l)*977 + 13

@@ -10,8 +10,7 @@
 // the non-empty lanes keyed by their head event's (time, seq) — selects the
 // globally next event in O(log lanes). A lane conventionally corresponds to
 // one simulated node, which is what makes the conservative parallel runner
-// in parallel.go possible; lane 0 is the default lane used by the
-// single-queue compatibility API (Schedule, After, AfterTimer).
+// in parallel.go possible.
 package sim
 
 import (
@@ -186,10 +185,8 @@ type Engine struct {
 	handlers []func(at Time, arg any)
 	seq      uint64
 	now      Time
-	stopped  bool
 	fired    uint64
 	limit    uint64 // optional safety limit on fired events; 0 = unlimited
-	epoch    uint32 // bumped by Drain so stale Timer handles become inert
 	inPar    bool   // inside a parallel window: post() records births
 	provBase uint64 // e.seq at window start; provisional seqs are > provBase
 	winEnd   Time
@@ -227,9 +224,6 @@ func (e *Engine) SetLanes(n int) {
 		e.pos[i] = -1
 	}
 }
-
-// Lanes reports the number of configured lanes.
-func (e *Engine) Lanes() int { return len(e.lanes) }
 
 // RegisterHandler registers a typed event handler and returns its Kind.
 // Events scheduled with that kind dispatch through the handler with their
@@ -352,14 +346,9 @@ func (e *Engine) ReserveSeq(src int, into *uint64) {
 	*into = e.seq
 }
 
-// Schedule enqueues fire to run at virtual time at, on lane 0. Scheduling
-// in the past (at < Now) is clamped to Now, preserving causality.
-func (e *Engine) Schedule(at Time, fire func()) {
-	e.post(0, 0, at, kindClosure, fire)
-}
-
 // ScheduleOn enqueues a typed event with payload arg to fire on lane dst at
-// virtual time at, scheduled on behalf of lane src.
+// virtual time at, scheduled on behalf of lane src. Scheduling in the past
+// (at < Now) is clamped to Now, preserving causality.
 func (e *Engine) ScheduleOn(src, dst int, at Time, kind Kind, arg any) {
 	e.post(src, dst, at, kind, arg)
 }
@@ -369,18 +358,6 @@ func (e *Engine) ScheduleOn(src, dst int, at Time, kind Kind, arg any) {
 func (e *Engine) ScheduleFuncOn(src, dst int, at Time, fire func()) {
 	e.post(src, dst, at, kindClosure, fire)
 }
-
-// After enqueues fire to run d nanoseconds after the current time, on
-// lane 0.
-func (e *Engine) After(d Time, fire func()) { e.Schedule(e.now+d, fire) }
-
-// Stop makes the current Run return after the in-flight event completes.
-// Pending events remain queued. Not safe to call from RunParallel worker
-// callbacks.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called since the last Run.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // fire dispatches one popped event from lane l.
 func (e *Engine) fire(l int, ev *event) {
@@ -411,8 +388,8 @@ func (e *Engine) dispatch(kind Kind, at Time, arg any) {
 	e.handlers[kind-kindHandlerBase](at, arg)
 }
 
-// Run fires events in (time, seq) order until the queue is empty, Stop is
-// called, or the event limit is exceeded. It returns the number of events
+// Run fires events in (time, seq) order until the queue is empty or the
+// event limit is exceeded. It returns the number of events
 // fired during this call and an error if the limit tripped.
 func (e *Engine) Run() (uint64, error) {
 	return e.RunUntil(-1)
@@ -422,10 +399,9 @@ func (e *Engine) Run() (uint64, error) {
 // stay queued (events exactly at the deadline fire). A negative deadline
 // means no bound.
 func (e *Engine) RunUntil(deadline Time) (uint64, error) {
-	e.stopped = false
 	var n uint64
 	for {
-		if len(e.order) == 0 || e.stopped {
+		if len(e.order) == 0 {
 			return n, nil
 		}
 		l := int(e.order[0])
@@ -449,27 +425,6 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 			return n, errEventLimit(e.limit, e.now)
 		}
 	}
-}
-
-// Drain discards all pending events without firing them. Timers armed
-// before Drain become inert: their heap slots are gone and their handles
-// can be re-armed immediately.
-func (e *Engine) Drain() {
-	for i := range e.lanes {
-		ln := &e.lanes[i]
-		for j := range ln.heap {
-			ln.heap[j] = event{}
-		}
-		ln.heap = ln.heap[:0]
-		ln.dead = 0
-		ln.births = ln.births[:0]
-		ln.log = ln.log[:0]
-	}
-	e.order = e.order[:0]
-	for i := range e.pos {
-		e.pos[i] = -1
-	}
-	e.epoch++
 }
 
 // Tournament (index heap over non-empty lanes) maintenance. order holds
@@ -579,13 +534,12 @@ func (e *Engine) orderRebuild() {
 // Stopping a timer does not immediately remove its slot from the lane heap,
 // but the callback is guaranteed not to run, and lanes lazily sweep their
 // dead slots once they outnumber live events. The zero value can be armed
-// with StartTimer; AfterTimer allocates one on lane 0.
+// with StartTimerKind or StartTimerAt.
 type Timer struct {
 	eng     *Engine
 	arg     any // the callback: a func() or the payload of a registered kind
 	kind    Kind
 	lane    int32
-	epoch   uint32
 	stopped bool
 	fired   bool
 	pending bool
@@ -597,7 +551,7 @@ func (t *Timer) Stop() {
 		return
 	}
 	t.stopped = true
-	if t.pending && t.eng != nil && t.epoch == t.eng.epoch {
+	if t.pending && t.eng != nil {
 		t.eng.noteDead(int(t.lane))
 	}
 }
@@ -611,24 +565,14 @@ func (t *Timer) Fired() bool { return t.fired }
 // Pending reports whether the timer's slot is still in an event queue.
 func (t *Timer) Pending() bool { return t.pending }
 
-// StartTimer arms (or re-arms) t to fire fn on the given lane d nanoseconds
-// from now, scheduled on behalf of lane src. A nil fn reuses the timer's
-// previous callback. Re-arming a timer whose slot is still queued panics:
-// stop it and wait for the slot to be swept or popped first (Pending
-// reports this).
-func (e *Engine) StartTimer(src, lane int, t *Timer, d Time, fn func()) {
-	var arg any
-	if fn != nil {
-		arg = fn
-	}
-	e.StartTimerKind(src, lane, t, d, kindClosure, arg)
-}
-
-// StartTimerKind is StartTimer for a registered event kind: the timer fires
-// the kind's handler with arg, so a timer embedded in a record needs no
-// closure bound to it.
+// StartTimerKind arms (or re-arms) t to fire the registered kind's handler
+// with arg on the given lane d nanoseconds from now, scheduled on behalf of
+// lane src, so a timer embedded in a record needs no closure bound to it. A
+// nil arg reuses the timer's previous kind and payload. Re-arming a timer
+// whose slot is still queued panics: stop it and wait for the slot to be
+// swept or popped first (Pending reports this).
 func (e *Engine) StartTimerKind(src, lane int, t *Timer, d Time, kind Kind, arg any) {
-	if t.pending && t.epoch == e.epoch {
+	if t.pending {
 		panic("sim: StartTimer on a timer whose slot is still queued")
 	}
 	e.arm(lane, t, kind, arg)
@@ -642,7 +586,6 @@ func (e *Engine) StartTimerKind(src, lane int, t *Timer, d Time, kind Kind, arg 
 func (e *Engine) arm(lane int, t *Timer, kind Kind, arg any) {
 	t.eng = e
 	t.lane = int32(lane)
-	t.epoch = e.epoch
 	t.stopped = false
 	t.fired = false
 	t.pending = true
@@ -661,7 +604,7 @@ func (e *Engine) arm(lane int, t *Timer, kind Kind, arg any) {
 // on a timer only ever armed this way.
 func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind, arg any) {
 	ln := &e.lanes[lane]
-	if t.pending && t.epoch == e.epoch {
+	if t.pending {
 		if t.stopped && ln.dead > 0 {
 			ln.dead--
 		}
@@ -685,14 +628,6 @@ func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind
 		return
 	}
 	e.insert(lane, ev)
-}
-
-// AfterTimer schedules fire to run d nanoseconds from now on lane 0 unless
-// the returned Timer is stopped first.
-func (e *Engine) AfterTimer(d Time, fire func()) *Timer {
-	t := &Timer{}
-	e.StartTimer(0, 0, t, d, fire)
-	return t
 }
 
 // noteDead records one newly stopped pending timer slot on lane l and

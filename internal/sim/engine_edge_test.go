@@ -13,7 +13,7 @@ func TestRunUntilDeadlineOnEventTimestamp(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{99, 100, 100, 101} {
 		at := at
-		e.Schedule(at, func() { got = append(got, at) })
+		e.ScheduleFuncOn(0, 0, at, func() { got = append(got, at) })
 	}
 	n, err := e.RunUntil(100)
 	if err != nil {
@@ -45,49 +45,14 @@ func TestRunUntilDeadlineOnEventTimestamp(t *testing.T) {
 func TestSchedulePastDuringFiring(t *testing.T) {
 	e := NewEngine()
 	var got []Time
-	e.Schedule(100, func() {
-		e.Schedule(50, func() { got = append(got, e.Now()) })
+	e.ScheduleFuncOn(0, 0, 100, func() {
+		e.ScheduleFuncOn(0, 0, 50, func() { got = append(got, e.Now()) })
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if want := []Time{100}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("clamped event fired at %v, want %v", got, want)
-	}
-}
-
-// TestDrainThenReuse drains a loaded multi-lane engine — including armed
-// timers — and verifies the engine and the timer handles are immediately
-// reusable.
-func TestDrainThenReuse(t *testing.T) {
-	e := NewEngine()
-	e.SetLanes(3)
-	stale := 0
-	for l := 0; l < 3; l++ {
-		e.ScheduleFuncOn(l, l, Time(10+l), func() { stale++ })
-	}
-	var tm Timer
-	e.StartTimer(1, 1, &tm, 5, func() { stale++ })
-	if !tm.Pending() {
-		t.Fatal("armed timer not pending")
-	}
-	e.Drain()
-	if e.Pending() != 0 {
-		t.Fatalf("%d events pending after Drain", e.Pending())
-	}
-	// The drained timer's slot is gone; re-arming must not panic even
-	// though its pending flag was never cleared by a pop or sweep.
-	fired := 0
-	e.StartTimer(2, 2, &tm, 7, func() { fired++ })
-	e.ScheduleFuncOn(0, 0, 3, func() { fired++ })
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if stale != 0 {
-		t.Fatalf("%d drained events fired", stale)
-	}
-	if fired != 2 {
-		t.Fatalf("fired %d post-Drain events, want 2", fired)
 	}
 }
 
@@ -126,10 +91,11 @@ func TestLaneSchedulingAndLaneNow(t *testing.T) {
 func TestTimerLazySweep(t *testing.T) {
 	e := NewEngine()
 	const n = 64
-	timers := make([]*Timer, n)
+	timers := make([]Timer, n)
 	fired := 0
+	k := e.RegisterHandler(func(Time, any) { fired++ })
 	for i := range timers {
-		timers[i] = e.AfterTimer(Time(1000+i), func() { fired++ })
+		e.StartTimerKind(0, 0, &timers[i], Time(1000+i), k, i)
 	}
 	if e.Pending() != n {
 		t.Fatalf("%d slots pending, want %d", e.Pending(), n)
@@ -159,7 +125,7 @@ func TestTimerLazySweep(t *testing.T) {
 		t.Fatalf("%d timers fired, want 8", fired)
 	}
 	// A swept timer can be re-armed at once.
-	e.StartTimer(0, 0, timers[0], 5, nil)
+	e.StartTimerKind(0, 0, &timers[0], 5, k, nil)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +138,15 @@ func TestTimerLazySweep(t *testing.T) {
 // slot is still in a heap cannot be re-armed.
 func TestStartTimerWhileQueuedPanics(t *testing.T) {
 	e := NewEngine()
-	tm := e.AfterTimer(10, func() {})
+	k := e.RegisterHandler(func(Time, any) {})
+	var tm Timer
+	e.StartTimerKind(0, 0, &tm, 10, k, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-arming a queued timer did not panic")
 		}
 	}()
-	e.StartTimer(0, 0, tm, 20, nil)
+	e.StartTimerKind(0, 0, &tm, 20, k, nil)
 }
 
 // parallelWorkload loads e with a deterministic multi-lane cascade whose

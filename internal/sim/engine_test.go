@@ -26,7 +26,7 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{50, 10, 30, 20, 40} {
 		at := at
-		e.Schedule(at, func() { got = append(got, at) })
+		e.ScheduleFuncOn(0, 0, at, func() { got = append(got, at) })
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(100, func() { got = append(got, i) })
+		e.ScheduleFuncOn(0, 0, 100, func() { got = append(got, i) })
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 func TestEngineNowDuringEvent(t *testing.T) {
 	e := NewEngine()
 	var seen Time
-	e.Schedule(42, func() { seen = e.Now() })
+	e.ScheduleFuncOn(0, 0, 42, func() { seen = e.Now() })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestEngineNowDuringEvent(t *testing.T) {
 func TestEngineSchedulingInPastClamps(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(100, func() {
-		e.Schedule(5, func() { fired = append(fired, e.Now()) })
+	e.ScheduleFuncOn(0, 0, 100, func() {
+		e.ScheduleFuncOn(0, 0, 5, func() { fired = append(fired, e.Now()) })
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -82,48 +82,11 @@ func TestEngineSchedulingInPastClamps(t *testing.T) {
 	}
 }
 
-func TestEngineAfter(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	e.Schedule(10, func() {
-		e.After(5, func() { at = e.Now() })
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 15 {
-		t.Fatalf("After fired at %v, want 15", at)
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	n, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("fired %d events, want 3 after Stop", n)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i*10), func() { count++ })
+		e.ScheduleFuncOn(0, 0, Time(i*10), func() { count++ })
 	}
 	if _, err := e.RunUntil(50); err != nil {
 		t.Fatal(err)
@@ -146,26 +109,10 @@ func TestEngineEventLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetEventLimit(5)
 	var reschedule func()
-	reschedule = func() { e.After(1, reschedule) }
-	e.Schedule(0, reschedule)
+	reschedule = func() { e.ScheduleFuncOn(0, 0, e.Now()+1, reschedule) }
+	e.ScheduleFuncOn(0, 0, 0, reschedule)
 	if _, err := e.Run(); err == nil {
 		t.Fatal("expected event-limit error on runaway schedule loop")
-	}
-}
-
-func TestEngineDrain(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.Schedule(1, func() { fired = true })
-	e.Drain()
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("drained event fired")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", e.Pending())
 	}
 }
 
@@ -174,12 +121,12 @@ func TestEngineCascade(t *testing.T) {
 	e := NewEngine()
 	var order []Time
 	record := func() { order = append(order, e.Now()) }
-	e.Schedule(10, func() {
+	e.ScheduleFuncOn(0, 0, 10, func() {
 		record()
-		e.Schedule(15, record)
-		e.Schedule(25, record)
+		e.ScheduleFuncOn(0, 0, 15, record)
+		e.ScheduleFuncOn(0, 0, 25, record)
 	})
-	e.Schedule(20, record)
+	e.ScheduleFuncOn(0, 0, 20, record)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +153,11 @@ func TestEngineDeterminism(t *testing.T) {
 				k := rng.Intn(3) + 1
 				for i := 0; i < k; i++ {
 					child := id*10 + i
-					e.After(Time(rng.Intn(100)), func() { spawn(depth+1, child) })
+					e.ScheduleFuncOn(0, 0, e.Now()+Time(rng.Intn(100)), func() { spawn(depth+1, child) })
 				}
 			}
 		}
-		e.Schedule(0, func() { spawn(0, 1) })
+		e.ScheduleFuncOn(0, 0, 0, func() { spawn(0, 1) })
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +182,7 @@ func TestEngineSortedFiringProperty(t *testing.T) {
 		var fired []Time
 		for _, at := range times {
 			at := Time(at)
-			e.Schedule(at, func() { fired = append(fired, at) })
+			e.ScheduleFuncOn(0, 0, at, func() { fired = append(fired, at) })
 		}
 		if _, err := e.Run(); err != nil {
 			return false

@@ -65,12 +65,11 @@ func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) {
 	if workers <= 1 || lookahead <= 0 || len(e.lanes) <= 1 {
 		return e.Run()
 	}
-	e.stopped = false
 	e.limitHit.Store(false)
 	e.parWins = 0
 	var total uint64
 	active := make([]int32, 0, len(e.lanes))
-	for len(e.order) > 0 && !e.stopped {
+	for len(e.order) > 0 {
 		e.parWins++
 		start := e.lanes[e.order[0]].heap[0].at
 		end := start + lookahead

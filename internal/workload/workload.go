@@ -2,23 +2,45 @@
 // declarative settings into a program running on a System: the
 // JSON-serialisable Spec, its translation into abcl options, its defaults,
 // and the name → app table. abclsim flags, runpack configs and scenario
-// specs are adapters over it (DESIGN.md §13, "Run spec and app table").
+// documents are adapters over it (DESIGN.md §13, "Run spec and app table").
 package workload
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	abcl "repro"
 )
 
+// DecodeStrict is json.Unmarshal that also rejects keys v does not declare:
+// a misspelt or retired key must not silently run a different configuration.
+// Every decoder of a run spec — spec files, scenario documents, a runpack's
+// config.json — goes through it.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the top-level value")
+	}
+	return nil
+}
+
 // Spec is the complete, replayable description of one run: together with
 // the runtime's determinism guarantee (same seed ⇒ byte-identical traces) it
 // pins every byte of the run's trace and report. It is a runpack's
-// config.json verbatim. Field conventions follow the abclsim flags: zero
+// config.json verbatim, and the body of a scenario document. Field
+// conventions follow the abclsim flags: zero
 // values select the defaults (WithDefaults for sizes, NewSystem's for system
 // settings), Stock -1 disables the chunk stock.
 type Spec struct {
@@ -43,11 +65,11 @@ type Spec struct {
 	Ungrouped bool   `json:"ungrouped,omitempty"`  // orderbook: drop the compatibility groups
 	Reorder   int    `json:"reorder,omitempty"`    // bounded-reordering annotation
 
-	// Fault schedule.
-	Drop     float64          `json:"drop,omitempty"`
-	Dup      float64          `json:"dup,omitempty"`
-	JitterNs int64            `json:"jitter_ns,omitempty"`
-	Crashes  []abcl.NodeCrash `json:"crashes,omitempty"`
+	// Faults is the fault schedule: link drop / duplication / jitter rules
+	// (first match wins; omitted src/dst match any node), node pause windows
+	// and node crashes. Nil injects nothing; a pointer because encoding/json
+	// omits no empty struct value, and a fault-free spec must not grow a key.
+	Faults *abcl.FaultPlan `json:"faults,omitempty"`
 
 	// Wire-path, recovery and execution options.
 	BatchWindowNs  int64 `json:"batch_window_ns,omitempty"`
@@ -68,6 +90,14 @@ type Spec struct {
 // ParallelConfigured reports whether the spec names the parallel executor.
 func (sp Spec) ParallelConfigured() bool {
 	return sp.Executor == "conservative" && sp.Workers > 1
+}
+
+// FaultPlan returns the spec's fault schedule, empty when it declares none.
+func (sp Spec) FaultPlan() abcl.FaultPlan {
+	if sp.Faults == nil {
+		return abcl.FaultPlan{}
+	}
+	return *sp.Faults
 }
 
 // WithDefaults fills the fleet size and every workload parameter left zero.
@@ -141,11 +171,7 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 	case sp.Stock > 0:
 		opts = append(opts, abcl.WithChunkStock(sp.Stock))
 	}
-	var plan abcl.FaultPlan
-	if sp.Drop != 0 || sp.Dup != 0 || sp.JitterNs != 0 {
-		plan = abcl.UniformFaults(sp.Drop, sp.Dup, abcl.Time(sp.JitterNs))
-	}
-	plan.Crashes = sp.Crashes
+	plan := sp.FaultPlan()
 	if plan.Enabled() {
 		opts = append(opts, abcl.WithFaults(plan))
 	}
@@ -175,7 +201,7 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 		if !sp.ParallelConfigured() {
 			break
 		}
-		if sp.CkptIntervalNs > 0 || len(sp.Crashes) > 0 {
+		if sp.CkptIntervalNs > 0 || len(plan.Crashes) > 0 {
 			errs = append(errs, fmt.Errorf("workload: the conservative executor is incompatible with checkpoints and crash faults"))
 		}
 		opts = append(opts, abcl.WithExecutor(abcl.Conservative(sp.Workers)))
@@ -189,11 +215,19 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 }
 
 // Validate rejects, before anything is built, a spec Run cannot execute:
-// an unknown workload, parameters its app refuses, unknown setting names.
-// Every complaint is collected into one joined error.
+// an unknown workload, parameters its app refuses, unknown setting names, a
+// fault schedule the fleet cannot carry. Every complaint is collected into
+// one joined error.
 func (sp Spec) Validate() error {
 	sp = sp.WithDefaults()
 	var errs []error
+	// The fault schedule is only checkable against a sane fleet size; with
+	// nodes < 1 every rule would drown in out-of-range noise.
+	if sp.Nodes < 1 {
+		errs = append(errs, fmt.Errorf("workload: nodes must be >= 1, got %d", sp.Nodes))
+	} else {
+		errs = append(errs, sp.FaultPlan().Validate(sp.Nodes))
+	}
 	if a, err := lookup("workload", apps, sp.Workload); err != nil {
 		errs = append(errs, err)
 	} else if a.check != nil {
@@ -218,13 +252,14 @@ type Outcome struct {
 	// for an app that builds its own machines.
 	Report *abcl.Report
 	// Result is the app's own result value (nqueens.Result, hotkey.Result,
-	// ...), for front ends that print app-specific detail.
-	Result any
+	// ...), for front ends that print app-specific detail. It repeats what
+	// Answer and Report hold, so a scenario report leaves it out.
+	Result any `json:"-"`
 }
 
 // Run executes the spec: defaults, then the spec's options followed by extra
-// (instrumentation the spec cannot carry — observer sinks, a fault timeline
-// richer than the uniform one; later options win), then the app.
+// (instrumentation the spec cannot carry — observer sinks; later options
+// win), then the app.
 func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 	sp = sp.WithDefaults()
 	a, err := lookup("workload", apps, sp.Workload)
@@ -250,3 +285,35 @@ func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 // own and therefore ignores the spec's system settings and any fault plan —
 // which makes it meaningless as the subject of a fault scenario.
 func OwnMachines(name string) bool { return apps[name].ownMachines }
+
+// ForEachIndexed runs fn(i) for i in [0, n) on up to workers goroutines and
+// returns the first error by index. Each run of a sweep or a suite builds its
+// own System, so runs share no state; results land in pre-indexed slots, which
+// keeps output order (and therefore printed tables) identical to the
+// sequential loop — which one worker (the minimum) is.
+func ForEachIndexed(n, workers int, fn func(i int) error) error {
+	workers = min(workers, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

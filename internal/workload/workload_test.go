@@ -59,7 +59,8 @@ func TestEverySettingReachesEveryApp(t *testing.T) {
 			}
 
 			lossy := sp
-			lossy.Drop = 0.1
+			drop := abcl.UniformFaults(0.1, 0, 0)
+			lossy.Faults = &drop
 			out, err := Run(lossy)
 			if err != nil {
 				t.Fatal(err)
