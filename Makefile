@@ -1,7 +1,7 @@
 # Convenience targets for the ABCL/onAP1000 reproduction.
 #
 #   make tier1           build + full test suite + bench smoke + profile smoke + runpack regress
-#   make vet-race        gofmt + go vet + the whole test suite under the race detector
+#   make vet-race        gofmt + go vet + the whole test suite raced, in shuffled order
 #   make scenario-smoke  run every bundled fault scenario end to end
 #   make profile-smoke   run nqueens with -profile/-metrics, validate the JSONL schema
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
@@ -26,7 +26,7 @@ tier1:
 vet-race:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l . lists:"; echo "$$out"; exit 1; }
 	go vet ./...
-	go test -race ./...
+	go test -race -shuffle=on ./...
 
 scenario-smoke:
 	go run ./cmd/abclsim -scenario all

@@ -499,7 +499,6 @@ type System struct {
 	seed        int64
 	faults      FaultPlan
 	exec        ExecutorSpec
-	prof        *profile.Profiler   // nil unless WithProfiler
 	ckpt        *checkpoint.Manager // nil unless checkpointing is active
 	ckptStarted bool
 }
@@ -597,27 +596,19 @@ func NewSystem(opts ...Option) (*System, error) {
 		Placement:       s.placement,
 		Seed:            s.seed,
 		Reliable:        reliable,
-		Trace:           s.observer,
-		Prof:            prof,
 		BatchWindow:     s.batchWindow,
 		BatchMaxBytes:   s.batchBytes,
 		AckDelay:        s.ackDelay,
 		LoadHorizon:     s.loadHorizon,
 		NoLocationCache: s.noLocCache,
 	})
-	sys := &System{M: m, RT: rt, Net: net, prof: prof, seed: s.seed, faults: s.faults, exec: s.exec}
+	sys := &System{M: m, RT: rt, Net: net, seed: s.seed, faults: s.faults, exec: s.exec}
 	if ckptOn {
 		// Retention must cover every reliable send, including host-time ones
 		// (e.g. a Migrate before the first Run), so it starts here rather
 		// than at the manager's Start.
 		net.EnableCheckpoint()
 		sys.ckpt = checkpoint.New(rt, net, s.ckptEvery)
-		if s.observer != nil {
-			sys.ckpt.SetTrace(s.observer)
-		}
-		if prof != nil {
-			sys.ckpt.SetProfiler(prof)
-		}
 	}
 	return sys, nil
 }
@@ -844,8 +835,8 @@ func (s *System) Report() Report {
 	if s.ckpt != nil {
 		r.Ckpt.Rounds = s.ckpt.Rounds()
 	}
-	if s.prof != nil {
-		r.Profile = s.prof.Report()
+	if p := s.M.Profiler(); p != nil {
+		r.Profile = p.Report()
 	}
 	return r
 }

@@ -123,6 +123,7 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 		"-workload quicksort":                                          `unknown workload "quicksort"`,
 		"-executor sequential:2":                                       "sequential takes no worker count",
 		"-workload nqueens -n 4 -trace -3":                             "-trace -3: event count must be a non-negative integer",
+		"-workload hotkey -nodes 4 -reorder -1":                        "reorder bound must be >= 0, got -1",
 		"-bench-json out.json":                                         "flag provided but not defined",
 		"-workload forkjoin -depth -1 -nodes 4":                        "forkjoin depth must be >= 0",
 		"-workload forkjoin -depth -1 -pack " + t.TempDir():            "forkjoin depth must be >= 0",

@@ -69,6 +69,25 @@ func TestConservativeEquivalence(t *testing.T) {
 			}
 			return res
 		}},
+		// The profiler's accumulators live on the machine nodes, one per
+		// lane: the whole profile — path rows, class and group tables, time
+		// slices — must come out the same, and the race detector watches the
+		// lanes charge them concurrently.
+		{"profiled-hotkey", func(t *testing.T, exec abcl.Option) any {
+			res, err := hotkey.Run(hotkey.Options{Clients: 6, Ops: 8, Coverage: hotkey.CoverFull},
+				abcl.WithNodes(4), abcl.WithSeed(7),
+				abcl.WithFaults(abcl.UniformFaults(0.10, 0.05, 2*abcl.Microsecond)),
+				abcl.WithDelayedAcks(3*abcl.Microsecond),
+				abcl.WithProfiler(abcl.ProfileOptions{Window: 20 * abcl.Microsecond, Classes: true}),
+				exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := res.Report.Profile; p == nil || len(p.Slices) == 0 || len(p.Classes) == 0 || len(p.Groups) == 0 {
+				t.Fatalf("profile lacks slices, classes or groups: %+v", p)
+			}
+			return res
+		}},
 		// Creation-heavy traffic: the remote chunk-stock path pre-seeds a
 		// target's chunks from the requester's lane.
 		{"forkjoin", func(t *testing.T, exec abcl.Option) any {

@@ -83,8 +83,6 @@ type Manager struct {
 	l        *remote.Layer
 	m        *machine.Machine
 	interval sim.Time
-	tr       trace.Sink
-	prof     *profile.Profiler
 
 	n       int
 	round   int       // last round started
@@ -109,13 +107,6 @@ func New(rt *core.Runtime, l *remote.Layer, interval sim.Time) *Manager {
 	g.snapped = make([]bool, g.n)
 	return g
 }
-
-// SetTrace attaches an event sink for checkpoint events.
-func (g *Manager) SetTrace(tr trace.Sink) { g.tr = tr }
-
-// SetProfiler attaches the cost-attribution profiler; snapshot and restore
-// charges then land on the ckpt path with their stable-store bytes.
-func (g *Manager) SetProfiler(p *profile.Profiler) { g.prof = p }
 
 // Stable returns the last complete checkpoint (the current restore target).
 func (g *Manager) Stable() *Snapshot { return g.stable }
@@ -152,7 +143,7 @@ func (g *Manager) Start(crashes []fault.NodeCrash) {
 		g.m.Eng.ScheduleFuncOn(0, mn.Lane(), c.At, func() {
 			mn.BeginOutage(restart)
 			g.rt.NodeRT(c.Node).C.NodeCrashes++
-			g.tracef(c.At, c.Node, trace.EvCrash, "crash, restart at %v", restart)
+			g.rt.Tracef(c.At, c.Node, trace.EvCrash, "crash, restart at %v", restart)
 		})
 		g.m.Eng.ScheduleFuncOn(0, 0, restart, func() {
 			g.restore(restart, c.Node)
@@ -278,7 +269,7 @@ func (g *Manager) completeRound() {
 	g.stable = snap
 	g.l.CkptStableTrim(snap.rel)
 	g.rt.NodeRT(0).C.CkptRounds++
-	g.tracef(snap.At, 0, trace.EvCkptRound,
+	g.rt.Tracef(snap.At, 0, trace.EvCkptRound,
 		"round %d complete (%d bytes)", snap.Round, snap.SizeBytes())
 }
 
@@ -292,17 +283,15 @@ func (g *Manager) snapNode(i int) {
 	g.snapped[i] = true
 	bytes := ci.SizeBytes() + ri.SizeBytes()
 	mn := g.m.Node(i)
-	mn.Charge(g.m.Cfg.Cost.CkptInstr(bytes))
-	if g.prof != nil {
-		np := g.prof.Node(i)
-		np.ChargeInstr(profile.Ckpt, g.m.Cfg.Cost.CkptInstr(bytes), mn.Now())
+	mn.ChargeTo(profile.Ckpt, g.m.Cfg.Cost.CkptInstr(bytes))
+	if np := mn.Prof(); np != nil {
 		np.CountEvent(profile.Ckpt, mn.Now())
 		np.StableWrite(bytes)
 	}
 	c := &g.rt.NodeRT(i).C
 	c.CkptSaves++
 	c.CkptBytes += uint64(bytes)
-	g.tracef(mn.Now(), i, trace.EvCkptSave,
+	g.rt.Tracef(mn.Now(), i, trace.EvCkptSave,
 		"snapshot round %d: %d objects, %d bytes", g.cur.Round, ci.Objects(), bytes)
 }
 
@@ -339,10 +328,10 @@ func (g *Manager) restore(at sim.Time, node int) {
 	if node >= 0 {
 		g.m.Node(node).EndOutage(at)
 		g.rt.NodeRT(node).C.NodeRestarts++
-		g.tracef(at, node, trace.EvRestore,
+		g.rt.Tracef(at, node, trace.EvRestore,
 			"restart: global rollback to round %d (captured at %v)", snap.Round, snap.At)
 	} else {
-		g.tracef(at, 0, trace.EvRestore,
+		g.rt.Tracef(at, 0, trace.EvRestore,
 			"manual rollback to round %d (captured at %v)", snap.Round, snap.At)
 	}
 	// Per-node completion runs as a lane event on each node: the stable-store
@@ -360,28 +349,14 @@ func (g *Manager) restore(at sim.Time, node int) {
 			}
 			mn.SyncClock(at)
 			bytes := snap.core[i].SizeBytes() + snap.rel[i].SizeBytes()
-			mn.Charge(g.m.Cfg.Cost.RestoreInstr(bytes))
-			if g.prof != nil {
-				np := g.prof.Node(i)
-				np.ChargeInstr(profile.Ckpt, g.m.Cfg.Cost.RestoreInstr(bytes), mn.Now())
+			mn.ChargeTo(profile.Ckpt, g.m.Cfg.Cost.RestoreInstr(bytes))
+			if np := mn.Prof(); np != nil {
 				np.StableWrite(bytes)
 			}
 			if replayed := g.l.CkptReplayNode(i, snap.rel); replayed > 0 {
 				g.rt.NodeRT(i).C.ReplayedMsgs += uint64(replayed)
 			}
 			mn.Wake()
-		})
-	}
-}
-
-// tracef records a checkpoint event when tracing is enabled.
-func (g *Manager) tracef(at sim.Time, node int, kind trace.Kind, format string, args ...any) {
-	if g.tr != nil {
-		g.tr.Event(trace.Event{
-			At:   at,
-			Node: node,
-			Kind: kind,
-			What: fmt.Sprintf(format, args...),
 		})
 	}
 }

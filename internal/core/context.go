@@ -56,12 +56,9 @@ func (c *Ctx) SetState(i int, v Value) { c.self.state[i] = v }
 func (c *Ctx) Charge(instr int) {
 	c.checkLive("Charge")
 	n := c.rt
-	prev := n.curPath
-	n.curPath = profile.Body
-	n.charge(instr)
-	n.curPath = prev
-	if n.prof != nil && c.self.class != nil {
-		n.prof.ClassInstr(c.self.class.id, instr)
+	n.node.ChargeTo(profile.Body, instr)
+	if np := n.node.Prof(); np != nil && c.self.class != nil {
+		np.ClassInstr(c.self.class.id, instr)
 	}
 }
 
@@ -108,33 +105,32 @@ func (c *Ctx) SendNow(to Address, p PatternID, args []Value, k func(*Ctx, Value)
 	c.checkLive("SendNow")
 	c.acted = true
 	n := c.rt
-	prev := n.curPath
-	n.curPath = profile.NowBlocked
-	n.charge(n.cost.ReplyDestAlloc)
-	if n.prof != nil {
-		n.prof.CountEvent(profile.NowBlocked, n.node.Now())
+	prev := n.node.SetPath(profile.NowBlocked)
+	n.node.Charge(n.cost.ReplyDestAlloc)
+	if np := n.node.Prof(); np != nil {
+		np.CountEvent(profile.NowBlocked, n.node.Now())
 	}
 	rd := n.newReplyDest()
 	n.Send(to, p, args, rd.Addr())
 	// The nested dispatch above may have overwritten the register.
-	n.curPath = profile.NowBlocked
-	n.charge(n.cost.ReplyCheck)
+	n.node.SetPath(profile.NowBlocked)
+	n.node.Charge(n.cost.ReplyCheck)
 	st := rd.rd
 	if st.arrived && !st.consumed {
 		st.consumed = true
 		n.C.NowFastPath++
-		n.curPath = prev
+		n.node.SetPath(prev)
 		k(c, st.value)
 		return
 	}
 	n.C.NowBlocked++
 	n.C.HeapFrames++
-	n.charge(n.cost.SaveContext)
+	n.node.Charge(n.cost.SaveContext)
 	st.waiterObj = c.self
 	st.waiterK = k
 	st.waiterF = c.f
 	c.blocked = true
-	n.curPath = prev
+	n.node.SetPath(prev)
 }
 
 // WaitFor is selective message reception: the object waits for the first
@@ -156,23 +152,22 @@ func (c *Ctx) WaitFor(k func(*Ctx, *Frame), pats ...PatternID) {
 			c.self.class.Name))
 	}
 	n := c.rt
-	prev := n.curPath
-	n.curPath = profile.Restore
-	n.charge(n.cost.CheckMsgQueue)
+	prev := n.node.SetPath(profile.Restore)
+	n.node.Charge(n.cost.CheckMsgQueue)
 	if f := c.self.queue.popMatchingPats(pats); f != nil {
 		n.C.WaitFast++
-		n.curPath = prev
+		n.node.SetPath(prev)
 		k(c, f)
 		return
 	}
 	n.C.WaitBlocked++
 	n.C.HeapFrames++
-	n.charge(n.cost.SaveContext + n.cost.SwitchVFTPWait)
+	n.node.Charge(n.cost.SaveContext + n.cost.SwitchVFTPWait)
 	ws := &waitState{pats: pats, k: k, frame: c.f}
 	c.self.wait = ws
 	c.self.vftp = c.self.class.waitingVFT(pats)
 	c.blocked = true
-	n.curPath = prev
+	n.node.SetPath(prev)
 }
 
 // NewLocal creates an object of class cl on this node (local create,
@@ -181,14 +176,11 @@ func (c *Ctx) NewLocal(cl *Class, ctorArgs ...Value) Address {
 	c.checkLive("NewLocal")
 	c.acted = true
 	n := c.rt
-	prev := n.curPath
-	n.curPath = profile.Create
-	n.charge(n.cost.CreateLocal)
-	if n.prof != nil {
-		n.prof.CountEvent(profile.Create, n.node.Now())
+	n.node.ChargeTo(profile.Create, n.cost.CreateLocal)
+	if np := n.node.Prof(); np != nil {
+		np.CountEvent(profile.Create, n.node.Now())
 	}
 	n.C.LocalCreations++
-	n.curPath = prev
 	return n.rt.newObject(cl, n.id, ctorArgs).Addr()
 }
 
@@ -211,8 +203,8 @@ func (c *Ctx) Yield(k func(*Ctx)) {
 	n := c.rt
 	n.C.Preemptions++
 	n.C.HeapFrames++
-	n.curPath = profile.Sched
-	n.charge(n.cost.SaveContext)
+	n.node.SetPath(profile.Sched)
+	n.node.Charge(n.cost.SaveContext)
 	n.deferResume(c.self, c.f, k)
 	c.blocked = true
 }
@@ -249,7 +241,7 @@ func (c *Ctx) BlockExternal() { c.block() }
 // blocking remote allocation completes.
 func (n *NodeRT) ResumeSaved(obj *Object, frame *Frame, k func(*Ctx)) {
 	n.C.HeapFrames++
-	n.curPath = profile.Create
-	n.charge(n.cost.SaveContext)
+	n.node.SetPath(profile.Create)
+	n.node.Charge(n.cost.SaveContext)
 	n.deferResume(obj, frame, k)
 }

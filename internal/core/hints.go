@@ -58,11 +58,11 @@ func (n *NodeRT) sendHinted(to Address, p PatternID, args []Value, replyTo Addre
 			panic("core: HintKnownLocal violated: receiver is on another node")
 		}
 	} else {
-		n.charge(n.cost.CheckLocality)
+		n.node.Charge(n.cost.CheckLocality)
 	}
 	if to.Node != n.id {
 		n.C.RemoteSends++
-		n.curPath = profile.RemoteSend
+		n.node.SetPath(profile.RemoteSend)
 		// Stage the arguments in the node's scratch buffer: the interface
 		// call would otherwise force the caller's argument slice to the
 		// heap. SendMessage copies before returning, so reuse is safe.

@@ -13,7 +13,7 @@ package core
 
 // forwardEntry re-sends a frame to the object's new address.
 func forwardEntry(n *NodeRT, obj *Object, f *Frame) {
-	n.charge(n.cost.ForwardHop)
+	n.node.Charge(n.cost.ForwardHop)
 	n.C.Forwards++
 	// The re-send copies the arguments into its own frame (or the remote
 	// layer's wire record), so f — whose inline buffer may back f.Args —

@@ -320,32 +320,32 @@ func makeMultiEntry(cl *Class, p PatternID) entryFunc {
 	return func(n *NodeRT, obj *Object, f *Frame) {
 		ms := obj.multi
 		qi := cl.queueIndex(p)
-		n.charge(n.cost.GroupCheck)
+		n.node.Charge(n.cost.GroupCheck)
 		startable := ms.canStart(qi)
 		if startable && n.stackDepth < n.rt.maxStackDepth {
 			n.C.MultiImmediate++
-			if n.prof != nil {
-				n.prof.GroupEvent(cl.profGroupID(qi), profile.GroupStarted)
+			if np := n.node.Prof(); np != nil {
+				np.GroupEvent(cl.profGroupID(qi), profile.GroupStarted)
 			}
 			ms.begin(qi)
 			n.invokeBody(obj, f, cl.methods[p])
 			return
 		}
 		n.C.MultiParked++
-		if n.prof != nil {
-			n.prof.GroupEvent(cl.profGroupID(qi), profile.GroupParked)
+		if np := n.node.Prof(); np != nil {
+			np.GroupEvent(cl.profGroupID(qi), profile.GroupParked)
 		}
-		n.charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
+		n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
 		ms.buffer(qi, f)
-		if n.tr != nil {
-			n.tracef(trace.EvBuffer, "%s <- %s (group %s)",
+		if n.rt.Tracing() {
+			n.rt.Tracef(n.node.Now(), n.id, trace.EvBuffer, "%s <- %s (group %s)",
 				describe(obj), n.rt.Reg.Name(p), cl.queueName(qi))
 		}
 		if startable {
 			// Compatible, but the stack is too deep: preempt through the
 			// scheduling queue, mirroring the serial dormant path.
 			n.C.Preemptions++
-			n.curPath = profile.Sched
+			n.node.SetPath(profile.Sched)
 			n.enqueueSched(obj)
 		}
 	}
@@ -361,7 +361,7 @@ func (n *NodeRT) multiDispatch(obj *Object) {
 		copy(ms.resume, ms.resume[1:])
 		ms.resume[len(ms.resume)-1] = savedCont{}
 		ms.resume = ms.resume[:len(ms.resume)-1]
-		n.charge(n.cost.RestoreContext)
+		n.node.Charge(n.cost.RestoreContext)
 		n.runCont(obj, sc.frame, sc.k)
 		n.multiReschedule(obj)
 		return
@@ -377,8 +377,8 @@ func (n *NodeRT) multiDispatch(obj *Object) {
 	f := ms.ready[qi].pop()
 	ms.readyN--
 	n.C.MultiDispatches++
-	if n.prof != nil {
-		n.prof.GroupEvent(cl.profGroupID(qi), profile.GroupDispatched)
+	if np := n.node.Prof(); np != nil {
+		np.GroupEvent(cl.profGroupID(qi), profile.GroupDispatched)
 	}
 	ms.begin(qi)
 	n.invokeBody(obj, f, cl.methods[f.Pattern])
@@ -391,7 +391,7 @@ func (n *NodeRT) multiDispatch(obj *Object) {
 // method-end message-queue check.
 func (n *NodeRT) multiMethodEnd(obj *Object, f *Frame) {
 	obj.multi.end(obj.class.queueIndex(f.Pattern))
-	n.charge(n.cost.CheckMsgQueue)
+	n.node.Charge(n.cost.CheckMsgQueue)
 	n.multiReschedule(obj)
 }
 

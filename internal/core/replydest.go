@@ -61,11 +61,11 @@ func replyEntry(n *NodeRT, obj *Object, f *Frame) {
 	n.releaseFrame(f)
 	if n.stackDepth >= n.rt.maxStackDepth {
 		n.C.Preemptions++
-		n.charge(n.cost.SaveContext)
+		n.node.Charge(n.cost.SaveContext)
 		n.deferResume(w, wf, func(ctx *Ctx) { k(ctx, v) })
 		return
 	}
-	n.charge(n.cost.RestoreContext)
+	n.node.Charge(n.cost.RestoreContext)
 	// The waiter stays in active mode: while blocked on a reply all its
 	// table entries are queuing procedures, exactly as the paper specifies
 	// for now-type waits.

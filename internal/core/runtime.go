@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/profile"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -53,13 +54,14 @@ type Options struct {
 	// runtime preempts to the scheduling queue (the paper's preemption on
 	// deep recursion). Zero means the default of 64.
 	MaxStackDepth int
-	// Trace, when non-nil, receives runtime events (sends, invocations,
-	// blocks, scheduling). Sinks see one global event interleaving, so
-	// abcl.NewSystem rejects one together with a parallel executor.
+	// Trace, when non-nil, receives every runtime event — the core's sends and
+	// dispatches and, through Runtime.Tracef, those of the layers attached to
+	// it. Sinks see one global event interleaving, so abcl.NewSystem rejects
+	// one together with a parallel executor.
 	Trace trace.Sink
-	// Prof, when non-nil, receives per-path cost attribution for every
-	// simulated charge. Like Trace it only observes; enabling it changes no
-	// virtual-time results.
+	// Prof, when non-nil, is installed on the machine and receives per-path
+	// cost attribution for every simulated charge. Like Trace it only
+	// observes; enabling it changes no virtual-time results.
 	Prof *profile.Profiler
 }
 
@@ -75,7 +77,7 @@ type Runtime struct {
 	maxStackDepth int
 	remote        Remote
 	frozen        bool
-	prof          *profile.Profiler
+	tr            trace.Sink
 
 	// PatReply is the reserved pattern carrying now-type replies.
 	PatReply PatternID
@@ -103,21 +105,36 @@ func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 		remote:        defaultRemote{},
 	}
 	r.PatReply = r.Reg.Register("reply:", 1)
-	r.prof = opt.Prof
+	r.tr = opt.Trace
+	if opt.Prof != nil {
+		m.SetProfiler(opt.Prof)
+	}
 	r.nodes = make([]*NodeRT, m.Nodes())
 	for i := range r.nodes {
-		r.nodes[i] = &NodeRT{rt: r, id: i, node: m.Node(i), cost: &m.Cfg.Cost, tr: opt.Trace}
-		if opt.Prof != nil {
-			r.nodes[i].prof = opt.Prof.Node(i)
-		}
+		r.nodes[i] = &NodeRT{rt: r, id: i, node: m.Node(i), cost: &m.Cfg.Cost}
 		m.Node(i).Runner = r.nodes[i]
 	}
 	return r
 }
 
-// Profiler returns the attached cost-attribution profiler (nil when
-// profiling is off).
-func (r *Runtime) Profiler() *profile.Profiler { return r.prof }
+// Tracing reports whether a trace sink is attached. Call sites on the
+// per-message path check it before Tracef, so that with tracing off their
+// arguments are never boxed into Tracef's variadic slice.
+func (r *Runtime) Tracing() bool { return r.tr != nil }
+
+// Tracef records one event of the given kind at virtual time at on node —
+// the single emission point of the core, remote and checkpoint layers. A
+// no-op with tracing off.
+func (r *Runtime) Tracef(at sim.Time, node int, kind trace.Kind, format string, args ...any) {
+	if r.tr != nil {
+		r.tr.Event(trace.Event{
+			At:   at,
+			Node: node,
+			Kind: kind,
+			What: fmt.Sprintf(format, args...),
+		})
+	}
+}
 
 // DefineClass registers a new class. stateSize is the number of state
 // variables; init (optional) is the lazy initializer run on first message.
@@ -166,15 +183,16 @@ func (r *Runtime) Freeze() {
 	r.frozen = true
 	r.Reg.Freeze()
 	npat := r.Reg.Count()
+	prof := r.M.Profiler()
 	for _, c := range r.classes {
 		c.buildTables(npat)
-		if r.prof != nil {
-			r.prof.RegisterClass(c.id, c.Name)
+		if prof != nil {
+			prof.RegisterClass(c.id, c.Name)
 			if c.Multiactive() {
 				for gi := range c.groups {
-					c.groups[gi].profID = r.prof.RegisterGroup(c.Name, c.groups[gi].name)
+					c.groups[gi].profID = prof.RegisterGroup(c.Name, c.groups[gi].name)
 				}
-				c.exclusiveProf = r.prof.RegisterGroup(c.Name, "(exclusive)")
+				c.exclusiveProf = prof.RegisterGroup(c.Name, "(exclusive)")
 			}
 		}
 	}
@@ -266,10 +284,10 @@ func (r *Runtime) newObject(cl *Class, node int, ctorArgs []Value) *Object {
 // does not model creation-protocol costs beyond the local creation charge.
 func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
 	n := r.nodes[node]
-	n.curPath = profile.Create
-	n.charge(n.cost.CreateLocal)
-	if n.prof != nil {
-		n.prof.CountEvent(profile.Create, n.node.Now())
+	n.node.SetPath(profile.Create)
+	n.node.Charge(n.cost.CreateLocal)
+	if np := n.node.Prof(); np != nil {
+		np.CountEvent(profile.Create, n.node.Now())
 	}
 	n.C.LocalCreations++
 	return r.newObject(cl, node, ctorArgs).Addr()

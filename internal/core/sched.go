@@ -22,14 +22,6 @@ type NodeRT struct {
 	schedQ     schedQueue
 	stackDepth int
 	maxDepth   int // high-water mark, for reports
-	tr         trace.Sink
-
-	// prof is the node's cost-attribution accumulator (nil when profiling is
-	// off); curPath is the attribution register the dispatch boundaries set
-	// and charge reads. The register is written unconditionally — a byte
-	// store is cheaper than guarding it — but only read when prof != nil.
-	prof    *profile.NodeProf
-	curPath profile.Path
 
 	frameFree *Frame // free list of recycled message frames (linked via next)
 	ctxFree   []*Ctx // recycled invocation contexts
@@ -69,25 +61,6 @@ func (n *NodeRT) SchedQueueLen() int { return n.schedQ.len() }
 
 // MaxObservedDepth returns the deepest stack-based invocation nesting seen.
 func (n *NodeRT) MaxObservedDepth() int { return n.maxDepth }
-
-func (n *NodeRT) charge(instr int) {
-	n.node.Charge(instr)
-	if n.prof != nil {
-		n.prof.ChargeInstr(n.curPath, instr, n.node.Now())
-	}
-}
-
-// SetPath sets the node's attribution register and returns the previous
-// value. Sibling runtime packages (remote, checkpoint) bracket their work
-// with it so their charges land on the right path.
-func (n *NodeRT) SetPath(p profile.Path) profile.Path {
-	prev := n.curPath
-	n.curPath = p
-	return prev
-}
-
-// Prof returns the node's profiler accumulator (nil when profiling is off).
-func (n *NodeRT) Prof() *profile.NodeProf { return n.prof }
 
 // NewFrame returns a message frame from the node's free list (or a fresh
 // one), marked for recycling when the invocation it carries completes
@@ -187,19 +160,6 @@ func (n *NodeRT) releaseCtx(c *Ctx) {
 	n.ctxFree = append(n.ctxFree, c)
 }
 
-// tracef records a runtime event when tracing is enabled. The format
-// arguments are only evaluated with tracing on.
-func (n *NodeRT) tracef(kind trace.Kind, format string, args ...any) {
-	if n.tr != nil {
-		n.tr.Event(trace.Event{
-			At:   n.node.Now(),
-			Node: n.id,
-			Kind: kind,
-			What: fmt.Sprintf(format, args...),
-		})
-	}
-}
-
 // describe names an object for trace output.
 func describe(obj *Object) string {
 	if obj == nil {
@@ -236,14 +196,15 @@ func (n *NodeRT) DeliverFrame(obj *Object, f *Frame, remoteIn bool) {
 	if e.fn == nil {
 		panic(n.notUnderstood(obj, f.Pattern))
 	}
-	n.curPath = deliveryPath(e.kind, remoteIn)
-	n.charge(n.cost.LookupCall)
+	path := deliveryPath(e.kind, remoteIn)
+	n.node.SetPath(path)
+	n.node.Charge(n.cost.LookupCall)
 	n.countDelivery(e.kind, remoteIn)
-	if n.prof != nil {
-		n.profDeliver(obj, e.kind, n.curPath)
+	if np := n.node.Prof(); np != nil {
+		n.profDeliver(np, obj, e.kind, path)
 	}
-	if n.tr != nil {
-		n.tracef(trace.EvSend, "%s <- %s (%v mode)", describe(obj), n.rt.Reg.Name(f.Pattern), obj.vftp.Mode)
+	if n.rt.Tracing() {
+		n.rt.Tracef(n.node.Now(), n.id, trace.EvSend, "%s <- %s (%v mode)", describe(obj), n.rt.Reg.Name(f.Pattern), obj.vftp.Mode)
 	}
 	e.fn(n, obj, f)
 }
@@ -256,30 +217,31 @@ func (n *NodeRT) naiveDeliver(obj *Object, f *Frame, remoteIn bool) {
 	if e.fn == nil {
 		panic(n.notUnderstood(obj, f.Pattern))
 	}
-	n.curPath = deliveryPath(e.kind, remoteIn)
-	n.charge(n.cost.LookupCall)
+	path := deliveryPath(e.kind, remoteIn)
+	n.node.SetPath(path)
+	n.node.Charge(n.cost.LookupCall)
 	n.countDelivery(e.kind, remoteIn)
-	if n.prof != nil {
-		n.profDeliver(obj, e.kind, n.curPath)
+	if np := n.node.Prof(); np != nil {
+		n.profDeliver(np, obj, e.kind, path)
 	}
 	if e.kind == entryMulti {
 		// Multiactive receivers buffer into their group ready queues even
 		// under the naive policy; the scheduler performs the compatibility
 		// check at dispatch time.
 		qi := obj.class.queueIndex(f.Pattern)
-		n.charge(n.cost.GroupCheck + n.cost.FrameAlloc + n.cost.StoreMessage +
+		n.node.Charge(n.cost.GroupCheck + n.cost.FrameAlloc + n.cost.StoreMessage +
 			n.cost.EnqueueMsgQ)
 		obj.multi.buffer(qi, f)
 		n.C.MultiParked++
-		if n.prof != nil {
-			n.prof.GroupEvent(obj.class.profGroupID(qi), profile.GroupParked)
+		if np := n.node.Prof(); np != nil {
+			np.GroupEvent(obj.class.profGroupID(qi), profile.GroupParked)
 		}
 		if obj.multi.canStart(qi) {
 			n.enqueueSched(obj)
 		}
 		return
 	}
-	n.charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
+	n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
 	obj.queue.push(f)
 	if n.frameDispatchable(obj, e.kind) {
 		n.enqueueSched(obj)
@@ -338,22 +300,22 @@ func deliveryPath(k EntryKind, remoteIn bool) profile.Path {
 // when class attribution is on, a per-class mode count. Reply deliveries
 // (entryNative) are not counted as events — the now-send already counted the
 // round trip — so their instructions fold into the per-now-send cost.
-func (n *NodeRT) profDeliver(obj *Object, k EntryKind, p profile.Path) {
+func (n *NodeRT) profDeliver(np *profile.NodeProf, obj *Object, k EntryKind, p profile.Path) {
 	if p != profile.NowBlocked {
-		n.prof.CountEvent(p, n.node.Now())
+		np.CountEvent(p, n.node.Now())
 	}
 	if obj.class == nil {
 		return
 	}
 	switch k {
 	case entryBody, entryInit:
-		n.prof.ClassDeliver(obj.class.id, profile.DeliverDormant)
+		np.ClassDeliver(obj.class.id, profile.DeliverDormant)
 	case entryQueue:
-		n.prof.ClassDeliver(obj.class.id, profile.DeliverActive)
+		np.ClassDeliver(obj.class.id, profile.DeliverActive)
 	case entryRestore:
-		n.prof.ClassDeliver(obj.class.id, profile.DeliverRestore)
+		np.ClassDeliver(obj.class.id, profile.DeliverRestore)
 	case entryMulti:
-		n.prof.ClassDeliver(obj.class.id, profile.DeliverMulti)
+		np.ClassDeliver(obj.class.id, profile.DeliverMulti)
 	}
 }
 
@@ -397,20 +359,20 @@ func (n *NodeRT) Step() bool {
 	// restorations; everything else is a queued (active-mode) dispatch.
 	switch {
 	case obj.resumeK != nil || obj.wait != nil:
-		n.curPath = profile.Restore
+		n.node.SetPath(profile.Restore)
 	case obj.multi != nil:
 		if len(obj.multi.resume) > 0 {
-			n.curPath = profile.Restore
+			n.node.SetPath(profile.Restore)
 		} else {
-			n.curPath = profile.Multi
+			n.node.SetPath(profile.Multi)
 		}
 	default:
-		n.curPath = profile.LocalActive
+		n.node.SetPath(profile.LocalActive)
 	}
-	n.charge(n.cost.DequeueDispatch)
+	n.node.Charge(n.cost.DequeueDispatch)
 	n.C.SchedDequeues++
-	if n.tr != nil {
-		n.tracef(trace.EvDispatch, "%s", describe(obj))
+	if n.rt.Tracing() {
+		n.rt.Tracef(n.node.Now(), n.id, trace.EvDispatch, "%s", describe(obj))
 	}
 
 	switch {
@@ -418,7 +380,7 @@ func (n *NodeRT) Step() bool {
 		// A preempted or yielded continuation.
 		k, f := obj.resumeK, obj.resumeF
 		obj.resumeK, obj.resumeF = nil, nil
-		n.charge(n.cost.RestoreContext)
+		n.node.Charge(n.cost.RestoreContext)
 		n.runCont(obj, f, k)
 
 	case obj.wait != nil:
@@ -430,7 +392,7 @@ func (n *NodeRT) Step() bool {
 			break // parked again; a future awaited arrival reschedules
 		}
 		obj.wait = nil
-		n.charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
+		n.node.Charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
 		obj.vftp = obj.class.active
 		n.runCont(obj, ws.frame, func(ctx *Ctx) { ws.k(ctx, f) })
 
@@ -473,15 +435,15 @@ func (n *NodeRT) enqueueSched(obj *Object) {
 	if obj.inSchedQ {
 		return
 	}
-	n.charge(n.cost.EnqueueSchedQ)
+	n.node.Charge(n.cost.EnqueueSchedQ)
 	obj.inSchedQ = true
 	n.schedQ.push(obj)
 	n.C.SchedEnqueues++
-	if n.prof != nil {
-		n.prof.QueueDepth(n.schedQ.len(), n.node.Now())
+	if np := n.node.Prof(); np != nil {
+		np.QueueDepth(n.schedQ.len(), n.node.Now())
 	}
-	if n.tr != nil {
-		n.tracef(trace.EvSchedule, "%s (queue %d)", describe(obj), obj.queue.len())
+	if n.rt.Tracing() {
+		n.rt.Tracef(n.node.Now(), n.id, trace.EvSchedule, "%s (queue %d)", describe(obj), obj.queue.len())
 	}
 	n.node.Wake()
 }
@@ -490,7 +452,7 @@ func (n *NodeRT) enqueueSched(obj *Object) {
 // active mode for the duration; at completion the message queue is checked
 // and the object either returns to dormant mode or re-enqueues itself.
 func (n *NodeRT) invokeBody(obj *Object, f *Frame, body MethodFunc) {
-	prevPath := n.curPath     // nested sends inside the body overwrite the register
+	prevPath := n.node.Path() // nested sends inside the body overwrite the register
 	wasRunning := obj.running // nested multiactive invocations stack
 	obj.running = true
 	n.stackDepth++
@@ -501,7 +463,7 @@ func (n *NodeRT) invokeBody(obj *Object, f *Frame, body MethodFunc) {
 	body(ctx)
 	n.stackDepth--
 	obj.running = wasRunning
-	n.curPath = prevPath
+	n.node.SetPath(prevPath)
 	h := f.hints
 	if h&HintLeafMethod != 0 && (ctx.acted || ctx.blocked) {
 		panic("core: HintLeafMethod violated: the method sent, created, blocked, or yielded")
@@ -516,15 +478,15 @@ func (n *NodeRT) invokeBody(obj *Object, f *Frame, body MethodFunc) {
 		n.releaseCtx(ctx)
 	}
 	if h&HintNoPoll == 0 {
-		n.charge(n.cost.PollRemote)
+		n.node.Charge(n.cost.PollRemote)
 	}
-	n.charge(n.cost.StackReturn)
+	n.node.Charge(n.cost.StackReturn)
 }
 
 // runCont resumes a saved continuation (context restoration): like
 // invokeBody but without the poll/return epilogue of a fresh invocation.
 func (n *NodeRT) runCont(obj *Object, frame *Frame, k func(*Ctx)) {
-	prevPath := n.curPath
+	prevPath := n.node.Path()
 	wasRunning := obj.running
 	obj.running = true
 	n.stackDepth++
@@ -535,7 +497,7 @@ func (n *NodeRT) runCont(obj *Object, frame *Frame, k func(*Ctx)) {
 	k(ctx)
 	n.stackDepth--
 	obj.running = wasRunning
-	n.curPath = prevPath
+	n.node.SetPath(prevPath)
 	if !ctx.blocked {
 		if obj.multi != nil {
 			n.multiMethodEnd(obj, frame)
@@ -545,7 +507,7 @@ func (n *NodeRT) runCont(obj *Object, frame *Frame, k func(*Ctx)) {
 		n.releaseFrame(frame)
 		n.releaseCtx(ctx)
 	}
-	n.charge(n.cost.StackReturn)
+	n.node.Charge(n.cost.StackReturn)
 }
 
 // methodEnd implements the paper's method-completion protocol: check the
@@ -556,11 +518,11 @@ func (n *NodeRT) methodEnd(obj *Object) { n.methodEndHinted(obj, 0) }
 
 func (n *NodeRT) methodEndHinted(obj *Object, h SendHint) {
 	if h&HintNoQueueCheck == 0 {
-		n.charge(n.cost.CheckMsgQueue)
+		n.node.Charge(n.cost.CheckMsgQueue)
 	}
 	if obj.queue.empty() {
 		if h&HintLeafMethod == 0 {
-			n.charge(n.cost.SwitchVFTPDormant)
+			n.node.Charge(n.cost.SwitchVFTPDormant)
 		}
 		obj.vftp = obj.class.dormant
 		return
@@ -575,8 +537,8 @@ func makeDormantEntry(cl *Class, p PatternID) entryFunc {
 	return func(n *NodeRT, obj *Object, f *Frame) {
 		if n.stackDepth >= n.rt.maxStackDepth {
 			n.C.Preemptions++
-			n.curPath = profile.Sched
-			n.charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ +
+			n.node.SetPath(profile.Sched)
+			n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ +
 				n.cost.SwitchVFTPActive)
 			obj.vftp = cl.active
 			obj.queue.push(f)
@@ -584,7 +546,7 @@ func makeDormantEntry(cl *Class, p PatternID) entryFunc {
 			return
 		}
 		if f.hints&HintLeafMethod == 0 {
-			n.charge(n.cost.SwitchVFTPActive)
+			n.node.Charge(n.cost.SwitchVFTPActive)
 		}
 		obj.vftp = cl.active
 		n.invokeBody(obj, f, cl.methods[p])
@@ -595,7 +557,7 @@ func makeDormantEntry(cl *Class, p PatternID) entryFunc {
 // allocates a heap frame, stores the message and links it into the
 // receiver's message queue, then returns to the sender.
 func queueEntry(n *NodeRT, obj *Object, f *Frame) {
-	n.charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
+	n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
 	obj.queue.push(f)
 }
 
@@ -603,7 +565,7 @@ func queueEntry(n *NodeRT, obj *Object, f *Frame) {
 // uninitialized chunks; it works for any class because queuing procedures
 // are class-independent (Section 5.2).
 func faultEntry(n *NodeRT, obj *Object, f *Frame) {
-	n.charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ +
+	n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ +
 		n.cost.FaultEnqueue)
 	n.C.FaultBuffered++
 	obj.queue.push(f)
@@ -614,7 +576,7 @@ func faultEntry(n *NodeRT, obj *Object, f *Frame) {
 // then invoke the method body for the triggering message.
 func makeInitEntry(cl *Class, p PatternID) entryFunc {
 	return func(n *NodeRT, obj *Object, f *Frame) {
-		n.charge(n.cost.InitObject)
+		n.node.Charge(n.cost.InitObject)
 		if cl.Init != nil {
 			cl.Init(&InitCtx{obj: obj, args: obj.ctorArgs})
 		}
@@ -640,14 +602,14 @@ func makeRestoreEntry(p PatternID) entryFunc {
 		if n.stackDepth >= n.rt.maxStackDepth {
 			// Defer the restoration through the scheduling queue.
 			n.C.Preemptions++
-			n.curPath = profile.Sched
-			n.charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
+			n.node.SetPath(profile.Sched)
+			n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
 			obj.queue.push(f)
 			n.enqueueSched(obj)
 			return
 		}
 		obj.wait = nil
-		n.charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
+		n.node.Charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
 		obj.vftp = obj.class.active
 		n.runCont(obj, ws.frame, func(ctx *Ctx) { ws.k(ctx, f) })
 	}

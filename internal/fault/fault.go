@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -217,7 +216,11 @@ func (ls *linkState) unit() float64 {
 }
 
 // Injector binds a Plan to a seed and node count. It implements
-// machine.FaultModel and keeps whole-run fault totals for reports.
+// machine.FaultModel and counts nothing itself: injected faults are reported
+// through the machine's FaultSink into stats.Counters. Under the parallel
+// executor Link runs on the sending node's lane and PausedUntil on the paused
+// node's; entry (src,dst) of links is only ever touched from src's lane and
+// pauses is read-only, so no state here is shared between lanes.
 type Injector struct {
 	plan  Plan
 	seed  int64
@@ -226,26 +229,7 @@ type Injector struct {
 
 	// pauses[node] holds that node's windows sorted by start time.
 	pauses [][]NodePause
-
-	// Whole-run totals (the per-node attribution lives in stats.Counters via
-	// the machine's FaultSink). Atomic: under the parallel executor Link runs
-	// on the sending node's lane and PausedUntil on the paused node's lane,
-	// so different lanes bump these concurrently. The per-link rng state
-	// needs no such care — entry (src,dst) is only ever touched from src's
-	// lane.
-	drops     atomic.Uint64
-	dups      atomic.Uint64
-	pauseHits atomic.Uint64
 }
-
-// Drops returns the whole-run count of dropped transmission attempts.
-func (in *Injector) Drops() uint64 { return in.drops.Load() }
-
-// Dups returns the whole-run count of duplicated deliveries.
-func (in *Injector) Dups() uint64 { return in.dups.Load() }
-
-// Pauses returns the whole-run count of pause-window hits.
-func (in *Injector) Pauses() uint64 { return in.pauseHits.Load() }
 
 // NewInjector validates plan against the node count and builds the injector.
 // When plan.Seed is zero the fault streams derive from seed (the system
@@ -326,7 +310,6 @@ func (in *Injector) Link(src, dst int, at sim.Time, size int) []sim.Time {
 	// Draw in a fixed order (drop, jitter, dup, dup-jitter) so the stream
 	// consumption per attempt is schedule-independent.
 	if r.Drop > 0 && ls.unit() < r.Drop {
-		in.drops.Add(1)
 		return nil
 	}
 	jitter := func() sim.Time {
@@ -337,7 +320,6 @@ func (in *Injector) Link(src, dst int, at sim.Time, size int) []sim.Time {
 	}
 	out := []sim.Time{jitter()}
 	if r.Dup > 0 && ls.unit() < r.Dup {
-		in.dups.Add(1)
 		out = append(out, jitter())
 	}
 	return out
@@ -351,7 +333,6 @@ func (in *Injector) PausedUntil(node int, at sim.Time) sim.Time {
 			break
 		}
 		if end := w.At + w.For; at < end {
-			in.pauseHits.Add(1)
 			return end
 		}
 	}

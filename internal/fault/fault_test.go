@@ -93,9 +93,6 @@ func TestLinkRates(t *testing.T) {
 	if f := float64(dups) / n; f < 0.16 || f > 0.22 {
 		t.Errorf("dup rate %f, want ~0.19", f)
 	}
-	if in.Drops() != uint64(drops) || in.Dups() != uint64(dups) {
-		t.Errorf("injector totals drift: %d/%d vs %d/%d", in.Drops(), in.Dups(), drops, dups)
-	}
 }
 
 func TestLocalTrafficExempt(t *testing.T) {

@@ -29,12 +29,15 @@ func (s *scriptFaults) PausedUntil(node int, at sim.Time) sim.Time {
 	return at
 }
 
+// sinkRec is a recording FaultSink: the machine keeps no fault tallies of its
+// own, so what it reported — and against which sending node — is read here.
 type sinkRec struct {
-	drops, dups, pauses int
+	drops, dups [2]int // by sending node
+	pauses      int
 }
 
-func (s *sinkRec) PacketDropped(src, dst int, at sim.Time, cat int)    { s.drops++ }
-func (s *sinkRec) PacketDuplicated(src, dst int, at sim.Time, cat int) { s.dups++ }
+func (s *sinkRec) PacketDropped(src, dst int, at sim.Time, cat int)    { s.drops[src]++ }
+func (s *sinkRec) PacketDuplicated(src, dst int, at sim.Time, cat int) { s.dups[src]++ }
 func (s *sinkRec) NodePaused(node int, at, until sim.Time)             { s.pauses++ }
 
 func TestSendDropAndDuplicate(t *testing.T) {
@@ -61,14 +64,9 @@ func TestSendDropAndDuplicate(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("deliveries = %d, want 3 (drop + dup + clean): %v", len(got), got)
 	}
-	if sink.drops != 1 || sink.dups != 1 {
-		t.Errorf("sink saw drops=%d dups=%d, want 1/1", sink.drops, sink.dups)
-	}
-	if src.PacketsDropped != 1 || src.PacketsDuped != 1 {
-		t.Errorf("node counters drops=%d dups=%d, want 1/1", src.PacketsDropped, src.PacketsDuped)
-	}
-	if m.TotalDropped() != 1 || m.TotalDuped() != 1 {
-		t.Errorf("machine counters drops=%d dups=%d, want 1/1", m.TotalDropped(), m.TotalDuped())
+	// One drop and one extra copy, both reported against the sender.
+	if sink.drops != [2]int{1, 0} || sink.dups != [2]int{1, 0} {
+		t.Errorf("sink saw drops=%v dups=%v by sender, want [1 0]/[1 0]", sink.drops, sink.dups)
 	}
 	// All three attempts count as sent exactly once.
 	if src.PacketsSent != 3 {
@@ -119,13 +117,15 @@ func TestNodePauseDefersExecution(t *testing.T) {
 func TestNilFaultsUnchanged(t *testing.T) {
 	// Without a fault model the send path must not change behaviour.
 	m := MustNew(DefaultConfig(2))
+	sink := &sinkRec{}
+	m.SetFaultSink(sink)
 	n := 0
 	m.Node(0).Send(&Packet{Dst: 1, Size: 16, Handler: func(*Node, *Packet) { n++ }})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || m.TotalDropped() != 0 || m.TotalDuped() != 0 {
-		t.Fatalf("fault-free delivery broken: n=%d dropped=%d duped=%d", n, m.TotalDropped(), m.TotalDuped())
+	if n != 1 || *sink != (sinkRec{}) {
+		t.Fatalf("fault-free delivery broken: n=%d, sink saw %+v", n, *sink)
 	}
 }
 

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -259,16 +260,22 @@ type Node struct {
 	inResume      bool
 	downUntil     sim.Time // crash outage: node is dead until this time (0 = up)
 
+	// prof is the node's cost-attribution accumulator (nil when profiling is
+	// off) and path the attribution register Charge reads: every instruction
+	// that advances Clock is attributed here, so the profile's rows sum to
+	// InstrCount by construction. The register is written unconditionally —
+	// a byte store is cheaper than guarding it — but only read when prof != nil.
+	prof *profile.NodeProf
+	path profile.Path
+
 	// Counters.
-	InstrCount     uint64
-	PacketsSent    uint64
-	PacketsRecvd   uint64
-	BytesSent      uint64
-	MsgsSent       uint64 // logical messages launched (>= PacketsSent with batching)
-	PacketsDropped uint64 // transmissions lost to injected link faults
-	PacketsDuped   uint64 // extra copies injected by link faults
-	CrashDrops     uint64 // packets lost at the controller while the node was down
-	EraDrops       uint64 // in-flight packets revoked by a checkpoint restore
+	InstrCount   uint64
+	PacketsSent  uint64
+	PacketsRecvd uint64
+	BytesSent    uint64
+	MsgsSent     uint64 // logical messages launched (>= PacketsSent with batching)
+	CrashDrops   uint64 // packets lost at the controller while the node was down
+	EraDrops     uint64 // in-flight packets revoked by a checkpoint restore
 }
 
 // Machine is the full multicomputer: an event engine plus nodes and the
@@ -282,6 +289,7 @@ type Machine struct {
 
 	faults    FaultModel
 	faultSink FaultSink
+	prof      *profile.Profiler
 
 	// era is the current machine timeline. A global checkpoint restore
 	// bumps it, invalidating every packet launched before the restore (see
@@ -324,32 +332,12 @@ func (m *Machine) TotalBytes() uint64 {
 	return t
 }
 
-// TotalDropped returns the machine-wide count of packets lost to injected
-// link faults.
-func (m *Machine) TotalDropped() uint64 {
-	var t uint64
-	for _, n := range m.nodes {
-		t += n.PacketsDropped
-	}
-	return t
-}
-
 // TotalCrashDrops returns the machine-wide count of packets lost at dead
 // message controllers during crash outages.
 func (m *Machine) TotalCrashDrops() uint64 {
 	var t uint64
 	for _, n := range m.nodes {
 		t += n.CrashDrops
-	}
-	return t
-}
-
-// TotalDuped returns the machine-wide count of extra packet copies injected
-// by link faults.
-func (m *Machine) TotalDuped() uint64 {
-	var t uint64
-	for _, n := range m.nodes {
-		t += n.PacketsDuped
 	}
 	return t
 }
@@ -478,8 +466,43 @@ func (m *Machine) TotalInstr() uint64 {
 	return t
 }
 
-// Charge advances the node clock by instr instructions of compute.
-func (n *Node) Charge(instr int) {
+// SetProfiler attaches a cost-attribution profiler: from here on every
+// Charge is also attributed to the charging node's accumulator. Call before
+// Run; the profiler only observes.
+func (m *Machine) SetProfiler(p *profile.Profiler) {
+	m.prof = p
+	for i, n := range m.nodes {
+		n.prof = p.Node(i)
+	}
+}
+
+// Profiler returns the attached profiler (nil when profiling is off).
+func (m *Machine) Profiler() *profile.Profiler { return m.prof }
+
+// Prof returns the node's attribution accumulator (nil when profiling is
+// off), for the event, packet and class counts charged beside instructions.
+func (n *Node) Prof() *profile.NodeProf { return n.prof }
+
+// SetPath sets the node's attribution register and returns the previous
+// value. Dispatch boundaries and handler bodies bracket their work with it
+// so the charges inside land on the right path.
+func (n *Node) SetPath(p profile.Path) profile.Path {
+	prev := n.path
+	n.path = p
+	return prev
+}
+
+// Path returns the attribution register.
+func (n *Node) Path() profile.Path { return n.path }
+
+// Charge advances the node clock by instr instructions of compute,
+// attributed to the node's current path.
+func (n *Node) Charge(instr int) { n.ChargeTo(n.path, instr) }
+
+// ChargeTo is Charge with an explicit path, leaving the register alone: the
+// form for a handler prologue or a send set-up whose category is known at
+// the call site.
+func (n *Node) ChargeTo(p profile.Path, instr int) {
 	if instr <= 0 {
 		return
 	}
@@ -487,6 +510,9 @@ func (n *Node) Charge(instr int) {
 	n.Clock += d
 	n.Busy += d
 	n.InstrCount += uint64(instr)
+	if n.prof != nil {
+		n.prof.ChargeInstr(p, instr, n.Clock)
+	}
 }
 
 // ChargeNs advances the node clock by raw virtual time (used for modelled
@@ -557,7 +583,6 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 		copies = n.m.faults.Link(n.ID, p.Dst, at, p.Size)
 	}
 	if len(copies) == 0 {
-		n.PacketsDropped++
 		if n.m.faultSink != nil {
 			n.m.faultSink.PacketDropped(n.ID, p.Dst, at, int(p.Category))
 		}
@@ -574,7 +599,6 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 			dup := *p
 			dup.pooled, dup.next = false, nil
 			cp = &dup
-			n.PacketsDuped++
 			if n.m.faultSink != nil {
 				n.m.faultSink.PacketDuplicated(n.ID, p.Dst, at, int(p.Category))
 			}

@@ -2,10 +2,12 @@ package machine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -96,6 +98,46 @@ func TestChargeAdvancesClock(t *testing.T) {
 	n.ChargeNs(700)
 	if n.Clock != 3000 {
 		t.Errorf("clock = %v after ChargeNs, want 3µs", n.Clock)
+	}
+}
+
+func TestProfileRowsSumToInstrCount(t *testing.T) {
+	// The clock and the profile are advanced by the same call, so the path
+	// rows sum to the machine's instruction count whatever a handler does:
+	// charges under two register settings, one with an explicit path, one
+	// with no path ever set (the "other" row), and a non-positive no-op.
+	m := MustNew(DefaultConfig(2))
+	prof := profile.New(2, profile.Options{})
+	m.SetProfiler(prof)
+	m.Node(0).Charge(7) // host-side, register never set
+	m.Node(0).Send(&Packet{Dst: 1, Size: 16, Handler: func(n *Node, p *Packet) {
+		n.SetPath(profile.RemoteRecv)
+		n.Charge(50)
+		prev := n.SetPath(profile.Body)
+		n.Charge(200)
+		n.ChargeTo(profile.Create, 30) // leaves the register alone
+		n.Charge(1)
+		n.Charge(0)
+		n.Charge(-5)
+		if n.SetPath(prev) != profile.Body || n.Path() != profile.RemoteRecv {
+			t.Errorf("register after ChargeTo and restore = %v", n.Path())
+		}
+	}})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]uint64{}
+	var sum uint64
+	for _, row := range prof.Report().Paths {
+		got[row.Path] = row.Instr
+		sum += row.Instr
+	}
+	want := map[string]uint64{"other": 7, "remote-recv": 50, "body": 201, "create": 30}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("path rows = %v, want %v", got, want)
+	}
+	if sum != m.TotalInstr() || sum != 288 {
+		t.Errorf("rows sum to %d, machine counted %d, want 288 both", sum, m.TotalInstr())
 	}
 }
 

@@ -160,8 +160,8 @@ func (b *batcher) flush(k *link) {
 	c := &l.rt.NodeRT(mn.ID).C
 	c.BatchesSent++
 	c.BatchedMsgs += uint64(n)
-	if l.tracing() {
-		l.tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, k.peer, size)
+	if l.rt.Tracing() {
+		l.rt.Tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, k.peer, size)
 	}
 	mn.ControllerSend(at, pkt)
 }

@@ -149,6 +149,11 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 // rolled-back timeline, in deterministic node order: in-flight records and
 // their retry deadlines, reorder buffers, delayed-ack ledgers, and open
 // batches. Runs once per restore, before the per-node state is restored.
+//
+// The batch-flush and delayed-ack deadlines stay armed: a stopped slot would
+// go on reading Pending, so the next batch opened or ack owed there would arm
+// nothing and wait for a retransmission timeout. A stale deadline firing on
+// an empty batch or ledger is a no-op, and on a refilled one merely early.
 func (l *Layer) CkptTeardown() {
 	for _, ns := range l.nodes {
 		ns.eachLink(func(k *link) {
@@ -159,14 +164,12 @@ func (l *Layer) CkptTeardown() {
 			k.above = nil
 			k.owed = 0
 			if len(k.pkts) > 0 {
-				k.timer.Stop()
 				for _, p := range k.pkts {
 					k.mn.ReleasePacket(p)
 				}
 				k.resetBatch()
 			}
 		})
-		ns.rel.ackTimer.Stop()
 		clear(ns.rel.owedTo)
 		ns.rel.owedTo = ns.rel.owedTo[:0]
 	}
@@ -298,8 +301,7 @@ func (l *Layer) CkptStableTrim(imgs []*RelImage) {
 func (l *Layer) SendCkpt(src, dst, extraBytes int, fn func()) {
 	n := l.rt.NodeRT(src)
 	mn := n.MachineNode()
-	mn.Charge(l.cost().RemoteSendSetup)
-	l.profCharge(mn, profile.Ckpt, l.cost().RemoteSendSetup)
+	mn.ChargeTo(profile.Ckpt, l.cost().RemoteSendSetup)
 	w := l.acquireWire(src)
 	w.kind = wmCkpt
 	w.src = src

@@ -47,13 +47,6 @@ type Options struct {
 	// machine injects link faults; off by default because the paper's
 	// AP1000 interconnect is reliable and the protocol adds ack traffic.
 	Reliable bool
-	// Trace, when non-nil, receives reliable-delivery events (retries,
-	// acks, duplicate suppression, reorder holds).
-	Trace trace.Sink
-	// Prof, when non-nil, receives per-path attribution for the layer's
-	// instruction charges and wire records.
-	Prof *profile.Profiler
-
 	// BatchWindow enables per-link packet batching: wire records to the
 	// same destination node within this virtual-time window coalesce into
 	// one hardware packet, amortising the fixed launch latency. Zero
@@ -228,8 +221,7 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	nrt := l.rt.NodeRT(rn.ID)
 	switch w.kind {
 	case wmMessage:
-		rn.Charge(extract + c.RemoteHandlerCall)
-		l.profCharge(rn, profile.RemoteRecv, extract+c.RemoteHandlerCall)
+		rn.ChargeTo(profile.RemoteRecv, extract+c.RemoteHandlerCall)
 		if l.locOn {
 			if fwd := w.to.Obj.ForwardTarget(); !fwd.IsNil() {
 				// Stale address: the object migrated away. Tell the sender
@@ -239,40 +231,33 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		}
 		nrt.DeliverFrame(w.to.Obj, nrt.NewFrame(w.pat, w.args, w.replyTo), true)
 	case wmCreate:
+		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.ChunkInit)
-		l.profCharge(rn, profile.Create, extract+c.RemoteHandlerCall+c.ChunkInit)
-		nrt.SetPath(profile.Create)
 		l.rt.InitChunk(nrt, w.chunk, w.cl, w.args)
 		// Step 4: allocate the replacement chunk and return its address.
-		rn.Charge(c.ChunkRefill)
-		l.profCharge(rn, profile.Create, c.ChunkRefill)
+		rn.ChargeTo(profile.Create, c.ChunkRefill)
 		l.sendChunkReply(nrt, w.src, l.rt.NewFaultChunk(rn.ID), w.entry, nil)
 	case wmBlockingCreate:
+		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.ChunkInit)
-		l.profCharge(rn, profile.Create, extract+c.RemoteHandlerCall+c.ChunkInit)
-		nrt.SetPath(profile.Create)
 		created := l.rt.NewFaultChunk(rn.ID)
 		l.rt.InitChunk(nrt, created, w.cl, w.args)
-		rn.Charge(c.ChunkRefill)
-		l.profCharge(rn, profile.Create, c.ChunkRefill)
+		rn.ChargeTo(profile.Create, c.ChunkRefill)
 		addr := created.Addr()
 		onCreated := w.onCreated
 		l.sendChunkReply(nrt, w.src, l.rt.NewFaultChunk(rn.ID), w.entry, func() { onCreated(addr) })
 	case wmLocUpd:
-		rn.Charge(extract + c.RemoteHandlerCall)
-		l.profCharge(rn, profile.Forward, extract+c.RemoteHandlerCall)
+		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall)
 		l.learnLocation(rn, w.to, w.replyTo)
 	case wmCkpt:
+		rn.SetPath(profile.Ckpt)
 		rn.Charge(extract + c.RemoteHandlerCall)
-		l.profCharge(rn, profile.Ckpt, extract+c.RemoteHandlerCall)
-		nrt.SetPath(profile.Ckpt)
 		if w.then != nil {
 			w.then()
 		}
 	case wmChunk:
+		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.StockPush)
-		l.profCharge(rn, profile.Create, extract+c.RemoteHandlerCall+c.StockPush)
-		nrt.SetPath(profile.Create)
 		if l.opt.StockDepth > 0 {
 			// The stock is capped at its configured depth: a chunk that
 			// would overfill it (after a miss) is simply dropped back to
@@ -290,23 +275,6 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		panic(fmt.Sprintf("remote: unknown wire kind %d", w.kind))
 	}
 	l.releaseWire(rn.ID, w)
-}
-
-// MsgsSent returns the machine-wide count of category-1 sends.
-func (l *Layer) MsgsSent() uint64 { return l.sumCounter(0) }
-
-// CreatesSent returns the machine-wide count of category-2 sends.
-func (l *Layer) CreatesSent() uint64 { return l.sumCounter(1) }
-
-// ChunksSent returns the machine-wide count of category-3 sends.
-func (l *Layer) ChunksSent() uint64 { return l.sumCounter(2) }
-
-func (l *Layer) sumCounter(i int) uint64 {
-	var t uint64
-	for _, ns := range l.nodes {
-		t += ns.sent[i]
-	}
-	return t
 }
 
 type stockKey struct {
@@ -339,7 +307,6 @@ type nodeState struct {
 	rng    uint64
 	stock  map[stockKey]*stockEntry
 	loads  []loadSample // per peer: last piggybacked scheduling-queue length
-	sent   [3]uint64    // category 1/2/3 sends, node-local (lane-safe)
 
 	*peers // nil unless the reliable protocol or batching is on (see link.go)
 
@@ -439,17 +406,17 @@ type statsSink struct{ l *Layer }
 
 func (s statsSink) PacketDropped(src, dst int, at sim.Time, category int) {
 	s.l.rt.NodeRT(src).C.LinkDrops++
-	s.l.tracef(at, src, trace.EvLinkDrop, "dropped cat-%d packet to n%d", category, dst)
+	s.l.rt.Tracef(at, src, trace.EvLinkDrop, "dropped cat-%d packet to n%d", category, dst)
 }
 
 func (s statsSink) PacketDuplicated(src, dst int, at sim.Time, category int) {
 	s.l.rt.NodeRT(src).C.LinkDups++
-	s.l.tracef(at, src, trace.EvLinkDup, "duplicated cat-%d packet to n%d", category, dst)
+	s.l.rt.Tracef(at, src, trace.EvLinkDup, "duplicated cat-%d packet to n%d", category, dst)
 }
 
 func (s statsSink) NodePaused(node int, at, until sim.Time) {
 	s.l.rt.NodeRT(node).C.NodePauses++
-	s.l.tracef(at, node, trace.EvNodePause, "paused until %v", until)
+	s.l.rt.Tracef(at, node, trace.EvNodePause, "paused until %v", until)
 }
 
 // transmit sends a packet either directly over the machine's interconnect
@@ -460,7 +427,7 @@ func (l *Layer) transmit(mn *machine.Node, pkt *machine.Packet) {
 	// Attribute the logical wire record once, here at the funnel; batch
 	// containers and retransmitted copies are attributed at their own sites
 	// so nothing is counted twice.
-	if np := l.prof(mn.ID); np != nil {
+	if np := mn.Prof(); np != nil {
 		np.Packet(pathForCategory(pkt.Category), pkt.Size, mn.Now())
 	}
 	if l.rel != nil {
@@ -472,39 +439,6 @@ func (l *Layer) transmit(mn *machine.Node, pkt *machine.Packet) {
 
 // Reliable reports whether the ack/retry protocol is active.
 func (l *Layer) Reliable() bool { return l.rel != nil }
-
-// tracing reports whether a trace sink is attached. Call sites on the
-// per-message path check it before tracef, so that with tracing off their
-// arguments are never boxed into tracef's variadic slice.
-func (l *Layer) tracing() bool { return l.opt.Trace != nil }
-
-// tracef records a reliable-delivery event when tracing is enabled.
-func (l *Layer) tracef(at sim.Time, node int, kind trace.Kind, format string, args ...any) {
-	if l.tracing() {
-		l.opt.Trace.Event(trace.Event{
-			At:   at,
-			Node: node,
-			Kind: kind,
-			What: fmt.Sprintf(format, args...),
-		})
-	}
-}
-
-// prof returns node's attribution accumulator (nil when profiling is off).
-func (l *Layer) prof(node int) *profile.NodeProf {
-	if l.opt.Prof == nil {
-		return nil
-	}
-	return l.opt.Prof.Node(node)
-}
-
-// profCharge attributes instructions the layer charged directly on a
-// machine node (those charges bypass the core's attribution register).
-func (l *Layer) profCharge(mn *machine.Node, p profile.Path, instr int) {
-	if np := l.prof(mn.ID); np != nil {
-		np.ChargeInstr(p, instr, mn.Now())
-	}
-}
 
 // pathForCategory maps a packet category to its attribution path.
 func pathForCategory(cat int32) profile.Path {
@@ -575,12 +509,10 @@ func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, a
 	}
 	c := l.cost()
 	mn := n.MachineNode()
-	mn.Charge(c.RemoteSendSetup)
-	l.profCharge(mn, profile.RemoteSend, c.RemoteSendSetup)
-	if np := l.prof(src); np != nil {
+	mn.ChargeTo(profile.RemoteSend, c.RemoteSendSetup)
+	if np := mn.Prof(); np != nil {
 		np.CountEvent(profile.RemoteSend, mn.Now())
 	}
-	l.nodes[src].sent[0]++
 	size := packetHeaderBytes + core.ArgsSize(args)
 	if !replyTo.IsNil() {
 		size += 8
@@ -613,6 +545,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		return
 	}
 	n := ctx.NodeRT()
+	mn := n.MachineNode()
 	c := l.cost()
 	ns := l.nodes[n.ID()]
 	e := ns.stockEntry(stockKey{node: target, cls: cl})
@@ -631,10 +564,9 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	if len(e.chunks) > 0 {
 		chunk := e.chunks[len(e.chunks)-1]
 		e.chunks = e.chunks[:len(e.chunks)-1]
-		n.MachineNode().Charge(c.StockPop)
-		l.profCharge(n.MachineNode(), profile.Create, c.StockPop)
-		if np := l.prof(n.ID()); np != nil {
-			np.CountEvent(profile.Create, n.MachineNode().Now())
+		mn.ChargeTo(profile.Create, c.StockPop)
+		if np := mn.Prof(); np != nil {
+			np.CountEvent(profile.Create, mn.Now())
 		}
 		n.C.StockHits++
 		n.C.RemoteCreations++
@@ -648,8 +580,8 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 
 	// Empty stock: the creating object must block until the target both
 	// creates the object and replies (split-phase round trip).
-	if np := l.prof(n.ID()); np != nil {
-		np.CountEvent(profile.Create, n.MachineNode().Now())
+	if np := mn.Prof(); np != nil {
+		np.CountEvent(profile.Create, mn.Now())
 	}
 	n.C.StockMisses++
 	n.C.RemoteCreations++
@@ -674,9 +606,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 // its address back as a category-3 reply.
 func (l *Layer) sendCreateRequest(n *core.NodeRT, target int, chunk *core.Object, cl *core.Class, ctorArgs []core.Value, e *stockEntry) {
 	sn := n.MachineNode()
-	sn.Charge(l.cost().RemoteSendSetup)
-	l.profCharge(sn, profile.Create, l.cost().RemoteSendSetup)
-	l.nodes[n.ID()].sent[1]++
+	sn.ChargeTo(profile.Create, l.cost().RemoteSendSetup)
 	src := n.ID()
 	w := l.acquireWire(src)
 	w.kind = wmCreate
@@ -694,9 +624,7 @@ func (l *Layer) sendCreateRequest(n *core.NodeRT, target int, chunk *core.Object
 // the created object's address and a replacement chunk for the stock.
 func (l *Layer) sendBlockingCreate(n *core.NodeRT, target int, cl *core.Class, ctorArgs []core.Value, e *stockEntry, onCreated func(core.Address)) {
 	sn := n.MachineNode()
-	sn.Charge(l.cost().RemoteSendSetup)
-	l.profCharge(sn, profile.Create, l.cost().RemoteSendSetup)
-	l.nodes[n.ID()].sent[1]++
+	sn.ChargeTo(profile.Create, l.cost().RemoteSendSetup)
 	src := n.ID()
 	w := l.acquireWire(src)
 	w.kind = wmBlockingCreate
@@ -714,9 +642,7 @@ func (l *Layer) sendBlockingCreate(n *core.NodeRT, target int, cl *core.Class, c
 // blocked on an empty stock.
 func (l *Layer) sendChunkReply(n *core.NodeRT, requester int, chunk *core.Object, e *stockEntry, then func()) {
 	sn := n.MachineNode()
-	sn.Charge(l.cost().RemoteSendSetup)
-	l.profCharge(sn, profile.Create, l.cost().RemoteSendSetup)
-	l.nodes[n.ID()].sent[2]++
+	sn.ChargeTo(profile.Create, l.cost().RemoteSendSetup)
 	src := n.ID()
 	w := l.acquireWire(src)
 	w.kind = wmChunk
@@ -759,15 +685,14 @@ func (l *Layer) advertiseLocation(rn *machine.Node, src int, stale, fwd core.Add
 	ns.advert[key] = final
 	c := l.cost()
 	l.rt.NodeRT(rn.ID).C.LocCacheMisses++
-	rn.Charge(c.RemoteSendSetup)
-	l.profCharge(rn, profile.Forward, c.RemoteSendSetup)
+	rn.ChargeTo(profile.Forward, c.RemoteSendSetup)
 	w := l.acquireWire(rn.ID)
 	w.kind = wmLocUpd
 	w.src = rn.ID
 	w.load = l.piggyback(rn.ID)
 	w.to = stale
 	w.replyTo = final
-	l.tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
+	l.rt.Tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
 		"advertise to n%d: object moved n%d -> n%d", src, stale.Node, final.Node)
 	l.launch(rn, w, src, packetHeaderBytes+16, CatService) // stale + authoritative address
 }
@@ -791,7 +716,7 @@ func (l *Layer) learnLocation(rn *machine.Node, stale, fresh core.Address) {
 		cc.LocCacheInvalidates++
 	}
 	ns.locCache[stale] = fresh
-	l.tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
+	l.rt.Tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
 		"learned: n%d object now at n%d", stale.Node, fresh.Node)
 }
 

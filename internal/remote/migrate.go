@@ -51,8 +51,7 @@ func (l *Layer) Migrate(obj *core.Object, target int, onDone func(core.Address))
 
 	image := l.rt.BeginMigration(n, obj) // old object now buffers
 	n.C.Migrations++
-	n.MachineNode().Charge(c.RemoteSendSetup + c.MigratePack)
-	l.profCharge(n.MachineNode(), profile.Forward, c.RemoteSendSetup+c.MigratePack)
+	n.MachineNode().ChargeTo(profile.Forward, c.RemoteSendSetup+c.MigratePack)
 
 	size := packetHeaderBytes + image.SizeBytes()
 	load := l.piggyback(src)
@@ -61,8 +60,7 @@ func (l *Layer) Migrate(obj *core.Object, target int, onDone func(core.Address))
 		Size:     size,
 		Category: CatService,
 		Handler: func(mn *machine.Node, pkt *machine.Packet) {
-			mn.Charge(c.RemoteRecvExtract + c.RemoteHandlerCall + c.MigrateUnpack)
-			l.profCharge(mn, profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall+c.MigrateUnpack)
+			mn.ChargeTo(profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall+c.MigrateUnpack)
 			l.noteLoad(mn.ID, src, load, pkt.Arrival)
 			tn := l.rt.NodeRT(mn.ID)
 			// Materialize at the target: a chunk adopting the class + state.
@@ -71,16 +69,14 @@ func (l *Layer) Migrate(obj *core.Object, target int, onDone func(core.Address))
 			l.rt.AdoptMigratedState(tn, moved, cl, image)
 			addr := moved.Addr()
 			// Ack with the new address; the owner installs the forwarder.
-			tn.MachineNode().Charge(c.RemoteSendSetup)
-			l.profCharge(tn.MachineNode(), profile.Forward, c.RemoteSendSetup)
+			tn.MachineNode().ChargeTo(profile.Forward, c.RemoteSendSetup)
 			ackLoad := l.piggyback(mn.ID)
 			l.transmit(tn.MachineNode(), &machine.Packet{
 				Dst:      src,
 				Size:     packetHeaderBytes + 8,
 				Category: CatService,
 				Handler: func(mn2 *machine.Node, pkt2 *machine.Packet) {
-					mn2.Charge(c.RemoteRecvExtract + c.RemoteHandlerCall)
-					l.profCharge(mn2, profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall)
+					mn2.ChargeTo(profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall)
 					l.noteLoad(mn2.ID, mn.ID, ackLoad, pkt2.Arrival)
 					on := l.rt.NodeRT(mn2.ID)
 					l.rt.CompleteMigration(on, obj, addr)

@@ -288,8 +288,8 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 		// Give up loudly: the message counts as lost so scenario assertions
 		// and LostMessages() surface it.
 		c.RelAbandoned++
-		if r.l.tracing() {
-			r.l.tracef(mn.EventNow(), mn.ID, trace.EvRetry,
+		if r.l.rt.Tracing() {
+			r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvRetry,
 				"abandon seq %d to n%d after %d attempts", m.seq, m.dst, DefaultMaxAttempts)
 		}
 		r.finish(ns, ns.links[m.dst], m)
@@ -300,13 +300,12 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 	// The timer expired on a possibly idle node: bring its clock up to the
 	// timeout instant, then charge the software cost of the retransmission.
 	mn.SyncClock(mn.EventNow())
-	mn.Charge(r.l.cost().RemoteSendSetup)
-	if np := r.l.prof(mn.ID); np != nil {
-		np.ChargeInstr(profile.Retransmit, r.l.cost().RemoteSendSetup, mn.Now())
+	mn.ChargeTo(profile.Retransmit, r.l.cost().RemoteSendSetup)
+	if np := mn.Prof(); np != nil {
 		np.Packet(profile.Retransmit, int(m.size), mn.Now())
 	}
-	if r.l.tracing() {
-		r.l.tracef(mn.Now(), mn.ID, trace.EvRetry,
+	if r.l.rt.Tracing() {
+		r.l.rt.Tracef(mn.Now(), mn.ID, trace.EvRetry,
 			"retransmit seq %d to n%d (attempt %d)", m.seq, m.dst, m.attempts+1)
 	}
 	r.xmit(mn, ns, m)
@@ -340,8 +339,8 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 	switch {
 	case seq < next:
 		c.DupSuppressed++
-		if r.l.tracing() {
-			r.l.tracef(rn.Now(), rn.ID, trace.EvDupMsg, "drop dup seq %d from n%d", seq, src)
+		if r.l.rt.Tracing() {
+			r.l.rt.Tracef(rn.Now(), rn.ID, trace.EvDupMsg, "drop dup seq %d from n%d", seq, src)
 		}
 	case seq == next:
 		r.deliver(rn, c, pkt)
@@ -359,8 +358,8 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 		})
 		if dup {
 			c.DupSuppressed++
-			if r.l.tracing() {
-				r.l.tracef(rn.Now(), rn.ID, trace.EvDupMsg, "drop dup held seq %d from n%d", seq, src)
+			if r.l.rt.Tracing() {
+				r.l.rt.Tracef(rn.Now(), rn.ID, trace.EvDupMsg, "drop dup held seq %d from n%d", seq, src)
 			}
 			return
 		}
@@ -368,8 +367,8 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 		pkt.Retain()
 		k.held = slices.Insert(k.held, i, pkt)
 		c.HeldOutOfOrder++
-		if r.l.tracing() {
-			r.l.tracef(rn.Now(), rn.ID, trace.EvHold,
+		if r.l.rt.Tracing() {
+			r.l.rt.Tracef(rn.Now(), rn.ID, trace.EvHold,
 				"hold seq %d from n%d (awaiting %d)", seq, src, next)
 		}
 	}
@@ -406,7 +405,7 @@ func (r *reliable) ack(rn *machine.Node, dst, size int, word uint64, h func(*mac
 func (r *reliable) sendAck(rn *machine.Node, src int, seq uint64, at sim.Time) {
 	rcv := rn.ID
 	r.l.rt.NodeRT(rcv).C.AcksSent++
-	if np := r.l.prof(rcv); np != nil {
+	if np := rn.Prof(); np != nil {
 		np.Packet(profile.Ack, ackBytes, at)
 	}
 	rn.ControllerSend(at, r.ack(rn, src, ackBytes, seq, r.hAck))
@@ -499,13 +498,13 @@ func (r *reliable) emit(rn *machine.Node, k *link, at sim.Time) {
 	k.owed = 0
 	c := &r.l.rt.NodeRT(rcv).C
 	c.AcksSent++
-	if np := r.l.prof(rcv); np != nil {
+	if np := rn.Prof(); np != nil {
 		np.Packet(profile.Ack, size, at)
 	}
 	if owed > 1 {
 		c.AcksCoalesced += uint64(owed - 1)
-		if r.l.tracing() {
-			r.l.tracef(at, rcv, trace.EvAckCoalesce,
+		if r.l.rt.Tracing() {
+			r.l.rt.Tracef(at, rcv, trace.EvAckCoalesce,
 				"cum ack %d to n%d covers %d arrivals", k.cum, src, owed)
 		}
 	}
@@ -532,7 +531,7 @@ func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (*link, int) {
 	owed := k.owed
 	k.owed = 0
 	r.l.rt.NodeRT(mn.ID).C.AcksCoalesced += uint64(owed)
-	if np := r.l.prof(mn.ID); np != nil {
+	if np := mn.Prof(); np != nil {
 		np.PacketBytes(profile.Ack, 8+8*len(selAcks(k)))
 	}
 	return k, owed
@@ -550,8 +549,8 @@ func (r *reliable) piggybackAck(mn *machine.Node, dst int, wb *wireBatch, at sim
 	wb.hasAck = true
 	wb.ackCum = k.cum
 	wb.ackSel = append(wb.ackSel[:0], selAcks(k)...)
-	if r.l.tracing() {
-		r.l.tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
+	if r.l.rt.Tracing() {
+		r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
 			"piggyback ack %d on batch to n%d covers %d arrivals", wb.ackCum, dst, owed)
 	}
 	return 8 + 8*len(wb.ackSel)
@@ -568,8 +567,8 @@ func (r *reliable) piggybackOnPacket(mn *machine.Node, p *machine.Packet, at sim
 	}
 	rd := &ackRider{payload: p.Payload, cum: k.cum, sel: slices.Clone(selAcks(k))}
 	p.Payload = rd
-	if r.l.tracing() {
-		r.l.tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
+	if r.l.rt.Tracing() {
+		r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
 			"piggyback ack %d on packet to n%d covers %d arrivals", rd.cum, p.Dst, owed)
 	}
 	return 8 + 8*len(rd.sel)
@@ -604,8 +603,8 @@ func (r *reliable) ackReceived(sn *machine.Node, dst int, seq uint64) {
 		return
 	}
 	r.finish(ns, k, m)
-	if r.l.tracing() {
-		r.l.tracef(sn.EventNow(), sn.ID, trace.EvAck, "acked seq %d by n%d", seq, dst)
+	if r.l.rt.Tracing() {
+		r.l.rt.Tracef(sn.EventNow(), sn.ID, trace.EvAck, "acked seq %d by n%d", seq, dst)
 	}
 }
 

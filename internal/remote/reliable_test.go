@@ -362,3 +362,41 @@ func TestLocationCacheInvalidate(t *testing.T) {
 		t.Errorf("cache maps stale object to %+v, want %+v", got, freshB)
 	}
 }
+
+func TestRollbackKeepsFlushDeadlineLive(t *testing.T) {
+	// A rollback tears an open batch down while its flush deadline is still
+	// queued. The next batch opened on that link must leave within the batch
+	// window all the same — not wait for its record's retransmission timeout
+	// to push it out.
+	rt, l := buildSys(t, 2, core.Options{}, wireOpts(1))
+	inc := rt.Reg.Register("rb.inc", 1)
+	kick := rt.Reg.Register("rb.kick", 0)
+	var got []int64
+	var target core.Address
+	cnt := rt.DefineClass("rb.counter", 0, nil)
+	cnt.Method(inc, func(ctx *core.Ctx) { got = append(got, ctx.Arg(0).Int()) })
+	snd := rt.DefineClass("rb.sender", 0, nil)
+	snd.Method(kick, func(ctx *core.Ctx) {
+		ctx.SendPast(target, inc, core.IntV(1)) // opens a batch, arms its deadline
+		l.CkptTeardown()                        // the rollback forgets that send
+		l.link(0, 1).nextSeq = 0                // and rewinds the link's send cursor
+		ctx.SendPast(target, inc, core.IntV(2)) // opens the link's next batch
+	})
+	target = rt.NewObjectOn(1, cnt)
+	rt.Inject(rt.NewObjectOn(0, snd), kick)
+	// A stopped slot is swept at once from a near-empty event queue; a busy
+	// lane keeps it queued, and that is where the deadline went missing.
+	lane := rt.M.Node(0).Lane()
+	for i := 0; i < 8; i++ {
+		rt.M.Eng.ScheduleFuncOn(lane, lane, sim.Millisecond, func() {})
+	}
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("delivered %v, want [2]: the torn-down send is gone, the one after it arrives", got)
+	}
+	if c := rt.TotalStats(); c.Retransmits != 0 {
+		t.Errorf("retransmits = %d, want 0: the batch waited for a retry instead of its flush deadline", c.Retransmits)
+	}
+}

@@ -79,6 +79,7 @@ func TestSpecValidation(t *testing.T) {
 		{"removed executor", `{"name":"x","workload":"forkjoin","nodes":2,"executor":"optimistic","workers":4}`, `unknown executor "optimistic"`},
 		{"removed window key", `{"name":"x","workload":"forkjoin","nodes":2,"optimistic_window_ns":1000}`, `unknown field "optimistic_window_ns"`},
 		{"negative depth", `{"name":"x","workload":"forkjoin","nodes":2,"depth":-1}`, "forkjoin depth must be >= 0"},
+		{"negative reorder", `{"name":"x","workload":"hotkey","nodes":2,"reorder":-1}`, "reorder bound must be >= 0, got -1"},
 		{"trailing data", `{"name":"x","workload":"forkjoin","nodes":2} {}`, "after the top-level value"},
 		{"retired flat drop", `{"name":"x","workload":"forkjoin","nodes":2,"drop":0.1}`, `unknown field "drop"`},
 		{"retired flat crashes", `{"name":"x","workload":"nqueens","nodes":2,"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}`, `unknown field "crashes"`},

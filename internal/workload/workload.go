@@ -233,6 +233,9 @@ func (sp Spec) Validate() error {
 	} else if a.check != nil {
 		errs = append(errs, a.check(sp))
 	}
+	if sp.Reorder < 0 {
+		errs = append(errs, fmt.Errorf("workload: reorder bound must be >= 0, got %d", sp.Reorder))
+	}
 	_, err := sp.Options()
 	return errors.Join(append(errs, err)...)
 }
@@ -262,19 +265,11 @@ type Outcome struct {
 // win), then the app.
 func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 	sp = sp.WithDefaults()
-	a, err := lookup("workload", apps, sp.Workload)
-	if err != nil {
+	if err := sp.Validate(); err != nil {
 		return Outcome{}, err
 	}
-	if a.check != nil {
-		if err := a.check(sp); err != nil {
-			return Outcome{}, err
-		}
-	}
-	opts, err := sp.Options()
-	if err != nil {
-		return Outcome{}, err
-	}
+	a := apps[sp.Workload]
+	opts, _ := sp.Options() // Validate has judged them
 	if a.ownMachines {
 		opts = nil
 	}

@@ -50,11 +50,12 @@ func TestProfilerEquivalence(t *testing.T) {
 	}
 }
 
-// TestProfilerCompleteness asserts that attribution covers the machine: the
-// sum of instructions across all paths equals the machine's total
-// instruction count, on a run that exercises the remote, reliable,
-// checkpoint and retransmission subsystems. An unpaired Charge call anywhere
-// in the engine shows up here as a deficit.
+// TestProfilerCompleteness is the end-to-end view of attribution on a run
+// that exercises the remote, reliable, checkpoint and retransmission
+// subsystems: every subsystem's path has a row, and the report's total is the
+// machine's instruction count (true of any run by construction — the node
+// clock and the profile advance in one call; machine's
+// TestProfileRowsSumToInstrCount holds that).
 func TestProfilerCompleteness(t *testing.T) {
 	res, err := nqueens.Run(nqueens.Options{N: 8}, abcl.WithNodes(8), abcl.WithSeed(3),
 		abcl.WithFaults(abcl.UniformFaults(0.05, 0.02, 0)),
