@@ -174,7 +174,7 @@ const DefaultSeed int64 = 1
 
 // DefaultStockDepth is the chunk-stock depth per (node, class) when neither
 // WithChunkStock nor WithoutChunkStock is given.
-const DefaultStockDepth = 2
+const DefaultStockDepth = remote.DefaultStockDepth
 
 // settings is the resolved configuration an Option edits.
 type settings struct {

@@ -7,6 +7,7 @@ import (
 	abcl "repro"
 	"repro/internal/apps/hotkey"
 	"repro/internal/apps/misc"
+	"repro/internal/apps/nqueens"
 	"repro/internal/conformance"
 )
 
@@ -100,6 +101,20 @@ func TestConservativeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			return observed{leaves, sys.Report()}
+		}},
+		// The paper's program under random placement: every requester seeds
+		// its targets' chunks from its own object arena, and a board is
+		// derived in the arena of the lane that spawns the child and read on
+		// the lane that expands it.
+		{"nqueens", func(t *testing.T, exec abcl.Option) any {
+			res, err := nqueens.Run(nqueens.Options{N: 7}, abcl.WithNodes(8), abcl.WithSeed(3), exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Solutions != 40 || res.Stats.StockHits == 0 {
+				t.Fatalf("solutions=%d stock hits=%d, want 40 and a used stock", res.Solutions, res.Stats.StockHits)
+			}
+			return res
 		}},
 		// Selective reception across lanes: a producer and a consumer on
 		// their own nodes drive a capacity-1 buffer on a third. The consumer

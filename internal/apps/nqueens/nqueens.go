@@ -20,12 +20,33 @@ import (
 	"repro/internal/stats"
 )
 
-// Board is a partial placement: Board[r] is the column of the queen on row
-// r. Boards are immutable once sent.
-type Board []int8
+// MaxN is the largest board the program runs: the capacity of the fixed-size
+// Board record. N = 13 is the paper's largest run and already makes 4.7
+// million objects; the limit costs nothing reachable and bounds every loop
+// and shift that a hostile size would otherwise run away with.
+const MaxN = 15
 
-// SizeBytes implements core.Sizer for wire-size accounting.
-func (b Board) SizeBytes() int { return 8 + len(b) }
+// CheckN rejects a board size the program cannot run.
+func CheckN(n int) error {
+	if n < 1 || n > MaxN {
+		return fmt.Errorf("nqueens: N must be in 1..%d, got %d", MaxN, n)
+	}
+	return nil
+}
+
+// Board is a partial placement: the queen on row r < rows sits in column
+// cols[r]. A board is a record in the arena of the lane that derives it,
+// written once there before its pointer is sent, and only read afterwards —
+// the pointer, not a slice header, rides abcl.Any, so sending one boxes
+// nothing.
+type Board struct {
+	rows uint8
+	cols [MaxN]int8
+}
+
+// SizeBytes implements core.Sizer for wire-size accounting: a length word
+// and one byte per placed queen.
+func (b *Board) SizeBytes() int { return 8 + int(b.rows) }
 
 // DefaultWorkFactor calibrates per-node search work to the paper's
 // sequential timings: about 6.6*N*N instructions per tree node reproduces
@@ -68,8 +89,8 @@ type Result struct {
 // returns its result. Placement defaults to random, for load balance; a
 // WithPlacement among opts overrides it.
 func Run(opt Options, opts ...abcl.Option) (Result, error) {
-	if opt.N < 1 {
-		return Result{}, fmt.Errorf("nqueens: N must be >= 1, got %d", opt.N)
+	if err := CheckN(opt.N); err != nil {
+		return Result{}, err
 	}
 	sys, err := abcl.NewSystem(append([]abcl.Option{abcl.WithPlacement(abcl.PlaceRandom)}, opts...)...)
 	if err != nil {
@@ -103,7 +124,25 @@ type Driver struct {
 	solutions  int64
 	finishedAt sim.Time
 	finished   bool
+
+	// lanes[i] backs the boards and spawn records derived on node i. A child
+	// is expanded on another node than the one that derived its board, so the
+	// arena belongs to the deriving lane: under a parallel executor that is
+	// the one running.
+	lanes []lane
 }
+
+// lane is one node's arena of application records. The block caps are small
+// for the reason core's objectBlock is: every lane ends on a part-used block.
+type lane struct {
+	boards sim.Arena[Board]
+	spawns sim.Arena[spawn]
+}
+
+const (
+	boardBlock = 64
+	spawnBlock = 16
+)
 
 // State variable indices for the search-node class. The spawn cursor lives
 // in simulated state rather than in the spawn continuation's closure: a
@@ -115,12 +154,17 @@ const (
 	stParent  = 0
 	stPending = 1
 	stAcc     = 2
-	stNext    = 3 // next index into the valid-columns slice while spawning
+	stNext    = 3 // next index into the spawn record's valid columns
 )
 
-// Build registers the N-queens classes on sys. Call Start before sys.Run.
+// Build registers the N-queens classes on sys. Call Start before sys.Run. A
+// board size CheckN rejects is the caller's bug and panics; Run and the
+// workload table check it first.
 func Build(sys *abcl.System, n, workFactor int) *Driver {
-	d := &Driver{sys: sys, n: n, work: WorkInstr(n, workFactor)}
+	if err := CheckN(n); err != nil {
+		panic(err)
+	}
+	d := &Driver{sys: sys, n: n, work: WorkInstr(n, workFactor), lanes: make([]lane, sys.Nodes())}
 
 	d.patExpand = sys.Pattern("nq.expand", 1) // board
 	d.patDone = sys.Pattern("nq.done", 1)     // solution count
@@ -157,7 +201,7 @@ func Build(sys *abcl.System, n, workFactor int) *Driver {
 		ic.SetState(stNext, abcl.Int(0))
 	})
 	d.rootCls.Method(d.patStart, func(ctx *abcl.Ctx) {
-		d.expandBoard(ctx, Board{})
+		d.expandBoard(ctx, d.newBoard(ctx))
 	})
 	d.rootCls.Method(d.patDone, d.doneMethod)
 
@@ -169,67 +213,72 @@ func Build(sys *abcl.System, n, workFactor int) *Driver {
 // Start injects the initial expand message.
 func (d *Driver) Start() { d.sys.Send(d.root, d.patStart) }
 
+// newBoard carves an empty board from the arena of the lane ctx runs on.
+func (d *Driver) newBoard(ctx *abcl.Ctx) *Board {
+	return d.lanes[ctx.NodeID()].boards.New(boardBlock)
+}
+
 // expandMethod handles nq.expand on a search node.
 func (d *Driver) expandMethod(ctx *abcl.Ctx) {
-	b := ctx.Arg(0).Any().(Board)
-	d.expandBoard(ctx, b)
+	d.expandBoard(ctx, ctx.Arg(0).Any().(*Board))
 }
 
 // expandBoard performs the node expansion: charge the modelled search work,
 // then either report a solution/dead end or create one child per valid
 // next-row placement.
-func (d *Driver) expandBoard(ctx *abcl.Ctx, b Board) {
+func (d *Driver) expandBoard(ctx *abcl.Ctx, b *Board) {
 	ctx.Charge(d.work)
 	parent := ctx.State(stParent).Ref()
-	row := len(b)
-	if row == d.n {
+	if int(b.rows) == d.n {
 		// A complete placement: one solution.
 		ctx.SendPast(parent, d.patDone, abcl.Int(1))
 		return
 	}
-	valid := validColumns(b, d.n)
-	if len(valid) == 0 {
+	var valid [MaxN]int8
+	nvalid := validColumns(b, d.n, &valid)
+	if nvalid == 0 {
 		ctx.SendPast(parent, d.patDone, abcl.Int(0))
 		return
 	}
-	ctx.SetState(stPending, abcl.Int(int64(len(valid))))
-	d.spawnChildren(ctx, b, valid, 0)
+	ctx.SetState(stPending, abcl.Int(int64(nvalid)))
+	sp := d.lanes[ctx.NodeID()].spawns.New(spawnBlock)
+	*sp = spawn{d: d, board: *b, valid: valid, nvalid: int8(nvalid),
+		ctorArgs: [1]abcl.Value{abcl.Ref(ctx.Self())}}
+	sp.k = sp.next
+	ctx.SetState(stNext, abcl.Int(0))
+	ctx.Create(d.nodeCls, sp.ctorArgs[:], sp.k)
 }
 
-// spawnChildren creates children for each valid column in CPS order: the
-// creation itself can block when the chunk stock runs dry, so the loop is
-// expressed as a continuation chain. A single continuation and ctor-arg
-// slice serve every child of this node; the continuation re-arms itself
-// until the valid columns are exhausted. The loop cursor advances through
-// the stNext state variable, never through the closure environment — b and
-// valid are captured but write-once, which keeps a parked continuation
-// restorable from a checkpoint.
-func (d *Driver) spawnChildren(ctx *abcl.Ctx, b Board, valid []int8, i int) {
-	if i == len(valid) {
+// spawn is what one internal node's creation loop reads: the creation itself
+// can block when the chunk stock runs dry, so the loop is a continuation
+// chain, and a single continuation (k, the record's own next) and ctor-arg
+// list serve every child. The record is write-once — filled before the first
+// Create and never touched again — while the loop cursor advances through the
+// stNext state variable; that keeps a parked continuation restorable from a
+// checkpoint.
+type spawn struct {
+	d        *Driver
+	board    Board
+	valid    [MaxN]int8 // columns a child may take, ascending
+	nvalid   int8
+	ctorArgs [1]abcl.Value
+	k        func(*abcl.Ctx, abcl.Address)
+}
+
+// next sends the child just created its board and creates the following one.
+func (sp *spawn) next(ctx *abcl.Ctx, addr abcl.Address) {
+	j := int(ctx.State(stNext).Int())
+	child := sp.d.newBoard(ctx)
+	*child = sp.board
+	child.cols[child.rows] = sp.valid[j]
+	child.rows++
+	ctx.SendPast(addr, sp.d.patExpand, abcl.Any(child))
+	j++
+	if j == int(sp.nvalid) {
 		return
 	}
-	ctorArgs := []abcl.Value{abcl.Ref(ctx.Self())}
-	var k func(*abcl.Ctx, abcl.Address)
-	k = func(ctx *abcl.Ctx, addr abcl.Address) {
-		j := int(ctx.State(stNext).Int())
-		ctx.SendPast(addr, d.patExpand, abcl.Any(nextChild(b, valid[j])))
-		j++
-		if j == len(valid) {
-			return
-		}
-		ctx.SetState(stNext, abcl.Int(int64(j)))
-		ctx.Create(d.nodeCls, ctorArgs, k)
-	}
-	ctx.SetState(stNext, abcl.Int(int64(i)))
-	ctx.Create(d.nodeCls, ctorArgs, k)
-}
-
-// nextChild extends b with a queen in column col on the next row.
-func nextChild(b Board, col int8) Board {
-	child := make(Board, len(b)+1)
-	copy(child, b)
-	child[len(b)] = col
-	return child
+	ctx.SetState(stNext, abcl.Int(int64(j)))
+	ctx.Create(sp.d.nodeCls, sp.ctorArgs[:], sp.k)
 }
 
 // doneMethod accumulates a child's solution count; when the last child has
@@ -275,22 +324,23 @@ const (
 	frameBytes  = 28
 )
 
-// validColumns returns the columns where a queen may be placed on row
-// len(b) without attacking any earlier queen.
-func validColumns(b Board, n int) []int8 {
-	row := len(b)
-	var out []int8
+// validColumns fills out with the columns where a queen may be placed on
+// row b.rows without attacking any earlier queen, ascending, and returns
+// how many there are.
+func validColumns(b *Board, n int, out *[MaxN]int8) int {
+	k := 0
 	for c := int8(0); int(c) < n; c++ {
-		if safe(b, row, c) {
-			out = append(out, c)
+		if safe(b, int(b.rows), c) {
+			out[k] = c
+			k++
 		}
 	}
-	return out
+	return k
 }
 
 // safe reports whether a queen at (row, col) is unattacked by b.
-func safe(b Board, row int, col int8) bool {
-	for r, c := range b {
+func safe(b *Board, row int, col int8) bool {
+	for r, c := range b.cols[:b.rows] {
 		if c == col {
 			return false
 		}

@@ -36,7 +36,7 @@ func TestCountTreeNodesMatchPaper(t *testing.T) {
 
 func TestSafe(t *testing.T) {
 	// Queen at (0,0): attacks column 0 and both diagonals.
-	b := Board{0}
+	b := boardOf(0)
 	cases := []struct {
 		row  int
 		col  int8
@@ -50,7 +50,7 @@ func TestSafe(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := safe(b, c.row, c.col); got != c.want {
-			t.Errorf("safe(%v, %d, %d) = %v, want %v", b, c.row, c.col, got, c.want)
+			t.Errorf("safe(%v, %d, %d) = %v, want %v", *b, c.row, c.col, got, c.want)
 		}
 	}
 }
@@ -60,25 +60,27 @@ func TestValidColumnsAgainstBruteForce(t *testing.T) {
 		// Build an arbitrary (possibly invalid) partial board of size <= 5
 		// on a 6x6 problem; validColumns must agree with safe.
 		n := 6
-		b := Board{}
+		var cols []int8
 		for _, r := range raw {
-			if len(b) >= 5 {
+			if len(cols) >= 5 {
 				break
 			}
-			b = append(b, int8(r%uint8(n)))
+			cols = append(cols, int8(r%uint8(n)))
 		}
-		got := validColumns(b, n)
+		b := boardOf(cols...)
+		var got [MaxN]int8
+		ngot := validColumns(b, n, &got)
 		j := 0
 		for c := int8(0); int(c) < n; c++ {
-			ok := safe(b, len(b), c)
+			ok := safe(b, len(cols), c)
 			if ok {
-				if j >= len(got) || got[j] != c {
+				if j >= ngot || got[j] != c {
 					return false
 				}
 				j++
 			}
 		}
-		return j == len(got)
+		return j == ngot
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -208,13 +210,25 @@ func TestSequentialCalibration(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Options{N: 0}); err == nil {
-		t.Error("N=0 should be rejected")
+	for _, n := range []int{0, -1, MaxN + 1, 128} {
+		if _, err := Run(Options{N: n}); err == nil {
+			t.Errorf("N=%d should be rejected", n)
+		}
+	}
+	if err := CheckN(MaxN); err != nil {
+		t.Errorf("N=MaxN rejected: %v", err)
 	}
 }
 
+// boardOf builds the board with a queen in cols[r] on row r.
+func boardOf(cols ...int8) *Board {
+	b := &Board{rows: uint8(len(cols))}
+	copy(b.cols[:], cols)
+	return b
+}
+
 func TestBoardSizeBytes(t *testing.T) {
-	b := Board{1, 2, 3}
+	b := boardOf(1, 2, 3)
 	if b.SizeBytes() != 11 {
 		t.Errorf("SizeBytes = %d, want 11", b.SizeBytes())
 	}

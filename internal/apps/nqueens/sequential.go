@@ -32,8 +32,12 @@ func Sequential(n int, cfg machine.Config, workFactor int) SeqResult {
 
 // CountTree performs the actual depth-first search, returning the number of
 // valid partial placements (search-tree nodes, excluding the empty root)
-// and the number of complete solutions.
+// and the number of complete solutions. A size CheckN rejects panics: the
+// occupancy masks below are 32 bits wide.
 func CountTree(n int) (nodes, solutions int64) {
+	if err := CheckN(n); err != nil {
+		panic(err)
+	}
 	full := uint32(1)<<uint(n) - 1
 	// cols/d1/d2 are column and diagonal occupancy bitmasks, shifted per row.
 	var rec func(row int, cols, d1, d2 uint32)

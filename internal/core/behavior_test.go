@@ -345,7 +345,7 @@ func TestInitChunkValidation(t *testing.T) {
 	cls := r.DefineClass("cls", 0, nil)
 	r.Freeze()
 
-	chunk := r.NewFaultChunk(1)
+	chunk := r.NodeRT(1).NewFaultChunk(1)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -510,7 +510,7 @@ func TestNaiveWithFaultChunk(t *testing.T) {
 	cls.Method(m, func(ctx *Ctx) { got = append(got, ctx.Arg(0).Int()) })
 	r.Freeze()
 
-	chunk := r.NewFaultChunk(0)
+	chunk := r.NodeRT(0).NewFaultChunk(0)
 	n := r.NodeRT(0)
 	n.DeliverFrame(chunk, &Frame{Pattern: m, Args: []Value{IntV(1)}}, true)
 	n.DeliverFrame(chunk, &Frame{Pattern: m, Args: []Value{IntV(2)}}, true)
@@ -536,7 +536,7 @@ func TestModeObservations(t *testing.T) {
 		t.Fatalf("pre-freeze modes: %v %v", a.Obj.Mode(), b.Obj.Mode())
 	}
 	r.Freeze()
-	chunk := r.NewFaultChunk(0)
+	chunk := r.NodeRT(0).NewFaultChunk(0)
 	if chunk.Mode() != ModeUninit {
 		t.Fatal("chunk mode")
 	}

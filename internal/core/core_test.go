@@ -717,7 +717,7 @@ func TestFaultChunkBuffersEarlyMessages(t *testing.T) {
 	cls.Method(m, func(ctx *Ctx) { got = append(got, ctx.Arg(0).Int()) })
 	r.Freeze()
 
-	chunk := r.NewFaultChunk(0)
+	chunk := r.NodeRT(0).NewFaultChunk(0)
 	if chunk.Mode() != ModeUninit {
 		t.Fatalf("chunk mode = %v, want uninit", chunk.Mode())
 	}

@@ -19,11 +19,9 @@ type replyState struct {
 // newReplyDest allocates a reply destination object on node n.
 func (n *NodeRT) newReplyDest() *Object {
 	n.rt.Freeze()
-	obj := &Object{
-		node: n.id,
-		vftp: n.rt.replyVFT,
-		rd:   &replyState{},
-	}
+	obj := n.newObjectAt(n.id)
+	obj.vftp = n.rt.replyVFT
+	obj.rd = &replyState{}
 	n.rt.trackObject(n.id, obj)
 	return obj
 }

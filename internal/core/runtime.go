@@ -266,7 +266,9 @@ func (r *Runtime) TotalStats() stats.Counters {
 // Freeze fills it in.
 func (r *Runtime) newObject(cl *Class, node int, ctorArgs []Value) *Object {
 	n := r.nodes[node]
-	obj := &Object{class: cl, node: node, ctorArgs: n.copyCtorArgs(ctorArgs)}
+	obj := n.newObjectAt(node)
+	obj.class = cl
+	obj.ctorArgs = n.copyCtorArgs(ctorArgs)
 	if cl.StateSize > 0 {
 		obj.state = n.allocState(cl.StateSize)
 	}
@@ -293,12 +295,17 @@ func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
 	return r.newObject(cl, node, ctorArgs).Addr()
 }
 
-// NewFaultChunk allocates an uninitialized chunk on a node: class-less, with
-// the generic fault table installed, ready to buffer early messages. Used by
-// the remote-creation protocol.
-func (r *Runtime) NewFaultChunk(node int) *Object {
+// NewFaultChunk allocates an uninitialized chunk homed on node: class-less,
+// with the generic fault table installed, ready to buffer early messages.
+// Used by the remote-creation protocol, where the allocating node n is not
+// always the home: a requester seeds its stock with chunks of the target,
+// and the Object comes out of the requester's arena because the requester's
+// lane is the one running.
+func (n *NodeRT) NewFaultChunk(node int) *Object {
+	r := n.rt
 	r.Freeze()
-	obj := &Object{node: node, vftp: r.faultVFT}
+	obj := n.newObjectAt(node)
+	obj.vftp = r.faultVFT
 	r.trackObject(node, obj)
 	return obj
 }

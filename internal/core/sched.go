@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/profile"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -32,11 +33,20 @@ type NodeRT struct {
 	// and the sender's variadic argument slice never escapes.
 	sendScratch []Value
 
-	// stateArena backs the state-variable slices of objects created on this
-	// node. Objects are never reclaimed, so the arena only grows; carving
-	// slices out of block allocations replaces one small allocation per
-	// object creation with one per block.
+	// Creation arenas. Objects are never reclaimed, so both only grow, and
+	// carving from block allocations replaces the host allocations of one
+	// creation with one per block. Each belongs to the lane that allocates
+	// from it, not to the node the object models: stateArena backs the state
+	// boxes and constructor arguments of objects on this node (both are
+	// written here, by this node), while objects holds every Object this
+	// node creates — its own, its reply destinations, and the chunks it
+	// seeds or refills for objects homed on other nodes (NewFaultChunk).
 	stateArena []Value
+	objects    sim.Arena[Object]
+
+	// initCtx is the one InitCtx handed to lazy initializers on this node,
+	// cleared after each call (a fresh one would escape through cl.Init).
+	initCtx InitCtx
 
 	// hosted lists every object homed on this node in creation order, for
 	// checkpoint traversal. Populated only when snapshots are enabled
@@ -126,6 +136,17 @@ func (n *NodeRT) allocState(sz int) []Value {
 	off := len(n.stateArena)
 	n.stateArena = n.stateArena[:off+sz]
 	return n.stateArena[off : off+sz : off+sz]
+}
+
+// objectBlock caps the object arena's blocks. A small cap: every node ends
+// the run on a partly used block, so the slack is paid once per node.
+const objectBlock = 32
+
+// newObjectAt carves a zeroed Object homed on node out of this node's arena.
+func (n *NodeRT) newObjectAt(node int) *Object {
+	obj := n.objects.New(objectBlock)
+	obj.node = node
+	return obj
 }
 
 // copyCtorArgs snapshots constructor arguments into the node arena. The
@@ -578,7 +599,9 @@ func makeInitEntry(cl *Class, p PatternID) entryFunc {
 	return func(n *NodeRT, obj *Object, f *Frame) {
 		n.node.Charge(n.cost.InitObject)
 		if cl.Init != nil {
-			cl.Init(&InitCtx{obj: obj, args: obj.ctorArgs})
+			n.initCtx = InitCtx{obj: obj, args: obj.ctorArgs}
+			cl.Init(&n.initCtx)
+			n.initCtx = InitCtx{}
 		}
 		obj.ctorArgs = nil
 		tbl := cl.dormant

@@ -14,8 +14,11 @@ package core
 // object identity IS the mail address, so restoration must not reallocate —
 // and forgets everything created after the snapshot: pre-snapshot state
 // cannot reference post-snapshot objects, so the suffix of the hosted list
-// is unreachable garbage once the in-flight packets of the rolled-back
-// timeline are revoked (machine.BumpEra).
+// is unreachable once the in-flight packets of the rolled-back timeline are
+// revoked (machine.BumpEra). Unreachable, not reclaimed: an Object is a slot
+// of its allocating node's arena and lives as long as its block does, and no
+// restore rewinds an arena — a slot is handed out once, so an address of the
+// abandoned timeline can never come to name an object of the restored one.
 //
 // Continuation closures (resumeK, wait.k, reply waiters) are captured by
 // reference. This is sound only under the write-once environment contract:
@@ -235,8 +238,9 @@ func (img *NodeImage) capture(o *Object) {
 }
 
 // RestoreNode rolls the node back to the image: every captured object is
-// rewritten in place, objects created after the snapshot are forgotten, and
-// the scheduling queue is rebuilt in captured order. The caller is
+// rewritten in place, objects created after the snapshot drop off the hosted
+// list (their arena slots stay spent, see above), and the scheduling queue
+// is rebuilt in captured order. The caller is
 // responsible for revoking the rolled-back timeline's in-flight packets
 // (machine.BumpEra), restoring the inter-node layer, and waking the node.
 func (r *Runtime) RestoreNode(img *NodeImage) {

@@ -401,3 +401,39 @@ func TestFrameArgBounds(t *testing.T) {
 		t.Error("out-of-range args must be Nil")
 	}
 }
+
+// A local creation touches the allocator only when an arena runs out: the
+// Object is carved from the node's object arena, its state box and
+// constructor arguments from the state arena, and the lazy initializer is
+// handed the node's one InitCtx. AllocsPerRun reports whole allocations per
+// run, so a run is a batch of creations.
+func TestNewLocalAllocatesArenaBlocksOnly(t *testing.T) {
+	const batch = 100
+	r := newTestRT(t, Options{})
+	tick := r.Reg.Register("tick", 0)
+	poke := r.Reg.Register("poke", 0)
+	inited := 0
+	node := r.DefineClass("node", 4, func(ic *InitCtx) {
+		ic.SetState(0, ic.CtorArg(0))
+		inited++
+	})
+	node.Method(poke, func(ctx *Ctx) {})
+	var perBatch float64
+	driver := r.DefineClass("driver", 0, nil)
+	driver.Method(tick, func(ctx *Ctx) {
+		self := RefV(ctx.Self())
+		perBatch = testing.AllocsPerRun(20, func() {
+			for i := 0; i < batch; i++ {
+				ctx.SendPast(ctx.NewLocal(node, self), poke) // create, then force the lazy init
+			}
+		})
+	})
+	r.Inject(r.NewObjectOn(0, driver), tick)
+	run(t, r)
+	if inited != 21*batch {
+		t.Fatalf("%d objects initialized, want %d", inited, 21*batch)
+	}
+	if per := perBatch / batch; per >= 0.1 {
+		t.Errorf("%.2f allocations per local create, want < 0.1 (arena blocks only)", per)
+	}
+}

@@ -194,12 +194,12 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 	copy(ns.loads, im.loads)
 	for _, e := range ns.stock {
 		e.seeded = false
-		e.chunks = nil
+		e.chunks = e.inline[:0]
 	}
 	for i := range im.stock {
 		si := &im.stock[i]
 		si.e.seeded = si.seeded
-		si.e.chunks = append([]*core.Object(nil), si.chunks...)
+		si.e.chunks = append(si.e.inline[:0], si.chunks...)
 	}
 	ns.locCache = nil
 	if len(im.locCache) > 0 {

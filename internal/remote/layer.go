@@ -85,7 +85,7 @@ const (
 
 // DefaultOptions returns the configuration used by the paper-style runs.
 func DefaultOptions() Options {
-	return Options{StockDepth: 2, Placement: RoundRobin{}, Seed: 1}
+	return Options{StockDepth: DefaultStockDepth, Placement: RoundRobin{}, Seed: 1}
 }
 
 // Layer is the inter-node runtime: it implements core.Remote and owns the
@@ -236,16 +236,16 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		l.rt.InitChunk(nrt, w.chunk, w.cl, w.args)
 		// Step 4: allocate the replacement chunk and return its address.
 		rn.ChargeTo(profile.Create, c.ChunkRefill)
-		l.sendChunkReply(nrt, w.src, l.rt.NewFaultChunk(rn.ID), w.entry, nil)
+		l.sendChunkReply(nrt, w.src, nrt.NewFaultChunk(rn.ID), w.entry, nil)
 	case wmBlockingCreate:
 		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.ChunkInit)
-		created := l.rt.NewFaultChunk(rn.ID)
+		created := nrt.NewFaultChunk(rn.ID)
 		l.rt.InitChunk(nrt, created, w.cl, w.args)
 		rn.ChargeTo(profile.Create, c.ChunkRefill)
 		addr := created.Addr()
 		onCreated := w.onCreated
-		l.sendChunkReply(nrt, w.src, l.rt.NewFaultChunk(rn.ID), w.entry, func() { onCreated(addr) })
+		l.sendChunkReply(nrt, w.src, nrt.NewFaultChunk(rn.ID), w.entry, func() { onCreated(addr) })
 	case wmLocUpd:
 		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall)
 		l.learnLocation(rn, w.to, w.replyTo)
@@ -282,31 +282,44 @@ type stockKey struct {
 	cls  *core.Class
 }
 
-// stockEntry is one node's chunk stock for a (target, class) pair. It is
-// looked up once per remote creation; the refill round trip carries the
-// entry pointer itself, so the category-2/3 handlers touch no maps.
+// DefaultStockDepth is the stock depth of the paper-style runs (and the
+// facade's default); a stock entry stores that many chunk addresses inline.
+const DefaultStockDepth = 2
+
+// stockEntry is one node's chunk stock for a (target, class) pair. The
+// requester finds it through its stock map on every remote creation; the
+// refill round trip carries the entry pointer itself, so the category-2/3
+// handlers touch no maps. Entries are carved from the owning node's arena
+// and never move, which is what lets chunks start out as a slice of the
+// entry's own inline array; a deeper stock outgrows it onto the heap.
 type stockEntry struct {
 	seeded bool
 	chunks []*core.Object
+	inline [DefaultStockDepth]*core.Object
 }
+
+// stockBlock caps the stock-entry arena's blocks (see core's objectBlock).
+const stockBlock = 32
 
 // stockEntry returns (creating on first use) the stock slot for key.
 func (ns *nodeState) stockEntry(key stockKey) *stockEntry {
 	e := ns.stock[key]
 	if e == nil {
-		e = &stockEntry{}
+		e = ns.entries.New(stockBlock)
+		e.chunks = e.inline[:0]
 		ns.stock[key] = e
 	}
 	return e
 }
 
 type nodeState struct {
-	id     int
-	rr     int
-	rrNext int
-	rng    uint64
-	stock  map[stockKey]*stockEntry
-	loads  []loadSample // per peer: last piggybacked scheduling-queue length
+	id      int
+	rr      int
+	rrNext  int
+	rng     uint64
+	stock   map[stockKey]*stockEntry
+	entries sim.Arena[stockEntry] // backs stock's values (lane-local)
+	loads   []loadSample          // per peer: last piggybacked scheduling-queue length
 
 	*peers // nil unless the reliable protocol or batching is on (see link.go)
 
@@ -553,11 +566,13 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	if !e.seeded && l.opt.StockDepth > 0 {
 		// Pre-delivery: at boot every node receives an initial stock of
 		// chunk addresses for its peers. Modelled as already present (the
-		// paper's "predelivered stocks"), materialized on first use to keep
-		// memory proportional to the pairs actually communicating.
+		// paper's "predelivered stocks") and materialized, all StockDepth of
+		// them at once, on the pair's first creation, so memory follows the
+		// pairs that communicate. The chunks are homed on the target but
+		// carved from this node's arena: the target's lane may be running.
 		e.seeded = true
 		for i := 0; i < l.opt.StockDepth; i++ {
-			e.chunks = append(e.chunks, l.rt.NewFaultChunk(target))
+			e.chunks = append(e.chunks, n.NewFaultChunk(target))
 		}
 	}
 

@@ -64,7 +64,7 @@ func (l *Layer) Migrate(obj *core.Object, target int, onDone func(core.Address))
 			l.noteLoad(mn.ID, src, load, pkt.Arrival)
 			tn := l.rt.NodeRT(mn.ID)
 			// Materialize at the target: a chunk adopting the class + state.
-			moved := l.rt.NewFaultChunk(mn.ID)
+			moved := tn.NewFaultChunk(mn.ID)
 			l.rt.InitChunk(tn, moved, cl, nil)
 			l.rt.AdoptMigratedState(tn, moved, cl, image)
 			addr := moved.Addr()

@@ -132,7 +132,7 @@ func TestMigrateValidation(t *testing.T) {
 	if err := l.Migrate(obj.Obj, 99, nil); err == nil {
 		t.Error("out-of-range target must be rejected")
 	}
-	chunk := rt.NewFaultChunk(0)
+	chunk := rt.NodeRT(0).NewFaultChunk(0)
 	if err := l.Migrate(chunk, 1, nil); err == nil {
 		t.Error("chunk migration must be rejected")
 	}

@@ -29,17 +29,20 @@ type app struct {
 
 // apps is the only name → program mapping outside bench/.
 var apps = map[string]app{
-	"nqueens": {run: func(sp Spec, opts []abcl.Option) (Outcome, error) {
-		res, err := nqueens.Run(nqueens.Options{N: sp.N}, opts...)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{
-			Answer:    fmt.Sprintf("solutions=%d objects=%d messages=%d", res.Solutions, res.Objects, res.Messages),
-			Invariant: fmt.Sprintf("solutions=%d", res.Solutions),
-			Elapsed:   res.Elapsed, Report: &res.Report, Result: res,
-		}, nil
-	}},
+	"nqueens": {
+		check: func(sp Spec) error { return nqueens.CheckN(sp.N) },
+		run: func(sp Spec, opts []abcl.Option) (Outcome, error) {
+			res, err := nqueens.Run(nqueens.Options{N: sp.N}, opts...)
+			if err != nil {
+				return Outcome{}, err
+			}
+			return Outcome{
+				Answer:    fmt.Sprintf("solutions=%d objects=%d messages=%d", res.Solutions, res.Objects, res.Messages),
+				Invariant: fmt.Sprintf("solutions=%d", res.Solutions),
+				Elapsed:   res.Elapsed, Report: &res.Report, Result: res,
+			}, nil
+		},
+	},
 	"forkjoin": {
 		// A negative depth never reaches the tree's leaf case: the run
 		// would fork without end.

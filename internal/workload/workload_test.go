@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	abcl "repro"
+	"repro/internal/apps/nqueens"
 )
 
 // tiny holds, for every registered app, the smallest spec that still sends
@@ -142,6 +143,7 @@ func TestSpecRejections(t *testing.T) {
 		{Workload: "nqueens", Workers: 2},
 		{Workload: "nqueens", BatchWindowNs: -5},
 		{Workload: "forkjoin", Depth: -1}, // would fork without end
+		{Workload: "nqueens", N: 128},     // used to spin in validColumns forever
 	} {
 		if _, err := Run(sp); err == nil {
 			t.Errorf("Run(%+v) accepted the spec", sp)
@@ -149,5 +151,8 @@ func TestSpecRejections(t *testing.T) {
 	}
 	if err := (Spec{Workload: "forkjoin", Depth: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "depth must be >= 0") {
 		t.Errorf("Validate accepted a negative fork-join depth: %v", err)
+	}
+	if err := (Spec{Workload: "nqueens", N: nqueens.MaxN + 1}).Validate(); err == nil || !strings.Contains(err.Error(), "N must be in 1..") {
+		t.Errorf("Validate accepted a board above nqueens.MaxN: %v", err)
 	}
 }
