@@ -7,13 +7,14 @@
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
 #   make bench-test      the benchmark harness's own tests (bench/ is its own module)
 #   make alloc-profile   every allocation of one nqueens N10/P256 run, by allocating function
+#   make cpu-profile     the CPU profile of the same run, by function
 #   make check           all of the above
 #   make bench           the repository benchmark (BENCHMARK.json): bash bench/run.sh
 #   make bench-trace     its traced pass: per-layer metrics for every workload
 #   make cover           per-package test coverage summary
 #   make loc             non-test and test Go line counts outside bench/, and the docs' line counts
 
-.PHONY: all tier1 vet-race scenario-smoke profile-smoke regress check cover loc bench bench-trace bench-test alloc-profile
+.PHONY: all tier1 vet-race scenario-smoke profile-smoke regress check cover loc bench bench-trace bench-test alloc-profile cpu-profile
 
 all: tier1
 
@@ -75,6 +76,16 @@ alloc-profile:
 		-memprofile $(SMOKE_DIR)/abcl-alloc-profile.pprof >/dev/null
 	go tool pprof -sample_index=alloc_objects -top -nodecount=25 \
 		$(SMOKE_DIR)/abcl-alloc-profile.bin $(SMOKE_DIR)/abcl-alloc-profile.pprof
+
+# The CPU twin of alloc-profile: the same run, sampled for CPU time, then the
+# hottest functions by flat time (`-list <regexp>` on the same two files gives
+# lines). One cold run of ~0.3 s, so the sample is small and set-up heavy; the
+# benchmark's traced pass (make bench-trace) profiles warm repetitions.
+cpu-profile:
+	go build -o $(SMOKE_DIR)/abcl-cpu-profile.bin ./cmd/abclsim
+	$(SMOKE_DIR)/abcl-cpu-profile.bin -workload nqueens -n 10 -nodes 256 \
+		-cpuprofile $(SMOKE_DIR)/abcl-cpu-profile.pprof >/dev/null
+	go tool pprof -top -nodecount=25 $(SMOKE_DIR)/abcl-cpu-profile.bin $(SMOKE_DIR)/abcl-cpu-profile.pprof
 
 cover:
 	go test -cover ./... | grep -v 'no test files'

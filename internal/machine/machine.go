@@ -147,7 +147,8 @@ type Packet struct {
 	// receiving processor is. It models hardware-level actions such as
 	// transport acknowledgments. A packet with OnArrive set and a nil
 	// Handler is consumed entirely at the controller and never enters the
-	// receive queue.
+	// receive queue. It is read at send: setting it on a packet in flight
+	// has no effect.
 	OnArrive func(n *Node, p *Packet)
 
 	Category int32 // handler category (for statistics only)
@@ -180,36 +181,52 @@ type Packet struct {
 	// discarded at the destination controller instead of delivered.
 	era uint32
 
-	// next chains the packet into the one list it is on: a node's receive
-	// queue while delivered-but-unpolled, a pool's free list while idle.
+	// next is the pool link: it chains an idle packet into its pool's free
+	// list and is nil while the packet is out.
 	next *Packet
 }
 
 // PoolLink names the intrusive link for sim.Slab.
 func (p *Packet) PoolLink() **Packet { return &p.next }
 
-// pktQueue is a FIFO of packets chained through their next links.
-type pktQueue struct{ head, tail *Packet }
-
-func (q *pktQueue) push(p *Packet) {
-	p.next = nil
-	if q.tail == nil {
-		q.head = p
-	} else {
-		q.tail.next = p
-	}
-	q.tail = p
+// rxRing is a node's receive queue: delivered-but-unpolled packets in
+// arrival order, in a power-of-two ring that starts on an inline backing and
+// grows ×4. Queueing a packet writes the ring, not the packet.
+type rxRing struct {
+	buf    []*Packet
+	head   int
+	n      int
+	inline [4]*Packet
 }
 
-// pop unlinks and returns the oldest packet, or nil when the queue is empty.
-func (q *pktQueue) pop() *Packet {
-	p := q.head
-	if p != nil {
-		if q.head = p.next; q.head == nil {
-			q.tail = nil
-		}
-		p.next = nil
+func (r *rxRing) push(p *Packet) {
+	if r.n == len(r.buf) {
+		r.grow()
 	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+func (r *rxRing) grow() {
+	if r.buf == nil {
+		r.buf = r.inline[:]
+		return
+	}
+	g := make([]*Packet, 4*len(r.buf))
+	k := copy(g, r.buf[r.head:])
+	copy(g[k:], r.buf[:r.head])
+	r.buf, r.head = g, 0
+}
+
+// pop returns the oldest packet, or nil when the ring is empty.
+func (r *rxRing) pop() *Packet {
+	if r.n == 0 {
+		return nil
+	}
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 	return p
 }
 
@@ -251,14 +268,19 @@ type Node struct {
 
 	m             *Machine
 	lane          int      // engine event lane (node ID + 1; lane 0 is the host)
-	rx            pktQueue // delivered packets awaiting poll, in arrival order
-	pkts          sim.Slab[Packet, *Packet]
-	lastArrival   []sim.Time
-	lastCtrl      []sim.Time // FIFO clamp of the control virtual channel
-	Runner        Runner
+	downUntil     sim.Time // crash outage: node is dead until this time (0 = up)
 	resumePending bool
 	inResume      bool
-	downUntil     sim.Time // crash outage: node is dead until this time (0 = up)
+	rx            rxRing // delivered packets awaiting poll, in arrival order
+	pkts          sim.Slab[Packet, *Packet]
+	Runner        Runner
+
+	// Per-(src,dst) FIFO clamps, on the sender's side: the last arrival
+	// scheduled to each destination, of the data stream and of the control
+	// virtual channel. Only the sending lane writes its rows; the control
+	// row is allocated on the node's first control send.
+	arrivalTo []sim.Time
+	ctrlTo    []sim.Time
 
 	// prof is the node's cost-attribution accumulator (nil when profiling is
 	// off) and path the attribution register Charge reads: every instruction
@@ -300,6 +322,7 @@ type Machine struct {
 	// and scheduling paths dispatch through a switch instead of allocating
 	// a captured closure per event.
 	deliverKind sim.Kind // arg: *Packet, fires on the destination's lane
+	arriveKind  sim.Kind // deliverKind for a packet with an OnArrive hook
 	resumeKind  sim.Kind // arg: *Node, fires on the node's own lane
 }
 
@@ -371,25 +394,33 @@ func New(cfg Config) (*Machine, error) {
 	// One event lane per node plus lane 0 for the host; typed kinds keep
 	// the per-packet and per-turn scheduling allocation-free.
 	m.Eng.SetLanes(cfg.Nodes + 1)
-	m.deliverKind = m.Eng.RegisterHandler(func(at sim.Time, arg any) {
-		p := arg.(*Packet)
-		m.nodes[p.Dst].deliver(p)
+	m.deliverKind = m.Eng.Register(func(lane int, at sim.Time, arg any) {
+		m.nodes[lane-1].deliver(at, arg.(*Packet), false)
 	})
-	m.resumeKind = m.Eng.RegisterHandler(func(at sim.Time, arg any) {
+	m.arriveKind = m.Eng.Register(func(lane int, at sim.Time, arg any) {
+		m.nodes[lane-1].deliver(at, arg.(*Packet), true)
+	})
+	m.resumeKind = m.Eng.Register(func(_ int, at sim.Time, arg any) {
 		arg.(*Node).resumeAt(at)
 	})
 	m.nodes = make([]*Node, cfg.Nodes)
 	for i := range m.nodes {
 		m.nodes[i] = &Node{
-			ID:          i,
-			m:           m,
-			lane:        i + 1,
-			lastArrival: make([]sim.Time, cfg.Nodes),
-			lastCtrl:    make([]sim.Time, cfg.Nodes),
+			ID:        i,
+			m:         m,
+			lane:      i + 1,
+			arrivalTo: make([]sim.Time, cfg.Nodes),
 		}
+	}
+	if watch != nil {
+		watch(m)
 	}
 	return m, nil
 }
+
+// watch, when set, sees every machine New builds: the seam through which
+// this package's tests reach machines an application builds for itself.
+var watch func(*Machine)
 
 // MustNew is New for known-good configurations; it panics on error.
 func MustNew(cfg Config) *Machine {
@@ -565,7 +596,6 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	}
 	p.Src = n.ID
 	p.era = n.m.era
-	dst := n.m.nodes[p.Dst]
 	hops := n.m.Cfg.Topology.Hops(n.ID, p.Dst)
 	base := n.m.Cfg.Net.Latency(hops, p.Size)
 
@@ -590,14 +620,29 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 		n.ReleasePacket(p)
 		return Dropped
 	}
+	// What happens at the destination is decided here, while the packet is
+	// warm: delivery itself reads no packet on the plain path.
+	kind := n.m.deliverKind
+	if p.OnArrive != nil {
+		kind = n.m.arriveKind
+	}
+	// Control-channel traffic (Packet.Ctrl) is clamped separately so
+	// protocol packets never queue behind the data stream.
+	clamp := n.arrivalTo
+	if p.Ctrl {
+		if n.ctrlTo == nil {
+			n.ctrlTo = make([]sim.Time, len(n.m.nodes))
+		}
+		clamp = n.ctrlTo
+	}
 	first := Dropped
 	for i, extra := range copies {
 		cp := p
 		if i > 0 {
-			// A fresh heap object outside every pool and list: inheriting
-			// pooled would let the machine recycle a header it does not own.
+			// A fresh heap object outside every pool: inheriting pooled
+			// would let the machine recycle a header it does not own.
 			dup := *p
-			dup.pooled, dup.next = false, nil
+			dup.pooled = false
 			cp = &dup
 			if n.m.faultSink != nil {
 				n.m.faultSink.PacketDuplicated(n.ID, p.Dst, at, int(p.Category))
@@ -607,21 +652,15 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 		// Per-(src,dst) FIFO ordering is enforced per copy (the paper's
 		// "preservation of transmission order"): jitter delays but never
 		// reorders a link; only drop+retransmit can reorder logically.
-		// Control-channel traffic (Packet.Ctrl) is clamped separately so
-		// protocol packets never queue behind the data stream.
-		clamp := dst.lastArrival
-		if p.Ctrl {
-			clamp = dst.lastCtrl
-		}
-		if last := clamp[n.ID]; arrival <= last {
+		if last := clamp[p.Dst]; arrival <= last {
 			arrival = last + 1
 		}
-		clamp[n.ID] = arrival
+		clamp[p.Dst] = arrival
 		cp.Arrival = arrival
 		if i == 0 {
 			first = arrival
 		}
-		n.m.Eng.ScheduleOn(n.lane, dst.lane, arrival, n.m.deliverKind, cp)
+		n.m.Eng.ScheduleOn(n.lane, p.Dst+1, arrival, kind, cp)
 	}
 	return first
 }
@@ -684,26 +723,29 @@ func (m *Machine) TotalEraDrops() uint64 {
 	return t
 }
 
-// deliver runs at the packet's arrival time on the engine: the message
-// controller hook fires first, then the packet joins the node's receive
-// queue and the node is woken if idle. Controller-only packets (OnArrive
-// set, nil Handler) never reach the processor.
-func (n *Node) deliver(p *Packet) {
-	if p.era != n.m.era {
+// deliver runs at the packet's arrival time at, as an event on the
+// destination's lane: the message controller hook fires first (hook: the
+// packet was sent with OnArrive set), then the packet joins the node's
+// receive ring and the node is woken if idle. Controller-only packets
+// (OnArrive set, nil Handler) never reach the processor. The plain path reads
+// no packet field — the lane names the node, the event time is the arrival —
+// so Poll is the packet's first reader after its sender.
+func (n *Node) deliver(at sim.Time, p *Packet, hook bool) {
+	if n.m.era != 0 && p.era != n.m.era {
 		// Launched before a global checkpoint restore: the timeline that
 		// produced this packet was rolled back, so it never happened.
 		n.EraDrops++
 		n.ReleasePacket(p)
 		return
 	}
-	if n.downUntil > p.Arrival {
+	if n.downUntil > at {
 		// The node is crashed: its message controller is dead, so the packet
 		// is lost in its entirety — no OnArrive, no ack, no buffering.
 		n.CrashDrops++
 		n.ReleasePacket(p)
 		return
 	}
-	if p.OnArrive != nil {
+	if hook {
 		p.OnArrive(n, p)
 		if p.Handler == nil {
 			// Consumed entirely at the controller: recycle here.
@@ -711,8 +753,8 @@ func (n *Node) deliver(p *Packet) {
 			return
 		}
 	}
-	if n.Clock < p.Arrival {
-		n.Clock = p.Arrival
+	if n.Clock < at {
+		n.Clock = at
 	}
 	n.rx.push(p)
 	n.ensureResume()
@@ -778,7 +820,7 @@ func (n *Node) resumeAt(now sim.Time) {
 		more = n.Runner.Step()
 	}
 	n.inResume = false
-	if more || n.rx.head != nil {
+	if more || n.rx.n != 0 {
 		n.ensureResume()
 	}
 }
@@ -799,9 +841,4 @@ func (n *Node) Poll() {
 }
 
 // PendingRx reports the number of delivered-but-unpolled packets.
-func (n *Node) PendingRx() (k int) {
-	for p := n.rx.head; p != nil; p = p.next {
-		k++
-	}
-	return k
-}
+func (n *Node) PendingRx() int { return n.rx.n }

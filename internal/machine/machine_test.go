@@ -492,3 +492,118 @@ func TestPacketSize(t *testing.T) {
 		t.Errorf("Packet is %d bytes, want <= 96", sz)
 	}
 }
+
+// The receive ring is a FIFO through wraparound and through growth while its
+// backlog is wrapped: the inline four slots, then ×4.
+func TestRxRingWrapsAndGrows(t *testing.T) {
+	var r rxRing
+	pk := make([]Packet, 300)
+	var want []*Packet
+	next := 0
+	push := func(k int) {
+		for ; k > 0; k-- {
+			r.push(&pk[next])
+			want = append(want, &pk[next])
+			next++
+		}
+	}
+	pop := func(k int) {
+		for ; k > 0; k-- {
+			if p := r.pop(); p != want[0] {
+				t.Fatalf("popped packet %p, want %p", p, want[0])
+			}
+			want = want[1:]
+		}
+	}
+	push(3)
+	pop(2)
+	push(3) // four queued, wrapped round the inline backing
+	if r.head == 0 || len(r.buf) != 4 {
+		t.Fatalf("head %d, %d slots: want a wrapped inline ring", r.head, len(r.buf))
+	}
+	push(1) // grows while wrapped
+	if len(r.buf) != 16 || r.n != 5 {
+		t.Fatalf("%d slots holding %d, want 16 holding 5", len(r.buf), r.n)
+	}
+	pop(3)
+	for i := 0; i < 40; i++ { // wraps the grown ring, grows twice more
+		push(7)
+		pop(4)
+	}
+	if len(r.buf) != 256 {
+		t.Fatalf("%d slots, want 256", len(r.buf))
+	}
+	pop(len(want))
+	if r.pop() != nil || r.n != 0 {
+		t.Fatal("empty ring popped a packet")
+	}
+	for _, p := range r.buf {
+		if p != nil {
+			t.Fatal("a popped slot still holds its packet")
+		}
+	}
+}
+
+// A node's receive ring through the machine: Poll order survives a wrapped,
+// growing backlog, and PendingRx, DropRx and BeginOutage see a wrapped ring
+// whole.
+func TestRxRingOnNode(t *testing.T) {
+	m := MustNew(DefaultConfig(2))
+	src, dst := m.Node(0), m.Node(1)
+	var got []uint64
+	h := func(n *Node, p *Packet) { got = append(got, p.Seq) }
+	seq := uint64(0)
+	// burst sends k packets while dst is busy and runs until they have all
+	// arrived, so they wait in its ring.
+	burst := func(k int) {
+		src.SyncClock(m.Eng.Now())
+		dst.Charge(1 << 16)
+		var last sim.Time
+		for ; k > 0; k-- {
+			seq++
+			p := src.AcquirePacket()
+			p.Dst, p.Size, p.Seq, p.Handler = 1, 16, seq, h
+			last = src.Send(p)
+		}
+		if _, err := m.Eng.RunUntil(last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst(3)
+	if err := m.Run(); err != nil { // polled: the ring's head now sits at 3
+		t.Fatal(err)
+	}
+	burst(5) // wraps the inline ring, then grows it
+	if dst.PendingRx() != 5 || len(dst.rx.buf) != 16 {
+		t.Fatalf("PendingRx %d in %d slots, want 5 in 16", dst.PendingRx(), len(dst.rx.buf))
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("polled %v, want %v", got, want)
+	}
+	burst(14) // from slot 5, wraps the 16 slots
+	if dst.rx.head+dst.rx.n <= len(dst.rx.buf) || dst.PendingRx() != 14 {
+		t.Fatalf("head %d + %d queued in %d slots: want a wrapped backlog of 14", dst.rx.head, dst.rx.n, len(dst.rx.buf))
+	}
+	dst.DropRx()
+	if dst.PendingRx() != 0 || dst.EraDrops != 14 {
+		t.Fatalf("after DropRx: PendingRx %d, EraDrops %d, want 0/14", dst.PendingRx(), dst.EraDrops)
+	}
+	burst(14) // from slot 3, wraps again
+	if dst.rx.head+dst.rx.n <= len(dst.rx.buf) {
+		t.Fatalf("head %d + %d queued in %d slots: want a wrapped backlog", dst.rx.head, dst.rx.n, len(dst.rx.buf))
+	}
+	dst.BeginOutage(m.Eng.Now() + sim.Millisecond)
+	if dst.PendingRx() != 0 || dst.CrashDrops != 14 {
+		t.Fatalf("after BeginOutage: PendingRx %d, CrashDrops %d, want 0/14", dst.PendingRx(), dst.CrashDrops)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 8 {
+		t.Fatalf("dropped packets reached their handler: %v", got)
+	}
+	recycled(t, m) // every pool hands out no record twice, none dirty
+}

@@ -54,7 +54,7 @@ func newBatcher(l *Layer, window sim.Time, maxBytes int) *batcher {
 		maxBytes = DefaultBatchBytes
 	}
 	b := &batcher{l: l, window: window, maxBytes: maxBytes}
-	b.flushKind = l.m.Eng.RegisterHandler(func(_ sim.Time, arg any) { b.flush(arg.(*link)) })
+	b.flushKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { b.flush(arg.(*link)) })
 	return b
 }
 

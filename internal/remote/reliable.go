@@ -118,8 +118,8 @@ func newReliable(l *Layer) *reliable {
 		sel, _ := p.Payload.([]uint64)
 		r.ackCumReceived(sn, p.Src, p.Seq, sel)
 	}
-	r.wakeKind = l.m.Eng.RegisterHandler(func(_ sim.Time, arg any) { r.wake(arg.(*nodeState)) })
-	r.ackKind = l.m.Eng.RegisterHandler(func(_ sim.Time, arg any) { r.flushAcks(arg.(*nodeState)) })
+	r.wakeKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { r.wake(arg.(*nodeState)) })
+	r.ackKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { r.flushAcks(arg.(*nodeState)) })
 	return r
 }
 

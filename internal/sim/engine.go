@@ -5,12 +5,12 @@
 // two runs over the same inputs produce identical event orderings. Virtual
 // time is expressed in nanoseconds (Time).
 //
-// Events live by value inside per-lane binary heaps (no container/heap, no
-// interface boxing), and a small top-level tournament — an index heap over
-// the non-empty lanes keyed by their head event's (time, seq) — selects the
-// globally next event in O(log lanes). A lane conventionally corresponds to
-// one simulated node, which is what makes the conservative parallel runner
-// in parallel.go possible.
+// Events live by value inside per-lane 4-ary heaps (no container/heap, no
+// interface boxing), and a small top-level tournament — a binary heap over
+// the non-empty lanes that carries each lane's head (time, seq) beside the
+// lane index — selects the globally next event in O(log lanes). A lane
+// conventionally corresponds to one simulated node, which is what makes the
+// conservative parallel runner in parallel.go possible.
 package sim
 
 import (
@@ -54,8 +54,8 @@ func (t Time) String() string {
 
 // Kind identifies how an event is dispatched when it fires. Kind 0 is a
 // plain captured closure; kind 1 is a cancelable Timer slot; kinds obtained
-// from RegisterHandler dispatch through a registered handler function with a
-// payload, avoiding a closure allocation per event.
+// from Register dispatch through a registered Handler with a payload,
+// avoiding a closure allocation per event.
 type Kind uint8
 
 const (
@@ -65,23 +65,33 @@ const (
 	kindHandlerBase
 )
 
-// event is a scheduled callback, stored by value in a lane heap — 40 bytes,
-// so heap sifts and regrowth move as little as possible. A closure event
-// carries its func() in arg (a func value is pointer-shaped: boxing it
-// allocates nothing).
+// Handler is a registered event kind's callback: the lane the event fires
+// on, its virtual time, and its payload. The lane is what lets a handler
+// find its node without reading the payload.
+type Handler func(lane int, at Time, arg any)
+
+// event is a scheduled callback, stored by value in a lane heap — 32 bytes,
+// so heap sifts and regrowth move as little as possible. key packs the
+// sequence number above the kind's byte: sequence numbers are unique, so
+// keys order exactly as they do. A closure event carries its func() in arg
+// (a func value is pointer-shaped: boxing it allocates nothing).
 type event struct {
-	at   Time
-	seq  uint64
-	kind Kind
-	arg  any
+	at  Time
+	key uint64 // seq<<8 | kind
+	arg any
 }
 
-func evLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func evKey(seq uint64, kind Kind) uint64 { return seq<<8 | uint64(kind) }
+
+func (ev *event) seq() uint64 { return ev.key >> 8 }
+func (ev *event) kind() Kind  { return Kind(ev.key) }
+
+// before is the queue order: time, then sequence number.
+func before(at Time, key uint64, bAt Time, bKey uint64) bool {
+	return at < bAt || at == bAt && key < bKey
 }
+
+func evLess(a, b *event) bool { return before(a.at, a.key, b.at, b.key) }
 
 // birth records one event scheduled during a parallel window, on the lane
 // that scheduled it. Final sequence numbers are assigned at the barrier.
@@ -106,7 +116,9 @@ type firedRec struct {
 }
 
 // lane is one independent event queue plus its parallel-window scratch
-// state. The heap is a standard array binary heap over (at, seq).
+// state. The heap is a 4-ary array heap over (at, seq): half the levels of a
+// binary one, and a node's four children span two cache lines. Sifts move a
+// hole rather than swapping, and the array doubles from laneMinCap.
 type lane struct {
 	heap     []event
 	dead     int // stopped-timer slots still occupying heap entries
@@ -117,62 +129,94 @@ type lane struct {
 	reserved bool // ReserveSeq ran in this window: the barrier must settle it
 }
 
-func (ln *lane) push(ev event) {
-	ln.heap = append(ln.heap, ev)
-	ln.up(len(ln.heap) - 1)
+const laneMinCap = 128
+
+// push queues ev and reports the slot it settled in: 0 when it is the lane's
+// new head.
+func (ln *lane) push(ev event) int {
+	h := ln.heap
+	if len(h) == cap(h) {
+		g := make([]event, len(h), max(2*cap(h), laneMinCap))
+		copy(g, h)
+		h = g
+	}
+	ln.heap = h[:len(h)+1]
+	return ln.place(len(h), ev)
 }
 
 func (ln *lane) pop() event {
 	h := ln.heap
 	ev := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = event{}
 	ln.heap = h[:n]
-	ln.down(0)
+	if n > 0 {
+		ln.sink(0, last)
+	}
 	return ev
 }
 
 func (ln *lane) heapify() {
-	for i := len(ln.heap)/2 - 1; i >= 0; i-- {
+	for i := (len(ln.heap)+2)/4 - 1; i >= 0; i-- {
 		ln.down(i)
 	}
 }
 
 // up sifts entry i towards the root; it reports where the entry ended up.
-func (ln *lane) up(i int) int {
+func (ln *lane) up(i int) int { return ln.place(i, ln.heap[i]) }
+
+// place settles ev, bound for the hole at i, at or above it.
+func (ln *lane) place(i int, ev event) int {
 	h := ln.heap
 	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(&h[i], &h[p]) {
+		p := (i - 1) / 4
+		if !evLess(&ev, &h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = ev
 	return i
 }
 
 // down sifts entry i towards the leaves.
-func (ln *lane) down(i int) {
+func (ln *lane) down(i int) { ln.sink(i, ln.heap[i]) }
+
+// sink settles ev, bound for the hole at i, at or below it.
+func (ln *lane) sink(i int, ev event) {
 	h := ln.heap
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && evLess(&h[r], &h[l]) {
-			m = r
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if evLess(&h[j], &h[m]) {
+				m = j
+			}
 		}
-		if !evLess(&h[m], &h[i]) {
+		if !evLess(&h[m], &ev) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = ev
 }
+
+// entry is one non-empty lane in the tournament: its head's key beside its
+// index, so a comparison reads neither lane.
+type entry struct {
+	at   Time
+	key  uint64
+	lane int32
+}
+
+func (a *entry) less(b *entry) bool { return before(a.at, a.key, b.at, b.key) }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
 // concurrent use; all event callbacks run on the caller's goroutine (or,
@@ -180,9 +224,9 @@ func (ln *lane) down(i int) {
 // current window).
 type Engine struct {
 	lanes    []lane
-	order    []int32 // index heap over non-empty lanes, keyed by head (at, seq)
+	order    []entry // binary heap over the non-empty lanes' heads
 	pos      []int32 // lane -> position in order, -1 when absent
-	handlers []func(at Time, arg any)
+	handlers []Handler
 	seq      uint64
 	now      Time
 	fired    uint64
@@ -225,16 +269,22 @@ func (e *Engine) SetLanes(n int) {
 	}
 }
 
-// RegisterHandler registers a typed event handler and returns its Kind.
-// Events scheduled with that kind dispatch through the handler with their
-// payload and fire time — no closure allocation per event.
-func (e *Engine) RegisterHandler(h func(at Time, arg any)) Kind {
+// Register registers a typed event handler and returns its Kind. Events
+// scheduled with that kind dispatch through the handler with their lane,
+// fire time and payload — no closure allocation per event.
+func (e *Engine) Register(h Handler) Kind {
 	e.handlers = append(e.handlers, h)
 	k := kindHandlerBase + Kind(len(e.handlers)-1)
 	if k < kindHandlerBase {
 		panic("sim: too many registered handlers")
 	}
 	return k
+}
+
+// RegisterHandler is Register for a handler that ignores the lane. It stays
+// for the benchmark harness's isolated driver, which is built against it.
+func (e *Engine) RegisterHandler(h func(at Time, arg any)) Kind {
+	return e.Register(func(_ int, at Time, arg any) { h(at, arg) })
 }
 
 // Now returns the current virtual time: the timestamp of the event being
@@ -300,7 +350,7 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 			// Same-lane and inside the window: insert immediately with a
 			// provisional sequence number that encodes the birth index and
 			// preserves lane-local order (see parallel.go).
-			sl.push(event{at: at, seq: e.provBase + 1 + uint64(idx), kind: kind, arg: arg})
+			sl.push(event{at: at, key: evKey(e.provBase+1+uint64(idx), kind), arg: arg})
 		}
 		return
 	}
@@ -308,20 +358,21 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 		at = e.now
 	}
 	e.seq++
-	e.insert(dst, event{at: at, seq: e.seq, kind: kind, arg: arg})
+	e.insert(dst, event{at: at, key: evKey(e.seq, kind), arg: arg})
 }
 
 // insert queues ev on lane dst outside a parallel window and keeps the
 // tournament current.
 func (e *Engine) insert(dst int, ev event) {
-	ln := &e.lanes[dst]
-	wasEmpty := len(ln.heap) == 0
-	ln.push(ev)
-	if wasEmpty {
+	if e.lanes[dst].push(ev) != 0 {
+		return
+	}
+	if p := e.pos[dst]; p < 0 {
 		e.orderAdd(dst)
-	} else if ln.heap[0].seq == ev.seq {
+	} else {
 		// New head: the lane got earlier, fix its tournament position.
-		e.orderUp(int(e.pos[dst]))
+		e.order[p].at, e.order[p].key = ev.at, ev.key
+		e.orderUp(int(p))
 	}
 }
 
@@ -361,9 +412,9 @@ func (e *Engine) ScheduleFuncOn(src, dst int, at Time, fire func()) {
 
 // fire dispatches one popped event from lane l.
 func (e *Engine) fire(l int, ev *event) {
-	switch ev.kind {
-	case kindTimer:
-		t := ev.arg.(*Timer)
+	kind, arg := ev.kind(), ev.arg
+	if kind == kindTimer {
+		t := arg.(*Timer)
 		t.pending = false
 		if t.stopped {
 			// A stopped slot that escaped the sweep: fires as a no-op.
@@ -373,19 +424,13 @@ func (e *Engine) fire(l int, ev *event) {
 			return
 		}
 		t.fired = true
-		e.dispatch(t.kind, ev.at, t.arg)
-	default:
-		e.dispatch(ev.kind, ev.at, ev.arg)
+		kind, arg = t.kind, t.arg
 	}
-}
-
-// dispatch runs a closure or a registered handler.
-func (e *Engine) dispatch(kind Kind, at Time, arg any) {
 	if kind == kindClosure {
 		arg.(func())()
 		return
 	}
-	e.handlers[kind-kindHandlerBase](at, arg)
+	e.handlers[kind-kindHandlerBase](l, ev.at, arg)
 }
 
 // Run fires events in (time, seq) order until the queue is empty or the
@@ -404,16 +449,18 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 		if len(e.order) == 0 {
 			return n, nil
 		}
-		l := int(e.order[0])
-		ln := &e.lanes[l]
-		if deadline >= 0 && ln.heap[0].at > deadline {
+		top := &e.order[0]
+		if deadline >= 0 && top.at > deadline {
 			e.now = deadline
 			return n, nil
 		}
+		l := int(top.lane)
+		ln := &e.lanes[l]
 		ev := ln.pop()
 		if len(ln.heap) == 0 {
 			e.orderRemoveAt(0)
 		} else {
+			top.at, top.key = ln.heap[0].at, ln.heap[0].key
 			e.orderDown(0)
 		}
 		e.now = ev.at
@@ -427,66 +474,66 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 	}
 }
 
-// Tournament (index heap over non-empty lanes) maintenance. order holds
-// lane indices; pos maps a lane to its slot in order (-1 when absent).
+// Tournament maintenance. order is a binary heap of entries; pos maps a
+// lane to its slot in order (-1 when absent). An entry's key is its lane's
+// head: whoever changes the head rewrites the entry before sifting it.
 
-func (e *Engine) orderLess(i, j int) bool {
-	a, b := e.order[i], e.order[j]
-	return evLess(&e.lanes[a].heap[0], &e.lanes[b].heap[0])
-}
-
-func (e *Engine) orderSwap(i, j int) {
-	e.order[i], e.order[j] = e.order[j], e.order[i]
-	e.pos[e.order[i]] = int32(i)
-	e.pos[e.order[j]] = int32(j)
-}
-
+// orderUp sifts slot i towards the root.
 func (e *Engine) orderUp(i int) {
+	o := e.order
+	x := o[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.orderLess(i, p) {
+		if !x.less(&o[p]) {
 			break
 		}
-		e.orderSwap(i, p)
+		o[i] = o[p]
+		e.pos[o[i].lane] = int32(i)
 		i = p
 	}
+	o[i] = x
+	e.pos[x.lane] = int32(i)
 }
 
 // orderDown sifts slot i down; it reports whether the slot moved.
 func (e *Engine) orderDown(i int) bool {
+	o := e.order
+	n := len(o)
+	x := o[i]
 	start := i
-	n := len(e.order)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && e.orderLess(r, l) {
-			m = r
+		if r := c + 1; r < n && o[r].less(&o[c]) {
+			c = r
 		}
-		if !e.orderLess(m, i) {
+		if !o[c].less(&x) {
 			break
 		}
-		e.orderSwap(i, m)
-		i = m
+		o[i] = o[c]
+		e.pos[o[i].lane] = int32(i)
+		i = c
 	}
+	o[i] = x
+	e.pos[x.lane] = int32(i)
 	return i > start
 }
 
 func (e *Engine) orderAdd(l int) {
-	e.pos[l] = int32(len(e.order))
-	e.order = append(e.order, int32(l))
+	h := &e.lanes[l].heap[0]
+	e.order = append(e.order, entry{at: h.at, key: h.key, lane: int32(l)})
 	e.orderUp(len(e.order) - 1)
 }
 
 func (e *Engine) orderRemoveAt(p int) {
 	n := len(e.order) - 1
-	l := e.order[p]
-	e.orderSwap(p, n)
+	e.pos[e.order[p].lane] = -1
+	last := e.order[n]
 	e.order = e.order[:n]
-	e.pos[l] = -1
 	if p < n {
+		e.order[p] = last
 		if !e.orderDown(p) {
 			e.orderUp(p)
 		}
@@ -497,7 +544,8 @@ func (e *Engine) orderRemoveAt(p int) {
 // arbitrarily (sweep), appeared, or disappeared.
 func (e *Engine) orderFixLane(l int) {
 	p := e.pos[l]
-	if len(e.lanes[l].heap) == 0 {
+	h := e.lanes[l].heap
+	if len(h) == 0 {
 		if p >= 0 {
 			e.orderRemoveAt(int(p))
 		}
@@ -507,6 +555,7 @@ func (e *Engine) orderFixLane(l int) {
 		e.orderAdd(l)
 		return
 	}
+	e.order[p].at, e.order[p].key = h[0].at, h[0].key
 	if !e.orderDown(int(p)) {
 		e.orderUp(int(p))
 	}
@@ -517,12 +566,13 @@ func (e *Engine) orderFixLane(l int) {
 func (e *Engine) orderRebuild() {
 	e.order = e.order[:0]
 	for i := range e.lanes {
-		if len(e.lanes[i].heap) > 0 {
-			e.pos[i] = int32(len(e.order))
-			e.order = append(e.order, int32(i))
-		} else {
-			e.pos[i] = -1
+		e.pos[i] = -1
+		if h := e.lanes[i].heap; len(h) > 0 {
+			e.order = append(e.order, entry{at: h[0].at, key: h[0].key, lane: int32(i)})
 		}
+	}
+	for i := range e.order {
+		e.pos[e.order[i].lane] = int32(i)
 	}
 	for i := len(e.order)/2 - 1; i >= 0; i-- {
 		e.orderDown(i)
@@ -609,8 +659,8 @@ func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind
 			ln.dead--
 		}
 		e.arm(lane, t, kind, arg)
-		i := slices.IndexFunc(ln.heap, func(ev event) bool { return ev.kind == kindTimer && ev.arg == any(t) })
-		ln.heap[i].at, ln.heap[i].seq = at, seq
+		i := slices.IndexFunc(ln.heap, func(ev event) bool { return ev.kind() == kindTimer && ev.arg == any(t) })
+		ln.heap[i].at, ln.heap[i].key = at, evKey(seq, kindTimer)
 		ln.down(ln.up(i))
 		if !e.inPar {
 			e.orderFixLane(lane)
@@ -618,7 +668,7 @@ func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind
 		return
 	}
 	e.arm(lane, t, kind, arg)
-	ev := event{at: at, seq: seq, kind: kindTimer, arg: t}
+	ev := event{at: at, key: evKey(seq, kindTimer), arg: t}
 	if e.inPar {
 		// The lane's heap is this worker's for the window, and an event keyed
 		// by an existing number needs no birth: in-window it fires in place,
@@ -646,7 +696,7 @@ func (e *Engine) sweepLane(l int) {
 	kept := ln.heap[:0]
 	for i := range ln.heap {
 		ev := ln.heap[i]
-		if ev.kind == kindTimer {
+		if ev.kind() == kindTimer {
 			if t := ev.arg.(*Timer); t.stopped {
 				t.pending = false
 				continue

@@ -71,7 +71,7 @@ func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) {
 	active := make([]int32, 0, len(e.lanes))
 	for len(e.order) > 0 {
 		e.parWins++
-		start := e.lanes[e.order[0]].heap[0].at
+		start := e.order[0].at
 		end := start + lookahead
 		if end < start { // overflow
 			end = maxTime
@@ -156,19 +156,20 @@ func (e *Engine) runLaneWindow(l int) uint64 {
 		}
 		ev := ln.pop()
 		ln.now = ev.at
+		seq := ev.seq()
 		kidStart := len(ln.births)
 		e.fire(l, &ev)
 		fired++
 		if kidEnd := len(ln.births); kidEnd > kidStart {
-			rec := firedRec{at: ev.at, seq: ev.seq, bref: -1,
+			rec := firedRec{at: ev.at, seq: seq, bref: -1,
 				kidStart: int32(kidStart), kidEnd: int32(kidEnd)}
-			if ev.seq > e.provBase {
-				rec.bref = int32(ev.seq - e.provBase - 1)
+			if seq > e.provBase {
+				rec.bref = int32(seq - e.provBase - 1)
 			}
 			ln.log = append(ln.log, rec)
 		}
-		if ev.seq > e.provBase {
-			ln.births[ev.seq-e.provBase-1].consumed = true
+		if seq > e.provBase {
+			ln.births[seq-e.provBase-1].consumed = true
 		}
 	}
 	return fired
@@ -228,7 +229,7 @@ func (e *Engine) barrier(active []int32) (uint64, error) {
 		for i := range ln.births {
 			b := &ln.births[i]
 			if !b.consumed {
-				e.lanes[b.dst].push(event{at: b.at, seq: b.seq, kind: b.kind, arg: b.arg})
+				e.lanes[b.dst].push(event{at: b.at, key: evKey(b.seq, b.kind), arg: b.arg})
 			}
 			ln.births[i] = birth{}
 		}
@@ -263,8 +264,8 @@ func (ln *lane) settleReserved(provBase uint64) {
 		}
 	}
 	for i := range ln.heap {
-		if s := ln.heap[i].seq; s > provBase {
-			ln.heap[i].seq = ln.births[s-provBase-1].seq
+		if ev := &ln.heap[i]; ev.seq() > provBase {
+			ev.key = evKey(ln.births[ev.seq()-provBase-1].seq, ev.kind())
 		}
 	}
 }

@@ -13,9 +13,12 @@ type slabRec struct {
 
 func (r *slabRec) PoolLink() **slabRec { return &r.next }
 
-func TestEventIsFortyBytes(t *testing.T) {
-	if sz := unsafe.Sizeof(event{}); sz > 40 {
-		t.Errorf("event is %d bytes, want <= 40: lane heaps hold these by value", sz)
+func TestQueueEntrySizes(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz > 32 {
+		t.Errorf("event is %d bytes, want <= 32: lane heaps hold these by value", sz)
+	}
+	if sz := unsafe.Sizeof(entry{}); sz > 24 {
+		t.Errorf("tournament entry is %d bytes, want <= 24: every comparison reads two", sz)
 	}
 }
 
