@@ -6,9 +6,10 @@
 #   make profile-smoke   run nqueens with -profile/-metrics, validate the JSONL schema
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
 #   make bench-test      the benchmark harness's own tests (bench/ is its own module)
+#   make check           tier1, vet-race, scenario-smoke and bench-test
 #   make alloc-profile   every allocation of one nqueens N10/P256 run, by allocating function
 #   make cpu-profile     the CPU profile of the same run, by function
-#   make check           all of the above
+#                        (both take ARGS='...', more abclsim flags for the run)
 #   make bench           the repository benchmark (BENCHMARK.json): bash bench/run.sh
 #   make bench-trace     its traced pass: per-layer metrics for every workload
 #   make cover           per-package test coverage summary
@@ -69,22 +70,25 @@ bench-test:
 # total sits a little above allocs_per_msg x 71 077 of the warm repetitions.
 # The profile undercounts MemStats.Mallocs: pointer-free allocations of 16
 # bytes or less that share a tiny-allocator block are counted there and not
-# sampled here.
+# sampled here. ARGS appends flags to the run: the benchmark's reliable
+# workload is ARGS='-batch-window 10000 -ack-delay 500000'.
+ARGS ?=
 alloc-profile:
 	go build -o $(SMOKE_DIR)/abcl-alloc-profile.bin ./cmd/abclsim
 	GODEBUG=memprofilerate=1 $(SMOKE_DIR)/abcl-alloc-profile.bin -workload nqueens -n 10 -nodes 256 \
-		-memprofile $(SMOKE_DIR)/abcl-alloc-profile.pprof >/dev/null
+		-memprofile $(SMOKE_DIR)/abcl-alloc-profile.pprof $(ARGS) >/dev/null
 	go tool pprof -sample_index=alloc_objects -top -nodecount=25 \
 		$(SMOKE_DIR)/abcl-alloc-profile.bin $(SMOKE_DIR)/abcl-alloc-profile.pprof
 
 # The CPU twin of alloc-profile: the same run, sampled for CPU time, then the
 # hottest functions by flat time (`-list <regexp>` on the same two files gives
 # lines). One cold run of ~0.3 s, so the sample is small and set-up heavy; the
-# benchmark's traced pass (make bench-trace) profiles warm repetitions.
+# benchmark's traced pass (make bench-trace) profiles warm repetitions. ARGS
+# appends flags to the run, as for alloc-profile.
 cpu-profile:
 	go build -o $(SMOKE_DIR)/abcl-cpu-profile.bin ./cmd/abclsim
 	$(SMOKE_DIR)/abcl-cpu-profile.bin -workload nqueens -n 10 -nodes 256 \
-		-cpuprofile $(SMOKE_DIR)/abcl-cpu-profile.pprof >/dev/null
+		-cpuprofile $(SMOKE_DIR)/abcl-cpu-profile.pprof $(ARGS) >/dev/null
 	go tool pprof -top -nodecount=25 $(SMOKE_DIR)/abcl-cpu-profile.bin $(SMOKE_DIR)/abcl-cpu-profile.pprof
 
 cover:

@@ -116,6 +116,23 @@ func TestConservativeEquivalence(t *testing.T) {
 			}
 			return res
 		}},
+		// The same program on the benchmark's lossless reliable path: every
+		// flush deadline reserves its position on the node's lane and the
+		// node's one flush timer stands at it, so the barrier settles those
+		// numbers in records the window's events keep lending and taking back.
+		{"relbatch-nqueens", func(t *testing.T, exec abcl.Option) any {
+			res, err := nqueens.Run(nqueens.Options{N: 7}, abcl.WithNodes(8), abcl.WithSeed(3),
+				abcl.WithPlacement(abcl.PlaceRandom), abcl.WithReliable(),
+				abcl.WithBatching(10*abcl.Microsecond, 0), abcl.WithDelayedAcks(500*abcl.Microsecond), exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := res.Stats; res.Solutions != 40 || c.BatchesSent == 0 || c.AcksCoalesced == 0 || c.Retransmits != 0 {
+				t.Fatalf("solutions=%d batches=%d coalesced=%d retransmits=%d, want 40, batching and coalescing, no retry",
+					res.Solutions, c.BatchesSent, c.AcksCoalesced, c.Retransmits)
+			}
+			return res
+		}},
 		// Selective reception across lanes: a producer and a consumer on
 		// their own nodes drive a capacity-1 buffer on a third. The consumer
 		// asks first, so the buffer waits (Ctx.WaitFor) for a put once and

@@ -40,13 +40,13 @@ const batchHeaderSave = packetHeaderBytes - batchPerMsgBytes
 const DefaultBatchBytes = 512
 
 // batcher is the machine-wide batching configuration; the open batch of each
-// (src, dst) pair that actually communicates lives in the sender's link
-// record, touched only from the sender's event lane.
+// (src, dst) pair that actually communicates lives in an openBatch record of
+// the sender's, touched only from the sender's event lane.
 type batcher struct {
 	l         *Layer
 	window    sim.Time
 	maxBytes  int
-	flushKind sim.Kind // the flush deadline's callback; arg: *link
+	flushKind sim.Kind // the node's flush timer's callback; arg: *nodeState
 }
 
 func newBatcher(l *Layer, window sim.Time, maxBytes int) *batcher {
@@ -54,25 +54,26 @@ func newBatcher(l *Layer, window sim.Time, maxBytes int) *batcher {
 		maxBytes = DefaultBatchBytes
 	}
 	b := &batcher{l: l, window: window, maxBytes: maxBytes}
-	b.flushKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { b.flush(arg.(*link)) })
+	b.flushKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { b.wake(arg.(*nodeState)) })
 	return b
 }
 
-// enqueue defers pkt into the link's open batch, opening one (and arming its
-// flush timer) if the link was idle.
+// enqueue defers pkt into the link's open batch, opening one (and setting
+// its flush deadline) if the link was idle.
 func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
-	k := b.l.link(mn.ID, pkt.Dst)
+	ns := b.l.nodes[mn.ID]
+	ob := ns.batchFor(b.l.link(mn.ID, pkt.Dst))
 	// The window bounds the spread of the records' *write clocks*, not just
 	// the flush timer: a long method body advances the processor clock far
 	// beyond the lane's event time, and its flush timer cannot fire until the
 	// event completes. Without this check every send of the body would share
 	// one batch no matter how far apart the records were actually written.
-	if len(k.pkts) > 0 && mn.Clock > k.firstClock+b.window {
-		b.flush(k)
+	if len(ob.pkts) > 0 && mn.Clock > ob.firstClock+b.window {
+		b.flush(mn, ob)
 	}
-	if len(k.pkts) == 0 {
-		k.firstClock = mn.Clock
-		k.maxClock = 0
+	if len(ob.pkts) == 0 {
+		ob.firstClock = mn.Clock
+		ob.maxClock = 0
 		// The flush fires just after the writing event completes (the
 		// sender's clock may run far ahead of its lane inside a method
 		// body, so the deadline is measured from the record's write clock).
@@ -82,35 +83,47 @@ func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 		// of those are enqueued before this timer can fire. The departure
 		// is backdated to the last record's write clock in flush, so a
 		// lone record leaves (virtually) when an unbatched send would
-		// have. A timer left pending by an earlier flush of this link is
+		// have. A deadline left pending by an earlier flush of this link is
 		// an earlier-than-window deadline, and stays: an early flush is
 		// merely conservative.
-		if !k.timer.Pending() {
+		if ob.due == 0 {
 			d := sim.Time(1)
 			if ahead := mn.Clock - mn.EventNow(); ahead > 0 {
 				d += ahead
 			}
-			b.l.m.Eng.StartTimerKind(mn.Lane(), mn.Lane(), &k.timer, d, b.flushKind, k)
+			ns.flushes.add(b.l.m.Eng, mn, ob, mn.EventNow()+d)
+			ns.flushes.follow(b.l.m.Eng, mn, b.flushKind, ns)
 		}
 	}
-	k.pkts = append(k.pkts, pkt)
-	k.bytes += pkt.Size
-	if mn.Clock > k.maxClock {
-		k.maxClock = mn.Clock
+	ob.pkts = append(ob.pkts, pkt)
+	ob.bytes += pkt.Size
+	if mn.Clock > ob.maxClock {
+		ob.maxClock = mn.Clock
 	}
-	if k.bytes >= b.maxBytes {
-		b.flush(k)
+	if ob.bytes >= b.maxBytes {
+		b.flush(mn, ob)
 	}
 }
 
-// flush launches k's open batch. It runs from the window timer or a
-// byte-budget overflow; a timer firing on an already-flushed link is a no-op.
-func (b *batcher) flush(k *link) {
-	n := len(k.pkts)
+// wake fires at the node's earliest flush deadline, and takes the link's
+// record back once its batch is gone.
+func (b *batcher) wake(ns *nodeState) {
+	ob := ns.flushes.fired()
+	mn := b.l.m.Node(ns.id)
+	b.flush(mn, ob)
+	if len(ob.pkts) == 0 {
+		ns.closeBatch(ob.k)
+	}
+	ns.flushes.follow(b.l.m.Eng, mn, b.flushKind, ns)
+}
+
+// flush launches ob's batch from mn. It runs from the flush deadline or an
+// overflow; a deadline of an already-flushed batch is a no-op.
+func (b *batcher) flush(mn *machine.Node, ob *openBatch) {
+	n := len(ob.pkts)
 	if n == 0 {
 		return
 	}
-	mn := k.mn
 	l := b.l
 	if mn.Down(mn.EventNow()) {
 		// The sender crashed with this batch open: a dead node launches
@@ -122,18 +135,19 @@ func (b *batcher) flush(k *link) {
 	// written, and no earlier than the deadline event itself. The launch is
 	// the message controller's work, so no processor time is charged here —
 	// each record's software cost was charged at its original send.
-	at := k.maxClock
+	at := ob.maxClock
 	if ev := mn.EventNow(); ev > at {
 		at = ev
 	}
+	peer := int(ob.k.peer)
 	if n == 1 {
 		// A lone record gains nothing from framing: it departs as the
 		// ordinary packet it already is, just window-delayed. It still
 		// carries any acknowledgments owed to its destination — request/
 		// reply traffic rarely fills a batch, but almost always has a
 		// reverse-direction data packet for the ack to ride.
-		p := k.pkts[0]
-		k.resetBatch()
+		p := ob.pkts[0]
+		ob.reset()
 		if l.rel != nil {
 			p.Size += l.rel.piggybackOnPacket(mn, p, at)
 		}
@@ -141,16 +155,16 @@ func (b *batcher) flush(k *link) {
 		return
 	}
 	wb := l.acquireBatch(mn.ID)
-	wb.pkts = append(wb.pkts, k.pkts...)
-	size := packetHeaderBytes + k.bytes - n*batchHeaderSave
-	k.resetBatch()
+	wb.pkts = append(wb.pkts, ob.pkts...)
+	size := packetHeaderBytes + ob.bytes - n*batchHeaderSave
+	ob.reset()
 	if l.rel != nil {
 		// A reverse-direction batch carries any acknowledgments this node
 		// owes the destination for free (plus a few bytes of framing).
-		size += l.rel.piggybackAck(mn, k.peer, wb, at)
+		size += l.rel.piggybackAck(mn, peer, wb, at)
 	}
 	pkt := mn.AcquirePacket()
-	pkt.Dst = k.peer
+	pkt.Dst = peer
 	pkt.Size = size
 	pkt.Category = CatBatch
 	pkt.Msgs = int32(n)
@@ -161,16 +175,16 @@ func (b *batcher) flush(k *link) {
 	c.BatchesSent++
 	c.BatchedMsgs += uint64(n)
 	if l.rt.Tracing() {
-		l.rt.Tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, k.peer, size)
+		l.rt.Tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, peer, size)
 	}
 	mn.ControllerSend(at, pkt)
 }
 
-// resetBatch empties k's open batch, keeping its backing.
-func (k *link) resetBatch() {
-	clear(k.pkts)
-	k.pkts = k.pkts[:0]
-	k.bytes = 0
+// reset empties the batch, keeping its backing.
+func (ob *openBatch) reset() {
+	clear(ob.pkts)
+	ob.pkts = ob.pkts[:0]
+	ob.bytes = 0
 }
 
 // wireBatch is the payload of a CatBatch packet: the coalesced records in

@@ -48,9 +48,9 @@ type ckptRec struct {
 }
 
 // retainLink is the retention buffer of one (src, dst) link, kept in the
-// sender's link record: recs[i] holds sequence number base+i. Appended at
-// send, trimmed at the front as records become stable, truncated at the back
-// by a rollback.
+// sender's cold record of the link: recs[i] holds sequence number base+i.
+// Appended at send, trimmed at the front as records become stable, truncated
+// at the back by a rollback.
 type retainLink struct {
 	base uint64
 	recs []ckptRec
@@ -66,13 +66,13 @@ func (l *Layer) EnableCheckpoint() {
 	l.ckpt = true
 }
 
-// retain records one transmission for replay-after-rollback.
-func (k *link) retain(m *relMsg) {
-	lk := &k.ret
+// retain records one transmission on the src -> dst link for
+// replay-after-rollback.
+func (lk *retainLink) retain(src, dst int, m *relMsg) {
 	if len(lk.recs) == 0 {
 		lk.base = m.seq
 	} else if want := lk.base + uint64(len(lk.recs)); m.seq != want {
-		panic(fmt.Sprintf("remote: retention gap on link %d->%d: seq %d, want %d", k.mn.ID, k.peer, m.seq, want))
+		panic(fmt.Sprintf("remote: retention gap on link %d->%d: seq %d, want %d", src, dst, m.seq, want))
 	}
 	lk.recs = append(lk.recs, ckptRec{size: m.size, category: m.category, payload: m.payload})
 }
@@ -156,18 +156,23 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 // an empty batch or ledger is a no-op, and on a refilled one merely early.
 func (l *Layer) CkptTeardown() {
 	for _, ns := range l.nodes {
+		mn := l.m.Node(ns.id)
 		ns.eachLink(func(k *link) {
-			for len(k.win) > 0 {
-				l.rel.finish(ns, k, k.win[0])
+			for k.head != nil {
+				l.rel.finish(ns, k, k.head)
 			}
-			k.held = nil
-			k.above = nil
+			if lc := ns.coldOf(int(k.peer)); lc != nil {
+				lc.held, lc.above = nil, nil
+			}
 			k.owed = 0
-			if len(k.pkts) > 0 {
-				for _, p := range k.pkts {
-					k.mn.ReleasePacket(p)
+			if ob := k.batch; ob != nil {
+				for _, p := range ob.pkts {
+					mn.ReleasePacket(p)
 				}
-				k.resetBatch()
+				ob.reset()
+				if ob.due == 0 {
+					ns.closeBatch(k)
+				}
 			}
 		})
 		clear(ns.rel.owedTo)
@@ -225,14 +230,17 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 // buffer already truncated.
 func (l *Layer) CkptTruncate(imgs []*RelImage) {
 	for src, ns := range l.nodes {
-		ns.eachLink(func(k *link) {
-			lk := &k.ret
-			keep := max(int(imgs[src].nextSeq[k.peer]-lk.base), 0)
+		for dst, lc := range ns.cold {
+			if lc == nil {
+				continue
+			}
+			lk := &lc.ret
+			keep := max(int(imgs[src].nextSeq[dst]-lk.base), 0)
 			if keep < len(lk.recs) {
 				clear(lk.recs[keep:])
 				lk.recs = lk.recs[:keep]
 			}
-		})
+		}
 	}
 }
 
@@ -249,11 +257,11 @@ func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 	replayed := 0
 	// In destination order, not first-contact order: each replayed record
 	// transmits, and the order of transmissions is part of the timeline.
-	for dst, k := range ns.links {
-		if k == nil || len(k.ret.recs) == 0 {
+	for dst, lc := range ns.cold {
+		if lc == nil || len(lc.ret.recs) == 0 {
 			continue
 		}
-		lk := &k.ret
+		k, lk := ns.links[dst], &lc.ret
 		start := 0
 		if from := imgs[dst].nextExpected[src]; from > lk.base {
 			start = int(from - lk.base)
@@ -279,16 +287,19 @@ func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 // the receiver's snapshot and will never need replaying.
 func (l *Layer) CkptStableTrim(imgs []*RelImage) {
 	for src, ns := range l.nodes {
-		ns.eachLink(func(k *link) {
-			lk := &k.ret
-			cur := imgs[k.peer].nextExpected[src]
+		for dst, lc := range ns.cold {
+			if lc == nil {
+				continue
+			}
+			lk := &lc.ret
+			cur := imgs[dst].nextExpected[src]
 			if cur <= lk.base || len(lk.recs) == 0 {
-				return
+				continue
 			}
 			drop := min(int(cur-lk.base), len(lk.recs))
 			lk.recs = append(lk.recs[:0:0], lk.recs[drop:]...)
 			lk.base += uint64(drop)
-		})
+		}
 	}
 }
 

@@ -631,9 +631,12 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 // One message hop is one wireMsg, packet header included, and an all-to-all
 // burst keeps every record of the run live at once: its size is most of the
 // simulator's bytes per message. A reliable hop adds a relMsg while it is
-// unacknowledged; and under random placement a node opens a link record to
-// most of the machine while sending each peer a handful of messages, so the
-// link record's size is paid per message too.
+// unacknowledged, chained from its link (80 bytes: its size class, with the
+// chain's word in place of a slab link of its own). Under random placement a
+// node opens a link record to most of the machine while sending each peer a
+// handful of messages, so the link record's size is paid per message too: one
+// cache line. An open batch is lent a record only while it or its deadline
+// lasts, so a node holds a few of those at a time.
 func TestRecordSizes(t *testing.T) {
 	if sz := unsafe.Sizeof(wireMsg{}); sz > 304 {
 		t.Errorf("wireMsg is %d bytes with its embedded packet header, want <= 304", sz)
@@ -641,7 +644,10 @@ func TestRecordSizes(t *testing.T) {
 	if sz := unsafe.Sizeof(relMsg{}); sz > 80 {
 		t.Errorf("relMsg is %d bytes, want <= 80", sz)
 	}
-	if sz := unsafe.Sizeof(link{}); sz > 336 {
-		t.Errorf("link is %d bytes with its inline window and batch, want <= 336", sz)
+	if sz := unsafe.Sizeof(link{}); sz > 64 {
+		t.Errorf("link is %d bytes, want <= 64: one cache line", sz)
+	}
+	if sz := unsafe.Sizeof(openBatch{}); sz > 120 {
+		t.Errorf("openBatch is %d bytes with its inline records and deadline, want <= 120", sz)
 	}
 }

@@ -1,67 +1,67 @@
 package remote
 
 import (
-	"slices"
-
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
-// linkInline is the inline capacity of a link's in-flight window and of its
-// open batch. Under random placement a node talks to most of the machine
-// but has only a record or two outstanding per peer, so a link that
-// allocated backing for either on first use would pay more for its buffers
-// than for its traffic.
-const linkInline = 4
+// Blocks of 16, 32, 64, 64, … links and 8, 16, 32, 32, … open batches
+// (sim.Arena.NewFrom): N10/P256 under random placement opens 138–195 links a
+// node and holds up to ~100 batches open on one, so the usual first blocks of
+// 2, 4 and 8 would only add allocations.
+const linkFirst, linkBlock, batchFirst, batchBlock = 16, 64, 8, 32
 
-// link is everything one node keeps about one peer for the reliable,
-// delayed-ack and batching layers: created on first contact in either
-// direction, carved from the node's slab, never released. Only the owning
-// node's lane touches it — acknowledgments arrive back on the sender's lane.
+// link is what one node keeps about one peer for the reliable, delayed-ack
+// and batching layers that a message on a lossless link touches: one cache
+// line, created on first contact in either direction, carved from the node's
+// arena, never released. Only the owning node's lane touches it —
+// acknowledgments arrive back on the sender's lane.
 type link struct {
-	mn   *machine.Node // the owning node
-	peer int
-	next *link // the owner's links, in first-contact order
-	free *link // the slab's; links are never released
-
-	// Sending half of the reliable protocol (owner -> peer).
-	nextSeq uint64
-	base    uint64    // sequence number of win[0]
-	win     []*relMsg // in flight, indexed by seq-base; nil once acknowledged
-	ret     retainLink
-
-	// Receiving half (peer -> owner): the delivery cursor and the arrivals
-	// held beyond a gap, sorted by sequence number.
-	nextExpected uint64
-	held         []*machine.Packet
-
-	// Delayed-ack ledger of the inbound direction.
-	cum       uint64   // every seq < cum has arrived here
-	above     []uint64 // sorted arrived seqs beyond a gap
-	owed      int      // arrivals not yet acknowledged
-	owedSince sim.Time // arrival time of the first owed copy
-
-	// Open batch of the outbound direction.
-	pkts       []*machine.Packet // pending records, in enqueue (= seq) order
-	bytes      int               // sum of the records' standalone wire sizes
-	firstClock sim.Time          // sender clock when the batch was opened
-	maxClock   sim.Time          // latest sender clock among enqueued records
-	timer      sim.Timer         // the batch's flush deadline
-
-	winBuf [linkInline]*relMsg
-	pktBuf [linkInline]*machine.Packet
+	peer         int32
+	owed         int32      // delayed-ack ledger: arrivals not yet acknowledged
+	nextSeq      uint64     // the next sequence number owner -> peer
+	nextExpected uint64     // the delivery cursor peer -> owner
+	cum          uint64     // every seq < cum has arrived here
+	owedSince    sim.Time   // arrival time of the first owed copy
+	head         *relMsg    // in flight, chained through wnext in sequence order
+	batch        *openBatch // the outbound open batch or its pending deadline
+	next         *link      // the owner's links, in first-contact order
 }
 
-// PoolLink names the intrusive link for sim.Slab.
-func (k *link) PoolLink() **link { return &k.free }
+// linkCold is what only faults and checkpoints need of a link, made on first
+// use: a fault-free, checkpoint-free run makes none.
+type linkCold struct {
+	held  []*machine.Packet // arrivals beyond a gap, sorted by sequence number
+	above []uint64          // sorted arrived seqs beyond a gap in the ack ledger
+	ret   retainLink
+}
 
-// peers is one node's state for those layers: its link records — a table
-// indexed by peer, allocated with the first record, and the records chained
-// in first-contact order — and its share of the reliable protocol.
+// openBatch is a link's open batch and its flush deadline, lent to the link
+// while either lasts — a deadline left by an early flush serves the link's
+// next batch. An idle record keeps its backing and is chained through next.
+type openBatch struct {
+	deadline[openBatch]
+	k          *link
+	pkts       []*machine.Packet  // pending records, in enqueue (= seq) order
+	bytes      int                // sum of the records' standalone wire sizes
+	firstClock sim.Time           // sender clock when the batch was opened
+	maxClock   sim.Time           // latest sender clock among enqueued records
+	pktBuf     [4]*machine.Packet // a batch mostly holds a record or two
+}
+
+func (ob *openBatch) entry() *deadline[openBatch] { return &ob.deadline }
+
+// peers is one node's state for those layers: its links (a table by peer and
+// a chain in first-contact order), their cold records, its open batches and
+// their flush deadlines, and its share of the reliable protocol.
 type peers struct {
 	links              []*link
+	cold               []*linkCold // by peer; nil until a link needs one
 	linkHead, linkTail *link
-	linkSlab           sim.Slab[link, *link]
+	linkArena          sim.Arena[link]
+	batchArena         sim.Arena[openBatch]
+	idle               *openBatch
+	flushes            deadlines[openBatch, *openBatch]
 	rel                relNode
 }
 
@@ -73,9 +73,8 @@ func (l *Layer) link(node, peer int) *link {
 	}
 	k := ns.links[peer]
 	if k == nil {
-		k = ns.linkSlab.Get()
-		k.mn, k.peer = l.m.Node(node), peer
-		k.win, k.pkts = k.winBuf[:0], k.pktBuf[:0]
+		k = ns.linkArena.NewFrom(linkFirst, linkBlock)
+		k.peer = int32(peer)
 		if ns.linkTail == nil {
 			ns.linkHead = k
 		} else {
@@ -95,6 +94,25 @@ func (ns *nodeState) peer(peer int) *link {
 	return ns.links[peer]
 }
 
+// coldOf returns the cold record of the link to peer, nil if it has none.
+func (p *peers) coldOf(peer int) *linkCold {
+	if p.cold == nil {
+		return nil
+	}
+	return p.cold[peer]
+}
+
+// coldFor is coldOf for an existing link, making the record on first use.
+func (p *peers) coldFor(peer int) *linkCold {
+	if p.cold == nil {
+		p.cold = make([]*linkCold, len(p.links))
+	}
+	if p.cold[peer] == nil {
+		p.cold[peer] = &linkCold{}
+	}
+	return p.cold[peer]
+}
+
 // eachLink visits the node's link records in first-contact order — the one
 // way checkpoint images and teardown read them.
 func (ns *nodeState) eachLink(visit func(*link)) {
@@ -106,48 +124,58 @@ func (ns *nodeState) eachLink(visit func(*link)) {
 	}
 }
 
-// track enters m into the in-flight window. A send carries the link's next
-// sequence number and lands at the end; only a rollback's replay re-pends
+// batchFor returns k's open-batch record, lending it one if it has none.
+func (p *peers) batchFor(k *link) *openBatch {
+	if k.batch == nil {
+		ob := p.idle
+		if ob == nil {
+			ob = p.batchArena.NewFrom(batchFirst, batchBlock)
+			ob.pkts = ob.pktBuf[:0]
+		} else {
+			p.idle, ob.next = ob.next, nil
+		}
+		ob.k, k.batch = k, ob
+	}
+	return k.batch
+}
+
+// closeBatch takes back k's empty record once its deadline is spent.
+func (p *peers) closeBatch(k *link) {
+	ob := k.batch
+	k.batch, ob.k = nil, nil
+	ob.next, p.idle = p.idle, ob
+}
+
+// find returns the place in k's in-flight chain that holds or would hold seq:
+// a link has a record or two in flight on a lossless network.
+func (k *link) find(seq uint64) **relMsg {
+	at := &k.head
+	for *at != nil && (*at).seq < seq {
+		at = &(*at).wnext
+	}
+	return at
+}
+
+// track enters m into the in-flight chain. A send carries the link's next
+// sequence number and goes at the end; only a rollback's replay re-pends
 // older numbers, possibly after a send of the restored timeline got in first.
 // It may even re-pend that send's own number — the send was retained before
 // the replay ran. The replayed record then takes the entry, as it would a map
 // key, and the first lives on in the retry schedule alone.
 func (k *link) track(m *relMsg) {
-	if len(k.win) == 0 {
-		k.base = m.seq
-	} else if m.seq < k.base {
-		k.win = slices.Insert(k.win, 0, make([]*relMsg, k.base-m.seq)...)
-		k.base = m.seq
+	at := k.find(m.seq)
+	m.wnext = *at
+	if old := *at; old != nil && old.seq == m.seq {
+		m.wnext, old.wnext = old.wnext, nil
 	}
-	if i := m.seq - k.base; i < uint64(len(k.win)) {
-		k.win[i] = m
-	} else {
-		k.win = append(k.win, m)
-	}
+	*at = m
 }
 
-// inflight returns the unacknowledged record with the given sequence number.
-func (k *link) inflight(seq uint64) *relMsg {
-	if i := seq - k.base; i < uint64(len(k.win)) {
-		return k.win[i]
-	}
-	return nil
-}
-
-// untrack clears the window's entry for seq — whichever record holds it (see
-// track) — and slides the window past every leading gap, keeping its backing.
+// untrack takes the chain's entry for seq out, whichever record holds it (see
+// track).
 func (k *link) untrack(seq uint64) {
-	if i := seq - k.base; i < uint64(len(k.win)) {
-		k.win[i] = nil
-	}
-	lead := 0
-	for lead < len(k.win) && k.win[lead] == nil {
-		lead++
-	}
-	if lead > 0 {
-		n := copy(k.win, k.win[lead:])
-		clear(k.win[n:])
-		k.win = k.win[:n]
-		k.base += uint64(lead)
+	at := k.find(seq)
+	if m := *at; m != nil && m.seq == seq {
+		*at, m.wnext = m.wnext, nil
 	}
 }

@@ -52,39 +52,115 @@ const ackBytes = packetHeaderBytes + 8
 // ack or repaired by retransmission.
 const maxSelAcks = 32
 
-// relMsg is one unacknowledged in-flight message at its sender, slab-backed
-// and reachable from its link's window. It carries no timer: the current
-// attempt's retry deadline is a time and a reserved tie-break position, and
-// the node's one retry timer stands at the earliest of them (see schedule).
-type relMsg struct {
-	free       *relMsg  // the slab's
-	prev, next *relMsg  // the node's deadlines, earliest first
-	due        sim.Time // retry deadline of the current attempt; 0: none
-	dueSeq     uint64   // its reserved position among equal-time events
-	seq        uint64
-	payload    any   // forwarded to every attempt's packet (see send)
-	size       int32 // wire size including relHeaderBytes
-	category   int32
-	dst        int32
-	attempts   int32
+// deadline is a record's entry in a list of its node's deadlines: when it
+// falls due, the position among equal-time events reserved for it, and its
+// neighbours. due is 0 exactly while the record is off the list.
+type deadline[T any] struct {
+	prev, next *T
+	due        sim.Time
+	dueSeq     uint64
 }
 
+// deadlines is one node's retry or flush deadlines, earliest first, and the
+// one timer that stands at the first (armed) at its reserved position: each
+// fires exactly where a timer per record would have, from one queued slot.
+type deadlines[T any, P interface {
+	*T
+	entry() *deadline[T]
+}] struct {
+	head, tail, armed *T
+	timer             sim.Timer
+}
+
+// add gives m a deadline at due, reserving the position a timer armed now
+// from mn's lane would take. Deadlines mostly come in order, so the list is
+// searched from its far end; a new position is later than every earlier one,
+// so among equal times m goes last.
+func (s *deadlines[T, P]) add(eng *sim.Engine, mn *machine.Node, m *T, due sim.Time) {
+	d := P(m).entry()
+	d.due = due
+	eng.ReserveSeq(mn.Lane(), &d.dueSeq)
+	after := s.tail
+	for after != nil && P(after).entry().due > due {
+		after = P(after).entry().prev
+	}
+	if d.prev = after; after == nil {
+		d.next, s.head = s.head, m
+	} else {
+		d.next, P(after).entry().next = P(after).entry().next, m
+	}
+	if d.next == nil {
+		s.tail = m
+	} else {
+		P(d.next).entry().prev = m
+	}
+}
+
+// remove takes m's deadline off the list.
+func (s *deadlines[T, P]) remove(m *T) {
+	d := P(m).entry()
+	if d.prev == nil {
+		s.head = d.next
+	} else {
+		P(d.prev).entry().next = d.next
+	}
+	if d.next == nil {
+		s.tail = d.prev
+	} else {
+		P(d.next).entry().prev = d.prev
+	}
+	d.prev, d.next, d.due = nil, nil, 0
+}
+
+// follow keeps the timer at the earliest deadline, or stops it when there
+// is none; kind's handler gets arg and takes the record off with fired.
+func (s *deadlines[T, P]) follow(eng *sim.Engine, mn *machine.Node, kind sim.Kind, arg any) {
+	m := s.head
+	if m == s.armed {
+		return
+	}
+	if s.armed = m; m == nil {
+		s.timer.Stop()
+		return
+	}
+	d := P(m).entry()
+	eng.StartTimerAt(mn.Lane(), &s.timer, d.due, d.dueSeq, kind, arg)
+}
+
+// fired takes the deadline the timer stood at off the list and returns its
+// record.
+func (s *deadlines[T, P]) fired() *T {
+	m := s.armed
+	s.armed = nil
+	s.remove(m)
+	return m
+}
+
+// relMsg is one unacknowledged in-flight message at its sender, slab-backed
+// and chained from its link. It carries no timer, only its retry deadline; it
+// leaves the node's retry list before it is released, so the list's next
+// doubles as the slab's link.
+type relMsg struct {
+	deadline[relMsg]         // retry deadline of the current attempt
+	wnext            *relMsg // the link's in-flight chain
+	seq              uint64
+	payload          any   // forwarded to every attempt's packet (see send)
+	size             int32 // wire size including relHeaderBytes
+	category         int32
+	dst              int32
+	attempts         int32
+}
+
+func (m *relMsg) entry() *deadline[relMsg] { return &m.deadline }
+
 // PoolLink names the intrusive link for sim.Slab.
-func (m *relMsg) PoolLink() **relMsg { return &m.free }
+func (m *relMsg) PoolLink() **relMsg { return &m.next }
 
 // relNode is one node's share of the protocol beyond its link records: the
 // record pool, the retry schedule and the delayed-ack schedule.
 type relNode struct {
-	msgs sim.Slab[relMsg, *relMsg]
-
-	// The retry schedule: every in-flight record with a deadline, earliest
-	// first, and the one timer that stands at the first of them (armed) —
-	// moved when that changes, stopped when the list empties, so a node with
-	// nothing unacknowledged holds no live event.
-	head, tail *relMsg
-	armed      *relMsg
-	retry      sim.Timer
-
+	msgs     sim.Slab[relMsg, *relMsg]
+	retries  deadlines[relMsg, *relMsg]
 	owedTo   []*link   // links with owed arrivals, in first-owed order
 	ackTimer sim.Timer // the delayed-ack deadline
 }
@@ -123,46 +199,20 @@ func newReliable(l *Layer) *reliable {
 	return r
 }
 
-// finish takes an acknowledged or abandoned record out of its link's window
+// finish takes an acknowledged or abandoned record out of its link's chain
 // and out of the retry schedule, and recycles it.
 func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
 	k.untrack(m.seq)
 	if m.due != 0 {
-		ns.rel.unschedule(m)
+		ns.rel.retries.remove(m)
 		r.schedule(ns)
 	}
 	ns.rel.msgs.Put(m)
 }
 
-// unschedule takes m's deadline off the list.
-func (n *relNode) unschedule(m *relMsg) {
-	if m.prev == nil {
-		n.head = m.next
-	} else {
-		m.prev.next = m.next
-	}
-	if m.next == nil {
-		n.tail = m.prev
-	} else {
-		m.next.prev = m.prev
-	}
-	m.prev, m.next, m.due = nil, nil, 0
-}
-
-// schedule keeps the node's retry timer at its earliest deadline, at that
-// message's own reserved position: retries fire exactly where per-message
-// timers would have fired them, from one queued slot per node.
+// schedule keeps the node's retry timer at its earliest deadline.
 func (r *reliable) schedule(ns *nodeState) {
-	n := &ns.rel
-	m := n.head
-	if m == n.armed {
-		return
-	}
-	if n.armed = m; m == nil {
-		n.retry.Stop()
-		return
-	}
-	r.l.m.Eng.StartTimerAt(r.l.m.Node(ns.id).Lane(), &n.retry, m.due, m.dueSeq, r.wakeKind, ns)
+	ns.rel.retries.follow(r.l.m.Eng, r.l.m.Node(ns.id), r.wakeKind, ns)
 }
 
 // send assigns the next sequence number on the (src, dst) link, records the
@@ -197,7 +247,7 @@ func (r *reliable) send(mn *machine.Node, pkt *machine.Packet) {
 	mn.ReleasePacket(pkt)
 	k.track(m)
 	if r.l.ckpt {
-		k.retain(m)
+		ns.coldFor(dst).ret.retain(src, dst, m)
 	}
 	r.l.rt.NodeRT(src).C.RelSent++
 	r.xmit(mn, ns, m)
@@ -240,35 +290,14 @@ func (r *reliable) xmit(mn *machine.Node, ns *nodeState, m *relMsg) {
 		delay += arrival - now
 	}
 	// The deadline takes the place in the event order a timer armed here
-	// would take. Deadlines mostly come in order, so the list is searched
-	// from its far end; a new position is later than every earlier one, so
-	// among equal times m goes last.
-	n := &ns.rel
-	m.due = mn.EventNow() + delay
-	r.l.m.Eng.ReserveSeq(mn.Lane(), &m.dueSeq)
-	after := n.tail
-	for after != nil && after.due > m.due {
-		after = after.prev
-	}
-	if m.prev = after; after == nil {
-		m.next, n.head = n.head, m
-	} else {
-		m.next, after.next = after.next, m
-	}
-	if m.next == nil {
-		n.tail = m
-	} else {
-		m.next.prev = m
-	}
+	// would take.
+	ns.rel.retries.add(r.l.m.Eng, mn, m, mn.EventNow()+delay)
 	r.schedule(ns)
 }
 
 // wake fires at the node's earliest retry deadline.
 func (r *reliable) wake(ns *nodeState) {
-	n := &ns.rel
-	m := n.armed
-	n.armed = nil
-	n.unschedule(m)
+	m := ns.rel.retries.fired()
 	r.retry(r.l.m.Node(ns.id), ns, m)
 	r.schedule(ns)
 }
@@ -333,6 +362,7 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 	}
 	src, seq := pkt.Src, pkt.Seq
 	k := r.l.link(rn.ID, src)
+	ns := r.l.nodes[rn.ID]
 	c := &r.l.rt.NodeRT(rn.ID).C
 
 	next := k.nextExpected
@@ -346,14 +376,15 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 		r.deliver(rn, c, pkt)
 		k.nextExpected++
 		// Flush any consecutive held messages the gap was blocking.
-		for len(k.held) > 0 && k.held[0].Seq == k.nextExpected {
-			h := k.held[0]
-			k.held = slices.Delete(k.held, 0, 1)
+		for lc := ns.coldOf(src); lc != nil && len(lc.held) > 0 && lc.held[0].Seq == k.nextExpected; {
+			h := lc.held[0]
+			lc.held = slices.Delete(lc.held, 0, 1)
 			r.deliver(rn, c, h)
 			k.nextExpected++
 		}
 	default: // seq > next: a gap — hold for in-order delivery
-		i, dup := slices.BinarySearchFunc(k.held, seq, func(h *machine.Packet, seq uint64) int {
+		lc := ns.coldFor(src)
+		i, dup := slices.BinarySearchFunc(lc.held, seq, func(h *machine.Packet, seq uint64) int {
 			return cmp.Compare(h.Seq, seq)
 		})
 		if dup {
@@ -365,7 +396,7 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 		}
 		// The packet outlives this handler; keep it out of the pool.
 		pkt.Retain()
-		k.held = slices.Insert(k.held, i, pkt)
+		lc.held = slices.Insert(lc.held, i, pkt)
 		c.HeldOutOfOrder++
 		if r.l.rt.Tracing() {
 			r.l.rt.Tracef(rn.Now(), rn.ID, trace.EvHold,
@@ -411,10 +442,13 @@ func (r *reliable) sendAck(rn *machine.Node, src int, seq uint64, at sim.Time) {
 	rn.ControllerSend(at, r.ack(rn, src, ackBytes, seq, r.hAck))
 }
 
-// selAcks returns the out-of-order arrivals a cumulative ack for k lists
+// selAcks returns the out-of-order arrivals a cumulative ack to peer lists
 // beside its cursor (a view into the ledger, to be copied by the caller).
-func selAcks(k *link) []uint64 {
-	return k.above[:min(len(k.above), maxSelAcks)]
+func (ns *nodeState) selAcks(peer int32) []uint64 {
+	if lc := ns.coldOf(int(peer)); lc != nil {
+		return lc.above[:min(len(lc.above), maxSelAcks)]
+	}
+	return nil
 }
 
 // noteArrival records the controller-level arrival of seq on the src link
@@ -422,22 +456,25 @@ func selAcks(k *link) []uint64 {
 // immediately. Runs in the data packet's OnArrive hook.
 func (r *reliable) noteArrival(rn *machine.Node, src int, seq uint64) {
 	k := r.l.link(rn.ID, src)
+	ns := r.l.nodes[rn.ID]
 	switch {
 	case seq == k.cum:
 		k.cum++
-		ab := k.above
-		for len(ab) > 0 && ab[0] == k.cum {
-			ab = ab[1:]
-			k.cum++
+		if lc := ns.coldOf(src); lc != nil {
+			ab := lc.above
+			for len(ab) > 0 && ab[0] == k.cum {
+				ab = ab[1:]
+				k.cum++
+			}
+			lc.above = ab
 		}
-		k.above = ab
 	case seq > k.cum:
-		if i, ok := slices.BinarySearch(k.above, seq); !ok {
-			k.above = slices.Insert(k.above, i, seq)
+		lc := ns.coldFor(src)
+		if i, ok := slices.BinarySearch(lc.above, seq); !ok {
+			lc.above = slices.Insert(lc.above, i, seq)
 		}
 		// seq < cum: a duplicate copy; the pending cumulative ack covers it.
 	}
-	ns := r.l.nodes[rn.ID]
 	n := &ns.rel
 	if k.owed == 0 {
 		n.owedTo = append(n.owedTo, k)
@@ -473,7 +510,7 @@ func (r *reliable) flushAcks(ns *nodeState) {
 		}
 		due := k.owedSince + r.ackDelay
 		if due <= now {
-			r.emit(rn, k, now)
+			r.emit(rn, ns, k, now)
 			continue
 		}
 		kept = append(kept, k)
@@ -491,9 +528,10 @@ func (r *reliable) flushAcks(ns *nodeState) {
 // emit sends one cumulative acknowledgment packet for k's inbound direction,
 // replacing owed-1 individual ack packets. Like per-copy acks it is
 // controller traffic: wire bandwidth, no processor time.
-func (r *reliable) emit(rn *machine.Node, k *link, at sim.Time) {
-	rcv, src := rn.ID, k.peer
-	size := ackBytes + 8*len(selAcks(k))
+func (r *reliable) emit(rn *machine.Node, ns *nodeState, k *link, at sim.Time) {
+	rcv, src := rn.ID, int(k.peer)
+	sel := ns.selAcks(k.peer)
+	size := ackBytes + 8*len(sel)
 	owed := k.owed
 	k.owed = 0
 	c := &r.l.rt.NodeRT(rcv).C
@@ -509,7 +547,7 @@ func (r *reliable) emit(rn *machine.Node, k *link, at sim.Time) {
 		}
 	}
 	p := r.ack(rn, src, size, k.cum, r.hAckCum)
-	if sel := selAcks(k); len(sel) > 0 {
+	if len(sel) > 0 {
 		p.Payload = slices.Clone(sel)
 	}
 	rn.ControllerSend(at, p)
@@ -520,21 +558,21 @@ func (r *reliable) emit(rn *machine.Node, k *link, at sim.Time) {
 // are immediate, nothing is owed, or the carrier departs later than the
 // standalone delayed ack would: stealing the owed acks then would stretch
 // the ack latency past the bound the retransmission timeout budgets.
-func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (*link, int) {
+func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (k *link, owed int32, sel []uint64) {
 	if r.ackDelay == 0 {
-		return nil, 0
+		return nil, 0, nil
 	}
-	k := r.l.nodes[mn.ID].peer(dst)
+	k = r.l.nodes[mn.ID].peer(dst)
 	if k == nil || k.owed == 0 || at > k.owedSince+r.ackDelay {
-		return nil, 0
+		return nil, 0, nil
 	}
-	owed := k.owed
+	owed, sel = k.owed, r.l.nodes[mn.ID].selAcks(k.peer)
 	k.owed = 0
 	r.l.rt.NodeRT(mn.ID).C.AcksCoalesced += uint64(owed)
 	if np := mn.Prof(); np != nil {
-		np.PacketBytes(profile.Ack, 8+8*len(selAcks(k)))
+		np.PacketBytes(profile.Ack, 8+8*len(sel))
 	}
-	return k, owed
+	return k, owed, sel
 }
 
 // piggybackAck attaches the acknowledgments this node owes dst to a
@@ -542,13 +580,13 @@ func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (*link, int) {
 // standalone ack packets entirely. It returns the extra wire bytes the ack
 // contributes.
 func (r *reliable) piggybackAck(mn *machine.Node, dst int, wb *wireBatch, at sim.Time) int {
-	k, owed := r.owes(mn, dst, at)
+	k, owed, sel := r.owes(mn, dst, at)
 	if k == nil {
 		return 0
 	}
 	wb.hasAck = true
 	wb.ackCum = k.cum
-	wb.ackSel = append(wb.ackSel[:0], selAcks(k)...)
+	wb.ackSel = append(wb.ackSel[:0], sel...)
 	if r.l.rt.Tracing() {
 		r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
 			"piggyback ack %d on batch to n%d covers %d arrivals", wb.ackCum, dst, owed)
@@ -561,11 +599,11 @@ func (r *reliable) piggybackAck(mn *machine.Node, dst int, wb *wireBatch, at sim
 // batch) departing at the given instant, growing its wire size by the ack
 // framing. Like piggybackAck it replaces the owed standalone ack packets.
 func (r *reliable) piggybackOnPacket(mn *machine.Node, p *machine.Packet, at sim.Time) int {
-	k, owed := r.owes(mn, p.Dst, at)
+	k, owed, sel := r.owes(mn, p.Dst, at)
 	if k == nil {
 		return 0
 	}
-	rd := &ackRider{payload: p.Payload, cum: k.cum, sel: slices.Clone(selAcks(k))}
+	rd := &ackRider{payload: p.Payload, cum: k.cum, sel: slices.Clone(sel)}
 	p.Payload = rd
 	if r.l.rt.Tracing() {
 		r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
@@ -579,9 +617,8 @@ func (r *reliable) piggybackOnPacket(mn *machine.Node, p *machine.Packet, at sim
 // selectively listed out-of-order arrivals.
 func (r *reliable) ackCumReceived(sn *machine.Node, rcv int, cum uint64, sel []uint64) {
 	if k := r.l.nodes[sn.ID].peer(rcv); k != nil {
-		for len(k.win) > 0 && k.base < cum {
-			// Completing the window's first record slides the window.
-			r.ackReceived(sn, rcv, k.base)
+		for k.head != nil && k.head.seq < cum {
+			r.ackReceived(sn, rcv, k.head.seq)
 		}
 	}
 	for _, seq := range sel {
@@ -598,8 +635,8 @@ func (r *reliable) ackReceived(sn *machine.Node, dst int, seq uint64) {
 	if k == nil {
 		return
 	}
-	m := k.inflight(seq)
-	if m == nil {
+	m := *k.find(seq)
+	if m == nil || m.seq != seq {
 		return
 	}
 	r.finish(ns, k, m)
@@ -615,10 +652,8 @@ func (r *reliable) Unacked() int {
 	total := 0
 	for _, ns := range r.l.nodes {
 		ns.eachLink(func(k *link) {
-			for _, m := range k.win {
-				if m != nil {
-					total++
-				}
+			for m := k.head; m != nil; m = m.wnext {
+				total++
 			}
 		})
 	}

@@ -363,6 +363,45 @@ func TestLocationCacheInvalidate(t *testing.T) {
 	}
 }
 
+func TestColdLinkStateOnlyUnderFaults(t *testing.T) {
+	// What only faults and checkpoints need — reorder buffer, selective-ack
+	// set, retention — is a link's cold record, made on first use: the full
+	// wire path on a clean network never makes one, the same run under the
+	// retry pin's fault plan does, and both end with nothing in flight.
+	opt := wireOpts(3)
+	opt.AckDelay = 500 * sim.Microsecond
+	for _, tc := range []struct {
+		name string
+		plan fault.Plan
+	}{
+		{"lossless", fault.Plan{}},
+		{"lossy", fault.UniformLinks(0.10, 0.05, 2*sim.Microsecond)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, l := buildFaultyOpts(t, 2, tc.plan, opt, 3)
+			order, _, _ := runCounterStreamOn(t, rt, l, 300)
+			c := rt.TotalStats()
+			if len(order) != 300 || c.BatchesSent == 0 || c.AcksCoalesced == 0 {
+				t.Fatalf("delivered %d of 300, batches=%d coalesced=%d", len(order), c.BatchesSent, c.AcksCoalesced)
+			}
+			cold := 0
+			for _, ns := range l.nodes {
+				for _, lc := range ns.cold {
+					if lc != nil {
+						cold++
+					}
+				}
+			}
+			if lossy := tc.plan.Enabled(); lossy != (cold > 0) || lossy != (c.Retransmits > 0) {
+				t.Errorf("%d cold link records and %d retransmits, want both zero exactly when the network is clean", cold, c.Retransmits)
+			}
+			if n := l.rel.Unacked(); n != 0 {
+				t.Errorf("%d messages still unacked at quiescence", n)
+			}
+		})
+	}
+}
+
 func TestRollbackKeepsFlushDeadlineLive(t *testing.T) {
 	// A rollback tears an open batch down while its flush deadline is still
 	// queued. The next batch opened on that link must leave within the batch

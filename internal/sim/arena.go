@@ -27,3 +27,12 @@ func (a *Arena[T]) New(maxBlock int) *T {
 	a.block = a.block[:n+1]
 	return &a.block[n]
 }
+
+// NewFrom is New for an owner that will want many records once it wants
+// any: its first block holds minBlock of them, and blocks double from there.
+func (a *Arena[T]) NewFrom(minBlock, maxBlock int) *T {
+	if cap(a.block) == 0 {
+		a.block = make([]T, 0, minBlock)
+	}
+	return a.New(maxBlock)
+}

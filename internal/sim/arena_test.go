@@ -32,4 +32,21 @@ func TestArenaCarvesDoublingBlocks(t *testing.T) {
 	if want := 3.0 + 11; allocs != want {
 		t.Errorf("%d records with a cap of %d took %.0f allocations, want %.0f", n, maxBlock, allocs, want)
 	}
+	// From a first block of 16 and a cap of 64: 16 + 32 + 64 = 112 records in
+	// three blocks.
+	allocs = testing.AllocsPerRun(1, func() {
+		a = Arena[rec]{}
+		for i := range recs {
+			recs[i] = a.NewFrom(16, 64)
+			recs[i].id = i + 1
+		}
+	})
+	for i, r := range recs {
+		if r.id != i+1 {
+			t.Fatalf("NewFrom: record %d reads %d: two records share a slot", i, r.id)
+		}
+	}
+	if allocs != 3 {
+		t.Errorf("NewFrom: %d records from a first block of 16 took %.0f allocations, want 3", n, allocs)
+	}
 }
