@@ -1,9 +1,8 @@
 # Convenience targets for the ABCL/onAP1000 reproduction.
 #
-#   make tier1           build + full test suite + bench smoke + profile smoke + runpack regress
+#   make tier1           build + full test suite + bench smoke + runpack regress
 #   make vet-race        gofmt + go vet + the whole test suite raced, in shuffled order
 #   make scenario-smoke  run every bundled fault scenario end to end
-#   make profile-smoke   run nqueens with -profile/-metrics, validate the JSONL schema
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
 #   make bench-test      the benchmark harness's own tests (bench/ is its own module)
 #   make check           tier1, vet-race, scenario-smoke and bench-test
@@ -15,7 +14,7 @@
 #   make cover           per-package test coverage summary
 #   make loc             non-test and test Go line counts outside bench/, and the docs' line counts
 
-.PHONY: all tier1 vet-race scenario-smoke profile-smoke regress check cover loc bench bench-trace bench-test alloc-profile cpu-profile
+.PHONY: all tier1 vet-race scenario-smoke regress check cover loc bench bench-trace bench-test alloc-profile cpu-profile
 
 all: tier1
 
@@ -23,7 +22,6 @@ tier1:
 	go build ./...
 	go test ./...
 	go test -run xxx -bench . -benchtime 1x .
-	$(MAKE) profile-smoke
 	$(MAKE) regress
 
 vet-race:
@@ -33,15 +31,6 @@ vet-race:
 
 scenario-smoke:
 	go run ./cmd/abclsim -scenario all
-
-# End-to-end check of the observability exporters: run a profiled workload,
-# then validate the JSONL stream against the documented schema and the
-# metrics summary against the stream (the two sinks must agree exactly).
-SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)
-profile-smoke:
-	go run ./cmd/abclsim -workload nqueens -n 8 -nodes 8 \
-		-profile $(SMOKE_DIR)/abcl-profile-smoke.jsonl -metrics $(SMOKE_DIR)/abcl-profile-smoke.json >/dev/null
-	go run ./cmd/profcheck -nodes 8 -metrics $(SMOKE_DIR)/abcl-profile-smoke.json $(SMOKE_DIR)/abcl-profile-smoke.jsonl
 
 # Determinism regression gate: every checked-in runpack is re-executed and
 # must reproduce its packed trace, report and answer byte-for-byte.
@@ -73,6 +62,7 @@ bench-test:
 # sampled here. ARGS appends flags to the run: the benchmark's reliable
 # workload is ARGS='-batch-window 10000 -ack-delay 500000'.
 ARGS ?=
+SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)
 alloc-profile:
 	go build -o $(SMOKE_DIR)/abcl-alloc-profile.bin ./cmd/abclsim
 	GODEBUG=memprofilerate=1 $(SMOKE_DIR)/abcl-alloc-profile.bin -workload nqueens -n 10 -nodes 256 \

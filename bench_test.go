@@ -2,8 +2,9 @@
 // decisions called out in DESIGN.md. Each runs its experiment on the
 // simulator and reports the *virtual-time* quantity as a custom metric
 // (virtual-ms, speedup, …). The paper's own tables and figures are
-// internal/exp (cmd/tables, cmd/figures, exp_test.go); wall-clock has one
-// ruler, `make bench`, so the ns/op printed here is not tracked anywhere.
+// internal/exp (`abclsim tables`, `abclsim figures`, exp_test.go);
+// wall-clock has one ruler, `make bench`, so the ns/op printed here is not
+// tracked anywhere.
 //
 //	go test -run xxx -bench . -benchtime 1x .
 package abcl_test

@@ -37,13 +37,24 @@
 // Any run, plain or scenario, can be captured as a verifiable artifact:
 // -pack writes an integrity-checked runpack archive (config + full trace +
 // profile + report); verify/diff/regress replay and compare archives, and
-// validate checks a spec file, a scenario file or a pack without running it:
+// validate checks a spec file, a scenario file or a pack without running it
+// — or a -profile stream against the schema and its run's -metrics summary:
 //
 //	abclsim -workload hotkey -coverage full -pack out/
 //	abclsim verify out/runpack_<id>.zip
 //	abclsim diff a.zip b.zip
 //	abclsim regress testdata/runpacks
 //	abclsim validate path/to/spec.json
+//	abclsim validate run.jsonl run.json
+//
+// tables and figures print the paper's evaluation as the markdown tables
+// EXPERIMENTS.md embeds; figures -pack also packs every sweep point and
+// prints its runpack id, and -big runs the paper's full sizes (minutes):
+//
+//	abclsim tables
+//	abclsim tables -table 2
+//	abclsim figures -figure 5 -pack out/
+//	abclsim figures -big
 package main
 
 import (
@@ -65,6 +76,7 @@ import (
 	"repro/internal/apps/nqueens"
 	"repro/internal/apps/orderbook"
 	"repro/internal/apps/pingpong"
+	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/runpack"
 	"repro/internal/scenario"
@@ -94,7 +106,6 @@ func parseFlags(args []string) (*cli, error) {
 	sp := &c.spec
 	def := workload.Spec{}.WithDefaults()
 	fs := flag.NewFlagSet("abclsim", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // run reports the error, or the usage, itself
 	fs.StringVar(&sp.Workload, "workload", "nqueens", "workload: nqueens | pingpong | forkjoin | diffusion | hotkey | orderbook")
 	fs.StringVar(&c.scenario, "scenario", "", "run scenario documents instead of the flags' spec: all | <bundled name> | <path to .json>")
 	fs.IntVar(&sp.N, "n", def.N, "N-queens board size")
@@ -143,11 +154,7 @@ func parseFlags(args []string) (*cli, error) {
 	fs.Var((*timeFlag)(&sp.ProfileWindowNs), "profile-window",
 		"cost-profiler time-series slice width, as ns or a Go duration; implies -cost-table")
 
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			fs.SetOutput(os.Stderr)
-			fs.Usage()
-		}
+	if err := parse(fs, args); err != nil {
 		return nil, err
 	}
 	if c.scenario != "" {
@@ -200,6 +207,18 @@ func parseFlags(args []string) (*cli, error) {
 var instrumentFlags = map[string]bool{
 	"scenario": true, "pack": true, "trace": true, "profile": true, "metrics": true,
 	"cost-table": true, "cpuprofile": true, "memprofile": true,
+}
+
+// parse parses args into fs. run reports a parse error itself, so the flag
+// package prints nothing but the usage that -h asks for.
+func parse(fs *flag.FlagSet, args []string) error {
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(os.Stderr)
+		fs.Usage()
+	}
+	return err
 }
 
 // timeFlag is a virtual-time flag value accepting either raw nanoseconds
@@ -332,13 +351,13 @@ func main() {
 // run is the whole command: args are the command line after the program
 // name, stdout receives everything a successful run prints.
 func run(args []string, stdout io.Writer) error {
-	// Archive subcommands take positional arguments, not flags; dispatch
-	// before flag parsing so "abclsim verify pack.zip" just works.
-	if len(args) > 0 {
-		switch args[0] {
-		case "verify", "diff", "regress", "validate":
-			return runSubcommand(args[0], args[1:], stdout)
+	// A command line that does not open with a flag names a subcommand.
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		do, err := subcommand(args[0], args[1:])
+		if err != nil {
+			return err
 		}
+		return do(stdout)
 	}
 	c, err := parseFlags(args)
 	if err != nil {
@@ -399,82 +418,142 @@ func writeMemProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// runSubcommand handles the positional commands: verify replays one pack,
-// diff explains two, regress re-verifies a directory of them, validate
-// checks a spec file, a scenario file or a pack and runs nothing.
-func runSubcommand(cmd string, args []string, stdout io.Writer) error {
+// subcommand parses a positional command into the action run executes:
+// verify replays one pack, diff explains two, regress re-verifies a
+// directory of them, validate checks a file and runs nothing, tables and
+// figures print the paper's evaluation. Parsing alone runs nothing, which is
+// what TestDocumentedCommandsParse holds every documented line to.
+func subcommand(cmd string, args []string) (func(io.Writer) error, error) {
+	fs := flag.NewFlagSet("abclsim "+cmd, flag.ContinueOnError)
 	switch cmd {
 	case "verify":
 		if len(args) != 1 {
-			return fmt.Errorf("usage: abclsim verify <pack.zip>")
+			return nil, errors.New("usage: abclsim verify <pack.zip>")
 		}
-		p, err := runpack.Open(args[0])
-		if err != nil {
-			return err
-		}
-		v, err := runpack.Verify(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, v.Summary(p))
-		if !v.OK {
-			return fmt.Errorf("runpack %s failed verification", p.Manifest.ID)
-		}
-		return nil
-	case "diff":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: abclsim diff <a.zip> <b.zip>")
-		}
-		a, err := runpack.Open(args[0])
-		if err != nil {
-			return err
-		}
-		b, err := runpack.Open(args[1])
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, runpack.Diff(a, b).Summary(a, b))
-		return nil
-	case "regress":
-		dir := "testdata/runpacks"
-		if len(args) > 1 {
-			return fmt.Errorf("usage: abclsim regress [dir]")
-		}
-		if len(args) == 1 {
-			dir = args[0]
-		}
-		return runpack.Regress(dir, stdout)
-	case "validate":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: abclsim validate <spec.json | scenario.json | pack.zip>")
-		}
-		var doc scenario.Spec
-		if strings.HasSuffix(args[0], ".zip") {
+		return func(w io.Writer) error {
 			p, err := runpack.Open(args[0])
 			if err != nil {
 				return err
 			}
-			doc = p.Config
-		} else {
-			data, err := os.ReadFile(args[0])
+			v, err := runpack.Verify(p)
 			if err != nil {
 				return err
 			}
-			if err := workload.DecodeStrict(data, &doc); err != nil {
-				return fmt.Errorf("%s: %w", args[0], err)
+			fmt.Fprint(w, v.Summary(p))
+			if !v.OK {
+				return fmt.Errorf("runpack %s failed verification", p.Manifest.ID)
+			}
+			return nil
+		}, nil
+	case "diff":
+		if len(args) != 2 {
+			return nil, errors.New("usage: abclsim diff <a.zip> <b.zip>")
+		}
+		return func(w io.Writer) error {
+			a, err := runpack.Open(args[0])
+			if err != nil {
+				return err
+			}
+			b, err := runpack.Open(args[1])
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(w, runpack.Diff(a, b).Summary(a, b))
+			return nil
+		}, nil
+	case "regress":
+		if len(args) > 1 {
+			return nil, errors.New("usage: abclsim regress [dir]")
+		}
+		dir := "testdata/runpacks"
+		if len(args) == 1 {
+			dir = args[0]
+		}
+		return func(w io.Writer) error { return runpack.Regress(dir, w) }, nil
+	case "validate":
+		if len(args) != 1 && (len(args) != 2 || !strings.HasSuffix(args[0], ".jsonl")) {
+			return nil, errors.New("usage: abclsim validate <spec.json | scenario.json | pack.zip | run.jsonl [run.json]>")
+		}
+		return func(w io.Writer) error { return validate(w, args) }, nil
+	case "tables":
+		table := fs.Int("table", 0, fmt.Sprintf("table to print, 1-%d; 0 prints all", exp.NumTables))
+		if err := parse(fs, args); err != nil {
+			return nil, err
+		}
+		if fs.NArg() > 0 || *table < 0 || *table > exp.NumTables {
+			return nil, fmt.Errorf("usage: abclsim tables [-table 1-%d]", exp.NumTables)
+		}
+		return func(w io.Writer) error { return exp.WriteTable(w, *table) }, nil
+	case "figures":
+		figure := fs.Int("figure", 0, "figure to print, 5 or 6; 0 prints both")
+		big := fs.Bool("big", false, "the paper's full sizes: N = 13 in Figure 5, N = 12 added to Figure 6 (minutes of CPU)")
+		packDir := fs.String("pack", "", "write a runpack per sweep point into this directory and print its id in the row")
+		if err := parse(fs, args); err != nil {
+			return nil, err
+		}
+		if fs.NArg() > 0 || (*figure != 0 && *figure != 5 && *figure != 6) {
+			return nil, errors.New("usage: abclsim figures [-figure 5|6] [-big] [-pack dir]")
+		}
+		return func(w io.Writer) error { return exp.WriteFigure(w, *figure, *big, *packDir) }, nil
+	}
+	return nil, fmt.Errorf("unknown subcommand %q", cmd)
+}
+
+// validate checks one file without running it: a run spec, a scenario
+// document or a pack against the run-spec rules, or a -profile stream
+// against its schema and, when a second file is given, against the
+// -metrics summary of its run.
+func validate(w io.Writer, args []string) error {
+	path := args[0]
+	if strings.HasSuffix(path, ".jsonl") {
+		var sum *trace.MetricsSummary
+		if len(args) == 2 {
+			data, err := os.ReadFile(args[1])
+			if err != nil {
+				return err
+			}
+			sum = new(trace.MetricsSummary)
+			if err := workload.DecodeStrict(data, sum); err != nil {
+				return fmt.Errorf("%s: %w", args[1], err)
 			}
 		}
-		check := doc.Validate
-		if doc.Plain() {
-			check = doc.Spec.Validate
+		f, err := os.Open(path)
+		if err != nil {
+			return err
 		}
-		if err := check(); err != nil {
-			return fmt.Errorf("%s: %w", args[0], err)
+		defer f.Close()
+		got, err := trace.CheckJSONL(f, sum)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
-		fmt.Fprintf(stdout, "%s: ok\n", args[0])
+		fmt.Fprintf(w, "%s: ok (%d events, %d kinds)\n", path, got.Total, len(got.ByKind))
 		return nil
 	}
-	return fmt.Errorf("unknown subcommand %q", cmd)
+	var doc scenario.Spec
+	if strings.HasSuffix(path, ".zip") {
+		p, err := runpack.Open(path)
+		if err != nil {
+			return err
+		}
+		doc = p.Config
+	} else {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := workload.DecodeStrict(data, &doc); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	check := doc.Validate
+	if doc.Plain() {
+		check = doc.Spec.Validate
+	}
+	if err := check(); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	fmt.Fprintf(w, "%s: ok\n", path)
+	return nil
 }
 
 // scenarios resolves -scenario: all bundled, one bundled by name, or a JSON
@@ -629,24 +708,16 @@ func commsLine(rep *abcl.Report) string {
 }
 
 // printCostTable emits the profiler's per-path cost table (Section 6 of the
-// paper, measured live) when -cost-table or -profile-window is in effect.
+// paper, measured live; the rows of Table 5) and its per-class lines when
+// -cost-table or -profile-window is in effect.
 func printCostTable(w io.Writer, p *abcl.ProfileReport) {
 	if p == nil {
 		return
 	}
-	fmt.Fprintf(w, "  per-path cost attribution (%d instructions total):\n", p.TotalInstr)
-	fmt.Fprintf(w, "    %-14s %12s %12s %8s %10s %10s\n", "path", "events", "instr", "share", "instr/ev", "packets")
-	for _, ps := range p.Paths {
-		perEv := ""
-		if ps.Events > 0 {
-			perEv = fmt.Sprintf("%.1f", ps.InstrPerEvent)
-		}
-		fmt.Fprintf(w, "    %-14s %12d %12d %7.1f%% %10s %10d\n",
-			ps.Path, ps.Events, ps.Instr, 100*ps.InstrShare, perEv, ps.Packets)
-	}
-	fmt.Fprintf(w, "    dormant fraction of local deliveries: %.0f%%\n", 100*p.DormantFraction)
+	fmt.Fprint(w, "  per-path cost attribution:\n\n")
+	exp.WriteCostTable(w, p)
 	for _, cs := range p.Classes {
-		fmt.Fprintf(w, "    class %-20s dormant=%d active=%d restore=%d body-instr=%d\n",
+		fmt.Fprintf(w, "  class %-20s dormant=%d active=%d restore=%d body-instr=%d\n",
 			cs.Class, cs.Dormant, cs.Active, cs.Restore, cs.BodyInstr)
 	}
 }

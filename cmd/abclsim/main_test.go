@@ -4,6 +4,8 @@ import (
 	"archive/zip"
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // TestFlagsMarshalToPackedConfig pins the flag → spec binding against a
@@ -127,6 +131,11 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 		"-bench-json out.json":                                         "flag provided but not defined",
 		"-workload forkjoin -depth -1 -nodes 4":                        "forkjoin depth must be >= 0",
 		"-workload forkjoin -depth -1 -pack " + t.TempDir():            "forkjoin depth must be >= 0",
+		"tables -table 6":                                              "usage: abclsim tables [-table 1-5]",
+		"figures -csv":                                                 "flag provided but not defined: -csv",
+		"figures -figure 7":                                            "usage: abclsim figures",
+		"validate run.json run.jsonl":                                  "usage: abclsim validate",
+		"profcheck run.jsonl":                                          `unknown subcommand "profcheck"`,
 	} {
 		err := run(strings.Fields(args), io.Discard)
 		if err == nil {
@@ -137,30 +146,33 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 	}
 }
 
-// TestDocumentedCommandsParse extracts every abclsim command line from
-// README.md's fenced blocks and from this package's doc comment and requires
-// the command to accept it: flags parse, the spec they bind validates, a
-// named scenario exists, a subcommand is one run knows. A flag or a spelling
+// TestDocumentedCommandsParse extracts every abclsim command line from the
+// fenced blocks of README.md, DESIGN.md and EXPERIMENTS.md and from this
+// package's doc comment, and requires the command to accept it: flags parse,
+// the spec they bind validates, a named scenario exists, a subcommand is one
+// run knows and its own flags and arguments parse. A flag or a spelling
 // retired without its documentation fails here.
 func TestDocumentedCommandsParse(t *testing.T) {
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
+	var lines []string
+	for _, name := range []string{"../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md"} {
+		md, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for _, line := range strings.Split(string(md), "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			} else if fenced {
+				lines = append(lines, line)
+			}
+		}
 	}
 	src, err := os.ReadFile("main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc, _, _ := strings.Cut(string(src), "\npackage main")
-	var lines []string
-	fenced := false
-	for _, line := range strings.Split(string(readme), "\n") {
-		if strings.HasPrefix(line, "```") {
-			fenced = !fenced
-		} else if fenced {
-			lines = append(lines, line)
-		}
-	}
 	lines = append(lines, strings.Split(doc, "\n")...)
 	checked := 0
 	for _, line := range lines {
@@ -172,7 +184,7 @@ func TestDocumentedCommandsParse(t *testing.T) {
 		args := strings.Fields(cmd)
 		checked++
 		if !strings.HasPrefix(args[0], "-") {
-			if err := runSubcommand(args[0], nil, io.Discard); err != nil && !strings.HasPrefix(err.Error(), "usage:") {
+			if _, err := subcommand(args[0], args[1:]); err != nil {
 				t.Errorf("%q: %v", line, err)
 			}
 			continue
@@ -191,8 +203,10 @@ func TestDocumentedCommandsParse(t *testing.T) {
 			t.Errorf("%q: %v", line, err)
 		}
 	}
-	if checked < 15 {
-		t.Errorf("found only %d documented abclsim commands; the extraction is broken", checked)
+	// The count the three documents and the doc comment hold today: fewer
+	// means the extraction broke or a documented command was dropped.
+	if checked < 45 {
+		t.Errorf("found only %d documented abclsim commands, want at least 45", checked)
 	}
 }
 
@@ -227,6 +241,108 @@ func TestValidateSubcommand(t *testing.T) {
 			t.Errorf("%s: err %v, output %q", path, err, out.String())
 		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
 			t.Errorf("%s: error %v lacks %q", path, err, want)
+		}
+	}
+}
+
+// TestProfileSinksValidate runs a workload with both event exporters
+// attached and validates what they wrote: the -profile stream against its
+// schema, and the -metrics summary against the stream, field for field.
+func TestProfileSinksValidate(t *testing.T) {
+	dir := t.TempDir()
+	stream, summary := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "run.json")
+	if err := run([]string{"-workload", "nqueens", "-n", "8", "-nodes", "8", "-profile", stream, "-metrics", summary}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"validate", stream}, {"validate", stream, summary}} {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if want := stream + ": ok ("; !strings.HasPrefix(out.String(), want) {
+			t.Errorf("%v printed %q, want it to open with %q", args, out.String(), want)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks by running the command each names")
+
+// goldenBlock is a generated block of EXPERIMENTS.md: the abclsim command
+// that prints it, then its output, then the end marker.
+var goldenBlock = regexp.MustCompile(`(?s)<!-- abclsim ([^>]*?) -->\n(.*?)<!-- end -->`)
+
+// TestExperimentsAreGoldenOutput holds EXPERIMENTS.md to the program: each
+// block between `<!-- abclsim <command> -->` and `<!-- end -->` is what that
+// command prints. Tables 1–5 are re-rendered in full. Of the figures, whose
+// N = 11 sweeps with their packs take half a minute, the N = 8 rows of
+// Figure 5 and the N = 9 row of Figure 6 are rendered, pack ids included,
+// and each line must appear in the block. With -update every block is
+// rewritten by running its command in full:
+//
+//	go test ./cmd/abclsim -run Golden -update
+func TestExperimentsAreGoldenOutput(t *testing.T) {
+	const path = "../../EXPERIMENTS.md"
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subset := map[string]func(w io.Writer, packDir string) error{
+		"figures -figure 5 -pack out/": func(w io.Writer, dir string) error { return exp.WriteFigure5(w, []int{8}, dir) },
+		"figures -figure 6 -pack out/": func(w io.Writer, dir string) error { return exp.WriteFigure6(w, []int{9}, dir) },
+	}
+	want := []string{"tables -table 1", "tables -table 2", "tables -table 3", "tables -table 4", "tables -table 5"}
+	for cmd := range subset {
+		want = append(want, cmd)
+	}
+	seen := map[string]bool{}
+	var rewritten bytes.Buffer
+	last := 0
+	for _, m := range goldenBlock.FindAllSubmatchIndex(doc, -1) {
+		cmd, body := string(doc[m[2]:m[3]]), string(doc[m[4]:m[5]])
+		seen[cmd] = true
+		args := strings.Fields(cmd)
+		for i := range args {
+			if i > 0 && args[i-1] == "-pack" {
+				args[i] = t.TempDir()
+			}
+		}
+		var got bytes.Buffer
+		render := subset[cmd]
+		switch {
+		case *update || render == nil:
+			err = run(args, &got)
+		default:
+			err = render(&got, t.TempDir())
+		}
+		if err != nil {
+			t.Fatalf("abclsim %s: %v", cmd, err)
+		}
+		switch {
+		case *update:
+			rewritten.Write(doc[last:m[4]])
+			fmt.Fprintf(&rewritten, "\n%s\n\n", bytes.TrimSpace(got.Bytes()))
+			last = m[5]
+		case render == nil:
+			if g, b := strings.TrimSpace(got.String()), strings.TrimSpace(body); g != b {
+				t.Errorf("EXPERIMENTS.md's block for `abclsim %s` is\n%s\nthe command prints\n%s", cmd, b, g)
+			}
+		default:
+			for _, line := range strings.Split(strings.TrimSpace(got.String()), "\n") {
+				if !strings.Contains("\n"+body, "\n"+line+"\n") {
+					t.Errorf("EXPERIMENTS.md's block for `abclsim %s` lacks the line\n%s", cmd, line)
+				}
+			}
+		}
+	}
+	for _, cmd := range want {
+		if !seen[cmd] {
+			t.Errorf("EXPERIMENTS.md has no block <!-- abclsim %s -->", cmd)
+		}
+	}
+	if *update {
+		rewritten.Write(doc[last:])
+		if err := os.WriteFile(path, rewritten.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 // Package exp defines the paper's experiments as testable functions: each
 // table and figure of the evaluation section has a generator returning
-// structured rows, consumed by cmd/tables and cmd/figures for printing and
-// by the test suite as a reproduction regression harness.
+// structured rows, asserted against the paper's values by this package's
+// tests, and one markdown renderer (render.go) — the only way a result
+// table is written. `abclsim tables` and `abclsim figures` print the
+// renderings, and EXPERIMENTS.md embeds them as golden output that
+// cmd/abclsim's tests re-render.
 package exp
 
 import (
@@ -132,27 +135,18 @@ func Table4(ns []int) []Table4Col {
 	return out
 }
 
-// PathCost is the measured per-path cost breakdown of one N-queens run: the
-// live counterpart of Section 6's message-path cost taxonomy, sourced from
-// the cost-attribution profiler rather than static instruction ladders.
-type PathCost struct {
-	N     int
-	Nodes int
-	// Report carries the per-path rows, the dormant fraction (the paper's
-	// "approximately 75%", Section 6.3) and the per-class breakdown.
-	Report *abcl.ProfileReport
-}
-
 // PathBreakdown runs a profiled N-queens search and returns its cost
-// attribution. The profiler only observes, so the run's virtual-time results
-// equal an unprofiled run with the same seed.
-func PathBreakdown(n, nodes int, seed int64) (PathCost, error) {
+// attribution — per-path rows, the dormant fraction (the paper's
+// "approximately 75%", Section 6.3) and the per-class breakdown: the live
+// counterpart of Section 6's message-path cost taxonomy. The profiler only
+// observes, so the run's virtual-time results equal an unprofiled run's.
+func PathBreakdown(n, nodes int, seed int64) (*abcl.ProfileReport, error) {
 	res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(nodes), abcl.WithSeed(seed),
 		abcl.WithProfiler(abcl.ProfileOptions{Classes: true}))
 	if err != nil {
-		return PathCost{}, fmt.Errorf("exp: path breakdown N=%d P=%d: %w", n, nodes, err)
+		return nil, fmt.Errorf("exp: path breakdown N=%d P=%d: %w", n, nodes, err)
 	}
-	return PathCost{N: n, Nodes: nodes, Report: res.Report.Profile}, nil
+	return res.Report.Profile, nil
 }
 
 // SpeedupPoint is one point of the paper's Figure 5.

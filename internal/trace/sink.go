@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 
 	"repro/internal/sim"
@@ -115,4 +118,85 @@ func (m *Metrics) Summary() MetricsSummary {
 		}
 	}
 	return s
+}
+
+// maxNode bounds the node ids CheckJSONL accepts: its per-node counts are
+// dense, so a hostile id must not size them. Simulated machines are far
+// smaller.
+const maxNode = 1 << 16
+
+// CheckJSONL validates a stream written by the JSONL sink against its
+// schema: every line a JSON object with exactly the fields at (an integer
+// ≥ 0), node (an integer in [0, maxNode)), kind (the name of a Kind) and
+// what (a non-empty string), and at least one line. It returns the summary a
+// Metrics sink would have made of the stream. A non-nil sum — the Metrics
+// summary of the same run — must equal it in every field, since the two
+// sinks observed one event sequence.
+func CheckJSONL(r io.Reader, sum *MetricsSummary) (MetricsSummary, error) {
+	kinds := make(map[string]Kind, NumKinds)
+	for k := range kindNames {
+		kinds[kindNames[k]] = Kind(k)
+	}
+	m := NewMetrics()
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for line := 1; sc.Scan(); line++ {
+		// Raw fields first, so a missing or extra field fails instead of
+		// decoding to a zero value or vanishing.
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(sc.Bytes(), &raw); err != nil {
+			return MetricsSummary{}, fmt.Errorf("line %d: not a JSON object: %v", line, err)
+		}
+		for _, field := range []string{"at", "node", "kind", "what"} {
+			if _, ok := raw[field]; !ok {
+				return MetricsSummary{}, fmt.Errorf("line %d: missing field %q", line, field)
+			}
+		}
+		var e jsonlEvent
+		err := json.Unmarshal(sc.Bytes(), &e)
+		kind, known := kinds[e.Kind]
+		switch {
+		case len(raw) != 4:
+			err = fmt.Errorf("undocumented fields in %s", sc.Bytes())
+		case err != nil:
+		case e.At < 0:
+			err = fmt.Errorf("negative at %d", e.At)
+		case e.Node < 0 || e.Node >= maxNode:
+			err = fmt.Errorf("node %d out of range", e.Node)
+		case !known:
+			err = fmt.Errorf("unknown kind %q", e.Kind)
+		case e.What == "":
+			err = errors.New("empty what")
+		}
+		if err != nil {
+			return MetricsSummary{}, fmt.Errorf("line %d: %v", line, err)
+		}
+		m.Event(Event{At: sim.Time(e.At), Node: e.Node, Kind: kind, What: e.What})
+	}
+	if err := sc.Err(); err != nil {
+		return MetricsSummary{}, err
+	}
+	got := m.Summary()
+	if got.Total == 0 {
+		return got, errors.New("empty stream")
+	}
+	if sum == nil {
+		return got, nil
+	}
+	return got, got.differs(*sum)
+}
+
+// differs names the first field in which sum disagrees with s, the
+// stream's own summary; nil when they are equal.
+func (s MetricsSummary) differs(sum MetricsSummary) error {
+	fields := func(m MetricsSummary) []string {
+		return []string{fmt.Sprint(m.Total), fmt.Sprint(m.FirstNs), fmt.Sprint(m.LastNs), fmt.Sprint(m.ByNode), fmt.Sprint(m.ByKind)}
+	}
+	stream, summary := fields(s), fields(sum)
+	for i, name := range []string{"total_events", "first_ns", "last_ns", "by_node", "by_kind"} {
+		if summary[i] != stream[i] {
+			return fmt.Errorf("summary %s = %s, stream has %s", name, summary[i], stream[i])
+		}
+	}
+	return nil
 }
