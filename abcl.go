@@ -288,9 +288,6 @@ type ProfileOptions struct {
 	// buckets of this width (instructions, events, packets, queue depths and
 	// utilization per bucket). Zero keeps per-path totals only.
 	Window Time
-	// Classes enables per-class attribution: deliveries by receiver mode and
-	// method-body instructions, keyed by the receiving object's class.
-	Classes bool
 }
 
 // WithProfiler enables the cost-attribution profiler: every simulated
@@ -356,8 +353,8 @@ func WithFaults(plan FaultPlan) Option {
 }
 
 // WithReliable enables the acknowledgment/retry delivery protocol even on a
-// fault-free interconnect. WithFaults implies it; standalone it is useful for
-// measuring the protocol's ack traffic (and the effect of WithDelayedAcks)
+// fault-free interconnect. WithFaults, WithCheckpoint and WithDelayedAcks
+// imply it; standalone it is useful for measuring the protocol's ack traffic
 // without injected faults.
 func WithReliable() Option {
 	return func(s *settings) error {
@@ -387,8 +384,8 @@ func WithBatching(window Time, maxBytes int) Option {
 // WithDelayedAcks replaces the reliable layer's per-packet acknowledgments
 // with cumulative acks emitted after at most d of virtual time (and
 // piggybacked for free on reverse-direction batches when WithBatching is
-// also on). Requires the reliable protocol — combine with WithFaults or
-// WithReliable.
+// also on). Delayed acks only exist inside the reliable protocol, so this
+// implies WithReliable.
 func WithDelayedAcks(d Time) Option {
 	return func(s *settings) error {
 		if d <= 0 {
@@ -539,18 +536,16 @@ func NewSystem(opts ...Option) (*System, error) {
 	// asked for explicitly or implied by a crash plan (recovery needs at
 	// least the baseline checkpoint); it forces reliable delivery, because
 	// snapshot markers and post-restore replay ride the ack/retry protocol's
-	// per-link sequence space.
+	// per-link sequence space. Delayed acks force it too: they are a mode of
+	// its acknowledgments.
 	ckptOn := s.ckptEvery > 0 || len(s.faults.Crashes) > 0
-	reliable := s.reliable || s.faults.Enabled() || ckptOn
+	reliable := s.reliable || s.faults.Enabled() || ckptOn || s.ackDelay > 0
 	parallel := s.exec.workers > 1
 	if s.observer != nil && parallel {
 		errs = append(errs, fmt.Errorf("abcl: WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
 	}
 	if ckptOn && parallel {
 		errs = append(errs, fmt.Errorf("abcl: WithCheckpoint (or a crash plan) and the Conservative executor are incompatible: a restore touches every event lane at once"))
-	}
-	if s.ackDelay > 0 && !reliable {
-		errs = append(errs, fmt.Errorf("abcl: WithDelayedAcks requires the reliable protocol (combine with WithFaults or WithReliable)"))
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
@@ -568,7 +563,6 @@ func NewSystem(opts ...Option) (*System, error) {
 	if s.prof != nil {
 		prof = profile.New(s.nodes, profile.Options{
 			Window:  s.prof.Window,
-			Classes: s.prof.Classes,
 			InstrNs: mcfg.NsPerInstr(),
 		})
 	}

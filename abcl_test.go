@@ -108,7 +108,7 @@ func TestOptionValidationAggregated(t *testing.T) {
 		abcl.WithSeed(0),                        // bad argument
 		abcl.WithObserver(trace.NewRing(64)),    // incompatible with a parallel executor
 		abcl.WithExecutor(abcl.Conservative(4)), //
-		abcl.WithDelayedAcks(abcl.Time(50)),     // needs the reliable protocol
+		abcl.WithDelayedAcks(0),                 // bad argument
 	)
 	if err == nil {
 		t.Fatal("misconfigured NewSystem must fail")
@@ -132,16 +132,19 @@ func TestOptionCombinationErrors(t *testing.T) {
 		{"observer+conservative", []abcl.Option{abcl.WithObserver(trace.NewRing(64)), abcl.WithExecutor(abcl.Conservative(2))}},
 		{"checkpoint+conservative", []abcl.Option{abcl.WithNodes(2), abcl.WithCheckpoint(abcl.Time(1000)), abcl.WithExecutor(abcl.Conservative(2))}},
 		{"negative workers", []abcl.Option{abcl.WithExecutor(abcl.Conservative(-1))}},
-		{"delayed-acks unreliable", []abcl.Option{abcl.WithNodes(2), abcl.WithDelayedAcks(abcl.Time(50))}},
 	}
 	for _, tc := range cases {
 		if _, err := abcl.NewSystem(tc.opts...); err == nil {
 			t.Errorf("%s: want error, got none", tc.name)
 		}
 	}
-	// The same ingredients in compatible form still construct.
-	if _, err := abcl.NewSystem(abcl.WithNodes(2), abcl.WithReliable(), abcl.WithDelayedAcks(abcl.Time(50))); err != nil {
-		t.Errorf("reliable delayed acks must construct: %v", err)
+	// Delayed acks alone bring the reliable protocol they are a mode of.
+	sys, err := abcl.NewSystem(abcl.WithNodes(2), abcl.WithDelayedAcks(abcl.Time(50)))
+	if err != nil {
+		t.Fatalf("delayed acks must construct: %v", err)
+	}
+	if rel := sys.Report().Reliable; !rel.Enabled || rel.AckDelay != 50 {
+		t.Errorf("delayed acks alone: reliable report %+v, want enabled with a 50ns delay", rel)
 	}
 }
 

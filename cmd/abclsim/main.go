@@ -310,9 +310,7 @@ func (c *cli) open() (*instrumentation, error) {
 		in.opts = append(in.opts, abcl.WithObserver(in.ring))
 	}
 	if c.costTable {
-		in.opts = append(in.opts, abcl.WithProfiler(abcl.ProfileOptions{
-			Window: abcl.Time(c.spec.ProfileWindowNs), Classes: true,
-		}))
+		in.opts = append(in.opts, abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(c.spec.ProfileWindowNs)}))
 	}
 	return in, nil
 }

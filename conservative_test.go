@@ -79,7 +79,7 @@ func TestConservativeEquivalence(t *testing.T) {
 				abcl.WithNodes(4), abcl.WithSeed(7),
 				abcl.WithFaults(abcl.UniformFaults(0.10, 0.05, 2*abcl.Microsecond)),
 				abcl.WithDelayedAcks(3*abcl.Microsecond),
-				abcl.WithProfiler(abcl.ProfileOptions{Window: 20 * abcl.Microsecond, Classes: true}),
+				abcl.WithProfiler(abcl.ProfileOptions{Window: 20 * abcl.Microsecond}),
 				exec)
 			if err != nil {
 				t.Fatal(err)

@@ -193,12 +193,9 @@ func (g *Manager) scheduleTick(at sim.Time) {
 // is back up) or the previous round is still collecting.
 func (g *Manager) tick(now sim.Time) {
 	// The tick chain must not keep a finished machine alive: the engine runs
-	// until its queue drains, so when this tick was the last live event the
-	// application has quiesced and the periodic rounds end with it. Dead
-	// (stopped) timer slots don't count — each round's own marker traffic
-	// leaves retry-timer slots behind that would otherwise read as pending
-	// work and sustain the rounds forever.
-	if g.m.Eng.LivePending() == 0 {
+	// until its queue drains, so when this tick was the last queued event the
+	// application has quiesced and the periodic rounds end with it.
+	if g.m.Eng.Pending() == 0 {
 		return
 	}
 	g.scheduleTick(now + g.interval)

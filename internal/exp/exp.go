@@ -142,7 +142,7 @@ func Table4(ns []int) []Table4Col {
 // observes, so the run's virtual-time results equal an unprofiled run's.
 func PathBreakdown(n, nodes int, seed int64) (*abcl.ProfileReport, error) {
 	res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(nodes), abcl.WithSeed(seed),
-		abcl.WithProfiler(abcl.ProfileOptions{Classes: true}))
+		abcl.WithProfiler(abcl.ProfileOptions{}))
 	if err != nil {
 		return nil, fmt.Errorf("exp: path breakdown N=%d P=%d: %w", n, nodes, err)
 	}

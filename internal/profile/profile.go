@@ -75,9 +75,6 @@ type Options struct {
 	// buckets of this width (phase-sliced instructions, packets, queue
 	// depths and utilization). Zero keeps totals only.
 	Window sim.Time
-	// Classes enables per-class attribution: deliveries by receiver mode and
-	// method-body instructions, keyed by the receiver's class.
-	Classes bool
 	// InstrNs is the virtual-time cost of one instruction in nanoseconds,
 	// used to derive per-slice utilization. Zero leaves utilization at zero.
 	InstrNs float64
@@ -96,8 +93,7 @@ type Slice struct {
 // NodeProf is one node's accumulator set. It is touched only from the node's
 // own event lane, like the stats.Counters it lives beside.
 type NodeProf struct {
-	win     sim.Time
-	classes bool
+	win sim.Time
 
 	instr   [NumPaths]uint64
 	events  [NumPaths]uint64
@@ -176,18 +172,12 @@ func (np *NodeProf) QueueDepth(depth int, at sim.Time) {
 // ClassDeliver counts one delivery to class cls in the given mode
 // (DeliverDormant/DeliverActive/DeliverRestore).
 func (np *NodeProf) ClassDeliver(cls int, mode int) {
-	if !np.classes {
-		return
-	}
 	np.growClass(cls)
 	np.classDeliv[cls][mode]++
 }
 
 // ClassInstr attributes method-body instructions to class cls.
 func (np *NodeProf) ClassInstr(cls int, instr int) {
-	if !np.classes {
-		return
-	}
 	np.growClass(cls)
 	np.classInstr[cls] += uint64(instr)
 }
@@ -241,7 +231,6 @@ func New(n int, opt Options) *Profiler {
 	p := &Profiler{opt: opt, nodes: make([]NodeProf, n)}
 	for i := range p.nodes {
 		p.nodes[i].win = opt.Window
-		p.nodes[i].classes = opt.Classes
 	}
 	return p
 }
@@ -399,9 +388,6 @@ func (p *Profiler) groupReport() []GroupStat {
 }
 
 func (p *Profiler) classReport() []ClassStat {
-	if !p.opt.Classes {
-		return nil
-	}
 	n := 0
 	for i := range p.nodes {
 		if l := len(p.nodes[i].classInstr); l > n {

@@ -150,10 +150,9 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 // their retry deadlines, reorder buffers, delayed-ack ledgers, and open
 // batches. Runs once per restore, before the per-node state is restored.
 //
-// The batch-flush and delayed-ack deadlines stay armed: a stopped slot would
-// go on reading Pending, so the next batch opened or ack owed there would arm
-// nothing and wait for a retransmission timeout. A stale deadline firing on
-// an empty batch or ledger is a no-op, and on a refilled one merely early.
+// The batch-flush and delayed-ack deadlines stay armed: a stale deadline
+// firing on an empty batch or ledger is a no-op, and on a refilled one merely
+// early.
 func (l *Layer) CkptTeardown() {
 	for _, ns := range l.nodes {
 		mn := l.m.Node(ns.id)

@@ -163,6 +163,7 @@ type relNode struct {
 	retries  deadlines[relMsg, *relMsg]
 	owedTo   []*link   // links with owed arrivals, in first-owed order
 	ackTimer sim.Timer // the delayed-ack deadline
+	ackSeq   uint64    // its reserved position among equal-time events
 }
 
 // ackRider wraps the payload of a lone data packet that also carries a
@@ -482,8 +483,16 @@ func (r *reliable) noteArrival(rn *machine.Node, src int, seq uint64) {
 	}
 	k.owed++
 	if !n.ackTimer.Pending() {
-		r.l.m.Eng.StartTimerKind(rn.Lane(), rn.Lane(), &n.ackTimer, r.ackDelay, r.ackKind, ns)
+		r.armAck(rn, ns, rn.EventNow()+r.ackDelay)
 	}
+}
+
+// armAck sets the node's delayed-ack timer at due, in the place among
+// equal-time events that an event scheduled now would take.
+func (r *reliable) armAck(rn *machine.Node, ns *nodeState, due sim.Time) {
+	n := &ns.rel
+	r.l.m.Eng.ReserveSeq(rn.Lane(), &n.ackSeq)
+	r.l.m.Eng.StartTimerAt(rn.Lane(), &n.ackTimer, due, n.ackSeq, r.ackKind, ns)
 }
 
 // flushAcks emits the owed acknowledgments of every inbound link whose delay
@@ -521,7 +530,7 @@ func (r *reliable) flushAcks(ns *nodeState) {
 	clear(n.owedTo[len(kept):])
 	n.owedTo = kept
 	if nextDue >= 0 {
-		r.l.m.Eng.StartTimerKind(rn.Lane(), rn.Lane(), &n.ackTimer, nextDue-now, r.ackKind, ns)
+		r.armAck(rn, ns, nextDue)
 	}
 }
 

@@ -184,7 +184,7 @@ func runOnce(cfg scenario.Spec, sink trace.Sink) (*ExecResult, error) {
 		cfg.Executor, cfg.Workers = "", 0
 		extra = []abcl.Option{
 			abcl.WithObserver(sink),
-			abcl.WithProfiler(abcl.ProfileOptions{Window: sim.Time(cfg.ProfileWindowNs), Classes: true}),
+			abcl.WithProfiler(abcl.ProfileOptions{Window: sim.Time(cfg.ProfileWindowNs)}),
 		}
 	} else {
 		cfg.ProfileWindowNs = 0

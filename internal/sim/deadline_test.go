@@ -2,12 +2,13 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // TestStartTimerAtMovesSlot pins the positioning contract: putting a queued
-// timer elsewhere moves its one slot — later, earlier, or back to life after
-// a Stop — and never leaves a dead slot behind.
+// timer elsewhere moves its one slot — later or earlier — and arming it after
+// a Stop queues it afresh.
 func TestStartTimerAtMovesSlot(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -21,16 +22,13 @@ func TestStartTimerAtMovesSlot(t *testing.T) {
 	e.StartTimerAt(0, &tm, 25, seqs[1], k, &tm)
 	e.StartTimerAt(0, &tm, 35, seqs[3], k, &tm)
 	e.StartTimerAt(0, &tm, 5, seqs[0], k, &tm)
-	if p, live := e.Pending(), e.LivePending(); p != 5 || live != 5 {
-		t.Fatalf("pending/live = %d/%d after three positionings, want 5/5", p, live)
+	if p := e.Pending(); p != 5 {
+		t.Fatalf("pending = %d after three positionings, want 5", p)
 	}
 	tm.Stop()
-	if live := e.LivePending(); live != 4 {
-		t.Fatalf("live = %d after Stop, want 4", live)
-	}
 	e.StartTimerAt(0, &tm, 15, seqs[2], k, &tm)
-	if p, live := e.Pending(), e.LivePending(); p != 5 || live != 5 || tm.Stopped() {
-		t.Fatalf("pending/live = %d/%d stopped=%v after revival, want 5/5 false", p, live, tm.Stopped())
+	if p := e.Pending(); p != 5 || !tm.Pending() {
+		t.Fatalf("pending = %d, timer queued %v after re-arming, want 5, true", p, tm.Pending())
 	}
 	n, err := e.Run()
 	if err != nil {
@@ -39,8 +37,60 @@ func TestStartTimerAtMovesSlot(t *testing.T) {
 	if !reflect.DeepEqual(fired, []Time{15}) || n != 5 {
 		t.Fatalf("fired at %v over %d events, want [15] over 5", fired, n)
 	}
-	if tm.Pending() || !tm.Fired() || e.LivePending() != 0 {
-		t.Fatalf("after run: pending=%v fired=%v live=%d", tm.Pending(), tm.Fired(), e.LivePending())
+	if tm.Pending() || e.Pending() != 0 {
+		t.Fatalf("after run: timer queued %v, %d events pending", tm.Pending(), e.Pending())
+	}
+}
+
+// TestStopTakesSlotOut pins the way out: Stop removes the slot at once — the
+// timer and the engine stop counting it, and it never fires or counts in
+// Fired — whether it sits mid-heap, at a lane's head under Run (the
+// tournament must follow), alone on its lane, or inside a RunParallel window.
+func TestStopTakesSlotOut(t *testing.T) {
+	e := NewEngine()
+	e.SetLanes(4)
+	var got []int
+	k := e.Register(func(_ int, _ Time, arg any) { got = append(got, arg.(int)) })
+	arm := func(l int, tm *Timer, at Time, id int) {
+		seq := new(uint64)
+		e.ReserveSeq(l, seq)
+		e.StartTimerAt(l, tm, at, *seq, k, id)
+	}
+	var head, alone, mid Timer
+	arm(1, &head, 20, -1)
+	e.ScheduleOn(1, 1, 30, k, 30)
+	e.ScheduleOn(2, 2, 25, k, 25)
+	arm(2, &mid, 27, -2)
+	arm(3, &alone, 22, -3)
+	e.ScheduleFuncOn(0, 0, 10, func() { head.Stop(); alone.Stop() })
+	before := e.Pending()
+	if mid.Stop(); mid.Pending() || e.Pending() != before-1 {
+		t.Fatalf("after Stop: timer queued %v, %d events pending, want false, %d", mid.Pending(), e.Pending(), before-1)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []int{25, 30}) || e.Fired() != 3 || head.Pending() || alone.Pending() {
+		t.Fatalf("Run fired %v, %d events in all; want [25 30], 3", got, e.Fired())
+	}
+
+	e, got = NewEngine(), nil
+	e.SetLanes(2)
+	k = e.Register(func(_ int, _ Time, arg any) { got = append(got, arg.(int)) })
+	var near, far Timer
+	e.ScheduleFuncOn(0, 0, 1, func() { arm(0, &near, 5, -1); arm(0, &far, 500, -2) })
+	e.ScheduleFuncOn(0, 0, 2, func() {
+		if near.Stop(); near.Pending() {
+			t.Error("in-window Stop left the timer queued")
+		}
+	})
+	e.ScheduleFuncOn(0, 0, 3, far.Stop)
+	e.ScheduleOn(1, 1, 1, k, 1)
+	if _, err := e.RunParallel(2, 100); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []int{1}) || e.Fired() != 4 || e.Pending() != 0 {
+		t.Fatalf("RunParallel fired %v, %d events in all, %d left; want [1], 4, 0", got, e.Fired(), e.Pending())
 	}
 }
 
@@ -51,11 +101,10 @@ func TestStartTimerAtMovesSlot(t *testing.T) {
 // the time; the global firing log shows every tie-break.
 
 type dlRec struct {
-	id    int
-	lane  int
-	due   Time
-	seq   uint64 // shared variant: the reserved tie-break position
-	timer Timer  // per-deadline variant
+	id   int
+	lane int
+	due  Time
+	seq  uint64 // shared variant: the reserved tie-break position
 }
 
 type dlLane struct {
@@ -77,12 +126,12 @@ type dlFire struct {
 
 type dlWorld struct {
 	e      *Engine
-	shared bool // one timer per lane (ReserveSeq + StartTimerAt) or one per deadline
+	shared bool // one timer per lane (ReserveSeq + StartTimerAt) or one event per deadline
 	look   Time
 	lanes  []dlLane
 	global []dlFire // firing order across lanes, kept for sequential runs (nil: off)
 	wakeK  Kind     // shared variant's timer callback; arg: the lane index
-	// expireK is the per-deadline variant's timer callback; arg: the *dlRec.
+	// expireK is the per-deadline variant's event; arg: the *dlRec.
 	expireK Kind
 }
 
@@ -103,7 +152,7 @@ func (w *dlWorld) set(l int, d *dlRec, delay Time) {
 	d.lane, d.due = l, w.e.LaneNow(l)+delay
 	ln.pend = append(ln.pend, d)
 	if !w.shared {
-		w.e.StartTimerKind(l, l, &d.timer, delay, w.expireK, d)
+		w.e.ScheduleOn(l, l, d.due, w.expireK, d)
 		return
 	}
 	w.e.ReserveSeq(l, &d.seq)
@@ -131,17 +180,10 @@ func (w *dlWorld) schedule(l int) {
 
 func (w *dlWorld) drop(l int, d *dlRec) {
 	ln := &w.lanes[l]
-	for i, p := range ln.pend {
-		if p == d {
-			ln.pend = append(ln.pend[:i], ln.pend[i+1:]...)
-			break
-		}
+	ln.pend = slices.DeleteFunc(ln.pend, func(p *dlRec) bool { return p == d })
+	if w.shared {
+		w.schedule(l)
 	}
-	if !w.shared {
-		d.timer.Stop()
-		return
-	}
-	w.schedule(l)
 }
 
 // wake is the shared timer's callback: the deadline it stands at expires, and
@@ -154,15 +196,16 @@ func (w *dlWorld) wake(l int) {
 	w.schedule(l)
 }
 
+// expire lets d fall due; the per-deadline variant's event of a dropped
+// deadline finds it gone and does nothing.
 func (w *dlWorld) expire(l int, d *dlRec) {
 	ln := &w.lanes[l]
-	w.fired(l, dlFire{w.e.LaneNow(l), d.id})
-	for i, p := range ln.pend {
-		if p == d {
-			ln.pend = append(ln.pend[:i], ln.pend[i+1:]...)
-			break
-		}
+	i := slices.Index(ln.pend, d)
+	if i < 0 {
+		return
 	}
+	ln.pend = slices.Delete(ln.pend, i, i+1)
+	w.fired(l, dlFire{w.e.LaneNow(l), d.id})
 	if ln.rand(3) == 0 {
 		w.set(l, &dlRec{id: d.id + 1000}, Time(6+ln.rand(60)))
 	}
@@ -214,9 +257,9 @@ func (w *dlWorld) laneLogs() [][]dlFire {
 
 // TestReservedDeadlineEquivalence is the contract of ReserveSeq and
 // StartTimerAt: one timer per lane, armed at reserved positions, fires every
-// deadline at the instant and in the global order that one timer per deadline
-// does — and keeps doing so inside conservative windows, where reserved
-// numbers are provisional until the barrier.
+// deadline at the instant and in the global order that a plain event per
+// deadline does — and keeps doing so inside conservative windows, where
+// reserved numbers are provisional until the barrier.
 func TestReservedDeadlineEquivalence(t *testing.T) {
 	const lanes, steps = 5, 600
 	const look = Time(12)
@@ -233,7 +276,7 @@ func TestReservedDeadlineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ref.global) < steps || !reflect.DeepEqual(ref.global, seq.global) {
-		t.Fatalf("shared timer diverged from one timer per deadline: %d vs %d firings", len(seq.global), len(ref.global))
+		t.Fatalf("shared timer diverged from one event per deadline: %d vs %d firings", len(seq.global), len(ref.global))
 	}
 	ties := 0
 	for i := 1; i < len(ref.global); i++ {
@@ -244,8 +287,8 @@ func TestReservedDeadlineEquivalence(t *testing.T) {
 	if ties < 50 {
 		t.Fatalf("only %d equal-time firings: the workload does not test tie-breaks", ties)
 	}
-	if seq.e.LivePending() != 0 {
-		t.Fatalf("%d live events left", seq.e.LivePending())
+	if seq.e.Pending() != 0 {
+		t.Fatalf("%d events left", seq.e.Pending())
 	}
 	if seqN >= ref.e.Fired() {
 		t.Errorf("shared timer fired %d events, one per deadline %d: nothing saved", seqN, ref.e.Fired())
@@ -256,10 +299,7 @@ func TestReservedDeadlineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Event counts may differ between executors: whether a dead slot is
-	// swept or popped depends on what else the heap holds at the time.
-	if !reflect.DeepEqual(par.laneLogs(), seq.laneLogs()) {
+	if parN != seqN || !reflect.DeepEqual(par.laneLogs(), seq.laneLogs()) {
 		t.Fatalf("RunParallel diverged (%d events vs %d sequential)", parN, seqN)
 	}
-
 }

@@ -53,7 +53,7 @@ func (t Time) String() string {
 }
 
 // Kind identifies how an event is dispatched when it fires. Kind 0 is a
-// plain captured closure; kind 1 is a cancelable Timer slot; kinds obtained
+// plain captured closure; kind 1 is a movable Timer slot; kinds obtained
 // from Register dispatch through a registered Handler with a payload,
 // avoiding a closure allocation per event.
 type Kind uint8
@@ -121,7 +121,6 @@ type firedRec struct {
 // hole rather than swapping, and the array doubles from laneMinCap.
 type lane struct {
 	heap     []event
-	dead     int // stopped-timer slots still occupying heap entries
 	now      Time
 	births   []birth
 	log      []firedRec
@@ -144,27 +143,30 @@ func (ln *lane) push(ev event) int {
 	return ln.place(len(h), ev)
 }
 
-func (ln *lane) pop() event {
+// remove takes entry i out of the queue and returns it; remove(0) pops the
+// head. The last entry fills the hole.
+func (ln *lane) remove(i int) event {
 	h := ln.heap
-	ev := h[0]
+	ev := h[i]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{}
 	ln.heap = h[:n]
-	if n > 0 {
-		ln.sink(0, last)
+	if i < n {
+		ln.settle(i, last)
 	}
 	return ev
 }
 
-func (ln *lane) heapify() {
-	for i := (len(ln.heap)+2)/4 - 1; i >= 0; i-- {
-		ln.down(i)
+// settle puts ev into the hole at i: above it if ev is earlier than the
+// hole's parent, otherwise at or below it.
+func (ln *lane) settle(i int, ev event) {
+	if i > 0 && evLess(&ev, &ln.heap[(i-1)/4]) {
+		ln.place(i, ev)
+		return
 	}
+	ln.sink(i, ev)
 }
-
-// up sifts entry i towards the root; it reports where the entry ended up.
-func (ln *lane) up(i int) int { return ln.place(i, ln.heap[i]) }
 
 // place settles ev, bound for the hole at i, at or above it.
 func (ln *lane) place(i int, ev event) int {
@@ -180,9 +182,6 @@ func (ln *lane) place(i int, ev event) int {
 	h[i] = ev
 	return i
 }
-
-// down sifts entry i towards the leaves.
-func (ln *lane) down(i int) { ln.sink(i, ln.heap[i]) }
 
 // sink settles ev, bound for the hole at i, at or below it.
 func (ln *lane) sink(i int, ev event) {
@@ -302,29 +301,15 @@ func (e *Engine) LaneNow(l int) Time {
 	return e.now
 }
 
-// Fired reports the number of events fired so far. Stopped timer slots that
-// are popped (rather than swept) count as fired no-ops.
+// Fired reports the number of events fired so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of events currently scheduled across all
-// lanes, including not-yet-swept stopped timer slots.
+// lanes: a stopped timer has left its queue.
 func (e *Engine) Pending() int {
 	n := 0
 	for i := range e.lanes {
 		n += len(e.lanes[i].heap)
-	}
-	return n
-}
-
-// LivePending is Pending minus stopped-timer slots still occupying heap
-// entries: the number of events that will actually do work. A periodic
-// activity that should end with the simulation (e.g. checkpoint ticks) keys
-// off this — dead retry-timer slots linger for their original deadline and
-// would otherwise read as pending work.
-func (e *Engine) LivePending() int {
-	n := 0
-	for i := range e.lanes {
-		n += len(e.lanes[i].heap) - e.lanes[i].dead
 	}
 	return n
 }
@@ -416,14 +401,6 @@ func (e *Engine) fire(l int, ev *event) {
 	if kind == kindTimer {
 		t := arg.(*Timer)
 		t.pending = false
-		if t.stopped {
-			// A stopped slot that escaped the sweep: fires as a no-op.
-			if ln := &e.lanes[l]; ln.dead > 0 {
-				ln.dead--
-			}
-			return
-		}
-		t.fired = true
 		kind, arg = t.kind, t.arg
 	}
 	if kind == kindClosure {
@@ -456,7 +433,7 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 		}
 		l := int(top.lane)
 		ln := &e.lanes[l]
-		ev := ln.pop()
+		ev := ln.remove(0)
 		if len(ln.heap) == 0 {
 			e.orderRemoveAt(0)
 		} else {
@@ -541,7 +518,7 @@ func (e *Engine) orderRemoveAt(p int) {
 }
 
 // orderFixLane repositions lane l in the tournament after its head changed
-// arbitrarily (sweep), appeared, or disappeared.
+// arbitrarily (a timer moved or stopped), appeared, or disappeared.
 func (e *Engine) orderFixLane(l int) {
 	p := e.pos[l]
 	h := e.lanes[l].heap
@@ -579,96 +556,60 @@ func (e *Engine) orderRebuild() {
 	}
 }
 
-// Timer is a cancelable, re-armable scheduled callback, used for timeouts
-// that are usually canceled before they fire (e.g. retransmission timers).
-// Stopping a timer does not immediately remove its slot from the lane heap,
-// but the callback is guaranteed not to run, and lanes lazily sweep their
-// dead slots once they outnumber live events. The zero value can be armed
-// with StartTimerKind or StartTimerAt.
+// Timer is a movable queue slot: StartTimerAt puts it at a (time, reserved
+// sequence number) position, or moves it there if it is already queued, and
+// Stop takes it out. One timer can so stand in for many deadlines, following
+// the earliest. The zero value is ready to be armed.
 type Timer struct {
 	eng     *Engine
 	arg     any // the callback: a func() or the payload of a registered kind
 	kind    Kind
-	lane    int32
-	stopped bool
-	fired   bool
 	pending bool
+	lane    int32
 }
 
-// Stop cancels the timer. Safe to call more than once and after firing.
+// Stop takes the timer's slot out of its lane's queue at once. Safe to call
+// more than once and after firing. Inside a parallel window it must run on the
+// timer's lane.
 func (t *Timer) Stop() {
-	if t.stopped {
+	if !t.pending {
 		return
 	}
-	t.stopped = true
-	if t.pending && t.eng != nil {
-		t.eng.noteDead(int(t.lane))
+	t.pending = false
+	e, l := t.eng, int(t.lane)
+	ln := &e.lanes[l]
+	ln.remove(ln.slot(t))
+	if !e.inPar {
+		e.orderFixLane(l)
 	}
 }
 
-// Stopped reports whether Stop was called since the timer was last armed.
-func (t *Timer) Stopped() bool { return t.stopped }
-
-// Fired reports whether the callback ran since the timer was last armed.
-func (t *Timer) Fired() bool { return t.fired }
-
-// Pending reports whether the timer's slot is still in an event queue.
+// Pending reports whether the timer's slot is in an event queue.
 func (t *Timer) Pending() bool { return t.pending }
 
-// StartTimerKind arms (or re-arms) t to fire the registered kind's handler
-// with arg on the given lane d nanoseconds from now, scheduled on behalf of
-// lane src, so a timer embedded in a record needs no closure bound to it. A
-// nil arg reuses the timer's previous kind and payload. Re-arming a timer
-// whose slot is still queued panics: stop it and wait for the slot to be
-// swept or popped first (Pending reports this).
-func (e *Engine) StartTimerKind(src, lane int, t *Timer, d Time, kind Kind, arg any) {
-	if t.pending {
-		panic("sim: StartTimer on a timer whose slot is still queued")
-	}
-	e.arm(lane, t, kind, arg)
-	now := e.now
-	if e.inPar {
-		now = e.lanes[src].now
-	}
-	e.post(src, lane, now+d, kindTimer, t)
-}
-
-func (e *Engine) arm(lane int, t *Timer, kind Kind, arg any) {
-	t.eng = e
-	t.lane = int32(lane)
-	t.stopped = false
-	t.fired = false
-	t.pending = true
-	if arg != nil {
-		t.kind, t.arg = kind, arg
-	}
+// slot finds t's queued event: a linear scan of the lane's queue.
+func (ln *lane) slot(t *Timer) int {
+	return slices.IndexFunc(ln.heap, func(ev event) bool { return ev.kind() == kindTimer && ev.arg == any(t) })
 }
 
 // StartTimerAt puts t at an explicit queue position: virtual time at,
 // tie-broken by a sequence number drawn earlier with ReserveSeq on the same
-// lane. It consumes no sequence number of its own, and a slot still queued —
-// live or stopped — is moved rather than left behind, so a timer that follows
-// the earliest of many deadlines leaves no dead slots in its wake (finding
-// the slot is a linear scan of the lane's queue). Must
-// be called from the lane itself, with at no earlier than the lane's clock,
-// on a timer only ever armed this way.
+// lane, to fire the registered kind's handler with arg there. It consumes no
+// sequence number of its own, and a slot still queued is moved rather than
+// queued twice. Must be called from the lane itself, with at no earlier than
+// the lane's clock.
 func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind, arg any) {
+	t.kind, t.arg = kind, arg
+	ev := event{at: at, key: evKey(seq, kindTimer), arg: t}
 	ln := &e.lanes[lane]
 	if t.pending {
-		if t.stopped && ln.dead > 0 {
-			ln.dead--
-		}
-		e.arm(lane, t, kind, arg)
-		i := slices.IndexFunc(ln.heap, func(ev event) bool { return ev.kind() == kindTimer && ev.arg == any(t) })
-		ln.heap[i].at, ln.heap[i].key = at, evKey(seq, kindTimer)
-		ln.down(ln.up(i))
+		ln.settle(ln.slot(t), ev)
 		if !e.inPar {
 			e.orderFixLane(lane)
 		}
 		return
 	}
-	e.arm(lane, t, kind, arg)
-	ev := event{at: at, key: evKey(seq, kindTimer), arg: t}
+	t.eng, t.lane, t.pending = e, int32(lane), true
 	if e.inPar {
 		// The lane's heap is this worker's for the window, and an event keyed
 		// by an existing number needs no birth: in-window it fires in place,
@@ -678,39 +619,4 @@ func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind
 		return
 	}
 	e.insert(lane, ev)
-}
-
-// noteDead records one newly stopped pending timer slot on lane l and
-// sweeps the lane once dead slots exceed half its queue.
-func (e *Engine) noteDead(l int) {
-	ln := &e.lanes[l]
-	ln.dead++
-	if ln.dead*2 > len(ln.heap) {
-		e.sweepLane(l)
-	}
-}
-
-// sweepLane removes stopped timer slots from lane l's heap and re-heapifies.
-func (e *Engine) sweepLane(l int) {
-	ln := &e.lanes[l]
-	kept := ln.heap[:0]
-	for i := range ln.heap {
-		ev := ln.heap[i]
-		if ev.kind() == kindTimer {
-			if t := ev.arg.(*Timer); t.stopped {
-				t.pending = false
-				continue
-			}
-		}
-		kept = append(kept, ev)
-	}
-	for i := len(kept); i < len(ln.heap); i++ {
-		ln.heap[i] = event{}
-	}
-	ln.heap = kept
-	ln.dead = 0
-	ln.heapify()
-	if !e.inPar {
-		e.orderFixLane(l)
-	}
 }

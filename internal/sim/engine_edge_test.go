@@ -86,69 +86,6 @@ func TestLaneSchedulingAndLaneNow(t *testing.T) {
 	}
 }
 
-// TestTimerLazySweep stops a majority of armed timers and verifies the lane
-// sweeps their dead slots without firing them, while survivors still fire.
-func TestTimerLazySweep(t *testing.T) {
-	e := NewEngine()
-	const n = 64
-	timers := make([]Timer, n)
-	fired := 0
-	k := e.RegisterHandler(func(Time, any) { fired++ })
-	for i := range timers {
-		e.StartTimerKind(0, 0, &timers[i], Time(1000+i), k, i)
-	}
-	if e.Pending() != n {
-		t.Fatalf("%d slots pending, want %d", e.Pending(), n)
-	}
-	// Stopping most timers must trigger sweeps along the way. The sweep is
-	// lazy — dead slots may linger — but its invariant is that they never
-	// outnumber the live ones, so with 8 survivors at most 16 slots remain.
-	for i := 0; i < n-8; i++ {
-		timers[i].Stop()
-	}
-	if p := e.Pending(); p < 8 || p > 16 {
-		t.Fatalf("%d slots pending after sweeps, want 8..16", p)
-	}
-	swept := 0
-	for i := 0; i < n-8; i++ {
-		if !timers[i].Pending() {
-			swept++
-		}
-	}
-	if swept == 0 {
-		t.Fatal("no stopped timer slot was swept")
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 8 {
-		t.Fatalf("%d timers fired, want 8", fired)
-	}
-	// A swept timer can be re-armed at once.
-	e.StartTimerKind(0, 0, &timers[0], 5, k, nil)
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 9 {
-		t.Fatalf("%d timers fired after re-arm, want 9", fired)
-	}
-}
-
-// TestStartTimerWhileQueuedPanics pins the re-arm contract: a timer whose
-// slot is still in a heap cannot be re-armed.
-func TestStartTimerWhileQueuedPanics(t *testing.T) {
-	e := NewEngine()
-	k := e.RegisterHandler(func(Time, any) {})
-	var tm Timer
-	e.StartTimerKind(0, 0, &tm, 10, k, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-arming a queued timer did not panic")
-		}
-	}()
-	e.StartTimerKind(0, 0, &tm, 20, k, nil)
-}
-
 // parallelWorkload loads e with a deterministic multi-lane cascade whose
 // cross-lane children always land at least lookahead ahead of the
 // scheduling lane's clock (the conservative-parallelism contract). Each

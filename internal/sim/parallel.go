@@ -43,9 +43,8 @@ import (
 //     the sequential assignment exactly.
 //
 // Event callbacks run on worker goroutines and must only touch state owned
-// by their lane; Engine.Now, Engine.Stop and Engine.Schedule (lane 0) are
-// not safe from inside a window — use LaneNow and the *On scheduling
-// variants.
+// by their lane: Engine.Now is not safe from inside a window — use LaneNow —
+// and a Timer is moved or stopped only from its own lane.
 
 // maxTime is the largest representable virtual time.
 const maxTime = Time(1<<63 - 1)
@@ -142,7 +141,7 @@ func (e *Engine) runWindowWorkers(active []int32, workers int) {
 
 // runLaneWindow fires lane l's events with timestamps inside the current
 // window, recording births and the fired log for the barrier. It returns
-// the number of events fired (including stopped-timer no-ops).
+// the number of events fired.
 func (e *Engine) runLaneWindow(l int) uint64 {
 	ln := &e.lanes[l]
 	end := e.winEnd
@@ -154,7 +153,7 @@ func (e *Engine) runLaneWindow(l int) uint64 {
 			e.limitHit.Store(true)
 			break
 		}
-		ev := ln.pop()
+		ev := ln.remove(0)
 		ln.now = ev.at
 		seq := ev.seq()
 		kidStart := len(ln.births)

@@ -178,9 +178,7 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 	if sp.BatchWindowNs != 0 {
 		opts = append(opts, abcl.WithBatching(abcl.Time(sp.BatchWindowNs), sp.BatchBytes))
 	}
-	// Delayed acks only exist inside the reliable protocol, so asking for
-	// them turns it on.
-	if sp.Reliable || sp.AckDelayNs > 0 {
+	if sp.Reliable {
 		opts = append(opts, abcl.WithReliable())
 	}
 	if sp.AckDelayNs != 0 {
@@ -209,7 +207,7 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 		errs = append(errs, fmt.Errorf("workload: unknown executor %q (want sequential | conservative)", sp.Executor))
 	}
 	if sp.ProfileWindowNs > 0 {
-		opts = append(opts, abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(sp.ProfileWindowNs), Classes: true}))
+		opts = append(opts, abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(sp.ProfileWindowNs)}))
 	}
 	return opts, errors.Join(errs...)
 }

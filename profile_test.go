@@ -26,7 +26,7 @@ func TestProfilerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiled, err := nqueens.Run(nqueens.Options{N: 8}, append(base,
-		abcl.WithProfiler(abcl.ProfileOptions{Window: 100 * abcl.Microsecond, Classes: true}))...)
+		abcl.WithProfiler(abcl.ProfileOptions{Window: 100 * abcl.Microsecond}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestProfilerCompleteness(t *testing.T) {
 		abcl.WithBatching(10*abcl.Microsecond, 0),
 		abcl.WithDelayedAcks(50*abcl.Microsecond),
 		abcl.WithCheckpoint(500*abcl.Microsecond),
-		abcl.WithProfiler(abcl.ProfileOptions{Classes: true}))
+		abcl.WithProfiler(abcl.ProfileOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
