@@ -191,7 +191,6 @@ type settings struct {
 	batchWindow Time
 	batchBytes  int
 	ackDelay    Time
-	loadHorizon Time
 	noLocCache  bool
 	ckptEvery   Time // periodic checkpoint interval; 0 = off
 	observer    trace.Sink
@@ -396,19 +395,6 @@ func WithDelayedAcks(d Time) Option {
 	}
 }
 
-// WithLoadHorizon makes load-based placement ignore piggybacked load samples
-// older than d, so it stops chasing stale minima on quiet links. Zero (the
-// default) keeps samples forever.
-func WithLoadHorizon(d Time) Option {
-	return func(s *settings) error {
-		if d <= 0 {
-			return fmt.Errorf("abcl: WithLoadHorizon(%v): horizon must be positive", d)
-		}
-		s.loadHorizon = d
-		return nil
-	}
-}
-
 // WithoutLocationCache disables the remote-location cache that
 // short-circuits migration forwarders. The cache is on by default (and
 // inert until an object migrates); disable it to reproduce strict
@@ -580,11 +566,6 @@ func NewSystem(opts ...Option) (*System, error) {
 		Trace:         s.observer,
 		Prof:          prof,
 	})
-	if ckptOn {
-		// Object tracking must be on before anything — bootstrap objects,
-		// stocked chunks, reply destinations — is created.
-		rt.EnableSnapshots()
-	}
 	net := remote.Attach(rt, remote.Options{
 		StockDepth:      s.stock,
 		Placement:       s.placement,
@@ -593,15 +574,10 @@ func NewSystem(opts ...Option) (*System, error) {
 		BatchWindow:     s.batchWindow,
 		BatchMaxBytes:   s.batchBytes,
 		AckDelay:        s.ackDelay,
-		LoadHorizon:     s.loadHorizon,
 		NoLocationCache: s.noLocCache,
 	})
 	sys := &System{M: m, RT: rt, Net: net, seed: s.seed, faults: s.faults, exec: s.exec}
 	if ckptOn {
-		// Retention must cover every reliable send, including host-time ones
-		// (e.g. a Migrate before the first Run), so it starts here rather
-		// than at the manager's Start.
-		net.EnableCheckpoint()
 		sys.ckpt = checkpoint.New(rt, net, s.ckptEvery)
 	}
 	return sys, nil

@@ -108,6 +108,22 @@ func TestSystemFlagsReachEveryWorkload(t *testing.T) {
 	}
 }
 
+// TestCrashUnderRandomPlacement runs a crash through the command under the
+// default random placement, where restored chunk stocks name chunks the
+// rolled-back timeline initialized: the run must recover the fault-free
+// answer after one restart.
+func TestCrashUnderRandomPlacement(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(strings.Fields("-workload nqueens -n 8 -nodes 8 -checkpoint-interval 200us -crash 2@1ms+300us"), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`solutions\s+92 \(expected 92\)`, `restarts=1 `} {
+		if !regexp.MustCompile(want).MatchString(out.String()) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestUnknownNamesAreErrors pins that a misspelt setting fails on every
 // path instead of falling back to a default, and a size no run can finish
 // (a negative fork-join depth never reaches a leaf) instead of hanging.

@@ -1,6 +1,7 @@
 package abcl_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/apps/misc"
 	"repro/internal/apps/nqueens"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // crashRun executes one N-queens search under the given options and returns
@@ -44,6 +46,8 @@ var queensSolutions = map[int]int64{5: 10, 6: 4, 7: 40, 8: 92}
 // reliable delivery and periodic checkpoints on, a run that loses a node
 // mid-search and recovers from the last checkpoint produces exactly the
 // result of the fault-free run — no lost work, no double-counted solutions.
+// This configuration once panicked with a stale seed chunk in the restored
+// stock (InitChunk on an already-initialized object).
 func TestCrashRecoveryNQueens(t *testing.T) {
 	const n = 6
 	base := []abcl.Option{abcl.WithNodes(4), abcl.WithSeed(11), abcl.WithReliable()}
@@ -81,6 +85,87 @@ func TestCrashRecoveryNQueens(t *testing.T) {
 	}
 }
 
+// TestCrashWithBatching combines a crash with per-link batching: the crash
+// can strike with half-flushed batches open on any link, and recovery must
+// tear them down and still deliver the exact result.
+func TestCrashWithBatching(t *testing.T) {
+	const n = 6
+	batched := []abcl.Option{
+		abcl.WithNodes(4), abcl.WithSeed(5), abcl.WithReliable(),
+		abcl.WithBatching(2000*abcl.Nanosecond, 0),
+	}
+	clean := runQueens(t, n, batched...)
+	if clean.solutions != queensSolutions[n] {
+		t.Fatalf("batched fault-free run: %d solutions, want %d", clean.solutions, queensSolutions[n])
+	}
+	plan := abcl.FaultPlan{}.WithCrash(2, clean.elapsed/3, clean.elapsed/10)
+	crashed := runQueens(t, n,
+		abcl.WithNodes(4), abcl.WithSeed(5),
+		abcl.WithBatching(2000*abcl.Nanosecond, 0),
+		abcl.WithCheckpoint(clean.elapsed/8),
+		abcl.WithFaults(plan),
+	)
+	if crashed.solutions != clean.solutions {
+		t.Errorf("batched recovery found %d solutions, want %d", crashed.solutions, clean.solutions)
+	}
+	if crashed.stats.RelAbandoned != 0 {
+		t.Errorf("reliable layer abandoned %d messages", crashed.stats.RelAbandoned)
+	}
+}
+
+// TestCrashRecoveryProperty is the subsystem's contract, stated once over a
+// generated matrix: each app × placement × seed × wire path runs fault-free
+// (elapsed el), then three more times with checkpoints every el/8 and node
+// seed%4 down for el/10 from el/5, el/3 or el/2. Every recovered run must
+// give the fault-free answer after one restart and some checkpoint writes,
+// abandon no message, and finish after the fault-free run but within 3× it
+// plus the outage.
+func TestCrashRecoveryProperty(t *testing.T) {
+	apps := []workload.Spec{
+		{Workload: "nqueens", N: 6},
+		{Workload: "forkjoin", Depth: 6},
+		{Workload: "diffusion", Grid: 6, GridIters: 4},
+		{Workload: "hotkey", Clients: 4, Ops: 10},
+	}
+	run := func(t *testing.T, sp workload.Spec) workload.Outcome {
+		t.Helper()
+		out, err := workload.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, app := range apps {
+		for _, place := range []string{"random", "rr", "load", "depth"} {
+			for seed := int64(1); seed <= 6; seed++ {
+				for _, batched := range []bool{false, true} {
+					sp := app
+					sp.Nodes, sp.Seed, sp.Placement, sp.Reliable = 4, seed, place, true
+					if batched {
+						sp.BatchWindowNs, sp.AckDelayNs = 2000, 50000
+					}
+					t.Run(fmt.Sprintf("%s/%s/seed=%d/batched=%v", app.Workload, place, seed, batched), func(t *testing.T) {
+						clean := run(t, sp)
+						el := clean.Elapsed
+						for _, div := range []abcl.Time{5, 3, 2} {
+							plan := abcl.FaultPlan{}.WithCrash(int(seed%4), el/div, el/10)
+							crashed := sp
+							crashed.CkptIntervalNs, crashed.Faults = int64(el/8), &plan
+							out := run(t, crashed)
+							c := out.Report.Sched.Counters
+							if out.Invariant != clean.Invariant || c.NodeRestarts != 1 || c.CkptSaves == 0 || c.RelAbandoned != 0 ||
+								out.Elapsed <= el || out.Elapsed > 3*(el+el/10) {
+								t.Errorf("crash at el/%d: %s, %d restarts, %d saves, %d abandoned, elapsed %v; fault-free %s in %v",
+									div, out.Invariant, c.NodeRestarts, c.CkptSaves, c.RelAbandoned, out.Elapsed, clean.Invariant, el)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestCrashRecoveryDeterminism re-runs an identical crash-and-recover
 // configuration and requires byte-identical counters, elapsed time and
 // trace: recovery is part of the deterministic simulation, not an escape
@@ -103,6 +188,10 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 	if a.elapsed != b.elapsed || a.solutions != b.solutions {
 		t.Errorf("elapsed/answer differ: (%v, %d) vs (%v, %d)",
 			a.elapsed, a.solutions, b.elapsed, b.solutions)
+	}
+	if a.stats.RelAbandoned != 0 || a.elapsed > 3*(clean.elapsed+clean.elapsed/12) {
+		t.Errorf("recovery abandoned %d messages and took %v; fault-free %v",
+			a.stats.RelAbandoned, a.elapsed, clean.elapsed)
 	}
 	if ta, tb := ringA.Events(), ringB.Events(); !reflect.DeepEqual(ta, tb) {
 		for i := range ta {
@@ -138,34 +227,6 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 	}
 	if c.CkptRounds != 0 {
 		t.Errorf("completed %d periodic rounds with checkpointing nominally off", c.CkptRounds)
-	}
-}
-
-// TestCrashWithBatching combines a crash with per-link batching: the crash
-// can strike with half-flushed batches open on any link, and recovery must
-// tear them down and still deliver the exact result.
-func TestCrashWithBatching(t *testing.T) {
-	const n = 6
-	batched := []abcl.Option{
-		abcl.WithNodes(4), abcl.WithSeed(5), abcl.WithReliable(),
-		abcl.WithBatching(2000*abcl.Nanosecond, 0),
-	}
-	clean := runQueens(t, n, batched...)
-	if clean.solutions != queensSolutions[n] {
-		t.Fatalf("batched fault-free run: %d solutions, want %d", clean.solutions, queensSolutions[n])
-	}
-	plan := abcl.FaultPlan{}.WithCrash(2, clean.elapsed/3, clean.elapsed/10)
-	crashed := runQueens(t, n,
-		abcl.WithNodes(4), abcl.WithSeed(5),
-		abcl.WithBatching(2000*abcl.Nanosecond, 0),
-		abcl.WithCheckpoint(clean.elapsed/8),
-		abcl.WithFaults(plan),
-	)
-	if crashed.solutions != clean.solutions {
-		t.Errorf("batched recovery found %d solutions, want %d", crashed.solutions, clean.solutions)
-	}
-	if crashed.stats.RelAbandoned != 0 {
-		t.Errorf("reliable layer abandoned %d messages", crashed.stats.RelAbandoned)
 	}
 }
 

@@ -92,11 +92,15 @@ type Manager struct {
 	stable  *Snapshot // last complete round — the restore target
 }
 
-// New builds a manager over an attached runtime/layer pair. interval is the
-// coordinator's tick period; zero means no periodic rounds — only the
-// baseline round-0 checkpoint captured at Start (enough for crash plans that
-// tolerate restarting from the beginning).
+// New builds a manager over an attached runtime/layer pair and turns on what
+// it needs of them: object tracking in the runtime and retention of every
+// reliable transmission in the layer. It must run before the first object is
+// created or message sent. interval is the coordinator's tick period; zero
+// means no periodic rounds — only the baseline round-0 checkpoint captured at
+// Start (enough for crash plans that tolerate restarting from the beginning).
 func New(rt *core.Runtime, l *remote.Layer, interval sim.Time) *Manager {
+	rt.EnableSnapshots()
+	l.EnableCheckpoint()
 	g := &Manager{
 		rt:       rt,
 		l:        l,
@@ -128,10 +132,6 @@ func (g *Manager) Rounds() int {
 // also covers crashes that strike before the first periodic round completes.
 func (g *Manager) Start(crashes []fault.NodeCrash) {
 	g.rt.Freeze()
-	if !g.rt.SnapshotsEnabled() {
-		panic("checkpoint: runtime was built without EnableSnapshots")
-	}
-	g.l.EnableCheckpoint()
 	g.stable = g.capture(0, 0)
 	if g.interval > 0 {
 		g.scheduleTick(g.interval)
@@ -161,9 +161,8 @@ func (g *Manager) Snapshot() *Snapshot {
 }
 
 // Restore rolls the whole machine back to the last stable checkpoint. Valid
-// only when the machine is quiescent; the per-node completion (stable-store
-// read charge, in-flight replay, wake) runs as lane events at the start of
-// the next Run, which resumes execution from the restored state.
+// only when the machine is quiescent; the next Run resumes execution from
+// the restored state.
 func (g *Manager) Restore() {
 	g.restore(g.m.MaxClock(), -1)
 }
@@ -295,8 +294,14 @@ func (g *Manager) snapNode(i int) {
 // restore executes a global rollback: the whole machine returns to the last
 // complete checkpoint round and execution resumes from it. node is the
 // crashed node whose restart triggered the rollback, or -1 for a manual
-// Restore. Runs as a host-lane event; incompatible with the parallel
-// executor.
+// Restore. It is one pass that leaves nothing for later: each node is
+// restored, charged the stable-store read and re-sends the cut's in-flight
+// records before any event of the restored timeline runs, so no send of
+// that timeline can take a sequence number the replay re-pends. A node
+// still inside its own crash outage is restored but neither charged nor
+// replayed — its restart runs this whole pass again. Runs as a host-lane
+// event, or between runs for a manual Restore; incompatible with the
+// parallel executor.
 func (g *Manager) restore(at sim.Time, node int) {
 	snap := g.stable
 	if snap == nil {
@@ -307,21 +312,7 @@ func (g *Manager) restore(at sim.Time, node int) {
 	// else.
 	g.cur = nil
 	g.acks = 0
-	// Tear down the rolled-back timeline's protocol state, revoke its
-	// in-flight packets, and clear the survivors' receive queues.
-	g.l.CkptTeardown()
 	g.m.BumpEra()
-	for i := 0; i < g.n; i++ {
-		g.m.Node(i).DropRx()
-	}
-	for i := 0; i < g.n; i++ {
-		g.rt.RestoreNode(snap.core[i])
-		g.l.CkptRestoreNode(snap.rel[i])
-	}
-	// Truncation must be synchronous with the cursor restore: any event of
-	// the restored timeline (a periodic tick's marker, say) may transmit
-	// under a restored sequence number before the per-node replay events run.
-	g.l.CkptTruncate(snap.rel)
 	if node >= 0 {
 		g.m.Node(node).EndOutage(at)
 		g.rt.NodeRT(node).C.NodeRestarts++
@@ -331,30 +322,22 @@ func (g *Manager) restore(at sim.Time, node int) {
 		g.rt.Tracef(at, 0, trace.EvRestore,
 			"manual rollback to round %d (captured at %v)", snap.Round, snap.At)
 	}
-	// Per-node completion runs as a lane event on each node: the stable-store
-	// read is charged against a fresh clock, retained in-flight records of
-	// the cut are re-pended and retransmitted (arming retry timers against
-	// the node's own lane), and the node is woken to resume restored work. A
-	// node still inside its own crash outage skips the charge and replay —
-	// its restart will run this whole sequence again.
 	for i := 0; i < g.n; i++ {
-		i := i
 		mn := g.m.Node(i)
-		g.m.Eng.ScheduleFuncOn(0, mn.Lane(), at, func() {
-			if mn.Down(at) {
-				return
-			}
-			mn.SyncClock(at)
-			bytes := snap.core[i].SizeBytes() + snap.rel[i].SizeBytes()
-			mn.ChargeTo(profile.Ckpt, g.m.Cfg.Cost.RestoreInstr(bytes))
-			if np := mn.Prof(); np != nil {
-				np.StableWrite(bytes)
-			}
-			if replayed := g.l.CkptReplayNode(i, snap.rel); replayed > 0 {
-				g.rt.NodeRT(i).C.ReplayedMsgs += uint64(replayed)
-			}
-			mn.Wake()
-		})
+		mn.DropRx()
+		g.rt.RestoreNode(snap.core[i])
+		g.l.CkptRestoreNode(snap.rel[i])
+		if mn.Down(at) {
+			continue
+		}
+		mn.SyncClock(at)
+		bytes := snap.core[i].SizeBytes() + snap.rel[i].SizeBytes()
+		mn.ChargeTo(profile.Ckpt, g.m.Cfg.Cost.RestoreInstr(bytes))
+		if np := mn.Prof(); np != nil {
+			np.StableWrite(bytes)
+		}
+		g.rt.NodeRT(i).C.ReplayedMsgs += uint64(g.l.CkptReplayNode(i, snap.rel))
+		mn.Wake()
 	}
 }
 

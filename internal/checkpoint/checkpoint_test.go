@@ -23,7 +23,6 @@ func TestRestoreForgetsLaterObjectsNotTheirSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := core.NewRuntime(m, core.Options{})
-	rt.EnableSnapshots()
 	l := remote.Attach(rt, remote.Options{StockDepth: 2, Reliable: true, Seed: 1})
 	g := New(rt, l, 0)
 

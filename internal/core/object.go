@@ -14,6 +14,7 @@ type Object struct {
 
 	inSchedQ bool
 	running  bool // a method invocation is live on the stack
+	tracked  bool // on its home's checkpoint list (NodeRT.hosted)
 
 	// wait holds the saved selective-reception context while in waiting
 	// mode: the continuation plus the frame of the blocked invocation.

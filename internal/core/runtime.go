@@ -300,13 +300,13 @@ func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
 // Used by the remote-creation protocol, where the allocating node n is not
 // always the home: a requester seeds its stock with chunks of the target,
 // and the Object comes out of the requester's arena because the requester's
-// lane is the one running.
+// lane is the one running. The chunk joins its home's checkpoint list when
+// the home first touches it (InitChunk, faultEntry), on the home's lane.
 func (n *NodeRT) NewFaultChunk(node int) *Object {
 	r := n.rt
 	r.Freeze()
 	obj := n.newObjectAt(node)
 	obj.vftp = r.faultVFT
-	r.trackObject(node, obj)
 	return obj
 }
 
@@ -321,6 +321,7 @@ func (r *Runtime) InitChunk(n *NodeRT, obj *Object, cl *Class, ctorArgs []Value)
 	if obj.class != nil {
 		panic("core: InitChunk on already-initialized object")
 	}
+	r.trackObject(n.id, obj)
 	obj.class = cl
 	obj.ctorArgs = n.copyCtorArgs(ctorArgs)
 	if cl.StateSize > 0 {

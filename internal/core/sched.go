@@ -48,9 +48,12 @@ type NodeRT struct {
 	// cleared after each call (a fresh one would escape through cl.Init).
 	initCtx InitCtx
 
-	// hosted lists every object homed on this node in creation order, for
-	// checkpoint traversal. Populated only when snapshots are enabled
-	// (track), keeping the default path untouched and parallel-run safe.
+	// hosted lists the objects homed on this node in the order this node
+	// first touched them — created, initialized or buffered a message for —
+	// for checkpoint traversal: a chunk another node seeded joins when its
+	// home first sees it, not when it is carved. Populated only when
+	// snapshots are enabled (track), keeping the default path untouched and
+	// parallel-run safe.
 	hosted []*Object
 	track  bool
 
@@ -589,6 +592,7 @@ func faultEntry(n *NodeRT, obj *Object, f *Frame) {
 	n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ +
 		n.cost.FaultEnqueue)
 	n.C.FaultBuffered++
+	n.rt.trackObject(n.id, obj)
 	obj.queue.push(f)
 }
 

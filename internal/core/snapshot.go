@@ -12,10 +12,11 @@ package core
 // to completion inside one scheduler quantum), so no object is ever running
 // at a snapshot point. Restore rewrites each captured object in place —
 // object identity IS the mail address, so restoration must not reallocate —
-// and forgets everything created after the snapshot: pre-snapshot state
-// cannot reference post-snapshot objects, so the suffix of the hosted list
-// is unreachable once the in-flight packets of the rolled-back timeline are
-// revoked (machine.BumpEra). Unreachable, not reclaimed: an Object is a slot
+// and forgets everything its node touched after the snapshot: pre-snapshot
+// state names such an object only as an untouched chunk (a stock entry, a
+// create request in the channel), so the suffix of the hosted list goes
+// back to being one once the in-flight packets of the rolled-back timeline
+// are revoked (machine.BumpEra). Forgotten, not reclaimed: an Object is a slot
 // of its allocating node's arena and lives as long as its block does, and no
 // restore rewinds an arena — a slot is handed out once, so an address of the
 // abandoned timeline can never come to name an object of the restored one.
@@ -38,24 +39,21 @@ const (
 )
 
 // EnableSnapshots turns on object tracking on every node: each node records
-// the objects homed on it, in creation order, so a snapshot can enumerate
-// them. Must be called before any object is created; tracking is off by
-// default so the non-checkpointed path stays byte-identical (and safe under
-// parallel execution, which checkpointing forbids).
+// the objects homed on it, in the order it first touches them, so a snapshot
+// can enumerate them. Must be called before any object is created; tracking
+// is off by default so the non-checkpointed path stays byte-identical (and
+// safe under parallel execution, which checkpointing forbids).
 func (r *Runtime) EnableSnapshots() {
 	for _, n := range r.nodes {
 		n.track = true
 	}
 }
 
-// SnapshotsEnabled reports whether object tracking is on.
-func (r *Runtime) SnapshotsEnabled() bool {
-	return len(r.nodes) > 0 && r.nodes[0].track
-}
-
-// trackObject records a newly created object on its hosting node.
+// trackObject enters obj on its home's checkpoint list, once. Runs on the
+// home's lane.
 func (r *Runtime) trackObject(node int, obj *Object) {
-	if n := r.nodes[node]; n.track {
+	if n := r.nodes[node]; n.track && !obj.tracked {
+		obj.tracked = true
 		n.hosted = append(n.hosted, obj)
 	}
 }
@@ -143,13 +141,10 @@ func (n *NodeRT) PinFrame(f *Frame) {
 // CaptureNode snapshots the full language-level state of one node: every
 // hosted object (state box, constructor arguments, buffered
 // message queue, saved contexts, reply-destination payloads, forwarding
-// address, mode table) and the scheduling-queue order. Requires
-// EnableSnapshots; must run between engine events.
+// address, mode table) and the scheduling-queue order. Must run between
+// engine events.
 func (r *Runtime) CaptureNode(node int) *NodeImage {
 	n := r.nodes[node]
-	if !n.track {
-		panic("core: CaptureNode without EnableSnapshots")
-	}
 	img := &NodeImage{Node: node, hostedLen: len(n.hosted)}
 	img.objs = make([]objImage, 0, len(n.hosted))
 	for _, o := range n.hosted {
@@ -238,15 +233,19 @@ func (img *NodeImage) capture(o *Object) {
 }
 
 // RestoreNode rolls the node back to the image: every captured object is
-// rewritten in place, objects created after the snapshot drop off the hosted
-// list (their arena slots stay spent, see above), and the scheduling queue
-// is rebuilt in captured order. The caller is
-// responsible for revoking the rolled-back timeline's in-flight packets
-// (machine.BumpEra), restoring the inter-node layer, and waking the node.
+// rewritten in place, objects the node touched after the snapshot drop off
+// the hosted list (their arena slots stay spent, see above), and the
+// scheduling queue is rebuilt in captured order. A forgotten object becomes
+// a pristine fault chunk again: the restored cut may still name it as a
+// chunk in some stock or in a create request still to be replayed, and
+// there it must be found uninitialized. The caller is responsible for
+// revoking the rolled-back timeline's in-flight packets (machine.BumpEra),
+// restoring the inter-node layer, and waking the node.
 func (r *Runtime) RestoreNode(img *NodeImage) {
 	n := r.nodes[img.Node]
-	for i := img.hostedLen; i < len(n.hosted); i++ {
-		n.hosted[i] = nil
+	for i, o := range n.hosted[img.hostedLen:] {
+		*o = Object{node: o.node, vftp: r.faultVFT}
+		n.hosted[img.hostedLen+i] = nil
 	}
 	n.hosted = n.hosted[:img.hostedLen]
 	for i := range img.objs {

@@ -217,6 +217,9 @@ func TestValueRoundTrips(t *testing.T) {
 	if sz := unsafe.Sizeof(Value{}); sz > 32 {
 		t.Errorf("Value is %d bytes, want <= 32: frames, wire records and state arenas are made of these", sz)
 	}
+	if sz := unsafe.Sizeof(Object{}); sz > 160 {
+		t.Errorf("Object is %d bytes, want <= 160: every object ever created keeps one", sz)
+	}
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with payload bits
 	obj := &Object{node: 3}
 	slice := []int{1, 2}

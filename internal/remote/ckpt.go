@@ -28,8 +28,9 @@ import (
 //     trip, so identity must survive a rollback.
 //
 //   - Teardown of the rolled-back timeline: pending retransmissions, reorder
-//     buffers, delayed-ack ledgers and open batches all describe traffic of
-//     a timeline that, after a restore, never happened.
+//     buffers, delayed-ack ledgers, open batches and retained records past
+//     the restored send cursors all describe traffic of a timeline that,
+//     after a restore, never happened.
 //
 // Checkpoint-protocol control messages (markers, snapshot acks) ride the
 // reliable layer itself (CatCkpt, wmCkpt): they share each link's data
@@ -50,7 +51,7 @@ type ckptRec struct {
 // retainLink is the retention buffer of one (src, dst) link, kept in the
 // sender's cold record of the link: recs[i] holds sequence number base+i.
 // Appended at send, trimmed at the front as records become stable, truncated
-// at the back by a rollback.
+// at the back by a rollback (CkptRestoreNode).
 type retainLink struct {
 	base uint64
 	recs []ckptRec
@@ -77,6 +78,14 @@ func (lk *retainLink) retain(src, dst int, m *relMsg) {
 	lk.recs = append(lk.recs, ckptRec{size: m.size, category: m.category, payload: m.payload})
 }
 
+// truncate drops the records at or past seq: the restored send cursor.
+func (lk *retainLink) truncate(seq uint64) {
+	if keep := max(int(seq-lk.base), 0); keep < len(lk.recs) {
+		clear(lk.recs[keep:])
+		lk.recs = lk.recs[:keep]
+	}
+}
+
 // RelImage is one node's inter-node-layer snapshot.
 type RelImage struct {
 	node         int
@@ -84,7 +93,7 @@ type RelImage struct {
 	nextExpected []uint64
 	rr, rrNext   int
 	rng          uint64
-	loads        []loadSample
+	loads        []int32
 	stock        []stockImage
 	locCache     map[core.Address]core.Address
 	advert       map[advertKey]core.Address
@@ -102,11 +111,8 @@ type stockImage struct {
 func (im *RelImage) SizeBytes() int { return im.bytes }
 
 // CaptureRel snapshots one node's inter-node state. Must run between engine
-// events, with checkpoint mode enabled.
+// events.
 func (l *Layer) CaptureRel(node int) *RelImage {
-	if !l.ckpt {
-		panic("remote: CaptureRel without EnableCheckpoint")
-	}
 	ns := l.nodes[node]
 	im := &RelImage{
 		node:         node,
@@ -115,7 +121,7 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 		rr:           ns.rr,
 		rrNext:       ns.rrNext,
 		rng:          ns.rng,
-		loads:        append([]loadSample(nil), ns.loads...),
+		loads:        append([]int32(nil), ns.loads...),
 	}
 	ns.eachLink(func(k *link) {
 		im.nextSeq[k.peer], im.nextExpected[k.peer] = k.nextSeq, k.nextExpected
@@ -145,55 +151,47 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 	return im
 }
 
-// CkptTeardown discards every piece of in-flight protocol state of the
-// rolled-back timeline, in deterministic node order: in-flight records and
-// their retry deadlines, reorder buffers, delayed-ack ledgers, and open
-// batches. Runs once per restore, before the per-node state is restored.
+// CkptRestoreNode rolls one node's inter-node state back to the image. The
+// rolled-back timeline's protocol state is forgotten: in-flight records and
+// their retry deadlines, reorder buffers, delayed-ack ledgers, open batches,
+// and the retained records at or past the restored send cursors, which must
+// never replay. The sequence cursors, placement state, load samples,
+// location cache and advertisement ledger are overwritten; chunk-stock
+// entries are restored through their existing pointers, and entries the
+// image does not know (created after the snapshot) are emptied — their
+// chunks belong to the forgotten timeline.
 //
 // The batch-flush and delayed-ack deadlines stay armed: a stale deadline
 // firing on an empty batch or ledger is a no-op, and on a refilled one merely
 // early.
-func (l *Layer) CkptTeardown() {
-	for _, ns := range l.nodes {
-		mn := l.m.Node(ns.id)
-		ns.eachLink(func(k *link) {
-			for k.head != nil {
-				l.rel.finish(ns, k, k.head)
-			}
-			if lc := ns.coldOf(int(k.peer)); lc != nil {
-				lc.held, lc.above = nil, nil
-			}
-			k.owed = 0
-			if ob := k.batch; ob != nil {
-				for _, p := range ob.pkts {
-					mn.ReleasePacket(p)
-				}
-				ob.reset()
-				if ob.due == 0 {
-					ns.closeBatch(k)
-				}
-			}
-		})
-		clear(ns.rel.owedTo)
-		ns.rel.owedTo = ns.rel.owedTo[:0]
-	}
-}
-
-// CkptRestoreNode rolls one node's inter-node state back to the image. The
-// sequence cursors, placement state, load samples, location cache and
-// advertisement ledger are overwritten; chunk-stock entries are restored
-// through their existing pointers, and entries the image does not know
-// (created after the snapshot) are emptied — their chunks belong to the
-// forgotten timeline.
 func (l *Layer) CkptRestoreNode(im *RelImage) {
 	ns := l.nodes[im.node]
+	mn := l.m.Node(ns.id)
 	ns.eachLink(func(k *link) {
+		for k.head != nil {
+			l.rel.finish(ns, k, k.head)
+		}
+		if ob := k.batch; ob != nil {
+			for _, p := range ob.pkts {
+				mn.ReleasePacket(p)
+			}
+			ob.reset()
+			if ob.due == 0 {
+				ns.closeBatch(k)
+			}
+		}
 		k.nextSeq, k.nextExpected = im.nextSeq[k.peer], im.nextExpected[k.peer]
 		// The delayed-ack ledger restarts from the restored receive cursor:
 		// everything below it is consumed, nothing above has arrived in the
 		// restored timeline.
-		k.cum = k.nextExpected
+		k.cum, k.owed = k.nextExpected, 0
+		if lc := ns.coldOf(int(k.peer)); lc != nil {
+			lc.held, lc.above = nil, nil
+			lc.ret.truncate(k.nextSeq)
+		}
 	})
+	clear(ns.rel.owedTo)
+	ns.rel.owedTo = ns.rel.owedTo[:0]
 	ns.rr, ns.rrNext, ns.rng = im.rr, im.rrNext, im.rng
 	copy(ns.loads, im.loads)
 	for _, e := range ns.stock {
@@ -221,34 +219,14 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 	}
 }
 
-// CkptTruncate discards the rolled-back suffix of every retention buffer:
-// records with seq >= the restored send cursor belong to the abandoned
-// timeline and must never replay. Runs synchronously inside the rollback,
-// before any event of the restored timeline can transmit — a new send (or a
-// snapshot marker) under a restored sequence number must find its link's
-// buffer already truncated.
-func (l *Layer) CkptTruncate(imgs []*RelImage) {
-	for src, ns := range l.nodes {
-		for dst, lc := range ns.cold {
-			if lc == nil {
-				continue
-			}
-			lk := &lc.ret
-			keep := max(int(imgs[src].nextSeq[dst]-lk.base), 0)
-			if keep < len(lk.recs) {
-				clear(lk.recs[keep:])
-				lk.recs = lk.recs[:keep]
-			}
-		}
-	}
-}
-
 // CkptReplayNode reconstructs the channel state of the cut for one sending
 // node: every retained record (already truncated to the restored send
-// cursors by CkptTruncate) that the destination's restored receive cursor
+// cursors by CkptRestoreNode) that the destination's restored receive cursor
 // does not cover is re-pended and retransmitted under its original sequence
-// number. Must run on the sending node's lane so retransmission timers are
-// armed against fresh event times. Returns the number of replayed records.
+// number. Must run inside the rollback, before any event of the restored
+// timeline, so the links it re-pends on have nothing else in flight and
+// every number lies below their send cursors. Returns the number of replayed
+// records.
 func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 	r := l.rel
 	ns := l.nodes[src]

@@ -61,10 +61,6 @@ type Options struct {
 	// reverse-direction batches. Effective only with Reliable; zero keeps
 	// immediate per-packet acks.
 	AckDelay sim.Time
-	// LoadHorizon makes load-based placement ignore piggybacked load
-	// samples older than this; zero keeps samples forever (the historical
-	// behaviour).
-	LoadHorizon sim.Time
 	// NoLocationCache disables the remote-location cache that
 	// short-circuits migration forwarders. The cache is on by default: it
 	// is inert until an object migrates.
@@ -217,7 +213,7 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		// parse and buffer management were paid by the first record.
 		extract = c.BatchRecvExtract
 	}
-	l.noteLoad(rn.ID, w.src, w.load, p.Arrival)
+	l.noteLoad(rn.ID, w.src, w.load)
 	nrt := l.rt.NodeRT(rn.ID)
 	switch w.kind {
 	case wmMessage:
@@ -319,7 +315,7 @@ type nodeState struct {
 	rng     uint64
 	stock   map[stockKey]*stockEntry
 	entries sim.Arena[stockEntry] // backs stock's values (lane-local)
-	loads   []loadSample          // per peer: last piggybacked scheduling-queue length
+	loads   []int32               // per peer: last piggybacked scheduling-queue length
 
 	*peers // nil unless the reliable protocol or batching is on (see link.go)
 
@@ -333,13 +329,6 @@ type nodeState struct {
 	// each sender is told about each migration generation exactly once.
 	locCache map[core.Address]core.Address
 	advert   map[advertKey]core.Address
-}
-
-// loadSample is one peer's piggybacked load and the arrival time it was
-// observed at (the staleness horizon), written together on every receive.
-type loadSample struct {
-	at   sim.Time
-	load int32
 }
 
 type advertKey struct {
@@ -357,22 +346,11 @@ func (ns *nodeState) nextRand() uint64 {
 	return x
 }
 
-// staleLoad makes out-of-horizon samples lose to any fresh information when
-// load-based placement compares candidates.
-const staleLoad = int(1) << 30
-
 func (ns *nodeState) knownLoad(node int, l *Layer) int {
 	if node == ns.id {
 		return l.rt.NodeRT(node).SchedQueueLen()
 	}
-	if h := l.opt.LoadHorizon; h > 0 {
-		if at := ns.loads[node].at; at == 0 || at+h < l.m.Node(ns.id).Now() {
-			// No sample inside the horizon: treat the peer as unknown
-			// rather than idle, so placement stops chasing stale minima.
-			return staleLoad
-		}
-	}
-	return int(ns.loads[node].load)
+	return int(ns.loads[node])
 }
 
 // Attach builds the layer and installs it into the runtime. Must run before
@@ -389,7 +367,7 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 			id:    i,
 			rng:   uint64(opt.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1,
 			stock: make(map[stockKey]*stockEntry),
-			loads: make([]loadSample, rt.Nodes()),
+			loads: make([]int32, rt.Nodes()),
 		}
 	}
 	if opt.Reliable || opt.BatchWindow > 0 {
@@ -486,10 +464,10 @@ func (l *Layer) piggyback(src int) int32 {
 	return int32(l.rt.NodeRT(src).SchedQueueLen())
 }
 
-// noteLoad stores a piggybacked load sample with the arrival time it was
-// observed at, so placement can discount samples beyond the LoadHorizon.
-func (l *Layer) noteLoad(dst, src int, load int32, at sim.Time) {
-	l.nodes[dst].loads[src] = loadSample{at: at, load: load}
+// noteLoad stores a piggybacked load sample as the receiver's view of the
+// sender.
+func (l *Layer) noteLoad(dst, src int, load int32) {
+	l.nodes[dst].loads[src] = load
 }
 
 // SendMessage implements core.Remote: category-1 normal message

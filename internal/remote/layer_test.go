@@ -370,9 +370,9 @@ func TestPlacementLoadBased(t *testing.T) {
 	rt, l := buildSys(t, 4, core.Options{}, Options{StockDepth: 1, Placement: LoadBased{Candidates: 4}, Seed: 7})
 	rt.Freeze()
 	// Make node 2 look heavily loaded in node 0's view; others idle.
-	l.nodes[0].loads[1].load = 0
-	l.nodes[0].loads[2].load = 1000
-	l.nodes[0].loads[3].load = 0
+	l.nodes[0].loads[1] = 0
+	l.nodes[0].loads[2] = 1000
+	l.nodes[0].loads[3] = 0
 	heavyPicks := 0
 	for i := 0; i < 64; i++ {
 		if l.Placement().Pick(l, 0, nil) == 2 {

@@ -156,26 +156,19 @@ func (k *link) find(seq uint64) **relMsg {
 	return at
 }
 
-// track enters m into the in-flight chain. A send carries the link's next
-// sequence number and goes at the end; only a rollback's replay re-pends
-// older numbers, possibly after a send of the restored timeline got in first.
-// It may even re-pend that send's own number — the send was retained before
-// the replay ran. The replayed record then takes the entry, as it would a map
-// key, and the first lives on in the retry schedule alone.
+// track appends m to the in-flight chain: a send carries the link's next
+// sequence number, and a rollback's replay re-pends in sequence order before
+// anything else is sent.
 func (k *link) track(m *relMsg) {
-	at := k.find(m.seq)
-	m.wnext = *at
-	if old := *at; old != nil && old.seq == m.seq {
-		m.wnext, old.wnext = old.wnext, nil
+	at := &k.head
+	for *at != nil {
+		at = &(*at).wnext
 	}
 	*at = m
 }
 
-// untrack takes the chain's entry for seq out, whichever record holds it (see
-// track).
-func (k *link) untrack(seq uint64) {
-	at := k.find(seq)
-	if m := *at; m != nil && m.seq == seq {
-		*at, m.wnext = m.wnext, nil
-	}
+// untrack takes m out of the in-flight chain.
+func (k *link) untrack(m *relMsg) {
+	at := k.find(m.seq)
+	*at, m.wnext = m.wnext, nil
 }

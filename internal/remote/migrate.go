@@ -59,9 +59,9 @@ func (l *Layer) Migrate(obj *core.Object, target int, onDone func(core.Address))
 		Dst:      target,
 		Size:     size,
 		Category: CatService,
-		Handler: func(mn *machine.Node, pkt *machine.Packet) {
+		Handler: func(mn *machine.Node, _ *machine.Packet) {
 			mn.ChargeTo(profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall+c.MigrateUnpack)
-			l.noteLoad(mn.ID, src, load, pkt.Arrival)
+			l.noteLoad(mn.ID, src, load)
 			tn := l.rt.NodeRT(mn.ID)
 			// Materialize at the target: a chunk adopting the class + state.
 			moved := tn.NewFaultChunk(mn.ID)
@@ -75,9 +75,9 @@ func (l *Layer) Migrate(obj *core.Object, target int, onDone func(core.Address))
 				Dst:      src,
 				Size:     packetHeaderBytes + 8,
 				Category: CatService,
-				Handler: func(mn2 *machine.Node, pkt2 *machine.Packet) {
+				Handler: func(mn2 *machine.Node, _ *machine.Packet) {
 					mn2.ChargeTo(profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall)
-					l.noteLoad(mn2.ID, mn.ID, ackLoad, pkt2.Arrival)
+					l.noteLoad(mn2.ID, mn.ID, ackLoad)
 					on := l.rt.NodeRT(mn2.ID)
 					l.rt.CompleteMigration(on, obj, addr)
 					if onDone != nil {

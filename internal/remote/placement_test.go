@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // placementSys builds a quiescent machine+layer for direct Pick calls.
@@ -53,9 +52,9 @@ func TestRoundRobinVersusLoadBased(t *testing.T) {
 	_, l := placementSys(t, 4, Options{Placement: RoundRobin{}, Seed: 1})
 	ns := l.nodes[0]
 	for i := 1; i < 4; i++ {
-		ns.loads[i].load = 5
+		ns.loads[i] = 5
 	}
-	ns.loads[3].load = 0
+	ns.loads[3] = 0
 
 	if got := (RoundRobin{}).Pick(l, 0, nil); got != 1 {
 		t.Fatalf("round-robin pick = %d, want 1 (blind cycle)", got)
@@ -76,47 +75,8 @@ func TestLoadBasedDefaultsAndOwnLoad(t *testing.T) {
 	// not a piggybacked sample.
 	_, l := placementSys(t, 2, Options{Placement: LoadBased{}, Seed: 1})
 	ns := l.nodes[0]
-	ns.loads[0].load = 99 // must be ignored for self
+	ns.loads[0] = 99 // must be ignored for self
 	if got := ns.knownLoad(0, l); got != 0 {
 		t.Fatalf("own knownLoad = %d, want live queue length 0", got)
-	}
-}
-
-func TestLoadBasedStaleSampleExpiry(t *testing.T) {
-	const horizon = sim.Time(1000)
-	_, l := placementSys(t, 4, Options{Placement: LoadBased{}, Seed: 1, LoadHorizon: horizon})
-	ns := l.nodes[0]
-	l.m.Node(0).SyncClock(2000)
-
-	// Node 2 advertised an attractive zero load, but the sample is outside
-	// the horizon; node 1's worse sample is fresh.
-	ns.loads[2] = loadSample{at: 500, load: 0}
-	ns.loads[1] = loadSample{at: 1500, load: 3}
-
-	if got := ns.knownLoad(2, l); got != staleLoad {
-		t.Fatalf("expired sample knownLoad = %d, want staleLoad", got)
-	}
-	if got := ns.knownLoad(1, l); got != 3 {
-		t.Fatalf("fresh sample knownLoad = %d, want 3", got)
-	}
-	// A node never heard from (sample time zero) is unknown, not idle.
-	if got := ns.knownLoad(3, l); got != staleLoad {
-		t.Fatalf("never-sampled knownLoad = %d, want staleLoad", got)
-	}
-	// Pick must not chase the stale minimum.
-	lb := LoadBased{Candidates: 16}
-	for i := 0; i < 8; i++ {
-		if got := lb.Pick(l, 0, nil); got == 2 || got == 3 {
-			t.Fatalf("load-based pick = %d under horizon, want a node with fresh information", got)
-		}
-	}
-
-	// Without a horizon the same stale zero is taken at face value.
-	_, l2 := placementSys(t, 4, Options{Placement: LoadBased{}, Seed: 1})
-	ns2 := l2.nodes[0]
-	l2.m.Node(0).SyncClock(2000)
-	ns2.loads[2] = loadSample{at: 500, load: 0}
-	if got := ns2.knownLoad(2, l2); got != 0 {
-		t.Fatalf("no-horizon knownLoad = %d, want 0 (stale sample trusted)", got)
 	}
 }

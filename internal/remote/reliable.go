@@ -203,7 +203,7 @@ func newReliable(l *Layer) *reliable {
 // finish takes an acknowledged or abandoned record out of its link's chain
 // and out of the retry schedule, and recycles it.
 func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
-	k.untrack(m.seq)
+	k.untrack(m)
 	if m.due != 0 {
 		ns.rel.retries.remove(m)
 		r.schedule(ns)

@@ -309,33 +309,6 @@ func TestReliableDelayedAcksReduceAckTraffic(t *testing.T) {
 	}
 }
 
-func TestLoadHorizonStaleness(t *testing.T) {
-	// A piggybacked load sample is trusted inside the horizon and treated
-	// as unknown (staleLoad) beyond it.
-	m, err := machine.New(machine.DefaultConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := core.NewRuntime(m, core.Options{})
-	l := Attach(rt, Options{
-		StockDepth: 2, Placement: RoundRobin{}, Seed: 1,
-		LoadHorizon: 100 * sim.Microsecond,
-	})
-	ns := l.nodes[0]
-	if got := ns.knownLoad(1, l); got != staleLoad {
-		t.Errorf("no sample yet: knownLoad = %d, want staleLoad", got)
-	}
-	l.noteLoad(0, 1, 7, 50*sim.Microsecond)
-	m.Node(0).Clock = 120 * sim.Microsecond // sample age 70µs < horizon
-	if got := ns.knownLoad(1, l); got != 7 {
-		t.Errorf("fresh sample: knownLoad = %d, want 7", got)
-	}
-	m.Node(0).Clock = 200 * sim.Microsecond // sample age 150µs > horizon
-	if got := ns.knownLoad(1, l); got != staleLoad {
-		t.Errorf("expired sample: knownLoad = %d, want staleLoad", got)
-	}
-}
-
 func TestLocationCacheInvalidate(t *testing.T) {
 	// A newer advertised location for an already-cached object overwrites
 	// the old entry and counts an invalidation.
@@ -416,9 +389,9 @@ func TestRollbackKeepsFlushDeadlineLive(t *testing.T) {
 	cnt.Method(inc, func(ctx *core.Ctx) { got = append(got, ctx.Arg(0).Int()) })
 	snd := rt.DefineClass("rb.sender", 0, nil)
 	snd.Method(kick, func(ctx *core.Ctx) {
+		im := l.CaptureRel(0)
 		ctx.SendPast(target, inc, core.IntV(1)) // opens a batch, arms its deadline
-		l.CkptTeardown()                        // the rollback forgets that send
-		l.link(0, 1).nextSeq = 0                // and rewinds the link's send cursor
+		l.CkptRestoreNode(im)                   // the rollback forgets that send
 		ctx.SendPast(target, inc, core.IntV(2)) // opens the link's next batch
 	})
 	target = rt.NewObjectOn(1, cnt)
