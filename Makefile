@@ -84,7 +84,8 @@ cpu-profile:
 cover:
 	go test -cover ./... | grep -v 'no test files'
 
-# The size a simplicity PR reads its delta off (ROADMAP item 4).
+# The size a simplicity PR reads its delta off (the ROADMAP's quality-of-design
+# aim counts progress in deleted lines).
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines outside bench/:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"

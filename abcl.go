@@ -365,7 +365,7 @@ func WithReliable() Option {
 // WithBatching enables per-link packet batching on the wire path: records to
 // the same destination node within the given virtual-time window coalesce
 // into one hardware packet (flushed early once maxBytes of payload
-// accumulate; maxBytes <= 0 selects the DefaultBatchBytes budget). The fixed
+// accumulate; maxBytes 0 selects the DefaultBatchBytes budget). The fixed
 // per-packet launch latency is amortised across the coalesced records while
 // per-byte and per-hop costs stay faithful. Off by default; the default
 // path is byte-identical to the unbatched engine.
@@ -373,6 +373,9 @@ func WithBatching(window Time, maxBytes int) Option {
 	return func(s *settings) error {
 		if window <= 0 {
 			return fmt.Errorf("abcl: WithBatching(%v, %d): window must be positive", window, maxBytes)
+		}
+		if maxBytes < 0 {
+			return fmt.Errorf("abcl: WithBatching(%v, %d): byte budget must be non-negative (0 selects the default)", window, maxBytes)
 		}
 		s.batchWindow = window
 		s.batchBytes = maxBytes
@@ -522,10 +525,9 @@ func NewSystem(opts ...Option) (*System, error) {
 	// asked for explicitly or implied by a crash plan (recovery needs at
 	// least the baseline checkpoint); it forces reliable delivery, because
 	// snapshot markers and post-restore replay ride the ack/retry protocol's
-	// per-link sequence space. Delayed acks force it too: they are a mode of
-	// its acknowledgments.
+	// per-link sequence space. (A fault model and delayed acks force it too;
+	// remote.Attach decides those.)
 	ckptOn := s.ckptEvery > 0 || len(s.faults.Crashes) > 0
-	reliable := s.reliable || s.faults.Enabled() || ckptOn || s.ackDelay > 0
 	parallel := s.exec.workers > 1
 	if s.observer != nil && parallel {
 		errs = append(errs, fmt.Errorf("abcl: WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
@@ -570,7 +572,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		StockDepth:      s.stock,
 		Placement:       s.placement,
 		Seed:            s.seed,
-		Reliable:        reliable,
+		Reliable:        s.reliable || ckptOn,
 		BatchWindow:     s.batchWindow,
 		BatchMaxBytes:   s.batchBytes,
 		AckDelay:        s.ackDelay,
@@ -778,17 +780,21 @@ type CkptReport struct {
 // profile when WithProfiler was given.
 func (s *System) Report() Report {
 	bw, bb := s.Net.Batching()
+	c := s.RT.TotalStats()
+	packets := s.M.TotalPackets()
 	r := Report{
 		Sched: SchedReport{
 			Nodes:             s.M.Nodes(),
 			Elapsed:           s.M.MaxClock(),
 			Utilization:       s.M.Utilization(),
 			TotalInstructions: s.M.TotalInstr(),
-			Counters:          s.RT.TotalStats(),
+			Counters:          c,
 		},
 		Wire: WireReport{
-			Packets:       s.M.TotalPackets(),
-			LogicalMsgs:   s.M.TotalMsgs(),
+			Packets: packets,
+			// A batch is one packet carrying at least two records; every
+			// other packet carries one.
+			LogicalMsgs:   packets - c.BatchesSent + c.BatchedMsgs,
 			Bytes:         s.M.TotalBytes(),
 			BatchWindow:   bw,
 			BatchMaxBytes: bb,

@@ -161,6 +161,8 @@ func TestOptionValidation(t *testing.T) {
 		{"WithMaxStackDepth(0)", abcl.WithMaxStackDepth(0)},
 		{"WithChunkStock(-1)", abcl.WithChunkStock(-1)},
 		{"WithPolicy(99)", abcl.WithPolicy(abcl.Policy(99))},
+		{"WithBatching(1µs, -3)", abcl.WithBatching(abcl.Microsecond, -3)},
+		{"WithProfiler(window -5ns)", abcl.WithProfiler(abcl.ProfileOptions{Window: -5})},
 		{"nil option", nil},
 	}
 	for _, tc := range cases {

@@ -129,29 +129,32 @@ func TestCrashUnderRandomPlacement(t *testing.T) {
 // (a negative fork-join depth never reaches a leaf) instead of hanging.
 func TestUnknownNamesAreErrors(t *testing.T) {
 	for args, want := range map[string]string{
-		"-workload nqueens -n 4 -policy naiv":                          `unknown policy "naiv"`,
-		"-workload hotkey -placement rand":                             `unknown placement "rand"`,
-		"-workload forkjoin -executor timewarp:2":                      `unknown executor "timewarp"`,
-		"-scenario forkjoin-dup-jitter -policy naiv":                   "states the run itself; drop -policy",
-		"-scenario all -nodes 4 -seed 9":                               "drop -nodes -seed",
-		"-scenario nqueens-lossy -drop 0.2 -cost-table":                "drop -drop",
-		"-scenario nqueens-lossy -executor conservative:2 -trace 5":    "drop -executor",
-		"-scenario hotkey-lossy -workload hotkey -pack " + t.TempDir(): "drop -workload",
-		"-workload scenario":                                           `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook | pingpong)`,
-		"-scenario no-such-scenario":                                   `no bundled scenario named "no-such-scenario"`,
-		"-workload nqueens -policy naiv -pack " + t.TempDir():          `unknown policy "naiv"`,
-		"-workload quicksort":                                          `unknown workload "quicksort"`,
-		"-executor sequential:2":                                       "sequential takes no worker count",
-		"-workload nqueens -n 4 -trace -3":                             "-trace -3: event count must be a non-negative integer",
-		"-workload hotkey -nodes 4 -reorder -1":                        "reorder bound must be >= 0, got -1",
-		"-bench-json out.json":                                         "flag provided but not defined",
-		"-workload forkjoin -depth -1 -nodes 4":                        "forkjoin depth must be >= 0",
-		"-workload forkjoin -depth -1 -pack " + t.TempDir():            "forkjoin depth must be >= 0",
-		"tables -table 6":                                              "usage: abclsim tables [-table 1-5]",
-		"figures -csv":                                                 "flag provided but not defined: -csv",
-		"figures -figure 7":                                            "usage: abclsim figures",
-		"validate run.json run.jsonl":                                  "usage: abclsim validate",
-		"profcheck run.jsonl":                                          `unknown subcommand "profcheck"`,
+		"-workload nqueens -n 4 -policy naiv":                            `unknown policy "naiv"`,
+		"-workload hotkey -placement rand":                               `unknown placement "rand"`,
+		"-workload forkjoin -executor timewarp:2":                        `unknown executor "timewarp"`,
+		"-scenario forkjoin-dup-jitter -policy naiv":                     "states the run itself; drop -policy",
+		"-scenario all -nodes 4 -seed 9":                                 "drop -nodes -seed",
+		"-scenario nqueens-lossy -drop 0.2 -cost-table":                  "drop -drop",
+		"-scenario nqueens-lossy -executor conservative:2 -trace 5":      "drop -executor",
+		"-scenario hotkey-lossy -workload hotkey -pack " + t.TempDir():   "drop -workload",
+		"-workload scenario":                                             `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook | pingpong)`,
+		"-scenario no-such-scenario":                                     `no bundled scenario named "no-such-scenario"`,
+		"-workload nqueens -policy naiv -pack " + t.TempDir():            `unknown policy "naiv"`,
+		"-workload quicksort":                                            `unknown workload "quicksort"`,
+		"-executor sequential:2":                                         "sequential takes no worker count",
+		"-workload nqueens -n 4 -trace -3":                               "-trace -3: event count must be a non-negative integer",
+		"-workload hotkey -nodes 4 -reorder -1":                          "reorder bound must be >= 0, got -1",
+		"-workload forkjoin -nodes 4 -batch-bytes 64":                    "batch_bytes requires batch_window_ns",
+		"-workload forkjoin -nodes 4 -profile-window -5us":               "window must be non-negative",
+		"-workload forkjoin -nodes 4 -batch-window 1000 -batch-bytes -3": "byte budget must be non-negative",
+		"-bench-json out.json":                                           "flag provided but not defined",
+		"-workload forkjoin -depth -1 -nodes 4":                          "forkjoin depth must be >= 0",
+		"-workload forkjoin -depth -1 -pack " + t.TempDir():              "forkjoin depth must be >= 0",
+		"tables -table 6":                                                "usage: abclsim tables [-table 1-5]",
+		"figures -csv":                                                   "flag provided but not defined: -csv",
+		"figures -figure 7":                                              "usage: abclsim figures",
+		"validate run.json run.jsonl":                                    "usage: abclsim validate",
+		"profcheck run.jsonl":                                            `unknown subcommand "profcheck"`,
 	} {
 		err := run(strings.Fields(args), io.Discard)
 		if err == nil {

@@ -53,10 +53,6 @@ import (
 	"repro/internal/trace"
 )
 
-// markerBytes is the wire payload of a snapshot marker beyond the packet
-// header: the round number.
-const markerBytes = 8
-
 // Snapshot is one complete coordinated checkpoint: a consistent global state
 // the machine can restart from.
 type Snapshot struct {
@@ -99,8 +95,6 @@ type Manager struct {
 // means no periodic rounds — only the baseline round-0 checkpoint captured at
 // Start (enough for crash plans that tolerate restarting from the beginning).
 func New(rt *core.Runtime, l *remote.Layer, interval sim.Time) *Manager {
-	rt.EnableSnapshots()
-	l.EnableCheckpoint()
 	g := &Manager{
 		rt:       rt,
 		l:        l,
@@ -109,6 +103,8 @@ func New(rt *core.Runtime, l *remote.Layer, interval sim.Time) *Manager {
 		n:        rt.Nodes(),
 	}
 	g.snapped = make([]bool, g.n)
+	rt.EnableSnapshots()
+	l.EnableCheckpoint(g.onCkpt)
 	return g
 }
 
@@ -215,45 +211,41 @@ func (g *Manager) tick(now sim.Time) {
 	g.acks = 0
 	g.m.Node(0).SyncClock(now)
 	g.snapNode(0)
-	r := g.round
 	for d := 1; d < g.n; d++ {
-		d := d
-		g.l.SendCkpt(0, d, markerBytes, func() { g.onMarker(r, d) })
+		g.l.SendCkpt(0, d, g.round, false)
 	}
 	if g.n == 1 {
 		g.completeRound()
 	}
 }
 
-// onMarker runs at node d when a round-r marker is polled: first marker of
-// the round captures the node and propagates markers; later markers of the
-// same round (one arrives per inbound channel) are the cut's channel
-// delimiters and need no action beyond their in-band position.
-func (g *Manager) onMarker(r, d int) {
-	if g.cur == nil || g.cur.Round != r || g.snapped[d] {
+// onCkpt runs at node d when a round-r checkpoint record is polled. On a
+// marker, the first of the round captures the node, propagates markers and
+// acknowledges to the coordinator; later markers of the same round (one
+// arrives per inbound channel) are the cut's channel delimiters and need no
+// action beyond their in-band position. At the coordinator, the n-1th
+// acknowledgment completes the round.
+func (g *Manager) onCkpt(d, r int, ack bool) {
+	if g.cur == nil || g.cur.Round != r {
+		return
+	}
+	if ack {
+		g.acks++
+		if g.acks == g.n-1 {
+			g.completeRound()
+		}
+		return
+	}
+	if g.snapped[d] {
 		return
 	}
 	g.snapNode(d)
 	for p := 0; p < g.n; p++ {
-		if p == d {
-			continue
+		if p != d {
+			g.l.SendCkpt(d, p, r, false)
 		}
-		p := p
-		g.l.SendCkpt(d, p, markerBytes, func() { g.onMarker(r, p) })
 	}
-	g.l.SendCkpt(d, 0, markerBytes, func() { g.onAck(r) })
-}
-
-// onAck runs at the coordinator when a snapshot acknowledgment arrives; the
-// n-1th acknowledgment completes the round.
-func (g *Manager) onAck(r int) {
-	if g.cur == nil || g.cur.Round != r {
-		return
-	}
-	g.acks++
-	if g.acks == g.n-1 {
-		g.completeRound()
-	}
+	g.l.SendCkpt(d, 0, r, true)
 }
 
 // completeRound promotes the collected round to the stable restore target,
@@ -284,7 +276,7 @@ func (g *Manager) snapNode(i int) {
 		np.CountEvent(profile.Ckpt, mn.Now())
 		np.StableWrite(bytes)
 	}
-	c := &g.rt.NodeRT(i).C
+	c := &mn.C
 	c.CkptSaves++
 	c.CkptBytes += uint64(bytes)
 	g.rt.Tracef(mn.Now(), i, trace.EvCkptSave,

@@ -85,7 +85,10 @@ func (r *Runtime) CompleteMigration(n *NodeRT, obj *Object, to Address) {
 
 // AdoptMigratedState installs a transferred image into an object created at
 // the migration target: either initialized state (dormant mode) or pending
-// constructor arguments (need-init mode).
+// constructor arguments (need-init mode). Both are copied, never adopted by
+// alias: the image rides a wire record that is recycled after delivery, or —
+// with checkpointing on — retained for possible replay after a crash, and
+// mutations through the live object must never reach back into it.
 func (r *Runtime) AdoptMigratedState(n *NodeRT, obj *Object, cl *Class, ms MigrationState) {
 	if obj.node != n.id {
 		panic("core: AdoptMigratedState on wrong node")
@@ -94,15 +97,11 @@ func (r *Runtime) AdoptMigratedState(n *NodeRT, obj *Object, cl *Class, ms Migra
 		panic("core: migrated state for a different class")
 	}
 	if ms.NeedInit {
-		obj.ctorArgs = ms.CtorArgs
+		obj.ctorArgs = n.copyCtorArgs(ms.CtorArgs)
 		obj.state = make([]Value, cl.StateSize)
 		obj.vftp = cl.initTable
 		return
 	}
-	// The image must be copied, not adopted by alias: with checkpointing on
-	// the transfer record stays retained for possible replay after a crash,
-	// and mutations through the live object must never reach back into it.
-	// (CtorArgs above may alias — constructor arguments are read-only.)
 	if ms.State != nil {
 		st := n.allocState(len(ms.State))
 		copy(st, ms.State)

@@ -54,10 +54,11 @@ type Options struct {
 	// runtime preempts to the scheduling queue (the paper's preemption on
 	// deep recursion). Zero means the default of 64.
 	MaxStackDepth int
-	// Trace, when non-nil, receives every runtime event — the core's sends and
-	// dispatches and, through Runtime.Tracef, those of the layers attached to
-	// it. Sinks see one global event interleaving, so abcl.NewSystem rejects
-	// one together with a parallel executor.
+	// Trace, when non-nil, is installed on the machine and receives every
+	// runtime event — the machine's injected faults, the core's sends and
+	// dispatches, and those of the layers attached to it. Sinks see one global
+	// event interleaving, so abcl.NewSystem rejects one together with a
+	// parallel executor.
 	Trace trace.Sink
 	// Prof, when non-nil, is installed on the machine and receives per-path
 	// cost attribution for every simulated charge. Like Trace it only
@@ -77,7 +78,6 @@ type Runtime struct {
 	maxStackDepth int
 	remote        Remote
 	frozen        bool
-	tr            trace.Sink
 
 	// PatReply is the reserved pattern carrying now-type replies.
 	PatReply PatternID
@@ -105,35 +105,27 @@ func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 		remote:        defaultRemote{},
 	}
 	r.PatReply = r.Reg.Register("reply:", 1)
-	r.tr = opt.Trace
+	m.SetTrace(opt.Trace)
 	if opt.Prof != nil {
 		m.SetProfiler(opt.Prof)
 	}
 	r.nodes = make([]*NodeRT, m.Nodes())
 	for i := range r.nodes {
-		r.nodes[i] = &NodeRT{rt: r, id: i, node: m.Node(i), cost: &m.Cfg.Cost}
-		m.Node(i).Runner = r.nodes[i]
+		mn := m.Node(i)
+		r.nodes[i] = &NodeRT{rt: r, id: i, node: mn, cost: &m.Cfg.Cost, C: &mn.C}
+		mn.Runner = r.nodes[i]
 	}
 	return r
 }
 
-// Tracing reports whether a trace sink is attached. Call sites on the
-// per-message path check it before Tracef, so that with tracing off their
-// arguments are never boxed into Tracef's variadic slice.
-func (r *Runtime) Tracing() bool { return r.tr != nil }
+// Tracing reports whether the machine has a trace sink attached
+// (machine.Machine.Tracing).
+func (r *Runtime) Tracing() bool { return r.M.Tracing() }
 
-// Tracef records one event of the given kind at virtual time at on node —
-// the single emission point of the core, remote and checkpoint layers. A
-// no-op with tracing off.
+// Tracef records one event through the machine's trace sink
+// (machine.Machine.Tracef). A no-op with tracing off.
 func (r *Runtime) Tracef(at sim.Time, node int, kind trace.Kind, format string, args ...any) {
-	if r.tr != nil {
-		r.tr.Event(trace.Event{
-			At:   at,
-			Node: node,
-			Kind: kind,
-			What: fmt.Sprintf(format, args...),
-		})
-	}
+	r.M.Tracef(at, node, kind, format, args...)
 }
 
 // DefineClass registers a new class. stateSize is the number of state
@@ -255,7 +247,7 @@ func (r *Runtime) Run() error {
 func (r *Runtime) TotalStats() stats.Counters {
 	var t stats.Counters
 	for _, n := range r.nodes {
-		t.Add(&n.C)
+		t.Add(n.C)
 	}
 	return t
 }

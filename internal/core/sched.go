@@ -57,7 +57,7 @@ type NodeRT struct {
 	hosted []*Object
 	track  bool
 
-	C stats.Counters
+	C *stats.Counters // the machine node's counters (machine.Node.C)
 }
 
 // ID returns the node index.

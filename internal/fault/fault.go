@@ -216,8 +216,8 @@ func (ls *linkState) unit() float64 {
 }
 
 // Injector binds a Plan to a seed and node count. It implements
-// machine.FaultModel and counts nothing itself: injected faults are reported
-// through the machine's FaultSink into stats.Counters. Under the parallel
+// machine.FaultModel and counts nothing itself: the machine counts the faults
+// it injects on the affected node (machine.Node.C). Under the parallel
 // executor Link runs on the sending node's lane and PausedUntil on the paused
 // node's; entry (src,dst) of links is only ever touched from src's lane and
 // pauses is read-only, so no state here is shared between lanes.

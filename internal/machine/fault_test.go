@@ -29,17 +29,6 @@ func (s *scriptFaults) PausedUntil(node int, at sim.Time) sim.Time {
 	return at
 }
 
-// sinkRec is a recording FaultSink: the machine keeps no fault tallies of its
-// own, so what it reported — and against which sending node — is read here.
-type sinkRec struct {
-	drops, dups [2]int // by sending node
-	pauses      int
-}
-
-func (s *sinkRec) PacketDropped(src, dst int, at sim.Time, cat int)    { s.drops[src]++ }
-func (s *sinkRec) PacketDuplicated(src, dst int, at sim.Time, cat int) { s.dups[src]++ }
-func (s *sinkRec) NodePaused(node int, at, until sim.Time)             { s.pauses++ }
-
 func TestSendDropAndDuplicate(t *testing.T) {
 	m := MustNew(DefaultConfig(2))
 	sf := &scriptFaults{outcomes: [][]sim.Time{
@@ -47,9 +36,7 @@ func TestSendDropAndDuplicate(t *testing.T) {
 		{0, 700}, // second duplicated, copy delayed 700ns
 		{0},      // third clean
 	}}
-	sink := &sinkRec{}
 	m.SetFaults(sf)
-	m.SetFaultSink(sink)
 
 	var got []sim.Time
 	h := func(n *Node, p *Packet) { got = append(got, p.Arrival) }
@@ -64,9 +51,9 @@ func TestSendDropAndDuplicate(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("deliveries = %d, want 3 (drop + dup + clean): %v", len(got), got)
 	}
-	// One drop and one extra copy, both reported against the sender.
-	if sink.drops != [2]int{1, 0} || sink.dups != [2]int{1, 0} {
-		t.Errorf("sink saw drops=%v dups=%v by sender, want [1 0]/[1 0]", sink.drops, sink.dups)
+	// One drop and one extra copy, both counted on the sender.
+	if c0, c1 := src.C, m.Node(1).C; c0.LinkDrops != 1 || c0.LinkDups != 1 || c1.LinkDrops != 0 || c1.LinkDups != 0 {
+		t.Errorf("drops=%d/%d dups=%d/%d on sender/receiver, want 1/0 and 1/0", c0.LinkDrops, c1.LinkDrops, c0.LinkDups, c1.LinkDups)
 	}
 	// All three attempts count as sent exactly once.
 	if src.PacketsSent != 3 {
@@ -88,9 +75,7 @@ func TestNodePauseDefersExecution(t *testing.T) {
 	// Node 1 pauses from t=0 until t=100µs; a packet sent at t=0 arrives at
 	// ~1.5µs but its handler must not run before the window ends.
 	sf := &scriptFaults{paused: map[int][2]sim.Time{1: {0, 100 * sim.Microsecond}}}
-	sink := &sinkRec{}
 	m.SetFaults(sf)
-	m.SetFaultSink(sink)
 
 	var ranAt sim.Time = -1
 	m.Node(0).Send(&Packet{Dst: 1, Size: 16, Handler: func(n *Node, p *Packet) {
@@ -102,8 +87,8 @@ func TestNodePauseDefersExecution(t *testing.T) {
 	if ranAt < 100*sim.Microsecond {
 		t.Errorf("handler ran at %v, inside the pause window", ranAt)
 	}
-	if sink.pauses == 0 {
-		t.Error("sink never notified of the pause")
+	if m.Node(1).C.NodePauses == 0 {
+		t.Error("the pause was never counted on the paused node")
 	}
 	if got := m.Node(1).Clock; got < 100*sim.Microsecond {
 		t.Errorf("paused node clock = %v, want >= window end", got)
@@ -117,15 +102,18 @@ func TestNodePauseDefersExecution(t *testing.T) {
 func TestNilFaultsUnchanged(t *testing.T) {
 	// Without a fault model the send path must not change behaviour.
 	m := MustNew(DefaultConfig(2))
-	sink := &sinkRec{}
-	m.SetFaultSink(sink)
 	n := 0
 	m.Node(0).Send(&Packet{Dst: 1, Size: 16, Handler: func(*Node, *Packet) { n++ }})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || *sink != (sinkRec{}) {
-		t.Fatalf("fault-free delivery broken: n=%d, sink saw %+v", n, *sink)
+	for id := 0; id < 2; id++ {
+		if c := m.Node(id).C; c.LinkDrops+c.LinkDups+c.NodePauses != 0 {
+			t.Fatalf("fault-free delivery counted faults on n%d: %+v", id, c)
+		}
+	}
+	if n != 1 {
+		t.Fatalf("fault-free delivery broken: n=%d", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/profile"
 	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // NetConfig models hardware message latency. The total hardware latency of
@@ -103,27 +105,38 @@ type FaultModel interface {
 	PausedUntil(node int, at sim.Time) sim.Time
 }
 
-// FaultSink observes injected faults, so the runtime above can account them
-// in its counters and trace. All callbacks run on the simulation goroutine.
-type FaultSink interface {
-	PacketDropped(src, dst int, at sim.Time, category int)
-	PacketDuplicated(src, dst int, at sim.Time, category int)
-	NodePaused(node int, at, until sim.Time)
-}
-
 // SetFaults installs a fault model. Call before Run; a nil model restores
-// perfect reliability.
+// perfect reliability. The machine counts what the model injects on the
+// affected node (Node.C: drops and duplicates on the sender, pauses on the
+// paused node) and traces it.
 func (m *Machine) SetFaults(f FaultModel) { m.faults = f }
 
 // Faults returns the installed fault model (nil when the machine is
 // perfectly reliable).
 func (m *Machine) Faults() FaultModel { return m.faults }
 
-// SetFaultSink installs a fault observer.
-func (m *Machine) SetFaultSink(s FaultSink) { m.faultSink = s }
+// SetTrace attaches the trace sink every layer on the machine emits into;
+// nil detaches it.
+func (m *Machine) SetTrace(s trace.Sink) { m.tr = s }
 
-// FaultSink returns the installed fault observer, if any.
-func (m *Machine) FaultSink() FaultSink { return m.faultSink }
+// Tracing reports whether a trace sink is attached. Call sites on the
+// per-message path check it before Tracef, so that with tracing off their
+// arguments are never boxed into Tracef's variadic slice.
+func (m *Machine) Tracing() bool { return m.tr != nil }
+
+// Tracef records one event of the given kind at virtual time at on node —
+// the single emission point of the machine and the layers above it. A no-op
+// with tracing off.
+func (m *Machine) Tracef(at sim.Time, node int, kind trace.Kind, format string, args ...any) {
+	if m.tr != nil {
+		m.tr.Event(trace.Event{
+			At:   at,
+			Node: node,
+			Kind: kind,
+			What: fmt.Sprintf(format, args...),
+		})
+	}
+}
 
 // Packet is a self-dispatching message in the Active Message style: the
 // sender attaches the handler that runs on the receiving node when the
@@ -152,12 +165,6 @@ type Packet struct {
 	OnArrive func(n *Node, p *Packet)
 
 	Category int32 // handler category (for statistics only)
-
-	// Msgs is the number of logical messages this physical packet carries.
-	// Zero and one both mean an ordinary single-message packet; the wire-path
-	// batching layer sets it to the count of coalesced records so the machine
-	// can account logical traffic separately from packet launches.
-	Msgs int32
 
 	// Ctrl routes the packet over the link's control virtual channel:
 	// transport acknowledgments and similar protocol traffic that must not
@@ -295,9 +302,13 @@ type Node struct {
 	PacketsSent  uint64
 	PacketsRecvd uint64
 	BytesSent    uint64
-	MsgsSent     uint64 // logical messages launched (>= PacketsSent with batching)
 	CrashDrops   uint64 // packets lost at the controller while the node was down
 	EraDrops     uint64 // in-flight packets revoked by a checkpoint restore
+
+	// C is the node's runtime event counters, kept beside the clock: the
+	// machine counts the faults injected here, and every layer above counts
+	// its own events through the same record (core.NodeRT.C points at it).
+	C stats.Counters
 }
 
 // Machine is the full multicomputer: an event engine plus nodes and the
@@ -309,9 +320,9 @@ type Machine struct {
 
 	nsPerInstr float64
 
-	faults    FaultModel
-	faultSink FaultSink
-	prof      *profile.Profiler
+	faults FaultModel
+	prof   *profile.Profiler
+	tr     trace.Sink
 
 	// era is the current machine timeline. A global checkpoint restore
 	// bumps it, invalidating every packet launched before the restore (see
@@ -331,17 +342,6 @@ func (m *Machine) TotalPackets() uint64 {
 	var t uint64
 	for _, n := range m.nodes {
 		t += n.PacketsSent
-	}
-	return t
-}
-
-// TotalMsgs returns the machine-wide count of logical messages launched.
-// Without batching it equals TotalPackets; with batching it exceeds it, and
-// the ratio is the mean aggregation factor.
-func (m *Machine) TotalMsgs() uint64 {
-	var t uint64
-	for _, n := range m.nodes {
-		t += n.MsgsSent
 	}
 	return t
 }
@@ -601,11 +601,6 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 
 	n.PacketsSent++
 	n.BytesSent += uint64(p.Size)
-	if p.Msgs > 1 {
-		n.MsgsSent += uint64(p.Msgs)
-	} else {
-		n.MsgsSent++
-	}
 
 	// Consult the fault model: one extra-latency entry per physical copy.
 	copies := oneCopy
@@ -613,9 +608,8 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 		copies = n.m.faults.Link(n.ID, p.Dst, at, p.Size)
 	}
 	if len(copies) == 0 {
-		if n.m.faultSink != nil {
-			n.m.faultSink.PacketDropped(n.ID, p.Dst, at, int(p.Category))
-		}
+		n.C.LinkDrops++
+		n.m.Tracef(at, n.ID, trace.EvLinkDrop, "dropped cat-%d packet to n%d", p.Category, p.Dst)
 		// The packet never reaches a receiver, so the sender recycles it.
 		n.ReleasePacket(p)
 		return Dropped
@@ -644,9 +638,8 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 			dup := *p
 			dup.pooled = false
 			cp = &dup
-			if n.m.faultSink != nil {
-				n.m.faultSink.PacketDuplicated(n.ID, p.Dst, at, int(p.Category))
-			}
+			n.C.LinkDups++
+			n.m.Tracef(at, n.ID, trace.EvLinkDup, "duplicated cat-%d packet to n%d", p.Category, p.Dst)
 		}
 		arrival := at + base + extra
 		// Per-(src,dst) FIFO ordering is enforced per copy (the paper's
@@ -798,9 +791,8 @@ func (n *Node) resumeAt(now sim.Time) {
 		if until := f.PausedUntil(n.ID, now); until > now {
 			// The node is inside an injected pause window: defer this turn
 			// to the window's end. Arriving packets keep buffering in rx.
-			if n.m.faultSink != nil {
-				n.m.faultSink.NodePaused(n.ID, now, until)
-			}
+			n.C.NodePauses++
+			n.m.Tracef(now, n.ID, trace.EvNodePause, "paused until %v", until)
 			n.resumePending = true
 			n.m.Eng.ScheduleFuncOn(n.lane, n.lane, until, func() {
 				// The pause consumed real (virtual) time on this node, but

@@ -167,13 +167,11 @@ func (b *batcher) flush(mn *machine.Node, ob *openBatch) {
 	pkt.Dst = peer
 	pkt.Size = size
 	pkt.Category = CatBatch
-	pkt.Msgs = int32(n)
 	pkt.Payload = wb
 	pkt.OnArrive = l.hBatchArr
 	pkt.Handler = l.hBatchDel
-	c := &l.rt.NodeRT(mn.ID).C
-	c.BatchesSent++
-	c.BatchedMsgs += uint64(n)
+	mn.C.BatchesSent++
+	mn.C.BatchedMsgs += uint64(n)
 	if l.rt.Tracing() {
 		l.rt.Tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, peer, size)
 	}

@@ -33,38 +33,33 @@ import (
 //     after a restore, never happened.
 //
 // Checkpoint-protocol control messages (markers, snapshot acks) ride the
-// reliable layer itself (CatCkpt, wmCkpt): they share each link's data
-// sequence space, so they are delivered exactly once and *in order with the
-// data stream* — which is precisely the marker property the consistency of
-// the cut rests on.
-
-// ckptRec is one retained transmission: enough to rebuild and re-send the
-// relMsg under its original sequence number. Contents are immutable after
-// the original send (wire-record pooling is disabled while checkpointing is
-// on — see wirePooled).
-type ckptRec struct {
-	size     int32
-	category int32
-	payload  any
-}
+// reliable layer itself (CatCkpt; wmMarker, wmSnapAck): they share each
+// link's data sequence space, so they are delivered exactly once and *in
+// order with the data stream* — which is precisely the marker property the
+// consistency of the cut rests on.
 
 // retainLink is the retention buffer of one (src, dst) link, kept in the
-// sender's cold record of the link: recs[i] holds sequence number base+i.
-// Appended at send, trimmed at the front as records become stable, truncated
-// at the back by a rollback (CkptRestoreNode).
+// sender's cold record of the link: recs[i] is the record sent under
+// sequence number base+i, its header still holding its size and category.
+// Records are immutable after the original send (wire-record pooling is
+// disabled while checkpointing is on — see wirePooled). Appended at send,
+// trimmed at the front as records become stable, truncated at the back by
+// a rollback (CkptRestoreNode).
 type retainLink struct {
 	base uint64
-	recs []ckptRec
+	recs []*wireMsg
 }
 
 // EnableCheckpoint switches the layer into checkpoint mode: every reliable
 // transmission is retained until stable, and wire-record pooling is disabled
-// so retained payloads stay immutable. Requires the reliable protocol.
-func (l *Layer) EnableCheckpoint() {
+// so retained records stay immutable. onCkpt handles each checkpoint record
+// at its receiving node: a marker of the given round, or (ack) a snapshot
+// acknowledgment. Requires the reliable protocol.
+func (l *Layer) EnableCheckpoint(onCkpt func(node, round int, ack bool)) {
 	if l.rel == nil {
 		panic("remote: checkpointing requires the reliable protocol")
 	}
-	l.ckpt = true
+	l.onCkpt = onCkpt
 }
 
 // retain records one transmission on the src -> dst link for
@@ -75,7 +70,7 @@ func (lk *retainLink) retain(src, dst int, m *relMsg) {
 	} else if want := lk.base + uint64(len(lk.recs)); m.seq != want {
 		panic(fmt.Sprintf("remote: retention gap on link %d->%d: seq %d, want %d", src, dst, m.seq, want))
 	}
-	lk.recs = append(lk.recs, ckptRec{size: m.size, category: m.category, payload: m.payload})
+	lk.recs = append(lk.recs, m.payload)
 }
 
 // truncate drops the records at or past seq: the restored send cursor.
@@ -244,16 +239,8 @@ func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 			start = int(from - lk.base)
 		}
 		for i := start; i < len(lk.recs); i++ {
-			rec := &lk.recs[i]
-			m := ns.rel.msgs.Get()
-			m.dst = int32(dst)
-			m.seq = lk.base + uint64(i)
-			m.size = rec.size
-			m.category = rec.category
-			m.payload = rec.payload
-			k.track(m)
 			replayed++
-			r.xmit(mn, ns, m)
+			r.xmit(mn, ns, r.pend(ns, k, lk.recs[i], lk.base+uint64(i)))
 		}
 	}
 	return replayed
@@ -280,20 +267,23 @@ func (l *Layer) CkptStableTrim(imgs []*RelImage) {
 	}
 }
 
-// SendCkpt transmits a checkpoint-protocol control message (marker or
-// snapshot acknowledgment) from src to dst through the reliable layer. The
-// message shares the link's data sequence space: it is delivered exactly
-// once, in order with the data stream, which gives markers the FIFO property
-// the consistency of the cut depends on. fn runs at the receiver when the
-// message is polled.
-func (l *Layer) SendCkpt(src, dst, extraBytes int, fn func()) {
-	n := l.rt.NodeRT(src)
-	mn := n.MachineNode()
-	mn.ChargeTo(profile.Ckpt, l.cost().RemoteSendSetup)
-	w := l.acquireWire(src)
-	w.kind = wmCkpt
-	w.src = src
-	w.load = l.piggyback(src)
-	w.then = fn
-	l.launch(mn, w, dst, packetHeaderBytes+extraBytes, CatCkpt)
+// markerBytes is the wire payload of a checkpoint marker or snapshot
+// acknowledgment beyond the packet header: the round number.
+const markerBytes = 8
+
+// SendCkpt transmits a checkpoint-protocol control message from src to dst
+// through the reliable layer: a marker of the given round, or (ack) a
+// snapshot acknowledgment. The message shares the link's data sequence
+// space: it is delivered exactly once, in order with the data stream, which
+// gives markers the FIFO property the consistency of the cut depends on.
+// The handler EnableCheckpoint installed runs at dst when it is polled.
+func (l *Layer) SendCkpt(src, dst, round int, ack bool) {
+	kind := wmMarker
+	if ack {
+		kind = wmSnapAck
+	}
+	mn := l.m.Node(src)
+	w := l.record(mn, profile.Ckpt, 0, kind)
+	w.setArgs([]core.Value{core.IntV(int64(round))})
+	l.launch(mn, w, dst, packetHeaderBytes+markerBytes, CatCkpt)
 }

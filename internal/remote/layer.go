@@ -43,9 +43,10 @@ type Options struct {
 	// Reliable enables the acknowledgment/retry protocol: every inter-node
 	// packet carries a per-link sequence number, is retransmitted with
 	// exponential backoff until acknowledged, and is deduplicated and
-	// delivered in per-link FIFO order at the receiver. Required when the
-	// machine injects link faults; off by default because the paper's
-	// AP1000 interconnect is reliable and the protocol adds ack traffic.
+	// delivered in per-link FIFO order at the receiver. Attach turns it on
+	// by itself when the machine has a fault model or AckDelay is set; off
+	// otherwise because the paper's AP1000 interconnect is reliable and the
+	// protocol adds ack traffic.
 	Reliable bool
 	// BatchWindow enables per-link packet batching: wire records to the
 	// same destination node within this virtual-time window coalesce into
@@ -58,7 +59,7 @@ type Options struct {
 	BatchMaxBytes int
 	// AckDelay replaces the reliable layer's per-copy acknowledgments with
 	// cumulative acks emitted on a delayed-ack timer and piggybacked on
-	// reverse-direction batches. Effective only with Reliable; zero keeps
+	// reverse-direction batches, and so implies Reliable; zero keeps
 	// immediate per-packet acks.
 	AckDelay sim.Time
 	// NoLocationCache disables the remote-location cache that
@@ -91,10 +92,13 @@ type Layer struct {
 	m     *machine.Machine
 	opt   Options
 	nodes []*nodeState
-	rel   *reliable // nil unless Options.Reliable
+	rel   *reliable // nil unless the reliable protocol is on (see Attach)
 	bat   *batcher  // nil unless Options.BatchWindow > 0
-	ckpt  bool      // checkpoint mode: transmissions are retained (see ckpt.go)
 	locOn bool      // remote-location cache enabled
+
+	// onCkpt is the checkpoint subsystem's marker handler; non-nil exactly in
+	// checkpoint mode, where transmissions are retained (see ckpt.go).
+	onCkpt func(node, round int, ack bool)
 
 	// hWire is the shared receive handler for all layer packets; the
 	// per-send state travels in the *wireMsg around the packet header instead
@@ -107,39 +111,53 @@ type Layer struct {
 
 // wireMsg is one layer message on the wire — the machine packet header it
 // travels under and its decoded payload in a single record, so a hop is one
-// acquire at the sender and one release at the receiver. Records are pooled:
-// the sender fills one from its node's slab, handleWire recycles it into the
-// receiving node's, so each pool is only touched by its own lane. The
-// machine never recycles the embedded header (it is not AcquirePacket's);
-// the reliable protocol sends per-attempt copies under headers of its own
-// and leaves pkt unused after the hand-off. Recycling is skipped when the
-// machine can duplicate packets (see wirePooled): a duplicated packet shares
-// the record and the handler runs once per copy.
+// acquire at the sender and one release at the receiver. Every message of
+// the layer is one: the record is the Section 5.1 message (data plus the
+// kind naming its compiled handler), and the only code it carries is the
+// continuation of a creation blocked on an empty stock (or of a migration's
+// caller) in onCreated. Records are pooled: the sender fills one from its
+// node's slab, handleWire recycles it into the receiving node's, so each
+// pool is only touched by its own lane. The machine never recycles the
+// embedded header (it is not AcquirePacket's); the reliable protocol sends
+// per-attempt copies under headers of its own and leaves pkt unused after
+// the hand-off.
 type wireMsg struct {
-	pkt       machine.Packet // pkt.Payload points back at the record
-	next      *wireMsg       // pool link
-	kind      uint8
-	load      int32
-	src       int
-	to        core.Address   // wmMessage: receiver
-	pat       core.PatternID // wmMessage: pattern
-	args      []core.Value   // message or constructor arguments (owned copy)
-	argBuf    [2]core.Value  // inline store backing args for small lists
-	replyTo   core.Address
-	chunk     *core.Object // wmCreate: chunk to initialize; wmChunk: stock refill
-	cl        *core.Class
-	entry     *stockEntry        // requester's stock slot, carried through the round trip
-	then      func()             // wmChunk: blocked-creation resume
-	onCreated func(core.Address) // wmBlockingCreate: requester callback
+	pkt      machine.Packet // pkt.Payload points back at the record
+	next     *wireMsg       // pool link
+	kind     uint8
+	needInit bool // wmMigrate: args are pending constructor arguments, not state
+	load     int32
+	src      int
+	// to is the receiver of a wmMessage, and the moved object's old address
+	// in wmLocUpd, wmMigrate and wmMigrated.
+	to  core.Address
+	pat core.PatternID // wmMessage: pattern
+	// args is an owned copy of the message or constructor arguments, the
+	// migrated image, or a checkpoint record's round.
+	args   []core.Value
+	argBuf [2]core.Value // inline store backing args for small lists
+	// replyTo is a wmMessage's reply destination, the moved object's new
+	// address in wmLocUpd and wmMigrated, and the created object in the
+	// wmChunk answering a stock miss.
+	replyTo core.Address
+	chunk   *core.Object // wmCreate: chunk to initialize, nil on a stock miss; wmChunk: stock refill
+	cl      *core.Class  // wmCreate, wmMigrate
+	entry   *stockEntry  // requester's stock slot, carried through the round trip
+	// onCreated rides a stock miss's wmCreate and its wmChunk, and a
+	// wmMigrate and its wmMigrated, back to the requester, which calls it
+	// with replyTo.
+	onCreated func(core.Address)
 }
 
 const (
-	wmMessage = uint8(iota + 1)
-	wmCreate
-	wmBlockingCreate
-	wmChunk
-	wmLocUpd // location update: `to` moved to `replyTo` (forward short-circuit)
-	wmCkpt   // checkpoint-protocol control: `then` runs at the receiver
+	wmMessage  = uint8(iota + 1)
+	wmCreate   // category 2: initialize chunk (allocate one on a miss)
+	wmChunk    // category 3: stock refill, resuming a miss
+	wmLocUpd   // location update: `to` moved to `replyTo` (forward short-circuit)
+	wmMigrate  // migration: class and image of `to`, adopted at the target
+	wmMigrated // migration answer: install the forwarder `to` -> `replyTo`
+	wmMarker   // checkpoint marker of the round in args[0]
+	wmSnapAck  // snapshot acknowledgment of the round in args[0]
 )
 
 // setArgs copies args into the record — inline when they fit, a fresh slice
@@ -158,19 +176,13 @@ func (w *wireMsg) setArgs(args []core.Value) {
 	}
 }
 
-// wirePooled reports whether wireMsg records may be recycled: safe unless a
-// fault model can hand a duplicated packet (and its shared Payload record)
-// to the handler twice. The reliable protocol deduplicates by sequence
-// number before the handler runs, so it restores pooling under faults.
-func (l *Layer) wirePooled() bool {
-	if l.ckpt {
-		// Checkpoint retention holds payload records by reference until they
-		// become stable; recycling would rewrite a record the replay path may
-		// still need verbatim.
-		return false
-	}
-	return l.m.Faults() == nil || l.rel != nil
-}
+// wirePooled reports whether wireMsg records may be recycled: safe unless
+// checkpoint retention holds them by reference until they become stable —
+// recycling would rewrite a record the replay path may still need verbatim.
+// A fault model's duplicate cannot reach the handler twice: a machine with
+// one always runs the reliable protocol, which deduplicates by sequence
+// number before the handler runs.
+func (l *Layer) wirePooled() bool { return l.onCkpt == nil }
 
 // PoolLink names the intrusive link for sim.Slab.
 func (w *wireMsg) PoolLink() **wireMsg { return &w.next }
@@ -190,7 +202,23 @@ func (l *Layer) releaseWire(dst int, w *wireMsg) {
 	}
 }
 
-// launch fills w's embedded header and puts the record on the wire.
+// record charges mn the set-up of one layer message (plus extra
+// instructions) to path and returns a fresh record of the given kind, its
+// source and piggybacked load filled in: the category-4 load-monitoring
+// service rides every message.
+func (l *Layer) record(mn *machine.Node, path profile.Path, extra int, kind uint8) *wireMsg {
+	mn.ChargeTo(path, l.cost().RemoteSendSetup+extra)
+	w := l.acquireWire(mn.ID)
+	w.kind = kind
+	w.src = mn.ID
+	w.load = int32(l.rt.NodeRT(mn.ID).SchedQueueLen())
+	return w
+}
+
+// launch fills w's embedded header and puts the record on the wire: through
+// the ack/retry protocol when it is on, otherwise over the machine's
+// interconnect (through the per-link batcher when batching is on). All
+// inter-node traffic of the layer funnels through here.
 func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size int, category int32) {
 	pkt := &w.pkt
 	pkt.Dst = dst
@@ -198,12 +226,22 @@ func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size int, category int
 	pkt.Category = category
 	pkt.Handler = l.hWire
 	pkt.Payload = w
-	l.transmit(mn, pkt)
+	// Attribute the logical wire record once, here at the funnel; batch
+	// containers and retransmitted copies are attributed at their own sites
+	// so nothing is counted twice.
+	if np := mn.Prof(); np != nil {
+		np.Packet(pathForCategory(category), size, mn.Now())
+	}
+	if l.rel != nil {
+		l.rel.send(mn, w)
+		return
+	}
+	l.send(mn, pkt)
 }
 
-// handleWire is the single receive-side dispatcher for categories 1-3: the
+// handleWire is the single receive-side dispatcher of the layer: the
 // compiler-generated specialized handlers of Section 5.1, indexed by the
-// payload's kind tag rather than modelled as per-send closures.
+// record's kind tag rather than modelled as per-send closures.
 func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	w := p.Payload.(*wireMsg)
 	c := l.cost()
@@ -229,28 +267,52 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	case wmCreate:
 		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.ChunkInit)
-		l.rt.InitChunk(nrt, w.chunk, w.cl, w.args)
-		// Step 4: allocate the replacement chunk and return its address.
+		obj := w.chunk
+		if obj == nil {
+			// A stock miss: the requester holds no chunk, so the object is
+			// allocated here, and its address travels back in the reply.
+			obj = nrt.NewFaultChunk(rn.ID)
+		}
+		l.rt.InitChunk(nrt, obj, w.cl, w.args)
+		// Step 4: allocate the replacement chunk and return its address as
+		// the category-3 reply.
 		rn.ChargeTo(profile.Create, c.ChunkRefill)
-		l.sendChunkReply(nrt, w.src, nrt.NewFaultChunk(rn.ID), w.entry, nil)
-	case wmBlockingCreate:
-		rn.SetPath(profile.Create)
-		rn.Charge(extract + c.RemoteHandlerCall + c.ChunkInit)
-		created := nrt.NewFaultChunk(rn.ID)
-		l.rt.InitChunk(nrt, created, w.cl, w.args)
-		rn.ChargeTo(profile.Create, c.ChunkRefill)
-		addr := created.Addr()
-		onCreated := w.onCreated
-		l.sendChunkReply(nrt, w.src, nrt.NewFaultChunk(rn.ID), w.entry, func() { onCreated(addr) })
+		r := l.record(rn, profile.Create, 0, wmChunk)
+		r.chunk = nrt.NewFaultChunk(rn.ID)
+		r.entry = w.entry
+		if w.chunk == nil {
+			r.replyTo, r.onCreated = obj.Addr(), w.onCreated
+		}
+		l.launch(rn, r, w.src, packetHeaderBytes+8, CatChunk)
 	case wmLocUpd:
 		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall)
 		l.learnLocation(rn, w.to, w.replyTo)
-	case wmCkpt:
+	case wmMigrate:
+		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall+c.MigrateUnpack)
+		// Materialize at the target: a chunk adopting the class + image.
+		moved := nrt.NewFaultChunk(rn.ID)
+		l.rt.InitChunk(nrt, moved, w.cl, nil)
+		ms := core.MigrationState{NeedInit: w.needInit}
+		if w.needInit {
+			ms.CtorArgs = w.args
+		} else {
+			ms.State = w.args
+		}
+		l.rt.AdoptMigratedState(nrt, moved, w.cl, ms)
+		// Answer with the new address; the old home installs the forwarder.
+		r := l.record(rn, profile.Forward, 0, wmMigrated)
+		r.to, r.replyTo, r.onCreated = w.to, moved.Addr(), w.onCreated
+		l.launch(rn, r, w.src, packetHeaderBytes+8, CatService)
+	case wmMigrated:
+		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall)
+		l.rt.CompleteMigration(nrt, w.to.Obj, w.replyTo)
+		if w.onCreated != nil {
+			w.onCreated(w.replyTo)
+		}
+	case wmMarker, wmSnapAck:
 		rn.SetPath(profile.Ckpt)
 		rn.Charge(extract + c.RemoteHandlerCall)
-		if w.then != nil {
-			w.then()
-		}
+		l.onCkpt(rn.ID, int(w.args[0].Int()), w.kind == wmSnapAck)
 	case wmChunk:
 		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.StockPush)
@@ -264,8 +326,9 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 				e.chunks = append(e.chunks, w.chunk)
 			}
 		}
-		if w.then != nil {
-			w.then()
+		if w.onCreated != nil {
+			// The reply to a stock miss: resume the blocked creation.
+			w.onCreated(w.replyTo)
 		}
 	default:
 		panic(fmt.Sprintf("remote: unknown wire kind %d", w.kind))
@@ -354,11 +417,13 @@ func (ns *nodeState) knownLoad(node int, l *Layer) int {
 }
 
 // Attach builds the layer and installs it into the runtime. Must run before
-// the runtime freezes.
+// the runtime freezes, and after any fault model is installed on the
+// machine: that, like delayed acks, turns the reliable protocol on.
 func Attach(rt *core.Runtime, opt Options) *Layer {
 	if opt.Placement == nil {
 		opt.Placement = RoundRobin{}
 	}
+	opt.Reliable = opt.Reliable || rt.M.Faults() != nil || opt.AckDelay > 0
 	l := &Layer{rt: rt, m: rt.M, opt: opt, locOn: !opt.NoLocationCache}
 	l.hWire = l.handleWire
 	l.nodes = make([]*nodeState, rt.Nodes())
@@ -383,49 +448,8 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 		l.hBatchArr = l.handleBatchArrive
 		l.hBatchDel = l.handleBatchDeliver
 	}
-	if rt.M.Faults() != nil && rt.M.FaultSink() == nil {
-		rt.M.SetFaultSink(statsSink{l})
-	}
 	rt.SetRemote(l)
 	return l
-}
-
-// statsSink attributes machine-level fault events to the affected node's
-// counters and the trace ring. Drops and duplications are charged to the
-// sending node; pauses to the paused node.
-type statsSink struct{ l *Layer }
-
-func (s statsSink) PacketDropped(src, dst int, at sim.Time, category int) {
-	s.l.rt.NodeRT(src).C.LinkDrops++
-	s.l.rt.Tracef(at, src, trace.EvLinkDrop, "dropped cat-%d packet to n%d", category, dst)
-}
-
-func (s statsSink) PacketDuplicated(src, dst int, at sim.Time, category int) {
-	s.l.rt.NodeRT(src).C.LinkDups++
-	s.l.rt.Tracef(at, src, trace.EvLinkDup, "duplicated cat-%d packet to n%d", category, dst)
-}
-
-func (s statsSink) NodePaused(node int, at, until sim.Time) {
-	s.l.rt.NodeRT(node).C.NodePauses++
-	s.l.rt.Tracef(at, node, trace.EvNodePause, "paused until %v", until)
-}
-
-// transmit sends a packet either directly over the machine's interconnect
-// (through the per-link batcher when batching is on) or, when the reliable
-// protocol is enabled, through the ack/retry layer. All inter-node traffic
-// of the layer (categories 1-4) funnels through here.
-func (l *Layer) transmit(mn *machine.Node, pkt *machine.Packet) {
-	// Attribute the logical wire record once, here at the funnel; batch
-	// containers and retransmitted copies are attributed at their own sites
-	// so nothing is counted twice.
-	if np := mn.Prof(); np != nil {
-		np.Packet(pathForCategory(pkt.Category), pkt.Size, mn.Now())
-	}
-	if l.rel != nil {
-		l.rel.send(mn, pkt)
-		return
-	}
-	l.send(mn, pkt)
 }
 
 // Reliable reports whether the ack/retry protocol is active.
@@ -457,13 +481,6 @@ func (l *Layer) StockDepth() int { return l.opt.StockDepth }
 // cost returns the machine's instruction-cost table.
 func (l *Layer) cost() *machine.Cost { return &l.m.Cfg.Cost }
 
-// piggyback records the sender's load in the packet and, at delivery,
-// updates the receiver's view — the category-4 load-monitoring service
-// riding on every packet.
-func (l *Layer) piggyback(src int) int32 {
-	return int32(l.rt.NodeRT(src).SchedQueueLen())
-}
-
 // noteLoad stores a piggybacked load sample as the receiver's view of the
 // sender.
 func (l *Layer) noteLoad(dst, src int, load int32) {
@@ -471,9 +488,8 @@ func (l *Layer) noteLoad(dst, src int, load int32) {
 }
 
 // SendMessage implements core.Remote: category-1 normal message
-// transmission. The compiler-generated specialized handler is modelled by a
-// closure carrying the receiver and the typed arguments — no runtime tags
-// travel on the wire (Section 5.1).
+// transmission. The record carries the receiver and the typed arguments to
+// the compiler-generated specialized handler its kind names (Section 5.1).
 func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, args []core.Value, replyTo core.Address) {
 	src := n.ID()
 	if ns := l.nodes[src]; len(ns.locCache) > 0 {
@@ -498,9 +514,8 @@ func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, a
 			}
 		}
 	}
-	c := l.cost()
 	mn := n.MachineNode()
-	mn.ChargeTo(profile.RemoteSend, c.RemoteSendSetup)
+	w := l.record(mn, profile.RemoteSend, 0, wmMessage)
 	if np := mn.Prof(); np != nil {
 		np.CountEvent(profile.RemoteSend, mn.Now())
 	}
@@ -508,10 +523,6 @@ func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, a
 	if !replyTo.IsNil() {
 		size += 8
 	}
-	w := l.acquireWire(src)
-	w.kind = wmMessage
-	w.src = src
-	w.load = l.piggyback(src)
 	w.to = to
 	w.pat = p
 	w.setArgs(args)
@@ -563,7 +574,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		}
 		n.C.StockHits++
 		n.C.RemoteCreations++
-		l.sendCreateRequest(n, target, chunk, cl, ctorArgs, e)
+		l.sendCreate(mn, target, chunk, cl, ctorArgs, e, nil)
 		// Step 1 of the protocol: the mail address is known locally, before
 		// the creation message even departs — latency hidden, no context
 		// switch.
@@ -580,71 +591,37 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	n.C.RemoteCreations++
 	self := ctx.SelfObject()
 	frame := ctx.CurrentFrame()
-	if l.ckpt {
-		// The frame pointer rides the request's onCreated closure, which
+	if l.onCkpt != nil {
+		// The frame pointer rides the request's continuation, which
 		// checkpoint retention may replay after a crash — long after the
 		// original invocation completed and released the frame. Pin it out
 		// of the pool so the replayed resume finds its content intact.
 		n.PinFrame(frame)
 	}
-	l.sendBlockingCreate(n, target, cl, ctorArgs, e, func(addr core.Address) {
+	l.sendCreate(mn, target, nil, cl, ctorArgs, e, func(addr core.Address) {
 		n.ResumeSaved(self, frame, func(ctx2 *core.Ctx) { k(ctx2, addr) })
 	})
 	ctx.BlockExternal()
 }
 
-// sendCreateRequest transmits the category-2 creation request for a chunk
-// whose address the requester already holds. The target initializes the
-// chunk (class-specific handler), allocates a replacement chunk, and sends
-// its address back as a category-3 reply.
-func (l *Layer) sendCreateRequest(n *core.NodeRT, target int, chunk *core.Object, cl *core.Class, ctorArgs []core.Value, e *stockEntry) {
-	sn := n.MachineNode()
-	sn.ChargeTo(profile.Create, l.cost().RemoteSendSetup)
-	src := n.ID()
-	w := l.acquireWire(src)
-	w.kind = wmCreate
-	w.src = src
-	w.load = l.piggyback(src)
+// sendCreate transmits the category-2 creation request. A chunk is one whose
+// address the requester already holds: the target initializes it
+// (class-specific handler), allocates a replacement chunk, and sends its
+// address back as a category-3 reply. A nil chunk is a stock miss: the
+// target allocates the object as well, and its reply carries both addresses
+// and onCreated, the blocked requester's continuation.
+func (l *Layer) sendCreate(mn *machine.Node, target int, chunk *core.Object, cl *core.Class, ctorArgs []core.Value, e *stockEntry, onCreated func(core.Address)) {
+	w := l.record(mn, profile.Create, 0, wmCreate)
 	w.chunk = chunk
-	w.cl = cl
-	w.setArgs(ctorArgs)
-	w.entry = e
-	l.launch(sn, w, target, packetHeaderBytes+8+core.ArgsSize(ctorArgs), CatCreate)
-}
-
-// sendBlockingCreate is the stock-miss path: a category-2 request without a
-// pre-held chunk. The target allocates, initializes, and replies with both
-// the created object's address and a replacement chunk for the stock.
-func (l *Layer) sendBlockingCreate(n *core.NodeRT, target int, cl *core.Class, ctorArgs []core.Value, e *stockEntry, onCreated func(core.Address)) {
-	sn := n.MachineNode()
-	sn.ChargeTo(profile.Create, l.cost().RemoteSendSetup)
-	src := n.ID()
-	w := l.acquireWire(src)
-	w.kind = wmBlockingCreate
-	w.src = src
-	w.load = l.piggyback(src)
 	w.cl = cl
 	w.setArgs(ctorArgs)
 	w.entry = e
 	w.onCreated = onCreated
-	l.launch(sn, w, target, packetHeaderBytes+core.ArgsSize(ctorArgs), CatCreate)
-}
-
-// sendChunkReply is the category-3 handler: deliver a replacement chunk
-// address to the requester's stock, and optionally resume a creation that
-// blocked on an empty stock.
-func (l *Layer) sendChunkReply(n *core.NodeRT, requester int, chunk *core.Object, e *stockEntry, then func()) {
-	sn := n.MachineNode()
-	sn.ChargeTo(profile.Create, l.cost().RemoteSendSetup)
-	src := n.ID()
-	w := l.acquireWire(src)
-	w.kind = wmChunk
-	w.src = src
-	w.load = l.piggyback(src)
-	w.chunk = chunk
-	w.entry = e
-	w.then = then
-	l.launch(sn, w, requester, packetHeaderBytes+8, CatChunk)
+	size := packetHeaderBytes + core.ArgsSize(ctorArgs)
+	if chunk != nil {
+		size += 8 // the chunk's address
+	}
+	l.launch(mn, w, target, size, CatCreate)
 }
 
 // advertiseLocation tells a stale sender where a migrated object lives now —
@@ -676,13 +653,8 @@ func (l *Layer) advertiseLocation(rn *machine.Node, src int, stale, fwd core.Add
 		return
 	}
 	ns.advert[key] = final
-	c := l.cost()
-	l.rt.NodeRT(rn.ID).C.LocCacheMisses++
-	rn.ChargeTo(profile.Forward, c.RemoteSendSetup)
-	w := l.acquireWire(rn.ID)
-	w.kind = wmLocUpd
-	w.src = rn.ID
-	w.load = l.piggyback(rn.ID)
+	rn.C.LocCacheMisses++
+	w := l.record(rn, profile.Forward, 0, wmLocUpd)
 	w.to = stale
 	w.replyTo = final
 	l.rt.Tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
@@ -698,7 +670,6 @@ func (l *Layer) learnLocation(rn *machine.Node, stale, fresh core.Address) {
 		return
 	}
 	ns := l.nodes[rn.ID]
-	cc := &l.rt.NodeRT(rn.ID).C
 	if ns.locCache == nil {
 		ns.locCache = make(map[core.Address]core.Address)
 	}
@@ -706,7 +677,7 @@ func (l *Layer) learnLocation(rn *machine.Node, stale, fresh core.Address) {
 		if old == fresh {
 			return
 		}
-		cc.LocCacheInvalidates++
+		rn.C.LocCacheInvalidates++
 	}
 	ns.locCache[stale] = fresh
 	l.rt.Tracef(rn.Now(), rn.ID, trace.EvLocUpdate,

@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -630,19 +632,32 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 
 // One message hop is one wireMsg, packet header included, and an all-to-all
 // burst keeps every record of the run live at once: its size is most of the
-// simulator's bytes per message. A reliable hop adds a relMsg while it is
-// unacknowledged, chained from its link (80 bytes: its size class, with the
-// chain's word in place of a slab link of its own). Under random placement a
-// node opens a link record to most of the machine while sending each peer a
-// handful of messages, so the link record's size is paid per message too: one
-// cache line. An open batch is lent a record only while it or its deadline
-// lasts, so a node holds a few of those at a time.
+// simulator's bytes per message. A wire record is data plus the kind naming
+// its handler (Section 5.1); the only code one carries is the continuation
+// of a creation blocked on an empty stock (or of a migration's caller). A
+// reliable hop adds a relMsg while it is unacknowledged, chained from its
+// link (72 bytes: its payload is the record itself, and the chain's word
+// stands in for a slab link of its own). Under random placement a node opens
+// a link record to most of the machine while sending each peer a handful of
+// messages, so the link record's size is paid per message too: one cache
+// line. An open batch is lent a record only while it or its deadline lasts,
+// so a node holds a few of those at a time.
 func TestRecordSizes(t *testing.T) {
 	if sz := unsafe.Sizeof(wireMsg{}); sz > 304 {
 		t.Errorf("wireMsg is %d bytes with its embedded packet header, want <= 304", sz)
 	}
-	if sz := unsafe.Sizeof(relMsg{}); sz > 80 {
-		t.Errorf("relMsg is %d bytes, want <= 80", sz)
+	var funcs []string
+	wt := reflect.TypeOf(wireMsg{})
+	for i := range wt.NumField() {
+		if f := wt.Field(i); f.Type.Kind() == reflect.Func {
+			funcs = append(funcs, f.Name)
+		}
+	}
+	if !slices.Equal(funcs, []string{"onCreated"}) {
+		t.Errorf("wireMsg's func-typed fields are %v, want only onCreated", funcs)
+	}
+	if sz := unsafe.Sizeof(relMsg{}); sz > 72 {
+		t.Errorf("relMsg is %d bytes, want <= 72", sz)
 	}
 	if sz := unsafe.Sizeof(link{}); sz > 64 {
 		t.Errorf("link is %d bytes, want <= 64: one cache line", sz)

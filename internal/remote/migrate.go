@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/profile"
 )
 
@@ -19,10 +18,11 @@ import (
 //
 //  1. the owner extracts the object's state and switches the old object to
 //     fault mode (messages arriving mid-transfer buffer there);
-//  2. a category-4 packet carries class identity and state to the target,
-//     which materializes the object (a chunk adopting the state);
-//  3. a category-4 ack returns the new address; the owner installs the
-//     forwarder and flushes anything buffered during the transfer.
+//  2. a category-4 wmMigrate record carries class identity and state to the
+//     target, which materializes the object (a chunk adopting the state);
+//  3. a category-4 wmMigrated record returns the new address; the owner
+//     installs the forwarder and flushes anything buffered during the
+//     transfer (both handlers are in handleWire).
 
 // Migrate moves a quiescent dormant object from its current node to target.
 // onDone (optional) observes the new address once the forwarder is
@@ -47,45 +47,19 @@ func (l *Layer) Migrate(obj *core.Object, target int, onDone func(core.Address))
 		return fmt.Errorf("remote: cannot migrate multiactive object of class %s", cl.Name)
 	}
 	n := l.rt.NodeRT(src)
-	c := l.cost()
-
 	image := l.rt.BeginMigration(n, obj) // old object now buffers
 	n.C.Migrations++
-	n.MachineNode().ChargeTo(profile.Forward, c.RemoteSendSetup+c.MigratePack)
-
-	size := packetHeaderBytes + image.SizeBytes()
-	load := l.piggyback(src)
-	l.transmit(n.MachineNode(), &machine.Packet{
-		Dst:      target,
-		Size:     size,
-		Category: CatService,
-		Handler: func(mn *machine.Node, _ *machine.Packet) {
-			mn.ChargeTo(profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall+c.MigrateUnpack)
-			l.noteLoad(mn.ID, src, load)
-			tn := l.rt.NodeRT(mn.ID)
-			// Materialize at the target: a chunk adopting the class + state.
-			moved := tn.NewFaultChunk(mn.ID)
-			l.rt.InitChunk(tn, moved, cl, nil)
-			l.rt.AdoptMigratedState(tn, moved, cl, image)
-			addr := moved.Addr()
-			// Ack with the new address; the owner installs the forwarder.
-			tn.MachineNode().ChargeTo(profile.Forward, c.RemoteSendSetup)
-			ackLoad := l.piggyback(mn.ID)
-			l.transmit(tn.MachineNode(), &machine.Packet{
-				Dst:      src,
-				Size:     packetHeaderBytes + 8,
-				Category: CatService,
-				Handler: func(mn2 *machine.Node, _ *machine.Packet) {
-					mn2.ChargeTo(profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall)
-					l.noteLoad(mn2.ID, mn.ID, ackLoad)
-					on := l.rt.NodeRT(mn2.ID)
-					l.rt.CompleteMigration(on, obj, addr)
-					if onDone != nil {
-						onDone(addr)
-					}
-				},
-			})
-		},
-	})
+	mn := n.MachineNode()
+	w := l.record(mn, profile.Forward, l.cost().MigratePack, wmMigrate)
+	w.to = obj.Addr()
+	w.cl = cl
+	w.needInit = image.NeedInit
+	if image.NeedInit {
+		w.setArgs(image.CtorArgs)
+	} else {
+		w.setArgs(image.State)
+	}
+	w.onCreated = onDone
+	l.launch(mn, w, target, packetHeaderBytes+image.SizeBytes(), CatService)
 	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/profile"
+	"repro/internal/sim"
 )
 
 // buildCounterSys returns a 3-node system with a counter class and helpers.
@@ -150,6 +153,54 @@ func TestMigrateNonQuiescentPanics(t *testing.T) {
 		}
 	}()
 	_ = l.Migrate(obj.Obj, 1, nil)
+}
+
+func TestBatchedMigrationPaysBatchExtraction(t *testing.T) {
+	// A method on node 0 sends a message to node 1 and then migrates an
+	// object there. Batched, the migration record rides second in one
+	// packet and, like every later record of a batch, pays the reduced
+	// extraction: the forward path costs exactly the difference less.
+	forward := func(batch bool) uint64 {
+		m := machine.MustNew(machine.DefaultConfig(2))
+		prof := profile.New(2, profile.Options{InstrNs: m.Cfg.NsPerInstr()})
+		rt := core.NewRuntime(m, core.Options{Prof: prof})
+		opt := DefaultOptions()
+		if batch {
+			opt.BatchWindow = 10 * sim.Microsecond
+		}
+		l := Attach(rt, opt)
+		ping := rt.Reg.Register("ping", 0)
+		kick := rt.Reg.Register("kick", 0)
+		recv := rt.DefineClass("recv", 0, nil)
+		recv.Method(ping, func(*core.Ctx) {})
+		target := rt.NewObjectOn(1, recv)
+		moved := rt.NewObjectOn(0, rt.DefineClass("moved", 1, nil))
+		drv := rt.DefineClass("drv", 0, nil)
+		drv.Method(kick, func(ctx *core.Ctx) {
+			ctx.SendPast(target, ping)
+			if err := l.Migrate(moved.Obj, 1, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		rt.Inject(rt.NewObjectOn(0, drv), kick)
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if c := rt.TotalStats(); c.Migrations != 1 || (c.BatchedMsgs == 2) != batch {
+			t.Fatalf("batch=%v: migrations=%d batched records=%d", batch, c.Migrations, c.BatchedMsgs)
+		}
+		for _, ps := range prof.Report().Paths {
+			if ps.Path == profile.Forward.String() {
+				return ps.Instr
+			}
+		}
+		t.Fatal("no forward-path instructions")
+		return 0
+	}
+	c := machine.DefaultCost()
+	if got, want := forward(false)-forward(true), uint64(c.RemoteRecvExtract-c.BatchRecvExtract); got != want {
+		t.Errorf("batching saved %d forward-path instructions, want %d (RemoteRecvExtract - BatchRecvExtract)", got, want)
+	}
 }
 
 func TestMigrateChainForwarding(t *testing.T) {

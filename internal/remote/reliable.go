@@ -139,13 +139,15 @@ func (s *deadlines[T, P]) fired() *T {
 // relMsg is one unacknowledged in-flight message at its sender, slab-backed
 // and chained from its link. It carries no timer, only its retry deadline; it
 // leaves the node's retry list before it is released, so the list's next
-// doubles as the slab's link.
+// doubles as the slab's link. It keeps its record's size and category: a
+// pooled record is recycled once delivered, possibly before the ack comes
+// back, so a retransmission must not read it.
 type relMsg struct {
 	deadline[relMsg]         // retry deadline of the current attempt
 	wnext            *relMsg // the link's in-flight chain
 	seq              uint64
-	payload          any   // forwarded to every attempt's packet (see send)
-	size             int32 // wire size including relHeaderBytes
+	payload          *wireMsg // forwarded to every attempt's packet
+	size             int32    // wire size including relHeaderBytes
 	category         int32
 	dst              int32
 	attempts         int32
@@ -166,11 +168,11 @@ type relNode struct {
 	ackSeq   uint64    // its reserved position among equal-time events
 }
 
-// ackRider wraps the payload of a lone data packet that also carries a
+// ackRider wraps the record of a lone data packet that also carries a
 // cumulative acknowledgment for the reverse direction (see
 // piggybackOnPacket). The packet's own header word holds its sequence number.
 type ackRider struct {
-	payload any
+	payload *wireMsg
 	cum     uint64
 	sel     []uint64
 }
@@ -217,41 +219,31 @@ func (r *reliable) schedule(ns *nodeState) {
 }
 
 // send assigns the next sequence number on the (src, dst) link, records the
-// message as in-flight, and transmits the first copy. Same-node packets (the
-// machine would loop them back untouched) skip the protocol.
-//
-// The message is remembered by its payload alone: a wire record names its
-// handler (hWire); any other packet must leave Payload free, and its handler
-// rides there instead.
-func (r *reliable) send(mn *machine.Node, pkt *machine.Packet) {
-	src, dst := mn.ID, pkt.Dst
-	if src == dst {
-		mn.Send(pkt)
-		return
-	}
+// message as in-flight, and transmits the first copy. Per-attempt copies are
+// built in xmit; the record's own header is not sent.
+func (r *reliable) send(mn *machine.Node, w *wireMsg) {
+	src, dst := mn.ID, w.pkt.Dst
 	ns := r.l.nodes[src]
 	k := r.l.link(src, dst)
-	m := ns.rel.msgs.Get()
-	m.dst = int32(dst)
-	m.seq = k.nextSeq
+	m := r.pend(ns, k, w, k.nextSeq)
 	k.nextSeq++
-	m.size = int32(pkt.Size + relHeaderBytes)
-	m.category = pkt.Category
-	if _, wire := pkt.Payload.(*wireMsg); wire {
-		m.payload = pkt.Payload
-	} else if pkt.Payload == nil {
-		m.payload = pkt.Handler
-	} else {
-		panic("remote: reliable packet with both a foreign payload and a handler")
-	}
-	// Per-attempt copies are built in xmit; the caller's packet is done.
-	mn.ReleasePacket(pkt)
-	k.track(m)
-	if r.l.ckpt {
+	if r.l.onCkpt != nil {
 		ns.coldFor(dst).ret.retain(src, dst, m)
 	}
-	r.l.rt.NodeRT(src).C.RelSent++
+	mn.C.RelSent++
 	r.xmit(mn, ns, m)
+}
+
+// pend makes w the in-flight message seq on k.
+func (r *reliable) pend(ns *nodeState, k *link, w *wireMsg, seq uint64) *relMsg {
+	m := ns.rel.msgs.Get()
+	m.dst = k.peer
+	m.seq = seq
+	m.size = int32(w.pkt.Size + relHeaderBytes)
+	m.category = w.pkt.Category
+	m.payload = w
+	k.track(m)
+	return m
 }
 
 // xmit transmits one copy of m and sets the retry deadline of the attempt.
@@ -313,7 +305,7 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 		// owes.
 		return
 	}
-	c := &r.l.rt.NodeRT(mn.ID).C
+	c := &mn.C
 	if int(m.attempts)+1 >= DefaultMaxAttempts {
 		// Give up loudly: the message counts as lost so scenario assertions
 		// and LostMessages() surface it.
@@ -364,7 +356,7 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 	src, seq := pkt.Src, pkt.Seq
 	k := r.l.link(rn.ID, src)
 	ns := r.l.nodes[rn.ID]
-	c := &r.l.rt.NodeRT(rn.ID).C
+	c := &rn.C
 
 	next := k.nextExpected
 	switch {
@@ -406,14 +398,9 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 	}
 }
 
-// deliver hands one in-order message to its handler: hWire for a wire
-// record, otherwise the function that rode in the payload.
+// deliver hands one in-order message to the layer's receive handler.
 func (r *reliable) deliver(rn *machine.Node, c *stats.Counters, pkt *machine.Packet) {
 	c.RelDelivered++
-	if h, ok := pkt.Payload.(func(*machine.Node, *machine.Packet)); ok {
-		h(rn, pkt)
-		return
-	}
 	r.l.handleWire(rn, pkt)
 }
 
@@ -435,8 +422,7 @@ func (r *reliable) ack(rn *machine.Node, dst, size int, word uint64, h func(*mac
 
 // sendAck acknowledges one copy of (src link, seq) the instant it arrives.
 func (r *reliable) sendAck(rn *machine.Node, src int, seq uint64, at sim.Time) {
-	rcv := rn.ID
-	r.l.rt.NodeRT(rcv).C.AcksSent++
+	rn.C.AcksSent++
 	if np := rn.Prof(); np != nil {
 		np.Packet(profile.Ack, ackBytes, at)
 	}
@@ -543,7 +529,7 @@ func (r *reliable) emit(rn *machine.Node, ns *nodeState, k *link, at sim.Time) {
 	size := ackBytes + 8*len(sel)
 	owed := k.owed
 	k.owed = 0
-	c := &r.l.rt.NodeRT(rcv).C
+	c := &rn.C
 	c.AcksSent++
 	if np := rn.Prof(); np != nil {
 		np.Packet(profile.Ack, size, at)
@@ -577,7 +563,7 @@ func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (k *link, owed i
 	}
 	owed, sel = k.owed, r.l.nodes[mn.ID].selAcks(k.peer)
 	k.owed = 0
-	r.l.rt.NodeRT(mn.ID).C.AcksCoalesced += uint64(owed)
+	mn.C.AcksCoalesced += uint64(owed)
 	if np := mn.Prof(); np != nil {
 		np.PacketBytes(profile.Ack, 8+8*len(sel))
 	}
@@ -612,7 +598,7 @@ func (r *reliable) piggybackOnPacket(mn *machine.Node, p *machine.Packet, at sim
 	if k == nil {
 		return 0
 	}
-	rd := &ackRider{payload: p.Payload, cum: k.cum, sel: slices.Clone(sel)}
+	rd := &ackRider{payload: p.Payload.(*wireMsg), cum: k.cum, sel: slices.Clone(sel)}
 	p.Payload = rd
 	if r.l.rt.Tracing() {
 		r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,

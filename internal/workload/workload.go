@@ -82,8 +82,9 @@ type Spec struct {
 	// with Workers lanes.
 	Executor string `json:"executor,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
-	// ProfileWindowNs, when positive, attaches the cost-attribution
-	// profiler and slices its report into a time series of this width.
+	// ProfileWindowNs, when nonzero, attaches the cost-attribution profiler
+	// and slices its report into a time series of this width (a negative
+	// width is an error).
 	ProfileWindowNs int64 `json:"profile_window_ns,omitempty"`
 }
 
@@ -175,8 +176,11 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 	if plan.Enabled() {
 		opts = append(opts, abcl.WithFaults(plan))
 	}
-	if sp.BatchWindowNs != 0 {
+	switch {
+	case sp.BatchWindowNs != 0:
 		opts = append(opts, abcl.WithBatching(abcl.Time(sp.BatchWindowNs), sp.BatchBytes))
+	case sp.BatchBytes != 0:
+		errs = append(errs, fmt.Errorf("workload: batch_bytes requires batch_window_ns (a byte budget without a window batches nothing)"))
 	}
 	if sp.Reliable {
 		opts = append(opts, abcl.WithReliable())
@@ -206,7 +210,7 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 	default:
 		errs = append(errs, fmt.Errorf("workload: unknown executor %q (want sequential | conservative)", sp.Executor))
 	}
-	if sp.ProfileWindowNs > 0 {
+	if sp.ProfileWindowNs != 0 {
 		opts = append(opts, abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(sp.ProfileWindowNs)}))
 	}
 	return opts, errors.Join(errs...)

@@ -142,12 +142,18 @@ func TestSpecRejections(t *testing.T) {
 		{Workload: "nqueens", Executor: "conservativ", Workers: 2},
 		{Workload: "nqueens", Workers: 2},
 		{Workload: "nqueens", BatchWindowNs: -5},
-		{Workload: "forkjoin", Depth: -1}, // would fork without end
-		{Workload: "nqueens", N: 128},     // used to spin in validColumns forever
+		{Workload: "forkjoin", Nodes: 4, BatchBytes: 64},                      // no window: batched nothing
+		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5},                 // ran without the profiler
+		{Workload: "forkjoin", Nodes: 4, BatchWindowNs: 1000, BatchBytes: -3}, // ran with the 512-B default
+		{Workload: "forkjoin", Depth: -1},                                     // would fork without end
+		{Workload: "nqueens", N: 128},                                         // used to spin in validColumns forever
 	} {
 		if _, err := Run(sp); err == nil {
 			t.Errorf("Run(%+v) accepted the spec", sp)
 		}
+	}
+	if err := (Spec{Workload: "forkjoin", BatchBytes: 64}).Validate(); err == nil || !strings.Contains(err.Error(), "batch_bytes requires batch_window_ns") {
+		t.Errorf("Validate accepted a byte budget without a batch window: %v", err)
 	}
 	if err := (Spec{Workload: "forkjoin", Depth: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "depth must be >= 0") {
 		t.Errorf("Validate accepted a negative fork-join depth: %v", err)
