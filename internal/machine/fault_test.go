@@ -131,7 +131,7 @@ func recycled(t *testing.T, m *Machine, tracked ...*Packet) map[*Packet]int {
 				t.Fatalf("node %d pool handed out %p twice", id, p)
 			}
 			seen[p] = true
-			if p.Handler != nil || p.OnArrive != nil || p.Seq != 0 || p.Ctrl || p.Size != 0 || p.next != nil {
+			if p.Handler != nil || p.OnArrive != nil || p.Seq != 0 || p.HasAck || p.Ctrl || p.Size != 0 || p.next != nil {
 				t.Fatalf("node %d pool handed out a dirty record: %+v", id, *p)
 			}
 			for _, tp := range tracked {

@@ -143,16 +143,20 @@ func (m *Machine) Tracef(at sim.Time, node int, kind trace.Kind, format string, 
 // packet is polled. Payload is opaque to the machine layer.
 type Packet struct {
 	Src, Dst int
-	Size     int // bytes, for bandwidth modelling
 	Arrival  sim.Time
 	Handler  func(n *Node, p *Packet)
 	Payload  any
 
 	// Seq is a header word for the transport protocol above (a link sequence
-	// number, a cumulative acknowledgment): it rides the packet the way the
-	// handler address does, so a protocol packet needs no state of its own.
-	// Opaque to the machine.
+	// number, an acknowledged one): it rides the packet the way the handler
+	// address does, so a protocol packet needs no state of its own. Opaque to
+	// the machine.
 	Seq uint64
+
+	// Ack is a second such word, valid when HasAck is set: a cumulative
+	// acknowledgment for the reverse direction, carried by an ack packet or
+	// piggybacked on data. Opaque to the machine.
+	Ack uint64
 
 	// OnArrive, if set, runs in engine context the moment the packet
 	// reaches the destination's message controller — before the software
@@ -164,6 +168,7 @@ type Packet struct {
 	// has no effect.
 	OnArrive func(n *Node, p *Packet)
 
+	Size     int32 // bytes, for bandwidth modelling
 	Category int32 // handler category (for statistics only)
 
 	// Ctrl routes the packet over the link's control virtual channel:
@@ -175,6 +180,8 @@ type Packet struct {
 	// data that, in hardware terms, has not departed yet. The control channel
 	// keeps its own FIFO clamp instead.
 	Ctrl bool
+
+	HasAck bool // Ack holds an acknowledgment
 
 	// pooled marks packets obtained from AcquirePacket; the machine
 	// recycles them into the receiving node's pool once consumed. Any other
@@ -189,12 +196,20 @@ type Packet struct {
 	era uint32
 
 	// next is the pool link: it chains an idle packet into its pool's free
-	// list and is nil while the packet is out.
+	// list and is nil while the packet is out, which is when the layer above
+	// may chain packets through it (Next, SetNext) — as long as it unlinks a
+	// packet again before the packet goes back to a pool.
 	next *Packet
 }
 
 // PoolLink names the intrusive link for sim.Slab.
 func (p *Packet) PoolLink() **Packet { return &p.next }
+
+// Next returns the packet chained after p while p is out of its pool.
+func (p *Packet) Next() *Packet { return p.next }
+
+// SetNext chains q after p, which must be out of its pool; nil unlinks p.
+func (p *Packet) SetNext(q *Packet) { p.next = q }
 
 // rxRing is a node's receive queue: delivered-but-unpolled packets in
 // arrival order, in a power-of-two ring that starts on an inline backing and
@@ -597,7 +612,7 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	p.Src = n.ID
 	p.era = n.m.era
 	hops := n.m.Cfg.Topology.Hops(n.ID, p.Dst)
-	base := n.m.Cfg.Net.Latency(hops, p.Size)
+	base := n.m.Cfg.Net.Latency(hops, int(p.Size))
 
 	n.PacketsSent++
 	n.BytesSent += uint64(p.Size)
@@ -605,7 +620,7 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	// Consult the fault model: one extra-latency entry per physical copy.
 	copies := oneCopy
 	if n.m.faults != nil {
-		copies = n.m.faults.Link(n.ID, p.Dst, at, p.Size)
+		copies = n.m.faults.Link(n.ID, p.Dst, at, int(p.Size))
 	}
 	if len(copies) == 0 {
 		n.C.LinkDrops++

@@ -457,7 +457,7 @@ func TestFIFOUnderRandomStormProperty(t *testing.T) {
 			sent[k] = append(sent[k], id)
 			m.Node(src).Send(&Packet{
 				Dst:  dst,
-				Size: 8 + rng.Intn(2000),
+				Size: 8 + rng.Int31n(2000),
 				Handler: func(n *Node, p *Packet) {
 					recvd[key{p.Src, n.ID}] = append(recvd[key{p.Src, n.ID}], id)
 				},

@@ -17,12 +17,13 @@ import (
 // launch cost and the routing header are paid once, while per-byte and
 // per-hop costs remain faithful to the records actually carried.
 //
-// The batch is pure framing. Each record keeps its own receive handler and
-// controller hook; at the destination the container's controller hook runs
-// every record's hook at the (shared) arrival instant, and its poll-time
-// handler runs the records' software handlers in enqueue order. Per-link
-// FIFO order is therefore preserved: records leave in enqueue order inside
-// containers that the machine's per-(src,dst) arrival clamp keeps ordered.
+// The batch is pure framing: a pooled packet over the chain of its records'
+// own headers, linked through Packet.Next. Each record keeps its own receive
+// handler and controller hook; at the destination the frame's controller
+// hook runs every record's hook at the (shared) arrival instant, and its
+// poll-time handler runs the records' software handlers in enqueue order.
+// Per-link FIFO order is therefore preserved: records leave in enqueue order
+// inside frames that the machine's per-(src,dst) arrival clamp keeps ordered.
 //
 // Batching is off by default, and the default path is byte-identical to the
 // unbatched engine: Layer.send degenerates to machine.Node.Send.
@@ -68,10 +69,10 @@ func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 	// beyond the lane's event time, and its flush timer cannot fire until the
 	// event completes. Without this check every send of the body would share
 	// one batch no matter how far apart the records were actually written.
-	if len(ob.pkts) > 0 && mn.Clock > ob.firstClock+b.window {
+	if ob.n > 0 && mn.Clock > ob.firstClock+b.window {
 		b.flush(mn, ob)
 	}
-	if len(ob.pkts) == 0 {
+	if ob.n == 0 {
 		ob.firstClock = mn.Clock
 		ob.maxClock = 0
 		// The flush fires just after the writing event completes (the
@@ -94,9 +95,13 @@ func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 			ns.flushes.add(b.l.m.Eng, mn, ob, mn.EventNow()+d)
 			ns.flushes.follow(b.l.m.Eng, mn, b.flushKind, ns)
 		}
+		ob.head = pkt
+	} else {
+		ob.tail.SetNext(pkt)
 	}
-	ob.pkts = append(ob.pkts, pkt)
-	ob.bytes += pkt.Size
+	ob.tail = pkt
+	ob.n++
+	ob.bytes += int(pkt.Size)
 	if mn.Clock > ob.maxClock {
 		ob.maxClock = mn.Clock
 	}
@@ -111,7 +116,7 @@ func (b *batcher) wake(ns *nodeState) {
 	ob := ns.flushes.fired()
 	mn := b.l.m.Node(ns.id)
 	b.flush(mn, ob)
-	if len(ob.pkts) == 0 {
+	if ob.n == 0 {
 		ns.closeBatch(ob.k)
 	}
 	ns.flushes.follow(b.l.m.Eng, mn, b.flushKind, ns)
@@ -120,7 +125,7 @@ func (b *batcher) wake(ns *nodeState) {
 // flush launches ob's batch from mn. It runs from the flush deadline or an
 // overflow; a deadline of an already-flushed batch is a no-op.
 func (b *batcher) flush(mn *machine.Node, ob *openBatch) {
-	n := len(ob.pkts)
+	n := ob.n
 	if n == 0 {
 		return
 	}
@@ -139,84 +144,45 @@ func (b *batcher) flush(mn *machine.Node, ob *openBatch) {
 	if ev := mn.EventNow(); ev > at {
 		at = ev
 	}
-	peer := int(ob.k.peer)
+	head, bytes := ob.head, ob.bytes
+	ob.reset()
 	if n == 1 {
 		// A lone record gains nothing from framing: it departs as the
 		// ordinary packet it already is, just window-delayed. It still
 		// carries any acknowledgments owed to its destination — request/
 		// reply traffic rarely fills a batch, but almost always has a
 		// reverse-direction data packet for the ack to ride.
-		p := ob.pkts[0]
-		ob.reset()
 		if l.rel != nil {
-			p.Size += l.rel.piggybackOnPacket(mn, p, at)
+			l.rel.piggybackOnPacket(mn, head, at)
 		}
-		mn.ControllerSend(at, p)
+		mn.ControllerSend(at, head)
 		return
 	}
-	wb := l.acquireBatch(mn.ID)
-	wb.pkts = append(wb.pkts, ob.pkts...)
-	size := packetHeaderBytes + ob.bytes - n*batchHeaderSave
-	ob.reset()
+	// The frame is a header over the chain of records, which travel as they
+	// are: nothing is copied into it.
+	pkt := mn.AcquirePacket()
+	pkt.Dst = int(ob.k.peer)
+	pkt.Size = int32(packetHeaderBytes + bytes - n*batchHeaderSave)
+	pkt.Category = CatBatch
+	pkt.Payload = head
+	pkt.OnArrive = l.hBatchArr
+	pkt.Handler = l.hBatchDel
 	if l.rel != nil {
 		// A reverse-direction batch carries any acknowledgments this node
 		// owes the destination for free (plus a few bytes of framing).
-		size += l.rel.piggybackAck(mn, peer, wb, at)
+		l.rel.piggybackOnPacket(mn, pkt, at)
 	}
-	pkt := mn.AcquirePacket()
-	pkt.Dst = peer
-	pkt.Size = size
-	pkt.Category = CatBatch
-	pkt.Payload = wb
-	pkt.OnArrive = l.hBatchArr
-	pkt.Handler = l.hBatchDel
 	mn.C.BatchesSent++
 	mn.C.BatchedMsgs += uint64(n)
 	if l.rt.Tracing() {
-		l.rt.Tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, peer, size)
+		l.rt.Tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, pkt.Dst, pkt.Size)
 	}
 	mn.ControllerSend(at, pkt)
 }
 
-// reset empties the batch, keeping its backing.
+// reset empties the batch.
 func (ob *openBatch) reset() {
-	clear(ob.pkts)
-	ob.pkts = ob.pkts[:0]
-	ob.bytes = 0
-}
-
-// wireBatch is the payload of a CatBatch packet: the coalesced records in
-// enqueue order, plus an optional piggybacked cumulative acknowledgment.
-// Containers are pooled like wireMsg records: the sender fills one from its
-// node's free list, the receiver recycles it into its own.
-type wireBatch struct {
-	pkts []*machine.Packet
-	// Piggybacked ack (for the reliable layer): the batch source
-	// acknowledges every seq < ackCum plus the listed out-of-order seqs on
-	// the reverse (batch destination -> batch source) data link.
-	hasAck bool
-	ackCum uint64
-	ackSel []uint64
-}
-
-func (l *Layer) acquireBatch(src int) *wireBatch {
-	ns := l.nodes[src]
-	if last := len(ns.batchFree) - 1; last >= 0 {
-		wb := ns.batchFree[last]
-		ns.batchFree[last] = nil
-		ns.batchFree = ns.batchFree[:last]
-		return wb
-	}
-	return &wireBatch{}
-}
-
-func (l *Layer) releaseBatch(dst int, wb *wireBatch) {
-	wb.pkts = wb.pkts[:0]
-	wb.hasAck = false
-	wb.ackCum = 0
-	wb.ackSel = wb.ackSel[:0]
-	ns := l.nodes[dst]
-	ns.batchFree = append(ns.batchFree, wb)
+	ob.head, ob.tail, ob.n, ob.bytes = nil, nil, 0, 0
 }
 
 // handleBatchArrive runs at the destination's message controller the moment
@@ -224,11 +190,10 @@ func (l *Layer) releaseBatch(dst int, wb *wireBatch) {
 // controller hook (the reliable layer's ack generation) fires, exactly as if
 // the record had arrived as its own packet at the same instant.
 func (l *Layer) handleBatchArrive(rn *machine.Node, p *machine.Packet) {
-	wb := p.Payload.(*wireBatch)
-	if wb.hasAck {
-		l.rel.ackCumReceived(rn, p.Src, wb.ackCum, wb.ackSel)
+	if p.HasAck {
+		l.rel.takeAck(rn, p)
 	}
-	for _, sub := range wb.pkts {
+	for sub := p.Payload.(*machine.Packet); sub != nil; sub = sub.Next() {
 		sub.Src = p.Src
 		sub.Arrival = p.Arrival
 		if sub.OnArrive != nil {
@@ -243,26 +208,27 @@ func (l *Layer) handleBatchArrive(rn *machine.Node, p *machine.Packet) {
 // rest; the discount is applied inside handleWire via the node's batchPos
 // cursor.
 func (l *Layer) handleBatchDeliver(rn *machine.Node, p *machine.Packet) {
-	wb := p.Payload.(*wireBatch)
 	ns := l.nodes[rn.ID]
-	// Recycling the records and the container is only safe when the fault
-	// model cannot have handed out a duplicate copy sharing this payload;
-	// under faults both are left to the garbage collector.
+	// Unlinking and recycling the records is only safe when the fault model
+	// cannot have handed out a duplicate frame sharing this chain; under
+	// faults the chain stays whole and is left to the garbage collector.
 	recycle := l.m.Faults() == nil
-	for i, sub := range wb.pkts {
-		ns.batchPos = i + 1
+	sub := p.Payload.(*machine.Packet)
+	for i := 1; sub != nil; i++ {
+		next := sub.Next()
+		if recycle {
+			sub.SetNext(nil)
+		}
+		ns.batchPos = i
 		if sub.Handler != nil {
 			sub.Handler(rn, sub)
 		}
 		if recycle {
 			rn.ReleasePacket(sub)
-			wb.pkts[i] = nil
 		}
+		sub = next
 	}
 	ns.batchPos = 0
-	if recycle {
-		l.releaseBatch(rn.ID, wb)
-	}
 }
 
 // send puts pkt on the physical wire: deferred into the destination link's

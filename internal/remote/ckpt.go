@@ -167,8 +167,11 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 			l.rel.finish(ns, k, k.head)
 		}
 		if ob := k.batch; ob != nil {
-			for _, p := range ob.pkts {
+			for p := ob.head; p != nil; {
+				next := p.Next()
+				p.SetNext(nil)
 				mn.ReleasePacket(p)
+				p = next
 			}
 			ob.reset()
 			if ob.due == 0 {
@@ -185,6 +188,7 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 			lc.ret.truncate(k.nextSeq)
 		}
 	})
+	l.rel.schedule(ns)
 	clear(ns.rel.owedTo)
 	ns.rel.owedTo = ns.rel.owedTo[:0]
 	ns.rr, ns.rrNext, ns.rng = im.rr, im.rrNext, im.rng

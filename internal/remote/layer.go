@@ -103,7 +103,7 @@ type Layer struct {
 	// hWire is the shared receive handler for all layer packets; the
 	// per-send state travels in the *wireMsg around the packet header instead
 	// of a freshly allocated closure. hBatchArr/hBatchDel are the shared
-	// controller and poll handlers of CatBatch containers.
+	// controller and poll handlers of CatBatch frames.
 	hWire     func(*machine.Node, *machine.Packet)
 	hBatchArr func(*machine.Node, *machine.Packet)
 	hBatchDel func(*machine.Node, *machine.Packet)
@@ -222,12 +222,12 @@ func (l *Layer) record(mn *machine.Node, path profile.Path, extra int, kind uint
 func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size int, category int32) {
 	pkt := &w.pkt
 	pkt.Dst = dst
-	pkt.Size = size
+	pkt.Size = int32(size)
 	pkt.Category = category
 	pkt.Handler = l.hWire
 	pkt.Payload = w
 	// Attribute the logical wire record once, here at the funnel; batch
-	// containers and retransmitted copies are attributed at their own sites
+	// frames and retransmitted copies are attributed at their own sites
 	// so nothing is counted twice.
 	if np := mn.Prof(); np != nil {
 		np.Packet(pathForCategory(category), size, mn.Now())
@@ -382,9 +382,8 @@ type nodeState struct {
 
 	*peers // nil unless the reliable protocol or batching is on (see link.go)
 
-	wires     sim.Slab[wireMsg, *wireMsg] // recycled wire records (lane-local)
-	batchFree []*wireBatch                // recycled batch containers, slices and all (lane-local)
-	batchPos  int                         // 1-based record cursor while delivering a batch
+	wires    sim.Slab[wireMsg, *wireMsg] // recycled wire records (lane-local)
+	batchPos int                         // 1-based record cursor while delivering a batch
 
 	// Remote-location cache: stale address -> latest known home, filled by
 	// wmLocUpd messages from forwarding nodes. advert is the forwarding

@@ -38,15 +38,17 @@ type linkCold struct {
 
 // openBatch is a link's open batch and its flush deadline, lent to the link
 // while either lasts — a deadline left by an early flush serves the link's
-// next batch. An idle record keeps its backing and is chained through next.
+// next batch. An idle record is chained through next. The pending records
+// are chained through their own headers' pool link (machine.Packet.Next),
+// free while a packet is out of its pool: the batch holds no slice of them.
 type openBatch struct {
 	deadline[openBatch]
 	k          *link
-	pkts       []*machine.Packet  // pending records, in enqueue (= seq) order
-	bytes      int                // sum of the records' standalone wire sizes
-	firstClock sim.Time           // sender clock when the batch was opened
-	maxClock   sim.Time           // latest sender clock among enqueued records
-	pktBuf     [4]*machine.Packet // a batch mostly holds a record or two
+	head, tail *machine.Packet // pending records, in enqueue (= seq) order
+	n          int             // how many
+	bytes      int             // sum of the records' standalone wire sizes
+	firstClock sim.Time        // sender clock when the batch was opened
+	maxClock   sim.Time        // latest sender clock among enqueued records
 }
 
 func (ob *openBatch) entry() *deadline[openBatch] { return &ob.deadline }
@@ -130,7 +132,6 @@ func (p *peers) batchFor(k *link) *openBatch {
 		ob := p.idle
 		if ob == nil {
 			ob = p.batchArena.NewFrom(batchFirst, batchBlock)
-			ob.pkts = ob.pktBuf[:0]
 		} else {
 			p.idle, ob.next = ob.next, nil
 		}

@@ -168,12 +168,11 @@ type relNode struct {
 	ackSeq   uint64    // its reserved position among equal-time events
 }
 
-// ackRider wraps the record of a lone data packet that also carries a
-// cumulative acknowledgment for the reverse direction (see
-// piggybackOnPacket). The packet's own header word holds its sequence number.
-type ackRider struct {
-	payload *wireMsg
-	cum     uint64
+// selFrame carries the selective list of a cumulative acknowledgment beside
+// the payload of the packet whose Ack word holds the cursor (see carry). A
+// list is non-empty only after a gap, so a lossless run makes none.
+type selFrame struct {
+	payload any
 	sel     []uint64
 }
 
@@ -192,23 +191,20 @@ type reliable struct {
 func newReliable(l *Layer) *reliable {
 	r := &reliable{l: l, ackDelay: max(l.opt.AckDelay, 0)}
 	r.hArrive, r.hPolled = r.dataArrived, r.receive
-	r.hAck = func(sn *machine.Node, p *machine.Packet) { r.ackReceived(sn, p.Src, p.Seq) }
-	r.hAckCum = func(sn *machine.Node, p *machine.Packet) {
-		sel, _ := p.Payload.([]uint64)
-		r.ackCumReceived(sn, p.Src, p.Seq, sel)
-	}
+	r.hAck = func(sn *machine.Node, p *machine.Packet) { r.ackReceived(sn, p.Src, p.Seq, p.Seq+1, nil) }
+	r.hAckCum = r.takeAck
 	r.wakeKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { r.wake(arg.(*nodeState)) })
 	r.ackKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { r.flushAcks(arg.(*nodeState)) })
 	return r
 }
 
 // finish takes an acknowledged or abandoned record out of its link's chain
-// and out of the retry schedule, and recycles it.
+// and off the retry list, and recycles it. The caller moves the retry timer,
+// once for however many records it finishes.
 func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
 	k.untrack(m)
 	if m.due != 0 {
 		ns.rel.retries.remove(m)
-		r.schedule(ns)
 	}
 	ns.rel.msgs.Put(m)
 }
@@ -239,7 +235,7 @@ func (r *reliable) pend(ns *nodeState, k *link, w *wireMsg, seq uint64) *relMsg 
 	m := ns.rel.msgs.Get()
 	m.dst = k.peer
 	m.seq = seq
-	m.size = int32(w.pkt.Size + relHeaderBytes)
+	m.size = w.pkt.Size + relHeaderBytes
 	m.category = w.pkt.Category
 	m.payload = w
 	k.track(m)
@@ -250,7 +246,7 @@ func (r *reliable) pend(ns *nodeState, k *link, w *wireMsg, seq uint64) *relMsg 
 func (r *reliable) xmit(mn *machine.Node, ns *nodeState, m *relMsg) {
 	p := mn.AcquirePacket()
 	p.Dst = int(m.dst)
-	p.Size = int(m.size)
+	p.Size = m.size
 	p.Category = m.category
 	p.Payload = m.payload
 	p.Seq = m.seq
@@ -337,8 +333,8 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 // piggybacked acknowledgment is consumed, and the copy itself acknowledged
 // (or noted for a cumulative ack).
 func (r *reliable) dataArrived(rn *machine.Node, p *machine.Packet) {
-	if rd, ok := p.Payload.(*ackRider); ok {
-		r.ackCumReceived(rn, p.Src, rd.cum, rd.sel)
+	if p.HasAck {
+		r.takeAck(rn, p)
 	}
 	if r.ackDelay > 0 {
 		r.noteArrival(rn, p.Src, p.Seq)
@@ -350,9 +346,6 @@ func (r *reliable) dataArrived(rn *machine.Node, p *machine.Packet) {
 // receive is the poll-time handler of every data packet copy: suppress
 // duplicates, and deliver in sequence order.
 func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
-	if rd, ok := pkt.Payload.(*ackRider); ok {
-		pkt.Payload = rd.payload
-	}
 	src, seq := pkt.Src, pkt.Seq
 	k := r.l.link(rn.ID, src)
 	ns := r.l.nodes[rn.ID]
@@ -409,13 +402,12 @@ func (r *reliable) deliver(rn *machine.Node, c *stats.Counters, pkt *machine.Pac
 // processor time — and ride the faulty interconnect unprotected: a lost ack
 // is repaired by the data retransmission it fails to cancel, a duplicated ack
 // is idempotent.
-func (r *reliable) ack(rn *machine.Node, dst, size int, word uint64, h func(*machine.Node, *machine.Packet)) *machine.Packet {
+func (r *reliable) ack(rn *machine.Node, dst, size int, h func(*machine.Node, *machine.Packet)) *machine.Packet {
 	p := rn.AcquirePacket()
 	p.Dst = dst
-	p.Size = size
+	p.Size = int32(size)
 	p.Category = CatAck
 	p.Ctrl = true
-	p.Seq = word
 	p.OnArrive = h
 	return p
 }
@@ -426,7 +418,29 @@ func (r *reliable) sendAck(rn *machine.Node, src int, seq uint64, at sim.Time) {
 	if np := rn.Prof(); np != nil {
 		np.Packet(profile.Ack, ackBytes, at)
 	}
-	rn.ControllerSend(at, r.ack(rn, src, ackBytes, seq, r.hAck))
+	p := r.ack(rn, src, ackBytes, r.hAck)
+	p.Seq = seq
+	rn.ControllerSend(at, p)
+}
+
+// carry puts a cumulative acknowledgment on p: the cursor in its Ack word,
+// and a selective list in a frame beside its payload.
+func carry(p *machine.Packet, cum uint64, sel []uint64) {
+	p.Ack, p.HasAck = cum, true
+	if len(sel) > 0 {
+		p.Payload = &selFrame{payload: p.Payload, sel: slices.Clone(sel)}
+	}
+}
+
+// takeAck consumes the cumulative acknowledgment p carries for the reverse
+// direction, unwrapping p's payload from a selective list's frame. It runs
+// at p's arrival, before anything reads the payload.
+func (r *reliable) takeAck(rn *machine.Node, p *machine.Packet) {
+	var sel []uint64
+	if f, ok := p.Payload.(*selFrame); ok {
+		p.Payload, sel = f.payload, f.sel
+	}
+	r.ackReceived(rn, p.Src, 0, p.Ack, sel)
 }
 
 // selAcks returns the out-of-order arrivals a cumulative ack to peer lists
@@ -541,10 +555,8 @@ func (r *reliable) emit(rn *machine.Node, ns *nodeState, k *link, at sim.Time) {
 				"cum ack %d to n%d covers %d arrivals", k.cum, src, owed)
 		}
 	}
-	p := r.ack(rn, src, size, k.cum, r.hAckCum)
-	if len(sel) > 0 {
-		p.Payload = slices.Clone(sel)
-	}
+	p := r.ack(rn, src, size, r.hAckCum)
+	carry(p, k.cum, sel)
 	rn.ControllerSend(at, p)
 }
 
@@ -570,73 +582,52 @@ func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (k *link, owed i
 	return k, owed, sel
 }
 
-// piggybackAck attaches the acknowledgments this node owes dst to a
-// reverse-direction batch departing at the given instant, replacing the owed
-// standalone ack packets entirely. It returns the extra wire bytes the ack
-// contributes.
-func (r *reliable) piggybackAck(mn *machine.Node, dst int, wb *wireBatch, at sim.Time) int {
-	k, owed, sel := r.owes(mn, dst, at)
-	if k == nil {
-		return 0
-	}
-	wb.hasAck = true
-	wb.ackCum = k.cum
-	wb.ackSel = append(wb.ackSel[:0], sel...)
-	if r.l.rt.Tracing() {
-		r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
-			"piggyback ack %d on batch to n%d covers %d arrivals", wb.ackCum, dst, owed)
-	}
-	return 8 + 8*len(wb.ackSel)
-}
-
-// piggybackOnPacket attaches the acknowledgments this node owes the packet's
-// destination onto a lone outbound data packet (the degenerate one-record
-// batch) departing at the given instant, growing its wire size by the ack
-// framing. Like piggybackAck it replaces the owed standalone ack packets.
-func (r *reliable) piggybackOnPacket(mn *machine.Node, p *machine.Packet, at sim.Time) int {
+// piggybackOnPacket attaches the acknowledgments this node owes p's
+// destination to p — a lone data packet or a batch frame departing at the
+// given instant — replacing the owed standalone ack packets entirely, and
+// grows p's wire size by the ack framing.
+func (r *reliable) piggybackOnPacket(mn *machine.Node, p *machine.Packet, at sim.Time) {
 	k, owed, sel := r.owes(mn, p.Dst, at)
 	if k == nil {
-		return 0
+		return
 	}
-	rd := &ackRider{payload: p.Payload.(*wireMsg), cum: k.cum, sel: slices.Clone(sel)}
-	p.Payload = rd
+	carry(p, k.cum, sel)
+	p.Size += int32(8 + 8*len(sel))
 	if r.l.rt.Tracing() {
-		r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
-			"piggyback ack %d on packet to n%d covers %d arrivals", rd.cum, p.Dst, owed)
-	}
-	return 8 + 8*len(rd.sel)
-}
-
-// ackCumReceived completes every in-flight message a cumulative ack covers:
-// all seqs below cum on the (sender -> rcv) link, in sequence order, plus the
-// selectively listed out-of-order arrivals.
-func (r *reliable) ackCumReceived(sn *machine.Node, rcv int, cum uint64, sel []uint64) {
-	if k := r.l.nodes[sn.ID].peer(rcv); k != nil {
-		for k.head != nil && k.head.seq < cum {
-			r.ackReceived(sn, rcv, k.head.seq)
+		what := "packet"
+		if p.Category == CatBatch {
+			what = "batch"
 		}
-	}
-	for _, seq := range sel {
-		r.ackReceived(sn, rcv, seq)
+		r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvAckCoalesce,
+			"piggyback ack %d on %s to n%d covers %d arrivals", k.cum, what, p.Dst, owed)
 	}
 }
 
-// ackReceived runs at the sender's message controller: it marks (dst, seq)
-// delivered and takes it off the retry schedule. Duplicate and stale acks
-// are idempotent.
-func (r *reliable) ackReceived(sn *machine.Node, dst int, seq uint64) {
+// ackReceived runs at the sender's message controller for an acknowledgment
+// from rcv: it completes every in-flight message on the link to rcv with
+// lo <= seq < hi, and every selectively listed one, then moves the retry
+// timer once — no event fires in between, so it lands where a move per
+// message would have left it. Duplicate and stale acks are idempotent.
+func (r *reliable) ackReceived(sn *machine.Node, rcv int, lo, hi uint64, sel []uint64) {
 	ns := r.l.nodes[sn.ID]
-	k := ns.peer(dst)
+	k := ns.peer(rcv)
 	if k == nil {
 		return
 	}
-	m := *k.find(seq)
-	if m == nil || m.seq != seq {
-		return
+	r.complete(sn, ns, k, lo, hi)
+	for _, seq := range sel {
+		r.complete(sn, ns, k, seq, seq+1)
 	}
-	r.finish(ns, k, m)
-	if r.l.rt.Tracing() {
-		r.l.rt.Tracef(sn.EventNow(), sn.ID, trace.EvAck, "acked seq %d by n%d", seq, dst)
+	r.schedule(ns)
+}
+
+// complete finishes k's in-flight messages with lo <= seq < hi.
+func (r *reliable) complete(sn *machine.Node, ns *nodeState, k *link, lo, hi uint64) {
+	for m := *k.find(lo); m != nil && m.seq < hi; m = *k.find(lo) {
+		if r.l.rt.Tracing() {
+			r.l.rt.Tracef(sn.EventNow(), sn.ID, trace.EvAck, "acked seq %d by n%d", m.seq, k.peer)
+		}
+		r.finish(ns, k, m)
 	}
 }
 

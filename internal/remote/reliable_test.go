@@ -266,6 +266,38 @@ func TestReliableBatchedUnderFaults(t *testing.T) {
 	}
 }
 
+func TestDuplicatedBatchFrameSharesItsChain(t *testing.T) {
+	// A batch frame is a header over its records' own chain, and a
+	// duplicated frame is a copy of that header: both copies walk the one
+	// chain. With every packet on the data link doubled, each record must
+	// reach the application once and be suppressed once — a receiver that
+	// unlinked or recycled the chain under faults would leave the second copy
+	// a chain cut short or records already reused.
+	plan := fault.Plan{Links: []fault.LinkFault{{Src: 0, Dst: 1, Dup: 1}}}
+	opt := wireOpts(5)
+	opt.AckDelay = 0
+	rt, l := buildFaultyOpts(t, 2, plan, opt, 5)
+	const msgs = 120
+	order, _, _ := runCounterStreamOn(t, rt, l, msgs)
+	for i, v := range order {
+		if v != int64(i) {
+			t.Fatalf("order[%d] = %d: FIFO violated", i, v)
+		}
+	}
+	c := rt.TotalStats()
+	if len(order) != msgs || c.RelSent != msgs || c.RelDelivered != msgs || c.DupSuppressed != msgs {
+		t.Errorf("sent %d, delivered %d (%d to the application), suppressed %d: want each of %d records delivered once and suppressed once",
+			c.RelSent, c.RelDelivered, len(order), c.DupSuppressed, msgs)
+	}
+	if c.BatchesSent < 2 || c.BatchedMsgs+2 < msgs || c.Retransmits != 0 {
+		t.Errorf("batches=%d batched=%d retransmits=%d: want the stream framed in batches, nothing retransmitted",
+			c.BatchesSent, c.BatchedMsgs, c.Retransmits)
+	}
+	if n := l.rel.Unacked(); n != 0 {
+		t.Errorf("%d messages still unacked at quiescence", n)
+	}
+}
+
 func TestReliableBatchedDeterminism(t *testing.T) {
 	// Batching + delayed acks under 10% drop + 10% dup: two runs with the
 	// same seed and plan must produce identical deliveries and counters.

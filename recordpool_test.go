@@ -49,13 +49,15 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // run, of which about half build the 32 nodes' runtime, remote and machine
 // state and the rest are blocks — wire-record slab blocks (~160), the
 // receive rings' ×4 steps (96: three per node) and the lane heaps' doublings
-// (64: two per lane); reliable n-queens 1.66 allocations and 4.07 events,
-// against 5.65 with one heap object per Object, chunk, stock entry, board and
-// InitCtx (and 13.41 and 5.57 before that, with per-copy closures, per-link
-// heap objects and per-message retry timers), and 827 bytes — 946 with
-// 336-byte link records holding the in-flight window, open batch, flush timer
-// and fault state inline, which a budget 15 % above would let back in, so it
-// sits 9 % above. The last two rows are the
+// (64: two per lane); reliable n-queens 1.07 allocations, 4.07 events and 793
+// bytes, against 1.66 and 827 with a heap container (and its record slice)
+// per batch frame and a rider per ack-carrying lone packet, 5.65 with one heap
+// object per Object, chunk, stock entry, board and InitCtx (and 13.41 and 5.57
+// events before that, with per-copy closures, per-link heap objects and
+// per-message retry timers), and 946 bytes with 336-byte link records holding
+// the in-flight window, open batch, flush timer and fault state inline. A
+// budget 15 % above would let those back in, so the allocation and byte
+// budgets sit 4 % and 3 % above. The last two rows are the
 // product's default path (profiler compiled in, off) and the multiactive
 // scheduler's per-group ready queues: 0.660 allocations per message (about
 // 47 000 a run; what is left is one continuation closure per internal search
@@ -113,7 +115,7 @@ func TestMessageAllocationBudget(t *testing.T) {
 		bytesBudget  float64 // per message; 0: not budgeted
 	}{
 		{"sequential all-to-all 32x8", allToAll, 0.125, 0, 0},
-		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 2.0, 4.7, 900},
+		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 1.12, 4.7, 820},
 		{"default n-queens N10 P64, profiler off", defaultQueens, 0.69, 0, 0},
 		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.22, 0, 0},
 	} {
@@ -151,9 +153,10 @@ func TestMessageAllocationBudget(t *testing.T) {
 
 // Once two nodes have been in contact, the reliable, batched, delayed-ack
 // path between them allocates nothing: its records — wire record, in-flight
-// record, data and ack packets, batch container — come back out of slabs,
-// its per-peer state sits in the link record and an open-batch record taken
-// back with its backing, and its deadlines are header words and reserved
+// record, data, ack and batch-frame packets — come back out of slabs, a
+// batch chains its records through their own headers, a piggybacked ack is a
+// header word, its per-peer state sits in the link record and an open-batch
+// record taken back, and its deadlines are header words and reserved
 // positions, not closures. A second identical burst over
 // links the first one opened must run allocation-free.
 func TestReliableSteadyStateAllocatesNothing(t *testing.T) {

@@ -6,7 +6,8 @@
 // at the same virtual instant, in the same place among equal-time events.
 // The lossy rows' constants were recorded before the per-link records and the
 // node retry deadline replaced the per-message timers, the lossless row's
-// before the delayed-ack timer moved to a reserved position; the trace hash
+// before the delayed-ack timer moved to a reserved position, and the event
+// counts before batch frames became chains of their records; the trace hash
 // covers the order of every retry, ack, hold and duplicate drop.
 package abcl_test
 
@@ -22,6 +23,7 @@ import (
 
 type retryPin struct {
 	elapsed                                     abcl.Time
+	events                                      uint64
 	retransmits, acksSent, acksCoalesced        uint64
 	dupSuppressed, heldOutOfOrder, relAbandoned uint64
 	traceSHA                                    string
@@ -36,19 +38,19 @@ func TestRetryEquivalencePin(t *testing.T) {
 		want     retryPin
 	}{
 		{"delayed-acks", lossy, 500 * abcl.Microsecond, retryPin{
-			elapsed: 12995459, retransmits: 1616, acksSent: 1183, acksCoalesced: 7543,
+			elapsed: 12995459, events: 17910, retransmits: 1616, acksSent: 1183, acksCoalesced: 7543,
 			dupSuppressed: 1014, heldOutOfOrder: 1194, relAbandoned: 0,
 			traceSHA: "731943320589d474711895504366f93b504e412048568d7203716763c00bb6fb",
 		}},
 		{"immediate-acks", lossy, 0, retryPin{
-			elapsed: 11496214, retransmits: 1795, acksSent: 8927, acksCoalesced: 0,
+			elapsed: 11496214, events: 23580, retransmits: 1795, acksSent: 8927, acksCoalesced: 0,
 			dupSuppressed: 1207, heldOutOfOrder: 582, relAbandoned: 0,
 			traceSHA: "11b1112d44ca98c3ef3024e3118d4343838e20a22c24e8bc9880a02c4088542d",
 		}},
 		// The benchmark's nqueens-relbatch configuration: the flush and
 		// delayed-ack timers alone, with nothing lost to retry.
 		{"lossless", abcl.FaultPlan{}, 500 * abcl.Microsecond, retryPin{
-			elapsed: 10965859, retransmits: 0, acksSent: 1261, acksCoalesced: 6467,
+			elapsed: 10965859, events: 14114, retransmits: 0, acksSent: 1261, acksCoalesced: 6467,
 			dupSuppressed: 0, heldOutOfOrder: 0, relAbandoned: 0,
 			traceSHA: "f9b184bd1cf0e8547969b849251a111e8fffde0e7ae51ca3ac4b713430133bed",
 		}},
@@ -69,7 +71,16 @@ func TestRetryEquivalencePin(t *testing.T) {
 				if obs != nil {
 					opts = append(opts, abcl.WithObserver(obs))
 				}
-				res, err := nqueens.Run(nqueens.Options{N: 8}, opts...)
+				sys, err := abcl.NewSystem(append([]abcl.Option{abcl.WithPlacement(abcl.PlaceRandom)}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := nqueens.Build(sys, 8, 0)
+				d.Start()
+				if err := sys.Run(); err != nil {
+					t.Fatal(err)
+				}
+				res, err := d.Result()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +89,7 @@ func TestRetryEquivalencePin(t *testing.T) {
 				}
 				c := res.Stats
 				return retryPin{
-					elapsed: res.Elapsed, retransmits: c.Retransmits,
+					elapsed: res.Elapsed, events: sys.M.Eng.Fired(), retransmits: c.Retransmits,
 					acksSent: c.AcksSent, acksCoalesced: c.AcksCoalesced,
 					dupSuppressed: c.DupSuppressed, heldOutOfOrder: c.HeldOutOfOrder,
 					relAbandoned: c.RelAbandoned,
