@@ -204,10 +204,10 @@ type Option func(*settings) error
 // WithNodes sets the processor count (default 1).
 func WithNodes(n int) Option {
 	return func(s *settings) error {
+		s.nodes = n // kept when refused: configure then skips the fault plan
 		if n <= 0 {
 			return fmt.Errorf("abcl: WithNodes(%d): node count must be positive", n)
 		}
-		s.nodes = n
 		return nil
 	}
 }
@@ -311,6 +311,9 @@ func WithProfiler(opt ProfileOptions) Option {
 // (25MHz, CPI 2.3, squarish torus) is used.
 func WithMachine(cfg MachineConfig) Option {
 	return func(s *settings) error {
+		if cfg.ClockMHz <= 0 || cfg.CPI <= 0 {
+			return fmt.Errorf("abcl: WithMachine: clock %.1fMHz / CPI %.2f invalid", cfg.ClockMHz, cfg.CPI)
+		}
 		s.machine = &cfg
 		return nil
 	}
@@ -489,21 +492,19 @@ type System struct {
 	ckptStarted bool
 }
 
-// NewSystem builds a System from functional options:
-//
-//	sys, err := abcl.NewSystem(
-//	    abcl.WithNodes(16),
-//	    abcl.WithSeed(7),
-//	    abcl.WithFaults(abcl.UniformFaults(0.1, 0.05, 0)),
-//	)
-//
-// Every omitted option selects the AP1000-flavoured default.
-//
+// CheckOptions judges a configuration without building anything: each
+// option's own argument, the cross-option rules and the fault plan against
+// the node count — exactly what NewSystem rejects, with the same errors.
 // Validation is aggregated: every option is applied (later options still
-// override earlier ones) and every complaint — bad individual arguments and
-// incompatible combinations alike — is collected and returned as one joined
-// error, so a misconfigured call reports all of its problems at once.
-func NewSystem(opts ...Option) (*System, error) {
+// override earlier ones) and every complaint is returned as one joined error,
+// so a misconfigured call reports all of its problems at once.
+func CheckOptions(opts ...Option) error {
+	_, err := configure(opts)
+	return err
+}
+
+// configure is CheckOptions, returning the settings NewSystem builds from.
+func configure(opts []Option) (settings, error) {
 	s := settings{
 		nodes:     1,
 		policy:    StackBased,
@@ -521,22 +522,40 @@ func NewSystem(opts ...Option) (*System, error) {
 			errs = append(errs, err)
 		}
 	}
-	// Cross-option validation, all up front. Checkpointing is active when
-	// asked for explicitly or implied by a crash plan (recovery needs at
-	// least the baseline checkpoint); it forces reliable delivery, because
-	// snapshot markers and post-restore replay ride the ack/retry protocol's
-	// per-link sequence space. (A fault model and delayed acks force it too;
-	// remote.Attach decides those.)
-	ckptOn := s.ckptEvery > 0 || len(s.faults.Crashes) > 0
 	parallel := s.exec.workers > 1
 	if s.observer != nil && parallel {
 		errs = append(errs, fmt.Errorf("abcl: WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
 	}
-	if ckptOn && parallel {
+	if s.ckptOn() && parallel {
 		errs = append(errs, fmt.Errorf("abcl: WithCheckpoint (or a crash plan) and the Conservative executor are incompatible: a restore touches every event lane at once"))
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	// A fault plan is only checkable against a sane fleet: against a refused
+	// WithNodes every rule would drown in out-of-range noise.
+	if s.nodes > 0 {
+		errs = append(errs, s.faults.Validate(s.nodes))
+	}
+	return s, errors.Join(errs...)
+}
+
+// ckptOn reports whether checkpointing is active: asked for, or implied by a
+// crash plan (recovery needs at least the baseline checkpoint). It forces
+// reliable delivery: markers and replay ride the protocol's sequence space.
+func (s *settings) ckptOn() bool { return s.ckptEvery > 0 || len(s.faults.Crashes) > 0 }
+
+// NewSystem builds a System from functional options:
+//
+//	sys, err := abcl.NewSystem(
+//	    abcl.WithNodes(16),
+//	    abcl.WithSeed(7),
+//	    abcl.WithFaults(abcl.UniformFaults(0.1, 0.05, 0)),
+//	)
+//
+// Every omitted option selects the AP1000-flavoured default. A configuration
+// CheckOptions rejects is rejected here with the same error.
+func NewSystem(opts ...Option) (*System, error) {
+	s, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
 	mcfg := machine.DefaultConfig(s.nodes)
 	if s.machine != nil {
@@ -572,14 +591,14 @@ func NewSystem(opts ...Option) (*System, error) {
 		StockDepth:      s.stock,
 		Placement:       s.placement,
 		Seed:            s.seed,
-		Reliable:        s.reliable || ckptOn,
+		Reliable:        s.reliable || s.ckptOn(),
 		BatchWindow:     s.batchWindow,
 		BatchMaxBytes:   s.batchBytes,
 		AckDelay:        s.ackDelay,
 		NoLocationCache: s.noLocCache,
 	})
 	sys := &System{M: m, RT: rt, Net: net, seed: s.seed, faults: s.faults, exec: s.exec}
-	if ckptOn {
+	if s.ckptOn() {
 		sys.ckpt = checkpoint.New(rt, net, s.ckptEvery)
 	}
 	return sys, nil

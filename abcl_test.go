@@ -166,8 +166,8 @@ func TestOptionValidation(t *testing.T) {
 		{"nil option", nil},
 	}
 	for _, tc := range cases {
-		if _, err := abcl.NewSystem(tc.opt); err == nil {
-			t.Errorf("%s: want error, got none", tc.name)
+		if _, err := abcl.NewSystem(tc.opt); err == nil || abcl.CheckOptions(tc.opt) == nil {
+			t.Errorf("%s: want an error from NewSystem and CheckOptions, got %v", tc.name, err)
 		}
 	}
 	// Invalid fault plans are rejected at construction.

@@ -3,12 +3,10 @@
 //
 //	abclsim -workload nqueens -n 11 -nodes 512
 //	abclsim -workload nqueens -n 10 -nodes 64 -policy naive
-//	abclsim -workload pingpong -iters 1000
 //	abclsim -workload forkjoin -depth 12 -nodes 64
 //
-// Every system flag applies to every workload (pingpong excepted: it
-// measures fixed machines of its own). A faulty interconnect, for one,
-// switches the inter-node layer to its reliable ack/retry protocol:
+// Every system flag applies to every workload. A faulty interconnect, for
+// one, switches the inter-node layer to its reliable ack/retry protocol:
 //
 //	abclsim -workload forkjoin -depth 10 -nodes 16 -drop 0.1 -dup 0.05
 //
@@ -75,7 +73,6 @@ import (
 	"repro/internal/apps/hotkey"
 	"repro/internal/apps/nqueens"
 	"repro/internal/apps/orderbook"
-	"repro/internal/apps/pingpong"
 	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/runpack"
@@ -106,7 +103,7 @@ func parseFlags(args []string) (*cli, error) {
 	sp := &c.spec
 	def := workload.Spec{}.WithDefaults()
 	fs := flag.NewFlagSet("abclsim", flag.ContinueOnError)
-	fs.StringVar(&sp.Workload, "workload", "nqueens", "workload: nqueens | pingpong | forkjoin | diffusion | hotkey | orderbook")
+	fs.StringVar(&sp.Workload, "workload", "nqueens", "workload: nqueens | forkjoin | diffusion | hotkey | orderbook")
 	fs.StringVar(&c.scenario, "scenario", "", "run scenario documents instead of the flags' spec: all | <bundled name> | <path to .json>")
 	fs.IntVar(&sp.N, "n", def.N, "N-queens board size")
 	fs.IntVar(&sp.Depth, "depth", def.Depth, "fork-join tree depth")
@@ -124,7 +121,6 @@ func parseFlags(args []string) (*cli, error) {
 	fs.StringVar(&sp.Placement, "placement", "random", "placement: random | rr | local | load | depth")
 	fs.Int64Var(&sp.Seed, "seed", 1, "random placement seed")
 	fs.IntVar(&sp.Stock, "stock", 2, "chunk-stock depth (-1 disables)")
-	fs.IntVar(&sp.Iters, "iters", def.Iters, "ping-pong iterations")
 	fs.IntVar(&c.traceN, "trace", 0, "dump the last N runtime trace events")
 
 	drop := fs.Float64("drop", 0, "link fault: per-packet drop probability [0,1)")
@@ -361,10 +357,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Setting names are judged here, once, whichever path the run takes.
-	if _, err := c.spec.Options(); err != nil {
-		return err
-	}
 	if c.packOut != "" && (c.profileOut != "" || c.metricsOut != "") {
 		return fmt.Errorf("-pack captures its own trace; drop -profile/-metrics")
 	}
@@ -543,11 +535,7 @@ func validate(w io.Writer, args []string) error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	check := doc.Validate
-	if doc.Plain() {
-		check = doc.Spec.Validate
-	}
-	if err := check(); err != nil {
+	if err := doc.Validate(); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	fmt.Fprintf(w, "%s: ok\n", path)
@@ -600,25 +588,18 @@ func (c *cli) runPack(stdout io.Writer) error {
 }
 
 // runWorkload runs the spec through the app table and prints the result:
-// the app's own lines, then — for every app that ran on the spec's machine —
-// the effective comms configuration, the runtime counters and the cost table
-// when the profiler was on.
+// the app's own lines, then the effective comms configuration, the runtime
+// counters and the cost table when the profiler was on.
 func (c *cli) runWorkload(stdout io.Writer, in *instrumentation) error {
 	sp := c.spec.WithDefaults()
 	out, err := workload.Run(sp, in.opts...)
 	if err != nil {
 		return err
 	}
-	if p, ok := printers[sp.Workload]; ok {
-		p(stdout, sp, out)
-	} else {
-		fmt.Fprintf(stdout, "%s: %s in %v\n", sp.Workload, out.Answer, out.Elapsed)
-	}
-	if rep := out.Report; rep != nil {
-		fmt.Fprintf(stdout, "  %s\n", commsLine(rep))
-		printStats(stdout, rep.Sched.Counters)
-		printCostTable(stdout, rep.Profile)
-	}
+	printers[sp.Workload](stdout, sp, out)
+	fmt.Fprintf(stdout, "  %s\n", commsLine(out.Report))
+	printStats(stdout, out.Report.Sched.Counters)
+	printCostTable(stdout, out.Report.Profile)
 	return nil
 }
 
@@ -638,16 +619,6 @@ var printers = map[string]func(w io.Writer, sp workload.Spec, out workload.Outco
 			float64(seq.Elapsed)/float64(res.Elapsed), sp.Nodes)
 		fmt.Fprintf(w, "  utilization      %.1f%%\n", 100*res.Utilization)
 		fmt.Fprintf(w, "  memory model     %.0f KB\n", float64(res.MemoryBytes)/1024)
-	},
-	"pingpong": func(w io.Writer, sp workload.Spec, out workload.Outcome) {
-		fmt.Fprintf(w, "ping-pong microbenchmarks (%d iterations)\n", sp.Iters)
-		res := out.Result.([]pingpong.Result)
-		for i, label := range []string{
-			"intra-node past to dormant  ", "intra-node past to active   ", "intra-node creation         ",
-			"inter-node past (one-way)   ", "inter-node now (round trip) ",
-		} {
-			fmt.Fprintf(w, "  %s %v/op\n", label, res[i].PerOp)
-		}
 	},
 	"forkjoin": func(w io.Writer, sp workload.Spec, out workload.Outcome) {
 		fmt.Fprintf(w, "fork-join depth=%d on %d nodes: %d leaves (expected %d)\n",

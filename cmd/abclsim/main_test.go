@@ -18,11 +18,11 @@ import (
 )
 
 // TestFlagsMarshalToPackedConfig pins the flag → spec binding against a
-// checked-in artifact: the flags that packed runpack_68ffd0295291 must still
+// checked-in artifact: the flags that packed runpack_bd7e87b6d506 must still
 // marshal to its config.json byte for byte (same keys, order and defaults),
 // or re-packing would no longer reproduce the archive's id.
 func TestFlagsMarshalToPackedConfig(t *testing.T) {
-	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_68ffd0295291.zip")
+	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_bd7e87b6d506.zip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +50,18 @@ func TestFlagsMarshalToPackedConfig(t *testing.T) {
 
 // TestRunEveryWorkload drives each workload at its smallest size through the
 // whole command and checks the app's own header plus the lines every
-// workload on the spec's machine shares.
+// workload shares (a scenario prints its own report instead).
 func TestRunEveryWorkload(t *testing.T) {
 	for _, tc := range []struct {
 		args   string
 		header string
-		shared bool // ran on the spec's machine: comms + counters follow
 	}{
-		{"-workload nqueens -n 4 -nodes 2", "N-queens N=4 on 2 nodes (stack scheduling, random placement)", true},
-		{"-workload forkjoin -depth 3 -nodes 2", "fork-join depth=3 on 2 nodes: 8 leaves (expected 8)", true},
-		{"-workload diffusion -grid 4 -grid-iters 2 -nodes 2", "diffusion 4x4, 2 iterations on 2 nodes (block placement)", true},
-		{"-workload hotkey -nodes 2 -clients 2 -ops 4", "hotkey: 2 clients x 4 ops on 2 nodes (coverage full, 20% writes)", true},
-		{"-workload orderbook -nodes 2 -clients 2 -ops 4", "orderbook: 2 clients x 4 ops on 2 nodes (grouped=true)", true},
-		{"-workload pingpong -iters 10", "ping-pong microbenchmarks (10 iterations)", false},
-		{"-scenario forkjoin-dup-jitter", "scenario forkjoin-dup-jitter", false},
+		{"-workload nqueens -n 4 -nodes 2", "N-queens N=4 on 2 nodes (stack scheduling, random placement)"},
+		{"-workload forkjoin -depth 3 -nodes 2", "fork-join depth=3 on 2 nodes: 8 leaves (expected 8)"},
+		{"-workload diffusion -grid 4 -grid-iters 2 -nodes 2", "diffusion 4x4, 2 iterations on 2 nodes (block placement)"},
+		{"-workload hotkey -nodes 2 -clients 2 -ops 4", "hotkey: 2 clients x 4 ops on 2 nodes (coverage full, 20% writes)"},
+		{"-workload orderbook -nodes 2 -clients 2 -ops 4", "orderbook: 2 clients x 4 ops on 2 nodes (grouped=true)"},
+		{"-scenario forkjoin-dup-jitter", "scenario forkjoin-dup-jitter"},
 	} {
 		var out bytes.Buffer
 		if err := run(strings.Fields(tc.args), &out); err != nil {
@@ -73,9 +71,10 @@ func TestRunEveryWorkload(t *testing.T) {
 		if !strings.HasPrefix(out.String(), tc.header) {
 			t.Errorf("%s: output does not open with %q:\n%s", tc.args, tc.header, out.String())
 		}
+		shared := !strings.HasPrefix(tc.args, "-scenario")
 		for _, line := range []string{"  comms: unbatched\n", "  runtime counters:\n"} {
-			if strings.Contains(out.String(), line) != tc.shared {
-				t.Errorf("%s: shared line %q present=%v, want %v", tc.args, line, !tc.shared, tc.shared)
+			if strings.Contains(out.String(), line) != shared {
+				t.Errorf("%s: shared line %q present=%v, want %v", tc.args, line, !shared, shared)
 			}
 		}
 	}
@@ -137,7 +136,7 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 		"-scenario nqueens-lossy -drop 0.2 -cost-table":                  "drop -drop",
 		"-scenario nqueens-lossy -executor conservative:2 -trace 5":      "drop -executor",
 		"-scenario hotkey-lossy -workload hotkey -pack " + t.TempDir():   "drop -workload",
-		"-workload scenario":                                             `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook | pingpong)`,
+		"-workload scenario":                                             `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook)`,
 		"-scenario no-such-scenario":                                     `no bundled scenario named "no-such-scenario"`,
 		"-workload nqueens -policy naiv -pack " + t.TempDir():            `unknown policy "naiv"`,
 		"-workload quicksort":                                            `unknown workload "quicksort"`,
@@ -224,15 +223,16 @@ func TestDocumentedCommandsParse(t *testing.T) {
 	}
 	// The count the three documents and the doc comment hold today: fewer
 	// means the extraction broke or a documented command was dropped.
-	if checked < 45 {
-		t.Errorf("found only %d documented abclsim commands, want at least 45", checked)
+	if checked < 44 {
+		t.Errorf("found only %d documented abclsim commands, want at least 44", checked)
 	}
 }
 
 // TestValidateSubcommand pins validate on each kind of file it takes: it
-// prints ok for a plain spec, a scenario document and a pack, names the file
-// and the key for a retired one, and applies the scenario's rules only to a
-// document that is one.
+// prints ok for a plain spec, every bundled scenario and every checked-in
+// pack, names the file and the key for a retired one, applies the scenario's
+// rules only to a document that is one, and refuses what a run refuses, in
+// the run's words.
 func TestValidateSubcommand(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -242,17 +242,35 @@ func TestValidateSubcommand(t *testing.T) {
 		}
 		return path
 	}
-	for path, want := range map[string]string{
+	cases := map[string]string{
 		write("spec.json", `{"workload":"hotkey","executor":"conservative","workers":4}`):                             "",
-		"../../internal/scenario/scenarios/nqueens-crash-recover.json":                                                "",
-		"../../testdata/runpacks/runpack_68ffd0295291.zip":                                                            "",
 		write("flat.json", `{"workload":"nqueens","drop":0.1}`):                                                       `flat.json: json: unknown field "drop"`,
 		write("crashes.json", `{"workload":"nqueens","crashes":[]}`):                                                  `crashes.json: json: unknown field "crashes"`,
 		write("lossless.json", `{"workload":"nqueens","nodes":2,"faults":{"links":[{"drop":1}]}}`):                    "lossless.json: fault: link rule 0: drop probability 1",
 		write("anon.json", `{"workload":"nqueens","nodes":2,"assert":{"min_drops":1}}`):                               "anon.json: scenario: missing name",
-		write("own.json", `{"name":"x","workload":"pingpong","nodes":2}`):                                             "builds its own machines",
-		write("cons.json", `{"workload":"nqueens","executor":"conservative","workers":2,"checkpoint_interval_ns":5}`): "incompatible with checkpoints",
-	} {
+		write("cons.json", `{"workload":"nqueens","executor":"conservative","workers":2,"checkpoint_interval_ns":5}`): "and the Conservative executor are incompatible",
+		write("batch.json", `{"workload":"forkjoin","nodes":4,"batch_window_ns":-5}`):                                 "WithBatching(-5ns, 0): window must be positive",
+		write("prof.json", `{"workload":"forkjoin","nodes":4,"profile_window_ns":-5}`):                                "WithProfiler: window must be non-negative",
+		write("ack.json", `{"workload":"forkjoin","nodes":4,"ack_delay_ns":-7}`):                                      "WithDelayedAcks(-7ns): delay must be positive",
+		write("ckpt.json", `{"workload":"forkjoin","nodes":4,"checkpoint_interval_ns":-7}`):                           "WithCheckpoint(-7ns): interval must be positive",
+		write("grid.json", `{"workload":"diffusion","nodes":4,"grid":1}`):                                             "diffusion: grid 1x1 invalid",
+		write("iters.json", `{"workload":"diffusion","nodes":4,"grid_iters":-2}`):                                     "diffusion: iterations must be >= 1",
+		write("pct.json", `{"workload":"hotkey","nodes":4,"write_pct":150}`):                                          "write percentage 150 out of range",
+		write("clients.json", `{"workload":"hotkey","nodes":4,"clients":-1}`):                                         "clients and ops must be >= 1",
+		write("book.json", `{"workload":"orderbook","nodes":1}`):                                                      "orderbook: need >= 2 nodes, got 1",
+		write("workers.json", `{"workload":"forkjoin","nodes":4,"executor":"conservative","workers":-3}`):             "worker count -3 must be non-negative",
+		write("pingpong.json", `{"workload":"pingpong","nodes":4,"batch_window_ns":-5}`):                              `unknown workload "pingpong"`,
+	}
+	for _, glob := range []string{"../../internal/scenario/scenarios/*.json", "../../testdata/runpacks/*.zip"} {
+		paths, err := filepath.Glob(glob)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: %d files, %v", glob, len(paths), err)
+		}
+		for _, path := range paths {
+			cases[path] = ""
+		}
+	}
+	for path, want := range cases {
 		var out bytes.Buffer
 		err := run([]string{"validate", path}, &out)
 		switch {

@@ -58,14 +58,23 @@ const (
 	stGot1   = 9 // join counter, parity 1
 )
 
+// Check rejects a grid or an iteration count the stencil cannot run. Run
+// asks it, and so does the run-spec check before anything is built.
+func Check(opt Options) error {
+	switch {
+	case opt.W < 1 || opt.H < 1 || opt.W*opt.H < 2:
+		return fmt.Errorf("diffusion: grid %dx%d invalid", opt.W, opt.H)
+	case opt.Iters < 1:
+		return fmt.Errorf("diffusion: iterations must be >= 1")
+	}
+	return nil
+}
+
 // Run executes the stencil on a system built from opts and returns the
 // result. The initial condition is a hot spot at the grid centre.
 func Run(opt Options, opts ...abcl.Option) (Result, error) {
-	if opt.W < 1 || opt.H < 1 || opt.W*opt.H < 2 {
-		return Result{}, fmt.Errorf("diffusion: grid %dx%d invalid", opt.W, opt.H)
-	}
-	if opt.Iters < 1 {
-		return Result{}, fmt.Errorf("diffusion: iterations must be >= 1")
+	if err := Check(opt); err != nil {
+		return Result{}, err
 	}
 	work := opt.WorkInstr
 	if work <= 0 {

@@ -12,6 +12,7 @@
 package hotkey
 
 import (
+	"cmp"
 	"fmt"
 
 	abcl "repro"
@@ -94,27 +95,35 @@ const (
 	stReads  = 2 // completed read operations
 )
 
+// Check rejects parameters the workload cannot run on a machine of nodes
+// processors. Run asks it, and so does the run-spec check before anything is
+// built.
+func Check(opt Options, nodes int) error {
+	switch {
+	case opt.Clients < 1 || opt.Ops < 1:
+		return fmt.Errorf("hotkey: clients and ops must be >= 1")
+	case opt.WritePct < 0 || opt.WritePct > 100:
+		return fmt.Errorf("hotkey: write percentage %d out of range", opt.WritePct)
+	case opt.Reorder < 0:
+		return fmt.Errorf("hotkey: reorder bound must be >= 0, got %d", opt.Reorder)
+	case nodes < 2:
+		return fmt.Errorf("hotkey: need >= 2 nodes (counter and store must be remote), got %d", nodes)
+	}
+	return nil
+}
+
 // Run executes the workload on a system built from opts and returns the
 // result.
 func Run(opt Options, opts ...abcl.Option) (Result, error) {
-	if opt.Clients < 1 || opt.Ops < 1 {
-		return Result{}, fmt.Errorf("hotkey: clients and ops must be >= 1")
-	}
-	if opt.WritePct < 0 || opt.WritePct > 100 {
-		return Result{}, fmt.Errorf("hotkey: write percentage %d out of range", opt.WritePct)
-	}
-	writePct := opt.WritePct
-	if writePct == 0 {
-		writePct = 20
-	}
 	sys, err := abcl.NewSystem(opts...)
 	if err != nil {
 		return Result{}, err
 	}
 	nodes := sys.Nodes()
-	if nodes < 2 {
-		return Result{}, fmt.Errorf("hotkey: need >= 2 nodes (counter and store must be remote), got %d", nodes)
+	if err := Check(opt, nodes); err != nil {
+		return Result{}, err
 	}
+	writePct := cmp.Or(opt.WritePct, 20)
 
 	get := sys.Pattern("hk.get", 0)
 	add := sys.Pattern("hk.add", 1)

@@ -220,10 +220,22 @@ func RunAllToAll(o AllToAllOptions) (*AllToAllResult, error) {
 	return res, nil
 }
 
+// CheckDepth rejects a fork-join depth the tree cannot run: a negative one
+// never reaches the leaf case, so the run would fork without end.
+func CheckDepth(depth int) error {
+	if depth < 0 {
+		return fmt.Errorf("misc: forkjoin depth must be >= 0, got %d", depth)
+	}
+	return nil
+}
+
 // RunForkJoinOn runs a fork-join tree of the given depth on an existing,
 // not-yet-run system (e.g. one built with fault injection enabled) and
 // returns the leaf count.
 func RunForkJoinOn(sys *abcl.System, depth int) (int64, error) {
+	if err := CheckDepth(depth); err != nil {
+		return 0, err
+	}
 	fj := BuildForkJoin(sys)
 
 	done := sys.Pattern("fj.done", 1)

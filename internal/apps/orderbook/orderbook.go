@@ -58,12 +58,24 @@ type Result struct {
 
 const initialBalance = 1000
 
+// Check rejects parameters the workload cannot run on a machine of nodes
+// processors. Run asks it, and so does the run-spec check before anything is
+// built.
+func Check(opt Options, nodes int) error {
+	switch {
+	case opt.Clients < 1 || opt.Ops < 1:
+		return fmt.Errorf("orderbook: clients and ops must be >= 1")
+	case opt.Reorder < 0:
+		return fmt.Errorf("orderbook: reorder bound must be >= 0, got %d", opt.Reorder)
+	case nodes < 2:
+		return fmt.Errorf("orderbook: need >= 2 nodes, got %d", nodes)
+	}
+	return nil
+}
+
 // Run executes the workload on a system built from opts and returns the
 // result.
 func Run(opt Options, opts ...abcl.Option) (Result, error) {
-	if opt.Clients < 1 || opt.Ops < 1 {
-		return Result{}, fmt.Errorf("orderbook: clients and ops must be >= 1")
-	}
 	accounts := opt.Accounts
 	if accounts == 0 {
 		accounts = 8
@@ -85,8 +97,8 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		return Result{}, err
 	}
 	nodes := sys.Nodes()
-	if nodes < 2 {
-		return Result{}, fmt.Errorf("orderbook: need >= 2 nodes, got %d", nodes)
+	if err := Check(opt, nodes); err != nil {
+		return Result{}, err
 	}
 
 	balance := sys.Pattern("ob.balance", 1)   // acct

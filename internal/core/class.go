@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // MethodFunc is a compiled method body. Method bodies are written in
@@ -33,6 +34,7 @@ type Class struct {
 	dormant   *VFT
 	active    *VFT
 	initTable *VFT
+	waitMu    sync.Mutex // the Conservative executor's lanes share waitCache
 	waitCache map[string]*VFT
 
 	// Multiactive declarations (Group / Priority / ReorderBound). Declaring
@@ -123,6 +125,8 @@ func (c *Class) buildTables(npat int) {
 // the same effect.
 func (c *Class) waitingVFT(pats []PatternID) *VFT {
 	key := waitKey(pats)
+	c.waitMu.Lock()
+	defer c.waitMu.Unlock()
 	if v, ok := c.waitCache[key]; ok {
 		return v
 	}

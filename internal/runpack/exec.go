@@ -22,7 +22,7 @@ type ExecResult struct {
 	Answer    string
 	ElapsedNs int64
 	// System is the grouped report of the instrumented sequential run
-	// (profile section included); nil for pingpong and scenario packs.
+	// (profile section included); nil for scenario packs.
 	System *abcl.Report
 	// Outcome is set for scenario packs: the full baseline-vs-faulted
 	// outcome including assertion violations.

@@ -54,18 +54,13 @@ const (
 
 // validate rejects configurations Execute cannot replay.
 func validate(cfg scenario.Spec) error {
-	var errs []error
-	if cfg.Plain() {
-		errs = append(errs, cfg.Spec.Validate())
-	} else {
-		errs = append(errs, cfg.Validate())
+	err := cfg.Validate()
+	// The parallel cross-run compares one system report with another; a
+	// scenario's two runs have none.
+	if cfg.ParallelConfigured() && !cfg.Plain() {
+		err = errors.Join(err, fmt.Errorf("runpack: %s packs run sequentially (drop the executor)", cmp.Or(cfg.Name, cfg.Workload)))
 	}
-	// The parallel cross-run compares one system report with another: a
-	// scenario's two runs, or an app on machines of its own, have none.
-	if cfg.ParallelConfigured() && (!cfg.Plain() || workload.OwnMachines(cfg.Workload)) {
-		errs = append(errs, fmt.Errorf("runpack: %s packs run sequentially (drop the executor)", cmp.Or(cfg.Name, cfg.Workload)))
-	}
-	return errors.Join(errs...)
+	return err
 }
 
 // SectionSum records one section's integrity digest.

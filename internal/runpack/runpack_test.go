@@ -356,13 +356,13 @@ func TestValidateRejections(t *testing.T) {
 		want string
 	}{
 		{"unknown workload", plain(workload.Spec{Workload: "quicksort"}), "unknown workload"},
-		{"retired pseudo-workload", plain(workload.Spec{Workload: "scenario"}), `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook | pingpong)`},
+		{"retired pseudo-workload", plain(workload.Spec{Workload: "scenario"}), `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook)`},
 		{"assertions without a name", scenario.Spec{Spec: workload.Spec{Workload: "nqueens", Nodes: 2}, Assert: &scenario.Assert{}}, "missing name"},
-		{"parallel pingpong", plain(workload.Spec{Workload: "pingpong", Executor: "conservative", Workers: 4}), "sequentially"},
 		{"parallel scenario", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "forkjoin", Nodes: 2, Executor: "conservative", Workers: 4}}, "x packs run sequentially"},
-		{"parallel crash", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, Faults: crash}), "incompatible with checkpoints"},
-		{"parallel crash scenario", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "nqueens", Nodes: 2, Executor: "conservative", Workers: 4, Faults: crash}}, "incompatible with checkpoints"},
-		{"conservative ckpt", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}), "incompatible with checkpoints"},
+		{"parallel crash", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, Faults: crash}), "and the Conservative executor are incompatible"},
+		{"parallel crash scenario", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "nqueens", Nodes: 2, Executor: "conservative", Workers: 4, Faults: crash}}, "and the Conservative executor are incompatible"},
+		{"conservative ckpt", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}), "and the Conservative executor are incompatible"},
+		{"conservative negative workers", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: -3}), "worker count -3 must be non-negative"},
 		{"unknown executor", plain(workload.Spec{Workload: "nqueens", Executor: "timewarp", Workers: 4}), "unknown executor"},
 		{"removed executor", plain(workload.Spec{Workload: "nqueens", Executor: "optimistic", Workers: 4}), "unknown executor"},
 		{"workers sequential", plain(workload.Spec{Workload: "nqueens", Workers: 4}), "requires a parallel executor"},

@@ -48,7 +48,8 @@ func TestLoadUnknownWorkload(t *testing.T) {
 // stopping at the first: a spec with three independent problems must
 // surface all three at once.
 func TestValidateAggregatesErrors(t *testing.T) {
-	sp := Spec{Spec: workload.Spec{Workload: "nope"}} // missing name, zero nodes, unknown workload
+	// Assertions make it a scenario: missing name, zero nodes, unknown workload.
+	sp := Spec{Spec: workload.Spec{Workload: "nope"}, Assert: &Assert{}}
 	err := sp.Validate()
 	if err == nil {
 		t.Fatal("want validation errors")

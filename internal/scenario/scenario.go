@@ -68,11 +68,15 @@ type Spec struct {
 // where a scenario runs twice and is held to its assertions.
 func (sp Spec) Plain() bool { return sp.Name == "" && sp.Assert == nil }
 
-// Validate rejects malformed scenarios before anything runs. Like
-// NewSystem's option validation, every complaint — missing fields, unknown
-// workloads, bad fault schedules — is collected and returned as one joined
-// error, so a broken document reports all of its problems at once.
+// Validate rejects a document before anything runs: a Plain one by the run
+// spec's rules alone, a scenario also by its own. Like NewSystem's option
+// validation, every complaint — missing fields, unknown workloads, bad fault
+// schedules — is collected and returned as one joined error, so a broken
+// document reports all of its problems at once.
 func (sp Spec) Validate() error {
+	if sp.Plain() {
+		return sp.Spec.Validate()
+	}
 	var errs []error
 	name := sp.Name
 	if name == "" {
@@ -83,13 +87,8 @@ func (sp Spec) Validate() error {
 	if sp.Nodes < 1 {
 		errs = append(errs, fmt.Errorf("scenario %s: nodes must be >= 1", name))
 	}
-	// Everything else — workload, app parameters, setting names, the fault
-	// schedule, executor × crash — is the run spec's to judge.
 	if err := sp.Spec.Validate(); err != nil {
 		errs = append(errs, fmt.Errorf("scenario %s: %w", name, err))
-	}
-	if workload.OwnMachines(sp.Workload) {
-		errs = append(errs, fmt.Errorf("scenario %s: workload %q builds its own machines, which no fault plan reaches", name, sp.Workload))
 	}
 	return errors.Join(errs...)
 }
@@ -192,7 +191,8 @@ func (o *Outcome) check() {
 	}
 }
 
-// Load reads one scenario spec from a JSON file.
+// Load reads one scenario document from a JSON file; a file without a name
+// is a plain run spec, not a scenario.
 func Load(path string) (Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -201,6 +201,9 @@ func Load(path string) (Spec, error) {
 	var sp Spec
 	if err := workload.DecodeStrict(data, &sp); err != nil {
 		return Spec{}, fmt.Errorf("scenario %s: %w", path, err)
+	}
+	if sp.Name == "" {
+		return Spec{}, fmt.Errorf("scenario %s: missing name", path)
 	}
 	return sp, sp.Validate()
 }

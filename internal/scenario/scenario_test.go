@@ -83,8 +83,7 @@ func TestSpecValidation(t *testing.T) {
 		{"trailing data", `{"name":"x","workload":"forkjoin","nodes":2} {}`, "after the top-level value"},
 		{"retired flat drop", `{"name":"x","workload":"forkjoin","nodes":2,"drop":0.1}`, `unknown field "drop"`},
 		{"retired flat crashes", `{"name":"x","workload":"nqueens","nodes":2,"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}`, `unknown field "crashes"`},
-		{"conservative crash", `{"name":"x","workload":"nqueens","nodes":2,"executor":"conservative","workers":2,"faults":{"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}}`, "incompatible with checkpoints"},
-		{"own machines", `{"name":"x","workload":"pingpong","nodes":2}`, "builds its own machines"},
+		{"conservative crash", `{"name":"x","workload":"nqueens","nodes":2,"executor":"conservative","workers":2,"faults":{"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}}`, "and the Conservative executor are incompatible"},
 	}
 	for _, tc := range cases {
 		path := writeSpec(t, tc.json)

@@ -57,7 +57,6 @@ type Spec struct {
 	Grid      int    `json:"grid,omitempty"`       // diffusion grid edge
 	GridIters int    `json:"grid_iters,omitempty"` // diffusion iterations
 	Scatter   bool   `json:"scatter,omitempty"`    // diffusion: scatter placement (default block)
-	Iters     int    `json:"iters,omitempty"`      // pingpong iterations
 	Clients   int    `json:"clients,omitempty"`    // hotkey/orderbook clients
 	Ops       int    `json:"ops,omitempty"`        // hotkey/orderbook ops per client
 	WritePct  int    `json:"write_pct,omitempty"`  // hotkey write percentage
@@ -102,14 +101,13 @@ func (sp Spec) FaultPlan() abcl.FaultPlan {
 }
 
 // WithDefaults fills the fleet size and every workload parameter left zero.
-// System settings keep their zero values: Options leaves them to NewSystem.
+// System settings keep their zero values: options leaves them to NewSystem.
 func (sp Spec) WithDefaults() Spec {
 	sp.Nodes = cmp.Or(sp.Nodes, 64)
 	sp.N = cmp.Or(sp.N, 10)
 	sp.Depth = cmp.Or(sp.Depth, 10)
 	sp.Grid = cmp.Or(sp.Grid, 16)
 	sp.GridIters = cmp.Or(sp.GridIters, 10)
-	sp.Iters = cmp.Or(sp.Iters, 1000)
 	sp.Clients = cmp.Or(sp.Clients, 16)
 	sp.Ops = cmp.Or(sp.Ops, 40)
 	sp.Coverage = cmp.Or(sp.Coverage, "full")
@@ -142,11 +140,11 @@ func lookup[T any](kind string, table map[string]T, name string) (T, error) {
 	return v, fmt.Errorf("workload: unknown %s %q (want %s)", kind, name, strings.Join(names, " | "))
 }
 
-// Options translates the spec's system settings into abcl options — the one
+// options translates the spec's system settings into abcl options — the one
 // such translation in the repository. Names it does not know are errors,
-// all of them reported at once; out-of-range values flow through so that
-// NewSystem's own validation rejects them.
-func (sp Spec) Options() ([]abcl.Option, error) {
+// all of them reported at once; out-of-range values and combinations flow
+// through, for abcl.CheckOptions to judge as NewSystem would.
+func (sp Spec) options() ([]abcl.Option, error) {
 	var errs []error
 	opts := []abcl.Option{abcl.WithNodes(sp.Nodes)}
 	if sp.Policy != "" {
@@ -172,9 +170,8 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 	case sp.Stock > 0:
 		opts = append(opts, abcl.WithChunkStock(sp.Stock))
 	}
-	plan := sp.FaultPlan()
-	if plan.Enabled() {
-		opts = append(opts, abcl.WithFaults(plan))
+	if sp.Faults != nil {
+		opts = append(opts, abcl.WithFaults(*sp.Faults))
 	}
 	switch {
 	case sp.BatchWindowNs != 0:
@@ -200,12 +197,6 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 			errs = append(errs, fmt.Errorf("workload: workers requires a parallel executor"))
 		}
 	case "conservative":
-		if !sp.ParallelConfigured() {
-			break
-		}
-		if sp.CkptIntervalNs > 0 || len(plan.Crashes) > 0 {
-			errs = append(errs, fmt.Errorf("workload: the conservative executor is incompatible with checkpoints and crash faults"))
-		}
 		opts = append(opts, abcl.WithExecutor(abcl.Conservative(sp.Workers)))
 	default:
 		errs = append(errs, fmt.Errorf("workload: unknown executor %q (want sequential | conservative)", sp.Executor))
@@ -216,30 +207,28 @@ func (sp Spec) Options() ([]abcl.Option, error) {
 	return opts, errors.Join(errs...)
 }
 
-// Validate rejects, before anything is built, a spec Run cannot execute:
-// an unknown workload, parameters its app refuses, unknown setting names, a
-// fault schedule the fleet cannot carry. Every complaint is collected into
-// one joined error.
-func (sp Spec) Validate() error {
+// resolve is the one judgement of a spec, which Validate and Run share: the
+// defaults filled in, the workload and setting names looked up, the app's
+// own parameter check and abcl.CheckOptions over the translated options —
+// everything a run would reject for its configuration, found without
+// building a machine. Every complaint is collected into one joined error.
+func (sp Spec) resolve() (runner, []abcl.Option, error) {
 	sp = sp.WithDefaults()
-	var errs []error
-	// The fault schedule is only checkable against a sane fleet size; with
-	// nodes < 1 every rule would drown in out-of-range noise.
-	if sp.Nodes < 1 {
-		errs = append(errs, fmt.Errorf("workload: nodes must be >= 1, got %d", sp.Nodes))
-	} else {
-		errs = append(errs, sp.FaultPlan().Validate(sp.Nodes))
+	opts, err := sp.options()
+	errs := []error{err, abcl.CheckOptions(opts...)}
+	var run runner
+	a, err := lookup("workload", apps, sp.Workload)
+	if err == nil {
+		run, err = a(sp)
 	}
-	if a, err := lookup("workload", apps, sp.Workload); err != nil {
-		errs = append(errs, err)
-	} else if a.check != nil {
-		errs = append(errs, a.check(sp))
-	}
-	if sp.Reorder < 0 {
-		errs = append(errs, fmt.Errorf("workload: reorder bound must be >= 0, got %d", sp.Reorder))
-	}
-	_, err := sp.Options()
-	return errors.Join(append(errs, err)...)
+	return run, opts, errors.Join(append(errs, err)...)
+}
+
+// Validate rejects, before anything is built, exactly the specs Run would
+// reject for their configuration.
+func (sp Spec) Validate() error {
+	_, _, err := sp.resolve()
+	return err
 }
 
 // Outcome is what one run of a spec produced.
@@ -248,13 +237,11 @@ type Outcome struct {
 	// across re-executions of the same spec, the string a replay compares.
 	Answer string
 	// Invariant is the part of the answer no fault schedule may change: what
-	// a scenario compares between its fault-free and its faulted run. Empty
-	// for an app that builds its own machines.
+	// a scenario compares between its fault-free and its faulted run.
 	Invariant string
 	// Elapsed is the app-defined completion time in virtual ns.
 	Elapsed abcl.Time
-	// Report is the grouped report of the system the program ran on; nil
-	// for an app that builds its own machines.
+	// Report is the grouped report of the system the program ran on.
 	Report *abcl.Report
 	// Result is the app's own result value (nqueens.Result, hotkey.Result,
 	// ...), for front ends that print app-specific detail. It repeats what
@@ -266,22 +253,12 @@ type Outcome struct {
 // (instrumentation the spec cannot carry — observer sinks; later options
 // win), then the app.
 func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
-	sp = sp.WithDefaults()
-	if err := sp.Validate(); err != nil {
+	run, opts, err := sp.resolve()
+	if err != nil {
 		return Outcome{}, err
 	}
-	a := apps[sp.Workload]
-	opts, _ := sp.Options() // Validate has judged them
-	if a.ownMachines {
-		opts = nil
-	}
-	return a.run(sp, append(opts, extra...))
+	return run(append(opts, extra...))
 }
-
-// OwnMachines reports whether the named app builds fixed machines of its
-// own and therefore ignores the spec's system settings and any fault plan —
-// which makes it meaningless as the subject of a fault scenario.
-func OwnMachines(name string) bool { return apps[name].ownMachines }
 
 // ForEachIndexed runs fn(i) for i in [0, n) on up to workers goroutines and
 // returns the first error by index. Each run of a sweep or a suite builds its

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,36 +12,24 @@ import (
 
 // tiny holds, for every registered app, the smallest spec that still sends
 // enough remote messages for a 10% drop rate to bite.
-var tiny = map[string]struct {
-	spec Spec
-	// exempt skips the settings checks. Only pingpong may set it: it measures
-	// five fixed one- and two-node machines it builds itself (the paper's
-	// Table 1/3 setups), so a fleet size, a policy or a fault plan has nothing
-	// to apply to — the app table marks it ownMachines for the same reason.
-	exempt bool
-}{
-	"nqueens":   {spec: Spec{N: 5, Nodes: 4}},
-	"forkjoin":  {spec: Spec{Depth: 5, Nodes: 4}},
-	"diffusion": {spec: Spec{Grid: 4, GridIters: 3, Nodes: 4}},
-	"hotkey":    {spec: Spec{Clients: 4, Ops: 6, Nodes: 4}},
-	"orderbook": {spec: Spec{Clients: 4, Ops: 6, Nodes: 4}},
-	"pingpong":  {spec: Spec{Iters: 20}, exempt: true},
+var tiny = map[string]Spec{
+	"nqueens":   {N: 5, Nodes: 4},
+	"forkjoin":  {Depth: 5, Nodes: 4},
+	"diffusion": {Grid: 4, GridIters: 3, Nodes: 4},
+	"hotkey":    {Clients: 4, Ops: 6, Nodes: 4},
+	"orderbook": {Clients: 4, Ops: 6, Nodes: 4},
 }
 
 // TestEverySettingReachesEveryApp runs each registered app through the one
 // dispatcher and asserts that a fault plan, the profiler and the scheduling
 // policy each leave their mark on the run — whichever app it is.
 func TestEverySettingReachesEveryApp(t *testing.T) {
-	for name, a := range apps {
-		tc, ok := tiny[name]
+	for name := range apps {
+		sp, ok := tiny[name]
 		if !ok {
 			t.Errorf("app %q has no entry in the test table", name)
 			continue
 		}
-		if tc.exempt != a.ownMachines {
-			t.Errorf("%s: exempt=%v but ownMachines=%v", name, tc.exempt, a.ownMachines)
-		}
-		sp := tc.spec
 		sp.Workload = name
 		t.Run(name, func(t *testing.T) {
 			clean, err := Run(sp)
@@ -48,12 +38,6 @@ func TestEverySettingReachesEveryApp(t *testing.T) {
 			}
 			if clean.Answer == "" || clean.Elapsed <= 0 {
 				t.Errorf("clean run: answer %q, elapsed %v", clean.Answer, clean.Elapsed)
-			}
-			if tc.exempt {
-				if clean.Report != nil || clean.Invariant != "" {
-					t.Error("an app on its own machines has no system report and no fault-invariant answer")
-				}
-				return
 			}
 			if clean.Report.Profile != nil {
 				t.Error("unprofiled run carries a profile")
@@ -142,11 +126,12 @@ func TestSpecRejections(t *testing.T) {
 		{Workload: "nqueens", Executor: "conservativ", Workers: 2},
 		{Workload: "nqueens", Workers: 2},
 		{Workload: "nqueens", BatchWindowNs: -5},
-		{Workload: "forkjoin", Nodes: 4, BatchBytes: 64},                      // no window: batched nothing
-		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5},                 // ran without the profiler
-		{Workload: "forkjoin", Nodes: 4, BatchWindowNs: 1000, BatchBytes: -3}, // ran with the 512-B default
-		{Workload: "forkjoin", Depth: -1},                                     // would fork without end
-		{Workload: "nqueens", N: 128},                                         // used to spin in validColumns forever
+		{Workload: "forkjoin", Nodes: 4, BatchBytes: 64},                        // no window: batched nothing
+		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5},                   // ran without the profiler
+		{Workload: "forkjoin", Nodes: 4, BatchWindowNs: 1000, BatchBytes: -3},   // ran with the 512-B default
+		{Workload: "forkjoin", Depth: -1},                                       // would fork without end
+		{Workload: "nqueens", N: 128},                                           // used to spin in validColumns forever
+		{Workload: "forkjoin", Nodes: 4, Executor: "conservative", Workers: -3}, // ran sequentially
 	} {
 		if _, err := Run(sp); err == nil {
 			t.Errorf("Run(%+v) accepted the spec", sp)
@@ -161,4 +146,109 @@ func TestSpecRejections(t *testing.T) {
 	if err := (Spec{Workload: "nqueens", N: nqueens.MaxN + 1}).Validate(); err == nil || !strings.Contains(err.Error(), "N must be in 1..") {
 		t.Errorf("Validate accepted a board above nqueens.MaxN: %v", err)
 	}
+}
+
+// TestValidateAgreesWithRun holds Validate to what a run does. The fixed
+// cases are specs Validate once passed while a run refused them or quietly
+// changed them; each must now be refused by both, in the same words. Then,
+// over a seeded sample of specs across every app, each key drawn from {zero,
+// a small valid value, one invalid value}: a spec Validate accepts must run
+// without error, and one it rejects must be rejected by Run with the same
+// text. A fleet or app size draws a second small value in place of zero,
+// which would select the full default size.
+func TestValidateAgreesWithRun(t *testing.T) {
+	agree := func(sp Spec) error {
+		t.Helper()
+		verr := sp.Validate()
+		_, rerr := Run(sp)
+		switch {
+		case verr == nil && rerr != nil:
+			t.Errorf("%+v: Validate accepted it, Run failed: %v", sp, rerr)
+		case verr != nil && (rerr == nil || rerr.Error() != verr.Error()):
+			t.Errorf("%+v: Validate says %q, Run says %v", sp, verr, rerr)
+		}
+		return verr
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Workload: "forkjoin", Nodes: 4, BatchWindowNs: -5}, "WithBatching(-5ns, 0): window must be positive"},
+		{Spec{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5}, "WithProfiler: window must be non-negative"},
+		{Spec{Workload: "forkjoin", Nodes: 4, AckDelayNs: -7}, "WithDelayedAcks(-7ns): delay must be positive"},
+		{Spec{Workload: "forkjoin", Nodes: 4, CkptIntervalNs: -7}, "WithCheckpoint(-7ns): interval must be positive"},
+		{Spec{Workload: "diffusion", Nodes: 4, Grid: 1}, "diffusion: grid 1x1 invalid"},
+		{Spec{Workload: "diffusion", Nodes: 4, GridIters: -2}, "diffusion: iterations must be >= 1"},
+		{Spec{Workload: "hotkey", Nodes: 4, WritePct: 150}, "write percentage 150 out of range"},
+		{Spec{Workload: "hotkey", Nodes: 4, Clients: -1}, "clients and ops must be >= 1"},
+		{Spec{Workload: "orderbook", Nodes: 1}, "orderbook: need >= 2 nodes, got 1"},
+		{Spec{Workload: "forkjoin", Nodes: 4, Executor: "conservative", Workers: -3}, "worker count -3 must be non-negative"},
+		{Spec{Workload: "pingpong", Nodes: 4, BatchWindowNs: -5}, `unknown workload "pingpong"`},
+	} {
+		if err := agree(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Validate says %v, want %q", tc.spec, err, tc.want)
+		}
+	}
+
+	names := make([]string, 0, len(apps))
+	for name := range apps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	rng := rand.New(rand.NewSource(1))
+	lossy, lossless := abcl.UniformFaults(0.05, 0, 0), abcl.UniformFaults(1, 0, 0)
+	ran, rejected := 0, 0
+	for i := 0; i < 400; i++ {
+		sp := Spec{
+			Workload:        draw(rng, names[rng.Intn(len(names))], names[rng.Intn(len(names))], "quicksort"),
+			Nodes:           draw(rng, 3, 4, -2),
+			Seed:            draw[int64](rng, 0, 7, -7),
+			Policy:          draw(rng, "", "naive", "fifo"),
+			Placement:       draw(rng, "", "rr", "hash"),
+			Stock:           draw(rng, 0, 1, -1),
+			N:               draw(rng, 4, 5, 99),
+			Depth:           draw(rng, 3, 4, -1),
+			Grid:            draw(rng, 2, 3, 1),
+			GridIters:       draw(rng, 1, 2, -2),
+			Scatter:         rng.Intn(2) == 0,
+			Clients:         draw(rng, 2, 3, -1),
+			Ops:             draw(rng, 3, 4, -1),
+			WritePct:        draw(rng, 0, 50, 150),
+			Coverage:        draw(rng, "", "none", "most"),
+			Ungrouped:       rng.Intn(2) == 0,
+			Reorder:         draw(rng, 0, 2, -1),
+			Faults:          draw[*abcl.FaultPlan](rng, nil, &lossy, &lossless),
+			BatchWindowNs:   draw[int64](rng, 0, 5_000, -5),
+			BatchBytes:      draw(rng, 0, 256, -3),
+			AckDelayNs:      draw[int64](rng, 0, 20_000, -7),
+			Reliable:        rng.Intn(2) == 0,
+			NoLocCache:      rng.Intn(2) == 0,
+			CkptIntervalNs:  draw[int64](rng, 0, 100_000, -7),
+			Executor:        draw(rng, "", "conservative", "timewarp"),
+			Workers:         draw(rng, 0, 2, -3),
+			ProfileWindowNs: draw[int64](rng, 0, 50_000, -5),
+		}
+		if agree(sp) == nil {
+			ran++
+		} else {
+			rejected++
+		}
+	}
+	// Both halves of the property must be exercised, not one of them.
+	t.Logf("%d specs ran, %d were rejected", ran, rejected)
+	if ran < 50 || rejected < 50 {
+		t.Errorf("%d specs ran and %d were rejected; want at least 50 of each", ran, rejected)
+	}
+}
+
+// draw picks a spec key's value: its zero value, a small valid one, or,
+// less often, an invalid one.
+func draw[T any](rng *rand.Rand, zero, valid, invalid T) T {
+	switch r := rng.Intn(20); {
+	case r < 8:
+		return zero
+	case r < 19:
+		return valid
+	}
+	return invalid
 }
