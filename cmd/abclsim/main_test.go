@@ -107,18 +107,25 @@ func TestSystemFlagsReachEveryWorkload(t *testing.T) {
 	}
 }
 
-// TestCrashUnderRandomPlacement runs a crash through the command under the
-// default random placement, where restored chunk stocks name chunks the
-// rolled-back timeline initialized: the run must recover the fault-free
-// answer after one restart.
+// TestCrashUnderRandomPlacement runs crashes through the command under the
+// default random placement. In n-queens a create request replayed from the
+// cut names a chunk the rolled-back timeline initialized; the order book
+// checks a ledger of counts that a rollback must rewind with the balances.
+// Each run must recover the fault-free answer after one restart.
 func TestCrashUnderRandomPlacement(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(strings.Fields("-workload nqueens -n 8 -nodes 8 -checkpoint-interval 200us -crash 2@1ms+300us"), &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`solutions\s+92 \(expected 92\)`, `restarts=1 `} {
-		if !regexp.MustCompile(want).MatchString(out.String()) {
-			t.Errorf("output lacks %q:\n%s", want, out.String())
+	for _, tc := range []struct{ args, answer string }{
+		{"-workload nqueens -n 8 -nodes 8 -checkpoint-interval 200us -crash 2@1ms+300us", `solutions\s+92 \(expected 92\)`},
+		{"-workload orderbook -nodes 8 -checkpoint-interval 100us -crash 1@400us+100us", `ops\s+397 reads, 183 deposits, 60 transfers`},
+	} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(tc.args), &out); err != nil {
+			t.Errorf("%s: %v", tc.args, err)
+			continue
+		}
+		for _, want := range []string{tc.answer, `restarts=1 `} {
+			if !regexp.MustCompile(want).MatchString(out.String()) {
+				t.Errorf("%s: output lacks %q:\n%s", tc.args, want, out.String())
+			}
 		}
 	}
 }

@@ -126,6 +126,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		{Workload: "forkjoin", Depth: 6},
 		{Workload: "diffusion", Grid: 6, GridIters: 4},
 		{Workload: "hotkey", Clients: 4, Ops: 10},
+		{Workload: "orderbook", Clients: 4, Ops: 10},
 	}
 	run := func(t *testing.T, sp workload.Spec) workload.Outcome {
 		t.Helper()

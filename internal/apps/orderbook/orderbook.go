@@ -108,14 +108,25 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	step := sys.Pattern("ob.step", 1)
 	done := sys.Pattern("ob.done", 0)
 
+	// Every count the ledger check reads lives in object state rather than a
+	// host variable, so that a checkpoint rollback rewinds it together with
+	// the balances — the host-write rule (DESIGN.md §10) for crash runs.
+	// A count never bumped reads as the nil Value.
+	count := func(v abcl.Value) int64 {
+		if v.IsNil() {
+			return 0
+		}
+		return v.Int()
+	}
+	bump := func(ctx *abcl.Ctx, i int) { ctx.SetState(i, abcl.Int(count(ctx.State(i))+1)) }
+
 	// The audit log: sharded across the non-book nodes like a replicated
 	// journal; every book operation round-trips to one shard before it
-	// replies. Entries are counted host-side for the ledger check.
-	var auditLen int64
-	audit := sys.Class("ob.audit", 0, nil).
+	// replies. Each shard counts its entries for the ledger check.
+	audit := sys.Class("ob.audit", 1, nil).
 		Method(record, func(ctx *abcl.Ctx) {
 			ctx.Charge(300)
-			auditLen++
+			bump(ctx, 0)
 			ctx.Reply(abcl.Int(0))
 		})
 	logs := make([]abcl.Address, nodes-1)
@@ -123,23 +134,25 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		logs[i] = sys.NewObjectOn(i+1, audit)
 	}
 
-	// The book. State: one balance per account, plus a rotating audit-shard
-	// cursor. Updates are applied before the audit round trip, so grouped
-	// deposits (commutative) and exclusive transfers are both exact.
+	// The book. State: one balance per account, a rotating audit-shard
+	// cursor and the completed reads, deposits and transfers. Updates are
+	// applied before the audit round trip, so grouped deposits (commutative)
+	// and exclusive transfers are both exact.
 	cursor := accounts // state index of the shard cursor
+	stReads, stDeposits, stTransfers := accounts+1, accounts+2, accounts+3
 	nextLog := func(ctx *abcl.Ctx) abcl.Address {
 		cur := ctx.State(cursor).Int()
 		ctx.SetState(cursor, abcl.Int(cur+1))
 		return logs[cur%int64(len(logs))]
 	}
-	var reads, deposits, transfers int64
+	// maxLive is a host-side monotonic maximum — idempotent under replay.
 	maxLive := 0
 	noteLive := func(ctx *abcl.Ctx) {
 		if l := ctx.Self().Obj.LiveInvocations(); l > maxLive {
 			maxLive = l
 		}
 	}
-	book := sys.Class("ob.book", accounts+1, func(ic *abcl.InitCtx) {
+	book := sys.Class("ob.book", accounts+4, func(ic *abcl.InitCtx) {
 		for a := 0; a < accounts; a++ {
 			ic.SetState(a, abcl.Int(initialBalance))
 		}
@@ -149,7 +162,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 			noteLive(ctx)
 			acct := int(ctx.Arg(0).Int())
 			ctx.SendNow(nextLog(ctx), record, []abcl.Value{abcl.Int(int64(acct))}, func(ctx *abcl.Ctx, _ abcl.Value) {
-				reads++
+				bump(ctx, stReads)
 				ctx.Reply(ctx.State(acct))
 			})
 		}).
@@ -160,7 +173,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 			v := ctx.State(acct).Int() + amt
 			ctx.SetState(acct, abcl.Int(v))
 			ctx.SendNow(nextLog(ctx), record, []abcl.Value{abcl.Int(amt)}, func(ctx *abcl.Ctx, _ abcl.Value) {
-				deposits++
+				bump(ctx, stDeposits)
 				ctx.Reply(abcl.Int(v))
 			})
 		}).
@@ -181,7 +194,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 				moved = amt
 			}
 			ctx.SendNow(nextLog(ctx), record, []abcl.Value{abcl.Int(moved)}, func(ctx *abcl.Ctx, _ abcl.Value) {
-				transfers++
+				bump(ctx, stTransfers)
 				ctx.Reply(abcl.Int(moved))
 			})
 		})
@@ -196,7 +209,6 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	bookAddr := sys.NewObjectOn(0, book)
 
 	// Closed-loop clients with a deterministic (client, op index) mix.
-	finished := 0
 	var collector abcl.Address
 	var wantDeposits int64
 	mix := func(client, i int) (p abcl.Pattern, args []abcl.Value) {
@@ -228,8 +240,8 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 				ctx.SendPast(ctx.Self(), step, next)
 			})
 		})
-	coll := sys.Class("ob.coll", 0, nil).
-		Method(done, func(ctx *abcl.Ctx) { finished++ })
+	coll := sys.Class("ob.coll", 1, nil).
+		Method(done, func(ctx *abcl.Ctx) { bump(ctx, 0) })
 	collector = sys.NewObjectOn(0, coll)
 
 	for ci := 0; ci < opt.Clients; ci++ {
@@ -249,13 +261,18 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	if err := sys.Run(); err != nil {
 		return Result{}, err
 	}
-	if finished != opt.Clients {
+	if finished := count(collector.Obj.State(0)); finished != int64(opt.Clients) {
 		return Result{}, fmt.Errorf("orderbook: %d of %d clients finished", finished, opt.Clients)
 	}
-	var total int64
+	var total, auditLen int64
 	for a := 0; a < accounts; a++ {
 		total += bookAddr.Obj.State(a).Int()
 	}
+	for _, lg := range logs {
+		auditLen += count(lg.Obj.State(0))
+	}
+	bk := bookAddr.Obj
+	reads, deposits, transfers := count(bk.State(stReads)), count(bk.State(stDeposits)), count(bk.State(stTransfers))
 	rep := sys.Report()
 	res := Result{
 		Ops:       reads + deposits + transfers,

@@ -252,6 +252,17 @@ func (r *Runtime) TotalStats() stats.Counters {
 	return t
 }
 
+// ObjectsMade reports how many host Objects the nodes have carved: objects,
+// reply destinations and chunks alike. With every stocked chunk a count, a
+// run makes one per creation (and reply destination), none per idle chunk.
+func (r *Runtime) ObjectsMade() int {
+	made := 0
+	for _, n := range r.nodes {
+		made += n.made
+	}
+	return made
+}
+
 // newObject allocates an object of class cl on node. The object starts in
 // need-init mode when the class has an initializer, dormant otherwise.
 // Before freeze the table pointer is deferred (tables do not exist yet);
@@ -290,10 +301,11 @@ func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
 // NewFaultChunk allocates an uninitialized chunk homed on node: class-less,
 // with the generic fault table installed, ready to buffer early messages.
 // Used by the remote-creation protocol, where the allocating node n is not
-// always the home: a requester seeds its stock with chunks of the target,
-// and the Object comes out of the requester's arena because the requester's
-// lane is the one running. The chunk joins its home's checkpoint list when
-// the home first touches it (InitChunk, faultEntry), on the home's lane.
+// always the home: a requester popping its stock carves the chunk the popped
+// address names on the target, and the Object comes out of the requester's
+// arena because the requester's lane is the one running. The chunk joins its
+// home's checkpoint list when the home first touches it (InitChunk,
+// faultEntry), on the home's lane.
 func (n *NodeRT) NewFaultChunk(node int) *Object {
 	r := n.rt
 	r.Freeze()

@@ -39,10 +39,11 @@ type NodeRT struct {
 	// from it, not to the node the object models: stateArena backs the state
 	// boxes and constructor arguments of objects on this node (both are
 	// written here, by this node), while objects holds every Object this
-	// node creates — its own, its reply destinations, and the chunks it
-	// seeds or refills for objects homed on other nodes (NewFaultChunk).
+	// node creates — its own, its reply destinations, and the chunks its
+	// stock pops name on other nodes (NewFaultChunk). made counts them.
 	stateArena []Value
 	objects    sim.Arena[Object]
+	made       int
 
 	// initCtx is the one InitCtx handed to lazy initializers on this node,
 	// cleared after each call (a fresh one would escape through cl.Init).
@@ -149,6 +150,7 @@ const objectBlock = 32
 func (n *NodeRT) newObjectAt(node int) *Object {
 	obj := n.objects.New(objectBlock)
 	obj.node = node
+	n.made++
 	return obj
 }
 

@@ -13,13 +13,14 @@ package core
 // at a snapshot point. Restore rewrites each captured object in place —
 // object identity IS the mail address, so restoration must not reallocate —
 // and forgets everything its node touched after the snapshot: pre-snapshot
-// state names such an object only as an untouched chunk (a stock entry, a
-// create request in the channel), so the suffix of the hosted list goes
-// back to being one once the in-flight packets of the rolled-back timeline
-// are revoked (machine.BumpEra). Forgotten, not reclaimed: an Object is a slot
-// of its allocating node's arena and lives as long as its block does, and no
-// restore rewinds an arena — a slot is handed out once, so an address of the
-// abandoned timeline can never come to name an object of the restored one.
+// state names such an object only as an untouched chunk (the address a stock
+// pop handed out, a create request in the channel), so the suffix of the
+// hosted list goes back to being one once the in-flight packets of the
+// rolled-back timeline are revoked (machine.BumpEra). Forgotten, not
+// reclaimed: an Object is a slot of its allocating node's arena and lives as
+// long as its block does, and no restore rewinds an arena — a slot is handed
+// out once, so an address of the abandoned timeline can never come to name
+// an object of the restored one.
 //
 // Continuation closures (resumeK, wait.k, reply waiters) are captured by
 // reference. This is sound only under the write-once environment contract:
@@ -236,11 +237,12 @@ func (img *NodeImage) capture(o *Object) {
 // rewritten in place, objects the node touched after the snapshot drop off
 // the hosted list (their arena slots stay spent, see above), and the
 // scheduling queue is rebuilt in captured order. A forgotten object becomes
-// a pristine fault chunk again: the restored cut may still name it as a
-// chunk in some stock or in a create request still to be replayed, and
-// there it must be found uninitialized. The caller is responsible for
-// revoking the rolled-back timeline's in-flight packets (machine.BumpEra),
-// restoring the inter-node layer, and waking the node.
+// a pristine fault chunk again: the restored cut may still name it as the
+// chunk of a create request still to be replayed — a stock holds a count,
+// not chunks, so the address a pop handed out before the cut rides such a
+// request — and there it must be found uninitialized. The caller is
+// responsible for revoking the rolled-back timeline's in-flight packets
+// (machine.BumpEra), restoring the inter-node layer, and waking the node.
 func (r *Runtime) RestoreNode(img *NodeImage) {
 	n := r.nodes[img.Node]
 	for i, o := range n.hosted[img.hostedLen:] {

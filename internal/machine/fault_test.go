@@ -118,26 +118,31 @@ func TestNilFaultsUnchanged(t *testing.T) {
 }
 
 // recycled counts how often each tracked packet comes back out of the
-// machine's pools, failing if any record at all is handed out twice — which
-// is what a record released twice (a self-looped free list) looks like.
+// machine's pool, failing if any record at all is handed out twice — which
+// is what a record released twice (a self-looped free list) looks like. A
+// packet tracked twice is counted once: the pool is the machine's, not a
+// node's, so a packet recycled at one node may be the next one another node
+// acquires, and it is then a second acquisition of the same record.
 func recycled(t *testing.T, m *Machine, tracked ...*Packet) map[*Packet]int {
 	t.Helper()
+	want := make(map[*Packet]bool)
+	for _, p := range tracked {
+		want[p] = true
+	}
 	seen := make(map[*Packet]bool)
 	count := make(map[*Packet]int)
 	for id := 0; id < m.Nodes(); id++ {
 		for i := 0; i < 64; i++ {
 			p := m.Node(id).AcquirePacket()
 			if seen[p] {
-				t.Fatalf("node %d pool handed out %p twice", id, p)
+				t.Fatalf("node %d: pool handed out %p twice", id, p)
 			}
 			seen[p] = true
 			if p.Handler != nil || p.OnArrive != nil || p.Seq != 0 || p.HasAck || p.Ctrl || p.Size != 0 || p.next != nil {
-				t.Fatalf("node %d pool handed out a dirty record: %+v", id, *p)
+				t.Fatalf("node %d: pool handed out a dirty record: %+v", id, *p)
 			}
-			for _, tp := range tracked {
-				if tp == p {
-					count[p]++
-				}
+			if want[p] {
+				count[p]++
 			}
 		}
 	}

@@ -184,7 +184,7 @@ type Packet struct {
 	HasAck bool // Ack holds an acknowledgment
 
 	// pooled marks packets obtained from AcquirePacket; the machine
-	// recycles them into the receiving node's pool once consumed. Any other
+	// recycles them at the receiving node once consumed. Any other
 	// packet — a literal, a fault-model copy, a header embedded in its
 	// sender's own record — is its builder's and never recycled here.
 	pooled bool
@@ -257,20 +257,21 @@ func (r *rxRing) pop() *Packet {
 // handler call (e.g. a reorder buffer) must call Retain first.
 func (p *Packet) Retain() { p.pooled = false }
 
-// AcquirePacket returns a zeroed packet from the node's pool, marked for
-// recycling at the receiver once its handler has run.
+// AcquirePacket returns a zeroed packet from the pool of the worker running
+// the node's lane, marked for recycling at the receiver once its handler has
+// run.
 func (n *Node) AcquirePacket() *Packet {
-	p := n.pkts.Get()
+	p := n.m.pkts.Get(n.lane)
 	p.pooled = true
 	return p
 }
 
-// ReleasePacket returns a pooled packet to this node's pool. Calling it on
-// a non-pooled (or retained) packet is a no-op, so it is always safe after
-// a handler has run.
+// ReleasePacket returns a pooled packet to the pool of the worker running
+// the node's lane. Calling it on a non-pooled (or retained) packet is a
+// no-op, so it is always safe after a handler has run.
 func (n *Node) ReleasePacket(p *Packet) {
 	if p.pooled {
-		n.pkts.Put(p)
+		n.m.pkts.Put(n.lane, p)
 	}
 }
 
@@ -294,7 +295,6 @@ type Node struct {
 	resumePending bool
 	inResume      bool
 	rx            rxRing // delivered packets awaiting poll, in arrival order
-	pkts          sim.Slab[Packet, *Packet]
 	Runner        Runner
 
 	// Per-(src,dst) FIFO clamps, on the sender's side: the last arrival
@@ -332,6 +332,7 @@ type Machine struct {
 	Cfg   Config
 	Eng   *sim.Engine
 	nodes []*Node
+	pkts  *sim.Pool[Packet, *Packet] // one slab per engine worker
 
 	nsPerInstr float64
 
@@ -409,6 +410,7 @@ func New(cfg Config) (*Machine, error) {
 	// One event lane per node plus lane 0 for the host; typed kinds keep
 	// the per-packet and per-turn scheduling allocation-free.
 	m.Eng.SetLanes(cfg.Nodes + 1)
+	m.pkts = sim.NewPool[Packet](m.Eng)
 	m.deliverKind = m.Eng.Register(func(lane int, at sim.Time, arg any) {
 		m.nodes[lane-1].deliver(at, arg.(*Packet), false)
 	})

@@ -97,9 +97,8 @@ type RelImage struct {
 
 // stockImage captures one chunk-stock entry through its live pointer.
 type stockImage struct {
-	e      *stockEntry
-	seeded bool
-	chunks []*core.Object
+	e *stockEntry
+	stockEntry
 }
 
 // SizeBytes reports the modelled stable-store footprint of the image.
@@ -121,12 +120,14 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 	ns.eachLink(func(k *link) {
 		im.nextSeq[k.peer], im.nextExpected[k.peer] = k.nextSeq, k.nextExpected
 	})
-	im.bytes = 16*len(im.nextSeq) + 12*len(im.loads) + 16
+	// Twelve bytes per peer for its load sample, whether or not the placement
+	// keeps samples: the modelled node holds the table either way.
+	im.bytes = 16*len(im.nextSeq) + 12*len(l.nodes) + 16
 	if len(ns.stock) > 0 {
 		im.stock = make([]stockImage, 0, len(ns.stock))
 		for _, e := range ns.stock {
-			im.stock = append(im.stock, stockImage{e: e, seeded: e.seeded, chunks: append([]*core.Object(nil), e.chunks...)})
-			im.bytes += 8 + 8*len(e.chunks)
+			im.stock = append(im.stock, stockImage{e: e, stockEntry: *e})
+			im.bytes += 8 + 8*int(e.n) // the entry and its chunk addresses
 		}
 	}
 	if len(ns.locCache) > 0 {
@@ -194,13 +195,10 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 	ns.rr, ns.rrNext, ns.rng = im.rr, im.rrNext, im.rng
 	copy(ns.loads, im.loads)
 	for _, e := range ns.stock {
-		e.seeded = false
-		e.chunks = e.inline[:0]
+		*e = stockEntry{}
 	}
-	for i := range im.stock {
-		si := &im.stock[i]
-		si.e.seeded = si.seeded
-		si.e.chunks = append(si.e.inline[:0], si.chunks...)
+	for _, si := range im.stock {
+		*si.e = si.stockEntry
 	}
 	ns.locCache = nil
 	if len(im.locCache) > 0 {

@@ -2,6 +2,9 @@ package remote
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -92,9 +95,10 @@ type Layer struct {
 	m     *machine.Machine
 	opt   Options
 	nodes []*nodeState
-	rel   *reliable // nil unless the reliable protocol is on (see Attach)
-	bat   *batcher  // nil unless Options.BatchWindow > 0
-	locOn bool      // remote-location cache enabled
+	wires *sim.Pool[wireMsg, *wireMsg] // recycled wire records, one slab per engine worker
+	rel   *reliable                    // nil unless the reliable protocol is on (see Attach)
+	bat   *batcher                     // nil unless Options.BatchWindow > 0
+	locOn bool                         // remote-location cache enabled
 
 	// onCkpt is the checkpoint subsystem's marker handler; non-nil exactly in
 	// checkpoint mode, where transmissions are retained (see ckpt.go).
@@ -115,32 +119,38 @@ type Layer struct {
 // the layer is one: the record is the Section 5.1 message (data plus the
 // kind naming its compiled handler), and the only code it carries is the
 // continuation of a creation blocked on an empty stock (or of a migration's
-// caller) in onCreated. Records are pooled: the sender fills one from its
-// node's slab, handleWire recycles it into the receiving node's, so each
-// pool is only touched by its own lane. The machine never recycles the
-// embedded header (it is not AcquirePacket's); the reliable protocol sends
-// per-attempt copies under headers of its own and leaves pkt unused after
-// the hand-off.
+// caller) in onCreated. Records are pooled: the sender takes one from its
+// worker's slab, handleWire recycles it into the receiving lane's worker's
+// (sim.Pool). The machine never recycles the embedded header (it is not
+// AcquirePacket's); the reliable protocol sends per-attempt copies under
+// headers of its own and leaves pkt unused after the hand-off.
+//
+// The record is 256 bytes, so a full slab block of 256 records is eight
+// 8 KiB runtime pages exactly: the scalars share two words, and the argument
+// list is a count over the inline argBuf or, past two values, over a spilled
+// array.
 type wireMsg struct {
 	pkt      machine.Packet // pkt.Payload points back at the record
 	next     *wireMsg       // pool link
 	kind     uint8
-	needInit bool // wmMigrate: args are pending constructor arguments, not state
+	needInit bool   // wmMigrate: args are pending constructor arguments, not state
+	nargs    uint16 // length of the argument list
 	load     int32
-	src      int
+	src      int32
+	pat      int32 // wmMessage: the core.PatternID
 	// to is the receiver of a wmMessage, and the moved object's old address
 	// in wmLocUpd, wmMigrate and wmMigrated.
-	to  core.Address
-	pat core.PatternID // wmMessage: pattern
-	// args is an owned copy of the message or constructor arguments, the
-	// migrated image, or a checkpoint record's round.
-	args   []core.Value
-	argBuf [2]core.Value // inline store backing args for small lists
+	to core.Address
+	// The argument list — an owned copy of the message or constructor
+	// arguments, the migrated image, or a checkpoint record's round — is
+	// argBuf[:nargs] when it fits, otherwise nargs values from spill.
+	argBuf [2]core.Value
+	spill  *core.Value
 	// replyTo is a wmMessage's reply destination, the moved object's new
 	// address in wmLocUpd and wmMigrated, and the created object in the
 	// wmChunk answering a stock miss.
 	replyTo core.Address
-	chunk   *core.Object // wmCreate: chunk to initialize, nil on a stock miss; wmChunk: stock refill
+	chunk   *core.Object // wmCreate: chunk to initialize, nil on a stock miss
 	cl      *core.Class  // wmCreate, wmMigrate
 	entry   *stockEntry  // requester's stock slot, carried through the round trip
 	// onCreated rides a stock miss's wmCreate and its wmChunk, and a
@@ -160,20 +170,31 @@ const (
 	wmSnapAck  // snapshot acknowledgment of the round in args[0]
 )
 
-// setArgs copies args into the record — inline when they fit, a fresh slice
+// setArgs copies args into the record — inline when they fit, a fresh array
 // otherwise. Senders hand the layer a transient slice (core.Remote's
 // SendMessage contract stages arguments in a per-node scratch buffer), so
 // the record must own its copy until delivery.
 func (w *wireMsg) setArgs(args []core.Value) {
-	switch {
-	case len(args) == 0:
-		w.args = nil
-	case len(args) <= len(w.argBuf):
-		nc := copy(w.argBuf[:], args)
-		w.args = w.argBuf[:nc:nc]
-	default:
-		w.args = append([]core.Value(nil), args...)
+	if len(args) > math.MaxUint16 {
+		panic(fmt.Sprintf("remote: %d arguments overflow a wire record", len(args)))
 	}
+	w.nargs = uint16(len(args))
+	if len(args) <= len(w.argBuf) {
+		copy(w.argBuf[:], args)
+		return
+	}
+	w.spill = &slices.Clone(args)[0]
+}
+
+// args returns the record's argument list, nil when it is empty.
+func (w *wireMsg) args() []core.Value {
+	switch {
+	case w.nargs == 0:
+		return nil
+	case w.spill != nil:
+		return unsafe.Slice(w.spill, w.nargs)
+	}
+	return w.argBuf[:w.nargs:w.nargs]
 }
 
 // wirePooled reports whether wireMsg records may be recycled: safe unless
@@ -187,18 +208,19 @@ func (l *Layer) wirePooled() bool { return l.onCkpt == nil }
 // PoolLink names the intrusive link for sim.Slab.
 func (w *wireMsg) PoolLink() **wireMsg { return &w.next }
 
-// acquireWire returns a zeroed record — allocated singly when records are
-// not recycled: one that never comes back must not pin a slab block.
-func (l *Layer) acquireWire(src int) *wireMsg {
+// acquireWire returns a zeroed record for mn to send — allocated singly when
+// records are not recycled: one that never comes back must not pin a slab
+// block.
+func (l *Layer) acquireWire(mn *machine.Node) *wireMsg {
 	if !l.wirePooled() {
 		return &wireMsg{}
 	}
-	return l.nodes[src].wires.Get()
+	return l.wires.Get(mn.Lane())
 }
 
-func (l *Layer) releaseWire(dst int, w *wireMsg) {
+func (l *Layer) releaseWire(rn *machine.Node, w *wireMsg) {
 	if l.wirePooled() {
-		l.nodes[dst].wires.Put(w)
+		l.wires.Put(rn.Lane(), w)
 	}
 }
 
@@ -208,9 +230,9 @@ func (l *Layer) releaseWire(dst int, w *wireMsg) {
 // service rides every message.
 func (l *Layer) record(mn *machine.Node, path profile.Path, extra int, kind uint8) *wireMsg {
 	mn.ChargeTo(path, l.cost().RemoteSendSetup+extra)
-	w := l.acquireWire(mn.ID)
+	w := l.acquireWire(mn)
 	w.kind = kind
-	w.src = mn.ID
+	w.src = int32(mn.ID)
 	w.load = int32(l.rt.NodeRT(mn.ID).SchedQueueLen())
 	return w
 }
@@ -246,12 +268,16 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	w := p.Payload.(*wireMsg)
 	c := l.cost()
 	extract := c.RemoteRecvExtract
-	if l.nodes[rn.ID].batchPos > 1 {
+	ns := l.nodes[rn.ID]
+	if ns.batchPos > 1 {
 		// Second-or-later record of a batched packet: the poll, header
 		// parse and buffer management were paid by the first record.
 		extract = c.BatchRecvExtract
 	}
-	l.noteLoad(rn.ID, w.src, w.load)
+	src := int(w.src)
+	if ns.loads != nil {
+		ns.loads[src] = w.load
+	}
 	nrt := l.rt.NodeRT(rn.ID)
 	switch w.kind {
 	case wmMessage:
@@ -260,10 +286,10 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 			if fwd := w.to.Obj.ForwardTarget(); !fwd.IsNil() {
 				// Stale address: the object migrated away. Tell the sender
 				// where it lives now, then let the forwarder re-send.
-				l.advertiseLocation(rn, w.src, w.to, fwd)
+				l.advertiseLocation(rn, src, w.to, fwd)
 			}
 		}
-		nrt.DeliverFrame(w.to.Obj, nrt.NewFrame(w.pat, w.args, w.replyTo), true)
+		nrt.DeliverFrame(w.to.Obj, nrt.NewFrame(core.PatternID(w.pat), w.args(), w.replyTo), true)
 	case wmCreate:
 		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.ChunkInit)
@@ -273,17 +299,18 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 			// allocated here, and its address travels back in the reply.
 			obj = nrt.NewFaultChunk(rn.ID)
 		}
-		l.rt.InitChunk(nrt, obj, w.cl, w.args)
+		l.rt.InitChunk(nrt, obj, w.cl, w.args())
 		// Step 4: allocate the replacement chunk and return its address as
-		// the category-3 reply.
+		// the category-3 reply. The address is all the requester's stock
+		// holds of it, and nothing can reach the chunk until a creation pops
+		// it there, so the Object is carved at that pop (CreateOn), not here.
 		rn.ChargeTo(profile.Create, c.ChunkRefill)
 		r := l.record(rn, profile.Create, 0, wmChunk)
-		r.chunk = nrt.NewFaultChunk(rn.ID)
 		r.entry = w.entry
 		if w.chunk == nil {
 			r.replyTo, r.onCreated = obj.Addr(), w.onCreated
 		}
-		l.launch(rn, r, w.src, packetHeaderBytes+8, CatChunk)
+		l.launch(rn, r, src, packetHeaderBytes+8, CatChunk)
 	case wmLocUpd:
 		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall)
 		l.learnLocation(rn, w.to, w.replyTo)
@@ -294,15 +321,15 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		l.rt.InitChunk(nrt, moved, w.cl, nil)
 		ms := core.MigrationState{NeedInit: w.needInit}
 		if w.needInit {
-			ms.CtorArgs = w.args
+			ms.CtorArgs = w.args()
 		} else {
-			ms.State = w.args
+			ms.State = w.args()
 		}
 		l.rt.AdoptMigratedState(nrt, moved, w.cl, ms)
 		// Answer with the new address; the old home installs the forwarder.
 		r := l.record(rn, profile.Forward, 0, wmMigrated)
 		r.to, r.replyTo, r.onCreated = w.to, moved.Addr(), w.onCreated
-		l.launch(rn, r, w.src, packetHeaderBytes+8, CatService)
+		l.launch(rn, r, src, packetHeaderBytes+8, CatService)
 	case wmMigrated:
 		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall)
 		l.rt.CompleteMigration(nrt, w.to.Obj, w.replyTo)
@@ -312,19 +339,17 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	case wmMarker, wmSnapAck:
 		rn.SetPath(profile.Ckpt)
 		rn.Charge(extract + c.RemoteHandlerCall)
-		l.onCkpt(rn.ID, int(w.args[0].Int()), w.kind == wmSnapAck)
+		l.onCkpt(rn.ID, int(w.args()[0].Int()), w.kind == wmSnapAck)
 	case wmChunk:
 		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.StockPush)
-		if l.opt.StockDepth > 0 {
-			// The stock is capped at its configured depth: a chunk that
-			// would overfill it (after a miss) is simply dropped back to
-			// the target's allocator. The entry pointer is the requester's
-			// own slot, carried through the round trip — and this packet is
-			// addressed to the requester, so the append stays lane-local.
-			if e := w.entry; len(e.chunks) < l.opt.StockDepth {
-				e.chunks = append(e.chunks, w.chunk)
-			}
+		// The stock is capped at its configured depth: an address that would
+		// overfill it (after a miss) is simply dropped, its chunk left to the
+		// target's allocator. The entry pointer is the requester's own slot,
+		// carried through the round trip — and this packet is addressed to
+		// the requester, so the push stays on the requester's lane.
+		if e := w.entry; e.n < int32(l.opt.StockDepth) {
+			e.n++
 		}
 		if w.onCreated != nil {
 			// The reply to a stock miss: resume the blocked creation.
@@ -333,7 +358,7 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	default:
 		panic(fmt.Sprintf("remote: unknown wire kind %d", w.kind))
 	}
-	l.releaseWire(rn.ID, w)
+	l.releaseWire(rn, w)
 }
 
 type stockKey struct {
@@ -342,19 +367,22 @@ type stockKey struct {
 }
 
 // DefaultStockDepth is the stock depth of the paper-style runs (and the
-// facade's default); a stock entry stores that many chunk addresses inline.
+// facade's default).
 const DefaultStockDepth = 2
 
 // stockEntry is one node's chunk stock for a (target, class) pair. The
 // requester finds it through its stock map on every remote creation; the
 // refill round trip carries the entry pointer itself, so the category-2/3
 // handlers touch no maps. Entries are carved from the owning node's arena
-// and never move, which is what lets chunks start out as a slice of the
-// entry's own inline array; a deeper stock outgrows it onto the heap.
+// and never move.
+//
+// A stocked chunk is a count. The paper's stock holds addresses of chunks on
+// the target (§5.2), and nothing can reach a stocked chunk until a creation
+// pops it: the pop carves the Object then, homed on the target, so the host
+// holds an Object per creation and none per idle chunk.
 type stockEntry struct {
-	seeded bool
-	chunks []*core.Object
-	inline [DefaultStockDepth]*core.Object
+	seeded bool  // the pre-delivered stock has been handed over
+	n      int32 // chunk addresses held
 }
 
 // stockBlock caps the stock-entry arena's blocks (see core's objectBlock).
@@ -365,7 +393,6 @@ func (ns *nodeState) stockEntry(key stockKey) *stockEntry {
 	e := ns.stock[key]
 	if e == nil {
 		e = ns.entries.New(stockBlock)
-		e.chunks = e.inline[:0]
 		ns.stock[key] = e
 	}
 	return e
@@ -378,12 +405,13 @@ type nodeState struct {
 	rng     uint64
 	stock   map[stockKey]*stockEntry
 	entries sim.Arena[stockEntry] // backs stock's values (lane-local)
-	loads   []int32               // per peer: last piggybacked scheduling-queue length
+	// loads is the last piggybacked scheduling-queue length of every peer,
+	// kept only under the placement that reads it (LoadBased); nil otherwise.
+	loads []int32
 
 	*peers // nil unless the reliable protocol or batching is on (see link.go)
 
-	wires    sim.Slab[wireMsg, *wireMsg] // recycled wire records (lane-local)
-	batchPos int                         // 1-based record cursor while delivering a batch
+	batchPos int // 1-based record cursor while delivering a batch
 
 	// Remote-location cache: stale address -> latest known home, filled by
 	// wmLocUpd messages from forwarding nodes. advert is the forwarding
@@ -408,6 +436,9 @@ func (ns *nodeState) nextRand() uint64 {
 	return x
 }
 
+// knownLoad is ns's view of node's load: its own live queue, or the last
+// sample the peer piggybacked. Only LoadBased asks, and only under it does
+// the layer keep samples.
 func (ns *nodeState) knownLoad(node int, l *Layer) int {
 	if node == ns.id {
 		return l.rt.NodeRT(node).SchedQueueLen()
@@ -425,13 +456,17 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 	opt.Reliable = opt.Reliable || rt.M.Faults() != nil || opt.AckDelay > 0
 	l := &Layer{rt: rt, m: rt.M, opt: opt, locOn: !opt.NoLocationCache}
 	l.hWire = l.handleWire
+	l.wires = sim.NewPool[wireMsg](rt.M.Eng)
+	_, sampled := opt.Placement.(LoadBased)
 	l.nodes = make([]*nodeState, rt.Nodes())
 	for i := range l.nodes {
 		l.nodes[i] = &nodeState{
 			id:    i,
 			rng:   uint64(opt.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1,
 			stock: make(map[stockKey]*stockEntry),
-			loads: make([]int32, rt.Nodes()),
+		}
+		if sampled {
+			l.nodes[i].loads = make([]int32, rt.Nodes())
 		}
 	}
 	if opt.Reliable || opt.BatchWindow > 0 {
@@ -480,12 +515,6 @@ func (l *Layer) StockDepth() int { return l.opt.StockDepth }
 // cost returns the machine's instruction-cost table.
 func (l *Layer) cost() *machine.Cost { return &l.m.Cfg.Cost }
 
-// noteLoad stores a piggybacked load sample as the receiver's view of the
-// sender.
-func (l *Layer) noteLoad(dst, src int, load int32) {
-	l.nodes[dst].loads[src] = load
-}
-
 // SendMessage implements core.Remote: category-1 normal message
 // transmission. The record carries the receiver and the typed arguments to
 // the compiler-generated specialized handler its kind names (Section 5.1).
@@ -523,7 +552,7 @@ func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, a
 		size += 8
 	}
 	w.to = to
-	w.pat = p
+	w.pat = int32(p)
 	w.setArgs(args)
 	w.replyTo = replyTo
 	l.launch(mn, w, to.Node, size, CatMessage)
@@ -554,19 +583,19 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	if !e.seeded && l.opt.StockDepth > 0 {
 		// Pre-delivery: at boot every node receives an initial stock of
 		// chunk addresses for its peers. Modelled as already present (the
-		// paper's "predelivered stocks") and materialized, all StockDepth of
-		// them at once, on the pair's first creation, so memory follows the
-		// pairs that communicate. The chunks are homed on the target but
-		// carved from this node's arena: the target's lane may be running.
+		// paper's "predelivered stocks") and handed over on the pair's first
+		// creation, so memory follows the pairs that communicate.
 		e.seeded = true
-		for i := 0; i < l.opt.StockDepth; i++ {
-			e.chunks = append(e.chunks, n.NewFaultChunk(target))
-		}
+		e.n = int32(l.opt.StockDepth)
 	}
 
-	if len(e.chunks) > 0 {
-		chunk := e.chunks[len(e.chunks)-1]
-		e.chunks = e.chunks[:len(e.chunks)-1]
+	if e.n > 0 {
+		e.n--
+		// The popped address names a chunk on the target that nothing could
+		// reach before this pop: its Object is carved now, homed on the
+		// target but from this node's arena — the target's lane may be
+		// running.
+		chunk := n.NewFaultChunk(target)
 		mn.ChargeTo(profile.Create, c.StockPop)
 		if np := mn.Prof(); np != nil {
 			np.CountEvent(profile.Create, mn.Now())
@@ -711,7 +740,7 @@ func (l *Layer) StockLevel(node, target int, cl *core.Class) int {
 	if e == nil {
 		return 0
 	}
-	return len(e.chunks)
+	return int(e.n)
 }
 
 // String describes the layer configuration.

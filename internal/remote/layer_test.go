@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -260,6 +261,69 @@ func TestStockExhaustionAndReplenish(t *testing.T) {
 	// Eventually all replenishments arrive: 2 from hits, 1 from the miss.
 	if lvl := l.StockLevel(0, 1, worker); lvl != 2 {
 		t.Errorf("final stock level = %d, want 2", lvl)
+	}
+}
+
+// A stocked chunk is a count: no Object exists for a chunk until a creation
+// pops its address. At depths 1, 2 and 4, a chain of creations that drains
+// the stock, misses once and drains it again makes exactly one host Object
+// per creation, however many chunk addresses the stock holds meanwhile. A
+// capture of the refilled stock charges 8 bytes for the entry and 8 per
+// address, and restoring it after a burst of pops gives the level back.
+func TestStockedChunkIsACount(t *testing.T) {
+	for _, depth := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			rt, l := buildSys(t, 2, core.Options{}, Options{StockDepth: depth, Placement: LocalOnly{}, Seed: 1, Reliable: true})
+			kick := rt.Reg.Register("kick", 1)
+			worker := rt.DefineClass("worker", 0, nil)
+			left := 0
+			var createNext func(ctx *core.Ctx)
+			createNext = func(ctx *core.Ctx) {
+				if left--; left >= 0 {
+					l.CreateOn(ctx, 1, worker, nil, func(ctx *core.Ctx, _ core.Address) { createNext(ctx) })
+				}
+			}
+			drv := rt.DefineClass("drv", 0, nil)
+			drv.Method(kick, func(ctx *core.Ctx) {
+				left = int(ctx.Arg(0).Int())
+				createNext(ctx)
+			})
+			d := rt.NewObjectOn(0, drv)
+
+			creations := 2*depth + 1
+			before := rt.ObjectsMade()
+			rt.Inject(d, kick, core.IntV(int64(creations)))
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			s := rt.TotalStats()
+			if s.StockHits+s.StockMisses != uint64(creations) || s.StockMisses == 0 {
+				t.Fatalf("hits/misses = %d/%d, want %d creations with a miss", s.StockHits, s.StockMisses, creations)
+			}
+			if made := rt.ObjectsMade() - before; made != creations {
+				t.Errorf("%d host Objects for %d creations", made, creations)
+			}
+			if lvl := l.StockLevel(0, 1, worker); lvl != depth {
+				t.Fatalf("stock level after the refills = %d, want %d", lvl, depth)
+			}
+
+			im := l.CaptureRel(0)
+			if want := 16*2 + 12*2 + 16 + 8 + 8*depth; im.SizeBytes() != want {
+				t.Errorf("image of a full stock = %d bytes, want %d", im.SizeBytes(), want)
+			}
+			// Pop the whole stock and stop before a refill can come back.
+			rt.Inject(d, kick, core.IntV(int64(depth)))
+			if _, err := rt.M.Eng.RunUntil(rt.M.Node(0).Now() + 5*sim.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			if lvl := l.StockLevel(0, 1, worker); lvl != 0 {
+				t.Fatalf("stock level after %d pops = %d, want 0", depth, lvl)
+			}
+			l.CkptRestoreNode(im)
+			if lvl := l.StockLevel(0, 1, worker); lvl != depth {
+				t.Errorf("stock level after the restore = %d, want %d", lvl, depth)
+			}
+		})
 	}
 }
 
@@ -632,7 +696,9 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 
 // One message hop is one wireMsg, packet header included, and an all-to-all
 // burst keeps every record of the run live at once: its size is most of the
-// simulator's bytes per message. A wire record is data plus the kind naming
+// simulator's bytes per message, and at 256 bytes a slab block of 256
+// records fills eight 8 KiB runtime pages exactly (280 took nine). A wire
+// record is data plus the kind naming
 // its handler (Section 5.1); the only code one carries is the continuation
 // of a creation blocked on an empty stock (or of a migration's caller). A
 // reliable hop adds a relMsg while it is unacknowledged, chained from its
@@ -644,8 +710,8 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 // so a node holds a few of those at a time; its records chain through their
 // own headers, so it holds two ends and a count, not a slice of them.
 func TestRecordSizes(t *testing.T) {
-	if sz := unsafe.Sizeof(wireMsg{}); sz > 304 {
-		t.Errorf("wireMsg is %d bytes with its embedded packet header, want <= 304", sz)
+	if sz := unsafe.Sizeof(wireMsg{}); sz > 256 {
+		t.Errorf("wireMsg is %d bytes with its embedded packet header, want <= 256", sz)
 	}
 	var funcs []string
 	wt := reflect.TypeOf(wireMsg{})

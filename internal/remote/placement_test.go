@@ -48,8 +48,9 @@ func TestPlacementSingleNodeDegenerate(t *testing.T) {
 func TestRoundRobinVersusLoadBased(t *testing.T) {
 	// A skewed load picture: every remote node busy except node 3.
 	// Round-robin ignores it and blindly cycles to node 1; load-based finds a
-	// minimum-load node (the idle self or node 3).
-	_, l := placementSys(t, 4, Options{Placement: RoundRobin{}, Seed: 1})
+	// minimum-load node (the idle self or node 3). The layer runs load-based
+	// placement: only that keeps the samples.
+	_, l := placementSys(t, 4, Options{Placement: LoadBased{}, Seed: 1})
 	ns := l.nodes[0]
 	for i := 1; i < 4; i++ {
 		ns.loads[i] = 5

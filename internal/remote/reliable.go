@@ -159,9 +159,8 @@ func (m *relMsg) entry() *deadline[relMsg] { return &m.deadline }
 func (m *relMsg) PoolLink() **relMsg { return &m.next }
 
 // relNode is one node's share of the protocol beyond its link records: the
-// record pool, the retry schedule and the delayed-ack schedule.
+// retry schedule and the delayed-ack schedule.
 type relNode struct {
-	msgs     sim.Slab[relMsg, *relMsg]
 	retries  deadlines[relMsg, *relMsg]
 	owedTo   []*link   // links with owed arrivals, in first-owed order
 	ackTimer sim.Timer // the delayed-ack deadline
@@ -180,7 +179,8 @@ type selFrame struct {
 // Layer); the state lives in the nodes' link records and relNodes.
 type reliable struct {
 	l        *Layer
-	ackDelay sim.Time // > 0 enables cumulative delayed acks
+	ackDelay sim.Time                   // > 0 enables cumulative delayed acks
+	msgs     *sim.Pool[relMsg, *relMsg] // in-flight records, one slab per engine worker
 
 	// Every protocol packet dispatches through these, bound once: what a
 	// packet means rides in its header word and payload.
@@ -189,7 +189,7 @@ type reliable struct {
 }
 
 func newReliable(l *Layer) *reliable {
-	r := &reliable{l: l, ackDelay: max(l.opt.AckDelay, 0)}
+	r := &reliable{l: l, ackDelay: max(l.opt.AckDelay, 0), msgs: sim.NewPool[relMsg](l.m.Eng)}
 	r.hArrive, r.hPolled = r.dataArrived, r.receive
 	r.hAck = func(sn *machine.Node, p *machine.Packet) { r.ackReceived(sn, p.Src, p.Seq, p.Seq+1, nil) }
 	r.hAckCum = r.takeAck
@@ -206,7 +206,7 @@ func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
 	if m.due != 0 {
 		ns.rel.retries.remove(m)
 	}
-	ns.rel.msgs.Put(m)
+	r.msgs.Put(r.l.m.Node(ns.id).Lane(), m)
 }
 
 // schedule keeps the node's retry timer at its earliest deadline.
@@ -232,7 +232,7 @@ func (r *reliable) send(mn *machine.Node, w *wireMsg) {
 
 // pend makes w the in-flight message seq on k.
 func (r *reliable) pend(ns *nodeState, k *link, w *wireMsg, seq uint64) *relMsg {
-	m := ns.rel.msgs.Get()
+	m := r.msgs.Get(r.l.m.Node(ns.id).Lane())
 	m.dst = k.peer
 	m.seq = seq
 	m.size = w.pkt.Size + relHeaderBytes

@@ -125,7 +125,8 @@ type lane struct {
 	births   []birth
 	log      []firedRec
 	winFired uint64
-	reserved bool // ReserveSeq ran in this window: the barrier must settle it
+	reserved bool  // ReserveSeq ran in this window: the barrier must settle it
+	worker   int32 // the worker slot running the lane in the current window
 }
 
 const laneMinCap = 128
@@ -236,6 +237,31 @@ type Engine struct {
 	limitHit atomic.Bool // set by a worker that tripped the event limit
 	parWins  uint64      // windows (barriers) of the last RunParallel drive
 	heads    []int       // barrier scratch: per-active-lane log cursor
+	pools    []pool      // every Pool built on the engine, sized to slots
+	slots    int         // worker slots the pools hold a slab for
+}
+
+// Worker reports which worker runs lane l: its slot inside a parallel window,
+// 0 outside one and for a window's lone active lane, which runs on the
+// caller's goroutine. Code firing on lane l may touch what belongs to that
+// worker alone — which is what makes a Pool safe without locks.
+func (e *Engine) Worker(l int) int {
+	if !e.inPar {
+		return 0
+	}
+	return int(e.lanes[l].worker)
+}
+
+// growPools gives every pool a slab for each of n worker slots. It runs
+// before a parallel drive starts, while no worker is running.
+func (e *Engine) growPools(n int) {
+	if n <= e.slots {
+		return
+	}
+	e.slots = n
+	for _, p := range e.pools {
+		p.grow(n)
+	}
 }
 
 // ParWindows reports how many conservative windows — one barrier each —
@@ -245,7 +271,7 @@ func (e *Engine) ParWindows() uint64 { return e.parWins }
 
 // NewEngine returns an empty engine at time zero with a single lane.
 func NewEngine() *Engine {
-	e := &Engine{}
+	e := &Engine{slots: 1}
 	e.SetLanes(1)
 	return e
 }

@@ -64,6 +64,7 @@ func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) {
 	if workers <= 1 || lookahead <= 0 || len(e.lanes) <= 1 {
 		return e.Run()
 	}
+	e.growPools(min(workers, len(e.lanes)))
 	e.limitHit.Store(false)
 	e.parWins = 0
 	var total uint64
@@ -86,6 +87,7 @@ func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) {
 		e.inPar = true
 		if len(active) == 1 {
 			l := int(active[0])
+			e.lanes[l].worker = 0
 			e.lanes[l].winFired = e.runLaneWindow(l)
 		} else {
 			e.runWindowWorkers(active, workers)
@@ -126,6 +128,7 @@ func (e *Engine) runWindowWorkers(active []int32, workers int) {
 					return
 				}
 				l := int(active[k])
+				e.lanes[l].worker = int32(slot)
 				e.lanes[l].winFired = e.runLaneWindow(l)
 			}
 		}(i)

@@ -92,6 +92,67 @@ func TestSlabReuse(t *testing.T) {
 	}
 }
 
+// A Pool is one slab per worker, and records cross between workers: under
+// RunParallel(2), each lane takes a record from its worker's slab, marks it
+// with its own number and passes it to the next lane, which checks the mark
+// and releases the record into its own worker's slab before taking one to
+// pass on. A record handed out while another lane still held it would carry
+// a foreign mark; run under the race detector (make vet-race), this is also
+// the test that the hand-off across the window barrier is ordered.
+func TestPoolAcrossWorkers(t *testing.T) {
+	const lanes, hops, look = 8, 400, Time(10)
+	e := NewEngine()
+	e.SetLanes(lanes)
+	p := NewPool[slabRec](e)
+	var (
+		gets, puts [lanes]int
+		worker1    [lanes]bool // a lane ran on worker slot 1
+		pass       Kind
+	)
+	send := func(l int, at Time, left int) {
+		r := p.Get(l)
+		if r.id != 0 || r.data != nil {
+			t.Errorf("lane %d was handed a record still marked %+v", l, *r)
+		}
+		gets[l]++
+		r.id, r.data = l+1, &left
+		e.ScheduleOn(l, (l+1)%lanes, at+look, pass, r)
+	}
+	pass = e.Register(func(l int, at Time, arg any) {
+		r := arg.(*slabRec)
+		if from := (l + lanes - 1) % lanes; r.id != from+1 {
+			t.Errorf("lane %d received a record marked %d, want %d", l, r.id, from+1)
+		}
+		left := *r.data - 1
+		p.Put(l, r)
+		puts[l]++
+		worker1[l] = worker1[l] || e.Worker(l) == 1
+		if left > 0 {
+			send(l, at, left)
+		}
+	})
+	for l := 0; l < lanes; l++ {
+		e.ScheduleFuncOn(l, l, Time(l), func() { send(l, Time(l), hops) })
+	}
+	if _, err := e.RunParallel(2, look); err != nil {
+		t.Fatal(err)
+	}
+	var got, put int
+	parallel := false
+	for l := 0; l < lanes; l++ {
+		got, put, parallel = got+gets[l], put+puts[l], parallel || worker1[l]
+	}
+	if got != lanes*hops || put != got {
+		t.Errorf("%d records taken and %d released, want %d each", got, put, lanes*hops)
+	}
+	if !parallel {
+		t.Error("no lane ran on the second worker")
+	}
+	if len(p.slabs) != 2 {
+		t.Errorf("pool holds %d slabs under two workers, want 2", len(p.slabs))
+	}
+}
+
 // Four record types share the slab; releasing any of them twice would hand
 // one record to two owners. Put catches it at the second release — also when
 // the record is the only one on the free list.

@@ -44,30 +44,28 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // objects, chunks, stock entries, boards and spawn records are carved from
 // per-lane arenas, so the n-queens rows guard creation the way the all-to-all
 // row guards the send — one allocation per created object adds 0.5 per
-// message to either. Budgets sit about 15 % above the measured figures
-// (construction included): all-to-all 0.107 allocations per message, 849 a
-// run, of which about half build the 32 nodes' runtime, remote and machine
-// state and the rest are blocks — wire-record slab blocks (~160), the
-// receive rings' ×4 steps (96: three per node) and the lane heaps' doublings
-// (64: two per lane); reliable n-queens 1.07 allocations, 4.07 events and 793
-// bytes, against 1.66 and 827 with a heap container (and its record slice)
-// per batch frame and a rider per ack-carrying lone packet, 5.65 with one heap
-// object per Object, chunk, stock entry, board and InitCtx (and 13.41 and 5.57
-// events before that, with per-copy closures, per-link heap objects and
-// per-message retry timers), and 946 bytes with 336-byte link records holding
-// the in-flight window, open batch, flush timer and fault state inline. A
-// budget 15 % above would let those back in, so the allocation and byte
-// budgets sit 4 % and 3 % above. The last two rows are the
-// product's default path (profiler compiled in, off) and the multiactive
-// scheduler's per-group ready queues: 0.660 allocations per message (about
-// 47 000 a run; what is left is one continuation closure per internal search
-// node, arena blocks and map growth) and 1.198 (about 3 850 a run; the reply
-// destinations' Objects come out of the arena too), exact run to run. A
-// closure per stock miss (the blocked creation's resume, which rides the
-// wire record as data instead) added 0.058 to the n-queens figure, and only
-// one hot-key message in sixteen parks in a ready queue, so an allocation per
-// push moves that figure by 5 %: those two budgets sit 5 % and 2 % above,
-// not 15 %.
+// message to either. The all-to-all budget sits well above its measured
+// 0.089 allocations per message (construction included: about half build the
+// 32 nodes' runtime, remote and machine state, the rest are blocks — slab
+// blocks, the receive rings' ×4 steps and the lane heaps' doublings).
+// Reliable n-queens measures 0.98 allocations, 4.07 events and 585 bytes,
+// against 1.07 and 793 with a record pool per node (idle records piling up on
+// receivers while senders carve fresh ones) and a heap Object per stocked
+// chunk, 1.66 and 827 with a heap container per batch frame and a rider per
+// ack-carrying lone packet, 5.65 with one heap object per Object, chunk,
+// stock entry, board and InitCtx, and 946 bytes with 336-byte link records;
+// its allocation and byte budgets sit 4 % and 3 % above, so none of those
+// comes back. The last two rows are the product's default path (profiler
+// compiled in, off) and the multiactive scheduler's per-group ready queues:
+// 0.650 allocations and 315 bytes per message (0.660 and 383 with per-node
+// pools and an Object per stocked chunk; what is left is one continuation
+// closure per internal search node, arena blocks and map growth) and 1.198
+// (about 3 850 a run; the reply destinations' Objects come out of the arena
+// too), exact run to run. A closure per stock miss (the blocked creation's
+// resume, which rides the wire record as data instead) added 0.058 to the
+// n-queens figure, and only one hot-key message in sixteen parks in a ready
+// queue, so an allocation per push moves that figure by 5 %: the n-queens
+// budgets sit 1 % and 3 % above, the hot-key one 2 %.
 func TestMessageAllocationBudget(t *testing.T) {
 	allToAll := func() (msgs, events uint64, err error) {
 		res, err := misc.RunAllToAll(misc.AllToAllOptions{Nodes: 32, Rounds: 8})
@@ -115,8 +113,8 @@ func TestMessageAllocationBudget(t *testing.T) {
 		bytesBudget  float64 // per message; 0: not budgeted
 	}{
 		{"sequential all-to-all 32x8", allToAll, 0.125, 0, 0},
-		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 1.12, 4.7, 820},
-		{"default n-queens N10 P64, profiler off", defaultQueens, 0.69, 0, 0},
+		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 1.02, 4.7, 605},
+		{"default n-queens N10 P64, profiler off", defaultQueens, 0.655, 0, 325},
 		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.22, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,6 +146,28 @@ func TestMessageAllocationBudget(t *testing.T) {
 				t.Errorf("%.0f bytes per message, budget %.0f", bestBytes, tc.bytesBudget)
 			}
 		})
+	}
+}
+
+// A stocked chunk is a count, so the host holds an Object per creation and
+// none per chunk address a stock holds: the benchmark's n-queens repetition
+// (N10 on 256 nodes, random placement, seed 1) makes exactly as many host
+// Objects as it has creations, 35 540, where an Object per stocked chunk made
+// 90 603.
+func TestObjectsFollowCreations(t *testing.T) {
+	sys, err := abcl.NewSystem(abcl.WithNodes(256), abcl.WithPlacement(abcl.PlaceRandom), abcl.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := nqueens.Build(sys, 10, 0)
+	d.Start()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c := sys.Report().Sched.Counters
+	creations := c.Creations()
+	if made := sys.RT.ObjectsMade(); uint64(made) != creations || creations != 35540 {
+		t.Errorf("%d host Objects for %d creations, want 35540 of each", made, creations)
 	}
 }
 
@@ -215,11 +235,11 @@ func TestReliableSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // Once a node has created on a peer, creating there again allocates nothing
-// of its own: the stock entry is open, the Objects — the created one and the
-// replacement chunk the target sends back — are carved from arena blocks, the
-// request and the reply ride recycled wire records. A second identical
-// creation burst over stock entries the first one opened may pay for arena
-// blocks (one per 32 Objects) and nothing per creation.
+// of its own: the stock entry is open, the created Object is carved from an
+// arena block at the pop, the replacement chunk the target sends back is a
+// count, and the request and the reply ride recycled wire records. A second
+// identical creation burst over stock entries the first one opened may pay
+// for arena blocks (one per 32 Objects) and nothing per creation.
 func TestRemoteCreateSteadyStateAllocatesNothing(t *testing.T) {
 	const nodes, laps = 16, 6 // round-robin placement: a lap creates once on every node
 	sys, err := abcl.NewSystem(abcl.WithNodes(nodes), abcl.WithPlacement(abcl.PlaceRoundRobin))
@@ -276,10 +296,11 @@ func TestRemoteCreateSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The pools are lane-local and records migrate between them, so the
-// conservative executor hands a record carved on one worker to another
-// across a barrier; run under the race detector (make vet-race), this is the
-// test that the hand-off is ordered. Results must equal the sequential run.
+// The pools are one slab per engine worker and records migrate between
+// them, so the conservative executor hands a record carved on one worker to
+// another across a barrier; run under the race detector (make vet-race), this
+// is the test that the hand-off is ordered. Results must equal the
+// sequential run.
 func TestRecordPoolConservative(t *testing.T) {
 	run := func(ex abcl.ExecutorSpec) *misc.AllToAllResult {
 		res, err := misc.RunAllToAll(misc.AllToAllOptions{
