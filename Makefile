@@ -5,7 +5,8 @@
 #   make scenario-smoke  run every bundled fault scenario end to end
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
 #   make bench-test      the benchmark harness's own tests (bench/ is its own module)
-#   make check           tier1, vet-race, scenario-smoke and bench-test
+#   make fuzz-smoke      each native fuzz target for 30 s
+#   make check           tier1, vet-race, scenario-smoke, bench-test and fuzz-smoke
 #   make alloc-profile   every allocation of one nqueens N10/P256 run, by allocating function
 #   make cpu-profile     the CPU profile of the same run, by function
 #                        (both take ARGS='...', more abclsim flags for the run)
@@ -14,7 +15,7 @@
 #   make cover           per-package test coverage summary
 #   make loc             non-test and test Go line counts outside bench/, and the docs' line counts
 
-.PHONY: all tier1 vet-race scenario-smoke regress check cover loc bench bench-trace bench-test alloc-profile cpu-profile
+.PHONY: all tier1 vet-race scenario-smoke regress check cover loc bench bench-trace bench-test fuzz-smoke alloc-profile cpu-profile
 
 all: tier1
 
@@ -37,7 +38,13 @@ scenario-smoke:
 regress:
 	go run ./cmd/abclsim regress testdata/runpacks
 
-check: tier1 vet-race scenario-smoke bench-test
+check: tier1 vet-race scenario-smoke bench-test fuzz-smoke
+
+# Each native fuzz target for 30 s; go test fuzzes one target per run, so a
+# new target is a new line. `go test ./...` runs only their seed corpora; a
+# failure found here is saved under the package's testdata/fuzz.
+fuzz-smoke:
+	go test -run xxx -fuzz '^FuzzLaneQueue$$' -fuzztime 30s ./internal/sim
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): four
 # whole-system workloads, end-to-end metrics with tracing off; bench-trace

@@ -211,44 +211,59 @@ func (p *Packet) Next() *Packet { return p.next }
 // SetNext chains q after p, which must be out of its pool; nil unlinks p.
 func (p *Packet) SetNext(q *Packet) { p.next = q }
 
-// rxRing is a node's receive queue: delivered-but-unpolled packets in
-// arrival order, in a power-of-two ring that starts on an inline backing and
-// grows ×4. Queueing a packet writes the ring, not the packet.
-type rxRing struct {
-	buf    []*Packet
-	head   int
-	n      int
-	inline [4]*Packet
+// rxQueue is a node's receive queue: delivered-but-unpolled packets in
+// arrival order, chained through fixed rxBlocks from the machine's pool (the
+// slab of the worker running the node's lane). Queueing a packet writes the
+// block, not the packet, and no queue is ever regrown by copying. A drained
+// queue keeps its one block, so a node that polls every turn takes no other.
+type rxQueue struct {
+	head, tail  *rxBlock
+	read, write int // next slot to pop in head, to fill in tail
+	n           int
 }
 
-func (r *rxRing) push(p *Packet) {
-	if r.n == len(r.buf) {
-		r.grow()
+// rxBlockLen packets and the link make a block two cache lines.
+const rxBlockLen = 15
+
+type rxBlock struct {
+	pkts [rxBlockLen]*Packet
+	next *rxBlock // the next newer block of the queue; the pool link while idle
+}
+
+// PoolLink names the intrusive link for sim.Slab.
+func (b *rxBlock) PoolLink() **rxBlock { return &b.next }
+
+func (q *rxQueue) push(pool *sim.Pool[rxBlock, *rxBlock], lane int, p *Packet) {
+	if q.tail == nil {
+		q.tail = pool.Get(lane)
+		q.head = q.tail
+	} else if q.write == rxBlockLen {
+		b := pool.Get(lane)
+		q.tail.next = b
+		q.tail, q.write = b, 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
-	r.n++
+	q.tail.pkts[q.write] = p
+	q.write++
+	q.n++
 }
 
-func (r *rxRing) grow() {
-	if r.buf == nil {
-		r.buf = r.inline[:]
-		return
-	}
-	g := make([]*Packet, 4*len(r.buf))
-	k := copy(g, r.buf[r.head:])
-	copy(g[k:], r.buf[:r.head])
-	r.buf, r.head = g, 0
-}
-
-// pop returns the oldest packet, or nil when the ring is empty.
-func (r *rxRing) pop() *Packet {
-	if r.n == 0 {
+// pop returns the oldest packet, or nil when the queue is empty.
+func (q *rxQueue) pop(pool *sim.Pool[rxBlock, *rxBlock], lane int) *Packet {
+	if q.n == 0 {
 		return nil
 	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
+	if q.read == rxBlockLen {
+		b := q.head
+		q.head, q.read = b.next, 0
+		b.next = nil
+		pool.Put(lane, b)
+	}
+	p := q.head.pkts[q.read]
+	q.head.pkts[q.read] = nil
+	q.read++
+	if q.n--; q.n == 0 {
+		q.read, q.write = 0, 0 // head is tail: start it over
+	}
 	return p
 }
 
@@ -294,7 +309,7 @@ type Node struct {
 	downUntil     sim.Time // crash outage: node is dead until this time (0 = up)
 	resumePending bool
 	inResume      bool
-	rx            rxRing // delivered packets awaiting poll, in arrival order
+	rx            rxQueue // delivered packets awaiting poll, in arrival order
 	Runner        Runner
 
 	// Per-(src,dst) FIFO clamps, on the sender's side: the last arrival
@@ -329,10 +344,11 @@ type Node struct {
 // Machine is the full multicomputer: an event engine plus nodes and the
 // interconnect model.
 type Machine struct {
-	Cfg   Config
-	Eng   *sim.Engine
-	nodes []*Node
-	pkts  *sim.Pool[Packet, *Packet] // one slab per engine worker
+	Cfg      Config
+	Eng      *sim.Engine
+	nodes    []*Node
+	pkts     *sim.Pool[Packet, *Packet]   // one slab per engine worker
+	rxBlocks *sim.Pool[rxBlock, *rxBlock] // the nodes' receive queues' blocks
 
 	nsPerInstr float64
 
@@ -411,6 +427,7 @@ func New(cfg Config) (*Machine, error) {
 	// the per-packet and per-turn scheduling allocation-free.
 	m.Eng.SetLanes(cfg.Nodes + 1)
 	m.pkts = sim.NewPool[Packet](m.Eng)
+	m.rxBlocks = sim.NewPool[rxBlock](m.Eng)
 	m.deliverKind = m.Eng.Register(func(lane int, at sim.Time, arg any) {
 		m.nodes[lane-1].deliver(at, arg.(*Packet), false)
 	})
@@ -689,7 +706,7 @@ var oneCopy = []sim.Time{0}
 // for restoring it at restart; the machine only models the dead interval.
 func (n *Node) BeginOutage(until sim.Time) {
 	n.downUntil = until
-	for p := n.rx.pop(); p != nil; p = n.rx.pop() {
+	for p := n.rxPop(); p != nil; p = n.rxPop() {
 		n.CrashDrops++
 		n.ReleasePacket(p)
 	}
@@ -717,7 +734,7 @@ func (m *Machine) BumpEra() { m.era++ }
 // era drops. Used by a global checkpoint restore to clear the receive
 // queues of surviving nodes before their state is rolled back.
 func (n *Node) DropRx() {
-	for p := n.rx.pop(); p != nil; p = n.rx.pop() {
+	for p := n.rxPop(); p != nil; p = n.rxPop() {
 		n.EraDrops++
 		n.ReleasePacket(p)
 	}
@@ -736,7 +753,7 @@ func (m *Machine) TotalEraDrops() uint64 {
 // deliver runs at the packet's arrival time at, as an event on the
 // destination's lane: the message controller hook fires first (hook: the
 // packet was sent with OnArrive set), then the packet joins the node's
-// receive ring and the node is woken if idle. Controller-only packets
+// receive queue and the node is woken if idle. Controller-only packets
 // (OnArrive set, nil Handler) never reach the processor. The plain path reads
 // no packet field — the lane names the node, the event time is the arrival —
 // so Poll is the packet's first reader after its sender.
@@ -766,7 +783,7 @@ func (n *Node) deliver(at sim.Time, p *Packet, hook bool) {
 	if n.Clock < at {
 		n.Clock = at
 	}
-	n.rx.push(p)
+	n.rx.push(n.m.rxBlocks, n.lane, p)
 	n.ensureResume()
 }
 
@@ -840,7 +857,7 @@ func (n *Node) Poll() {
 	// Each packet is unlinked before its handler runs: the handler of an
 	// embedded header releases the record around it, after which p reads as
 	// a zeroed, non-pooled packet and ReleasePacket leaves it alone.
-	for p := n.rx.pop(); p != nil; p = n.rx.pop() {
+	for p := n.rxPop(); p != nil; p = n.rxPop() {
 		n.PacketsRecvd++
 		if p.Handler != nil {
 			p.Handler(n, p)
@@ -851,3 +868,6 @@ func (n *Node) Poll() {
 
 // PendingRx reports the number of delivered-but-unpolled packets.
 func (n *Node) PendingRx() int { return n.rx.n }
+
+// rxPop takes the oldest packet off the node's receive queue, nil when none.
+func (n *Node) rxPop() *Packet { return n.rx.pop(n.m.rxBlocks, n.lane) }

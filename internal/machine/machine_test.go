@@ -493,68 +493,81 @@ func TestPacketSize(t *testing.T) {
 	}
 }
 
-// The receive ring is a FIFO through wraparound and through growth while its
-// backlog is wrapped: the inline four slots, then ×4.
-func TestRxRingWrapsAndGrows(t *testing.T) {
-	var r rxRing
-	pk := make([]Packet, 300)
+// The receive queue is a FIFO across its blocks: it takes a block from the
+// pool when its newest is full, returns each block it reads past, keeps one
+// when drained, and clears every slot it pops.
+func TestRxQueueChainsBlocks(t *testing.T) {
+	pool := sim.NewPool[rxBlock](sim.NewEngine())
+	var q rxQueue
+	pk := make([]Packet, 400)
 	var want []*Packet
 	next := 0
 	push := func(k int) {
 		for ; k > 0; k-- {
-			r.push(&pk[next])
+			q.push(pool, 0, &pk[next])
 			want = append(want, &pk[next])
 			next++
 		}
 	}
 	pop := func(k int) {
 		for ; k > 0; k-- {
-			if p := r.pop(); p != want[0] {
+			if p := q.pop(pool, 0); p != want[0] {
 				t.Fatalf("popped packet %p, want %p", p, want[0])
 			}
 			want = want[1:]
 		}
 	}
+	blocks := func() int {
+		k := 0
+		for b := q.head; b != nil; b = b.next {
+			k++
+		}
+		return k
+	}
 	push(3)
-	pop(2)
-	push(3) // four queued, wrapped round the inline backing
-	if r.head == 0 || len(r.buf) != 4 {
-		t.Fatalf("head %d, %d slots: want a wrapped inline ring", r.head, len(r.buf))
-	}
-	push(1) // grows while wrapped
-	if len(r.buf) != 16 || r.n != 5 {
-		t.Fatalf("%d slots holding %d, want 16 holding 5", len(r.buf), r.n)
-	}
 	pop(3)
-	for i := 0; i < 40; i++ { // wraps the grown ring, grows twice more
+	first := q.head
+	if q.n != 0 || first == nil || q.read != 0 || q.write != 0 {
+		t.Fatalf("drained queue: %d queued, block %p, slots %d/%d: want its block kept and started over", q.n, first, q.read, q.write)
+	}
+	push(rxBlockLen + 1) // fills the kept block, then chains a second
+	if q.head != first || blocks() != 2 || q.n != rxBlockLen+1 {
+		t.Fatalf("%d blocks holding %d, want 2 holding %d from the kept block", blocks(), q.n, rxBlockLen+1)
+	}
+	pop(rxBlockLen + 1) // reads past the first block: it goes back to the pool
+	if q.head == first || blocks() != 1 {
+		t.Fatalf("%d blocks after reading past the first, want 1", blocks())
+	}
+	for i := 0; i < 40; i++ { // a growing backlog across many blocks
 		push(7)
 		pop(4)
 	}
-	if len(r.buf) != 256 {
-		t.Fatalf("%d slots, want 256", len(r.buf))
+	if blocks() != (q.read+q.n+rxBlockLen-1)/rxBlockLen {
+		t.Fatalf("%d blocks for %d queued from slot %d", blocks(), q.n, q.read)
+	}
+	for b := q.head; b != nil; b = b.next {
+		for i, p := range b.pkts {
+			if b == q.head && i < q.read && p != nil {
+				t.Fatal("a popped slot still holds its packet")
+			}
+		}
 	}
 	pop(len(want))
-	if r.pop() != nil || r.n != 0 {
-		t.Fatal("empty ring popped a packet")
-	}
-	for _, p := range r.buf {
-		if p != nil {
-			t.Fatal("a popped slot still holds its packet")
-		}
+	if q.pop(pool, 0) != nil || q.n != 0 || blocks() != 1 {
+		t.Fatalf("empty queue: %d queued in %d blocks, want 0 in 1", q.n, blocks())
 	}
 }
 
-// A node's receive ring through the machine: Poll order survives a wrapped,
-// growing backlog, and PendingRx, DropRx and BeginOutage see a wrapped ring
-// whole.
-func TestRxRingOnNode(t *testing.T) {
+// A node's receive queue through the machine: Poll order survives a backlog
+// across blocks, and PendingRx, DropRx and BeginOutage see it whole.
+func TestRxQueueOnNode(t *testing.T) {
 	m := MustNew(DefaultConfig(2))
 	src, dst := m.Node(0), m.Node(1)
 	var got []uint64
 	h := func(n *Node, p *Packet) { got = append(got, p.Seq) }
 	seq := uint64(0)
 	// burst sends k packets while dst is busy and runs until they have all
-	// arrived, so they wait in its ring.
+	// arrived, so they wait in its queue.
 	burst := func(k int) {
 		src.SyncClock(m.Eng.Now())
 		dst.Charge(1 << 16)
@@ -570,39 +583,38 @@ func TestRxRingOnNode(t *testing.T) {
 		}
 	}
 	burst(3)
-	if err := m.Run(); err != nil { // polled: the ring's head now sits at 3
+	if err := m.Run(); err != nil { // polled: the queue is drained, its block kept
 		t.Fatal(err)
 	}
-	burst(5) // wraps the inline ring, then grows it
-	if dst.PendingRx() != 5 || len(dst.rx.buf) != 16 {
-		t.Fatalf("PendingRx %d in %d slots, want 5 in 16", dst.PendingRx(), len(dst.rx.buf))
+	burst(rxBlockLen + 5) // across two blocks
+	if dst.PendingRx() != rxBlockLen+5 || dst.rx.head == dst.rx.tail {
+		t.Fatalf("PendingRx %d, one block: want %d across two", dst.PendingRx(), rxBlockLen+5)
 	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("polled %v, want %v", got, want)
+	if len(got) != rxBlockLen+8 {
+		t.Fatalf("polled %d packets, want %d", len(got), rxBlockLen+8)
 	}
-	burst(14) // from slot 5, wraps the 16 slots
-	if dst.rx.head+dst.rx.n <= len(dst.rx.buf) || dst.PendingRx() != 14 {
-		t.Fatalf("head %d + %d queued in %d slots: want a wrapped backlog of 14", dst.rx.head, dst.rx.n, len(dst.rx.buf))
+	for i, s := range got {
+		if s != uint64(i+1) {
+			t.Fatalf("polled %v, want 1..%d in order", got, len(got))
+		}
 	}
+	burst(2*rxBlockLen + 1) // across three blocks
 	dst.DropRx()
-	if dst.PendingRx() != 0 || dst.EraDrops != 14 {
-		t.Fatalf("after DropRx: PendingRx %d, EraDrops %d, want 0/14", dst.PendingRx(), dst.EraDrops)
+	if dst.PendingRx() != 0 || dst.EraDrops != 2*rxBlockLen+1 {
+		t.Fatalf("after DropRx: PendingRx %d, EraDrops %d, want 0/%d", dst.PendingRx(), dst.EraDrops, 2*rxBlockLen+1)
 	}
-	burst(14) // from slot 3, wraps again
-	if dst.rx.head+dst.rx.n <= len(dst.rx.buf) {
-		t.Fatalf("head %d + %d queued in %d slots: want a wrapped backlog", dst.rx.head, dst.rx.n, len(dst.rx.buf))
-	}
+	burst(rxBlockLen + 1)
 	dst.BeginOutage(m.Eng.Now() + sim.Millisecond)
-	if dst.PendingRx() != 0 || dst.CrashDrops != 14 {
-		t.Fatalf("after BeginOutage: PendingRx %d, CrashDrops %d, want 0/14", dst.PendingRx(), dst.CrashDrops)
+	if dst.PendingRx() != 0 || dst.CrashDrops != rxBlockLen+1 {
+		t.Fatalf("after BeginOutage: PendingRx %d, CrashDrops %d, want 0/%d", dst.PendingRx(), dst.CrashDrops, rxBlockLen+1)
 	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 8 {
+	if len(got) != rxBlockLen+8 {
 		t.Fatalf("dropped packets reached their handler: %v", got)
 	}
 	recycled(t, m) // every pool hands out no record twice, none dirty

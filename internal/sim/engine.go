@@ -5,19 +5,17 @@
 // two runs over the same inputs produce identical event orderings. Virtual
 // time is expressed in nanoseconds (Time).
 //
-// Events live by value inside per-lane 4-ary heaps (no container/heap, no
-// interface boxing), and a small top-level tournament — a binary heap over
-// the non-empty lanes that carries each lane's head (time, seq) beside the
-// lane index — selects the globally next event in O(log lanes). A lane
-// conventionally corresponds to one simulated node, which is what makes the
-// conservative parallel runner in parallel.go possible.
+// Events live by value in per-lane queues (no container/heap, no interface
+// boxing): a 4-ary heap while the lane is shallow, and past spillDepth events
+// a monotone radix queue over pooled event blocks that hands the lane back to
+// the heap when it drains (deep.go). A small top-level tournament — a binary
+// heap over the non-empty lanes that carries each lane's head (time, seq)
+// beside the lane index — selects the globally next event in O(log lanes). A
+// lane conventionally corresponds to one simulated node, which is what makes
+// the conservative parallel runner in parallel.go possible.
 package sim
 
-import (
-	"fmt"
-	"slices"
-	"sync/atomic"
-)
+import "fmt"
 
 // Time is virtual time in nanoseconds since simulation start.
 type Time int64
@@ -70,11 +68,11 @@ const (
 // find its node without reading the payload.
 type Handler func(lane int, at Time, arg any)
 
-// event is a scheduled callback, stored by value in a lane heap — 32 bytes,
-// so heap sifts and regrowth move as little as possible. key packs the
-// sequence number above the kind's byte: sequence numbers are unique, so
-// keys order exactly as they do. A closure event carries its func() in arg
-// (a func value is pointer-shaped: boxing it allocates nothing).
+// event is a scheduled callback, stored by value in a lane's heap or bucket
+// blocks — 32 bytes, so sifts and re-bucketing move as little as possible.
+// key packs the sequence number above the kind's byte: sequence numbers are
+// unique, so keys order exactly as they do. A closure event carries its
+// func() in arg (a func value is pointer-shaped: boxing it allocates nothing).
 type event struct {
 	at  Time
 	key uint64 // seq<<8 | kind
@@ -118,9 +116,12 @@ type firedRec struct {
 // lane is one independent event queue plus its parallel-window scratch
 // state. The heap is a 4-ary array heap over (at, seq): half the levels of a
 // binary one, and a node's four children span two cache lines. Sifts move a
-// hole rather than swapping, and the array doubles from laneMinCap.
+// hole rather than swapping. The array starts at laneMinCap events and a lane
+// that fills it spills: it keeps only its earliest events there and the rest
+// in a radix queue (deep.go); either way heap[0] is the lane's head.
 type lane struct {
 	heap     []event
+	deep     *deepQ // the radix buckets while the lane is deep, else nil
 	now      Time
 	births   []birth
 	log      []firedRec
@@ -131,24 +132,35 @@ type lane struct {
 
 const laneMinCap = 128
 
-// push queues ev and reports the slot it settled in: 0 when it is the lane's
-// new head.
-func (ln *lane) push(ev event) int {
-	h := ln.heap
-	if len(h) == cap(h) {
-		g := make([]event, len(h), max(2*cap(h), laneMinCap))
-		copy(g, h)
-		h = g
+// depth is the number of events queued on the lane.
+func (ln *lane) depth() int {
+	if ln.deep != nil {
+		return len(ln.heap) + ln.deep.n
 	}
-	ln.heap = h[:len(h)+1]
-	return ln.place(len(h), ev)
+	return len(ln.heap)
 }
 
-// remove takes entry i out of the queue and returns it; remove(0) pops the
-// head. The last entry fills the hole.
-func (ln *lane) remove(i int) event {
+// push queues ev in the heap, whatever the lane's depth (Engine.enqueue
+// decides between heap and buckets).
+func (ln *lane) push(ev event) {
+	if len(ln.heap) == cap(ln.heap) {
+		ln.grow()
+	}
 	h := ln.heap
-	ev := h[i]
+	ln.heap = h[:len(h)+1]
+	ln.place(len(h), ev)
+}
+
+func (ln *lane) grow() {
+	g := make([]event, len(ln.heap), max(2*cap(ln.heap), laneMinCap))
+	copy(g, ln.heap)
+	ln.heap = g
+}
+
+// remove takes heap entry i out; the last entry fills the hole.
+// Engine.take refills a deep lane's heap after it.
+func (ln *lane) remove(i int) {
+	h := ln.heap
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{}
@@ -156,7 +168,6 @@ func (ln *lane) remove(i int) event {
 	if i < n {
 		ln.settle(i, last)
 	}
-	return ev
 }
 
 // settle puts ev into the hole at i: above it if ev is earlier than the
@@ -230,15 +241,15 @@ type Engine struct {
 	seq      uint64
 	now      Time
 	fired    uint64
-	limit    uint64 // optional safety limit on fired events; 0 = unlimited
 	inPar    bool   // inside a parallel window: post() records births
 	provBase uint64 // e.seq at window start; provisional seqs are > provBase
 	winEnd   Time
-	limitHit atomic.Bool // set by a worker that tripped the event limit
-	parWins  uint64      // windows (barriers) of the last RunParallel drive
-	heads    []int       // barrier scratch: per-active-lane log cursor
-	pools    []pool      // every Pool built on the engine, sized to slots
-	slots    int         // worker slots the pools hold a slab for
+	parWins  uint64                   // windows (barriers) of the last RunParallel drive
+	heads    []int                    // barrier scratch: per-active-lane log cursor
+	pools    []pool                   // every Pool built on the engine, sized to slots
+	slots    int                      // worker slots the pools hold a slab for
+	blocks   *Pool[evBlock, *evBlock] // deep lanes' bucket blocks
+	deeps    *Pool[deepQ, *deepQ]     // deep lanes' radix states
 }
 
 // Worker reports which worker runs lane l: its slot inside a parallel window,
@@ -272,6 +283,8 @@ func (e *Engine) ParWindows() uint64 { return e.parWins }
 // NewEngine returns an empty engine at time zero with a single lane.
 func NewEngine() *Engine {
 	e := &Engine{slots: 1}
+	e.blocks = NewPool[evBlock](e)
+	e.deeps = NewPool[deepQ](e)
 	e.SetLanes(1)
 	return e
 }
@@ -335,14 +348,10 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int {
 	n := 0
 	for i := range e.lanes {
-		n += len(e.lanes[i].heap)
+		n += e.lanes[i].depth()
 	}
 	return n
 }
-
-// SetEventLimit installs a safety limit: Run returns an error after firing
-// n events. Zero disables the limit.
-func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // post is the single scheduling entry point. src is the lane on whose
 // behalf the event is scheduled (the lane of the currently firing event);
@@ -361,7 +370,7 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 			// Same-lane and inside the window: insert immediately with a
 			// provisional sequence number that encodes the birth index and
 			// preserves lane-local order (see parallel.go).
-			sl.push(event{at: at, key: evKey(e.provBase+1+uint64(idx), kind), arg: arg})
+			e.enqueue(src, event{at: at, key: evKey(e.provBase+1+uint64(idx), kind), arg: arg})
 		}
 		return
 	}
@@ -375,7 +384,7 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 // insert queues ev on lane dst outside a parallel window and keeps the
 // tournament current.
 func (e *Engine) insert(dst int, ev event) {
-	if e.lanes[dst].push(ev) != 0 {
+	if !e.enqueue(dst, ev) {
 		return
 	}
 	if p := e.pos[dst]; p < 0 {
@@ -436,9 +445,8 @@ func (e *Engine) fire(l int, ev *event) {
 	e.handlers[kind-kindHandlerBase](l, ev.at, arg)
 }
 
-// Run fires events in (time, seq) order until the queue is empty or the
-// event limit is exceeded. It returns the number of events
-// fired during this call and an error if the limit tripped.
+// Run fires events in (time, seq) order until the queue is empty. It returns
+// the number of events fired during this call; the error is always nil.
 func (e *Engine) Run() (uint64, error) {
 	return e.RunUntil(-1)
 }
@@ -459,7 +467,7 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 		}
 		l := int(top.lane)
 		ln := &e.lanes[l]
-		ev := ln.remove(0)
+		ev := e.dequeue(l)
 		if len(ln.heap) == 0 {
 			e.orderRemoveAt(0)
 		} else {
@@ -471,9 +479,6 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 		e.fire(l, &ev)
 		n++
 		e.fired++
-		if e.limit != 0 && e.fired > e.limit {
-			return n, errEventLimit(e.limit, e.now)
-		}
 	}
 }
 
@@ -603,8 +608,8 @@ func (t *Timer) Stop() {
 	}
 	t.pending = false
 	e, l := t.eng, int(t.lane)
-	ln := &e.lanes[l]
-	ln.remove(ln.slot(t))
+	b, i := e.lanes[l].find(t)
+	e.take(l, b, i)
 	if !e.inPar {
 		e.orderFixLane(l)
 	}
@@ -613,23 +618,21 @@ func (t *Timer) Stop() {
 // Pending reports whether the timer's slot is in an event queue.
 func (t *Timer) Pending() bool { return t.pending }
 
-// slot finds t's queued event: a linear scan of the lane's queue.
-func (ln *lane) slot(t *Timer) int {
-	return slices.IndexFunc(ln.heap, func(ev event) bool { return ev.kind() == kindTimer && ev.arg == any(t) })
-}
-
 // StartTimerAt puts t at an explicit queue position: virtual time at,
 // tie-broken by a sequence number drawn earlier with ReserveSeq on the same
 // lane, to fire the registered kind's handler with arg there. It consumes no
 // sequence number of its own, and a slot still queued is moved rather than
 // queued twice. Must be called from the lane itself, with at no earlier than
-// the lane's clock.
+// the lane's clock (LaneNow): an earlier time panics.
 func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind, arg any) {
+	if now := e.LaneNow(lane); at < now {
+		panic(fmt.Sprintf("sim: StartTimerAt(%v) on lane %d before its clock %v", at, lane, now))
+	}
 	t.kind, t.arg = kind, arg
 	ev := event{at: at, key: evKey(seq, kindTimer), arg: t}
-	ln := &e.lanes[lane]
 	if t.pending {
-		ln.settle(ln.slot(t), ev)
+		b, i := e.lanes[lane].find(t)
+		e.move(lane, b, i, ev)
 		if !e.inPar {
 			e.orderFixLane(lane)
 		}
@@ -637,11 +640,11 @@ func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind
 	}
 	t.eng, t.lane, t.pending = e, int32(lane), true
 	if e.inPar {
-		// The lane's heap is this worker's for the window, and an event keyed
+		// The lane's queue is this worker's for the window, and an event keyed
 		// by an existing number needs no birth: in-window it fires in place,
 		// beyond the window it is already where the barrier would put it (a
 		// provisional key is settled there, see settleReserved).
-		ln.push(ev)
+		e.enqueue(lane, ev)
 		return
 	}
 	e.insert(lane, ev)

@@ -105,17 +105,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineEventLimit(t *testing.T) {
-	e := NewEngine()
-	e.SetEventLimit(5)
-	var reschedule func()
-	reschedule = func() { e.ScheduleFuncOn(0, 0, e.Now()+1, reschedule) }
-	e.ScheduleFuncOn(0, 0, 0, reschedule)
-	if _, err := e.Run(); err == nil {
-		t.Fatal("expected event-limit error on runaway schedule loop")
-	}
-}
-
 func TestEngineCascade(t *testing.T) {
 	// Events scheduling further events must preserve global time order.
 	e := NewEngine()
@@ -224,5 +213,76 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if (9 * Microsecond).Micros() != 9.0 {
 		t.Error("Micros conversion wrong")
+	}
+}
+
+// A timer can not be put before its lane's clock: the lane has fired later
+// events already, so the timer would fire in its past.
+func TestStartTimerAtBeforeLaneClockPanics(t *testing.T) {
+	e := NewEngine()
+	k := e.Register(func(int, Time, any) {})
+	var tm Timer
+	fired := false
+	e.ScheduleFuncOn(0, 0, 100, func() {
+		fired = true
+		defer func() {
+			if recover() == nil {
+				t.Error("StartTimerAt(99) at t=100 did not panic")
+			}
+		}()
+		e.StartTimerAt(0, &tm, 99, 0, k, nil)
+	})
+	if _, err := e.Run(); err != nil || !fired {
+		t.Fatalf("run: %v, fired %v", err, fired)
+	}
+	if tm.Pending() || e.Pending() != 0 {
+		t.Fatal("the refused timer was queued")
+	}
+}
+
+// A warmed engine spills a lane and drains it again without allocating: the
+// bucket blocks and the radix state go back to the engine's pools, and the
+// heap keeps its array.
+func TestDeepLaneReusesItsStorage(t *testing.T) {
+	e := NewEngine()
+	e.SetLanes(2)
+	k := e.Register(func(int, Time, any) {})
+	idle := func() (blocks, deeps int) {
+		for b := e.blocks.slabs[0].free; b != nil && blocks < 1<<20; b = b.next {
+			if blocks++; b.next == b {
+				break
+			}
+		}
+		for d := e.deeps.slabs[0].free; d != nil && deeps < 1<<20; d = d.free {
+			if deeps++; d.free == d {
+				break
+			}
+		}
+		return blocks, deeps
+	}
+	burst := func() {
+		// Every burst starts on a 2^20 boundary, so each lays out its
+		// buckets, and peaks in blocks, exactly as the first did.
+		start := (e.Now()>>20 + 1) << 20
+		for i := 0; i < 8*spillDepth; i++ {
+			e.ScheduleOn(0, 1, start+Time(i*7919%5000), k, nil)
+		}
+		if e.lanes[1].deep == nil {
+			t.Fatal("the burst did not spill its lane")
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if e.lanes[1].deep != nil {
+			t.Fatal("the drained lane is still deep")
+		}
+	}
+	burst()
+	blocks, deeps := idle()
+	if n := testing.AllocsPerRun(5, burst); n != 0 {
+		t.Fatalf("%v allocations per spill and drain, want 0", n)
+	}
+	if b, d := idle(); b != blocks || d != deeps || blocks == 0 || deeps == 0 {
+		t.Fatalf("pools hold %d blocks and %d radix states after the bursts, %d and %d after the first", b, d, blocks, deeps)
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -49,11 +48,6 @@ import (
 // maxTime is the largest representable virtual time.
 const maxTime = Time(1<<63 - 1)
 
-// errEventLimit is the shared event-limit error of every runner.
-func errEventLimit(limit uint64, at Time) error {
-	return fmt.Errorf("sim: event limit %d exceeded at t=%v", limit, at)
-}
-
 // RunParallel fires all pending events like Run, executing independent
 // lanes concurrently on up to `workers` goroutines within successive
 // virtual-time windows of width `lookahead`. It falls back to the
@@ -65,7 +59,6 @@ func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) {
 		return e.Run()
 	}
 	e.growPools(min(workers, len(e.lanes)))
-	e.limitHit.Store(false)
 	e.parWins = 0
 	var total uint64
 	active := make([]int32, 0, len(e.lanes))
@@ -93,11 +86,7 @@ func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) {
 			e.runWindowWorkers(active, workers)
 		}
 		e.inPar = false
-		fired, err := e.barrier(active)
-		total += fired
-		if err != nil {
-			return total, err
-		}
+		total += e.barrier(active)
 	}
 	return total, nil
 }
@@ -148,15 +137,9 @@ func (e *Engine) runWindowWorkers(active []int32, workers int) {
 func (e *Engine) runLaneWindow(l int) uint64 {
 	ln := &e.lanes[l]
 	end := e.winEnd
-	limit := e.limit
-	base := e.fired
 	var fired uint64
 	for len(ln.heap) > 0 && ln.heap[0].at < end {
-		if limit != 0 && base+fired > limit {
-			e.limitHit.Store(true)
-			break
-		}
-		ev := ln.remove(0)
+		ev := e.dequeue(l)
 		ln.now = ev.at
 		seq := ev.seq()
 		kidStart := len(ln.births)
@@ -180,8 +163,9 @@ func (e *Engine) runLaneWindow(l int) uint64 {
 // barrier finishes a window: it replays the global firing order over the
 // per-lane logs to assign final sequence numbers to every birth, pushes
 // unconsumed births into their destination lanes, folds the per-lane fired
-// counts and clocks into the engine, and rebuilds the tournament.
-func (e *Engine) barrier(active []int32) (uint64, error) {
+// counts and clocks into the engine, and rebuilds the tournament. It returns
+// the number of events the window fired.
+func (e *Engine) barrier(active []int32) uint64 {
 	if cap(e.heads) < len(active) {
 		e.heads = make([]int, len(active))
 	}
@@ -231,7 +215,7 @@ func (e *Engine) barrier(active []int32) (uint64, error) {
 		for i := range ln.births {
 			b := &ln.births[i]
 			if !b.consumed {
-				e.lanes[b.dst].push(event{at: b.at, key: evKey(b.seq, b.kind), arg: b.arg})
+				e.enqueue(int(b.dst), event{at: b.at, key: evKey(b.seq, b.kind), arg: b.arg})
 			}
 			ln.births[i] = birth{}
 		}
@@ -245,17 +229,15 @@ func (e *Engine) barrier(active []int32) (uint64, error) {
 	}
 	e.fired += fired
 	e.orderRebuild()
-	if e.limitHit.Load() || (e.limit != 0 && e.fired > e.limit) {
-		return fired, errEventLimit(e.limit, e.now)
-	}
-	return fired, nil
+	return fired
 }
 
 // settleReserved replaces the provisional sequence numbers ReserveSeq handed
 // out in the closing window with the final ones: in each target that still
 // holds its provisional number, and in the key of a timer put at one with
 // StartTimerAt that has yet to fire. Provisional and final numbers order the
-// lane identically, so the heap stays a heap.
+// lane identically, so the heap stays a heap and a bucketed event keeps its
+// bucket, which depends on its time alone.
 func (ln *lane) settleReserved(provBase uint64) {
 	ln.reserved = false
 	for i := range ln.births {
@@ -265,9 +247,10 @@ func (ln *lane) settleReserved(provBase uint64) {
 			}
 		}
 	}
-	for i := range ln.heap {
-		if ev := &ln.heap[i]; ev.seq() > provBase {
-			ev.key = evKey(ln.births[ev.seq()-provBase-1].seq, ev.kind())
+	ln.rekey(func(key uint64) uint64 {
+		if seq := key >> 8; seq > provBase {
+			return evKey(ln.births[seq-provBase-1].seq, Kind(key))
 		}
-	}
+		return key
+	})
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -45,12 +47,37 @@ func (ln *pqLane) rand(n int) int {
 	return int((ln.rng >> 33) % uint64(n))
 }
 
+// wideTime is a time below 2^62 whose bit length is about uniform.
+func (ln *pqLane) wideTime() Time {
+	ln.rand(1)
+	return Time(ln.rng>>2) >> ln.rand(63)
+}
+
+// pqCfg is one program: its lanes, how many of them are loaded deep, the
+// lookahead of its cross-lane posts, the events a deep lane is loaded with
+// (at the start and again by its burst), whether the deep lanes' times spread
+// over the whole int64 range, and the seed of the lanes' generators.
+type pqCfg struct {
+	lanes, deep int
+	look        Time
+	load        int
+	wide        bool
+	seed        uint64
+}
+
 type pqProg struct {
 	q      pqQueue
-	look   Time
+	cfg    pqCfg
 	lanes  []pqLane
 	global []pqFire // firing order across lanes (nil: not kept)
 }
+
+// pqBurst is the id of a deep lane's burst: the event, at pqBurstAt, that
+// loads the lane deep again once it has drained.
+const (
+	pqBurst   = 0
+	pqBurstAt = 8000
+)
 
 func (p *pqProg) newID(l int) int {
 	p.lanes[l].ids++
@@ -65,6 +92,12 @@ func (p *pqProg) fired(l int, now Time, id int) {
 	if p.global != nil {
 		p.global = append(p.global, f)
 	}
+	if id == pqBurst {
+		for i := 0; i < p.cfg.load; i++ {
+			p.q.post(l, l, now+Time(ln.rand(4000)), p.newID(l))
+		}
+		ln.budget = 300
+	}
 	if ln.budget == 0 {
 		return
 	}
@@ -73,7 +106,7 @@ func (p *pqProg) fired(l int, now Time, id int) {
 	case r < 6:
 		p.q.post(l, l, now+Time(ln.rand(40)), p.newID(l))
 	case r < 10:
-		p.q.post(l, ln.rand(len(p.lanes)), now+p.look+Time(ln.rand(40)), p.newID(l))
+		p.q.post(l, ln.rand(len(p.lanes)), now+p.cfg.look+Time(ln.rand(40)), p.newID(l))
 	case r < 12:
 		p.q.arm(l, Time(1+ln.rand(80)), p.newID(l))
 		ln.timers++
@@ -90,20 +123,33 @@ func (p *pqProg) fired(l int, now Time, id int) {
 	}
 }
 
-// load queues the program's initial events: a few per lane, 2 100 more on
-// each deep lane, and on lane 0 a timer storm, most of it stopped.
-func (p *pqProg) load(deep int) {
+// load queues the program's initial events: a few per lane, cfg.load more
+// and a burst on each deep lane, and on lane 0 a timer storm, most of it
+// stopped. A wide deep lane's times start with 0 and every power of two below
+// 2^63, so each of its buckets holds one, and spread over that range.
+func (p *pqProg) load() {
 	for l := range p.lanes {
 		ln := &p.lanes[l]
 		for k := range ln.slots {
 			p.q.reserve(l, &ln.slots[k])
 		}
 		n := 12
-		if l < deep {
-			n += 2100
+		if l < p.cfg.deep {
+			n += p.cfg.load
+			p.q.post(l, l, pqBurstAt, pqBurst)
+			if p.cfg.wide {
+				p.q.post(l, l, 0, p.newID(l))
+				for k := 0; k < 63; k++ {
+					p.q.post(l, l, 1<<k, p.newID(l))
+				}
+			}
 		}
 		for i := 0; i < n; i++ {
-			p.q.post(ln.rand(len(p.lanes)), l, Time(ln.rand(4000)), p.newID(l))
+			at := Time(ln.rand(4000))
+			if p.cfg.wide && l < p.cfg.deep {
+				at = ln.wideTime()
+			}
+			p.q.post(ln.rand(len(p.lanes)), l, at, p.newID(l))
 		}
 		p.q.move(l, Time(ln.rand(4000)), ln.slots[ln.rand(len(ln.slots))], p.newID(l))
 	}
@@ -119,37 +165,65 @@ func (p *pqProg) load(deep int) {
 	}
 }
 
-func newPQProg(lanes int) *pqProg {
-	p := &pqProg{look: 50, lanes: make([]pqLane, lanes)}
+func newPQProg(c pqCfg) *pqProg {
+	p := &pqProg{cfg: c, lanes: make([]pqLane, c.lanes)}
 	for l := range p.lanes {
-		p.lanes[l].rng = uint64(l)*7919 + 1
+		p.lanes[l].rng = uint64(l)*7919 + 1 + c.seed<<32
 		p.lanes[l].budget = 300
 	}
 	return p
 }
 
-// pqEngine drives the engine.
+// pqEngine drives the engine and watches each lane's representation: the
+// run of deep ('D') and shallow ('S') states its firings saw, and the timer
+// arms, stops and moves made while it was deep. Only a lane's own events
+// write its row.
 type pqEngine struct {
 	e       *Engine
 	kind    Kind
 	timers  [][]*Timer
 	movable []Timer
+	shapes  []string
+	deepOps [][3]int
 }
 
 func newPQEngine(p *pqProg) *pqEngine {
-	a := &pqEngine{e: NewEngine(), timers: make([][]*Timer, len(p.lanes)), movable: make([]Timer, len(p.lanes))}
-	a.e.SetLanes(len(p.lanes))
-	a.kind = a.e.Register(func(l int, at Time, arg any) { p.fired(l, at, arg.(int)) })
+	n := len(p.lanes)
+	a := &pqEngine{e: NewEngine(), timers: make([][]*Timer, n), movable: make([]Timer, n),
+		shapes: make([]string, n), deepOps: make([][3]int, n)}
+	a.e.SetLanes(n)
+	a.kind = a.e.Register(func(l int, at Time, arg any) {
+		st := "S"
+		if a.e.lanes[l].deep != nil {
+			st = "D"
+		}
+		if !strings.HasSuffix(a.shapes[l], st) {
+			a.shapes[l] += st
+		}
+		p.fired(l, at, arg.(int))
+	})
 	p.q = a
 	return a
 }
 
+// deepOp counts op (0 arm, 1 stop, 2 move) if lane l is deep.
+func (a *pqEngine) deepOp(l, op int) {
+	if a.e.lanes[l].deep != nil {
+		a.deepOps[l][op]++
+	}
+}
+
 func (a *pqEngine) post(src, dst int, at Time, id int) { a.e.ScheduleOn(src, dst, at, a.kind, id) }
-func (a *pqEngine) stop(l, h int)                      { a.timers[l][h].Stop() }
 func (a *pqEngine) reserve(l int, into *uint64)        { a.e.ReserveSeq(l, into) }
+
+func (a *pqEngine) stop(l, h int) {
+	a.deepOp(l, 1)
+	a.timers[l][h].Stop()
+}
 
 // arm gives a fresh timer a position of its own, as a ScheduleOn would take.
 func (a *pqEngine) arm(l int, d Time, id int) {
+	a.deepOp(l, 0)
 	t := new(struct {
 		Timer
 		seq uint64
@@ -160,6 +234,7 @@ func (a *pqEngine) arm(l int, d Time, id int) {
 }
 
 func (a *pqEngine) move(l int, at Time, seq uint64, id int) {
+	a.deepOp(l, 2)
 	a.e.StartTimerAt(l, &a.movable[l], at, seq, a.kind, id)
 }
 
@@ -260,49 +335,80 @@ func pqLogs(p *pqProg) [][]pqFire {
 	return out
 }
 
+// checkPQ runs program c three ways — the reference model, Run and
+// RunParallel(4) — and fails unless both engine runs fire exactly what the
+// reference fires: in its global order under Run, lane for lane under
+// RunParallel. It returns the two engine drivers.
+func checkPQ(t testing.TB, c pqCfg) (seq, par *pqEngine) {
+	t.Helper()
+	ref := newPQProg(c)
+	ref.global = []pqFire{}
+	m := newPQModel(ref)
+	ref.load()
+	m.run(ref)
+
+	sp := newPQProg(c)
+	sp.global = []pqFire{}
+	seq = newPQEngine(sp)
+	sp.load()
+	if _, err := seq.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sp.global, ref.global) {
+		i := 0
+		for i < min(len(sp.global), len(ref.global)) && sp.global[i] == ref.global[i] {
+			i++
+		}
+		t.Fatalf("%+v: Run diverges from the reference at firing %d of %d/%d", c, i, len(sp.global), len(ref.global))
+	}
+	if seq.e.Pending() != 0 {
+		t.Fatalf("%+v: %d events left after Run", c, seq.e.Pending())
+	}
+
+	pp := newPQProg(c)
+	par = newPQEngine(pp)
+	pp.load()
+	if _, err := par.e.RunParallel(4, c.look); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pqLogs(pp), pqLogs(ref)) {
+		t.Fatalf("%+v: RunParallel diverges from the reference", c)
+	}
+	return seq, par
+}
+
 func TestLaneQueueIsPriorityQueue(t *testing.T) {
-	for _, c := range []struct{ lanes, deep int }{{1, 1}, {4, 2}, {256, 3}} {
-		ref := newPQProg(c.lanes)
-		ref.global = []pqFire{}
-		m := newPQModel(ref)
-		ref.load(c.deep)
-		m.run(ref)
+	for _, c := range []pqCfg{
+		{lanes: 1, deep: 1, look: 50, load: 2100},
+		{lanes: 4, deep: 2, look: 50, load: 2100},
+		{lanes: 256, deep: 3, look: 50, load: 2100},
+		{lanes: 4, deep: 2, look: 50, load: 2100, wide: true},
+	} {
+		// A loaded program: its deep lanes have spilled, its shallow ones not.
+		p := newPQProg(c)
+		a := newPQEngine(p)
+		p.load()
+		if d := a.e.lanes[c.lanes-1].depth(); c.deep < c.lanes && (d > 100 || a.e.lanes[c.lanes-1].deep != nil) {
+			t.Fatalf("%+v: shallow lane %d holds %d events", c, c.lanes-1, d)
+		}
+		if ln := &a.e.lanes[c.deep-1]; ln.depth() < c.load || ln.deep == nil {
+			t.Fatalf("%+v: deep lane holds %d events, spilled %v", c, ln.depth(), ln.deep != nil)
+		}
+		if c.wide && a.e.lanes[0].deep.mask != ^uint64(1) {
+			t.Fatalf("%+v: buckets %064b in use, want 1 to 63", c, a.e.lanes[0].deep.mask)
+		}
 
-		seq := newPQProg(c.lanes)
-		seq.global = []pqFire{}
-		a := newPQEngine(seq)
-		seq.load(c.deep)
-		if d := len(a.e.lanes[c.lanes-1].heap); c.lanes > 1 && c.deep < c.lanes && d > 100 {
-			t.Fatalf("%d lanes: shallow lane %d holds %d events", c.lanes, c.lanes-1, d)
-		}
-		if d := len(a.e.lanes[c.deep-1].heap); d < 2000 {
-			t.Fatalf("%d lanes: deep lane holds only %d events", c.lanes, d)
-		}
-		if _, err := a.e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(ref.global) < 2100*c.deep {
-			t.Fatalf("%d lanes: reference fired only %d events", c.lanes, len(ref.global))
-		}
-		if !reflect.DeepEqual(seq.global, ref.global) {
-			i := 0
-			for i < min(len(seq.global), len(ref.global)) && seq.global[i] == ref.global[i] {
-				i++
+		seq, par := checkPQ(t, c)
+		for _, r := range []*pqEngine{seq, par} {
+			for l := 0; l < c.deep && !c.wide; l++ {
+				// Spilled at load, drained, spilled at the burst, drained.
+				if sh := r.shapes[l]; !strings.HasPrefix(sh, "DSDS") {
+					t.Errorf("%+v: lane %d went %q, want deep, shallow, deep, shallow", c, l, sh)
+				}
+				if ops := r.deepOps[l]; ops[0] == 0 || ops[1] == 0 || ops[2] == 0 {
+					t.Errorf("%+v: lane %d armed, stopped and moved timers %v times while deep", c, l, ops)
+				}
 			}
-			t.Fatalf("%d lanes: Run diverges from the reference at firing %d of %d/%d", c.lanes, i, len(seq.global), len(ref.global))
-		}
-		if a.e.Pending() != 0 {
-			t.Fatalf("%d lanes: %d events left after Run", c.lanes, a.e.Pending())
-		}
-
-		par := newPQProg(c.lanes)
-		b := newPQEngine(par)
-		par.load(c.deep)
-		if _, err := b.e.RunParallel(4, par.look); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pqLogs(par), pqLogs(ref)) {
-			t.Fatalf("%d lanes: RunParallel diverges from the reference", c.lanes)
 		}
 	}
 }
@@ -343,4 +449,54 @@ func BenchmarkLaneQueueDeep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+}
+
+// BenchmarkLaneQueueSteady holds the queue at a steady depth: 256 lanes, each
+// starting with depth events, and every event posting one successor 1–2 µs
+// ahead on a seeded random lane until the run has fired its quota (at least
+// eight events per starting one). Shallow depths are the n-queens shape, where
+// lanes stay heaps; at 1 024 every lane is deep, as in the all-to-all.
+func BenchmarkLaneQueueSteady(b *testing.B) {
+	const lanes = 256
+	for _, depth := range []int{4, 32, 128, 1024} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			total := max(1<<20, 8*lanes*depth)
+			for i := 0; i < b.N; i++ {
+				e := NewEngine()
+				e.SetLanes(lanes)
+				rng := pqLane{rng: 1}
+				left := total - lanes*depth
+				var k Kind
+				k = e.Register(func(l int, at Time, _ any) {
+					if left > 0 {
+						left--
+						e.ScheduleOn(l, rng.rand(lanes), at+1000+Time(rng.rand(1000)), k, nil)
+					}
+				})
+				for l := 0; l < lanes; l++ {
+					for j := 0; j < depth; j++ {
+						e.ScheduleOn(l, l, Time(rng.rand(1500)), k, nil)
+					}
+				}
+				if n, err := e.Run(); err != nil || n != uint64(total) {
+					b.Fatalf("fired %d of %d: %v", n, total, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/event")
+		})
+	}
+}
+
+// FuzzLaneQueue runs checkPQ on fuzzed programs: the seed of the lanes'
+// generators, the lane count, how many lanes are loaded deep and how deep,
+// the lookahead, and whether deep lanes' times spread over the int64 range.
+func FuzzLaneQueue(f *testing.F) {
+	f.Add(uint64(0), uint8(4), uint8(2), uint8(50), uint16(2100), false)
+	f.Add(uint64(7), uint8(1), uint8(1), uint8(1), uint16(130), true)
+	f.Add(uint64(3), uint8(31), uint8(9), uint8(200), uint16(600), false)
+	f.Fuzz(func(t *testing.T, seed uint64, lanes, deep, look uint8, load uint16, wide bool) {
+		c := pqCfg{lanes: 1 + int(lanes)%32, look: 1 + Time(look), load: int(load) % 4096, wide: wide, seed: seed}
+		c.deep = int(deep) % (c.lanes + 1)
+		checkPQ(t, c)
+	})
 }

@@ -20,6 +20,9 @@ func TestQueueEntrySizes(t *testing.T) {
 	if sz := unsafe.Sizeof(entry{}); sz > 24 {
 		t.Errorf("tournament entry is %d bytes, want <= 24: every comparison reads two", sz)
 	}
+	if sz := unsafe.Sizeof(lane{}); sz > 104 {
+		t.Errorf("lane is %d bytes, want <= 104: a deep lane's radix state lives out of line", sz)
+	}
 }
 
 // Records are carved from blocks of 8, 16, ... 256, 256: consecutive carves
