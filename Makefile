@@ -45,6 +45,7 @@ check: tier1 vet-race scenario-smoke bench-test fuzz-smoke
 # failure found here is saved under the package's testdata/fuzz.
 fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzLaneQueue$$' -fuzztime 30s ./internal/sim
+	go test -run xxx -fuzz '^FuzzSpecValidate$$' -fuzztime 30s ./internal/workload
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): four
 # whole-system workloads, end-to-end metrics with tracing off; bench-trace

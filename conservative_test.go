@@ -102,10 +102,10 @@ func TestConservativeEquivalence(t *testing.T) {
 			}
 			return observed{leaves, sys.Report()}
 		}},
-		// The paper's program under random placement: every requester seeds
-		// its targets' chunks from its own object arena, and a board is
-		// derived in the arena of the lane that spawns the child and read on
-		// the lane that expands it.
+		// The paper's program under random placement: every requester carves
+		// its targets' chunks on its own lane, from its worker's slot of the
+		// object arena, and a board is carved on the lane that spawns the
+		// child and read on the lane that expands it.
 		{"nqueens", func(t *testing.T, exec abcl.Option) any {
 			res, err := nqueens.Run(nqueens.Options{N: 7}, abcl.WithNodes(8), abcl.WithSeed(3), exec)
 			if err != nil {

@@ -35,10 +35,9 @@ func CheckN(n int) error {
 }
 
 // Board is a partial placement: the queen on row r < rows sits in column
-// cols[r]. A board is a record in the arena of the lane that derives it,
-// written once there before its pointer is sent, and only read afterwards —
-// the pointer, not a slice header, rides abcl.Any, so sending one boxes
-// nothing.
+// cols[r]. A board is carved on the lane that derives it, written once there
+// before its pointer is sent, and only read afterwards — the pointer, not a
+// slice header, rides abcl.Any, so sending one boxes nothing.
 type Board struct {
 	rows uint8
 	cols [MaxN]int8
@@ -125,24 +124,12 @@ type Driver struct {
 	finishedAt sim.Time
 	finished   bool
 
-	// lanes[i] backs the boards and spawn records derived on node i. A child
-	// is expanded on another node than the one that derived its board, so the
-	// arena belongs to the deriving lane: under a parallel executor that is
-	// the one running.
-	lanes []lane
+	// Boards and spawn records are carved on the lane that derives them,
+	// which under a parallel executor is the one running; a child is
+	// expanded on another node than the one that derived its board.
+	boards *sim.Arena[Board]
+	spawns *sim.Arena[spawn]
 }
-
-// lane is one node's arena of application records. The block caps are small
-// for the reason core's objectBlock is: every lane ends on a part-used block.
-type lane struct {
-	boards sim.Arena[Board]
-	spawns sim.Arena[spawn]
-}
-
-const (
-	boardBlock = 64
-	spawnBlock = 16
-)
 
 // State variable indices for the search-node class. The spawn cursor lives
 // in simulated state rather than in the spawn continuation's closure: a
@@ -164,7 +151,8 @@ func Build(sys *abcl.System, n, workFactor int) *Driver {
 	if err := CheckN(n); err != nil {
 		panic(err)
 	}
-	d := &Driver{sys: sys, n: n, work: WorkInstr(n, workFactor), lanes: make([]lane, sys.Nodes())}
+	d := &Driver{sys: sys, n: n, work: WorkInstr(n, workFactor),
+		boards: sim.NewArena[Board](sys.M.Eng), spawns: sim.NewArena[spawn](sys.M.Eng)}
 
 	d.patExpand = sys.Pattern("nq.expand", 1) // board
 	d.patDone = sys.Pattern("nq.done", 1)     // solution count
@@ -213,10 +201,8 @@ func Build(sys *abcl.System, n, workFactor int) *Driver {
 // Start injects the initial expand message.
 func (d *Driver) Start() { d.sys.Send(d.root, d.patStart) }
 
-// newBoard carves an empty board from the arena of the lane ctx runs on.
-func (d *Driver) newBoard(ctx *abcl.Ctx) *Board {
-	return d.lanes[ctx.NodeID()].boards.New(boardBlock)
-}
+// newBoard carves an empty board on the lane ctx runs on.
+func (d *Driver) newBoard(ctx *abcl.Ctx) *Board { return d.boards.New(ctx.Lane()) }
 
 // expandMethod handles nq.expand on a search node.
 func (d *Driver) expandMethod(ctx *abcl.Ctx) {
@@ -241,7 +227,7 @@ func (d *Driver) expandBoard(ctx *abcl.Ctx, b *Board) {
 		return
 	}
 	ctx.SetState(stPending, abcl.Int(int64(nvalid)))
-	sp := d.lanes[ctx.NodeID()].spawns.New(spawnBlock)
+	sp := d.spawns.New(ctx.Lane())
 	*sp = spawn{d: d, board: *b, valid: valid, nvalid: int8(nvalid),
 		ctorArgs: [1]abcl.Value{abcl.Ref(ctx.Self())}}
 	sp.k = sp.next

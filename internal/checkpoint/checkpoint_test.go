@@ -9,7 +9,7 @@ import (
 	"repro/internal/remote"
 )
 
-// Objects and chunks are carved from per-lane arenas that only grow: a
+// Objects and chunks are carved from arenas that only grow: a
 // rollback forgets what was created after the snapshot — the suffix of each
 // node's hosted list, and with it the suffix's share of every later image —
 // but never hands a forgotten object's slot out again: nothing rewinds an

@@ -2,15 +2,24 @@ package core
 
 // Object is a concurrent object as in Figure 2 of the paper: a state
 // variable box, a message queue, and a virtual function table pointer
-// (VFTP) designating the table for its current mode.
+// (VFTP) designating the table for its current mode. Objects of different
+// lanes sit side by side in arena blocks, so the fields a message writes stay
+// off the cache lines an object shares with its neighbours, which other
+// workers may be running (TestObjectHotFieldsOwnTheirLines).
 type Object struct {
 	class *Class
 	node  int
-	vftp  *VFT
 
-	state    []Value
-	ctorArgs []Value // held until lazy initialization
+	// multi is non-nil for objects of multiactive classes: live-invocation
+	// counts, per-group ready queues, and deferred continuations.
+	multi *multiState
+
+	// rd is non-nil for reply destination objects.
+	rd *replyState
+
+	vftp     *VFT
 	queue    frameQueue
+	ctorArgs []Value // held until lazy initialization
 
 	inSchedQ bool
 	running  bool // a method invocation is live on the stack
@@ -26,16 +35,11 @@ type Object struct {
 	resumeK func(*Ctx)
 	resumeF *Frame
 
-	// multi is non-nil for objects of multiactive classes: live-invocation
-	// counts, per-group ready queues, and deferred continuations.
-	multi *multiState
-
-	// rd is non-nil for reply destination objects.
-	rd *replyState
-
 	// forward is the new address of a migrated object; consulted only by
 	// the forwarder table installed at migration.
 	forward Address
+
+	state []Value
 }
 
 type waitState struct {

@@ -88,6 +88,11 @@ type Runtime struct {
 	replyVFT   *VFT // native table for reply destination objects
 	faultVFT   *VFT // generic fault table for uninitialized chunks
 	forwardVFT *VFT // forwarder table for migrated objects
+
+	// Never reclaimed, so carved on the lane of the node that makes them:
+	// every Object, and every state box and constructor-argument copy.
+	objects *sim.Arena[Object]
+	values  *sim.Arena[Value]
 }
 
 // NewRuntime builds a runtime over the discrete-event machine m. Classes
@@ -103,6 +108,8 @@ func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 		policy:        opt.Policy,
 		maxStackDepth: opt.MaxStackDepth,
 		remote:        defaultRemote{},
+		objects:       sim.NewArena[Object](m.Eng),
+		values:        sim.NewArena[Value](m.Eng),
 	}
 	r.PatReply = r.Reg.Register("reply:", 1)
 	m.SetTrace(opt.Trace)
@@ -302,10 +309,9 @@ func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
 // with the generic fault table installed, ready to buffer early messages.
 // Used by the remote-creation protocol, where the allocating node n is not
 // always the home: a requester popping its stock carves the chunk the popped
-// address names on the target, and the Object comes out of the requester's
-// arena because the requester's lane is the one running. The chunk joins its
-// home's checkpoint list when the home first touches it (InitChunk,
-// faultEntry), on the home's lane.
+// address names on the target, on the requester's lane because that is the
+// one running. The chunk joins its home's checkpoint list when the home
+// first touches it (InitChunk, faultEntry), on the home's lane.
 func (n *NodeRT) NewFaultChunk(node int) *Object {
 	r := n.rt
 	r.Freeze()

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/profile"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -33,17 +32,7 @@ type NodeRT struct {
 	// and the sender's variadic argument slice never escapes.
 	sendScratch []Value
 
-	// Creation arenas. Objects are never reclaimed, so both only grow, and
-	// carving from block allocations replaces the host allocations of one
-	// creation with one per block. Each belongs to the lane that allocates
-	// from it, not to the node the object models: stateArena backs the state
-	// boxes and constructor arguments of objects on this node (both are
-	// written here, by this node), while objects holds every Object this
-	// node creates — its own, its reply destinations, and the chunks its
-	// stock pops name on other nodes (NewFaultChunk). made counts them.
-	stateArena []Value
-	objects    sim.Arena[Object]
-	made       int
+	made int // host Objects this node has carved (Runtime.ObjectsMade)
 
 	// initCtx is the one InitCtx handed to lazy initializers on this node,
 	// cleared after each call (a fresh one would escape through cl.Init).
@@ -118,43 +107,19 @@ func (n *NodeRT) releaseFrame(f *Frame) {
 	n.frameFree = f
 }
 
-// allocState carves a zeroed state-variable slice out of the node's arena.
-// Every slice is capped (three-index expression), so an append through one
-// can never bleed into a neighbor's storage.
-func (n *NodeRT) allocState(sz int) []Value {
-	if len(n.stateArena)+sz > cap(n.stateArena) {
-		// Blocks double from a small seed so lightly-populated nodes waste
-		// little and heavily-populated ones amortize quickly.
-		blk := 2 * cap(n.stateArena)
-		if blk < 64 {
-			blk = 64
-		}
-		if blk > 4096 {
-			blk = 4096
-		}
-		if sz > blk {
-			blk = sz
-		}
-		n.stateArena = make([]Value, 0, blk)
-	}
-	off := len(n.stateArena)
-	n.stateArena = n.stateArena[:off+sz]
-	return n.stateArena[off : off+sz : off+sz]
-}
+// allocState carves a zeroed, capped state-variable slice on this node's
+// lane, so an append through one can never bleed into a neighbor's storage.
+func (n *NodeRT) allocState(sz int) []Value { return n.rt.values.Slice(n.node.Lane(), sz) }
 
-// objectBlock caps the object arena's blocks. A small cap: every node ends
-// the run on a partly used block, so the slack is paid once per node.
-const objectBlock = 32
-
-// newObjectAt carves a zeroed Object homed on node out of this node's arena.
+// newObjectAt carves a zeroed Object homed on node, on this node's lane.
 func (n *NodeRT) newObjectAt(node int) *Object {
-	obj := n.objects.New(objectBlock)
+	obj := n.rt.objects.New(n.node.Lane())
 	obj.node = node
 	n.made++
 	return obj
 }
 
-// copyCtorArgs snapshots constructor arguments into the node arena. The
+// copyCtorArgs snapshots constructor arguments into the value arena. The
 // caller's slice may be a recycled wire record or a stack-resident variadic
 // list; the object must own a stable copy until its lazy init consumes it.
 func (n *NodeRT) copyCtorArgs(ctorArgs []Value) []Value {

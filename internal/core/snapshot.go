@@ -17,10 +17,10 @@ package core
 // pop handed out, a create request in the channel), so the suffix of the
 // hosted list goes back to being one once the in-flight packets of the
 // rolled-back timeline are revoked (machine.BumpEra). Forgotten, not
-// reclaimed: an Object is a slot of its allocating node's arena and lives as
-// long as its block does, and no restore rewinds an arena — a slot is handed
-// out once, so an address of the abandoned timeline can never come to name
-// an object of the restored one.
+// reclaimed: an Object is a slot of an arena block and lives as long as its
+// block does, and no restore rewinds an arena — a slot is handed out once,
+// so an address of the abandoned timeline can never come to name an object
+// of the restored one.
 //
 // Continuation closures (resumeK, wait.k, reply waiters) are captured by
 // reference. This is sound only under the write-once environment contract:

@@ -405,9 +405,40 @@ func TestFrameArgBounds(t *testing.T) {
 	}
 }
 
+// Objects of different lanes sit side by side in arena blocks, which start on
+// a cache line, and another worker may be running the neighbour: no field a
+// message writes may share a line with a neighbouring object, at any of the
+// alignments the object stride gives. Sharing one cost the two-worker
+// all-to-all 6 % of its throughput.
+func TestObjectHotFieldsOwnTheirLines(t *testing.T) {
+	var o Object
+	size := unsafe.Sizeof(o)
+	hot := map[string][2]uintptr{
+		"vftp":     {unsafe.Offsetof(o.vftp), unsafe.Sizeof(o.vftp)},
+		"queue":    {unsafe.Offsetof(o.queue), unsafe.Sizeof(o.queue)},
+		"ctorArgs": {unsafe.Offsetof(o.ctorArgs), unsafe.Sizeof(o.ctorArgs)},
+		"inSchedQ": {unsafe.Offsetof(o.inSchedQ), 1},
+		"running":  {unsafe.Offsetof(o.running), 1},
+		"tracked":  {unsafe.Offsetof(o.tracked), 1},
+		"wait":     {unsafe.Offsetof(o.wait), unsafe.Sizeof(o.wait)},
+		"resumeK":  {unsafe.Offsetof(o.resumeK), unsafe.Sizeof(o.resumeK)},
+		"resumeF":  {unsafe.Offsetof(o.resumeF), unsafe.Sizeof(o.resumeF)},
+	}
+	const line = 64
+	for k := uintptr(0); k < line; k++ {
+		start := k * size
+		for name, f := range hot {
+			first, last := (start+f[0])/line*line, (start+f[0]+f[1]-1)/line*line+line
+			if first < start || last > start+size {
+				t.Errorf("object #%d of a block: %s shares a cache line with a neighbour", k, name)
+			}
+		}
+	}
+}
+
 // A local creation touches the allocator only when an arena runs out: the
-// Object is carved from the node's object arena, its state box and
-// constructor arguments from the state arena, and the lazy initializer is
+// Object is carved from the runtime's object arena, its state box and
+// constructor arguments from its value arena, and the lazy initializer is
 // handed the node's one InitCtx. AllocsPerRun reports whole allocations per
 // run, so a run is a batch of creations.
 func TestNewLocalAllocatesArenaBlocksOnly(t *testing.T) {

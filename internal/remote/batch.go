@@ -63,7 +63,7 @@ func newBatcher(l *Layer, window sim.Time, maxBytes int) *batcher {
 // its flush deadline) if the link was idle.
 func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 	ns := b.l.nodes[mn.ID]
-	ob := ns.batchFor(b.l.link(mn.ID, pkt.Dst))
+	ob := b.l.batchFor(mn, b.l.link(mn.ID, pkt.Dst))
 	// The window bounds the spread of the records' *write clocks*, not just
 	// the flush timer: a long method body advances the processor clock far
 	// beyond the lane's event time, and its flush timer cannot fire until the

@@ -100,6 +100,12 @@ type Layer struct {
 	bat   *batcher                     // nil unless Options.BatchWindow > 0
 	locOn bool                         // remote-location cache enabled
 
+	// Never released, so carved on the owning node's lane: stock entries
+	// and, when the layer keeps peers (link.go), links and open batches.
+	entries *sim.Arena[stockEntry]
+	links   *sim.Arena[link]
+	batches *sim.Arena[openBatch]
+
 	// onCkpt is the checkpoint subsystem's marker handler; non-nil exactly in
 	// checkpoint mode, where transmissions are retained (see ckpt.go).
 	onCkpt func(node, round int, ack bool)
@@ -373,8 +379,8 @@ const DefaultStockDepth = 2
 // stockEntry is one node's chunk stock for a (target, class) pair. The
 // requester finds it through its stock map on every remote creation; the
 // refill round trip carries the entry pointer itself, so the category-2/3
-// handlers touch no maps. Entries are carved from the owning node's arena
-// and never move.
+// handlers touch no maps. Entries are carved on the owning node's lane and
+// never move.
 //
 // A stocked chunk is a count. The paper's stock holds addresses of chunks on
 // the target (§5.2), and nothing can reach a stocked chunk until a creation
@@ -385,26 +391,23 @@ type stockEntry struct {
 	n      int32 // chunk addresses held
 }
 
-// stockBlock caps the stock-entry arena's blocks (see core's objectBlock).
-const stockBlock = 32
-
-// stockEntry returns (creating on first use) the stock slot for key.
-func (ns *nodeState) stockEntry(key stockKey) *stockEntry {
+// stockEntry returns (creating on first use) mn's stock slot for key.
+func (l *Layer) stockEntry(mn *machine.Node, key stockKey) *stockEntry {
+	ns := l.nodes[mn.ID]
 	e := ns.stock[key]
 	if e == nil {
-		e = ns.entries.New(stockBlock)
+		e = l.entries.New(mn.Lane())
 		ns.stock[key] = e
 	}
 	return e
 }
 
 type nodeState struct {
-	id      int
-	rr      int
-	rrNext  int
-	rng     uint64
-	stock   map[stockKey]*stockEntry
-	entries sim.Arena[stockEntry] // backs stock's values (lane-local)
+	id     int
+	rr     int
+	rrNext int
+	rng    uint64
+	stock  map[stockKey]*stockEntry
 	// loads is the last piggybacked scheduling-queue length of every peer,
 	// kept only under the placement that reads it (LoadBased); nil otherwise.
 	loads []int32
@@ -457,6 +460,7 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 	l := &Layer{rt: rt, m: rt.M, opt: opt, locOn: !opt.NoLocationCache}
 	l.hWire = l.handleWire
 	l.wires = sim.NewPool[wireMsg](rt.M.Eng)
+	l.entries = sim.NewArena[stockEntry](rt.M.Eng)
 	_, sampled := opt.Placement.(LoadBased)
 	l.nodes = make([]*nodeState, rt.Nodes())
 	for i := range l.nodes {
@@ -470,6 +474,7 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 		}
 	}
 	if opt.Reliable || opt.BatchWindow > 0 {
+		l.links, l.batches = sim.NewArena[link](rt.M.Eng), sim.NewArena[openBatch](rt.M.Eng)
 		for _, ns := range l.nodes {
 			ns.peers = &peers{}
 		}
@@ -577,8 +582,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	n := ctx.NodeRT()
 	mn := n.MachineNode()
 	c := l.cost()
-	ns := l.nodes[n.ID()]
-	e := ns.stockEntry(stockKey{node: target, cls: cl})
+	e := l.stockEntry(mn, stockKey{node: target, cls: cl})
 
 	if !e.seeded && l.opt.StockDepth > 0 {
 		// Pre-delivery: at boot every node receives an initial stock of
@@ -593,8 +597,8 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		e.n--
 		// The popped address names a chunk on the target that nothing could
 		// reach before this pop: its Object is carved now, homed on the
-		// target but from this node's arena — the target's lane may be
-		// running.
+		// target but on this node's lane — the target's lane may be running
+		// on another worker.
 		chunk := n.NewFaultChunk(target)
 		mn.ChargeTo(profile.Create, c.StockPop)
 		if np := mn.Prof(); np != nil {

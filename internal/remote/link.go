@@ -5,16 +5,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Blocks of 16, 32, 64, 64, … links and 8, 16, 32, 32, … open batches
-// (sim.Arena.NewFrom): N10/P256 under random placement opens 138–195 links a
-// node and holds up to ~100 batches open on one, so the usual first blocks of
-// 2, 4 and 8 would only add allocations.
-const linkFirst, linkBlock, batchFirst, batchBlock = 16, 64, 8, 32
-
 // link is what one node keeps about one peer for the reliable, delayed-ack
 // and batching layers that a message on a lossless link touches: one cache
-// line, created on first contact in either direction, carved from the node's
-// arena, never released. Only the owning node's lane touches it —
+// line, created on first contact in either direction, carved on the owning
+// node's lane, never released. Only that lane touches it —
 // acknowledgments arrive back on the sender's lane.
 type link struct {
 	peer         int32
@@ -60,8 +54,6 @@ type peers struct {
 	links              []*link
 	cold               []*linkCold // by peer; nil until a link needs one
 	linkHead, linkTail *link
-	linkArena          sim.Arena[link]
-	batchArena         sim.Arena[openBatch]
 	idle               *openBatch
 	flushes            deadlines[openBatch, *openBatch]
 	rel                relNode
@@ -75,7 +67,7 @@ func (l *Layer) link(node, peer int) *link {
 	}
 	k := ns.links[peer]
 	if k == nil {
-		k = ns.linkArena.NewFrom(linkFirst, linkBlock)
+		k = l.links.New(l.m.Node(node).Lane())
 		k.peer = int32(peer)
 		if ns.linkTail == nil {
 			ns.linkHead = k
@@ -126,12 +118,14 @@ func (ns *nodeState) eachLink(visit func(*link)) {
 	}
 }
 
-// batchFor returns k's open-batch record, lending it one if it has none.
-func (p *peers) batchFor(k *link) *openBatch {
+// batchFor returns the open-batch record of mn's link k, lending it one if it
+// has none.
+func (l *Layer) batchFor(mn *machine.Node, k *link) *openBatch {
 	if k.batch == nil {
+		p := l.nodes[mn.ID].peers
 		ob := p.idle
 		if ob == nil {
-			ob = p.batchArena.NewFrom(batchFirst, batchBlock)
+			ob = l.batches.New(mn.Lane())
 		} else {
 			p.idle, ob.next = ob.next, nil
 		}

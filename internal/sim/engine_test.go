@@ -248,12 +248,12 @@ func TestDeepLaneReusesItsStorage(t *testing.T) {
 	e.SetLanes(2)
 	k := e.Register(func(int, Time, any) {})
 	idle := func() (blocks, deeps int) {
-		for b := e.blocks.slabs[0].free; b != nil && blocks < 1<<20; b = b.next {
+		for b := e.blocks.slots[0].s.free; b != nil && blocks < 1<<20; b = b.next {
 			if blocks++; b.next == b {
 				break
 			}
 		}
-		for d := e.deeps.slabs[0].free; d != nil && deeps < 1<<20; d = d.free {
+		for d := e.deeps.slots[0].s.free; d != nil && deeps < 1<<20; d = d.free {
 			if deeps++; d.free == d {
 				break
 			}

@@ -1,16 +1,7 @@
 package sim
 
-import "unsafe"
-
-// Slab is a free list of T records carved out of block allocations, for the
-// per-hop records of the layers above (machine packets, wire records). A
-// burst that finds the free list empty costs one allocation per block rather
-// than one per record, and the collector sees one pointer-bearing object per
-// block rather than hundreds.
-//
-// Blocks grow geometrically from slabMinBlock to slabMaxBlock records, so a
-// lightly loaded owner (one of 256 nodes that sends a dozen messages) holds
-// a few records while a heavily loaded one amortizes quickly. Free records
+// Slab is a free list of T records carved out of blocks, for the per-hop
+// records of the layers above (machine packets, wire records). Free records
 // are chained through a link field inside T — T's pointer type names it with
 // a PoolLink method — so the list itself never allocates or regrows. The
 // link is nil exactly while the record is out (the last free record links to
@@ -26,9 +17,8 @@ import "unsafe"
 // hand-written list. That is noise on a remote hop and a quarter of a local
 // send, which is why core's frames and contexts keep their own free lists.
 type Slab[T any, P linked[T]] struct {
-	free  *T
-	block []T // uncarved tail of the newest block
-	grown int // size of the newest block
+	free *T
+	blocks[T]
 }
 
 // linked is the pointer type of a pooled record: it names the record's
@@ -37,11 +27,6 @@ type linked[T any] interface {
 	*T
 	PoolLink() **T
 }
-
-const (
-	slabMinBlock = 8
-	slabMaxBlock = 256
-)
 
 // Get returns a zeroed record: the most recently released one if any,
 // otherwise the next record of the current block.
@@ -54,13 +39,7 @@ func (s *Slab[T, P]) Get() *T {
 		*link = nil
 		return r
 	}
-	if len(s.block) == 0 {
-		s.grown = min(max(2*s.grown, slabMinBlock), slabMaxBlock)
-		s.block = make([]T, s.grown)
-	}
-	r := &s.block[0]
-	s.block = s.block[1:]
-	return r
+	return &s.carve(1)[0]
 }
 
 // Put zeroes r, dropping every pointer it held, and makes it the next
@@ -87,37 +66,17 @@ func (s *Slab[T, P]) Put(r *T) {
 // RunParallel(n) each of the n workers has its own slab, and a record
 // crosses between them only through an event, which the window barrier
 // orders.
-type Pool[T any, P linked[T]] struct {
-	eng   *Engine
-	slabs []workerSlab[T, P]
-}
-
-// workerSlab pads a worker's slab to two cache lines, so two workers taking
-// and releasing records never write the same line.
-type workerSlab[T any, P linked[T]] struct {
-	Slab[T, P]
-	_ [128 - unsafe.Sizeof(Slab[T, P]{})]byte
-}
-
-// pool is what the engine sees of a Pool: something to give more slabs.
-type pool interface{ grow(n int) }
+type Pool[T any, P linked[T]] struct{ workers[Slab[T, P]] }
 
 // NewPool returns a pool on e, with a slab for every worker slot e has had.
 func NewPool[T any, P linked[T]](e *Engine) *Pool[T, P] {
-	p := &Pool[T, P]{eng: e}
-	p.grow(e.slots)
-	e.pools = append(e.pools, p)
+	p := &Pool[T, P]{}
+	p.attach(e)
 	return p
 }
 
-func (p *Pool[T, P]) grow(n int) {
-	if n > len(p.slabs) {
-		p.slabs = append(p.slabs, make([]workerSlab[T, P], n-len(p.slabs))...)
-	}
-}
-
 // Get returns a zeroed record from the slab of the worker running lane.
-func (p *Pool[T, P]) Get(lane int) *T { return p.slabs[p.eng.Worker(lane)].Get() }
+func (p *Pool[T, P]) Get(lane int) *T { return p.of(lane).Get() }
 
 // Put releases r into the slab of the worker running lane (see Slab.Put).
-func (p *Pool[T, P]) Put(lane int, r *T) { p.slabs[p.eng.Worker(lane)].Put(r) }
+func (p *Pool[T, P]) Put(lane int, r *T) { p.of(lane).Put(r) }

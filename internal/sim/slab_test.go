@@ -101,14 +101,19 @@ func TestSlabReuse(t *testing.T) {
 // and releases the record into its own worker's slab before taking one to
 // pass on. A record handed out while another lane still held it would carry
 // a foreign mark; run under the race detector (make vet-race), this is also
-// the test that the hand-off across the window barrier is ordered.
+// the test that the hand-off across the window barrier is ordered. Each hop
+// also carves a record from an Arena on the same engine and marks it with its
+// lane and hop: the carves of two workers inside one window must never share
+// a record, so every mark reads back intact at the end.
 func TestPoolAcrossWorkers(t *testing.T) {
 	const lanes, hops, look = 8, 400, Time(10)
 	e := NewEngine()
 	e.SetLanes(lanes)
 	p := NewPool[slabRec](e)
+	a := NewArena[slabRec](e)
 	var (
 		gets, puts [lanes]int
+		carved     [lanes][]*slabRec
 		worker1    [lanes]bool // a lane ran on worker slot 1
 		pass       Kind
 	)
@@ -118,6 +123,12 @@ func TestPoolAcrossWorkers(t *testing.T) {
 			t.Errorf("lane %d was handed a record still marked %+v", l, *r)
 		}
 		gets[l]++
+		c := a.New(l)
+		if *c != (slabRec{}) {
+			t.Errorf("lane %d carved a record already marked %+v", l, *c)
+		}
+		c.id = l*hops + left
+		carved[l] = append(carved[l], c)
 		r.id, r.data = l+1, &left
 		e.ScheduleOn(l, (l+1)%lanes, at+look, pass, r)
 	}
@@ -151,8 +162,20 @@ func TestPoolAcrossWorkers(t *testing.T) {
 	if !parallel {
 		t.Error("no lane ran on the second worker")
 	}
-	if len(p.slabs) != 2 {
-		t.Errorf("pool holds %d slabs under two workers, want 2", len(p.slabs))
+	if len(p.slots) != 2 || len(a.slots) != 2 {
+		t.Errorf("pool holds %d slabs and arena %d slots under two workers, want 2", len(p.slots), len(a.slots))
+	}
+	seen := make(map[*slabRec]bool)
+	for l := range carved {
+		if len(carved[l]) != hops {
+			t.Errorf("lane %d carved %d records, want %d", l, len(carved[l]), hops)
+		}
+		for i, c := range carved[l] {
+			if seen[c] || c.id != l*hops+hops-i {
+				t.Fatalf("lane %d's carve #%d reads %d: two carves shared a record", l, i, c.id)
+			}
+			seen[c] = true
+		}
 	}
 }
 

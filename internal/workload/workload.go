@@ -42,7 +42,8 @@ func DecodeStrict(data []byte, v any) error {
 // config.json verbatim, and the body of a scenario document. Field
 // conventions follow the abclsim flags: zero
 // values select the defaults (WithDefaults for sizes, NewSystem's for system
-// settings), Stock -1 disables the chunk stock.
+// settings), Stock -1 disables the chunk stock and any other negative
+// depth is an error.
 type Spec struct {
 	Workload  string `json:"workload"`
 	Nodes     int    `json:"nodes,omitempty"`
@@ -165,9 +166,9 @@ func (sp Spec) options() ([]abcl.Option, error) {
 		opts = append(opts, abcl.WithSeed(sp.Seed))
 	}
 	switch {
-	case sp.Stock < 0:
+	case sp.Stock == -1:
 		opts = append(opts, abcl.WithoutChunkStock())
-	case sp.Stock > 0:
+	case sp.Stock != 0: // a depth below -1 is no depth: WithChunkStock refuses it
 		opts = append(opts, abcl.WithChunkStock(sp.Stock))
 	}
 	if sp.Faults != nil {

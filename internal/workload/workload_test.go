@@ -132,6 +132,7 @@ func TestSpecRejections(t *testing.T) {
 		{Workload: "forkjoin", Depth: -1},                                       // would fork without end
 		{Workload: "nqueens", N: 128},                                           // used to spin in validColumns forever
 		{Workload: "forkjoin", Nodes: 4, Executor: "conservative", Workers: -3}, // ran sequentially
+		{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5},                        // ran with the stock disabled
 	} {
 		if _, err := Run(sp); err == nil {
 			t.Errorf("Run(%+v) accepted the spec", sp)
@@ -183,6 +184,7 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{Spec{Workload: "hotkey", Nodes: 4, Clients: -1}, "clients and ops must be >= 1"},
 		{Spec{Workload: "orderbook", Nodes: 1}, "orderbook: need >= 2 nodes, got 1"},
 		{Spec{Workload: "forkjoin", Nodes: 4, Executor: "conservative", Workers: -3}, "worker count -3 must be non-negative"},
+		{Spec{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5}, "WithChunkStock(-5): depth must be positive"},
 		{Spec{Workload: "pingpong", Nodes: 4, BatchWindowNs: -5}, `unknown workload "pingpong"`},
 	} {
 		if err := agree(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -251,4 +253,22 @@ func draw[T any](rng *rand.Rand, zero, valid, invalid T) T {
 		return valid
 	}
 	return invalid
+}
+
+// FuzzSpecValidate feeds arbitrary bytes to the spec decoder and Validate:
+// neither may panic, whatever the document holds — a hostile size, a fault
+// rule naming a node the fleet lacks, a key of the wrong type.
+func FuzzSpecValidate(f *testing.F) {
+	f.Add([]byte(`{"workload":"nqueens","n":8,"nodes":16,"placement":"random","stock":-5}`))
+	f.Add([]byte(`{"workload":"hotkey","nodes":8,"clients":8,"ops":20,"checkpoint_interval_ns":100000,` +
+		`"faults":{"crashes":[{"node":1,"at_ns":400000,"restart_after_ns":100000}]}}`))
+	f.Add([]byte(`{"workload":"forkjoin","depth":8,"nodes":16,"executor":"conservative","workers":2,` +
+		`"faults":{"links":[{"src":-1,"dst":-1,"drop":0.1}]},"batch_window_ns":2000,"ack_delay_ns":50000}`))
+	f.Add([]byte(`{"workload":"diffusion","grid":1,"iters":3}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sp Spec
+		if DecodeStrict(data, &sp) == nil {
+			_ = sp.Validate()
+		}
+	})
 }

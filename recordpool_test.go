@@ -42,33 +42,35 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // to most of the peers it ever talks to, so every byte of a link record is
 // paid per message. A creation costs no host allocation either:
 // objects, chunks, stock entries, boards and spawn records are carved from
-// per-lane arenas, so the n-queens rows guard creation the way the all-to-all
+// per-worker arenas, so the n-queens rows guard creation the way the all-to-all
 // row guards the send — one allocation per created object adds 0.5 per
 // message to either. The all-to-all budget sits well above its measured
-// 0.075 allocations per message (construction included: about half build the
+// 0.073 allocations per message (construction included: about half build the
 // 32 nodes' runtime, remote and machine state, the rest are blocks — slab
 // blocks, lane heaps and the event blocks of lanes that spill). The 64-node
 // row holds 504 events on each lane, deep enough to spill: it measures 328
 // bytes per message against 354 with heaps that double to 512 events and
 // receive rings that grow ×4, and its byte budget sits 2 % above.
-// Reliable n-queens measures 0.98 allocations, 4.07 events and 585 bytes,
-// against 1.07 and 793 with a record pool per node (idle records piling up on
-// receivers while senders carve fresh ones) and a heap Object per stocked
-// chunk, 1.66 and 827 with a heap container per batch frame and a rider per
-// ack-carrying lone packet, 5.65 with one heap object per Object, chunk,
-// stock entry, board and InitCtx, and 946 bytes with 336-byte link records;
-// its allocation and byte budgets sit 4 % and 3 % above, so none of those
-// comes back. The last two rows are the product's default path (profiler
-// compiled in, off) and the multiactive scheduler's per-group ready queues:
-// 0.650 allocations and 315 bytes per message (0.660 and 383 with per-node
-// pools and an Object per stocked chunk; what is left is one continuation
-// closure per internal search node, arena blocks and map growth) and 1.198
-// (about 3 850 a run; the reply destinations' Objects come out of the arena
+// Reliable n-queens measures 0.783 allocations, 4.07 events and 514 bytes,
+// against 0.967 and 582 with an arena per node (every node ending on part-used
+// blocks of each record type), 1.07 and 793 with a record pool per node (idle
+// records piling up on receivers while senders carve fresh ones) and a heap
+// Object per stocked chunk, 1.66 and 827 with a heap container per batch
+// frame and a rider per ack-carrying lone packet, 5.65 with one heap object
+// per Object, chunk, stock entry, board and InitCtx, and 946 bytes with
+// 336-byte link records; its allocation and byte budgets sit 2 % above, so
+// none of those comes back. The last two rows are the product's default path
+// (profiler compiled in, off) and the multiactive scheduler's per-group ready
+// queues: 0.599 allocations and 277 bytes per message (0.647 and 313 with an
+// arena per node, 0.660 and 383 with a pool per node and an Object per
+// stocked chunk; what is left is one continuation closure per internal search
+// node, arena blocks and map growth) and 1.163 (about 3 740 a run, 1.193 with
+// an arena per node; the reply destinations' Objects come out of an arena
 // too), exact run to run. A closure per stock miss (the blocked creation's
 // resume, which rides the wire record as data instead) added 0.058 to the
 // n-queens figure, and only one hot-key message in sixteen parks in a ready
-// queue, so an allocation per push moves that figure by 5 %: the n-queens
-// budgets sit 1 % and 3 % above, the hot-key one 2 %.
+// queue, so an allocation per push moves that figure by 5 %: every budget
+// here sits 2 % above its measurement.
 func TestMessageAllocationBudget(t *testing.T) {
 	allToAll := func(nodes int) func() (msgs, events uint64, err error) {
 		return func() (msgs, events uint64, err error) {
@@ -120,9 +122,9 @@ func TestMessageAllocationBudget(t *testing.T) {
 	}{
 		{"sequential all-to-all 32x8", allToAll(32), 0.125, 0, 0},
 		{"sequential all-to-all 64x8", allToAll(64), 0.125, 0, 335},
-		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 1.02, 4.7, 605},
-		{"default n-queens N10 P64, profiler off", defaultQueens, 0.655, 0, 325},
-		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.22, 0, 0},
+		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.80, 4.7, 525},
+		{"default n-queens N10 P64, profiler off", defaultQueens, 0.61, 0, 283},
+		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.185, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			best, bestBytes, perEvent := 0.0, 0.0, 0.0
@@ -246,7 +248,7 @@ func TestReliableSteadyStateAllocatesNothing(t *testing.T) {
 // arena block at the pop, the replacement chunk the target sends back is a
 // count, and the request and the reply ride recycled wire records. A second
 // identical creation burst over stock entries the first one opened may pay
-// for arena blocks (one per 32 Objects) and nothing per creation.
+// for arena blocks (one per 256 Objects) and nothing per creation.
 func TestRemoteCreateSteadyStateAllocatesNothing(t *testing.T) {
 	const nodes, laps = 16, 6 // round-robin placement: a lap creates once on every node
 	sys, err := abcl.NewSystem(abcl.WithNodes(nodes), abcl.WithPlacement(abcl.PlaceRoundRobin))
