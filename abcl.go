@@ -413,18 +413,17 @@ func WithoutLocationCache() Option {
 }
 
 // WithCheckpoint enables the coordinated checkpoint subsystem with the given
-// snapshot interval: node 0 starts a Chandy–Lamport-style marker round every
-// interval of virtual time, capturing a consistent global cut (object state,
-// buffered messages, saved contexts, protocol windows, in-flight records)
-// against a simulated stable store. When the fault plan declares node
-// crashes (NodeCrash), each restart rolls the whole machine back to the last
-// complete round and resumes — with reliable delivery on (which this option
-// forces), the recovered run delivers every message exactly once and
-// produces the same application results as a fault-free run. A crash plan
-// without WithCheckpoint recovers from an automatic baseline checkpoint
-// taken before execution starts (restart-from-the-beginning). Incompatible
-// with the Conservative executor — a restore touches every event lane at
-// once.
+// snapshot interval: while the application has work, node 0 starts a round
+// every interval of virtual time — one request to and one ack from each
+// node, the cut found by colouring records by sequence number — capturing
+// object state, buffered messages, saved contexts, protocol windows and
+// in-flight records against a simulated stable store. When the fault plan
+// declares node crashes (NodeCrash), each restart rolls the whole machine
+// back to the last complete round and resumes: with reliable delivery on
+// (which this option forces) the recovered run gives the fault-free
+// results. A crash plan without WithCheckpoint recovers from a baseline
+// checkpoint taken before execution starts. Incompatible with the
+// Conservative executor — a restore touches every event lane at once.
 func WithCheckpoint(interval Time) Option {
 	return func(s *settings) error {
 		if interval <= 0 {
@@ -539,7 +538,7 @@ func configure(opts []Option) (settings, error) {
 
 // ckptOn reports whether checkpointing is active: asked for, or implied by a
 // crash plan (recovery needs at least the baseline checkpoint). It forces
-// reliable delivery: markers and replay ride the protocol's sequence space.
+// reliable delivery: colouring and replay read the protocol's sequence space.
 func (s *settings) ckptOn() bool { return s.ckptEvery > 0 || len(s.faults.Crashes) > 0 }
 
 // NewSystem builds a System from functional options:
@@ -684,7 +683,7 @@ func (s *System) SyncWindows() uint64 { return s.M.ParWindows() }
 // Snapshot captures a consistent global checkpoint of the current machine
 // state and makes it the restore target. The system must be quiescent
 // (before the first Run or after a Run returned); mid-run snapshots are the
-// periodic marker rounds' job. Requires checkpointing.
+// periodic rounds' job. Requires checkpointing.
 func (s *System) Snapshot() (*Snapshot, error) {
 	if s.ckpt == nil {
 		return nil, fmt.Errorf("abcl: Snapshot requires WithCheckpoint or a crash plan")
@@ -703,9 +702,6 @@ func (s *System) Restore() error {
 		return fmt.Errorf("abcl: Restore requires WithCheckpoint or a crash plan")
 	}
 	s.startCkpt()
-	if s.ckpt.Stable() == nil {
-		return fmt.Errorf("abcl: Restore without a checkpoint")
-	}
 	s.ckpt.Restore()
 	return nil
 }

@@ -1,7 +1,10 @@
 package abcl_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -119,7 +122,10 @@ func TestCrashWithBatching(t *testing.T) {
 // seed%4 down for el/10 from el/5, el/3 or el/2. Every recovered run must
 // give the fault-free answer after one restart and some checkpoint writes,
 // abandon no message, and finish after the fault-free run but within 3× it
-// plus the outage.
+// plus the outage; the el/3 crash runs twice, and the two traces must be
+// the same. The scale rows run n-queens N8 on 256 nodes, where one round
+// lasts about 2 ms, with intervals of 1.5 ms and 5 ms: at that width a
+// round that outlived the program once kept the chain going for ever.
 func TestCrashRecoveryProperty(t *testing.T) {
 	apps := []workload.Spec{
 		{Workload: "nqueens", N: 6},
@@ -128,13 +134,36 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		{Workload: "hotkey", Clients: 4, Ops: 10},
 		{Workload: "orderbook", Clients: 4, Ops: 10},
 	}
-	run := func(t *testing.T, sp workload.Spec) workload.Outcome {
+	run := func(t *testing.T, sp workload.Spec, extra ...abcl.Option) workload.Outcome {
 		t.Helper()
-		out, err := workload.Run(sp)
+		out, err := workload.Run(sp, extra...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
+	}
+	cell := func(t *testing.T, sp workload.Spec, interval func(el abcl.Time) abcl.Time) {
+		clean := run(t, sp)
+		el := clean.Elapsed
+		for _, div := range []abcl.Time{5, 3, 2} {
+			plan := abcl.FaultPlan{}.WithCrash(int(sp.Seed%4), el/div, el/10)
+			crashed := sp
+			crashed.CkptIntervalNs, crashed.Faults = int64(interval(el)), &plan
+			var trA, trB traceDigest
+			out := run(t, crashed, abcl.WithObserver(&trA))
+			c := out.Report.Sched.Counters
+			if out.Invariant != clean.Invariant || c.NodeRestarts != 1 || c.CkptSaves == 0 || c.RelAbandoned != 0 ||
+				out.Elapsed <= el || out.Elapsed > 3*(el+el/10) {
+				t.Errorf("crash at el/%d: %s, %d restarts, %d saves, %d abandoned, elapsed %v; fault-free %s in %v",
+					div, out.Invariant, c.NodeRestarts, c.CkptSaves, c.RelAbandoned, out.Elapsed, clean.Invariant, el)
+			}
+			if div == 3 {
+				if again := run(t, crashed, abcl.WithObserver(&trB)); trA.sum() != trB.sum() || again.Elapsed != out.Elapsed {
+					t.Errorf("crash at el/%d re-run: trace %x in %v, first run %x in %v",
+						div, trB.sum(), again.Elapsed, trA.sum(), out.Elapsed)
+				}
+			}
+		}
 	}
 	for _, app := range apps {
 		for _, place := range []string{"random", "rr", "load", "depth"} {
@@ -146,21 +175,103 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						sp.BatchWindowNs, sp.AckDelayNs = 2000, 50000
 					}
 					t.Run(fmt.Sprintf("%s/%s/seed=%d/batched=%v", app.Workload, place, seed, batched), func(t *testing.T) {
-						clean := run(t, sp)
-						el := clean.Elapsed
-						for _, div := range []abcl.Time{5, 3, 2} {
-							plan := abcl.FaultPlan{}.WithCrash(int(seed%4), el/div, el/10)
-							crashed := sp
-							crashed.CkptIntervalNs, crashed.Faults = int64(el/8), &plan
-							out := run(t, crashed)
-							c := out.Report.Sched.Counters
-							if out.Invariant != clean.Invariant || c.NodeRestarts != 1 || c.CkptSaves == 0 || c.RelAbandoned != 0 ||
-								out.Elapsed <= el || out.Elapsed > 3*(el+el/10) {
-								t.Errorf("crash at el/%d: %s, %d restarts, %d saves, %d abandoned, elapsed %v; fault-free %s in %v",
-									div, out.Invariant, c.NodeRestarts, c.CkptSaves, c.RelAbandoned, out.Elapsed, clean.Invariant, el)
-							}
-						}
+						cell(t, sp, func(el abcl.Time) abcl.Time { return el / 8 })
 					})
+				}
+			}
+		}
+	}
+	for _, every := range []abcl.Time{1500 * abcl.Microsecond, 5 * abcl.Millisecond} {
+		sp := workload.Spec{Workload: "nqueens", N: 8, Nodes: 256, Seed: 1, Reliable: true}
+		t.Run(fmt.Sprintf("nqueens-p256/every=%v", every), func(t *testing.T) {
+			cell(t, sp, func(abcl.Time) abcl.Time { return every })
+		})
+	}
+}
+
+// traceDigest is a sink that folds every trace event into one hash.
+type traceDigest struct {
+	h   hash.Hash64
+	buf []byte
+}
+
+func (d *traceDigest) Event(e trace.Event) {
+	if d.h == nil {
+		d.h = fnv.New64a()
+	}
+	d.buf = binary.LittleEndian.AppendUint64(d.buf[:0], uint64(e.At))
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(e.Node)<<8|uint64(e.Kind))
+	d.buf = append(d.buf, e.What...)
+	d.h.Write(d.buf)
+}
+
+func (d *traceDigest) sum() uint64 {
+	if d.h == nil {
+		return 0
+	}
+	return d.h.Sum64()
+}
+
+// roundSpan is a sink that keeps what the end of the checkpoint chain is
+// judged by: the last application event (a delivery or a dispatch) and the
+// start of every completed round.
+type roundSpan struct {
+	last   abcl.Time
+	starts []abcl.Time
+}
+
+func (s *roundSpan) Event(e trace.Event) {
+	switch e.Kind {
+	case trace.EvSend, trace.EvDispatch:
+		s.last = max(s.last, e.At)
+	case trace.EvCkptRound:
+		s.starts = append(s.starts, e.At)
+	}
+}
+
+// TestCheckpointRoundsEndWithApplication is the termination grid: n-queens
+// N8 on 64, 256 and 512 nodes, with checkpoint intervals from a tenth of
+// one round's virtual length to twice it. A round there is the
+// coordinator's 2(P-1) control records on top of its share of the search,
+// about 2, 2.5 and 4.5 ms. Every run ends with the fault-free answer, every
+// round it starts completes with a snapshot of every node, no round starts
+// after the application's last event, and a round sends at most 2(P-1)
+// checkpoint records.
+func TestCheckpointRoundsEndWithApplication(t *testing.T) {
+	for _, row := range []struct {
+		nodes int
+		round abcl.Time
+	}{{64, 2 * abcl.Millisecond}, {256, 2500 * abcl.Microsecond}, {512, 4500 * abcl.Microsecond}} {
+		sp := workload.Spec{Workload: "nqueens", N: 8, Nodes: row.nodes}
+		clean, err := workload.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tenths := range []abcl.Time{1, 5, 10, 20} {
+			every := row.round * tenths / 10
+			sp.CkptIntervalNs = int64(every)
+			var span roundSpan
+			out, err := workload.Run(sp, abcl.WithObserver(&span), abcl.WithProfiler(abcl.ProfileOptions{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := out.Report.Sched.Counters
+			rounds := uint64(len(span.starts))
+			var records uint64
+			for _, ps := range out.Report.Profile.Paths {
+				if ps.Path == "ckpt" {
+					records = ps.Packets
+				}
+			}
+			if out.Invariant != clean.Invariant || c.CkptRounds != rounds || c.CkptSaves != uint64(row.nodes)*(rounds+1) ||
+				(tenths == 1 && rounds == 0) || records > 2*uint64(row.nodes-1)*rounds {
+				t.Errorf("P=%d every %v: %s (fault-free %s), %d rounds traced, %d counted, %d saves, %d checkpoint records",
+					row.nodes, every, out.Invariant, clean.Invariant, rounds, c.CkptRounds, c.CkptSaves, records)
+			}
+			for _, at := range span.starts {
+				if at > span.last {
+					t.Errorf("P=%d every %v: a round started at %v, after the application's last event at %v",
+						row.nodes, every, at, span.last)
 				}
 			}
 		}

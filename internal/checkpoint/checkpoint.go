@@ -1,20 +1,21 @@
 // Package checkpoint is the consistent-snapshot and crash-recovery subsystem
 // of the simulated multicomputer. It periodically captures a coordinated
-// global checkpoint — a Chandy–Lamport-style consistent cut over the
-// machine's FIFO links — and, when a node crash fault fires, rolls the whole
-// machine back to the last complete checkpoint round and resumes execution
-// from it.
+// global checkpoint — a consistent cut found by Lai–Yang colouring over the
+// reliable layer's per-link sequence numbers — and, when a node crash fault
+// fires, rolls the whole machine back to the last complete checkpoint round
+// and resumes execution from it.
 //
 // # Snapshot rounds
 //
-// Node 0 coordinates. On each interval tick it captures its own state and
-// sends a marker on every outgoing channel; every other node captures its
-// state on the first marker of the round it sees, then propagates markers on
-// all of its own outgoing channels and acknowledges to the coordinator. The
-// round is complete when the coordinator holds all n-1 acknowledgments.
-// Markers ride the reliable layer's per-link sequence space (remote.SendCkpt),
-// so a channel's post-snapshot traffic can never overtake its marker — the
-// FIFO property the consistency of the cut rests on.
+// Node 0 coordinates. On each interval tick it snapshots itself and sends
+// one request to every other node. A record is red when its sender has
+// snapshotted in the round and sent it at or past the cursor its snapshot
+// captured toward the receiver (remote.Checkpointer); a node snapshots on
+// its request or just before it delivers its first red record, whichever
+// comes first, then acks. The round completes at n-1 acks, 2(n-1) control
+// records. No snapshot counts a record its sender's snapshot does not, so
+// the cut is consistent. The chain of ticks ends when no object is runnable
+// and no application record is undelivered; a restore re-arms it.
 //
 // A node's snapshot has three parts, each charged against the simulated
 // stable store (machine.Cost.CkptInstr):
@@ -42,8 +43,6 @@
 package checkpoint
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -82,10 +81,10 @@ type Manager struct {
 
 	n       int
 	round   int       // last round started
-	cur     *Snapshot // in-progress round; nil when idle
-	snapped []bool    // per node: captured in the current round
+	cur     *Snapshot // in-progress round (a node's images set once it snaps); nil when idle
 	acks    int       // coordinator: snapshot-acks received for the round
 	stable  *Snapshot // last complete round — the restore target
+	ticking bool      // a coordinator tick is armed
 }
 
 // New builds a manager over an attached runtime/layer pair and turns on what
@@ -95,21 +94,11 @@ type Manager struct {
 // means no periodic rounds — only the baseline round-0 checkpoint captured at
 // Start (enough for crash plans that tolerate restarting from the beginning).
 func New(rt *core.Runtime, l *remote.Layer, interval sim.Time) *Manager {
-	g := &Manager{
-		rt:       rt,
-		l:        l,
-		m:        rt.M,
-		interval: interval,
-		n:        rt.Nodes(),
-	}
-	g.snapped = make([]bool, g.n)
+	g := &Manager{rt: rt, l: l, m: rt.M, interval: interval, n: rt.Nodes()}
 	rt.EnableSnapshots()
-	l.EnableCheckpoint(g.onCkpt)
+	l.EnableCheckpoint(g)
 	return g
 }
-
-// Stable returns the last complete checkpoint (the current restore target).
-func (g *Manager) Stable() *Snapshot { return g.stable }
 
 // Rounds returns the number of completed snapshot rounds, including the
 // baseline round 0.
@@ -147,7 +136,7 @@ func (g *Manager) Start(crashes []fault.NodeCrash) {
 	}
 }
 
-// Snapshot captures a direct (marker-free) global checkpoint and promotes it
+// Snapshot captures a direct (round-free) global checkpoint and promotes it
 // to the stable restore target. Valid only when the machine is quiescent —
 // between Run calls no event is in flight, so every direct cut is consistent.
 func (g *Manager) Snapshot() *Snapshot {
@@ -163,7 +152,7 @@ func (g *Manager) Restore() {
 	g.restore(g.m.MaxClock(), -1)
 }
 
-// capture snapshots every node directly, without markers — valid only when
+// capture snapshots every node directly, without a round — valid only when
 // no event is in flight (round 0, or a quiescent machine).
 func (g *Manager) capture(round int, at sim.Time) *Snapshot {
 	snap := &Snapshot{Round: round, At: at,
@@ -179,18 +168,17 @@ func (g *Manager) capture(round int, at sim.Time) *Snapshot {
 
 // scheduleTick arms the coordinator's next interval tick.
 func (g *Manager) scheduleTick(at sim.Time) {
+	g.ticking = true
 	ln := g.m.Node(0).Lane()
 	g.m.Eng.ScheduleFuncOn(ln, ln, at, func() { g.tick(at) })
 }
 
-// tick begins a snapshot round on the coordinator, unless a node is dead
-// (the round could never collect its ack, so it is skipped until every node
-// is back up) or the previous round is still collecting.
+// tick begins a snapshot round on the coordinator, unless the application
+// has finished (the chain ends), a node is dead (the round could never
+// collect its ack) or the previous round is still collecting.
 func (g *Manager) tick(now sim.Time) {
-	// The tick chain must not keep a finished machine alive: the engine runs
-	// until its queue drains, so when this tick was the last queued event the
-	// application has quiesced and the periodic rounds end with it.
-	if g.m.Eng.Pending() == 0 {
+	if !g.appPending() {
+		g.ticking = false
 		return
 	}
 	g.scheduleTick(now + g.interval)
@@ -205,9 +193,6 @@ func (g *Manager) tick(now sim.Time) {
 	g.round++
 	g.cur = &Snapshot{Round: g.round, At: now,
 		core: make([]*core.NodeImage, g.n), rel: make([]*remote.RelImage, g.n)}
-	for i := range g.snapped {
-		g.snapped[i] = false
-	}
 	g.acks = 0
 	g.m.Node(0).SyncClock(now)
 	g.snapNode(0)
@@ -219,33 +204,37 @@ func (g *Manager) tick(now sim.Time) {
 	}
 }
 
-// onCkpt runs at node d when a round-r checkpoint record is polled. On a
-// marker, the first of the round captures the node, propagates markers and
-// acknowledges to the coordinator; later markers of the same round (one
-// arrives per inbound channel) are the cut's channel delimiters and need no
-// action beyond their in-band position. At the coordinator, the n-1th
-// acknowledgment completes the round.
-func (g *Manager) onCkpt(d, r int, ack bool) {
-	if g.cur == nil || g.cur.Round != r {
-		return
-	}
-	if ack {
-		g.acks++
-		if g.acks == g.n-1 {
-			g.completeRound()
+// appPending reports whether the application has work left: an object on
+// a scheduling queue, or an application record sent and not yet delivered.
+func (g *Manager) appPending() bool {
+	for i := 0; i < g.n; i++ {
+		if g.rt.NodeRT(i).SchedQueueLen() > 0 {
+			return true
 		}
-		return
 	}
-	if g.snapped[d] {
+	return g.l.CkptAppPending()
+}
+
+// Colour runs at node d before it delivers record seq from src: an
+// unsnapped node snapshots before its first red record (a request is red)
+// and acknowledges to the coordinator.
+func (g *Manager) Colour(d, src int, seq uint64) {
+	if g.cur == nil || g.cur.rel[d] != nil || g.cur.rel[src] == nil || seq < g.cur.rel[src].SendCursor(d) {
 		return
 	}
 	g.snapNode(d)
-	for p := 0; p < g.n; p++ {
-		if p != d {
-			g.l.SendCkpt(d, p, r, false)
-		}
+	g.l.SendCkpt(d, 0, g.cur.Round, true)
+}
+
+// Acked runs at the coordinator for a snapshot acknowledgment: the n-1th
+// of the round completes it.
+func (g *Manager) Acked(r int) {
+	if g.cur == nil || g.cur.Round != r {
+		return
 	}
-	g.l.SendCkpt(d, 0, r, true)
+	if g.acks++; g.acks == g.n-1 {
+		g.completeRound()
+	}
 }
 
 // completeRound promotes the collected round to the stable restore target,
@@ -268,7 +257,6 @@ func (g *Manager) snapNode(i int) {
 	ri := g.l.CaptureRel(i)
 	g.cur.core[i] = ci
 	g.cur.rel[i] = ri
-	g.snapped[i] = true
 	bytes := ci.SizeBytes() + ri.SizeBytes()
 	mn := g.m.Node(i)
 	mn.ChargeTo(profile.Ckpt, g.m.Cfg.Cost.CkptInstr(bytes))
@@ -296,15 +284,15 @@ func (g *Manager) snapNode(i int) {
 // parallel executor.
 func (g *Manager) restore(at sim.Time, node int) {
 	snap := g.stable
-	if snap == nil {
-		panic("checkpoint: restore without a stable checkpoint")
-	}
 	// The in-progress round (if any) dies with the timeline that was
-	// collecting it: its markers and acks are rolled back with everything
+	// collecting it: its requests and acks are rolled back with everything
 	// else.
 	g.cur = nil
 	g.acks = 0
 	g.m.BumpEra()
+	if g.interval > 0 && !g.ticking { // the restored timeline has work again
+		g.scheduleTick(at - at%g.interval + g.interval)
+	}
 	if node >= 0 {
 		g.m.Node(node).EndOutage(at)
 		g.rt.NodeRT(node).C.NodeRestarts++
@@ -331,12 +319,4 @@ func (g *Manager) restore(at sim.Time, node int) {
 		g.rt.NodeRT(i).C.ReplayedMsgs += uint64(g.l.CkptReplayNode(i, snap.rel))
 		mn.Wake()
 	}
-}
-
-// String describes the configuration for logs.
-func (g *Manager) String() string {
-	if g.interval <= 0 {
-		return "checkpoint{round-0 only}"
-	}
-	return fmt.Sprintf("checkpoint{interval=%v}", g.interval)
 }

@@ -37,7 +37,7 @@ const (
 	Forward                  // migration forwarders and location updates
 	Sched                    // preemption and yield traffic
 	Body                     // user-modelled computation inside method bodies
-	Ckpt                     // checkpoint capture/restore and marker traffic
+	Ckpt                     // checkpoint capture/restore and request/ack traffic
 	Retransmit               // reliable-protocol retransmissions
 	Ack                      // reliable-protocol acknowledgment traffic
 	Multi                    // multiactive dispatch: group checks, ready queues

@@ -2,6 +2,8 @@ package remote
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/profile"
@@ -9,34 +11,43 @@ import (
 
 // Checkpoint support for the inter-node layer.
 //
-// A consistent global snapshot needs three things from this layer:
+// A consistent global snapshot needs four things from this layer:
 //
-//   - Channel state. Rather than recording in-flight packets receiver-side
-//     (Chandy–Lamport's channel recording), the sender retains every
-//     transmitted record until it is *stable* — covered by the receiver's
-//     sequence cursor in a completed snapshot round. At restore time the
-//     channel state of the cut is reconstructed exactly: every retained
-//     record the restored receive cursors do not cover is re-pended and
-//     retransmitted, and the reliable protocol's per-link sequence numbers
-//     deduplicate anything the receiver had in fact already consumed.
+//   - A colour for every delivery (Lai–Yang). A record is red when its
+//     sender has snapshotted in the current round and sent it at or past
+//     the send cursor its image holds toward the receiver. Before each
+//     in-order delivery the layer asks the Checkpointer, which snapshots an
+//     unsnapped receiver before its first red record. The sequence number
+//     is the colour: no header bit is added.
 //
-//   - Per-node state: sequence cursors, chunk stocks, placement state
-//     (round-robin position, RNG, load samples), the location cache and the
-//     advertisement ledger, all captured into a RelImage and restored in
-//     place. Stock entries are restored *through their existing pointers* —
-//     entry pointers travel inside wire records across the creation round
-//     trip, so identity must survive a rollback.
+//   - Channel state. Rather than recording in-flight packets receiver-side,
+//     the sender retains every transmitted record until it is *stable* —
+//     covered by the receiver's sequence cursor in a completed snapshot
+//     round. At restore time the channel state of the cut is reconstructed
+//     exactly: every retained record the restored receive cursors do not
+//     cover is re-pended and retransmitted, and the reliable protocol's
+//     per-link sequence numbers deduplicate anything the receiver had in
+//     fact already consumed.
+//
+//   - Per-node state: the cursors of every link the node has, chunk stocks,
+//     placement state (round-robin position, RNG, load samples), the
+//     location cache and the advertisement ledger, all captured into a
+//     RelImage and restored in place. Stock entries are restored *through
+//     their existing pointers* — entry pointers travel inside wire records
+//     across the creation round trip, so identity must survive a rollback.
 //
 //   - Teardown of the rolled-back timeline: pending retransmissions, reorder
 //     buffers, delayed-ack ledgers, open batches and retained records past
 //     the restored send cursors all describe traffic of a timeline that,
 //     after a restore, never happened.
-//
-// Checkpoint-protocol control messages (markers, snapshot acks) ride the
-// reliable layer itself (CatCkpt; wmMarker, wmSnapAck): they share each
-// link's data sequence space, so they are delivered exactly once and *in
-// order with the data stream* — which is precisely the marker property the
-// consistency of the cut rests on.
+
+// Checkpointer is the checkpoint subsystem as the layer calls it.
+type Checkpointer interface {
+	// Colour runs at node before it delivers record seq from src.
+	Colour(node, src int, seq uint64)
+	// Acked runs at the coordinator for a snapshot acknowledgment of round.
+	Acked(round int)
+}
 
 // retainLink is the retention buffer of one (src, dst) link, kept in the
 // sender's cold record of the link: recs[i] is the record sent under
@@ -51,15 +62,14 @@ type retainLink struct {
 }
 
 // EnableCheckpoint switches the layer into checkpoint mode: every reliable
-// transmission is retained until stable, and wire-record pooling is disabled
-// so retained records stay immutable. onCkpt handles each checkpoint record
-// at its receiving node: a marker of the given round, or (ack) a snapshot
-// acknowledgment. Requires the reliable protocol.
-func (l *Layer) EnableCheckpoint(onCkpt func(node, round int, ack bool)) {
+// transmission is retained until stable, wire-record pooling is disabled so
+// retained records stay immutable, and ck colours every delivery and hears
+// every snapshot acknowledgment. Requires the reliable protocol.
+func (l *Layer) EnableCheckpoint(ck Checkpointer) {
 	if l.rel == nil {
 		panic("remote: checkpointing requires the reliable protocol")
 	}
-	l.onCkpt = onCkpt
+	l.ckpt = ck
 }
 
 // retain records one transmission on the src -> dst link for
@@ -75,25 +85,39 @@ func (lk *retainLink) retain(src, dst int, m *relMsg) {
 
 // truncate drops the records at or past seq: the restored send cursor.
 func (lk *retainLink) truncate(seq uint64) {
-	if keep := max(int(seq-lk.base), 0); keep < len(lk.recs) {
-		clear(lk.recs[keep:])
-		lk.recs = lk.recs[:keep]
+	keep := len(lk.recs) - len(lk.from(seq))
+	clear(lk.recs[keep:])
+	lk.recs = lk.recs[:keep]
+}
+
+// from returns the retained records numbered seq and later.
+func (lk *retainLink) from(seq uint64) []*wireMsg {
+	if seq <= lk.base {
+		return lk.recs
 	}
+	return lk.recs[min(int(seq-lk.base), len(lk.recs)):]
 }
 
 // RelImage is one node's inter-node-layer snapshot.
 type RelImage struct {
-	node         int
-	nextSeq      []uint64
-	nextExpected []uint64
-	rr, rrNext   int
-	rng          uint64
-	loads        []int32
-	stock        []stockImage
-	locCache     map[core.Address]core.Address
-	advert       map[advertKey]core.Address
-	bytes        int
+	node       int
+	cursors    map[int32]cursors // by peer, for each link the node had
+	rr, rrNext int
+	rng        uint64
+	loads      []int32 // nil unless the placement keeps load samples
+	stock      []stockImage
+	locCache   map[core.Address]core.Address
+	advert     map[advertKey]core.Address
+	bytes      int
 }
+
+// cursors are a link's send and receive sequence cursors; zero for a peer
+// the node had not yet been in contact with.
+type cursors struct{ send, recv uint64 }
+
+// SendCursor returns the sequence number of the first record the node sent
+// peer after the image was taken: the first red record of that link.
+func (im *RelImage) SendCursor(peer int) uint64 { return im.cursors[int32(peer)].send }
 
 // stockImage captures one chunk-stock entry through its live pointer.
 type stockImage struct {
@@ -108,21 +132,12 @@ func (im *RelImage) SizeBytes() int { return im.bytes }
 // events.
 func (l *Layer) CaptureRel(node int) *RelImage {
 	ns := l.nodes[node]
-	im := &RelImage{
-		node:         node,
-		nextSeq:      make([]uint64, len(l.nodes)),
-		nextExpected: make([]uint64, len(l.nodes)),
-		rr:           ns.rr,
-		rrNext:       ns.rrNext,
-		rng:          ns.rng,
-		loads:        append([]int32(nil), ns.loads...),
-	}
-	ns.eachLink(func(k *link) {
-		im.nextSeq[k.peer], im.nextExpected[k.peer] = k.nextSeq, k.nextExpected
-	})
-	// Twelve bytes per peer for its load sample, whether or not the placement
-	// keeps samples: the modelled node holds the table either way.
-	im.bytes = 16*len(im.nextSeq) + 12*len(l.nodes) + 16
+	im := &RelImage{node: node, cursors: make(map[int32]cursors),
+		rr: ns.rr, rrNext: ns.rrNext, rng: ns.rng, loads: slices.Clone(ns.loads)}
+	ns.eachLink(func(k *link) { im.cursors[k.peer] = cursors{k.nextSeq, k.nextExpected} })
+	// The modelled node holds both cursors and a load sample for every peer,
+	// contacted or not, whether or not the placement keeps samples.
+	im.bytes = 16*len(l.nodes) + 12*len(l.nodes) + 16
 	if len(ns.stock) > 0 {
 		im.stock = make([]stockImage, 0, len(ns.stock))
 		for _, e := range ns.stock {
@@ -130,32 +145,19 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 			im.bytes += 8 + 8*int(e.n) // the entry and its chunk addresses
 		}
 	}
-	if len(ns.locCache) > 0 {
-		im.locCache = make(map[core.Address]core.Address, len(ns.locCache))
-		for k, v := range ns.locCache {
-			im.locCache[k] = v
-		}
-		im.bytes += 16 * len(im.locCache)
-	}
-	if len(ns.advert) > 0 {
-		im.advert = make(map[advertKey]core.Address, len(ns.advert))
-		for k, v := range ns.advert {
-			im.advert[k] = v
-		}
-		im.bytes += 16 * len(im.advert)
-	}
+	im.locCache, im.advert = maps.Clone(ns.locCache), maps.Clone(ns.advert)
+	im.bytes += 16*len(im.locCache) + 16*len(im.advert)
 	return im
 }
 
 // CkptRestoreNode rolls one node's inter-node state back to the image. The
 // rolled-back timeline's protocol state is forgotten: in-flight records and
 // their retry deadlines, reorder buffers, delayed-ack ledgers, open batches,
-// and the retained records at or past the restored send cursors, which must
-// never replay. The sequence cursors, placement state, load samples,
-// location cache and advertisement ledger are overwritten; chunk-stock
-// entries are restored through their existing pointers, and entries the
-// image does not know (created after the snapshot) are emptied — their
-// chunks belong to the forgotten timeline.
+// and the retained records at or past the restored send cursors. Cursors
+// (zero on a link made after the image), placement state, load samples,
+// location cache and advertisement ledger are overwritten; stock entries
+// are restored through their pointers, and those made after the image are
+// emptied.
 //
 // The batch-flush and delayed-ack deadlines stay armed: a stale deadline
 // firing on an empty batch or ledger is a no-op, and on a refilled one merely
@@ -179,7 +181,8 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 				ns.closeBatch(k)
 			}
 		}
-		k.nextSeq, k.nextExpected = im.nextSeq[k.peer], im.nextExpected[k.peer]
+		cur := im.cursors[k.peer]
+		k.nextSeq, k.nextExpected = cur.send, cur.recv
 		// The delayed-ack ledger restarts from the restored receive cursor:
 		// everything below it is consumed, nothing above has arrived in the
 		// restored timeline.
@@ -200,20 +203,7 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 	for _, si := range im.stock {
 		*si.e = si.stockEntry
 	}
-	ns.locCache = nil
-	if len(im.locCache) > 0 {
-		ns.locCache = make(map[core.Address]core.Address, len(im.locCache))
-		for k, v := range im.locCache {
-			ns.locCache[k] = v
-		}
-	}
-	ns.advert = nil
-	if len(im.advert) > 0 {
-		ns.advert = make(map[advertKey]core.Address, len(im.advert))
-		for k, v := range im.advert {
-			ns.advert[k] = v
-		}
-	}
+	ns.locCache, ns.advert = maps.Clone(im.locCache), maps.Clone(im.advert)
 }
 
 // CkptReplayNode reconstructs the channel state of the cut for one sending
@@ -236,14 +226,12 @@ func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 			continue
 		}
 		k, lk := ns.links[dst], &lc.ret
-		start := 0
-		if from := imgs[dst].nextExpected[src]; from > lk.base {
-			start = int(from - lk.base)
+		owed := lk.from(imgs[dst].cursors[int32(src)].recv)
+		first := lk.base + uint64(len(lk.recs)-len(owed))
+		for i, w := range owed {
+			r.xmit(mn, ns, r.pend(ns, k, w, first+uint64(i)))
 		}
-		for i := start; i < len(lk.recs); i++ {
-			replayed++
-			r.xmit(mn, ns, r.pend(ns, k, lk.recs[i], lk.base+uint64(i)))
-		}
+		replayed += len(owed)
 	}
 	return replayed
 }
@@ -253,39 +241,59 @@ func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 // the receiver's snapshot and will never need replaying.
 func (l *Layer) CkptStableTrim(imgs []*RelImage) {
 	for src, ns := range l.nodes {
-		for dst, lc := range ns.cold {
+		ns.eachLink(func(k *link) {
+			lc := ns.coldOf(int(k.peer))
 			if lc == nil {
-				continue
+				return
 			}
 			lk := &lc.ret
-			cur := imgs[dst].nextExpected[src]
-			if cur <= lk.base || len(lk.recs) == 0 {
-				continue
+			if keep := lk.from(imgs[k.peer].cursors[int32(src)].recv); len(keep) < len(lk.recs) {
+				lk.base += uint64(len(lk.recs) - len(keep))
+				lk.recs = slices.Clone(keep)
 			}
-			drop := min(int(cur-lk.base), len(lk.recs))
-			lk.recs = append(lk.recs[:0:0], lk.recs[drop:]...)
-			lk.base += uint64(drop)
-		}
+		})
 	}
 }
 
-// markerBytes is the wire payload of a checkpoint marker or snapshot
-// acknowledgment beyond the packet header: the round number.
-const markerBytes = 8
+// CkptAppPending reports whether an application record is sent and not yet
+// delivered: retained (as every record is until a completed round covers
+// it) at or past its receiver's cursor.
+func (l *Layer) CkptAppPending() bool {
+	for src, ns := range l.nodes {
+		for k := ns.linkHead; k != nil; k = k.next {
+			lc, rk := ns.coldOf(int(k.peer)), l.nodes[k.peer].peer(src)
+			if lc == nil {
+				continue
+			}
+			var delivered uint64
+			if rk != nil {
+				delivered = rk.nextExpected
+			}
+			for _, w := range lc.ret.from(delivered) {
+				if w.pkt.Category != CatCkpt {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
 
-// SendCkpt transmits a checkpoint-protocol control message from src to dst
-// through the reliable layer: a marker of the given round, or (ack) a
-// snapshot acknowledgment. The message shares the link's data sequence
-// space: it is delivered exactly once, in order with the data stream, which
-// gives markers the FIFO property the consistency of the cut depends on.
-// The handler EnableCheckpoint installed runs at dst when it is polled.
+// ckptBytes is the wire payload of a snapshot request or acknowledgment
+// beyond the packet header: the round number.
+const ckptBytes = 8
+
+// SendCkpt transmits a snapshot request of the given round from src to dst
+// through the reliable layer, or (ack) an acknowledgment for the
+// Checkpointer's Acked at dst. A request needs no handler: it is red, so
+// its colour snapshots an unsnapped receiver.
 func (l *Layer) SendCkpt(src, dst, round int, ack bool) {
-	kind := wmMarker
+	kind := wmSnapReq
 	if ack {
 		kind = wmSnapAck
 	}
 	mn := l.m.Node(src)
 	w := l.record(mn, profile.Ckpt, 0, kind)
 	w.setArgs([]core.Value{core.IntV(int64(round))})
-	l.launch(mn, w, dst, packetHeaderBytes+markerBytes, CatCkpt)
+	l.launch(mn, w, dst, packetHeaderBytes+ckptBytes, CatCkpt)
 }

@@ -21,7 +21,7 @@ const (
 	CatService = 4 // other services (load info is piggybacked instead)
 	CatAck     = 5 // reliable-delivery acknowledgment (not in the paper)
 	CatBatch   = 6 // multi-record hardware packet (per-link batching)
-	CatCkpt    = 7 // checkpoint-protocol control (markers, snapshot acks)
+	CatCkpt    = 7 // checkpoint-protocol control (snapshot requests and acks)
 )
 
 // packetHeaderBytes models the paper's compact message format: "a total of
@@ -106,9 +106,9 @@ type Layer struct {
 	links   *sim.Arena[link]
 	batches *sim.Arena[openBatch]
 
-	// onCkpt is the checkpoint subsystem's marker handler; non-nil exactly in
-	// checkpoint mode, where transmissions are retained (see ckpt.go).
-	onCkpt func(node, round int, ack bool)
+	// ckpt is the checkpoint subsystem; non-nil exactly in checkpoint mode,
+	// where transmissions are retained and deliveries coloured (ckpt.go).
+	ckpt Checkpointer
 
 	// hWire is the shared receive handler for all layer packets; the
 	// per-send state travels in the *wireMsg around the packet header instead
@@ -172,7 +172,7 @@ const (
 	wmLocUpd   // location update: `to` moved to `replyTo` (forward short-circuit)
 	wmMigrate  // migration: class and image of `to`, adopted at the target
 	wmMigrated // migration answer: install the forwarder `to` -> `replyTo`
-	wmMarker   // checkpoint marker of the round in args[0]
+	wmSnapReq  // snapshot request of the round in args[0]
 	wmSnapAck  // snapshot acknowledgment of the round in args[0]
 )
 
@@ -209,7 +209,7 @@ func (w *wireMsg) args() []core.Value {
 // A fault model's duplicate cannot reach the handler twice: a machine with
 // one always runs the reliable protocol, which deduplicates by sequence
 // number before the handler runs.
-func (l *Layer) wirePooled() bool { return l.onCkpt == nil }
+func (l *Layer) wirePooled() bool { return l.ckpt == nil }
 
 // PoolLink names the intrusive link for sim.Slab.
 func (w *wireMsg) PoolLink() **wireMsg { return &w.next }
@@ -342,10 +342,12 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		if w.onCreated != nil {
 			w.onCreated(w.replyTo)
 		}
-	case wmMarker, wmSnapAck:
+	case wmSnapReq, wmSnapAck:
 		rn.SetPath(profile.Ckpt)
 		rn.Charge(extract + c.RemoteHandlerCall)
-		l.onCkpt(rn.ID, int(w.args()[0].Int()), w.kind == wmSnapAck)
+		if w.kind == wmSnapAck {
+			l.ckpt.Acked(int(w.args()[0].Int()))
+		}
 	case wmChunk:
 		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.StockPush)
@@ -623,7 +625,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	n.C.RemoteCreations++
 	self := ctx.SelfObject()
 	frame := ctx.CurrentFrame()
-	if l.onCkpt != nil {
+	if l.ckpt != nil {
 		// The frame pointer rides the request's continuation, which
 		// checkpoint retention may replay after a crash — long after the
 		// original invocation completed and released the frame. Pin it out

@@ -223,7 +223,7 @@ func (r *reliable) send(mn *machine.Node, w *wireMsg) {
 	k := r.l.link(src, dst)
 	m := r.pend(ns, k, w, k.nextSeq)
 	k.nextSeq++
-	if r.l.onCkpt != nil {
+	if r.l.ckpt != nil {
 		ns.coldFor(dst).ret.retain(src, dst, m)
 	}
 	mn.C.RelSent++
@@ -391,8 +391,12 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 	}
 }
 
-// deliver hands one in-order message to the layer's receive handler.
+// deliver hands one in-order message to the layer's receive handler, after
+// its colour in checkpoint mode (ckpt.go).
 func (r *reliable) deliver(rn *machine.Node, c *stats.Counters, pkt *machine.Packet) {
+	if ck := r.l.ckpt; ck != nil {
+		ck.Colour(rn.ID, pkt.Src, pkt.Seq)
+	}
 	c.RelDelivered++
 	r.l.handleWire(rn, pkt)
 }

@@ -268,6 +268,40 @@ func TestOpenRejectsTampering(t *testing.T) {
 	}
 }
 
+// FuzzRunpackOpen feeds Open arbitrary archive bytes, seeded with each
+// checked-in pack whole, cut in half and with one byte flipped. Open must
+// never panic, and what it accepts must be intact: a pack whose id is one
+// of the checked-in ones (zip metadata outside the sections is not sealed,
+// so a flip there may still open).
+func FuzzRunpackOpen(f *testing.F) {
+	paths, err := filepath.Glob("../../testdata/runpacks/*.zip")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no checked-in packs found (err %v)", err)
+	}
+	ids := make(map[string]bool)
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ids[strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "runpack_"), ".zip")] = true
+		flipped := bytes.Clone(b)
+		flipped[len(b)/3] ^= 0xff
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.zip")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := Open(path); err == nil && !ids[p.Manifest.ID] {
+			t.Errorf("Open accepted a pack with the unknown id %s", p.Manifest.ID)
+		}
+	})
+}
+
 // TestDiff packs two configurations differing in one knob and asserts the
 // diff reports the config delta and a first divergent trace event.
 func TestDiff(t *testing.T) {
