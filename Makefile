@@ -1,6 +1,6 @@
 # Convenience targets for the ABCL/onAP1000 reproduction.
 #
-#   make tier1           build + full test suite + bench smoke + runpack regress
+#   make tier1           build + full test suite + runpack regress
 #   make vet-race        gofmt + go vet + the whole test suite raced, in shuffled order
 #   make scenario-smoke  run every bundled fault scenario end to end
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
@@ -22,7 +22,6 @@ all: tier1
 tier1:
 	go build ./...
 	go test ./...
-	go test -run xxx -bench . -benchtime 1x .
 	$(MAKE) regress
 
 vet-race:

@@ -45,12 +45,13 @@
 //	abclsim validate path/to/spec.json
 //	abclsim validate run.jsonl run.json
 //
-// tables and figures print the paper's evaluation as the markdown tables
-// EXPERIMENTS.md embeds; figures -pack also packs every sweep point and
-// prints its runpack id, and -big runs the paper's full sizes (minutes):
+// tables and figures print the paper's evaluation and ablation tables 6–8
+// as the markdown EXPERIMENTS.md embeds; figures -pack packs each sweep
+// point and prints its runpack id; -big runs the paper's full sizes (minutes):
 //
 //	abclsim tables
 //	abclsim tables -table 2
+//	abclsim tables -table 6
 //	abclsim figures -figure 5 -pack out/
 //	abclsim figures -big
 package main

@@ -156,7 +156,7 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 		"-bench-json out.json":                                           "flag provided but not defined",
 		"-workload forkjoin -depth -1 -nodes 4":                          "forkjoin depth must be >= 0",
 		"-workload forkjoin -depth -1 -pack " + t.TempDir():              "forkjoin depth must be >= 0",
-		"tables -table 6":                                                "usage: abclsim tables [-table 1-5]",
+		"tables -table 9":                                                "usage: abclsim tables [-table 1-8]",
 		"figures -csv":                                                   "flag provided but not defined: -csv",
 		"figures -figure 7":                                              "usage: abclsim figures",
 		"validate run.json run.jsonl":                                    "usage: abclsim validate",
@@ -317,7 +317,7 @@ var goldenBlock = regexp.MustCompile(`(?s)<!-- abclsim ([^>]*?) -->\n(.*?)<!-- e
 
 // TestExperimentsAreGoldenOutput holds EXPERIMENTS.md to the program: each
 // block between `<!-- abclsim <command> -->` and `<!-- end -->` is what that
-// command prints. Tables 1–5 are re-rendered in full. Of the figures, whose
+// command prints. Tables 1–8 are re-rendered in full. Of the figures, whose
 // N = 11 sweeps with their packs take half a minute, the N = 8 rows of
 // Figure 5 and the N = 9 row of Figure 6 are rendered, pack ids included,
 // and each line must appear in the block. With -update every block is
@@ -334,7 +334,10 @@ func TestExperimentsAreGoldenOutput(t *testing.T) {
 		"figures -figure 5 -pack out/": func(w io.Writer, dir string) error { return exp.WriteFigure5(w, []int{8}, dir) },
 		"figures -figure 6 -pack out/": func(w io.Writer, dir string) error { return exp.WriteFigure6(w, []int{9}, dir) },
 	}
-	want := []string{"tables -table 1", "tables -table 2", "tables -table 3", "tables -table 4", "tables -table 5"}
+	var want []string
+	for n := 1; n <= exp.NumTables; n++ {
+		want = append(want, fmt.Sprintf("tables -table %d", n))
+	}
 	for cmd := range subset {
 		want = append(want, cmd)
 	}

@@ -34,18 +34,6 @@ const (
 	CoverFull
 )
 
-func (c Coverage) String() string {
-	switch c {
-	case CoverNone:
-		return "none"
-	case CoverPartial:
-		return "partial"
-	case CoverFull:
-		return "full"
-	}
-	return fmt.Sprintf("Coverage(%d)", int(c))
-}
-
 // ParseCoverage maps a flag string onto a Coverage.
 func ParseCoverage(s string) (Coverage, error) {
 	switch s {

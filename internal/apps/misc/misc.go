@@ -1,5 +1,5 @@
 // Package misc provides small concurrent-object workloads used by tests,
-// examples and ablation benchmarks: a counter service, a bounded buffer
+// examples and the ablation experiments: a counter service, a bounded buffer
 // built on selective message reception, and a fork-join computation tree.
 package misc
 

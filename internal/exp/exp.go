@@ -1,9 +1,9 @@
-// Package exp defines the paper's experiments as testable functions: each
-// table and figure of the evaluation section has a generator returning
-// structured rows, asserted against the paper's values by this package's
-// tests, and one markdown renderer (render.go) — the only way a result
-// table is written. `abclsim tables` and `abclsim figures` print the
-// renderings, and EXPERIMENTS.md embeds them as golden output that
+// Package exp defines the experiments as testable functions: each table and
+// figure of the paper's evaluation, and each ablation table (6–8), has a
+// generator returning structured rows and one markdown renderer (render.go)
+// — the only way a result table is written; this package's tests hold the
+// paper's to its published values. `abclsim tables` and `abclsim figures`
+// print the renderings, and EXPERIMENTS.md embeds them as golden output that
 // cmd/abclsim's tests re-render.
 package exp
 

@@ -36,10 +36,13 @@ var tables = []section{
 		}
 		return err
 	}},
+	{"Table 6 — Ablations of the design decisions", table6},
+	{"Table 7 — Contention: throughput against compatibility groups", table7},
+	{"Table 8 — Crash recovery: the nqueens-crash-recover scenario", table8},
 }
 
 // NumTables is the number of tables WriteTable renders: the paper's Tables
-// 1–4 and the per-path costs of its Section 6.
+// 1–4, the per-path costs of its Section 6, and Tables 6–8 of the ablations.
 var NumTables = len(tables)
 
 // WriteTable writes table n (1..NumTables) as the markdown table
@@ -169,6 +172,72 @@ func table4(w io.Writer) error {
 		"Total memory used (KB)", "Elapsed time (sequential)"} {
 		row(w, q, paper[0][i], measured[0][i], paper[1][i], measured[1][i])
 	}
+	return nil
+}
+
+func table6(w io.Writer) error {
+	rows, err := Table6()
+	if err != nil {
+		return err
+	}
+	header(w, "Decision", "Variant", "Virtual time", "Also measured")
+	for i, r := range rows {
+		row(w, unlessRepeated(i, rows, func(r AblationRow) string { return r.Decision }), r.Variant, r.Time, r.Measured)
+	}
+	return nil
+}
+
+// unlessRepeated returns rows[i]'s group label, or "" when the row above
+// has the same one: a group is labelled on its first row.
+func unlessRepeated[R any](i int, rows []R, label func(R) string) string {
+	if i > 0 && label(rows[i-1]) == label(rows[i]) {
+		return ""
+	}
+	return label(rows[i])
+}
+
+func table7(w io.Writer) error {
+	rows, err := Table7()
+	if err != nil {
+		return err
+	}
+	header(w, "Workload", "Variant", "Elapsed (virtual ms)", "Throughput (ops/ms)", "Peak invocations live in a group", "Speedup over serial")
+	var serial float64
+	for i, r := range rows {
+		label := unlessRepeated(i, rows, func(r ContentionRow) string { return r.Workload })
+		if label != "" {
+			serial = r.Throughput
+		}
+		row(w, label, r.Variant, fmt.Sprintf("%.2f", r.Elapsed.Millis()), fmt.Sprintf("%.2f", r.Throughput),
+			r.MaxLive, fmt.Sprintf("%.2f×", r.Throughput/serial))
+	}
+	return nil
+}
+
+// table8 sets the bundled crash-recovery scenario's fault-free baseline
+// beside its crashed run; a broken assertion is an error, not a row.
+func table8(w io.Writer) error {
+	sp, err := scenario.Find("nqueens-crash-recover")
+	if err != nil {
+		return err
+	}
+	o, err := scenario.Run(sp)
+	if err == nil && !o.OK() {
+		err = fmt.Errorf("exp: %s: %s", sp.Name, strings.Join(o.Violations, "; "))
+	}
+	if err != nil {
+		return err
+	}
+	b, f := o.Baseline, o.Faulted
+	bc, fc := b.Report.Sched.Counters, f.Report.Sched.Counters
+	header(w, "", "Fault-free baseline", "Crashed and recovered")
+	row(w, "Answer", b.Invariant, f.Invariant)
+	row(w, "Elapsed (virtual)", fmt.Sprintf("%.3f ms", b.Elapsed.Millis()),
+		fmt.Sprintf("%.3f ms (%.2f×)", f.Elapsed.Millis(), float64(f.Elapsed)/float64(b.Elapsed)))
+	row(w, "Checkpoint rounds / stable-store bytes", fmt.Sprintf("%d / %s", bc.CkptRounds, commas(bc.CkptBytes)),
+		fmt.Sprintf("%d / %s", fc.CkptRounds, commas(fc.CkptBytes)))
+	row(w, "Restarts / replayed in-flight messages", fmt.Sprintf("%d / %d", bc.NodeRestarts, bc.ReplayedMsgs),
+		fmt.Sprintf("%d / %d", fc.NodeRestarts, fc.ReplayedMsgs))
 	return nil
 }
 

@@ -251,8 +251,9 @@ type Outcome struct {
 }
 
 // Run executes the spec: defaults, then the spec's options followed by extra
-// (instrumentation the spec cannot carry — observer sinks; later options
-// win), then the app.
+// (later options win), then the app. extra carries what the spec has no key
+// for: observer sinks, and the abcl options of exp's ablation rows — a
+// WithMachine there replaces the machine config the spec's options built.
 func Run(sp Spec, extra ...abcl.Option) (Outcome, error) {
 	run, opts, err := sp.resolve()
 	if err != nil {

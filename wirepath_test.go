@@ -213,15 +213,16 @@ func TestWirePathLocationCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First wave: every message goes to the stale address on node 0 and is
-	// forwarded to node 2; the forwarder advertises the new address once.
+	// First wave: the burst leaves before the advert can return, so every
+	// message goes to the stale address on node 0 and takes the hop to
+	// node 2; the forwarder advertises the new address once.
 	sys.Send(d, kick)
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	c1 := sys.Report().Sched.Counters
-	if c1.Forwards == 0 || c1.LocCacheMisses == 0 {
-		t.Fatalf("first wave: forwards=%d adverts=%d, want both > 0", c1.Forwards, c1.LocCacheMisses)
+	if c1.Forwards != 20 || c1.LocCacheMisses == 0 {
+		t.Fatalf("first wave: forwards=%d adverts=%d, want 20 forwards and an advert", c1.Forwards, c1.LocCacheMisses)
 	}
 
 	// Second wave: the sender's cache rewrites every send to the new home.
