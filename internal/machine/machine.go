@@ -649,11 +649,10 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 		return Dropped
 	}
 	// What happens at the destination is decided here, while the packet is
-	// warm: delivery itself reads no packet on the plain path.
-	kind := n.m.deliverKind
-	if p.OnArrive != nil {
-		kind = n.m.arriveKind
-	}
+	// warm: delivery itself reads no packet on the plain path. A plain
+	// delivery may be held: with the destination's turn queued it only
+	// queues the packet, so it waits off the tournament (sim.ScheduleHeldOn).
+	hook := p.OnArrive != nil
 	// Control-channel traffic (Packet.Ctrl) is clamped separately so
 	// protocol packets never queue behind the data stream.
 	clamp := n.arrivalTo
@@ -687,7 +686,11 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 		if i == 0 {
 			first = arrival
 		}
-		n.m.Eng.ScheduleOn(n.lane, p.Dst+1, arrival, kind, cp)
+		if hook {
+			n.m.Eng.ScheduleOn(n.lane, p.Dst+1, arrival, n.m.arriveKind, cp)
+		} else {
+			n.m.Eng.ScheduleHeldOn(n.lane, p.Dst+1, arrival, n.m.deliverKind, cp)
+		}
 	}
 	return first
 }
@@ -802,19 +805,27 @@ func (n *Node) EventNow() sim.Time { return n.m.Eng.LaneNow(n.lane) }
 // Lane returns the node's engine event lane.
 func (n *Node) Lane() int { return n.lane }
 
+// ensureResume queues a turn unless one is queued or running. A queued turn
+// closes the node's lane: a plain delivery then only joins the receive queue,
+// touching this node alone and scheduling nothing, so the engine may hold it.
 func (n *Node) ensureResume() {
 	if n.resumePending || n.inResume {
 		return
 	}
-	n.resumePending = true
+	n.setResumePending(true)
 	n.m.Eng.ScheduleOn(n.lane, n.lane, n.Clock, n.m.resumeKind, n)
+}
+
+func (n *Node) setResumePending(on bool) {
+	n.resumePending = on
+	n.m.Eng.SetLaneClosed(n.lane, on)
 }
 
 // resumeAt is one node turn, fired at virtual time now: poll arrived
 // packets, run one scheduler quantum, and reschedule if work remains.
 // Keeping turns small interleaves node progress correctly in virtual time.
 func (n *Node) resumeAt(now sim.Time) {
-	n.resumePending = false
+	n.setResumePending(false)
 	if n.downUntil > now {
 		// The node crashed after this turn was scheduled: nothing runs. The
 		// restart path (EndOutage) schedules a fresh turn for the restored
@@ -827,7 +838,7 @@ func (n *Node) resumeAt(now sim.Time) {
 			// to the window's end. Arriving packets keep buffering in rx.
 			n.C.NodePauses++
 			n.m.Tracef(now, n.ID, trace.EvNodePause, "paused until %v", until)
-			n.resumePending = true
+			n.setResumePending(true)
 			n.m.Eng.ScheduleFuncOn(n.lane, n.lane, until, func() {
 				// The pause consumed real (virtual) time on this node, but
 				// no busy time: advance the clock without accruing work.

@@ -24,8 +24,9 @@ import "math/bits"
 // Times on a lane never fall below its clock (post clamps them, StartTimerAt
 // checks), but correctness does not lean on it: an event at or before the
 // base goes to the heap, which orders anything by (time, seq). The heap's
-// head is the lane's head in both representations, which is what the
-// tournament and the window runner read.
+// head is the queue's head in both representations, which is what the
+// tournament and the window runner read. A lane's held queue (engine.go) is
+// the same queue.
 //
 // Buckets are chains of fixed evBlocks and the bucket heads one deepQ, both
 // from engine pools: taken from and returned to the slab of
@@ -34,12 +35,12 @@ import "math/bits"
 // deep lane's storage is ever regrown by copying.
 
 const (
-	// spillDepth is the heap size at which a lane spills rather than grow
+	// spillDepth is the heap size at which a queue spills rather than grow
 	// its heap. BenchmarkLaneQueueSteady finds the two representations level
-	// at this depth and the radix queue ahead from a few hundred on. It is
-	// the heap's first capacity, so a heap regrows only when all its events
-	// share one time.
-	spillDepth = laneMinCap
+	// at this depth and the radix queue ahead from a few hundred on. A heap
+	// grows to it in one step (from laneMinCap or empty), so past it a heap
+	// regrows only when all its events share one time.
+	spillDepth = 128
 	// blockEvents is the number of events in one bucket block: 1 KiB.
 	blockEvents = 32
 )
@@ -71,50 +72,48 @@ func (d *deepQ) PoolLink() **deepQ { return &d.free }
 // bucketOf is the bucket of an event at time at, later than the base.
 func (d *deepQ) bucketOf(at Time) int { return bits.Len64(uint64(at ^ d.base)) }
 
-// enqueue queues ev on lane l and reports whether it is the lane's new head.
-// A shallow lane with room in its heap takes the heap push inline.
-func (e *Engine) enqueue(l int, ev event) bool {
-	ln := &e.lanes[l]
-	if (ln.deep != nil || len(ln.heap) == cap(ln.heap)) && e.bucketed(l, ev) {
+// enqueue queues ev on q, a queue of lane l, and reports whether it is q's
+// new head. A shallow queue with room in its heap takes the heap push
+// inline. Lane l only chooses the pool slab that blocks come from.
+func (e *Engine) enqueue(l int, q *queue, ev event) bool {
+	if (q.deep != nil || len(q.heap) == cap(q.heap)) && e.bucketed(l, q, ev) {
 		return false
 	}
-	h := ln.heap
-	ln.heap = h[:len(h)+1]
-	return ln.place(len(h), ev) == 0
+	h := q.heap
+	q.heap = h[:len(h)+1]
+	return q.place(len(h), ev) == 0
 }
 
-// bucketed is enqueue's path for a deep lane or a full heap: it queues ev in
+// bucketed is enqueue's path for a deep queue or a full heap: it queues ev in
 // a bucket and reports true, or makes room for it in the heap — spilling the
-// lane, or growing the heap when it cannot spill — and reports false.
-func (e *Engine) bucketed(l int, ev event) bool {
-	ln := &e.lanes[l]
-	d := ln.deep
-	if d == nil && len(ln.heap) >= spillDepth {
-		d = e.spill(l)
+// queue, or growing the heap when it cannot spill — and reports false.
+func (e *Engine) bucketed(l int, q *queue, ev event) bool {
+	d := q.deep
+	if d == nil && len(q.heap) >= spillDepth {
+		d = e.spill(l, q)
 	}
 	if d != nil && ev.at > d.base {
 		e.bucket(l, d, ev)
 		return true
 	}
-	if len(ln.heap) == cap(ln.heap) {
-		ln.grow()
+	if len(q.heap) == cap(q.heap) {
+		q.grow()
 	}
 	return false
 }
 
-// dequeue pops lane l's head.
-func (e *Engine) dequeue(l int) event {
-	ln := &e.lanes[l]
-	h := ln.heap
+// dequeue pops q's head; q is a queue of lane l.
+func (e *Engine) dequeue(l int, q *queue) event {
+	h := q.heap
 	ev := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{}
-	ln.heap = h[:n]
+	q.heap = h[:n]
 	if n > 0 {
-		ln.sink(0, last)
-	} else if ln.deep != nil {
-		e.refill(l)
+		q.sink(0, last)
+	} else if q.deep != nil {
+		e.refill(l, q)
 	}
 	return ev
 }
@@ -123,42 +122,42 @@ func (e *Engine) dequeue(l int) event {
 // block b (see find) with ev, rewriting the slot when ev stays in the heap or
 // in the same bucket, which is unordered.
 func (e *Engine) move(l int, b *evBlock, i int, ev event) {
-	ln := &e.lanes[l]
-	d := ln.deep
+	q := &e.lanes[l].queue
+	d := q.deep
 	switch {
 	case b == nil && (d == nil || ev.at <= d.base):
-		ln.settle(i, ev)
+		q.settle(i, ev)
 	case b != nil && ev.at > d.base && d.bucketOf(ev.at) == d.bucketOf(b.evs[i].at):
 		b.evs[i] = ev
 	default:
 		e.take(l, b, i)
-		e.enqueue(l, ev)
+		e.enqueue(l, q, ev)
 	}
 }
 
 // take removes the event at heap slot i (b nil) or at slot i of bucket block
 // b (see find).
 func (e *Engine) take(l int, b *evBlock, i int) {
-	ln := &e.lanes[l]
+	q := &e.lanes[l].queue
 	if b != nil {
-		e.unbucket(l, ln.deep, b, i)
+		e.unbucket(l, q.deep, b, i)
 		return
 	}
-	ln.remove(i)
-	if ln.deep != nil && len(ln.heap) == 0 {
-		e.refill(l)
+	q.remove(i)
+	if q.deep != nil && len(q.heap) == 0 {
+		e.refill(l, q)
 	}
 }
 
 // find locates timer t's event on the lane: heap slot i (b nil), or slot i of
 // bucket block b. It is a linear scan, as short as the lane.
-func (ln *lane) find(t *Timer) (b *evBlock, i int) {
-	for i := range ln.heap {
-		if ln.heap[i].holds(t) {
+func (q *queue) find(t *Timer) (b *evBlock, i int) {
+	for i := range q.heap {
+		if q.heap[i].holds(t) {
 			return nil, i
 		}
 	}
-	if d := ln.deep; d != nil {
+	if d := q.deep; d != nil {
 		for m := d.mask; m != 0; m &= m - 1 {
 			for b := d.buckets[bits.TrailingZeros64(m)]; b != nil; b = b.next {
 				for i := range b.evs[:b.n] {
@@ -174,12 +173,11 @@ func (ln *lane) find(t *Timer) (b *evBlock, i int) {
 
 func (ev *event) holds(t *Timer) bool { return ev.kind() == kindTimer && ev.arg == any(t) }
 
-// spill makes lane l deep: the events later than its head leave the heap for
-// buckets. It returns the radix state, or nil when every queued event shares
-// one time and the heap must grow instead.
-func (e *Engine) spill(l int) *deepQ {
-	ln := &e.lanes[l]
-	h := ln.heap
+// spill makes q, a queue of lane l, deep: the events later than its head
+// leave the heap for buckets. It returns the radix state, or nil when every
+// queued event shares one time and the heap must grow instead.
+func (e *Engine) spill(l int, q *queue) *deepQ {
+	h := q.heap
 	d := e.deeps.Get(l)
 	d.base = h[0].at
 	k := 0
@@ -196,11 +194,11 @@ func (e *Engine) spill(l int) *deepQ {
 		return nil
 	}
 	clear(h[k:])
-	ln.heap = h[:k]
+	q.heap = h[:k]
 	for i := (k - 2) / 4; i >= 0; i-- {
-		ln.sink(i, h[i])
+		q.sink(i, h[i])
 	}
-	ln.deep = d
+	q.deep = d
 	return d
 }
 
@@ -239,25 +237,23 @@ func (e *Engine) unbucket(l int, d *deepQ, b *evBlock, i int) {
 	}
 }
 
-// refill runs when a deep lane's heap has emptied: it re-buckets into the
-// heap, so that the heap is empty only when the whole lane is, and hands the
-// lane back to the heap once its buckets are empty.
-func (e *Engine) refill(l int) {
-	ln := &e.lanes[l]
-	d := ln.deep
+// refill runs when a deep queue's heap has emptied: it re-buckets into the
+// heap, so that the heap is empty only when the whole queue is, and hands the
+// queue back to the heap once its buckets are empty.
+func (e *Engine) refill(l int, q *queue) {
+	d := q.deep
 	if d.n > 0 {
-		e.rebucket(l, d)
+		e.rebucket(l, q, d)
 	}
 	if d.n == 0 {
-		ln.deep = nil
+		q.deep = nil
 		e.deeps.Put(l, d)
 	}
 }
 
 // rebucket empties the lowest non-empty bucket into the heap and lower
 // buckets (see the top of this file).
-func (e *Engine) rebucket(l int, d *deepQ) {
-	ln := &e.lanes[l]
+func (e *Engine) rebucket(l int, q *queue, d *deepQ) {
 	k := bits.TrailingZeros64(d.mask)
 	chain := d.buckets[k]
 	d.buckets[k] = nil
@@ -279,7 +275,7 @@ func (e *Engine) rebucket(l int, d *deepQ) {
 		d.n -= b.n
 		for _, ev := range b.evs[:b.n] {
 			if ev.at <= d.base {
-				ln.push(ev)
+				q.push(ev)
 			} else {
 				e.bucket(l, d, ev)
 			}
@@ -293,11 +289,11 @@ func (e *Engine) rebucket(l int, d *deepQ) {
 
 // rekey applies f to every queued event's key in place. f must preserve the
 // order of keys: a bucket depends on time alone, and the heap stays a heap.
-func (ln *lane) rekey(f func(key uint64) uint64) {
-	for i := range ln.heap {
-		ln.heap[i].key = f(ln.heap[i].key)
+func (q *queue) rekey(f func(key uint64) uint64) {
+	for i := range q.heap {
+		q.heap[i].key = f(q.heap[i].key)
 	}
-	if d := ln.deep; d != nil {
+	if d := q.deep; d != nil {
 		for m := d.mask; m != 0; m &= m - 1 {
 			for b := d.buckets[bits.TrailingZeros64(m)]; b != nil; b = b.next {
 				for i := range b.evs[:b.n] {

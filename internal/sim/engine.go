@@ -10,9 +10,10 @@
 // a monotone radix queue over pooled event blocks that hands the lane back to
 // the heap when it drains (deep.go). A small top-level tournament — a binary
 // heap over the non-empty lanes that carries each lane's head (time, seq)
-// beside the lane index — selects the globally next event in O(log lanes). A
-// lane conventionally corresponds to one simulated node, which is what makes
-// the conservative parallel runner in parallel.go possible.
+// beside the lane index — selects the globally next event in O(log lanes).
+// Events a closed lane may hold (ScheduleHeldOn) wait beside it, off the
+// tournament. A lane conventionally corresponds to one simulated node, which
+// is what makes the conservative parallel runner in parallel.go possible.
 package sim
 
 import "fmt"
@@ -113,76 +114,85 @@ type firedRec struct {
 	kidEnd   int32
 }
 
+// queue is one event queue: a 4-ary array heap over (at, seq) — half the
+// levels of a binary one, and a node's four children span two cache lines —
+// that spills into a radix queue when it fills (deep.go); either way heap[0]
+// is the queue's head. Sifts move a hole rather than swapping.
+type queue struct {
+	heap []event
+	deep *deepQ // the radix buckets while the queue is deep, else nil
+}
+
 // lane is one independent event queue plus its parallel-window scratch
-// state. The heap is a 4-ary array heap over (at, seq): half the levels of a
-// binary one, and a node's four children span two cache lines. Sifts move a
-// hole rather than swapping. The array starts at laneMinCap events and a lane
-// that fills it spills: it keeps only its earliest events there and the rest
-// in a radix queue (deep.go); either way heap[0] is the lane's head.
+// state. Beside it, out of line, the engine keeps the lane's held queue (see
+// ScheduleHeldOn); closed keeps that queue off the tournament.
 type lane struct {
-	heap     []event
-	deep     *deepQ // the radix buckets while the lane is deep, else nil
+	queue
 	now      Time
 	births   []birth
 	log      []firedRec
 	winFired uint64
 	reserved bool  // ReserveSeq ran in this window: the barrier must settle it
+	closed   bool  // the held queue waits off the tournament (SetLaneClosed)
 	worker   int32 // the worker slot running the lane in the current window
 }
 
-const laneMinCap = 128
+// laneMinCap is a lane's first heap capacity, carved for every lane from one
+// array: a node's lane holds turns, timers and hooked arrivals, a few events,
+// while its packet arrivals wait in the held queue.
+const laneMinCap = 16
 
-// depth is the number of events queued on the lane.
-func (ln *lane) depth() int {
-	if ln.deep != nil {
-		return len(ln.heap) + ln.deep.n
+// depth is the number of events queued.
+func (q *queue) depth() int {
+	if q.deep != nil {
+		return len(q.heap) + q.deep.n
 	}
-	return len(ln.heap)
+	return len(q.heap)
 }
 
-// push queues ev in the heap, whatever the lane's depth (Engine.enqueue
+// push queues ev in the heap, whatever the queue's depth (Engine.enqueue
 // decides between heap and buckets).
-func (ln *lane) push(ev event) {
-	if len(ln.heap) == cap(ln.heap) {
-		ln.grow()
+func (q *queue) push(ev event) {
+	if len(q.heap) == cap(q.heap) {
+		q.grow()
 	}
-	h := ln.heap
-	ln.heap = h[:len(h)+1]
-	ln.place(len(h), ev)
+	h := q.heap
+	q.heap = h[:len(h)+1]
+	q.place(len(h), ev)
 }
 
-func (ln *lane) grow() {
-	g := make([]event, len(ln.heap), max(2*cap(ln.heap), laneMinCap))
-	copy(g, ln.heap)
-	ln.heap = g
+func (q *queue) grow() {
+	g := make([]event, len(q.heap), max(2*cap(q.heap), spillDepth))
+	copy(g, q.heap)
+	q.heap = g
 }
 
 // remove takes heap entry i out; the last entry fills the hole.
-// Engine.take refills a deep lane's heap after it.
-func (ln *lane) remove(i int) {
-	h := ln.heap
+// Engine.take refills a deep queue's heap after it.
+func (q *queue) remove(i int) {
+	h := q.heap
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{}
-	ln.heap = h[:n]
+	q.heap = h[:n]
 	if i < n {
-		ln.settle(i, last)
+		q.settle(i, last)
 	}
 }
 
 // settle puts ev into the hole at i: above it if ev is earlier than the
 // hole's parent, otherwise at or below it.
-func (ln *lane) settle(i int, ev event) {
-	if i > 0 && evLess(&ev, &ln.heap[(i-1)/4]) {
-		ln.place(i, ev)
+func (q *queue) settle(i int, ev event) {
+	if i > 0 && evLess(&ev, &q.heap[(i-1)/4]) {
+		q.place(i, ev)
 		return
 	}
-	ln.sink(i, ev)
+	q.sink(i, ev)
 }
 
 // place settles ev, bound for the hole at i, at or above it.
-func (ln *lane) place(i int, ev event) int {
-	h := ln.heap
+func (q *queue) place(i int, ev event) int {
+	h := q.heap
 	for i > 0 {
 		p := (i - 1) / 4
 		if !evLess(&ev, &h[p]) {
@@ -196,8 +206,8 @@ func (ln *lane) place(i int, ev event) int {
 }
 
 // sink settles ev, bound for the hole at i, at or below it.
-func (ln *lane) sink(i int, ev event) {
-	h := ln.heap
+func (q *queue) sink(i int, ev event) {
+	h := q.heap
 	n := len(h)
 	for {
 		c := 4*i + 1
@@ -235,8 +245,11 @@ func (a *entry) less(b *entry) bool { return before(a.at, a.key, b.at, b.key) }
 // current window).
 type Engine struct {
 	lanes    []lane
-	order    []entry // binary heap over the non-empty lanes' heads
+	held     []queue // per lane: events that may wait off the tournament
+	nheld    int     // events in all held queues
+	order    []entry // binary heap over the lanes' fronts (see front)
 	pos      []int32 // lane -> position in order, -1 when absent
+	firing   int     // the lane whose event fires; its entry is fixed after it
 	handlers []Handler
 	seq      uint64
 	now      Time
@@ -282,7 +295,7 @@ func (e *Engine) ParWindows() uint64 { return e.parWins }
 
 // NewEngine returns an empty engine at time zero with a single lane.
 func NewEngine() *Engine {
-	e := &Engine{slots: 1}
+	e := &Engine{slots: 1, firing: -1}
 	e.blocks = NewPool[evBlock](e)
 	e.deeps = NewPool[deepQ](e)
 	e.SetLanes(1)
@@ -300,6 +313,11 @@ func (e *Engine) SetLanes(n int) {
 		panic("sim: SetLanes with events pending")
 	}
 	e.lanes = make([]lane, n)
+	heaps := make([]event, n*laneMinCap)
+	for i := range e.lanes {
+		e.lanes[i].heap = heaps[i*laneMinCap : i*laneMinCap : (i+1)*laneMinCap]
+	}
+	e.held = make([]queue, n)
 	e.order = e.order[:0]
 	e.pos = make([]int32, n)
 	for i := range e.pos {
@@ -344,9 +362,9 @@ func (e *Engine) LaneNow(l int) Time {
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of events currently scheduled across all
-// lanes: a stopped timer has left its queue.
+// lanes, held ones included: a stopped timer has left its queue.
 func (e *Engine) Pending() int {
-	n := 0
+	n := e.nheld
 	for i := range e.lanes {
 		n += e.lanes[i].depth()
 	}
@@ -370,7 +388,7 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 			// Same-lane and inside the window: insert immediately with a
 			// provisional sequence number that encodes the birth index and
 			// preserves lane-local order (see parallel.go).
-			e.enqueue(src, event{at: at, key: evKey(e.provBase+1+uint64(idx), kind), arg: arg})
+			e.enqueue(src, &sl.queue, event{at: at, key: evKey(e.provBase+1+uint64(idx), kind), arg: arg})
 		}
 		return
 	}
@@ -384,15 +402,8 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 // insert queues ev on lane dst outside a parallel window and keeps the
 // tournament current.
 func (e *Engine) insert(dst int, ev event) {
-	if !e.enqueue(dst, ev) {
-		return
-	}
-	if p := e.pos[dst]; p < 0 {
-		e.orderAdd(dst)
-	} else {
-		// New head: the lane got earlier, fix its tournament position.
-		e.order[p].at, e.order[p].key = ev.at, ev.key
-		e.orderUp(int(p))
+	if e.enqueue(dst, &e.lanes[dst].queue, ev) {
+		e.orderFixLane(dst)
 	}
 }
 
@@ -430,6 +441,78 @@ func (e *Engine) ScheduleFuncOn(src, dst int, at Time, fire func()) {
 	e.post(src, dst, at, kindClosure, fire)
 }
 
+// ScheduleHeldOn is ScheduleOn for an event that may be held: it waits in
+// lane dst's held queue, whose head competes in the tournament while the lane
+// is open. While the lane is closed (SetLaneClosed) the held queue stays off
+// the tournament, and each held event fires, in (time, seq) order with its
+// own time, immediately before the next other event of its lane that comes
+// after it, before any later event of lane 0 (the host lane), before RunUntil
+// returns if it falls at or before the deadline, and sooner, when an event
+// posts into the closed lane, if it lies before the clock.
+// Every lane so fires the same events in the same order with the same
+// sequence numbers as if nothing were held; only their interleaving with
+// other lanes' events moves. That is exact for events that, while their lane
+// is closed, touch only their lane's state and schedule nothing: the engine
+// panics if one fired off the tournament schedules. Windows never hold.
+func (e *Engine) ScheduleHeldOn(src, dst int, at Time, kind Kind, arg any) {
+	if e.inPar {
+		e.post(src, dst, at, kind, arg)
+		return
+	}
+	e.seq++
+	ev := event{at: max(at, e.now), key: evKey(e.seq, kind), arg: arg}
+	hq := &e.held[dst]
+	if h := hq.heap; len(h) > 0 && h[0].at < e.now {
+		// Held events before the clock come before everything yet to fire:
+		// firing them now, not at the lane's next event, keeps the held
+		// queue as short as what is still in flight to the lane.
+		e.drain(dst, e.now, 0)
+	}
+	e.nheld++
+	if e.enqueue(dst, hq, ev) && !e.lanes[dst].closed {
+		e.orderFixLane(dst)
+	}
+}
+
+// SetLaneClosed closes or opens lane l (see ScheduleHeldOn).
+func (e *Engine) SetLaneClosed(l int, closed bool) {
+	if ln := &e.lanes[l]; ln.closed != closed {
+		ln.closed = closed
+		if len(e.held[l].heap) > 0 && !e.inPar {
+			e.orderFixLane(l)
+		}
+	}
+}
+
+// unhold pops lane l's held head.
+func (e *Engine) unhold(l int) event {
+	e.nheld--
+	return e.dequeue(l, &e.held[l])
+}
+
+// drain fires lane l's held events that come before (at, key), off the
+// tournament.
+func (e *Engine) drain(l int, at Time, key uint64) {
+	for h := &e.held[l].heap; len(*h) > 0 && before((*h)[0].at, (*h)[0].key, at, key); {
+		ev := e.unhold(l)
+		seq := e.seq
+		e.now = max(e.now, ev.at)
+		e.lanes[l].now = ev.at
+		e.fire(l, &ev)
+		if e.seq != seq {
+			panic(fmt.Sprintf("sim: a held event fired off the tournament on lane %d scheduled", l))
+		}
+		e.fired++
+	}
+}
+
+// drainAll drains every lane's held events that come before (at, key).
+func (e *Engine) drainAll(at Time, key uint64) {
+	for l := 0; l < len(e.held) && e.nheld > 0; l++ {
+		e.drain(l, at, key)
+	}
+}
+
 // fire dispatches one popped event from lane l.
 func (e *Engine) fire(l int, ev *event) {
 	kind, arg := ev.kind(), ev.arg
@@ -452,39 +535,59 @@ func (e *Engine) Run() (uint64, error) {
 }
 
 // RunUntil is Run bounded by virtual time: events with timestamp > deadline
-// stay queued (events exactly at the deadline fire). A negative deadline
-// means no bound.
+// stay queued (events exactly at the deadline fire), and the clock moves up
+// to the deadline if it was behind it. A negative deadline means no bound.
 func (e *Engine) RunUntil(deadline Time) (uint64, error) {
-	var n uint64
-	for {
-		if len(e.order) == 0 {
-			return n, nil
-		}
+	start := e.fired
+	for len(e.order) > 0 {
 		top := &e.order[0]
 		if deadline >= 0 && top.at > deadline {
-			e.now = deadline
-			return n, nil
+			e.now = max(e.now, deadline)
+			break
 		}
 		l := int(top.lane)
 		ln := &e.lanes[l]
-		ev := e.dequeue(l)
-		if len(ln.heap) == 0 {
-			e.orderRemoveAt(0)
+		if l == 0 && e.nheld > 0 {
+			e.drainAll(top.at, top.key)
+		}
+		q := &ln.queue
+		if h := e.held[l].heap; len(h) > 0 {
+			if ln.closed {
+				e.drain(l, top.at, top.key)
+			} else if len(ln.heap) == 0 || evLess(&h[0], &ln.heap[0]) {
+				q = nil
+			}
+		}
+		var ev event
+		if q != nil {
+			ev = e.dequeue(l, q)
 		} else {
-			top.at, top.key = ln.heap[0].at, ln.heap[0].key
-			e.orderDown(0)
+			ev = e.unhold(l)
 		}
 		e.now = ev.at
 		ln.now = ev.at
+		// The fired lane's entry is fixed once, after the event: what the
+		// event queues on its own lane, and its gate, leave the entry alone.
+		e.firing = l
 		e.fire(l, &ev)
-		n++
+		e.firing = -1
+		e.orderFixLane(l)
 		e.fired++
 	}
+	if e.nheld > 0 {
+		limit := deadline
+		if limit < 0 {
+			limit = maxTime
+		}
+		e.drainAll(limit, ^uint64(0))
+	}
+	return e.fired - start, nil
 }
 
 // Tournament maintenance. order is a binary heap of entries; pos maps a
 // lane to its slot in order (-1 when absent). An entry's key is its lane's
-// head: whoever changes the head rewrites the entry before sifting it.
+// front: whoever changes the front rewrites the entry before sifting it,
+// and RunUntil does so for the firing lane after its event.
 
 // orderUp sifts slot i towards the root.
 func (e *Engine) orderUp(i int) {
@@ -529,10 +632,17 @@ func (e *Engine) orderDown(i int) bool {
 	return i > start
 }
 
-func (e *Engine) orderAdd(l int) {
-	h := &e.lanes[l].heap[0]
-	e.order = append(e.order, entry{at: h.at, key: h.key, lane: int32(l)})
-	e.orderUp(len(e.order) - 1)
+// front is lane l's event in the tournament: its queue's head, or its held
+// queue's if the lane is open and that is earlier; nil when there is neither.
+func (e *Engine) front(l int) *event {
+	var f *event
+	if h := e.lanes[l].heap; len(h) > 0 {
+		f = &h[0]
+	}
+	if h := e.held[l].heap; len(h) > 0 && !e.lanes[l].closed && (f == nil || evLess(&h[0], f)) {
+		f = &h[0]
+	}
+	return f
 }
 
 func (e *Engine) orderRemoveAt(p int) {
@@ -548,22 +658,26 @@ func (e *Engine) orderRemoveAt(p int) {
 	}
 }
 
-// orderFixLane repositions lane l in the tournament after its head changed
-// arbitrarily (a timer moved or stopped), appeared, or disappeared.
+// orderFixLane repositions lane l in the tournament after its front changed
+// arbitrarily (an event fired, a timer moved or stopped, the gate turned),
+// appeared, or disappeared. The firing lane waits for RunUntil to fix it.
 func (e *Engine) orderFixLane(l int) {
+	if l == e.firing {
+		return
+	}
 	p := e.pos[l]
-	h := e.lanes[l].heap
-	if len(h) == 0 {
+	f := e.front(l)
+	if f == nil {
 		if p >= 0 {
 			e.orderRemoveAt(int(p))
 		}
 		return
 	}
 	if p < 0 {
-		e.orderAdd(l)
-		return
+		p = int32(len(e.order))
+		e.order = append(e.order, entry{lane: int32(l)})
 	}
-	e.order[p].at, e.order[p].key = h[0].at, h[0].key
+	e.order[p].at, e.order[p].key = f.at, f.key
 	if !e.orderDown(int(p)) {
 		e.orderUp(int(p))
 	}
@@ -575,8 +689,8 @@ func (e *Engine) orderRebuild() {
 	e.order = e.order[:0]
 	for i := range e.lanes {
 		e.pos[i] = -1
-		if h := e.lanes[i].heap; len(h) > 0 {
-			e.order = append(e.order, entry{at: h[0].at, key: h[0].key, lane: int32(i)})
+		if f := e.front(i); f != nil {
+			e.order = append(e.order, entry{at: f.at, key: f.key, lane: int32(i)})
 		}
 	}
 	for i := range e.order {
@@ -644,7 +758,7 @@ func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind
 		// by an existing number needs no birth: in-window it fires in place,
 		// beyond the window it is already where the barrier would put it (a
 		// provisional key is settled there, see settleReserved).
-		e.enqueue(lane, ev)
+		e.enqueue(lane, &e.lanes[lane].queue, ev)
 		return
 	}
 	e.insert(lane, ev)

@@ -105,6 +105,24 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// RunUntil with a deadline behind the clock fires nothing and leaves the
+// clock where it is, rather than moving it back to the deadline.
+func TestRunUntilNeverLowersNow(t *testing.T) {
+	e := NewEngine()
+	for _, at := range []Time{10, 100} {
+		e.ScheduleFuncOn(0, 0, at, func() {})
+	}
+	if _, err := e.RunUntil(50); err != nil || e.Now() != 50 {
+		t.Fatalf("RunUntil(50): Now = %v, err %v, want 50", e.Now(), err)
+	}
+	if n, err := e.RunUntil(20); err != nil || n != 0 || e.Now() != 50 {
+		t.Fatalf("RunUntil(20) after RunUntil(50): fired %d, Now = %v, err %v, want 0 and 50", n, e.Now(), err)
+	}
+	if n, err := e.Run(); err != nil || n != 1 || e.Now() != 100 {
+		t.Fatalf("Run: fired %d, Now = %v, err %v, want 1 and 100", n, e.Now(), err)
+	}
+}
+
 func TestEngineCascade(t *testing.T) {
 	// Events scheduling further events must preserve global time order.
 	e := NewEngine()

@@ -59,6 +59,14 @@ func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) {
 		return e.Run()
 	}
 	e.growPools(min(workers, len(e.lanes)))
+	if e.nheld > 0 { // windows never hold: the lanes take their held events
+		for l := range e.held {
+			for len(e.held[l].heap) > 0 {
+				e.enqueue(l, &e.lanes[l].queue, e.unhold(l))
+			}
+		}
+		e.orderRebuild()
+	}
 	e.parWins = 0
 	var total uint64
 	active := make([]int32, 0, len(e.lanes))
@@ -139,7 +147,7 @@ func (e *Engine) runLaneWindow(l int) uint64 {
 	end := e.winEnd
 	var fired uint64
 	for len(ln.heap) > 0 && ln.heap[0].at < end {
-		ev := e.dequeue(l)
+		ev := e.dequeue(l, &ln.queue)
 		ln.now = ev.at
 		seq := ev.seq()
 		kidStart := len(ln.births)
@@ -215,7 +223,7 @@ func (e *Engine) barrier(active []int32) uint64 {
 		for i := range ln.births {
 			b := &ln.births[i]
 			if !b.consumed {
-				e.enqueue(int(b.dst), event{at: b.at, key: evKey(b.seq, b.kind), arg: b.arg})
+				e.enqueue(int(b.dst), &e.lanes[b.dst].queue, event{at: b.at, key: evKey(b.seq, b.kind), arg: b.arg})
 			}
 			ln.births[i] = birth{}
 		}

@@ -14,21 +14,37 @@ import (
 // that numbers them the way the engine promises to — one number per
 // ScheduleOn and ReserveSeq, none for StartTimerAt — and drops a stopped
 // timer's item.
+//
+// A program may also hold events (ScheduleHeldOn) and close and open lanes,
+// the way the machine holds packet arrivals behind a queued turn: a held
+// event on an open lane closes it behind a "turn" that opens it again, and
+// one on a closed lane touches only its lane's log. Its reference is the same
+// program with every gate left open, and the check is then lane for lane: the
+// same events in the same order with the same sequence numbers, each host-lane
+// event seeing as many fired events as in the reference, and the same Fired().
 
 // pqQueue is the scheduling surface the program drives: the engine, or the
 // reference model.
 type pqQueue interface {
 	post(src, dst int, at Time, id int)
-	arm(l int, d Time, id int) // a fresh timer on lane l, d from now
-	stop(l, h int)             // the h-th fresh timer armed on lane l
+	hold(src, dst int, at Time, id int) // a post that may wait off the tournament
+	arm(l int, d Time, id int)          // a fresh timer on lane l, d from now
+	stop(l, h int)                      // the h-th fresh timer armed on lane l
 	reserve(l int, into *uint64)
 	move(l int, at Time, seq uint64, id int) // the lane's one movable timer
+	gate(l int, closed bool)
+	seen() uint64 // events fired before the one firing
 }
 
+// pqFire is one firing: seq is the event's sequence number and seen how many
+// events had fired before a host-lane event of a holding program, one it did
+// not hold (0 where not kept).
 type pqFire struct {
 	lane int
 	at   Time
 	id   int
+	seq  uint64
+	seen uint64
 }
 
 // pqLane is one lane's program state; under RunParallel only the lane's own
@@ -39,6 +55,7 @@ type pqLane struct {
 	ids    int
 	timers int       // fresh timers armed so far
 	slots  [4]uint64 // reserved positions for the movable timer
+	closed bool      // the program's own gate: its decisions never read the engine's
 	log    []pqFire
 }
 
@@ -56,13 +73,15 @@ func (ln *pqLane) wideTime() Time {
 // pqCfg is one program: its lanes, how many of them are loaded deep, the
 // lookahead of its cross-lane posts, the events a deep lane is loaded with
 // (at the start and again by its burst), whether the deep lanes' times spread
-// over the whole int64 range, and the seed of the lanes' generators.
+// over the whole int64 range, the seed of the lanes' generators, and whether
+// it holds events — a deep lane's load is then held behind a closed gate.
 type pqCfg struct {
 	lanes, deep int
 	look        Time
 	load        int
 	wide        bool
 	seed        uint64
+	held        bool
 }
 
 type pqProg struct {
@@ -72,29 +91,59 @@ type pqProg struct {
 	global []pqFire // firing order across lanes (nil: not kept)
 }
 
-// pqBurst is the id of a deep lane's burst: the event, at pqBurstAt, that
-// loads the lane deep again once it has drained.
+// A deep lane's burst is the event, at pqBurstAt, that loads the lane deep
+// again once it has drained; its id is the lane's bare number. Held events
+// and turns carry a flag bit.
 const (
-	pqBurst   = 0
 	pqBurstAt = 8000
+	pqHeld    = 1 << 40
+	pqTurn    = 1 << 41
 )
+
+func pqBurst(l int) int { return l << 20 }
 
 func (p *pqProg) newID(l int) int {
 	p.lanes[l].ids++
 	return l<<20 | p.lanes[l].ids
 }
 
+// closeBehindTurn closes lane l behind a turn at at that opens it again.
+func (p *pqProg) closeBehindTurn(l int, at Time) {
+	p.lanes[l].closed = true
+	p.q.gate(l, true)
+	p.q.post(l, l, at, p.newID(l)|pqTurn)
+}
+
 // fired is every event's callback: log it, then maybe act.
-func (p *pqProg) fired(l int, now Time, id int) {
+func (p *pqProg) fired(l int, now Time, id int, seq uint64) {
 	ln := &p.lanes[l]
-	f := pqFire{l, now, id}
+	f := pqFire{lane: l, at: now, id: id, seq: seq}
+	if p.cfg.held && l == 0 && id&pqHeld == 0 {
+		f.seen = p.q.seen()
+	}
 	ln.log = append(ln.log, f)
 	if p.global != nil {
 		p.global = append(p.global, f)
 	}
-	if id == pqBurst {
+	switch {
+	case id&pqHeld != 0 && ln.closed:
+		return // a packet joining a busy node's receive queue
+	case id&pqHeld != 0:
+		p.closeBehindTurn(l, now+Time(ln.rand(200)))
+		return
+	case id&pqTurn != 0:
+		ln.closed = false
+		p.q.gate(l, false)
+	case id == pqBurst(l) && l < p.cfg.deep:
+		post, flag := p.q.post, 0
+		if p.cfg.held {
+			post, flag = p.q.hold, pqHeld
+			if !ln.closed {
+				p.closeBehindTurn(l, now+4000)
+			}
+		}
 		for i := 0; i < p.cfg.load; i++ {
-			p.q.post(l, l, now+Time(ln.rand(4000)), p.newID(l))
+			post(l, l, now+Time(ln.rand(4000)), p.newID(l)|flag)
 		}
 		ln.budget = 300
 	}
@@ -121,6 +170,20 @@ func (p *pqProg) fired(l int, now Time, id int) {
 		}
 		p.q.move(l, now+Time(ln.rand(60)), ln.slots[k], p.newID(l))
 	}
+	if !p.cfg.held {
+		return
+	}
+	switch r := ln.rand(10); {
+	case r < 4:
+		p.q.hold(l, ln.rand(len(p.lanes)), now+p.cfg.look+Time(ln.rand(40)), p.newID(l)|pqHeld)
+	case r < 6:
+		p.q.hold(l, l, now+Time(ln.rand(40)), p.newID(l)|pqHeld)
+	case r < 7:
+		// A gate turned with no turn behind it: a closed lane may be left
+		// with nothing but held events.
+		ln.closed = !ln.closed
+		p.q.gate(l, ln.closed)
+	}
 }
 
 // load queues the program's initial events: a few per lane, cfg.load more
@@ -135,8 +198,15 @@ func (p *pqProg) load() {
 		}
 		n := 12
 		if l < p.cfg.deep {
-			n += p.cfg.load
-			p.q.post(l, l, pqBurstAt, pqBurst)
+			p.q.post(l, l, pqBurstAt, pqBurst(l))
+			if p.cfg.held {
+				p.closeBehindTurn(l, 4000)
+				for i := 0; i < p.cfg.load; i++ {
+					p.q.hold(ln.rand(len(p.lanes)), l, Time(ln.rand(8000)), p.newID(l)|pqHeld)
+				}
+			} else {
+				n += p.cfg.load
+			}
 			if p.cfg.wide {
 				p.q.post(l, l, 0, p.newID(l))
 				for k := 0; k < 63; k++ {
@@ -175,35 +245,54 @@ func newPQProg(c pqCfg) *pqProg {
 }
 
 // pqEngine drives the engine and watches each lane's representation: the
-// run of deep ('D') and shallow ('S') states its firings saw, and the timer
-// arms, stops and moves made while it was deep. Only a lane's own events
-// write its row.
+// run of deep ('D') and shallow ('S') states its firings saw — of its queue,
+// or of its held queue for held events — and the timer arms, stops and moves
+// made while it was deep. Only a lane's own events write its row. Under Run
+// it keeps every event's sequence number (seqOf, nil under RunParallel,
+// which numbers events at its barriers).
 type pqEngine struct {
-	e       *Engine
-	kind    Kind
-	timers  [][]*Timer
-	movable []Timer
-	shapes  []string
-	deepOps [][3]int
+	e          *Engine
+	kind       Kind
+	timers     [][]*Timer
+	movable    []Timer
+	shapes     []string
+	heldShapes []string
+	deepOps    [][3]int
+	seqOf      map[int]uint64
 }
 
-func newPQEngine(p *pqProg) *pqEngine {
+func newPQEngine(p *pqProg, seqs bool) *pqEngine {
 	n := len(p.lanes)
 	a := &pqEngine{e: NewEngine(), timers: make([][]*Timer, n), movable: make([]Timer, n),
-		shapes: make([]string, n), deepOps: make([][3]int, n)}
+		shapes: make([]string, n), heldShapes: make([]string, n), deepOps: make([][3]int, n)}
+	if seqs {
+		a.seqOf = map[int]uint64{}
+	}
 	a.e.SetLanes(n)
 	a.kind = a.e.Register(func(l int, at Time, arg any) {
+		id := arg.(int)
+		shapes, q := a.shapes, &a.e.lanes[l].queue
+		if id&pqHeld != 0 {
+			shapes, q = a.heldShapes, &a.e.held[l]
+		}
 		st := "S"
-		if a.e.lanes[l].deep != nil {
+		if q.deep != nil {
 			st = "D"
 		}
-		if !strings.HasSuffix(a.shapes[l], st) {
-			a.shapes[l] += st
+		if !strings.HasSuffix(shapes[l], st) {
+			shapes[l] += st
 		}
-		p.fired(l, at, arg.(int))
+		p.fired(l, at, id, a.seqOf[id])
 	})
 	p.q = a
 	return a
+}
+
+// numbered notes the sequence number the engine gave event id.
+func (a *pqEngine) numbered(id int, seq uint64) {
+	if a.seqOf != nil {
+		a.seqOf[id] = seq
+	}
 }
 
 // deepOp counts op (0 arm, 1 stop, 2 move) if lane l is deep.
@@ -213,8 +302,19 @@ func (a *pqEngine) deepOp(l, op int) {
 	}
 }
 
-func (a *pqEngine) post(src, dst int, at Time, id int) { a.e.ScheduleOn(src, dst, at, a.kind, id) }
-func (a *pqEngine) reserve(l int, into *uint64)        { a.e.ReserveSeq(l, into) }
+func (a *pqEngine) post(src, dst int, at Time, id int) {
+	a.e.ScheduleOn(src, dst, at, a.kind, id)
+	a.numbered(id, a.e.seq)
+}
+
+func (a *pqEngine) hold(src, dst int, at Time, id int) {
+	a.e.ScheduleHeldOn(src, dst, at, a.kind, id)
+	a.numbered(id, a.e.seq)
+}
+
+func (a *pqEngine) reserve(l int, into *uint64) { a.e.ReserveSeq(l, into) }
+func (a *pqEngine) gate(l int, closed bool)     { a.e.SetLaneClosed(l, closed) }
+func (a *pqEngine) seen() uint64                { return a.e.Fired() }
 
 func (a *pqEngine) stop(l, h int) {
 	a.deepOp(l, 1)
@@ -231,11 +331,13 @@ func (a *pqEngine) arm(l int, d Time, id int) {
 	a.timers[l] = append(a.timers[l], &t.Timer)
 	a.e.ReserveSeq(l, &t.seq)
 	a.e.StartTimerAt(l, &t.Timer, a.e.LaneNow(l)+d, t.seq, a.kind, id)
+	a.numbered(id, t.seq)
 }
 
 func (a *pqEngine) move(l int, at Time, seq uint64, id int) {
 	a.deepOp(l, 2)
 	a.e.StartTimerAt(l, &a.movable[l], at, seq, a.kind, id)
+	a.numbered(id, seq)
 }
 
 // pqModel is the reference: one container/heap over every queued item; a
@@ -273,6 +375,7 @@ func (h *pqHeap) Pop() any {
 type pqModel struct {
 	seq     uint64
 	now     Time
+	fired   uint64
 	items   pqHeap
 	timers  [][]*pqItem
 	movable []*pqItem
@@ -294,6 +397,11 @@ func (m *pqModel) post(src, dst int, at Time, id int) {
 	m.seq++
 	m.push(at, m.seq, dst, id)
 }
+
+// hold is post, and gate nothing: the reference leaves every gate open.
+func (m *pqModel) hold(src, dst int, at Time, id int) { m.post(src, dst, at, id) }
+func (m *pqModel) gate(l int, closed bool)            {}
+func (m *pqModel) seen() uint64                       { return m.fired }
 
 func (m *pqModel) arm(l int, d Time, id int) {
 	m.seq++
@@ -323,22 +431,41 @@ func (m *pqModel) run(p *pqProg) {
 	for len(m.items) > 0 {
 		it := heap.Pop(&m.items).(*pqItem)
 		m.now = it.at
-		p.fired(it.lane, it.at, it.id)
+		p.fired(it.lane, it.at, it.id, it.seq)
+		m.fired++
 	}
 }
 
-func pqLogs(p *pqProg) [][]pqFire {
+// pqLogs is the program's firings lane by lane, with or without their
+// sequence numbers.
+func pqLogs(p *pqProg, seqs bool) [][]pqFire {
 	out := make([][]pqFire, len(p.lanes))
 	for l := range p.lanes {
-		out[l] = p.lanes[l].log
+		out[l] = append([]pqFire(nil), p.lanes[l].log...)
+		for i := range out[l] {
+			if !seqs {
+				out[l][i].seq = 0
+			}
+		}
 	}
 	return out
+}
+
+// firstDiff is the first index at which two firing logs differ.
+func firstDiff(a, b []pqFire) int {
+	i := 0
+	for i < min(len(a), len(b)) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // checkPQ runs program c three ways — the reference model, Run and
 // RunParallel(4) — and fails unless both engine runs fire exactly what the
 // reference fires: in its global order under Run, lane for lane under
-// RunParallel. It returns the two engine drivers.
+// RunParallel. A holding program runs under Run alone, windows never hold,
+// and is checked lane for lane. It returns the two engine drivers (par nil
+// for a holding program).
 func checkPQ(t testing.TB, c pqCfg) (seq, par *pqEngine) {
 	t.Helper()
 	ref := newPQProg(c)
@@ -349,29 +476,39 @@ func checkPQ(t testing.TB, c pqCfg) (seq, par *pqEngine) {
 
 	sp := newPQProg(c)
 	sp.global = []pqFire{}
-	seq = newPQEngine(sp)
+	seq = newPQEngine(sp, true)
 	sp.load()
-	if _, err := seq.e.Run(); err != nil {
+	n, err := seq.e.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sp.global, ref.global) {
-		i := 0
-		for i < min(len(sp.global), len(ref.global)) && sp.global[i] == ref.global[i] {
-			i++
+	if c.held {
+		got, want := pqLogs(sp, true), pqLogs(ref, true)
+		for l := range want {
+			if i := firstDiff(got[l], want[l]); i < max(len(got[l]), len(want[l])) {
+				t.Fatalf("%+v: Run diverges from the reference on lane %d at firing %d of %d/%d: %+v, want %+v", c, l, i, len(got[l]), len(want[l]), got[l][i:min(i+3, len(got[l]))], want[l][i:min(i+3, len(want[l]))])
+			}
 		}
+	} else if i := firstDiff(sp.global, ref.global); i < max(len(sp.global), len(ref.global)) {
 		t.Fatalf("%+v: Run diverges from the reference at firing %d of %d/%d", c, i, len(sp.global), len(ref.global))
+	}
+	if want := uint64(len(ref.global)); n != want || seq.e.Fired() != want {
+		t.Fatalf("%+v: Run fired %d, Fired() %d, the reference %d", c, n, seq.e.Fired(), want)
 	}
 	if seq.e.Pending() != 0 {
 		t.Fatalf("%+v: %d events left after Run", c, seq.e.Pending())
 	}
+	if c.held {
+		return seq, nil
+	}
 
 	pp := newPQProg(c)
-	par = newPQEngine(pp)
+	par = newPQEngine(pp, false)
 	pp.load()
 	if _, err := par.e.RunParallel(4, c.look); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pqLogs(pp), pqLogs(ref)) {
+	if !reflect.DeepEqual(pqLogs(pp, false), pqLogs(ref, false)) {
 		t.Fatalf("%+v: RunParallel diverges from the reference", c)
 	}
 	return seq, par
@@ -383,16 +520,24 @@ func TestLaneQueueIsPriorityQueue(t *testing.T) {
 		{lanes: 4, deep: 2, look: 50, load: 2100},
 		{lanes: 256, deep: 3, look: 50, load: 2100},
 		{lanes: 4, deep: 2, look: 50, load: 2100, wide: true},
+		{lanes: 1, deep: 1, look: 50, load: 2100, held: true},
+		{lanes: 4, deep: 2, look: 50, load: 2100, held: true},
+		{lanes: 256, deep: 3, look: 50, load: 2100, held: true},
 	} {
-		// A loaded program: its deep lanes have spilled, its shallow ones not.
+		// A loaded program: its deep lanes have spilled — their held queues,
+		// if the program holds — its shallow ones not.
 		p := newPQProg(c)
-		a := newPQEngine(p)
+		a := newPQEngine(p, false)
 		p.load()
 		if d := a.e.lanes[c.lanes-1].depth(); c.deep < c.lanes && (d > 100 || a.e.lanes[c.lanes-1].deep != nil) {
 			t.Fatalf("%+v: shallow lane %d holds %d events", c, c.lanes-1, d)
 		}
-		if ln := &a.e.lanes[c.deep-1]; ln.depth() < c.load || ln.deep == nil {
-			t.Fatalf("%+v: deep lane holds %d events, spilled %v", c, ln.depth(), ln.deep != nil)
+		q := &a.e.lanes[c.deep-1].queue
+		if c.held {
+			q = &a.e.held[c.deep-1]
+		}
+		if q.depth() < c.load || q.deep == nil {
+			t.Fatalf("%+v: deep lane holds %d events, spilled %v", c, q.depth(), q.deep != nil)
 		}
 		if c.wide && a.e.lanes[0].deep.mask != ^uint64(1) {
 			t.Fatalf("%+v: buckets %064b in use, want 1 to 63", c, a.e.lanes[0].deep.mask)
@@ -400,12 +545,16 @@ func TestLaneQueueIsPriorityQueue(t *testing.T) {
 
 		seq, par := checkPQ(t, c)
 		for _, r := range []*pqEngine{seq, par} {
-			for l := 0; l < c.deep && !c.wide; l++ {
+			for l := 0; r != nil && l < c.deep && !c.wide; l++ {
 				// Spilled at load, drained, spilled at the burst, drained.
-				if sh := r.shapes[l]; !strings.HasPrefix(sh, "DSDS") {
+				sh := r.shapes[l]
+				if c.held {
+					sh = r.heldShapes[l]
+				}
+				if !strings.HasPrefix(sh, "DSDS") {
 					t.Errorf("%+v: lane %d went %q, want deep, shallow, deep, shallow", c, l, sh)
 				}
-				if ops := r.deepOps[l]; ops[0] == 0 || ops[1] == 0 || ops[2] == 0 {
+				if ops := r.deepOps[l]; !c.held && (ops[0] == 0 || ops[1] == 0 || ops[2] == 0) {
 					t.Errorf("%+v: lane %d armed, stopped and moved timers %v times while deep", c, l, ops)
 				}
 			}
@@ -489,13 +638,16 @@ func BenchmarkLaneQueueSteady(b *testing.B) {
 
 // FuzzLaneQueue runs checkPQ on fuzzed programs: the seed of the lanes'
 // generators, the lane count, how many lanes are loaded deep and how deep,
-// the lookahead, and whether deep lanes' times spread over the int64 range.
+// the lookahead, whether deep lanes' times spread over the int64 range, and
+// whether the program holds events and turns gates.
 func FuzzLaneQueue(f *testing.F) {
-	f.Add(uint64(0), uint8(4), uint8(2), uint8(50), uint16(2100), false)
-	f.Add(uint64(7), uint8(1), uint8(1), uint8(1), uint16(130), true)
-	f.Add(uint64(3), uint8(31), uint8(9), uint8(200), uint16(600), false)
-	f.Fuzz(func(t *testing.T, seed uint64, lanes, deep, look uint8, load uint16, wide bool) {
-		c := pqCfg{lanes: 1 + int(lanes)%32, look: 1 + Time(look), load: int(load) % 4096, wide: wide, seed: seed}
+	f.Add(uint64(0), uint8(4), uint8(2), uint8(50), uint16(2100), false, false)
+	f.Add(uint64(7), uint8(1), uint8(1), uint8(1), uint16(130), true, false)
+	f.Add(uint64(3), uint8(31), uint8(9), uint8(200), uint16(600), false, false)
+	f.Add(uint64(5), uint8(8), uint8(3), uint8(20), uint16(700), false, true)
+	f.Add(uint64(9), uint8(2), uint8(2), uint8(1), uint16(300), true, true)
+	f.Fuzz(func(t *testing.T, seed uint64, lanes, deep, look uint8, load uint16, wide, held bool) {
+		c := pqCfg{lanes: 1 + int(lanes)%32, look: 1 + Time(look), load: int(load) % 4096, wide: wide, seed: seed, held: held}
 		c.deep = int(deep) % (c.lanes + 1)
 		checkPQ(t, c)
 	})
