@@ -46,6 +46,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzLaneQueue$$' -fuzztime 30s ./internal/sim
 	go test -run xxx -fuzz '^FuzzSpecValidate$$' -fuzztime 30s ./internal/workload
 	go test -run xxx -fuzz '^FuzzRunpackOpen$$' -fuzztime 30s ./internal/runpack
+	go test -run xxx -fuzz '^FuzzLinkFaultJSON$$' -fuzztime 30s ./internal/fault
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): four
 # whole-system workloads, end-to-end metrics with tracing off; bench-trace

@@ -186,7 +186,6 @@ type settings struct {
 	seed        int64
 	machine     *machine.Config
 	faults      FaultPlan
-	exec        ExecutorSpec
 	reliable    bool // ack/retry protocol even without faults
 	batchWindow Time
 	batchBytes  int
@@ -265,8 +264,7 @@ func WithSeed(seed int64) Option {
 // compose via trace.Tee; a bounded in-memory trace is
 // WithObserver(trace.NewRing(n)). Sinks must not retain the Event or any
 // memory reachable from it beyond the call; see the trace package for the
-// full contract. Incompatible with the parallel executor (WithExecutor):
-// parallel windows have no single global interleaving to observe.
+// full contract.
 func WithObserver(sink trace.Sink) Option {
 	return func(s *settings) error {
 		if sink == nil {
@@ -422,8 +420,7 @@ func WithoutLocationCache() Option {
 // back to the last complete round and resumes: with reliable delivery on
 // (which this option forces) the recovered run gives the fault-free
 // results. A crash plan without WithCheckpoint recovers from a baseline
-// checkpoint taken before execution starts. Incompatible with the
-// Conservative executor — a restore touches every event lane at once.
+// checkpoint taken before execution starts.
 func WithCheckpoint(interval Time) Option {
 	return func(s *settings) error {
 		if interval <= 0 {
@@ -434,49 +431,20 @@ func WithCheckpoint(interval Time) Option {
 	}
 }
 
-// ExecutorSpec names an execution strategy for WithExecutor. Build one with
-// Sequential or Conservative.
-type ExecutorSpec struct {
-	workers int // > 1: conservative windows on that many workers
-}
+// ExecutorSpec stays for the benchmark harness (bench/), which is built
+// against it; there is one executor.
+type ExecutorSpec struct{}
 
-// String names the strategy that runs, for reports and manifests:
-// "sequential", "conservative(8)".
-func (e ExecutorSpec) String() string {
-	if e.workers > 1 {
-		return fmt.Sprintf("conservative(%d)", e.workers)
-	}
-	return "sequential"
-}
-
-// Sequential selects the default single-threaded event engine: one global
-// event order, compatible with every other option.
+// Sequential stays for the benchmark harness (bench/), which is built against it.
 func Sequential() ExecutorSpec { return ExecutorSpec{} }
 
-// Conservative selects the conservative parallel executor with the given
-// worker count: node event lanes whose next events fall inside one
-// minimum-wire-latency lookahead window fire concurrently, then the engine
-// barriers and advances. Results are identical to the sequential engine
-// (same final state, same statistics); only wall-clock time differs.
-// workers <= 1 selects the sequential engine.
-func Conservative(workers int) ExecutorSpec {
-	return ExecutorSpec{workers: workers}
-}
+// Conservative stays for the benchmark harness (bench/), which is built
+// against it; it names the one executor, as every spec does.
+func Conservative(workers int) ExecutorSpec { return ExecutorSpec{} }
 
-// WithExecutor picks the execution strategy (default Sequential).
-// Conservative is incompatible with WithObserver — the trace
-// contract is a single global interleaving that parallel windows do not
-// have — and with WithCheckpoint or a crash plan (a restore touches every
-// event lane at once).
-func WithExecutor(e ExecutorSpec) Option {
-	return func(s *settings) error {
-		if e.workers < 0 {
-			return fmt.Errorf("abcl: WithExecutor: worker count %d must be non-negative", e.workers)
-		}
-		s.exec = e
-		return nil
-	}
-}
+// WithExecutor stays for the benchmark harness (bench/), which is built
+// against it; it accepts any spec and changes nothing.
+func WithExecutor(ExecutorSpec) Option { return func(*settings) error { return nil } }
 
 // System is a complete simulated multicomputer running the ABCL runtime.
 type System struct {
@@ -486,7 +454,6 @@ type System struct {
 
 	seed        int64
 	faults      FaultPlan
-	exec        ExecutorSpec
 	ckpt        *checkpoint.Manager // nil unless checkpointing is active
 	ckptStarted bool
 }
@@ -520,13 +487,6 @@ func configure(opts []Option) (settings, error) {
 		if err := opt(&s); err != nil {
 			errs = append(errs, err)
 		}
-	}
-	parallel := s.exec.workers > 1
-	if s.observer != nil && parallel {
-		errs = append(errs, fmt.Errorf("abcl: WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
-	}
-	if s.ckptOn() && parallel {
-		errs = append(errs, fmt.Errorf("abcl: WithCheckpoint (or a crash plan) and the Conservative executor are incompatible: a restore touches every event lane at once"))
 	}
 	// A fault plan is only checkable against a sane fleet: against a refused
 	// WithNodes every rule would drown in out-of-range noise.
@@ -596,7 +556,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		AckDelay:        s.ackDelay,
 		NoLocationCache: s.noLocCache,
 	})
-	sys := &System{M: m, RT: rt, Net: net, seed: s.seed, faults: s.faults, exec: s.exec}
+	sys := &System{M: m, RT: rt, Net: net, seed: s.seed, faults: s.faults}
 	if s.ckptOn() {
 		sys.ckpt = checkpoint.New(rt, net, s.ckptEvery)
 	}
@@ -661,24 +621,17 @@ func (s *System) startCkpt() {
 }
 
 // Run freezes the system (fixing patterns and building all virtual function
-// tables) and executes until quiescence — on the executor WithExecutor
-// selected, sequentially by default. When checkpointing is active the
+// tables) and executes until quiescence. When checkpointing is active the
 // baseline checkpoint, periodic snapshot rounds and any declared
 // crash/restart events are installed before the first event fires.
 func (s *System) Run() error {
 	s.startCkpt()
-	if s.exec.workers > 1 {
-		s.RT.Freeze()
-		return s.M.ParallelRun(s.exec.workers)
-	}
 	return s.RT.Run()
 }
 
-// SyncWindows reports how many parallel windows — one cross-lane
-// synchronization barrier each — the run executed under Conservative(n),
-// one per lookahead width. The count is deterministic (it depends only on
-// virtual time, never on the worker schedule). Zero for sequential runs.
-func (s *System) SyncWindows() uint64 { return s.M.ParWindows() }
+// SyncWindows stays for the benchmark harness (bench/), which is built
+// against it; one executor has no windows.
+func (s *System) SyncWindows() uint64 { return 0 }
 
 // Snapshot captures a consistent global checkpoint of the current machine
 // state and makes it the restore target. The system must be quiescent

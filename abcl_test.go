@@ -100,21 +100,19 @@ func TestChunkStockOptions(t *testing.T) {
 }
 
 // NewSystem validates everything up front and reports all complaints in
-// one joined error — bad individual arguments and incompatible
-// combinations alike.
+// one joined error.
 func TestOptionValidationAggregated(t *testing.T) {
 	_, err := abcl.NewSystem(
 		abcl.WithNodes(0),                       // bad argument
 		abcl.WithSeed(0),                        // bad argument
-		abcl.WithObserver(trace.NewRing(64)),    // incompatible with a parallel executor
-		abcl.WithExecutor(abcl.Conservative(4)), //
+		abcl.WithBatching(abcl.Microsecond, -3), // bad argument
 		abcl.WithDelayedAcks(0),                 // bad argument
 	)
 	if err == nil {
 		t.Fatal("misconfigured NewSystem must fail")
 	}
 	for _, frag := range []string{
-		"WithNodes(0)", "WithSeed(0)", "WithExecutor", "WithDelayedAcks",
+		"WithNodes(0)", "WithSeed(0)", "WithBatching", "WithDelayedAcks",
 	} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("aggregated error misses %q:\n%v", frag, err)
@@ -129,9 +127,7 @@ func TestOptionCombinationErrors(t *testing.T) {
 		name string
 		opts []abcl.Option
 	}{
-		{"observer+conservative", []abcl.Option{abcl.WithObserver(trace.NewRing(64)), abcl.WithExecutor(abcl.Conservative(2))}},
-		{"checkpoint+conservative", []abcl.Option{abcl.WithNodes(2), abcl.WithCheckpoint(abcl.Time(1000)), abcl.WithExecutor(abcl.Conservative(2))}},
-		{"negative workers", []abcl.Option{abcl.WithExecutor(abcl.Conservative(-1))}},
+		{"crash beyond the fleet", []abcl.Option{abcl.WithNodes(2), abcl.WithFaults(abcl.FaultPlan{Crashes: []abcl.NodeCrash{{Node: 5, At: 1000, RestartAfter: 100}}})}},
 	}
 	for _, tc := range cases {
 		if _, err := abcl.NewSystem(tc.opts...); err == nil {

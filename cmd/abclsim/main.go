@@ -139,8 +139,6 @@ func parseFlags(args []string) (*cli, error) {
 	fs.BoolVar(&sp.Reliable, "reliable", false, "run the ack/retry protocol even on a fault-free network")
 	fs.BoolVar(&sp.NoLocCache, "no-loc-cache", false, "disable the post-migration remote-location cache")
 
-	executor := fs.String("executor", "sequential",
-		"execution strategy: sequential | conservative[:N] (N workers, default GOMAXPROCS)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 
@@ -178,24 +176,6 @@ func parseFlags(args []string) (*cli, error) {
 	if c.traceN < 0 {
 		return nil, fmt.Errorf("-trace %d: event count must be a non-negative integer", c.traceN)
 	}
-	// -executor name[:N]: the name is judged with the other setting names
-	// (Spec.Options); only the worker-count syntax is this flag's own.
-	name, n, hasN := strings.Cut(*executor, ":")
-	switch {
-	case name == "sequential" && !hasN:
-		return c, nil
-	case name == "sequential":
-		return nil, fmt.Errorf("-executor %s: sequential takes no worker count", *executor)
-	case !hasN:
-		sp.Workers = runtime.GOMAXPROCS(0)
-	default:
-		if v, err := strconv.Atoi(n); err == nil && v >= 1 {
-			sp.Workers = v
-		} else {
-			return nil, fmt.Errorf("-executor %s: worker count must be a positive integer", *executor)
-		}
-	}
-	sp.Executor = name
 	return c, nil
 }
 
@@ -581,9 +561,6 @@ func (c *cli) runPack(stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  workload  %s\n", p.Config.Workload)
 	fmt.Fprintf(stdout, "  trace     %d events, sha256 %s...\n",
 		p.Manifest.TraceEvents, p.Manifest.TraceSHA256[:12])
-	if p.Manifest.ParallelChecked {
-		fmt.Fprintf(stdout, "  parallel  %s executor cross-checked against the sequential run\n", p.Manifest.Executor)
-	}
 	fmt.Fprintf(stdout, "  next      abclsim verify %s\n", path)
 	return nil
 }

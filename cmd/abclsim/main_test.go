@@ -137,17 +137,16 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 	for args, want := range map[string]string{
 		"-workload nqueens -n 4 -policy naiv":                            `unknown policy "naiv"`,
 		"-workload hotkey -placement rand":                               `unknown placement "rand"`,
-		"-workload forkjoin -executor timewarp:2":                        `unknown executor "timewarp"`,
+		"-workload forkjoin -executor conservative:2":                    "flag provided but not defined: -executor",
 		"-scenario forkjoin-dup-jitter -policy naiv":                     "states the run itself; drop -policy",
 		"-scenario all -nodes 4 -seed 9":                                 "drop -nodes -seed",
 		"-scenario nqueens-lossy -drop 0.2 -cost-table":                  "drop -drop",
-		"-scenario nqueens-lossy -executor conservative:2 -trace 5":      "drop -executor",
 		"-scenario hotkey-lossy -workload hotkey -pack " + t.TempDir():   "drop -workload",
 		"-workload scenario":                                             `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook)`,
 		"-scenario no-such-scenario":                                     `no bundled scenario named "no-such-scenario"`,
 		"-workload nqueens -policy naiv -pack " + t.TempDir():            `unknown policy "naiv"`,
 		"-workload quicksort":                                            `unknown workload "quicksort"`,
-		"-executor sequential:2":                                         "sequential takes no worker count",
+		"-executor sequential":                                           "flag provided but not defined: -executor",
 		"-workload nqueens -n 4 -trace -3":                               "-trace -3: event count must be a non-negative integer",
 		"-workload hotkey -nodes 4 -reorder -1":                          "reorder bound must be >= 0, got -1",
 		"-workload forkjoin -nodes 4 -batch-bytes 64":                    "batch_bytes requires batch_window_ns",
@@ -250,23 +249,23 @@ func TestValidateSubcommand(t *testing.T) {
 		return path
 	}
 	cases := map[string]string{
-		write("spec.json", `{"workload":"hotkey","executor":"conservative","workers":4}`):                             "",
-		write("flat.json", `{"workload":"nqueens","drop":0.1}`):                                                       `flat.json: json: unknown field "drop"`,
-		write("crashes.json", `{"workload":"nqueens","crashes":[]}`):                                                  `crashes.json: json: unknown field "crashes"`,
-		write("lossless.json", `{"workload":"nqueens","nodes":2,"faults":{"links":[{"drop":1}]}}`):                    "lossless.json: fault: link rule 0: drop probability 1",
-		write("anon.json", `{"workload":"nqueens","nodes":2,"assert":{"min_drops":1}}`):                               "anon.json: scenario: missing name",
-		write("cons.json", `{"workload":"nqueens","executor":"conservative","workers":2,"checkpoint_interval_ns":5}`): "and the Conservative executor are incompatible",
-		write("batch.json", `{"workload":"forkjoin","nodes":4,"batch_window_ns":-5}`):                                 "WithBatching(-5ns, 0): window must be positive",
-		write("prof.json", `{"workload":"forkjoin","nodes":4,"profile_window_ns":-5}`):                                "WithProfiler: window must be non-negative",
-		write("ack.json", `{"workload":"forkjoin","nodes":4,"ack_delay_ns":-7}`):                                      "WithDelayedAcks(-7ns): delay must be positive",
-		write("ckpt.json", `{"workload":"forkjoin","nodes":4,"checkpoint_interval_ns":-7}`):                           "WithCheckpoint(-7ns): interval must be positive",
-		write("grid.json", `{"workload":"diffusion","nodes":4,"grid":1}`):                                             "diffusion: grid 1x1 invalid",
-		write("iters.json", `{"workload":"diffusion","nodes":4,"grid_iters":-2}`):                                     "diffusion: iterations must be >= 1",
-		write("pct.json", `{"workload":"hotkey","nodes":4,"write_pct":150}`):                                          "write percentage 150 out of range",
-		write("clients.json", `{"workload":"hotkey","nodes":4,"clients":-1}`):                                         "clients and ops must be >= 1",
-		write("book.json", `{"workload":"orderbook","nodes":1}`):                                                      "orderbook: need >= 2 nodes, got 1",
-		write("workers.json", `{"workload":"forkjoin","nodes":4,"executor":"conservative","workers":-3}`):             "worker count -3 must be non-negative",
-		write("pingpong.json", `{"workload":"pingpong","nodes":4,"batch_window_ns":-5}`):                              `unknown workload "pingpong"`,
+		write("spec.json", `{"workload":"hotkey","nodes":4}`):                                      "",
+		write("executor.json", `{"workload":"hotkey","executor":"conservative"}`):                  `executor.json: json: unknown field "executor"`,
+		write("flat.json", `{"workload":"nqueens","drop":0.1}`):                                    `flat.json: json: unknown field "drop"`,
+		write("crashes.json", `{"workload":"nqueens","crashes":[]}`):                               `crashes.json: json: unknown field "crashes"`,
+		write("lossless.json", `{"workload":"nqueens","nodes":2,"faults":{"links":[{"drop":1}]}}`): "lossless.json: fault: link rule 0: drop probability 1",
+		write("anon.json", `{"workload":"nqueens","nodes":2,"assert":{"min_drops":1}}`):            "anon.json: scenario: missing name",
+		write("batch.json", `{"workload":"forkjoin","nodes":4,"batch_window_ns":-5}`):              "WithBatching(-5ns, 0): window must be positive",
+		write("prof.json", `{"workload":"forkjoin","nodes":4,"profile_window_ns":-5}`):             "WithProfiler: window must be non-negative",
+		write("ack.json", `{"workload":"forkjoin","nodes":4,"ack_delay_ns":-7}`):                   "WithDelayedAcks(-7ns): delay must be positive",
+		write("ckpt.json", `{"workload":"forkjoin","nodes":4,"checkpoint_interval_ns":-7}`):        "WithCheckpoint(-7ns): interval must be positive",
+		write("grid.json", `{"workload":"diffusion","nodes":4,"grid":1}`):                          "diffusion: grid 1x1 invalid",
+		write("iters.json", `{"workload":"diffusion","nodes":4,"grid_iters":-2}`):                  "diffusion: iterations must be >= 1",
+		write("pct.json", `{"workload":"hotkey","nodes":4,"write_pct":150}`):                       "write percentage 150 out of range",
+		write("clients.json", `{"workload":"hotkey","nodes":4,"clients":-1}`):                      "clients and ops must be >= 1",
+		write("book.json", `{"workload":"orderbook","nodes":1}`):                                   "orderbook: need >= 2 nodes, got 1",
+		write("workers.json", `{"workload":"forkjoin","nodes":4,"workers":2}`):                     `workers.json: json: unknown field "workers"`,
+		write("pingpong.json", `{"workload":"pingpong","nodes":4,"batch_window_ns":-5}`):           `unknown workload "pingpong"`,
 	}
 	for _, glob := range []string{"../../internal/scenario/scenarios/*.json", "../../testdata/runpacks/*.zip"} {
 		paths, err := filepath.Glob(glob)

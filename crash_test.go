@@ -454,11 +454,6 @@ func TestCheckpointRequiresSupport(t *testing.T) {
 	if _, err := abcl.NewSystem(abcl.WithCheckpoint(0)); err == nil {
 		t.Error("WithCheckpoint(0) accepted")
 	}
-	if _, err := abcl.NewSystem(
-		abcl.WithNodes(4), abcl.WithCheckpoint(1000), abcl.WithExecutor(abcl.Conservative(4)),
-	); err == nil {
-		t.Error("WithCheckpoint + Conservative executor accepted")
-	}
 	sys, err := abcl.NewSystem(abcl.WithNodes(2))
 	if err != nil {
 		t.Fatal(err)

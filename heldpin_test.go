@@ -61,12 +61,9 @@ func TestHeldArrivalPin(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(ex abcl.ExecutorSpec, obs abcl.Sink) heldPin {
+			run := func(obs abcl.Sink) heldPin {
 				opts := append([]abcl.Option{abcl.WithNodes(16), abcl.WithSeed(3),
-					abcl.WithPlacement(abcl.PlaceRandom), abcl.WithExecutor(ex)}, tc.opts...)
-				if obs != nil {
-					opts = append(opts, abcl.WithObserver(obs))
-				}
+					abcl.WithPlacement(abcl.PlaceRandom), abcl.WithObserver(obs)}, tc.opts...)
 				sys, err := abcl.NewSystem(opts...)
 				if err != nil {
 					t.Fatal(err)
@@ -97,15 +94,10 @@ func TestHeldArrivalPin(t *testing.T) {
 				}
 			}
 			h := sha256.New()
-			seq := run(abcl.Sequential(), trace.NewJSONL(h))
-			seq.traceSHA = hex.EncodeToString(h.Sum(nil))
-			if seq != tc.want {
-				t.Errorf("Sequential():\n got  %+v\n want %+v", seq, tc.want)
-			}
-			par := run(abcl.Conservative(2), nil)
-			par.traceSHA = tc.want.traceSHA
-			if par != tc.want {
-				t.Errorf("Conservative(2):\n got  %+v\n want %+v", par, tc.want)
+			got := run(trace.NewJSONL(h))
+			got.traceSHA = hex.EncodeToString(h.Sum(nil))
+			if got != tc.want {
+				t.Errorf("\n got  %+v\n want %+v", got, tc.want)
 			}
 		})
 	}

@@ -124,11 +124,6 @@ type AllToAllResult struct {
 	Packets    uint64 // hardware packets launched
 	Msgs       uint64 // logical messages carried (>= Packets when batching)
 	Stats      abcl.Counters
-	// SyncWindows counts the parallel executor's synchronization barriers
-	// (0 for sequential runs). Deliberately outside the cross-executor
-	// equivalence surface: window schedules differ by strategy even though
-	// results are byte-identical.
-	SyncWindows uint64 `json:"-"`
 }
 
 // RunAllToAll runs a communication-dominated exchange: every node hosts one
@@ -200,11 +195,10 @@ func RunAllToAll(o AllToAllOptions) (*AllToAllResult, error) {
 
 	rep := sys.Report()
 	res := &AllToAllResult{
-		Elapsed:     rep.Sched.Elapsed,
-		Packets:     rep.Wire.Packets,
-		Msgs:        rep.Wire.LogicalMsgs,
-		Stats:       rep.Sched.Counters,
-		SyncWindows: sys.SyncWindows(),
+		Elapsed: rep.Sched.Elapsed,
+		Packets: rep.Wire.Packets,
+		Msgs:    rep.Wire.LogicalMsgs,
+		Stats:   rep.Sched.Counters,
 	}
 	for i := 0; i < p; i++ {
 		res.Delivered += received[i]

@@ -124,11 +124,10 @@ type Driver struct {
 	finishedAt sim.Time
 	finished   bool
 
-	// Boards and spawn records are carved on the lane that derives them,
-	// which under a parallel executor is the one running; a child is
+	// Boards and spawn records are carved, never released; a child is
 	// expanded on another node than the one that derived its board.
-	boards *sim.Arena[Board]
-	spawns *sim.Arena[spawn]
+	boards sim.Arena[Board]
+	spawns sim.Arena[spawn]
 }
 
 // State variable indices for the search-node class. The spawn cursor lives
@@ -151,8 +150,7 @@ func Build(sys *abcl.System, n, workFactor int) *Driver {
 	if err := CheckN(n); err != nil {
 		panic(err)
 	}
-	d := &Driver{sys: sys, n: n, work: WorkInstr(n, workFactor),
-		boards: sim.NewArena[Board](sys.M.Eng), spawns: sim.NewArena[spawn](sys.M.Eng)}
+	d := &Driver{sys: sys, n: n, work: WorkInstr(n, workFactor)}
 
 	d.patExpand = sys.Pattern("nq.expand", 1) // board
 	d.patDone = sys.Pattern("nq.done", 1)     // solution count
@@ -189,7 +187,7 @@ func Build(sys *abcl.System, n, workFactor int) *Driver {
 		ic.SetState(stNext, abcl.Int(0))
 	})
 	d.rootCls.Method(d.patStart, func(ctx *abcl.Ctx) {
-		d.expandBoard(ctx, d.newBoard(ctx))
+		d.expandBoard(ctx, d.boards.New())
 	})
 	d.rootCls.Method(d.patDone, d.doneMethod)
 
@@ -200,9 +198,6 @@ func Build(sys *abcl.System, n, workFactor int) *Driver {
 
 // Start injects the initial expand message.
 func (d *Driver) Start() { d.sys.Send(d.root, d.patStart) }
-
-// newBoard carves an empty board on the lane ctx runs on.
-func (d *Driver) newBoard(ctx *abcl.Ctx) *Board { return d.boards.New(ctx.Lane()) }
 
 // expandMethod handles nq.expand on a search node.
 func (d *Driver) expandMethod(ctx *abcl.Ctx) {
@@ -227,7 +222,7 @@ func (d *Driver) expandBoard(ctx *abcl.Ctx, b *Board) {
 		return
 	}
 	ctx.SetState(stPending, abcl.Int(int64(nvalid)))
-	sp := d.spawns.New(ctx.Lane())
+	sp := d.spawns.New()
 	*sp = spawn{d: d, board: *b, valid: valid, nvalid: int8(nvalid),
 		ctorArgs: [1]abcl.Value{abcl.Ref(ctx.Self())}}
 	sp.k = sp.next
@@ -254,7 +249,7 @@ type spawn struct {
 // next sends the child just created its board and creates the following one.
 func (sp *spawn) next(ctx *abcl.Ctx, addr abcl.Address) {
 	j := int(ctx.State(stNext).Int())
-	child := sp.d.newBoard(ctx)
+	child := sp.d.boards.New()
 	*child = sp.board
 	child.cols[child.rows] = sp.valid[j]
 	child.rows++

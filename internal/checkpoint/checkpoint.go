@@ -71,8 +71,7 @@ func (s *Snapshot) SizeBytes() int {
 }
 
 // Manager drives the snapshot protocol and executes crash/restart events.
-// All methods run on the simulation goroutine; the subsystem is incompatible
-// with the parallel executor (a restore touches every lane at once).
+// All methods run on the simulation goroutine.
 type Manager struct {
 	rt       *core.Runtime
 	l        *remote.Layer
@@ -280,8 +279,7 @@ func (g *Manager) snapNode(i int) {
 // that timeline can take a sequence number the replay re-pends. A node
 // still inside its own crash outage is restored but neither charged nor
 // replayed — its restart runs this whole pass again. Runs as a host-lane
-// event, or between runs for a manual Restore; incompatible with the
-// parallel executor.
+// event, or between runs for a manual Restore.
 func (g *Manager) restore(at sim.Time, node int) {
 	snap := g.stable
 	// The in-progress round (if any) dies with the timeline that was

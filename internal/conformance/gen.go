@@ -1,8 +1,7 @@
 // Package conformance generates random *confluent* ABCL programs and checks
 // that their observable results are identical across scheduling policies
-// (stack-based vs naive), across runs (determinism), and across execution
-// engines (discrete-event simulation vs the goroutine-per-node parallel
-// driver).
+// (stack-based vs naive), across runs (determinism), across node counts,
+// across chunk-stock depths and with and without injected link faults.
 //
 // Confluence is by construction: all state updates are commutative
 // accumulations (sums and counters) over values carried by the messages

@@ -34,7 +34,7 @@ type Class struct {
 	dormant   *VFT
 	active    *VFT
 	initTable *VFT
-	waitMu    sync.Mutex // the Conservative executor's lanes share waitCache
+	waitMu    sync.Mutex // guards waitCache
 	waitCache map[string]*VFT
 
 	// Multiactive declarations (Group / Priority / ReorderBound). Declaring

@@ -30,9 +30,6 @@ func (c *Ctx) Self() Address { return c.self.Addr() }
 // NodeID returns the node the method is executing on.
 func (c *Ctx) NodeID() int { return c.rt.id }
 
-// Lane returns the engine event lane the invocation runs on.
-func (c *Ctx) Lane() int { return c.rt.node.Lane() }
-
 // Nodes returns the machine's node count.
 func (c *Ctx) Nodes() int { return c.rt.rt.Nodes() }
 

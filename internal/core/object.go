@@ -2,10 +2,7 @@ package core
 
 // Object is a concurrent object as in Figure 2 of the paper: a state
 // variable box, a message queue, and a virtual function table pointer
-// (VFTP) designating the table for its current mode. Objects of different
-// lanes sit side by side in arena blocks, so the fields a message writes stay
-// off the cache lines an object shares with its neighbours, which other
-// workers may be running (TestObjectHotFieldsOwnTheirLines).
+// (VFTP) designating the table for its current mode.
 type Object struct {
 	class *Class
 	node  int

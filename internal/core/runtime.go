@@ -56,9 +56,8 @@ type Options struct {
 	MaxStackDepth int
 	// Trace, when non-nil, is installed on the machine and receives every
 	// runtime event — the machine's injected faults, the core's sends and
-	// dispatches, and those of the layers attached to it. Sinks see one global
-	// event interleaving, so abcl.NewSystem rejects one together with a
-	// parallel executor.
+	// dispatches, and those of the layers attached to it, in the one global
+	// event order.
 	Trace trace.Sink
 	// Prof, when non-nil, is installed on the machine and receives per-path
 	// cost attribution for every simulated charge. Like Trace it only
@@ -89,10 +88,10 @@ type Runtime struct {
 	faultVFT   *VFT // generic fault table for uninitialized chunks
 	forwardVFT *VFT // forwarder table for migrated objects
 
-	// Never reclaimed, so carved on the lane of the node that makes them:
-	// every Object, and every state box and constructor-argument copy.
-	objects *sim.Arena[Object]
-	values  *sim.Arena[Value]
+	// Never reclaimed, so carved: every Object, and every state box and
+	// constructor-argument copy.
+	objects sim.Arena[Object]
+	values  sim.Arena[Value]
 }
 
 // NewRuntime builds a runtime over the discrete-event machine m. Classes
@@ -108,8 +107,6 @@ func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 		policy:        opt.Policy,
 		maxStackDepth: opt.MaxStackDepth,
 		remote:        defaultRemote{},
-		objects:       sim.NewArena[Object](m.Eng),
-		values:        sim.NewArena[Value](m.Eng),
 	}
 	r.PatReply = r.Reg.Register("reply:", 1)
 	m.SetTrace(opt.Trace)

@@ -42,8 +42,7 @@ type NodeRT struct {
 	// first touched them — created, initialized or buffered a message for —
 	// for checkpoint traversal: a chunk another node seeded joins when its
 	// home first sees it, not when it is carved. Populated only when
-	// snapshots are enabled (track), keeping the default path untouched and
-	// parallel-run safe.
+	// snapshots are enabled (track), keeping the default path untouched.
 	hosted []*Object
 	track  bool
 
@@ -107,13 +106,13 @@ func (n *NodeRT) releaseFrame(f *Frame) {
 	n.frameFree = f
 }
 
-// allocState carves a zeroed, capped state-variable slice on this node's
-// lane, so an append through one can never bleed into a neighbor's storage.
-func (n *NodeRT) allocState(sz int) []Value { return n.rt.values.Slice(n.node.Lane(), sz) }
+// allocState carves a zeroed, capped state-variable slice, so an append
+// through one can never bleed into a neighbor's storage.
+func (n *NodeRT) allocState(sz int) []Value { return n.rt.values.Slice(sz) }
 
-// newObjectAt carves a zeroed Object homed on node, on this node's lane.
+// newObjectAt carves a zeroed Object homed on node.
 func (n *NodeRT) newObjectAt(node int) *Object {
-	obj := n.rt.objects.New(n.node.Lane())
+	obj := n.rt.objects.New()
 	obj.node = node
 	n.made++
 	return obj

@@ -42,8 +42,7 @@ const (
 // EnableSnapshots turns on object tracking on every node: each node records
 // the objects homed on it, in the order it first touches them, so a snapshot
 // can enumerate them. Must be called before any object is created; tracking
-// is off by default so the non-checkpointed path stays byte-identical (and
-// safe under parallel execution, which checkpointing forbids).
+// is off by default so the non-checkpointed path stays byte-identical.
 func (r *Runtime) EnableSnapshots() {
 	for _, n := range r.nodes {
 		n.track = true

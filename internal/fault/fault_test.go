@@ -226,3 +226,29 @@ func TestPlanJSON(t *testing.T) {
 		t.Errorf("Plan{Seed: 7} marshals to %s (err %v), want {}", out, err)
 	}
 }
+
+// FuzzLinkFaultJSON feeds arbitrary bytes to a link rule's decoder: it never
+// panics, a rule it accepts survives a marshal and a second decode unchanged,
+// and Plan.Validate judges any such rule without panicking.
+func FuzzLinkFaultJSON(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"drop":0.5}`))
+	f.Add([]byte(`{"src":0,"dst":1,"drop":0.6,"dup":0.2,"jitter_ns":3000}`))
+	f.Add([]byte(`{"src":9,"dst":-7,"drop":1,"dup":-0,"jitter_ns":-1}`))
+	f.Add([]byte(`{"jitter":5}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lf LinkFault
+		if json.Unmarshal(data, &lf) != nil {
+			return
+		}
+		out, err := json.Marshal(lf)
+		if err != nil {
+			t.Fatalf("%+v does not marshal: %v", lf, err)
+		}
+		var back LinkFault
+		if err := json.Unmarshal(out, &back); err != nil || back != lf {
+			t.Fatalf("%s -> %+v -> %s -> %+v (err %v)", data, lf, out, back, err)
+		}
+		_ = Plan{Links: []LinkFault{lf}}.Validate(4)
+	})
+}

@@ -212,10 +212,10 @@ func (p *Packet) Next() *Packet { return p.next }
 func (p *Packet) SetNext(q *Packet) { p.next = q }
 
 // rxQueue is a node's receive queue: delivered-but-unpolled packets in
-// arrival order, chained through fixed rxBlocks from the machine's pool (the
-// slab of the worker running the node's lane). Queueing a packet writes the
-// block, not the packet, and no queue is ever regrown by copying. A drained
-// queue keeps its one block, so a node that polls every turn takes no other.
+// arrival order, chained through fixed rxBlocks from the machine's slab.
+// Queueing a packet writes the block, not the packet, and no queue is ever
+// regrown by copying. A drained queue keeps its one block, so a node that
+// polls every turn takes no other.
 type rxQueue struct {
 	head, tail  *rxBlock
 	read, write int // next slot to pop in head, to fill in tail
@@ -233,12 +233,12 @@ type rxBlock struct {
 // PoolLink names the intrusive link for sim.Slab.
 func (b *rxBlock) PoolLink() **rxBlock { return &b.next }
 
-func (q *rxQueue) push(pool *sim.Pool[rxBlock, *rxBlock], lane int, p *Packet) {
+func (q *rxQueue) push(pool *sim.Slab[rxBlock, *rxBlock], p *Packet) {
 	if q.tail == nil {
-		q.tail = pool.Get(lane)
+		q.tail = pool.Get()
 		q.head = q.tail
 	} else if q.write == rxBlockLen {
-		b := pool.Get(lane)
+		b := pool.Get()
 		q.tail.next = b
 		q.tail, q.write = b, 0
 	}
@@ -248,7 +248,7 @@ func (q *rxQueue) push(pool *sim.Pool[rxBlock, *rxBlock], lane int, p *Packet) {
 }
 
 // pop returns the oldest packet, or nil when the queue is empty.
-func (q *rxQueue) pop(pool *sim.Pool[rxBlock, *rxBlock], lane int) *Packet {
+func (q *rxQueue) pop(pool *sim.Slab[rxBlock, *rxBlock]) *Packet {
 	if q.n == 0 {
 		return nil
 	}
@@ -256,7 +256,7 @@ func (q *rxQueue) pop(pool *sim.Pool[rxBlock, *rxBlock], lane int) *Packet {
 		b := q.head
 		q.head, q.read = b.next, 0
 		b.next = nil
-		pool.Put(lane, b)
+		pool.Put(b)
 	}
 	p := q.head.pkts[q.read]
 	q.head.pkts[q.read] = nil
@@ -272,21 +272,20 @@ func (q *rxQueue) pop(pool *sim.Pool[rxBlock, *rxBlock], lane int) *Packet {
 // handler call (e.g. a reorder buffer) must call Retain first.
 func (p *Packet) Retain() { p.pooled = false }
 
-// AcquirePacket returns a zeroed packet from the pool of the worker running
-// the node's lane, marked for recycling at the receiver once its handler has
-// run.
+// AcquirePacket returns a zeroed packet from the machine's pool, marked for
+// recycling at the receiver once its handler has run.
 func (n *Node) AcquirePacket() *Packet {
-	p := n.m.pkts.Get(n.lane)
+	p := n.m.pkts.Get()
 	p.pooled = true
 	return p
 }
 
-// ReleasePacket returns a pooled packet to the pool of the worker running
-// the node's lane. Calling it on a non-pooled (or retained) packet is a
-// no-op, so it is always safe after a handler has run.
+// ReleasePacket returns a pooled packet to the machine's pool. Calling it on
+// a non-pooled (or retained) packet is a no-op, so it is always safe after a
+// handler has run.
 func (n *Node) ReleasePacket(p *Packet) {
 	if p.pooled {
-		n.m.pkts.Put(n.lane, p)
+		n.m.pkts.Put(p)
 	}
 }
 
@@ -347,8 +346,8 @@ type Machine struct {
 	Cfg      Config
 	Eng      *sim.Engine
 	nodes    []*Node
-	pkts     *sim.Pool[Packet, *Packet]   // one slab per engine worker
-	rxBlocks *sim.Pool[rxBlock, *rxBlock] // the nodes' receive queues' blocks
+	pkts     sim.Slab[Packet, *Packet]
+	rxBlocks sim.Slab[rxBlock, *rxBlock] // the nodes' receive queues' blocks
 
 	nsPerInstr float64
 
@@ -426,8 +425,6 @@ func New(cfg Config) (*Machine, error) {
 	// One event lane per node plus lane 0 for the host; typed kinds keep
 	// the per-packet and per-turn scheduling allocation-free.
 	m.Eng.SetLanes(cfg.Nodes + 1)
-	m.pkts = sim.NewPool[Packet](m.Eng)
-	m.rxBlocks = sim.NewPool[rxBlock](m.Eng)
 	m.deliverKind = m.Eng.Register(func(lane int, at sim.Time, arg any) {
 		m.nodes[lane-1].deliver(at, arg.(*Packet), false)
 	})
@@ -476,27 +473,6 @@ func (m *Machine) Run() error {
 	_, err := m.Eng.Run()
 	return err
 }
-
-// Lookahead returns the minimum latency of any cross-node packet: the
-// fixed wire cost plus one routing hop. Every cross-node effect lands at
-// least this far ahead of the sending node's clock, which is what makes
-// conservative parallel execution windows safe.
-func (m *Machine) Lookahead() sim.Time {
-	return m.Cfg.Net.FixedNs + m.Cfg.Net.HopNs
-}
-
-// ParallelRun drives the simulation to quiescence like Run, executing
-// independent node lanes concurrently on up to workers goroutines inside
-// conservative virtual-time windows bounded by the network lookahead.
-// Results are identical to Run.
-func (m *Machine) ParallelRun(workers int) error {
-	_, err := m.Eng.RunParallel(workers, m.Lookahead())
-	return err
-}
-
-// ParWindows reports how many conservative windows (one barrier each) the
-// last ParallelRun executed.
-func (m *Machine) ParWindows() uint64 { return m.Eng.ParWindows() }
 
 // MaxClock returns the largest node clock, i.e. the parallel makespan.
 func (m *Machine) MaxClock() sim.Time {
@@ -786,7 +762,7 @@ func (n *Node) deliver(at sim.Time, p *Packet, hook bool) {
 	if n.Clock < at {
 		n.Clock = at
 	}
-	n.rx.push(n.m.rxBlocks, n.lane, p)
+	n.rx.push(&n.m.rxBlocks, p)
 	n.ensureResume()
 }
 
@@ -797,10 +773,9 @@ func (n *Node) Wake() { n.ensureResume() }
 // Now returns the node's local virtual clock.
 func (n *Node) Now() sim.Time { return n.Clock }
 
-// EventNow returns the virtual time of the node's lane: the timestamp of
-// the event currently firing on it. Unlike Engine.Now, it is safe from
-// handlers running inside a ParallelRun window.
-func (n *Node) EventNow() sim.Time { return n.m.Eng.LaneNow(n.lane) }
+// EventNow returns the timestamp of the event currently firing: the engine's
+// clock, which a node's own Clock may run ahead of.
+func (n *Node) EventNow() sim.Time { return n.m.Eng.Now() }
 
 // Lane returns the node's engine event lane.
 func (n *Node) Lane() int { return n.lane }
@@ -881,4 +856,4 @@ func (n *Node) Poll() {
 func (n *Node) PendingRx() int { return n.rx.n }
 
 // rxPop takes the oldest packet off the node's receive queue, nil when none.
-func (n *Node) rxPop() *Packet { return n.rx.pop(n.m.rxBlocks, n.lane) }
+func (n *Node) rxPop() *Packet { return n.rx.pop(&n.m.rxBlocks) }

@@ -497,21 +497,21 @@ func TestPacketSize(t *testing.T) {
 // pool when its newest is full, returns each block it reads past, keeps one
 // when drained, and clears every slot it pops.
 func TestRxQueueChainsBlocks(t *testing.T) {
-	pool := sim.NewPool[rxBlock](sim.NewEngine())
+	pool := new(sim.Slab[rxBlock, *rxBlock])
 	var q rxQueue
 	pk := make([]Packet, 400)
 	var want []*Packet
 	next := 0
 	push := func(k int) {
 		for ; k > 0; k-- {
-			q.push(pool, 0, &pk[next])
+			q.push(pool, &pk[next])
 			want = append(want, &pk[next])
 			next++
 		}
 	}
 	pop := func(k int) {
 		for ; k > 0; k-- {
-			if p := q.pop(pool, 0); p != want[0] {
+			if p := q.pop(pool); p != want[0] {
 				t.Fatalf("popped packet %p, want %p", p, want[0])
 			}
 			want = want[1:]
@@ -553,7 +553,7 @@ func TestRxQueueChainsBlocks(t *testing.T) {
 		}
 	}
 	pop(len(want))
-	if q.pop(pool, 0) != nil || q.n != 0 || blocks() != 1 {
+	if q.pop(pool) != nil || q.n != 0 || blocks() != 1 {
 		t.Fatalf("empty queue: %d queued in %d blocks, want 0 in 1", q.n, blocks())
 	}
 }

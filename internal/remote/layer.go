@@ -95,16 +95,16 @@ type Layer struct {
 	m     *machine.Machine
 	opt   Options
 	nodes []*nodeState
-	wires *sim.Pool[wireMsg, *wireMsg] // recycled wire records, one slab per engine worker
-	rel   *reliable                    // nil unless the reliable protocol is on (see Attach)
-	bat   *batcher                     // nil unless Options.BatchWindow > 0
-	locOn bool                         // remote-location cache enabled
+	wires sim.Slab[wireMsg, *wireMsg] // recycled wire records
+	rel   *reliable                   // nil unless the reliable protocol is on (see Attach)
+	bat   *batcher                    // nil unless Options.BatchWindow > 0
+	locOn bool                        // remote-location cache enabled
 
-	// Never released, so carved on the owning node's lane: stock entries
-	// and, when the layer keeps peers (link.go), links and open batches.
-	entries *sim.Arena[stockEntry]
-	links   *sim.Arena[link]
-	batches *sim.Arena[openBatch]
+	// Never released, so carved: stock entries and, when the layer keeps
+	// peers (link.go), links and open batches.
+	entries sim.Arena[stockEntry]
+	links   sim.Arena[link]
+	batches sim.Arena[openBatch]
 
 	// ckpt is the checkpoint subsystem; non-nil exactly in checkpoint mode,
 	// where transmissions are retained and deliveries coloured (ckpt.go).
@@ -125,11 +125,11 @@ type Layer struct {
 // the layer is one: the record is the Section 5.1 message (data plus the
 // kind naming its compiled handler), and the only code it carries is the
 // continuation of a creation blocked on an empty stock (or of a migration's
-// caller) in onCreated. Records are pooled: the sender takes one from its
-// worker's slab, handleWire recycles it into the receiving lane's worker's
-// (sim.Pool). The machine never recycles the embedded header (it is not
-// AcquirePacket's); the reliable protocol sends per-attempt copies under
-// headers of its own and leaves pkt unused after the hand-off.
+// caller) in onCreated. Records are pooled: the sender takes one from the
+// layer's slab and handleWire recycles it there (sim.Slab). The machine never
+// recycles the embedded header (it is not AcquirePacket's); the reliable
+// protocol sends per-attempt copies under headers of its own and leaves pkt
+// unused after the hand-off.
 //
 // The record is 256 bytes, so a full slab block of 256 records is eight
 // 8 KiB runtime pages exactly: the scalars share two words, and the argument
@@ -214,19 +214,19 @@ func (l *Layer) wirePooled() bool { return l.ckpt == nil }
 // PoolLink names the intrusive link for sim.Slab.
 func (w *wireMsg) PoolLink() **wireMsg { return &w.next }
 
-// acquireWire returns a zeroed record for mn to send — allocated singly when
+// acquireWire returns a zeroed record to send — allocated singly when
 // records are not recycled: one that never comes back must not pin a slab
 // block.
-func (l *Layer) acquireWire(mn *machine.Node) *wireMsg {
+func (l *Layer) acquireWire() *wireMsg {
 	if !l.wirePooled() {
 		return &wireMsg{}
 	}
-	return l.wires.Get(mn.Lane())
+	return l.wires.Get()
 }
 
-func (l *Layer) releaseWire(rn *machine.Node, w *wireMsg) {
+func (l *Layer) releaseWire(w *wireMsg) {
 	if l.wirePooled() {
-		l.wires.Put(rn.Lane(), w)
+		l.wires.Put(w)
 	}
 }
 
@@ -236,7 +236,7 @@ func (l *Layer) releaseWire(rn *machine.Node, w *wireMsg) {
 // service rides every message.
 func (l *Layer) record(mn *machine.Node, path profile.Path, extra int, kind uint8) *wireMsg {
 	mn.ChargeTo(path, l.cost().RemoteSendSetup+extra)
-	w := l.acquireWire(mn)
+	w := l.acquireWire()
 	w.kind = kind
 	w.src = int32(mn.ID)
 	w.load = int32(l.rt.NodeRT(mn.ID).SchedQueueLen())
@@ -366,7 +366,7 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	default:
 		panic(fmt.Sprintf("remote: unknown wire kind %d", w.kind))
 	}
-	l.releaseWire(rn, w)
+	l.releaseWire(w)
 }
 
 type stockKey struct {
@@ -398,7 +398,7 @@ func (l *Layer) stockEntry(mn *machine.Node, key stockKey) *stockEntry {
 	ns := l.nodes[mn.ID]
 	e := ns.stock[key]
 	if e == nil {
-		e = l.entries.New(mn.Lane())
+		e = l.entries.New()
 		ns.stock[key] = e
 	}
 	return e
@@ -461,8 +461,6 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 	opt.Reliable = opt.Reliable || rt.M.Faults() != nil || opt.AckDelay > 0
 	l := &Layer{rt: rt, m: rt.M, opt: opt, locOn: !opt.NoLocationCache}
 	l.hWire = l.handleWire
-	l.wires = sim.NewPool[wireMsg](rt.M.Eng)
-	l.entries = sim.NewArena[stockEntry](rt.M.Eng)
 	_, sampled := opt.Placement.(LoadBased)
 	l.nodes = make([]*nodeState, rt.Nodes())
 	for i := range l.nodes {
@@ -476,7 +474,6 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 		}
 	}
 	if opt.Reliable || opt.BatchWindow > 0 {
-		l.links, l.batches = sim.NewArena[link](rt.M.Eng), sim.NewArena[openBatch](rt.M.Eng)
 		for _, ns := range l.nodes {
 			ns.peers = &peers{}
 		}

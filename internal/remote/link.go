@@ -67,7 +67,7 @@ func (l *Layer) link(node, peer int) *link {
 	}
 	k := ns.links[peer]
 	if k == nil {
-		k = l.links.New(l.m.Node(node).Lane())
+		k = l.links.New()
 		k.peer = int32(peer)
 		if ns.linkTail == nil {
 			ns.linkHead = k
@@ -125,7 +125,7 @@ func (l *Layer) batchFor(mn *machine.Node, k *link) *openBatch {
 		p := l.nodes[mn.ID].peers
 		ob := p.idle
 		if ob == nil {
-			ob = l.batches.New(mn.Lane())
+			ob = l.batches.New()
 		} else {
 			p.idle, ob.next = ob.next, nil
 		}

@@ -179,8 +179,8 @@ type selFrame struct {
 // Layer); the state lives in the nodes' link records and relNodes.
 type reliable struct {
 	l        *Layer
-	ackDelay sim.Time                   // > 0 enables cumulative delayed acks
-	msgs     *sim.Pool[relMsg, *relMsg] // in-flight records, one slab per engine worker
+	ackDelay sim.Time                  // > 0 enables cumulative delayed acks
+	msgs     sim.Slab[relMsg, *relMsg] // in-flight records
 
 	// Every protocol packet dispatches through these, bound once: what a
 	// packet means rides in its header word and payload.
@@ -189,7 +189,7 @@ type reliable struct {
 }
 
 func newReliable(l *Layer) *reliable {
-	r := &reliable{l: l, ackDelay: max(l.opt.AckDelay, 0), msgs: sim.NewPool[relMsg](l.m.Eng)}
+	r := &reliable{l: l, ackDelay: max(l.opt.AckDelay, 0)}
 	r.hArrive, r.hPolled = r.dataArrived, r.receive
 	r.hAck = func(sn *machine.Node, p *machine.Packet) { r.ackReceived(sn, p.Src, p.Seq, p.Seq+1, nil) }
 	r.hAckCum = r.takeAck
@@ -206,7 +206,7 @@ func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
 	if m.due != 0 {
 		ns.rel.retries.remove(m)
 	}
-	r.msgs.Put(r.l.m.Node(ns.id).Lane(), m)
+	r.msgs.Put(m)
 }
 
 // schedule keeps the node's retry timer at its earliest deadline.
@@ -232,7 +232,7 @@ func (r *reliable) send(mn *machine.Node, w *wireMsg) {
 
 // pend makes w the in-flight message seq on k.
 func (r *reliable) pend(ns *nodeState, k *link, w *wireMsg, seq uint64) *relMsg {
-	m := r.msgs.Get(r.l.m.Node(ns.id).Lane())
+	m := r.msgs.Get()
 	m.dst = k.peer
 	m.seq = seq
 	m.size = w.pkt.Size + relHeaderBytes

@@ -32,11 +32,6 @@ type ExecResult struct {
 	Trace       []byte
 	TraceSHA256 string
 	TraceEvents int
-	// ParallelChecked records that the configuration also ran on the
-	// configured parallel executor and produced an identical answer and
-	// report; Executor names the strategy that was cross-checked.
-	ParallelChecked bool
-	Executor        string
 	// ReportJSON is the canonical report document (answer + system or
 	// scenario report), the bytes stored in the archive's report.json.
 	ReportJSON []byte
@@ -44,12 +39,10 @@ type ExecResult struct {
 
 // reportDoc is the schema of the archive's report.json section.
 type reportDoc struct {
-	Answer          string            `json:"answer"`
-	ElapsedNs       int64             `json:"elapsed_ns"`
-	ParallelChecked bool              `json:"parallel_checked,omitempty"`
-	Executor        string            `json:"executor,omitempty"`
-	System          *abcl.Report      `json:"system,omitempty"`
-	Scenario        *scenario.Outcome `json:"scenario,omitempty"`
+	Answer    string            `json:"answer"`
+	ElapsedNs int64             `json:"elapsed_ns"`
+	System    *abcl.Report      `json:"system,omitempty"`
+	Scenario  *scenario.Outcome `json:"scenario,omitempty"`
 }
 
 // Profile returns the cost-attribution report captured by the run (the
@@ -108,52 +101,29 @@ func (r *ExecResult) ProfileJSONL() []byte {
 }
 
 // Execute runs the configuration deterministically and assembles the
-// replay evidence. The run is always executed sequentially with a JSONL
-// observer and the cost profiler attached (neither perturbs virtual-time
-// results); when the conservative executor is configured the
-// configuration additionally runs on it, and its answer and report must
-// match the sequential run exactly — the byte-identical-to-sequential
-// guarantee, certified at pack time and re-certified by every verify.
+// replay evidence. The run is executed with a JSONL observer and the cost
+// profiler attached (neither perturbs virtual-time results).
 func Execute(cfg scenario.Spec) (*ExecResult, error) {
-	if err := validate(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
 	sink := trace.NewJSONL(&buf)
-	seq, err := runOnce(cfg, sink)
+	res, err := runOnce(cfg, sink)
 	if err != nil {
 		return nil, err
 	}
 	if err := sink.Err(); err != nil {
 		return nil, fmt.Errorf("runpack: trace stream: %w", err)
 	}
-	res := seq
 	res.Trace = buf.Bytes()
 	res.TraceSHA256 = sum(res.Trace)
 	res.TraceEvents = bytes.Count(res.Trace, []byte{'\n'})
-	if cfg.ParallelConfigured() {
-		spec := abcl.Conservative(cfg.Workers)
-		par, err := runOnce(cfg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("runpack: %s cross-run: %w", spec, err)
-		}
-		if par.Answer != res.Answer {
-			return nil, fmt.Errorf("runpack: %s executor diverged from sequential: answer %q != %q", spec, par.Answer, res.Answer)
-		}
-		seqJSON, parJSON := stripProfile(res.System), stripProfile(par.System)
-		if !bytes.Equal(seqJSON, parJSON) {
-			return nil, fmt.Errorf("runpack: %s executor diverged from sequential: reports differ:\nsequential: %s\nparallel:   %s", spec, seqJSON, parJSON)
-		}
-		res.ParallelChecked = true
-		res.Executor = spec.String()
-	}
 	res.ReportJSON, err = json.MarshalIndent(reportDoc{
-		Answer:          res.Answer,
-		ElapsedNs:       res.ElapsedNs,
-		ParallelChecked: res.ParallelChecked,
-		Executor:        res.Executor,
-		System:          res.System,
-		Scenario:        res.Outcome,
+		Answer:    res.Answer,
+		ElapsedNs: res.ElapsedNs,
+		System:    res.System,
+		Scenario:  res.Outcome,
 	}, "", "  ")
 	if err != nil {
 		return nil, err
@@ -162,32 +132,12 @@ func Execute(cfg scenario.Spec) (*ExecResult, error) {
 	return res, nil
 }
 
-// stripProfile marshals a report with the profiler section removed, for the
-// parallel-vs-sequential comparison (the parallel run is never profiled).
-func stripProfile(r *abcl.Report) []byte {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	c.Profile = nil
-	b, _ := json.Marshal(c)
-	return b
-}
-
-// runOnce executes the configuration once. With a sink it is the
-// instrumented sequential run: the observer and the cost profiler attached,
-// the configured executor left out. Without one it is the bare cross-run on
-// the configured parallel executor, which admits neither.
+// runOnce executes the configuration once, with the observer sink and the
+// cost profiler attached.
 func runOnce(cfg scenario.Spec, sink trace.Sink) (*ExecResult, error) {
-	var extra []abcl.Option
-	if sink != nil {
-		cfg.Executor, cfg.Workers = "", 0
-		extra = []abcl.Option{
-			abcl.WithObserver(sink),
-			abcl.WithProfiler(abcl.ProfileOptions{Window: sim.Time(cfg.ProfileWindowNs)}),
-		}
-	} else {
-		cfg.ProfileWindowNs = 0
+	extra := []abcl.Option{
+		abcl.WithObserver(sink),
+		abcl.WithProfiler(abcl.ProfileOptions{Window: sim.Time(cfg.ProfileWindowNs)}),
 	}
 	if !cfg.Plain() {
 		out, err := scenario.Run(cfg, extra...)

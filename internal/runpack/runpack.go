@@ -24,11 +24,9 @@ package runpack
 import (
 	"archive/zip"
 	"bytes"
-	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -52,17 +50,6 @@ const (
 	SecReport   = "report.json"
 )
 
-// validate rejects configurations Execute cannot replay.
-func validate(cfg scenario.Spec) error {
-	err := cfg.Validate()
-	// The parallel cross-run compares one system report with another; a
-	// scenario's two runs have none.
-	if cfg.ParallelConfigured() && !cfg.Plain() {
-		err = errors.Join(err, fmt.Errorf("runpack: %s packs run sequentially (drop the executor)", cmp.Or(cfg.Name, cfg.Workload)))
-	}
-	return err
-}
-
 // SectionSum records one section's integrity digest.
 type SectionSum struct {
 	SHA256 string `json:"sha256"`
@@ -78,14 +65,9 @@ type Manifest struct {
 	Workload string `json:"workload"`
 	// TraceEvents and TraceSHA256 summarize the trace section: the digest
 	// that Verify re-derives by re-executing the configuration.
-	TraceEvents int    `json:"trace_events"`
-	TraceSHA256 string `json:"trace_sha256"`
-	// ParallelChecked records that a parallel executor's Report was
-	// cross-checked against the sequential run at pack time; Executor
-	// names the strategy that was checked (e.g. "conservative(4)").
-	ParallelChecked bool                  `json:"parallel_checked,omitempty"`
-	Executor        string                `json:"executor,omitempty"`
-	Sections        map[string]SectionSum `json:"sections"`
+	TraceEvents int                   `json:"trace_events"`
+	TraceSHA256 string                `json:"trace_sha256"`
+	Sections    map[string]SectionSum `json:"sections"`
 }
 
 // Pack is one archive, opened or freshly built.
@@ -130,13 +112,11 @@ func (p *Pack) seal() error {
 		return err
 	}
 	m := Manifest{
-		Format:          Format,
-		Workload:        p.Config.Workload,
-		TraceEvents:     bytes.Count(p.TraceJSONL, []byte{'\n'}),
-		TraceSHA256:     sum(p.TraceJSONL),
-		ParallelChecked: p.Manifest.ParallelChecked,
-		Executor:        p.Manifest.Executor,
-		Sections:        make(map[string]SectionSum, len(secs)),
+		Format:      Format,
+		Workload:    p.Config.Workload,
+		TraceEvents: bytes.Count(p.TraceJSONL, []byte{'\n'}),
+		TraceSHA256: sum(p.TraceJSONL),
+		Sections:    make(map[string]SectionSum, len(secs)),
 	}
 	names := make([]string, 0, len(secs))
 	for name, b := range secs {
@@ -281,8 +261,6 @@ func Build(cfg scenario.Spec, res *ExecResult) (*Pack, error) {
 		ReportJSON:   res.ReportJSON,
 		ProfileJSONL: res.ProfileJSONL(),
 	}
-	p.Manifest.ParallelChecked = res.ParallelChecked
-	p.Manifest.Executor = res.Executor
 	return p, p.seal()
 }
 

@@ -18,9 +18,8 @@ import (
 // plain wraps a run spec as the document of a plain pack.
 func plain(sp workload.Spec) scenario.Spec { return scenario.Spec{Spec: sp} }
 
-// testConfigs are the acceptance matrix: a fault-free workload, a lossy
-// batched scenario, a crash-recovery scenario and a conservative-executor
-// run.
+// testConfigs are the acceptance matrix: two fault-free workloads, a lossy
+// batched scenario and a crash-recovery scenario.
 func testConfigs(t *testing.T) map[string]scenario.Spec {
 	t.Helper()
 	lossy, err := scenario.Find("nqueens-lossy-batched")
@@ -35,7 +34,7 @@ func testConfigs(t *testing.T) map[string]scenario.Spec {
 		"nqueens-plain":  plain(workload.Spec{Workload: "nqueens", N: 6, Nodes: 8, Seed: 1}),
 		"scenario-lossy": lossy,
 		"scenario-crash": crash,
-		"hotkey-cons":    plain(workload.Spec{Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1, Executor: "conservative", Workers: 4}),
+		"hotkey-plain":   plain(workload.Spec{Workload: "hotkey", Nodes: 8, Clients: 4, Ops: 10, Seed: 1}),
 	}
 }
 
@@ -51,14 +50,6 @@ func TestRoundTrip(t *testing.T) {
 			p, path, err := Create(cfg, dir)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if cfg.ParallelConfigured() {
-				if !p.Manifest.ParallelChecked {
-					t.Error("parallel run was not cross-checked")
-				}
-				if want := cfg.Executor; !strings.HasPrefix(p.Manifest.Executor, want) {
-					t.Errorf("manifest executor %q, want %s(…)", p.Manifest.Executor, want)
-				}
 			}
 			reopened, err := Open(path)
 			if err != nil {
@@ -217,6 +208,8 @@ func TestOpenRejectsTampering(t *testing.T) {
 		{"stale sum", run, SecTrace, `"at":`, `"at":7`, false, "integrity"},
 		{"misspelt config key", run, SecConfig, `"seed"`, `"checkpoint_interval": 500000, "seed"`, true, `config.json: json: unknown field "checkpoint_interval"`},
 		{"removed config key", run, SecConfig, `"seed"`, `"parallel_sim": 4, "seed"`, true, `config.json: json: unknown field "parallel_sim"`},
+		{"removed executor key", run, SecConfig, `"seed"`, `"executor": "conservative", "seed"`, true, `config.json: json: unknown field "executor"`},
+		{"removed workers key", run, SecConfig, `"seed"`, `"workers": 4, "seed"`, true, `config.json: json: unknown field "workers"`},
 		{"retired flat fault key", run, SecConfig, `"seed"`, `"drop": 0.1, "seed"`, true, `config.json: json: unknown field "drop"`},
 		{"retired flat crash key", run, SecConfig, `"seed"`, `"crashes": [], "seed"`, true, `config.json: json: unknown field "crashes"`},
 		{"removed scenario key", lossy, SecConfig, `"name"`, `"optimistic_window_ns": 9, "name"`, true, `config.json: json: unknown field "optimistic_window_ns"`},
@@ -383,7 +376,6 @@ func TestRegress(t *testing.T) {
 
 // TestValidateRejections pins the configuration validator's error cases.
 func TestValidateRejections(t *testing.T) {
-	crash := &abcl.FaultPlan{Crashes: []abcl.NodeCrash{{Node: 1, At: 5, RestartAfter: 5}}}
 	cases := []struct {
 		name string
 		cfg  scenario.Spec
@@ -392,20 +384,12 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown workload", plain(workload.Spec{Workload: "quicksort"}), "unknown workload"},
 		{"retired pseudo-workload", plain(workload.Spec{Workload: "scenario"}), `unknown workload "scenario" (want diffusion | forkjoin | hotkey | nqueens | orderbook)`},
 		{"assertions without a name", scenario.Spec{Spec: workload.Spec{Workload: "nqueens", Nodes: 2}, Assert: &scenario.Assert{}}, "missing name"},
-		{"parallel scenario", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "forkjoin", Nodes: 2, Executor: "conservative", Workers: 4}}, "x packs run sequentially"},
-		{"parallel crash", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, Faults: crash}), "and the Conservative executor are incompatible"},
-		{"parallel crash scenario", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "nqueens", Nodes: 2, Executor: "conservative", Workers: 4, Faults: crash}}, "and the Conservative executor are incompatible"},
-		{"conservative ckpt", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}), "and the Conservative executor are incompatible"},
-		{"conservative negative workers", plain(workload.Spec{Workload: "nqueens", Executor: "conservative", Workers: -3}), "worker count -3 must be non-negative"},
-		{"unknown executor", plain(workload.Spec{Workload: "nqueens", Executor: "timewarp", Workers: 4}), "unknown executor"},
-		{"removed executor", plain(workload.Spec{Workload: "nqueens", Executor: "optimistic", Workers: 4}), "unknown executor"},
-		{"workers sequential", plain(workload.Spec{Workload: "nqueens", Workers: 4}), "requires a parallel executor"},
 		{"bad policy", plain(workload.Spec{Workload: "nqueens", Policy: "fifo"}), "unknown policy"},
 		{"bad placement", plain(workload.Spec{Workload: "nqueens", Placement: "hash"}), "unknown placement"},
 		{"bad scenario-pack placement", scenario.Spec{Name: "x", Spec: workload.Spec{Workload: "forkjoin", Nodes: 2, Placement: "hash"}}, "unknown placement"},
 	}
 	for _, tc := range cases {
-		err := validate(tc.cfg)
+		err := tc.cfg.Validate()
 		if err == nil {
 			t.Errorf("%s: want error", tc.name)
 			continue

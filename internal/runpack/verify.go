@@ -107,9 +107,6 @@ func (v *VerifyResult) Summary(p *Pack) string {
 	if v.OK {
 		fmt.Fprintf(&b, "PASS runpack %s: %s reproduced byte-identically (%d trace events, digest %s)\n",
 			p.Manifest.ID, p.Config.Workload, p.Manifest.TraceEvents, short(p.Manifest.TraceSHA256))
-		if v.Fresh.ParallelChecked {
-			fmt.Fprintf(&b, "  %s executor re-checked against the sequential run\n", v.Fresh.Executor)
-		}
 		return b.String()
 	}
 	fmt.Fprintf(&b, "FAIL runpack %s: %s no longer reproduces\n", p.Manifest.ID, p.Config.Workload)

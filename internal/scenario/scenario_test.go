@@ -76,14 +76,14 @@ func TestSpecValidation(t *testing.T) {
 		{"pause out of range", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"pauses":[{"node":9,"at_ns":0,"for_ns":10}]}}`, "node 9"},
 		{"misspelt key", `{"name":"x","workload":"forkjoin","nodes":2,"checkpoint_interval":500000}`, `unknown field "checkpoint_interval"`},
 		{"misspelt link key", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"links":[{"jitter":5}]}}`, `unknown field "jitter"`},
-		{"removed executor", `{"name":"x","workload":"forkjoin","nodes":2,"executor":"optimistic","workers":4}`, `unknown executor "optimistic"`},
+		{"removed executor key", `{"name":"x","workload":"forkjoin","nodes":2,"executor":"conservative"}`, `unknown field "executor"`},
+		{"removed workers key", `{"name":"x","workload":"forkjoin","nodes":2,"workers":4}`, `unknown field "workers"`},
 		{"removed window key", `{"name":"x","workload":"forkjoin","nodes":2,"optimistic_window_ns":1000}`, `unknown field "optimistic_window_ns"`},
 		{"negative depth", `{"name":"x","workload":"forkjoin","nodes":2,"depth":-1}`, "forkjoin depth must be >= 0"},
 		{"negative reorder", `{"name":"x","workload":"hotkey","nodes":2,"reorder":-1}`, "reorder bound must be >= 0, got -1"},
 		{"trailing data", `{"name":"x","workload":"forkjoin","nodes":2} {}`, "after the top-level value"},
 		{"retired flat drop", `{"name":"x","workload":"forkjoin","nodes":2,"drop":0.1}`, `unknown field "drop"`},
 		{"retired flat crashes", `{"name":"x","workload":"nqueens","nodes":2,"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}`, `unknown field "crashes"`},
-		{"conservative crash", `{"name":"x","workload":"nqueens","nodes":2,"executor":"conservative","workers":2,"faults":{"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}}`, "and the Conservative executor are incompatible"},
 	}
 	for _, tc := range cases {
 		path := writeSpec(t, tc.json)

@@ -6,9 +6,9 @@ import (
 	"unsafe"
 )
 
-// An Arena hands out distinct zeroed records whose addresses never move, on
-// the slab's schedule — blocks of 8, 16, ... 256, 256 — and pays one
-// allocation per block. A Slice is capped: an append through it reallocates
+// An Arena hands out distinct zeroed records whose addresses never move, in
+// blocks of 8, 16, ... 256, 256 (a Slab's too), and pays one allocation per
+// block. A Slice is capped: an append through it reallocates
 // instead of writing over the next record, and a Slice longer than the
 // largest block is a block of its own.
 func TestArenaCarvesDoublingBlocks(t *testing.T) {
@@ -21,12 +21,12 @@ func TestArenaCarvesDoublingBlocks(t *testing.T) {
 	for _, b := range want {
 		n += b
 	}
-	a := NewArena[rec](NewEngine())
+	var a Arena[rec]
 	recs := make([]*rec, n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range recs {
-		recs[i] = a.New(0)
+		recs[i] = a.New()
 	}
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs != uint64(len(want)) {
@@ -53,7 +53,7 @@ func TestArenaCarvesDoublingBlocks(t *testing.T) {
 		}
 	}
 
-	s, next := a.Slice(0, 3), a.Slice(0, 2)
+	s, next := a.Slice(3), a.Slice(2)
 	if len(s) != 3 || cap(s) != 3 || &s[2] == &next[0] {
 		t.Fatalf("Slice(3) has len %d, cap %d: want 3 and 3, apart from the next slice", len(s), cap(s))
 	}
@@ -61,7 +61,7 @@ func TestArenaCarvesDoublingBlocks(t *testing.T) {
 	if grown := append(s, rec{id: 9}); &grown[0] == &s[0] || next[0].id != 7 {
 		t.Error("an append through a Slice did not reallocate")
 	}
-	if big := a.Slice(0, 300); len(big) != 300 || cap(big) != 300 {
+	if big := a.Slice(300); len(big) != 300 || cap(big) != 300 {
 		t.Errorf("Slice(300) has len %d, cap %d, want 300 and 300", len(big), cap(big))
 	}
 }

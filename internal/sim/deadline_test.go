@@ -44,8 +44,8 @@ func TestStartTimerAtMovesSlot(t *testing.T) {
 
 // TestStopTakesSlotOut pins the way out: Stop removes the slot at once — the
 // timer and the engine stop counting it, and it never fires or counts in
-// Fired — whether it sits mid-heap, at a lane's head under Run (the
-// tournament must follow), alone on its lane, or inside a RunParallel window.
+// Fired — whether it sits mid-heap, at a lane's head (the tournament must
+// follow) or alone on its lane.
 func TestStopTakesSlotOut(t *testing.T) {
 	e := NewEngine()
 	e.SetLanes(4)
@@ -74,24 +74,6 @@ func TestStopTakesSlotOut(t *testing.T) {
 		t.Fatalf("Run fired %v, %d events in all; want [25 30], 3", got, e.Fired())
 	}
 
-	e, got = NewEngine(), nil
-	e.SetLanes(2)
-	k = e.Register(func(_ int, _ Time, arg any) { got = append(got, arg.(int)) })
-	var near, far Timer
-	e.ScheduleFuncOn(0, 0, 1, func() { arm(0, &near, 5, -1); arm(0, &far, 500, -2) })
-	e.ScheduleFuncOn(0, 0, 2, func() {
-		if near.Stop(); near.Pending() {
-			t.Error("in-window Stop left the timer queued")
-		}
-	})
-	e.ScheduleFuncOn(0, 0, 3, far.Stop)
-	e.ScheduleOn(1, 1, 1, k, 1)
-	if _, err := e.RunParallel(2, 100); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{1}) || e.Fired() != 4 || e.Pending() != 0 {
-		t.Fatalf("RunParallel fired %v, %d events in all, %d left; want [1], 4, 0", got, e.Fired(), e.Pending())
-	}
 }
 
 // The deadline workload: every lane keeps a set of cancellable deadlines, set
@@ -112,7 +94,6 @@ type dlLane struct {
 	steps int
 	next  int
 	pend  []*dlRec
-	log   []dlFire
 	// Shared variant: one timer for the lane, standing at the earliest of
 	// pend (armed), stopped when there is none.
 	timer Timer
@@ -129,7 +110,7 @@ type dlWorld struct {
 	shared bool // one timer per lane (ReserveSeq + StartTimerAt) or one event per deadline
 	look   Time
 	lanes  []dlLane
-	global []dlFire // firing order across lanes, kept for sequential runs (nil: off)
+	global []dlFire // firing order across lanes
 	wakeK  Kind     // shared variant's timer callback; arg: the lane index
 	// expireK is the per-deadline variant's event; arg: the *dlRec.
 	expireK Kind
@@ -140,16 +121,11 @@ func (l *dlLane) rand(n int) int {
 	return int((l.rng >> 33) % uint64(n))
 }
 
-func (w *dlWorld) fired(l int, f dlFire) {
-	w.lanes[l].log = append(w.lanes[l].log, f)
-	if w.global != nil {
-		w.global = append(w.global, f)
-	}
-}
+func (w *dlWorld) fired(f dlFire) { w.global = append(w.global, f) }
 
 func (w *dlWorld) set(l int, d *dlRec, delay Time) {
 	ln := &w.lanes[l]
-	d.lane, d.due = l, w.e.LaneNow(l)+delay
+	d.lane, d.due = l, w.e.Now()+delay
 	ln.pend = append(ln.pend, d)
 	if !w.shared {
 		w.e.ScheduleOn(l, l, d.due, w.expireK, d)
@@ -205,7 +181,7 @@ func (w *dlWorld) expire(l int, d *dlRec) {
 		return
 	}
 	ln.pend = slices.Delete(ln.pend, i, i+1)
-	w.fired(l, dlFire{w.e.LaneNow(l), d.id})
+	w.fired(dlFire{w.e.Now(), d.id})
 	if ln.rand(3) == 0 {
 		w.set(l, &dlRec{id: d.id + 1000}, Time(6+ln.rand(60)))
 	}
@@ -224,12 +200,12 @@ func (w *dlWorld) step(l int) {
 		}
 	default:
 		dst := (l + 1) % len(w.lanes)
-		w.e.ScheduleFuncOn(l, dst, w.e.LaneNow(l)+w.look, func() {
-			w.fired(dst, dlFire{w.e.LaneNow(dst), -1 - l})
+		w.e.ScheduleFuncOn(l, dst, w.e.Now()+w.look, func() {
+			w.fired(dlFire{w.e.Now(), -1 - l})
 		})
 	}
 	if ln.steps > 0 {
-		w.e.ScheduleFuncOn(l, l, w.e.LaneNow(l)+Time(1+ln.rand(5)), func() { w.step(l) })
+		w.e.ScheduleFuncOn(l, l, w.e.Now()+Time(1+ln.rand(5)), func() { w.step(l) })
 	}
 }
 
@@ -247,30 +223,19 @@ func newDLWorld(shared bool, lanes, steps int, look Time) *dlWorld {
 	return w
 }
 
-func (w *dlWorld) laneLogs() [][]dlFire {
-	out := make([][]dlFire, len(w.lanes))
-	for l := range w.lanes {
-		out[l] = w.lanes[l].log
-	}
-	return out
-}
-
 // TestReservedDeadlineEquivalence is the contract of ReserveSeq and
 // StartTimerAt: one timer per lane, armed at reserved positions, fires every
 // deadline at the instant and in the global order that a plain event per
-// deadline does — and keeps doing so inside conservative windows, where
-// reserved numbers are provisional until the barrier.
+// deadline does.
 func TestReservedDeadlineEquivalence(t *testing.T) {
 	const lanes, steps = 5, 600
 	const look = Time(12)
 
 	ref := newDLWorld(false, lanes, steps, look)
-	ref.global = []dlFire{}
 	if _, err := ref.e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	seq := newDLWorld(true, lanes, steps, look)
-	seq.global = []dlFire{}
 	seqN, err := seq.e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -294,12 +259,4 @@ func TestReservedDeadlineEquivalence(t *testing.T) {
 		t.Errorf("shared timer fired %d events, one per deadline %d: nothing saved", seqN, ref.e.Fired())
 	}
 
-	par := newDLWorld(true, lanes, steps, look)
-	parN, err := par.e.RunParallel(3, look)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parN != seqN || !reflect.DeepEqual(par.laneLogs(), seq.laneLogs()) {
-		t.Fatalf("RunParallel diverged (%d events vs %d sequential)", parN, seqN)
-	}
 }

@@ -25,14 +25,12 @@ import "math/bits"
 // checks), but correctness does not lean on it: an event at or before the
 // base goes to the heap, which orders anything by (time, seq). The heap's
 // head is the queue's head in both representations, which is what the
-// tournament and the window runner read. A lane's held queue (engine.go) is
-// the same queue.
+// tournament reads. A lane's held queue (engine.go) is the same queue.
 //
 // Buckets are chains of fixed evBlocks and the bucket heads one deepQ, both
-// from engine pools: taken from and returned to the slab of
-// Engine.Worker(lane), as the layers above do with packets, and the barrier's
-// pushes use slab 0. A shallow lane pays one nil pointer for all this, and no
-// deep lane's storage is ever regrown by copying.
+// taken from and returned to the engine's slabs, as the layers above do with
+// packets. A shallow lane pays one nil pointer for all this, and no deep
+// lane's storage is ever regrown by copying.
 
 const (
 	// spillDepth is the heap size at which a queue spills rather than grow
@@ -72,11 +70,10 @@ func (d *deepQ) PoolLink() **deepQ { return &d.free }
 // bucketOf is the bucket of an event at time at, later than the base.
 func (d *deepQ) bucketOf(at Time) int { return bits.Len64(uint64(at ^ d.base)) }
 
-// enqueue queues ev on q, a queue of lane l, and reports whether it is q's
-// new head. A shallow queue with room in its heap takes the heap push
-// inline. Lane l only chooses the pool slab that blocks come from.
-func (e *Engine) enqueue(l int, q *queue, ev event) bool {
-	if (q.deep != nil || len(q.heap) == cap(q.heap)) && e.bucketed(l, q, ev) {
+// enqueue queues ev on q and reports whether it is q's new head. A shallow
+// queue with room in its heap takes the heap push inline.
+func (e *Engine) enqueue(q *queue, ev event) bool {
+	if (q.deep != nil || len(q.heap) == cap(q.heap)) && e.bucketed(q, ev) {
 		return false
 	}
 	h := q.heap
@@ -87,13 +84,13 @@ func (e *Engine) enqueue(l int, q *queue, ev event) bool {
 // bucketed is enqueue's path for a deep queue or a full heap: it queues ev in
 // a bucket and reports true, or makes room for it in the heap — spilling the
 // queue, or growing the heap when it cannot spill — and reports false.
-func (e *Engine) bucketed(l int, q *queue, ev event) bool {
+func (e *Engine) bucketed(q *queue, ev event) bool {
 	d := q.deep
 	if d == nil && len(q.heap) >= spillDepth {
-		d = e.spill(l, q)
+		d = e.spill(q)
 	}
 	if d != nil && ev.at > d.base {
-		e.bucket(l, d, ev)
+		e.bucket(d, ev)
 		return true
 	}
 	if len(q.heap) == cap(q.heap) {
@@ -102,8 +99,8 @@ func (e *Engine) bucketed(l int, q *queue, ev event) bool {
 	return false
 }
 
-// dequeue pops q's head; q is a queue of lane l.
-func (e *Engine) dequeue(l int, q *queue) event {
+// dequeue pops q's head.
+func (e *Engine) dequeue(q *queue) event {
 	h := q.heap
 	ev := h[0]
 	n := len(h) - 1
@@ -113,7 +110,7 @@ func (e *Engine) dequeue(l int, q *queue) event {
 	if n > 0 {
 		q.sink(0, last)
 	} else if q.deep != nil {
-		e.refill(l, q)
+		e.refill(q)
 	}
 	return ev
 }
@@ -131,7 +128,7 @@ func (e *Engine) move(l int, b *evBlock, i int, ev event) {
 		b.evs[i] = ev
 	default:
 		e.take(l, b, i)
-		e.enqueue(l, q, ev)
+		e.enqueue(q, ev)
 	}
 }
 
@@ -140,12 +137,12 @@ func (e *Engine) move(l int, b *evBlock, i int, ev event) {
 func (e *Engine) take(l int, b *evBlock, i int) {
 	q := &e.lanes[l].queue
 	if b != nil {
-		e.unbucket(l, q.deep, b, i)
+		e.unbucket(q.deep, b, i)
 		return
 	}
 	q.remove(i)
 	if q.deep != nil && len(q.heap) == 0 {
-		e.refill(l, q)
+		e.refill(q)
 	}
 }
 
@@ -173,24 +170,24 @@ func (q *queue) find(t *Timer) (b *evBlock, i int) {
 
 func (ev *event) holds(t *Timer) bool { return ev.kind() == kindTimer && ev.arg == any(t) }
 
-// spill makes q, a queue of lane l, deep: the events later than its head
-// leave the heap for buckets. It returns the radix state, or nil when every
-// queued event shares one time and the heap must grow instead.
-func (e *Engine) spill(l int, q *queue) *deepQ {
+// spill makes q deep: the events later than its head leave the heap for
+// buckets. It returns the radix state, or nil when every queued event shares
+// one time and the heap must grow instead.
+func (e *Engine) spill(q *queue) *deepQ {
 	h := q.heap
-	d := e.deeps.Get(l)
+	d := e.deeps.Get()
 	d.base = h[0].at
 	k := 0
 	for _, ev := range h {
 		if ev.at > d.base {
-			e.bucket(l, d, ev)
+			e.bucket(d, ev)
 		} else {
 			h[k] = ev
 			k++
 		}
 	}
 	if d.n == 0 {
-		e.deeps.Put(l, d)
+		e.deeps.Put(d)
 		return nil
 	}
 	clear(h[k:])
@@ -203,11 +200,11 @@ func (e *Engine) spill(l int, q *queue) *deepQ {
 }
 
 // bucket appends ev, later than the base, to its bucket.
-func (e *Engine) bucket(l int, d *deepQ, ev event) {
+func (e *Engine) bucket(d *deepQ, ev event) {
 	k := d.bucketOf(ev.at)
 	b := d.buckets[k]
 	if b == nil || b.n == blockEvents {
-		nb := e.blocks.Get(l)
+		nb := e.blocks.Get()
 		nb.next = b
 		d.buckets[k] = nb
 		d.mask |= 1 << k
@@ -220,7 +217,7 @@ func (e *Engine) bucket(l int, d *deepQ, ev event) {
 
 // unbucket removes slot i of block b; the newest event of its bucket fills
 // the hole.
-func (e *Engine) unbucket(l int, d *deepQ, b *evBlock, i int) {
+func (e *Engine) unbucket(d *deepQ, b *evBlock, i int) {
 	k := d.bucketOf(b.evs[i].at)
 	h := d.buckets[k]
 	h.n--
@@ -230,7 +227,7 @@ func (e *Engine) unbucket(l int, d *deepQ, b *evBlock, i int) {
 	if h.n == 0 {
 		d.buckets[k] = h.next
 		h.next = nil
-		e.blocks.Put(l, h)
+		e.blocks.Put(h)
 		if d.buckets[k] == nil {
 			d.mask &^= 1 << k
 		}
@@ -240,20 +237,20 @@ func (e *Engine) unbucket(l int, d *deepQ, b *evBlock, i int) {
 // refill runs when a deep queue's heap has emptied: it re-buckets into the
 // heap, so that the heap is empty only when the whole queue is, and hands the
 // queue back to the heap once its buckets are empty.
-func (e *Engine) refill(l int, q *queue) {
+func (e *Engine) refill(q *queue) {
 	d := q.deep
 	if d.n > 0 {
-		e.rebucket(l, q, d)
+		e.rebucket(q, d)
 	}
 	if d.n == 0 {
 		q.deep = nil
-		e.deeps.Put(l, d)
+		e.deeps.Put(d)
 	}
 }
 
 // rebucket empties the lowest non-empty bucket into the heap and lower
 // buckets (see the top of this file).
-func (e *Engine) rebucket(l int, q *queue, d *deepQ) {
+func (e *Engine) rebucket(q *queue, d *deepQ) {
 	k := bits.TrailingZeros64(d.mask)
 	chain := d.buckets[k]
 	d.buckets[k] = nil
@@ -277,29 +274,12 @@ func (e *Engine) rebucket(l int, q *queue, d *deepQ) {
 			if ev.at <= d.base {
 				q.push(ev)
 			} else {
-				e.bucket(l, d, ev)
+				e.bucket(d, ev)
 			}
 		}
 		next := b.next
 		b.next = nil
-		e.blocks.Put(l, b)
+		e.blocks.Put(b)
 		b = next
-	}
-}
-
-// rekey applies f to every queued event's key in place. f must preserve the
-// order of keys: a bucket depends on time alone, and the heap stays a heap.
-func (q *queue) rekey(f func(key uint64) uint64) {
-	for i := range q.heap {
-		q.heap[i].key = f(q.heap[i].key)
-	}
-	if d := q.deep; d != nil {
-		for m := d.mask; m != 0; m &= m - 1 {
-			for b := d.buckets[bits.TrailingZeros64(m)]; b != nil; b = b.next {
-				for i := range b.evs[:b.n] {
-					b.evs[i].key = f(b.evs[i].key)
-				}
-			}
-		}
 	}
 }

@@ -12,8 +12,7 @@
 // heap over the non-empty lanes that carries each lane's head (time, seq)
 // beside the lane index — selects the globally next event in O(log lanes).
 // Events a closed lane may hold (ScheduleHeldOn) wait beside it, off the
-// tournament. A lane conventionally corresponds to one simulated node, which
-// is what makes the conservative parallel runner in parallel.go possible.
+// tournament. A lane conventionally corresponds to one simulated node.
 package sim
 
 import "fmt"
@@ -60,7 +59,6 @@ type Kind uint8
 const (
 	kindClosure Kind = iota
 	kindTimer
-	kindReserve // a birth that holds a reserved sequence number, never an event
 	kindHandlerBase
 )
 
@@ -92,28 +90,6 @@ func before(at Time, key uint64, bAt Time, bKey uint64) bool {
 
 func evLess(a, b *event) bool { return before(a.at, a.key, b.at, b.key) }
 
-// birth records one event scheduled during a parallel window, on the lane
-// that scheduled it. Final sequence numbers are assigned at the barrier.
-type birth struct {
-	at       Time
-	seq      uint64
-	dst      int32
-	kind     Kind
-	consumed bool // already fired inside the window (same-lane, in-window)
-	arg      any
-}
-
-// firedRec logs one fired event that scheduled children, so the barrier can
-// replay the window's global firing order and assign sequence numbers
-// exactly as the sequential engine would have.
-type firedRec struct {
-	at       Time
-	seq      uint64 // valid when bref < 0 (event existed before the window)
-	bref     int32  // birth index when the event was born inside the window
-	kidStart int32
-	kidEnd   int32
-}
-
 // queue is one event queue: a 4-ary array heap over (at, seq) — half the
 // levels of a binary one, and a node's four children span two cache lines —
 // that spills into a radix queue when it fills (deep.go); either way heap[0]
@@ -123,18 +99,12 @@ type queue struct {
 	deep *deepQ // the radix buckets while the queue is deep, else nil
 }
 
-// lane is one independent event queue plus its parallel-window scratch
-// state. Beside it, out of line, the engine keeps the lane's held queue (see
-// ScheduleHeldOn); closed keeps that queue off the tournament.
+// lane is one independent event queue. Beside it, out of line, the engine
+// keeps the lane's held queue (see ScheduleHeldOn); closed keeps that queue
+// off the tournament.
 type lane struct {
 	queue
-	now      Time
-	births   []birth
-	log      []firedRec
-	winFired uint64
-	reserved bool  // ReserveSeq ran in this window: the barrier must settle it
-	closed   bool  // the held queue waits off the tournament (SetLaneClosed)
-	worker   int32 // the worker slot running the lane in the current window
+	closed bool // the held queue waits off the tournament (SetLaneClosed)
 }
 
 // laneMinCap is a lane's first heap capacity, carved for every lane from one
@@ -240,9 +210,7 @@ type entry struct {
 func (a *entry) less(b *entry) bool { return before(a.at, a.key, b.at, b.key) }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
-// concurrent use; all event callbacks run on the caller's goroutine (or,
-// under RunParallel, on the worker that owns the callback's lane for the
-// current window).
+// concurrent use; all event callbacks run on the caller's goroutine.
 type Engine struct {
 	lanes    []lane
 	held     []queue // per lane: events that may wait off the tournament
@@ -254,50 +222,16 @@ type Engine struct {
 	seq      uint64
 	now      Time
 	fired    uint64
-	inPar    bool   // inside a parallel window: post() records births
-	provBase uint64 // e.seq at window start; provisional seqs are > provBase
-	winEnd   Time
-	parWins  uint64                   // windows (barriers) of the last RunParallel drive
-	heads    []int                    // barrier scratch: per-active-lane log cursor
-	pools    []pool                   // every Pool built on the engine, sized to slots
-	slots    int                      // worker slots the pools hold a slab for
-	blocks   *Pool[evBlock, *evBlock] // deep lanes' bucket blocks
-	deeps    *Pool[deepQ, *deepQ]     // deep lanes' radix states
+	blocks   Slab[evBlock, *evBlock] // deep lanes' bucket blocks
+	deeps    Slab[deepQ, *deepQ]     // deep lanes' radix states
 }
 
-// Worker reports which worker runs lane l: its slot inside a parallel window,
-// 0 outside one and for a window's lone active lane, which runs on the
-// caller's goroutine. Code firing on lane l may touch what belongs to that
-// worker alone — which is what makes a Pool safe without locks.
-func (e *Engine) Worker(l int) int {
-	if !e.inPar {
-		return 0
-	}
-	return int(e.lanes[l].worker)
-}
-
-// growPools gives every pool a slab for each of n worker slots. It runs
-// before a parallel drive starts, while no worker is running.
-func (e *Engine) growPools(n int) {
-	if n <= e.slots {
-		return
-	}
-	e.slots = n
-	for _, p := range e.pools {
-		p.grow(n)
-	}
-}
-
-// ParWindows reports how many conservative windows — one barrier each —
-// the last RunParallel drive executed. Deterministic: the window schedule
-// depends only on virtual time and the lookahead, never on the workers.
-func (e *Engine) ParWindows() uint64 { return e.parWins }
+// maxTime is the largest representable virtual time.
+const maxTime = Time(1<<63 - 1)
 
 // NewEngine returns an empty engine at time zero with a single lane.
 func NewEngine() *Engine {
-	e := &Engine{slots: 1, firing: -1}
-	e.blocks = NewPool[evBlock](e)
-	e.deeps = NewPool[deepQ](e)
+	e := &Engine{firing: -1}
 	e.SetLanes(1)
 	return e
 }
@@ -344,19 +278,8 @@ func (e *Engine) RegisterHandler(h func(at Time, arg any)) Kind {
 }
 
 // Now returns the current virtual time: the timestamp of the event being
-// fired, or of the last fired event when called between Run calls. During
-// RunParallel windows, use LaneNow from event callbacks instead.
+// fired, or of the last fired event when called between Run calls.
 func (e *Engine) Now() Time { return e.now }
-
-// LaneNow returns the current virtual time as observed by code running on
-// the given lane: the lane-local clock inside a parallel window, the global
-// clock otherwise.
-func (e *Engine) LaneNow(l int) Time {
-	if e.inPar {
-		return e.lanes[l].now
-	}
-	return e.now
-}
 
 // Fired reports the number of events fired so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -371,38 +294,16 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// post is the single scheduling entry point. src is the lane on whose
-// behalf the event is scheduled (the lane of the currently firing event);
-// dst is the lane the event should fire on. Outside parallel windows the
-// event receives its final sequence number immediately; inside a window it
-// is recorded as a birth on src and sequenced at the barrier.
-func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
-	if e.inPar {
-		sl := &e.lanes[src]
-		if at < sl.now {
-			at = sl.now
-		}
-		idx := len(sl.births)
-		sl.births = append(sl.births, birth{at: at, dst: int32(dst), kind: kind, arg: arg})
-		if dst == src && at < e.winEnd {
-			// Same-lane and inside the window: insert immediately with a
-			// provisional sequence number that encodes the birth index and
-			// preserves lane-local order (see parallel.go).
-			e.enqueue(src, &sl.queue, event{at: at, key: evKey(e.provBase+1+uint64(idx), kind), arg: arg})
-		}
-		return
-	}
-	if at < e.now {
-		at = e.now
-	}
+// post is the single scheduling entry point: the event fires on lane dst
+// and receives the next sequence number.
+func (e *Engine) post(dst int, at Time, kind Kind, arg any) {
 	e.seq++
-	e.insert(dst, event{at: at, key: evKey(e.seq, kind), arg: arg})
+	e.insert(dst, event{at: max(at, e.now), key: evKey(e.seq, kind), arg: arg})
 }
 
-// insert queues ev on lane dst outside a parallel window and keeps the
-// tournament current.
+// insert queues ev on lane dst and keeps the tournament current.
 func (e *Engine) insert(dst int, ev event) {
-	if e.enqueue(dst, &e.lanes[dst].queue, ev) {
+	if e.enqueue(&e.lanes[dst].queue, ev) {
 		e.orderFixLane(dst)
 	}
 }
@@ -412,33 +313,24 @@ func (e *Engine) insert(dst int, ev event) {
 // StartTimerAt it lets one timer stand in for many deadlines: each deadline
 // reserves its tie-break position when it is set, and the timer stands at
 // whichever (time, position) is earliest — firing exactly where a timer
-// armed per deadline would have. Inside a parallel window *into holds a
-// provisional number, ordered correctly against everything on the lane, that
-// the barrier replaces with the final one; a target rewritten by then (its
-// record was reused) is left alone.
+// armed per deadline would have.
 func (e *Engine) ReserveSeq(src int, into *uint64) {
-	if e.inPar {
-		sl := &e.lanes[src]
-		sl.reserved = true
-		*into = e.provBase + 1 + uint64(len(sl.births))
-		sl.births = append(sl.births, birth{kind: kindReserve, consumed: true, arg: into})
-		return
-	}
 	e.seq++
 	*into = e.seq
 }
 
 // ScheduleOn enqueues a typed event with payload arg to fire on lane dst at
-// virtual time at, scheduled on behalf of lane src. Scheduling in the past
-// (at < Now) is clamped to Now, preserving causality.
+// virtual time at, scheduled on behalf of lane src (which the engine does not
+// read). Scheduling in the past (at < Now) is clamped to Now, preserving
+// causality.
 func (e *Engine) ScheduleOn(src, dst int, at Time, kind Kind, arg any) {
-	e.post(src, dst, at, kind, arg)
+	e.post(dst, at, kind, arg)
 }
 
 // ScheduleFuncOn enqueues a closure event to fire on lane dst at virtual
 // time at, scheduled on behalf of lane src.
 func (e *Engine) ScheduleFuncOn(src, dst int, at Time, fire func()) {
-	e.post(src, dst, at, kindClosure, fire)
+	e.post(dst, at, kindClosure, fire)
 }
 
 // ScheduleHeldOn is ScheduleOn for an event that may be held: it waits in
@@ -453,12 +345,8 @@ func (e *Engine) ScheduleFuncOn(src, dst int, at Time, fire func()) {
 // sequence numbers as if nothing were held; only their interleaving with
 // other lanes' events moves. That is exact for events that, while their lane
 // is closed, touch only their lane's state and schedule nothing: the engine
-// panics if one fired off the tournament schedules. Windows never hold.
+// panics if one fired off the tournament schedules.
 func (e *Engine) ScheduleHeldOn(src, dst int, at Time, kind Kind, arg any) {
-	if e.inPar {
-		e.post(src, dst, at, kind, arg)
-		return
-	}
 	e.seq++
 	ev := event{at: max(at, e.now), key: evKey(e.seq, kind), arg: arg}
 	hq := &e.held[dst]
@@ -469,7 +357,7 @@ func (e *Engine) ScheduleHeldOn(src, dst int, at Time, kind Kind, arg any) {
 		e.drain(dst, e.now, 0)
 	}
 	e.nheld++
-	if e.enqueue(dst, hq, ev) && !e.lanes[dst].closed {
+	if e.enqueue(hq, ev) && !e.lanes[dst].closed {
 		e.orderFixLane(dst)
 	}
 }
@@ -478,7 +366,7 @@ func (e *Engine) ScheduleHeldOn(src, dst int, at Time, kind Kind, arg any) {
 func (e *Engine) SetLaneClosed(l int, closed bool) {
 	if ln := &e.lanes[l]; ln.closed != closed {
 		ln.closed = closed
-		if len(e.held[l].heap) > 0 && !e.inPar {
+		if len(e.held[l].heap) > 0 {
 			e.orderFixLane(l)
 		}
 	}
@@ -487,7 +375,7 @@ func (e *Engine) SetLaneClosed(l int, closed bool) {
 // unhold pops lane l's held head.
 func (e *Engine) unhold(l int) event {
 	e.nheld--
-	return e.dequeue(l, &e.held[l])
+	return e.dequeue(&e.held[l])
 }
 
 // drain fires lane l's held events that come before (at, key), off the
@@ -497,7 +385,6 @@ func (e *Engine) drain(l int, at Time, key uint64) {
 		ev := e.unhold(l)
 		seq := e.seq
 		e.now = max(e.now, ev.at)
-		e.lanes[l].now = ev.at
 		e.fire(l, &ev)
 		if e.seq != seq {
 			panic(fmt.Sprintf("sim: a held event fired off the tournament on lane %d scheduled", l))
@@ -560,12 +447,11 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 		}
 		var ev event
 		if q != nil {
-			ev = e.dequeue(l, q)
+			ev = e.dequeue(q)
 		} else {
 			ev = e.unhold(l)
 		}
 		e.now = ev.at
-		ln.now = ev.at
 		// The fired lane's entry is fixed once, after the event: what the
 		// event queues on its own lane, and its gate, leave the entry alone.
 		e.firing = l
@@ -683,24 +569,6 @@ func (e *Engine) orderFixLane(l int) {
 	}
 }
 
-// orderRebuild reconstructs the tournament from scratch (used at parallel
-// window barriers).
-func (e *Engine) orderRebuild() {
-	e.order = e.order[:0]
-	for i := range e.lanes {
-		e.pos[i] = -1
-		if f := e.front(i); f != nil {
-			e.order = append(e.order, entry{at: f.at, key: f.key, lane: int32(i)})
-		}
-	}
-	for i := range e.order {
-		e.pos[e.order[i].lane] = int32(i)
-	}
-	for i := len(e.order)/2 - 1; i >= 0; i-- {
-		e.orderDown(i)
-	}
-}
-
 // Timer is a movable queue slot: StartTimerAt puts it at a (time, reserved
 // sequence number) position, or moves it there if it is already queued, and
 // Stop takes it out. One timer can so stand in for many deadlines, following
@@ -714,8 +582,7 @@ type Timer struct {
 }
 
 // Stop takes the timer's slot out of its lane's queue at once. Safe to call
-// more than once and after firing. Inside a parallel window it must run on the
-// timer's lane.
+// more than once and after firing.
 func (t *Timer) Stop() {
 	if !t.pending {
 		return
@@ -724,9 +591,7 @@ func (t *Timer) Stop() {
 	e, l := t.eng, int(t.lane)
 	b, i := e.lanes[l].find(t)
 	e.take(l, b, i)
-	if !e.inPar {
-		e.orderFixLane(l)
-	}
+	e.orderFixLane(l)
 }
 
 // Pending reports whether the timer's slot is in an event queue.
@@ -736,30 +601,24 @@ func (t *Timer) Pending() bool { return t.pending }
 // tie-broken by a sequence number drawn earlier with ReserveSeq on the same
 // lane, to fire the registered kind's handler with arg there. It consumes no
 // sequence number of its own, and a slot still queued is moved rather than
-// queued twice. Must be called from the lane itself, with at no earlier than
-// the lane's clock (LaneNow): an earlier time panics.
+// queued twice. at must be no earlier than the clock (Now): an earlier time
+// panics.
 func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind, arg any) {
-	if now := e.LaneNow(lane); at < now {
-		panic(fmt.Sprintf("sim: StartTimerAt(%v) on lane %d before its clock %v", at, lane, now))
+	if at < e.now {
+		panic(fmt.Sprintf("sim: StartTimerAt(%v) on lane %d before the clock %v", at, lane, e.now))
 	}
 	t.kind, t.arg = kind, arg
 	ev := event{at: at, key: evKey(seq, kindTimer), arg: t}
 	if t.pending {
 		b, i := e.lanes[lane].find(t)
 		e.move(lane, b, i, ev)
-		if !e.inPar {
-			e.orderFixLane(lane)
-		}
+		e.orderFixLane(lane)
 		return
 	}
 	t.eng, t.lane, t.pending = e, int32(lane), true
-	if e.inPar {
-		// The lane's queue is this worker's for the window, and an event keyed
-		// by an existing number needs no birth: in-window it fires in place,
-		// beyond the window it is already where the barrier would put it (a
-		// provisional key is settled there, see settleReserved).
-		e.enqueue(lane, &e.lanes[lane].queue, ev)
-		return
-	}
 	e.insert(lane, ev)
 }
+
+// RunParallel is Run. It stays for the benchmark harness's isolated driver
+// (bench/), which is built against it.
+func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) { return e.Run() }

@@ -234,8 +234,8 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-// A timer can not be put before its lane's clock: the lane has fired later
-// events already, so the timer would fire in its past.
+// A timer can not be put before the clock: later events have fired already,
+// so the timer would fire in its past.
 func TestStartTimerAtBeforeLaneClockPanics(t *testing.T) {
 	e := NewEngine()
 	k := e.Register(func(int, Time, any) {})
@@ -266,12 +266,12 @@ func TestDeepLaneReusesItsStorage(t *testing.T) {
 	e.SetLanes(2)
 	k := e.Register(func(int, Time, any) {})
 	idle := func() (blocks, deeps int) {
-		for b := e.blocks.slots[0].s.free; b != nil && blocks < 1<<20; b = b.next {
+		for b := e.blocks.free; b != nil && blocks < 1<<20; b = b.next {
 			if blocks++; b.next == b {
 				break
 			}
 		}
-		for d := e.deeps.slots[0].s.free; d != nil && deeps < 1<<20; d = d.free {
+		for d := e.deeps.free; d != nil && deeps < 1<<20; d = d.free {
 			if deeps++; d.free == d {
 				break
 			}

@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,8 +46,7 @@ type pqFire struct {
 	seen uint64
 }
 
-// pqLane is one lane's program state; under RunParallel only the lane's own
-// events touch it.
+// pqLane is one lane's program state.
 type pqLane struct {
 	rng    uint64
 	budget int // children the lane's events may still spawn
@@ -71,13 +69,12 @@ func (ln *pqLane) wideTime() Time {
 }
 
 // pqCfg is one program: its lanes, how many of them are loaded deep, the
-// lookahead of its cross-lane posts, the events a deep lane is loaded with
+// events a deep lane is loaded with
 // (at the start and again by its burst), whether the deep lanes' times spread
 // over the whole int64 range, the seed of the lanes' generators, and whether
 // it holds events — a deep lane's load is then held behind a closed gate.
 type pqCfg struct {
 	lanes, deep int
-	look        Time
 	load        int
 	wide        bool
 	seed        uint64
@@ -155,7 +152,7 @@ func (p *pqProg) fired(l int, now Time, id int, seq uint64) {
 	case r < 6:
 		p.q.post(l, l, now+Time(ln.rand(40)), p.newID(l))
 	case r < 10:
-		p.q.post(l, ln.rand(len(p.lanes)), now+p.cfg.look+Time(ln.rand(40)), p.newID(l))
+		p.q.post(l, ln.rand(len(p.lanes)), now+Time(ln.rand(90)), p.newID(l))
 	case r < 12:
 		p.q.arm(l, Time(1+ln.rand(80)), p.newID(l))
 		ln.timers++
@@ -175,7 +172,7 @@ func (p *pqProg) fired(l int, now Time, id int, seq uint64) {
 	}
 	switch r := ln.rand(10); {
 	case r < 4:
-		p.q.hold(l, ln.rand(len(p.lanes)), now+p.cfg.look+Time(ln.rand(40)), p.newID(l)|pqHeld)
+		p.q.hold(l, ln.rand(len(p.lanes)), now+Time(ln.rand(90)), p.newID(l)|pqHeld)
 	case r < 6:
 		p.q.hold(l, l, now+Time(ln.rand(40)), p.newID(l)|pqHeld)
 	case r < 7:
@@ -247,9 +244,7 @@ func newPQProg(c pqCfg) *pqProg {
 // pqEngine drives the engine and watches each lane's representation: the
 // run of deep ('D') and shallow ('S') states its firings saw — of its queue,
 // or of its held queue for held events — and the timer arms, stops and moves
-// made while it was deep. Only a lane's own events write its row. Under Run
-// it keeps every event's sequence number (seqOf, nil under RunParallel,
-// which numbers events at its barriers).
+// made while it was deep, and every event's sequence number (seqOf).
 type pqEngine struct {
 	e          *Engine
 	kind       Kind
@@ -261,13 +256,11 @@ type pqEngine struct {
 	seqOf      map[int]uint64
 }
 
-func newPQEngine(p *pqProg, seqs bool) *pqEngine {
+func newPQEngine(p *pqProg) *pqEngine {
 	n := len(p.lanes)
 	a := &pqEngine{e: NewEngine(), timers: make([][]*Timer, n), movable: make([]Timer, n),
-		shapes: make([]string, n), heldShapes: make([]string, n), deepOps: make([][3]int, n)}
-	if seqs {
-		a.seqOf = map[int]uint64{}
-	}
+		shapes: make([]string, n), heldShapes: make([]string, n), deepOps: make([][3]int, n),
+		seqOf: map[int]uint64{}}
 	a.e.SetLanes(n)
 	a.kind = a.e.Register(func(l int, at Time, arg any) {
 		id := arg.(int)
@@ -289,11 +282,7 @@ func newPQEngine(p *pqProg, seqs bool) *pqEngine {
 }
 
 // numbered notes the sequence number the engine gave event id.
-func (a *pqEngine) numbered(id int, seq uint64) {
-	if a.seqOf != nil {
-		a.seqOf[id] = seq
-	}
-}
+func (a *pqEngine) numbered(id int, seq uint64) { a.seqOf[id] = seq }
 
 // deepOp counts op (0 arm, 1 stop, 2 move) if lane l is deep.
 func (a *pqEngine) deepOp(l, op int) {
@@ -330,7 +319,7 @@ func (a *pqEngine) arm(l int, d Time, id int) {
 	})
 	a.timers[l] = append(a.timers[l], &t.Timer)
 	a.e.ReserveSeq(l, &t.seq)
-	a.e.StartTimerAt(l, &t.Timer, a.e.LaneNow(l)+d, t.seq, a.kind, id)
+	a.e.StartTimerAt(l, &t.Timer, a.e.Now()+d, t.seq, a.kind, id)
 	a.numbered(id, t.seq)
 }
 
@@ -436,21 +425,6 @@ func (m *pqModel) run(p *pqProg) {
 	}
 }
 
-// pqLogs is the program's firings lane by lane, with or without their
-// sequence numbers.
-func pqLogs(p *pqProg, seqs bool) [][]pqFire {
-	out := make([][]pqFire, len(p.lanes))
-	for l := range p.lanes {
-		out[l] = append([]pqFire(nil), p.lanes[l].log...)
-		for i := range out[l] {
-			if !seqs {
-				out[l][i].seq = 0
-			}
-		}
-	}
-	return out
-}
-
 // firstDiff is the first index at which two firing logs differ.
 func firstDiff(a, b []pqFire) int {
 	i := 0
@@ -460,13 +434,11 @@ func firstDiff(a, b []pqFire) int {
 	return i
 }
 
-// checkPQ runs program c three ways — the reference model, Run and
-// RunParallel(4) — and fails unless both engine runs fire exactly what the
-// reference fires: in its global order under Run, lane for lane under
-// RunParallel. A holding program runs under Run alone, windows never hold,
-// and is checked lane for lane. It returns the two engine drivers (par nil
-// for a holding program).
-func checkPQ(t testing.TB, c pqCfg) (seq, par *pqEngine) {
+// checkPQ runs program c on the reference model and on the engine, and fails
+// unless the engine fires exactly what the reference fires: in its global
+// order, or lane for lane for a holding program. It returns the engine's
+// driver.
+func checkPQ(t testing.TB, c pqCfg) *pqEngine {
 	t.Helper()
 	ref := newPQProg(c)
 	ref.global = []pqFire{}
@@ -476,17 +448,17 @@ func checkPQ(t testing.TB, c pqCfg) (seq, par *pqEngine) {
 
 	sp := newPQProg(c)
 	sp.global = []pqFire{}
-	seq = newPQEngine(sp, true)
+	seq := newPQEngine(sp)
 	sp.load()
 	n, err := seq.e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.held {
-		got, want := pqLogs(sp, true), pqLogs(ref, true)
-		for l := range want {
-			if i := firstDiff(got[l], want[l]); i < max(len(got[l]), len(want[l])) {
-				t.Fatalf("%+v: Run diverges from the reference on lane %d at firing %d of %d/%d: %+v, want %+v", c, l, i, len(got[l]), len(want[l]), got[l][i:min(i+3, len(got[l]))], want[l][i:min(i+3, len(want[l]))])
+		for l := range ref.lanes {
+			got, want := sp.lanes[l].log, ref.lanes[l].log
+			if i := firstDiff(got, want); i < max(len(got), len(want)) {
+				t.Fatalf("%+v: Run diverges from the reference on lane %d at firing %d of %d/%d: %+v, want %+v", c, l, i, len(got), len(want), got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
 			}
 		}
 	} else if i := firstDiff(sp.global, ref.global); i < max(len(sp.global), len(ref.global)) {
@@ -498,36 +470,23 @@ func checkPQ(t testing.TB, c pqCfg) (seq, par *pqEngine) {
 	if seq.e.Pending() != 0 {
 		t.Fatalf("%+v: %d events left after Run", c, seq.e.Pending())
 	}
-	if c.held {
-		return seq, nil
-	}
-
-	pp := newPQProg(c)
-	par = newPQEngine(pp, false)
-	pp.load()
-	if _, err := par.e.RunParallel(4, c.look); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pqLogs(pp, false), pqLogs(ref, false)) {
-		t.Fatalf("%+v: RunParallel diverges from the reference", c)
-	}
-	return seq, par
+	return seq
 }
 
 func TestLaneQueueIsPriorityQueue(t *testing.T) {
 	for _, c := range []pqCfg{
-		{lanes: 1, deep: 1, look: 50, load: 2100},
-		{lanes: 4, deep: 2, look: 50, load: 2100},
-		{lanes: 256, deep: 3, look: 50, load: 2100},
-		{lanes: 4, deep: 2, look: 50, load: 2100, wide: true},
-		{lanes: 1, deep: 1, look: 50, load: 2100, held: true},
-		{lanes: 4, deep: 2, look: 50, load: 2100, held: true},
-		{lanes: 256, deep: 3, look: 50, load: 2100, held: true},
+		{lanes: 1, deep: 1, load: 2100},
+		{lanes: 4, deep: 2, load: 2100},
+		{lanes: 256, deep: 3, load: 2100},
+		{lanes: 4, deep: 2, load: 2100, wide: true},
+		{lanes: 1, deep: 1, load: 2100, held: true},
+		{lanes: 4, deep: 2, load: 2100, held: true},
+		{lanes: 256, deep: 3, load: 2100, held: true},
 	} {
 		// A loaded program: its deep lanes have spilled — their held queues,
 		// if the program holds — its shallow ones not.
 		p := newPQProg(c)
-		a := newPQEngine(p, false)
+		a := newPQEngine(p)
 		p.load()
 		if d := a.e.lanes[c.lanes-1].depth(); c.deep < c.lanes && (d > 100 || a.e.lanes[c.lanes-1].deep != nil) {
 			t.Fatalf("%+v: shallow lane %d holds %d events", c, c.lanes-1, d)
@@ -543,20 +502,18 @@ func TestLaneQueueIsPriorityQueue(t *testing.T) {
 			t.Fatalf("%+v: buckets %064b in use, want 1 to 63", c, a.e.lanes[0].deep.mask)
 		}
 
-		seq, par := checkPQ(t, c)
-		for _, r := range []*pqEngine{seq, par} {
-			for l := 0; r != nil && l < c.deep && !c.wide; l++ {
-				// Spilled at load, drained, spilled at the burst, drained.
-				sh := r.shapes[l]
-				if c.held {
-					sh = r.heldShapes[l]
-				}
-				if !strings.HasPrefix(sh, "DSDS") {
-					t.Errorf("%+v: lane %d went %q, want deep, shallow, deep, shallow", c, l, sh)
-				}
-				if ops := r.deepOps[l]; !c.held && (ops[0] == 0 || ops[1] == 0 || ops[2] == 0) {
-					t.Errorf("%+v: lane %d armed, stopped and moved timers %v times while deep", c, l, ops)
-				}
+		r := checkPQ(t, c)
+		for l := 0; l < c.deep && !c.wide; l++ {
+			// Spilled at load, drained, spilled at the burst, drained.
+			sh := r.shapes[l]
+			if c.held {
+				sh = r.heldShapes[l]
+			}
+			if !strings.HasPrefix(sh, "DSDS") {
+				t.Errorf("%+v: lane %d went %q, want deep, shallow, deep, shallow", c, l, sh)
+			}
+			if ops := r.deepOps[l]; !c.held && (ops[0] == 0 || ops[1] == 0 || ops[2] == 0) {
+				t.Errorf("%+v: lane %d armed, stopped and moved timers %v times while deep", c, l, ops)
 			}
 		}
 	}
@@ -638,16 +595,16 @@ func BenchmarkLaneQueueSteady(b *testing.B) {
 
 // FuzzLaneQueue runs checkPQ on fuzzed programs: the seed of the lanes'
 // generators, the lane count, how many lanes are loaded deep and how deep,
-// the lookahead, whether deep lanes' times spread over the int64 range, and
-// whether the program holds events and turns gates.
+// whether deep lanes' times spread over the int64 range, and whether the
+// program holds events and turns gates.
 func FuzzLaneQueue(f *testing.F) {
-	f.Add(uint64(0), uint8(4), uint8(2), uint8(50), uint16(2100), false, false)
-	f.Add(uint64(7), uint8(1), uint8(1), uint8(1), uint16(130), true, false)
-	f.Add(uint64(3), uint8(31), uint8(9), uint8(200), uint16(600), false, false)
-	f.Add(uint64(5), uint8(8), uint8(3), uint8(20), uint16(700), false, true)
-	f.Add(uint64(9), uint8(2), uint8(2), uint8(1), uint16(300), true, true)
-	f.Fuzz(func(t *testing.T, seed uint64, lanes, deep, look uint8, load uint16, wide, held bool) {
-		c := pqCfg{lanes: 1 + int(lanes)%32, look: 1 + Time(look), load: int(load) % 4096, wide: wide, seed: seed, held: held}
+	f.Add(uint64(0), uint8(4), uint8(2), uint16(2100), false, false)
+	f.Add(uint64(7), uint8(1), uint8(1), uint16(130), true, false)
+	f.Add(uint64(3), uint8(31), uint8(9), uint16(600), false, false)
+	f.Add(uint64(5), uint8(8), uint8(3), uint16(700), false, true)
+	f.Add(uint64(9), uint8(2), uint8(2), uint16(300), true, true)
+	f.Fuzz(func(t *testing.T, seed uint64, lanes, deep uint8, load uint16, wide, held bool) {
+		c := pqCfg{lanes: 1 + int(lanes)%32, load: int(load) % 4096, wide: wide, seed: seed, held: held}
 		c.deep = int(deep) % (c.lanes + 1)
 		checkPQ(t, c)
 	})

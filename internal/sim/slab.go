@@ -8,17 +8,18 @@ package sim
 // itself), which is how Put catches a record released twice; a record's
 // owner must leave the field alone.
 //
-// A Slab is owned by one engine worker (see Pool). Records may migrate: a
-// record acquired from one slab can be released into another of the same
-// type. The zero value is ready to use.
+// An engine and the layers above keep one slab per record type, so the
+// records one node's lane releases are the next another node's lane takes,
+// rather than idle beside a slab that carves afresh. The zero value is ready
+// to use.
 //
 // PoolLink is a call through a type parameter, which Go compiles to an
 // indirect call: a Get/Put pair measures 6.9 ns against 2.6 ns for a
 // hand-written list. That is noise on a remote hop and a quarter of a local
 // send, which is why core's frames and contexts keep their own free lists.
 type Slab[T any, P linked[T]] struct {
-	free *T
-	blocks[T]
+	free   *T
+	blocks Arena[T] // where records come from before any is released
 }
 
 // linked is the pointer type of a pooled record: it names the record's
@@ -39,7 +40,7 @@ func (s *Slab[T, P]) Get() *T {
 		*link = nil
 		return r
 	}
-	return &s.carve(1)[0]
+	return s.blocks.New()
 }
 
 // Put zeroes r, dropping every pointer it held, and makes it the next
@@ -57,26 +58,3 @@ func (s *Slab[T, P]) Put(r *T) {
 	}
 	s.free = r
 }
-
-// Pool is one Slab per engine worker: code firing on a lane takes records
-// from and releases them into the slab of the worker running that lane
-// (Engine.Worker). A sequential run so holds one slab per record type, and
-// the records one node's lane releases are the next another node's lane
-// takes, rather than idle beside a slab that carves afresh. Under
-// RunParallel(n) each of the n workers has its own slab, and a record
-// crosses between them only through an event, which the window barrier
-// orders.
-type Pool[T any, P linked[T]] struct{ workers[Slab[T, P]] }
-
-// NewPool returns a pool on e, with a slab for every worker slot e has had.
-func NewPool[T any, P linked[T]](e *Engine) *Pool[T, P] {
-	p := &Pool[T, P]{}
-	p.attach(e)
-	return p
-}
-
-// Get returns a zeroed record from the slab of the worker running lane.
-func (p *Pool[T, P]) Get(lane int) *T { return p.of(lane).Get() }
-
-// Put releases r into the slab of the worker running lane (see Slab.Put).
-func (p *Pool[T, P]) Put(lane int, r *T) { p.of(lane).Put(r) }

@@ -20,8 +20,8 @@ func TestQueueEntrySizes(t *testing.T) {
 	if sz := unsafe.Sizeof(entry{}); sz > 24 {
 		t.Errorf("tournament entry is %d bytes, want <= 24: every comparison reads two", sz)
 	}
-	if sz := unsafe.Sizeof(lane{}); sz > 104 {
-		t.Errorf("lane is %d bytes, want <= 104: a deep lane's radix state lives out of line", sz)
+	if sz := unsafe.Sizeof(lane{}); sz > 40 {
+		t.Errorf("lane is %d bytes, want <= 40: a deep lane's radix state lives out of line", sz)
 	}
 }
 
@@ -92,90 +92,6 @@ func TestSlabReuse(t *testing.T) {
 	}
 	if r := b.Get(); out[r] {
 		t.Errorf("drained slab handed out %p again", r)
-	}
-}
-
-// A Pool is one slab per worker, and records cross between workers: under
-// RunParallel(2), each lane takes a record from its worker's slab, marks it
-// with its own number and passes it to the next lane, which checks the mark
-// and releases the record into its own worker's slab before taking one to
-// pass on. A record handed out while another lane still held it would carry
-// a foreign mark; run under the race detector (make vet-race), this is also
-// the test that the hand-off across the window barrier is ordered. Each hop
-// also carves a record from an Arena on the same engine and marks it with its
-// lane and hop: the carves of two workers inside one window must never share
-// a record, so every mark reads back intact at the end.
-func TestPoolAcrossWorkers(t *testing.T) {
-	const lanes, hops, look = 8, 400, Time(10)
-	e := NewEngine()
-	e.SetLanes(lanes)
-	p := NewPool[slabRec](e)
-	a := NewArena[slabRec](e)
-	var (
-		gets, puts [lanes]int
-		carved     [lanes][]*slabRec
-		worker1    [lanes]bool // a lane ran on worker slot 1
-		pass       Kind
-	)
-	send := func(l int, at Time, left int) {
-		r := p.Get(l)
-		if r.id != 0 || r.data != nil {
-			t.Errorf("lane %d was handed a record still marked %+v", l, *r)
-		}
-		gets[l]++
-		c := a.New(l)
-		if *c != (slabRec{}) {
-			t.Errorf("lane %d carved a record already marked %+v", l, *c)
-		}
-		c.id = l*hops + left
-		carved[l] = append(carved[l], c)
-		r.id, r.data = l+1, &left
-		e.ScheduleOn(l, (l+1)%lanes, at+look, pass, r)
-	}
-	pass = e.Register(func(l int, at Time, arg any) {
-		r := arg.(*slabRec)
-		if from := (l + lanes - 1) % lanes; r.id != from+1 {
-			t.Errorf("lane %d received a record marked %d, want %d", l, r.id, from+1)
-		}
-		left := *r.data - 1
-		p.Put(l, r)
-		puts[l]++
-		worker1[l] = worker1[l] || e.Worker(l) == 1
-		if left > 0 {
-			send(l, at, left)
-		}
-	})
-	for l := 0; l < lanes; l++ {
-		e.ScheduleFuncOn(l, l, Time(l), func() { send(l, Time(l), hops) })
-	}
-	if _, err := e.RunParallel(2, look); err != nil {
-		t.Fatal(err)
-	}
-	var got, put int
-	parallel := false
-	for l := 0; l < lanes; l++ {
-		got, put, parallel = got+gets[l], put+puts[l], parallel || worker1[l]
-	}
-	if got != lanes*hops || put != got {
-		t.Errorf("%d records taken and %d released, want %d each", got, put, lanes*hops)
-	}
-	if !parallel {
-		t.Error("no lane ran on the second worker")
-	}
-	if len(p.slots) != 2 || len(a.slots) != 2 {
-		t.Errorf("pool holds %d slabs and arena %d slots under two workers, want 2", len(p.slots), len(a.slots))
-	}
-	seen := make(map[*slabRec]bool)
-	for l := range carved {
-		if len(carved[l]) != hops {
-			t.Errorf("lane %d carved %d records, want %d", l, len(carved[l]), hops)
-		}
-		for i, c := range carved[l] {
-			if seen[c] || c.id != l*hops+hops-i {
-				t.Fatalf("lane %d's carve #%d reads %d: two carves shared a record", l, i, c.id)
-			}
-			seen[c] = true
-		}
 	}
 }
 

@@ -71,26 +71,17 @@ type Spec struct {
 	// omits no empty struct value, and a fault-free spec must not grow a key.
 	Faults *abcl.FaultPlan `json:"faults,omitempty"`
 
-	// Wire-path, recovery and execution options.
+	// Wire-path and recovery options.
 	BatchWindowNs  int64 `json:"batch_window_ns,omitempty"`
 	BatchBytes     int   `json:"batch_bytes,omitempty"`
 	AckDelayNs     int64 `json:"ack_delay_ns,omitempty"`
 	Reliable       bool  `json:"reliable,omitempty"`
 	NoLocCache     bool  `json:"no_loc_cache,omitempty"`
 	CkptIntervalNs int64 `json:"checkpoint_interval_ns,omitempty"`
-	// Executor selects the engine: "" or "sequential", or "conservative"
-	// with Workers lanes.
-	Executor string `json:"executor,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
 	// ProfileWindowNs, when nonzero, attaches the cost-attribution profiler
 	// and slices its report into a time series of this width (a negative
 	// width is an error).
 	ProfileWindowNs int64 `json:"profile_window_ns,omitempty"`
-}
-
-// ParallelConfigured reports whether the spec names the parallel executor.
-func (sp Spec) ParallelConfigured() bool {
-	return sp.Executor == "conservative" && sp.Workers > 1
 }
 
 // FaultPlan returns the spec's fault schedule, empty when it declares none.
@@ -191,16 +182,6 @@ func (sp Spec) options() ([]abcl.Option, error) {
 	}
 	if sp.CkptIntervalNs != 0 {
 		opts = append(opts, abcl.WithCheckpoint(abcl.Time(sp.CkptIntervalNs)))
-	}
-	switch sp.Executor {
-	case "", "sequential":
-		if sp.Workers > 1 {
-			errs = append(errs, fmt.Errorf("workload: workers requires a parallel executor"))
-		}
-	case "conservative":
-		opts = append(opts, abcl.WithExecutor(abcl.Conservative(sp.Workers)))
-	default:
-		errs = append(errs, fmt.Errorf("workload: unknown executor %q (want sequential | conservative)", sp.Executor))
 	}
 	if sp.ProfileWindowNs != 0 {
 		opts = append(opts, abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(sp.ProfileWindowNs)}))

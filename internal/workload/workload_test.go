@@ -103,7 +103,7 @@ func TestExtraOptionsComeLast(t *testing.T) {
 // TestSpecRejections pins that unknown names are errors — all of them at
 // once, from Validate and from Run alike — and name what is accepted.
 func TestSpecRejections(t *testing.T) {
-	bad := Spec{Workload: "hotkey", Nodes: 1, Coverage: "most", Policy: "naiv", Placement: "rand", Executor: "timewarp"}
+	bad := Spec{Workload: "hotkey", Nodes: 1, Coverage: "most", Policy: "naiv", Placement: "rand"}
 	err := bad.Validate()
 	if err == nil {
 		t.Fatal("want errors")
@@ -111,7 +111,6 @@ func TestSpecRejections(t *testing.T) {
 	for _, want := range []string{
 		`unknown policy "naiv" (want naive | stack)`,
 		`unknown placement "rand"`,
-		`unknown executor "timewarp"`,
 		">= 2 nodes",
 		`"most"`,
 	} {
@@ -123,16 +122,13 @@ func TestSpecRejections(t *testing.T) {
 		{Workload: "quicksort"},
 		{Workload: "nqueens", Policy: "naiv"},
 		{Workload: "nqueens", Placement: "rand"},
-		{Workload: "nqueens", Executor: "conservativ", Workers: 2},
-		{Workload: "nqueens", Workers: 2},
 		{Workload: "nqueens", BatchWindowNs: -5},
-		{Workload: "forkjoin", Nodes: 4, BatchBytes: 64},                        // no window: batched nothing
-		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5},                   // ran without the profiler
-		{Workload: "forkjoin", Nodes: 4, BatchWindowNs: 1000, BatchBytes: -3},   // ran with the 512-B default
-		{Workload: "forkjoin", Depth: -1},                                       // would fork without end
-		{Workload: "nqueens", N: 128},                                           // used to spin in validColumns forever
-		{Workload: "forkjoin", Nodes: 4, Executor: "conservative", Workers: -3}, // ran sequentially
-		{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5},                        // ran with the stock disabled
+		{Workload: "forkjoin", Nodes: 4, BatchBytes: 64},                      // no window: batched nothing
+		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5},                 // ran without the profiler
+		{Workload: "forkjoin", Nodes: 4, BatchWindowNs: 1000, BatchBytes: -3}, // ran with the 512-B default
+		{Workload: "forkjoin", Depth: -1},                                     // would fork without end
+		{Workload: "nqueens", N: 128},                                         // used to spin in validColumns forever
+		{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5},                      // ran with the stock disabled
 	} {
 		if _, err := Run(sp); err == nil {
 			t.Errorf("Run(%+v) accepted the spec", sp)
@@ -146,6 +142,17 @@ func TestSpecRejections(t *testing.T) {
 	}
 	if err := (Spec{Workload: "nqueens", N: nqueens.MaxN + 1}).Validate(); err == nil || !strings.Contains(err.Error(), "N must be in 1..") {
 		t.Errorf("Validate accepted a board above nqueens.MaxN: %v", err)
+	}
+	// There is one executor: a spec naming the retired executor keys is
+	// refused by name, not run as if they selected something.
+	for key, doc := range map[string]string{
+		"executor": `{"workload":"nqueens","executor":"conservative"}`,
+		"workers":  `{"workload":"nqueens","workers":2}`,
+	} {
+		var sp Spec
+		if err := DecodeStrict([]byte(doc), &sp); err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("DecodeStrict(%s) = %v, want the %q key refused", doc, err, key)
+		}
 	}
 }
 
@@ -183,7 +190,6 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{Spec{Workload: "hotkey", Nodes: 4, WritePct: 150}, "write percentage 150 out of range"},
 		{Spec{Workload: "hotkey", Nodes: 4, Clients: -1}, "clients and ops must be >= 1"},
 		{Spec{Workload: "orderbook", Nodes: 1}, "orderbook: need >= 2 nodes, got 1"},
-		{Spec{Workload: "forkjoin", Nodes: 4, Executor: "conservative", Workers: -3}, "worker count -3 must be non-negative"},
 		{Spec{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5}, "WithChunkStock(-5): depth must be positive"},
 		{Spec{Workload: "pingpong", Nodes: 4, BatchWindowNs: -5}, `unknown workload "pingpong"`},
 	} {
@@ -226,8 +232,6 @@ func TestValidateAgreesWithRun(t *testing.T) {
 			Reliable:        rng.Intn(2) == 0,
 			NoLocCache:      rng.Intn(2) == 0,
 			CkptIntervalNs:  draw[int64](rng, 0, 100_000, -7),
-			Executor:        draw(rng, "", "conservative", "timewarp"),
-			Workers:         draw(rng, 0, 2, -3),
 			ProfileWindowNs: draw[int64](rng, 0, 50_000, -5),
 		}
 		if agree(sp) == nil {
@@ -262,7 +266,7 @@ func FuzzSpecValidate(f *testing.F) {
 	f.Add([]byte(`{"workload":"nqueens","n":8,"nodes":16,"placement":"random","stock":-5}`))
 	f.Add([]byte(`{"workload":"hotkey","nodes":8,"clients":8,"ops":20,"checkpoint_interval_ns":100000,` +
 		`"faults":{"crashes":[{"node":1,"at_ns":400000,"restart_after_ns":100000}]}}`))
-	f.Add([]byte(`{"workload":"forkjoin","depth":8,"nodes":16,"executor":"conservative","workers":2,` +
+	f.Add([]byte(`{"workload":"forkjoin","depth":8,"nodes":16,` +
 		`"faults":{"links":[{"src":-1,"dst":-1,"drop":0.1}]},"batch_window_ns":2000,"ack_delay_ns":50000}`))
 	f.Add([]byte(`{"workload":"diffusion","grid":1,"iters":3}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

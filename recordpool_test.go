@@ -42,7 +42,7 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // to most of the peers it ever talks to, so every byte of a link record is
 // paid per message. A creation costs no host allocation either:
 // objects, chunks, stock entries, boards and spawn records are carved from
-// per-worker arenas, so the n-queens rows guard creation the way the all-to-all
+// arenas, so the n-queens rows guard creation the way the all-to-all
 // row guards the send — one allocation per created object adds 0.5 per
 // message to either. The all-to-all budget sits well above its measured
 // 0.073 allocations per message (construction included: about half build the
@@ -306,35 +306,6 @@ func TestRemoteCreateSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The pools are one slab per engine worker and records migrate between
-// them, so the conservative executor hands a record carved on one worker to
-// another across a barrier; run under the race detector (make vet-race), this
-// is the test that the hand-off is ordered. Results must equal the
-// sequential run.
-func TestRecordPoolConservative(t *testing.T) {
-	run := func(ex abcl.ExecutorSpec) *misc.AllToAllResult {
-		res, err := misc.RunAllToAll(misc.AllToAllOptions{
-			Nodes: 16, Rounds: 6,
-			Opts: []abcl.Option{abcl.WithExecutor(ex)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq, par := run(abcl.Sequential()), run(abcl.Conservative(2))
-	if par.SyncWindows == 0 {
-		t.Fatal("conservative run executed no parallel windows")
-	}
-	par.SyncWindows = 0
-	if *seq != *par {
-		t.Errorf("Conservative(2) diverged from Sequential():\n seq %+v\n par %+v", *seq, *par)
-	}
-	if seq.Violations != 0 || seq.Delivered != 16*15*6 {
-		t.Errorf("delivered=%d violations=%d, want %d/0", seq.Delivered, seq.Violations, 16*15*6)
-	}
-}
-
 // Under the reliable protocol the wire record outlives its first header:
 // per-attempt copies travel under the machine's pooled packets, which a
 // lossy, duplicating interconnect drops, copies and reorders. Nothing may be
@@ -346,7 +317,6 @@ func TestRecordPoolReliableLossy(t *testing.T) {
 			Opts: []abcl.Option{
 				abcl.WithReliable(),
 				abcl.WithFaults(abcl.UniformFaults(0.10, 0.10, 2*abcl.Microsecond)),
-				abcl.WithExecutor(abcl.Conservative(2)),
 				abcl.WithSeed(11),
 			},
 		})

@@ -57,19 +57,16 @@ func TestRetryEquivalencePin(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(ex abcl.ExecutorSpec, obs abcl.Sink) retryPin {
+			run := func(obs abcl.Sink) retryPin {
 				opts := []abcl.Option{
 					abcl.WithNodes(16), abcl.WithSeed(3),
 					abcl.WithFaults(tc.faults),
 					abcl.WithReliable(),
 					abcl.WithBatching(10*abcl.Microsecond, 0),
-					abcl.WithExecutor(ex),
+					abcl.WithObserver(obs),
 				}
 				if tc.ackDelay > 0 {
 					opts = append(opts, abcl.WithDelayedAcks(tc.ackDelay))
-				}
-				if obs != nil {
-					opts = append(opts, abcl.WithObserver(obs))
 				}
 				sys, err := abcl.NewSystem(append([]abcl.Option{abcl.WithPlacement(abcl.PlaceRandom)}, opts...)...)
 				if err != nil {
@@ -95,21 +92,14 @@ func TestRetryEquivalencePin(t *testing.T) {
 					relAbandoned: c.RelAbandoned,
 				}
 			}
-			// Observers need the single global interleaving of the sequential
-			// executor, so only that run is traced.
 			h := sha256.New()
-			seq := run(abcl.Sequential(), trace.NewJSONL(h))
-			seq.traceSHA = hex.EncodeToString(h.Sum(nil))
-			if seq != tc.want {
-				t.Errorf("Sequential():\n got  %+v\n want %+v", seq, tc.want)
+			got := run(trace.NewJSONL(h))
+			got.traceSHA = hex.EncodeToString(h.Sum(nil))
+			if got != tc.want {
+				t.Errorf("\n got  %+v\n want %+v", got, tc.want)
 			}
-			if tc.faults.Enabled() && (seq.retransmits == 0 || seq.dupSuppressed == 0 || seq.heldOutOfOrder == 0) {
-				t.Errorf("fault plan idle: %+v", seq)
-			}
-			par := run(abcl.Conservative(2), nil)
-			par.traceSHA = tc.want.traceSHA
-			if par != tc.want {
-				t.Errorf("Conservative(2):\n got  %+v\n want %+v", par, tc.want)
+			if tc.faults.Enabled() && (got.retransmits == 0 || got.dupSuppressed == 0 || got.heldOutOfOrder == 0) {
+				t.Errorf("fault plan idle: %+v", got)
 			}
 		})
 	}
