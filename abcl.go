@@ -190,7 +190,6 @@ type settings struct {
 	batchWindow Time
 	batchBytes  int
 	ackDelay    Time
-	noLocCache  bool
 	ckptEvery   Time // periodic checkpoint interval; 0 = off
 	observer    trace.Sink
 	prof        *ProfileOptions
@@ -342,8 +341,8 @@ func WithoutChunkStock() Option {
 // WithFaults installs a deterministic fault plan on the machine's
 // interconnect and enables the reliable-delivery (ack/retry) protocol in
 // the inter-node layer, so all runtime traffic — past-type sends, remote
-// creation, replies, migration — survives the declared faults without any
-// change to method-body code. The plan is validated against the node count
+// creation, replies — survives the declared faults without any change to
+// method-body code. The plan is validated against the node count
 // at construction. A zero plan is a no-op.
 func WithFaults(plan FaultPlan) Option {
 	return func(s *settings) error {
@@ -395,17 +394,6 @@ func WithDelayedAcks(d Time) Option {
 			return fmt.Errorf("abcl: WithDelayedAcks(%v): delay must be positive", d)
 		}
 		s.ackDelay = d
-		return nil
-	}
-}
-
-// WithoutLocationCache disables the remote-location cache that
-// short-circuits migration forwarders. The cache is on by default (and
-// inert until an object migrates); disable it to reproduce strict
-// every-message-through-the-forwarder semantics.
-func WithoutLocationCache() Option {
-	return func(s *settings) error {
-		s.noLocCache = true
 		return nil
 	}
 }
@@ -547,14 +535,13 @@ func NewSystem(opts ...Option) (*System, error) {
 		Prof:          prof,
 	})
 	net := remote.Attach(rt, remote.Options{
-		StockDepth:      s.stock,
-		Placement:       s.placement,
-		Seed:            s.seed,
-		Reliable:        s.reliable || s.ckptOn(),
-		BatchWindow:     s.batchWindow,
-		BatchMaxBytes:   s.batchBytes,
-		AckDelay:        s.ackDelay,
-		NoLocationCache: s.noLocCache,
+		StockDepth:    s.stock,
+		Placement:     s.placement,
+		Seed:          s.seed,
+		Reliable:      s.reliable || s.ckptOn(),
+		BatchWindow:   s.batchWindow,
+		BatchMaxBytes: s.batchBytes,
+		AckDelay:      s.ackDelay,
 	})
 	sys := &System{M: m, RT: rt, Net: net, seed: s.seed, faults: s.faults}
 	if s.ckptOn() {
@@ -659,16 +646,6 @@ func (s *System) Restore() error {
 	return nil
 }
 
-// Migrate moves a quiescent object to another node (a category-4 service):
-// its state travels in a packet and a forwarder is installed at the old
-// address, so existing references keep working one hop slower. The transfer
-// happens in simulated time; run the system (or continue running it) for
-// the move to complete. onDone, if non-nil, observes the new address.
-func (s *System) Migrate(obj Address, target int, onDone func(Address)) error {
-	s.RT.Freeze()
-	return s.Net.Migrate(obj.Obj, target, onDone)
-}
-
 // Nodes returns the node count.
 func (s *System) Nodes() int { return s.M.Nodes() }
 
@@ -722,8 +699,6 @@ type WireReport struct {
 	// (zeroes when batching is off).
 	BatchWindow   Time
 	BatchMaxBytes int
-	// LocationCache reports whether the post-migration location cache is on.
-	LocationCache bool
 }
 
 // ReliableReport covers the acknowledgment/retry delivery protocol.
@@ -766,7 +741,6 @@ func (s *System) Report() Report {
 			Bytes:         s.M.TotalBytes(),
 			BatchWindow:   bw,
 			BatchMaxBytes: bb,
-			LocationCache: s.Net.LocationCache(),
 		},
 		Reliable: ReliableReport{
 			Enabled:  s.Net.Reliable(),

@@ -276,33 +276,3 @@ func TestTracing(t *testing.T) {
 			sends, scheds, dispatches)
 	}
 }
-
-func TestSystemMigrate(t *testing.T) {
-	sys := abcl.MustNewSystem(abcl.WithNodes(2))
-	inc := sys.Pattern("inc", 0)
-	cls := sys.Class("cls", 1, func(ic *abcl.InitCtx) { ic.SetState(0, abcl.Int(0)) })
-	cls.Method(inc, func(ctx *abcl.Ctx) {
-		ctx.SetState(0, abcl.Int(ctx.State(0).Int()+1))
-	})
-	obj := sys.NewObjectOn(0, cls)
-	var moved abcl.Address
-	if err := sys.Migrate(obj, 1, func(a abcl.Address) { moved = a }); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if moved.IsNil() || moved.Node != 1 {
-		t.Fatalf("migrated to %v, want node 1", moved)
-	}
-	sys.Send(obj, inc) // stale address: forwarded
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := moved.Obj.State(0).Int(); got != 1 {
-		t.Fatalf("count = %d, want 1", got)
-	}
-	if sys.Report().Sched.Counters.Forwards == 0 {
-		t.Error("forwarding not recorded")
-	}
-}

@@ -10,10 +10,10 @@
 //
 //	abclsim -workload forkjoin -depth 10 -nodes 16 -drop 0.1 -dup 0.05
 //
-// The wire-path optimisations — per-link packet batching, delayed
-// cumulative acks, the remote-location cache — are controlled by
-// -batch-window, -batch-bytes, -ack-delay, -reliable and -no-loc-cache;
-// each workload echoes the effective comms configuration:
+// The wire-path optimisations — per-link packet batching and delayed
+// cumulative acks — are controlled by -batch-window, -batch-bytes,
+// -ack-delay and -reliable; each workload echoes the effective comms
+// configuration:
 //
 //	abclsim -workload nqueens -n 10 -nodes 256 -batch-window 10000 -ack-delay 500000
 //
@@ -137,7 +137,6 @@ func parseFlags(args []string) (*cli, error) {
 	fs.IntVar(&sp.BatchBytes, "batch-bytes", 0, "batch early-flush byte budget (0 selects the default)")
 	fs.Int64Var(&sp.AckDelayNs, "ack-delay", 0, "delayed cumulative ack interval (ns); 0 keeps immediate acks; implies -reliable")
 	fs.BoolVar(&sp.Reliable, "reliable", false, "run the ack/retry protocol even on a fault-free network")
-	fs.BoolVar(&sp.NoLocCache, "no-loc-cache", false, "disable the post-migration remote-location cache")
 
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
@@ -647,9 +646,6 @@ func commsLine(rep *abcl.Report) string {
 		s += fmt.Sprintf(" reliable ackDelay=%v", rep.Reliable.AckDelay)
 	case rep.Reliable.Enabled:
 		s += " reliable"
-	}
-	if !rep.Wire.LocationCache {
-		s += " locCache=off"
 	}
 	return s
 }

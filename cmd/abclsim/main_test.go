@@ -18,11 +18,11 @@ import (
 )
 
 // TestFlagsMarshalToPackedConfig pins the flag → spec binding against a
-// checked-in artifact: the flags that packed runpack_bd7e87b6d506 must still
+// checked-in artifact: the flags that packed runpack_e201e7c3d84c must still
 // marshal to its config.json byte for byte (same keys, order and defaults),
 // or re-packing would no longer reproduce the archive's id.
 func TestFlagsMarshalToPackedConfig(t *testing.T) {
-	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_bd7e87b6d506.zip")
+	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_e201e7c3d84c.zip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +147,7 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 		"-workload nqueens -policy naiv -pack " + t.TempDir():            `unknown policy "naiv"`,
 		"-workload quicksort":                                            `unknown workload "quicksort"`,
 		"-executor sequential":                                           "flag provided but not defined: -executor",
+		"-workload nqueens -no-loc-cache":                                "flag provided but not defined: -no-loc-cache",
 		"-workload nqueens -n 4 -trace -3":                               "-trace -3: event count must be a non-negative integer",
 		"-workload hotkey -nodes 4 -reorder -1":                          "reorder bound must be >= 0, got -1",
 		"-workload forkjoin -nodes 4 -batch-bytes 64":                    "batch_bytes requires batch_window_ns",

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	abcl "repro"
-	"repro/internal/apps/misc"
 	"repro/internal/apps/nqueens"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -339,63 +338,6 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 	}
 	if c.CkptRounds != 0 {
 		t.Errorf("completed %d periodic rounds with checkpointing nominally off", c.CkptRounds)
-	}
-}
-
-// TestCrashDuringMigration crashes the migration target while an object's
-// state is in flight to it: the rolled-back timeline re-runs the whole
-// transfer, and the object must neither lose its state nor its reachability
-// through the old address.
-func TestCrashDuringMigration(t *testing.T) {
-	sys, err := abcl.NewSystem(
-		abcl.WithNodes(3), abcl.WithSeed(9),
-		abcl.WithFaults(abcl.FaultPlan{}.WithCrash(2, 2_000, 50_000)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, _, add, get := misc.BuildCounter(sys)
-	counter := sys.NewObjectOn(1, cls)
-
-	// A driver pumps adds at the counter through its old address and then
-	// reads it back; the read's reply lands in a host variable as an
-	// idempotent set.
-	kick := sys.Pattern("cm.kick", 0)
-	read := sys.Pattern("cm.read", 0)
-	var got int64 = -1
-	drv := sys.Class("cm.drv", 0, nil)
-	drv.Method(kick, func(ctx *abcl.Ctx) {
-		for i := 0; i < 10; i++ {
-			ctx.SendPast(counter, add, abcl.Int(3))
-		}
-	})
-	drv.Method(read, func(ctx *abcl.Ctx) {
-		ctx.SendNow(counter, get, nil, func(ctx *abcl.Ctx, v abcl.Value) {
-			got = v.Int()
-		})
-	})
-	d := sys.NewObjectOn(0, drv)
-
-	// Start the migration 1 -> 2 and the add traffic together, then crash
-	// node 2 while the transfer is in flight (the crash fires at 2µs, well
-	// inside the migration's wire time plus handler latency).
-	sys.Send(d, kick)
-	if err := sys.Migrate(counter, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	sys.Send(d, read)
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 30 {
-		t.Errorf("counter after crashed migration = %d, want 30", got)
-	}
-	c := sys.Report().Sched.Counters
-	if c.NodeCrashes != 1 || c.NodeRestarts != 1 {
-		t.Errorf("crashes=%d restarts=%d, want 1/1", c.NodeCrashes, c.NodeRestarts)
 	}
 }
 

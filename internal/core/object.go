@@ -32,10 +32,6 @@ type Object struct {
 	resumeK func(*Ctx)
 	resumeF *Frame
 
-	// forward is the new address of a migrated object; consulted only by
-	// the forwarder table installed at migration.
-	forward Address
-
 	state []Value
 }
 

@@ -84,9 +84,8 @@ type Runtime struct {
 	// pending holds objects created before freeze, awaiting their tables.
 	pending []*Object
 
-	replyVFT   *VFT // native table for reply destination objects
-	faultVFT   *VFT // generic fault table for uninitialized chunks
-	forwardVFT *VFT // forwarder table for migrated objects
+	replyVFT *VFT // native table for reply destination objects
+	faultVFT *VFT // generic fault table for uninitialized chunks
 
 	// Never reclaimed, so carved: every Object, and every state box and
 	// constructor-argument copy.
@@ -201,12 +200,6 @@ func (r *Runtime) Freeze() {
 	r.faultVFT = &VFT{Mode: ModeUninit, entries: make([]entry, npat)}
 	for p := range r.faultVFT.entries {
 		r.faultVFT.entries[p] = entry{entryFault, faultEntry}
-	}
-	// Forwarder table for migrated objects: every entry re-sends to the
-	// object's new home.
-	r.forwardVFT = &VFT{Mode: ModeDormant, entries: make([]entry, npat)}
-	for p := range r.forwardVFT.entries {
-		r.forwardVFT.entries[p] = entry{entryForward, forwardEntry}
 	}
 	// Objects created during setup get their tables now.
 	for _, obj := range r.pending {

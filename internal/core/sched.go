@@ -280,8 +280,6 @@ func deliveryPath(k EntryKind, remoteIn bool) profile.Path {
 		return profile.NowBlocked
 	case entryFault:
 		return profile.Create
-	case entryForward:
-		return profile.Forward
 	}
 	return profile.Other
 }
@@ -319,7 +317,7 @@ func (n *NodeRT) frameDispatchable(obj *Object, k EntryKind) bool {
 		return false
 	}
 	switch k {
-	case entryBody, entryInit, entryRestore, entryNative, entryForward:
+	case entryBody, entryInit, entryRestore, entryNative:
 		return true
 	default:
 		return false

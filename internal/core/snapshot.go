@@ -75,7 +75,6 @@ type objImage struct {
 	resumeF  *Frame
 	rd       replyState
 	isRD     bool
-	forward  Address
 	multi    *multiImage
 }
 
@@ -139,10 +138,9 @@ func (n *NodeRT) PinFrame(f *Frame) {
 }
 
 // CaptureNode snapshots the full language-level state of one node: every
-// hosted object (state box, constructor arguments, buffered
-// message queue, saved contexts, reply-destination payloads, forwarding
-// address, mode table) and the scheduling-queue order. Must run between
-// engine events.
+// hosted object (state box, constructor arguments, buffered message queue,
+// saved contexts, reply-destination payloads, mode table) and the
+// scheduling-queue order. Must run between engine events.
 func (r *Runtime) CaptureNode(node int) *NodeImage {
 	n := r.nodes[node]
 	img := &NodeImage{Node: node, hostedLen: len(n.hosted)}
@@ -168,7 +166,6 @@ func (img *NodeImage) capture(o *Object) {
 			class:    o.class,
 			vftp:     o.vftp,
 			inSchedQ: o.inSchedQ,
-			forward:  o.forward,
 		}
 		b := objHeaderBytes
 		if o.state != nil {
@@ -256,10 +253,9 @@ func (r *Runtime) RestoreNode(img *NodeImage) {
 		o.vftp = oi.vftp
 		if oi.hasState {
 			if o.state == nil {
-				// The live slice was handed away after the snapshot (e.g.
-				// BeginMigration detached it); restoring must not write into
-				// storage another node may have adopted, so a fresh box is
-				// carved from the arena.
+				// The live object no longer holds a box; restoring must not
+				// write into storage it may have handed away, so a fresh box
+				// is carved from the arena.
 				o.state = n.allocState(len(oi.state))
 			}
 			copy(o.state, oi.state)
@@ -304,7 +300,6 @@ func (r *Runtime) RestoreNode(img *NodeImage) {
 			}
 			ms.resume = append(ms.resume[:0:0], oi.multi.resume...)
 		}
-		o.forward = oi.forward
 	}
 	n.schedQ = schedQueue{}
 	n.schedQ.items = append(n.schedQ.items, img.sched...)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -217,8 +218,8 @@ func TestValueRoundTrips(t *testing.T) {
 	if sz := unsafe.Sizeof(Value{}); sz > 32 {
 		t.Errorf("Value is %d bytes, want <= 32: frames, wire records and state arenas are made of these", sz)
 	}
-	if sz := unsafe.Sizeof(Object{}); sz > 160 {
-		t.Errorf("Object is %d bytes, want <= 160: every object ever created keeps one", sz)
+	if sz := unsafe.Sizeof(Object{}); sz > 144 {
+		t.Errorf("Object is %d bytes, want <= 144: every object ever created keeps one", sz)
 	}
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with payload bits
 	obj := &Object{node: 3}
@@ -268,6 +269,78 @@ func TestValueRoundTrips(t *testing.T) {
 	if ArgsSize(nil) != 0 {
 		t.Error("empty args have zero size")
 	}
+}
+
+// FuzzValueRoundTrip holds the constructors and accessors of Value to the
+// identity over fuzzed scalars and strings of any length: bitwise for
+// floats, NaN payloads included, and for a string whose source bytes are
+// overwritten after it was made (StrV keeps a pointer into the string's
+// data, so that data must be the Value's own). String and ArgsSize never
+// panic, and an accessor of the wrong kind panics naming the kind.
+func FuzzValueRoundTrip(f *testing.F) {
+	// TestValueRoundTrips's rows.
+	f.Add(int64(-42), math.Float64bits(2.5), true, []byte("abcd"))
+	f.Add(int64(math.MinInt64), uint64(0x7ff8_0000_dead_beef), false, []byte{})
+	f.Add(int64(0), math.Float64bits(math.Copysign(0, -1)), true, []byte(nil))
+	f.Add(int64(math.MaxInt64), uint64(0x7ff0_0000_0000_0001), false, []byte("\x00\xff\"quoted\"\n"))
+	f.Fuzz(func(t *testing.T, i int64, fbits uint64, b bool, data []byte) {
+		s := string(data)
+		vals := []Value{Nil, IntV(i), FloatV(math.Float64frombits(fbits)), BoolV(b), StrV(s)}
+		for k := range data {
+			data[k] ^= 0xff
+		}
+		if got := vals[1].Int(); got != i {
+			t.Errorf("IntV(%d).Int() = %d", i, got)
+		}
+		if got := math.Float64bits(vals[2].Float()); got != fbits {
+			t.Errorf("FloatV(bits %#x).Float() has bits %#x", fbits, got)
+		}
+		if got := vals[3].Bool(); got != b {
+			t.Errorf("BoolV(%v).Bool() = %v", b, got)
+		}
+		if got := vals[4].Str(); got != s || len(got) != len(s) {
+			t.Errorf("StrV(%q).Str() = %q after the source bytes were overwritten", s, got)
+		}
+		want := 0
+		for _, v := range vals {
+			_ = v.String()
+			want += v.SizeBytes()
+		}
+		if got := ArgsSize(vals); got != want || vals[4].SizeBytes() != 8+len(s) {
+			t.Errorf("ArgsSize = %d, want %d; string of %d bytes sizes %d", got, want, len(s), vals[4].SizeBytes())
+		}
+		accessors := []struct {
+			kind Kind
+			call func(Value)
+		}{
+			{KindInt, func(v Value) { v.Int() }},
+			{KindFloat, func(v Value) { v.Float() }},
+			{KindBool, func(v Value) { v.Bool() }},
+			{KindString, func(v Value) { v.Str() }},
+			{KindRef, func(v Value) { v.Ref() }},
+			{KindAny, func(v Value) { v.Any() }},
+		}
+		for _, v := range vals {
+			for _, a := range accessors {
+				if a.kind != v.Kind() {
+					wantKindPanic(t, v, a.kind, a.call)
+				}
+			}
+		}
+	})
+}
+
+// wantKindPanic requires call(v), an accessor of kind k, to panic with the
+// runtime's value-kind message.
+func wantKindPanic(t *testing.T, v Value, k Kind, call func(Value)) {
+	t.Helper()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "core: value kind") {
+			t.Errorf("the %v accessor on a %v value panicked with %q, want a core: value kind panic", k, v.Kind(), msg)
+		}
+	}()
+	call(v)
 }
 
 // No constructor on the message path touches the allocator, whether or not

@@ -60,7 +60,6 @@ const (
 	entryInit                     // lazy-initialization wrapper
 	entryFault                    // generic fault table: class-independent queuing
 	entryNative                   // runtime-internal (reply destinations)
-	entryForward                  // forwarder installed by object migration
 	entryMulti                    // multiactive table: compatibility-checked dispatch
 )
 

@@ -58,14 +58,11 @@ type Cost struct {
 	//                      record parsing and cursor advance
 
 	// Remote creation / chunk stock management.
-	ForwardHop    int // re-sending a message through a migration forwarder
-	MigratePack   int // packing an object's state for migration
-	MigrateUnpack int // unpacking migrated state at the target
-	StockPop      int // popping a predelivered chunk address locally
-	StockPush     int // replenishing the stock on a category-3 reply
-	ChunkInit     int // class-specific initialization of a chunk (category 2)
-	ChunkRefill   int // allocating the replacement chunk on the target
-	FaultEnqueue  int // extra cost of buffering into an uninitialized chunk
+	StockPop     int // popping a predelivered chunk address locally
+	StockPush    int // replenishing the stock on a category-3 reply
+	ChunkInit    int // class-specific initialization of a chunk (category 2)
+	ChunkRefill  int // allocating the replacement chunk on the target
+	FaultEnqueue int // extra cost of buffering into an uninitialized chunk
 
 	// Checkpointing: the simulated stable store (battery-backed or mirrored
 	// store reachable by DMA, in the spirit of the multicomputer object-store
@@ -113,14 +110,11 @@ func DefaultCost() Cost {
 		InterruptEntry:    30,
 		BatchRecvExtract:  12,
 
-		ForwardHop:    6,
-		MigratePack:   14,
-		MigrateUnpack: 12,
-		StockPop:      5,
-		StockPush:     5,
-		ChunkInit:     12,
-		ChunkRefill:   18,
-		FaultEnqueue:  4,
+		StockPop:     5,
+		StockPush:    5,
+		ChunkInit:    12,
+		ChunkRefill:  18,
+		FaultEnqueue: 4,
 
 		CkptSetup:       120,
 		CkptStoreWord:   2,

@@ -23,8 +23,8 @@ type Path uint8
 
 // Attribution paths. The local/remote/now/restore rows mirror the paper's
 // Section 6 message-path taxonomy; the rest cover the runtime subsystems
-// added since (creation protocol, migration forwarding, scheduling-queue
-// traffic, checkpointing, the reliable protocol's retransmissions and acks).
+// added since (creation protocol, scheduling-queue traffic, multiactive
+// dispatch, checkpointing, the reliable protocol's retransmissions and acks).
 const (
 	Other        Path = iota // unattributed: host bootstrap, spurious work
 	LocalDormant             // intra-node send invoked on the sender's stack
@@ -34,7 +34,6 @@ const (
 	RemoteSend               // sender half of an inter-node message
 	RemoteRecv               // receiver half: extraction, handler, dispatch
 	Create                   // creation protocol: local create, stock, chunks
-	Forward                  // migration forwarders and location updates
 	Sched                    // preemption and yield traffic
 	Body                     // user-modelled computation inside method bodies
 	Ckpt                     // checkpoint capture/restore and request/ack traffic
@@ -53,7 +52,6 @@ var pathNames = [NumPaths]string{
 	RemoteSend:   "remote-send",
 	RemoteRecv:   "remote-recv",
 	Create:       "create",
-	Forward:      "forward",
 	Sched:        "sched",
 	Body:         "body",
 	Ckpt:         "ckpt",

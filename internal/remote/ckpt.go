@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/core"
@@ -29,10 +28,9 @@ import (
 //     per-link sequence numbers deduplicate anything the receiver had in
 //     fact already consumed.
 //
-//   - Per-node state: the cursors of every link the node has, chunk stocks,
-//     placement state (round-robin position, RNG, load samples), the
-//     location cache and the advertisement ledger, all captured into a
-//     RelImage and restored in place. Stock entries are restored *through
+//   - Per-node state: the cursors of every link the node has, chunk stocks
+//     and placement state (round-robin position, RNG, load samples), all
+//     captured into a RelImage and restored in place. Stock entries are restored *through
 //     their existing pointers* — entry pointers travel inside wire records
 //     across the creation round trip, so identity must survive a rollback.
 //
@@ -106,8 +104,6 @@ type RelImage struct {
 	rng        uint64
 	loads      []int32 // nil unless the placement keeps load samples
 	stock      []stockImage
-	locCache   map[core.Address]core.Address
-	advert     map[advertKey]core.Address
 	bytes      int
 }
 
@@ -145,8 +141,6 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 			im.bytes += 8 + 8*int(e.n) // the entry and its chunk addresses
 		}
 	}
-	im.locCache, im.advert = maps.Clone(ns.locCache), maps.Clone(ns.advert)
-	im.bytes += 16*len(im.locCache) + 16*len(im.advert)
 	return im
 }
 
@@ -154,10 +148,9 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 // rolled-back timeline's protocol state is forgotten: in-flight records and
 // their retry deadlines, reorder buffers, delayed-ack ledgers, open batches,
 // and the retained records at or past the restored send cursors. Cursors
-// (zero on a link made after the image), placement state, load samples,
-// location cache and advertisement ledger are overwritten; stock entries
-// are restored through their pointers, and those made after the image are
-// emptied.
+// (zero on a link made after the image), placement state and load samples
+// are overwritten; stock entries are restored through their pointers, and
+// those made after the image are emptied.
 //
 // The batch-flush and delayed-ack deadlines stay armed: a stale deadline
 // firing on an empty batch or ledger is a no-op, and on a refilled one merely
@@ -203,7 +196,6 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 	for _, si := range im.stock {
 		*si.e = si.stockEntry
 	}
-	ns.locCache, ns.advert = maps.Clone(im.locCache), maps.Clone(im.advert)
 }
 
 // CkptReplayNode reconstructs the channel state of the cut for one sending

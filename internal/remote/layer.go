@@ -10,7 +10,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Handler categories (Section 5.1), recorded on packets for statistics.
@@ -18,7 +17,6 @@ const (
 	CatMessage = 1 // normal message transmission between objects
 	CatCreate  = 2 // request for remote object creation
 	CatChunk   = 3 // reply to remote memory allocation request
-	CatService = 4 // other services (load info is piggybacked instead)
 	CatAck     = 5 // reliable-delivery acknowledgment (not in the paper)
 	CatBatch   = 6 // multi-record hardware packet (per-link batching)
 	CatCkpt    = 7 // checkpoint-protocol control (snapshot requests and acks)
@@ -65,10 +63,6 @@ type Options struct {
 	// reverse-direction batches, and so implies Reliable; zero keeps
 	// immediate per-packet acks.
 	AckDelay sim.Time
-	// NoLocationCache disables the remote-location cache that
-	// short-circuits migration forwarders. The cache is on by default: it
-	// is inert until an object migrates.
-	NoLocationCache bool
 }
 
 // Reliable-delivery protocol constants. The base acknowledgment timeout
@@ -98,7 +92,6 @@ type Layer struct {
 	wires sim.Slab[wireMsg, *wireMsg] // recycled wire records
 	rel   *reliable                   // nil unless the reliable protocol is on (see Attach)
 	bat   *batcher                    // nil unless Options.BatchWindow > 0
-	locOn bool                        // remote-location cache enabled
 
 	// Never released, so carved: stock entries and, when the layer keeps
 	// peers (link.go), links and open batches.
@@ -124,56 +117,48 @@ type Layer struct {
 // acquire at the sender and one release at the receiver. Every message of
 // the layer is one: the record is the Section 5.1 message (data plus the
 // kind naming its compiled handler), and the only code it carries is the
-// continuation of a creation blocked on an empty stock (or of a migration's
-// caller) in onCreated. Records are pooled: the sender takes one from the
-// layer's slab and handleWire recycles it there (sim.Slab). The machine never
-// recycles the embedded header (it is not AcquirePacket's); the reliable
-// protocol sends per-attempt copies under headers of its own and leaves pkt
-// unused after the hand-off.
+// continuation of a creation blocked on an empty stock in onCreated. Records
+// are pooled: the sender takes one from the layer's slab and handleWire
+// recycles it there (sim.Slab). The machine never recycles the embedded
+// header (it is not AcquirePacket's); the reliable protocol sends
+// per-attempt copies under headers of its own and leaves pkt unused after
+// the hand-off.
 //
 // The record is 256 bytes, so a full slab block of 256 records is eight
 // 8 KiB runtime pages exactly: the scalars share two words, and the argument
 // list is a count over the inline argBuf or, past two values, over a spilled
 // array.
 type wireMsg struct {
-	pkt      machine.Packet // pkt.Payload points back at the record
-	next     *wireMsg       // pool link
-	kind     uint8
-	needInit bool   // wmMigrate: args are pending constructor arguments, not state
-	nargs    uint16 // length of the argument list
-	load     int32
-	src      int32
-	pat      int32 // wmMessage: the core.PatternID
-	// to is the receiver of a wmMessage, and the moved object's old address
-	// in wmLocUpd, wmMigrate and wmMigrated.
-	to core.Address
+	pkt   machine.Packet // pkt.Payload points back at the record
+	next  *wireMsg       // pool link
+	kind  uint8
+	nargs uint16 // length of the argument list
+	load  int32
+	src   int32
+	pat   int32        // wmMessage: the core.PatternID
+	to    core.Address // wmMessage: the receiver
 	// The argument list — an owned copy of the message or constructor
-	// arguments, the migrated image, or a checkpoint record's round — is
-	// argBuf[:nargs] when it fits, otherwise nargs values from spill.
+	// arguments, or a checkpoint record's round — is argBuf[:nargs] when it
+	// fits, otherwise nargs values from spill.
 	argBuf [2]core.Value
 	spill  *core.Value
-	// replyTo is a wmMessage's reply destination, the moved object's new
-	// address in wmLocUpd and wmMigrated, and the created object in the
-	// wmChunk answering a stock miss.
+	// replyTo is a wmMessage's reply destination, and the created object in
+	// the wmChunk answering a stock miss.
 	replyTo core.Address
 	chunk   *core.Object // wmCreate: chunk to initialize, nil on a stock miss
-	cl      *core.Class  // wmCreate, wmMigrate
+	cl      *core.Class  // wmCreate
 	entry   *stockEntry  // requester's stock slot, carried through the round trip
-	// onCreated rides a stock miss's wmCreate and its wmChunk, and a
-	// wmMigrate and its wmMigrated, back to the requester, which calls it
-	// with replyTo.
+	// onCreated rides a stock miss's wmCreate and its wmChunk back to the
+	// requester, which calls it with replyTo.
 	onCreated func(core.Address)
 }
 
 const (
-	wmMessage  = uint8(iota + 1)
-	wmCreate   // category 2: initialize chunk (allocate one on a miss)
-	wmChunk    // category 3: stock refill, resuming a miss
-	wmLocUpd   // location update: `to` moved to `replyTo` (forward short-circuit)
-	wmMigrate  // migration: class and image of `to`, adopted at the target
-	wmMigrated // migration answer: install the forwarder `to` -> `replyTo`
-	wmSnapReq  // snapshot request of the round in args[0]
-	wmSnapAck  // snapshot acknowledgment of the round in args[0]
+	wmMessage = uint8(iota + 1)
+	wmCreate  // category 2: initialize chunk (allocate one on a miss)
+	wmChunk   // category 3: stock refill, resuming a miss
+	wmSnapReq // snapshot request of the round in args[0]
+	wmSnapAck // snapshot acknowledgment of the round in args[0]
 )
 
 // setArgs copies args into the record — inline when they fit, a fresh array
@@ -288,13 +273,6 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	switch w.kind {
 	case wmMessage:
 		rn.ChargeTo(profile.RemoteRecv, extract+c.RemoteHandlerCall)
-		if l.locOn {
-			if fwd := w.to.Obj.ForwardTarget(); !fwd.IsNil() {
-				// Stale address: the object migrated away. Tell the sender
-				// where it lives now, then let the forwarder re-send.
-				l.advertiseLocation(rn, src, w.to, fwd)
-			}
-		}
 		nrt.DeliverFrame(w.to.Obj, nrt.NewFrame(core.PatternID(w.pat), w.args(), w.replyTo), true)
 	case wmCreate:
 		rn.SetPath(profile.Create)
@@ -317,31 +295,6 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 			r.replyTo, r.onCreated = obj.Addr(), w.onCreated
 		}
 		l.launch(rn, r, src, packetHeaderBytes+8, CatChunk)
-	case wmLocUpd:
-		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall)
-		l.learnLocation(rn, w.to, w.replyTo)
-	case wmMigrate:
-		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall+c.MigrateUnpack)
-		// Materialize at the target: a chunk adopting the class + image.
-		moved := nrt.NewFaultChunk(rn.ID)
-		l.rt.InitChunk(nrt, moved, w.cl, nil)
-		ms := core.MigrationState{NeedInit: w.needInit}
-		if w.needInit {
-			ms.CtorArgs = w.args()
-		} else {
-			ms.State = w.args()
-		}
-		l.rt.AdoptMigratedState(nrt, moved, w.cl, ms)
-		// Answer with the new address; the old home installs the forwarder.
-		r := l.record(rn, profile.Forward, 0, wmMigrated)
-		r.to, r.replyTo, r.onCreated = w.to, moved.Addr(), w.onCreated
-		l.launch(rn, r, src, packetHeaderBytes+8, CatService)
-	case wmMigrated:
-		rn.ChargeTo(profile.Forward, extract+c.RemoteHandlerCall)
-		l.rt.CompleteMigration(nrt, w.to.Obj, w.replyTo)
-		if w.onCreated != nil {
-			w.onCreated(w.replyTo)
-		}
 	case wmSnapReq, wmSnapAck:
 		rn.SetPath(profile.Ckpt)
 		rn.Charge(extract + c.RemoteHandlerCall)
@@ -417,18 +370,6 @@ type nodeState struct {
 	*peers // nil unless the reliable protocol or batching is on (see link.go)
 
 	batchPos int // 1-based record cursor while delivering a batch
-
-	// Remote-location cache: stale address -> latest known home, filled by
-	// wmLocUpd messages from forwarding nodes. advert is the forwarding
-	// side: the location last advertised per (sender, migrated object), so
-	// each sender is told about each migration generation exactly once.
-	locCache map[core.Address]core.Address
-	advert   map[advertKey]core.Address
-}
-
-type advertKey struct {
-	src int
-	obj *core.Object
 }
 
 func (ns *nodeState) nextRand() uint64 {
@@ -459,7 +400,7 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 		opt.Placement = RoundRobin{}
 	}
 	opt.Reliable = opt.Reliable || rt.M.Faults() != nil || opt.AckDelay > 0
-	l := &Layer{rt: rt, m: rt.M, opt: opt, locOn: !opt.NoLocationCache}
+	l := &Layer{rt: rt, m: rt.M, opt: opt}
 	l.hWire = l.handleWire
 	_, sampled := opt.Placement.(LoadBased)
 	l.nodes = make([]*nodeState, rt.Nodes())
@@ -500,8 +441,6 @@ func pathForCategory(cat int32) profile.Path {
 		return profile.RemoteSend
 	case CatCreate, CatChunk:
 		return profile.Create
-	case CatService:
-		return profile.Forward
 	case CatAck:
 		return profile.Ack
 	case CatCkpt:
@@ -523,29 +462,6 @@ func (l *Layer) cost() *machine.Cost { return &l.m.Cfg.Cost }
 // transmission. The record carries the receiver and the typed arguments to
 // the compiler-generated specialized handler its kind names (Section 5.1).
 func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, args []core.Value, replyTo core.Address) {
-	src := n.ID()
-	if ns := l.nodes[src]; len(ns.locCache) > 0 {
-		if fresh, ok := ns.locCache[to]; ok {
-			// Collapse chains left by repeated migrations, compressing the
-			// path for subsequent sends.
-			for hops := 0; hops < 8; hops++ {
-				next, ok := ns.locCache[fresh]
-				if !ok {
-					break
-				}
-				fresh = next
-			}
-			ns.locCache[to] = fresh
-			n.C.LocCacheHits++
-			to = fresh
-			if to.Node == src {
-				// The object migrated to this very node: re-enter the local
-				// send path instead of putting a packet on the wire.
-				n.Send(to, p, args, replyTo)
-				return
-			}
-		}
-	}
 	mn := n.MachineNode()
 	w := l.record(mn, profile.RemoteSend, 0, wmMessage)
 	if np := mn.Prof(); np != nil {
@@ -655,69 +571,6 @@ func (l *Layer) sendCreate(mn *machine.Node, target int, chunk *core.Object, cl 
 	l.launch(mn, w, target, size, CatCreate)
 }
 
-// advertiseLocation tells a stale sender where a migrated object lives now —
-// the forwarding short-circuit. It runs at the forwarding node when a
-// category-1 message arrives for an object that has moved away. One update
-// travels per (sender, migration generation): the advert map remembers what
-// each sender was last told, so steady-state forwarding adds no traffic.
-func (l *Layer) advertiseLocation(rn *machine.Node, src int, stale, fwd core.Address) {
-	if src == rn.ID {
-		return
-	}
-	// Chase a local forwarding chain (the object may have passed through
-	// this node more than once); forwarders on other nodes belong to other
-	// lanes and cannot be inspected here.
-	final := fwd
-	for hops := 0; hops < 8 && final.Node == rn.ID; hops++ {
-		next := final.Obj.ForwardTarget()
-		if next.IsNil() {
-			break
-		}
-		final = next
-	}
-	ns := l.nodes[rn.ID]
-	if ns.advert == nil {
-		ns.advert = make(map[advertKey]core.Address)
-	}
-	key := advertKey{src: src, obj: stale.Obj}
-	if ns.advert[key] == final {
-		return
-	}
-	ns.advert[key] = final
-	rn.C.LocCacheMisses++
-	w := l.record(rn, profile.Forward, 0, wmLocUpd)
-	w.to = stale
-	w.replyTo = final
-	l.rt.Tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
-		"advertise to n%d: object moved n%d -> n%d", src, stale.Node, final.Node)
-	l.launch(rn, w, src, packetHeaderBytes+16, CatService) // stale + authoritative address
-}
-
-// learnLocation installs an advertised location in the stale sender's cache.
-// A newer address for an already-cached object overwrites (invalidates) the
-// old entry; chains from repeated migrations collapse at lookup time.
-func (l *Layer) learnLocation(rn *machine.Node, stale, fresh core.Address) {
-	if fresh.IsNil() || stale == fresh {
-		return
-	}
-	ns := l.nodes[rn.ID]
-	if ns.locCache == nil {
-		ns.locCache = make(map[core.Address]core.Address)
-	}
-	if old, ok := ns.locCache[stale]; ok {
-		if old == fresh {
-			return
-		}
-		rn.C.LocCacheInvalidates++
-	}
-	ns.locCache[stale] = fresh
-	l.rt.Tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
-		"learned: n%d object now at n%d", stale.Node, fresh.Node)
-}
-
-// LocationCache reports whether the remote-location cache is enabled.
-func (l *Layer) LocationCache() bool { return l.locOn }
-
 // Batching reports the active batch window and byte budget (zeroes when
 // batching is disabled).
 func (l *Layer) Batching() (sim.Time, int) {
@@ -758,9 +611,6 @@ func (l *Layer) String() string {
 		} else {
 			s += " reliable"
 		}
-	}
-	if !l.locOn {
-		s += " locCache=off"
 	}
 	return s + "}"
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -628,6 +629,60 @@ func TestCategoryCounters(t *testing.T) {
 	}
 }
 
+func TestBatchedRecordsPayBatchExtraction(t *testing.T) {
+	// A method on node 0 sends a message to node 1 and then creates an
+	// object there. Batched, both records ride one packet: the message, first,
+	// pays full extraction, and the creation, like every later record of a
+	// batch, the reduced one. So the receive path costs the same either way,
+	// and the creation path exactly the difference less.
+	paths := func(batch bool) (recv, create uint64) {
+		m := machine.MustNew(machine.DefaultConfig(2))
+		prof := profile.New(2, profile.Options{InstrNs: m.Cfg.NsPerInstr()})
+		rt := core.NewRuntime(m, core.Options{Prof: prof})
+		opt := DefaultOptions()
+		if batch {
+			opt.BatchWindow = 10 * sim.Microsecond
+		}
+		l := Attach(rt, opt)
+		ping := rt.Reg.Register("ping", 0)
+		kick := rt.Reg.Register("kick", 0)
+		recvCls := rt.DefineClass("recv", 0, nil)
+		recvCls.Method(ping, func(*core.Ctx) {})
+		target := rt.NewObjectOn(1, recvCls)
+		made := rt.DefineClass("made", 0, nil)
+		drv := rt.DefineClass("drv", 0, nil)
+		drv.Method(kick, func(ctx *core.Ctx) {
+			ctx.SendPast(target, ping)
+			l.CreateOn(ctx, 1, made, nil, func(*core.Ctx, core.Address) {})
+		})
+		rt.Inject(rt.NewObjectOn(0, drv), kick)
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if c := rt.TotalStats(); c.RemoteCreations != 1 || (c.BatchedMsgs == 2) != batch {
+			t.Fatalf("batch=%v: creations=%d batched records=%d", batch, c.RemoteCreations, c.BatchedMsgs)
+		}
+		for _, ps := range prof.Report().Paths {
+			switch ps.Path {
+			case profile.RemoteRecv.String():
+				recv = ps.Instr
+			case profile.Create.String():
+				create = ps.Instr
+			}
+		}
+		return recv, create
+	}
+	recv, create := paths(false)
+	bRecv, bCreate := paths(true)
+	if recv == 0 || recv != bRecv {
+		t.Errorf("receive path: %d instructions unbatched, %d batched; want equal and nonzero (the first record pays full extraction)", recv, bRecv)
+	}
+	c := machine.DefaultCost()
+	if got, want := create-bCreate, uint64(c.RemoteRecvExtract-c.BatchRecvExtract); got != want {
+		t.Errorf("batching saved %d creation-path instructions, want %d (RemoteRecvExtract - BatchRecvExtract)", got, want)
+	}
+}
+
 func TestCrossNodeReplyDelegation(t *testing.T) {
 	// Caller on node 0 asks a middleman on node 1, which forwards the
 	// request (with the caller's reply destination) to a worker on node 2;
@@ -700,7 +755,7 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 // records fills eight 8 KiB runtime pages exactly (280 took nine). A wire
 // record is data plus the kind naming
 // its handler (Section 5.1); the only code one carries is the continuation
-// of a creation blocked on an empty stock (or of a migration's caller). A
+// of a creation blocked on an empty stock. A
 // reliable hop adds a relMsg while it is unacknowledged, chained from its
 // link (72 bytes: its payload is the record itself, and the chain's word
 // stands in for a slab link of its own). Under random placement a node opens

@@ -15,12 +15,12 @@ import (
 //
 // The paper assumes the AP1000's hardware delivers every packet exactly once
 // and in per-link FIFO order, and the whole runtime above (message
-// transmission, chunk-stock refill, reply delivery, migration) leans on that
+// transmission, chunk-stock refill, reply delivery) leans on that
 // guarantee. When the machine injects link faults, this file restores the
 // same contract in software so no method-body code changes:
 //
-//   - every data packet (categories 1-4) carries a per-(src,dst) sequence
-//     number (relHeaderBytes on the wire);
+//   - every data packet (categories 1-3 and 7) carries a per-(src,dst)
+//     sequence number (relHeaderBytes on the wire);
 //   - the sender keeps the packet until acknowledged, retransmitting on an
 //     exponential-backoff timer in virtual time;
 //   - the receiver acknowledges every copy it sees, suppresses duplicates,

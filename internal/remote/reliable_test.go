@@ -191,42 +191,6 @@ func TestReliableRemoteCreationAndReplies(t *testing.T) {
 	}
 }
 
-func TestReliableMigrationUnderFaults(t *testing.T) {
-	// Migration's state packet and ack both ride the reliable layer.
-	rt, l := buildFaulty(t, 2, fault.UniformLinks(0.2, 0.1, 0), 13)
-	poke := rt.Reg.Register("mg.poke", 0)
-	var pokes int
-	cl := rt.DefineClass("mg.obj", 1, func(ic *core.InitCtx) { ic.SetState(0, core.IntV(7)) })
-	cl.Method(poke, func(ctx *core.Ctx) { pokes++ })
-
-	a := rt.NewObjectOn(0, cl)
-	rt.Inject(a, poke) // initialize
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var newAddr core.Address
-	if err := l.Migrate(a.Obj, 1, func(na core.Address) { newAddr = na }); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if newAddr.IsNil() || newAddr.Node != 1 {
-		t.Fatalf("migration did not complete: %+v", newAddr)
-	}
-	// The old address still works (forwarder), across the faulty link.
-	rt.Inject(a, poke)
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if pokes != 2 {
-		t.Fatalf("pokes = %d, want 2 (one pre-, one post-migration)", pokes)
-	}
-	if c := rt.TotalStats(); c.LostMessages() != 0 {
-		t.Errorf("lost %d messages during migration", c.LostMessages())
-	}
-}
-
 // wireOpts is the reliable protocol with the full wire path on: per-link
 // batching plus delayed cumulative acks.
 func wireOpts(seed int64) Options {
@@ -338,33 +302,6 @@ func TestReliableDelayedAcksReduceAckTraffic(t *testing.T) {
 	}
 	if cd.Retransmits != 0 {
 		t.Errorf("clean link with delayed acks produced %d retransmits", cd.Retransmits)
-	}
-}
-
-func TestLocationCacheInvalidate(t *testing.T) {
-	// A newer advertised location for an already-cached object overwrites
-	// the old entry and counts an invalidation.
-	m, err := machine.New(machine.DefaultConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := core.NewRuntime(m, core.Options{})
-	l := Attach(rt, Options{StockDepth: 2, Placement: RoundRobin{}, Seed: 1})
-	stale := core.Address{Node: 1, Obj: &core.Object{}}
-	freshA := core.Address{Node: 2, Obj: &core.Object{}}
-	freshB := core.Address{Node: 0, Obj: &core.Object{}}
-	mn := m.Node(0)
-	l.learnLocation(mn, stale, freshA)
-	l.learnLocation(mn, stale, freshA) // same fact: no invalidation
-	if c := rt.NodeRT(0).C.LocCacheInvalidates; c != 0 {
-		t.Fatalf("re-learning the same location counted %d invalidations", c)
-	}
-	l.learnLocation(mn, stale, freshB)
-	if c := rt.NodeRT(0).C.LocCacheInvalidates; c != 1 {
-		t.Errorf("overwrite counted %d invalidations, want 1", c)
-	}
-	if got := l.nodes[0].locCache[stale]; got != freshB {
-		t.Errorf("cache maps stale object to %+v, want %+v", got, freshB)
 	}
 }
 

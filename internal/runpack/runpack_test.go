@@ -210,6 +210,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 		{"removed config key", run, SecConfig, `"seed"`, `"parallel_sim": 4, "seed"`, true, `config.json: json: unknown field "parallel_sim"`},
 		{"removed executor key", run, SecConfig, `"seed"`, `"executor": "conservative", "seed"`, true, `config.json: json: unknown field "executor"`},
 		{"removed workers key", run, SecConfig, `"seed"`, `"workers": 4, "seed"`, true, `config.json: json: unknown field "workers"`},
+		{"removed location-cache key", run, SecConfig, `"seed"`, `"no_loc_cache": true, "seed"`, true, `config.json: json: unknown field "no_loc_cache"`},
 		{"retired flat fault key", run, SecConfig, `"seed"`, `"drop": 0.1, "seed"`, true, `config.json: json: unknown field "drop"`},
 		{"retired flat crash key", run, SecConfig, `"seed"`, `"crashes": [], "seed"`, true, `config.json: json: unknown field "crashes"`},
 		{"removed scenario key", lossy, SecConfig, `"name"`, `"optimistic_window_ns": 9, "name"`, true, `config.json: json: unknown field "optimistic_window_ns"`},

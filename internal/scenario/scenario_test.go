@@ -78,6 +78,7 @@ func TestSpecValidation(t *testing.T) {
 		{"misspelt link key", `{"name":"x","workload":"forkjoin","nodes":2,"faults":{"links":[{"jitter":5}]}}`, `unknown field "jitter"`},
 		{"removed executor key", `{"name":"x","workload":"forkjoin","nodes":2,"executor":"conservative"}`, `unknown field "executor"`},
 		{"removed workers key", `{"name":"x","workload":"forkjoin","nodes":2,"workers":4}`, `unknown field "workers"`},
+		{"removed location-cache key", `{"name":"x","workload":"forkjoin","nodes":2,"no_loc_cache":true}`, `unknown field "no_loc_cache"`},
 		{"removed window key", `{"name":"x","workload":"forkjoin","nodes":2,"optimistic_window_ns":1000}`, `unknown field "optimistic_window_ns"`},
 		{"negative depth", `{"name":"x","workload":"forkjoin","nodes":2,"depth":-1}`, "forkjoin depth must be >= 0"},
 		{"negative reorder", `{"name":"x","workload":"hotkey","nodes":2,"reorder":-1}`, "reorder bound must be >= 0, got -1"},

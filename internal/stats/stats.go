@@ -37,10 +37,6 @@ type Counters struct {
 	StockMisses     uint64 // empty stock: blocking round trip
 	FaultBuffered   uint64 // messages buffered by the generic fault table
 
-	// Migration.
-	Migrations uint64 // objects moved to another node
-	Forwards   uint64 // messages re-sent through a migration forwarder
-
 	// Fault injection (attributed to the sending node for link faults).
 	LinkDrops  uint64 // packets dropped by injected link faults
 	LinkDups   uint64 // extra packet copies injected by link faults
@@ -59,11 +55,6 @@ type Counters struct {
 	// Wire-path batching (per-link aggregation of small packets).
 	BatchesSent uint64 // multi-message hardware packets transmitted
 	BatchedMsgs uint64 // logical messages carried inside those batches
-
-	// Remote-location cache (forwarding short-circuit after migration).
-	LocCacheHits        uint64 // sends rewritten to a cached post-migration address
-	LocCacheMisses      uint64 // stale-address deliveries that triggered a location update
-	LocCacheInvalidates uint64 // cached addresses overwritten by a newer location
 
 	// Checkpointing and crash recovery.
 	CkptSaves    uint64 // node snapshots written to simulated stable store

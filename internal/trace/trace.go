@@ -39,7 +39,6 @@ const (
 	// Wire-path optimisation events.
 	EvBatch       // a multi-message hardware packet was flushed onto a link
 	EvAckCoalesce // a cumulative ack replaced several per-packet acks
-	EvLocUpdate   // a remote-location cache update was sent or applied
 	// Checkpoint and crash-recovery events.
 	EvCkptSave  // a node wrote its snapshot to simulated stable store
 	EvCkptRound // the coordinator completed a snapshot round
@@ -70,7 +69,6 @@ var kindNames = [NumKinds]string{
 	EvHold:        "hold",
 	EvBatch:       "batch",
 	EvAckCoalesce: "ack-coalesce",
-	EvLocUpdate:   "loc-update",
 	EvCkptSave:    "ckpt-save",
 	EvCkptRound:   "ckpt-round",
 	EvCrash:       "crash",

@@ -76,7 +76,6 @@ type Spec struct {
 	BatchBytes     int   `json:"batch_bytes,omitempty"`
 	AckDelayNs     int64 `json:"ack_delay_ns,omitempty"`
 	Reliable       bool  `json:"reliable,omitempty"`
-	NoLocCache     bool  `json:"no_loc_cache,omitempty"`
 	CkptIntervalNs int64 `json:"checkpoint_interval_ns,omitempty"`
 	// ProfileWindowNs, when nonzero, attaches the cost-attribution profiler
 	// and slices its report into a time series of this width (a negative
@@ -176,9 +175,6 @@ func (sp Spec) options() ([]abcl.Option, error) {
 	}
 	if sp.AckDelayNs != 0 {
 		opts = append(opts, abcl.WithDelayedAcks(abcl.Time(sp.AckDelayNs)))
-	}
-	if sp.NoLocCache {
-		opts = append(opts, abcl.WithoutLocationCache())
 	}
 	if sp.CkptIntervalNs != 0 {
 		opts = append(opts, abcl.WithCheckpoint(abcl.Time(sp.CkptIntervalNs)))

@@ -143,11 +143,13 @@ func TestSpecRejections(t *testing.T) {
 	if err := (Spec{Workload: "nqueens", N: nqueens.MaxN + 1}).Validate(); err == nil || !strings.Contains(err.Error(), "N must be in 1..") {
 		t.Errorf("Validate accepted a board above nqueens.MaxN: %v", err)
 	}
-	// There is one executor: a spec naming the retired executor keys is
-	// refused by name, not run as if they selected something.
+	// A spec naming a retired key — the executor's, or the location cache's
+	// that went with object migration — is refused by name, not run as if it
+	// selected something.
 	for key, doc := range map[string]string{
-		"executor": `{"workload":"nqueens","executor":"conservative"}`,
-		"workers":  `{"workload":"nqueens","workers":2}`,
+		"executor":     `{"workload":"nqueens","executor":"conservative"}`,
+		"workers":      `{"workload":"nqueens","workers":2}`,
+		"no_loc_cache": `{"workload":"nqueens","no_loc_cache":true}`,
 	} {
 		var sp Spec
 		if err := DecodeStrict([]byte(doc), &sp); err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
@@ -165,18 +167,6 @@ func TestSpecRejections(t *testing.T) {
 // text. A fleet or app size draws a second small value in place of zero,
 // which would select the full default size.
 func TestValidateAgreesWithRun(t *testing.T) {
-	agree := func(sp Spec) error {
-		t.Helper()
-		verr := sp.Validate()
-		_, rerr := Run(sp)
-		switch {
-		case verr == nil && rerr != nil:
-			t.Errorf("%+v: Validate accepted it, Run failed: %v", sp, rerr)
-		case verr != nil && (rerr == nil || rerr.Error() != verr.Error()):
-			t.Errorf("%+v: Validate says %q, Run says %v", sp, verr, rerr)
-		}
-		return verr
-	}
 	for _, tc := range []struct {
 		spec Spec
 		want string
@@ -193,7 +183,7 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{Spec{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5}, "WithChunkStock(-5): depth must be positive"},
 		{Spec{Workload: "pingpong", Nodes: 4, BatchWindowNs: -5}, `unknown workload "pingpong"`},
 	} {
-		if err := agree(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := agreeWithRun(t, tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: Validate says %v, want %q", tc.spec, err, tc.want)
 		}
 	}
@@ -204,37 +194,36 @@ func TestValidateAgreesWithRun(t *testing.T) {
 	}
 	sort.Strings(names)
 	rng := rand.New(rand.NewSource(1))
-	lossy, lossless := abcl.UniformFaults(0.05, 0, 0), abcl.UniformFaults(1, 0, 0)
+	lossless := abcl.UniformFaults(1, 0, 0)
 	ran, rejected := 0, 0
 	for i := 0; i < 400; i++ {
 		sp := Spec{
 			Workload:        draw(rng, names[rng.Intn(len(names))], names[rng.Intn(len(names))], "quicksort"),
-			Nodes:           draw(rng, 3, 4, -2),
+			Nodes:           draw(rng, drawn.Nodes-1, drawn.Nodes, -2),
 			Seed:            draw[int64](rng, 0, 7, -7),
 			Policy:          draw(rng, "", "naive", "fifo"),
 			Placement:       draw(rng, "", "rr", "hash"),
 			Stock:           draw(rng, 0, 1, -1),
-			N:               draw(rng, 4, 5, 99),
-			Depth:           draw(rng, 3, 4, -1),
-			Grid:            draw(rng, 2, 3, 1),
-			GridIters:       draw(rng, 1, 2, -2),
+			N:               draw(rng, drawn.N-1, drawn.N, 99),
+			Depth:           draw(rng, drawn.Depth-1, drawn.Depth, -1),
+			Grid:            draw(rng, drawn.Grid-1, drawn.Grid, 1),
+			GridIters:       draw(rng, drawn.GridIters-1, drawn.GridIters, -2),
 			Scatter:         rng.Intn(2) == 0,
-			Clients:         draw(rng, 2, 3, -1),
-			Ops:             draw(rng, 3, 4, -1),
+			Clients:         draw(rng, drawn.Clients-1, drawn.Clients, -1),
+			Ops:             draw(rng, drawn.Ops-1, drawn.Ops, -1),
 			WritePct:        draw(rng, 0, 50, 150),
 			Coverage:        draw(rng, "", "none", "most"),
 			Ungrouped:       rng.Intn(2) == 0,
 			Reorder:         draw(rng, 0, 2, -1),
-			Faults:          draw[*abcl.FaultPlan](rng, nil, &lossy, &lossless),
+			Faults:          draw(rng, nil, drawn.Faults, &lossless),
 			BatchWindowNs:   draw[int64](rng, 0, 5_000, -5),
 			BatchBytes:      draw(rng, 0, 256, -3),
 			AckDelayNs:      draw[int64](rng, 0, 20_000, -7),
 			Reliable:        rng.Intn(2) == 0,
-			NoLocCache:      rng.Intn(2) == 0,
-			CkptIntervalNs:  draw[int64](rng, 0, 100_000, -7),
-			ProfileWindowNs: draw[int64](rng, 0, 50_000, -5),
+			CkptIntervalNs:  draw(rng, 0, drawn.CkptIntervalNs, -7),
+			ProfileWindowNs: draw(rng, 0, drawn.ProfileWindowNs, -5),
 		}
-		if agree(sp) == nil {
+		if agreeWithRun(t, sp) == nil {
 			ran++
 		} else {
 			rejected++
@@ -245,6 +234,68 @@ func TestValidateAgreesWithRun(t *testing.T) {
 	if ran < 50 || rejected < 50 {
 		t.Errorf("%d specs ran and %d were rejected; want at least 50 of each", ran, rejected)
 	}
+}
+
+// drawn holds the valid value TestValidateAgreesWithRun draws for each key
+// that bounds a run's cost. A fleet or app size draws it or one less, never
+// zero, which would select the full default size; the profile window and
+// checkpoint interval draw it or zero (off); the fault plan draws it or none.
+var drawn = Spec{
+	Nodes: 4, N: 5, Depth: 4, Grid: 3, GridIters: 2, Clients: 3, Ops: 4,
+	ProfileWindowNs: 50_000, CkptIntervalNs: 100_000,
+	Faults: &lossy,
+}
+
+var lossy = abcl.UniformFaults(0.05, 0, 0)
+
+// agreeWithRun fails t unless Run accepts exactly what Validate accepts: a
+// spec Validate passes runs without error, and one it refuses is refused by
+// Run in the same words. It returns Validate's verdict.
+func agreeWithRun(t testing.TB, sp Spec) error {
+	t.Helper()
+	verr := sp.Validate()
+	_, rerr := Run(sp)
+	switch {
+	case verr == nil && rerr != nil:
+		t.Errorf("%+v: Validate accepted it, Run failed: %v", sp, rerr)
+	case verr != nil && (rerr == nil || rerr.Error() != verr.Error()):
+		t.Errorf("%+v: Validate says %q, Run says %v", sp, verr, rerr)
+	}
+	return verr
+}
+
+// runnable reports whether a spec is within what TestValidateAgreesWithRun
+// draws: every size its workload reads nonzero and no larger than drawn's,
+// no profile window or checkpoint interval finer than drawn's (they multiply
+// a run's time slices and rounds), and no fault harsher than drawn's — link
+// rules dropping at most as often, with no duplication, jitter, pause or
+// crash.
+func runnable(sp Spec) bool {
+	sizes := [][2]int{{sp.Nodes, drawn.Nodes}}
+	switch sp.Workload {
+	case "nqueens":
+		sizes = append(sizes, [2]int{sp.N, drawn.N})
+	case "forkjoin":
+		sizes = append(sizes, [2]int{sp.Depth, drawn.Depth})
+	case "diffusion":
+		sizes = append(sizes, [2]int{sp.Grid, drawn.Grid}, [2]int{sp.GridIters, drawn.GridIters})
+	case "hotkey", "orderbook":
+		sizes = append(sizes, [2]int{sp.Clients, drawn.Clients}, [2]int{sp.Ops, drawn.Ops})
+	}
+	for _, s := range sizes {
+		if s[0] == 0 || s[0] > s[1] {
+			return false
+		}
+	}
+	fp, limit := sp.FaultPlan(), drawn.Faults.Links[0]
+	for _, lf := range fp.Links {
+		if lf.Drop > limit.Drop || lf.Dup > limit.Dup || lf.Jitter > limit.Jitter {
+			return false
+		}
+	}
+	return len(fp.Pauses) == 0 && len(fp.Crashes) == 0 &&
+		(sp.ProfileWindowNs <= 0 || sp.ProfileWindowNs >= drawn.ProfileWindowNs) &&
+		(sp.CkptIntervalNs <= 0 || sp.CkptIntervalNs >= drawn.CkptIntervalNs)
 }
 
 // draw picks a spec key's value: its zero value, a small valid one, or,
@@ -261,7 +312,9 @@ func draw[T any](rng *rand.Rand, zero, valid, invalid T) T {
 
 // FuzzSpecValidate feeds arbitrary bytes to the spec decoder and Validate:
 // neither may panic, whatever the document holds — a hostile size, a fault
-// rule naming a node the fleet lacks, a key of the wrong type.
+// rule naming a node the fleet lacks, a key of the wrong type. A spec small
+// enough to run (runnable) is also held to TestValidateAgreesWithRun's
+// property: Run accepts exactly what Validate accepts, in the same words.
 func FuzzSpecValidate(f *testing.F) {
 	f.Add([]byte(`{"workload":"nqueens","n":8,"nodes":16,"placement":"random","stock":-5}`))
 	f.Add([]byte(`{"workload":"hotkey","nodes":8,"clients":8,"ops":20,"checkpoint_interval_ns":100000,` +
@@ -269,10 +322,22 @@ func FuzzSpecValidate(f *testing.F) {
 	f.Add([]byte(`{"workload":"forkjoin","depth":8,"nodes":16,` +
 		`"faults":{"links":[{"src":-1,"dst":-1,"drop":0.1}]},"batch_window_ns":2000,"ack_delay_ns":50000}`))
 	f.Add([]byte(`{"workload":"diffusion","grid":1,"iters":3}`))
+	// Runnable specs.
+	f.Add([]byte(`{"workload":"nqueens","nodes":4,"n":5,"placement":"random","stock":1,` +
+		`"faults":{"links":[{"drop":0.05}]},"batch_window_ns":5000,"ack_delay_ns":20000,"reliable":true}`))
+	f.Add([]byte(`{"workload":"hotkey","nodes":4,"clients":3,"ops":4,"write_pct":50,"coverage":"none","checkpoint_interval_ns":100000}`))
+	f.Add([]byte(`{"workload":"orderbook","nodes":4,"clients":3,"ops":4,"reorder":2,"profile_window_ns":50000,"reliable":true}`))
+	f.Add([]byte(`{"workload":"diffusion","nodes":3,"grid":3,"grid_iters":2,"scatter":true,"policy":"naive","batch_bytes":256,"batch_window_ns":5000}`))
+	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"stock":-1,"seed":7,"faults":{"links":[{"src":7,"drop":0.01}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec
-		if DecodeStrict(data, &sp) == nil {
-			_ = sp.Validate()
+		if DecodeStrict(data, &sp) != nil {
+			return
 		}
+		if !runnable(sp) {
+			_ = sp.Validate()
+			return
+		}
+		agreeWithRun(t, sp)
 	})
 }

@@ -1,5 +1,5 @@
 // Acceptance tests for the wire-path optimisations: per-link packet
-// batching, coalesced acknowledgments and the remote-location cache.
+// batching and coalesced acknowledgments.
 //
 // The contract has two sides. With the options off (the default), the engine
 // must be byte-identical to the pre-batching wire path: no new counters
@@ -36,8 +36,8 @@ func queensRun(t *testing.T, opts ...abcl.Option) (*abcl.System, nqueens.Result)
 }
 
 // With everything at defaults the new wire-path machinery must be inert:
-// zero batches, zero coalesced acks, zero location-cache activity, and one
-// hardware packet per logical message.
+// zero batches, zero coalesced acks, and one hardware packet per logical
+// message.
 func TestWirePathDefaultsInert(t *testing.T) {
 	sys, res := queensRun(t)
 	if res.Solutions != 40 {
@@ -50,10 +50,6 @@ func TestWirePathDefaultsInert(t *testing.T) {
 	if c.AcksCoalesced != 0 || c.AcksSent != 0 {
 		t.Errorf("default run produced ack traffic: sent=%d coalesced=%d", c.AcksSent, c.AcksCoalesced)
 	}
-	if c.LocCacheHits != 0 || c.LocCacheMisses != 0 || c.LocCacheInvalidates != 0 {
-		t.Errorf("location cache active without migration: hits=%d misses=%d inval=%d",
-			c.LocCacheHits, c.LocCacheMisses, c.LocCacheInvalidates)
-	}
 	wire := sys.Report().Wire
 	if wire.BatchWindow != 0 || wire.BatchMaxBytes != 0 {
 		t.Errorf("batch window = (%v, %d), want zeroes", wire.BatchWindow, wire.BatchMaxBytes)
@@ -61,29 +57,6 @@ func TestWirePathDefaultsInert(t *testing.T) {
 	if wire.Packets != wire.LogicalMsgs {
 		t.Errorf("packets=%d logical msgs=%d: unbatched runs must map 1:1",
 			wire.Packets, wire.LogicalMsgs)
-	}
-}
-
-// Disabling the (inert) location cache must not perturb anything: virtual
-// times, counters and answers stay byte-identical to the default run.
-func TestWirePathEquivalence(t *testing.T) {
-	sysA, resA := queensRun(t)
-	sysB, resB := queensRun(t, abcl.WithoutLocationCache())
-	// The report echoes the configuration under test; mask that one
-	// deliberate difference so the comparison covers only run results.
-	resB.Report.Wire.LocationCache = resA.Report.Wire.LocationCache
-	if resA != resB {
-		t.Errorf("WithoutLocationCache changed the result:\n%+v\nvs\n%+v", resA, resB)
-	}
-	repA, repB := sysA.Report(), sysB.Report()
-	if a, b := repA.Sched.Elapsed, repB.Sched.Elapsed; a != b {
-		t.Errorf("elapsed differs: %v vs %v", a, b)
-	}
-	if a, b := repA.Sched.Counters, repB.Sched.Counters; a != b {
-		t.Errorf("counters differ:\n%+v\nvs\n%+v", a, b)
-	}
-	if a, b := repA.Wire.Packets, repB.Wire.Packets; a != b {
-		t.Errorf("packet counts differ: %d vs %d", a, b)
 	}
 }
 
@@ -180,110 +153,5 @@ func TestWirePathReliableBatchedUnderFaults(t *testing.T) {
 	}
 	if c.BatchesSent == 0 || c.AcksCoalesced == 0 {
 		t.Errorf("optimisations idle under faults: batches=%d coalesced=%d", c.BatchesSent, c.AcksCoalesced)
-	}
-}
-
-// The remote-location cache short-circuits migration forwarders: after one
-// forwarded message the sender learns the new address, and subsequent
-// traffic goes direct instead of taking the forwarding hop.
-func TestWirePathLocationCache(t *testing.T) {
-	sys, err := abcl.NewSystem(abcl.WithNodes(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := sys.Pattern("lc.inc", 0)
-	kick := sys.Pattern("lc.kick", 0)
-	counter := sys.Class("lc.counter", 1, func(ic *abcl.InitCtx) { ic.SetState(0, abcl.Int(0)) })
-	counter.Method(inc, func(ctx *abcl.Ctx) {
-		ctx.SetState(0, abcl.Int(ctx.State(0).Int()+1))
-	})
-	target := sys.NewObjectOn(0, counter)
-	drv := sys.Class("lc.drv", 0, nil)
-	drv.Method(kick, func(ctx *abcl.Ctx) {
-		for j := 0; j < 20; j++ {
-			ctx.SendPast(target, inc)
-		}
-	})
-	d := sys.NewObjectOn(1, drv)
-	sys.RT.Freeze()
-	if err := sys.Net.Migrate(target.Obj, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	// First wave: the burst leaves before the advert can return, so every
-	// message goes to the stale address on node 0 and takes the hop to
-	// node 2; the forwarder advertises the new address once.
-	sys.Send(d, kick)
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c1 := sys.Report().Sched.Counters
-	if c1.Forwards != 20 || c1.LocCacheMisses == 0 {
-		t.Fatalf("first wave: forwards=%d adverts=%d, want 20 forwards and an advert", c1.Forwards, c1.LocCacheMisses)
-	}
-
-	// Second wave: the sender's cache rewrites every send to the new home.
-	sys.Send(d, kick)
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c2 := sys.Report().Sched.Counters
-	if c2.LocCacheHits < 20 {
-		t.Errorf("second wave: %d cache hits, want >= 20", c2.LocCacheHits)
-	}
-	if c2.Forwards != c1.Forwards {
-		t.Errorf("second wave still forwarded: %d -> %d forwards", c1.Forwards, c2.Forwards)
-	}
-	if c2.LocCacheMisses != c1.LocCacheMisses {
-		t.Errorf("steady state re-advertised: %d -> %d adverts", c1.LocCacheMisses, c2.LocCacheMisses)
-	}
-}
-
-// With the cache disabled every post-migration message keeps paying the
-// forwarding hop — the ablation baseline for the short-circuit.
-func TestWirePathLocationCacheDisabled(t *testing.T) {
-	sys, err := abcl.NewSystem(abcl.WithNodes(3), abcl.WithoutLocationCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Report().Wire.LocationCache {
-		t.Fatal("Report().Wire.LocationCache = true after WithoutLocationCache")
-	}
-	inc := sys.Pattern("lc2.inc", 0)
-	kick := sys.Pattern("lc2.kick", 0)
-	counter := sys.Class("lc2.counter", 1, func(ic *abcl.InitCtx) { ic.SetState(0, abcl.Int(0)) })
-	counter.Method(inc, func(ctx *abcl.Ctx) {
-		ctx.SetState(0, abcl.Int(ctx.State(0).Int()+1))
-	})
-	target := sys.NewObjectOn(0, counter)
-	drv := sys.Class("lc2.drv", 0, nil)
-	drv.Method(kick, func(ctx *abcl.Ctx) {
-		for j := 0; j < 20; j++ {
-			ctx.SendPast(target, inc)
-		}
-	})
-	d := sys.NewObjectOn(1, drv)
-	sys.RT.Freeze()
-	if err := sys.Net.Migrate(target.Obj, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		sys.Send(d, kick)
-		if err := sys.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := sys.Report().Sched.Counters
-	if c.Forwards != 40 {
-		t.Errorf("forwards = %d, want 40 (every message takes the hop)", c.Forwards)
-	}
-	if c.LocCacheHits != 0 || c.LocCacheMisses != 0 {
-		t.Errorf("cache disabled but active: hits=%d misses=%d", c.LocCacheHits, c.LocCacheMisses)
 	}
 }
