@@ -43,7 +43,7 @@ check: tier1 vet-race scenario-smoke bench-test fuzz-smoke
 # new target is a new line. `go test ./...` runs only their seed corpora; a
 # failure found here is saved under the package's testdata/fuzz.
 fuzz-smoke:
-	go test -run xxx -fuzz '^FuzzLaneQueue$$' -fuzztime 30s ./internal/sim
+	go test -run xxx -fuzz '^FuzzEventQueue$$' -fuzztime 30s ./internal/sim
 	go test -run xxx -fuzz '^FuzzSpecValidate$$' -fuzztime 30s ./internal/workload
 	go test -run xxx -fuzz '^FuzzRunpackOpen$$' -fuzztime 30s ./internal/runpack
 	go test -run xxx -fuzz '^FuzzLinkFaultJSON$$' -fuzztime 30s ./internal/fault

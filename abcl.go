@@ -206,6 +206,9 @@ func WithNodes(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("abcl: WithNodes(%d): node count must be positive", n)
 		}
+		if n > machine.MaxNodes {
+			return fmt.Errorf("abcl: WithNodes(%d): node count above the limit of %d", n, machine.MaxNodes)
+		}
 		return nil
 	}
 }

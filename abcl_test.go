@@ -151,6 +151,7 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{"WithNodes(0)", abcl.WithNodes(0)},
 		{"WithNodes(-3)", abcl.WithNodes(-3)},
+		{"WithNodes(70000)", abcl.WithNodes(70000)}, // past the engine's 65 535
 		{"WithSeed(0)", abcl.WithSeed(0)},
 		{"WithObserver(nil)", abcl.WithObserver(nil)},
 		{"WithPlacement(nil)", abcl.WithPlacement(nil)},

@@ -1,11 +1,11 @@
-// Held-arrival pin: the configurations in which a lane carries both packet
-// arrivals the engine may hold (no controller hook) and ones it may not, or
-// holds arrivals across a turn that a node pause defers. Reliable and
-// checkpointed runs put a hook on every arrival and so never hold one; these
-// rows are where holding meets everything else on a lane. The constants were
-// recorded before the engine held any arrival: holding moves only the
-// cross-lane interleaving of events nothing can observe, so every virtual
-// time, count and trace line must stay where it was.
+// Held-arrival pin: the configurations in which a node receives both plain
+// packet arrivals (no controller hook) and hooked ones, or receives arrivals
+// across a turn that a node pause defers. The constants were recorded before
+// the engine ever held an arrival, and kept while it did: an earlier engine
+// let a plain arrival for a node whose turn was queued wait off the global
+// order until that turn. They now pin that strict (time, seq) order
+// reproduces that order: every virtual time, count and trace line stays
+// where it was.
 package abcl_test
 
 import (
@@ -35,7 +35,7 @@ func TestHeldArrivalPin(t *testing.T) {
 	// ends short of its answer, where the pin records it. The plan has no
 	// duplicates: without the reliable layer's deduplication the second copy
 	// of a wire record would be handled after the first released it.
-	// machine.TestHeldDeliveryPin holds duplicated packets.
+	// machine.TestHeldDeliveryPin delivers duplicated packets.
 	unreliable := fault.UniformLinks(0.02, 0, 2*abcl.Microsecond).
 		WithPause(3, 200*abcl.Microsecond, 300*abcl.Microsecond).
 		WithPause(7, 900*abcl.Microsecond, 150*abcl.Microsecond).

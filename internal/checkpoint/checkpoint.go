@@ -124,12 +124,12 @@ func (g *Manager) Start(crashes []fault.NodeCrash) {
 		c := c
 		mn := g.m.Node(c.Node)
 		restart := c.At + c.RestartAfter
-		g.m.Eng.ScheduleFuncOn(0, mn.Lane(), c.At, func() {
+		g.m.Eng.ScheduleFuncOn(mn.Lane(), c.At, func() {
 			mn.BeginOutage(restart)
 			g.rt.NodeRT(c.Node).C.NodeCrashes++
 			g.rt.Tracef(c.At, c.Node, trace.EvCrash, "crash, restart at %v", restart)
 		})
-		g.m.Eng.ScheduleFuncOn(0, 0, restart, func() {
+		g.m.Eng.ScheduleFuncOn(0, restart, func() {
 			g.restore(restart, c.Node)
 		})
 	}
@@ -169,7 +169,7 @@ func (g *Manager) capture(round int, at sim.Time) *Snapshot {
 func (g *Manager) scheduleTick(at sim.Time) {
 	g.ticking = true
 	ln := g.m.Node(0).Lane()
-	g.m.Eng.ScheduleFuncOn(ln, ln, at, func() { g.tick(at) })
+	g.m.Eng.ScheduleFuncOn(ln, at, func() { g.tick(at) })
 }
 
 // tick begins a snapshot round on the coordinator, unless the application

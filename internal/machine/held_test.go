@@ -13,9 +13,11 @@ import (
 
 // Held-delivery pin. Packets hop between busy nodes over a lossy, duplicating
 // interconnect with node pauses: nearly every delivery lands behind a queued
-// or deferred turn and is held, and every copy a duplicate makes is
-// delivered. The constants were recorded before the engine held any
-// delivery. The digest covers every handler call in order — node, source,
+// or deferred turn, and every copy a duplicate makes is delivered. The
+// constants were recorded before the engine ever held a delivery, and kept
+// while an earlier engine held such deliveries off the global order until
+// the node's turn; they now pin that strict (time, seq) order reproduces
+// that order. The digest covers every handler call in order — node, source,
 // arrival, hop — and so each node's receive order; the trace digest covers
 // the machine's drop, duplicate and pause records.
 func TestHeldDeliveryPin(t *testing.T) {

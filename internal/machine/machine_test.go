@@ -3,6 +3,7 @@ package machine
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -66,6 +67,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Nodes: 4, ClockMHz: 0, CPI: 2.3}); err == nil {
 		t.Error("zero clock should fail")
+	}
+	// One engine lane per node and one for the host: the lane field of an
+	// event's key bounds the machine.
+	if _, err := New(DefaultConfig(MaxNodes + 1)); err == nil || !strings.Contains(err.Error(), "65535") {
+		t.Errorf("%d nodes: got %v, want an error naming the limit of 65535", MaxNodes+1, err)
 	}
 	cfg := DefaultConfig(4)
 	cfg.Topology = Torus2D{W: 1, H: 1}

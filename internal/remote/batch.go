@@ -92,7 +92,7 @@ func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 			if ahead := mn.Clock - mn.EventNow(); ahead > 0 {
 				d += ahead
 			}
-			ns.flushes.add(b.l.m.Eng, mn, ob, mn.EventNow()+d)
+			ns.flushes.add(b.l.m.Eng, ob, mn.EventNow()+d)
 			ns.flushes.follow(b.l.m.Eng, mn, b.flushKind, ns)
 		}
 		ob.head = pkt

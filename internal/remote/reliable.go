@@ -73,13 +73,13 @@ type deadlines[T any, P interface {
 }
 
 // add gives m a deadline at due, reserving the position a timer armed now
-// from mn's lane would take. Deadlines mostly come in order, so the list is
+// would take. Deadlines mostly come in order, so the list is
 // searched from its far end; a new position is later than every earlier one,
 // so among equal times m goes last.
-func (s *deadlines[T, P]) add(eng *sim.Engine, mn *machine.Node, m *T, due sim.Time) {
+func (s *deadlines[T, P]) add(eng *sim.Engine, m *T, due sim.Time) {
 	d := P(m).entry()
 	d.due = due
-	eng.ReserveSeq(mn.Lane(), &d.dueSeq)
+	eng.ReserveSeq(&d.dueSeq)
 	after := s.tail
 	for after != nil && P(after).entry().due > due {
 		after = P(after).entry().prev
@@ -280,7 +280,7 @@ func (r *reliable) xmit(mn *machine.Node, ns *nodeState, m *relMsg) {
 	}
 	// The deadline takes the place in the event order a timer armed here
 	// would take.
-	ns.rel.retries.add(r.l.m.Eng, mn, m, mn.EventNow()+delay)
+	ns.rel.retries.add(r.l.m.Eng, m, mn.EventNow()+delay)
 	r.schedule(ns)
 }
 
@@ -495,7 +495,7 @@ func (r *reliable) noteArrival(rn *machine.Node, src int, seq uint64) {
 // equal-time events that an event scheduled now would take.
 func (r *reliable) armAck(rn *machine.Node, ns *nodeState, due sim.Time) {
 	n := &ns.rel
-	r.l.m.Eng.ReserveSeq(rn.Lane(), &n.ackSeq)
+	r.l.m.Eng.ReserveSeq(&n.ackSeq)
 	r.l.m.Eng.StartTimerAt(rn.Lane(), &n.ackTimer, due, n.ackSeq, r.ackKind, ns)
 }
 

@@ -365,11 +365,11 @@ func TestRollbackKeepsFlushDeadlineLive(t *testing.T) {
 	})
 	target = rt.NewObjectOn(1, cnt)
 	rt.Inject(rt.NewObjectOn(0, snd), kick)
-	// A stopped slot is swept at once from a near-empty event queue; a busy
-	// lane keeps it queued, and that is where the deadline went missing.
+	// The deadline went missing when other events stayed queued around its
+	// stopped slot: these keep the queue busy past it.
 	lane := rt.M.Node(0).Lane()
 	for i := 0; i < 8; i++ {
-		rt.M.Eng.ScheduleFuncOn(lane, lane, sim.Millisecond, func() {})
+		rt.M.Eng.ScheduleFuncOn(lane, sim.Millisecond, func() {})
 	}
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)

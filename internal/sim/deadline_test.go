@@ -15,8 +15,8 @@ func TestStartTimerAtMovesSlot(t *testing.T) {
 	k := e.RegisterHandler(func(at Time, _ any) { fired = append(fired, at) })
 	var seqs [4]uint64
 	for i := range seqs {
-		e.ScheduleFuncOn(0, 0, Time(10*(i+1)), func() {}) // other traffic to sift through
-		e.ReserveSeq(0, &seqs[i])
+		e.ScheduleFuncOn(0, Time(10*(i+1)), func() {}) // other traffic to sift through
+		e.ReserveSeq(&seqs[i])
 	}
 	var tm Timer
 	e.StartTimerAt(0, &tm, 25, seqs[1], k, &tm)
@@ -42,10 +42,10 @@ func TestStartTimerAtMovesSlot(t *testing.T) {
 	}
 }
 
-// TestStopTakesSlotOut pins the way out: Stop removes the slot at once — the
-// timer and the engine stop counting it, and it never fires or counts in
-// Fired — whether it sits mid-heap, at a lane's head (the tournament must
-// follow) or alone on its lane.
+// TestStopTakesSlotOut pins the way out: Stop takes the slot out of the run
+// at once — the timer and the engine stop counting it, and it never fires or
+// counts in Fired — whether it sits mid-heap, at the queue's head or alone at
+// its time.
 func TestStopTakesSlotOut(t *testing.T) {
 	e := NewEngine()
 	e.SetLanes(4)
@@ -53,7 +53,7 @@ func TestStopTakesSlotOut(t *testing.T) {
 	k := e.Register(func(_ int, _ Time, arg any) { got = append(got, arg.(int)) })
 	arm := func(l int, tm *Timer, at Time, id int) {
 		seq := new(uint64)
-		e.ReserveSeq(l, seq)
+		e.ReserveSeq(seq)
 		e.StartTimerAt(l, tm, at, *seq, k, id)
 	}
 	var head, alone, mid Timer
@@ -62,7 +62,7 @@ func TestStopTakesSlotOut(t *testing.T) {
 	e.ScheduleOn(2, 2, 25, k, 25)
 	arm(2, &mid, 27, -2)
 	arm(3, &alone, 22, -3)
-	e.ScheduleFuncOn(0, 0, 10, func() { head.Stop(); alone.Stop() })
+	e.ScheduleFuncOn(0, 10, func() { head.Stop(); alone.Stop() })
 	before := e.Pending()
 	if mid.Stop(); mid.Pending() || e.Pending() != before-1 {
 		t.Fatalf("after Stop: timer queued %v, %d events pending, want false, %d", mid.Pending(), e.Pending(), before-1)
@@ -74,6 +74,66 @@ func TestStopTakesSlotOut(t *testing.T) {
 		t.Fatalf("Run fired %v, %d events in all; want [25 30], 3", got, e.Fired())
 	}
 
+}
+
+// TestTimerMovedManyTimes pins the lazy slots a move leaves behind: a timer
+// moved 10 000 times, earlier and later, fires once, at its last position,
+// between the events scheduled just before and after that position was
+// reserved. The old slots count in neither Pending nor Fired, and once they
+// have surfaced every bucket block is back in the slab.
+func TestTimerMovedManyTimes(t *testing.T) {
+	e := NewEngine()
+	var got []any
+	k := e.Register(func(_ int, _ Time, arg any) { got = append(got, arg) })
+	var tm Timer
+	rng := pqLane{rng: 3}
+	var at Time
+	for i := 0; i < 10_000; i++ {
+		var seq uint64
+		at = Time(1000 + rng.rand(1<<20))
+		if i == 9_999 {
+			e.ScheduleOn(0, 0, at, k, "before")
+			e.ReserveSeq(&seq)
+			e.ScheduleOn(0, 0, at, k, "after")
+		} else {
+			e.ReserveSeq(&seq)
+		}
+		e.StartTimerAt(0, &tm, at, seq, k, i)
+		if p := e.Pending(); i == 9_998 && p != 1 {
+			t.Fatalf("after 9 999 moves: %d events pending, want 1", p)
+		}
+	}
+	if p := e.Pending(); p != 3 || !tm.Pending() {
+		t.Fatalf("before Run: %d events pending, timer queued %v; want 3, true", p, tm.Pending())
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []any{"before", 9_999, "after"}; !reflect.DeepEqual(got, want) || e.Now() != at {
+		t.Fatalf("fired %v, the last at %v; want %v at %v", got, e.Now(), want, at)
+	}
+	if e.Fired() != 3 || e.Pending() != 0 || tm.Pending() {
+		t.Fatalf("after Run: Fired %d, %d pending, timer queued %v; want 3, 0, false", e.Fired(), e.Pending(), tm.Pending())
+	}
+	if q := &e.q; q.len() != 0 || q.used != 0 || e.stale != 0 || freeBlocks(e) == 0 {
+		t.Fatalf("after Run: %d slots queued, positions %b in use, %d stale, %d blocks free", q.len(), q.used, e.stale, freeBlocks(e))
+	}
+
+	// A stopped timer armed again at the position it left fires once there,
+	// though its old slot is still queued beside the new one.
+	var seq uint64
+	e.ReserveSeq(&seq)
+	e.StartTimerAt(0, &tm, at+10, seq, k, "again")
+	tm.Stop()
+	e.StartTimerAt(0, &tm, at+10, seq, k, "again")
+	if p := e.Pending(); p != 1 {
+		t.Fatalf("re-armed: %d events pending, want 1", p)
+	}
+	got = got[:0]
+	if n, err := e.Run(); err != nil || n != 1 || len(got) != 1 || e.Pending() != 0 || e.q.len() != 0 {
+		t.Fatalf("re-armed: Run fired %d (%v), %d pending, %d slots queued; want 1 firing, none left",
+			n, got, e.Pending(), e.q.len())
+	}
 }
 
 // The deadline workload: every lane keeps a set of cancellable deadlines, set
@@ -131,7 +191,7 @@ func (w *dlWorld) set(l int, d *dlRec, delay Time) {
 		w.e.ScheduleOn(l, l, d.due, w.expireK, d)
 		return
 	}
-	w.e.ReserveSeq(l, &d.seq)
+	w.e.ReserveSeq(&d.seq)
 	w.schedule(l)
 }
 
@@ -200,12 +260,12 @@ func (w *dlWorld) step(l int) {
 		}
 	default:
 		dst := (l + 1) % len(w.lanes)
-		w.e.ScheduleFuncOn(l, dst, w.e.Now()+w.look, func() {
+		w.e.ScheduleFuncOn(dst, w.e.Now()+w.look, func() {
 			w.fired(dlFire{w.e.Now(), -1 - l})
 		})
 	}
 	if ln.steps > 0 {
-		w.e.ScheduleFuncOn(l, l, w.e.Now()+Time(1+ln.rand(5)), func() { w.step(l) })
+		w.e.ScheduleFuncOn(l, w.e.Now()+Time(1+ln.rand(5)), func() { w.step(l) })
 	}
 }
 
@@ -218,7 +278,7 @@ func newDLWorld(shared bool, lanes, steps int, look Time) *dlWorld {
 		l := l
 		w.lanes[l].rng = uint64(l)*977 + 13
 		w.lanes[l].steps = steps
-		w.e.ScheduleFuncOn(l, l, Time(1+l), func() { w.step(l) })
+		w.e.ScheduleFuncOn(l, Time(1+l), func() { w.step(l) })
 	}
 	return w
 }

@@ -13,7 +13,7 @@ func TestRunUntilDeadlineOnEventTimestamp(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{99, 100, 100, 101} {
 		at := at
-		e.ScheduleFuncOn(0, 0, at, func() { got = append(got, at) })
+		e.ScheduleFuncOn(0, at, func() { got = append(got, at) })
 	}
 	n, err := e.RunUntil(100)
 	if err != nil {
@@ -45,8 +45,8 @@ func TestRunUntilDeadlineOnEventTimestamp(t *testing.T) {
 func TestSchedulePastDuringFiring(t *testing.T) {
 	e := NewEngine()
 	var got []Time
-	e.ScheduleFuncOn(0, 0, 100, func() {
-		e.ScheduleFuncOn(0, 0, 50, func() { got = append(got, e.Now()) })
+	e.ScheduleFuncOn(0, 100, func() {
+		e.ScheduleFuncOn(0, 50, func() { got = append(got, e.Now()) })
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)

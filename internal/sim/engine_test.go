@@ -26,7 +26,7 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{50, 10, 30, 20, 40} {
 		at := at
-		e.ScheduleFuncOn(0, 0, at, func() { got = append(got, at) })
+		e.ScheduleFuncOn(0, at, func() { got = append(got, at) })
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.ScheduleFuncOn(0, 0, 100, func() { got = append(got, i) })
+		e.ScheduleFuncOn(0, 100, func() { got = append(got, i) })
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 func TestEngineNowDuringEvent(t *testing.T) {
 	e := NewEngine()
 	var seen Time
-	e.ScheduleFuncOn(0, 0, 42, func() { seen = e.Now() })
+	e.ScheduleFuncOn(0, 42, func() { seen = e.Now() })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestEngineNowDuringEvent(t *testing.T) {
 func TestEngineSchedulingInPastClamps(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.ScheduleFuncOn(0, 0, 100, func() {
-		e.ScheduleFuncOn(0, 0, 5, func() { fired = append(fired, e.Now()) })
+	e.ScheduleFuncOn(0, 100, func() {
+		e.ScheduleFuncOn(0, 5, func() { fired = append(fired, e.Now()) })
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.ScheduleFuncOn(0, 0, Time(i*10), func() { count++ })
+		e.ScheduleFuncOn(0, Time(i*10), func() { count++ })
 	}
 	if _, err := e.RunUntil(50); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestEngineRunUntil(t *testing.T) {
 func TestRunUntilNeverLowersNow(t *testing.T) {
 	e := NewEngine()
 	for _, at := range []Time{10, 100} {
-		e.ScheduleFuncOn(0, 0, at, func() {})
+		e.ScheduleFuncOn(0, at, func() {})
 	}
 	if _, err := e.RunUntil(50); err != nil || e.Now() != 50 {
 		t.Fatalf("RunUntil(50): Now = %v, err %v, want 50", e.Now(), err)
@@ -128,12 +128,12 @@ func TestEngineCascade(t *testing.T) {
 	e := NewEngine()
 	var order []Time
 	record := func() { order = append(order, e.Now()) }
-	e.ScheduleFuncOn(0, 0, 10, func() {
+	e.ScheduleFuncOn(0, 10, func() {
 		record()
-		e.ScheduleFuncOn(0, 0, 15, record)
-		e.ScheduleFuncOn(0, 0, 25, record)
+		e.ScheduleFuncOn(0, 15, record)
+		e.ScheduleFuncOn(0, 25, record)
 	})
-	e.ScheduleFuncOn(0, 0, 20, record)
+	e.ScheduleFuncOn(0, 20, record)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestEngineDeterminism(t *testing.T) {
 				k := rng.Intn(3) + 1
 				for i := 0; i < k; i++ {
 					child := id*10 + i
-					e.ScheduleFuncOn(0, 0, e.Now()+Time(rng.Intn(100)), func() { spawn(depth+1, child) })
+					e.ScheduleFuncOn(0, e.Now()+Time(rng.Intn(100)), func() { spawn(depth+1, child) })
 				}
 			}
 		}
-		e.ScheduleFuncOn(0, 0, 0, func() { spawn(0, 1) })
+		e.ScheduleFuncOn(0, 0, func() { spawn(0, 1) })
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestEngineSortedFiringProperty(t *testing.T) {
 		var fired []Time
 		for _, at := range times {
 			at := Time(at)
-			e.ScheduleFuncOn(0, 0, at, func() { fired = append(fired, at) })
+			e.ScheduleFuncOn(0, at, func() { fired = append(fired, at) })
 		}
 		if _, err := e.Run(); err != nil {
 			return false
@@ -241,7 +241,7 @@ func TestStartTimerAtBeforeLaneClockPanics(t *testing.T) {
 	k := e.Register(func(int, Time, any) {})
 	var tm Timer
 	fired := false
-	e.ScheduleFuncOn(0, 0, 100, func() {
+	e.ScheduleFuncOn(0, 100, func() {
 		fired = true
 		defer func() {
 			if recover() == nil {
@@ -258,49 +258,92 @@ func TestStartTimerAtBeforeLaneClockPanics(t *testing.T) {
 	}
 }
 
-// A warmed engine spills a lane and drains it again without allocating: the
-// bucket blocks and the radix state go back to the engine's pools, and the
-// heap keeps its array.
-func TestDeepLaneReusesItsStorage(t *testing.T) {
+// freeBlocks counts the bucket blocks in the engine's slab.
+func freeBlocks(e *Engine) int {
+	n := 0
+	for b := e.q.blocks.free; b != nil && n < 1<<20; b = b.next {
+		if n++; b.next == b {
+			break
+		}
+	}
+	return n
+}
+
+// A warmed engine queues and drains 10^5 events without allocating: the
+// bucket blocks go back to the engine's slab, and the heap keeps its array.
+func TestWarmQueueDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
 	e.SetLanes(2)
 	k := e.Register(func(int, Time, any) {})
-	idle := func() (blocks, deeps int) {
-		for b := e.blocks.free; b != nil && blocks < 1<<20; b = b.next {
-			if blocks++; b.next == b {
-				break
-			}
-		}
-		for d := e.deeps.free; d != nil && deeps < 1<<20; d = d.free {
-			if deeps++; d.free == d {
-				break
-			}
-		}
-		return blocks, deeps
-	}
 	burst := func() {
 		// Every burst starts on a 2^20 boundary, so each lays out its
 		// buckets, and peaks in blocks, exactly as the first did.
 		start := (e.Now()>>20 + 1) << 20
-		for i := 0; i < 8*spillDepth; i++ {
-			e.ScheduleOn(0, 1, start+Time(i*7919%5000), k, nil)
+		for i := 0; i < 100_000; i++ {
+			e.ScheduleOn(0, i%2, start+Time(i*7919%(1<<16)), k, nil)
 		}
-		if e.lanes[1].deep == nil {
-			t.Fatal("the burst did not spill its lane")
+		if e.q.n < 90_000 {
+			t.Fatalf("the burst put %d events in buckets", e.q.n)
 		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if e.lanes[1].deep != nil {
-			t.Fatal("the drained lane is still deep")
+		if n, err := e.Run(); err != nil || n != 100_000 {
+			t.Fatalf("fired %d: %v", n, err)
 		}
 	}
 	burst()
-	blocks, deeps := idle()
+	blocks := freeBlocks(e)
 	if n := testing.AllocsPerRun(5, burst); n != 0 {
-		t.Fatalf("%v allocations per spill and drain, want 0", n)
+		t.Fatalf("%v allocations per burst, want 0", n)
 	}
-	if b, d := idle(); b != blocks || d != deeps || blocks == 0 || deeps == 0 {
-		t.Fatalf("pools hold %d blocks and %d radix states after the bursts, %d and %d after the first", b, d, blocks, deeps)
+	if b := freeBlocks(e); b != blocks || blocks == 0 {
+		t.Fatalf("the slab holds %d blocks after the bursts, %d after the first", b, blocks)
+	}
+}
+
+// SetLanes refuses more lanes than an event's key has room for.
+func TestSetLanesBound(t *testing.T) {
+	e := NewEngine()
+	e.SetLanes(MaxLanes)
+	var got []int
+	k := e.Register(func(l int, _ Time, _ any) { got = append(got, l) })
+	e.ScheduleOn(0, MaxLanes-1, 5, k, nil)
+	e.ScheduleOn(0, 0, 5, k, nil)
+	if _, err := e.Run(); err != nil || len(got) != 2 || got[0] != MaxLanes-1 || got[1] != 0 {
+		t.Fatalf("fired on lanes %v (%v), want [%d 0]", got, err, MaxLanes-1)
+	}
+	for _, n := range []int{0, MaxLanes + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetLanes(%d) did not panic", n)
+				}
+			}()
+			e.SetLanes(n)
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an event for lane MaxLanes did not panic")
+		}
+	}()
+	e.ScheduleOn(0, MaxLanes, 5, k, nil)
+}
+
+// The engine panics rather than let sequence numbers run out of the key.
+func TestSequenceExhaustionPanics(t *testing.T) {
+	for name, draw := range map[string]func(e *Engine){
+		"post":       func(e *Engine) { e.ScheduleFuncOn(0, 1, func() {}) },
+		"ReserveSeq": func(e *Engine) { var s uint64; e.ReserveSeq(&s) },
+	} {
+		e := NewEngine()
+		e.seq = maxSeq - 2
+		draw(e) // the last number there is
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past sequence number 2^40 did not panic", name)
+				}
+			}()
+			draw(e)
+		}()
 	}
 }

@@ -47,11 +47,11 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // message to either. The all-to-all budget sits well above its measured
 // 0.073 allocations per message (construction included: about half build the
 // 32 nodes' runtime, remote and machine state, the rest are blocks — slab
-// blocks, lane heaps and the event blocks of lanes that spill). The 64-node
-// row's arrivals wait in held queues deep enough to spill: it measures 321
-// bytes per message against 328 with every lane's first heap of 128 events,
-// 354 with heaps that double to 512 events and receive rings that grow ×4,
-// and its byte budget sits 2 % above.
+// blocks, the event queue's heap and bucket blocks). The 64-node row measures
+// 308 bytes per message against 321 with an event lane per node and the
+// arrivals for a busy node in a second queue per lane, 328 with every lane's
+// first heap of 128 events and 354 with heaps that double to 512 events and
+// receive rings that grow ×4; its byte budget is the 328.
 // Reliable n-queens measures 0.783 allocations, 4.07 events and 514 bytes,
 // against 0.967 and 582 with an arena per node (every node ending on part-used
 // blocks of each record type), 1.07 and 793 with a record pool per node (idle
