@@ -81,8 +81,6 @@ type (
 	// delay; recovery rolls the machine back to the last checkpoint. See
 	// WithCheckpoint.
 	NodeCrash = fault.NodeCrash
-	// Snapshot is one complete coordinated checkpoint (System.Snapshot).
-	Snapshot = checkpoint.Snapshot
 	// Sink observes runtime events (WithObserver). See the trace package for
 	// the full contract: sinks are called synchronously from the simulation's
 	// single deterministic event order and must not retain the Event.
@@ -172,8 +170,8 @@ var (
 // always reports the value in use.
 const DefaultSeed int64 = 1
 
-// DefaultStockDepth is the chunk-stock depth per (node, class) when neither
-// WithChunkStock nor WithoutChunkStock is given.
+// DefaultStockDepth is the chunk-stock depth per (node, class) when
+// WithChunkStock is not given.
 const DefaultStockDepth = remote.DefaultStockDepth
 
 // settings is the resolved configuration an Option edits.
@@ -320,23 +318,14 @@ func WithMachine(cfg MachineConfig) Option {
 }
 
 // WithChunkStock sets the chunk-stock depth per (node, class) for
-// latency-hiding remote creation. Depth must be positive; use
-// WithoutChunkStock to disable the stock entirely.
+// latency-hiding remote creation. Depth 0 disables the stock: every remote
+// creation does a blocking round trip. A negative depth is an error.
 func WithChunkStock(depth int) Option {
 	return func(s *settings) error {
-		if depth <= 0 {
-			return fmt.Errorf("abcl: WithChunkStock(%d): depth must be positive (use WithoutChunkStock to disable)", depth)
+		if depth < 0 {
+			return fmt.Errorf("abcl: WithChunkStock(%d): depth must not be negative (0 disables the stock)", depth)
 		}
 		s.stock = depth
-		return nil
-	}
-}
-
-// WithoutChunkStock disables the chunk stock: every remote creation does a
-// blocking round trip.
-func WithoutChunkStock() Option {
-	return func(s *settings) error {
-		s.stock = 0
 		return nil
 	}
 }
@@ -568,8 +557,8 @@ func (s *System) Pattern(name string, arity int) Pattern {
 }
 
 // Class defines a new object class with stateSize state variables and an
-// optional lazy initializer, and returns it for chaining Method, Group,
-// Priority and ReorderBound calls:
+// optional lazy initializer, and returns it for chaining Method, Group and
+// Priority calls:
 //
 //	counter := sys.Class("counter", 1, nil).
 //	    Method(get, getBody).
@@ -598,56 +587,22 @@ func (s *System) Send(to Address, p Pattern, args ...Value) {
 	s.RT.Inject(to, p, args...)
 }
 
-// startCkpt lazily starts the checkpoint subsystem: the baseline round-0
-// snapshot must be taken after the application's setup (bootstrap objects
-// created, initial messages injected) but before the machine runs, so it
-// happens on the first Run/Snapshot/Restore rather than in NewSystem.
-func (s *System) startCkpt() {
-	if s.ckpt == nil || s.ckptStarted {
-		return
-	}
-	s.ckptStarted = true
-	s.ckpt.Start(s.faults.Crashes)
-}
-
 // Run freezes the system (fixing patterns and building all virtual function
 // tables) and executes until quiescence. When checkpointing is active the
-// baseline checkpoint, periodic snapshot rounds and any declared
-// crash/restart events are installed before the first event fires.
+// first Run captures the baseline checkpoint — after the application's
+// setup, before any event fires — and installs the periodic snapshot rounds
+// and any declared crash/restart events.
 func (s *System) Run() error {
-	s.startCkpt()
+	if s.ckpt != nil && !s.ckptStarted {
+		s.ckptStarted = true
+		s.ckpt.Start(s.faults.Crashes)
+	}
 	return s.RT.Run()
 }
 
 // SyncWindows stays for the benchmark harness (bench/), which is built
 // against it; one executor has no windows.
 func (s *System) SyncWindows() uint64 { return 0 }
-
-// Snapshot captures a consistent global checkpoint of the current machine
-// state and makes it the restore target. The system must be quiescent
-// (before the first Run or after a Run returned); mid-run snapshots are the
-// periodic rounds' job. Requires checkpointing.
-func (s *System) Snapshot() (*Snapshot, error) {
-	if s.ckpt == nil {
-		return nil, fmt.Errorf("abcl: Snapshot requires WithCheckpoint or a crash plan")
-	}
-	s.startCkpt()
-	return s.ckpt.Snapshot(), nil
-}
-
-// Restore rolls the whole machine back to the last stable checkpoint (the
-// most recent of: the baseline, a completed periodic round, an explicit
-// Snapshot). The system must be quiescent; the next Run resumes execution
-// from the restored state, replaying the cut's in-flight messages. Requires
-// checkpointing.
-func (s *System) Restore() error {
-	if s.ckpt == nil {
-		return fmt.Errorf("abcl: Restore requires WithCheckpoint or a crash plan")
-	}
-	s.startCkpt()
-	s.ckpt.Restore()
-	return nil
-}
 
 // Nodes returns the node count.
 func (s *System) Nodes() int { return s.M.Nodes() }

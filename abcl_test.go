@@ -82,9 +82,9 @@ func TestEndToEndFacade(t *testing.T) {
 }
 
 func TestChunkStockOptions(t *testing.T) {
-	sys := abcl.MustNewSystem(abcl.WithNodes(2), abcl.WithoutChunkStock())
+	sys := abcl.MustNewSystem(abcl.WithNodes(2), abcl.WithChunkStock(0))
 	if sys.Net.StockDepth() != 0 {
-		t.Errorf("WithoutChunkStock: depth = %d, want 0", sys.Net.StockDepth())
+		t.Errorf("WithChunkStock(0): depth = %d, want 0", sys.Net.StockDepth())
 	}
 	sys2 := abcl.MustNewSystem(abcl.WithNodes(2))
 	if sys2.Net.StockDepth() != abcl.DefaultStockDepth {
@@ -94,8 +94,8 @@ func TestChunkStockOptions(t *testing.T) {
 	if sys3.Net.StockDepth() != 5 {
 		t.Errorf("explicit stock depth = %d, want 5", sys3.Net.StockDepth())
 	}
-	if _, err := abcl.NewSystem(abcl.WithChunkStock(0)); err == nil {
-		t.Error("WithChunkStock(0) must be rejected (use WithoutChunkStock)")
+	if _, err := abcl.NewSystem(abcl.WithChunkStock(-1)); err == nil {
+		t.Error("WithChunkStock(-1) must be rejected")
 	}
 }
 
@@ -160,6 +160,7 @@ func TestOptionValidation(t *testing.T) {
 		{"WithPolicy(99)", abcl.WithPolicy(abcl.Policy(99))},
 		{"WithBatching(1µs, -3)", abcl.WithBatching(abcl.Microsecond, -3)},
 		{"WithProfiler(window -5ns)", abcl.WithProfiler(abcl.ProfileOptions{Window: -5})},
+		{"WithCheckpoint(0)", abcl.WithCheckpoint(0)},
 		{"nil option", nil},
 	}
 	for _, tc := range cases {
@@ -192,6 +193,9 @@ func TestWithFaultsEnablesReliability(t *testing.T) {
 	}
 	if sys.M.Faults() == nil {
 		t.Error("WithFaults must install the injector on the machine")
+	}
+	if !abcl.MustNewSystem(abcl.WithNodes(2), abcl.WithCheckpoint(1000)).Report().Reliable.Enabled {
+		t.Error("WithCheckpoint must enable the reliable protocol")
 	}
 	plain := abcl.MustNewSystem(abcl.WithNodes(2))
 	if plain.Report().Reliable.Enabled || plain.M.Faults() != nil {

@@ -116,7 +116,6 @@ func parseFlags(args []string) (*cli, error) {
 	fs.IntVar(&sp.WritePct, "write-pct", 20, "hotkey: percentage of operations that are writes")
 	fs.StringVar(&sp.Coverage, "coverage", def.Coverage, "hotkey: annotation coverage none | partial | full")
 	grouped := fs.Bool("grouped", true, "orderbook: declare compatibility groups on the book")
-	fs.IntVar(&sp.Reorder, "reorder", 0, "hotkey/orderbook: bounded-reordering annotation (0 = strict)")
 	fs.IntVar(&sp.Nodes, "nodes", def.Nodes, "number of processing nodes")
 	fs.StringVar(&sp.Policy, "policy", "stack", "scheduling policy: stack | naive")
 	fs.StringVar(&sp.Placement, "placement", "random", "placement: random | rr | local | load | depth")

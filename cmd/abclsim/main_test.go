@@ -18,11 +18,11 @@ import (
 )
 
 // TestFlagsMarshalToPackedConfig pins the flag → spec binding against a
-// checked-in artifact: the flags that packed runpack_e201e7c3d84c must still
+// checked-in artifact: the flags that packed runpack_211aad381cc8 must still
 // marshal to its config.json byte for byte (same keys, order and defaults),
 // or re-packing would no longer reproduce the archive's id.
 func TestFlagsMarshalToPackedConfig(t *testing.T) {
-	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_e201e7c3d84c.zip")
+	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_211aad381cc8.zip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 		"-executor sequential":                                           "flag provided but not defined: -executor",
 		"-workload nqueens -no-loc-cache":                                "flag provided but not defined: -no-loc-cache",
 		"-workload nqueens -n 4 -trace -3":                               "-trace -3: event count must be a non-negative integer",
-		"-workload hotkey -nodes 4 -reorder -1":                          "reorder bound must be >= 0, got -1",
+		"-workload hotkey -nodes 4 -reorder 2":                           "flag provided but not defined: -reorder",
 		"-workload forkjoin -nodes 4 -batch-bytes 64":                    "batch_bytes requires batch_window_ns",
 		"-workload forkjoin -nodes 4 -profile-window -5us":               "window must be non-negative",
 		"-workload forkjoin -nodes 4 -batch-window 1000 -batch-bytes -3": "byte budget must be non-negative",
@@ -266,6 +266,7 @@ func TestValidateSubcommand(t *testing.T) {
 		write("clients.json", `{"workload":"hotkey","nodes":4,"clients":-1}`):                      "clients and ops must be >= 1",
 		write("book.json", `{"workload":"orderbook","nodes":1}`):                                   "orderbook: need >= 2 nodes, got 1",
 		write("workers.json", `{"workload":"forkjoin","nodes":4,"workers":2}`):                     `workers.json: json: unknown field "workers"`,
+		write("reorder.json", `{"workload":"hotkey","nodes":4,"reorder":2}`):                       `reorder.json: json: unknown field "reorder"`,
 		write("pingpong.json", `{"workload":"pingpong","nodes":4,"batch_window_ns":-5}`):           `unknown workload "pingpong"`,
 	}
 	for _, glob := range []string{"../../internal/scenario/scenarios/*.json", "../../testdata/runpacks/*.zip"} {

@@ -340,77 +340,3 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 		t.Errorf("completed %d periodic rounds with checkpointing nominally off", c.CkptRounds)
 	}
 }
-
-// TestSnapshotRestoreRoundTrip exercises the quiescent System.Snapshot /
-// System.Restore surface: snapshotting the freshly built system, running to
-// completion, restoring, and running again must reproduce the identical
-// answer — the restored state is the pre-run state.
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	const n = 5
-	sys, err := abcl.NewSystem(
-		abcl.WithNodes(4), abcl.WithSeed(2),
-		abcl.WithCheckpoint(1*abcl.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := nqueens.Build(sys, n, 0)
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.SizeBytes() == 0 {
-		t.Error("pre-run snapshot has zero stable-store footprint")
-	}
-	d.Start()
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	first, err := d.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Solutions != queensSolutions[n] {
-		t.Fatalf("first run: %d solutions, want %d", first.Solutions, queensSolutions[n])
-	}
-
-	// Roll back to the pre-run snapshot and run the search again from it.
-	if err := sys.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	second, err := d.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Solutions != first.Solutions {
-		t.Errorf("re-run after Restore found %d solutions, want %d", second.Solutions, first.Solutions)
-	}
-}
-
-// TestCheckpointRequiresSupport pins the option-validation surface.
-func TestCheckpointRequiresSupport(t *testing.T) {
-	if _, err := abcl.NewSystem(abcl.WithCheckpoint(0)); err == nil {
-		t.Error("WithCheckpoint(0) accepted")
-	}
-	sys, err := abcl.NewSystem(abcl.WithNodes(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Snapshot(); err == nil {
-		t.Error("Snapshot without checkpointing accepted")
-	}
-	if err := sys.Restore(); err == nil {
-		t.Error("Restore without checkpointing accepted")
-	}
-	sys2, err := abcl.NewSystem(abcl.WithNodes(2), abcl.WithCheckpoint(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sys2.Report().Reliable.Enabled {
-		t.Error("WithCheckpoint did not force reliable delivery")
-	}
-}

@@ -55,7 +55,6 @@ type Options struct {
 	Ops      int      // operations per client
 	WritePct int      // percentage of operations that are adds (default 20)
 	Coverage Coverage // annotation coverage on the counter class
-	Reorder  int      // bounded-reordering annotation (0 = strict order)
 }
 
 // Result reports a run.
@@ -92,8 +91,6 @@ func Check(opt Options, nodes int) error {
 		return fmt.Errorf("hotkey: clients and ops must be >= 1")
 	case opt.WritePct < 0 || opt.WritePct > 100:
 		return fmt.Errorf("hotkey: write percentage %d out of range", opt.WritePct)
-	case opt.Reorder < 0:
-		return fmt.Errorf("hotkey: reorder bound must be >= 0, got %d", opt.Reorder)
 	case nodes < 2:
 		return fmt.Errorf("hotkey: need >= 2 nodes (counter and store must be remote), got %d", nodes)
 	}
@@ -180,9 +177,6 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		counter.Group("reads", get)
 	case CoverFull:
 		counter.Group("reads", get).Group("writes", add).Priority("writes", 1)
-	}
-	if opt.Reorder > 0 && opt.Coverage != CoverNone {
-		counter.ReorderBound(opt.Reorder)
 	}
 	counterAddr := sys.NewObjectOn(0, counter)
 

@@ -59,18 +59,6 @@ func TestHotKeyCoverageMonotonic(t *testing.T) {
 	}
 }
 
-// Bounded reordering may only help: annotating the counter with a reorder
-// bound keeps the run exact and must not lose operations.
-func TestHotKeyReorderBound(t *testing.T) {
-	res, err := Run(Options{Clients: 8, Ops: 20, Coverage: CoverFull, Reorder: 4}, abcl.WithNodes(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 160 {
-		t.Errorf("ops = %d, want 160", res.Ops)
-	}
-}
-
 // Runs are a pure function of the options: repeated executions produce
 // identical virtual-time results.
 func TestHotKeyDeterminism(t *testing.T) {

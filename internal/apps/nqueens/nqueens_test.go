@@ -244,7 +244,7 @@ func TestWorkInstr(t *testing.T) {
 }
 
 func TestStockDisabledStillCorrect(t *testing.T) {
-	res, err := Run(Options{N: 7}, abcl.WithNodes(8), abcl.WithSeed(1), abcl.WithoutChunkStock())
+	res, err := Run(Options{N: 7}, abcl.WithNodes(8), abcl.WithSeed(1), abcl.WithChunkStock(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ type Options struct {
 	TransferPct int
 	DepositPct  int
 	Grouped     bool // declare the compatibility groups (false = fully serial book)
-	Reorder     int  // bounded-reordering annotation (0 = strict)
 }
 
 // Result reports a run.
@@ -65,8 +64,6 @@ func Check(opt Options, nodes int) error {
 	switch {
 	case opt.Clients < 1 || opt.Ops < 1:
 		return fmt.Errorf("orderbook: clients and ops must be >= 1")
-	case opt.Reorder < 0:
-		return fmt.Errorf("orderbook: reorder bound must be >= 0, got %d", opt.Reorder)
 	case nodes < 2:
 		return fmt.Errorf("orderbook: need >= 2 nodes, got %d", nodes)
 	}
@@ -202,9 +199,6 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		book.Group("reads", balance).
 			Group("deposits", deposit).
 			Priority("deposits", 1)
-		if opt.Reorder > 0 {
-			book.ReorderBound(opt.Reorder)
-		}
 	}
 	bookAddr := sys.NewObjectOn(0, book)
 

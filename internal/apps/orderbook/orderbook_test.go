@@ -53,13 +53,3 @@ func TestOrderBookGroupingSpeedsUp(t *testing.T) {
 		t.Errorf("final totals diverge: %d vs %d", serial.Total, grouped.Total)
 	}
 }
-
-func TestOrderBookReorderBound(t *testing.T) {
-	res, err := Run(Options{Clients: 6, Ops: 20, Grouped: true, Reorder: 2}, abcl.WithNodes(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != res.WantTotal {
-		t.Errorf("total %d, want %d", res.Total, res.WantTotal)
-	}
-}

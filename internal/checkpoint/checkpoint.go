@@ -52,17 +52,17 @@ import (
 	"repro/internal/trace"
 )
 
-// Snapshot is one complete coordinated checkpoint: a consistent global state
+// snapshot is one complete coordinated checkpoint: a consistent global state
 // the machine can restart from.
-type Snapshot struct {
-	Round int
-	At    sim.Time
+type snapshot struct {
+	round int
+	at    sim.Time
 	core  []*core.NodeImage
 	rel   []*remote.RelImage
 }
 
 // SizeBytes reports the total modelled stable-store footprint of the round.
-func (s *Snapshot) SizeBytes() int {
+func (s *snapshot) SizeBytes() int {
 	total := 0
 	for i := range s.core {
 		total += s.core[i].SizeBytes() + s.rel[i].SizeBytes()
@@ -80,9 +80,9 @@ type Manager struct {
 
 	n       int
 	round   int       // last round started
-	cur     *Snapshot // in-progress round (a node's images set once it snaps); nil when idle
+	cur     *snapshot // in-progress round (a node's images set once it snaps); nil when idle
 	acks    int       // coordinator: snapshot-acks received for the round
-	stable  *Snapshot // last complete round — the restore target
+	stable  *snapshot // last complete round — the restore target
 	ticking bool      // a coordinator tick is armed
 }
 
@@ -105,7 +105,7 @@ func (g *Manager) Rounds() int {
 	if g.stable == nil {
 		return 0
 	}
-	return g.stable.Round + 1
+	return g.stable.round + 1
 }
 
 // Start captures the baseline round-0 checkpoint, schedules the periodic
@@ -135,26 +135,10 @@ func (g *Manager) Start(crashes []fault.NodeCrash) {
 	}
 }
 
-// Snapshot captures a direct (round-free) global checkpoint and promotes it
-// to the stable restore target. Valid only when the machine is quiescent —
-// between Run calls no event is in flight, so every direct cut is consistent.
-func (g *Manager) Snapshot() *Snapshot {
-	g.round++
-	g.stable = g.capture(g.round, g.m.MaxClock())
-	return g.stable
-}
-
-// Restore rolls the whole machine back to the last stable checkpoint. Valid
-// only when the machine is quiescent; the next Run resumes execution from
-// the restored state.
-func (g *Manager) Restore() {
-	g.restore(g.m.MaxClock(), -1)
-}
-
 // capture snapshots every node directly, without a round — valid only when
 // no event is in flight (round 0, or a quiescent machine).
-func (g *Manager) capture(round int, at sim.Time) *Snapshot {
-	snap := &Snapshot{Round: round, At: at,
+func (g *Manager) capture(round int, at sim.Time) *snapshot {
+	snap := &snapshot{round: round, at: at,
 		core: make([]*core.NodeImage, g.n), rel: make([]*remote.RelImage, g.n)}
 	g.cur = snap
 	for i := 0; i < g.n; i++ {
@@ -190,7 +174,7 @@ func (g *Manager) tick(now sim.Time) {
 		}
 	}
 	g.round++
-	g.cur = &Snapshot{Round: g.round, At: now,
+	g.cur = &snapshot{round: g.round, at: now,
 		core: make([]*core.NodeImage, g.n), rel: make([]*remote.RelImage, g.n)}
 	g.acks = 0
 	g.m.Node(0).SyncClock(now)
@@ -222,13 +206,13 @@ func (g *Manager) Colour(d, src int, seq uint64) {
 		return
 	}
 	g.snapNode(d)
-	g.l.SendCkpt(d, 0, g.cur.Round, true)
+	g.l.SendCkpt(d, 0, g.cur.round, true)
 }
 
 // Acked runs at the coordinator for a snapshot acknowledgment: the n-1th
 // of the round completes it.
 func (g *Manager) Acked(r int) {
-	if g.cur == nil || g.cur.Round != r {
+	if g.cur == nil || g.cur.round != r {
 		return
 	}
 	if g.acks++; g.acks == g.n-1 {
@@ -245,8 +229,8 @@ func (g *Manager) completeRound() {
 	g.stable = snap
 	g.l.CkptStableTrim(snap.rel)
 	g.rt.NodeRT(0).C.CkptRounds++
-	g.rt.Tracef(snap.At, 0, trace.EvCkptRound,
-		"round %d complete (%d bytes)", snap.Round, snap.SizeBytes())
+	g.rt.Tracef(snap.at, 0, trace.EvCkptRound,
+		"round %d complete (%d bytes)", snap.round, snap.SizeBytes())
 }
 
 // snapNode captures one node's language and inter-node state into the
@@ -267,19 +251,18 @@ func (g *Manager) snapNode(i int) {
 	c.CkptSaves++
 	c.CkptBytes += uint64(bytes)
 	g.rt.Tracef(mn.Now(), i, trace.EvCkptSave,
-		"snapshot round %d: %d objects, %d bytes", g.cur.Round, ci.Objects(), bytes)
+		"snapshot round %d: %d objects, %d bytes", g.cur.round, ci.Objects(), bytes)
 }
 
 // restore executes a global rollback: the whole machine returns to the last
 // complete checkpoint round and execution resumes from it. node is the
-// crashed node whose restart triggered the rollback, or -1 for a manual
-// Restore. It is one pass that leaves nothing for later: each node is
-// restored, charged the stable-store read and re-sends the cut's in-flight
-// records before any event of the restored timeline runs, so no send of
-// that timeline can take a sequence number the replay re-pends. A node
-// still inside its own crash outage is restored but neither charged nor
-// replayed — its restart runs this whole pass again. Runs as a host-lane
-// event, or between runs for a manual Restore.
+// crashed node whose restart triggered the rollback. It is one pass that
+// leaves nothing for later: each node is restored, charged the stable-store
+// read and re-sends the cut's in-flight records before any event of the
+// restored timeline runs, so no send of that timeline can take a sequence
+// number the replay re-pends. A node still inside its own crash outage is
+// restored but neither charged nor replayed — its restart runs this whole
+// pass again. Runs as a host-lane event.
 func (g *Manager) restore(at sim.Time, node int) {
 	snap := g.stable
 	// The in-progress round (if any) dies with the timeline that was
@@ -291,15 +274,10 @@ func (g *Manager) restore(at sim.Time, node int) {
 	if g.interval > 0 && !g.ticking { // the restored timeline has work again
 		g.scheduleTick(at - at%g.interval + g.interval)
 	}
-	if node >= 0 {
-		g.m.Node(node).EndOutage(at)
-		g.rt.NodeRT(node).C.NodeRestarts++
-		g.rt.Tracef(at, node, trace.EvRestore,
-			"restart: global rollback to round %d (captured at %v)", snap.Round, snap.At)
-	} else {
-		g.rt.Tracef(at, 0, trace.EvRestore,
-			"manual rollback to round %d (captured at %v)", snap.Round, snap.At)
-	}
+	g.m.Node(node).EndOutage(at)
+	g.rt.NodeRT(node).C.NodeRestarts++
+	g.rt.Tracef(at, node, trace.EvRestore,
+		"restart: global rollback to round %d (captured at %v)", snap.round, snap.at)
 	for i := 0; i < g.n; i++ {
 		mn := g.m.Node(i)
 		mn.DropRx()

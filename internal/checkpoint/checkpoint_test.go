@@ -15,7 +15,8 @@ import (
 // but never hands a forgotten object's slot out again: nothing rewinds an
 // arena, so an address of the abandoned timeline can never come to name an
 // object of the restored one. Snapshot, create past it, restore, create
-// again.
+// again — the snapshot a direct capture of the quiescent machine, the
+// rollback the one a restarting node performs.
 func TestRestoreForgetsLaterObjectsNotTheirSlots(t *testing.T) {
 	const nodes, target = 3, 1
 	m, err := machine.New(machine.DefaultConfig(nodes))
@@ -87,7 +88,8 @@ func TestRestoreForgetsLaterObjectsNotTheirSlots(t *testing.T) {
 	}
 
 	kept := burst(5)
-	snap := g.Snapshot()
+	snap := g.capture(1, m.MaxClock())
+	g.stable = snap
 	objsAtSnap, bytesAtSnap := image()
 	stockAtSnap := l.StockLevel(0, target, cell)
 	if bytesAtSnap != snap.SizeBytes() {
@@ -101,7 +103,7 @@ func TestRestoreForgetsLaterObjectsNotTheirSlots(t *testing.T) {
 			target, objsAtSnap[target], objsPast[target], bytesAtSnap, bytesPast)
 	}
 
-	g.Restore()
+	g.restore(m.MaxClock(), target)
 	run()
 	if objs, bytes := image(); !reflect.DeepEqual(objs, objsAtSnap) || bytes != bytesAtSnap {
 		t.Errorf("after the rollback: %v objects, %d bytes; the snapshot held %v, %d", objs, bytes, objsAtSnap, bytesAtSnap)

@@ -37,12 +37,11 @@ type Class struct {
 	waitMu    sync.Mutex // guards waitCache
 	waitCache map[string]*VFT
 
-	// Multiactive declarations (Group / Priority / ReorderBound). Declaring
-	// any compatibility group makes the class multiactive: its objects keep
-	// the single multiTable for their whole life and schedule through
-	// per-group ready queues (see multi.go).
+	// Multiactive declarations (Group / Priority). Declaring any
+	// compatibility group makes the class multiactive: its objects keep the
+	// single multiTable for their whole life and schedule through per-group
+	// ready queues (see multi.go).
 	groups        []groupDef
-	reorderBound  int
 	patGroup      []int // dense after freeze: PatternID -> ready-queue index
 	multiTable    *VFT
 	multiOrder    []int // queue scan order: priority desc, declaration order

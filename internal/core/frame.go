@@ -80,31 +80,9 @@ func (q *frameQueue) pop() *Frame {
 	return f
 }
 
-// popMatching removes and returns the first frame whose pattern satisfies
-// match, or nil if none does. Used by selective reception's initial queue
+// popMatchingPats removes and returns the first frame whose pattern is one
+// of pats, or nil if none is. Used by selective reception's initial queue
 // scan and by the waiting-object path of the scheduler.
-func (q *frameQueue) popMatching(match func(PatternID) bool) *Frame {
-	var prev *Frame
-	for f := q.head; f != nil; prev, f = f, f.next {
-		if match(f.Pattern) {
-			if prev == nil {
-				q.head = f.next
-			} else {
-				prev.next = f.next
-			}
-			if q.tail == f {
-				q.tail = prev
-			}
-			f.next = nil
-			q.n--
-			return f
-		}
-	}
-	return nil
-}
-
-// popMatchingPats is popMatching specialized to a pattern list, avoiding
-// the predicate closure on the selective-reception fast path.
 func (q *frameQueue) popMatchingPats(pats []PatternID) *Frame {
 	var prev *Frame
 	for f := q.head; f != nil; prev, f = f, f.next {

@@ -24,9 +24,8 @@ package core
 //
 // Dispatch order is deterministic: ready queues are scanned by declared
 // priority (descending, declaration order breaking ties, the implicit
-// exclusive queue last among priority zero), and a class-level reorder
-// bound caps how often a startable queue may be passed over before it must
-// be served first. All scheduling state lives in the object, so runs are
+// exclusive queue last among priority zero), and the first startable queue
+// is served. All scheduling state lives in the object, so runs are
 // reproducible and checkpointable; group queues, live counts and deferred
 // continuations are captured and restored with the rest of a node image.
 
@@ -61,8 +60,6 @@ type multiState struct {
 	ready  []frameQueue // parked frames per queue index
 	readyN int          // total parked frames across queues
 
-	overtake []uint32 // dispatches a non-empty startable queue was passed over
-
 	// resume holds deferred continuations (yields, deep-stack reply resumes,
 	// blocking remote creations). Serial objects use the single resumeK slot;
 	// a multiactive object may defer several at once, FIFO.
@@ -72,9 +69,8 @@ type multiState struct {
 func newMultiState(cl *Class) *multiState {
 	nq := len(cl.groups) + 1
 	return &multiState{
-		live:     make([]int, nq),
-		ready:    make([]frameQueue, nq),
-		overtake: make([]uint32, nq),
+		live:  make([]int, nq),
+		ready: make([]frameQueue, nq),
 	}
 }
 
@@ -107,49 +103,16 @@ func (ms *multiState) buffer(qi int, f *Frame) {
 	ms.readyN++
 }
 
-// anyStartable reports whether some parked frame could start now.
-func (ms *multiState) anyStartable(cl *Class) bool {
+// pick chooses the ready-queue index to dispatch next: the first startable
+// non-empty queue in the class's priority order, or -1 when nothing is
+// startable.
+func (ms *multiState) pick(cl *Class) int {
 	for _, qi := range cl.multiOrder {
 		if !ms.ready[qi].empty() && ms.canStart(qi) {
-			return true
+			return qi
 		}
 	}
-	return false
-}
-
-// pick chooses the ready-queue index to dispatch next: the first startable
-// non-empty queue in the class's priority order, unless the reorder bound
-// forces a starved queue first. Every startable queue passed over accrues
-// one overtake; the chosen queue's count resets. Returns qi -1 when nothing
-// is startable, and whether the bound overrode priority order.
-func (ms *multiState) pick(cl *Class) (int, bool) {
-	chosen, starved := -1, false
-	if cl.reorderBound > 0 {
-		for _, qi := range cl.multiOrder {
-			if !ms.ready[qi].empty() && ms.canStart(qi) && ms.overtake[qi] >= uint32(cl.reorderBound) {
-				chosen, starved = qi, true
-				break
-			}
-		}
-	}
-	if chosen < 0 {
-		for _, qi := range cl.multiOrder {
-			if !ms.ready[qi].empty() && ms.canStart(qi) {
-				chosen = qi
-				break
-			}
-		}
-	}
-	if chosen < 0 {
-		return -1, false
-	}
-	for _, qi := range cl.multiOrder {
-		if qi != chosen && !ms.ready[qi].empty() && ms.canStart(qi) {
-			ms.overtake[qi]++
-		}
-	}
-	ms.overtake[chosen] = 0
-	return chosen, starved
+	return -1
 }
 
 // Group declares a named compatibility group over the given method
@@ -210,20 +173,6 @@ func (c *Class) Priority(name string, prio int) *Class {
 		}
 	}
 	panic(fmt.Sprintf("core: class %s: Priority(%q) before Group(%q)", c.Name, name, name))
-}
-
-// ReorderBound bounds priority-driven reordering: a parked startable frame
-// may be passed over at most k times before its queue must be served first.
-// Zero (the default) leaves reordering unbounded — strict priority order.
-func (c *Class) ReorderBound(k int) *Class {
-	if c.rt.frozen {
-		panic(fmt.Sprintf("core: class %s: reorder bound set after freeze", c.Name))
-	}
-	if k < 0 {
-		panic(fmt.Sprintf("core: class %s: negative reorder bound %d", c.Name, k))
-	}
-	c.reorderBound = k
-	return c
 }
 
 // Multiactive reports whether the class declares compatibility groups.
@@ -367,12 +316,9 @@ func (n *NodeRT) multiDispatch(obj *Object) {
 		return
 	}
 	cl := obj.class
-	qi, starved := ms.pick(cl)
+	qi := ms.pick(cl)
 	if qi < 0 {
 		return // nothing startable: a completion will reschedule
-	}
-	if starved {
-		n.C.MultiOvertakes++
 	}
 	f := ms.ready[qi].pop()
 	ms.readyN--
@@ -402,7 +348,7 @@ func (n *NodeRT) multiMethodEnd(obj *Object, f *Frame) {
 // parked ready frame whose group can now start.
 func (n *NodeRT) multiReschedule(obj *Object) {
 	ms := obj.multi
-	if len(ms.resume) > 0 || !obj.queue.empty() || (ms.readyN > 0 && ms.anyStartable(obj.class)) {
+	if len(ms.resume) > 0 || !obj.queue.empty() || (ms.readyN > 0 && ms.pick(obj.class) >= 0) {
 		n.enqueueSched(obj)
 	}
 }

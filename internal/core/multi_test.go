@@ -174,58 +174,46 @@ func TestMultiactiveUngroupedIsExclusive(t *testing.T) {
 	}
 }
 
-func TestMultiactivePriorityAndReorderBound(t *testing.T) {
+func TestMultiactivePriorityOrder(t *testing.T) {
 	// Park two frames in each of two groups behind a live exclusive
-	// invocation. Under strict priority the high-priority group drains
-	// first; with ReorderBound(1) the dispatcher must alternate, because the
-	// low-priority queue may be passed over at most once.
-	runOrder := func(t *testing.T, bound int) string {
-		t.Helper()
-		r := newTestRT(t, Options{})
-		ma := r.Reg.Register("ma", 0)
-		mb := r.Reg.Register("mb", 0)
-		me := r.Reg.Register("me", 0)
-		req := r.Reg.Register("req", 1)
-		kick := r.Reg.Register("kick", 0)
+	// invocation: under strict priority the high-priority group drains
+	// first.
+	r := newTestRT(t, Options{})
+	ma := r.Reg.Register("ma", 0)
+	mb := r.Reg.Register("mb", 0)
+	me := r.Reg.Register("me", 0)
+	req := r.Reg.Register("req", 1)
+	kick := r.Reg.Register("kick", 0)
 
-		echo := echoClass(r, req)
-		var echoAddr, hotAddr Address
-		var log []string
+	echo := echoClass(r, req)
+	var echoAddr, hotAddr Address
+	var log []string
 
-		hot := r.DefineClass("hot", 0, nil)
-		hot.Method(ma, func(ctx *Ctx) { log = append(log, "a") })
-		hot.Method(mb, func(ctx *Ctx) { log = append(log, "b") })
-		hot.Method(me, func(ctx *Ctx) {
-			// Exclusive: holds the object while the driver parks work.
-			ctx.SendNow(echoAddr, req, []Value{IntV(1)}, func(ctx *Ctx, v Value) {})
-		})
-		hot.Group("a", ma).Group("b", mb).Priority("b", 5).ReorderBound(bound)
+	hot := r.DefineClass("hot", 0, nil)
+	hot.Method(ma, func(ctx *Ctx) { log = append(log, "a") })
+	hot.Method(mb, func(ctx *Ctx) { log = append(log, "b") })
+	hot.Method(me, func(ctx *Ctx) {
+		// Exclusive: holds the object while the driver parks work.
+		ctx.SendNow(echoAddr, req, []Value{IntV(1)}, func(ctx *Ctx, v Value) {})
+	})
+	hot.Group("a", ma).Group("b", mb).Priority("b", 5)
 
-		driver := r.DefineClass("driver", 0, nil)
-		driver.Method(kick, func(ctx *Ctx) {
-			ctx.SendPast(hotAddr, me)
-			ctx.SendPast(hotAddr, ma)
-			ctx.SendPast(hotAddr, ma)
-			ctx.SendPast(hotAddr, mb)
-			ctx.SendPast(hotAddr, mb)
-		})
+	driver := r.DefineClass("driver", 0, nil)
+	driver.Method(kick, func(ctx *Ctx) {
+		ctx.SendPast(hotAddr, me)
+		ctx.SendPast(hotAddr, ma)
+		ctx.SendPast(hotAddr, ma)
+		ctx.SendPast(hotAddr, mb)
+		ctx.SendPast(hotAddr, mb)
+	})
 
-		echoAddr = r.NewObjectOn(0, echo)
-		hotAddr = r.NewObjectOn(0, hot)
-		d := r.NewObjectOn(0, driver)
-		r.Inject(d, kick)
-		run(t, r)
-		if bound > 0 && r.TotalStats().MultiOvertakes == 0 {
-			t.Error("reorder bound set but no overtakes recorded")
-		}
-		return strings.Join(log, ",")
-	}
-
-	if got := runOrder(t, 0); got != "b,b,a,a" {
+	echoAddr = r.NewObjectOn(0, echo)
+	hotAddr = r.NewObjectOn(0, hot)
+	d := r.NewObjectOn(0, driver)
+	r.Inject(d, kick)
+	run(t, r)
+	if got := strings.Join(log, ","); got != "b,b,a,a" {
 		t.Errorf("strict priority order = %q, want \"b,b,a,a\"", got)
-	}
-	if got := runOrder(t, 1); got != "b,a,b,a" {
-		t.Errorf("bounded-reorder order = %q, want \"b,a,b,a\"", got)
 	}
 }
 
@@ -393,11 +381,6 @@ func TestGroupDefinitionErrors(t *testing.T) {
 		r := newTestRT(t, Options{})
 		cls := r.DefineClass("c", 0, nil)
 		mustPanic(t, "before Group", func() { cls.Priority("a", 1) })
-	})
-	t.Run("negative-bound", func(t *testing.T) {
-		r := newTestRT(t, Options{})
-		cls := r.DefineClass("c", 0, nil)
-		mustPanic(t, "negative reorder bound", func() { cls.ReorderBound(-1) })
 	})
 	t.Run("group-after-freeze", func(t *testing.T) {
 		r := newTestRT(t, Options{})

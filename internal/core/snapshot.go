@@ -86,14 +86,13 @@ type waitImage struct {
 
 // multiImage is the captured multiactive scheduling state of one object:
 // live-invocation counts, the per-group ready queues (frames by reference,
-// immortalized), overtake counters and deferred continuations. Group queues
-// are runtime state like the serial message queue, so a restart mid-group
-// resumes with the same live set and parked work.
+// immortalized) and deferred continuations. Group queues are runtime state
+// like the serial message queue, so a restart mid-group resumes with the
+// same live set and parked work.
 type multiImage struct {
 	live      []int
 	totalLive int
 	ready     [][]*Frame
-	overtake  []uint32
 	resume    []savedCont
 }
 
@@ -209,7 +208,6 @@ func (img *NodeImage) capture(o *Object) {
 				live:      append([]int(nil), o.multi.live...),
 				totalLive: o.multi.totalLive,
 				ready:     make([][]*Frame, len(o.multi.ready)),
-				overtake:  append([]uint32(nil), o.multi.overtake...),
 			}
 			for qi := range o.multi.ready {
 				for f := o.multi.ready[qi].head; f != nil; f = f.next {
@@ -221,7 +219,11 @@ func (img *NodeImage) capture(o *Object) {
 				b += savedCtxBytes + immortalize(sc.frame)
 			}
 			mi.resume = append([]savedCont(nil), o.multi.resume...)
-			b += 8 * len(o.multi.live) // live + overtake counter words
+			// Eight bytes per queue, as when each queue also kept an
+			// overtake count beside its live count: the modelled image
+			// size, and with it every checkpoint's cost and virtual time,
+			// stays what it was.
+			b += 8 * len(o.multi.live)
 			oi.multi = mi
 		}
 		img.bytes += b
@@ -289,7 +291,6 @@ func (r *Runtime) RestoreNode(img *NodeImage) {
 			}
 			copy(ms.live, oi.multi.live)
 			ms.totalLive = oi.multi.totalLive
-			copy(ms.overtake, oi.multi.overtake)
 			ms.readyN = 0
 			for qi := range ms.ready {
 				ms.ready[qi] = frameQueue{}

@@ -45,9 +45,9 @@ func TestFrameQueuePopMatchingPositions(t *testing.T) {
 	}
 	for target := PatternID(0); target < 4; target++ {
 		q := build()
-		f := q.popMatching(func(p PatternID) bool { return p == target })
+		f := q.popMatchingPats([]PatternID{target})
 		if f == nil || f.Pattern != target {
-			t.Fatalf("popMatching(%d) = %v", target, f)
+			t.Fatalf("popMatchingPats(%d) = %v", target, f)
 		}
 		if q.len() != 3 {
 			t.Fatalf("len after removal = %d", q.len())
@@ -69,14 +69,14 @@ func TestFrameQueuePopMatchingPositions(t *testing.T) {
 		}
 		// Tail must be intact: pushing still appends at the end.
 		q2 := build()
-		q2.popMatching(func(p PatternID) bool { return p == 3 }) // remove tail
+		q2.popMatchingPats([]PatternID{3}) // remove tail
 		q2.push(&Frame{Pattern: 99})
 		last := PatternID(-1)
 		for f := q2.pop(); f != nil; f = q2.pop() {
 			last = f.Pattern
 		}
 		if last != 99 {
-			t.Fatal("tail pointer corrupted by popMatching")
+			t.Fatal("tail pointer corrupted by popMatchingPats")
 		}
 	}
 }
@@ -84,8 +84,8 @@ func TestFrameQueuePopMatchingPositions(t *testing.T) {
 func TestFrameQueuePopMatchingMiss(t *testing.T) {
 	var q frameQueue
 	q.push(&Frame{Pattern: 1})
-	if q.popMatching(func(p PatternID) bool { return p == 2 }) != nil {
-		t.Fatal("popMatching must return nil when nothing matches")
+	if q.popMatchingPats([]PatternID{2, 3}) != nil {
+		t.Fatal("popMatchingPats must return nil when nothing matches")
 	}
 	if q.len() != 1 {
 		t.Fatal("miss must not modify the queue")
@@ -117,12 +117,15 @@ func TestFrameQueueModelProperty(t *testing.T) {
 					}
 					model = model[1:]
 				}
-			case 2: // popMatching on even patterns
-				match := func(p PatternID) bool { return p%2 == 0 }
-				got := q.popMatching(match)
+			case 2: // popMatchingPats on the even patterns pushed so far
+				var evens []PatternID
+				for p := PatternID(0); p < next; p += 2 {
+					evens = append(evens, p)
+				}
+				got := q.popMatchingPats(evens)
 				idx := -1
 				for i, p := range model {
-					if match(p) {
+					if p%2 == 0 {
 						idx = i
 						break
 					}

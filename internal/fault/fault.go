@@ -90,9 +90,6 @@ type NodeCrash struct {
 
 // Plan is a declarative fault schedule. The zero Plan injects nothing.
 type Plan struct {
-	// Seed overrides the fault stream seed; 0 derives it from the system
-	// seed so a run is reproducible from a single logged value.
-	Seed int64 `json:"-"`
 	// Links are first-match-wins link fault rules.
 	Links []LinkFault `json:"links,omitempty"`
 	// Pauses are node pause windows.
@@ -231,14 +228,11 @@ type Injector struct {
 }
 
 // NewInjector validates plan against the node count and builds the injector.
-// When plan.Seed is zero the fault streams derive from seed (the system
-// seed), so logging one value suffices to reproduce a faulty run.
+// The fault streams derive from seed (the system seed), so logging one value
+// suffices to reproduce a faulty run.
 func NewInjector(plan Plan, seed int64, nodes int) (*Injector, error) {
 	if err := plan.Validate(nodes); err != nil {
 		return nil, err
-	}
-	if plan.Seed != 0 {
-		seed = plan.Seed
 	}
 	in := &Injector{
 		plan:   plan,
@@ -260,9 +254,6 @@ func NewInjector(plan Plan, seed int64, nodes int) (*Injector, error) {
 	}
 	return in, nil
 }
-
-// Seed returns the effective fault stream seed.
-func (in *Injector) Seed() int64 { return in.seed }
 
 // Plan returns the bound plan.
 func (in *Injector) Plan() Plan { return in.plan }

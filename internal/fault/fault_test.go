@@ -157,25 +157,6 @@ func TestPausedUntil(t *testing.T) {
 	}
 }
 
-func TestPlanSeedOverride(t *testing.T) {
-	plan := UniformLinks(0.5, 0, 0)
-	plan.Seed = 99
-	in, err := NewInjector(plan, 7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Seed() != 99 {
-		t.Fatalf("plan seed must override system seed, got %d", in.Seed())
-	}
-	in2, err := NewInjector(UniformLinks(0.5, 0, 0), 7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in2.Seed() != 7 {
-		t.Fatalf("zero plan seed must derive from system seed, got %d", in2.Seed())
-	}
-}
-
 // TestPlanJSON pins the one JSON shape of a fault schedule — the "faults"
 // object of a scenario file, the "crashes" list of a run spec: omitted
 // src/dst mean any node, a key a link rule does not declare is an error (the
@@ -220,10 +201,6 @@ func TestPlanJSON(t *testing.T) {
 		if err := json.Unmarshal(out, &back); err != nil || !reflect.DeepEqual(back, p) {
 			t.Errorf("%s: Plan -> JSON -> Plan gave %+v (err %v), want %+v", tc.name, back, err, p)
 		}
-	}
-	// The stream seed is a property of the run, not of the schedule.
-	if out, err := json.Marshal(Plan{Seed: 7}); err != nil || string(out) != `{}` {
-		t.Errorf("Plan{Seed: 7} marshals to %s (err %v), want {}", out, err)
 	}
 }
 

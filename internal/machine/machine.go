@@ -433,10 +433,10 @@ func New(cfg Config) (*Machine, error) {
 	// the per-packet and per-turn scheduling allocation-free.
 	m.Eng.SetLanes(cfg.Nodes + 1)
 	m.deliverKind = m.Eng.Register(func(lane int, at sim.Time, arg any) {
-		m.nodes[lane-1].deliver(at, arg.(*Packet), false)
+		m.NodeOnLane(lane).deliver(at, arg.(*Packet), false)
 	})
 	m.arriveKind = m.Eng.Register(func(lane int, at sim.Time, arg any) {
-		m.nodes[lane-1].deliver(at, arg.(*Packet), true)
+		m.NodeOnLane(lane).deliver(at, arg.(*Packet), true)
 	})
 	m.resumeKind = m.Eng.Register(func(_ int, at sim.Time, arg any) {
 		arg.(*Node).resumeAt(at)
@@ -783,6 +783,10 @@ func (n *Node) EventNow() sim.Time { return n.m.Eng.Now() }
 
 // Lane returns the node's engine event lane.
 func (n *Node) Lane() int { return n.lane }
+
+// NodeOnLane returns the node whose events fire on lane (lane 0 is the
+// host's and names no node).
+func (m *Machine) NodeOnLane(lane int) *Node { return m.nodes[lane-1] }
 
 // ensureResume queues a turn unless one is queued or running.
 func (n *Node) ensureResume() {

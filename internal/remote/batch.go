@@ -47,7 +47,7 @@ type batcher struct {
 	l         *Layer
 	window    sim.Time
 	maxBytes  int
-	flushKind sim.Kind // the node's flush timer's callback; arg: *nodeState
+	flushKind sim.Kind // a flush deadline's callback; arg: *openBatch
 }
 
 func newBatcher(l *Layer, window sim.Time, maxBytes int) *batcher {
@@ -55,20 +55,22 @@ func newBatcher(l *Layer, window sim.Time, maxBytes int) *batcher {
 		maxBytes = DefaultBatchBytes
 	}
 	b := &batcher{l: l, window: window, maxBytes: maxBytes}
-	b.flushKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { b.wake(arg.(*nodeState)) })
+	b.flushKind = l.m.Eng.Register(func(lane int, _ sim.Time, arg any) {
+		b.wake(l.m.NodeOnLane(lane), arg.(*openBatch))
+	})
 	return b
 }
 
 // enqueue defers pkt into the link's open batch, opening one (and setting
 // its flush deadline) if the link was idle.
 func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
-	ns := b.l.nodes[mn.ID]
 	ob := b.l.batchFor(mn, b.l.link(mn.ID, pkt.Dst))
 	// The window bounds the spread of the records' *write clocks*, not just
-	// the flush timer: a long method body advances the processor clock far
-	// beyond the lane's event time, and its flush timer cannot fire until the
-	// event completes. Without this check every send of the body would share
-	// one batch no matter how far apart the records were actually written.
+	// the flush deadline: a long method body advances the processor clock
+	// far beyond the lane's event time, and its flush deadline cannot fire
+	// until the event completes. Without this check every send of the body
+	// would share one batch no matter how far apart the records were
+	// actually written.
 	if ob.n > 0 && mn.Clock > ob.firstClock+b.window {
 		b.flush(mn, ob)
 	}
@@ -81,19 +83,19 @@ func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 		// Holding the batch open for the full window instead would tax
 		// every lone record with the window as pure latency; the records
 		// worth coalescing are written close together in one body, and all
-		// of those are enqueued before this timer can fire. The departure
+		// of those are enqueued before this deadline can fire. The departure
 		// is backdated to the last record's write clock in flush, so a
 		// lone record leaves (virtually) when an unbatched send would
 		// have. A deadline left pending by an earlier flush of this link is
 		// an earlier-than-window deadline, and stays: an early flush is
-		// merely conservative.
-		if ob.due == 0 {
+		// merely conservative. Nothing moves or cancels a queued deadline.
+		if !ob.armed {
 			d := sim.Time(1)
 			if ahead := mn.Clock - mn.EventNow(); ahead > 0 {
 				d += ahead
 			}
-			ns.flushes.add(b.l.m.Eng, ob, mn.EventNow()+d)
-			ns.flushes.follow(b.l.m.Eng, mn, b.flushKind, ns)
+			ob.armed = true
+			b.l.m.Eng.ScheduleOn(mn.Lane(), mn.Lane(), mn.EventNow()+d, b.flushKind, ob)
 		}
 		ob.head = pkt
 	} else {
@@ -110,16 +112,14 @@ func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 	}
 }
 
-// wake fires at the node's earliest flush deadline, and takes the link's
-// record back once its batch is gone.
-func (b *batcher) wake(ns *nodeState) {
-	ob := ns.flushes.fired()
-	mn := b.l.m.Node(ns.id)
+// wake fires at ob's flush deadline on mn, and takes the link's record back
+// once its batch is gone.
+func (b *batcher) wake(mn *machine.Node, ob *openBatch) {
+	ob.armed = false
 	b.flush(mn, ob)
 	if ob.n == 0 {
-		ns.closeBatch(ob.k)
+		b.l.nodes[mn.ID].closeBatch(ob.k)
 	}
-	ns.flushes.follow(b.l.m.Eng, mn, b.flushKind, ns)
 }
 
 // flush launches ob's batch from mn. It runs from the flush deadline or an

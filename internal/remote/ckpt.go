@@ -170,7 +170,7 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 				p = next
 			}
 			ob.reset()
-			if ob.due == 0 {
+			if !ob.armed {
 				ns.closeBatch(k)
 			}
 		}

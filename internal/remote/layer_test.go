@@ -434,7 +434,7 @@ func TestPlacementRandomDeterministic(t *testing.T) {
 }
 
 func TestPlacementLoadBased(t *testing.T) {
-	rt, l := buildSys(t, 4, core.Options{}, Options{StockDepth: 1, Placement: LoadBased{Candidates: 4}, Seed: 7})
+	rt, l := buildSys(t, 4, core.Options{}, Options{StockDepth: 1, Placement: LoadBased{}, Seed: 7})
 	rt.Freeze()
 	// Make node 2 look heavily loaded in node 0's view; others idle.
 	l.nodes[0].loads[1] = 0
@@ -577,7 +577,7 @@ func TestPlacementNamesAndAccessors(t *testing.T) {
 }
 
 func TestDepthLocalPlacement(t *testing.T) {
-	rt, l := buildSys(t, 4, core.Options{}, Options{StockDepth: 1, Placement: DepthLocal{Threshold: 1}, Seed: 9})
+	rt, l := buildSys(t, 4, core.Options{}, Options{StockDepth: 1, Placement: DepthLocal{}, Seed: 9})
 	rt.Freeze()
 	// Idle node: spreads (some pick must differ from 0 over many tries).
 	spread := false
@@ -784,7 +784,7 @@ func TestRecordSizes(t *testing.T) {
 	if sz := unsafe.Sizeof(link{}); sz > 64 {
 		t.Errorf("link is %d bytes, want <= 64: one cache line", sz)
 	}
-	if sz := unsafe.Sizeof(openBatch{}); sz > 88 {
-		t.Errorf("openBatch is %d bytes with its chain ends and deadline, want <= 88", sz)
+	if sz := unsafe.Sizeof(openBatch{}); sz > 72 {
+		t.Errorf("openBatch is %d bytes with its chain ends and armed flag, want <= 72", sz)
 	}
 }

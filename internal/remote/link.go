@@ -36,26 +36,24 @@ type linkCold struct {
 // are chained through their own headers' pool link (machine.Packet.Next),
 // free while a packet is out of its pool: the batch holds no slice of them.
 type openBatch struct {
-	deadline[openBatch]
+	next       *openBatch // the node's idle records
 	k          *link
 	head, tail *machine.Packet // pending records, in enqueue (= seq) order
 	n          int             // how many
 	bytes      int             // sum of the records' standalone wire sizes
 	firstClock sim.Time        // sender clock when the batch was opened
 	maxClock   sim.Time        // latest sender clock among enqueued records
+	armed      bool            // its flush deadline is queued
 }
 
-func (ob *openBatch) entry() *deadline[openBatch] { return &ob.deadline }
-
 // peers is one node's state for those layers: its links (a table by peer and
-// a chain in first-contact order), their cold records, its open batches and
-// their flush deadlines, and its share of the reliable protocol.
+// a chain in first-contact order), their cold records, its idle open-batch
+// records, and its share of the reliable protocol.
 type peers struct {
 	links              []*link
 	cold               []*linkCold // by peer; nil until a link needs one
 	linkHead, linkTail *link
 	idle               *openBatch
-	flushes            deadlines[openBatch, *openBatch]
 	rel                relNode
 }
 

@@ -49,27 +49,23 @@ func (LocalOnly) Name() string { return "local" }
 
 func (LocalOnly) Pick(l *Layer, from int, cl *core.Class) int { return from }
 
-// LoadBased samples K random candidate nodes and picks the one with the
+// LoadBased samples loadCandidates random nodes and picks the one with the
 // lowest known load. Load information is piggybacked on every packet
 // (category-4 service data riding along with categories 1-3), so the view
 // is local and possibly stale — exactly the paper's "based on local
 // information".
-type LoadBased struct {
-	// Candidates is the sample size; zero means 4.
-	Candidates int
-}
+type LoadBased struct{}
+
+// loadCandidates is LoadBased's sample size.
+const loadCandidates = 4
 
 func (LoadBased) Name() string { return "load-based" }
 
-func (p LoadBased) Pick(l *Layer, from int, cl *core.Class) int {
-	k := p.Candidates
-	if k <= 0 {
-		k = 4
-	}
+func (LoadBased) Pick(l *Layer, from int, cl *core.Class) int {
 	ns := l.nodes[from]
 	best := int(ns.nextRand() % uint64(len(l.nodes)))
 	bestLoad := ns.knownLoad(best, l)
-	for i := 1; i < k; i++ {
+	for i := 1; i < loadCandidates; i++ {
 		cand := int(ns.nextRand() % uint64(len(l.nodes)))
 		if load := ns.knownLoad(cand, l); load < bestLoad {
 			best, bestLoad = cand, load
@@ -82,20 +78,16 @@ func (p LoadBased) Pick(l *Layer, from int, cl *core.Class) int {
 // (randomly) while the creating node is lightly loaded, and stay local once
 // the node already has queued work — a cheap approximation of the
 // depth-bounded spreading used for tree-structured computations.
-type DepthLocal struct {
-	// Threshold is the scheduling-queue length above which creations stay
-	// local; zero means 2.
-	Threshold int
-}
+type DepthLocal struct{}
+
+// depthLocalQueue is the scheduling-queue length at which DepthLocal keeps
+// creations local.
+const depthLocalQueue = 2
 
 func (DepthLocal) Name() string { return "depth-local" }
 
-func (p DepthLocal) Pick(l *Layer, from int, cl *core.Class) int {
-	th := p.Threshold
-	if th <= 0 {
-		th = 2
-	}
-	if l.rt.NodeRT(from).SchedQueueLen() >= th {
+func (DepthLocal) Pick(l *Layer, from int, cl *core.Class) int {
+	if l.rt.NodeRT(from).SchedQueueLen() >= depthLocalQueue {
 		return from
 	}
 	ns := l.nodes[from]

@@ -52,23 +52,12 @@ const ackBytes = packetHeaderBytes + 8
 // ack or repaired by retransmission.
 const maxSelAcks = 32
 
-// deadline is a record's entry in a list of its node's deadlines: when it
-// falls due, the position among equal-time events reserved for it, and its
-// neighbours. due is 0 exactly while the record is off the list.
-type deadline[T any] struct {
-	prev, next *T
-	due        sim.Time
-	dueSeq     uint64
-}
-
-// deadlines is one node's retry or flush deadlines, earliest first, and the
-// one timer that stands at the first (armed) at its reserved position: each
-// fires exactly where a timer per record would have, from one queued slot.
-type deadlines[T any, P interface {
-	*T
-	entry() *deadline[T]
-}] struct {
-	head, tail, armed *T
+// retryList is one node's retry deadlines, earliest first, and the one timer
+// that stands at the first (armed) at its reserved position: each fires
+// exactly where a timer per record would have, from one queued slot. An ack
+// takes a record's deadline off the list, so the timer moves.
+type retryList struct {
+	head, tail, armed *relMsg
 	timer             sim.Timer
 }
 
@@ -76,45 +65,43 @@ type deadlines[T any, P interface {
 // would take. Deadlines mostly come in order, so the list is
 // searched from its far end; a new position is later than every earlier one,
 // so among equal times m goes last.
-func (s *deadlines[T, P]) add(eng *sim.Engine, m *T, due sim.Time) {
-	d := P(m).entry()
-	d.due = due
-	eng.ReserveSeq(&d.dueSeq)
+func (s *retryList) add(eng *sim.Engine, m *relMsg, due sim.Time) {
+	m.due = due
+	eng.ReserveSeq(&m.dueSeq)
 	after := s.tail
-	for after != nil && P(after).entry().due > due {
-		after = P(after).entry().prev
+	for after != nil && after.due > due {
+		after = after.prev
 	}
-	if d.prev = after; after == nil {
-		d.next, s.head = s.head, m
+	if m.prev = after; after == nil {
+		m.next, s.head = s.head, m
 	} else {
-		d.next, P(after).entry().next = P(after).entry().next, m
+		m.next, after.next = after.next, m
 	}
-	if d.next == nil {
+	if m.next == nil {
 		s.tail = m
 	} else {
-		P(d.next).entry().prev = m
+		m.next.prev = m
 	}
 }
 
 // remove takes m's deadline off the list.
-func (s *deadlines[T, P]) remove(m *T) {
-	d := P(m).entry()
-	if d.prev == nil {
-		s.head = d.next
+func (s *retryList) remove(m *relMsg) {
+	if m.prev == nil {
+		s.head = m.next
 	} else {
-		P(d.prev).entry().next = d.next
+		m.prev.next = m.next
 	}
-	if d.next == nil {
-		s.tail = d.prev
+	if m.next == nil {
+		s.tail = m.prev
 	} else {
-		P(d.next).entry().prev = d.prev
+		m.next.prev = m.prev
 	}
-	d.prev, d.next, d.due = nil, nil, 0
+	m.prev, m.next, m.due = nil, nil, 0
 }
 
 // follow keeps the timer at the earliest deadline, or stops it when there
 // is none; kind's handler gets arg and takes the record off with fired.
-func (s *deadlines[T, P]) follow(eng *sim.Engine, mn *machine.Node, kind sim.Kind, arg any) {
+func (s *retryList) follow(eng *sim.Engine, mn *machine.Node, kind sim.Kind, arg any) {
 	m := s.head
 	if m == s.armed {
 		return
@@ -123,13 +110,12 @@ func (s *deadlines[T, P]) follow(eng *sim.Engine, mn *machine.Node, kind sim.Kin
 		s.timer.Stop()
 		return
 	}
-	d := P(m).entry()
-	eng.StartTimerAt(mn.Lane(), &s.timer, d.due, d.dueSeq, kind, arg)
+	eng.StartTimerAt(mn.Lane(), &s.timer, m.due, m.dueSeq, kind, arg)
 }
 
 // fired takes the deadline the timer stood at off the list and returns its
 // record.
-func (s *deadlines[T, P]) fired() *T {
+func (s *retryList) fired() *relMsg {
 	m := s.armed
 	s.armed = nil
 	s.remove(m)
@@ -143,17 +129,17 @@ func (s *deadlines[T, P]) fired() *T {
 // pooled record is recycled once delivered, possibly before the ack comes
 // back, so a retransmission must not read it.
 type relMsg struct {
-	deadline[relMsg]         // retry deadline of the current attempt
-	wnext            *relMsg // the link's in-flight chain
-	seq              uint64
-	payload          *wireMsg // forwarded to every attempt's packet
-	size             int32    // wire size including relHeaderBytes
-	category         int32
-	dst              int32
-	attempts         int32
+	prev, next *relMsg  // neighbours on the node's retry list
+	due        sim.Time // retry deadline of the current attempt; 0 off the list
+	dueSeq     uint64   // its reserved position among equal-time events
+	wnext      *relMsg  // the link's in-flight chain
+	seq        uint64
+	payload    *wireMsg // forwarded to every attempt's packet
+	size       int32    // wire size including relHeaderBytes
+	category   int32
+	dst        int32
+	attempts   int32
 }
-
-func (m *relMsg) entry() *deadline[relMsg] { return &m.deadline }
 
 // PoolLink names the intrusive link for sim.Slab.
 func (m *relMsg) PoolLink() **relMsg { return &m.next }
@@ -161,10 +147,9 @@ func (m *relMsg) PoolLink() **relMsg { return &m.next }
 // relNode is one node's share of the protocol beyond its link records: the
 // retry schedule and the delayed-ack schedule.
 type relNode struct {
-	retries  deadlines[relMsg, *relMsg]
-	owedTo   []*link   // links with owed arrivals, in first-owed order
-	ackTimer sim.Timer // the delayed-ack deadline
-	ackSeq   uint64    // its reserved position among equal-time events
+	retries  retryList
+	owedTo   []*link // links with owed arrivals, in first-owed order
+	ackArmed bool    // the delayed-ack deadline is queued
 }
 
 // selFrame carries the selective list of a cumulative acknowledgment beside
@@ -185,7 +170,7 @@ type reliable struct {
 	// Every protocol packet dispatches through these, bound once: what a
 	// packet means rides in its header word and payload.
 	hArrive, hPolled, hAck, hAckCum func(*machine.Node, *machine.Packet)
-	wakeKind, ackKind               sim.Kind // timer callbacks; arg: *nodeState
+	wakeKind, ackKind               sim.Kind // deadline callbacks; arg: *nodeState
 }
 
 func newReliable(l *Layer) *reliable {
@@ -486,28 +471,28 @@ func (r *reliable) noteArrival(rn *machine.Node, src int, seq uint64) {
 		k.owedSince = rn.EventNow()
 	}
 	k.owed++
-	if !n.ackTimer.Pending() {
+	if !n.ackArmed {
 		r.armAck(rn, ns, rn.EventNow()+r.ackDelay)
 	}
 }
 
-// armAck sets the node's delayed-ack timer at due, in the place among
-// equal-time events that an event scheduled now would take.
+// armAck queues the node's delayed-ack deadline at due. Nothing moves or
+// cancels it once queued.
 func (r *reliable) armAck(rn *machine.Node, ns *nodeState, due sim.Time) {
-	n := &ns.rel
-	r.l.m.Eng.ReserveSeq(&n.ackSeq)
-	r.l.m.Eng.StartTimerAt(rn.Lane(), &n.ackTimer, due, n.ackSeq, r.ackKind, ns)
+	ns.rel.ackArmed = true
+	r.l.m.Eng.ScheduleOn(rn.Lane(), rn.Lane(), due, r.ackKind, ns)
 }
 
 // flushAcks emits the owed acknowledgments of every inbound link whose delay
-// has elapsed. It fires on the delayed-ack timer; links already covered by a
-// piggybacked ack since the timer was armed are skipped, and links whose
-// first owed arrival is more recent than the ack delay keep waiting (the
-// timer re-arms for the earliest of them), preserving each link's full
-// coalescing and piggybacking window.
+// has elapsed. It fires at the delayed-ack deadline; links already covered
+// by a piggybacked ack since the deadline was queued are skipped, and links
+// whose first owed arrival is more recent than the ack delay keep waiting
+// (the deadline is queued again for the earliest of them), preserving each
+// link's full coalescing and piggybacking window.
 func (r *reliable) flushAcks(ns *nodeState) {
 	rn := r.l.m.Node(ns.id)
 	n := &ns.rel
+	n.ackArmed = false
 	now := rn.EventNow()
 	if rn.Down(now) {
 		// Dead controllers acknowledge nothing; the crash discarded the owed

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/profile"
 )
 
 // DiffResult explains how two packs diverge: configuration deltas, the
 // first differing trace event, answer/report disagreement, and per-path /
-// per-class cost deltas mined from the profile sections.
+// per-class cost deltas mined from the reports' profiles.
 type DiffResult struct {
 	// Identical is true when the two packs have the same id (same bytes).
 	Identical bool
@@ -20,8 +22,8 @@ type DiffResult struct {
 	// TraceDivergence is the first differing trace event (A = first pack,
 	// B = second); nil when the traces are identical.
 	TraceDivergence *Divergence
-	// PathDeltas / ClassDeltas are cost deltas between the profile
-	// sections, biggest absolute instruction delta first.
+	// PathDeltas / ClassDeltas are cost deltas between the reports'
+	// profiles, biggest absolute instruction delta first.
 	PathDeltas  []CostDelta
 	ClassDeltas []CostDelta
 }
@@ -49,8 +51,9 @@ func Diff(a, b *Pack) *DiffResult {
 	json.Unmarshal(b.ReportJSON, &db)
 	d.AnswerA, d.AnswerB = da.Answer, db.Answer
 	d.TraceDivergence = firstDivergence(a.TraceJSONL, b.TraceJSONL)
-	d.PathDeltas = profileDeltas(a.ProfileJSONL, b.ProfileJSONL, "path")
-	d.ClassDeltas = profileDeltas(a.ProfileJSONL, b.ProfileJSONL, "class")
+	pa, pb := da.profile(), db.profile()
+	d.PathDeltas = costDeltas(pathRows(pa), pathRows(pb))
+	d.ClassDeltas = costDeltas(classRows(pa), classRows(pb))
 	return d
 }
 
@@ -95,13 +98,9 @@ func render(v any) string {
 	return string(b)
 }
 
-// profileDeltas joins two profile.jsonl sections on the given row type
-// ("path" or "class") and reports instruction deltas, biggest first.
-func profileDeltas(a, b []byte, kind string) []CostDelta {
-	am, bm := profileRows(a, kind), profileRows(b, kind)
-	if am == nil && bm == nil {
-		return nil
-	}
+// costDeltas joins two name -> instructions tables and reports the rows
+// that differ, biggest absolute delta first.
+func costDeltas(am, bm map[string]uint64) []CostDelta {
 	keys := make(map[string]bool)
 	for k := range am {
 		keys[k] = true
@@ -134,31 +133,26 @@ func absDelta(d CostDelta) uint64 {
 	return d.InstrA - d.InstrB
 }
 
-// profileRows extracts name -> instructions from a profile.jsonl section.
-// Path rows key on "path" and charge "instr"; class rows key on "class"
-// and charge "body_instr".
-func profileRows(sec []byte, kind string) map[string]uint64 {
-	if len(sec) == 0 {
+// pathRows maps each cost path of a profile to its instructions.
+func pathRows(p *profile.Report) map[string]uint64 {
+	if p == nil {
 		return nil
 	}
-	rows := make(map[string]uint64)
-	for _, line := range splitLines(sec) {
-		var row struct {
-			Type      string `json:"type"`
-			Path      string `json:"path"`
-			Class     string `json:"class"`
-			Instr     uint64 `json:"instr"`
-			BodyInstr uint64 `json:"body_instr"`
-		}
-		if err := json.Unmarshal([]byte(line), &row); err != nil || row.Type != kind {
-			continue
-		}
-		switch kind {
-		case "path":
-			rows[row.Path] = row.Instr
-		case "class":
-			rows[row.Class] = row.BodyInstr
-		}
+	rows := make(map[string]uint64, len(p.Paths))
+	for _, ps := range p.Paths {
+		rows[ps.Path] = ps.Instr
+	}
+	return rows
+}
+
+// classRows maps each class of a profile to its method-body instructions.
+func classRows(p *profile.Report) map[string]uint64 {
+	if p == nil {
+		return nil
+	}
+	rows := make(map[string]uint64, len(p.Classes))
+	for _, cs := range p.Classes {
+		rows[cs.Class] = cs.BodyInstr
 	}
 	return rows
 }

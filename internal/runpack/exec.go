@@ -45,59 +45,16 @@ type reportDoc struct {
 	Scenario  *scenario.Outcome `json:"scenario,omitempty"`
 }
 
-// Profile returns the cost-attribution report captured by the run (the
+// profile returns the cost-attribution report the document holds (the
 // faulted run's, for scenario packs), or nil.
-func (r *ExecResult) Profile() *profile.Report {
+func (d *reportDoc) profile() *profile.Report {
 	switch {
-	case r.System != nil:
-		return r.System.Profile
-	case r.Outcome != nil:
-		return r.Outcome.Faulted.Report.Profile
+	case d.System != nil:
+		return d.System.Profile
+	case d.Scenario != nil && d.Scenario.Faulted.Report != nil:
+		return d.Scenario.Faulted.Report.Profile
 	}
 	return nil
-}
-
-// ProfileJSONL renders the profile as a typed JSONL series (summary, path,
-// class, group and slice rows) — the archive's profile.jsonl section, which
-// Diff mines for per-path and per-class cost deltas.
-func (r *ExecResult) ProfileJSONL() []byte {
-	p := r.Profile()
-	if p == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.Encode(struct {
-		Type            string   `json:"type"`
-		WindowNs        sim.Time `json:"window_ns,omitempty"`
-		TotalInstr      uint64   `json:"total_instr"`
-		DormantFraction float64  `json:"dormant_fraction"`
-	}{"summary", p.Window, p.TotalInstr, p.DormantFraction})
-	for _, ps := range p.Paths {
-		enc.Encode(struct {
-			Type string `json:"type"`
-			profile.PathStat
-		}{"path", ps})
-	}
-	for _, cs := range p.Classes {
-		enc.Encode(struct {
-			Type string `json:"type"`
-			profile.ClassStat
-		}{"class", cs})
-	}
-	for _, gs := range p.Groups {
-		enc.Encode(struct {
-			Type string `json:"type"`
-			profile.GroupStat
-		}{"group", gs})
-	}
-	for _, sl := range p.Slices {
-		enc.Encode(struct {
-			Type string `json:"type"`
-			profile.Slice
-		}{"slice", sl})
-	}
-	return buf.Bytes()
 }
 
 // Execute runs the configuration deterministically and assembles the

@@ -2,8 +2,8 @@
 // archive (`runpack_<id>.zip`) that captures everything needed to reproduce
 // one simulated run — the full configuration (workload, seed, fleet, fault
 // schedule, comms and recovery options), the complete runtime event trace
-// with its SHA-256 digest, the cost-attribution profile series, and the
-// grouped Report — plus three operations over archives:
+// with its SHA-256 digest, and the grouped Report with its cost-attribution
+// profile — plus three operations over archives:
 //
 //   - Pack (Create): execute a configuration and emit the archive;
 //   - Verify: re-execute the packed configuration and assert that the fresh
@@ -11,7 +11,7 @@
 //     reporting the first divergent trace event on failure;
 //   - Diff: explain how two packs diverge — differing configuration fields,
 //     the first differing trace event, and per-path/per-class cost deltas
-//     from the profile sections.
+//     from the reports' profiles.
 //
 // Archives double as CI regression tests: Regress re-verifies every pack
 // under a directory (testdata/runpacks in this repository), so a determinism
@@ -39,14 +39,15 @@ import (
 )
 
 // Format identifies the archive layout; bump on incompatible changes.
-const Format = "abcl-runpack/1"
+// Layout 2 dropped layout 1's profile.jsonl, a re-rendering of the profile
+// report.json holds.
+const Format = "abcl-runpack/2"
 
 // Section names inside the archive.
 const (
 	SecManifest = "manifest.json"
 	SecConfig   = "config.json"
 	SecTrace    = "trace.jsonl"
-	SecProfile  = "profile.jsonl"
 	SecReport   = "report.json"
 )
 
@@ -77,11 +78,9 @@ type Pack struct {
 	// document — name and assertions included — of a scenario pack.
 	Config scenario.Spec
 	// TraceJSONL is the full runtime event stream (one JSON object per
-	// line); ReportJSON the canonical report document (see ExecResult);
-	// ProfileJSONL the profile series derived from the report.
-	TraceJSONL   []byte
-	ReportJSON   []byte
-	ProfileJSONL []byte
+	// line); ReportJSON the canonical report document (see ExecResult).
+	TraceJSONL []byte
+	ReportJSON []byte
 }
 
 func sum(b []byte) string {
@@ -96,10 +95,9 @@ func (p *Pack) sections() (map[string][]byte, error) {
 		return nil, err
 	}
 	return map[string][]byte{
-		SecConfig:  append(cfg, '\n'),
-		SecTrace:   p.TraceJSONL,
-		SecProfile: p.ProfileJSONL,
-		SecReport:  p.ReportJSON,
+		SecConfig: append(cfg, '\n'),
+		SecTrace:  p.TraceJSONL,
+		SecReport: p.ReportJSON,
 	}, nil
 }
 
@@ -159,7 +157,7 @@ func (p *Pack) WriteFile(path string) (string, error) {
 
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)
-	order := []string{SecManifest, SecConfig, SecTrace, SecProfile, SecReport}
+	order := []string{SecManifest, SecConfig, SecTrace, SecReport}
 	for _, name := range order {
 		b, ok := secs[name]
 		if !ok {
@@ -239,7 +237,6 @@ func Open(path string) (*Pack, error) {
 		return nil, fmt.Errorf("runpack %s: %s: %w", path, SecConfig, err)
 	}
 	p.TraceJSONL = raw[SecTrace]
-	p.ProfileJSONL = raw[SecProfile]
 	p.ReportJSON = raw[SecReport]
 	// Re-derive the id from the (now authenticated) sections; a mismatch
 	// means the manifest itself was edited.
@@ -255,12 +252,7 @@ func Open(path string) (*Pack, error) {
 
 // Build assembles a sealed pack from a configuration and its execution.
 func Build(cfg scenario.Spec, res *ExecResult) (*Pack, error) {
-	p := &Pack{
-		Config:       cfg,
-		TraceJSONL:   res.Trace,
-		ReportJSON:   res.ReportJSON,
-		ProfileJSONL: res.ProfileJSONL(),
-	}
+	p := &Pack{Config: cfg, TraceJSONL: res.Trace, ReportJSON: res.ReportJSON}
 	return p, p.seal()
 }
 

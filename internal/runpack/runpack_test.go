@@ -211,6 +211,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 		{"removed executor key", run, SecConfig, `"seed"`, `"executor": "conservative", "seed"`, true, `config.json: json: unknown field "executor"`},
 		{"removed workers key", run, SecConfig, `"seed"`, `"workers": 4, "seed"`, true, `config.json: json: unknown field "workers"`},
 		{"removed location-cache key", run, SecConfig, `"seed"`, `"no_loc_cache": true, "seed"`, true, `config.json: json: unknown field "no_loc_cache"`},
+		{"removed reorder key", run, SecConfig, `"seed"`, `"reorder": 2, "seed"`, true, `config.json: json: unknown field "reorder"`},
 		{"retired flat fault key", run, SecConfig, `"seed"`, `"drop": 0.1, "seed"`, true, `config.json: json: unknown field "drop"`},
 		{"retired flat crash key", run, SecConfig, `"seed"`, `"crashes": [], "seed"`, true, `config.json: json: unknown field "crashes"`},
 		{"removed scenario key", lossy, SecConfig, `"name"`, `"optimistic_window_ns": 9, "name"`, true, `config.json: json: unknown field "optimistic_window_ns"`},
@@ -327,8 +328,9 @@ func TestDiff(t *testing.T) {
 	if d.AnswerA == d.AnswerB {
 		t.Error("answers should differ between N=5 and N=6")
 	}
-	if len(d.PathDeltas) == 0 {
-		t.Error("no per-path cost deltas between different runs")
+	if len(d.PathDeltas) == 0 || len(d.ClassDeltas) == 0 {
+		t.Errorf("%d per-path and %d per-class cost deltas between different runs, want some of each",
+			len(d.PathDeltas), len(d.ClassDeltas))
 	}
 	same := Diff(a, a)
 	if !same.Identical {
@@ -411,8 +413,8 @@ func TestScenarioPackConfigIsTheDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	secs := readSections(t, path)
-	if _, ok := secs["scenario.json"]; ok || len(secs) != 5 {
-		t.Errorf("%d sections (scenario.json present: %v), want manifest, config, trace, profile, report", len(secs), ok)
+	if _, ok := secs["scenario.json"]; ok || len(secs) != 4 {
+		t.Errorf("%d sections (scenario.json present: %v), want manifest, config, trace, report", len(secs), ok)
 	}
 	var cfg struct {
 		Name, Workload string

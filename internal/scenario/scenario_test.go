@@ -81,7 +81,7 @@ func TestSpecValidation(t *testing.T) {
 		{"removed location-cache key", `{"name":"x","workload":"forkjoin","nodes":2,"no_loc_cache":true}`, `unknown field "no_loc_cache"`},
 		{"removed window key", `{"name":"x","workload":"forkjoin","nodes":2,"optimistic_window_ns":1000}`, `unknown field "optimistic_window_ns"`},
 		{"negative depth", `{"name":"x","workload":"forkjoin","nodes":2,"depth":-1}`, "forkjoin depth must be >= 0"},
-		{"negative reorder", `{"name":"x","workload":"hotkey","nodes":2,"reorder":-1}`, "reorder bound must be >= 0, got -1"},
+		{"removed reorder key", `{"name":"x","workload":"hotkey","nodes":2,"reorder":2}`, `unknown field "reorder"`},
 		{"trailing data", `{"name":"x","workload":"forkjoin","nodes":2} {}`, "after the top-level value"},
 		{"retired flat drop", `{"name":"x","workload":"forkjoin","nodes":2,"drop":0.1}`, `unknown field "drop"`},
 		{"retired flat crashes", `{"name":"x","workload":"nqueens","nodes":2,"crashes":[{"node":1,"at_ns":5,"restart_after_ns":5}]}`, `unknown field "crashes"`},

@@ -56,9 +56,9 @@ func TestSchedulePastDuringFiring(t *testing.T) {
 	}
 }
 
-// TestLaneSchedulingAndLaneNow drives typed events across lanes and checks
-// the global merge order plus the clock they leave behind.
-func TestLaneSchedulingAndLaneNow(t *testing.T) {
+// TestEventsMergeAcrossLanes drives typed events across lanes and checks
+// that they fire in one (time, seq) order, plus the clock they leave behind.
+func TestEventsMergeAcrossLanes(t *testing.T) {
 	e := NewEngine()
 	e.SetLanes(4)
 	type rec struct {

@@ -74,7 +74,6 @@ type Counters struct {
 	MultiImmediate  uint64 // compatible invocations started on the sender's stack
 	MultiParked     uint64 // conflicting invocations buffered in a group ready queue
 	MultiDispatches uint64 // parked invocations dispatched through the scheduler
-	MultiOvertakes  uint64 // bounded-reordering precedence overrides
 }
 
 // Add accumulates o into c. It sums every uint64 field via reflection so a

@@ -62,7 +62,7 @@ var apps = map[string]app{
 	},
 	"hotkey": func(sp Spec) (runner, error) {
 		cov, err := hotkey.ParseCoverage(sp.Coverage)
-		o := hotkey.Options{Clients: sp.Clients, Ops: sp.Ops, WritePct: sp.WritePct, Coverage: cov, Reorder: sp.Reorder}
+		o := hotkey.Options{Clients: sp.Clients, Ops: sp.Ops, WritePct: sp.WritePct, Coverage: cov}
 		return func(opts []abcl.Option) (Outcome, error) {
 			res, err := hotkey.Run(o, opts...)
 			if err != nil {
@@ -78,7 +78,7 @@ var apps = map[string]app{
 		}, errors.Join(err, hotkey.Check(o, sp.Nodes))
 	},
 	"orderbook": func(sp Spec) (runner, error) {
-		o := orderbook.Options{Clients: sp.Clients, Ops: sp.Ops, Grouped: !sp.Ungrouped, Reorder: sp.Reorder}
+		o := orderbook.Options{Clients: sp.Clients, Ops: sp.Ops, Grouped: !sp.Ungrouped}
 		return func(opts []abcl.Option) (Outcome, error) {
 			res, err := orderbook.Run(o, opts...)
 			if err != nil {

@@ -63,7 +63,6 @@ type Spec struct {
 	WritePct  int    `json:"write_pct,omitempty"`  // hotkey write percentage
 	Coverage  string `json:"coverage,omitempty"`   // hotkey: none | partial | full
 	Ungrouped bool   `json:"ungrouped,omitempty"`  // orderbook: drop the compatibility groups
-	Reorder   int    `json:"reorder,omitempty"`    // bounded-reordering annotation
 
 	// Faults is the fault schedule: link drop / duplication / jitter rules
 	// (first match wins; omitted src/dst match any node), node pause windows
@@ -157,7 +156,7 @@ func (sp Spec) options() ([]abcl.Option, error) {
 	}
 	switch {
 	case sp.Stock == -1:
-		opts = append(opts, abcl.WithoutChunkStock())
+		opts = append(opts, abcl.WithChunkStock(0))
 	case sp.Stock != 0: // a depth below -1 is no depth: WithChunkStock refuses it
 		opts = append(opts, abcl.WithChunkStock(sp.Stock))
 	}

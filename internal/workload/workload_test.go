@@ -143,13 +143,14 @@ func TestSpecRejections(t *testing.T) {
 	if err := (Spec{Workload: "nqueens", N: nqueens.MaxN + 1}).Validate(); err == nil || !strings.Contains(err.Error(), "N must be in 1..") {
 		t.Errorf("Validate accepted a board above nqueens.MaxN: %v", err)
 	}
-	// A spec naming a retired key — the executor's, or the location cache's
-	// that went with object migration — is refused by name, not run as if it
-	// selected something.
+	// A spec naming a retired key — the executor's, the location cache's
+	// that went with object migration, or the multiactive reorder bound's —
+	// is refused by name, not run as if it selected something.
 	for key, doc := range map[string]string{
 		"executor":     `{"workload":"nqueens","executor":"conservative"}`,
 		"workers":      `{"workload":"nqueens","workers":2}`,
 		"no_loc_cache": `{"workload":"nqueens","no_loc_cache":true}`,
+		"reorder":      `{"workload":"hotkey","reorder":2}`,
 	} {
 		var sp Spec
 		if err := DecodeStrict([]byte(doc), &sp); err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
@@ -180,7 +181,7 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{Spec{Workload: "hotkey", Nodes: 4, WritePct: 150}, "write percentage 150 out of range"},
 		{Spec{Workload: "hotkey", Nodes: 4, Clients: -1}, "clients and ops must be >= 1"},
 		{Spec{Workload: "orderbook", Nodes: 1}, "orderbook: need >= 2 nodes, got 1"},
-		{Spec{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5}, "WithChunkStock(-5): depth must be positive"},
+		{Spec{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5}, "WithChunkStock(-5): depth must not be negative"},
 		{Spec{Workload: "pingpong", Nodes: 4, BatchWindowNs: -5}, `unknown workload "pingpong"`},
 	} {
 		if err := agreeWithRun(t, tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -214,7 +215,6 @@ func TestValidateAgreesWithRun(t *testing.T) {
 			WritePct:        draw(rng, 0, 50, 150),
 			Coverage:        draw(rng, "", "none", "most"),
 			Ungrouped:       rng.Intn(2) == 0,
-			Reorder:         draw(rng, 0, 2, -1),
 			Faults:          draw(rng, nil, drawn.Faults, &lossless),
 			BatchWindowNs:   draw[int64](rng, 0, 5_000, -5),
 			BatchBytes:      draw(rng, 0, 256, -3),
@@ -326,7 +326,7 @@ func FuzzSpecValidate(f *testing.F) {
 	f.Add([]byte(`{"workload":"nqueens","nodes":4,"n":5,"placement":"random","stock":1,` +
 		`"faults":{"links":[{"drop":0.05}]},"batch_window_ns":5000,"ack_delay_ns":20000,"reliable":true}`))
 	f.Add([]byte(`{"workload":"hotkey","nodes":4,"clients":3,"ops":4,"write_pct":50,"coverage":"none","checkpoint_interval_ns":100000}`))
-	f.Add([]byte(`{"workload":"orderbook","nodes":4,"clients":3,"ops":4,"reorder":2,"profile_window_ns":50000,"reliable":true}`))
+	f.Add([]byte(`{"workload":"orderbook","nodes":4,"clients":3,"ops":4,"profile_window_ns":50000,"reliable":true}`))
 	f.Add([]byte(`{"workload":"diffusion","nodes":3,"grid":3,"grid_iters":2,"scatter":true,"policy":"naive","batch_bytes":256,"batch_window_ns":5000}`))
 	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"stock":-1,"seed":7,"faults":{"links":[{"src":7,"drop":0.01}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
