@@ -290,7 +290,7 @@ type ProfileOptions struct {
 // WithProfiler enables the cost-attribution profiler: every simulated
 // instruction, wire record and stable-store byte is charged to a message
 // path (local-dormant, local-active, restore, now-blocked, remote-send,
-// remote-recv, create, forward, sched, body, ckpt, retransmit, ack — the
+// remote-recv, create, sched, body, ckpt, retransmit, ack, multi — the
 // paper's Section 6 taxonomy plus the subsystems added since). The report is
 // available as System.Report().Profile after a run. The profiler only
 // observes — enabling it changes no virtual-time results.

@@ -632,7 +632,7 @@ var printers = map[string]func(w io.Writer, sp workload.Spec, out workload.Outco
 
 // commsLine echoes the wire-path configuration the run actually had, read
 // back from its report — how a flag that failed to reach a workload would
-// show: batching, ack strategy, location cache.
+// show: batching and ack strategy.
 func commsLine(rep *abcl.Report) string {
 	s := "comms:"
 	if rep.Wire.BatchWindow > 0 {

@@ -23,8 +23,8 @@
 //   - language state: every hosted object with its state box, buffered
 //     message queue, saved contexts and scheduling-queue position
 //     (core.CaptureNode);
-//   - inter-node state: sequence cursors, chunk stocks, placement state,
-//     location cache (remote.CaptureRel);
+//   - inter-node state: sequence cursors, chunk stocks and placement state
+//     (remote.CaptureRel);
 //   - channel state, held implicitly: the reliable layer retains every
 //     transmitted record until a completed round's receive cursors cover it.
 //
@@ -126,7 +126,7 @@ func (g *Manager) Start(crashes []fault.NodeCrash) {
 		restart := c.At + c.RestartAfter
 		g.m.Eng.ScheduleFuncOn(mn.Lane(), c.At, func() {
 			mn.BeginOutage(restart)
-			g.rt.NodeRT(c.Node).C.NodeCrashes++
+			g.m.C.NodeCrashes++
 			g.rt.Tracef(c.At, c.Node, trace.EvCrash, "crash, restart at %v", restart)
 		})
 		g.m.Eng.ScheduleFuncOn(0, restart, func() {
@@ -228,7 +228,7 @@ func (g *Manager) completeRound() {
 	g.cur = nil
 	g.stable = snap
 	g.l.CkptStableTrim(snap.rel)
-	g.rt.NodeRT(0).C.CkptRounds++
+	g.m.C.CkptRounds++
 	g.rt.Tracef(snap.at, 0, trace.EvCkptRound,
 		"round %d complete (%d bytes)", snap.round, snap.SizeBytes())
 }
@@ -247,7 +247,7 @@ func (g *Manager) snapNode(i int) {
 		np.CountEvent(profile.Ckpt, mn.Now())
 		np.StableWrite(bytes)
 	}
-	c := &mn.C
+	c := &g.m.C
 	c.CkptSaves++
 	c.CkptBytes += uint64(bytes)
 	g.rt.Tracef(mn.Now(), i, trace.EvCkptSave,
@@ -275,7 +275,7 @@ func (g *Manager) restore(at sim.Time, node int) {
 		g.scheduleTick(at - at%g.interval + g.interval)
 	}
 	g.m.Node(node).EndOutage(at)
-	g.rt.NodeRT(node).C.NodeRestarts++
+	g.m.C.NodeRestarts++
 	g.rt.Tracef(at, node, trace.EvRestore,
 		"restart: global rollback to round %d (captured at %v)", snap.round, snap.at)
 	for i := 0; i < g.n; i++ {
@@ -292,7 +292,7 @@ func (g *Manager) restore(at sim.Time, node int) {
 		if np := mn.Prof(); np != nil {
 			np.StableWrite(bytes)
 		}
-		g.rt.NodeRT(i).C.ReplayedMsgs += uint64(g.l.CkptReplayNode(i, snap.rel))
+		g.m.C.ReplayedMsgs += uint64(g.l.CkptReplayNode(i, snap.rel))
 		mn.Wake()
 	}
 }

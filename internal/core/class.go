@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // MethodFunc is a compiled method body. Method bodies are written in
@@ -34,7 +33,6 @@ type Class struct {
 	dormant   *VFT
 	active    *VFT
 	initTable *VFT
-	waitMu    sync.Mutex // guards waitCache
 	waitCache map[string]*VFT
 
 	// Multiactive declarations (Group / Priority). Declaring any
@@ -124,8 +122,6 @@ func (c *Class) buildTables(npat int) {
 // the same effect.
 func (c *Class) waitingVFT(pats []PatternID) *VFT {
 	key := waitKey(pats)
-	c.waitMu.Lock()
-	defer c.waitMu.Unlock()
 	if v, ok := c.waitCache[key]; ok {
 		return v
 	}

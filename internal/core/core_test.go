@@ -894,3 +894,19 @@ func TestRegistryAfterFreezePanics(t *testing.T) {
 	}()
 	r.Reg.Register("late", 0)
 }
+
+func TestFramePoolSpansNodes(t *testing.T) {
+	// One goroutine runs every node, so the runtime keeps one frame pool: a
+	// frame released on node 0 is the next one node 1 takes.
+	m, err := machine.New(machine.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRuntime(m, Options{})
+	n0, n1 := r.NodeRT(0), r.NodeRT(1)
+	f := n0.NewFrame(0, nil, NilAddress)
+	n0.releaseFrame(f)
+	if g := n1.NewFrame(0, nil, NilAddress); g != f {
+		t.Fatalf("node 1 took frame %p, want the one node 0 released (%p)", g, f)
+	}
+}

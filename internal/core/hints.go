@@ -63,11 +63,12 @@ func (n *NodeRT) sendHinted(to Address, p PatternID, args []Value, replyTo Addre
 	if to.Node != n.id {
 		n.C.RemoteSends++
 		n.node.SetPath(profile.RemoteSend)
-		// Stage the arguments in the node's scratch buffer: the interface
+		// Stage the arguments in the runtime's scratch buffer: the interface
 		// call would otherwise force the caller's argument slice to the
 		// heap. SendMessage copies before returning, so reuse is safe.
-		n.sendScratch = append(n.sendScratch[:0], args...)
-		n.rt.remote.SendMessage(n, to, p, n.sendScratch, replyTo)
+		r := n.rt
+		r.sendScratch = append(r.sendScratch[:0], args...)
+		r.remote.SendMessage(n, to, p, r.sendScratch, replyTo)
 		return
 	}
 	f := n.newFrame(p, args, replyTo, hints)

@@ -91,6 +91,20 @@ type Runtime struct {
 	// constructor-argument copy.
 	objects sim.Arena[Object]
 	values  sim.Arena[Value]
+	made    int // host Objects carved (ObjectsMade)
+
+	frameFree *Frame // recycled message frames, linked via next
+	ctxFree   []*Ctx // recycled invocation contexts
+
+	// sendScratch stages outgoing remote-send arguments for the interface
+	// call into the remote layer. The layer copies what it needs before
+	// returning (see Remote.SendMessage), so one reusable buffer suffices
+	// and the sender's variadic argument slice never escapes.
+	sendScratch []Value
+
+	// initCtx is the one InitCtx handed to lazy initializers, cleared after
+	// each call (a fresh one would escape through cl.Init).
+	initCtx InitCtx
 }
 
 // NewRuntime builds a runtime over the discrete-event machine m. Classes
@@ -115,7 +129,7 @@ func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 	r.nodes = make([]*NodeRT, m.Nodes())
 	for i := range r.nodes {
 		mn := m.Node(i)
-		r.nodes[i] = &NodeRT{rt: r, id: i, node: mn, cost: &m.Cfg.Cost, C: &mn.C}
+		r.nodes[i] = &NodeRT{rt: r, id: i, node: mn, cost: &m.Cfg.Cost, C: &m.C}
 		mn.Runner = r.nodes[i]
 	}
 	return r
@@ -240,25 +254,13 @@ func (r *Runtime) Run() error {
 	return r.M.Run()
 }
 
-// TotalStats aggregates counters across all nodes.
-func (r *Runtime) TotalStats() stats.Counters {
-	var t stats.Counters
-	for _, n := range r.nodes {
-		t.Add(n.C)
-	}
-	return t
-}
+// TotalStats returns the machine's counters.
+func (r *Runtime) TotalStats() stats.Counters { return r.M.C }
 
-// ObjectsMade reports how many host Objects the nodes have carved: objects,
+// ObjectsMade reports how many host Objects the runtime has carved: objects,
 // reply destinations and chunks alike. With every stocked chunk a count, a
 // run makes one per creation (and reply destination), none per idle chunk.
-func (r *Runtime) ObjectsMade() int {
-	made := 0
-	for _, n := range r.nodes {
-		made += n.made
-	}
-	return made
-}
+func (r *Runtime) ObjectsMade() int { return r.made }
 
 // newObject allocates an object of class cl on node. The object starts in
 // need-init mode when the class has an initializer, dormant otherwise.
@@ -299,9 +301,8 @@ func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
 // with the generic fault table installed, ready to buffer early messages.
 // Used by the remote-creation protocol, where the allocating node n is not
 // always the home: a requester popping its stock carves the chunk the popped
-// address names on the target, on the requester's lane because that is the
-// one running. The chunk joins its home's checkpoint list when the home
-// first touches it (InitChunk, faultEntry), on the home's lane.
+// address names on the target. The chunk joins its home's checkpoint list
+// when the home first touches it (InitChunk, faultEntry).
 func (n *NodeRT) NewFaultChunk(node int) *Object {
 	r := n.rt
 	r.Freeze()

@@ -23,21 +23,6 @@ type NodeRT struct {
 	stackDepth int
 	maxDepth   int // high-water mark, for reports
 
-	frameFree *Frame // free list of recycled message frames (linked via next)
-	ctxFree   []*Ctx // recycled invocation contexts
-
-	// sendScratch stages outgoing remote-send arguments for the interface
-	// call into the remote layer. The layer copies what it needs before
-	// returning (see Remote.SendMessage), so one reusable buffer suffices
-	// and the sender's variadic argument slice never escapes.
-	sendScratch []Value
-
-	made int // host Objects this node has carved (Runtime.ObjectsMade)
-
-	// initCtx is the one InitCtx handed to lazy initializers on this node,
-	// cleared after each call (a fresh one would escape through cl.Init).
-	initCtx InitCtx
-
 	// hosted lists the objects homed on this node in the order this node
 	// first touched them — created, initialized or buffered a message for —
 	// for checkpoint traversal: a chunk another node seeded joins when its
@@ -46,7 +31,7 @@ type NodeRT struct {
 	hosted []*Object
 	track  bool
 
-	C *stats.Counters // the machine node's counters (machine.Node.C)
+	C *stats.Counters // the machine's one counter record (machine.Machine.C)
 }
 
 // ID returns the node index.
@@ -64,19 +49,20 @@ func (n *NodeRT) SchedQueueLen() int { return n.schedQ.len() }
 // MaxObservedDepth returns the deepest stack-based invocation nesting seen.
 func (n *NodeRT) MaxObservedDepth() int { return n.maxDepth }
 
-// NewFrame returns a message frame from the node's free list (or a fresh
+// NewFrame returns a message frame from the runtime's free list (or a fresh
 // one), marked for recycling when the invocation it carries completes
-// without blocking. Only code running on this node may call it.
+// without blocking.
 func (n *NodeRT) NewFrame(p PatternID, args []Value, replyTo Address) *Frame {
 	return n.newFrame(p, args, replyTo, 0)
 }
 
 func (n *NodeRT) newFrame(p PatternID, args []Value, replyTo Address, hints SendHint) *Frame {
-	f := n.frameFree
+	r := n.rt
+	f := r.frameFree
 	if f == nil {
 		f = &Frame{}
 	} else {
-		n.frameFree = f.next
+		r.frameFree = f.next
 		f.next = nil
 	}
 	f.Pattern = p
@@ -102,8 +88,8 @@ func (n *NodeRT) releaseFrame(f *Frame) {
 	f.argBuf = [2]Value{} // drop any pointers held by inline arguments
 	f.ReplyTo = Address{}
 	f.hints = 0
-	f.next = n.frameFree
-	n.frameFree = f
+	f.next = n.rt.frameFree
+	n.rt.frameFree = f
 }
 
 // allocState carves a zeroed, capped state-variable slice, so an append
@@ -114,7 +100,7 @@ func (n *NodeRT) allocState(sz int) []Value { return n.rt.values.Slice(sz) }
 func (n *NodeRT) newObjectAt(node int) *Object {
 	obj := n.rt.objects.New()
 	obj.node = node
-	n.made++
+	n.rt.made++
 	return obj
 }
 
@@ -136,9 +122,10 @@ func (n *NodeRT) copyCtorArgs(ctorArgs []Value) []Value {
 // API contract (a blocking operation must be the method's last action) and
 // are left to the garbage collector.
 func (n *NodeRT) acquireCtx(obj *Object, f *Frame) *Ctx {
-	if len(n.ctxFree) > 0 {
-		c := n.ctxFree[len(n.ctxFree)-1]
-		n.ctxFree = n.ctxFree[:len(n.ctxFree)-1]
+	r := n.rt
+	if k := len(r.ctxFree); k > 0 {
+		c := r.ctxFree[k-1]
+		r.ctxFree = r.ctxFree[:k-1]
 		*c = Ctx{rt: n, self: obj, f: f}
 		return c
 	}
@@ -147,7 +134,7 @@ func (n *NodeRT) acquireCtx(obj *Object, f *Frame) *Ctx {
 
 func (n *NodeRT) releaseCtx(c *Ctx) {
 	*c = Ctx{}
-	n.ctxFree = append(n.ctxFree, c)
+	n.rt.ctxFree = append(n.rt.ctxFree, c)
 }
 
 // describe names an object for trace output.
@@ -288,7 +275,7 @@ func deliveryPath(k EntryKind, remoteIn bool) profile.Path {
 // when class attribution is on, a per-class mode count. Reply deliveries
 // (entryNative) are not counted as events — the now-send already counted the
 // round trip — so their instructions fold into the per-now-send cost.
-func (n *NodeRT) profDeliver(np *profile.NodeProf, obj *Object, k EntryKind, p profile.Path) {
+func (n *NodeRT) profDeliver(np *profile.Profiler, obj *Object, k EntryKind, p profile.Path) {
 	if p != profile.NowBlocked {
 		np.CountEvent(p, n.node.Now())
 	}
@@ -567,9 +554,10 @@ func makeInitEntry(cl *Class, p PatternID) entryFunc {
 	return func(n *NodeRT, obj *Object, f *Frame) {
 		n.node.Charge(n.cost.InitObject)
 		if cl.Init != nil {
-			n.initCtx = InitCtx{obj: obj, args: obj.ctorArgs}
-			cl.Init(&n.initCtx)
-			n.initCtx = InitCtx{}
+			ic := &n.rt.initCtx
+			*ic = InitCtx{obj: obj, args: obj.ctorArgs}
+			cl.Init(ic)
+			*ic = InitCtx{}
 		}
 		obj.ctorArgs = nil
 		tbl := cl.dormant

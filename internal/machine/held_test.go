@@ -35,8 +35,10 @@ func TestHeldDeliveryPin(t *testing.T) {
 	th := sha256.New()
 	m.SetTrace(trace.NewJSONL(th))
 	calls := sha256.New()
+	var recvd uint64
 	var hop func(n *Node, p *Packet)
 	hop = func(n *Node, p *Packet) {
+		recvd++
 		fmt.Fprintf(calls, "%d %d %d %d\n", n.ID, p.Src, p.Arrival, p.Seq)
 		n.Charge(100 + int(p.Seq%7)*60)
 		if p.Seq < 12 {
@@ -51,14 +53,8 @@ func TestHeldDeliveryPin(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var recvd, drops, dups, pauses uint64
-	for i := 0; i < nodes; i++ {
-		n := m.Node(i)
-		recvd += n.PacketsRecvd
-		drops, dups, pauses = drops+n.C.LinkDrops, dups+n.C.LinkDups, pauses+n.C.NodePauses
-	}
 	got := fmt.Sprintf("elapsed %d fired %d sent %d recvd %d drops %d dups %d pauses %d calls %s trace %s",
-		m.MaxClock(), m.Eng.Fired(), m.TotalPackets(), recvd, drops, dups, pauses,
+		m.MaxClock(), m.Eng.Fired(), m.TotalPackets(), recvd, m.C.LinkDrops, m.C.LinkDups, m.C.NodePauses,
 		hex.EncodeToString(calls.Sum(nil))[:16], hex.EncodeToString(th.Sum(nil))[:16])
 	if want := "elapsed 1875813 fired 1270 sent 944 recvd 933 drops 38 dups 27 pauses 2 calls f14b0cfeb9a335d5 trace 28a593784818bcf3"; got != want {
 		t.Errorf("\n got  %s\n want %s", got, want)

@@ -106,9 +106,8 @@ type FaultModel interface {
 }
 
 // SetFaults installs a fault model. Call before Run; a nil model restores
-// perfect reliability. The machine counts what the model injects on the
-// affected node (Node.C: drops and duplicates on the sender, pauses on the
-// paused node) and traces it.
+// perfect reliability. The machine counts what the model injects (Machine.C:
+// drops, duplicates and pauses) and traces it on the affected node.
 func (m *Machine) SetFaults(f FaultModel) { m.faults = f }
 
 // Faults returns the installed fault model (nil when the machine is
@@ -301,7 +300,6 @@ type Runner interface {
 type Node struct {
 	ID    int
 	Clock sim.Time // local virtual clock; may run ahead of engine time
-	Busy  sim.Time // accumulated compute time, for utilization
 
 	m             *Machine
 	lane          int      // engine event lane (node ID + 1; lane 0 is the host)
@@ -313,31 +311,17 @@ type Node struct {
 
 	// Per-(src,dst) FIFO clamps, on the sender's side: the last arrival
 	// scheduled to each destination, of the data stream and of the control
-	// virtual channel. Only the sending lane writes its rows; the control
-	// row is allocated on the node's first control send.
+	// virtual channel. The control row is allocated on the node's first
+	// control send.
 	arrivalTo []sim.Time
 	ctrlTo    []sim.Time
 
-	// prof is the node's cost-attribution accumulator (nil when profiling is
-	// off) and path the attribution register Charge reads: every instruction
-	// that advances Clock is attributed here, so the profile's rows sum to
-	// InstrCount by construction. The register is written unconditionally —
-	// a byte store is cheaper than guarding it — but only read when prof != nil.
-	prof *profile.NodeProf
+	// path is the attribution register Charge reads: every instruction that
+	// advances Clock is attributed to it in the machine's profiler, so the
+	// profile's rows sum to TotalInstr by construction. The register is
+	// written unconditionally — a byte store is cheaper than guarding it —
+	// but only read with a profiler attached.
 	path profile.Path
-
-	// Counters.
-	InstrCount   uint64
-	PacketsSent  uint64
-	PacketsRecvd uint64
-	BytesSent    uint64
-	CrashDrops   uint64 // packets lost at the controller while the node was down
-	EraDrops     uint64 // in-flight packets revoked by a checkpoint restore
-
-	// C is the node's runtime event counters, kept beside the clock: the
-	// machine counts the faults injected here, and every layer above counts
-	// its own events through the same record (core.NodeRT.C points at it).
-	C stats.Counters
 }
 
 // Machine is the full multicomputer: an event engine plus nodes and the
@@ -355,6 +339,19 @@ type Machine struct {
 	prof   *profile.Profiler
 	tr     trace.Sink
 
+	// C is the runtime event counters: the machine counts the faults it
+	// injects, and every layer above counts its own events through the same
+	// record (core.NodeRT.C points at it).
+	C stats.Counters
+
+	// Machine-wide totals over every node.
+	busy        sim.Time // accumulated compute time, for utilization
+	instr       uint64
+	packetsSent uint64
+	bytesSent   uint64
+	crashDrops  uint64 // packets lost at a controller while its node was down
+	eraDrops    uint64 // in-flight packets revoked by a checkpoint restore
+
 	// era is the current machine timeline. A global checkpoint restore
 	// bumps it, invalidating every packet launched before the restore (see
 	// Packet.era); zero-cost on the default path.
@@ -369,32 +366,14 @@ type Machine struct {
 }
 
 // TotalPackets returns the machine-wide count of transmitted packets.
-func (m *Machine) TotalPackets() uint64 {
-	var t uint64
-	for _, n := range m.nodes {
-		t += n.PacketsSent
-	}
-	return t
-}
+func (m *Machine) TotalPackets() uint64 { return m.packetsSent }
 
 // TotalBytes returns the machine-wide count of transmitted bytes.
-func (m *Machine) TotalBytes() uint64 {
-	var t uint64
-	for _, n := range m.nodes {
-		t += n.BytesSent
-	}
-	return t
-}
+func (m *Machine) TotalBytes() uint64 { return m.bytesSent }
 
 // TotalCrashDrops returns the machine-wide count of packets lost at dead
 // message controllers during crash outages.
-func (m *Machine) TotalCrashDrops() uint64 {
-	var t uint64
-	for _, n := range m.nodes {
-		t += n.CrashDrops
-	}
-	return t
-}
+func (m *Machine) TotalCrashDrops() uint64 { return m.crashDrops }
 
 // MaxNodes is the largest node count: the engine has MaxLanes lanes, one
 // per node and lane 0 for the host.
@@ -498,38 +477,23 @@ func (m *Machine) Utilization() float64 {
 	if span == 0 {
 		return 0
 	}
-	var busy sim.Time
-	for _, n := range m.nodes {
-		busy += n.Busy
-	}
-	return float64(busy) / (float64(span) * float64(len(m.nodes)))
+	return float64(m.busy) / (float64(span) * float64(len(m.nodes)))
 }
 
-// TotalInstr sums instruction counts over all nodes.
-func (m *Machine) TotalInstr() uint64 {
-	var t uint64
-	for _, n := range m.nodes {
-		t += n.InstrCount
-	}
-	return t
-}
+// TotalInstr returns the machine-wide instruction count.
+func (m *Machine) TotalInstr() uint64 { return m.instr }
 
 // SetProfiler attaches a cost-attribution profiler: from here on every
-// Charge is also attributed to the charging node's accumulator. Call before
-// Run; the profiler only observes.
-func (m *Machine) SetProfiler(p *profile.Profiler) {
-	m.prof = p
-	for i, n := range m.nodes {
-		n.prof = p.Node(i)
-	}
-}
+// Charge is also attributed in it. Call before Run; the profiler only
+// observes.
+func (m *Machine) SetProfiler(p *profile.Profiler) { m.prof = p }
 
 // Profiler returns the attached profiler (nil when profiling is off).
 func (m *Machine) Profiler() *profile.Profiler { return m.prof }
 
-// Prof returns the node's attribution accumulator (nil when profiling is
-// off), for the event, packet and class counts charged beside instructions.
-func (n *Node) Prof() *profile.NodeProf { return n.prof }
+// Prof returns the machine's profiler (nil when profiling is off), for the
+// event, packet and class counts a node charges beside instructions.
+func (n *Node) Prof() *profile.Profiler { return n.m.prof }
 
 // SetPath sets the node's attribution register and returns the previous
 // value. Dispatch boundaries and handler bodies bracket their work with it
@@ -554,12 +518,13 @@ func (n *Node) ChargeTo(p profile.Path, instr int) {
 	if instr <= 0 {
 		return
 	}
-	d := sim.Time(float64(instr)*n.m.nsPerInstr + 0.5)
+	m := n.m
+	d := sim.Time(float64(instr)*m.nsPerInstr + 0.5)
 	n.Clock += d
-	n.Busy += d
-	n.InstrCount += uint64(instr)
-	if n.prof != nil {
-		n.prof.ChargeInstr(p, instr, n.Clock)
+	m.busy += d
+	m.instr += uint64(instr)
+	if m.prof != nil {
+		m.prof.ChargeInstr(n.ID, p, instr, n.Clock)
 	}
 }
 
@@ -570,7 +535,7 @@ func (n *Node) ChargeNs(d sim.Time) {
 		return
 	}
 	n.Clock += d
-	n.Busy += d
+	n.m.busy += d
 }
 
 // SyncClock advances the node's clock to at least t without accruing busy
@@ -616,8 +581,8 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	hops := n.m.Cfg.Topology.Hops(n.ID, p.Dst)
 	base := n.m.Cfg.Net.Latency(hops, int(p.Size))
 
-	n.PacketsSent++
-	n.BytesSent += uint64(p.Size)
+	n.m.packetsSent++
+	n.m.bytesSent += uint64(p.Size)
 
 	// Consult the fault model: one extra-latency entry per physical copy.
 	copies := oneCopy
@@ -625,7 +590,7 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 		copies = n.m.faults.Link(n.ID, p.Dst, at, int(p.Size))
 	}
 	if len(copies) == 0 {
-		n.C.LinkDrops++
+		n.m.C.LinkDrops++
 		n.m.Tracef(at, n.ID, trace.EvLinkDrop, "dropped cat-%d packet to n%d", p.Category, p.Dst)
 		// The packet never reaches a receiver, so the sender recycles it.
 		n.ReleasePacket(p)
@@ -655,7 +620,7 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 			dup := *p
 			dup.pooled = false
 			cp = &dup
-			n.C.LinkDups++
+			n.m.C.LinkDups++
 			n.m.Tracef(at, n.ID, trace.EvLinkDup, "duplicated cat-%d packet to n%d", p.Category, p.Dst)
 		}
 		arrival := at + base + extra
@@ -690,7 +655,7 @@ var oneCopy = []sim.Time{0}
 func (n *Node) BeginOutage(until sim.Time) {
 	n.downUntil = until
 	for p := n.rxPop(); p != nil; p = n.rxPop() {
-		n.CrashDrops++
+		n.m.crashDrops++
 		n.ReleasePacket(p)
 	}
 }
@@ -718,20 +683,14 @@ func (m *Machine) BumpEra() { m.era++ }
 // queues of surviving nodes before their state is rolled back.
 func (n *Node) DropRx() {
 	for p := n.rxPop(); p != nil; p = n.rxPop() {
-		n.EraDrops++
+		n.m.eraDrops++
 		n.ReleasePacket(p)
 	}
 }
 
 // TotalEraDrops returns the machine-wide count of packets revoked by
 // checkpoint restores.
-func (m *Machine) TotalEraDrops() uint64 {
-	var t uint64
-	for _, n := range m.nodes {
-		t += n.EraDrops
-	}
-	return t
-}
+func (m *Machine) TotalEraDrops() uint64 { return m.eraDrops }
 
 // deliver runs at the packet's arrival time at, as an event on the
 // destination's lane: the message controller hook fires first (hook: the
@@ -744,14 +703,14 @@ func (n *Node) deliver(at sim.Time, p *Packet, hook bool) {
 	if n.m.era != 0 && p.era != n.m.era {
 		// Launched before a global checkpoint restore: the timeline that
 		// produced this packet was rolled back, so it never happened.
-		n.EraDrops++
+		n.m.eraDrops++
 		n.ReleasePacket(p)
 		return
 	}
 	if n.downUntil > at {
 		// The node is crashed: its message controller is dead, so the packet
 		// is lost in its entirety — no OnArrive, no ack, no buffering.
-		n.CrashDrops++
+		n.m.crashDrops++
 		n.ReleasePacket(p)
 		return
 	}
@@ -812,7 +771,7 @@ func (n *Node) resumeAt(now sim.Time) {
 		if until := f.PausedUntil(n.ID, now); until > now {
 			// The node is inside an injected pause window: defer this turn
 			// to the window's end. Arriving packets keep buffering in rx.
-			n.C.NodePauses++
+			n.m.C.NodePauses++
 			n.m.Tracef(now, n.ID, trace.EvNodePause, "paused until %v", until)
 			n.resumePending = true
 			n.m.Eng.ScheduleFuncOn(n.lane, until, func() {
@@ -845,7 +804,6 @@ func (n *Node) Poll() {
 	// embedded header releases the record around it, after which p reads as
 	// a zeroed, non-pooled packet and ReleasePacket leaves it alone.
 	for p := n.rxPop(); p != nil; p = n.rxPop() {
-		n.PacketsRecvd++
 		if p.Handler != nil {
 			p.Handler(n, p)
 		}

@@ -3,9 +3,10 @@
 // charged to a *path* — the paper's Section 6 cost categories (stack-invoked
 // dormant sends, queued active sends, context restorations, heap-frame
 // now-blocks, the remote send/receive halves, creation, checkpointing,
-// retransmission) — and optionally to the receiver's class. Accumulation is
-// per node, so the discrete-event lanes never share a cache line, and the
-// whole subsystem costs a single nil check per charge when disabled.
+// retransmission) — and optionally to the receiver's class. One accumulator
+// serves the whole machine; only the per-node instruction and packet totals
+// of Report.Nodes are kept per node. The whole subsystem costs a single nil
+// check per charge when disabled.
 //
 // A Profiler only observes: it charges nothing to the simulated machine and
 // never reads state the engine could branch on, so enabling it cannot change
@@ -88,10 +89,9 @@ type Slice struct {
 	Utilization float64  `json:"utilization,omitempty"`
 }
 
-// NodeProf is one node's accumulator set. It is touched only from the node's
-// own event lane, like the stats.Counters it lives beside.
-type NodeProf struct {
-	win sim.Time
+// Profiler is a machine's accumulator set and class-name registry.
+type Profiler struct {
+	opt Options
 
 	instr   [NumPaths]uint64
 	events  [NumPaths]uint64
@@ -104,6 +104,22 @@ type NodeProf struct {
 	groups     [][3]uint64 // per registered group id: started/parked/dispatched
 
 	slices []Slice
+
+	nodeInstr   []uint64 // per node: instructions charged (Report.Nodes)
+	nodePackets []uint64 // per node: wire records sent (Report.Nodes)
+
+	classNames []string
+	groupNames []groupName
+}
+
+type groupName struct {
+	class string
+	group string
+}
+
+// New builds a profiler for a machine of n nodes.
+func New(n int, opt Options) *Profiler {
+	return &Profiler{opt: opt, nodeInstr: make([]uint64, n), nodePackets: make([]uint64, n)}
 }
 
 // Delivery modes for ClassDeliver.
@@ -121,47 +137,51 @@ const (
 	GroupDispatched = 2 // a parked invocation was dispatched by the scheduler
 )
 
-// ChargeInstr attributes instr simulated instructions to path p at time at.
-func (np *NodeProf) ChargeInstr(p Path, instr int, at sim.Time) {
-	np.instr[p] += uint64(instr)
-	if np.win > 0 {
-		np.slice(at).Instr += uint64(instr)
+// ChargeInstr attributes instr simulated instructions charged on node to
+// path pa at time at.
+func (p *Profiler) ChargeInstr(node int, pa Path, instr int, at sim.Time) {
+	p.instr[pa] += uint64(instr)
+	p.nodeInstr[node] += uint64(instr)
+	if p.opt.Window > 0 {
+		p.slice(at).Instr += uint64(instr)
 	}
 }
 
-// CountEvent counts one occurrence of path p (one message, one creation, one
+// CountEvent counts one occurrence of path pa (one message, one creation, one
 // checkpoint save, ...), so per-event instruction costs can be derived.
-func (np *NodeProf) CountEvent(p Path, at sim.Time) {
-	np.events[p]++
-	if np.win > 0 {
-		np.slice(at).Events++
+func (p *Profiler) CountEvent(pa Path, at sim.Time) {
+	p.events[pa]++
+	if p.opt.Window > 0 {
+		p.slice(at).Events++
 	}
 }
 
-// Packet attributes one wire record of the given size to path p.
-func (np *NodeProf) Packet(p Path, bytes int, at sim.Time) {
-	np.packets[p]++
-	np.bytes[p] += uint64(bytes)
-	if np.win > 0 {
-		np.slice(at).Packets++
+// Packet attributes one wire record of the given size, sent by node, to
+// path pa.
+func (p *Profiler) Packet(node int, pa Path, bytes int, at sim.Time) {
+	p.packets[pa]++
+	p.nodePackets[node]++
+	p.bytes[pa] += uint64(bytes)
+	if p.opt.Window > 0 {
+		p.slice(at).Packets++
 	}
 }
 
 // PacketBytes attributes wire bytes without a record of their own (ack
 // framing piggybacked on a data packet).
-func (np *NodeProf) PacketBytes(p Path, bytes int) {
-	np.bytes[p] += uint64(bytes)
+func (p *Profiler) PacketBytes(pa Path, bytes int) {
+	p.bytes[pa] += uint64(bytes)
 }
 
 // StableWrite attributes bytes moved to or from the simulated stable store.
-func (np *NodeProf) StableWrite(bytes int) {
-	np.stable += uint64(bytes)
+func (p *Profiler) StableWrite(bytes int) {
+	p.stable += uint64(bytes)
 }
 
-// QueueDepth samples the node's scheduling-queue depth for the time series.
-func (np *NodeProf) QueueDepth(depth int, at sim.Time) {
-	if np.win > 0 {
-		if s := np.slice(at); depth > s.MaxQueue {
+// QueueDepth samples a node's scheduling-queue depth for the time series.
+func (p *Profiler) QueueDepth(depth int, at sim.Time) {
+	if p.opt.Window > 0 {
+		if s := p.slice(at); depth > s.MaxQueue {
 			s.MaxQueue = depth
 		}
 	}
@@ -169,72 +189,48 @@ func (np *NodeProf) QueueDepth(depth int, at sim.Time) {
 
 // ClassDeliver counts one delivery to class cls in the given mode
 // (DeliverDormant/DeliverActive/DeliverRestore).
-func (np *NodeProf) ClassDeliver(cls int, mode int) {
-	np.growClass(cls)
-	np.classDeliv[cls][mode]++
+func (p *Profiler) ClassDeliver(cls int, mode int) {
+	p.growClass(cls)
+	p.classDeliv[cls][mode]++
 }
 
 // ClassInstr attributes method-body instructions to class cls.
-func (np *NodeProf) ClassInstr(cls int, instr int) {
-	np.growClass(cls)
-	np.classInstr[cls] += uint64(instr)
+func (p *Profiler) ClassInstr(cls int, instr int) {
+	p.growClass(cls)
+	p.classInstr[cls] += uint64(instr)
 }
 
 // GroupEvent counts one multiactive scheduling event for the registered
 // group gid (GroupStarted/GroupParked/GroupDispatched). Group ids come from
 // Profiler.RegisterGroup; gid < 0 (no profiler registration) is ignored.
-func (np *NodeProf) GroupEvent(gid int, kind int) {
+func (p *Profiler) GroupEvent(gid int, kind int) {
 	if gid < 0 {
 		return
 	}
-	for len(np.groups) <= gid {
-		np.groups = append(np.groups, [3]uint64{})
+	for len(p.groups) <= gid {
+		p.groups = append(p.groups, [3]uint64{})
 	}
-	np.groups[gid][kind]++
+	p.groups[gid][kind]++
 }
 
-func (np *NodeProf) growClass(cls int) {
-	for len(np.classInstr) <= cls {
-		np.classInstr = append(np.classInstr, 0)
-		np.classDeliv = append(np.classDeliv, [4]uint64{})
+func (p *Profiler) growClass(cls int) {
+	for len(p.classInstr) <= cls {
+		p.classInstr = append(p.classInstr, 0)
+		p.classDeliv = append(p.classDeliv, [4]uint64{})
 	}
 }
 
-func (np *NodeProf) slice(at sim.Time) *Slice {
+func (p *Profiler) slice(at sim.Time) *Slice {
+	win := p.opt.Window
 	idx := 0
 	if at > 0 {
-		idx = int(at / np.win)
+		idx = int(at / win)
 	}
-	for len(np.slices) <= idx {
-		np.slices = append(np.slices, Slice{Start: sim.Time(len(np.slices)) * np.win})
+	for len(p.slices) <= idx {
+		p.slices = append(p.slices, Slice{Start: sim.Time(len(p.slices)) * win})
 	}
-	return &np.slices[idx]
+	return &p.slices[idx]
 }
-
-// Profiler owns the per-node accumulators and the class-name registry.
-type Profiler struct {
-	opt        Options
-	nodes      []NodeProf
-	classNames []string
-	groupNames []groupName
-}
-
-type groupName struct {
-	class string
-	group string
-}
-
-// New builds a profiler for a machine of n nodes.
-func New(n int, opt Options) *Profiler {
-	p := &Profiler{opt: opt, nodes: make([]NodeProf, n)}
-	for i := range p.nodes {
-		p.nodes[i].win = opt.Window
-	}
-	return p
-}
-
-// Node returns node i's accumulator.
-func (p *Profiler) Node(i int) *NodeProf { return &p.nodes[i] }
 
 // RegisterClass records the name of class id for reports. Called by the
 // runtime at freeze.
@@ -246,7 +242,7 @@ func (p *Profiler) RegisterClass(id int, name string) {
 }
 
 // RegisterGroup records one compatibility group of a multiactive class and
-// returns its dense group id, used by NodeProf.GroupEvent. Called by the
+// returns its dense group id, used by GroupEvent. Called by the
 // runtime at freeze, so ids are identical across same-program runs.
 func (p *Profiler) RegisterGroup(class, group string) int {
 	p.groupNames = append(p.groupNames, groupName{class: class, group: group})
@@ -311,61 +307,50 @@ type Report struct {
 	Nodes           []NodeStat  `json:"nodes,omitempty"`
 }
 
-// Report aggregates every node's accumulators. Paths with no activity are
-// omitted; rows appear in taxonomy order.
+// Report renders the accumulators. Paths with no activity are omitted; rows
+// appear in taxonomy order.
 func (p *Profiler) Report() *Report {
 	r := &Report{Window: p.opt.Window}
-	var instr, events, packets, bytes [NumPaths]uint64
-	var stable uint64
-	for i := range p.nodes {
-		np := &p.nodes[i]
-		var nodeInstr, nodePackets uint64
-		for pa := Path(0); pa < NumPaths; pa++ {
-			instr[pa] += np.instr[pa]
-			events[pa] += np.events[pa]
-			packets[pa] += np.packets[pa]
-			bytes[pa] += np.bytes[pa]
-			nodeInstr += np.instr[pa]
-			nodePackets += np.packets[pa]
-		}
-		stable += np.stable
-		r.TotalInstr += nodeInstr
-		r.Nodes = append(r.Nodes, NodeStat{Node: i, Instr: nodeInstr, Packets: nodePackets})
+	for pa := Path(0); pa < NumPaths; pa++ {
+		r.TotalInstr += p.instr[pa]
+	}
+	for i := range p.nodeInstr {
+		r.Nodes = append(r.Nodes, NodeStat{Node: i, Instr: p.nodeInstr[i], Packets: p.nodePackets[i]})
 	}
 	for pa := Path(0); pa < NumPaths; pa++ {
-		if instr[pa] == 0 && events[pa] == 0 && packets[pa] == 0 && bytes[pa] == 0 {
+		if p.instr[pa] == 0 && p.events[pa] == 0 && p.packets[pa] == 0 && p.bytes[pa] == 0 {
 			continue
 		}
 		ps := PathStat{
 			Path:      pa.String(),
-			Events:    events[pa],
-			Instr:     instr[pa],
-			Packets:   packets[pa],
-			WireBytes: bytes[pa],
+			Events:    p.events[pa],
+			Instr:     p.instr[pa],
+			Packets:   p.packets[pa],
+			WireBytes: p.bytes[pa],
 		}
 		if pa == Ckpt {
-			ps.StableBytes = stable
+			ps.StableBytes = p.stable
 		}
-		if events[pa] > 0 {
-			ps.InstrPerEvent = float64(instr[pa]) / float64(events[pa])
+		if p.events[pa] > 0 {
+			ps.InstrPerEvent = float64(p.instr[pa]) / float64(p.events[pa])
 		}
 		if r.TotalInstr > 0 {
-			ps.InstrShare = float64(instr[pa]) / float64(r.TotalInstr)
+			ps.InstrShare = float64(p.instr[pa]) / float64(r.TotalInstr)
 		}
 		r.Paths = append(r.Paths, ps)
 	}
-	if local := events[LocalDormant] + events[LocalActive] + events[Restore]; local > 0 {
-		r.DormantFraction = float64(events[LocalDormant]) / float64(local)
+	if local := p.events[LocalDormant] + p.events[LocalActive] + p.events[Restore]; local > 0 {
+		r.DormantFraction = float64(p.events[LocalDormant]) / float64(local)
 	}
 	r.Classes = p.classReport()
 	r.Groups = p.groupReport()
-	r.Slices = p.mergeSlices()
+	r.Slices = p.sliceReport()
 	return r
 }
 
-// groupReport aggregates the per-group accumulators across nodes. Rows appear
-// in registration (freeze) order; groups with no activity are kept so a
-// contention study sees every declared group, active or idle.
+// groupReport lists the groups in registration (freeze) order; groups with
+// no activity are kept so a contention study sees every declared group,
+// active or idle.
 func (p *Profiler) groupReport() []GroupStat {
 	if len(p.groupNames) == 0 {
 		return nil
@@ -373,40 +358,23 @@ func (p *Profiler) groupReport() []GroupStat {
 	out := make([]GroupStat, len(p.groupNames))
 	for gid, gn := range p.groupNames {
 		out[gid] = GroupStat{Class: gn.class, Group: gn.group}
-		for i := range p.nodes {
-			np := &p.nodes[i]
-			if gid < len(np.groups) {
-				out[gid].Started += np.groups[gid][GroupStarted]
-				out[gid].Parked += np.groups[gid][GroupParked]
-				out[gid].Dispatched += np.groups[gid][GroupDispatched]
-			}
+		if gid < len(p.groups) {
+			g := p.groups[gid]
+			out[gid].Started, out[gid].Parked, out[gid].Dispatched = g[GroupStarted], g[GroupParked], g[GroupDispatched]
 		}
 	}
 	return out
 }
 
 func (p *Profiler) classReport() []ClassStat {
-	n := 0
-	for i := range p.nodes {
-		if l := len(p.nodes[i].classInstr); l > n {
-			n = l
-		}
-	}
-	if len(p.classNames) > n {
-		n = len(p.classNames)
-	}
+	n := max(len(p.classInstr), len(p.classNames))
 	out := make([]ClassStat, 0, n)
 	for cls := 0; cls < n; cls++ {
 		cs := ClassStat{Class: className(p.classNames, cls)}
-		for i := range p.nodes {
-			np := &p.nodes[i]
-			if cls < len(np.classInstr) {
-				cs.BodyInstr += np.classInstr[cls]
-				cs.Dormant += np.classDeliv[cls][DeliverDormant]
-				cs.Active += np.classDeliv[cls][DeliverActive]
-				cs.Restore += np.classDeliv[cls][DeliverRestore]
-				cs.Multi += np.classDeliv[cls][DeliverMulti]
-			}
+		if cls < len(p.classInstr) {
+			d := p.classDeliv[cls]
+			cs.BodyInstr = p.classInstr[cls]
+			cs.Dormant, cs.Active, cs.Restore, cs.Multi = d[DeliverDormant], d[DeliverActive], d[DeliverRestore], d[DeliverMulti]
 		}
 		if cs.BodyInstr == 0 && cs.Dormant == 0 && cs.Active == 0 && cs.Restore == 0 && cs.Multi == 0 {
 			continue
@@ -423,35 +391,15 @@ func className(names []string, id int) string {
 	return "class(?)"
 }
 
-func (p *Profiler) mergeSlices() []Slice {
-	if p.opt.Window <= 0 {
+// sliceReport returns the time series with utilization derived from InstrNs
+// over the whole machine's capacity for each window.
+func (p *Profiler) sliceReport() []Slice {
+	if p.opt.Window <= 0 || len(p.slices) == 0 {
 		return nil
 	}
-	n := 0
-	for i := range p.nodes {
-		if l := len(p.nodes[i].slices); l > n {
-			n = l
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Slice, n)
-	for k := range out {
-		out[k].Start = sim.Time(k) * p.opt.Window
-	}
-	for i := range p.nodes {
-		for k, s := range p.nodes[i].slices {
-			out[k].Instr += s.Instr
-			out[k].Events += s.Events
-			out[k].Packets += s.Packets
-			if s.MaxQueue > out[k].MaxQueue {
-				out[k].MaxQueue = s.MaxQueue
-			}
-		}
-	}
+	out := append([]Slice(nil), p.slices...)
 	if p.opt.InstrNs > 0 {
-		denom := float64(p.opt.Window) * float64(len(p.nodes))
+		denom := float64(p.opt.Window) * float64(len(p.nodeInstr))
 		for k := range out {
 			out[k].Utilization = p.opt.InstrNs * float64(out[k].Instr) / denom
 		}

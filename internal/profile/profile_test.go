@@ -11,14 +11,13 @@ func TestSliceBucketingAtWindowBoundaries(t *testing.T) {
 	// A bucket is [Start, Start+Window): the boundary instant belongs to the
 	// bucket it opens, and buckets nothing touched are still emitted, empty.
 	p := New(1, Options{Window: 100})
-	np := p.Node(0)
-	np.ChargeInstr(Body, 1, 0)
-	np.ChargeInstr(Body, 2, 99)
-	np.ChargeInstr(Body, 4, 100)
-	np.CountEvent(Body, 199)
-	np.Packet(RemoteSend, 16, 200)
-	np.QueueDepth(3, 450)
-	np.QueueDepth(2, 460) // a bucket keeps its deepest sample
+	p.ChargeInstr(0, Body, 1, 0)
+	p.ChargeInstr(0, Body, 2, 99)
+	p.ChargeInstr(0, Body, 4, 100)
+	p.CountEvent(Body, 199)
+	p.Packet(0, RemoteSend, 16, 200)
+	p.QueueDepth(3, 450)
+	p.QueueDepth(2, 460) // a bucket keeps its deepest sample
 	want := []Slice{
 		{Start: 0, Instr: 3},
 		{Start: 100, Instr: 4, Events: 1},
@@ -31,24 +30,24 @@ func TestSliceBucketingAtWindowBoundaries(t *testing.T) {
 	}
 	// Without a window there is no time series at all.
 	q := New(1, Options{})
-	q.Node(0).ChargeInstr(Body, 7, 12345)
+	q.ChargeInstr(0, Body, 7, 12345)
 	if r := q.Report(); r.Slices != nil || r.TotalInstr != 7 {
 		t.Errorf("unwindowed report: slices %v, total %d; want none, 7", r.Slices, r.TotalInstr)
 	}
 }
 
 func TestMergeSlicesAcrossNodes(t *testing.T) {
-	// Nodes stop at different buckets: the merged series runs to the latest,
-	// sums the counts, takes the deepest queue, and derives utilization from
-	// InstrNs over the whole machine's capacity for the window.
+	// Nodes stop at different buckets: the series runs to the latest, sums
+	// the counts of every node, takes the deepest queue, and derives
+	// utilization from InstrNs over the whole machine's capacity for the
+	// window; each node keeps its own instruction and packet totals.
 	p := New(2, Options{Window: 1000, InstrNs: 100})
-	a, b := p.Node(0), p.Node(1)
-	a.ChargeInstr(Body, 4, 10)
-	a.QueueDepth(2, 10)
-	b.ChargeInstr(Create, 6, 500)
-	b.QueueDepth(5, 500)
-	b.ChargeInstr(Create, 10, 2500)
-	b.Packet(Create, 8, 2500)
+	p.ChargeInstr(0, Body, 4, 10)
+	p.QueueDepth(2, 10)
+	p.ChargeInstr(1, Create, 6, 500)
+	p.QueueDepth(5, 500)
+	p.ChargeInstr(1, Create, 10, 2500)
+	p.Packet(1, Create, 8, 2500)
 	want := []Slice{
 		{Start: 0, Instr: 10, MaxQueue: 5, Utilization: 100 * 10.0 / (1000 * 2)},
 		{Start: 1000},
@@ -56,14 +55,14 @@ func TestMergeSlicesAcrossNodes(t *testing.T) {
 	}
 	r := p.Report()
 	if !reflect.DeepEqual(r.Slices, want) {
-		t.Errorf("merged slices = %+v\nwant            %+v", r.Slices, want)
+		t.Errorf("slices = %+v\nwant     %+v", r.Slices, want)
 	}
 	if wantNodes := []NodeStat{{Node: 0, Instr: 4}, {Node: 1, Instr: 16, Packets: 1}}; !reflect.DeepEqual(r.Nodes, wantNodes) {
 		t.Errorf("node totals = %+v, want %+v", r.Nodes, wantNodes)
 	}
 	// InstrNs zero leaves utilization out rather than guessing a clock.
 	q := New(1, Options{Window: sim.Microsecond})
-	q.Node(0).ChargeInstr(Body, 50, 1)
+	q.ChargeInstr(0, Body, 50, 1)
 	if u := q.Report().Slices[0].Utilization; u != 0 {
 		t.Errorf("utilization without InstrNs = %v, want 0", u)
 	}
@@ -73,10 +72,9 @@ func TestUnattributedChargeIsTheOtherRow(t *testing.T) {
 	// The zero Path is Other: a charge made before anything set a path gets a
 	// visible row of its own, in taxonomy order, and counts in the total.
 	p := New(1, Options{})
-	np := p.Node(0)
 	var unset Path
-	np.ChargeInstr(unset, 30, 0)
-	np.ChargeInstr(Body, 70, 0)
+	p.ChargeInstr(0, unset, 30, 0)
+	p.ChargeInstr(0, Body, 70, 0)
 	r := p.Report()
 	if r.TotalInstr != 100 || len(r.Paths) != 2 {
 		t.Fatalf("report = %+v, want two rows summing to 100", r)

@@ -42,7 +42,7 @@ const DefaultBatchBytes = 512
 
 // batcher is the machine-wide batching configuration; the open batch of each
 // (src, dst) pair that actually communicates lives in an openBatch record of
-// the sender's, touched only from the sender's event lane.
+// the sender's.
 type batcher struct {
 	l         *Layer
 	window    sim.Time
@@ -172,8 +172,8 @@ func (b *batcher) flush(mn *machine.Node, ob *openBatch) {
 		// owes the destination for free (plus a few bytes of framing).
 		l.rel.piggybackOnPacket(mn, pkt, at)
 	}
-	mn.C.BatchesSent++
-	mn.C.BatchedMsgs += uint64(n)
+	b.l.m.C.BatchesSent++
+	b.l.m.C.BatchedMsgs += uint64(n)
 	if l.rt.Tracing() {
 		l.rt.Tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, pkt.Dst, pkt.Size)
 	}

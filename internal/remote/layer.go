@@ -243,7 +243,7 @@ func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size int, category int
 	// frames and retransmitted copies are attributed at their own sites
 	// so nothing is counted twice.
 	if np := mn.Prof(); np != nil {
-		np.Packet(pathForCategory(category), size, mn.Now())
+		np.Packet(mn.ID, pathForCategory(category), size, mn.Now())
 	}
 	if l.rel != nil {
 		l.rel.send(mn, w)
@@ -334,8 +334,7 @@ const DefaultStockDepth = 2
 // stockEntry is one node's chunk stock for a (target, class) pair. The
 // requester finds it through its stock map on every remote creation; the
 // refill round trip carries the entry pointer itself, so the category-2/3
-// handlers touch no maps. Entries are carved on the owning node's lane and
-// never move.
+// handlers touch no maps. Entries are carved once and never move.
 //
 // A stocked chunk is a count. The paper's stock holds addresses of chunks on
 // the target (§5.2), and nothing can reach a stocked chunk until a creation
@@ -512,8 +511,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		e.n--
 		// The popped address names a chunk on the target that nothing could
 		// reach before this pop: its Object is carved now, homed on the
-		// target but on this node's lane — the target's lane may be running
-		// on another worker.
+		// target.
 		chunk := n.NewFaultChunk(target)
 		mn.ChargeTo(profile.Create, c.StockPop)
 		if np := mn.Prof(); np != nil {

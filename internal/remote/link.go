@@ -7,9 +7,7 @@ import (
 
 // link is what one node keeps about one peer for the reliable, delayed-ack
 // and batching layers that a message on a lossless link touches: one cache
-// line, created on first contact in either direction, carved on the owning
-// node's lane, never released. Only that lane touches it —
-// acknowledgments arrive back on the sender's lane.
+// line, created on first contact in either direction, never released.
 type link struct {
 	peer         int32
 	owed         int32      // delayed-ack ledger: arrivals not yet acknowledged

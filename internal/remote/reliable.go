@@ -211,7 +211,7 @@ func (r *reliable) send(mn *machine.Node, w *wireMsg) {
 	if r.l.ckpt != nil {
 		ns.coldFor(dst).ret.retain(src, dst, m)
 	}
-	mn.C.RelSent++
+	r.l.m.C.RelSent++
 	r.xmit(mn, ns, m)
 }
 
@@ -286,7 +286,7 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 		// owes.
 		return
 	}
-	c := &mn.C
+	c := &r.l.m.C
 	if int(m.attempts)+1 >= DefaultMaxAttempts {
 		// Give up loudly: the message counts as lost so scenario assertions
 		// and LostMessages() surface it.
@@ -305,7 +305,7 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 	mn.SyncClock(mn.EventNow())
 	mn.ChargeTo(profile.Retransmit, r.l.cost().RemoteSendSetup)
 	if np := mn.Prof(); np != nil {
-		np.Packet(profile.Retransmit, int(m.size), mn.Now())
+		np.Packet(mn.ID, profile.Retransmit, int(m.size), mn.Now())
 	}
 	if r.l.rt.Tracing() {
 		r.l.rt.Tracef(mn.Now(), mn.ID, trace.EvRetry,
@@ -334,7 +334,7 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 	src, seq := pkt.Src, pkt.Seq
 	k := r.l.link(rn.ID, src)
 	ns := r.l.nodes[rn.ID]
-	c := &rn.C
+	c := &r.l.m.C
 
 	next := k.nextExpected
 	switch {
@@ -403,9 +403,9 @@ func (r *reliable) ack(rn *machine.Node, dst, size int, h func(*machine.Node, *m
 
 // sendAck acknowledges one copy of (src link, seq) the instant it arrives.
 func (r *reliable) sendAck(rn *machine.Node, src int, seq uint64, at sim.Time) {
-	rn.C.AcksSent++
+	r.l.m.C.AcksSent++
 	if np := rn.Prof(); np != nil {
-		np.Packet(profile.Ack, ackBytes, at)
+		np.Packet(rn.ID, profile.Ack, ackBytes, at)
 	}
 	p := r.ack(rn, src, ackBytes, r.hAck)
 	p.Seq = seq
@@ -532,10 +532,10 @@ func (r *reliable) emit(rn *machine.Node, ns *nodeState, k *link, at sim.Time) {
 	size := ackBytes + 8*len(sel)
 	owed := k.owed
 	k.owed = 0
-	c := &rn.C
+	c := &r.l.m.C
 	c.AcksSent++
 	if np := rn.Prof(); np != nil {
-		np.Packet(profile.Ack, size, at)
+		np.Packet(rn.ID, profile.Ack, size, at)
 	}
 	if owed > 1 {
 		c.AcksCoalesced += uint64(owed - 1)
@@ -564,7 +564,7 @@ func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (k *link, owed i
 	}
 	owed, sel = k.owed, r.l.nodes[mn.ID].selAcks(k.peer)
 	k.owed = 0
-	mn.C.AcksCoalesced += uint64(owed)
+	r.l.m.C.AcksCoalesced += uint64(owed)
 	if np := mn.Prof(); np != nil {
 		np.PacketBytes(profile.Ack, 8+8*len(sel))
 	}

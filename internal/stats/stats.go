@@ -1,14 +1,12 @@
 // Package stats collects runtime event counters for the ABCL system: message
 // sends classified by receiver mode, creations, scheduling-queue traffic,
-// chunk-stock behaviour and blocking events. Counters are per node and can
-// be aggregated for whole-machine reports.
+// chunk-stock behaviour and blocking events. A machine keeps one record,
+// counted into by every node and read whole by the reports.
 package stats
 
-import "reflect"
-
 // Counters is a set of monotonically increasing event counts. The zero value
-// is ready to use. Counters is not safe for concurrent use; in the
-// discrete-event simulator each instance is owned by one node.
+// is ready to use. Counters is not safe for concurrent use; the
+// discrete-event simulator's one goroutine owns it.
 type Counters struct {
 	// Intra-node message sends by receiver state at delivery time.
 	LocalToDormant uint64 // invoked immediately on the sender's stack
@@ -37,7 +35,7 @@ type Counters struct {
 	StockMisses     uint64 // empty stock: blocking round trip
 	FaultBuffered   uint64 // messages buffered by the generic fault table
 
-	// Fault injection (attributed to the sending node for link faults).
+	// Fault injection.
 	LinkDrops  uint64 // packets dropped by injected link faults
 	LinkDups   uint64 // extra packet copies injected by link faults
 	NodePauses uint64 // execution windows deferred by injected node pauses
@@ -60,7 +58,7 @@ type Counters struct {
 	CkptSaves    uint64 // node snapshots written to simulated stable store
 	CkptBytes    uint64 // stable-store bytes across those snapshots
 	CkptRounds   uint64 // coordinated snapshot rounds completed (coordinator)
-	NodeCrashes  uint64 // crash faults that hit this node
+	NodeCrashes  uint64 // node crash faults
 	NodeRestarts uint64 // restarts completed from a checkpoint
 	ReplayedMsgs uint64 // retained in-flight messages re-sent after a restore
 
@@ -74,20 +72,6 @@ type Counters struct {
 	MultiImmediate  uint64 // compatible invocations started on the sender's stack
 	MultiParked     uint64 // conflicting invocations buffered in a group ready queue
 	MultiDispatches uint64 // parked invocations dispatched through the scheduler
-}
-
-// Add accumulates o into c. It sums every uint64 field via reflection so a
-// counter added to the struct can never be forgotten here; Add runs only at
-// aggregation time (whole-machine reports), never on the per-event hot path.
-func (c *Counters) Add(o *Counters) {
-	cv := reflect.ValueOf(c).Elem()
-	ov := reflect.ValueOf(o).Elem()
-	for i := 0; i < cv.NumField(); i++ {
-		f := cv.Field(i)
-		if f.Kind() == reflect.Uint64 {
-			f.SetUint(f.Uint() + ov.Field(i).Uint())
-		}
-	}
 }
 
 // LocalMessages returns the count of intra-node object-to-object sends.

@@ -19,15 +19,9 @@ type Kind uint8
 // Event kinds.
 const (
 	EvSend Kind = iota
-	EvInvoke
 	EvBuffer
-	EvBlock
-	EvResume
 	EvSchedule
 	EvDispatch
-	EvCreate
-	EvRemoteSend
-	EvRemoteRecv
 	// Fault-injection and reliable-delivery events.
 	EvLinkDrop  // a packet was dropped by the fault injector
 	EvLinkDup   // an extra copy of a packet was injected
@@ -51,15 +45,9 @@ const NumKinds = int(EvRestore) + 1
 
 var kindNames = [NumKinds]string{
 	EvSend:        "send",
-	EvInvoke:      "invoke",
 	EvBuffer:      "buffer",
-	EvBlock:       "block",
-	EvResume:      "resume",
 	EvSchedule:    "schedule",
 	EvDispatch:    "dispatch",
-	EvCreate:      "create",
-	EvRemoteSend:  "remote-send",
-	EvRemoteRecv:  "remote-recv",
 	EvLinkDrop:    "link-drop",
 	EvLinkDup:     "link-dup",
 	EvNodePause:   "node-pause",

@@ -27,7 +27,7 @@ func TestRingBasics(t *testing.T) {
 func TestRingWrapsOldest(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Addf(int64ToTime(i), i, EvInvoke, "ev%d", i)
+		r.Addf(int64ToTime(i), i, EvDispatch, "ev%d", i)
 	}
 	if r.Len() != 4 {
 		t.Fatalf("len = %d, want 4", r.Len())
@@ -47,13 +47,13 @@ func TestRingWrapsOldest(t *testing.T) {
 func TestRingDump(t *testing.T) {
 	r := NewRing(8)
 	r.Add(2300, 0, EvSend, "ping -> obj1")
-	r.Add(4600, 1, EvRemoteRecv, "handler cat1")
+	r.Add(4600, 1, EvRetry, "cat-1 seq 3")
 	var sb strings.Builder
 	if err := r.Dump(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"send", "ping -> obj1", "remote-recv", "n1"} {
+	for _, want := range []string{"send", "ping -> obj1", "retry", "n1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
@@ -88,7 +88,7 @@ func TestCheckJSONL(t *testing.T) {
 	var stream bytes.Buffer
 	metrics := NewMetrics()
 	sink := Tee(NewJSONL(&stream), metrics)
-	for _, e := range []Event{{100, 0, EvSend, "a"}, {250, 2, EvInvoke, "b"}, {180, 1, EvSend, "c"}} {
+	for _, e := range []Event{{100, 0, EvSend, "a"}, {250, 2, EvDispatch, "b"}, {180, 1, EvSend, "c"}} {
 		sink.Event(e)
 	}
 	good := stream.String()
@@ -109,7 +109,7 @@ func TestCheckJSONL(t *testing.T) {
 		{"empty what", `{"at":5,"node":0,"kind":"send","what":""}`, nil, "line 1: empty what"},
 		{"empty stream", "", nil, "empty stream"},
 		{"total_events", good, func(s *MetricsSummary) { s.Total++ }, "summary total_events = 4, stream has 3"},
-		{"by_kind", good, func(s *MetricsSummary) { s.ByKind["send"]--; s.ByKind["invoke"]++ }, "summary by_kind = map[invoke:2 send:1], stream has map[invoke:1 send:2]"},
+		{"by_kind", good, func(s *MetricsSummary) { s.ByKind["send"]--; s.ByKind["dispatch"]++ }, "summary by_kind = map[dispatch:2 send:1], stream has map[dispatch:1 send:2]"},
 		{"by_node count", good, func(s *MetricsSummary) { s.ByNode[0]--; s.ByNode[1]++ }, "summary by_node = [0 2 1], stream has [1 1 1]"},
 		{"by_node length", good, func(s *MetricsSummary) { s.ByNode = append(s.ByNode, 0) }, "summary by_node = [1 1 1 0], stream has [1 1 1]"},
 		{"last_ns", good, func(s *MetricsSummary) { s.LastNs = 180 }, "summary last_ns = 180, stream has 250"},

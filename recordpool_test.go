@@ -45,33 +45,36 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // arenas, so the n-queens rows guard creation the way the all-to-all
 // row guards the send — one allocation per created object adds 0.5 per
 // message to either. The all-to-all budget sits well above its measured
-// 0.073 allocations per message (construction included: about half build the
+// 0.049 allocations per message (construction included: about half build the
 // 32 nodes' runtime, remote and machine state, the rest are blocks — slab
 // blocks, the event queue's heap and bucket blocks). The 64-node row measures
-// 308 bytes per message against 321 with an event lane per node and the
-// arrivals for a busy node in a second queue per lane, 328 with every lane's
-// first heap of 128 events and 354 with heaps that double to 512 events and
-// receive rings that grow ×4; its byte budget is the 328.
-// Reliable n-queens measures 0.783 allocations, 4.07 events and 514 bytes,
-// against 0.967 and 582 with an arena per node (every node ending on part-used
-// blocks of each record type), 1.07 and 793 with a record pool per node (idle
-// records piling up on receivers while senders carve fresh ones) and a heap
-// Object per stocked chunk, 1.66 and 827 with a heap container per batch
-// frame and a rider per ack-carrying lone packet, 5.65 with one heap object
-// per Object, chunk, stock entry, board and InitCtx, and 946 bytes with
-// 336-byte link records; its allocation and byte budgets sit 2 % above, so
-// none of those comes back. The last two rows are the product's default path
-// (profiler compiled in, off) and the multiactive scheduler's per-group ready
-// queues: 0.599 allocations and 277 bytes per message (0.647 and 313 with an
-// arena per node, 0.660 and 383 with a pool per node and an Object per
-// stocked chunk; what is left is one continuation closure per internal search
-// node, arena blocks and map growth) and 1.163 (about 3 740 a run, 1.193 with
-// an arena per node; the reply destinations' Objects come out of an arena
-// too), exact run to run. A closure per stock miss (the blocked creation's
-// resume, which rides the wire record as data instead) added 0.058 to the
-// n-queens figure, and only one hot-key message in sixteen parks in a ready
-// queue, so an allocation per push moves that figure by 5 %: every budget
-// here sits 2 % above its measurement.
+// 306 bytes per message against 308 with a frame and context pool per node,
+// 321 with an event lane per node and the arrivals for a busy node in a
+// second queue per lane, 328 with every lane's first heap of 128 events and
+// 354 with heaps that double to 512 events and receive rings that grow ×4;
+// its byte budget is the 328. Reliable n-queens measures 0.711 allocations,
+// 4.07 events and 497 bytes, against 0.767 and 505 with a frame and context
+// pool per node, 0.967 and 582 with an arena per node (every node ending on
+// part-used blocks of each record type), 1.07 and 793 with a record pool per
+// node (idle records piling up on receivers while senders carve fresh ones)
+// and a heap Object per stocked chunk, 1.66 and 827 with a heap container per
+// batch frame and a rider per ack-carrying lone packet, 5.65 with one heap
+// object per Object, chunk, stock entry, board and InitCtx, and 946 bytes
+// with 336-byte link records; its allocation and byte budgets sit about 5 %
+// above, so none of those comes back. The last two rows are the product's
+// default path (profiler compiled in, off) and the multiactive scheduler's
+// per-group ready queues: 0.584 allocations and 275 bytes per message (0.598
+// and 277 with a frame and context pool per node, 0.647 and 313 with an arena
+// per node, 0.660 and 383 with a pool per node and an Object per stocked
+// chunk; what is left is one continuation closure per internal search node,
+// arena blocks and map growth) and 1.132 (about 3 640 a run, 1.150 with a
+// frame and context pool per node, 1.193 with an arena per node; the reply
+// destinations' Objects come out of an arena too), exact run to run. A
+// closure per stock miss (the blocked creation's resume, which rides the wire
+// record as data instead) added 0.058 to the n-queens figure, and only one
+// hot-key message in sixteen parks in a ready queue, so an allocation per
+// push moves that figure by 5 %: those two budgets sit about 3 % above their
+// measurements.
 func TestMessageAllocationBudget(t *testing.T) {
 	allToAll := func(nodes int) func() (msgs, events uint64, err error) {
 		return func() (msgs, events uint64, err error) {
@@ -123,9 +126,9 @@ func TestMessageAllocationBudget(t *testing.T) {
 	}{
 		{"sequential all-to-all 32x8", allToAll(32), 0.125, 0, 0},
 		{"sequential all-to-all 64x8", allToAll(64), 0.125, 0, 328},
-		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.80, 4.7, 525},
-		{"default n-queens N10 P64, profiler off", defaultQueens, 0.61, 0, 283},
-		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.185, 0, 0},
+		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.75, 4.7, 525},
+		{"default n-queens N10 P64, profiler off", defaultQueens, 0.60, 0, 283},
+		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.17, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			best, bestBytes, perEvent := 0.0, 0.0, 0.0
