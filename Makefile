@@ -7,7 +7,7 @@
 #   make bench-test      the benchmark harness's own tests (bench/ is its own module)
 #   make fuzz-smoke      each native fuzz target for 30 s
 #   make check           tier1, vet-race, scenario-smoke, bench-test and fuzz-smoke
-#   make alloc-profile   every allocation of one nqueens N10/P256 run, by allocating function
+#   make alloc-profile   every allocation of one nqueens N10/P256 run, by allocating function (objects, bytes)
 #   make cpu-profile     the CPU profile of the same run, by function
 #                        (both take ARGS='...', more abclsim flags for the run)
 #   make bench           the repository benchmark (BENCHMARK.json): bash bench/run.sh
@@ -64,8 +64,8 @@ bench-test:
 
 # Where the host allocations of one run come from: the benchmark's nqueens
 # program (N10, 256 nodes, seed 1) with every allocation sampled, then the
-# allocating functions by object count (`-list <regexp>` on the same two
-# files gives lines). One cold run, so arenas and pools start empty and the
+# allocating functions by object count and by bytes (`-list <regexp>` on the
+# same two files gives lines). One cold run, so arenas and pools start empty and the
 # total sits a little above allocs_per_msg x 71 077 of the warm repetitions.
 # The profile undercounts MemStats.Mallocs: pointer-free allocations of 16
 # bytes or less that share a tiny-allocator block are counted there and not
@@ -78,6 +78,8 @@ alloc-profile:
 	GODEBUG=memprofilerate=1 $(SMOKE_DIR)/abcl-alloc-profile.bin -workload nqueens -n 10 -nodes 256 \
 		-memprofile $(SMOKE_DIR)/abcl-alloc-profile.pprof $(ARGS) >/dev/null
 	go tool pprof -sample_index=alloc_objects -top -nodecount=25 \
+		$(SMOKE_DIR)/abcl-alloc-profile.bin $(SMOKE_DIR)/abcl-alloc-profile.pprof
+	go tool pprof -sample_index=alloc_space -top -nodecount=25 \
 		$(SMOKE_DIR)/abcl-alloc-profile.bin $(SMOKE_DIR)/abcl-alloc-profile.pprof
 
 # The CPU twin of alloc-profile: the same run, sampled for CPU time, then the

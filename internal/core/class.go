@@ -132,7 +132,7 @@ func (c *Class) waitingVFT(pats []PatternID) *VFT {
 		if int(p) < 0 || int(p) >= npat {
 			panic(fmt.Sprintf("core: class %s: awaited pattern %d out of range", c.Name, p))
 		}
-		v.entries[p] = entry{entryRestore, makeRestoreEntry(p)}
+		v.entries[p] = entry{entryRestore, restoreEntry}
 	}
 	c.waitCache[key] = v
 	return v

@@ -178,15 +178,6 @@ func (c *Class) Priority(name string, prio int) *Class {
 // Multiactive reports whether the class declares compatibility groups.
 func (c *Class) Multiactive() bool { return len(c.groups) > 0 }
 
-// Groups returns the declared group names in declaration order.
-func (c *Class) Groups() []string {
-	out := make([]string, len(c.groups))
-	for i, g := range c.groups {
-		out[i] = g.name
-	}
-	return out
-}
-
 // buildMulti generates the multiactive table and the dense pattern→queue
 // map at freeze. Every grouped pattern must have a method: a group over an
 // unknown pattern is a definition error, caught here like a duplicate
@@ -277,7 +268,7 @@ func makeMultiEntry(cl *Class, p PatternID) entryFunc {
 				np.GroupEvent(cl.profGroupID(qi), profile.GroupStarted)
 			}
 			ms.begin(qi)
-			n.invokeBody(obj, f, cl.methods[p])
+			n.invoke(obj, f, cl.methods[p], true)
 			return
 		}
 		n.C.MultiParked++
@@ -311,7 +302,7 @@ func (n *NodeRT) multiDispatch(obj *Object) {
 		ms.resume[len(ms.resume)-1] = savedCont{}
 		ms.resume = ms.resume[:len(ms.resume)-1]
 		n.node.Charge(n.cost.RestoreContext)
-		n.runCont(obj, sc.frame, sc.k)
+		n.invoke(obj, sc.frame, sc.k, false)
 		n.multiReschedule(obj)
 		return
 	}
@@ -327,7 +318,7 @@ func (n *NodeRT) multiDispatch(obj *Object) {
 		np.GroupEvent(cl.profGroupID(qi), profile.GroupDispatched)
 	}
 	ms.begin(qi)
-	n.invokeBody(obj, f, cl.methods[f.Pattern])
+	n.invoke(obj, f, cl.methods[f.Pattern], true)
 	n.multiReschedule(obj)
 }
 

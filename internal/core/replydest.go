@@ -67,5 +67,5 @@ func replyEntry(n *NodeRT, obj *Object, f *Frame) {
 	// The waiter stays in active mode: while blocked on a reply all its
 	// table entries are queuing procedures, exactly as the paper specifies
 	// for now-type waits.
-	n.runCont(w, wf, func(ctx *Ctx) { k(ctx, v) })
+	n.invoke(w, wf, func(ctx *Ctx) { k(ctx, v) }, false)
 }

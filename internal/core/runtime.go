@@ -343,25 +343,7 @@ func (r *Runtime) Inject(to Address, p PatternID, args ...Value) {
 		panic("core: Inject to nil address")
 	}
 	n := r.nodes[to.Node]
-	f := &Frame{Pattern: p, Args: args}
-	obj := to.Obj
-	e := obj.vftp.lookup(p)
-	if e.fn == nil {
-		panic(n.notUnderstood(obj, p))
-	}
-	if e.kind == entryMulti {
-		qi := obj.class.queueIndex(p)
-		obj.multi.buffer(qi, f)
-		if obj.multi.canStart(qi) {
-			n.enqueueSched(obj)
-		}
-		n.node.Wake()
-		return
-	}
-	obj.queue.push(f)
-	if n.frameDispatchable(obj, e.kind) {
-		n.enqueueSched(obj)
-	}
+	n.park(to.Obj, &Frame{Pattern: p, Args: args}, n.lookup(to.Obj, p).kind)
 	n.node.Wake()
 }
 

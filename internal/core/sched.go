@@ -21,7 +21,6 @@ type NodeRT struct {
 
 	schedQ     schedQueue
 	stackDepth int
-	maxDepth   int // high-water mark, for reports
 
 	// hosted lists the objects homed on this node in the order this node
 	// first touched them — created, initialized or buffered a message for —
@@ -40,14 +39,8 @@ func (n *NodeRT) ID() int { return n.id }
 // MachineNode returns the simulated node this runtime half runs on.
 func (n *NodeRT) MachineNode() *machine.Node { return n.node }
 
-// Runtime returns the owning runtime.
-func (n *NodeRT) Runtime() *Runtime { return n.rt }
-
 // SchedQueueLen returns the current scheduling-queue length (load metric).
 func (n *NodeRT) SchedQueueLen() int { return n.schedQ.len() }
-
-// MaxObservedDepth returns the deepest stack-based invocation nesting seen.
-func (n *NodeRT) MaxObservedDepth() int { return n.maxDepth }
 
 // NewFrame returns a message frame from the runtime's free list (or a fresh
 // one), marked for recycling when the invocation it carries completes
@@ -160,25 +153,35 @@ func (n *NodeRT) Send(to Address, p PatternID, args []Value, replyTo Address) {
 
 // DeliverFrame dispatches a frame addressed to a local object. remoteIn
 // marks frames arriving from the network (category-1 handlers), which are
-// counted separately from intra-node sends.
+// counted separately from intra-node sends. Under the stack-based policy the
+// frame goes to the receiver's current-table entry; under the naive baseline
+// of Section 6.3 it is always parked and the receiver scheduled through the
+// node scheduling queue.
 func (n *NodeRT) DeliverFrame(obj *Object, f *Frame, remoteIn bool) {
 	if obj.node != n.id {
 		panic(fmt.Sprintf("core: frame for node %d delivered on node %d", obj.node, n.id))
 	}
-	if n.rt.policy == PolicyNaive {
-		n.naiveDeliver(obj, f, remoteIn)
-		return
-	}
-	e := obj.vftp.lookup(f.Pattern)
-	if e.fn == nil {
-		panic(n.notUnderstood(obj, f.Pattern))
-	}
+	e := n.lookup(obj, f.Pattern)
 	path := deliveryPath(e.kind, remoteIn)
 	n.node.SetPath(path)
 	n.node.Charge(n.cost.LookupCall)
 	n.countDelivery(e.kind, remoteIn)
 	if np := n.node.Prof(); np != nil {
 		n.profDeliver(np, obj, e.kind, path)
+	}
+	if n.rt.policy == PolicyNaive {
+		instr := n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ
+		if e.kind == entryMulti {
+			// The scheduler performs the compatibility check at dispatch.
+			instr += n.cost.GroupCheck
+			n.C.MultiParked++
+			if np := n.node.Prof(); np != nil {
+				np.GroupEvent(obj.class.profGroupID(obj.class.queueIndex(f.Pattern)), profile.GroupParked)
+			}
+		}
+		n.node.Charge(instr)
+		n.park(obj, f, e.kind)
+		return
 	}
 	if n.rt.Tracing() {
 		n.rt.Tracef(n.node.Now(), n.id, trace.EvSend, "%s <- %s (%v mode)", describe(obj), n.rt.Reg.Name(f.Pattern), obj.vftp.Mode)
@@ -186,41 +189,31 @@ func (n *NodeRT) DeliverFrame(obj *Object, f *Frame, remoteIn bool) {
 	e.fn(n, obj, f)
 }
 
-// naiveDeliver implements the baseline of Section 6.3: the frame is always
-// buffered in the receiver's message queue and the receiver is scheduled
-// through the node scheduling queue when it is dispatchable.
-func (n *NodeRT) naiveDeliver(obj *Object, f *Frame, remoteIn bool) {
-	e := obj.vftp.lookup(f.Pattern)
+// lookup returns obj's current-table entry for p; a pattern the receiver
+// does not understand panics.
+func (n *NodeRT) lookup(obj *Object, p PatternID) entry {
+	e := obj.vftp.lookup(p)
 	if e.fn == nil {
-		panic(n.notUnderstood(obj, f.Pattern))
+		panic(n.notUnderstood(obj, p))
 	}
-	path := deliveryPath(e.kind, remoteIn)
-	n.node.SetPath(path)
-	n.node.Charge(n.cost.LookupCall)
-	n.countDelivery(e.kind, remoteIn)
-	if np := n.node.Prof(); np != nil {
-		n.profDeliver(np, obj, e.kind, path)
-	}
-	if e.kind == entryMulti {
-		// Multiactive receivers buffer into their group ready queues even
-		// under the naive policy; the scheduler performs the compatibility
-		// check at dispatch time.
+	return e
+}
+
+// park buffers a frame whose current-table entry has kind k and schedules
+// the receiver when the frame can run: a multiactive receiver buffers into
+// its group ready queue and is scheduled when the group can start; any
+// other buffers into its message queue.
+func (n *NodeRT) park(obj *Object, f *Frame, k EntryKind) {
+	if k == entryMulti {
 		qi := obj.class.queueIndex(f.Pattern)
-		n.node.Charge(n.cost.GroupCheck + n.cost.FrameAlloc + n.cost.StoreMessage +
-			n.cost.EnqueueMsgQ)
 		obj.multi.buffer(qi, f)
-		n.C.MultiParked++
-		if np := n.node.Prof(); np != nil {
-			np.GroupEvent(obj.class.profGroupID(qi), profile.GroupParked)
-		}
 		if obj.multi.canStart(qi) {
 			n.enqueueSched(obj)
 		}
 		return
 	}
-	n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
 	obj.queue.push(f)
-	if n.frameDispatchable(obj, e.kind) {
+	if n.frameDispatchable(obj, k) {
 		n.enqueueSched(obj)
 	}
 }
@@ -356,20 +349,15 @@ func (n *NodeRT) Step() bool {
 		k, f := obj.resumeK, obj.resumeF
 		obj.resumeK, obj.resumeF = nil, nil
 		n.node.Charge(n.cost.RestoreContext)
-		n.runCont(obj, f, k)
+		n.invoke(obj, f, k, false)
 
 	case obj.wait != nil:
 		// A waiting object scheduled because an awaited message was
-		// buffered (naive policy, or a depth-deferred restoration).
-		ws := obj.wait
-		f := obj.queue.popMatchingPats(ws.pats)
-		if f == nil {
-			break // parked again; a future awaited arrival reschedules
+		// buffered (naive policy, or a depth-deferred restoration). With
+		// none buffered it stays parked until an awaited arrival.
+		if f := obj.queue.popMatchingPats(obj.wait.pats); f != nil {
+			n.restoreWait(obj, f)
 		}
-		obj.wait = nil
-		n.node.Charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
-		obj.vftp = obj.class.active
-		n.runCont(obj, ws.frame, func(ctx *Ctx) { ws.k(ctx, f) })
 
 	default:
 		f := obj.queue.pop()
@@ -381,16 +369,14 @@ func (n *NodeRT) Step() bool {
 			}
 			break // serial: spurious wakeup; nothing to do
 		}
-		e := obj.vftp.lookup(f.Pattern)
+		e := n.lookup(obj, f.Pattern)
 		switch e.kind {
 		case entryQueue:
 			// Parked active object: the scheduling item's continuation
 			// invokes the method body for the buffered message directly.
-			n.invokeBody(obj, f, obj.class.body(f.Pattern))
+			n.invoke(obj, f, obj.class.body(f.Pattern), true)
 		case entryFault:
 			panic("core: uninitialized chunk reached the scheduling queue")
-		case entryNone:
-			panic(n.notUnderstood(obj, f.Pattern))
 		default:
 			e.fn(n, obj, f)
 			if obj.multi != nil {
@@ -423,23 +409,26 @@ func (n *NodeRT) enqueueSched(obj *Object) {
 	n.node.Wake()
 }
 
-// invokeBody runs a method body on the current stack: the object enters
-// active mode for the duration; at completion the message queue is checked
-// and the object either returns to dormant mode or re-enqueues itself.
-func (n *NodeRT) invokeBody(obj *Object, f *Frame, body MethodFunc) {
+// invoke runs an invocation on the current stack: k is the method body of
+// a fresh invocation (fresh) or a restored context's continuation. The
+// object is active for the duration; at completion the message queue is
+// checked and the object either returns to dormant mode or re-enqueues
+// itself. Only a fresh invocation honours its send site's hints and pays the
+// poll of the return path.
+func (n *NodeRT) invoke(obj *Object, f *Frame, k func(*Ctx), fresh bool) {
 	prevPath := n.node.Path() // nested sends inside the body overwrite the register
 	wasRunning := obj.running // nested multiactive invocations stack
 	obj.running = true
 	n.stackDepth++
-	if n.stackDepth > n.maxDepth {
-		n.maxDepth = n.stackDepth
-	}
 	ctx := n.acquireCtx(obj, f)
-	body(ctx)
+	k(ctx)
 	n.stackDepth--
 	obj.running = wasRunning
 	n.node.SetPath(prevPath)
-	h := f.hints
+	var h SendHint
+	if fresh {
+		h = f.hints
+	}
 	if h&HintLeafMethod != 0 && (ctx.acted || ctx.blocked) {
 		panic("core: HintLeafMethod violated: the method sent, created, blocked, or yielded")
 	}
@@ -447,51 +436,33 @@ func (n *NodeRT) invokeBody(obj *Object, f *Frame, body MethodFunc) {
 		if obj.multi != nil {
 			n.multiMethodEnd(obj, f)
 		} else {
-			n.methodEndHinted(obj, h)
+			n.methodEnd(obj, h)
 		}
 		n.releaseFrame(f)
 		n.releaseCtx(ctx)
 	}
-	if h&HintNoPoll == 0 {
+	if fresh && h&HintNoPoll == 0 {
 		n.node.Charge(n.cost.PollRemote)
 	}
 	n.node.Charge(n.cost.StackReturn)
 }
 
-// runCont resumes a saved continuation (context restoration): like
-// invokeBody but without the poll/return epilogue of a fresh invocation.
-func (n *NodeRT) runCont(obj *Object, frame *Frame, k func(*Ctx)) {
-	prevPath := n.node.Path()
-	wasRunning := obj.running
-	obj.running = true
-	n.stackDepth++
-	if n.stackDepth > n.maxDepth {
-		n.maxDepth = n.stackDepth
-	}
-	ctx := n.acquireCtx(obj, frame)
-	k(ctx)
-	n.stackDepth--
-	obj.running = wasRunning
-	n.node.SetPath(prevPath)
-	if !ctx.blocked {
-		if obj.multi != nil {
-			n.multiMethodEnd(obj, frame)
-		} else {
-			n.methodEnd(obj)
-		}
-		n.releaseFrame(frame)
-		n.releaseCtx(ctx)
-	}
-	n.node.Charge(n.cost.StackReturn)
+// restoreWait restores a waiting object's saved context and continues the
+// blocked method with the awaited frame f.
+func (n *NodeRT) restoreWait(obj *Object, f *Frame) {
+	ws := obj.wait
+	obj.wait = nil
+	n.node.Charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
+	obj.vftp = obj.class.active
+	n.invoke(obj, ws.frame, func(ctx *Ctx) { ws.k(ctx, f) }, false)
 }
 
 // methodEnd implements the paper's method-completion protocol: check the
 // message queue; if empty return to dormant mode, otherwise enqueue the
 // object on the scheduling queue (it stays in active mode so further
-// messages keep buffering).
-func (n *NodeRT) methodEnd(obj *Object) { n.methodEndHinted(obj, 0) }
-
-func (n *NodeRT) methodEndHinted(obj *Object, h SendHint) {
+// messages keep buffering). h holds the hints of a fresh invocation's send
+// site.
+func (n *NodeRT) methodEnd(obj *Object, h SendHint) {
 	if h&HintNoQueueCheck == 0 {
 		n.node.Charge(n.cost.CheckMsgQueue)
 	}
@@ -524,7 +495,7 @@ func makeDormantEntry(cl *Class, p PatternID) entryFunc {
 			n.node.Charge(n.cost.SwitchVFTPActive)
 		}
 		obj.vftp = cl.active
-		n.invokeBody(obj, f, cl.methods[p])
+		n.invoke(obj, f, cl.methods[p], true)
 	}
 }
 
@@ -569,27 +540,21 @@ func makeInitEntry(cl *Class, p PatternID) entryFunc {
 	}
 }
 
-// makeRestoreEntry builds a waiting-table entry for an awaited pattern: it
+// restoreEntry is the waiting-table entry of an awaited pattern: it
 // restores the saved context and continues the blocked method with the
 // arrived message.
-func makeRestoreEntry(p PatternID) entryFunc {
-	return func(n *NodeRT, obj *Object, f *Frame) {
-		ws := obj.wait
-		if ws == nil {
-			panic("core: context restoration without wait state")
-		}
-		if n.stackDepth >= n.rt.maxStackDepth {
-			// Defer the restoration through the scheduling queue.
-			n.C.Preemptions++
-			n.node.SetPath(profile.Sched)
-			n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
-			obj.queue.push(f)
-			n.enqueueSched(obj)
-			return
-		}
-		obj.wait = nil
-		n.node.Charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
-		obj.vftp = obj.class.active
-		n.runCont(obj, ws.frame, func(ctx *Ctx) { ws.k(ctx, f) })
+func restoreEntry(n *NodeRT, obj *Object, f *Frame) {
+	if obj.wait == nil {
+		panic("core: context restoration without wait state")
 	}
+	if n.stackDepth >= n.rt.maxStackDepth {
+		// Defer the restoration through the scheduling queue.
+		n.C.Preemptions++
+		n.node.SetPath(profile.Sched)
+		n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
+		obj.queue.push(f)
+		n.enqueueSched(obj)
+		return
+	}
+	n.restoreWait(obj, f)
 }

@@ -70,18 +70,12 @@ type objImage struct {
 	ctorArgs []Value
 	queue    []*Frame
 	inSchedQ bool
-	wait     *waitImage
+	wait     *waitState // never mutated after WaitFor, so held by reference
 	resumeK  func(*Ctx)
 	resumeF  *Frame
 	rd       replyState
 	isRD     bool
 	multi    *multiImage
-}
-
-type waitImage struct {
-	pats  []PatternID
-	k     func(*Ctx, *Frame)
-	frame *Frame
 }
 
 // multiImage is the captured multiactive scheduling state of one object:
@@ -165,6 +159,7 @@ func (img *NodeImage) capture(o *Object) {
 			class:    o.class,
 			vftp:     o.vftp,
 			inSchedQ: o.inSchedQ,
+			wait:     o.wait,
 		}
 		b := objHeaderBytes
 		if o.state != nil {
@@ -187,11 +182,6 @@ func (img *NodeImage) capture(o *Object) {
 			oi.queue = append(oi.queue, f)
 		}
 		if o.wait != nil {
-			oi.wait = &waitImage{
-				pats:  append([]PatternID(nil), o.wait.pats...),
-				k:     o.wait.k,
-				frame: o.wait.frame,
-			}
 			b += savedCtxBytes + immortalize(o.wait.frame)
 		}
 		if o.resumeK != nil {
@@ -274,11 +264,7 @@ func (r *Runtime) RestoreNode(img *NodeImage) {
 		}
 		o.inSchedQ = oi.inSchedQ
 		o.running = false
-		if oi.wait != nil {
-			o.wait = &waitState{pats: oi.wait.pats, k: oi.wait.k, frame: oi.wait.frame}
-		} else {
-			o.wait = nil
-		}
+		o.wait = oi.wait
 		o.resumeK, o.resumeF = oi.resumeK, oi.resumeF
 		if oi.isRD {
 			*o.rd = oi.rd

@@ -254,9 +254,6 @@ func NewInjector(plan Plan, seed int64, nodes int) (*Injector, error) {
 	return in, nil
 }
 
-// Plan returns the bound plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // link returns the (lazily seeded) stream for src→dst.
 func (in *Injector) link(src, dst int) *linkState {
 	ls := &in.links[src*in.nodes+dst]

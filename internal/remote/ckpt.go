@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/core"
@@ -30,9 +31,9 @@ import (
 //
 //   - Per-node state: the cursors of every link the node has, chunk stocks
 //     and placement state (round-robin position, RNG, load samples), all
-//     captured into a RelImage and restored in place. Stock entries are restored *through
-//     their existing pointers* — entry pointers travel inside wire records
-//     across the creation round trip, so identity must survive a rollback.
+//     captured into a RelImage and restored in place. A stock slot is
+//     reached only by its key (a refill finds it by its sender and class),
+//     so the image is a copy of the stock map.
 //
 //   - Teardown of the rolled-back timeline: pending retransmissions, reorder
 //     buffers, delayed-ack ledgers, open batches and retained records past
@@ -98,13 +99,13 @@ func (lk *retainLink) from(seq uint64) []*wireMsg {
 
 // RelImage is one node's inter-node-layer snapshot.
 type RelImage struct {
-	node       int
-	cursors    map[int32]cursors // by peer, for each link the node had
-	rr, rrNext int
-	rng        uint64
-	loads      []int32 // nil unless the placement keeps load samples
-	stock      []stockImage
-	bytes      int
+	node    int
+	cursors map[int32]cursors // by peer, for each link the node had
+	rrNext  int
+	rng     uint64
+	loads   []int32 // nil unless the placement keeps load samples
+	stock   map[uint64]stockEntry
+	bytes   int
 }
 
 // cursors are a link's send and receive sequence cursors; zero for a peer
@@ -115,12 +116,6 @@ type cursors struct{ send, recv uint64 }
 // peer after the image was taken: the first red record of that link.
 func (im *RelImage) SendCursor(peer int) uint64 { return im.cursors[int32(peer)].send }
 
-// stockImage captures one chunk-stock entry through its live pointer.
-type stockImage struct {
-	e *stockEntry
-	stockEntry
-}
-
 // SizeBytes reports the modelled stable-store footprint of the image.
 func (im *RelImage) SizeBytes() int { return im.bytes }
 
@@ -129,17 +124,13 @@ func (im *RelImage) SizeBytes() int { return im.bytes }
 func (l *Layer) CaptureRel(node int) *RelImage {
 	ns := l.nodes[node]
 	im := &RelImage{node: node, cursors: make(map[int32]cursors),
-		rr: ns.rr, rrNext: ns.rrNext, rng: ns.rng, loads: slices.Clone(ns.loads)}
+		rrNext: ns.rrNext, rng: ns.rng, loads: slices.Clone(ns.loads), stock: maps.Clone(ns.stock)}
 	ns.eachLink(func(k *link) { im.cursors[k.peer] = cursors{k.nextSeq, k.nextExpected} })
 	// The modelled node holds both cursors and a load sample for every peer,
 	// contacted or not, whether or not the placement keeps samples.
 	im.bytes = 16*len(l.nodes) + 12*len(l.nodes) + 16
-	if len(ns.stock) > 0 {
-		im.stock = make([]stockImage, 0, len(ns.stock))
-		for _, e := range ns.stock {
-			im.stock = append(im.stock, stockImage{e: e, stockEntry: *e})
-			im.bytes += 8 + 8*int(e.n) // the entry and its chunk addresses
-		}
+	for _, e := range ns.stock {
+		im.bytes += 8 + 8*int(e.n) // the entry and its chunk addresses
 	}
 	return im
 }
@@ -149,8 +140,9 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 // their retry deadlines, reorder buffers, delayed-ack ledgers, open batches,
 // and the retained records at or past the restored send cursors. Cursors
 // (zero on a link made after the image), placement state and load samples
-// are overwritten; stock entries are restored through their pointers, and
-// those made after the image are emptied.
+// are overwritten. Every stock slot is emptied, then the image's slots are
+// copied back: a slot first made after the image stays, empty, and is
+// charged in the next image like any other.
 //
 // The batch-flush and delayed-ack deadlines stay armed: a stale deadline
 // firing on an empty batch or ledger is a no-op, and on a refilled one merely
@@ -188,14 +180,12 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 	l.rel.schedule(ns)
 	clear(ns.rel.owedTo)
 	ns.rel.owedTo = ns.rel.owedTo[:0]
-	ns.rr, ns.rrNext, ns.rng = im.rr, im.rrNext, im.rng
+	ns.rrNext, ns.rng = im.rrNext, im.rng
 	copy(ns.loads, im.loads)
-	for _, e := range ns.stock {
-		*e = stockEntry{}
+	for k := range ns.stock {
+		ns.stock[k] = stockEntry{}
 	}
-	for _, si := range im.stock {
-		*si.e = si.stockEntry
-	}
+	maps.Copy(ns.stock, im.stock)
 }
 
 // CkptReplayNode reconstructs the channel state of the cut for one sending

@@ -93,9 +93,8 @@ type Layer struct {
 	rel   *reliable                   // nil unless the reliable protocol is on (see Attach)
 	bat   *batcher                    // nil unless Options.BatchWindow > 0
 
-	// Never released, so carved: stock entries and, when the layer keeps
-	// peers (link.go), links and open batches.
-	entries sim.Arena[stockEntry]
+	// Never released, so carved: when the layer keeps peers (link.go),
+	// links and open batches.
 	links   sim.Arena[link]
 	batches sim.Arena[openBatch]
 
@@ -124,8 +123,8 @@ type Layer struct {
 // per-attempt copies under headers of its own and leaves pkt unused after
 // the hand-off.
 //
-// The record is 256 bytes, so a full slab block of 256 records is eight
-// 8 KiB runtime pages exactly: the scalars share two words, and the argument
+// The record is 248 bytes, so a full slab block of 256 records fits in eight
+// 8 KiB runtime pages: the scalars share two words, and the argument
 // list is a count over the inline argBuf or, past two values, over a spilled
 // array.
 type wireMsg struct {
@@ -146,8 +145,7 @@ type wireMsg struct {
 	// the wmChunk answering a stock miss.
 	replyTo core.Address
 	chunk   *core.Object // wmCreate: chunk to initialize, nil on a stock miss
-	cl      *core.Class  // wmCreate
-	entry   *stockEntry  // requester's stock slot, carried through the round trip
+	cl      *core.Class  // wmCreate, and the wmChunk answering it
 	// onCreated rides a stock miss's wmCreate and its wmChunk back to the
 	// requester, which calls it with replyTo.
 	onCreated func(core.Address)
@@ -290,7 +288,7 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		// it there, so the Object is carved at that pop (CreateOn), not here.
 		rn.ChargeTo(profile.Create, c.ChunkRefill)
 		r := l.record(rn, profile.Create, 0, wmChunk)
-		r.entry = w.entry
+		r.cl = w.cl
 		if w.chunk == nil {
 			r.replyTo, r.onCreated = obj.Addr(), w.onCreated
 		}
@@ -306,11 +304,12 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		rn.Charge(extract + c.RemoteHandlerCall + c.StockPush)
 		// The stock is capped at its configured depth: an address that would
 		// overfill it (after a miss) is simply dropped, its chunk left to the
-		// target's allocator. The entry pointer is the requester's own slot,
-		// carried through the round trip — and this packet is addressed to
-		// the requester, so the push stays on the requester's lane.
-		if e := w.entry; e.n < int32(l.opt.StockDepth) {
+		// target's allocator. The slot is the requester's stock toward the
+		// replying target for the requested class.
+		key := stockKey(src, w.cl)
+		if e := ns.stock[key]; e.n < int32(l.opt.StockDepth) {
 			e.n++
+			ns.stock[key] = e
 		}
 		if w.onCreated != nil {
 			// The reply to a stock miss: resume the blocked creation.
@@ -322,19 +321,12 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	l.releaseWire(w)
 }
 
-type stockKey struct {
-	node int
-	cls  *core.Class
-}
-
 // DefaultStockDepth is the stock depth of the paper-style runs (and the
 // facade's default).
 const DefaultStockDepth = 2
 
-// stockEntry is one node's chunk stock for a (target, class) pair. The
-// requester finds it through its stock map on every remote creation; the
-// refill round trip carries the entry pointer itself, so the category-2/3
-// handlers touch no maps. Entries are carved once and never move.
+// stockEntry is one node's chunk stock for a (target, class) pair, found
+// by its stockKey on every remote creation and every refill.
 //
 // A stocked chunk is a count. The paper's stock holds addresses of chunks on
 // the target (§5.2), and nothing can reach a stocked chunk until a creation
@@ -345,23 +337,16 @@ type stockEntry struct {
 	n      int32 // chunk addresses held
 }
 
-// stockEntry returns (creating on first use) mn's stock slot for key.
-func (l *Layer) stockEntry(mn *machine.Node, key stockKey) *stockEntry {
-	ns := l.nodes[mn.ID]
-	e := ns.stock[key]
-	if e == nil {
-		e = l.entries.New()
-		ns.stock[key] = e
-	}
-	return e
+// stockKey packs a stock's target node and class id into one map key.
+func stockKey(target int, cl *core.Class) uint64 {
+	return uint64(target)<<32 | uint64(cl.ID())
 }
 
 type nodeState struct {
 	id     int
-	rr     int
 	rrNext int
 	rng    uint64
-	stock  map[stockKey]*stockEntry
+	stock  map[uint64]stockEntry // by stockKey; a slot made is never removed
 	// loads is the last piggybacked scheduling-queue length of every peer,
 	// kept only under the placement that reads it (LoadBased); nil otherwise.
 	loads []int32
@@ -407,7 +392,7 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 		l.nodes[i] = &nodeState{
 			id:    i,
 			rng:   uint64(opt.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1,
-			stock: make(map[stockKey]*stockEntry),
+			stock: make(map[uint64]stockEntry),
 		}
 		if sampled {
 			l.nodes[i].loads = make([]int32, rt.Nodes())
@@ -496,7 +481,9 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	n := ctx.NodeRT()
 	mn := n.MachineNode()
 	c := l.cost()
-	e := l.stockEntry(mn, stockKey{node: target, cls: cl})
+	ns := l.nodes[mn.ID]
+	key := stockKey(target, cl)
+	e := ns.stock[key]
 
 	if !e.seeded && l.opt.StockDepth > 0 {
 		// Pre-delivery: at boot every node receives an initial stock of
@@ -506,9 +493,13 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		e.seeded = true
 		e.n = int32(l.opt.StockDepth)
 	}
-
-	if e.n > 0 {
+	hit := e.n > 0
+	if hit {
 		e.n--
+	}
+	ns.stock[key] = e
+
+	if hit {
 		// The popped address names a chunk on the target that nothing could
 		// reach before this pop: its Object is carved now, homed on the
 		// target.
@@ -519,7 +510,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		}
 		n.C.StockHits++
 		n.C.RemoteCreations++
-		l.sendCreate(mn, target, chunk, cl, ctorArgs, e, nil)
+		l.sendCreate(mn, target, chunk, cl, ctorArgs, nil)
 		// Step 1 of the protocol: the mail address is known locally, before
 		// the creation message even departs — latency hidden, no context
 		// switch.
@@ -543,7 +534,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		// of the pool so the replayed resume finds its content intact.
 		n.PinFrame(frame)
 	}
-	l.sendCreate(mn, target, nil, cl, ctorArgs, e, func(addr core.Address) {
+	l.sendCreate(mn, target, nil, cl, ctorArgs, func(addr core.Address) {
 		n.ResumeSaved(self, frame, func(ctx2 *core.Ctx) { k(ctx2, addr) })
 	})
 	ctx.BlockExternal()
@@ -555,12 +546,11 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 // address back as a category-3 reply. A nil chunk is a stock miss: the
 // target allocates the object as well, and its reply carries both addresses
 // and onCreated, the blocked requester's continuation.
-func (l *Layer) sendCreate(mn *machine.Node, target int, chunk *core.Object, cl *core.Class, ctorArgs []core.Value, e *stockEntry, onCreated func(core.Address)) {
+func (l *Layer) sendCreate(mn *machine.Node, target int, chunk *core.Object, cl *core.Class, ctorArgs []core.Value, onCreated func(core.Address)) {
 	w := l.record(mn, profile.Create, 0, wmCreate)
 	w.chunk = chunk
 	w.cl = cl
 	w.setArgs(ctorArgs)
-	w.entry = e
 	w.onCreated = onCreated
 	size := packetHeaderBytes + core.ArgsSize(ctorArgs)
 	if chunk != nil {
@@ -590,11 +580,7 @@ func (l *Layer) AckDelay() sim.Time {
 // StockLevel reports the current stock depth a node holds for a target/class
 // pair (for tests and reports).
 func (l *Layer) StockLevel(node, target int, cl *core.Class) int {
-	e := l.nodes[node].stock[stockKey{node: target, cls: cl}]
-	if e == nil {
-		return 0
-	}
-	return int(e.n)
+	return int(l.nodes[node].stock[stockKey(target, cl)].n)
 }
 
 // String describes the layer configuration.

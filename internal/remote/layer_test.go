@@ -328,6 +328,39 @@ func TestStockedChunkIsACount(t *testing.T) {
 	}
 }
 
+// A restore empties every stock slot and copies the image's slots back, so a
+// slot first made after the image survives the rollback empty: restoring a
+// node to an image taken before its first creation toward a peer leaves
+// that stock at level 0, and the slot keeps its 8-byte charge in the next
+// image.
+func TestRestoreKeepsLaterStockSlotEmpty(t *testing.T) {
+	rt, l := buildSys(t, 2, core.Options{}, Options{StockDepth: 2, Placement: LocalOnly{}, Seed: 1, Reliable: true})
+	kick := rt.Reg.Register("kick", 0)
+	worker := rt.DefineClass("worker", 0, nil)
+	drv := rt.DefineClass("drv", 0, nil)
+	drv.Method(kick, func(ctx *core.Ctx) {
+		l.CreateOn(ctx, 1, worker, nil, func(*core.Ctx, core.Address) {})
+	})
+	d := rt.NewObjectOn(0, drv)
+	rt.Freeze()
+
+	im := l.CaptureRel(0)
+	rt.Inject(d, kick)
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lvl := l.StockLevel(0, 1, worker); lvl != 2 {
+		t.Fatalf("stock level after the creation and its refill = %d, want 2", lvl)
+	}
+	l.CkptRestoreNode(im)
+	if lvl := l.StockLevel(0, 1, worker); lvl != 0 {
+		t.Errorf("stock level after restoring the earlier image = %d, want 0", lvl)
+	}
+	if got, want := l.CaptureRel(0).SizeBytes(), im.SizeBytes()+8; got != want {
+		t.Errorf("image after the restore = %d bytes, want %d (the empty slot's 8)", got, want)
+	}
+}
+
 // bigPayload gives constructor arguments a large wire size so the creation
 // request is slow on the wire and third-party messages can overtake it.
 type bigPayload struct{ n int }
