@@ -6,7 +6,8 @@
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
 #   make bench-test      the benchmark harness's own tests (bench/ is its own module)
 #   make fuzz-smoke      each native fuzz target for 30 s
-#   make check           tier1, vet-race, scenario-smoke, bench-test and fuzz-smoke
+#   make test-386        the test suite built for 32 bits (GOARCH=386)
+#   make check           tier1, vet-race, scenario-smoke, bench-test, fuzz-smoke and test-386
 #   make alloc-profile   every allocation of one nqueens N10/P256 run, by allocating function (objects, bytes)
 #   make cpu-profile     the CPU profile of the same run, by function
 #                        (both take ARGS='...', more abclsim flags for the run)
@@ -15,7 +16,7 @@
 #   make cover           per-package test coverage summary
 #   make loc             non-test and test Go line counts outside bench/, and the docs' line counts
 
-.PHONY: all tier1 vet-race scenario-smoke regress check cover loc bench bench-trace bench-test fuzz-smoke alloc-profile cpu-profile
+.PHONY: all tier1 vet-race scenario-smoke regress check test-386 cover loc bench bench-trace bench-test fuzz-smoke alloc-profile cpu-profile
 
 all: tier1
 
@@ -37,7 +38,13 @@ scenario-smoke:
 regress:
 	go run ./cmd/abclsim regress testdata/runpacks
 
-check: tier1 vet-race scenario-smoke bench-test fuzz-smoke
+check: tier1 vet-race scenario-smoke bench-test fuzz-smoke test-386
+
+# The suite on a 32-bit int: results must not depend on the host's word
+# size. The local toolchain cross-compiles and the amd64 kernel runs the
+# 386 binaries, so nothing is downloaded.
+test-386:
+	GOARCH=386 go test ./...
 
 # Each native fuzz target for 30 s; go test fuzzes one target per run, so a
 # new target is a new line. `go test ./...` runs only their seed corpora; a

@@ -287,13 +287,15 @@ type ProfileOptions struct {
 	Window Time
 }
 
-// WithProfiler enables the cost-attribution profiler: every simulated
-// instruction, wire record and stable-store byte is charged to a message
-// path (local-dormant, local-active, restore, now-blocked, remote-send,
-// remote-recv, create, sched, body, ckpt, retransmit, ack, multi — the
-// paper's Section 6 taxonomy plus the subsystems added since). The report is
-// available as System.Report().Profile after a run. The profiler only
-// observes — enabling it changes no virtual-time results.
+// WithProfiler enables the cost-attribution report. The machine always
+// counts every path's events and instructions (local-dormant, local-active,
+// restore, now-blocked, remote-send, remote-recv, create, sched, body, ckpt,
+// retransmit, ack, multi — the paper's Section 6 taxonomy plus the
+// subsystems added since); the profiler adds wire records and bytes per
+// path, stable-store bytes, per-class and per-group rows, per-node totals
+// and time slices. The report is available as System.Report().Profile after
+// a run. The profiler only observes — enabling it changes no virtual-time
+// results.
 func WithProfiler(opt ProfileOptions) Option {
 	return func(s *settings) error {
 		if opt.Window < 0 {
@@ -712,11 +714,12 @@ func (s *System) Report() Report {
 		r.Ckpt.Rounds = s.ckpt.Rounds()
 	}
 	if p := s.M.Profiler(); p != nil {
-		r.Profile = p.Report()
+		r.Profile = p.Report(s.M.Counts())
+		r.Profile.DormantFraction = c.DormantFraction()
 	}
 	return r
 }
 
 // InstrTime converts an instruction count to virtual time under the
 // system's clock and CPI configuration.
-func (s *System) InstrTime(instr int) Time { return s.M.Cfg.InstrTime(instr) }
+func (s *System) InstrTime(instr int) Time { return s.M.Cfg.InstrTime(int64(instr)) }

@@ -26,7 +26,7 @@ func Sequential(n int, cfg machine.Config, workFactor int) SeqResult {
 		N:         n,
 		Solutions: sols,
 		TreeNodes: nodes,
-		Elapsed:   cfg.InstrTime(int(instr)),
+		Elapsed:   cfg.InstrTime(instr),
 	}
 }
 

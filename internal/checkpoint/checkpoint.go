@@ -243,13 +243,11 @@ func (g *Manager) snapNode(i int) {
 	bytes := ci.SizeBytes() + ri.SizeBytes()
 	mn := g.m.Node(i)
 	mn.ChargeTo(profile.Ckpt, g.m.Cfg.Cost.CkptInstr(bytes))
+	mn.Count(profile.Ckpt)
 	if np := mn.Prof(); np != nil {
-		np.CountEvent(profile.Ckpt, mn.Now())
 		np.StableWrite(bytes)
 	}
-	c := &g.m.C
-	c.CkptSaves++
-	c.CkptBytes += uint64(bytes)
+	g.m.C.CkptBytes += uint64(bytes)
 	g.rt.Tracef(mn.Now(), i, trace.EvCkptSave,
 		"snapshot round %d: %d objects, %d bytes", g.cur.round, ci.Objects(), bytes)
 }

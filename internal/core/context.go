@@ -107,9 +107,7 @@ func (c *Ctx) SendNow(to Address, p PatternID, args []Value, k func(*Ctx, Value)
 	n := c.rt
 	prev := n.node.SetPath(profile.NowBlocked)
 	n.node.Charge(n.cost.ReplyDestAlloc)
-	if np := n.node.Prof(); np != nil {
-		np.CountEvent(profile.NowBlocked, n.node.Now())
-	}
+	n.node.Count(profile.NowBlocked)
 	rd := n.newReplyDest()
 	n.Send(to, p, args, rd.Addr())
 	// The nested dispatch above may have overwritten the register.
@@ -177,9 +175,7 @@ func (c *Ctx) NewLocal(cl *Class, ctorArgs ...Value) Address {
 	c.acted = true
 	n := c.rt
 	n.node.ChargeTo(profile.Create, n.cost.CreateLocal)
-	if np := n.node.Prof(); np != nil {
-		np.CountEvent(profile.Create, n.node.Now())
-	}
+	n.node.Count(profile.Create)
 	n.C.LocalCreations++
 	return n.rt.newObject(cl, n.id, ctorArgs).Addr()
 }

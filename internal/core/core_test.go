@@ -55,7 +55,7 @@ func TestNullMethodDormantCost(t *testing.T) {
 	if elapsed != 2300*sim.Nanosecond {
 		t.Fatalf("dormant null send took %v, want 2.3µs (25 instructions)", elapsed)
 	}
-	if got := n.C.LocalToDormant; got < 2 {
+	if got := r.TotalStats().LocalToDormant; got < 2 {
 		t.Fatalf("dormant deliveries = %d, want >= 2", got)
 	}
 }

@@ -61,7 +61,6 @@ func (n *NodeRT) sendHinted(to Address, p PatternID, args []Value, replyTo Addre
 		n.node.Charge(n.cost.CheckLocality)
 	}
 	if to.Node != n.id {
-		n.C.RemoteSends++
 		n.node.SetPath(profile.RemoteSend)
 		// Stage the arguments in the runtime's scratch buffer: the interface
 		// call would otherwise force the caller's argument slice to the

@@ -263,18 +263,12 @@ func makeMultiEntry(cl *Class, p PatternID) entryFunc {
 		n.node.Charge(n.cost.GroupCheck)
 		startable := ms.canStart(qi)
 		if startable && n.stackDepth < n.rt.maxStackDepth {
-			n.C.MultiImmediate++
-			if np := n.node.Prof(); np != nil {
-				np.GroupEvent(cl.profGroupID(qi), profile.GroupStarted)
-			}
+			n.groupEvent(cl, qi, profile.GroupStarted)
 			ms.begin(qi)
 			n.invoke(obj, f, cl.methods[p], true)
 			return
 		}
-		n.C.MultiParked++
-		if np := n.node.Prof(); np != nil {
-			np.GroupEvent(cl.profGroupID(qi), profile.GroupParked)
-		}
+		n.groupEvent(cl, qi, profile.GroupParked)
 		n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
 		ms.buffer(qi, f)
 		if n.rt.Tracing() {
@@ -288,6 +282,23 @@ func makeMultiEntry(cl *Class, p PatternID) entryFunc {
 			n.node.SetPath(profile.Sched)
 			n.enqueueSched(obj)
 		}
+	}
+}
+
+// groupEvent counts one multiactive scheduling event (profile.GroupStarted,
+// GroupParked or GroupDispatched) of ready queue qi of cl: in the counters
+// and, with a profiler, in the group's row.
+func (n *NodeRT) groupEvent(cl *Class, qi int, kind int) {
+	switch kind {
+	case profile.GroupStarted:
+		n.C.MultiImmediate++
+	case profile.GroupParked:
+		n.C.MultiParked++
+	case profile.GroupDispatched:
+		n.C.MultiDispatches++
+	}
+	if np := n.node.Prof(); np != nil {
+		np.GroupEvent(cl.profGroupID(qi), kind)
 	}
 }
 
@@ -313,10 +324,7 @@ func (n *NodeRT) multiDispatch(obj *Object) {
 	}
 	f := ms.ready[qi].pop()
 	ms.readyN--
-	n.C.MultiDispatches++
-	if np := n.node.Prof(); np != nil {
-		np.GroupEvent(cl.profGroupID(qi), profile.GroupDispatched)
-	}
+	n.groupEvent(cl, qi, profile.GroupDispatched)
 	ms.begin(qi)
 	n.invoke(obj, f, cl.methods[f.Pattern], true)
 	n.multiReschedule(obj)

@@ -254,8 +254,8 @@ func (r *Runtime) Run() error {
 	return r.M.Run()
 }
 
-// TotalStats returns the machine's counters.
-func (r *Runtime) TotalStats() stats.Counters { return r.M.C }
+// TotalStats returns the machine's counters (machine.Machine.Stats).
+func (r *Runtime) TotalStats() stats.Counters { return r.M.Stats() }
 
 // ObjectsMade reports how many host Objects the runtime has carved: objects,
 // reply destinations and chunks alike. With every stocked chunk a count, a
@@ -290,9 +290,7 @@ func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
 	n := r.nodes[node]
 	n.node.SetPath(profile.Create)
 	n.node.Charge(n.cost.CreateLocal)
-	if np := n.node.Prof(); np != nil {
-		np.CountEvent(profile.Create, n.node.Now())
-	}
+	n.node.Count(profile.Create)
 	n.C.LocalCreations++
 	return r.newObject(cl, node, ctorArgs).Addr()
 }

@@ -162,22 +162,24 @@ func (n *NodeRT) DeliverFrame(obj *Object, f *Frame, remoteIn bool) {
 		panic(fmt.Sprintf("core: frame for node %d delivered on node %d", obj.node, n.id))
 	}
 	e := n.lookup(obj, f.Pattern)
-	path := deliveryPath(e.kind, remoteIn)
-	n.node.SetPath(path)
+	d := deliveries[e.kind]
+	if remoteIn {
+		d.path, d.event = profile.RemoteRecv, true
+	}
+	n.node.SetPath(d.path)
 	n.node.Charge(n.cost.LookupCall)
-	n.countDelivery(e.kind, remoteIn)
-	if np := n.node.Prof(); np != nil {
-		n.profDeliver(np, obj, e.kind, path)
+	if d.event {
+		n.node.Count(d.path)
+	}
+	if np := n.node.Prof(); np != nil && d.class >= 0 {
+		np.ClassDeliver(obj.class.id, int(d.class))
 	}
 	if n.rt.policy == PolicyNaive {
 		instr := n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ
 		if e.kind == entryMulti {
 			// The scheduler performs the compatibility check at dispatch.
 			instr += n.cost.GroupCheck
-			n.C.MultiParked++
-			if np := n.node.Prof(); np != nil {
-				np.GroupEvent(obj.class.profGroupID(obj.class.queueIndex(f.Pattern)), profile.GroupParked)
-			}
+			n.groupEvent(obj.class, obj.class.queueIndex(f.Pattern), profile.GroupParked)
 		}
 		n.node.Charge(instr)
 		n.park(obj, f, e.kind)
@@ -218,73 +220,27 @@ func (n *NodeRT) park(obj *Object, f *Frame, k EntryKind) {
 	}
 }
 
-// countDelivery classifies the delivery for statistics by the entry kind the
-// receiver's current table holds, i.e. by receiver mode.
-func (n *NodeRT) countDelivery(k EntryKind, remoteIn bool) {
-	if remoteIn {
-		n.C.RemoteDelivers++
-		return
-	}
-	switch k {
-	case entryBody, entryInit:
-		n.C.LocalToDormant++
-	case entryQueue:
-		n.C.LocalToActive++
-	case entryRestore:
-		n.C.LocalRestores++
-	case entryMulti:
-		n.C.LocalToMulti++
-	case entryFault:
-		// counted by faultEntry
-	case entryNative:
-		// reply deliveries counted by replyEntry
-	}
-}
-
-// deliveryPath maps a dispatch to its attribution path by the receiver's
-// current-table entry kind — i.e. by receiver mode, mirroring countDelivery.
-func deliveryPath(k EntryKind, remoteIn bool) profile.Path {
-	if remoteIn {
-		return profile.RemoteRecv
-	}
-	switch k {
-	case entryBody, entryInit:
-		return profile.LocalDormant
-	case entryQueue:
-		return profile.LocalActive
-	case entryRestore:
-		return profile.Restore
-	case entryMulti:
-		return profile.Multi
-	case entryNative:
-		return profile.NowBlocked
-	case entryFault:
-		return profile.Create
-	}
-	return profile.Other
-}
-
-// profDeliver records one delivery in the profiler: an event on the path and,
-// when class attribution is on, a per-class mode count. Reply deliveries
-// (entryNative) are not counted as events — the now-send already counted the
-// round trip — so their instructions fold into the per-now-send cost.
-func (n *NodeRT) profDeliver(np *profile.Profiler, obj *Object, k EntryKind, p profile.Path) {
-	if p != profile.NowBlocked {
-		np.CountEvent(p, n.node.Now())
-	}
-	if obj.class == nil {
-		return
-	}
-	switch k {
-	case entryBody, entryInit:
-		np.ClassDeliver(obj.class.id, profile.DeliverDormant)
-	case entryQueue:
-		np.ClassDeliver(obj.class.id, profile.DeliverActive)
-	case entryRestore:
-		np.ClassDeliver(obj.class.id, profile.DeliverRestore)
-	case entryMulti:
-		np.ClassDeliver(obj.class.id, profile.DeliverMulti)
-	}
+// deliveries is the one classification of a delivery, by the entry kind the
+// receiver's current table holds, i.e. by receiver mode: the path it is
+// charged and counted to, whether it counts as an event there, and the
+// profiler's per-class mode (-1: none, the receiver has no class). A
+// delivery from the network is a remote-recv event whatever the kind. A
+// reply (entryNative) is no event: the now-send already counted the round
+// trip, so its instructions fold into the per-now-send cost. A delivery to
+// an uninitialized chunk (entryFault) counts as a create event.
+var deliveries = [...]struct {
+	path  profile.Path
+	event bool
+	class int8
+}{
+	entryNone:    {profile.Other, false, -1},
+	entryBody:    {profile.LocalDormant, true, profile.DeliverDormant},
+	entryInit:    {profile.LocalDormant, true, profile.DeliverDormant},
+	entryQueue:   {profile.LocalActive, true, profile.DeliverActive},
+	entryRestore: {profile.Restore, true, profile.DeliverRestore},
+	entryMulti:   {profile.Multi, true, profile.DeliverMulti},
+	entryNative:  {profile.NowBlocked, false, -1},
+	entryFault:   {profile.Create, true, -1},
 }
 
 // frameDispatchable reports whether an object that just buffered a frame

@@ -134,7 +134,7 @@ func table2(w io.Writer) error {
 	for i, r := range rows {
 		sim := fmt.Sprint(r.Sim)
 		if i == len(rows)-1 {
-			sim += fmt.Sprintf(" (= %.1f µs at %v MHz, CPI %.1f)", cfg.InstrTime(r.Sim).Micros(), cfg.ClockMHz, cfg.CPI)
+			sim += fmt.Sprintf(" (= %.1f µs at %v MHz, CPI %.1f)", cfg.InstrTime(int64(r.Sim)).Micros(), cfg.ClockMHz, cfg.CPI)
 		}
 		row(w, r.Name, r.Paper, sim)
 	}

@@ -84,8 +84,9 @@ func (c Config) NsPerInstr() float64 {
 	return c.CPI * 1000 / c.ClockMHz
 }
 
-// InstrTime converts an instruction count to virtual time.
-func (c Config) InstrTime(instr int) sim.Time {
+// InstrTime converts an instruction count to virtual time. The count is
+// 64-bit: a sequential baseline's total passes 2^31.
+func (c Config) InstrTime(instr int64) sim.Time {
 	return sim.Time(float64(instr)*c.NsPerInstr() + 0.5)
 }
 
@@ -317,10 +318,8 @@ type Node struct {
 	ctrlTo    []sim.Time
 
 	// path is the attribution register Charge reads: every instruction that
-	// advances Clock is attributed to it in the machine's profiler, so the
-	// profile's rows sum to TotalInstr by construction. The register is
-	// written unconditionally — a byte store is cheaper than guarding it —
-	// but only read with a profiler attached.
+	// advances Clock is counted to it in the machine's path counts, so the
+	// profile's rows sum to TotalInstr by construction.
 	path profile.Path
 }
 
@@ -344,9 +343,12 @@ type Machine struct {
 	// record (core.NodeRT.C points at it).
 	C stats.Counters
 
+	// counts is the one count of every path, events and instructions, always
+	// on: ChargeTo and Count add to it.
+	counts profile.Counts
+
 	// Machine-wide totals over every node.
 	busy        sim.Time // accumulated compute time, for utilization
-	instr       uint64
 	packetsSent uint64
 	bytesSent   uint64
 	crashDrops  uint64 // packets lost at a controller while its node was down
@@ -481,18 +483,35 @@ func (m *Machine) Utilization() float64 {
 }
 
 // TotalInstr returns the machine-wide instruction count.
-func (m *Machine) TotalInstr() uint64 { return m.instr }
+func (m *Machine) TotalInstr() uint64 { return m.counts.TotalInstr() }
+
+// Counts returns the machine's path counts, for Profiler.Report.
+func (m *Machine) Counts() *profile.Counts { return &m.counts }
+
+// Stats returns the runtime counters with the ones that restate a path's
+// event count filled from it: the counters' one read for a report.
+func (m *Machine) Stats() stats.Counters {
+	c, e := m.C, &m.counts.Events
+	c.LocalToDormant = e[profile.LocalDormant]
+	c.LocalToActive = e[profile.LocalActive]
+	c.LocalRestores = e[profile.Restore]
+	c.LocalToMulti = e[profile.Multi]
+	c.RemoteSends = e[profile.RemoteSend]
+	c.RemoteDelivers = e[profile.RemoteRecv]
+	c.CkptSaves = e[profile.Ckpt]
+	return c
+}
 
 // SetProfiler attaches a cost-attribution profiler: from here on every
-// Charge is also attributed in it. Call before Run; the profiler only
-// observes.
+// Charge and Count also feeds its node sums and time slices. Call before
+// Run; the profiler only observes.
 func (m *Machine) SetProfiler(p *profile.Profiler) { m.prof = p }
 
 // Profiler returns the attached profiler (nil when profiling is off).
 func (m *Machine) Profiler() *profile.Profiler { return m.prof }
 
 // Prof returns the machine's profiler (nil when profiling is off), for the
-// event, packet and class counts a node charges beside instructions.
+// packet and class counts a node charges beside its path counts.
 func (n *Node) Prof() *profile.Profiler { return n.m.prof }
 
 // SetPath sets the node's attribution register and returns the previous
@@ -522,9 +541,18 @@ func (n *Node) ChargeTo(p profile.Path, instr int) {
 	d := sim.Time(float64(instr)*m.nsPerInstr + 0.5)
 	n.Clock += d
 	m.busy += d
-	m.instr += uint64(instr)
+	m.counts.Instr[p] += uint64(instr)
 	if m.prof != nil {
-		m.prof.ChargeInstr(n.ID, p, instr, n.Clock)
+		m.prof.ChargeInstr(n.ID, instr, n.Clock)
+	}
+}
+
+// Count counts one event of path p (one message, one creation, one
+// checkpoint save, ...), so per-event instruction costs can be derived.
+func (n *Node) Count(p profile.Path) {
+	n.m.counts.Events[p]++
+	if n.m.prof != nil {
+		n.m.prof.Event(n.Clock)
 	}
 }
 

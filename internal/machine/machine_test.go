@@ -21,21 +21,21 @@ func TestDefaultCostCalibration(t *testing.T) {
 		t.Errorf("dormant path = %d instructions, want 25", got)
 	}
 	// Table 1: 25 instructions at 25MHz / CPI 2.3 is 2.3µs.
-	if got := cfg.InstrTime(c.DormantPath()); got != 2300 {
+	if got := cfg.InstrTime(int64(c.DormantPath())); got != 2300 {
 		t.Errorf("dormant path time = %v, want 2.3µs", got)
 	}
 	// Active path about 9.6µs.
-	at := cfg.InstrTime(c.ActivePath())
+	at := cfg.InstrTime(int64(c.ActivePath()))
 	if at < 9*sim.Microsecond || at > 10*sim.Microsecond {
 		t.Errorf("active path time = %v, want ~9.6µs", at)
 	}
 	// Local creation about 2.1µs.
-	ct := cfg.InstrTime(c.CreateLocal)
+	ct := cfg.InstrTime(int64(c.CreateLocal))
 	if ct < 2000 || ct > 2200 {
 		t.Errorf("local creation time = %v, want ~2.1µs", ct)
 	}
 	// Remote one-way: 80 instructions software + 1.5µs hardware = ~8.9µs.
-	oneWay := cfg.InstrTime(c.RemoteSoftwareOneWay()) + cfg.Net.Latency(1, 16)
+	oneWay := cfg.InstrTime(int64(c.RemoteSoftwareOneWay())) + cfg.Net.Latency(1, 16)
 	if oneWay < 8800 || oneWay > 9000 {
 		t.Errorf("remote one-way latency = %v, want ~8.9µs", oneWay)
 	}
@@ -134,7 +134,7 @@ func TestProfileRowsSumToInstrCount(t *testing.T) {
 	}
 	got := map[string]uint64{}
 	var sum uint64
-	for _, row := range prof.Report().Paths {
+	for _, row := range prof.Report(m.Counts()).Paths {
 		got[row.Path] = row.Instr
 		sum += row.Instr
 	}

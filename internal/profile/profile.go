@@ -3,10 +3,12 @@
 // charged to a *path* — the paper's Section 6 cost categories (stack-invoked
 // dormant sends, queued active sends, context restorations, heap-frame
 // now-blocks, the remote send/receive halves, creation, checkpointing,
-// retransmission) — and optionally to the receiver's class. One accumulator
-// serves the whole machine; only the per-node instruction and packet totals
-// of Report.Nodes are kept per node. The whole subsystem costs a single nil
-// check per charge when disabled.
+// retransmission) — and optionally to the receiver's class. The machine
+// keeps the one count of every path, events and instructions (Counts): one
+// array add per charge, always on. A Profiler adds only what is not such a
+// count — packets and bytes per path, stable-store bytes, per-class and
+// per-group rows, per-node sums and time slices — and renders the report
+// over the machine's Counts.
 //
 // A Profiler only observes: it charges nothing to the simulated machine and
 // never reads state the engine could branch on, so enabling it cannot change
@@ -89,12 +91,27 @@ type Slice struct {
 	Utilization float64  `json:"utilization,omitempty"`
 }
 
+// Counts is the one count of every path: its events (one message, one
+// creation, one checkpoint save, ...) and the instructions charged to it.
+// The machine keeps one, always on; Profiler.Report reads it.
+type Counts struct {
+	Events [NumPaths]uint64
+	Instr  [NumPaths]uint64
+}
+
+// TotalInstr is the sum of the instructions charged across paths.
+func (c *Counts) TotalInstr() uint64 {
+	var sum uint64
+	for _, n := range c.Instr {
+		sum += n
+	}
+	return sum
+}
+
 // Profiler is a machine's accumulator set and class-name registry.
 type Profiler struct {
 	opt Options
 
-	instr   [NumPaths]uint64
-	events  [NumPaths]uint64
 	packets [NumPaths]uint64
 	bytes   [NumPaths]uint64
 	stable  uint64
@@ -137,20 +154,18 @@ const (
 	GroupDispatched = 2 // a parked invocation was dispatched by the scheduler
 )
 
-// ChargeInstr attributes instr simulated instructions charged on node to
-// path pa at time at.
-func (p *Profiler) ChargeInstr(node int, pa Path, instr int, at sim.Time) {
-	p.instr[pa] += uint64(instr)
+// ChargeInstr adds instr simulated instructions charged on node at time at
+// to the node's sum and the time slice; the path's count is the machine's.
+func (p *Profiler) ChargeInstr(node int, instr int, at sim.Time) {
 	p.nodeInstr[node] += uint64(instr)
 	if p.opt.Window > 0 {
 		p.slice(at).Instr += uint64(instr)
 	}
 }
 
-// CountEvent counts one occurrence of path pa (one message, one creation, one
-// checkpoint save, ...), so per-event instruction costs can be derived.
-func (p *Profiler) CountEvent(pa Path, at sim.Time) {
-	p.events[pa]++
+// Event ticks the time slice of one path event at time at; the path's count
+// is the machine's.
+func (p *Profiler) Event(at sim.Time) {
 	if p.opt.Window > 0 {
 		p.slice(at).Events++
 	}
@@ -297,8 +312,8 @@ type Report struct {
 	// TotalInstr is the sum of attributed instructions across paths.
 	TotalInstr uint64 `json:"total_instr"`
 	// DormantFraction is dormant deliveries over all local deliveries — the
-	// paper's "approximately 75%" (Section 6.3), derived here from the
-	// profiler's own event counts rather than the global counters.
+	// paper's "approximately 75%" (Section 6.3): Report leaves it zero for
+	// the system report to fill in from stats.Counters.DormantFraction.
 	DormantFraction float64     `json:"dormant_fraction"`
 	Paths           []PathStat  `json:"paths"`
 	Classes         []ClassStat `json:"classes,omitempty"`
@@ -307,40 +322,35 @@ type Report struct {
 	Nodes           []NodeStat  `json:"nodes,omitempty"`
 }
 
-// Report renders the accumulators. Paths with no activity are omitted; rows
-// appear in taxonomy order.
-func (p *Profiler) Report() *Report {
-	r := &Report{Window: p.opt.Window}
-	for pa := Path(0); pa < NumPaths; pa++ {
-		r.TotalInstr += p.instr[pa]
-	}
+// Report renders the accumulators beside the machine's path counts c. Paths
+// with no activity are omitted; rows appear in taxonomy order.
+func (p *Profiler) Report(c *Counts) *Report {
+	r := &Report{Window: p.opt.Window, TotalInstr: c.TotalInstr()}
 	for i := range p.nodeInstr {
 		r.Nodes = append(r.Nodes, NodeStat{Node: i, Instr: p.nodeInstr[i], Packets: p.nodePackets[i]})
 	}
 	for pa := Path(0); pa < NumPaths; pa++ {
-		if p.instr[pa] == 0 && p.events[pa] == 0 && p.packets[pa] == 0 && p.bytes[pa] == 0 {
+		events, instr := c.Events[pa], c.Instr[pa]
+		if instr == 0 && events == 0 && p.packets[pa] == 0 && p.bytes[pa] == 0 {
 			continue
 		}
 		ps := PathStat{
 			Path:      pa.String(),
-			Events:    p.events[pa],
-			Instr:     p.instr[pa],
+			Events:    events,
+			Instr:     instr,
 			Packets:   p.packets[pa],
 			WireBytes: p.bytes[pa],
 		}
 		if pa == Ckpt {
 			ps.StableBytes = p.stable
 		}
-		if p.events[pa] > 0 {
-			ps.InstrPerEvent = float64(p.instr[pa]) / float64(p.events[pa])
+		if events > 0 {
+			ps.InstrPerEvent = float64(instr) / float64(events)
 		}
 		if r.TotalInstr > 0 {
-			ps.InstrShare = float64(p.instr[pa]) / float64(r.TotalInstr)
+			ps.InstrShare = float64(instr) / float64(r.TotalInstr)
 		}
 		r.Paths = append(r.Paths, ps)
-	}
-	if local := p.events[LocalDormant] + p.events[LocalActive] + p.events[Restore]; local > 0 {
-		r.DormantFraction = float64(p.events[LocalDormant]) / float64(local)
 	}
 	r.Classes = p.classReport()
 	r.Groups = p.groupReport()

@@ -448,9 +448,7 @@ func (l *Layer) cost() *machine.Cost { return &l.m.Cfg.Cost }
 func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, args []core.Value, replyTo core.Address) {
 	mn := n.MachineNode()
 	w := l.record(mn, profile.RemoteSend, 0, wmMessage)
-	if np := mn.Prof(); np != nil {
-		np.CountEvent(profile.RemoteSend, mn.Now())
-	}
+	mn.Count(profile.RemoteSend)
 	size := packetHeaderBytes + core.ArgsSize(args)
 	if !replyTo.IsNil() {
 		size += 8
@@ -505,9 +503,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		// target.
 		chunk := n.NewFaultChunk(target)
 		mn.ChargeTo(profile.Create, c.StockPop)
-		if np := mn.Prof(); np != nil {
-			np.CountEvent(profile.Create, mn.Now())
-		}
+		mn.Count(profile.Create)
 		n.C.StockHits++
 		n.C.RemoteCreations++
 		l.sendCreate(mn, target, chunk, cl, ctorArgs, nil)
@@ -520,9 +516,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 
 	// Empty stock: the creating object must block until the target both
 	// creates the object and replies (split-phase round trip).
-	if np := mn.Prof(); np != nil {
-		np.CountEvent(profile.Create, mn.Now())
-	}
+	mn.Count(profile.Create)
 	n.C.StockMisses++
 	n.C.RemoteCreations++
 	self := ctx.SelfObject()

@@ -695,7 +695,7 @@ func TestBatchedRecordsPayBatchExtraction(t *testing.T) {
 		if c := rt.TotalStats(); c.RemoteCreations != 1 || (c.BatchedMsgs == 2) != batch {
 			t.Fatalf("batch=%v: creations=%d batched records=%d", batch, c.RemoteCreations, c.BatchedMsgs)
 		}
-		for _, ps := range prof.Report().Paths {
+		for _, ps := range prof.Report(m.Counts()).Paths {
 			switch ps.Path {
 			case profile.RemoteRecv.String():
 				recv = ps.Instr

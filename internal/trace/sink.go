@@ -28,10 +28,12 @@ type JSONL struct {
 // bufio.Writer for file output; the sink never flushes.
 func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
 
-// jsonlEvent is the wire schema of one line.
+// jsonlEvent is the wire schema of one line. Its integers are 64-bit on
+// every host, so CheckJSONL range-checks a huge node id instead of failing
+// to decode it.
 type jsonlEvent struct {
 	At   int64  `json:"at"`
-	Node int    `json:"node"`
+	Node int64  `json:"node"`
 	Kind string `json:"kind"`
 	What string `json:"what"`
 }
@@ -43,7 +45,7 @@ func (j *JSONL) Event(e Event) {
 	}
 	b, err := json.Marshal(jsonlEvent{
 		At:   int64(e.At),
-		Node: e.Node,
+		Node: int64(e.Node),
 		Kind: e.Kind.String(),
 		What: e.What,
 	})
@@ -171,7 +173,7 @@ func CheckJSONL(r io.Reader, sum *MetricsSummary) (MetricsSummary, error) {
 		if err != nil {
 			return MetricsSummary{}, fmt.Errorf("line %d: %v", line, err)
 		}
-		m.Event(Event{At: sim.Time(e.At), Node: e.Node, Kind: kind, What: e.What})
+		m.Event(Event{At: sim.Time(e.At), Node: int(e.Node), Kind: kind, What: e.What})
 	}
 	if err := sc.Err(); err != nil {
 		return MetricsSummary{}, err

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	abcl "repro"
+	"repro/internal/apps/hotkey"
 	"repro/internal/apps/misc"
 	"repro/internal/apps/nqueens"
 	"repro/internal/trace"
@@ -55,7 +56,9 @@ func TestProfilerEquivalence(t *testing.T) {
 // subsystems: every subsystem's path has a row, and the report's total is the
 // machine's instruction count (true of any run by construction — the node
 // clock and the profile advance in one call; machine's
-// TestProfileRowsSumToInstrCount holds that).
+// TestProfileRowsSumToInstrCount holds that). The counters that restate a
+// path's event count agree with its row there, on a grouped hot-key run and
+// on a multiactive object reached by local sends (checkPathCounts).
 func TestProfilerCompleteness(t *testing.T) {
 	res, err := nqueens.Run(nqueens.Options{N: 8}, abcl.WithNodes(8), abcl.WithSeed(3),
 		abcl.WithFaults(abcl.UniformFaults(0.05, 0.02, 0)),
@@ -91,6 +94,77 @@ func TestProfilerCompleteness(t *testing.T) {
 	}
 	if ck := paths["ckpt"]; ck.StableBytes == 0 {
 		t.Error("checkpointing run attributed no stable-store bytes")
+	}
+	checkPathCounts(t, "nqueens", res.Report)
+
+	hot, err := hotkey.Run(hotkey.Options{Clients: 8, Ops: 20, Coverage: hotkey.CoverFull},
+		abcl.WithNodes(8), abcl.WithProfiler(abcl.ProfileOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPathCounts(t, "grouped hotkey", hot.Report)
+
+	// Three local sends to a multiactive object: three multi events.
+	sys := abcl.MustNewSystem(abcl.WithNodes(2), abcl.WithProfiler(abcl.ProfileOptions{}))
+	get, kick := sys.Pattern("get", 0), sys.Pattern("kick", 0)
+	reader := sys.NewObjectOn(0, sys.Class("reader", 0, nil).Method(get, func(*abcl.Ctx) {}).Group("reads", get))
+	driver := sys.Class("driver", 0, nil).Method(kick, func(ctx *abcl.Ctx) {
+		for i := 0; i < 3; i++ {
+			ctx.SendPast(reader, get)
+		}
+	})
+	sys.Send(sys.NewObjectOn(0, driver), kick)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	local := sys.Report()
+	if got := local.Sched.Counters.LocalToMulti; got != 3 {
+		t.Errorf("local multiactive sends: LocalToMulti = %d, want 3", got)
+	}
+	checkPathCounts(t, "local multiactive", local)
+}
+
+// checkPathCounts asserts the equalities a profiled report relies on: every
+// counter that restates a path's event count equals that path's Events, and
+// the counts kept apart from the path events agree with them.
+func checkPathCounts(t *testing.T, run string, rep abcl.Report) {
+	t.Helper()
+	events, packets := map[string]uint64{}, map[string]uint64{}
+	for _, ps := range rep.Profile.Paths {
+		events[ps.Path], packets[ps.Path] = ps.Events, ps.Packets
+	}
+	c := rep.Sched.Counters
+	for _, row := range []struct {
+		counter string
+		got     uint64
+		path    string
+	}{
+		{"LocalToDormant", c.LocalToDormant, "local-dormant"},
+		{"LocalToActive", c.LocalToActive, "local-active"},
+		{"LocalRestores", c.LocalRestores, "restore"},
+		{"LocalToMulti", c.LocalToMulti, "multi"},
+		{"RemoteSends", c.RemoteSends, "remote-send"},
+		{"RemoteDelivers", c.RemoteDelivers, "remote-recv"},
+		{"CkptSaves", c.CkptSaves, "ckpt"},
+		{"NowFastPath+NowBlocked", c.NowFastPath + c.NowBlocked, "now-blocked"},
+	} {
+		if row.got != events[row.path] {
+			t.Errorf("%s: %s = %d, %s events = %d", run, row.counter, row.got, row.path, events[row.path])
+		}
+	}
+	// Each remote send launches one wire record, and with no crash each is
+	// delivered once.
+	if s, p, r := events["remote-send"], packets["remote-send"], events["remote-recv"]; s != p || s != r {
+		t.Errorf("%s: remote-send events %d, packets %d, remote-recv events %d; want equal", run, s, p, r)
+	}
+	// A create event is a creation or a local delivery to a chunk not yet
+	// created (one of the fault-buffered messages).
+	if cr := events["create"]; cr < c.Creations() || cr > c.Creations()+c.FaultBuffered {
+		t.Errorf("%s: create events %d outside [creations %d, + fault-buffered %d]", run, cr, c.Creations(), c.FaultBuffered)
+	}
+	// Every completed round saved every node.
+	if want := uint64(rep.Ckpt.Rounds) * uint64(rep.Sched.Nodes); c.CkptSaves < want {
+		t.Errorf("%s: %d checkpoint saves for %d rounds of %d nodes", run, c.CkptSaves, rep.Ckpt.Rounds, rep.Sched.Nodes)
 	}
 }
 
