@@ -6,7 +6,7 @@
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
 #   make bench-test      the benchmark harness's own tests (bench/ is its own module)
 #   make fuzz-smoke      each native fuzz target for 30 s
-#   make test-386        the test suite built for 32 bits (GOARCH=386)
+#   make test-386        the test suite and the runpack regress built for 32 bits (GOARCH=386)
 #   make check           tier1, vet-race, scenario-smoke, bench-test, fuzz-smoke and test-386
 #   make alloc-profile   every allocation of one nqueens N10/P256 run, by allocating function (objects, bytes)
 #   make cpu-profile     the CPU profile of the same run, by function
@@ -40,11 +40,14 @@ regress:
 
 check: tier1 vet-race scenario-smoke bench-test fuzz-smoke test-386
 
-# The suite on a 32-bit int: results must not depend on the host's word
-# size. The local toolchain cross-compiles and the amd64 kernel runs the
-# 386 binaries, so nothing is downloaded.
+# The suite on a 32-bit int, and the runpack regress by a 386 binary: results
+# and every packed trace must not depend on the host's word size or on the
+# layout of the narrowed wire-record fields. The local toolchain
+# cross-compiles and the amd64 kernel runs the 386 binaries, so nothing is
+# downloaded.
 test-386:
 	GOARCH=386 go test ./...
+	GOARCH=386 go run ./cmd/abclsim regress testdata/runpacks
 
 # Each native fuzz target for 30 s; go test fuzzes one target per run, so a
 # new target is a new line. `go test ./...` runs only their seed corpora; a

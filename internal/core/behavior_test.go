@@ -512,8 +512,8 @@ func TestNaiveWithFaultChunk(t *testing.T) {
 
 	chunk := r.NodeRT(0).NewFaultChunk(0)
 	n := r.NodeRT(0)
-	n.DeliverFrame(chunk, &Frame{Pattern: m, Args: []Value{IntV(1)}}, true)
-	n.DeliverFrame(chunk, &Frame{Pattern: m, Args: []Value{IntV(2)}}, true)
+	n.DeliverFrame(chunk, argFrame(m, IntV(1)), true)
+	n.DeliverFrame(chunk, argFrame(m, IntV(2)), true)
 	r.InitChunk(n, chunk, cls, nil)
 	run(t, r)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {

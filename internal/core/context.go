@@ -43,7 +43,7 @@ func (c *Ctx) Pattern() PatternID { return c.f.Pattern }
 func (c *Ctx) Arg(i int) Value { return c.f.Arg(i) }
 
 // NumArgs returns the message's argument count.
-func (c *Ctx) NumArgs() int { return len(c.f.Args) }
+func (c *Ctx) NumArgs() int { return int(c.f.nargs) }
 
 // State reads state variable i.
 func (c *Ctx) State(i int) Value { return c.self.state[i] }
@@ -116,7 +116,6 @@ func (c *Ctx) SendNow(to Address, p PatternID, args []Value, k func(*Ctx, Value)
 	st := rd.rd
 	if st.arrived && !st.consumed {
 		st.consumed = true
-		n.C.NowFastPath++
 		n.node.SetPath(prev)
 		k(c, st.value)
 		return
@@ -214,10 +213,6 @@ func (c *Ctx) checkLive(op string) {
 	}
 }
 
-// block marks the context blocked on behalf of runtime-internal operations
-// (used by the remote layer's slow creation path).
-func (c *Ctx) block() { c.blocked = true }
-
 // NodeRT exposes the per-node runtime to sibling runtime packages
 // (internal/remote); applications should not need it.
 func (c *Ctx) NodeRT() *NodeRT { return c.rt }
@@ -230,7 +225,7 @@ func (c *Ctx) CurrentFrame() *Frame { return c.f }
 
 // BlockExternal marks the context blocked; the caller (the remote layer)
 // takes responsibility for resuming the object via ResumeSaved.
-func (c *Ctx) BlockExternal() { c.block() }
+func (c *Ctx) BlockExternal() { c.blocked = true }
 
 // ResumeSaved schedules a saved continuation for obj through the scheduling
 // queue: the inverse of BlockExternal, used by the remote layer when a

@@ -725,8 +725,8 @@ func TestFaultChunkBuffersEarlyMessages(t *testing.T) {
 	}
 	n := r.NodeRT(0)
 	// Early messages (simulating arrivals ahead of the creation request).
-	n.DeliverFrame(chunk, &Frame{Pattern: m, Args: []Value{IntV(1)}}, true)
-	n.DeliverFrame(chunk, &Frame{Pattern: m, Args: []Value{IntV(2)}}, true)
+	n.DeliverFrame(chunk, argFrame(m, IntV(1)), true)
+	n.DeliverFrame(chunk, argFrame(m, IntV(2)), true)
 	if len(got) != 0 {
 		t.Fatal("messages must be buffered, not processed")
 	}
@@ -906,9 +906,16 @@ func TestFramePoolSpansNodes(t *testing.T) {
 	}
 	r := NewRuntime(m, Options{})
 	n0, n1 := r.NodeRT(0), r.NodeRT(1)
-	f := n0.NewFrame(0, nil, NilAddress)
-	n0.releaseFrame(f)
-	if g := n1.NewFrame(0, nil, NilAddress); g != f {
+	f := n0.NewFrame()
+	n0.ReleaseFrame(f)
+	if g := n1.NewFrame(); g != f {
 		t.Fatalf("node 1 took frame %p, want the one node 0 released (%p)", g, f)
 	}
+}
+
+// argFrame is a frame outside the pool, for delivering by hand.
+func argFrame(p PatternID, args ...Value) *Frame {
+	f := &Frame{Pattern: p}
+	f.SetArgs(args)
+	return f
 }

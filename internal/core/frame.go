@@ -1,5 +1,14 @@
 package core
 
+import (
+	"fmt"
+	"math"
+	"slices"
+	"unsafe"
+
+	"repro/internal/machine"
+)
+
 // Frame holds one message: its pattern, arguments, and (for now-type sends)
 // the mail address of the reply destination object. In the paper a frame is
 // allocated on the stack when a dormant object is invoked directly and on
@@ -7,42 +16,65 @@ package core
 // is accounted by the cost model rather than by the allocator, but the
 // lifecycle (stack invocation vs queued frame vs saved-context frame) is
 // mirrored exactly.
+//
+// A message to another node travels as its frame, which is also the wire
+// record: one record from the runtime's one frame pool, run or queued as it
+// is at the receiver (package remote).
 type Frame struct {
-	Pattern PatternID
-	Args    []Value
+	// Wire is the header a remote hop travels under; its Payload points back
+	// at the frame. Unused by a local send.
+	Wire machine.Packet
+
+	Pattern PatternID // a remote creation names its class here, by id
+	nargs   uint16    // length of the argument list
+	hints   SendHint  // compile-time optimization hints of the send site
+	pooled  bool      // obtained from the frame pool; recycled at method end
+
+	// The argument list is argBuf[:nargs] when it fits, otherwise nargs
+	// values from spill: SetArgs copies, so a send's variadic slice never
+	// outlives the call and can live on the sender's stack.
+	spill   *Value
 	ReplyTo Address // reply destination for now-type messages; nil for past-type
+	argBuf  [2]Value
 
-	// argBuf is the inline argument store: setArgs copies small argument
-	// lists here so a send's variadic slice never outlives the call and can
-	// live on the sender's stack.
-	argBuf [2]Value
+	next *Frame // message-queue link, reused as the free-list link
 
-	hints  SendHint // compile-time optimization hints of the send site
-	next   *Frame   // message-queue link, reused as the free-list link
-	pooled bool     // obtained from a NodeRT frame pool; recycled at method end
+	// A remote hop's object, homed on Wire.Dst (a message's receiver or a
+	// creation's stocked chunk), and the continuation a stock miss's request
+	// and reply carry back to the requester, called with the created address.
+	Obj       *Object
+	OnCreated func(Address)
 }
 
-// setArgs copies args into the frame — into the inline buffer when they
-// fit, a fresh slice otherwise. The copy is unconditional so the caller's
+// SetArgs copies args into the frame — into the inline buffer when they
+// fit, a fresh array otherwise. The copy is unconditional so the caller's
 // slice provably does not escape through this call.
-func (f *Frame) setArgs(args []Value) {
-	switch {
-	case len(args) == 0:
-		f.Args = nil
-	case len(args) <= len(f.argBuf):
-		nc := copy(f.argBuf[:], args)
-		f.Args = f.argBuf[:nc:nc]
-	default:
-		f.Args = append([]Value(nil), args...)
+func (f *Frame) SetArgs(args []Value) {
+	if len(args) > math.MaxUint16 {
+		panic(fmt.Sprintf("core: %d arguments overflow a frame", len(args)))
 	}
+	f.nargs = uint16(len(args))
+	if len(args) <= len(f.argBuf) {
+		copy(f.argBuf[:], args)
+		return
+	}
+	f.spill = &slices.Clone(args)[0]
+}
+
+// Args returns the argument list.
+func (f *Frame) Args() []Value {
+	if f.spill != nil {
+		return unsafe.Slice(f.spill, f.nargs)
+	}
+	return f.argBuf[:f.nargs:f.nargs]
 }
 
 // Arg returns the i'th argument, or Nil if out of range.
 func (f *Frame) Arg(i int) Value {
-	if i < 0 || i >= len(f.Args) {
+	if i < 0 || i >= int(f.nargs) {
 		return Nil
 	}
-	return f.Args[i]
+	return f.Args()[i]
 }
 
 // frameQueue is the per-object message queue: a FIFO of buffered frames

@@ -70,6 +70,8 @@ func (n *NodeRT) sendHinted(to Address, p PatternID, args []Value, replyTo Addre
 		r.remote.SendMessage(n, to, p, r.sendScratch, replyTo)
 		return
 	}
-	f := n.newFrame(p, args, replyTo, hints)
+	f := n.NewFrame()
+	f.Pattern, f.ReplyTo, f.hints = p, replyTo, hints
+	f.SetArgs(args)
 	n.DeliverFrame(to.Obj, f, false)
 }

@@ -5,8 +5,9 @@ import "fmt"
 // PatternID identifies a message pattern. Per Section 2.4, a pattern is the
 // combination of message keywords and argument types, and "at compile time,
 // a unique number is assigned to each message pattern"; PatternID is that
-// number. It indexes virtual function tables directly.
-type PatternID int
+// number. It indexes virtual function tables directly; 32 bits keep it one
+// word of a frame with the frame's argument count and flags.
+type PatternID int32
 
 // NoPattern is the invalid pattern.
 const NoPattern PatternID = -1

@@ -40,23 +40,21 @@ func replyEntry(n *NodeRT, obj *Object, f *Frame) {
 		panic("core: reply: sent to a non-reply-destination object")
 	}
 	n.C.Replies++
+	v := f.Arg(0)
+	n.ReleaseFrame(f)
 	if rd.consumed || rd.arrived {
 		// A second reply to the same destination: the first wins.
 		n.C.DroppedReplies++
-		n.releaseFrame(f)
 		return
 	}
 	if rd.waiterObj == nil {
-		rd.value = f.Arg(0)
+		rd.value = v
 		rd.arrived = true
-		n.releaseFrame(f)
 		return
 	}
 	rd.consumed = true
 	w, k, wf := rd.waiterObj, rd.waiterK, rd.waiterF
 	rd.waiterObj, rd.waiterK, rd.waiterF = nil, nil, nil
-	v := f.Arg(0)
-	n.releaseFrame(f)
 	if n.stackDepth >= n.rt.maxStackDepth {
 		n.C.Preemptions++
 		n.node.Charge(n.cost.SaveContext)

@@ -93,8 +93,9 @@ type Runtime struct {
 	values  sim.Arena[Value]
 	made    int // host Objects carved (ObjectsMade)
 
-	frameFree *Frame // recycled message frames, linked via next
-	ctxFree   []*Ctx // recycled invocation contexts
+	frames    sim.Arena[Frame] // where frames come from before any is released
+	frameFree *Frame           // recycled message frames, linked via next
+	ctxFree   []*Ctx           // recycled invocation contexts
 
 	// sendScratch stages outgoing remote-send arguments for the interface
 	// call into the remote layer. The layer copies what it needs before
@@ -257,6 +258,9 @@ func (r *Runtime) Run() error {
 // TotalStats returns the machine's counters (machine.Machine.Stats).
 func (r *Runtime) TotalStats() stats.Counters { return r.M.Stats() }
 
+// ClassByID returns the class with the given id (Class.ID).
+func (r *Runtime) ClassByID(id int) *Class { return r.classes[id] }
+
 // ObjectsMade reports how many host Objects the runtime has carved: objects,
 // reply destinations and chunks alike. With every stocked chunk a count, a
 // run makes one per creation (and reply destination), none per idle chunk.
@@ -341,7 +345,9 @@ func (r *Runtime) Inject(to Address, p PatternID, args ...Value) {
 		panic("core: Inject to nil address")
 	}
 	n := r.nodes[to.Node]
-	n.park(to.Obj, &Frame{Pattern: p, Args: args}, n.lookup(to.Obj, p).kind)
+	f := &Frame{Pattern: p}
+	f.SetArgs(args)
+	n.park(to.Obj, f, n.lookup(to.Obj, p).kind)
 	n.node.Wake()
 }
 

@@ -42,46 +42,33 @@ func (n *NodeRT) MachineNode() *machine.Node { return n.node }
 // SchedQueueLen returns the current scheduling-queue length (load metric).
 func (n *NodeRT) SchedQueueLen() int { return n.schedQ.len() }
 
-// NewFrame returns a message frame from the runtime's free list (or a fresh
-// one), marked for recycling when the invocation it carries completes
-// without blocking.
-func (n *NodeRT) NewFrame(p PatternID, args []Value, replyTo Address) *Frame {
-	return n.newFrame(p, args, replyTo, 0)
-}
-
-func (n *NodeRT) newFrame(p PatternID, args []Value, replyTo Address, hints SendHint) *Frame {
+// NewFrame returns a zeroed frame from the runtime's pool, marked for
+// recycling when the invocation it carries completes without blocking. The
+// inter-node layer takes its wire records here.
+func (n *NodeRT) NewFrame() *Frame {
 	r := n.rt
 	f := r.frameFree
 	if f == nil {
-		f = &Frame{}
+		f = r.frames.New()
 	} else {
 		r.frameFree = f.next
 		f.next = nil
 	}
-	f.Pattern = p
-	f.setArgs(args)
-	f.ReplyTo = replyTo
-	f.hints = hints
 	f.pooled = true
 	return f
 }
 
-// releaseFrame recycles a pooled frame once its invocation has fully
-// completed. Frames saved by blocking paths (now-waits, selective
-// reception, yields) are released only when their continuation finishes;
-// frames handed to user continuations (awaited messages) are never
-// recycled. Non-pooled frames (host injections, tests) are ignored.
-func (n *NodeRT) releaseFrame(f *Frame) {
+// ReleaseFrame recycles a pooled frame once its invocation has fully
+// completed, or a wire record its handler is done with. Frames saved by
+// blocking paths (now-waits, selective reception, yields) are released when
+// their continuation finishes; frames handed to user continuations (awaited
+// messages) never are. Non-pooled frames (host injections, tests, records
+// held for checkpoint replay) are ignored.
+func (n *NodeRT) ReleaseFrame(f *Frame) {
 	if f == nil || !f.pooled {
 		return
 	}
-	f.pooled = false
-	f.Pattern = 0
-	f.Args = nil
-	f.argBuf = [2]Value{} // drop any pointers held by inline arguments
-	f.ReplyTo = Address{}
-	f.hints = 0
-	f.next = n.rt.frameFree
+	*f = Frame{next: n.rt.frameFree} // drop every pointer the frame held
 	n.rt.frameFree = f
 }
 
@@ -394,7 +381,7 @@ func (n *NodeRT) invoke(obj *Object, f *Frame, k func(*Ctx), fresh bool) {
 		} else {
 			n.methodEnd(obj, h)
 		}
-		n.releaseFrame(f)
+		n.ReleaseFrame(f)
 		n.releaseCtx(ctx)
 	}
 	if fresh && h&HintNoPoll == 0 {

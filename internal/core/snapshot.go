@@ -108,7 +108,7 @@ func (img *NodeImage) SizeBytes() int { return img.bytes }
 func (img *NodeImage) Objects() int { return len(img.objs) }
 
 // immortalize removes a frame from pool management: the snapshot holds it by
-// reference, so it must never be recycled and rewritten (releaseFrame
+// reference, so it must never be recycled and rewritten (ReleaseFrame
 // ignores non-pooled frames). The frame's content is immutable after
 // creation; only its queue link is rewritten, and restore rebuilds links.
 func immortalize(f *Frame) int {
@@ -116,7 +116,7 @@ func immortalize(f *Frame) int {
 		return 0
 	}
 	f.pooled = false
-	return frameHeaderBytes + ArgsSize(f.Args)
+	return frameHeaderBytes + ArgsSize(f.Args())
 }
 
 // PinFrame removes a frame from pool management before any snapshot sees

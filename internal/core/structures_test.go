@@ -472,7 +472,7 @@ func TestRegistryDenseIDs(t *testing.T) {
 // --- Frame ---------------------------------------------------------------------
 
 func TestFrameArgBounds(t *testing.T) {
-	f := &Frame{Args: []Value{IntV(1)}}
+	f := argFrame(0, IntV(1))
 	if f.Arg(0).Int() != 1 {
 		t.Error("in-range arg")
 	}

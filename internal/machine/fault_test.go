@@ -133,7 +133,7 @@ func recycled(t *testing.T, m *Machine, tracked ...*Packet) map[*Packet]int {
 				t.Fatalf("node %d: pool handed out %p twice", id, p)
 			}
 			seen[p] = true
-			if p.Handler != nil || p.OnArrive != nil || p.Seq != 0 || p.HasAck || p.Ctrl || p.Size != 0 || p.next != nil {
+			if p.Handler != nil || p.OnArrive != 0 || p.Seq != 0 || p.HasAck || p.Ctrl || p.Size != 0 || p.next != nil {
 				t.Fatalf("node %d: pool handed out a dirty record: %+v", id, *p)
 			}
 			if want[p] {
@@ -160,17 +160,17 @@ func TestPacketRecycledAtMostOnce(t *testing.T) {
 		return m
 	}
 	// shape fills in what makes p a data packet or an acknowledgment.
-	shape := func(p *Packet, ack bool, h func(*Node, *Packet)) *Packet {
+	shape := func(m *Machine, p *Packet, ack bool, h func(*Node, *Packet)) *Packet {
 		p.Dst, p.Size = 1, size
 		if ack {
-			p.Ctrl, p.Seq, p.OnArrive = true, 7, h
+			p.Ctrl, p.Seq, p.OnArrive = true, 7, m.RegisterHook(h)
 		} else {
 			p.Handler = h
 		}
 		return p
 	}
 	pooled := func(m *Machine, ack bool, h func(*Node, *Packet)) *Packet {
-		return shape(m.Node(0).AcquirePacket(), ack, h)
+		return shape(m, m.Node(0).AcquirePacket(), ack, h)
 	}
 
 	for _, ack := range []bool{false, true} {
@@ -186,7 +186,7 @@ func TestPacketRecycledAtMostOnce(t *testing.T) {
 				got = append(got, p)
 			}
 			orig := pooled(m, ack, h)
-			lit := shape(&Packet{}, ack, h)
+			lit := shape(m, &Packet{}, ack, h)
 			m.Node(0).Send(orig)
 			m.Node(0).Send(lit)
 			if err := m.Run(); err != nil {

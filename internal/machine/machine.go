@@ -140,12 +140,14 @@ func (m *Machine) Tracef(at sim.Time, node int, kind trace.Kind, format string, 
 
 // Packet is a self-dispatching message in the Active Message style: the
 // sender attaches the handler that runs on the receiving node when the
-// packet is polled. Payload is opaque to the machine layer.
+// packet is polled. Payload is opaque to the machine layer. Most packets
+// travel embedded in a message frame of the layer above, so the header is
+// ten words: its narrow fields leave that layer three bytes (Tag, Load).
 type Packet struct {
-	Src, Dst int
-	Arrival  sim.Time
-	Handler  func(n *Node, p *Packet)
-	Payload  any
+	Dst     int
+	Arrival sim.Time
+	Handler func(n *Node, p *Packet)
+	Payload any
 
 	// Seq is a header word for the transport protocol above (a link sequence
 	// number, an acknowledged one): it rides the packet the way the handler
@@ -158,18 +160,30 @@ type Packet struct {
 	// piggybacked on data. Opaque to the machine.
 	Ack uint64
 
-	// OnArrive, if set, runs in engine context the moment the packet
-	// reaches the destination's message controller — before the software
-	// handler is scheduled, and regardless of how backlogged or paused the
-	// receiving processor is. It models hardware-level actions such as
-	// transport acknowledgments. A packet with OnArrive set and a nil
-	// Handler is consumed entirely at the controller and never enters the
-	// receive queue. It is read at send: setting it on a packet in flight
-	// has no effect.
-	OnArrive func(n *Node, p *Packet)
+	// next is the pool link: it chains an idle packet into its pool's free
+	// list and is nil while the packet is out, which is when the layer above
+	// may chain packets through it (Next, SetNext) — as long as it unlinks a
+	// packet again before the packet goes back to a pool.
+	next *Packet
 
-	Size     int32 // bytes, for bandwidth modelling
-	Category int32 // handler category (for statistics only)
+	Size int32  // bytes, for bandwidth modelling
+	Src  uint16 // the sending node, stamped at send (MaxNodes fits)
+
+	// era stamps the machine era the packet was launched in. A global
+	// checkpoint restore bumps the machine's era, revoking every packet
+	// still in flight from the rolled-back timeline: a stale-era packet is
+	// discarded at the destination controller instead of delivered.
+	era uint16
+
+	Category uint8 // handler category (for statistics only)
+
+	// OnArrive, if set, names a hook (RegisterHook) that runs in engine
+	// context the moment the packet reaches the destination's message
+	// controller, however backlogged or paused its processor: hardware-level
+	// actions such as transport acknowledgments. With a nil Handler the
+	// packet is consumed there, never entering the receive queue. It is read
+	// at send: setting it on a packet in flight has no effect.
+	OnArrive Hook
 
 	// Ctrl routes the packet over the link's control virtual channel:
 	// transport acknowledgments and similar protocol traffic that must not
@@ -189,17 +203,25 @@ type Packet struct {
 	// sender's own record — is its builder's and never recycled here.
 	pooled bool
 
-	// era stamps the machine era the packet was launched in. A global
-	// checkpoint restore bumps the machine's era, revoking every packet
-	// still in flight from the rolled-back timeline: a stale-era packet is
-	// discarded at the destination controller instead of delivered.
-	era uint32
+	// Tag and Load are header bytes of the layer above, opaque to the
+	// machine: a kind within the category, and the sender's load sample
+	// (the category-4 monitoring service that rides every packet, §5.1).
+	Tag  uint8
+	Load uint16
+}
 
-	// next is the pool link: it chains an idle packet into its pool's free
-	// list and is nil while the packet is out, which is when the layer above
-	// may chain packets through it (Next, SetNext) — as long as it unlinks a
-	// packet again before the packet goes back to a pool.
-	next *Packet
+// Hook names a controller hook registered with Machine.RegisterHook; the
+// zero Hook is none.
+type Hook uint8
+
+// RegisterHook registers a controller hook for Packet.OnArrive. Call before
+// Run; a machine holds at most 255.
+func (m *Machine) RegisterHook(h func(n *Node, p *Packet)) Hook {
+	if len(m.hooks) > 255 {
+		panic("machine: more than 255 controller hooks")
+	}
+	m.hooks = append(m.hooks, h)
+	return Hook(len(m.hooks) - 1)
 }
 
 // PoolLink names the intrusive link for sim.Slab.
@@ -356,8 +378,11 @@ type Machine struct {
 
 	// era is the current machine timeline. A global checkpoint restore
 	// bumps it, invalidating every packet launched before the restore (see
-	// Packet.era); zero-cost on the default path.
-	era uint32
+	// Packet.era); zero-cost on the default path. It skips zero when it
+	// wraps, so a restored machine always checks.
+	era uint16
+
+	hooks []func(n *Node, p *Packet) // named by Packet.OnArrive
 
 	// Typed event kinds registered with the engine, so the hot delivery
 	// and scheduling paths dispatch through a switch instead of allocating
@@ -409,6 +434,7 @@ func New(cfg Config) (*Machine, error) {
 		Cfg:        cfg,
 		Eng:        sim.NewEngine(),
 		nsPerInstr: cfg.NsPerInstr(),
+		hooks:      make([]func(*Node, *Packet), 1), // the zero Hook is none
 	}
 	// One event lane per node plus lane 0 for the host; typed kinds keep
 	// the per-packet and per-turn scheduling allocation-free.
@@ -488,10 +514,13 @@ func (m *Machine) TotalInstr() uint64 { return m.counts.TotalInstr() }
 // Counts returns the machine's path counts, for Profiler.Report.
 func (m *Machine) Counts() *profile.Counts { return &m.counts }
 
-// Stats returns the runtime counters with the ones that restate a path's
-// event count filled from it: the counters' one read for a report.
+// Stats returns the runtime counters with the ones that restate others filled
+// in (a now-send is a now-blocked event; a remote creation, a stock hit or
+// miss): the counters' one read for a report.
 func (m *Machine) Stats() stats.Counters {
 	c, e := m.C, &m.counts.Events
+	c.NowFastPath = e[profile.NowBlocked] - c.NowBlocked
+	c.RemoteCreations = c.StockHits + c.StockMisses
 	c.LocalToDormant = e[profile.LocalDormant]
 	c.LocalToActive = e[profile.LocalActive]
 	c.LocalRestores = e[profile.Restore]
@@ -604,7 +633,7 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	if p.Dst < 0 || p.Dst >= len(n.m.nodes) {
 		panic(fmt.Sprintf("machine: send to invalid node %d", p.Dst))
 	}
-	p.Src = n.ID
+	p.Src = uint16(n.ID)
 	p.era = n.m.era
 	hops := n.m.Cfg.Topology.Hops(n.ID, p.Dst)
 	base := n.m.Cfg.Net.Latency(hops, int(p.Size))
@@ -627,7 +656,7 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	// What happens at the destination is decided here, while the packet is
 	// warm: delivery itself reads no packet on the plain path.
 	kind := n.m.deliverKind
-	if p.OnArrive != nil {
+	if p.OnArrive != 0 {
 		kind = n.m.arriveKind
 	}
 	// Control-channel traffic (Packet.Ctrl) is clamped separately so
@@ -704,7 +733,7 @@ func (n *Node) Down(at sim.Time) bool { return n.downUntil > at }
 // (scheduled for delivery but not yet delivered) is revoked and will be
 // discarded at its destination's controller. Called by the checkpoint
 // subsystem when a global restore rolls the runtime back to a snapshot.
-func (m *Machine) BumpEra() { m.era++ }
+func (m *Machine) BumpEra() { m.era = max(m.era+1, 1) }
 
 // DropRx discards every delivered-but-unpolled packet, counting them as
 // era drops. Used by a global checkpoint restore to clear the receive
@@ -743,7 +772,7 @@ func (n *Node) deliver(at sim.Time, p *Packet, hook bool) {
 		return
 	}
 	if hook {
-		p.OnArrive(n, p)
+		n.m.hooks[p.OnArrive](n, p)
 		if p.Handler == nil {
 			// Consumed entirely at the controller: recycle here.
 			n.ReleasePacket(p)
@@ -829,8 +858,8 @@ func (n *Node) resumeAt(now sim.Time) {
 // arrival order. Handlers run on this node and may advance its clock.
 func (n *Node) Poll() {
 	// Each packet is unlinked before its handler runs: the handler of an
-	// embedded header releases the record around it, after which p reads as
-	// a zeroed, non-pooled packet and ReleasePacket leaves it alone.
+	// embedded header may recycle, or even resend, the record around it, and
+	// such a header is never pooled, so ReleasePacket leaves it alone.
 	for p := n.rxPop(); p != nil; p = n.rxPop() {
 		if p.Handler != nil {
 			p.Handler(n, p)

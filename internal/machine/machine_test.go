@@ -462,7 +462,7 @@ func TestFIFOUnderRandomStormProperty(t *testing.T) {
 				Dst:  dst,
 				Size: 8 + rng.Int31n(2000),
 				Handler: func(n *Node, p *Packet) {
-					recvd[key{p.Src, n.ID}] = append(recvd[key{p.Src, n.ID}], id)
+					recvd[key{int(p.Src), n.ID}] = append(recvd[key{int(p.Src), n.ID}], id)
 				},
 			})
 		}
@@ -491,8 +491,8 @@ func TestFIFOUnderRandomStormProperty(t *testing.T) {
 // wire record: a word added here is a word on every message of every run,
 // reliable or not.
 func TestPacketSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Packet{}); sz > 96 {
-		t.Errorf("Packet is %d bytes, want <= 96", sz)
+	if sz := unsafe.Sizeof(Packet{}); sz > 80 {
+		t.Errorf("Packet is %d bytes, want <= 80", sz)
 	}
 }
 

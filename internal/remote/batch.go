@@ -187,8 +187,10 @@ func (ob *openBatch) reset() {
 
 // handleBatchArrive runs at the destination's message controller the moment
 // the batch lands: the piggybacked ack is processed and every record's
-// controller hook (the reliable layer's ack generation) fires, exactly as if
-// the record had arrived as its own packet at the same instant.
+// controller hook fires, exactly as if the record had arrived as its own
+// packet at the same instant. The one hook a record can carry is the
+// reliable layer's ack generation, on the copy it sends in place of the
+// record.
 func (l *Layer) handleBatchArrive(rn *machine.Node, p *machine.Packet) {
 	if p.HasAck {
 		l.rel.takeAck(rn, p)
@@ -196,8 +198,8 @@ func (l *Layer) handleBatchArrive(rn *machine.Node, p *machine.Packet) {
 	for sub := p.Payload.(*machine.Packet); sub != nil; sub = sub.Next() {
 		sub.Src = p.Src
 		sub.Arrival = p.Arrival
-		if sub.OnArrive != nil {
-			sub.OnArrive(rn, sub)
+		if l.rel != nil {
+			l.rel.dataArrived(rn, sub)
 		}
 	}
 }

@@ -51,19 +51,19 @@ type Checkpointer interface {
 // retainLink is the retention buffer of one (src, dst) link, kept in the
 // sender's cold record of the link: recs[i] is the record sent under
 // sequence number base+i, its header still holding its size and category.
-// Records are immutable after the original send (wire-record pooling is
-// disabled while checkpointing is on — see wirePooled). Appended at send,
-// trimmed at the front as records become stable, truncated at the back by
-// a rollback (CkptRestoreNode).
+// Records are immutable after the original send: in checkpoint mode they are
+// never pooled (record), so a receiver that runs or queues one as its frame
+// rewrites only its queue link. Appended at send, trimmed at the front as
+// records become stable, truncated at the back by a rollback.
 type retainLink struct {
 	base uint64
-	recs []*wireMsg
+	recs []*core.Frame
 }
 
 // EnableCheckpoint switches the layer into checkpoint mode: every reliable
-// transmission is retained until stable, wire-record pooling is disabled so
-// retained records stay immutable, and ck colours every delivery and hears
-// every snapshot acknowledgment. Requires the reliable protocol.
+// transmission is retained until stable, records are not pooled, and ck
+// colours every delivery and hears every snapshot acknowledgment. Requires
+// the reliable protocol.
 func (l *Layer) EnableCheckpoint(ck Checkpointer) {
 	if l.rel == nil {
 		panic("remote: checkpointing requires the reliable protocol")
@@ -90,7 +90,7 @@ func (lk *retainLink) truncate(seq uint64) {
 }
 
 // from returns the retained records numbered seq and later.
-func (lk *retainLink) from(seq uint64) []*wireMsg {
+func (lk *retainLink) from(seq uint64) []*core.Frame {
 	if seq <= lk.base {
 		return lk.recs
 	}
@@ -252,7 +252,7 @@ func (l *Layer) CkptAppPending() bool {
 				delivered = rk.nextExpected
 			}
 			for _, w := range lc.ret.from(delivered) {
-				if w.pkt.Category != CatCkpt {
+				if w.Wire.Category != CatCkpt {
 					return true
 				}
 			}
@@ -276,6 +276,6 @@ func (l *Layer) SendCkpt(src, dst, round int, ack bool) {
 	}
 	mn := l.m.Node(src)
 	w := l.record(mn, profile.Ckpt, 0, kind)
-	w.setArgs([]core.Value{core.IntV(int64(round))})
+	w.SetArgs([]core.Value{core.IntV(int64(round))})
 	l.launch(mn, w, dst, packetHeaderBytes+ckptBytes, CatCkpt)
 }

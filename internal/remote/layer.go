@@ -3,8 +3,6 @@ package remote
 import (
 	"fmt"
 	"math"
-	"slices"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -89,9 +87,8 @@ type Layer struct {
 	m     *machine.Machine
 	opt   Options
 	nodes []*nodeState
-	wires sim.Slab[wireMsg, *wireMsg] // recycled wire records
-	rel   *reliable                   // nil unless the reliable protocol is on (see Attach)
-	bat   *batcher                    // nil unless Options.BatchWindow > 0
+	rel   *reliable // nil unless the reliable protocol is on (see Attach)
+	bat   *batcher  // nil unless Options.BatchWindow > 0
 
 	// Never released, so carved: when the layer keeps peers (link.go),
 	// links and open batches.
@@ -103,54 +100,26 @@ type Layer struct {
 	ckpt Checkpointer
 
 	// hWire is the shared receive handler for all layer packets; the
-	// per-send state travels in the *wireMsg around the packet header instead
+	// per-send state travels in the record around the packet header instead
 	// of a freshly allocated closure. hBatchArr/hBatchDel are the shared
-	// controller and poll handlers of CatBatch frames.
+	// controller hook and poll handler of CatBatch frames.
 	hWire     func(*machine.Node, *machine.Packet)
-	hBatchArr func(*machine.Node, *machine.Packet)
+	hBatchArr machine.Hook
 	hBatchDel func(*machine.Node, *machine.Packet)
 }
 
-// wireMsg is one layer message on the wire — the machine packet header it
-// travels under and its decoded payload in a single record, so a hop is one
-// acquire at the sender and one release at the receiver. Every message of
-// the layer is one: the record is the Section 5.1 message (data plus the
-// kind naming its compiled handler), and the only code it carries is the
-// continuation of a creation blocked on an empty stock in onCreated. Records
-// are pooled: the sender takes one from the layer's slab and handleWire
-// recycles it there (sim.Slab). The machine never recycles the embedded
-// header (it is not AcquirePacket's); the reliable protocol sends
-// per-attempt copies under headers of its own and leaves pkt unused after
-// the hand-off.
-//
-// The record is 248 bytes, so a full slab block of 256 records fits in eight
-// 8 KiB runtime pages: the scalars share two words, and the argument
-// list is a count over the inline argBuf or, past two values, over a spilled
-// array.
-type wireMsg struct {
-	pkt   machine.Packet // pkt.Payload points back at the record
-	next  *wireMsg       // pool link
-	kind  uint8
-	nargs uint16 // length of the argument list
-	load  int32
-	src   int32
-	pat   int32        // wmMessage: the core.PatternID
-	to    core.Address // wmMessage: the receiver
-	// The argument list — an owned copy of the message or constructor
-	// arguments, or a checkpoint record's round — is argBuf[:nargs] when it
-	// fits, otherwise nargs values from spill.
-	argBuf [2]core.Value
-	spill  *core.Value
-	// replyTo is a wmMessage's reply destination, and the created object in
-	// the wmChunk answering a stock miss.
-	replyTo core.Address
-	chunk   *core.Object // wmCreate: chunk to initialize, nil on a stock miss
-	cl      *core.Class  // wmCreate, and the wmChunk answering it
-	// onCreated rides a stock miss's wmCreate and its wmChunk back to the
-	// requester, which calls it with replyTo.
-	onCreated func(core.Address)
-}
-
+// A layer message is one record, a core.Frame: the Section 5.1 message (data
+// plus the kind naming its compiled handler) under the packet header it
+// travels in (Frame.Wire). A hop is one acquire at the sender and no copy at
+// the receiver: a message record is the frame the receiver runs or queues,
+// and that frame's release recycles it; handleWire releases the other kinds.
+// The kind (wm*) and the sender's load sample ride the header's spare bytes
+// (Tag, Load); Obj is a message's receiver or a creation's stocked chunk,
+// homed on the header's Dst; Pattern is a message's pattern or a creation's
+// class id; ReplyTo is a message's reply destination, or in a miss's reply
+// the object created; OnCreated, the only code a record carries, resumes a
+// creation blocked on an empty stock. The reliable protocol sends copies
+// under headers of its own and leaves Wire unused after the hand-off.
 const (
 	wmMessage = uint8(iota + 1)
 	wmCreate  // category 2: initialize chunk (allocate one on a miss)
@@ -159,70 +128,25 @@ const (
 	wmSnapAck // snapshot acknowledgment of the round in args[0]
 )
 
-// setArgs copies args into the record — inline when they fit, a fresh array
-// otherwise. Senders hand the layer a transient slice (core.Remote's
-// SendMessage contract stages arguments in a per-node scratch buffer), so
-// the record must own its copy until delivery.
-func (w *wireMsg) setArgs(args []core.Value) {
-	if len(args) > math.MaxUint16 {
-		panic(fmt.Sprintf("remote: %d arguments overflow a wire record", len(args)))
-	}
-	w.nargs = uint16(len(args))
-	if len(args) <= len(w.argBuf) {
-		copy(w.argBuf[:], args)
-		return
-	}
-	w.spill = &slices.Clone(args)[0]
-}
-
-// args returns the record's argument list, nil when it is empty.
-func (w *wireMsg) args() []core.Value {
-	switch {
-	case w.nargs == 0:
-		return nil
-	case w.spill != nil:
-		return unsafe.Slice(w.spill, w.nargs)
-	}
-	return w.argBuf[:w.nargs:w.nargs]
-}
-
-// wirePooled reports whether wireMsg records may be recycled: safe unless
-// checkpoint retention holds them by reference until they become stable —
-// recycling would rewrite a record the replay path may still need verbatim.
-// A fault model's duplicate cannot reach the handler twice: a machine with
-// one always runs the reliable protocol, which deduplicates by sequence
-// number before the handler runs.
-func (l *Layer) wirePooled() bool { return l.ckpt == nil }
-
-// PoolLink names the intrusive link for sim.Slab.
-func (w *wireMsg) PoolLink() **wireMsg { return &w.next }
-
-// acquireWire returns a zeroed record to send — allocated singly when
-// records are not recycled: one that never comes back must not pin a slab
-// block.
-func (l *Layer) acquireWire() *wireMsg {
-	if !l.wirePooled() {
-		return &wireMsg{}
-	}
-	return l.wires.Get()
-}
-
-func (l *Layer) releaseWire(w *wireMsg) {
-	if l.wirePooled() {
-		l.wires.Put(w)
-	}
-}
-
 // record charges mn the set-up of one layer message (plus extra
 // instructions) to path and returns a fresh record of the given kind, its
-// source and piggybacked load filled in: the category-4 load-monitoring
-// service rides every message.
-func (l *Layer) record(mn *machine.Node, path profile.Path, extra int, kind uint8) *wireMsg {
+// piggybacked load filled in: the category-4 load-monitoring service rides
+// every message, its sample saturating at the header's 16 bits. The record
+// comes from the runtime's frame pool, unless checkpoint retention may hold
+// it by reference and replay it verbatim: then it is allocated singly and
+// never pooled, so no release rewrites it, and one that never comes back
+// pins no block.
+func (l *Layer) record(mn *machine.Node, path profile.Path, extra int, kind uint8) *core.Frame {
 	mn.ChargeTo(path, l.cost().RemoteSendSetup+extra)
-	w := l.acquireWire()
-	w.kind = kind
-	w.src = int32(mn.ID)
-	w.load = int32(l.rt.NodeRT(mn.ID).SchedQueueLen())
+	n := l.rt.NodeRT(mn.ID)
+	var w *core.Frame
+	if l.ckpt == nil {
+		w = n.NewFrame()
+	} else {
+		w = new(core.Frame)
+	}
+	w.Wire.Tag = kind
+	w.Wire.Load = uint16(min(n.SchedQueueLen(), math.MaxUint16))
 	return w
 }
 
@@ -230,8 +154,8 @@ func (l *Layer) record(mn *machine.Node, path profile.Path, extra int, kind uint
 // the ack/retry protocol when it is on, otherwise over the machine's
 // interconnect (through the per-link batcher when batching is on). All
 // inter-node traffic of the layer funnels through here.
-func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size int, category int32) {
-	pkt := &w.pkt
+func (l *Layer) launch(mn *machine.Node, w *core.Frame, dst, size int, category uint8) {
+	pkt := &w.Wire
 	pkt.Dst = dst
 	pkt.Size = int32(size)
 	pkt.Category = category
@@ -252,9 +176,14 @@ func (l *Layer) launch(mn *machine.Node, w *wireMsg, dst, size int, category int
 
 // handleWire is the single receive-side dispatcher of the layer: the
 // compiler-generated specialized handlers of Section 5.1, indexed by the
-// record's kind tag rather than modelled as per-send closures.
+// record's kind tag rather than modelled as per-send closures. p is the
+// record's own header, or a reliable copy's. A message record becomes the
+// receiver's frame; every other kind is done with here. A fault model's
+// duplicate never reaches this handler twice: a machine with one always runs
+// the reliable protocol, which drops a duplicate by its sequence number
+// before any handler reads the record.
 func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
-	w := p.Payload.(*wireMsg)
+	w := p.Payload.(*core.Frame)
 	c := l.cost()
 	extract := c.RemoteRecvExtract
 	ns := l.nodes[rn.ID]
@@ -263,41 +192,42 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		// parse and buffer management were paid by the first record.
 		extract = c.BatchRecvExtract
 	}
-	src := int(w.src)
+	src := int(p.Src)
 	if ns.loads != nil {
-		ns.loads[src] = w.load
+		ns.loads[src] = int32(w.Wire.Load)
 	}
 	nrt := l.rt.NodeRT(rn.ID)
-	switch w.kind {
+	switch w.Wire.Tag {
 	case wmMessage:
 		rn.ChargeTo(profile.RemoteRecv, extract+c.RemoteHandlerCall)
-		nrt.DeliverFrame(w.to.Obj, nrt.NewFrame(core.PatternID(w.pat), w.args(), w.replyTo), true)
+		nrt.DeliverFrame(w.Obj, w, true)
+		return
 	case wmCreate:
 		rn.SetPath(profile.Create)
 		rn.Charge(extract + c.RemoteHandlerCall + c.ChunkInit)
-		obj := w.chunk
+		obj := w.Obj
 		if obj == nil {
 			// A stock miss: the requester holds no chunk, so the object is
 			// allocated here, and its address travels back in the reply.
 			obj = nrt.NewFaultChunk(rn.ID)
 		}
-		l.rt.InitChunk(nrt, obj, w.cl, w.args())
+		l.rt.InitChunk(nrt, obj, l.rt.ClassByID(int(w.Pattern)), w.Args())
 		// Step 4: allocate the replacement chunk and return its address as
 		// the category-3 reply. The address is all the requester's stock
 		// holds of it, and nothing can reach the chunk until a creation pops
 		// it there, so the Object is carved at that pop (CreateOn), not here.
 		rn.ChargeTo(profile.Create, c.ChunkRefill)
 		r := l.record(rn, profile.Create, 0, wmChunk)
-		r.cl = w.cl
-		if w.chunk == nil {
-			r.replyTo, r.onCreated = obj.Addr(), w.onCreated
+		r.Pattern = w.Pattern
+		if w.Obj == nil {
+			r.ReplyTo, r.OnCreated = obj.Addr(), w.OnCreated
 		}
 		l.launch(rn, r, src, packetHeaderBytes+8, CatChunk)
 	case wmSnapReq, wmSnapAck:
 		rn.SetPath(profile.Ckpt)
 		rn.Charge(extract + c.RemoteHandlerCall)
-		if w.kind == wmSnapAck {
-			l.ckpt.Acked(int(w.args()[0].Int()))
+		if w.Wire.Tag == wmSnapAck {
+			l.ckpt.Acked(int(w.Arg(0).Int()))
 		}
 	case wmChunk:
 		rn.SetPath(profile.Create)
@@ -306,19 +236,19 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		// overfill it (after a miss) is simply dropped, its chunk left to the
 		// target's allocator. The slot is the requester's stock toward the
 		// replying target for the requested class.
-		key := stockKey(src, w.cl)
+		key := stockKey(src, int(w.Pattern))
 		if e := ns.stock[key]; e.n < int32(l.opt.StockDepth) {
 			e.n++
 			ns.stock[key] = e
 		}
-		if w.onCreated != nil {
+		if w.OnCreated != nil {
 			// The reply to a stock miss: resume the blocked creation.
-			w.onCreated(w.replyTo)
+			w.OnCreated(w.ReplyTo)
 		}
 	default:
-		panic(fmt.Sprintf("remote: unknown wire kind %d", w.kind))
+		panic(fmt.Sprintf("remote: unknown wire kind %d", w.Wire.Tag))
 	}
-	l.releaseWire(w)
+	nrt.ReleaseFrame(w)
 }
 
 // DefaultStockDepth is the stock depth of the paper-style runs (and the
@@ -338,8 +268,8 @@ type stockEntry struct {
 }
 
 // stockKey packs a stock's target node and class id into one map key.
-func stockKey(target int, cl *core.Class) uint64 {
-	return uint64(target)<<32 | uint64(cl.ID())
+func stockKey(target, class int) uint64 {
+	return uint64(target)<<32 | uint64(class)
 }
 
 type nodeState struct {
@@ -408,7 +338,7 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 	}
 	if opt.BatchWindow > 0 {
 		l.bat = newBatcher(l, opt.BatchWindow, opt.BatchMaxBytes)
-		l.hBatchArr = l.handleBatchArrive
+		l.hBatchArr = l.m.RegisterHook(l.handleBatchArrive)
 		l.hBatchDel = l.handleBatchDeliver
 	}
 	rt.SetRemote(l)
@@ -419,7 +349,7 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 func (l *Layer) Reliable() bool { return l.rel != nil }
 
 // pathForCategory maps a packet category to its attribution path.
-func pathForCategory(cat int32) profile.Path {
+func pathForCategory(cat uint8) profile.Path {
 	switch cat {
 	case CatMessage:
 		return profile.RemoteSend
@@ -453,10 +383,10 @@ func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, a
 	if !replyTo.IsNil() {
 		size += 8
 	}
-	w.to = to
-	w.pat = int32(p)
-	w.setArgs(args)
-	w.replyTo = replyTo
+	w.Obj = to.Obj
+	w.Pattern = p
+	w.SetArgs(args)
+	w.ReplyTo = replyTo
 	l.launch(mn, w, to.Node, size, CatMessage)
 }
 
@@ -480,7 +410,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	mn := n.MachineNode()
 	c := l.cost()
 	ns := l.nodes[mn.ID]
-	key := stockKey(target, cl)
+	key := stockKey(target, cl.ID())
 	e := ns.stock[key]
 
 	if !e.seeded && l.opt.StockDepth > 0 {
@@ -505,7 +435,6 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 		mn.ChargeTo(profile.Create, c.StockPop)
 		mn.Count(profile.Create)
 		n.C.StockHits++
-		n.C.RemoteCreations++
 		l.sendCreate(mn, target, chunk, cl, ctorArgs, nil)
 		// Step 1 of the protocol: the mail address is known locally, before
 		// the creation message even departs — latency hidden, no context
@@ -518,7 +447,6 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	// creates the object and replies (split-phase round trip).
 	mn.Count(profile.Create)
 	n.C.StockMisses++
-	n.C.RemoteCreations++
 	self := ctx.SelfObject()
 	frame := ctx.CurrentFrame()
 	if l.ckpt != nil {
@@ -542,10 +470,10 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 // and onCreated, the blocked requester's continuation.
 func (l *Layer) sendCreate(mn *machine.Node, target int, chunk *core.Object, cl *core.Class, ctorArgs []core.Value, onCreated func(core.Address)) {
 	w := l.record(mn, profile.Create, 0, wmCreate)
-	w.chunk = chunk
-	w.cl = cl
-	w.setArgs(ctorArgs)
-	w.onCreated = onCreated
+	w.Obj = chunk
+	w.Pattern = core.PatternID(cl.ID())
+	w.SetArgs(ctorArgs)
+	w.OnCreated = onCreated
 	size := packetHeaderBytes + core.ArgsSize(ctorArgs)
 	if chunk != nil {
 		size += 8 // the chunk's address
@@ -574,7 +502,7 @@ func (l *Layer) AckDelay() sim.Time {
 // StockLevel reports the current stock depth a node holds for a target/class
 // pair (for tests and reports).
 func (l *Layer) StockLevel(node, target int, cl *core.Class) int {
-	return int(l.nodes[node].stock[stockKey(target, cl)].n)
+	return int(l.nodes[node].stock[stockKey(target, cl.ID())].n)
 }
 
 // String describes the layer configuration.

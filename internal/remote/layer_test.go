@@ -782,13 +782,13 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 	}
 }
 
-// One message hop is one wireMsg, packet header included, and an all-to-all
-// burst keeps every record of the run live at once: its size is most of the
-// simulator's bytes per message, and at 256 bytes a slab block of 256
-// records fills eight 8 KiB runtime pages exactly (280 took nine). A wire
-// record is data plus the kind naming
-// its handler (Section 5.1); the only code one carries is the continuation
-// of a creation blocked on an empty stock. A
+// One message hop is one record, a core.Frame with its packet header, and
+// the receiver runs or queues that record as its frame. An all-to-all burst
+// keeps every record of the run live at once: its size is most of the
+// simulator's bytes per message, and blocks of records fill their pages
+// (sim.Arena), so every byte here is a byte per message. A wire record is
+// data plus the kind naming its handler (Section 5.1); the only code one
+// carries is the continuation of a creation blocked on an empty stock. A
 // reliable hop adds a relMsg while it is unacknowledged, chained from its
 // link (72 bytes: its payload is the record itself, and the chain's word
 // stands in for a slab link of its own). Under random placement a node opens
@@ -798,18 +798,18 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 // so a node holds a few of those at a time; its records chain through their
 // own headers, so it holds two ends and a count, not a slice of them.
 func TestRecordSizes(t *testing.T) {
-	if sz := unsafe.Sizeof(wireMsg{}); sz > 256 {
-		t.Errorf("wireMsg is %d bytes with its embedded packet header, want <= 256", sz)
+	if sz := unsafe.Sizeof(core.Frame{}); sz > 200 {
+		t.Errorf("a record (core.Frame) is %d bytes with its embedded packet header, want <= 200", sz)
 	}
 	var funcs []string
-	wt := reflect.TypeOf(wireMsg{})
+	wt := reflect.TypeOf(core.Frame{})
 	for i := range wt.NumField() {
 		if f := wt.Field(i); f.Type.Kind() == reflect.Func {
 			funcs = append(funcs, f.Name)
 		}
 	}
-	if !slices.Equal(funcs, []string{"onCreated"}) {
-		t.Errorf("wireMsg's func-typed fields are %v, want only onCreated", funcs)
+	if !slices.Equal(funcs, []string{"OnCreated"}) {
+		t.Errorf("a record's func-typed fields are %v, want only OnCreated", funcs)
 	}
 	if sz := unsafe.Sizeof(relMsg{}); sz > 72 {
 		t.Errorf("relMsg is %d bytes, want <= 72", sz)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -134,11 +135,11 @@ type relMsg struct {
 	dueSeq     uint64   // its reserved position among equal-time events
 	wnext      *relMsg  // the link's in-flight chain
 	seq        uint64
-	payload    *wireMsg // forwarded to every attempt's packet
-	size       int32    // wire size including relHeaderBytes
-	category   int32
+	payload    *core.Frame // the record, forwarded to every attempt's packet
+	size       int32       // wire size including relHeaderBytes
 	dst        int32
 	attempts   int32
+	category   uint8
 }
 
 // PoolLink names the intrusive link for sim.Slab.
@@ -169,15 +170,16 @@ type reliable struct {
 
 	// Every protocol packet dispatches through these, bound once: what a
 	// packet means rides in its header word and payload.
-	hArrive, hPolled, hAck, hAckCum func(*machine.Node, *machine.Packet)
-	wakeKind, ackKind               sim.Kind // deadline callbacks; arg: *nodeState
+	hPolled                func(*machine.Node, *machine.Packet)
+	hArrive, hAck, hAckCum machine.Hook // controller hooks
+	wakeKind, ackKind      sim.Kind     // deadline callbacks; arg: *nodeState
 }
 
 func newReliable(l *Layer) *reliable {
 	r := &reliable{l: l, ackDelay: max(l.opt.AckDelay, 0)}
-	r.hArrive, r.hPolled = r.dataArrived, r.receive
-	r.hAck = func(sn *machine.Node, p *machine.Packet) { r.ackReceived(sn, p.Src, p.Seq, p.Seq+1, nil) }
-	r.hAckCum = r.takeAck
+	r.hPolled, r.hArrive = r.receive, l.m.RegisterHook(r.dataArrived)
+	r.hAck = l.m.RegisterHook(func(sn *machine.Node, p *machine.Packet) { r.ackReceived(sn, int(p.Src), p.Seq, p.Seq+1, nil) })
+	r.hAckCum = l.m.RegisterHook(r.takeAck)
 	r.wakeKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { r.wake(arg.(*nodeState)) })
 	r.ackKind = l.m.Eng.Register(func(_ int, _ sim.Time, arg any) { r.flushAcks(arg.(*nodeState)) })
 	return r
@@ -202,8 +204,8 @@ func (r *reliable) schedule(ns *nodeState) {
 // send assigns the next sequence number on the (src, dst) link, records the
 // message as in-flight, and transmits the first copy. Per-attempt copies are
 // built in xmit; the record's own header is not sent.
-func (r *reliable) send(mn *machine.Node, w *wireMsg) {
-	src, dst := mn.ID, w.pkt.Dst
+func (r *reliable) send(mn *machine.Node, w *core.Frame) {
+	src, dst := mn.ID, w.Wire.Dst
 	ns := r.l.nodes[src]
 	k := r.l.link(src, dst)
 	m := r.pend(ns, k, w, k.nextSeq)
@@ -216,12 +218,12 @@ func (r *reliable) send(mn *machine.Node, w *wireMsg) {
 }
 
 // pend makes w the in-flight message seq on k.
-func (r *reliable) pend(ns *nodeState, k *link, w *wireMsg, seq uint64) *relMsg {
+func (r *reliable) pend(ns *nodeState, k *link, w *core.Frame, seq uint64) *relMsg {
 	m := r.msgs.Get()
 	m.dst = k.peer
 	m.seq = seq
-	m.size = w.pkt.Size + relHeaderBytes
-	m.category = w.pkt.Category
+	m.size = w.Wire.Size + relHeaderBytes
+	m.category = w.Wire.Category
 	m.payload = w
 	k.track(m)
 	return m
@@ -322,16 +324,16 @@ func (r *reliable) dataArrived(rn *machine.Node, p *machine.Packet) {
 		r.takeAck(rn, p)
 	}
 	if r.ackDelay > 0 {
-		r.noteArrival(rn, p.Src, p.Seq)
+		r.noteArrival(rn, int(p.Src), p.Seq)
 	} else {
-		r.sendAck(rn, p.Src, p.Seq, p.Arrival)
+		r.sendAck(rn, int(p.Src), p.Seq, p.Arrival)
 	}
 }
 
 // receive is the poll-time handler of every data packet copy: suppress
 // duplicates, and deliver in sequence order.
 func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
-	src, seq := pkt.Src, pkt.Seq
+	src, seq := int(pkt.Src), pkt.Seq
 	k := r.l.link(rn.ID, src)
 	ns := r.l.nodes[rn.ID]
 	c := &r.l.m.C
@@ -380,7 +382,7 @@ func (r *reliable) receive(rn *machine.Node, pkt *machine.Packet) {
 // its colour in checkpoint mode (ckpt.go).
 func (r *reliable) deliver(rn *machine.Node, c *stats.Counters, pkt *machine.Packet) {
 	if ck := r.l.ckpt; ck != nil {
-		ck.Colour(rn.ID, pkt.Src, pkt.Seq)
+		ck.Colour(rn.ID, int(pkt.Src), pkt.Seq)
 	}
 	c.RelDelivered++
 	r.l.handleWire(rn, pkt)
@@ -391,7 +393,7 @@ func (r *reliable) deliver(rn *machine.Node, c *stats.Counters, pkt *machine.Pac
 // processor time — and ride the faulty interconnect unprotected: a lost ack
 // is repaired by the data retransmission it fails to cancel, a duplicated ack
 // is idempotent.
-func (r *reliable) ack(rn *machine.Node, dst, size int, h func(*machine.Node, *machine.Packet)) *machine.Packet {
+func (r *reliable) ack(rn *machine.Node, dst, size int, h machine.Hook) *machine.Packet {
 	p := rn.AcquirePacket()
 	p.Dst = dst
 	p.Size = int32(size)
@@ -429,7 +431,7 @@ func (r *reliable) takeAck(rn *machine.Node, p *machine.Packet) {
 	if f, ok := p.Payload.(*selFrame); ok {
 		p.Payload, sel = f.payload, f.sel
 	}
-	r.ackReceived(rn, p.Src, 0, p.Ack, sel)
+	r.ackReceived(rn, int(p.Src), 0, p.Ack, sel)
 }
 
 // selAcks returns the out-of-order arrivals a cumulative ack to peer lists

@@ -1,5 +1,7 @@
 package sim
 
+import "unsafe"
+
 // Arena is a bump allocator of T records that are never released: objects
 // and their state, chunk-stock slots, per-peer links, application records
 // that live as long as the run. It carves them out of block allocations, as
@@ -7,7 +9,10 @@ package sim
 // allocation per block, not per record, and the collector sees one object per
 // block. Blocks grow from minBlock to maxBlock records, so an arena that
 // carves a dozen records holds a few while one that carves millions amortizes
-// quickly. No other package sizes an arena or slab block. The zero value is
+// quickly. A block past the runtime's largest size class (32 KiB) is
+// allocated in whole 8 KiB pages, so such a block holds as many records as
+// its pages fit, not a fixed count: a 200-byte record then costs 200 bytes,
+// not 224. No other package sizes an arena or slab block. The zero value is
 // ready to use.
 type Arena[T any] struct {
 	block []T // uncarved tail of the newest block
@@ -17,6 +22,9 @@ type Arena[T any] struct {
 const (
 	minBlock = 8
 	maxBlock = 256
+
+	maxSmallBytes = 32 << 10 // the Go runtime's largest size class
+	pageBytes     = 8 << 10  // the Go runtime's page, a large block's unit
 )
 
 // New returns a zeroed record.
@@ -29,9 +37,18 @@ func (a *Arena[T]) New() *T { return &a.Slice(1)[0] }
 func (a *Arena[T]) Slice(n int) []T {
 	if n > len(a.block) {
 		a.grown = min(max(2*a.grown, minBlock), maxBlock)
-		a.block = make([]T, max(a.grown, n))
+		a.block = make([]T, max(fillPages[T](a.grown), n))
 	}
 	r := a.block[:n:n]
 	a.block = a.block[n:]
 	return r
+}
+
+// fillPages returns how many T records a block meant for n holds: n, or all
+// that its whole pages fit once it is past the largest size class.
+func fillPages[T any](n int) int {
+	if size := int(unsafe.Sizeof(*new(T))); size > 0 && n*size > maxSmallBytes {
+		return (n*size + pageBytes - 1) / pageBytes * pageBytes / size
+	}
+	return n
 }

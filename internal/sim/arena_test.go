@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -64,4 +65,35 @@ func TestArenaCarvesDoublingBlocks(t *testing.T) {
 	if big := a.Slice(300); len(big) != 300 || cap(big) != 300 {
 		t.Errorf("Slice(300) has len %d, cap %d, want 300 and 300", len(big), cap(big))
 	}
+}
+
+// A block past 32 KiB is whole runtime pages, and holds every record they
+// fit: 256 records of 200 bytes round up to seven 8 KiB pages, which hold
+// 286; 256 of 144 bytes round up to five, which hold 284. Blocks up to
+// 32 KiB keep their count.
+func TestArenaBlocksFillTheirPages(t *testing.T) {
+	if got, want := carvedBlocks[[25]int64](8+16+32+64+128+2*286), []int{8, 16, 32, 64, 128, 286, 286}; !slices.Equal(got, want) {
+		t.Errorf("200-byte records: blocks of %v, want %v", got, want)
+	}
+	if got, want := carvedBlocks[[18]int64](8+16+32+64+128+2*284), []int{8, 16, 32, 64, 128, 284, 284}; !slices.Equal(got, want) {
+		t.Errorf("144-byte records: blocks of %v, want %v", got, want)
+	}
+}
+
+// carvedBlocks carves n records from a fresh Arena and returns the lengths
+// of its runs of adjacent records: its blocks.
+func carvedBlocks[T any](n int) []int {
+	var a Arena[T]
+	var got []int
+	var prev *T
+	for range n {
+		r := a.New()
+		if prev != nil && unsafe.Pointer(r) == unsafe.Add(unsafe.Pointer(prev), unsafe.Sizeof(*r)) {
+			got[len(got)-1]++
+		} else {
+			got = append(got, 1)
+		}
+		prev = r
+	}
+	return got
 }

@@ -7,9 +7,9 @@ package stats
 // Counters is a set of monotonically increasing event counts. The zero value
 // is ready to use. Counters is not safe for concurrent use; the
 // discrete-event simulator's one goroutine owns it.
-// The fields that restate a message path's event count (LocalTo*,
-// LocalRestores, RemoteSends, RemoteDelivers, CkptSaves) have no increment
-// site: machine.Machine.Stats fills them from the machine's path counts.
+// The fields that restate other counts (a path's events: LocalTo*,
+// LocalRestores, RemoteSends, RemoteDelivers, CkptSaves; NowFastPath,
+// RemoteCreations) have no increment site: machine.Machine.Stats fills them.
 type Counters struct {
 	// Intra-node message sends by receiver state at delivery time.
 	LocalToDormant uint64 // invoked immediately on the sender's stack

@@ -1,5 +1,5 @@
 // Tests of the per-message record pools as the whole system uses them: the
-// slab-backed wire record with its embedded packet header, the machine's
+// pooled wire record that is also its message's frame, the machine's
 // packet pool behind the reliable protocol, and the allocation budget that
 // keeps an off-path allocation from creeping back into the send path.
 package abcl_test
@@ -7,6 +7,7 @@ package abcl_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	abcl "repro"
@@ -48,12 +49,16 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // 0.049 allocations per message (construction included: about half build the
 // 32 nodes' runtime, remote and machine state, the rest are blocks — slab
 // blocks, the event queue's heap and bucket blocks). The 64-node row measures
-// 306 bytes per message against 308 with a frame and context pool per node,
+// 249 bytes per message, one 200-byte record per message in blocks that fill
+// their pages, against 306 with a 248-byte wire record beside the frame its
+// arguments were copied into, in blocks of 256 rounded up to whole pages, 308
+// with a frame and context pool per node,
 // 321 with an event lane per node and the arrivals for a busy node in a
 // second queue per lane, 328 with every lane's first heap of 128 events and
 // 354 with heaps that double to 512 events and receive rings that grow ×4;
-// its byte budget is the 328. Reliable n-queens measures 0.711 allocations,
-// 4.07 events and 497 bytes, against 0.767 and 505 with a frame and context
+// its byte budget sits about 3 % above, at 256. Reliable n-queens measures
+// 0.679 allocations, 4.07 events and 455 bytes (0.711 and 497 with a wire
+// record beside its frame), against 0.767 and 505 with a frame and context
 // pool per node, 0.967 and 582 with an arena per node (every node ending on
 // part-used blocks of each record type), 1.07 and 793 with a record pool per
 // node (idle records piling up on receivers while senders carve fresh ones)
@@ -63,11 +68,13 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // with 336-byte link records; its allocation and byte budgets sit about 5 %
 // above, so none of those comes back. The last two rows are the product's
 // default path (profiler compiled in, off) and the multiactive scheduler's
-// per-group ready queues: 0.584 allocations and 275 bytes per message (0.598
+// per-group ready queues: 0.533 allocations and 257 bytes per message (0.584
+// and 275 with a wire record beside its frame, 0.598
 // and 277 with a frame and context pool per node, 0.647 and 313 with an arena
 // per node, 0.660 and 383 with a pool per node and an Object per stocked
 // chunk; what is left is one continuation closure per internal search node,
-// arena blocks and map growth) and 1.132 (about 3 640 a run, 1.150 with a
+// arena blocks and map growth) and 1.117 (1.132 with a wire record beside
+// its frame; about 3 640 a run, 1.150 with a
 // frame and context pool per node, 1.193 with an arena per node; the reply
 // destinations' Objects come out of an arena too), exact run to run. A
 // closure per stock miss (the blocked creation's resume, which rides the wire
@@ -125,7 +132,7 @@ func TestMessageAllocationBudget(t *testing.T) {
 		bytesBudget  float64 // per message; 0: not budgeted
 	}{
 		{"sequential all-to-all 32x8", allToAll(32), 0.125, 0, 0},
-		{"sequential all-to-all 64x8", allToAll(64), 0.125, 0, 328},
+		{"sequential all-to-all 64x8", allToAll(64), 0.125, 0, 256},
 		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.75, 4.7, 525},
 		{"default n-queens N10 P64, profiler off", defaultQueens, 0.60, 0, 283},
 		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.17, 0, 0},
@@ -341,5 +348,125 @@ func TestRecordPoolReliableLossy(t *testing.T) {
 	}
 	if *a != *b {
 		t.Errorf("lossy reliable run is not reproducible:\n a %+v\n b %+v", *a, *b)
+	}
+}
+
+// A remote message is one record, and the record is the frame its receiver
+// runs or queues: while a receiver blocked on a round trip buffers arrivals,
+// the records themselves wait in its message queue, so whatever else holds a
+// record — a batch chain, a reliable retransmission, checkpoint retention
+// and its replay after a rollback — must never recycle or rewrite it there.
+// The sink below blocks on a store for every put, so most puts arrive while
+// it is active and queue; a put is an inline pair or a spilled triple that
+// adds its sequence number, and the sink folds each client's puts, in their
+// per-link order, into a hash. Drops and duplicates under the
+// reliable protocol, with and without batching and delayed acks, and a crash
+// of the sink's node that rolls back puts delivered after the last snapshot
+// and replays their records, must all leave exactly the fault-free hashes.
+func TestRecordFrameOwnershipPin(t *testing.T) {
+	const nodes, perNode, puts = 8, 2, 24
+	const clients = (nodes - 1) * perNode
+	run := func(opts ...abcl.Option) (string, abcl.Report) {
+		sys, err := abcl.NewSystem(append([]abcl.Option{abcl.WithNodes(nodes), abcl.WithSeed(5),
+			abcl.WithProfiler(abcl.ProfileOptions{})}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put2, put3 := sys.Pattern("own.put2", 2), sys.Pattern("own.put3", 3)
+		ask, kick := sys.Pattern("own.ask", 1), sys.Pattern("own.kick", 0)
+		store := sys.Class("own.store", 0, nil)
+		store.Method(ask, func(ctx *abcl.Ctx) { ctx.Reply(abcl.Int(2*ctx.Arg(0).Int() + 1)) })
+		storeAddr := sys.NewObjectOn(1, store)
+		// State: one hash per client, then the count of puts.
+		sink := sys.Class("own.sink", clients+1, func(ic *abcl.InitCtx) {
+			for i := 0; i <= clients; i++ {
+				ic.SetState(i, abcl.Int(0))
+			}
+		})
+		fold := func(ctx *abcl.Ctx, client, seq, v int64) {
+			ctx.SendNow(storeAddr, ask, []abcl.Value{abcl.Int(v)}, func(ctx *abcl.Ctx, r abcl.Value) {
+				h := ctx.State(int(client)).Int()
+				ctx.SetState(int(client), abcl.Int(h*1_000_003+seq*7919+r.Int()))
+				ctx.SetState(clients, abcl.Int(ctx.State(clients).Int()+1))
+			})
+		}
+		sink.Method(put2, func(ctx *abcl.Ctx) { fold(ctx, ctx.Arg(0).Int(), -1, ctx.Arg(1).Int()) })
+		sink.Method(put3, func(ctx *abcl.Ctx) { fold(ctx, ctx.Arg(0).Int(), ctx.Arg(1).Int(), ctx.Arg(2).Int()) })
+		sinkAddr := sys.NewObjectOn(0, sink)
+		client := sys.Class("own.client", 1, func(ic *abcl.InitCtx) { ic.SetState(0, ic.CtorArg(0)) })
+		client.Method(kick, func(ctx *abcl.Ctx) {
+			id := ctx.State(0).Int()
+			for i := range int64(puts) {
+				ctx.Charge(2000) // puts leave over the whole run
+				if v := id*1000 + i; i%2 == 0 {
+					ctx.SendPast(sinkAddr, put2, abcl.Int(id), abcl.Int(v))
+				} else {
+					ctx.SendPast(sinkAddr, put3, abcl.Int(id), abcl.Int(i), abcl.Int(v))
+				}
+			}
+		})
+		for id := range clients {
+			sys.Send(sys.NewObjectOn(1+id/perNode, client, abcl.Int(int64(id))), kick)
+		}
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for i := 0; i <= clients; i++ {
+			fmt.Fprintf(&b, "%d ", sinkAddr.Obj.State(i).Int())
+		}
+		return b.String(), sys.Report()
+	}
+	var want strings.Builder
+	for id := range int64(clients) {
+		var h int64
+		for i := range int64(puts) {
+			seq := i
+			if i%2 == 0 {
+				seq = -1
+			}
+			h = h*1_000_003 + seq*7919 + 2*(id*1000+i) + 1
+		}
+		fmt.Fprintf(&want, "%d ", h)
+	}
+	fmt.Fprintf(&want, "%d ", clients*puts)
+	clean, cleanRep := run()
+	if clean != want.String() {
+		t.Fatalf("fault-free sink observed\n %s\nwant\n %s", clean, want.String())
+	}
+	el := cleanRep.Sched.Elapsed
+	lossy := abcl.UniformFaults(0.08, 0.08, 2*abcl.Microsecond)
+	for _, tc := range []struct {
+		name string
+		opts []abcl.Option
+	}{
+		{"drop-dup", []abcl.Option{abcl.WithFaults(lossy)}},
+		{"drop-dup-batched-delayed-acks", []abcl.Option{abcl.WithFaults(lossy),
+			abcl.WithBatching(5*abcl.Microsecond, 0), abcl.WithDelayedAcks(20 * abcl.Microsecond)}},
+		{"crash-replay", []abcl.Option{abcl.WithCheckpoint(el / 8),
+			abcl.WithFaults(abcl.FaultPlan{}.WithCrash(0, el/2, el/10))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, rep := run(tc.opts...)
+			if got != clean {
+				t.Errorf("sink observed\n %s\nwant the fault-free\n %s", got, clean)
+			}
+			c := rep.Sched.Counters
+			var active uint64
+			for _, cs := range rep.Profile.Classes {
+				if cs.Class == "own.sink" {
+					active = cs.Active
+				}
+			}
+			switch {
+			case active == 0:
+				t.Error("no put reached the sink while it was active: nothing queued a record")
+			case tc.name == "crash-replay" && (c.ReplayedMsgs == 0 || c.RemoteDelivers <= cleanRep.Sched.Counters.RemoteDelivers):
+				t.Errorf("replayed=%d delivers=%d (fault-free %d): no delivered record was replayed",
+					c.ReplayedMsgs, c.RemoteDelivers, cleanRep.Sched.Counters.RemoteDelivers)
+			case tc.name != "crash-replay" && (c.Retransmits == 0 || c.DupSuppressed == 0):
+				t.Errorf("fault plan idle: retransmits=%d dupSuppressed=%d", c.Retransmits, c.DupSuppressed)
+			}
+		})
 	}
 }
