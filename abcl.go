@@ -22,7 +22,9 @@
 // Method bodies are written in continuation-passing style: operations that
 // may block (Ctx.SendNow, Ctx.WaitFor, Ctx.Create) take the rest of the
 // method as an explicit continuation, mirroring the paper's saved-context
-// heap frames.
+// heap frames. The frame a Ctx.WaitFor continuation receives, and its
+// arguments, are valid until that continuation returns: copy any argument
+// a later continuation needs.
 package abcl
 
 import (

@@ -135,7 +135,10 @@ func (c *Ctx) SendNow(to Address, p PatternID, args []Value, k func(*Ctx, Value)
 // message queue is scanned first; if an awaited message is already buffered
 // the object does not block. Otherwise the context is saved, the VFTP is
 // switched to the waiting-mode table whose awaited entries restore the
-// context, and the method returns.
+// context, and the method returns. The awaited frame f and f.Args() are
+// valid until k returns: the frame is recycled then, so a continuation that
+// k leaves behind (a later SendNow, WaitFor, Create or Yield) must copy what
+// it needs of f first.
 func (c *Ctx) WaitFor(k func(*Ctx, *Frame), pats ...PatternID) {
 	c.checkLive("WaitFor")
 	c.acted = true
@@ -155,6 +158,7 @@ func (c *Ctx) WaitFor(k func(*Ctx, *Frame), pats ...PatternID) {
 		n.C.WaitFast++
 		n.node.SetPath(prev)
 		k(c, f)
+		n.ReleaseFrame(f)
 		return
 	}
 	n.C.WaitBlocked++

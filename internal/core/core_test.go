@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -742,6 +743,34 @@ func TestFaultChunkBuffersEarlyMessages(t *testing.T) {
 
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("processed = %v, want [1 2] in arrival order", got)
+	}
+}
+
+// TestFaultDeliveryIsNoCreateEvent sends to a chunk locally before its
+// creation arrives: the fault table buffers the message and charges the
+// create path, but only the creation is a create event.
+func TestFaultDeliveryIsNoCreateEvent(t *testing.T) {
+	r := newTestRT(t, Options{})
+	m := r.Reg.Register("m", 0)
+	var got int
+	cls := r.DefineClass("late", 0, nil)
+	cls.Method(m, func(ctx *Ctx) { got++ })
+	r.Freeze()
+
+	n := r.NodeRT(0)
+	chunk := n.NewFaultChunk(0)
+	n.Send(chunk.Addr(), m, nil, NilAddress)
+	local := r.NewObjectOn(0, cls)
+	r.InitChunk(n, chunk, cls, nil)
+	r.Inject(local, m)
+	run(t, r)
+
+	c := r.TotalStats()
+	if got != 2 || c.FaultBuffered != 1 {
+		t.Fatalf("ran %d methods with %d fault-buffered messages, want 2 and 1", got, c.FaultBuffered)
+	}
+	if ev := r.M.Counts().Events[profile.Create]; ev != c.Creations() {
+		t.Errorf("create events = %d, creations = %d; want equal", ev, c.Creations())
 	}
 }
 

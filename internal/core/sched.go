@@ -61,9 +61,9 @@ func (n *NodeRT) NewFrame() *Frame {
 // ReleaseFrame recycles a pooled frame once its invocation has fully
 // completed, or a wire record its handler is done with. Frames saved by
 // blocking paths (now-waits, selective reception, yields) are released when
-// their continuation finishes; frames handed to user continuations (awaited
-// messages) never are. Non-pooled frames (host injections, tests, records
-// held for checkpoint replay) are ignored.
+// their continuation finishes; a frame handed to a user continuation (an
+// awaited message) when that continuation returns. Non-pooled frames (host
+// injections, tests, records held for checkpoint replay) are ignored.
 func (n *NodeRT) ReleaseFrame(f *Frame) {
 	if f == nil || !f.pooled {
 		return
@@ -214,7 +214,8 @@ func (n *NodeRT) park(obj *Object, f *Frame, k EntryKind) {
 // delivery from the network is a remote-recv event whatever the kind. A
 // reply (entryNative) is no event: the now-send already counted the round
 // trip, so its instructions fold into the per-now-send cost. A delivery to
-// an uninitialized chunk (entryFault) counts as a create event.
+// an uninitialized chunk (entryFault) is charged to create but is no event:
+// the creation itself is the event, counted where it is requested.
 var deliveries = [...]struct {
 	path  profile.Path
 	event bool
@@ -227,7 +228,7 @@ var deliveries = [...]struct {
 	entryRestore: {profile.Restore, true, profile.DeliverRestore},
 	entryMulti:   {profile.Multi, true, profile.DeliverMulti},
 	entryNative:  {profile.NowBlocked, false, -1},
-	entryFault:   {profile.Create, true, -1},
+	entryFault:   {profile.Create, false, -1},
 }
 
 // frameDispatchable reports whether an object that just buffered a frame
@@ -391,13 +392,15 @@ func (n *NodeRT) invoke(obj *Object, f *Frame, k func(*Ctx), fresh bool) {
 }
 
 // restoreWait restores a waiting object's saved context and continues the
-// blocked method with the awaited frame f.
+// blocked method with the awaited frame f, which is recycled once the
+// continuation returns (Ctx.WaitFor).
 func (n *NodeRT) restoreWait(obj *Object, f *Frame) {
 	ws := obj.wait
 	obj.wait = nil
 	n.node.Charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
 	obj.vftp = obj.class.active
 	n.invoke(obj, ws.frame, func(ctx *Ctx) { ws.k(ctx, f) }, false)
+	n.ReleaseFrame(f)
 }
 
 // methodEnd implements the paper's method-completion protocol: check the

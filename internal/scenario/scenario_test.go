@@ -35,6 +35,38 @@ func TestBundledScenariosPass(t *testing.T) {
 	}
 }
 
+// TestRetriesUntilAcknowledged runs the two bundled plans that outlast any
+// fixed retry budget: a link dropping nine copies in ten (some records need
+// dozens of transmissions) and a 300 ms crash outage (about 150 backoffs of
+// the capped 2 ms, all toward the dead node). Each must pass — the
+// fault-free answer, and without a crash no message lost. The retransmission
+// counts pin the backoff schedule past the sixth attempt, where it sits at
+// its 2 ms cap; TestRetryEquivalencePin's runs never get that far.
+func TestRetriesUntilAcknowledged(t *testing.T) {
+	for _, tc := range []struct {
+		name, answer string
+		retransmits  uint64
+	}{
+		{"lossy-link-storm", "leaves=64", 35137},
+		{"long-outage", "leaves=256", 153},
+	} {
+		sp, err := Find(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Faulted.Invariant != tc.answer || !o.OK() {
+			t.Errorf("%s: %s, violations %v; want %s", tc.name, o.Faulted.Invariant, o.Violations, tc.answer)
+		}
+		if c := o.Faulted.Report.Sched.Counters; c.Retransmits != tc.retransmits {
+			t.Errorf("%s: %d retransmits, want %d", tc.name, c.Retransmits, tc.retransmits)
+		}
+	}
+}
+
 // TestScenarioDeterminism re-runs one bundled scenario and requires the
 // byte-identical outcome: same counters, same elapsed time, same answer.
 func TestScenarioDeterminism(t *testing.T) {

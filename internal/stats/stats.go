@@ -46,7 +46,6 @@ type Counters struct {
 	// Reliable delivery (ack/retry protocol of the inter-node layer).
 	RelSent        uint64 // unique reliable messages sent (excluding retries)
 	RelDelivered   uint64 // unique reliable messages delivered to handlers
-	RelAbandoned   uint64 // messages given up on after the retry limit
 	Retransmits    uint64 // retransmissions after an acknowledgment timeout
 	AcksSent       uint64 // acknowledgment packets transmitted by receivers
 	AcksCoalesced  uint64 // acknowledgments absorbed into a cumulative ack
@@ -96,7 +95,7 @@ func (c *Counters) Creations() uint64 {
 
 // LostMessages returns the number of unique reliable messages that were sent
 // but never delivered. At quiescence this must be zero for the reliable
-// layer's delivery guarantee to hold (abandoned messages count as lost).
+// layer's delivery guarantee to hold.
 func (c *Counters) LostMessages() uint64 {
 	if c.RelDelivered >= c.RelSent {
 		return 0

@@ -54,8 +54,8 @@ func TestEverySettingReachesEveryApp(t *testing.T) {
 			if c.LinkDrops == 0 || c.Retransmits == 0 {
 				t.Errorf("drop=0.1 never bit: drops=%d retransmits=%d", c.LinkDrops, c.Retransmits)
 			}
-			if c.LostMessages() != 0 || c.RelAbandoned != 0 {
-				t.Errorf("lost=%d abandoned=%d under drop=0.1", c.LostMessages(), c.RelAbandoned)
+			if c.LostMessages() != 0 {
+				t.Errorf("lost=%d under drop=0.1", c.LostMessages())
 			}
 			if out.Invariant != clean.Invariant {
 				t.Errorf("fault-invariant answer moved: %q, clean %q", out.Invariant, clean.Invariant)
@@ -215,7 +215,7 @@ func TestValidateAgreesWithRun(t *testing.T) {
 			WritePct:        draw(rng, 0, 50, 150),
 			Coverage:        draw(rng, "", "none", "most"),
 			Ungrouped:       rng.Intn(2) == 0,
-			Faults:          draw(rng, nil, drawn.Faults, &lossless),
+			Faults:          draw(rng, nil, drawnFaults[rng.Intn(len(drawnFaults))], &lossless),
 			BatchWindowNs:   draw[int64](rng, 0, 5_000, -5),
 			BatchBytes:      draw(rng, 0, 256, -3),
 			AckDelayNs:      draw[int64](rng, 0, 20_000, -7),
@@ -239,14 +239,28 @@ func TestValidateAgreesWithRun(t *testing.T) {
 // drawn holds the valid value TestValidateAgreesWithRun draws for each key
 // that bounds a run's cost. A fleet or app size draws it or one less, never
 // zero, which would select the full default size; the profile window and
-// checkpoint interval draw it or zero (off); the fault plan draws it or none.
+// checkpoint interval draw it or zero (off); the fault plan draws one of
+// drawnFaults or none.
 var drawn = Spec{
 	Nodes: 4, N: 5, Depth: 4, Grid: 3, GridIters: 2, Clients: 3, Ops: 4,
 	ProfileWindowNs: 50_000, CkptIntervalNs: 100_000,
-	Faults: &lossy,
 }
 
-var lossy = abcl.UniformFaults(0.05, 0, 0)
+// drawnFaults are the fault plans TestValidateAgreesWithRun draws: light
+// loss, a loss storm, a pause window and a crash outage past any fixed retry
+// budget (the 64 transmissions once allowed spanned about 120 ms).
+var drawnFaults = []*abcl.FaultPlan{&lossy, &storm, &paused, &outage}
+
+var (
+	lossy  = abcl.UniformFaults(0.05, 0, 0)
+	storm  = abcl.UniformFaults(0.95, 0, 0)
+	paused = abcl.FaultPlan{Pauses: []abcl.NodePause{{Node: 1, At: 20_000, For: 500_000}}}
+	outage = abcl.FaultPlan{Crashes: []abcl.NodeCrash{{Node: 1, At: 30_000, RestartAfter: 300 * abcl.Millisecond}}}
+)
+
+// maxOutage bounds the crash outages runnable admits by their host cost: a
+// run retransmits each record toward the dead node every 2 ms of it.
+const maxOutage = 10_000 * abcl.Millisecond
 
 // agreeWithRun fails t unless Run accepts exactly what Validate accepts: a
 // spec Validate passes runs without error, and one it refuses is refused by
@@ -267,9 +281,12 @@ func agreeWithRun(t testing.TB, sp Spec) error {
 // runnable reports whether a spec is within what TestValidateAgreesWithRun
 // draws: every size its workload reads nonzero and no larger than drawn's,
 // no profile window or checkpoint interval finer than drawn's (they multiply
-// a run's time slices and rounds), and no fault harsher than drawn's — link
-// rules dropping at most as often, with no duplication, jitter, pause or
-// crash.
+// a run's time slices and rounds), and no fault harsher than drawnFaults' —
+// link rules dropping at most as often as the storm's, with no duplication
+// or jitter; pause windows anywhere; crash outages of any length up to
+// maxOutage. The reliable layer retransmits until acknowledged, so the
+// length of an outage costs host time (one retransmission per 2 ms per
+// record in flight toward the dead node), never the answer.
 func runnable(sp Spec) bool {
 	sizes := [][2]int{{sp.Nodes, drawn.Nodes}}
 	switch sp.Workload {
@@ -287,14 +304,18 @@ func runnable(sp Spec) bool {
 			return false
 		}
 	}
-	fp, limit := sp.FaultPlan(), drawn.Faults.Links[0]
+	fp, limit := sp.FaultPlan(), storm.Links[0]
 	for _, lf := range fp.Links {
 		if lf.Drop > limit.Drop || lf.Dup > limit.Dup || lf.Jitter > limit.Jitter {
 			return false
 		}
 	}
-	return len(fp.Pauses) == 0 && len(fp.Crashes) == 0 &&
-		(sp.ProfileWindowNs <= 0 || sp.ProfileWindowNs >= drawn.ProfileWindowNs) &&
+	for _, nc := range fp.Crashes {
+		if nc.RestartAfter > maxOutage {
+			return false
+		}
+	}
+	return (sp.ProfileWindowNs <= 0 || sp.ProfileWindowNs >= drawn.ProfileWindowNs) &&
 		(sp.CkptIntervalNs <= 0 || sp.CkptIntervalNs >= drawn.CkptIntervalNs)
 }
 
@@ -329,6 +350,11 @@ func FuzzSpecValidate(f *testing.F) {
 	f.Add([]byte(`{"workload":"orderbook","nodes":4,"clients":3,"ops":4,"profile_window_ns":50000,"reliable":true}`))
 	f.Add([]byte(`{"workload":"diffusion","nodes":3,"grid":3,"grid_iters":2,"scatter":true,"policy":"naive","batch_bytes":256,"batch_window_ns":5000}`))
 	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"stock":-1,"seed":7,"faults":{"links":[{"src":7,"drop":0.01}]}}`))
+	// Plans past the 64-transmission budget the reliable layer once had, at
+	// the drawn depth: a loss storm (with that budget the run stopped with
+	// "fork-join did not complete") and a 300 ms crash outage.
+	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"faults":{"links":[{"drop":0.9}]}}`))
+	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"faults":{"crashes":[{"node":1,"at_ns":200000,"restart_after_ns":300000000}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec
 		if DecodeStrict(data, &sp) != nil {

@@ -157,10 +157,9 @@ func checkPathCounts(t *testing.T, run string, rep abcl.Report) {
 	if s, p, r := events["remote-send"], packets["remote-send"], events["remote-recv"]; s != p || s != r {
 		t.Errorf("%s: remote-send events %d, packets %d, remote-recv events %d; want equal", run, s, p, r)
 	}
-	// A create event is a creation or a local delivery to a chunk not yet
-	// created (one of the fault-buffered messages).
-	if cr := events["create"]; cr < c.Creations() || cr > c.Creations()+c.FaultBuffered {
-		t.Errorf("%s: create events %d outside [creations %d, + fault-buffered %d]", run, cr, c.Creations(), c.FaultBuffered)
+	// A create event is a creation.
+	if cr := events["create"]; cr != c.Creations() {
+		t.Errorf("%s: create events %d, creations %d", run, cr, c.Creations())
 	}
 	// Every completed round saved every node.
 	if want := uint64(rep.Ckpt.Rounds) * uint64(rep.Sched.Nodes); c.CkptSaves < want {

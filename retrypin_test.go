@@ -22,11 +22,11 @@ import (
 )
 
 type retryPin struct {
-	elapsed                                     abcl.Time
-	events                                      uint64
-	retransmits, acksSent, acksCoalesced        uint64
-	dupSuppressed, heldOutOfOrder, relAbandoned uint64
-	traceSHA                                    string
+	elapsed                              abcl.Time
+	events                               uint64
+	retransmits, acksSent, acksCoalesced uint64
+	dupSuppressed, heldOutOfOrder        uint64
+	traceSHA                             string
 }
 
 func TestRetryEquivalencePin(t *testing.T) {
@@ -39,19 +39,19 @@ func TestRetryEquivalencePin(t *testing.T) {
 	}{
 		{"delayed-acks", lossy, 500 * abcl.Microsecond, retryPin{
 			elapsed: 12995459, events: 17910, retransmits: 1616, acksSent: 1183, acksCoalesced: 7543,
-			dupSuppressed: 1014, heldOutOfOrder: 1194, relAbandoned: 0,
+			dupSuppressed: 1014, heldOutOfOrder: 1194,
 			traceSHA: "731943320589d474711895504366f93b504e412048568d7203716763c00bb6fb",
 		}},
 		{"immediate-acks", lossy, 0, retryPin{
 			elapsed: 11496214, events: 23580, retransmits: 1795, acksSent: 8927, acksCoalesced: 0,
-			dupSuppressed: 1207, heldOutOfOrder: 582, relAbandoned: 0,
+			dupSuppressed: 1207, heldOutOfOrder: 582,
 			traceSHA: "11b1112d44ca98c3ef3024e3118d4343838e20a22c24e8bc9880a02c4088542d",
 		}},
 		// The benchmark's nqueens-relbatch configuration: the flush and
 		// delayed-ack timers alone, with nothing lost to retry.
 		{"lossless", abcl.FaultPlan{}, 500 * abcl.Microsecond, retryPin{
 			elapsed: 10965859, events: 14114, retransmits: 0, acksSent: 1261, acksCoalesced: 6467,
-			dupSuppressed: 0, heldOutOfOrder: 0, relAbandoned: 0,
+			dupSuppressed: 0, heldOutOfOrder: 0,
 			traceSHA: "f9b184bd1cf0e8547969b849251a111e8fffde0e7ae51ca3ac4b713430133bed",
 		}},
 	}
@@ -89,7 +89,6 @@ func TestRetryEquivalencePin(t *testing.T) {
 					elapsed: res.Elapsed, events: sys.M.Eng.Fired(), retransmits: c.Retransmits,
 					acksSent: c.AcksSent, acksCoalesced: c.AcksCoalesced,
 					dupSuppressed: c.DupSuppressed, heldOutOfOrder: c.HeldOutOfOrder,
-					relAbandoned: c.RelAbandoned,
 				}
 			}
 			h := sha256.New()
