@@ -214,12 +214,14 @@ type sized int
 
 func (s sized) SizeBytes() int { return int(s) }
 
-// Every kind survives the tag + scalar word + reference pair encoding bit
-// for bit, and is sized on the wire exactly as the six-field encoding sized
-// it (the want column was recorded before the re-encoding).
+// Every kind survives the scalar word + reference pair encoding, in which
+// the reference's type is the kind, bit for bit, and is sized on the wire
+// exactly as the six-field encoding sized it (the want column was recorded
+// before the re-encodings). An AnyV payload whose type would read as another
+// kind reads back as an opaque payload all the same.
 func TestValueRoundTrips(t *testing.T) {
-	if sz := unsafe.Sizeof(Value{}); sz > 32 {
-		t.Errorf("Value is %d bytes, want <= 32: frames, wire records and state arenas are made of these", sz)
+	if sz := unsafe.Sizeof(Value{}); sz > 24 {
+		t.Errorf("Value is %d bytes, want <= 24: frames, wire records and state arenas are made of these", sz)
 	}
 	if sz := unsafe.Sizeof(Object{}); sz > 144 {
 		t.Errorf("Object is %d bytes, want <= 144: every object ever created keeps one", sz)
@@ -227,6 +229,8 @@ func TestValueRoundTrips(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with payload bits
 	obj := &Object{node: 3}
 	slice := []int{1, 2}
+	data := unsafe.StringData("abcd")
+	var noObj *Object
 	cases := []struct {
 		name string
 		v    Value
@@ -248,6 +252,10 @@ func TestValueRoundTrips(t *testing.T) {
 		{"nil-obj-ref", RefV(Address{Node: 5}), KindRef, func(v Value) bool { return v.Ref() == Address{Node: 5} && v.Ref().IsNil() }, 8},
 		{"any", AnyV(slice), KindAny, func(v Value) bool { return &v.Any().([]int)[0] == &slice[0] }, 32},
 		{"any-nil", AnyV(nil), KindAny, func(v Value) bool { return v.Any() == nil }, 32},
+		{"any-obj", AnyV(obj), KindAny, func(v Value) bool { return v.Any() == any(obj) }, 32},
+		{"any-bytes", AnyV(data), KindAny, func(v Value) bool { return v.Any() == any(data) }, 32},
+		{"any-typed-nil-obj", AnyV(noObj), KindAny, func(v Value) bool { p, ok := v.Any().(*Object); return ok && p == nil }, 32},
+		{"any-tag", AnyV(intTag{}), KindAny, func(v Value) bool { return v.Any() == any(intTag{}) }, 32},
 		{"any-sizer", AnyV(sized(100)), KindAny, func(v Value) bool { return v.Any() == sized(100) }, 100},
 	}
 	total := 0
@@ -289,6 +297,17 @@ func FuzzValueRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, i int64, fbits uint64, b bool, data []byte) {
 		s := string(data)
 		vals := []Value{Nil, IntV(i), FloatV(math.Float64frombits(fbits)), BoolV(b), StrV(s)}
+		// AnyV over every payload type that would read as another kind
+		// (a string's data may be a nil *byte), and over a plain one.
+		obj := &Object{node: int(i & 0xff)}
+		payloads := []any{nil, unsafe.StringData(s), obj, (*Object)(nil), intTag{}, boolTag{}, floatTag{}, nilAny{}, &anyBox{s}, i}
+		for _, p := range payloads {
+			v := AnyV(p)
+			if v.Kind() != KindAny || v.Any() != p || v.SizeBytes() != 32 || v.IsNil() {
+				t.Errorf("AnyV(%T %v) reads back as kind %v, payload %v, %d bytes", p, p, v.Kind(), v.Any(), v.SizeBytes())
+			}
+			vals = append(vals, v)
+		}
 		for k := range data {
 			data[k] ^= 0xff
 		}
@@ -347,21 +366,32 @@ func wantKindPanic(t *testing.T, v Value, k Kind, call func(Value)) {
 }
 
 // No constructor on the message path touches the allocator, whether or not
-// the compiler can see the string.
+// the compiler can see the string, and neither does an opaque payload that
+// is a pointer, as an n-queens board is, or nil. Only an AnyV payload whose
+// type would read as another kind — a *byte or an *Object — is boxed, at one
+// allocation.
 func TestValueConstructorsDoNotAllocate(t *testing.T) {
 	obj := &Object{node: 3}
 	name := t.Name() + "/dynamic"
+	board := &struct{ rows [16]int8 }{}
 	var sink Value
 	n := testing.AllocsPerRun(100, func() {
 		sink = IntV(int64(len(name)))
 		sink = BoolV(sink.Int() > 3)
 		sink = FloatV(float64(obj.node) / 7)
 		sink = RefV(obj.Addr())
+		sink = AnyV(nil)
+		sink = AnyV(board)
 		sink = StrV("constant")
 		sink = StrV(name)
 	})
 	if n != 0 || sink.Str() != name {
 		t.Errorf("constructors allocated %.0f times per run (last value %v), want 0", n, sink)
+	}
+	for _, p := range []any{obj, unsafe.StringData(name)} {
+		if n := testing.AllocsPerRun(100, func() { sink = AnyV(p) }); n > 1 {
+			t.Errorf("AnyV(%T) allocated %.0f times per run, want at most its box", p, n)
+		}
 	}
 }
 

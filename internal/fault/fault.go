@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -162,6 +163,9 @@ func (p Plan) Validate(nodes int) error {
 		if np.At < 0 || np.For <= 0 {
 			return fmt.Errorf("fault: pause %d: window [%v, +%v) invalid (start must be >= 0, duration > 0)", i, np.At, np.For)
 		}
+		if np.For > math.MaxInt64-np.At {
+			return fmt.Errorf("fault: pause %d: window [%v, +%v) ends past the last virtual time", i, np.At, np.For)
+		}
 		windows[np.Node] = append(windows[np.Node], window{np.At, np.At + np.For, "pause", i})
 	}
 	for i, nc := range p.Crashes {
@@ -170,6 +174,9 @@ func (p Plan) Validate(nodes int) error {
 		}
 		if nc.At < 0 || nc.RestartAfter <= 0 {
 			return fmt.Errorf("fault: crash %d: outage [%v, +%v) invalid (start must be >= 0, restart-after > 0)", i, nc.At, nc.RestartAfter)
+		}
+		if nc.RestartAfter > math.MaxInt64-nc.At {
+			return fmt.Errorf("fault: crash %d: outage [%v, +%v) ends past the last virtual time", i, nc.At, nc.RestartAfter)
 		}
 		windows[nc.Node] = append(windows[nc.Node], window{nc.At, nc.At + nc.RestartAfter, "crash", i})
 	}

@@ -3,6 +3,7 @@ package fault
 import (
 	"cmp"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,6 +26,9 @@ func TestValidate(t *testing.T) {
 		{"pause bad node", Plan{}.WithPause(9, 0, 100), false},
 		{"pause zero width", Plan{Pauses: []NodePause{{Node: 0, At: 0, For: 0}}}, false},
 		{"pause ok", Plan{}.WithPause(1, 1000, 500), true},
+		{"pause ends at the last time", Plan{}.WithPause(1, math.MaxInt64-500, 500), true},
+		{"pause end overflows", Plan{}.WithPause(1, 9e18, 9e18), false},
+		{"crash end overflows", Plan{Crashes: []NodeCrash{{Node: 1, At: 9e18, RestartAfter: 9e18}}}, false},
 	}
 	for _, c := range cases {
 		err := c.plan.Validate(4)
@@ -33,6 +37,24 @@ func TestValidate(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		}
+	}
+}
+
+// A window whose end passes the last virtual time is refused by name: its
+// end once wrapped negative, and a crash 9e18 ns away counted as done.
+func TestValidateRejectsOverflowingWindows(t *testing.T) {
+	for _, c := range []struct {
+		plan Plan
+		want string
+	}{
+		{Plan{Crashes: []NodeCrash{{Node: 1, At: 9e18, RestartAfter: 9e18}}},
+			"fault: crash 0: outage [9000000000.000s, +9000000000.000s) ends past the last virtual time"},
+		{Plan{}.WithPause(1, 2000, 500).WithPause(1, 9e18, 9e18),
+			"fault: pause 1: window [9000000000.000s, +9000000000.000s) ends past the last virtual time"},
+	} {
+		if err := c.plan.Validate(4); err == nil || err.Error() != c.want {
+			t.Errorf("Validate(%+v) = %v, want %q", c.plan, err, c.want)
 		}
 	}
 }

@@ -798,8 +798,8 @@ func TestHintedSendAcrossNodes(t *testing.T) {
 // so a node holds a few of those at a time; its records chain through their
 // own headers, so it holds two ends and a count, not a slice of them.
 func TestRecordSizes(t *testing.T) {
-	if sz := unsafe.Sizeof(core.Frame{}); sz > 200 {
-		t.Errorf("a record (core.Frame) is %d bytes with its embedded packet header, want <= 200", sz)
+	if sz := unsafe.Sizeof(core.Frame{}); sz > 184 {
+		t.Errorf("a record (core.Frame) is %d bytes with its embedded packet header, want <= 184", sz)
 	}
 	var funcs []string
 	wt := reflect.TypeOf(core.Frame{})

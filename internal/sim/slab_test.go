@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -19,29 +20,26 @@ func TestQueueEntrySizes(t *testing.T) {
 	}
 }
 
-// Records are carved from blocks of 8, 16, ... 256, 256: consecutive carves
-// inside a block are adjacent in memory, a new block starts elsewhere.
+// Records are carved from the Arena's blocks — for this small record 8, 16,
+// ... 256, then 512 on the way to the byte cap — and consecutive carves inside
+// a block are adjacent in memory. Blocks are read from the arena, not from
+// addresses: the runtime may place a new block right after the last.
 func TestSlabBlockGrowth(t *testing.T) {
 	var s Slab[slabRec, *slabRec]
 	var blocks []int
 	var prev *slabRec
-	for i := 0; i < 8+16+32+64+128+256+256; i++ {
+	for i := 0; i < 8+16+32+64+128+256+512; i++ {
+		fresh := len(s.blocks.block) == 0
 		r := s.Get()
-		if prev != nil && unsafe.Pointer(r) == unsafe.Add(unsafe.Pointer(prev), unsafe.Sizeof(*r)) {
-			blocks[len(blocks)-1]++
-		} else {
-			blocks = append(blocks, 1)
+		if fresh {
+			blocks = append(blocks, len(s.blocks.block)+1)
+		} else if unsafe.Pointer(r) != unsafe.Add(unsafe.Pointer(prev), unsafe.Sizeof(*r)) {
+			t.Fatalf("record %d is not adjacent to the one before it in its block", i)
 		}
 		prev = r
 	}
-	want := []int{8, 16, 32, 64, 128, 256, 256}
-	if len(blocks) != len(want) {
+	if want := []int{8, 16, 32, 64, 128, 256, 512}; !slices.Equal(blocks, want) {
 		t.Fatalf("block sizes = %v, want %v", blocks, want)
-	}
-	for i := range want {
-		if blocks[i] != want[i] {
-			t.Fatalf("block sizes = %v, want %v", blocks, want)
-		}
 	}
 }
 

@@ -183,6 +183,12 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{Spec{Workload: "orderbook", Nodes: 1}, "orderbook: need >= 2 nodes, got 1"},
 		{Spec{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5}, "WithChunkStock(-5): depth must not be negative"},
 		{Spec{Workload: "pingpong", Nodes: 4, BatchWindowNs: -5}, `unknown workload "pingpong"`},
+		// Windows whose end passes the last virtual time: the crash once
+		// validated and counted as done an outage 9e18 ns away.
+		{Spec{Workload: "forkjoin", Nodes: 4, Depth: 4, Faults: &abcl.FaultPlan{Crashes: []abcl.NodeCrash{{Node: 1, At: 9e18, RestartAfter: 9e18}}}},
+			"fault: crash 0: outage [9000000000.000s, +9000000000.000s) ends past the last virtual time"},
+		{Spec{Workload: "forkjoin", Nodes: 4, Depth: 4, Faults: &abcl.FaultPlan{Pauses: []abcl.NodePause{{Node: 1, At: 9e18, For: 9e18}}}},
+			"fault: pause 0: window [9000000000.000s, +9000000000.000s) ends past the last virtual time"},
 	} {
 		if err := agreeWithRun(t, tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: Validate says %v, want %q", tc.spec, err, tc.want)
@@ -355,6 +361,9 @@ func FuzzSpecValidate(f *testing.F) {
 	// "fork-join did not complete") and a 300 ms crash outage.
 	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"faults":{"links":[{"drop":0.9}]}}`))
 	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"faults":{"crashes":[{"node":1,"at_ns":200000,"restart_after_ns":300000000}]}}`))
+	// Windows whose end passes the last virtual time.
+	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"faults":{"crashes":[{"node":1,"at_ns":9000000000000000000,"restart_after_ns":9000000000000000000}]}}`))
+	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"faults":{"pauses":[{"node":1,"at_ns":9000000000000000000,"for_ns":9000000000000000000}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec
 		if DecodeStrict(data, &sp) != nil {
