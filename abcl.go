@@ -313,8 +313,8 @@ func WithProfiler(opt ProfileOptions) Option {
 // (25MHz, CPI 2.3, squarish torus) is used.
 func WithMachine(cfg MachineConfig) Option {
 	return func(s *settings) error {
-		if cfg.ClockMHz <= 0 || cfg.CPI <= 0 {
-			return fmt.Errorf("abcl: WithMachine: clock %.1fMHz / CPI %.2f invalid", cfg.ClockMHz, cfg.CPI)
+		if err := cfg.CheckClock(); err != nil {
+			return fmt.Errorf("abcl: WithMachine: %w", err)
 		}
 		s.machine = &cfg
 		return nil
@@ -614,10 +614,6 @@ func (s *System) Nodes() int { return s.M.Nodes() }
 // Seed returns the seed actually in use for placement and fault injection
 // (DefaultSeed when none was configured).
 func (s *System) Seed() int64 { return s.seed }
-
-// Faults returns the configured fault plan; the zero plan means a
-// fault-free interconnect.
-func (s *System) Faults() FaultPlan { return s.faults }
 
 // Report is the grouped introspection snapshot of a System, replacing the
 // flat accessor zoo. Take one after Run (or between Runs); it is a copy and

@@ -36,14 +36,15 @@
 // -pack writes an integrity-checked runpack archive (config + full trace +
 // profile + report); verify/diff/regress replay and compare archives, and
 // validate checks a spec file, a scenario file or a pack without running it
-// — or a -profile stream against the schema and its run's -metrics summary:
+// (a pack's trace against its own report), or a -profile stream against the
+// trace schema:
 //
 //	abclsim -workload hotkey -coverage full -pack out/
 //	abclsim verify out/runpack_<id>.zip
 //	abclsim diff a.zip b.zip
 //	abclsim regress testdata/runpacks
 //	abclsim validate path/to/spec.json
-//	abclsim validate run.jsonl run.json
+//	abclsim validate run.jsonl
 //
 // tables and figures print the paper's evaluation and ablation tables 6–8
 // as the markdown EXPERIMENTS.md embeds; figures -pack packs each sweep
@@ -57,7 +58,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -93,7 +93,7 @@ type cli struct {
 
 	cpuprofile, memprofile string
 	packOut                string
-	profileOut, metricsOut string
+	profileOut             string
 	costTable              bool
 }
 
@@ -142,7 +142,6 @@ func parseFlags(args []string) (*cli, error) {
 
 	fs.StringVar(&c.packOut, "pack", "", "execute the configured run and write a verifiable runpack archive to this file or directory")
 	fs.StringVar(&c.profileOut, "profile", "", "stream runtime events as JSON Lines to this file (any workload)")
-	fs.StringVar(&c.metricsOut, "metrics", "", "write an event-count metrics summary (JSON) to this file (any workload)")
 	fs.BoolVar(&c.costTable, "cost-table", false, "enable the cost-attribution profiler and print the per-path cost table")
 	fs.Var((*timeFlag)(&sp.ProfileWindowNs), "profile-window",
 		"cost-profiler time-series slice width, as ns or a Go duration; implies -cost-table")
@@ -180,7 +179,7 @@ func parseFlags(args []string) (*cli, error) {
 // instrumentFlags are the flags that attach output to a run without being
 // part of its spec: the only ones -scenario admits beside itself.
 var instrumentFlags = map[string]bool{
-	"scenario": true, "pack": true, "trace": true, "profile": true, "metrics": true,
+	"scenario": true, "pack": true, "trace": true, "profile": true,
 	"cost-table": true, "cpuprofile": true, "memprofile": true,
 }
 
@@ -255,12 +254,11 @@ func parseVirtualTime(s string) (int64, error) {
 }
 
 // instrumentation is what the flags attach to a run beyond its spec: the
-// -profile/-metrics sinks, the -trace ring and the -cost-table profiler.
+// -profile sink, the -trace ring and the -cost-table profiler.
 type instrumentation struct {
 	opts        []abcl.Option
 	profileSink *trace.JSONL
 	profileFile *os.File
-	metricsSink *trace.Metrics
 	ring        *trace.Ring
 }
 
@@ -276,10 +274,6 @@ func (c *cli) open() (*instrumentation, error) {
 		in.profileFile, in.profileSink = f, trace.NewJSONL(f)
 		in.opts = append(in.opts, abcl.WithObserver(in.profileSink))
 	}
-	if c.metricsOut != "" {
-		in.metricsSink = trace.NewMetrics()
-		in.opts = append(in.opts, abcl.WithObserver(in.metricsSink))
-	}
 	if c.traceN > 0 {
 		in.ring = trace.NewRing(c.traceN)
 		in.opts = append(in.opts, abcl.WithObserver(in.ring))
@@ -290,8 +284,7 @@ func (c *cli) open() (*instrumentation, error) {
 	return in, nil
 }
 
-// close flushes the -profile stream and writes the -metrics summary after
-// the workload finished.
+// close flushes the -profile stream after the workload finished.
 func (c *cli) close(in *instrumentation) error {
 	if in.profileSink != nil {
 		err := in.profileSink.Err()
@@ -300,15 +293,6 @@ func (c *cli) close(in *instrumentation) error {
 		}
 		if err != nil {
 			return fmt.Errorf("profile stream %s: %w", c.profileOut, err)
-		}
-	}
-	if in.metricsSink != nil {
-		b, err := json.MarshalIndent(in.metricsSink.Summary(), "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.metricsOut, append(b, '\n'), 0o644); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -336,8 +320,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if c.packOut != "" && (c.profileOut != "" || c.metricsOut != "") {
-		return fmt.Errorf("-pack captures its own trace; drop -profile/-metrics")
+	if c.packOut != "" && c.profileOut != "" {
+		return fmt.Errorf("-pack captures its own trace; drop -profile")
 	}
 	if c.cpuprofile != "" {
 		f, err := os.Create(c.cpuprofile)
@@ -440,10 +424,10 @@ func subcommand(cmd string, args []string) (func(io.Writer) error, error) {
 		}
 		return func(w io.Writer) error { return runpack.Regress(dir, w) }, nil
 	case "validate":
-		if len(args) != 1 && (len(args) != 2 || !strings.HasSuffix(args[0], ".jsonl")) {
-			return nil, errors.New("usage: abclsim validate <spec.json | scenario.json | pack.zip | run.jsonl [run.json]>")
+		if len(args) != 1 {
+			return nil, errors.New("usage: abclsim validate <spec.json | scenario.json | pack.zip | run.jsonl>")
 		}
-		return func(w io.Writer) error { return validate(w, args) }, nil
+		return func(w io.Writer) error { return validate(w, args[0]) }, nil
 	case "tables":
 		table := fs.Int("table", 0, fmt.Sprintf("table to print, 1-%d; 0 prints all", exp.NumTables))
 		if err := parse(fs, args); err != nil {
@@ -469,33 +453,19 @@ func subcommand(cmd string, args []string) (func(io.Writer) error, error) {
 }
 
 // validate checks one file without running it: a run spec, a scenario
-// document or a pack against the run-spec rules, or a -profile stream
-// against its schema and, when a second file is given, against the
-// -metrics summary of its run.
-func validate(w io.Writer, args []string) error {
-	path := args[0]
+// document or a pack against the run-spec rules (Open holds a pack's trace
+// to its report first), or a -profile stream against the trace schema.
+func validate(w io.Writer, path string) error {
 	if strings.HasSuffix(path, ".jsonl") {
-		var sum *trace.MetricsSummary
-		if len(args) == 2 {
-			data, err := os.ReadFile(args[1])
-			if err != nil {
-				return err
-			}
-			sum = new(trace.MetricsSummary)
-			if err := workload.DecodeStrict(data, sum); err != nil {
-				return fmt.Errorf("%s: %w", args[1], err)
-			}
-		}
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		got, err := trace.CheckJSONL(f, sum)
-		if err != nil {
+		if _, err := trace.CheckJSONL(f); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		fmt.Fprintf(w, "%s: ok (%d events, %d kinds)\n", path, got.Total, len(got.ByKind))
+		fmt.Fprintf(w, "%s: ok\n", path)
 		return nil
 	}
 	var doc scenario.Spec

@@ -290,22 +290,31 @@ func TestValidateSubcommand(t *testing.T) {
 	}
 }
 
-// TestProfileSinksValidate runs a workload with both event exporters
-// attached and validates what they wrote: the -profile stream against its
-// schema, and the -metrics summary against the stream, field for field.
+// TestProfileSinksValidate runs a workload with each trace exporter and
+// validates what it wrote: the -profile stream against the trace schema, and
+// the -pack archive's trace against the schema and its own report.
 func TestProfileSinksValidate(t *testing.T) {
 	dir := t.TempDir()
-	stream, summary := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "run.json")
-	if err := run([]string{"-workload", "nqueens", "-n", "8", "-nodes", "8", "-profile", stream, "-metrics", summary}, io.Discard); err != nil {
+	stream := filepath.Join(dir, "run.jsonl")
+	spec := []string{"-workload", "nqueens", "-n", "8", "-nodes", "8"}
+	if err := run(append(spec, "-profile", stream), io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{"validate", stream}, {"validate", stream, summary}} {
+	var packed bytes.Buffer
+	if err := run(append(spec, "-pack", dir+string(os.PathSeparator)), &packed); err != nil {
+		t.Fatal(err)
+	}
+	packs, err := filepath.Glob(filepath.Join(dir, "runpack_*.zip"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("-pack wrote %v (err %v), want one archive:\n%s", packs, err, packed.String())
+	}
+	for _, path := range []string{stream, packs[0]} {
 		var out bytes.Buffer
-		if err := run(args, &out); err != nil {
-			t.Fatalf("%v: %v", args, err)
+		if err := run([]string{"validate", path}, &out); err != nil {
+			t.Fatalf("validate %s: %v", path, err)
 		}
-		if want := stream + ": ok ("; !strings.HasPrefix(out.String(), want) {
-			t.Errorf("%v printed %q, want it to open with %q", args, out.String(), want)
+		if want := path + ": ok"; !strings.HasPrefix(out.String(), want) {
+			t.Errorf("validate %s printed %q, want it to open with %q", path, out.String(), want)
 		}
 	}
 }
@@ -319,7 +328,7 @@ var goldenBlock = regexp.MustCompile(`(?s)<!-- abclsim ([^>]*?) -->\n(.*?)<!-- e
 // TestExperimentsAreGoldenOutput holds EXPERIMENTS.md to the program: each
 // block between `<!-- abclsim <command> -->` and `<!-- end -->` is what that
 // command prints. Tables 1–8 are re-rendered in full. Of the figures, whose
-// N = 11 sweeps with their packs take half a minute, the N = 8 rows of
+// N = 11 sweeps with their packs take most of a minute, the N = 8 rows of
 // Figure 5 and the N = 9 row of Figure 6 are rendered, pack ids included,
 // and each line must appear in the block. With -update every block is
 // rewritten by running its command in full:

@@ -13,7 +13,6 @@ import (
 // runDES executes the program on the discrete-event simulator.
 func runDES(t *testing.T, p *Program, policy core.Policy) Expected {
 	t.Helper()
-	p.Reset()
 	m, err := machine.New(machine.DefaultConfig(p.Nodes))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +77,6 @@ func TestStockDepthIsFunctionallyInvisible(t *testing.T) {
 	// Chunk-stock depth changes latency, never results.
 	run := func(seed int64, depth int) Expected {
 		p := Generate(seed, 6)
-		p.Reset()
 		m, err := machine.New(machine.DefaultConfig(6))
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +106,6 @@ func TestFaultsAreFunctionallyInvisible(t *testing.T) {
 	// fault-free run, and no message is lost.
 	run := func(seed int64, nodes int, plan fault.Plan) Expected {
 		p := Generate(seed, nodes)
-		p.Reset()
 		m, err := machine.New(machine.DefaultConfig(nodes))
 		if err != nil {
 			t.Fatal(err)

@@ -244,8 +244,3 @@ func (p *Program) Observe(rt *core.Runtime) Expected {
 		Messages:  c.TotalMessages(),
 	}
 }
-
-// Reset clears per-run observation state so the Program can be rebuilt on a
-// fresh runtime. (All observation state now lives inside the simulation and
-// is rebuilt by Build; Reset is kept for the harness call sites.)
-func (p *Program) Reset() {}

@@ -93,13 +93,3 @@ func (o *Object) LiveInvocations() int {
 // State reads state variable i directly; intended for tests and drivers
 // inspecting a quiescent system, not for method bodies (use Ctx.State).
 func (o *Object) State(i int) Value { return o.state[i] }
-
-// awaits reports whether p is in the awaited set of a waiting object.
-func (w *waitState) awaits(p PatternID) bool {
-	for _, q := range w.pats {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}

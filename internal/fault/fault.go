@@ -331,9 +331,3 @@ func (in *Injector) PausedUntil(node int, at sim.Time) sim.Time {
 	}
 	return at
 }
-
-// String summarizes the plan for logs.
-func (in *Injector) String() string {
-	return fmt.Sprintf("fault{seed=%d links=%d pauses=%d crashes=%d}",
-		in.seed, len(in.plan.Links), len(in.plan.Pauses), len(in.plan.Crashes))
-}

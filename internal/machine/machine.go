@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -84,10 +86,39 @@ func (c Config) NsPerInstr() float64 {
 	return c.CPI * 1000 / c.ClockMHz
 }
 
-// InstrTime converts an instruction count to virtual time. The count is
+// instrPoint is the binary point of the instruction-time factor: ns per
+// instruction held in units of 2^-instrPoint ns, so converting a count is
+// one 64×64→128-bit multiply and a shift, and the default 92 ns is exact.
+const instrPoint = 40
+
+// CheckClock refuses a clock and CPI that state no instruction time: a
+// non-positive one, or one too slow for the fixed-point factor's 64 bits
+// (2^24 ns per instruction).
+func (c Config) CheckClock() error {
+	if !(c.ClockMHz > 0 && c.CPI > 0 && c.NsPerInstr() < 1<<(64-instrPoint)) {
+		return fmt.Errorf("clock %.1fMHz / CPI %.2f invalid", c.ClockMHz, c.CPI)
+	}
+	return nil
+}
+
+// instrFactor is the config's ns per instruction in fixed point.
+func (c Config) instrFactor() uint64 {
+	return uint64(math.Round(c.NsPerInstr() * (1 << instrPoint)))
+}
+
+// instrTime converts instr instructions at fixed-point factor f to virtual
+// time, rounding half up.
+func instrTime(instr, f uint64) sim.Time {
+	hi, lo := bits.Mul64(instr, f)
+	lo, carry := bits.Add64(lo, 1<<(instrPoint-1), 0)
+	return sim.Time((hi+carry)<<(64-instrPoint) | lo>>instrPoint)
+}
+
+// InstrTime converts an instruction count (≥ 0) to virtual time, as a
+// charge of that many instructions advances a node's clock. The count is
 // 64-bit: a sequential baseline's total passes 2^31.
 func (c Config) InstrTime(instr int64) sim.Time {
-	return sim.Time(float64(instr)*c.NsPerInstr() + 0.5)
+	return instrTime(uint64(instr), c.instrFactor())
 }
 
 // FaultModel injects interconnect and node faults into the machine. The
@@ -354,7 +385,7 @@ type Machine struct {
 	pkts     sim.Slab[Packet, *Packet]
 	rxBlocks sim.Slab[rxBlock, *rxBlock] // the nodes' receive queues' blocks
 
-	nsPerInstr float64
+	instrFactor uint64 // Cfg.instrFactor()
 
 	faults FaultModel
 	prof   *profile.Profiler
@@ -415,8 +446,8 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Nodes > MaxNodes {
 		return nil, fmt.Errorf("machine: node count %d above the limit of %d", cfg.Nodes, MaxNodes)
 	}
-	if cfg.ClockMHz <= 0 || cfg.CPI <= 0 {
-		return nil, fmt.Errorf("machine: clock %.1fMHz / CPI %.2f invalid", cfg.ClockMHz, cfg.CPI)
+	if err := cfg.CheckClock(); err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
 	}
 	if cfg.Topology == nil {
 		cfg.Topology = SquarishTorus(cfg.Nodes)
@@ -431,10 +462,10 @@ func New(cfg Config) (*Machine, error) {
 		cfg.Cost.PollRemote = 0
 	}
 	m := &Machine{
-		Cfg:        cfg,
-		Eng:        sim.NewEngine(),
-		nsPerInstr: cfg.NsPerInstr(),
-		hooks:      make([]func(*Node, *Packet), 1), // the zero Hook is none
+		Cfg:         cfg,
+		Eng:         sim.NewEngine(),
+		instrFactor: cfg.instrFactor(),
+		hooks:       make([]func(*Node, *Packet), 1), // the zero Hook is none
 	}
 	// One event lane per node plus lane 0 for the host; typed kinds keep
 	// the per-packet and per-turn scheduling allocation-free.
@@ -567,7 +598,7 @@ func (n *Node) ChargeTo(p profile.Path, instr int) {
 		return
 	}
 	m := n.m
-	d := sim.Time(float64(instr)*m.nsPerInstr + 0.5)
+	d := instrTime(uint64(instr), m.instrFactor)
 	n.Clock += d
 	m.busy += d
 	m.counts.Instr[p] += uint64(instr)

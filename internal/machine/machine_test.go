@@ -48,6 +48,33 @@ func TestNsPerInstr(t *testing.T) {
 	}
 }
 
+// TestInstrTimeFixedPoint holds the fixed-point instruction time to exact
+// integer arithmetic where ns per instruction is fractional (CPI 2.3 at
+// 33 MHz is 2300/33 ns), on a count past 2^32, and a charge to InstrTime.
+func TestInstrTimeFixedPoint(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.ClockMHz = 33
+	n := int64(1)<<32 + 12345
+	// round(n·2300/33), half up, in integers.
+	if got, want := cfg.InstrTime(n), sim.Time((2*n*2300+33)/66); got != want {
+		t.Errorf("InstrTime(%d) = %d, want %d", n, got, want)
+	}
+	m := MustNew(cfg)
+	node := m.Node(0)
+	for _, instr := range []int{1, 2, 3, 7, 33, 1000003} {
+		before := node.Clock
+		node.Charge(instr)
+		if got, want := node.Clock-before, cfg.InstrTime(int64(instr)); got != want {
+			t.Errorf("charging %d instructions advanced the clock %d ns, InstrTime says %d", instr, got, want)
+		}
+	}
+	for _, bad := range []Config{{ClockMHz: 0, CPI: 2.3}, {ClockMHz: 25, CPI: -1}, {ClockMHz: 1e-4, CPI: 2.3}} {
+		if err := bad.CheckClock(); err == nil {
+			t.Errorf("clock %v MHz / CPI %v accepted", bad.ClockMHz, bad.CPI)
+		}
+	}
+}
+
 func TestNetLatency(t *testing.T) {
 	nc := DefaultNet()
 	if got := nc.Latency(1, 16); got != 1500 {

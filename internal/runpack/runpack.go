@@ -31,10 +31,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 
+	abcl "repro"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -184,8 +187,9 @@ func (p *Pack) WriteFile(path string) (string, error) {
 
 // Open reads an archive and checks its integrity: the format tag, every
 // section's SHA-256 sum, and the content-derived id must all match the
-// manifest. A pack that fails here is corrupt or hand-edited — distinct
-// from a pack that fails Verify, which is intact but no longer reproducible.
+// manifest, and the trace must restate the report (checkTrace). A pack
+// that fails here is corrupt or hand-edited — distinct from a pack that
+// fails Verify, which is intact but no longer reproducible.
 func Open(path string) (*Pack, error) {
 	zr, err := zip.OpenReader(path)
 	if err != nil {
@@ -247,11 +251,75 @@ func Open(path string) (*Pack, error) {
 	if p.Manifest.ID != want {
 		return nil, fmt.Errorf("runpack %s: integrity: id %s, recomputed %s", path, want, p.Manifest.ID)
 	}
+	if err := checkTrace(p.TraceJSONL, p.ReportJSON); err != nil {
+		return nil, fmt.Errorf("runpack %s: %w", path, err)
+	}
 	return p, nil
 }
 
-// Build assembles a sealed pack from a configuration and its execution.
+// restated pairs each trace kind whose lines restate a counter with that
+// counter: the runtime increments it where it emits the kind's event, so a
+// pack's trace and its report hold two records of one fact. The send,
+// buffer, ack and ack-coalesce kinds restate none.
+var restated = [...]struct {
+	kind    trace.Kind
+	counter string // a stats.Counters field
+}{
+	{trace.EvSchedule, "SchedEnqueues"},
+	{trace.EvDispatch, "SchedDequeues"},
+	{trace.EvLinkDrop, "LinkDrops"},
+	{trace.EvLinkDup, "LinkDups"},
+	{trace.EvNodePause, "NodePauses"},
+	{trace.EvRetry, "Retransmits"},
+	{trace.EvDupMsg, "DupSuppressed"},
+	{trace.EvHold, "HeldOutOfOrder"},
+	{trace.EvBatch, "BatchesSent"},
+	{trace.EvCkptSave, "CkptSaves"},
+	{trace.EvCkptRound, "CkptRounds"},
+	{trace.EvCrash, "NodeCrashes"},
+	{trace.EvRestore, "NodeRestarts"},
+}
+
+// checkTrace holds a trace section to the JSONL schema and the line count
+// of each restated kind to its counter in the report section. A scenario
+// pack's trace holds the fault-free run's events and then the faulted
+// run's, so its counts are held to the sum of the two runs' counters.
+func checkTrace(traceJSONL, reportJSON []byte) error {
+	lines, err := trace.CheckJSONL(bytes.NewReader(traceJSONL))
+	if err != nil {
+		return fmt.Errorf("%s: %w", SecTrace, err)
+	}
+	var doc reportDoc
+	if err := json.Unmarshal(reportJSON, &doc); err != nil {
+		return fmt.Errorf("%s: %w", SecReport, err)
+	}
+	var runs []*abcl.Report
+	switch {
+	case doc.System != nil:
+		runs = []*abcl.Report{doc.System}
+	case doc.Scenario != nil && doc.Scenario.Baseline.Report != nil && doc.Scenario.Faulted.Report != nil:
+		runs = []*abcl.Report{doc.Scenario.Baseline.Report, doc.Scenario.Faulted.Report}
+	default:
+		return fmt.Errorf("%s: no report of the run", SecReport)
+	}
+	for _, r := range restated {
+		var want uint64
+		for _, rep := range runs {
+			want += reflect.ValueOf(rep.Sched.Counters).FieldByName(r.counter).Uint()
+		}
+		if got := lines[r.kind]; got != want {
+			return fmt.Errorf("%s has %d %s lines, %s counts %s = %d", SecTrace, got, r.kind, SecReport, r.counter, want)
+		}
+	}
+	return nil
+}
+
+// Build assembles a sealed pack from a configuration and its execution,
+// refusing one whose trace does not restate its report.
 func Build(cfg scenario.Spec, res *ExecResult) (*Pack, error) {
+	if err := checkTrace(res.Trace, res.ReportJSON); err != nil {
+		return nil, fmt.Errorf("runpack: %w", err)
+	}
 	p := &Pack{Config: cfg, TraceJSONL: res.Trace, ReportJSON: res.ReportJSON}
 	return p, p.seal()
 }

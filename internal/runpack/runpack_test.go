@@ -4,9 +4,13 @@ import (
 	"archive/zip"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -263,8 +267,73 @@ func TestOpenRejectsTampering(t *testing.T) {
 	}
 }
 
+// dropLine returns trace without its first line containing kind.
+func dropLine(trace []byte, kind string) []byte {
+	lines := bytes.SplitAfter(trace, []byte("\n"))
+	for i, l := range lines {
+		if bytes.Contains(l, []byte(kind)) {
+			return bytes.Join(append(lines[:i:i], lines[i+1:]...), nil)
+		}
+	}
+	return trace
+}
+
+// TestTraceHeldToReport drops one retry line from a pack's trace, or adds
+// one to its report's Retransmits: Build and Open must both refuse the
+// pack, naming the kind and both counts. The plain pack runs under link
+// faults; the crash scenario pack's counts are its two runs' together.
+func TestTraceHeldToReport(t *testing.T) {
+	drops := abcl.UniformFaults(0.1, 0, 0)
+	retransmits := regexp.MustCompile(`"Retransmits": (\d+)`)
+	for name, cfg := range map[string]scenario.Spec{
+		"plain":          plain(workload.Spec{Workload: "nqueens", N: 6, Nodes: 8, Seed: 1, Faults: &drops}),
+		"scenario-crash": testConfigs(t)["scenario-crash"],
+	} {
+		res, err := Execute(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retries := bytes.Count(res.Trace, []byte(`"kind":"retry"`))
+		if retries == 0 {
+			t.Fatalf("%s: no retry line to drop", name)
+		}
+		// The first Retransmits in the report, one higher.
+		at := retransmits.FindSubmatchIndex(res.ReportJSON)
+		n, err := strconv.Atoi(string(res.ReportJSON[at[2]:at[3]]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bumped := slices.Concat(res.ReportJSON[:at[2]], []byte(strconv.Itoa(n+1)), res.ReportJSON[at[3]:])
+		for _, tc := range []struct {
+			what          string
+			trace, report []byte
+			lines, count  int
+		}{
+			{"retry line dropped", dropLine(res.Trace, `"kind":"retry"`), res.ReportJSON, retries - 1, retries},
+			{"counter edited", res.Trace, bumped, retries, retries + 1},
+		} {
+			want := fmt.Sprintf("trace.jsonl has %d retry lines, report.json counts Retransmits = %d", tc.lines, tc.count)
+			edited := *res
+			edited.Trace, edited.ReportJSON = tc.trace, tc.report
+			if _, err := Build(cfg, &edited); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s: Build returned %v, want %q", name, tc.what, err, want)
+			}
+			// WriteFile seals without the check, as an editor would.
+			p := &Pack{Config: cfg, TraceJSONL: tc.trace, ReportJSON: tc.report}
+			path, err := p.WriteFile(filepath.Join(t.TempDir(), "edited.zip"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(path); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s: Open returned %v, want %q", name, tc.what, err, want)
+			}
+		}
+	}
+}
+
 // FuzzRunpackOpen feeds Open arbitrary archive bytes, seeded with each
-// checked-in pack whole, cut in half and with one byte flipped. Open must
+// checked-in pack whole, cut in half and with one byte flipped, and with a
+// resealed pack whose trace disagrees with its report. Open must
 // never panic, and what it accepts must be intact: a pack whose id is one
 // of the checked-in ones (zip metadata outside the sections is not sealed,
 // so a flip there may still open).
@@ -286,6 +355,22 @@ func FuzzRunpackOpen(f *testing.F) {
 		f.Add(b[:len(b)/2])
 		f.Add(flipped)
 	}
+	// An intact archive whose trace is one schedule line short of its
+	// report's SchedEnqueues.
+	p, err := Open(paths[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	p.TraceJSONL = dropLine(p.TraceJSONL, `"kind":"schedule"`)
+	short, err := p.WriteFile(filepath.Join(f.TempDir(), "short.zip"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := os.ReadFile(short)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.zip")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

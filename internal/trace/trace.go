@@ -1,8 +1,8 @@
 // Package trace defines the runtime's event-observation layer: a Sink
 // interface every subsystem emits events into, plus the bundled
-// implementations — the bounded Ring buffer (debugging, golden tests), the
-// streaming JSONL sink (machine-readable export) and the Metrics summary
-// sink. Tracing is optional and off the hot path: callers hold a Sink and
+// implementations — the bounded Ring buffer (debugging, golden tests) and
+// the streaming JSONL sink (machine-readable export, checked against its
+// schema by CheckJSONL). Tracing is optional and off the hot path: callers hold a Sink and
 // emit events explicitly, guarded by a nil check.
 package trace
 

@@ -80,53 +80,35 @@ func TestKindString(t *testing.T) {
 }
 
 // TestCheckJSONL holds the stream check to each way a JSONL stream can break
-// its schema, and the cross-check to each field in which a Metrics summary
-// can disagree with the stream it claims to summarise. The by_node and
-// last_ns rows keep the event and per-kind totals equal: a check of those
-// two alone passes them.
+// its schema, and a good stream's per-kind line counts to what was written.
 func TestCheckJSONL(t *testing.T) {
 	var stream bytes.Buffer
-	metrics := NewMetrics()
-	sink := Tee(NewJSONL(&stream), metrics)
+	sink := NewJSONL(&stream)
 	for _, e := range []Event{{100, 0, EvSend, "a"}, {250, 2, EvDispatch, "b"}, {180, 1, EvSend, "c"}} {
 		sink.Event(e)
 	}
 	good := stream.String()
 	for _, tc := range []struct {
 		name, stream string
-		edit         func(*MetricsSummary) // nil: no summary to cross-check
 		want         string
 	}{
-		{"schema only", good, nil, ""},
-		{"matching summary", good, func(*MetricsSummary) {}, ""},
-		{"not an object", "[1,2]\n", nil, "line 1: not a JSON object"},
-		{"missing field", `{"at":5,"node":0,"kind":"send"}`, nil, `line 1: missing field "what"`},
-		{"extra field", `{"at":5,"node":0,"kind":"send","what":"x","lane":3}`, nil, "line 1: undocumented fields"},
-		{"unknown kind", good + `{"at":5,"node":0,"kind":"teleport","what":"x"}`, nil, `line 4: unknown kind "teleport"`},
-		{"negative at", `{"at":-1,"node":0,"kind":"send","what":"x"}`, nil, "line 1: negative at -1"},
-		{"negative node", `{"at":5,"node":-1,"kind":"send","what":"x"}`, nil, "line 1: node -1 out of range"},
-		{"huge node", `{"at":5,"node":1099511627776,"kind":"send","what":"x"}`, nil, "line 1: node 1099511627776 out of range"},
-		{"empty what", `{"at":5,"node":0,"kind":"send","what":""}`, nil, "line 1: empty what"},
-		{"empty stream", "", nil, "empty stream"},
-		{"total_events", good, func(s *MetricsSummary) { s.Total++ }, "summary total_events = 4, stream has 3"},
-		{"by_kind", good, func(s *MetricsSummary) { s.ByKind["send"]--; s.ByKind["dispatch"]++ }, "summary by_kind = map[dispatch:2 send:1], stream has map[dispatch:1 send:2]"},
-		{"by_node count", good, func(s *MetricsSummary) { s.ByNode[0]--; s.ByNode[1]++ }, "summary by_node = [0 2 1], stream has [1 1 1]"},
-		{"by_node length", good, func(s *MetricsSummary) { s.ByNode = append(s.ByNode, 0) }, "summary by_node = [1 1 1 0], stream has [1 1 1]"},
-		{"last_ns", good, func(s *MetricsSummary) { s.LastNs = 180 }, "summary last_ns = 180, stream has 250"},
-		{"first_ns", good, func(s *MetricsSummary) { s.FirstNs = 0 }, "summary first_ns = 0, stream has 100"},
+		{"schema", good, ""},
+		{"not an object", "[1,2]\n", "line 1: not a JSON object"},
+		{"missing field", `{"at":5,"node":0,"kind":"send"}`, `line 1: missing field "what"`},
+		{"extra field", `{"at":5,"node":0,"kind":"send","what":"x","lane":3}`, "line 1: undocumented fields"},
+		{"unknown kind", good + `{"at":5,"node":0,"kind":"teleport","what":"x"}`, `line 4: unknown kind "teleport"`},
+		{"negative at", `{"at":-1,"node":0,"kind":"send","what":"x"}`, "line 1: negative at -1"},
+		{"negative node", `{"at":5,"node":-1,"kind":"send","what":"x"}`, "line 1: node -1 out of range"},
+		{"huge node", `{"at":5,"node":1099511627776,"kind":"send","what":"x"}`, "line 1: node 1099511627776 out of range"},
+		{"empty what", `{"at":5,"node":0,"kind":"send","what":""}`, "line 1: empty what"},
+		{"empty stream", "", "empty stream"},
 	} {
-		var sum *MetricsSummary
-		if tc.edit != nil {
-			s := metrics.Summary()
-			tc.edit(&s)
-			sum = &s
-		}
-		got, err := CheckJSONL(strings.NewReader(tc.stream), sum)
+		lines, err := CheckJSONL(strings.NewReader(tc.stream))
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)
-		case tc.want == "" && got.Total != 3:
-			t.Errorf("%s: summary counts %d events, want 3", tc.name, got.Total)
+		case tc.want == "" && (lines[EvSend] != 2 || lines[EvDispatch] != 1 || lines[EvRetry] != 0):
+			t.Errorf("%s: line counts %v, want 2 send and 1 dispatch", tc.name, lines)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v lacks %q", tc.name, err, tc.want)
 		}
