@@ -51,11 +51,14 @@ test-386:
 
 # Each native fuzz target for 30 s; go test fuzzes one target per run, so a
 # new target is a new line. `go test ./...` runs only their seed corpora; a
-# failure found here is saved under the package's testdata/fuzz.
+# failure found here is saved under the package's testdata/fuzz. An archive
+# costs milliseconds an execution under the fuzzer's instrumentation, so
+# FuzzRunpackOpen minimizes each new input for at most 100 executions: left
+# unbounded, minimizing one 2 KB input took the whole 30 s.
 fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzEventQueue$$' -fuzztime 30s ./internal/sim
 	go test -run xxx -fuzz '^FuzzSpecValidate$$' -fuzztime 30s ./internal/workload
-	go test -run xxx -fuzz '^FuzzRunpackOpen$$' -fuzztime 30s ./internal/runpack
+	go test -run xxx -fuzz '^FuzzRunpackOpen$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/runpack
 	go test -run xxx -fuzz '^FuzzLinkFaultJSON$$' -fuzztime 30s ./internal/fault
 	go test -run xxx -fuzz '^FuzzValueRoundTrip$$' -fuzztime 30s ./internal/core
 

@@ -10,6 +10,11 @@
 // with a "done" message once all children have reported — the paper's
 // termination-detection scheme. Message and object counts therefore match
 // the paper's Table 4 (one creation and two messages per search-tree node).
+//
+// An internal node's creation loop makes no host allocation of its own: its
+// records are carved from the driver's arenas, and its continuation is one
+// static function that finds the loop's record and cursor in the creating
+// node's state.
 package nqueens
 
 import (
@@ -130,17 +135,26 @@ type Driver struct {
 	spawns sim.Arena[spawn]
 }
 
-// State variable indices for the search-node class. The spawn cursor lives
-// in simulated state rather than in the spawn continuation's closure: a
-// checkpoint captures parked continuations by reference, so their captured
-// variables must never be mutated after parking (the write-once environment
-// contract, DESIGN.md §10) — advancing the cursor through SetState keeps the
-// mutation inside the state box the snapshot copies.
+// State variable indices for the search-node class. stPending holds the
+// count of children yet to report in its low byte (at most MaxN) and, above
+// it, the creation loop's cursor; stNext holds the node's write-once spawn
+// record once it expands. A checkpoint captures a parked continuation by
+// reference, so nothing it reaches may change after parking (the write-once
+// environment contract, DESIGN.md §10): the continuation is static, the
+// record write-once, and the cursor advances through SetState, inside the
+// state the snapshot copies.
 const (
 	stParent  = 0
-	stPending = 1
+	stPending = 1 // children pending (low byte) | loop cursor << cursorShift
 	stAcc     = 2
-	stNext    = 3 // next index into the spawn record's valid columns
+	stNext    = 3 // the node's *spawn record once it expands
+)
+
+// cursorShift places the creation loop's cursor above stPending's count,
+// which pendingMask selects.
+const (
+	cursorShift = 8
+	pendingMask = 1<<cursorShift - 1
 )
 
 // Build registers the N-queens classes on sys. Call Start before sys.Run. A
@@ -225,51 +239,59 @@ func (d *Driver) expandBoard(ctx *abcl.Ctx, b *Board) {
 	sp := d.spawns.New()
 	*sp = spawn{d: d, board: *b, valid: valid, nvalid: int8(nvalid),
 		ctorArgs: [1]abcl.Value{abcl.Ref(ctx.Self())}}
-	sp.k = sp.next
-	ctx.SetState(stNext, abcl.Int(0))
-	ctx.Create(d.nodeCls, sp.ctorArgs[:], sp.k)
+	ctx.SetState(stNext, abcl.Any(sp))
+	ctx.Create(d.nodeCls, sp.ctorArgs[:], spawnNext)
 }
 
 // spawn is what one internal node's creation loop reads: the creation itself
 // can block when the chunk stock runs dry, so the loop is a continuation
-// chain, and a single continuation (k, the record's own next) and ctor-arg
-// list serve every child. The record is write-once — filled before the first
-// Create and never touched again — while the loop cursor advances through the
-// stNext state variable; that keeps a parked continuation restorable from a
-// checkpoint.
+// chain, and one static continuation (spawnNext) and ctor-arg list serve
+// every child. The record is write-once — filled before the first Create and
+// never touched again — and the creating node's stNext holds it, so the
+// continuation captures nothing.
 type spawn struct {
 	d        *Driver
 	board    Board
 	valid    [MaxN]int8 // columns a child may take, ascending
 	nvalid   int8
 	ctorArgs [1]abcl.Value
-	k        func(*abcl.Ctx, abcl.Address)
 }
 
-// next sends the child just created its board and creates the following one.
-func (sp *spawn) next(ctx *abcl.Ctx, addr abcl.Address) {
-	j := int(ctx.State(stNext).Int())
-	child := sp.d.boards.New()
+// SizeBytes implements core.Sizer: a snapshot models the stNext slot as one
+// word whether it holds the record or the Int it starts with, so a node's
+// stable-store bytes, and the checkpoint cost charged for them, do not
+// depend on whether it has expanded.
+func (*spawn) SizeBytes() int { return 8 }
+
+// spawnNext sends the child just created its board and creates the following
+// one. It runs on the creating node, whose state holds the record and the
+// cursor.
+func spawnNext(ctx *abcl.Ctx, addr abcl.Address) {
+	sp := ctx.State(stNext).Any().(*spawn)
+	pending := ctx.State(stPending).Int()
+	j := int(pending >> cursorShift)
+	d := sp.d
+	child := d.boards.New()
 	*child = sp.board
 	child.cols[child.rows] = sp.valid[j]
 	child.rows++
-	ctx.SendPast(addr, sp.d.patExpand, abcl.Any(child))
-	j++
-	if j == int(sp.nvalid) {
+	ctx.SendPast(addr, d.patExpand, abcl.Any(child))
+	if j+1 == int(sp.nvalid) {
 		return
 	}
-	ctx.SetState(stNext, abcl.Int(int64(j)))
-	ctx.Create(sp.d.nodeCls, sp.ctorArgs[:], sp.k)
+	ctx.SetState(stPending, abcl.Int(pending+1<<cursorShift))
+	ctx.Create(d.nodeCls, sp.ctorArgs[:], spawnNext)
 }
 
 // doneMethod accumulates a child's solution count; when the last child has
-// reported, the node acknowledges up the tree.
+// reported, the node acknowledges up the tree. Only stPending's low byte
+// counts children; the creation loop's cursor above it is left as it is.
 func (d *Driver) doneMethod(ctx *abcl.Ctx) {
 	acc := ctx.State(stAcc).Int() + ctx.Arg(0).Int()
 	pending := ctx.State(stPending).Int() - 1
 	ctx.SetState(stAcc, abcl.Int(acc))
 	ctx.SetState(stPending, abcl.Int(pending))
-	if pending == 0 {
+	if pending&pendingMask == 0 {
 		ctx.SendPast(ctx.State(stParent).Ref(), d.patDone, abcl.Int(acc))
 	}
 }

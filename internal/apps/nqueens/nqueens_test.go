@@ -1,6 +1,7 @@
 package nqueens
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -271,5 +272,25 @@ func TestPlacementPoliciesAllCorrect(t *testing.T) {
 		if res.Solutions != 40 {
 			t.Errorf("%s: solutions = %d, want 40", p.Name(), res.Solutions)
 		}
+	}
+}
+
+// The creation loop's record carries no continuation: spawnNext is static
+// and finds the record through the creating node's state, so expanding a
+// board makes no closure. The record stands in the state slot that held the
+// loop's integer cursor, and a snapshot must model it as that one word, or
+// every checkpoint's stable-store bytes move.
+func TestSpawnRecordHoldsNoFunc(t *testing.T) {
+	rt := reflect.TypeOf(spawn{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.Type.Kind() == reflect.Func {
+			t.Errorf("spawn.%s is a %v", f.Name, f.Type)
+		}
+	}
+	if got, want := abcl.Any(&spawn{}).SizeBytes(), abcl.Int(0).SizeBytes(); got != want {
+		t.Errorf("a spawn record in state is %d bytes, the cursor it replaced %d", got, want)
+	}
+	if MaxN > pendingMask {
+		t.Errorf("MaxN %d does not fit stPending's count bits (mask %#x)", MaxN, pendingMask)
 	}
 }

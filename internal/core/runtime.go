@@ -70,7 +70,7 @@ type Runtime struct {
 	M   *machine.Machine
 	Reg *Registry
 
-	nodes   []*NodeRT
+	nodes   []NodeRT
 	classes []*Class
 
 	policy        Policy
@@ -127,11 +127,11 @@ func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 	if opt.Prof != nil {
 		m.SetProfiler(opt.Prof)
 	}
-	r.nodes = make([]*NodeRT, m.Nodes())
+	r.nodes = make([]NodeRT, m.Nodes())
 	for i := range r.nodes {
 		mn := m.Node(i)
-		r.nodes[i] = &NodeRT{rt: r, id: i, node: mn, cost: &m.Cfg.Cost, C: &m.C}
-		mn.Runner = r.nodes[i]
+		r.nodes[i] = NodeRT{rt: r, id: i, node: mn, cost: &m.Cfg.Cost, C: &m.C}
+		mn.Runner = &r.nodes[i]
 	}
 	return r
 }
@@ -244,7 +244,7 @@ func assignInitialVFT(obj *Object) {
 func (r *Runtime) Frozen() bool { return r.frozen }
 
 // NodeRT returns the per-node runtime for node id.
-func (r *Runtime) NodeRT(id int) *NodeRT { return r.nodes[id] }
+func (r *Runtime) NodeRT(id int) *NodeRT { return &r.nodes[id] }
 
 // Nodes returns the node count.
 func (r *Runtime) Nodes() int { return len(r.nodes) }
@@ -271,7 +271,7 @@ func (r *Runtime) ObjectsMade() int { return r.made }
 // Before freeze the table pointer is deferred (tables do not exist yet);
 // Freeze fills it in.
 func (r *Runtime) newObject(cl *Class, node int, ctorArgs []Value) *Object {
-	n := r.nodes[node]
+	n := &r.nodes[node]
 	obj := n.newObjectAt(node)
 	obj.class = cl
 	obj.ctorArgs = n.copyCtorArgs(ctorArgs)
@@ -291,7 +291,7 @@ func (r *Runtime) newObject(cl *Class, node int, ctorArgs []Value) *Object {
 // host-side bootstrap used to set up a computation. Unlike Ctx.Create it
 // does not model creation-protocol costs beyond the local creation charge.
 func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
-	n := r.nodes[node]
+	n := &r.nodes[node]
 	n.node.SetPath(profile.Create)
 	n.node.Charge(n.cost.CreateLocal)
 	n.node.Count(profile.Create)
@@ -344,7 +344,7 @@ func (r *Runtime) Inject(to Address, p PatternID, args ...Value) {
 	if to.IsNil() {
 		panic("core: Inject to nil address")
 	}
-	n := r.nodes[to.Node]
+	n := &r.nodes[to.Node]
 	f := &Frame{Pattern: p}
 	f.SetArgs(args)
 	n.park(to.Obj, f, n.lookup(to.Obj, p).kind)

@@ -44,15 +44,15 @@ const (
 // can enumerate them. Must be called before any object is created; tracking
 // is off by default so the non-checkpointed path stays byte-identical.
 func (r *Runtime) EnableSnapshots() {
-	for _, n := range r.nodes {
-		n.track = true
+	for i := range r.nodes {
+		r.nodes[i].track = true
 	}
 }
 
 // trackObject enters obj on its home's checkpoint list, once. Runs on the
 // home's lane.
 func (r *Runtime) trackObject(node int, obj *Object) {
-	if n := r.nodes[node]; n.track && !obj.tracked {
+	if n := &r.nodes[node]; n.track && !obj.tracked {
 		obj.tracked = true
 		n.hosted = append(n.hosted, obj)
 	}
@@ -135,7 +135,7 @@ func (n *NodeRT) PinFrame(f *Frame) {
 // saved contexts, reply-destination payloads, mode table) and the
 // scheduling-queue order. Must run between engine events.
 func (r *Runtime) CaptureNode(node int) *NodeImage {
-	n := r.nodes[node]
+	n := &r.nodes[node]
 	img := &NodeImage{Node: node, hostedLen: len(n.hosted)}
 	img.objs = make([]objImage, 0, len(n.hosted))
 	for _, o := range n.hosted {
@@ -232,7 +232,7 @@ func (img *NodeImage) capture(o *Object) {
 // responsible for revoking the rolled-back timeline's in-flight packets
 // (machine.BumpEra), restoring the inter-node layer, and waking the node.
 func (r *Runtime) RestoreNode(img *NodeImage) {
-	n := r.nodes[img.Node]
+	n := &r.nodes[img.Node]
 	for i, o := range n.hosted[img.hostedLen:] {
 		*o = Object{node: o.node, vftp: r.faultVFT}
 		n.hosted[img.hostedLen+i] = nil

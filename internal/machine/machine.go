@@ -381,7 +381,7 @@ type Node struct {
 type Machine struct {
 	Cfg      Config
 	Eng      *sim.Engine
-	nodes    []*Node
+	nodes    []Node
 	pkts     sim.Slab[Packet, *Packet]
 	rxBlocks sim.Slab[rxBlock, *rxBlock] // the nodes' receive queues' blocks
 
@@ -479,13 +479,16 @@ func New(cfg Config) (*Machine, error) {
 	m.resumeKind = m.Eng.Register(func(_ int, at sim.Time, arg any) {
 		arg.(*Node).resumeAt(at)
 	})
-	m.nodes = make([]*Node, cfg.Nodes)
+	// The nodes are one slice, and their arrivalTo rows are cut from one
+	// P×P array.
+	arrivals := make([]sim.Time, cfg.Nodes*cfg.Nodes)
+	m.nodes = make([]Node, cfg.Nodes)
 	for i := range m.nodes {
-		m.nodes[i] = &Node{
+		m.nodes[i] = Node{
 			ID:        i,
 			m:         m,
 			lane:      i + 1,
-			arrivalTo: make([]sim.Time, cfg.Nodes),
+			arrivalTo: arrivals[i*cfg.Nodes : (i+1)*cfg.Nodes : (i+1)*cfg.Nodes],
 		}
 	}
 	if watch != nil {
@@ -508,7 +511,7 @@ func MustNew(cfg Config) *Machine {
 }
 
 // Node returns node id.
-func (m *Machine) Node(id int) *Node { return m.nodes[id] }
+func (m *Machine) Node(id int) *Node { return &m.nodes[id] }
 
 // Nodes returns the node count.
 func (m *Machine) Nodes() int { return len(m.nodes) }
@@ -522,9 +525,9 @@ func (m *Machine) Run() error {
 // MaxClock returns the largest node clock, i.e. the parallel makespan.
 func (m *Machine) MaxClock() sim.Time {
 	var max sim.Time
-	for _, n := range m.nodes {
-		if n.Clock > max {
-			max = n.Clock
+	for i := range m.nodes {
+		if c := m.nodes[i].Clock; c > max {
+			max = c
 		}
 	}
 	return max
@@ -833,7 +836,7 @@ func (n *Node) Lane() int { return n.lane }
 
 // NodeOnLane returns the node whose events fire on lane (lane 0 is the
 // host's and names no node).
-func (m *Machine) NodeOnLane(lane int) *Node { return m.nodes[lane-1] }
+func (m *Machine) NodeOnLane(lane int) *Node { return &m.nodes[lane-1] }
 
 // ensureResume queues a turn unless one is queued or running.
 func (n *Node) ensureResume() {

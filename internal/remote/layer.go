@@ -315,20 +315,23 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 	l := &Layer{rt: rt, m: rt.M, opt: opt}
 	l.hWire = l.handleWire
 	_, sampled := opt.Placement.(LoadBased)
+	nodes := make([]nodeState, rt.Nodes()) // every node's record, carved from one slice
 	l.nodes = make([]*nodeState, rt.Nodes())
 	for i := range l.nodes {
-		l.nodes[i] = &nodeState{
+		nodes[i] = nodeState{
 			id:    i,
 			rng:   uint64(opt.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1,
 			stock: make(map[uint64]stockEntry),
 		}
+		l.nodes[i] = &nodes[i]
 		if sampled {
 			l.nodes[i].loads = make([]int32, rt.Nodes())
 		}
 	}
 	if opt.Reliable || opt.BatchWindow > 0 {
-		for _, ns := range l.nodes {
-			ns.peers = &peers{}
+		ps := make([]peers, len(l.nodes))
+		for i, ns := range l.nodes {
+			ns.peers = &ps[i]
 		}
 	}
 	if opt.Reliable {

@@ -185,6 +185,11 @@ func (p *Pack) WriteFile(path string) (string, error) {
 	return path, os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
+// maxSection bounds every archive entry Open reads and every section Build
+// packs: 512 MiB, about 16 times the trace of an N11 n-queens run on 256
+// nodes (33 MB), the largest that `figures -pack` writes.
+const maxSection = 512 << 20
+
 // Open reads an archive and checks its integrity: the format tag, every
 // section's SHA-256 sum, and the content-derived id must all match the
 // manifest, and the trace must restate the report (checkTrace). A pack
@@ -198,12 +203,7 @@ func Open(path string) (*Pack, error) {
 	defer zr.Close()
 	raw := make(map[string][]byte, len(zr.File))
 	for _, f := range zr.File {
-		rc, err := f.Open()
-		if err != nil {
-			return nil, fmt.Errorf("runpack %s: %s: %w", path, f.Name, err)
-		}
-		b, err := io.ReadAll(rc)
-		rc.Close()
+		b, err := readEntry(f)
 		if err != nil {
 			return nil, fmt.Errorf("runpack %s: %s: %w", path, f.Name, err)
 		}
@@ -255,6 +255,22 @@ func Open(path string) (*Pack, error) {
 		return nil, fmt.Errorf("runpack %s: %w", path, err)
 	}
 	return p, nil
+}
+
+// readEntry reads one archive entry, refusing one that declares more than
+// maxSection bytes before reading any of it. The zip reader fails an entry
+// that holds more than it declares, and the read stops at maxSection
+// regardless, so a deflate bomb costs at most maxSection bytes.
+func readEntry(f *zip.File) ([]byte, error) {
+	if f.UncompressedSize64 > maxSection {
+		return nil, fmt.Errorf("declares %d bytes, past the %d-byte section limit", f.UncompressedSize64, maxSection)
+	}
+	rc, err := f.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(io.LimitReader(rc, maxSection))
 }
 
 // restated pairs each trace kind whose lines restate a counter with that
@@ -315,8 +331,12 @@ func checkTrace(traceJSONL, reportJSON []byte) error {
 }
 
 // Build assembles a sealed pack from a configuration and its execution,
-// refusing one whose trace does not restate its report.
+// refusing one whose trace does not restate its report, or is too long for
+// Open to read (the other sections are a few kilobytes).
 func Build(cfg scenario.Spec, res *ExecResult) (*Pack, error) {
+	if len(res.Trace) > maxSection {
+		return nil, fmt.Errorf("runpack: %s is %d bytes, past the %d-byte section limit", SecTrace, len(res.Trace), maxSection)
+	}
 	if err := checkTrace(res.Trace, res.ReportJSON); err != nil {
 		return nil, fmt.Errorf("runpack: %w", err)
 	}

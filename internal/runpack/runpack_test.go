@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -331,55 +332,140 @@ func TestTraceHeldToReport(t *testing.T) {
 	}
 }
 
-// FuzzRunpackOpen feeds Open arbitrary archive bytes, seeded with each
-// checked-in pack whole, cut in half and with one byte flipped, and with a
-// resealed pack whose trace disagrees with its report. Open must
-// never panic, and what it accepts must be intact: a pack whose id is one
-// of the checked-in ones (zip metadata outside the sections is not sealed,
-// so a flip there may still open).
-func FuzzRunpackOpen(f *testing.F) {
+// seedVariants returns a pack's bytes whole, cut in half and with one byte
+// flipped.
+func seedVariants(b []byte) [][]byte {
+	flipped := bytes.Clone(b)
+	flipped[len(b)/3] ^= 0xff
+	return [][]byte{b, b[:len(b)/2], flipped}
+}
+
+// openChecked opens data as an archive. Open must never panic, and what it
+// accepts must be intact: a pack whose id is one of ids (zip metadata
+// outside the sections is not sealed, so a flip there may still open).
+func openChecked(t *testing.T, data []byte, ids map[string]bool) {
+	path := filepath.Join(t.TempDir(), "pack.zip")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := Open(path); err == nil && !ids[p.Manifest.ID] {
+		t.Errorf("Open accepted a pack with the unknown id %s", p.Manifest.ID)
+	}
+}
+
+// TestOpenDamagedPacks opens each checked-in pack whole, cut in half and
+// with one byte flipped.
+func TestOpenDamagedPacks(t *testing.T) {
 	paths, err := filepath.Glob("../../testdata/runpacks/*.zip")
 	if err != nil || len(paths) == 0 {
-		f.Fatalf("no checked-in packs found (err %v)", err)
+		t.Fatalf("no checked-in packs found (err %v)", err)
 	}
 	ids := make(map[string]bool)
 	for _, path := range paths {
+		ids[strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "runpack_"), ".zip")] = true
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range seedVariants(b) {
+			openChecked(t, v, ids)
+		}
+	}
+}
+
+// TestOpenBoundsEntries hands Open an archive whose trace entry declares
+// 1 GB (holding 64 bytes) and one whose entry holds more than it declares:
+// both are refused, and the first without allocating anything near its
+// declared size.
+func TestOpenBoundsEntries(t *testing.T) {
+	archive := func(declared uint64, data []byte) string {
+		var buf bytes.Buffer
+		zw := zip.NewWriter(&buf)
+		w, err := zw.CreateRaw(&zip.FileHeader{Name: SecTrace, Method: zip.Store,
+			CompressedSize64: uint64(len(data)), UncompressedSize64: declared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "hostile.zip")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		name     string
+		declared uint64
+		data     []byte
+		want     string
+	}{
+		{"declares 1 GB", 1 << 30, make([]byte, 64), "declares 1073741824 bytes, past the 536870912-byte section limit"},
+		{"holds more than declared", 16, make([]byte, 4096), zip.ErrFormat.Error()},
+	} {
+		path := archive(tc.declared, tc.data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Open(path)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Open returned %v, want %q", tc.name, err, tc.want)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: Open allocated %d bytes", tc.name, n)
+		}
+	}
+}
+
+// FuzzRunpackOpen feeds Open arbitrary archive bytes, seeded with three
+// minimal packs (a plain n-queens, a plain hot-key and a scenario pack, 2–3
+// KB each) whole, cut in half and with one byte flipped, and with the first
+// resealed one schedule line short of its report. The seeds are small on
+// purpose: the fuzzer minimizes each input that finds new coverage, and
+// minimizing one derived from a checked-in archive (6–65 KB) took the whole
+// of a 30-s run; TestOpenDamagedPacks opens those.
+func FuzzRunpackOpen(f *testing.F) {
+	drops := abcl.UniformFaults(0.2, 0, 0)
+	ids := make(map[string]bool)
+	var short []byte
+	for i, cfg := range []scenario.Spec{
+		plain(workload.Spec{Workload: "nqueens", N: 3, Nodes: 2, Seed: 1}),
+		plain(workload.Spec{Workload: "hotkey", Nodes: 2, Clients: 1, Ops: 2, Seed: 1}),
+		{Name: "tiny", Spec: workload.Spec{Workload: "nqueens", N: 3, Nodes: 2, Seed: 1, Faults: &drops}},
+	} {
+		p, path, err := Create(cfg, f.TempDir())
+		if err != nil {
+			f.Fatal(err)
+		}
+		ids[p.Manifest.ID] = true
 		b, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		ids[strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "runpack_"), ".zip")] = true
-		flipped := bytes.Clone(b)
-		flipped[len(b)/3] ^= 0xff
-		f.Add(b)
-		f.Add(b[:len(b)/2])
-		f.Add(flipped)
-	}
-	// An intact archive whose trace is one schedule line short of its
-	// report's SchedEnqueues.
-	p, err := Open(paths[0])
-	if err != nil {
-		f.Fatal(err)
-	}
-	p.TraceJSONL = dropLine(p.TraceJSONL, `"kind":"schedule"`)
-	short, err := p.WriteFile(filepath.Join(f.TempDir(), "short.zip"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	b, err := os.ReadFile(short)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(b)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.zip")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		for _, seed := range seedVariants(b) {
+			f.Add(seed)
 		}
-		if p, err := Open(path); err == nil && !ids[p.Manifest.ID] {
-			t.Errorf("Open accepted a pack with the unknown id %s", p.Manifest.ID)
+		if i == 0 {
+			p.TraceJSONL = dropLine(p.TraceJSONL, `"kind":"schedule"`)
+			if path, err = p.WriteFile(filepath.Join(f.TempDir(), "short.zip")); err != nil {
+				f.Fatal(err)
+			}
+			if _, err := Open(path); err == nil {
+				f.Fatal("a pack one schedule line short of its report opened")
+			}
+			if short, err = os.ReadFile(path); err != nil {
+				f.Fatal(err)
+			}
 		}
-	})
+	}
+	f.Add(short)
+	f.Fuzz(func(t *testing.T, data []byte) { openChecked(t, data, ids) })
 }
 
 // TestDiff packs two configurations differing in one knob and asserts the

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // JSONL streams every event as one JSON object per line:
@@ -81,33 +83,7 @@ func CheckJSONL(r io.Reader) ([NumKinds]uint64, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		// Raw fields first, so a missing or extra field fails instead of
-		// decoding to a zero value or vanishing.
-		var raw map[string]json.RawMessage
-		if err := json.Unmarshal(sc.Bytes(), &raw); err != nil {
-			return lines, fmt.Errorf("line %d: not a JSON object: %v", line, err)
-		}
-		for _, field := range []string{"at", "node", "kind", "what"} {
-			if _, ok := raw[field]; !ok {
-				return lines, fmt.Errorf("line %d: missing field %q", line, field)
-			}
-		}
-		var e jsonlEvent
-		err := json.Unmarshal(sc.Bytes(), &e)
-		kind, known := kinds[e.Kind]
-		switch {
-		case len(raw) != 4:
-			err = fmt.Errorf("undocumented fields in %s", sc.Bytes())
-		case err != nil:
-		case e.At < 0:
-			err = fmt.Errorf("negative at %d", e.At)
-		case e.Node < 0 || e.Node >= maxNode:
-			err = fmt.Errorf("node %d out of range", e.Node)
-		case !known:
-			err = fmt.Errorf("unknown kind %q", e.Kind)
-		case e.What == "":
-			err = errors.New("empty what")
-		}
+		kind, err := checkLine(sc.Bytes(), kinds)
 		if err != nil {
 			return lines, fmt.Errorf("line %d: %v", line, err)
 		}
@@ -120,4 +96,123 @@ func CheckJSONL(r io.Reader) ([NumKinds]uint64, error) {
 		return lines, errors.New("empty stream")
 	}
 	return lines, nil
+}
+
+// checkLine holds one line to the schema and returns its kind. A line laid
+// out as the sink writes it is read in one pass (sinkLine); any other is
+// decoded twice, once for its field names and once for their values.
+func checkLine(b []byte, kinds map[string]Kind) (Kind, error) {
+	at, node, kind, what, ok := sinkLine(b)
+	if !ok {
+		// Field names first, so a missing or extra field fails instead of
+		// decoding to a zero value or vanishing.
+		if err := checkFields(b); err != nil {
+			return 0, err
+		}
+		var e jsonlEvent
+		if err := json.Unmarshal(b, &e); err != nil {
+			return 0, err
+		}
+		at, node, kind, what = e.At, e.Node, []byte(e.Kind), []byte(e.What)
+	}
+	k, known := kinds[string(kind)]
+	switch {
+	case at < 0:
+		return 0, fmt.Errorf("negative at %d", at)
+	case node < 0 || node >= maxNode:
+		return 0, fmt.Errorf("node %d out of range", node)
+	case !known:
+		return 0, fmt.Errorf("unknown kind %q", kind)
+	case len(what) == 0:
+		return 0, errors.New("empty what")
+	}
+	return k, nil
+}
+
+// sinkLine reads a line laid out exactly as the sink writes one,
+// {"at":A,"node":N,"kind":"K","what":"W"}: A and N decimal integers as
+// strconv writes them, K free of escapes and W a JSON string's body (so
+// empty exactly when the string is). ok is false for any other line.
+func sinkLine(b []byte) (at, node int64, kind, what []byte, ok bool) {
+	if b, ok = bytes.CutPrefix(b, []byte(`{"at":`)); !ok {
+		return
+	}
+	if at, b, ok = sinkInt(b, `,"node":`); !ok {
+		return
+	}
+	if node, b, ok = sinkInt(b, `,"kind":"`); !ok {
+		return
+	}
+	if kind, b, ok = bytes.Cut(b, []byte(`","what":"`)); !ok || bytes.ContainsAny(kind, `\"`) {
+		return 0, 0, nil, nil, false
+	}
+	if what, ok = bytes.CutSuffix(b, []byte(`"}`)); !ok || !stringBody(what) {
+		return 0, 0, nil, nil, false
+	}
+	return at, node, kind, what, true
+}
+
+// sinkInt reads a decimal integer of at most 18 digits, with no sign but a
+// leading minus and no leading zero, up to sep, and returns what follows sep.
+func sinkInt(b []byte, sep string) (v int64, rest []byte, ok bool) {
+	digits, rest, ok := bytes.Cut(b, []byte(sep))
+	neg := len(digits) > 0 && digits[0] == '-'
+	if neg {
+		digits = digits[1:]
+	}
+	if !ok || len(digits) == 0 || len(digits) > 18 || digits[0] == '0' && (len(digits) > 1 || neg) {
+		return 0, nil, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, nil, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, rest, true
+}
+
+// stringBody reports whether s is the body of a JSON string: no quote,
+// backslash or control byte but in a valid escape.
+func stringBody(s []byte) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c < 0x20:
+			return false
+		case c != '\\':
+		case i+1 < len(s) && strings.IndexByte(`"\/bfnrt`, s[i+1]) >= 0:
+			i++
+		case i+5 < len(s) && s[i+1] == 'u' && isHex(s[i+2]) && isHex(s[i+3]) && isHex(s[i+4]) && isHex(s[i+5]):
+			i += 5
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// isHex reports whether c is a hexadecimal digit.
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// checkFields holds a line to the field rules alone: a JSON object with
+// exactly the fields at, node, kind and what.
+func checkFields(b []byte) error {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return fmt.Errorf("not a JSON object: %v", err)
+	}
+	for _, field := range []string{"at", "node", "kind", "what"} {
+		if _, ok := raw[field]; !ok {
+			return fmt.Errorf("missing field %q", field)
+		}
+	}
+	if len(raw) != 4 {
+		return fmt.Errorf("undocumented fields in %s", b)
+	}
+	return nil
 }

@@ -101,6 +101,18 @@ func TestCheckJSONL(t *testing.T) {
 		{"negative node", `{"at":5,"node":-1,"kind":"send","what":"x"}`, "line 1: node -1 out of range"},
 		{"huge node", `{"at":5,"node":1099511627776,"kind":"send","what":"x"}`, "line 1: node 1099511627776 out of range"},
 		{"empty what", `{"at":5,"node":0,"kind":"send","what":""}`, "line 1: empty what"},
+		{"field case", `{"AT":5,"node":0,"kind":"send","what":"x"}`, `line 1: missing field "at"`},
+		// The sink's own layout is read without a JSON decoder; these break
+		// JSON inside that layout and must fail as any other line does.
+		{"bad escape", `{"at":5,"node":0,"kind":"send","what":"a\q"}`, "line 1: not a JSON object"},
+		{"short escape", `{"at":5,"node":0,"kind":"send","what":"a\u00"}`, "line 1: not a JSON object"},
+		{"quote in what", `{"at":5,"node":0,"kind":"send","what":"a"b"}`, "line 1: not a JSON object"},
+		{"control byte", "{\"at\":5,\"node\":0,\"kind\":\"send\",\"what\":\"a\tb\"}", "line 1: not a JSON object"},
+		{"leading zero", `{"at":05,"node":0,"kind":"send","what":"x"}`, "line 1: not a JSON object"},
+		{"quote in kind", `{"at":5,"node":0,"kind":"se"nd","what":"x"}`, "line 1: not a JSON object"},
+		{"float at", `{"at":5.5,"node":0,"kind":"send","what":"x"}`, "line 1: json: cannot unmarshal number 5.5"},
+		// Any other layout of the same events is read by the decoder.
+		{"spaced", strings.ReplaceAll(good, ",", ", "), ""},
 		{"empty stream", "", "empty stream"},
 	} {
 		lines, err := CheckJSONL(strings.NewReader(tc.stream))

@@ -42,13 +42,16 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // per-peer state a lossless run never reads: a node opens a link to most of
 // the peers it ever talks to, so every byte of a link record is paid per
 // message. A creation costs no host allocation either: objects, chunks, stock
-// entries, boards and spawn records are carved from arenas, so the n-queens
-// rows guard creation the way the all-to-all row guards the send — one
-// allocation per created object adds 0.5 per message to either. The all-to-all
-// budget sits well above its measured 0.049 allocations per message
-// (construction included: about half build the 32 nodes' runtime, remote and
-// machine state, the rest are blocks — slab blocks, the event queue's heap and
-// bucket blocks). The 64-node row measures 234 bytes per message, one 184-byte
+// entries, boards and spawn records are carved from arenas, and the n-queens
+// creation loop's continuation is a static function, so the n-queens rows
+// guard creation the way the all-to-all rows guard the send — one allocation
+// per created object adds 0.5 per message to either. Every row but the
+// hot-key one has its allocation budget about 25 % above its measurement. The
+// all-to-all rows measure 0.033 and 0.015 allocations per message
+// (construction included: the nodes' stock maps, the runtime's tables and
+// blocks — slab blocks, the event queue's heap and bucket blocks), against
+// 0.049 and 0.023 with each layer's per-node records allocated one at a time.
+// The 64-node row measures 234 bytes per message, one 184-byte
 // record per message (24-byte Values) in blocks that fill their pages, against
 // 249 with 32-byte Values (a 200-byte record), 306 with a 248-byte wire record
 // beside the frame its arguments were copied into, in blocks of 256 rounded up
@@ -56,32 +59,34 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // event lane per node and the arrivals for a busy node in a second queue per
 // lane, 328 with every lane's first heap of 128 events and 354 with heaps that
 // double to 512 events and receive rings that grow ×4; its byte budget sits
-// about 3 % above, at 241. Reliable n-queens measures 0.667 allocations, 4.07
-// events and 436 bytes (0.679 and 455 with 32-byte Values, 0.711 and 497 with
-// a wire record beside its frame), against 0.767 and 505 with a frame and
+// about 3 % above, at 241. Reliable n-queens measures 0.309 allocations, 4.07
+// events and 429 bytes (0.667 and 436 with a method value per internal search
+// node and per-node records allocated one at a time, 0.679 and 455 with
+// 32-byte Values, 0.711 and 497 with a wire record beside its frame), against 0.767 and 505 with a frame and
 // context pool per node, 0.967 and 582 with an arena per node (every node
 // ending on part-used blocks of each record type), 1.07 and 793 with a record
 // pool per node (idle records piling up on receivers while senders carve fresh
 // ones) and a heap Object per stocked chunk, 1.66 and 827 with a heap
 // container per batch frame and a rider per ack-carrying lone packet, 5.65
 // with one heap object per Object, chunk, stock entry, board and InitCtx, and
-// 946 bytes with 336-byte link records; its byte budget sits about 5 % above
-// and its allocation budget at 0.75, so none of those comes back. The last two
-// rows are the product's default path (profiler compiled in, off) and the
-// multiactive scheduler's per-group ready queues: 0.521 allocations and 218
-// bytes per message (0.533 and 257 with 32-byte Values, 0.584 and 275 with a
-// wire record beside its frame, 0.598 and 277 with a frame and context pool
-// per node, 0.647 and 313 with an arena per node, 0.660 and 383 with a pool
-// per node and an Object per stocked chunk; what is left is one continuation
-// closure per internal search node, arena blocks and map growth) and 1.117
+// 946 bytes with 336-byte link records; its byte budget sits about 5 % above,
+// so none of those comes back. The last two rows are the product's default
+// path (profiler compiled in, off) and the multiactive scheduler's per-group
+// ready queues: 0.197 allocations and 211 bytes per message (0.521 and 218
+// with a method value per internal search node, 0.533 and 257 with 32-byte
+// Values, 0.584 and 275 with a wire record beside its frame, 0.598 and 277
+// with a frame and context pool per node, 0.647 and 313 with an arena per
+// node, 0.660 and 383 with a pool per node and an Object per stocked chunk;
+// what is left is the stock maps' growth, a stock miss's continuation and
+// heap frame, blocked invocations' contexts and arena blocks) and 1.117
 // (1.132 with a wire record beside its frame; about 3 640 a run, 1.150 with a
 // frame and context pool per node, 1.193 with an arena per node; the reply
 // destinations' Objects come out of an arena too), exact run to run. A closure
 // per stock miss (the blocked creation's resume, which rides the wire record
 // as data instead) added 0.058 to the n-queens figure, and only one hot-key
 // message in sixteen parks in a ready queue, so an allocation per push moves
-// that figure by 5 %: those two budgets sit about 3 % above their
-// measurements, as does the n-queens byte budget, at 225.
+// that figure by 5 %: the hot-key budget sits about 3 % above its
+// measurement, as does the n-queens byte budget, at 217.
 func TestMessageAllocationBudget(t *testing.T) {
 	allToAll := func(nodes int) func() (msgs, events uint64, err error) {
 		return func() (msgs, events uint64, err error) {
@@ -131,10 +136,10 @@ func TestMessageAllocationBudget(t *testing.T) {
 		eventsBudget float64 // per message; 0: not budgeted
 		bytesBudget  float64 // per message; 0: not budgeted
 	}{
-		{"sequential all-to-all 32x8", allToAll(32), 0.125, 0, 0},
-		{"sequential all-to-all 64x8", allToAll(64), 0.125, 0, 241},
-		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.75, 4.7, 458},
-		{"default n-queens N10 P64, profiler off", defaultQueens, 0.60, 0, 225},
+		{"sequential all-to-all 32x8", allToAll(32), 0.042, 0, 0},
+		{"sequential all-to-all 64x8", allToAll(64), 0.019, 0, 241},
+		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.39, 4.7, 450},
+		{"default n-queens N10 P64, profiler off", defaultQueens, 0.25, 0, 217},
 		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.17, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
