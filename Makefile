@@ -61,6 +61,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzRunpackOpen$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/runpack
 	go test -run xxx -fuzz '^FuzzLinkFaultJSON$$' -fuzztime 30s ./internal/fault
 	go test -run xxx -fuzz '^FuzzValueRoundTrip$$' -fuzztime 30s ./internal/core
+	go test -run xxx -fuzz '^FuzzCheckJSONL$$' -fuzztime 30s ./internal/trace
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): four
 # whole-system workloads, end-to-end metrics with tracing off; bench-trace

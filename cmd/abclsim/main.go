@@ -527,8 +527,8 @@ func (c *cli) runPack(stdout io.Writer) error {
 	fmt.Fprintf(stdout, "packed %s\n", path)
 	fmt.Fprintf(stdout, "  id        %s\n", p.Manifest.ID)
 	fmt.Fprintf(stdout, "  workload  %s\n", p.Config.Workload)
-	fmt.Fprintf(stdout, "  trace     %d events, sha256 %s...\n",
-		p.Manifest.TraceEvents, p.Manifest.TraceSHA256[:12])
+	tr := p.Manifest.Sections[runpack.SecTrace]
+	fmt.Fprintf(stdout, "  trace     %d bytes, sha256 %s...\n", tr.Bytes, tr.SHA256[:12])
 	fmt.Fprintf(stdout, "  next      abclsim verify %s\n", path)
 	return nil
 }

@@ -18,11 +18,11 @@ import (
 )
 
 // TestFlagsMarshalToPackedConfig pins the flag → spec binding against a
-// checked-in artifact: the flags that packed runpack_eb082ad45292 must still
+// checked-in artifact: the flags that packed runpack_a74e3d756d9a must still
 // marshal to its config.json byte for byte (same keys, order and defaults),
 // or re-packing would no longer reproduce the archive's id.
 func TestFlagsMarshalToPackedConfig(t *testing.T) {
-	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_eb082ad45292.zip")
+	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_a74e3d756d9a.zip")
 	if err != nil {
 		t.Fatal(err)
 	}

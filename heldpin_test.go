@@ -94,7 +94,7 @@ func TestHeldArrivalPin(t *testing.T) {
 				}
 			}
 			h := sha256.New()
-			got := run(trace.NewJSONL(h))
+			got := run(trace.NewJSONL(htmlEscaped{h}))
 			got.traceSHA = hex.EncodeToString(h.Sum(nil))
 			if got != tc.want {
 				t.Errorf("\n got  %+v\n want %+v", got, tc.want)

@@ -231,6 +231,9 @@ type Injector struct {
 
 	// pauses[node] holds that node's windows sorted by start time.
 	pauses [][]NodePause
+
+	// copies backs the slice Link returns for a delivered packet.
+	copies [2]sim.Time
 }
 
 // NewInjector validates plan against the node count and builds the injector.
@@ -291,6 +294,8 @@ var clean = []sim.Time{0}
 
 // Link implements machine.FaultModel: decide the fate of one transmission
 // attempt. Local (src == dst) traffic never traverses a link and is exempt.
+// The result is a view of the injector's own buffer, valid until the next
+// call.
 func (in *Injector) Link(src, dst int, at sim.Time, size int) []sim.Time {
 	if src == dst {
 		return clean
@@ -311,7 +316,8 @@ func (in *Injector) Link(src, dst int, at sim.Time, size int) []sim.Time {
 		}
 		return sim.Time(ls.next() % uint64(r.Jitter+1))
 	}
-	out := []sim.Time{jitter()}
+	out := in.copies[:1]
+	out[0] = jitter()
 	if r.Dup > 0 && ls.unit() < r.Dup {
 		out = append(out, jitter())
 	}

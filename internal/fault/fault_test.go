@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,14 +72,15 @@ func TestLinkDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// a: interleave traffic on two links; b: query them separately.
+	// a: interleave traffic on two links; b: query them separately. A
+	// result is valid until the next call, so each is copied.
 	var aSeq, bSeq [][]sim.Time
 	for i := 0; i < 200; i++ {
-		aSeq = append(aSeq, a.Link(0, 1, 0, 32))
+		aSeq = append(aSeq, slices.Clone(a.Link(0, 1, 0, 32)))
 		a.Link(2, 3, 0, 32) // unrelated traffic
 	}
 	for i := 0; i < 200; i++ {
-		bSeq = append(bSeq, b.Link(0, 1, 0, 32))
+		bSeq = append(bSeq, slices.Clone(b.Link(0, 1, 0, 32)))
 	}
 	for i := range aSeq {
 		if len(aSeq[i]) != len(bSeq[i]) {
@@ -114,6 +116,23 @@ func TestLinkRates(t *testing.T) {
 	// Duplication only applies to non-dropped attempts: ~0.25 * 0.75.
 	if f := float64(dups) / n; f < 0.16 || f > 0.22 {
 		t.Errorf("dup rate %f, want ~0.19", f)
+	}
+}
+
+// TestLinkAllocatesNothing holds a faulty link's decisions to no allocation:
+// drops, duplicates and jittered copies all come out of the injector's own
+// buffer.
+func TestLinkAllocatesNothing(t *testing.T) {
+	in, err := NewInjector(UniformLinks(0.2, 0.3, 5000), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var copies [3]int
+	if n := testing.AllocsPerRun(1000, func() { copies[len(in.Link(0, 1, 0, 16))]++ }); n != 0 {
+		t.Errorf("Link allocates %v times a call", n)
+	}
+	if copies[0] == 0 || copies[1] == 0 || copies[2] == 0 {
+		t.Errorf("%v dropped, delivered and duplicated: the rule left a case out", copies)
 	}
 }
 

@@ -129,7 +129,9 @@ type FaultModel interface {
 	// Link is consulted once per packet transmission and returns the extra
 	// latency of every physical copy to deliver. A one-element slice {0} is
 	// normal delivery; an empty slice drops the packet; more than one
-	// element duplicates it, each copy with its own extra latency.
+	// element duplicates it, each copy with its own extra latency. The
+	// caller reads the result before its next call, so the model may reuse
+	// one buffer for it.
 	Link(src, dst int, at sim.Time, size int) []sim.Time
 	// PausedUntil reports the virtual time until which node is paused at
 	// time at. A result <= at means the node is running normally. Pauses

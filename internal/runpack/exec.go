@@ -27,11 +27,8 @@ type ExecResult struct {
 	// Outcome is set for scenario packs: the full baseline-vs-faulted
 	// outcome including assertion violations.
 	Outcome *scenario.Outcome
-	// Trace is the JSONL runtime event stream of the sequential run;
-	// TraceSHA256/TraceEvents digest it.
-	Trace       []byte
-	TraceSHA256 string
-	TraceEvents int
+	// Trace is the JSONL runtime event stream of the sequential run.
+	Trace []byte
 	// ReportJSON is the canonical report document (answer + system or
 	// scenario report), the bytes stored in the archive's report.json.
 	ReportJSON []byte
@@ -74,8 +71,6 @@ func Execute(cfg scenario.Spec) (*ExecResult, error) {
 		return nil, fmt.Errorf("runpack: trace stream: %w", err)
 	}
 	res.Trace = buf.Bytes()
-	res.TraceSHA256 = sum(res.Trace)
-	res.TraceEvents = bytes.Count(res.Trace, []byte{'\n'})
 	res.ReportJSON, err = json.MarshalIndent(reportDoc{
 		Answer:    res.Answer,
 		ElapsedNs: res.ElapsedNs,

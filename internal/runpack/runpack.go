@@ -2,12 +2,12 @@
 // archive (`runpack_<id>.zip`) that captures everything needed to reproduce
 // one simulated run — the full configuration (workload, seed, fleet, fault
 // schedule, comms and recovery options), the complete runtime event trace
-// with its SHA-256 digest, and the grouped Report with its cost-attribution
-// profile — plus three operations over archives:
+// and the grouped Report with its cost-attribution profile, each stored
+// once under a SHA-256 sum — plus three operations over archives:
 //
 //   - Pack (Create): execute a configuration and emit the archive;
 //   - Verify: re-execute the packed configuration and assert that the fresh
-//     trace digest, Report JSON and workload answer are byte-identical,
+//     trace, Report JSON and workload answer are byte-identical,
 //     reporting the first divergent trace event on failure;
 //   - Diff: explain how two packs diverge — differing configuration fields,
 //     the first differing trace event, and per-path/per-class cost deltas
@@ -43,8 +43,10 @@ import (
 
 // Format identifies the archive layout; bump on incompatible changes.
 // Layout 2 dropped layout 1's profile.jsonl, a re-rendering of the profile
-// report.json holds.
-const Format = "abcl-runpack/2"
+// report.json holds. Layout 3 dropped the manifest's workload, trace_events
+// and trace_sha256, which restated config.json and the trace's section sum,
+// and the scenario document report.json repeated from config.json.
+const Format = "abcl-runpack/3"
 
 // Section names inside the archive.
 const (
@@ -61,17 +63,12 @@ type SectionSum struct {
 }
 
 // Manifest is the archive's integrity record: the format tag, the
-// content-derived pack id, the headline trace digest, and a SHA-256 sum for
-// every section. Open re-hashes each section against it.
+// content-derived pack id and a SHA-256 sum for every section. Open
+// re-hashes each section against it.
 type Manifest struct {
-	Format   string `json:"format"`
-	ID       string `json:"id"`
-	Workload string `json:"workload"`
-	// TraceEvents and TraceSHA256 summarize the trace section: the digest
-	// that Verify re-derives by re-executing the configuration.
-	TraceEvents int                   `json:"trace_events"`
-	TraceSHA256 string                `json:"trace_sha256"`
-	Sections    map[string]SectionSum `json:"sections"`
+	Format   string                `json:"format"`
+	ID       string                `json:"id"`
+	Sections map[string]SectionSum `json:"sections"`
 }
 
 // Pack is one archive, opened or freshly built.
@@ -112,13 +109,7 @@ func (p *Pack) seal() error {
 	if err != nil {
 		return err
 	}
-	m := Manifest{
-		Format:      Format,
-		Workload:    p.Config.Workload,
-		TraceEvents: bytes.Count(p.TraceJSONL, []byte{'\n'}),
-		TraceSHA256: sum(p.TraceJSONL),
-		Sections:    make(map[string]SectionSum, len(secs)),
-	}
+	m := Manifest{Format: Format, Sections: make(map[string]SectionSum, len(secs))}
 	names := make([]string, 0, len(secs))
 	for name, b := range secs {
 		m.Sections[name] = SectionSum{SHA256: sum(b), Bytes: int64(len(b))}
@@ -214,11 +205,14 @@ func Open(path string) (*Pack, error) {
 		return nil, fmt.Errorf("runpack %s: no %s section", path, SecManifest)
 	}
 	p := &Pack{}
-	if err := json.Unmarshal(manBytes, &p.Manifest); err != nil {
-		return nil, fmt.Errorf("runpack %s: %s: %w", path, SecManifest, err)
+	// The decoder reads on past an unknown field, so another layout's pack
+	// is named by its format tag before its fields are judged.
+	err = workload.DecodeStrict(manBytes, &p.Manifest)
+	if f := p.Manifest.Format; f != Format && (f != "" || err == nil) {
+		return nil, fmt.Errorf("runpack %s: format %q, want %q", path, f, Format)
 	}
-	if p.Manifest.Format != Format {
-		return nil, fmt.Errorf("runpack %s: format %q, want %q", path, p.Manifest.Format, Format)
+	if err != nil {
+		return nil, fmt.Errorf("runpack %s: %s: %w", path, SecManifest, err)
 	}
 	for name, want := range p.Manifest.Sections {
 		b, ok := raw[name]

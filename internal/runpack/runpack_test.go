@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -161,6 +162,30 @@ func readSections(t *testing.T, path string) map[string][]byte {
 	return secs
 }
 
+// rezip writes secs as an archive and returns its path.
+func rezip(t *testing.T, secs map[string][]byte) string {
+	t.Helper()
+	var out bytes.Buffer
+	zw := zip.NewWriter(&out)
+	for name, b := range secs {
+		w, err := zw.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tampered.zip")
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestCheckedInPacksReseal opens every pack under testdata/runpacks and
 // compares the manifest on disk with the one Open re-derived by marshalling
 // the decoded config: a change to the JSON shape of a run spec, a scenario
@@ -242,24 +267,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var out bytes.Buffer
-		zw := zip.NewWriter(&out)
-		for name, b := range secs {
-			w, err := zw.Create(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := w.Write(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		tampered := filepath.Join(t.TempDir(), "tampered.zip")
-		if err := os.WriteFile(tampered, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		tampered := rezip(t, secs)
 		if _, err := Open(tampered); err == nil {
 			t.Errorf("%s: Open accepted the archive", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tampered) {
@@ -354,7 +362,9 @@ func openChecked(t *testing.T, data []byte, ids map[string]bool) {
 }
 
 // TestOpenDamagedPacks opens each checked-in pack whole, cut in half and
-// with one byte flipped.
+// with one byte flipped, and one with its manifest edited: the manifest is
+// read strictly, so a field layout 3 dropped is refused by name, and a pack
+// of the older layout by its format tag.
 func TestOpenDamagedPacks(t *testing.T) {
 	paths, err := filepath.Glob("../../testdata/runpacks/*.zip")
 	if err != nil || len(paths) == 0 {
@@ -371,6 +381,17 @@ func TestOpenDamagedPacks(t *testing.T) {
 		}
 		for _, v := range seedVariants(b) {
 			openChecked(t, v, ids)
+		}
+	}
+	secs := readSections(t, paths[0])
+	for _, tc := range []struct{ old, new, want string }{
+		{`"sections"`, `"trace_sha256": "00", "sections"`, `manifest.json: json: unknown field "trace_sha256"`},
+		{`"` + Format + `"`, `"abcl-runpack/2", "workload": "hotkey"`, `format "abcl-runpack/2", want "abcl-runpack/3"`},
+	} {
+		edited := maps.Clone(secs)
+		edited[SecManifest] = bytes.Replace(secs[SecManifest], []byte(tc.old), []byte(tc.new), 1)
+		if _, err := Open(rezip(t, edited)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("manifest with %s: Open returned %v, want %q", tc.new, err, tc.want)
 		}
 	}
 }
@@ -586,6 +607,9 @@ func TestScenarioPackConfigIsTheDocument(t *testing.T) {
 	secs := readSections(t, path)
 	if _, ok := secs["scenario.json"]; ok || len(secs) != 4 {
 		t.Errorf("%d sections (scenario.json present: %v), want manifest, config, trace, report", len(secs), ok)
+	}
+	if bytes.Contains(secs[SecReport], []byte(`"Spec"`)) {
+		t.Errorf("%s repeats the scenario document %s holds", SecReport, SecConfig)
 	}
 	var cfg struct {
 		Name, Workload string

@@ -54,7 +54,7 @@ func splitLines(b []byte) []string {
 type VerifyResult struct {
 	// OK is true when the fresh execution reproduced the pack exactly.
 	OK bool
-	// Mismatches lists every disagreement (answer, trace digest, report).
+	// Mismatches lists every disagreement (answer, trace, report).
 	Mismatches []string
 	// TraceDivergence names the first trace event where the fresh run left
 	// the packed trace (A = packed, B = fresh); nil when traces agree.
@@ -64,7 +64,7 @@ type VerifyResult struct {
 }
 
 // Verify re-executes the pack's configuration and asserts the run is still
-// byte-identical: same trace digest, same report document, same answer. It
+// byte-identical: same trace, same report document, same answer. It
 // assumes the pack itself is intact (Open already checked the manifest
 // sums); a failure here means the code base no longer reproduces the run.
 func Verify(p *Pack) (*VerifyResult, error) {
@@ -77,10 +77,8 @@ func Verify(p *Pack) (*VerifyResult, error) {
 		v.OK = false
 		v.Mismatches = append(v.Mismatches, fmt.Sprintf(format, args...))
 	}
-	if fresh.TraceSHA256 != p.Manifest.TraceSHA256 {
-		fail("trace digest %s (%d events) != packed %s (%d events)",
-			short(fresh.TraceSHA256), fresh.TraceEvents,
-			short(p.Manifest.TraceSHA256), p.Manifest.TraceEvents)
+	if !bytes.Equal(fresh.Trace, p.TraceJSONL) {
+		fail("trace differs from packed %s", SecTrace)
 		v.TraceDivergence = firstDivergence(p.TraceJSONL, fresh.Trace)
 	}
 	if !bytes.Equal(fresh.ReportJSON, p.ReportJSON) {
@@ -105,8 +103,9 @@ func packedAnswer(p *Pack) string {
 func (v *VerifyResult) Summary(p *Pack) string {
 	var b strings.Builder
 	if v.OK {
-		fmt.Fprintf(&b, "PASS runpack %s: %s reproduced byte-identically (%d trace events, digest %s)\n",
-			p.Manifest.ID, p.Config.Workload, p.Manifest.TraceEvents, short(p.Manifest.TraceSHA256))
+		tr := p.Manifest.Sections[SecTrace]
+		fmt.Fprintf(&b, "PASS runpack %s: %s reproduced byte-identically (%d-byte trace, sha256 %s)\n",
+			p.Manifest.ID, p.Config.Workload, tr.Bytes, short(tr.SHA256))
 		return b.String()
 	}
 	fmt.Fprintf(&b, "FAIL runpack %s: %s no longer reproduces\n", p.Manifest.ID, p.Config.Workload)

@@ -96,9 +96,11 @@ func (sp Spec) Validate() error {
 }
 
 // Outcome reports a full scenario execution: the fault-free baseline, the
-// faulted run, and any assertion violations (empty = pass).
+// faulted run, and any assertion violations (empty = pass). Its JSON form
+// (a runpack's report.json) leaves out the document, which the pack's
+// config.json holds.
 type Outcome struct {
-	Spec       Spec
+	Spec       Spec `json:"-"`
 	Baseline   workload.Outcome
 	Faulted    workload.Outcome
 	Violations []string

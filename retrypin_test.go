@@ -12,14 +12,32 @@
 package abcl_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"io"
 	"testing"
 
 	abcl "repro"
 	"repro/internal/apps/nqueens"
 	"repro/internal/trace"
 )
+
+// htmlEscaped writes a JSONL stream to w in the layout the pinned trace
+// hashes were recorded in, when the sink still escaped "<", ">" and "&"
+// (json.HTMLEscape), so that each hash still covers every byte of the
+// events it pinned.
+type htmlEscaped struct{ w io.Writer }
+
+func (e htmlEscaped) Write(b []byte) (int, error) {
+	var esc bytes.Buffer
+	json.HTMLEscape(&esc, b)
+	if _, err := e.w.Write(esc.Bytes()); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
 
 type retryPin struct {
 	elapsed                              abcl.Time
@@ -92,7 +110,7 @@ func TestRetryEquivalencePin(t *testing.T) {
 				}
 			}
 			h := sha256.New()
-			got := run(trace.NewJSONL(h))
+			got := run(trace.NewJSONL(htmlEscaped{h}))
 			got.traceSHA = hex.EncodeToString(h.Sum(nil))
 			if got != tc.want {
 				t.Errorf("\n got  %+v\n want %+v", got, tc.want)
