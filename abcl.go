@@ -90,12 +90,12 @@ type (
 	// Event is one observed runtime event.
 	Event = trace.Event
 	// ProfileReport is the cost-attribution report (System.Report().Profile):
-	// per-path instruction/packet/stable-store totals, the dormant fraction,
-	// and optional per-class and time-series breakdowns.
+	// per-path event/instruction/packet/stable-store totals, the per-class
+	// rows and, under WithProfileWindow, the time series.
 	ProfileReport = profile.Report
-	// PathStat is one row of the profiler's per-path cost table.
+	// PathStat is one row of the profile's per-path cost table.
 	PathStat = profile.PathStat
-	// ClassStat is one row of the profiler's per-class table.
+	// ClassStat is one row of the profile's per-class table.
 	ClassStat = profile.ClassStat
 	// ProfileSlice is one time-series bucket of a windowed profile.
 	ProfileSlice = profile.Slice
@@ -192,7 +192,7 @@ type settings struct {
 	ackDelay    Time
 	ckptEvery   Time // periodic checkpoint interval; 0 = off
 	observer    trace.Sink
-	prof        *ProfileOptions
+	window      Time // profile time-slice width; 0 = totals only
 }
 
 // Option configures a System under construction. Options are applied in
@@ -281,29 +281,21 @@ func WithObserver(sink trace.Sink) Option {
 	}
 }
 
-// ProfileOptions configures the cost-attribution profiler (WithProfiler).
-type ProfileOptions struct {
-	// Window, when positive, additionally slices the profile into time-series
-	// buckets of this width (instructions, events, packets, queue depths and
-	// utilization per bucket). Zero keeps per-path totals only.
-	Window Time
-}
-
-// WithProfiler enables the cost-attribution report. The machine always
-// counts every path's events and instructions (local-dormant, local-active,
-// restore, now-blocked, remote-send, remote-recv, create, sched, body, ckpt,
-// retransmit, ack, multi — the paper's Section 6 taxonomy plus the
-// subsystems added since); the profiler adds wire records and bytes per
-// path, stable-store bytes, per-class and per-group rows, per-node totals
-// and time slices. The report is available as System.Report().Profile after
-// a run. The profiler only observes — enabling it changes no virtual-time
-// results.
-func WithProfiler(opt ProfileOptions) Option {
+// WithProfileWindow slices the cost-attribution profile into time-series
+// buckets of width d (instructions, events, packets, queue depths and
+// utilization per bucket); zero keeps totals only. The profile itself is
+// always kept: every path's events, instructions, wire records and bytes
+// (local-dormant, local-active, restore, now-blocked, remote-send,
+// remote-recv, create, sched, body, ckpt, retransmit, ack, multi — the
+// paper's Section 6 taxonomy plus the subsystems added since), the
+// stable-store bytes and the per-class rows, in System.Report().Profile.
+// The slices only observe — a window changes no virtual-time results.
+func WithProfileWindow(d Time) Option {
 	return func(s *settings) error {
-		if opt.Window < 0 {
-			return fmt.Errorf("abcl: WithProfiler: window must be non-negative, got %v", opt.Window)
+		if d < 0 {
+			return fmt.Errorf("abcl: WithProfileWindow: window must be non-negative, got %v", d)
 		}
-		s.prof = &opt
+		s.window = d
 		return nil
 	}
 }
@@ -509,12 +501,8 @@ func NewSystem(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("abcl: %w", err)
 	}
-	var prof *profile.Profiler
-	if s.prof != nil {
-		prof = profile.New(s.nodes, profile.Options{
-			Window:  s.prof.Window,
-			InstrNs: mcfg.NsPerInstr(),
-		})
+	if s.window > 0 {
+		m.SetProfileWindow(s.window)
 	}
 	var inj *fault.Injector
 	if s.faults.Enabled() {
@@ -528,7 +516,6 @@ func NewSystem(opts ...Option) (*System, error) {
 		Policy:        s.policy,
 		MaxStackDepth: s.maxStack,
 		Trace:         s.observer,
-		Prof:          prof,
 	})
 	net := remote.Attach(rt, remote.Options{
 		StockDepth:    s.stock,
@@ -623,7 +610,8 @@ type Report struct {
 	Wire     WireReport
 	Reliable ReliableReport
 	Ckpt     CkptReport
-	// Profile is the cost-attribution report; nil unless WithProfiler.
+	// Profile is the cost-attribution report (its time slices only under
+	// WithProfileWindow).
 	Profile *ProfileReport
 }
 
@@ -678,7 +666,7 @@ type CkptReport struct {
 
 // Report assembles the grouped introspection snapshot: scheduling, wire,
 // reliable-protocol and checkpoint sections, plus the cost-attribution
-// profile when WithProfiler was given.
+// profile.
 func (s *System) Report() Report {
 	bw, bb := s.Net.Batching()
 	c := s.RT.TotalStats()
@@ -707,13 +695,10 @@ func (s *System) Report() Report {
 		Ckpt: CkptReport{
 			Enabled: s.ckpt != nil,
 		},
+		Profile: s.M.Profile(),
 	}
 	if s.ckpt != nil {
 		r.Ckpt.Rounds = s.ckpt.Rounds()
-	}
-	if p := s.M.Profiler(); p != nil {
-		r.Profile = p.Report(s.M.Counts())
-		r.Profile.DormantFraction = c.DormantFraction()
 	}
 	return r
 }

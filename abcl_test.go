@@ -159,7 +159,7 @@ func TestOptionValidation(t *testing.T) {
 		{"WithChunkStock(-1)", abcl.WithChunkStock(-1)},
 		{"WithPolicy(99)", abcl.WithPolicy(abcl.Policy(99))},
 		{"WithBatching(1µs, -3)", abcl.WithBatching(abcl.Microsecond, -3)},
-		{"WithProfiler(window -5ns)", abcl.WithProfiler(abcl.ProfileOptions{Window: -5})},
+		{"WithProfileWindow(-5ns)", abcl.WithProfileWindow(-5)},
 		{"WithCheckpoint(0)", abcl.WithCheckpoint(0)},
 		{"nil option", nil},
 	}

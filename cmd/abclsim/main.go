@@ -24,6 +24,14 @@
 //
 //	abclsim -workload nqueens -n 8 -nodes 8 -checkpoint-interval 500us -crash 3@1500us+400us
 //
+// Every run keeps its cost attribution (the paper's Section 6 paths, per
+// class). -cost-table prints it after the run — for a scenario, its faulted
+// run's; -profile-window also slices it into a time series and implies
+// -cost-table. Neither changes the run:
+//
+//	abclsim -workload hotkey -nodes 4 -cost-table
+//	abclsim -workload nqueens -n 8 -nodes 8 -profile-window 100us
+//
 // A scenario document is a run spec plus a name and assertions; -scenario
 // runs it fault-free and faulted and checks the assertions. The document
 // states the run, so no run-spec flag may accompany it:
@@ -142,9 +150,9 @@ func parseFlags(args []string) (*cli, error) {
 
 	fs.StringVar(&c.packOut, "pack", "", "execute the configured run and write a verifiable runpack archive to this file or directory")
 	fs.StringVar(&c.profileOut, "profile", "", "stream runtime events as JSON Lines to this file (any workload)")
-	fs.BoolVar(&c.costTable, "cost-table", false, "enable the cost-attribution profiler and print the per-path cost table")
+	fs.BoolVar(&c.costTable, "cost-table", false, "print the run's per-path cost table and per-class lines (output only: every run keeps them)")
 	fs.Var((*timeFlag)(&sp.ProfileWindowNs), "profile-window",
-		"cost-profiler time-series slice width, as ns or a Go duration; implies -cost-table")
+		"cost-profile time-series slice width, as ns or a Go duration; implies -cost-table")
 
 	if err := parse(fs, args); err != nil {
 		return nil, err
@@ -254,7 +262,7 @@ func parseVirtualTime(s string) (int64, error) {
 }
 
 // instrumentation is what the flags attach to a run beyond its spec: the
-// -profile sink, the -trace ring and the -cost-table profiler.
+// -profile sink and the -trace ring.
 type instrumentation struct {
 	opts        []abcl.Option
 	profileSink *trace.JSONL
@@ -277,9 +285,6 @@ func (c *cli) open() (*instrumentation, error) {
 	if c.traceN > 0 {
 		in.ring = trace.NewRing(c.traceN)
 		in.opts = append(in.opts, abcl.WithObserver(in.ring))
-	}
-	if c.costTable {
-		in.opts = append(in.opts, abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(c.spec.ProfileWindowNs)}))
 	}
 	return in, nil
 }
@@ -535,7 +540,7 @@ func (c *cli) runPack(stdout io.Writer) error {
 
 // runWorkload runs the spec through the app table and prints the result:
 // the app's own lines, then the effective comms configuration, the runtime
-// counters and the cost table when the profiler was on.
+// counters and, under -cost-table or -profile-window, the cost table.
 func (c *cli) runWorkload(stdout io.Writer, in *instrumentation) error {
 	sp := c.spec.WithDefaults()
 	out, err := workload.Run(sp, in.opts...)
@@ -545,7 +550,9 @@ func (c *cli) runWorkload(stdout io.Writer, in *instrumentation) error {
 	printers[sp.Workload](stdout, sp, out)
 	fmt.Fprintf(stdout, "  %s\n", commsLine(out.Report))
 	printStats(stdout, out.Report.Sched.Counters)
-	printCostTable(stdout, out.Report.Profile)
+	if c.costTable || sp.ProfileWindowNs != 0 {
+		printCostTable(stdout, out.Report)
+	}
 	return nil
 }
 
@@ -619,16 +626,12 @@ func commsLine(rep *abcl.Report) string {
 	return s
 }
 
-// printCostTable emits the profiler's per-path cost table (Section 6 of the
-// paper, measured live; the rows of Table 5) and its per-class lines when
-// -cost-table or -profile-window is in effect.
-func printCostTable(w io.Writer, p *abcl.ProfileReport) {
-	if p == nil {
-		return
-	}
+// printCostTable emits a report's per-path cost table (Section 6 of the
+// paper, measured live; the rows of Table 5) and its per-class lines.
+func printCostTable(w io.Writer, r *abcl.Report) {
 	fmt.Fprint(w, "  per-path cost attribution:\n\n")
-	exp.WriteCostTable(w, p)
-	for _, cs := range p.Classes {
+	exp.WriteCostTable(w, r)
+	for _, cs := range r.Profile.Classes {
 		fmt.Fprintf(w, "  class %-20s dormant=%d active=%d restore=%d body-instr=%d\n",
 			cs.Class, cs.Dormant, cs.Active, cs.Restore, cs.BodyInstr)
 	}
@@ -660,6 +663,9 @@ func (c *cli) runScenarios(stdout io.Writer, in *instrumentation) error {
 	failed := 0
 	for _, o := range outs {
 		fmt.Fprint(stdout, o.Report())
+		if c.costTable {
+			printCostTable(stdout, o.Faulted.Report)
+		}
 		if !o.OK() {
 			failed++
 		}
@@ -688,7 +694,7 @@ func printStats(w io.Writer, c abcl.Counters) {
 			c.RelSent, c.RelDelivered, c.Retransmits, c.DupSuppressed, c.HeldOutOfOrder, c.LostMessages())
 	}
 	if c.CkptRounds > 0 || c.NodeCrashes > 0 {
-		fmt.Fprintf(w, "    checkpoint: rounds=%d stable-bytes=%d   crashes=%d restarts=%d replayed=%d\n",
-			c.CkptRounds, c.CkptBytes, c.NodeCrashes, c.NodeRestarts, c.ReplayedMsgs)
+		fmt.Fprintf(w, "    checkpoint: rounds=%d stable-bytes=%d   crashes=%d restarts=%d replayed=%d   dropped: at-dead-node=%d revoked=%d\n",
+			c.CkptRounds, c.CkptBytes, c.NodeCrashes, c.NodeRestarts, c.ReplayedMsgs, c.CrashDrops, c.EraDrops)
 	}
 }

@@ -18,11 +18,11 @@ import (
 )
 
 // TestFlagsMarshalToPackedConfig pins the flag → spec binding against a
-// checked-in artifact: the flags that packed runpack_a74e3d756d9a must still
+// checked-in artifact: the flags that packed runpack_1cfee7a70d64 must still
 // marshal to its config.json byte for byte (same keys, order and defaults),
 // or re-packing would no longer reproduce the archive's id.
 func TestFlagsMarshalToPackedConfig(t *testing.T) {
-	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_a74e3d756d9a.zip")
+	zr, err := zip.OpenReader("../../testdata/runpacks/runpack_1cfee7a70d64.zip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +104,40 @@ func TestSystemFlagsReachEveryWorkload(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("hotkey output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestCostTableIsOutputOnly pins -cost-table as an output flag: a run
+// without it prints no cost table, a run with it prints the same lines and
+// then the table, and -profile-window implies it. In scenario mode the table
+// follows each scenario's report.
+func TestCostTableIsOutputOnly(t *testing.T) {
+	const table = "per-path cost attribution"
+	outOf := func(args string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(strings.Fields(args), &out); err != nil {
+			t.Fatalf("%s: %v", args, err)
+		}
+		return out.String()
+	}
+	const base = "-workload hotkey -nodes 4 -clients 4 -ops 6 -coverage full"
+	plain, costs := outOf(base), outOf(base+" -cost-table")
+	if strings.Contains(plain, table) {
+		t.Errorf("a run without -cost-table prints a cost table:\n%s", plain)
+	}
+	if !strings.HasPrefix(costs, plain) || !strings.Contains(costs[len(plain):], table) {
+		t.Errorf("-cost-table does not append the table to the plain output:\n%s\nplain:\n%s", costs, plain)
+	}
+	if !strings.Contains(outOf(base+" -profile-window 100us"), table) {
+		t.Error("-profile-window prints no cost table")
+	}
+	scen := "-scenario hotkey-lossy"
+	if s := outOf(scen); strings.Contains(s, table) {
+		t.Errorf("a scenario without -cost-table prints a cost table:\n%s", s)
+	}
+	if s := outOf(scen + " -cost-table"); !strings.Contains(s, table) {
+		t.Errorf("a scenario with -cost-table prints no cost table:\n%s", s)
 	}
 }
 
@@ -257,7 +291,7 @@ func TestValidateSubcommand(t *testing.T) {
 		write("lossless.json", `{"workload":"nqueens","nodes":2,"faults":{"links":[{"drop":1}]}}`): "lossless.json: fault: link rule 0: drop probability 1",
 		write("anon.json", `{"workload":"nqueens","nodes":2,"assert":{"min_drops":1}}`):            "anon.json: scenario: missing name",
 		write("batch.json", `{"workload":"forkjoin","nodes":4,"batch_window_ns":-5}`):              "WithBatching(-5ns, 0): window must be positive",
-		write("prof.json", `{"workload":"forkjoin","nodes":4,"profile_window_ns":-5}`):             "WithProfiler: window must be non-negative",
+		write("prof.json", `{"workload":"forkjoin","nodes":4,"profile_window_ns":-5}`):             "WithProfileWindow: window must be non-negative",
 		write("ack.json", `{"workload":"forkjoin","nodes":4,"ack_delay_ns":-7}`):                   "WithDelayedAcks(-7ns): delay must be positive",
 		write("ckpt.json", `{"workload":"forkjoin","nodes":4,"checkpoint_interval_ns":-7}`):        "WithCheckpoint(-7ns): interval must be positive",
 		write("grid.json", `{"workload":"diffusion","nodes":4,"grid":1}`):                          "diffusion: grid 1x1 invalid",

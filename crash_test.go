@@ -244,7 +244,7 @@ func TestCheckpointRoundsEndWithApplication(t *testing.T) {
 			every := row.round * tenths / 10
 			sp.CkptIntervalNs = int64(every)
 			var span roundSpan
-			out, err := workload.Run(sp, abcl.WithObserver(&span), abcl.WithProfiler(abcl.ProfileOptions{}))
+			out, err := workload.Run(sp, abcl.WithObserver(&span))
 			if err != nil {
 				t.Fatal(err)
 			}

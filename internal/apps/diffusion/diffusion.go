@@ -41,7 +41,7 @@ type Result struct {
 	Utilization float64
 	Residual    float64 // final max |update| across cells
 	Stats       abcl.Counters
-	Report      abcl.Report // grouped snapshot; Profile section set under abcl.WithProfiler
+	Report      abcl.Report // grouped snapshot, cost-attribution profile included
 }
 
 // State variable indices for a cell object.

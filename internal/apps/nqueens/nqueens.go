@@ -86,7 +86,7 @@ type Result struct {
 	MemoryBytes uint64 // modelled heap usage (objects + message frames)
 	Packets     uint64 // hardware packets launched
 	Stats       stats.Counters
-	Report      abcl.Report // grouped snapshot; Profile section set under abcl.WithProfiler
+	Report      abcl.Report // grouped snapshot, cost-attribution profile included
 }
 
 // Run executes a parallel N-queens search on a system built from opts and

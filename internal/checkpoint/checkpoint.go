@@ -244,9 +244,7 @@ func (g *Manager) snapNode(i int) {
 	mn := g.m.Node(i)
 	mn.ChargeTo(profile.Ckpt, g.m.Cfg.Cost.CkptInstr(bytes))
 	mn.Count(profile.Ckpt)
-	if np := mn.Prof(); np != nil {
-		np.StableWrite(bytes)
-	}
+	g.m.Counts().Stable += uint64(bytes)
 	g.m.C.CkptBytes += uint64(bytes)
 	g.rt.Tracef(mn.Now(), i, trace.EvCkptSave,
 		"snapshot round %d: %d objects, %d bytes", g.cur.round, ci.Objects(), bytes)
@@ -287,9 +285,7 @@ func (g *Manager) restore(at sim.Time, node int) {
 		mn.SyncClock(at)
 		bytes := snap.core[i].SizeBytes() + snap.rel[i].SizeBytes()
 		mn.ChargeTo(profile.Ckpt, g.m.Cfg.Cost.RestoreInstr(bytes))
-		if np := mn.Prof(); np != nil {
-			np.StableWrite(bytes)
-		}
+		g.m.Counts().Stable += uint64(bytes)
 		g.m.C.ReplayedMsgs += uint64(g.l.CkptReplayNode(i, snap.rel))
 		mn.Wake()
 	}

@@ -39,11 +39,10 @@ type Class struct {
 	// compatibility group makes the class multiactive: its objects keep the
 	// single multiTable for their whole life and schedule through per-group
 	// ready queues (see multi.go).
-	groups        []groupDef
-	patGroup      []int // dense after freeze: PatternID -> ready-queue index
-	multiTable    *VFT
-	multiOrder    []int // queue scan order: priority desc, declaration order
-	exclusiveProf int   // profiler id of the implicit exclusive queue; -1 off
+	groups     []groupDef
+	patGroup   []int // dense after freeze: PatternID -> ready-queue index
+	multiTable *VFT
+	multiOrder []int // queue scan order: priority desc, declaration order
 }
 
 // Method attaches a method body for a pattern. It returns the class for
@@ -175,7 +174,7 @@ func (ic *InitCtx) CtorArg(i int) Value {
 func (ic *InitCtx) NumCtorArgs() int { return len(ic.args) }
 
 // ID returns the class's dense index (assigned in definition order); the
-// profiler keys per-class attribution by it.
+// machine's per-class cost rows are keyed by it.
 func (c *Class) ID() int { return c.id }
 
 // SetState writes state variable i.

@@ -57,8 +57,8 @@ func (c *Ctx) Charge(instr int) {
 	c.checkLive("Charge")
 	n := c.rt
 	n.node.ChargeTo(profile.Body, instr)
-	if np := n.node.Prof(); np != nil && c.self.class != nil {
-		np.ClassInstr(c.self.class.id, instr)
+	if c.self.class != nil {
+		n.rt.M.Counts().Classes[c.self.class.id].Body += uint64(instr)
 	}
 }
 

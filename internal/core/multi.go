@@ -41,7 +41,6 @@ type groupDef struct {
 	name     string
 	pats     []PatternID
 	priority int
-	profID   int // dense profiler group id; -1 when profiling is off
 }
 
 // savedCont is a continuation parked for scheduling-queue resumption.
@@ -152,9 +151,8 @@ func (c *Class) Group(name string, pats ...PatternID) *Class {
 		}
 	}
 	c.groups = append(c.groups, groupDef{
-		name:   name,
-		pats:   append([]PatternID(nil), pats...),
-		profID: -1,
+		name: name,
+		pats: append([]PatternID(nil), pats...),
 	})
 	return c
 }
@@ -220,7 +218,6 @@ func (c *Class) buildMulti(npat int) {
 			c.multiOrder[j], c.multiOrder[j-1] = c.multiOrder[j-1], c.multiOrder[j]
 		}
 	}
-	c.exclusiveProf = -1
 }
 
 // queueIndex maps a pattern to its ready-queue index (its group, or the
@@ -243,15 +240,6 @@ func (c *Class) queueName(qi int) string {
 	return "(exclusive)"
 }
 
-// profGroupID returns the profiler's dense id for a ready queue (-1 when
-// profiling is off).
-func (c *Class) profGroupID(qi int) int {
-	if qi < len(c.groups) {
-		return c.groups[qi].profID
-	}
-	return c.exclusiveProf
-}
-
 // makeMultiEntry builds the multiactive-table entry for a pattern: a
 // compatibility check against the live counts, then either immediate
 // invocation on the sender's stack (the dormant path's moral equivalent) or
@@ -263,12 +251,12 @@ func makeMultiEntry(cl *Class, p PatternID) entryFunc {
 		n.node.Charge(n.cost.GroupCheck)
 		startable := ms.canStart(qi)
 		if startable && n.stackDepth < n.rt.maxStackDepth {
-			n.groupEvent(cl, qi, profile.GroupStarted)
+			n.C.MultiImmediate++
 			ms.begin(qi)
 			n.invoke(obj, f, cl.methods[p], true)
 			return
 		}
-		n.groupEvent(cl, qi, profile.GroupParked)
+		n.C.MultiParked++
 		n.node.Charge(n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ)
 		ms.buffer(qi, f)
 		if n.rt.Tracing() {
@@ -282,23 +270,6 @@ func makeMultiEntry(cl *Class, p PatternID) entryFunc {
 			n.node.SetPath(profile.Sched)
 			n.enqueueSched(obj)
 		}
-	}
-}
-
-// groupEvent counts one multiactive scheduling event (profile.GroupStarted,
-// GroupParked or GroupDispatched) of ready queue qi of cl: in the counters
-// and, with a profiler, in the group's row.
-func (n *NodeRT) groupEvent(cl *Class, qi int, kind int) {
-	switch kind {
-	case profile.GroupStarted:
-		n.C.MultiImmediate++
-	case profile.GroupParked:
-		n.C.MultiParked++
-	case profile.GroupDispatched:
-		n.C.MultiDispatches++
-	}
-	if np := n.node.Prof(); np != nil {
-		np.GroupEvent(cl.profGroupID(qi), kind)
 	}
 }
 
@@ -324,7 +295,7 @@ func (n *NodeRT) multiDispatch(obj *Object) {
 	}
 	f := ms.ready[qi].pop()
 	ms.readyN--
-	n.groupEvent(cl, qi, profile.GroupDispatched)
+	n.C.MultiDispatches++
 	ms.begin(qi)
 	n.invoke(obj, f, cl.methods[f.Pattern], true)
 	n.multiReschedule(obj)

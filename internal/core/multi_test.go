@@ -220,7 +220,7 @@ func TestMultiactivePriorityOrder(t *testing.T) {
 func TestMultiactiveNaivePolicy(t *testing.T) {
 	// Under the naive baseline every multiactive delivery parks first, but
 	// compatible invocations must still overlap once dispatched.
-	r := newTestRT(t, Options{PolicyNaive, 0, nil, nil})
+	r := newTestRT(t, Options{PolicyNaive, 0, nil})
 	get := r.Reg.Register("get", 0)
 	req := r.Reg.Register("req", 1)
 	kick := r.Reg.Register("kick", 0)

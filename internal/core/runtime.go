@@ -59,10 +59,6 @@ type Options struct {
 	// dispatches, and those of the layers attached to it, in the one global
 	// event order.
 	Trace trace.Sink
-	// Prof, when non-nil, is installed on the machine and receives per-path
-	// cost attribution for every simulated charge. Like Trace it only
-	// observes; enabling it changes no virtual-time results.
-	Prof *profile.Profiler
 }
 
 // Runtime is the ABCL language runtime spanning all nodes of a machine.
@@ -124,9 +120,6 @@ func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 	}
 	r.PatReply = r.Reg.Register("reply:", 1)
 	m.SetTrace(opt.Trace)
-	if opt.Prof != nil {
-		m.SetProfiler(opt.Prof)
-	}
 	r.nodes = make([]NodeRT, m.Nodes())
 	for i := range r.nodes {
 		mn := m.Node(i)
@@ -193,19 +186,12 @@ func (r *Runtime) Freeze() {
 	r.frozen = true
 	r.Reg.Freeze()
 	npat := r.Reg.Count()
-	prof := r.M.Profiler()
+	rows := make([]profile.Class, len(r.classes))
 	for _, c := range r.classes {
 		c.buildTables(npat)
-		if prof != nil {
-			prof.RegisterClass(c.id, c.Name)
-			if c.Multiactive() {
-				for gi := range c.groups {
-					c.groups[gi].profID = prof.RegisterGroup(c.Name, c.groups[gi].name)
-				}
-				c.exclusiveProf = prof.RegisterGroup(c.Name, "(exclusive)")
-			}
-		}
+		rows[c.id].Name = c.Name
 	}
+	r.M.Counts().Classes = rows
 	// Native table for reply destinations: only reply: is understood.
 	r.replyVFT = &VFT{Mode: ModeDormant, entries: make([]entry, npat)}
 	r.replyVFT.entries[r.PatReply] = entry{entryNative, replyEntry}

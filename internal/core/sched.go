@@ -158,15 +158,15 @@ func (n *NodeRT) DeliverFrame(obj *Object, f *Frame, remoteIn bool) {
 	if d.event {
 		n.node.Count(d.path)
 	}
-	if np := n.node.Prof(); np != nil && d.class >= 0 {
-		np.ClassDeliver(obj.class.id, int(d.class))
+	if d.class >= 0 {
+		n.rt.M.Counts().Classes[obj.class.id].Deliv[d.class]++
 	}
 	if n.rt.policy == PolicyNaive {
 		instr := n.cost.FrameAlloc + n.cost.StoreMessage + n.cost.EnqueueMsgQ
 		if e.kind == entryMulti {
 			// The scheduler performs the compatibility check at dispatch.
 			instr += n.cost.GroupCheck
-			n.groupEvent(obj.class, obj.class.queueIndex(f.Pattern), profile.GroupParked)
+			n.C.MultiParked++
 		}
 		n.node.Charge(instr)
 		n.park(obj, f, e.kind)
@@ -210,7 +210,7 @@ func (n *NodeRT) park(obj *Object, f *Frame, k EntryKind) {
 // deliveries is the one classification of a delivery, by the entry kind the
 // receiver's current table holds, i.e. by receiver mode: the path it is
 // charged and counted to, whether it counts as an event there, and the
-// profiler's per-class mode (-1: none, the receiver has no class). A
+// class row's delivery mode (-1: none, the receiver has no class). A
 // delivery from the network is a remote-recv event whatever the kind. A
 // reply (entryNative) is no event: the now-send already counted the round
 // trip, so its instructions fold into the per-now-send cost. A delivery to
@@ -267,20 +267,15 @@ func (n *NodeRT) Step() bool {
 	}
 	obj.inSchedQ = false
 	// Classify the dispatch for attribution by pure inspection before the
-	// dequeue charge: saved continuations and waiting objects are context
-	// restorations; everything else is a queued (active-mode) dispatch.
-	switch {
-	case obj.resumeK != nil || obj.wait != nil:
-		n.node.SetPath(profile.Restore)
-	case obj.multi != nil:
-		if len(obj.multi.resume) > 0 {
-			n.node.SetPath(profile.Restore)
-		} else {
-			n.node.SetPath(profile.Multi)
-		}
-	default:
-		n.node.SetPath(profile.LocalActive)
+	// dequeue charge: saved continuations (a multiactive object's too) and
+	// waiting objects are context restorations; everything else, a
+	// multiactive object's parked frame included, is a queued (active-mode)
+	// dispatch.
+	path := profile.LocalActive
+	if obj.resumeK != nil || obj.wait != nil || obj.multi != nil && len(obj.multi.resume) > 0 {
+		path = profile.Restore
 	}
+	n.node.SetPath(path)
 	n.node.Charge(n.cost.DequeueDispatch)
 	n.C.SchedDequeues++
 	if n.rt.Tracing() {
@@ -344,9 +339,7 @@ func (n *NodeRT) enqueueSched(obj *Object) {
 	obj.inSchedQ = true
 	n.schedQ.push(obj)
 	n.C.SchedEnqueues++
-	if np := n.node.Prof(); np != nil {
-		np.QueueDepth(n.schedQ.len(), n.node.Now())
-	}
+	n.node.QueueDepth(n.schedQ.len())
 	if n.rt.Tracing() {
 		n.rt.Tracef(n.node.Now(), n.id, trace.EvSchedule, "%s (queue %d)", describe(obj), obj.queue.len())
 	}

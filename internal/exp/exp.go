@@ -135,18 +135,17 @@ func Table4(ns []int) []Table4Col {
 	return out
 }
 
-// PathBreakdown runs a profiled N-queens search and returns its cost
-// attribution — per-path rows, the dormant fraction (the paper's
-// "approximately 75%", Section 6.3) and the per-class breakdown: the live
-// counterpart of Section 6's message-path cost taxonomy. The profiler only
-// observes, so the run's virtual-time results equal an unprofiled run's.
-func PathBreakdown(n, nodes int, seed int64) (*abcl.ProfileReport, error) {
-	res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(nodes), abcl.WithSeed(seed),
-		abcl.WithProfiler(abcl.ProfileOptions{}))
+// PathBreakdown runs an N-queens search and returns its report, whose
+// profile is the cost attribution — per-path rows and the per-class
+// breakdown, the live counterpart of Section 6's message-path cost
+// taxonomy — and whose counters give the dormant fraction (the paper's
+// "approximately 75%", Section 6.3).
+func PathBreakdown(n, nodes int, seed int64) (*abcl.Report, error) {
+	res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(nodes), abcl.WithSeed(seed))
 	if err != nil {
 		return nil, fmt.Errorf("exp: path breakdown N=%d P=%d: %w", n, nodes, err)
 	}
-	return res.Report.Profile, nil
+	return &res.Report, nil
 }
 
 // SpeedupPoint is one point of the paper's Figure 5.

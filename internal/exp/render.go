@@ -30,9 +30,9 @@ var tables = []section{
 	{"Table 3 — Comparison of send/reply latency", table3},
 	{"Table 4 — Scale of the N-queens program", table4},
 	{"Table 5 — Measured per-path costs, N-queens N = 10 on 16 nodes", func(w io.Writer) error {
-		p, err := PathBreakdown(10, 16, seed)
+		r, err := PathBreakdown(10, 16, seed)
 		if err == nil {
-			WriteCostTable(w, p)
+			WriteCostTable(w, r)
 		}
 		return err
 	}},
@@ -241,20 +241,19 @@ func table8(w io.Writer) error {
 	return nil
 }
 
-// WriteCostTable writes the cost-attribution profiler's per-path rows and
-// the run's dormant fraction: Table 5, and what `abclsim -cost-table`
-// prints after any run.
-func WriteCostTable(w io.Writer, p *abcl.ProfileReport) {
+// WriteCostTable writes a report's per-path cost rows and the run's dormant
+// fraction: Table 5, and what `abclsim -cost-table` prints after any run.
+func WriteCostTable(w io.Writer, r *abcl.Report) {
 	header(w, "Path", "Events", "Instr", "Share", "Instr/event", "Packets")
-	for _, ps := range p.Paths {
+	for _, ps := range r.Profile.Paths {
 		perEv := "—"
 		if ps.Events > 0 {
 			perEv = fmt.Sprintf("%.1f", ps.InstrPerEvent)
 		}
 		row(w, ps.Path, commas(ps.Events), commas(ps.Instr), fmt.Sprintf("%.1f %%", 100*ps.InstrShare), perEv, commas(ps.Packets))
 	}
-	row(w, "total", "", commas(p.TotalInstr), "", "", "")
-	fmt.Fprintf(w, "\nDormant fraction of local deliveries: %.0f %% (paper: ~75 %%, Section 6.3).\n", 100*p.DormantFraction)
+	row(w, "total", "", commas(r.Sched.TotalInstructions), "", "", "")
+	fmt.Fprintf(w, "\nDormant fraction of local deliveries: %.0f %% (paper: ~75 %%, Section 6.3).\n", 100*r.Sched.Counters.DormantFraction())
 }
 
 // WriteFigure5 writes the speedup sweep over 1..512 processors for each

@@ -229,8 +229,8 @@ func TestPacketRecycledAtMostOnce(t *testing.T) {
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if m.TotalEraDrops() != 1 {
-				t.Fatalf("era drops = %d, want 1", m.TotalEraDrops())
+			if m.C.EraDrops != 1 {
+				t.Fatalf("era drops = %d, want 1", m.C.EraDrops)
 			}
 			if n := recycled(t, m, p)[p]; n != 1 {
 				t.Errorf("revoked packet recycled %d times, want 1", n)
@@ -245,8 +245,8 @@ func TestPacketRecycledAtMostOnce(t *testing.T) {
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if m.TotalCrashDrops() != 1 {
-				t.Fatalf("crash drops = %d, want 1", m.TotalCrashDrops())
+			if m.C.CrashDrops != 1 {
+				t.Fatalf("crash drops = %d, want 1", m.C.CrashDrops)
 			}
 			if n := recycled(t, m, p)[p]; n != 1 {
 				t.Errorf("crash-dropped packet recycled %d times, want 1", n)
@@ -290,8 +290,8 @@ func TestPacketRecycledAtMostOnce(t *testing.T) {
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if m.TotalCrashDrops() != 3 {
-			t.Fatalf("crash drops = %d, want 3", m.TotalCrashDrops())
+		if m.C.CrashDrops != 3 {
+			t.Fatalf("crash drops = %d, want 3", m.C.CrashDrops)
 		}
 		all := append(queued, inFlight)
 		n := recycled(t, m, all...)

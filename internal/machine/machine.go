@@ -390,7 +390,7 @@ type Machine struct {
 	instrFactor uint64 // Cfg.instrFactor()
 
 	faults FaultModel
-	prof   *profile.Profiler
+	prof   *profile.Profiler // time slices; nil unless a window is set
 	tr     trace.Sink
 
 	// C is the runtime event counters: the machine counts the faults it
@@ -398,16 +398,15 @@ type Machine struct {
 	// record (core.NodeRT.C points at it).
 	C stats.Counters
 
-	// counts is the one count of every path, events and instructions, always
-	// on: ChargeTo and Count add to it.
+	// counts is the one record of cost attribution, always on: ChargeTo,
+	// Count and CountPacket add to it, and the layers above add stable
+	// bytes and class rows.
 	counts profile.Counts
 
 	// Machine-wide totals over every node.
 	busy        sim.Time // accumulated compute time, for utilization
 	packetsSent uint64
 	bytesSent   uint64
-	crashDrops  uint64 // packets lost at a controller while its node was down
-	eraDrops    uint64 // in-flight packets revoked by a checkpoint restore
 
 	// era is the current machine timeline. A global checkpoint restore
 	// bumps it, invalidating every packet launched before the restore (see
@@ -430,10 +429,6 @@ func (m *Machine) TotalPackets() uint64 { return m.packetsSent }
 
 // TotalBytes returns the machine-wide count of transmitted bytes.
 func (m *Machine) TotalBytes() uint64 { return m.bytesSent }
-
-// TotalCrashDrops returns the machine-wide count of packets lost at dead
-// message controllers during crash outages.
-func (m *Machine) TotalCrashDrops() uint64 { return m.crashDrops }
 
 // MaxNodes is the largest node count: the engine has MaxLanes lanes, one
 // per node and lane 0 for the host.
@@ -547,8 +542,18 @@ func (m *Machine) Utilization() float64 {
 // TotalInstr returns the machine-wide instruction count.
 func (m *Machine) TotalInstr() uint64 { return m.counts.TotalInstr() }
 
-// Counts returns the machine's path counts, for Profiler.Report.
+// Counts returns the machine's record of cost attribution.
 func (m *Machine) Counts() *profile.Counts { return &m.counts }
+
+// SetProfileWindow slices the profile into time-series buckets of width w
+// from here on. Call before Run; the slices only observe.
+func (m *Machine) SetProfileWindow(w sim.Time) {
+	m.prof = profile.New(len(m.nodes), w, m.Cfg.NsPerInstr())
+}
+
+// Profile renders the cost attribution: the counts, and the time slices
+// when a window is set.
+func (m *Machine) Profile() *profile.Report { return m.counts.Report(m.prof) }
 
 // Stats returns the runtime counters with the ones that restate others filled
 // in (a now-send is a now-blocked event; a remote creation, a stock hit or
@@ -566,18 +571,6 @@ func (m *Machine) Stats() stats.Counters {
 	c.CkptSaves = e[profile.Ckpt]
 	return c
 }
-
-// SetProfiler attaches a cost-attribution profiler: from here on every
-// Charge and Count also feeds its node sums and time slices. Call before
-// Run; the profiler only observes.
-func (m *Machine) SetProfiler(p *profile.Profiler) { m.prof = p }
-
-// Profiler returns the attached profiler (nil when profiling is off).
-func (m *Machine) Profiler() *profile.Profiler { return m.prof }
-
-// Prof returns the machine's profiler (nil when profiling is off), for the
-// packet and class counts a node charges beside its path counts.
-func (n *Node) Prof() *profile.Profiler { return n.m.prof }
 
 // SetPath sets the node's attribution register and returns the previous
 // value. Dispatch boundaries and handler bodies bracket their work with it
@@ -608,7 +601,7 @@ func (n *Node) ChargeTo(p profile.Path, instr int) {
 	m.busy += d
 	m.counts.Instr[p] += uint64(instr)
 	if m.prof != nil {
-		m.prof.ChargeInstr(n.ID, instr, n.Clock)
+		m.prof.Instr(instr, n.Clock)
 	}
 }
 
@@ -621,14 +614,22 @@ func (n *Node) Count(p profile.Path) {
 	}
 }
 
-// ChargeNs advances the node clock by raw virtual time (used for modelled
-// computation not expressed in instructions).
-func (n *Node) ChargeNs(d sim.Time) {
-	if d <= 0 {
-		return
+// CountPacket counts one wire record of the given size, launched at time
+// at, to path p.
+func (n *Node) CountPacket(p profile.Path, bytes int, at sim.Time) {
+	c := &n.m.counts
+	c.Packets[p]++
+	c.Bytes[p] += uint64(bytes)
+	if n.m.prof != nil {
+		n.m.prof.Packet(at)
 	}
-	n.Clock += d
-	n.m.busy += d
+}
+
+// QueueDepth samples the node's scheduling-queue depth for the time slices.
+func (n *Node) QueueDepth(depth int) {
+	if n.m.prof != nil {
+		n.m.prof.QueueDepth(depth, n.Clock)
+	}
 }
 
 // SyncClock advances the node's clock to at least t without accruing busy
@@ -748,7 +749,7 @@ var oneCopy = []sim.Time{0}
 func (n *Node) BeginOutage(until sim.Time) {
 	n.downUntil = until
 	for p := n.rxPop(); p != nil; p = n.rxPop() {
-		n.m.crashDrops++
+		n.m.C.CrashDrops++
 		n.ReleasePacket(p)
 	}
 }
@@ -776,14 +777,10 @@ func (m *Machine) BumpEra() { m.era = max(m.era+1, 1) }
 // queues of surviving nodes before their state is rolled back.
 func (n *Node) DropRx() {
 	for p := n.rxPop(); p != nil; p = n.rxPop() {
-		n.m.eraDrops++
+		n.m.C.EraDrops++
 		n.ReleasePacket(p)
 	}
 }
-
-// TotalEraDrops returns the machine-wide count of packets revoked by
-// checkpoint restores.
-func (m *Machine) TotalEraDrops() uint64 { return m.eraDrops }
 
 // deliver runs at the packet's arrival time at, as an event on the
 // destination's lane: the message controller hook fires first (hook: the
@@ -796,14 +793,14 @@ func (n *Node) deliver(at sim.Time, p *Packet, hook bool) {
 	if n.m.era != 0 && p.era != n.m.era {
 		// Launched before a global checkpoint restore: the timeline that
 		// produced this packet was rolled back, so it never happened.
-		n.m.eraDrops++
+		n.m.C.EraDrops++
 		n.ReleasePacket(p)
 		return
 	}
 	if n.downUntil > at {
 		// The node is crashed: its message controller is dead, so the packet
 		// is lost in its entirety — no OnArrive, no ack, no buffering.
-		n.m.crashDrops++
+		n.m.C.CrashDrops++
 		n.ReleasePacket(p)
 		return
 	}

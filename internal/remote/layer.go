@@ -162,9 +162,7 @@ func (l *Layer) launch(mn *machine.Node, w *core.Frame, dst, size int, category 
 	// Attribute the logical wire record once, here at the funnel; batch
 	// frames and retransmitted copies are attributed at their own sites
 	// so nothing is counted twice.
-	if np := mn.Prof(); np != nil {
-		np.Packet(mn.ID, pathForCategory(category), size, mn.Now())
-	}
+	mn.CountPacket(pathForCategory(category), size, mn.Now())
 	if l.rel != nil {
 		l.rel.send(mn, w)
 		return

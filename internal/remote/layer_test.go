@@ -670,8 +670,7 @@ func TestBatchedRecordsPayBatchExtraction(t *testing.T) {
 	// and the creation path exactly the difference less.
 	paths := func(batch bool) (recv, create uint64) {
 		m := machine.MustNew(machine.DefaultConfig(2))
-		prof := profile.New(2, profile.Options{InstrNs: m.Cfg.NsPerInstr()})
-		rt := core.NewRuntime(m, core.Options{Prof: prof})
+		rt := core.NewRuntime(m, core.Options{})
 		opt := DefaultOptions()
 		if batch {
 			opt.BatchWindow = 10 * sim.Microsecond
@@ -695,7 +694,7 @@ func TestBatchedRecordsPayBatchExtraction(t *testing.T) {
 		if c := rt.TotalStats(); c.RemoteCreations != 1 || (c.BatchedMsgs == 2) != batch {
 			t.Fatalf("batch=%v: creations=%d batched records=%d", batch, c.RemoteCreations, c.BatchedMsgs)
 		}
-		for _, ps := range prof.Report(m.Counts()).Paths {
+		for _, ps := range m.Profile().Paths {
 			switch ps.Path {
 			case profile.RemoteRecv.String():
 				recv = ps.Instr

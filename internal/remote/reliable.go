@@ -292,9 +292,7 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 	// timeout instant, then charge the software cost of the retransmission.
 	mn.SyncClock(mn.EventNow())
 	mn.ChargeTo(profile.Retransmit, r.l.cost().RemoteSendSetup)
-	if np := mn.Prof(); np != nil {
-		np.Packet(mn.ID, profile.Retransmit, int(m.size), mn.Now())
-	}
+	mn.CountPacket(profile.Retransmit, int(m.size), mn.Now())
 	if r.l.rt.Tracing() {
 		r.l.rt.Tracef(mn.Now(), mn.ID, trace.EvRetry,
 			"retransmit seq %d to n%d (attempt %d)", m.seq, m.dst, m.attempts+1)
@@ -392,9 +390,7 @@ func (r *reliable) ack(rn *machine.Node, dst, size int, h machine.Hook) *machine
 // sendAck acknowledges one copy of (src link, seq) the instant it arrives.
 func (r *reliable) sendAck(rn *machine.Node, src int, seq uint64, at sim.Time) {
 	r.l.m.C.AcksSent++
-	if np := rn.Prof(); np != nil {
-		np.Packet(rn.ID, profile.Ack, ackBytes, at)
-	}
+	rn.CountPacket(profile.Ack, ackBytes, at)
 	p := r.ack(rn, src, ackBytes, r.hAck)
 	p.Seq = seq
 	rn.ControllerSend(at, p)
@@ -522,9 +518,7 @@ func (r *reliable) emit(rn *machine.Node, ns *nodeState, k *link, at sim.Time) {
 	k.owed = 0
 	c := &r.l.m.C
 	c.AcksSent++
-	if np := rn.Prof(); np != nil {
-		np.Packet(rn.ID, profile.Ack, size, at)
-	}
+	rn.CountPacket(profile.Ack, size, at)
 	if owed > 1 {
 		c.AcksCoalesced += uint64(owed - 1)
 		if r.l.rt.Tracing() {
@@ -553,9 +547,7 @@ func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (k *link, owed i
 	owed, sel = k.owed, r.l.nodes[mn.ID].selAcks(k.peer)
 	k.owed = 0
 	r.l.m.C.AcksCoalesced += uint64(owed)
-	if np := mn.Prof(); np != nil {
-		np.PacketBytes(profile.Ack, 8+8*len(sel))
-	}
+	r.l.m.Counts().Bytes[profile.Ack] += uint64(8 + 8*len(sel))
 	return k, owed, sel
 }
 

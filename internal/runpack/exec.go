@@ -8,7 +8,6 @@ import (
 	abcl "repro"
 	"repro/internal/profile"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -55,8 +54,8 @@ func (d *reportDoc) profile() *profile.Report {
 }
 
 // Execute runs the configuration deterministically and assembles the
-// replay evidence. The run is executed with a JSONL observer and the cost
-// profiler attached (neither perturbs virtual-time results).
+// replay evidence. The run is executed with a JSONL observer attached (it
+// does not perturb virtual-time results).
 func Execute(cfg scenario.Spec) (*ExecResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -84,15 +83,11 @@ func Execute(cfg scenario.Spec) (*ExecResult, error) {
 	return res, nil
 }
 
-// runOnce executes the configuration once, with the observer sink and the
-// cost profiler attached.
+// runOnce executes the configuration once, with the observer sink attached.
 func runOnce(cfg scenario.Spec, sink trace.Sink) (*ExecResult, error) {
-	extra := []abcl.Option{
-		abcl.WithObserver(sink),
-		abcl.WithProfiler(abcl.ProfileOptions{Window: sim.Time(cfg.ProfileWindowNs)}),
-	}
+	obs := abcl.WithObserver(sink)
 	if !cfg.Plain() {
-		out, err := scenario.Run(cfg, extra...)
+		out, err := scenario.Run(cfg, obs)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +97,7 @@ func runOnce(cfg scenario.Spec, sink trace.Sink) (*ExecResult, error) {
 			Outcome:   &out,
 		}, nil
 	}
-	out, err := workload.Run(cfg.Spec, extra...)
+	out, err := workload.Run(cfg.Spec, obs)
 	if err != nil {
 		return nil, err
 	}

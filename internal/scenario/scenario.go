@@ -222,7 +222,9 @@ func (o Outcome) Report() string {
 		s += fmt.Sprintf("  checkpoint: rounds=%d stable-bytes=%d crashes=%d restarts=%d replayed=%d\n",
 			c.CkptRounds, c.CkptBytes, c.NodeCrashes, c.NodeRestarts, c.ReplayedMsgs)
 	}
-	s += profileDigest(o.Faulted.Report.Profile)
+	if o.Spec.ProfileWindowNs != 0 {
+		s += profileDigest(o.Faulted.Report)
+	}
 	if o.OK() {
 		s += "  PASS\n"
 	} else {
@@ -233,19 +235,17 @@ func (o Outcome) Report() string {
 	return s
 }
 
-// profileDigest condenses a profile report into two "where did the time
+// profileDigest condenses a report's profile into two "where did the time
 // go" lines: the heaviest attribution paths, and the busiest time slice.
-// Empty when the spec did not ask for profiling.
-func profileDigest(p *abcl.ProfileReport) string {
-	if p == nil {
-		return ""
-	}
+// A report prints it when the spec asks for a profile window.
+func profileDigest(r *abcl.Report) string {
+	p := r.Profile
 	paths := append([]abcl.PathStat(nil), p.Paths...)
 	sort.Slice(paths, func(i, j int) bool { return paths[i].Instr > paths[j].Instr })
 	if len(paths) > 3 {
 		paths = paths[:3]
 	}
-	s := fmt.Sprintf("  profile: dormant=%.0f%% of local deliveries; heaviest paths:", p.DormantFraction*100)
+	s := fmt.Sprintf("  profile: dormant=%.0f%% of local deliveries; heaviest paths:", r.Sched.Counters.DormantFraction()*100)
 	for _, ps := range paths {
 		s += fmt.Sprintf(" %s %.0f%%", ps.Path, ps.InstrShare*100)
 	}

@@ -63,6 +63,8 @@ type Counters struct {
 	NodeCrashes  uint64 // node crash faults
 	NodeRestarts uint64 // restarts completed from a checkpoint
 	ReplayedMsgs uint64 // retained in-flight messages re-sent after a restore
+	CrashDrops   uint64 // packets lost at a controller while its node was down
+	EraDrops     uint64 // in-flight packets revoked by a checkpoint restore
 
 	// Scheduling.
 	SchedEnqueues uint64

@@ -76,9 +76,9 @@ type Spec struct {
 	AckDelayNs     int64 `json:"ack_delay_ns,omitempty"`
 	Reliable       bool  `json:"reliable,omitempty"`
 	CkptIntervalNs int64 `json:"checkpoint_interval_ns,omitempty"`
-	// ProfileWindowNs, when nonzero, attaches the cost-attribution profiler
-	// and slices its report into a time series of this width (a negative
-	// width is an error).
+	// ProfileWindowNs, when nonzero, slices the report's cost-attribution
+	// profile into a time series of this width (a negative width is an
+	// error).
 	ProfileWindowNs int64 `json:"profile_window_ns,omitempty"`
 }
 
@@ -179,7 +179,7 @@ func (sp Spec) options() ([]abcl.Option, error) {
 		opts = append(opts, abcl.WithCheckpoint(abcl.Time(sp.CkptIntervalNs)))
 	}
 	if sp.ProfileWindowNs != 0 {
-		opts = append(opts, abcl.WithProfiler(abcl.ProfileOptions{Window: abcl.Time(sp.ProfileWindowNs)}))
+		opts = append(opts, abcl.WithProfileWindow(abcl.Time(sp.ProfileWindowNs)))
 	}
 	return opts, errors.Join(errs...)
 }

@@ -21,7 +21,7 @@ var tiny = map[string]Spec{
 }
 
 // TestEverySettingReachesEveryApp runs each registered app through the one
-// dispatcher and asserts that a fault plan, the profiler and the scheduling
+// dispatcher and asserts that a fault plan, the profile window and the scheduling
 // policy each leave their mark on the run — whichever app it is.
 func TestEverySettingReachesEveryApp(t *testing.T) {
 	for name := range apps {
@@ -39,8 +39,8 @@ func TestEverySettingReachesEveryApp(t *testing.T) {
 			if clean.Answer == "" || clean.Elapsed <= 0 {
 				t.Errorf("clean run: answer %q, elapsed %v", clean.Answer, clean.Elapsed)
 			}
-			if clean.Report.Profile != nil {
-				t.Error("unprofiled run carries a profile")
+			if p := clean.Report.Profile; p == nil || p.Window != 0 || p.Slices != nil {
+				t.Errorf("run without a window: profile %+v, want one without slices", p)
 			}
 
 			lossy := sp
@@ -66,11 +66,11 @@ func TestEverySettingReachesEveryApp(t *testing.T) {
 			if out, err = Run(profiled); err != nil {
 				t.Fatal(err)
 			}
-			if out.Report.Profile == nil {
-				t.Error("profile_window_ns attached no profiler")
+			if p := out.Report.Profile; p.Window != 50_000 || len(p.Slices) == 0 {
+				t.Errorf("profile_window_ns 50000: window %v, %d slices", p.Window, len(p.Slices))
 			}
 			if out.Report.Sched.Counters != clean.Report.Sched.Counters {
-				t.Error("the profiler changed the run's counters")
+				t.Error("the profile window changed the run's counters")
 			}
 
 			naive := sp
@@ -124,7 +124,7 @@ func TestSpecRejections(t *testing.T) {
 		{Workload: "nqueens", Placement: "rand"},
 		{Workload: "nqueens", BatchWindowNs: -5},
 		{Workload: "forkjoin", Nodes: 4, BatchBytes: 64},                      // no window: batched nothing
-		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5},                 // ran without the profiler
+		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5},                 // ran without time slices
 		{Workload: "forkjoin", Nodes: 4, BatchWindowNs: 1000, BatchBytes: -3}, // ran with the 512-B default
 		{Workload: "forkjoin", Depth: -1},                                     // would fork without end
 		{Workload: "nqueens", N: 128},                                         // used to spin in validColumns forever
@@ -173,7 +173,7 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		want string
 	}{
 		{Spec{Workload: "forkjoin", Nodes: 4, BatchWindowNs: -5}, "WithBatching(-5ns, 0): window must be positive"},
-		{Spec{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5}, "WithProfiler: window must be non-negative"},
+		{Spec{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5}, "WithProfileWindow: window must be non-negative"},
 		{Spec{Workload: "forkjoin", Nodes: 4, AckDelayNs: -7}, "WithDelayedAcks(-7ns): delay must be positive"},
 		{Spec{Workload: "forkjoin", Nodes: 4, CkptIntervalNs: -7}, "WithCheckpoint(-7ns): interval must be positive"},
 		{Spec{Workload: "diffusion", Nodes: 4, Grid: 1}, "diffusion: grid 1x1 invalid"},

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	abcl "repro"
@@ -16,69 +17,73 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// TestProfilerEquivalence asserts the profiler's only-observe contract:
-// enabling cost attribution (with class tracking and time-series slicing)
-// changes no virtual-time result — solutions, elapsed time, packet counts
-// and every runtime counter match the unprofiled run bit for bit.
+// TestProfilerEquivalence asserts the profile window's only-observe
+// contract: slicing the profile into a time series changes no virtual-time
+// result — solutions, elapsed time, packet counts, every runtime counter,
+// every path and class row and the JSONL trace bytes match the unsliced run
+// bit for bit.
 func TestProfilerEquivalence(t *testing.T) {
-	base := []abcl.Option{abcl.WithNodes(8), abcl.WithSeed(7)}
-	plain, err := nqueens.Run(nqueens.Options{N: 8}, base...)
-	if err != nil {
-		t.Fatal(err)
+	run := func(opts ...abcl.Option) (nqueens.Result, []byte) {
+		var buf bytes.Buffer
+		res, err := nqueens.Run(nqueens.Options{N: 8}, append([]abcl.Option{abcl.WithNodes(8), abcl.WithSeed(7),
+			abcl.WithObserver(trace.NewJSONL(&buf))}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.Bytes()
 	}
-	profiled, err := nqueens.Run(nqueens.Options{N: 8}, append(base,
-		abcl.WithProfiler(abcl.ProfileOptions{Window: 100 * abcl.Microsecond}))...)
-	if err != nil {
-		t.Fatal(err)
+	plain, plainTrace := run()
+	sliced, slicedTrace := run(abcl.WithProfileWindow(100 * abcl.Microsecond))
+	if sliced.Solutions != plain.Solutions {
+		t.Errorf("solutions: sliced %d, plain %d", sliced.Solutions, plain.Solutions)
 	}
-	if profiled.Solutions != plain.Solutions {
-		t.Errorf("solutions: profiled %d, plain %d", profiled.Solutions, plain.Solutions)
+	if sliced.Elapsed != plain.Elapsed {
+		t.Errorf("elapsed: sliced %v, plain %v", sliced.Elapsed, plain.Elapsed)
 	}
-	if profiled.Elapsed != plain.Elapsed {
-		t.Errorf("elapsed: profiled %v, plain %v", profiled.Elapsed, plain.Elapsed)
+	if sliced.Packets != plain.Packets {
+		t.Errorf("packets: sliced %d, plain %d", sliced.Packets, plain.Packets)
 	}
-	if profiled.Packets != plain.Packets {
-		t.Errorf("packets: profiled %d, plain %d", profiled.Packets, plain.Packets)
+	if sliced.Stats != plain.Stats {
+		t.Errorf("counters diverge:\nsliced %+v\nplain  %+v", sliced.Stats, plain.Stats)
 	}
-	if profiled.Stats != plain.Stats {
-		t.Errorf("counters diverge:\nprofiled %+v\nplain    %+v", profiled.Stats, plain.Stats)
+	if !bytes.Equal(slicedTrace, plainTrace) {
+		t.Errorf("JSONL traces differ: %d bytes sliced, %d plain", len(slicedTrace), len(plainTrace))
 	}
-	if profiled.Report.Profile == nil {
-		t.Fatal("profiled run returned no profile report")
+	ps, pp := sliced.Report.Profile, plain.Report.Profile
+	if pp == nil || ps == nil {
+		t.Fatal("a run returned no profile report")
 	}
-	if plain.Report.Profile != nil {
-		t.Error("unprofiled run returned a profile report")
+	if !reflect.DeepEqual(ps.Paths, pp.Paths) || !reflect.DeepEqual(ps.Classes, pp.Classes) {
+		t.Errorf("profile rows diverge:\nsliced %+v %+v\nplain  %+v %+v", ps.Paths, ps.Classes, pp.Paths, pp.Classes)
+	}
+	if len(ps.Slices) < 2 || pp.Slices != nil || pp.Window != 0 {
+		t.Errorf("slices: %d with a window, %d without; want several and none", len(ps.Slices), len(pp.Slices))
 	}
 }
 
 // TestProfilerCompleteness is the end-to-end view of attribution on a run
 // that exercises the remote, reliable, checkpoint and retransmission
-// subsystems: every subsystem's path has a row, and the report's total is the
-// machine's instruction count (true of any run by construction — the node
-// clock and the profile advance in one call; machine's
-// TestProfileRowsSumToInstrCount holds that). The counters that restate a
-// path's event count agree with its row there, on a grouped hot-key run and
-// on a multiactive object reached by local sends (checkPathCounts).
+// subsystems: every subsystem's path has a row (the rows sum to the
+// machine's instruction count by construction — the node clock and the
+// profile advance in one call; machine's TestProfileRowsSumToInstrCount
+// holds that). The counters that restate a path's event count agree with its
+// row there, on a grouped hot-key run and on a multiactive object reached by
+// local sends (checkPathCounts).
 func TestProfilerCompleteness(t *testing.T) {
 	res, err := nqueens.Run(nqueens.Options{N: 8}, abcl.WithNodes(8), abcl.WithSeed(3),
 		abcl.WithFaults(abcl.UniformFaults(0.05, 0.02, 0)),
 		abcl.WithBatching(10*abcl.Microsecond, 0),
 		abcl.WithDelayedAcks(50*abcl.Microsecond),
-		abcl.WithCheckpoint(500*abcl.Microsecond),
-		abcl.WithProfiler(abcl.ProfileOptions{}))
+		abcl.WithCheckpoint(500*abcl.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if abcl.MustNewSystem().Report().Profile == nil {
+		t.Error("a system with no options reports no profile")
+	}
 	p := res.Report.Profile
-	if p == nil {
-		t.Fatal("no profile report")
-	}
-	if got, want := p.TotalInstr, res.Report.Sched.TotalInstructions; got != want {
-		t.Errorf("attributed instructions = %d, machine total = %d (unattributed: %d)",
-			got, want, int64(want)-int64(got))
-	}
-	if p.DormantFraction < 0.5 || p.DormantFraction > 0.95 {
-		t.Errorf("dormant fraction = %.2f, want the paper's ~0.75 neighbourhood", p.DormantFraction)
+	if f := res.Report.Sched.Counters.DormantFraction(); f < 0.5 || f > 0.95 {
+		t.Errorf("dormant fraction = %.2f, want the paper's ~0.75 neighbourhood", f)
 	}
 	paths := make(map[string]abcl.PathStat, len(p.Paths))
 	for _, ps := range p.Paths {
@@ -97,15 +102,14 @@ func TestProfilerCompleteness(t *testing.T) {
 	}
 	checkPathCounts(t, "nqueens", res.Report)
 
-	hot, err := hotkey.Run(hotkey.Options{Clients: 8, Ops: 20, Coverage: hotkey.CoverFull},
-		abcl.WithNodes(8), abcl.WithProfiler(abcl.ProfileOptions{}))
+	hot, err := hotkey.Run(hotkey.Options{Clients: 8, Ops: 20, Coverage: hotkey.CoverFull}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPathCounts(t, "grouped hotkey", hot.Report)
 
 	// Three local sends to a multiactive object: three multi events.
-	sys := abcl.MustNewSystem(abcl.WithNodes(2), abcl.WithProfiler(abcl.ProfileOptions{}))
+	sys := abcl.MustNewSystem(abcl.WithNodes(2))
 	get, kick := sys.Pattern("get", 0), sys.Pattern("kick", 0)
 	reader := sys.NewObjectOn(0, sys.Class("reader", 0, nil).Method(get, func(*abcl.Ctx) {}).Group("reads", get))
 	driver := sys.Class("driver", 0, nil).Method(kick, func(ctx *abcl.Ctx) {
@@ -124,14 +128,19 @@ func TestProfilerCompleteness(t *testing.T) {
 	checkPathCounts(t, "local multiactive", local)
 }
 
-// checkPathCounts asserts the equalities a profiled report relies on: every
-// counter that restates a path's event count equals that path's Events, and
-// the counts kept apart from the path events agree with them.
+// checkPathCounts asserts the equalities a report's profile relies on:
+// every counter that restates a path's event count equals that path's
+// Events, the counts kept apart from the path events agree with them, and
+// the multi row, whose instructions are those of its deliveries, has events
+// whenever it has instructions.
 func checkPathCounts(t *testing.T, run string, rep abcl.Report) {
 	t.Helper()
-	events, packets := map[string]uint64{}, map[string]uint64{}
+	events, packets, instr := map[string]uint64{}, map[string]uint64{}, map[string]uint64{}
 	for _, ps := range rep.Profile.Paths {
-		events[ps.Path], packets[ps.Path] = ps.Events, ps.Packets
+		events[ps.Path], packets[ps.Path], instr[ps.Path] = ps.Events, ps.Packets, ps.Instr
+	}
+	if instr["multi"] > 0 && events["multi"] == 0 {
+		t.Errorf("%s: multi row has %d instructions and no events", run, instr["multi"])
 	}
 	c := rep.Sched.Counters
 	for _, row := range []struct {

@@ -71,7 +71,7 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // with one heap object per Object, chunk, stock entry, board and InitCtx, and
 // 946 bytes with 336-byte link records; its byte budget sits about 5 % above,
 // so none of those comes back. The last two rows are the product's default
-// path (profiler compiled in, off) and the multiactive scheduler's per-group
+// path (the cost profile always kept, no time slices) and the multiactive scheduler's per-group
 // ready queues: 0.197 allocations and 211 bytes per message (0.521 and 218
 // with a method value per internal search node, 0.533 and 257 with 32-byte
 // Values, 0.584 and 275 with a wire record beside its frame, 0.598 and 277
@@ -117,8 +117,8 @@ func TestMessageAllocationBudget(t *testing.T) {
 	}
 	defaultQueens := func() (msgs, events uint64, err error) {
 		res, err := nqueens.Run(nqueens.Options{N: 10}, abcl.WithNodes(64), abcl.WithSeed(1))
-		if err == nil && (res.Solutions != 724 || res.Report.Profile != nil) {
-			err = fmt.Errorf("solutions=%d profiler on=%v, want 724/false", res.Solutions, res.Report.Profile != nil)
+		if err == nil && (res.Solutions != 724 || res.Report.Profile == nil) {
+			err = fmt.Errorf("solutions=%d profile kept=%v, want 724/true", res.Solutions, res.Report.Profile != nil)
 		}
 		return res.Messages, 0, err
 	}
@@ -372,8 +372,7 @@ func TestRecordFrameOwnershipPin(t *testing.T) {
 	const nodes, perNode, puts = 8, 2, 24
 	const clients = (nodes - 1) * perNode
 	run := func(opts ...abcl.Option) (string, abcl.Report) {
-		sys, err := abcl.NewSystem(append([]abcl.Option{abcl.WithNodes(nodes), abcl.WithSeed(5),
-			abcl.WithProfiler(abcl.ProfileOptions{})}, opts...)...)
+		sys, err := abcl.NewSystem(append([]abcl.Option{abcl.WithNodes(nodes), abcl.WithSeed(5)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}

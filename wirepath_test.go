@@ -9,6 +9,7 @@
 package abcl_test
 
 import (
+	"reflect"
 	"testing"
 
 	abcl "repro"
@@ -70,8 +71,8 @@ func TestWirePathBatchingDeterminism(t *testing.T) {
 	if run1.Solutions != plain.Solutions || run1.Objects != plain.Objects || run1.Messages != plain.Messages {
 		t.Errorf("batching changed the computation: batched %+v vs plain %+v", run1, plain)
 	}
-	if run1 != run2 {
-		t.Errorf("batched runs diverge:\n%+v\nvs\n%+v", run1, run2)
+	if !reflect.DeepEqual(run1, run2) {
+		t.Errorf("batched runs diverge:\n%+v %+v\nvs\n%+v %+v", run1, *run1.Report.Profile, run2, *run2.Report.Profile)
 	}
 	rep1, rep2 := sys1.Report(), sys2.Report()
 	if a, b := rep1.Sched.Counters, rep2.Sched.Counters; a != b {
