@@ -332,6 +332,44 @@ func TestSelectiveReceptionFastPath(t *testing.T) {
 	}
 }
 
+// A context blocked by WaitFor is recycled: an object that blocks for each of
+// 200 messages, one delivered per run, leaves one context behind, not one
+// per wait, and every continuation runs on the context it is handed.
+func TestWaitBlockedContextIsRecycled(t *testing.T) {
+	const waits = 200
+	r := newTestRT(t, Options{})
+	start := r.Reg.Register("start", 0)
+	data := r.Reg.Register("data", 1)
+	w := r.DefineClass("w", 1, nil)
+	var wait func(ctx *Ctx)
+	wait = func(ctx *Ctx) {
+		ctx.WaitFor(func(ctx *Ctx, f *Frame) {
+			ctx.SetState(0, IntV(ctx.State(0).Int()+f.Arg(0).Int()))
+			wait(ctx)
+		}, data)
+	}
+	w.Method(start, func(ctx *Ctx) {
+		ctx.SetState(0, IntV(0))
+		wait(ctx)
+	})
+	obj := r.NewObjectOn(0, w)
+	r.Inject(obj, start)
+	run(t, r)
+	for i := range waits {
+		r.Inject(obj, data, IntV(int64(i)))
+		run(t, r)
+	}
+	if c := r.TotalStats(); c.WaitBlocked != waits+1 || c.WaitFast != 0 {
+		t.Fatalf("wait blocked/fast = %d/%d, want %d/0", c.WaitBlocked, c.WaitFast, waits+1)
+	}
+	if sum := obj.Obj.state[0].Int(); sum != waits*(waits-1)/2 {
+		t.Errorf("continuations summed %d, want %d", sum, waits*(waits-1)/2)
+	}
+	if r.ctxMade != 1 || len(r.ctxFree) != 1 {
+		t.Errorf("%d contexts made, %d free, want 1 and 1", r.ctxMade, len(r.ctxFree))
+	}
+}
+
 func TestSelectiveReceptionBlocksAndRestores(t *testing.T) {
 	r := newTestRT(t, Options{})
 	start := r.Reg.Register("start", 0)

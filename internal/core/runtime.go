@@ -92,6 +92,7 @@ type Runtime struct {
 	frames    sim.Arena[Frame] // where frames come from before any is released
 	frameFree *Frame           // recycled message frames, linked via next
 	ctxFree   []*Ctx           // recycled invocation contexts
+	ctxMade   int              // contexts allocated (ContextsMade)
 
 	// sendScratch stages outgoing remote-send arguments for the interface
 	// call into the remote layer. The layer copies what it needs before
@@ -120,10 +121,14 @@ func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 	}
 	r.PatReply = r.Reg.Register("reply:", 1)
 	m.SetTrace(opt.Trace)
+	// The nodes are one slice, and their scheduling queues start in slots
+	// cut from one array; a queue that outgrows its slots reallocates.
 	r.nodes = make([]NodeRT, m.Nodes())
+	sched := make([]*Object, m.Nodes()*schedSlots)
 	for i := range r.nodes {
 		mn := m.Node(i)
-		r.nodes[i] = NodeRT{rt: r, id: i, node: mn, cost: &m.Cfg.Cost, C: &m.C}
+		r.nodes[i] = NodeRT{rt: r, id: i, node: mn, cost: &m.Cfg.Cost, C: &m.C,
+			schedQ: schedQueue{items: sched[i*schedSlots : i*schedSlots : (i+1)*schedSlots]}}
 		mn.Runner = &r.nodes[i]
 	}
 	return r
@@ -251,6 +256,12 @@ func (r *Runtime) ClassByID(id int) *Class { return r.classes[id] }
 // reply destinations and chunks alike. With every stocked chunk a count, a
 // run makes one per creation (and reply destination), none per idle chunk.
 func (r *Runtime) ObjectsMade() int { return r.made }
+
+// ContextsMade reports how many invocation contexts the runtime has
+// allocated. Every context returns to the free list when its invocation
+// returns, blocked or not, so a run makes no more than its deepest stack
+// holds at once, however often its objects block.
+func (r *Runtime) ContextsMade() int { return r.ctxMade }
 
 // newObject allocates an object of class cl on node. The object starts in
 // need-init mode when the class has an initializer, dormant otherwise.

@@ -97,10 +97,14 @@ func (n *NodeRT) copyCtorArgs(ctorArgs []Value) []Value {
 }
 
 // acquireCtx returns a recycled invocation context (or a fresh one) bound
-// to an (object, frame) pair. Contexts whose invocation completes without
-// blocking are recycled by the invoke paths; blocked contexts are dead by
-// API contract (a blocking operation must be the method's last action) and
-// are left to the garbage collector.
+// to an (object, frame) pair. invoke recycles every context when its body
+// returns, blocked or not: a blocked context is dead by API contract (a
+// blocking operation must be the method's last action), and each blocking
+// operation saves the object, frame and continuation it needs, never the
+// context, so the continuation runs on a context of its own. A continuation
+// must therefore use the context it is handed, never the one of the
+// invocation that blocked. The free list holds at most one context per
+// level of the deepest stack.
 func (n *NodeRT) acquireCtx(obj *Object, f *Frame) *Ctx {
 	r := n.rt
 	if k := len(r.ctxFree); k > 0 {
@@ -109,6 +113,7 @@ func (n *NodeRT) acquireCtx(obj *Object, f *Frame) *Ctx {
 		*c = Ctx{rt: n, self: obj, f: f}
 		return c
 	}
+	r.ctxMade++
 	return &Ctx{rt: n, self: obj, f: f}
 }
 
@@ -376,8 +381,8 @@ func (n *NodeRT) invoke(obj *Object, f *Frame, k func(*Ctx), fresh bool) {
 			n.methodEnd(obj, h)
 		}
 		n.ReleaseFrame(f)
-		n.releaseCtx(ctx)
 	}
+	n.releaseCtx(ctx)
 	if fresh && h&HintNoPoll == 0 {
 		n.node.Charge(n.cost.PollRemote)
 	}

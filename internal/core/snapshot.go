@@ -288,6 +288,6 @@ func (r *Runtime) RestoreNode(img *NodeImage) {
 			ms.resume = append(ms.resume[:0:0], oi.multi.resume...)
 		}
 	}
-	n.schedQ = schedQueue{}
-	n.schedQ.items = append(n.schedQ.items, img.sched...)
+	clear(n.schedQ.items)
+	n.schedQ = schedQueue{items: append(n.schedQ.items[:0], img.sched...)}
 }

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/core"
@@ -33,7 +32,7 @@ import (
 //     and placement state (round-robin position, RNG, load samples), all
 //     captured into a RelImage and restored in place. A stock slot is
 //     reached only by its key (a refill finds it by its sender and class),
-//     so the image is a copy of the stock map.
+//     so the image is a copy of the node's stock slots.
 //
 //   - Teardown of the rolled-back timeline: pending retransmissions, reorder
 //     buffers, delayed-ack ledgers, open batches and retained records past
@@ -103,8 +102,8 @@ type RelImage struct {
 	cursors map[int32]cursors // by peer, for each link the node had
 	rrNext  int
 	rng     uint64
-	loads   []int32 // nil unless the placement keeps load samples
-	stock   map[uint64]stockEntry
+	loads   []int32  // nil unless the placement keeps load samples
+	stock   []uint64 // the node's stock slots (stockTable.image)
 	bytes   int
 }
 
@@ -124,13 +123,13 @@ func (im *RelImage) SizeBytes() int { return im.bytes }
 func (l *Layer) CaptureRel(node int) *RelImage {
 	ns := l.nodes[node]
 	im := &RelImage{node: node, cursors: make(map[int32]cursors),
-		rrNext: ns.rrNext, rng: ns.rng, loads: slices.Clone(ns.loads), stock: maps.Clone(ns.stock)}
+		rrNext: ns.rrNext, rng: ns.rng, loads: slices.Clone(ns.loads), stock: ns.stock.image()}
 	ns.eachLink(func(k *link) { im.cursors[k.peer] = cursors{k.nextSeq, k.nextExpected} })
 	// The modelled node holds both cursors and a load sample for every peer,
 	// contacted or not, whether or not the placement keeps samples.
 	im.bytes = 16*len(l.nodes) + 12*len(l.nodes) + 16
-	for _, e := range ns.stock {
-		im.bytes += 8 + 8*int(e.n) // the entry and its chunk addresses
+	for _, s := range im.stock {
+		im.bytes += 8 + 8*int(s&stockCount) // the slot and its chunk addresses
 	}
 	return im
 }
@@ -182,10 +181,7 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 	ns.rel.owedTo = ns.rel.owedTo[:0]
 	ns.rrNext, ns.rng = im.rrNext, im.rng
 	copy(ns.loads, im.loads)
-	for k := range ns.stock {
-		ns.stock[k] = stockEntry{}
-	}
-	maps.Copy(ns.stock, im.stock)
+	ns.stock.restore(im.stock)
 }
 
 // CkptReplayNode reconstructs the channel state of the cut for one sending

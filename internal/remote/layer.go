@@ -88,10 +88,13 @@ type Layer struct {
 	rel   *reliable // nil unless the reliable protocol is on (see Attach)
 	bat   *batcher  // nil unless Options.BatchWindow > 0
 
-	// Never released, so carved: when the layer keeps peers (link.go),
-	// links and open batches.
-	links   sim.Arena[link]
-	batches sim.Arena[openBatch]
+	// Never released, so carved: every node's chunk-stock slots (stock.go)
+	// and, when the layer keeps peers (link.go), links and open batches.
+	stockSlots sim.Arena[uint64]
+	links      sim.Arena[link]
+	batches    sim.Arena[openBatch]
+
+	depth uint64 // Options.StockDepth, capped at a slot's count bits
 
 	// ckpt is the checkpoint subsystem; non-nil exactly in checkpoint mode,
 	// where transmissions are retained and deliveries coloured (ckpt.go).
@@ -232,11 +235,7 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		// overfill it (after a miss) is simply dropped, its chunk left to the
 		// target's allocator. The slot is the requester's stock toward the
 		// replying target for the requested class.
-		key := stockKey(src, int(w.Pattern))
-		if e := ns.stock[key]; e.n < int32(l.opt.StockDepth) {
-			e.n++
-			ns.stock[key] = e
-		}
+		ns.stock.refill(stockKey(src, int(w.Pattern)), l.depth, &l.stockSlots)
 		if w.OnCreated != nil {
 			// The reply to a stock miss: resume the blocked creation.
 			w.OnCreated(w.ReplyTo)
@@ -247,32 +246,11 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 	nrt.ReleaseFrame(w)
 }
 
-// DefaultStockDepth is the stock depth of the paper-style runs (and the
-// facade's default).
-const DefaultStockDepth = 2
-
-// stockEntry is one node's chunk stock for a (target, class) pair, found
-// by its stockKey on every remote creation and every refill.
-//
-// A stocked chunk is a count. The paper's stock holds addresses of chunks on
-// the target (§5.2), and nothing can reach a stocked chunk until a creation
-// pops it: the pop carves the Object then, homed on the target, so the host
-// holds an Object per creation and none per idle chunk.
-type stockEntry struct {
-	seeded bool  // the pre-delivered stock has been handed over
-	n      int32 // chunk addresses held
-}
-
-// stockKey packs a stock's target node and class id into one map key.
-func stockKey(target, class int) uint64 {
-	return uint64(target)<<32 | uint64(class)
-}
-
 type nodeState struct {
 	id     int
 	rrNext int
 	rng    uint64
-	stock  map[uint64]stockEntry // by stockKey; a slot made is never removed
+	stock  stockTable
 	// loads is the last piggybacked scheduling-queue length of every peer,
 	// kept only under the placement that reads it (LoadBased); nil otherwise.
 	loads []int32
@@ -310,16 +288,15 @@ func Attach(rt *core.Runtime, opt Options) *Layer {
 		opt.Placement = RoundRobin{}
 	}
 	opt.Reliable = opt.Reliable || rt.M.Faults() != nil || opt.AckDelay > 0
-	l := &Layer{rt: rt, m: rt.M, opt: opt}
+	l := &Layer{rt: rt, m: rt.M, opt: opt, depth: uint64(min(max(opt.StockDepth, 0), int(stockCount)))}
 	l.hWire = l.handleWire
 	_, sampled := opt.Placement.(LoadBased)
 	nodes := make([]nodeState, rt.Nodes()) // every node's record, carved from one slice
 	l.nodes = make([]*nodeState, rt.Nodes())
 	for i := range l.nodes {
 		nodes[i] = nodeState{
-			id:    i,
-			rng:   uint64(opt.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1,
-			stock: make(map[uint64]stockEntry),
+			id:  i,
+			rng: uint64(opt.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1,
 		}
 		l.nodes[i] = &nodes[i]
 		if sampled {
@@ -409,24 +386,7 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	mn := n.MachineNode()
 	c := l.cost()
 	ns := l.nodes[mn.ID]
-	key := stockKey(target, cl.ID())
-	e := ns.stock[key]
-
-	if !e.seeded && l.opt.StockDepth > 0 {
-		// Pre-delivery: at boot every node receives an initial stock of
-		// chunk addresses for its peers. Modelled as already present (the
-		// paper's "predelivered stocks") and handed over on the pair's first
-		// creation, so memory follows the pairs that communicate.
-		e.seeded = true
-		e.n = int32(l.opt.StockDepth)
-	}
-	hit := e.n > 0
-	if hit {
-		e.n--
-	}
-	ns.stock[key] = e
-
-	if hit {
+	if ns.stock.pop(stockKey(target, cl.ID()), l.depth, &l.stockSlots) {
 		// The popped address names a chunk on the target that nothing could
 		// reach before this pop: its Object is carved now, homed on the
 		// target.
@@ -501,7 +461,7 @@ func (l *Layer) AckDelay() sim.Time {
 // StockLevel reports the current stock depth a node holds for a target/class
 // pair (for tests and reports).
 func (l *Layer) StockLevel(node, target int, cl *core.Class) int {
-	return int(l.nodes[node].stock[stockKey(target, cl.ID())].n)
+	return l.nodes[node].stock.level(stockKey(target, cl.ID()))
 }
 
 // String describes the layer configuration.

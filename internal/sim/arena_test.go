@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -13,6 +12,11 @@ import (
 // block. A Slice is capped: an append through it reallocates instead of
 // writing over the next record, and a Slice longer than the largest block is
 // a block of its own.
+//
+// The allocations are counted by testing.AllocsPerRun, each run carving the
+// records from a fresh arena: it averages over the runs, rounding down, so an
+// allocation another goroutine makes meanwhile (the race detector's, a
+// parallel test's) does not count against the arena.
 func TestArenaCarvesDoublingBlocks(t *testing.T) {
 	type rec struct {
 		id  int64
@@ -23,16 +27,19 @@ func TestArenaCarvesDoublingBlocks(t *testing.T) {
 	for _, b := range want {
 		n += b
 	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		var a Arena[rec]
+		for range n {
+			a.New()
+		}
+	}); allocs != float64(len(want)) {
+		t.Errorf("%d records took %v allocations, want one per block: %d", n, allocs, len(want))
+	}
+
 	var a Arena[rec]
 	recs := make([]*rec, n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	for i := range recs {
 		recs[i] = a.New()
-	}
-	runtime.ReadMemStats(&after)
-	if allocs := after.Mallocs - before.Mallocs; allocs != uint64(len(want)) {
-		t.Errorf("%d records took %d allocations, want one per block: %d", n, allocs, len(want))
 	}
 	for i, r := range recs {
 		if *r != (rec{}) {

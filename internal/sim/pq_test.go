@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"testing"
 )
@@ -57,12 +56,14 @@ func (ln *pqLane) wideTime() Time {
 
 // pqCfg is one program: its lanes, how many of them are loaded, the events a
 // loaded lane is sent (at the start and again by its burst), whether the
-// loaded lanes' times spread over the whole int64 range, and the seed of the
-// lanes' generators.
+// loaded lanes' times spread over the whole int64 range, the timers of lane
+// 0's storm, the children a lane's events may spawn (again after a burst),
+// and the seed of the lanes' generators.
 type pqCfg struct {
 	lanes, loaded int
 	load          int
 	wide          bool
+	storm, budget int
 	seed          uint64
 }
 
@@ -70,7 +71,8 @@ type pqProg struct {
 	q     pqQueue
 	cfg   pqCfg
 	lanes []pqLane
-	log   []pqFire // firing order across lanes
+	last  pqFire // the latest firing
+	fires int
 }
 
 // A loaded lane's burst is the event, at pqBurstAt, that loads the lane
@@ -84,15 +86,16 @@ func (p *pqProg) newID(l int) int {
 	return l<<20 | p.lanes[l].ids
 }
 
-// fired is every event's callback: log it, then maybe act.
+// fired is every event's callback: note it, then maybe act.
 func (p *pqProg) fired(l int, now Time, id int, seq uint64) {
 	ln := &p.lanes[l]
-	p.log = append(p.log, pqFire{lane: l, at: now, id: id, seq: seq, pend: p.q.pending()})
+	p.last = pqFire{lane: l, at: now, id: id, seq: seq, pend: p.q.pending()}
+	p.fires++
 	if id == pqBurst(l) && l < p.cfg.loaded {
 		for i := 0; i < p.cfg.load; i++ {
 			p.q.post(l, l, now+Time(ln.rand(4000)), p.newID(l))
 		}
-		ln.budget = 300
+		ln.budget = p.cfg.budget
 	}
 	if ln.budget == 0 {
 		return
@@ -121,8 +124,8 @@ func (p *pqProg) fired(l int, now Time, id int, seq uint64) {
 
 // load queues the program's initial events: one at time 0 first, which sets
 // the queue's base so that every later time is bucketed, a few per lane,
-// cfg.load more and a burst on each loaded lane, and on lane 0 a timer storm,
-// most of it stopped. A wide loaded lane's times add every power of two below
+// cfg.load more and a burst on each loaded lane, and on lane 0 a storm of
+// cfg.storm timers, most of it stopped. A wide loaded lane's times add every power of two below
 // 2^63, so that every digit position holds one, and spread over that range.
 func (p *pqProg) load() {
 	p.q.post(0, 0, 0, p.newID(0))
@@ -151,7 +154,7 @@ func (p *pqProg) load() {
 		p.q.move(l, Time(ln.rand(4000)), ln.slots[ln.rand(len(ln.slots))], p.newID(l))
 	}
 	ln := &p.lanes[0]
-	for i := 0; i < 2600; i++ {
+	for i := 0; i < p.cfg.storm; i++ {
 		p.q.arm(0, Time(1+ln.rand(6000)), p.newID(0))
 		ln.timers++
 	}
@@ -166,35 +169,52 @@ func newPQProg(c pqCfg) *pqProg {
 	p := &pqProg{cfg: c, lanes: make([]pqLane, c.lanes)}
 	for l := range p.lanes {
 		p.lanes[l].rng = uint64(l)*7919 + 1 + c.seed<<32
-		p.lanes[l].budget = 300
+		p.lanes[l].budget = c.budget
 	}
 	return p
 }
 
-// pqEngine drives the engine and notes every event's sequence number (seqOf).
+// pqEngine drives the engine. Every event's argument is a pqEv carved from
+// an arena, naming it and holding its sequence number, so a firing costs no
+// allocation and no lookup. check runs after every firing.
 type pqEngine struct {
 	e       *Engine
 	kind    Kind
+	evs     Arena[pqEv]
+	fresh   Arena[pqTimer]
 	timers  [][]*Timer
 	movable []Timer
-	seqOf   map[int]uint64
+	check   func()
+}
+
+type pqEv struct {
+	id  int
+	seq uint64
+}
+
+// pqTimer is a fresh timer with the position it reserved and its event.
+type pqTimer struct {
+	Timer
+	ev pqEv
 }
 
 func newPQEngine(p *pqProg) *pqEngine {
 	n := len(p.lanes)
-	a := &pqEngine{e: NewEngine(), timers: make([][]*Timer, n), movable: make([]Timer, n),
-		seqOf: map[int]uint64{}}
+	a := &pqEngine{e: NewEngine(), timers: make([][]*Timer, n), movable: make([]Timer, n)}
 	a.e.SetLanes(n)
 	a.kind = a.e.Register(func(l int, at Time, arg any) {
-		p.fired(l, at, arg.(int), a.seqOf[arg.(int)])
+		ev := arg.(*pqEv)
+		p.fired(l, at, ev.id, ev.seq)
+		a.check()
 	})
 	p.q = a
 	return a
 }
 
 func (a *pqEngine) post(src, dst int, at Time, id int) {
-	a.e.ScheduleOn(src, dst, at, a.kind, id)
-	a.seqOf[id] = a.e.seq
+	ev := a.evs.New()
+	a.e.ScheduleOn(src, dst, at, a.kind, ev)
+	*ev = pqEv{id, a.e.seq}
 }
 
 func (a *pqEngine) reserve(into *uint64) { a.e.ReserveSeq(into) }
@@ -203,71 +223,94 @@ func (a *pqEngine) pending() int         { return a.e.Pending() }
 
 // arm gives a fresh timer a position of its own, as a ScheduleOn would take.
 func (a *pqEngine) arm(l int, d Time, id int) {
-	t := new(struct {
-		Timer
-		seq uint64
-	})
+	t := a.fresh.New()
 	a.timers[l] = append(a.timers[l], &t.Timer)
-	a.e.ReserveSeq(&t.seq)
-	a.e.StartTimerAt(l, &t.Timer, a.e.Now()+d, t.seq, a.kind, id)
-	a.seqOf[id] = t.seq
+	a.e.ReserveSeq(&t.ev.seq)
+	t.ev.id = id
+	a.e.StartTimerAt(l, &t.Timer, a.e.Now()+d, t.ev.seq, a.kind, &t.ev)
 }
 
 func (a *pqEngine) move(l int, at Time, seq uint64, id int) {
-	a.e.StartTimerAt(l, &a.movable[l], at, seq, a.kind, id)
-	a.seqOf[id] = seq
+	ev := a.evs.New()
+	*ev = pqEv{id, seq}
+	a.e.StartTimerAt(l, &a.movable[l], at, seq, a.kind, ev)
 }
 
-// pqModel is the reference: one container/heap over every queued item; a
-// stopped or moved timer's item leaves it.
+// pqModel is the reference: a plain binary heap, in (time, sequence number)
+// order, over every queued item. A stopped or moved timer's item is marked
+// out, and skipped when it surfaces; pending counts the items not out. An
+// item is named by the order it was pushed in.
 type pqItem struct {
 	at   Time
 	seq  uint64
 	lane int
 	id   int
-	idx  int // position in the heap, -1 once out of it
-}
-
-type pqHeap []*pqItem
-
-func (h pqHeap) Len() int { return len(h) }
-func (h pqHeap) Less(i, j int) bool {
-	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
-}
-func (h pqHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *pqHeap) Push(x any) {
-	x.(*pqItem).idx = len(*h)
-	*h = append(*h, x.(*pqItem))
-}
-func (h *pqHeap) Pop() any {
-	old := *h
-	it := old[len(old)-1]
-	it.idx = -1
-	*h = old[:len(old)-1]
-	return it
+	h    int // the item's name
 }
 
 type pqModel struct {
 	seq     uint64
 	now     Time
-	items   pqHeap
-	timers  [][]*pqItem
-	movable []*pqItem
+	heap    []pqItem
+	out     []bool // by name: fired, stopped or moved
+	live    int
+	timers  [][]int
+	movable []int // -1 before the lane's first move
 }
 
 func newPQModel(p *pqProg) *pqModel {
-	m := &pqModel{timers: make([][]*pqItem, len(p.lanes)), movable: make([]*pqItem, len(p.lanes))}
+	m := &pqModel{timers: make([][]int, len(p.lanes)), movable: make([]int, len(p.lanes))}
+	for l := range m.movable {
+		m.movable[l] = -1
+	}
 	p.q = m
 	return m
 }
 
-func (m *pqModel) push(at Time, seq uint64, l, id int) *pqItem {
-	it := &pqItem{at: max(at, m.now), seq: seq, lane: l, id: id}
-	heap.Push(&m.items, it)
+func (m *pqModel) less(i, j int) bool {
+	a, b := &m.heap[i], &m.heap[j]
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+func (m *pqModel) push(at Time, seq uint64, l, id int) int {
+	h := len(m.out)
+	m.out = append(m.out, false)
+	m.live++
+	m.heap = append(m.heap, pqItem{at: max(at, m.now), seq: seq, lane: l, id: id, h: h})
+	for i := len(m.heap) - 1; i > 0 && m.less(i, (i-1)/2); i = (i - 1) / 2 {
+		m.heap[i], m.heap[(i-1)/2] = m.heap[(i-1)/2], m.heap[i]
+	}
+	return h
+}
+
+// pop takes the heap's first item out.
+func (m *pqModel) pop() pqItem {
+	it, last := m.heap[0], len(m.heap)-1
+	m.heap[0] = m.heap[last]
+	m.heap = m.heap[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && m.less(c+1, c) {
+			c++
+		}
+		if !m.less(c, i) {
+			break
+		}
+		m.heap[i], m.heap[c] = m.heap[c], m.heap[i]
+		i = c
+	}
 	return it
+}
+
+// remove marks item h out, unless it has fired or left already.
+func (m *pqModel) remove(h int) {
+	if h >= 0 && !m.out[h] {
+		m.out[h] = true
+		m.live--
+	}
 }
 
 func (m *pqModel) post(src, dst int, at Time, id int) {
@@ -275,21 +318,14 @@ func (m *pqModel) post(src, dst int, at Time, id int) {
 	m.push(at, m.seq, dst, id)
 }
 
-func (m *pqModel) pending() int { return len(m.items) }
+func (m *pqModel) pending() int { return m.live }
 
 func (m *pqModel) arm(l int, d Time, id int) {
 	m.seq++
 	m.timers[l] = append(m.timers[l], m.push(m.now+d, m.seq, l, id))
 }
 
-// stop takes the timer's item out, unless it has fired or left already.
 func (m *pqModel) stop(l, h int) { m.remove(m.timers[l][h]) }
-
-func (m *pqModel) remove(it *pqItem) {
-	if it != nil && it.idx >= 0 {
-		heap.Remove(&m.items, it.idx)
-	}
-}
 
 func (m *pqModel) reserve(into *uint64) {
 	m.seq++
@@ -301,42 +337,50 @@ func (m *pqModel) move(l int, at Time, seq uint64, id int) {
 	m.movable[l] = m.push(at, seq, l, id)
 }
 
-func (m *pqModel) run(p *pqProg) {
-	for len(m.items) > 0 {
-		it := heap.Pop(&m.items).(*pqItem)
+// step fires the reference's next item, if it has one.
+func (m *pqModel) step(p *pqProg) bool {
+	for len(m.heap) > 0 {
+		it := m.pop()
+		if m.out[it.h] {
+			continue
+		}
+		m.remove(it.h)
 		m.now = it.at
 		p.fired(it.lane, it.at, it.id, it.seq)
+		return true
 	}
+	return false
 }
 
-// checkPQ runs program c on the reference model and on the engine, and fails
-// unless the engine fires exactly what the reference fires, in its order, and
-// leaves no slot queued.
+// checkPQ runs program c on the engine and, in step with it, on the reference
+// model, and fails unless every firing of the engine is the reference's next
+// — lane, time, event, sequence number and pending count — and the engine
+// stops where the reference does, leaving no slot queued.
 func checkPQ(t testing.TB, c pqCfg) {
 	t.Helper()
 	ref := newPQProg(c)
 	m := newPQModel(ref)
 	ref.load()
-	m.run(ref)
-
 	sp := newPQProg(c)
 	a := newPQEngine(sp)
 	sp.load()
+	a.check = func() {
+		if !m.step(ref) {
+			t.Fatalf("%+v: Run fires %+v, past the reference's %d firings", c, sp.last, ref.fires)
+		}
+		if sp.last != ref.last {
+			t.Fatalf("%+v: Run diverges from the reference at firing %d: %+v, want %+v", c, sp.fires-1, sp.last, ref.last)
+		}
+	}
 	n, err := a.e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := sp.log, ref.log
-	i := 0
-	for i < min(len(got), len(want)) && got[i] == want[i] {
-		i++
+	if m.step(ref) {
+		t.Fatalf("%+v: Run stops after %d firings, before the reference's %+v", c, n, ref.last)
 	}
-	if i < max(len(got), len(want)) {
-		t.Fatalf("%+v: Run diverges from the reference at firing %d of %d/%d: %+v, want %+v",
-			c, i, len(got), len(want), got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
-	}
-	if n != uint64(len(want)) || a.e.Fired() != n {
-		t.Fatalf("%+v: Run fired %d, Fired() %d, the reference %d", c, n, a.e.Fired(), len(want))
+	if n != uint64(ref.fires) || a.e.Fired() != n {
+		t.Fatalf("%+v: Run fired %d, Fired() %d, the reference %d", c, n, a.e.Fired(), ref.fires)
 	}
 	if a.e.Pending() != 0 || a.e.q.len() != 0 || a.e.stale != 0 {
 		t.Fatalf("%+v: %d events pending, %d slots queued, %d stale after Run", c, a.e.Pending(), a.e.q.len(), a.e.stale)
@@ -345,10 +389,10 @@ func checkPQ(t testing.TB, c pqCfg) {
 
 func TestEventQueueIsPriorityQueue(t *testing.T) {
 	for _, c := range []pqCfg{
-		{lanes: 1, loaded: 1, load: 2100},
-		{lanes: 4, loaded: 2, load: 2100},
-		{lanes: 256, loaded: 3, load: 2100},
-		{lanes: 4, loaded: 2, load: 2100, wide: true},
+		{lanes: 1, loaded: 1, load: 2100, storm: 2600, budget: 300},
+		{lanes: 4, loaded: 2, load: 2100, storm: 2600, budget: 300},
+		{lanes: 256, loaded: 3, load: 2100, storm: 2600, budget: 300},
+		{lanes: 4, loaded: 2, load: 2100, wide: true, storm: 2600, budget: 300},
 	} {
 		// A loaded program has spread its events over the buckets: the
 		// wide one over every digit position, the others over every
@@ -369,17 +413,27 @@ func TestEventQueueIsPriorityQueue(t *testing.T) {
 }
 
 // FuzzEventQueue runs checkPQ on fuzzed programs: the seed of the lanes'
-// generators, the lane count, how many lanes are loaded and how heavily, and
-// whether loaded lanes' times spread over the int64 range.
+// generators, the lane count, how many lanes are loaded and the events they
+// share, whether their times spread over the int64 range, the size of the
+// timer storm and the lanes' budget. The sizes are drawn so that small
+// programs are the common case and the fuzzer runs many: the load's top
+// three bits halve its low thirteen up to seven times, and the storm and the
+// budget grow as the square of their byte. Every shape
+// TestEventQueueIsPriorityQueue pins on up to 8 lanes — one or two lanes of
+// 2 100 events, wide or not, a storm of 2 600 timers, a budget of 300 — is
+// still an input.
 func FuzzEventQueue(f *testing.F) {
-	f.Add(uint64(0), uint8(4), uint8(2), uint16(2100), false)
-	f.Add(uint64(7), uint8(1), uint8(1), uint16(130), true)
-	f.Add(uint64(3), uint8(31), uint8(9), uint16(600), false)
-	f.Add(uint64(5), uint8(8), uint8(3), uint16(700), false)
-	f.Add(uint64(9), uint8(2), uint8(2), uint16(300), true)
-	f.Fuzz(func(t *testing.T, seed uint64, lanes, loaded uint8, load uint16, wide bool) {
-		c := pqCfg{lanes: 1 + int(lanes)%32, load: int(load) % 4096, wide: wide, seed: seed}
+	f.Add(uint64(0), uint8(4), uint8(2), uint16(1000), false, uint8(120), uint8(120))
+	f.Add(uint64(7), uint8(1), uint8(1), uint16(130), true, uint8(20), uint8(100))
+	f.Add(uint64(3), uint8(7), uint8(5), uint16(600), false, uint8(0), uint8(40))
+	f.Add(uint64(5), uint8(8), uint8(3), uint16(700), false, uint8(90), uint8(0))
+	f.Add(uint64(9), uint8(2), uint8(2), uint16(300), true, uint8(3), uint8(200))
+	f.Fuzz(func(t *testing.T, seed uint64, lanes, loaded uint8, load uint16, wide bool, storm, budget uint8) {
+		c := pqCfg{lanes: 1 + int(lanes)%8, wide: wide, seed: seed}
 		c.loaded = int(loaded) % (c.lanes + 1)
+		c.load = int(load&0x1fff) >> (load >> 13) / max(c.loaded, 1)
+		c.storm = int(storm) * int(storm) / 25
+		c.budget = int(budget) * int(budget) / 216
 		checkPQ(t, c)
 	})
 }

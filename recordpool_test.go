@@ -42,16 +42,19 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // per-peer state a lossless run never reads: a node opens a link to most of
 // the peers it ever talks to, so every byte of a link record is paid per
 // message. A creation costs no host allocation either: objects, chunks, stock
-// entries, boards and spawn records are carved from arenas, and the n-queens
+// slots, boards and spawn records are carved from arenas, and the n-queens
 // creation loop's continuation is a static function, so the n-queens rows
 // guard creation the way the all-to-all rows guard the send — one allocation
-// per created object adds 0.5 per message to either. Every row but the
-// hot-key one has its allocation budget about 25 % above its measurement. The
-// all-to-all rows measure 0.033 and 0.015 allocations per message
-// (construction included: the nodes' stock maps, the runtime's tables and
-// blocks — slab blocks, the event queue's heap and bucket blocks), against
-// 0.049 and 0.023 with each layer's per-node records allocated one at a time.
-// The 64-node row measures 234 bytes per message, one 184-byte
+// per created object adds 0.5 per message to either. The all-to-all rows have
+// their allocation budgets about 25 % above their measurements, the n-queens
+// and hot-key rows about 3 %: their counts are exact run to run. The
+// all-to-all rows measure 0.025 and 0.011 allocations per message
+// (construction included: the runtime's tables and blocks — slab blocks, the
+// event queue's heap and bucket blocks), against 0.033 and 0.015 with a stock
+// map made per node and scheduling queues grown from empty, 0.049 and 0.023
+// with each layer's per-node records allocated one at a time. The 64-node row
+// measures 235 bytes per message (234 with scheduling queues grown from
+// empty), one 184-byte
 // record per message (24-byte Values) in blocks that fill their pages, against
 // 249 with 32-byte Values (a 200-byte record), 306 with a 248-byte wire record
 // beside the frame its arguments were copied into, in blocks of 256 rounded up
@@ -59,8 +62,10 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // event lane per node and the arrivals for a busy node in a second queue per
 // lane, 328 with every lane's first heap of 128 events and 354 with heaps that
 // double to 512 events and receive rings that grow ×4; its byte budget sits
-// about 3 % above, at 241. Reliable n-queens measures 0.309 allocations, 4.07
-// events and 429 bytes (0.667 and 436 with a method value per internal search
+// about 3 % above, at 241. Reliable n-queens measures 0.190 allocations, 4.07
+// events and 425 bytes (0.309 and 429 with a Go map for each node's chunk
+// stocks, every blocked invocation's context dropped and scheduling queues
+// grown from empty, 0.667 and 436 with a method value per internal search
 // node and per-node records allocated one at a time, 0.679 and 455 with
 // 32-byte Values, 0.711 and 497 with a wire record beside its frame), against 0.767 and 505 with a frame and
 // context pool per node, 0.967 and 582 with an arena per node (every node
@@ -72,21 +77,23 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // 946 bytes with 336-byte link records; its byte budget sits about 5 % above,
 // so none of those comes back. The last two rows are the product's default
 // path (the cost profile always kept, no time slices) and the multiactive scheduler's per-group
-// ready queues: 0.197 allocations and 211 bytes per message (0.521 and 218
-// with a method value per internal search node, 0.533 and 257 with 32-byte
+// ready queues: 0.125 allocations and 207 bytes per message (0.197 and 211
+// with stock maps, blocked contexts dropped and queues grown from empty,
+// 0.521 and 218 with a method value per internal search node, 0.533 and 257 with 32-byte
 // Values, 0.584 and 275 with a wire record beside its frame, 0.598 and 277
 // with a frame and context pool per node, 0.647 and 313 with an arena per
 // node, 0.660 and 383 with a pool per node and an Object per stocked chunk;
-// what is left is the stock maps' growth, a stock miss's continuation and
-// heap frame, blocked invocations' contexts and arena blocks) and 1.117
-// (1.132 with a wire record beside its frame; about 3 640 a run, 1.150 with a
+// what is left is a stock miss's continuation and heap frame, and arena
+// blocks) and 0.691 (1.099 with every blocked invocation's context dropped,
+// as a client's now-type send blocks; 1.132 with that and a wire record beside
+// its frame; about 3 640 a run, 1.150 with a
 // frame and context pool per node, 1.193 with an arena per node; the reply
 // destinations' Objects come out of an arena too), exact run to run. A closure
 // per stock miss (the blocked creation's resume, which rides the wire record
 // as data instead) added 0.058 to the n-queens figure, and only one hot-key
 // message in sixteen parks in a ready queue, so an allocation per push moves
 // that figure by 5 %: the hot-key budget sits about 3 % above its
-// measurement, as does the n-queens byte budget, at 217.
+// measurement, as does the n-queens byte budget, at 213.
 func TestMessageAllocationBudget(t *testing.T) {
 	allToAll := func(nodes int) func() (msgs, events uint64, err error) {
 		return func() (msgs, events uint64, err error) {
@@ -136,11 +143,11 @@ func TestMessageAllocationBudget(t *testing.T) {
 		eventsBudget float64 // per message; 0: not budgeted
 		bytesBudget  float64 // per message; 0: not budgeted
 	}{
-		{"sequential all-to-all 32x8", allToAll(32), 0.042, 0, 0},
-		{"sequential all-to-all 64x8", allToAll(64), 0.019, 0, 241},
-		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.39, 4.7, 450},
-		{"default n-queens N10 P64, profiler off", defaultQueens, 0.25, 0, 217},
-		{"hot-key full coverage 16x40 P16", hotKeyFull, 1.17, 0, 0},
+		{"sequential all-to-all 32x8", allToAll(32), 0.031, 0, 0},
+		{"sequential all-to-all 64x8", allToAll(64), 0.014, 0, 241},
+		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.196, 4.7, 446},
+		{"default n-queens N10 P64, profiler off", defaultQueens, 0.129, 0, 213},
+		{"hot-key full coverage 16x40 P16", hotKeyFull, 0.71, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			best, bestBytes, perEvent := 0.0, 0.0, 0.0
@@ -193,6 +200,35 @@ func TestObjectsFollowCreations(t *testing.T) {
 	creations := c.Creations()
 	if made := sys.RT.ObjectsMade(); uint64(made) != creations || creations != 35540 {
 		t.Errorf("%d host Objects for %d creations, want 35540 of each", made, creations)
+	}
+}
+
+// A context blocked by a remote creation is recycled like any other. Under a
+// stock of depth 0 every remote creation of an n-queens N6 run blocks
+// (BlockExternal) and its continuation resumes on a context of its own, so
+// the run makes no more contexts than one stack holds, however many
+// creations block.
+func TestBlockedContextsAreRecycled(t *testing.T) {
+	sys, err := abcl.NewSystem(abcl.WithNodes(16), abcl.WithPlacement(abcl.PlaceRandom), abcl.WithSeed(1),
+		abcl.WithChunkStock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := nqueens.Build(sys, 6, 0)
+	d.Start()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Result()
+	if err != nil || res.Solutions != 4 {
+		t.Fatalf("solutions=%d err=%v, want 4", res.Solutions, err)
+	}
+	c := sys.Report().Sched.Counters
+	if c.StockHits != 0 || c.StockMisses < 100 {
+		t.Fatalf("stock hits/misses = %d/%d, want every one of at least 100 remote creations to block", c.StockHits, c.StockMisses)
+	}
+	if made, depth := sys.RT.ContextsMade(), sys.RT.MaxStackDepth(); made > depth {
+		t.Errorf("%d contexts made for %d blocked creations, want at most the stack depth %d", made, c.StockMisses, depth)
 	}
 }
 
@@ -260,10 +296,10 @@ func TestReliableSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // Once a node has created on a peer, creating there again allocates nothing
-// of its own: the stock entry is open, the created Object is carved from an
+// of its own: the stock slot is made, the created Object is carved from an
 // arena block at the pop, the replacement chunk the target sends back is a
 // count, and the request and the reply ride recycled wire records. A second
-// identical creation burst over stock entries the first one opened may pay
+// identical creation burst over stock slots the first one made may pay
 // for arena blocks (one per 256 Objects) and nothing per creation.
 func TestRemoteCreateSteadyStateAllocatesNothing(t *testing.T) {
 	const nodes, laps = 16, 6 // round-robin placement: a lap creates once on every node
