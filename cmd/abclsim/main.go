@@ -11,9 +11,8 @@
 //	abclsim -workload forkjoin -depth 10 -nodes 16 -drop 0.1 -dup 0.05
 //
 // The wire-path optimisations — per-link packet batching and delayed
-// cumulative acks — are controlled by -batch-window, -batch-bytes,
-// -ack-delay and -reliable; each workload echoes the effective comms
-// configuration:
+// cumulative acks — are controlled by -batch-window, -ack-delay and
+// -reliable; each workload echoes the effective comms configuration:
 //
 //	abclsim -workload nqueens -n 10 -nodes 256 -batch-window 10000 -ack-delay 500000
 //
@@ -78,12 +77,7 @@ import (
 	"time"
 
 	abcl "repro"
-	"repro/internal/apps/diffusion"
-	"repro/internal/apps/hotkey"
-	"repro/internal/apps/nqueens"
-	"repro/internal/apps/orderbook"
 	"repro/internal/exp"
-	"repro/internal/machine"
 	"repro/internal/runpack"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -112,7 +106,7 @@ func parseFlags(args []string) (*cli, error) {
 	sp := &c.spec
 	def := workload.Spec{}.WithDefaults()
 	fs := flag.NewFlagSet("abclsim", flag.ContinueOnError)
-	fs.StringVar(&sp.Workload, "workload", "nqueens", "workload: nqueens | forkjoin | diffusion | hotkey | orderbook")
+	fs.StringVar(&sp.Workload, "workload", "nqueens", "workload: "+strings.Join(workload.Names(), " | "))
 	fs.StringVar(&c.scenario, "scenario", "", "run scenario documents instead of the flags' spec: all | <bundled name> | <path to .json>")
 	fs.IntVar(&sp.N, "n", def.N, "N-queens board size")
 	fs.IntVar(&sp.Depth, "depth", def.Depth, "fork-join tree depth")
@@ -141,7 +135,6 @@ func parseFlags(args []string) (*cli, error) {
 		"crash fault node@at+restartAfter (ns or Go durations, e.g. 2@1ms+300us); repeatable; implies checkpoint support")
 
 	fs.Int64Var(&sp.BatchWindowNs, "batch-window", 0, "per-link packet batching window (ns); 0 disables batching")
-	fs.IntVar(&sp.BatchBytes, "batch-bytes", 0, "batch early-flush byte budget (0 selects the default)")
 	fs.Int64Var(&sp.AckDelayNs, "ack-delay", 0, "delayed cumulative ack interval (ns); 0 keeps immediate acks; implies -reliable")
 	fs.BoolVar(&sp.Reliable, "reliable", false, "run the ack/retry protocol even on a fault-free network")
 
@@ -547,64 +540,13 @@ func (c *cli) runWorkload(stdout io.Writer, in *instrumentation) error {
 	if err != nil {
 		return err
 	}
-	printers[sp.Workload](stdout, sp, out)
+	out.Lines(stdout)
 	fmt.Fprintf(stdout, "  %s\n", commsLine(out.Report))
 	printStats(stdout, out.Report.Sched.Counters)
 	if c.costTable || sp.ProfileWindowNs != 0 {
 		printCostTable(stdout, out.Report)
 	}
 	return nil
-}
-
-// printers holds each app's own result lines; everything that applies to
-// every workload is printed by runWorkload.
-var printers = map[string]func(w io.Writer, sp workload.Spec, out workload.Outcome){
-	"nqueens": func(w io.Writer, sp workload.Spec, out workload.Outcome) {
-		res := out.Result.(nqueens.Result)
-		seq := nqueens.Sequential(sp.N, machine.DefaultConfig(1), 0)
-		fmt.Fprintf(w, "N-queens N=%d on %d nodes (%s scheduling, %s placement)\n",
-			sp.N, sp.Nodes, sp.Policy, sp.Placement)
-		fmt.Fprintf(w, "  solutions        %d (expected %d)\n", res.Solutions, seq.Solutions)
-		fmt.Fprintf(w, "  objects created  %d\n", res.Objects)
-		fmt.Fprintf(w, "  messages         %d\n", res.Messages)
-		fmt.Fprintf(w, "  elapsed          %v (sequential %v)\n", res.Elapsed, seq.Elapsed)
-		fmt.Fprintf(w, "  speedup          %.1fx on %d nodes\n",
-			float64(seq.Elapsed)/float64(res.Elapsed), sp.Nodes)
-		fmt.Fprintf(w, "  utilization      %.1f%%\n", 100*res.Utilization)
-		fmt.Fprintf(w, "  memory model     %.0f KB\n", float64(res.MemoryBytes)/1024)
-	},
-	"forkjoin": func(w io.Writer, sp workload.Spec, out workload.Outcome) {
-		fmt.Fprintf(w, "fork-join depth=%d on %d nodes: %d leaves (expected %d)\n",
-			sp.Depth, sp.Nodes, out.Result.(int64), int64(1)<<uint(sp.Depth))
-	},
-	"diffusion": func(w io.Writer, sp workload.Spec, out workload.Outcome) {
-		res := out.Result.(diffusion.Result)
-		fmt.Fprintf(w, "diffusion %dx%d, %d iterations on %d nodes (%s placement)\n",
-			sp.Grid, sp.Grid, sp.GridIters, sp.Nodes, map[bool]string{false: "block", true: "scatter"}[sp.Scatter])
-		fmt.Fprintf(w, "  elapsed       %v\n", res.Elapsed)
-		fmt.Fprintf(w, "  utilization   %.1f%%\n", 100*res.Utilization)
-		fmt.Fprintf(w, "  residual      %.6g (sequential: %.6g)\n",
-			res.Residual, diffusion.SequentialResidual(sp.Grid, sp.Grid, sp.GridIters))
-	},
-	"hotkey": func(w io.Writer, sp workload.Spec, out workload.Outcome) {
-		res := out.Result.(hotkey.Result)
-		fmt.Fprintf(w, "hotkey: %d clients x %d ops on %d nodes (coverage %s, %d%% writes)\n",
-			sp.Clients, sp.Ops, sp.Nodes, sp.Coverage, sp.WritePct)
-		fmt.Fprintf(w, "  elapsed       %v\n", res.Elapsed)
-		fmt.Fprintf(w, "  throughput    %.1f ops/ms\n", res.Throughput)
-		fmt.Fprintf(w, "  peak overlap  %d concurrent invocations\n", res.MaxLive)
-		fmt.Fprintf(w, "  final value   %d (= %d writes; %d reads)\n", res.Final, res.Writes, res.Reads)
-	},
-	"orderbook": func(w io.Writer, sp workload.Spec, out workload.Outcome) {
-		res := out.Result.(orderbook.Result)
-		fmt.Fprintf(w, "orderbook: %d clients x %d ops on %d nodes (grouped=%v)\n",
-			sp.Clients, sp.Ops, sp.Nodes, !sp.Ungrouped)
-		fmt.Fprintf(w, "  elapsed       %v\n", res.Elapsed)
-		fmt.Fprintf(w, "  throughput    %.1f ops/ms\n", res.Throughput)
-		fmt.Fprintf(w, "  peak overlap  %d concurrent invocations\n", res.MaxLive)
-		fmt.Fprintf(w, "  ops           %d reads, %d deposits, %d transfers\n", res.Reads, res.Deposits, res.Transfers)
-		fmt.Fprintf(w, "  conservation  total %d = initial + deposits %d\n", res.Total, res.WantTotal)
-	},
 }
 
 // commsLine echoes the wire-path configuration the run actually had, read

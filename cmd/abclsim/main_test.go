@@ -184,9 +184,8 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 		"-workload nqueens -no-loc-cache":                                "flag provided but not defined: -no-loc-cache",
 		"-workload nqueens -n 4 -trace -3":                               "-trace -3: event count must be a non-negative integer",
 		"-workload hotkey -nodes 4 -reorder 2":                           "flag provided but not defined: -reorder",
-		"-workload forkjoin -nodes 4 -batch-bytes 64":                    "batch_bytes requires batch_window_ns",
+		"-workload forkjoin -nodes 4 -batch-window 1000 -batch-bytes 64": "flag provided but not defined: -batch-bytes",
 		"-workload forkjoin -nodes 4 -profile-window -5us":               "window must be non-negative",
-		"-workload forkjoin -nodes 4 -batch-window 1000 -batch-bytes -3": "byte budget must be non-negative",
 		"-bench-json out.json":                                           "flag provided but not defined",
 		"-workload forkjoin -depth -1 -nodes 4":                          "forkjoin depth must be >= 0",
 		"-workload forkjoin -depth -1 -pack " + t.TempDir():              "forkjoin depth must be >= 0",
@@ -284,24 +283,26 @@ func TestValidateSubcommand(t *testing.T) {
 		return path
 	}
 	cases := map[string]string{
-		write("spec.json", `{"workload":"hotkey","nodes":4}`):                                      "",
-		write("executor.json", `{"workload":"hotkey","executor":"conservative"}`):                  `executor.json: json: unknown field "executor"`,
-		write("flat.json", `{"workload":"nqueens","drop":0.1}`):                                    `flat.json: json: unknown field "drop"`,
-		write("crashes.json", `{"workload":"nqueens","crashes":[]}`):                               `crashes.json: json: unknown field "crashes"`,
-		write("lossless.json", `{"workload":"nqueens","nodes":2,"faults":{"links":[{"drop":1}]}}`): "lossless.json: fault: link rule 0: drop probability 1",
-		write("anon.json", `{"workload":"nqueens","nodes":2,"assert":{"min_drops":1}}`):            "anon.json: scenario: missing name",
-		write("batch.json", `{"workload":"forkjoin","nodes":4,"batch_window_ns":-5}`):              "WithBatching(-5ns, 0): window must be positive",
-		write("prof.json", `{"workload":"forkjoin","nodes":4,"profile_window_ns":-5}`):             "WithProfileWindow: window must be non-negative",
-		write("ack.json", `{"workload":"forkjoin","nodes":4,"ack_delay_ns":-7}`):                   "WithDelayedAcks(-7ns): delay must be positive",
-		write("ckpt.json", `{"workload":"forkjoin","nodes":4,"checkpoint_interval_ns":-7}`):        "WithCheckpoint(-7ns): interval must be positive",
-		write("grid.json", `{"workload":"diffusion","nodes":4,"grid":1}`):                          "diffusion: grid 1x1 invalid",
-		write("iters.json", `{"workload":"diffusion","nodes":4,"grid_iters":-2}`):                  "diffusion: iterations must be >= 1",
-		write("pct.json", `{"workload":"hotkey","nodes":4,"write_pct":150}`):                       "write percentage 150 out of range",
-		write("clients.json", `{"workload":"hotkey","nodes":4,"clients":-1}`):                      "clients and ops must be >= 1",
-		write("book.json", `{"workload":"orderbook","nodes":1}`):                                   "orderbook: need >= 2 nodes, got 1",
-		write("workers.json", `{"workload":"forkjoin","nodes":4,"workers":2}`):                     `workers.json: json: unknown field "workers"`,
-		write("reorder.json", `{"workload":"hotkey","nodes":4,"reorder":2}`):                       `reorder.json: json: unknown field "reorder"`,
-		write("pingpong.json", `{"workload":"pingpong","nodes":4,"batch_window_ns":-5}`):           `unknown workload "pingpong"`,
+		write("spec.json", `{"workload":"hotkey","nodes":4}`):                                            "",
+		write("executor.json", `{"workload":"hotkey","executor":"conservative"}`):                        `executor.json: json: unknown field "executor"`,
+		write("flat.json", `{"workload":"nqueens","drop":0.1}`):                                          `flat.json: json: unknown field "drop"`,
+		write("crashes.json", `{"workload":"nqueens","crashes":[]}`):                                     `crashes.json: json: unknown field "crashes"`,
+		write("lossless.json", `{"workload":"nqueens","nodes":2,"faults":{"links":[{"drop":1}]}}`):       "lossless.json: fault: link rule 0: drop probability 1",
+		write("anon.json", `{"workload":"nqueens","nodes":2,"assert":{"min_drops":1}}`):                  "anon.json: scenario: missing name",
+		write("batch.json", `{"workload":"forkjoin","nodes":4,"batch_window_ns":-5}`):                    "WithBatching(-5ns, 0): window must be positive",
+		write("prof.json", `{"workload":"forkjoin","nodes":4,"profile_window_ns":-5}`):                   "WithProfileWindow: window must be non-negative",
+		write("ack.json", `{"workload":"forkjoin","nodes":4,"ack_delay_ns":-7}`):                         "WithDelayedAcks(-7ns): delay must be positive",
+		write("ckpt.json", `{"workload":"forkjoin","nodes":4,"checkpoint_interval_ns":-7}`):              "WithCheckpoint(-7ns): interval must be positive",
+		write("grid.json", `{"workload":"diffusion","nodes":4,"grid":1}`):                                "diffusion: grid 1x1 invalid",
+		write("iters.json", `{"workload":"diffusion","nodes":4,"grid_iters":-2}`):                        "diffusion: iterations must be >= 1",
+		write("pct.json", `{"workload":"hotkey","nodes":4,"write_pct":150}`):                             "write percentage 150 out of range",
+		write("clients.json", `{"workload":"hotkey","nodes":4,"clients":-1}`):                            "clients and ops must be >= 1",
+		write("book.json", `{"workload":"orderbook","nodes":1}`):                                         "orderbook: need >= 2 nodes, got 1",
+		write("workers.json", `{"workload":"forkjoin","nodes":4,"workers":2}`):                           `workers.json: json: unknown field "workers"`,
+		write("reorder.json", `{"workload":"hotkey","nodes":4,"reorder":2}`):                             `reorder.json: json: unknown field "reorder"`,
+		write("pingpong.json", `{"workload":"pingpong","nodes":4,"batch_window_ns":-5}`):                 `unknown workload "pingpong"`,
+		write("bytes.json", `{"workload":"forkjoin","nodes":4,"batch_window_ns":1000,"batch_bytes":64}`): `bytes.json: json: unknown field "batch_bytes"`,
+		write("slow.json", `{"name":"s","workload":"nqueens","nodes":2,"assert":{"max_slowdown":2}}`):    `slow.json: json: unknown field "max_slowdown"`,
 	}
 	for _, glob := range []string{"../../internal/scenario/scenarios/*.json", "../../testdata/runpacks/*.zip"} {
 		paths, err := filepath.Glob(glob)
@@ -320,6 +321,44 @@ func TestValidateSubcommand(t *testing.T) {
 			t.Errorf("%s: err %v, output %q", path, err, out.String())
 		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
 			t.Errorf("%s: error %v lacks %q", path, err, want)
+		}
+	}
+}
+
+// TestDiffSubcommand explains two checked-in packs: their config deltas,
+// answers and per-path and per-class cost deltas (capped at eight rows), and
+// a pack against itself as identical.
+func TestDiffSubcommand(t *testing.T) {
+	const dir = "../../testdata/runpacks/"
+	for _, tc := range []struct {
+		a, b string
+		want []string
+	}{
+		{"runpack_1cfee7a70d64.zip", "runpack_1deaddc68edd.zip", []string{
+			"diff 1cfee7a70d64 (hotkey) vs 1deaddc68edd (hotkey)\n  config:\n    clients: 8 -> 6\n    nodes: 16 -> 8\n    ops: 20 -> 12\n    seed: 1 -> 3\n",
+			`  answer: "ops=160 reads=128 writes=32 final=32" -> "ops=72 reads=54 writes=18 final=18"`,
+			"  first divergent trace event (#7):\n",
+			"  per-path cost deltas (instr):\n    body                    80000 ->        36000 (-55.0%)\n",
+			"    create                    695 ->          435 (-37.4%)\n",
+			"  per-class cost deltas (instr):\n    hk.store                80000 ->        36000 (-55.0%)\n",
+		}},
+		{"runpack_1deaddc68edd.zip", "runpack_ad20fabebf66.zip", []string{
+			`    name: (unset) -> "nqueens-crash-recover"`,
+			"    ckpt                        0 ->        63709\n",
+			"    ... and 2 more\n",
+		}},
+		{"runpack_ad20fabebf66.zip", "runpack_ad20fabebf66.zip", []string{
+			"  packs are identical (same content id)\n",
+		}},
+	} {
+		var out bytes.Buffer
+		if err := run([]string{"diff", dir + tc.a, dir + tc.b}, &out); err != nil {
+			t.Fatalf("diff %s %s: %v", tc.a, tc.b, err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("diff %s %s lacks %q:\n%s", tc.a, tc.b, want, out.String())
+			}
 		}
 	}
 }

@@ -179,7 +179,6 @@ func (c *Ctx) NewLocal(cl *Class, ctorArgs ...Value) Address {
 	n := c.rt
 	n.node.ChargeTo(profile.Create, n.cost.CreateLocal)
 	n.node.Count(profile.Create)
-	n.C.LocalCreations++
 	return n.rt.newObject(cl, n.id, ctorArgs).Addr()
 }
 

@@ -292,7 +292,6 @@ func (r *Runtime) NewObjectOn(node int, cl *Class, ctorArgs ...Value) Address {
 	n.node.SetPath(profile.Create)
 	n.node.Charge(n.cost.CreateLocal)
 	n.node.Count(profile.Create)
-	n.C.LocalCreations++
 	return r.newObject(cl, node, ctorArgs).Addr()
 }
 

@@ -144,7 +144,7 @@ func Table6() ([]AblationRow, error) {
 // ContentionRow is one variant of a multiactive workload (Table 7).
 type ContentionRow struct {
 	Workload, Variant string
-	spec              workload.Spec
+	run               func() (elapsed sim.Time, throughput float64, maxLive int, err error)
 	Elapsed           sim.Time
 	Throughput        float64 // operations per virtual ms
 	MaxLive           int     // peak invocations live at once in a compatibility group; 0 without groups
@@ -154,32 +154,30 @@ type ContentionRow struct {
 // book without and with its groups, each on one request stream throughout.
 func Table7() ([]ContentionRow, error) {
 	const hot, book = "hot-key counter, 16 nodes, 16 clients × 40 ops", "order book, 8 nodes, 12 clients × 40 ops"
-	hk := func(coverage string) workload.Spec {
-		return workload.Spec{Workload: "hotkey", Nodes: 16, Clients: 16, Ops: 40, WritePct: 20, Coverage: coverage}
+	hk := func(cov hotkey.Coverage) func() (sim.Time, float64, int, error) {
+		return func() (sim.Time, float64, int, error) {
+			r, err := hotkey.Run(hotkey.Options{Clients: 16, Ops: 40, WritePct: 20, Coverage: cov}, abcl.WithNodes(16))
+			return r.Elapsed, r.Throughput, r.MaxLive, err
+		}
 	}
-	ob := func(ungrouped bool) workload.Spec {
-		return workload.Spec{Workload: "orderbook", Nodes: 8, Clients: 12, Ops: 40, Ungrouped: ungrouped}
+	ob := func(grouped bool) func() (sim.Time, float64, int, error) {
+		return func() (sim.Time, float64, int, error) {
+			r, err := orderbook.Run(orderbook.Options{Clients: 12, Ops: 40, Grouped: grouped}, abcl.WithNodes(8))
+			return r.Elapsed, r.Throughput, r.MaxLive, err
+		}
 	}
 	rows := []ContentionRow{
-		{Workload: hot, Variant: "none (serial)", spec: hk("none")},
-		{Workload: hot, Variant: "partial: reads grouped", spec: hk("partial")},
-		{Workload: hot, Variant: "full: reads and writes grouped", spec: hk("full")},
-		{Workload: book, Variant: "ungrouped (serial)", spec: ob(true)},
-		{Workload: book, Variant: "grouped reads and deposits", spec: ob(false)},
+		{Workload: hot, Variant: "none (serial)", run: hk(hotkey.CoverNone)},
+		{Workload: hot, Variant: "partial: reads grouped", run: hk(hotkey.CoverPartial)},
+		{Workload: hot, Variant: "full: reads and writes grouped", run: hk(hotkey.CoverFull)},
+		{Workload: book, Variant: "ungrouped (serial)", run: ob(false)},
+		{Workload: book, Variant: "grouped reads and deposits", run: ob(true)},
 	}
-	return rows, workload.ForEachIndexed(len(rows), runtime.GOMAXPROCS(0), func(i int) error {
+	return rows, workload.ForEachIndexed(len(rows), runtime.GOMAXPROCS(0), func(i int) (err error) {
 		r := &rows[i]
-		o, err := workload.Run(r.spec)
-		if err != nil {
-			return fmt.Errorf("exp: contention %s / %s: %w", r.Workload, r.Variant, err)
+		if r.Elapsed, r.Throughput, r.MaxLive, err = r.run(); err != nil {
+			err = fmt.Errorf("exp: contention %s / %s: %w", r.Workload, r.Variant, err)
 		}
-		r.Elapsed = o.Elapsed
-		switch res := o.Result.(type) {
-		case hotkey.Result:
-			r.Throughput, r.MaxLive = res.Throughput, res.MaxLive
-		case orderbook.Result:
-			r.Throughput, r.MaxLive = res.Throughput, res.MaxLive
-		}
-		return nil
+		return err
 	})
 }

@@ -141,11 +141,17 @@ func Table4(ns []int) []Table4Col {
 // taxonomy — and whose counters give the dormant fraction (the paper's
 // "approximately 75%", Section 6.3).
 func PathBreakdown(n, nodes int, seed int64) (*abcl.Report, error) {
-	res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(nodes), abcl.WithSeed(seed))
+	o, err := workload.Run(queens(n, nodes, seed))
 	if err != nil {
 		return nil, fmt.Errorf("exp: path breakdown N=%d P=%d: %w", n, nodes, err)
 	}
-	return &res.Report, nil
+	return o.Report, nil
+}
+
+// queens is the run spec of one N-queens experiment point: the one
+// description a figure's row is run from and, with -pack, packed from.
+func queens(n, nodes int, seed int64) workload.Spec {
+	return workload.Spec{Workload: "nqueens", N: n, Nodes: nodes, Seed: seed}
 }
 
 // SpeedupPoint is one point of the paper's Figure 5.
@@ -155,6 +161,7 @@ type SpeedupPoint struct {
 	Elapsed     sim.Time
 	Speedup     float64
 	Utilization float64
+	spec        workload.Spec // the run, as WriteFigure5 packs it
 }
 
 // Figure5 sweeps node counts for each problem size, computing speedup
@@ -169,16 +176,18 @@ func Figure5(ns, procs []int, seed int64) ([]SpeedupPoint, error) {
 	out := make([]SpeedupPoint, len(ns)*len(procs))
 	err := workload.ForEachIndexed(len(out), runtime.GOMAXPROCS(0), func(i int) error {
 		n, p := ns[i/len(procs)], procs[i%len(procs)]
-		res, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(p), abcl.WithSeed(seed))
+		sp := queens(n, p, seed)
+		o, err := workload.Run(sp)
 		if err != nil {
 			return fmt.Errorf("exp: figure 5 N=%d P=%d: %w", n, p, err)
 		}
 		out[i] = SpeedupPoint{
 			N:           n,
 			Procs:       p,
-			Elapsed:     res.Elapsed,
-			Speedup:     float64(seqElapsed[n]) / float64(res.Elapsed),
-			Utilization: res.Utilization,
+			Elapsed:     o.Elapsed,
+			Speedup:     float64(seqElapsed[n]) / float64(o.Elapsed),
+			Utilization: o.Report.Sched.Utilization,
+			spec:        sp,
 		}
 		return nil
 	})
@@ -195,6 +204,8 @@ type Figure6Row struct {
 	StackMs     float64
 	SpeedupPct  float64 // naive/stack - 1, in percent
 	DormantFrac float64 // fraction of local messages to dormant objects
+	naive       workload.Spec
+	stack       workload.Spec // the two runs, as WriteFigure6 packs them
 }
 
 // Figure6 compares naive and stack-based scheduling on the N-queens
@@ -204,11 +215,13 @@ func Figure6(ns []int, procs int, seed int64) ([]Figure6Row, error) {
 	out := make([]Figure6Row, len(ns))
 	err := workload.ForEachIndexed(len(ns), runtime.GOMAXPROCS(0), func(i int) error {
 		n := ns[i]
-		st, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(procs), abcl.WithSeed(seed), abcl.WithPolicy(abcl.StackBased))
+		naive, stack := queens(n, procs, seed), queens(n, procs, seed)
+		naive.Policy, stack.Policy = "naive", "stack"
+		st, err := workload.Run(stack)
 		if err != nil {
 			return fmt.Errorf("exp: figure 6 N=%d stack: %w", n, err)
 		}
-		nv, err := nqueens.Run(nqueens.Options{N: n}, abcl.WithNodes(procs), abcl.WithSeed(seed), abcl.WithPolicy(abcl.Naive))
+		nv, err := workload.Run(naive)
 		if err != nil {
 			return fmt.Errorf("exp: figure 6 N=%d naive: %w", n, err)
 		}
@@ -217,7 +230,9 @@ func Figure6(ns []int, procs int, seed int64) ([]Figure6Row, error) {
 			NaiveMs:     nv.Elapsed.Millis(),
 			StackMs:     st.Elapsed.Millis(),
 			SpeedupPct:  100 * (float64(nv.Elapsed)/float64(st.Elapsed) - 1),
-			DormantFrac: st.Stats.DormantFraction(),
+			DormantFrac: st.Report.Sched.Counters.DormantFraction(),
+			naive:       naive,
+			stack:       stack,
 		}
 		return nil
 	})

@@ -270,8 +270,7 @@ func WriteFigure5(w io.Writer, sizes []int, packDir string) error {
 	header(w, cols...)
 	for _, p := range pts {
 		cells, err := packIDs(packDir, []any{p.N, p.Procs, fmt.Sprintf("%.3f", p.Elapsed.Millis()),
-			fmt.Sprintf("%.1f", p.Speedup), fmt.Sprintf("%.1f %%", 100*p.Utilization)},
-			workload.Spec{Workload: "nqueens", N: p.N, Nodes: p.Procs, Seed: seed})
+			fmt.Sprintf("%.1f", p.Speedup), fmt.Sprintf("%.1f %%", 100*p.Utilization)}, p.spec)
 		if err != nil {
 			return err
 		}
@@ -294,11 +293,8 @@ func WriteFigure6(w io.Writer, sizes []int, packDir string) error {
 	}
 	header(w, cols...)
 	for _, r := range rows {
-		spec := workload.Spec{Workload: "nqueens", N: r.N, Nodes: procs, Seed: seed}
-		naive, stack := spec, spec
-		naive.Policy, stack.Policy = "naive", "stack"
 		cells, err := packIDs(packDir, []any{r.N, fmt.Sprintf("%.3f", r.NaiveMs), fmt.Sprintf("%.3f", r.StackMs),
-			fmt.Sprintf("%+.1f %%", r.SpeedupPct), fmt.Sprintf("%.0f %%", 100*r.DormantFrac)}, naive, stack)
+			fmt.Sprintf("%+.1f %%", r.SpeedupPct), fmt.Sprintf("%.0f %%", 100*r.DormantFrac)}, r.naive, r.stack)
 		if err != nil {
 			return err
 		}

@@ -557,11 +557,16 @@ func (m *Machine) Profile() *profile.Report { return m.counts.Report(m.prof) }
 
 // Stats returns the runtime counters with the ones that restate others filled
 // in (a now-send is a now-blocked event; a remote creation, a stock hit or
-// miss): the counters' one read for a report.
+// miss; a local creation, any other create event; a sent ack or a
+// retransmission, a packet of its path): the counters' one read for a
+// report.
 func (m *Machine) Stats() stats.Counters {
 	c, e := m.C, &m.counts.Events
 	c.NowFastPath = e[profile.NowBlocked] - c.NowBlocked
 	c.RemoteCreations = c.StockHits + c.StockMisses
+	c.LocalCreations = e[profile.Create] - c.RemoteCreations
+	c.AcksSent = m.counts.Packets[profile.Ack]
+	c.Retransmits = m.counts.Packets[profile.Retransmit]
 	c.LocalToDormant = e[profile.LocalDormant]
 	c.LocalToActive = e[profile.LocalActive]
 	c.LocalRestores = e[profile.Restore]

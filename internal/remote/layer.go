@@ -89,10 +89,12 @@ type Layer struct {
 	bat   *batcher  // nil unless Options.BatchWindow > 0
 
 	// Never released, so carved: every node's chunk-stock slots (stock.go)
-	// and, when the layer keeps peers (link.go), links and open batches.
+	// and, when the layer keeps peers (link.go), links, open batches and the
+	// delayed-ack lists of links owing an ack (reliable.go).
 	stockSlots sim.Arena[uint64]
 	links      sim.Arena[link]
 	batches    sim.Arena[openBatch]
+	owedLists  sim.Arena[*link]
 
 	depth uint64 // Options.StockDepth, capped at a slot's count bits
 
@@ -462,20 +464,4 @@ func (l *Layer) AckDelay() sim.Time {
 // pair (for tests and reports).
 func (l *Layer) StockLevel(node, target int, cl *core.Class) int {
 	return l.nodes[node].stock.level(stockKey(target, cl.ID()))
-}
-
-// String describes the layer configuration.
-func (l *Layer) String() string {
-	s := fmt.Sprintf("remote{stock=%d placement=%s", l.opt.StockDepth, l.opt.Placement.Name())
-	if l.bat != nil {
-		s += fmt.Sprintf(" batch=%v/%dB", l.bat.window, l.bat.maxBytes)
-	}
-	if l.rel != nil {
-		if l.rel.ackDelay > 0 {
-			s += fmt.Sprintf(" reliable ackDelay=%v", l.rel.ackDelay)
-		} else {
-			s += " reliable"
-		}
-	}
-	return s + "}"
 }

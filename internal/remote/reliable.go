@@ -287,7 +287,6 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 		return
 	}
 	m.attempts++
-	r.l.m.C.Retransmits++
 	// The timer expired on a possibly idle node: bring its clock up to the
 	// timeout instant, then charge the software cost of the retransmission.
 	mn.SyncClock(mn.EventNow())
@@ -389,7 +388,6 @@ func (r *reliable) ack(rn *machine.Node, dst, size int, h machine.Hook) *machine
 
 // sendAck acknowledges one copy of (src link, seq) the instant it arrives.
 func (r *reliable) sendAck(rn *machine.Node, src int, seq uint64, at sim.Time) {
-	r.l.m.C.AcksSent++
 	rn.CountPacket(profile.Ack, ackBytes, at)
 	p := r.ack(rn, src, ackBytes, r.hAck)
 	p.Seq = seq
@@ -451,6 +449,13 @@ func (r *reliable) noteArrival(rn *machine.Node, src int, seq uint64) {
 	}
 	n := &ns.rel
 	if k.owed == 0 {
+		if len(n.owedTo) == cap(n.owedTo) {
+			// Grown as append would, but into a carved list: the one it
+			// leaves is never reused.
+			grown := r.l.owedLists.Slice(max(2*cap(n.owedTo), 4))[:len(n.owedTo)]
+			copy(grown, n.owedTo)
+			n.owedTo = grown
+		}
 		n.owedTo = append(n.owedTo, k)
 		k.owedSince = rn.EventNow()
 	}
@@ -516,11 +521,9 @@ func (r *reliable) emit(rn *machine.Node, ns *nodeState, k *link, at sim.Time) {
 	size := ackBytes + 8*len(sel)
 	owed := k.owed
 	k.owed = 0
-	c := &r.l.m.C
-	c.AcksSent++
 	rn.CountPacket(profile.Ack, size, at)
 	if owed > 1 {
-		c.AcksCoalesced += uint64(owed - 1)
+		r.l.m.C.AcksCoalesced += uint64(owed - 1)
 		if r.l.rt.Tracing() {
 			r.l.rt.Tracef(at, rcv, trace.EvAckCoalesce,
 				"cum ack %d to n%d covers %d arrivals", k.cum, src, owed)

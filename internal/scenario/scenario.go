@@ -41,9 +41,6 @@ type Assert struct {
 	MinDupSuppressed uint64 `json:"min_dup_suppressed,omitempty"`
 	// MinPauses requires at least this many node-pause activations.
 	MinPauses uint64 `json:"min_pauses,omitempty"`
-	// MaxSlowdown bounds faulted elapsed time as a multiple of the
-	// baseline's (0 = unchecked).
-	MaxSlowdown float64 `json:"max_slowdown,omitempty"`
 	// MinRestarts requires at least this many crash restarts (proof the
 	// declared crashes fired before the workload finished).
 	MinRestarts uint64 `json:"min_restarts,omitempty"`
@@ -172,12 +169,6 @@ func (o *Outcome) check() {
 	}
 	if c.NodePauses < want.MinPauses {
 		fail("node pauses = %d, want >= %d", c.NodePauses, want.MinPauses)
-	}
-	if m := want.MaxSlowdown; m > 0 && o.Baseline.Elapsed > 0 {
-		slow := float64(o.Faulted.Elapsed) / float64(o.Baseline.Elapsed)
-		if slow > m {
-			fail("slowdown %.2fx exceeds limit %.2fx", slow, m)
-		}
 	}
 	if c.NodeRestarts < want.MinRestarts {
 		fail("node restarts = %d, want >= %d", c.NodeRestarts, want.MinRestarts)

@@ -8,8 +8,9 @@ package stats
 // is ready to use. Counters is not safe for concurrent use; the
 // discrete-event simulator's one goroutine owns it.
 // The fields that restate other counts (a path's events: LocalTo*,
-// LocalRestores, RemoteSends, RemoteDelivers, CkptSaves; NowFastPath,
-// RemoteCreations) have no increment site: machine.Machine.Stats fills them.
+// LocalRestores, RemoteSends, RemoteDelivers, CkptSaves; a path's packets:
+// AcksSent, Retransmits; NowFastPath, LocalCreations, RemoteCreations) have
+// no increment site: machine.Machine.Stats fills them.
 type Counters struct {
 	// Intra-node message sends by receiver state at delivery time.
 	LocalToDormant uint64 // invoked immediately on the sender's stack

@@ -152,16 +152,6 @@ func (r *Ring) Event(e Event) {
 	r.count++
 }
 
-// Add records an event.
-func (r *Ring) Add(at sim.Time, node int, kind Kind, what string) {
-	r.Event(Event{At: at, Node: node, Kind: kind, What: what})
-}
-
-// Addf records a formatted event.
-func (r *Ring) Addf(at sim.Time, node int, kind Kind, format string, args ...any) {
-	r.Add(at, node, kind, fmt.Sprintf(format, args...))
-}
-
 // Len returns the number of retained events.
 func (r *Ring) Len() int { return len(r.buf) }
 

@@ -18,7 +18,7 @@ import (
 func TestRingBasics(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 3; i++ {
-		r.Add(int64ToTime(i), i, EvSend, "x")
+		r.Event(Event{At: int64ToTime(i), Node: i, Kind: EvSend, What: "x"})
 	}
 	if r.Len() != 3 || r.Total() != 3 {
 		t.Fatalf("len=%d total=%d, want 3/3", r.Len(), r.Total())
@@ -34,7 +34,7 @@ func TestRingBasics(t *testing.T) {
 func TestRingWrapsOldest(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Addf(int64ToTime(i), i, EvDispatch, "ev%d", i)
+		r.Event(Event{At: int64ToTime(i), Node: i, Kind: EvDispatch, What: fmt.Sprintf("ev%d", i)})
 	}
 	if r.Len() != 4 {
 		t.Fatalf("len = %d, want 4", r.Len())
@@ -53,8 +53,8 @@ func TestRingWrapsOldest(t *testing.T) {
 
 func TestRingDump(t *testing.T) {
 	r := NewRing(8)
-	r.Add(2300, 0, EvSend, "ping -> obj1")
-	r.Add(4600, 1, EvRetry, "cat-1 seq 3")
+	r.Event(Event{At: 2300, Node: 0, Kind: EvSend, What: "ping -> obj1"})
+	r.Event(Event{At: 4600, Node: 1, Kind: EvRetry, What: "cat-1 seq 3"})
 	var sb strings.Builder
 	if err := r.Dump(&sb); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestRingDump(t *testing.T) {
 func TestDefaultCapacity(t *testing.T) {
 	r := NewRing(0)
 	for i := 0; i < 2000; i++ {
-		r.Add(0, 0, EvSend, "")
+		r.Event(Event{Kind: EvSend})
 	}
 	if r.Len() != 1024 {
 		t.Fatalf("default capacity = %d, want 1024", r.Len())

@@ -72,7 +72,6 @@ type Spec struct {
 
 	// Wire-path and recovery options.
 	BatchWindowNs  int64 `json:"batch_window_ns,omitempty"`
-	BatchBytes     int   `json:"batch_bytes,omitempty"`
 	AckDelayNs     int64 `json:"ack_delay_ns,omitempty"`
 	Reliable       bool  `json:"reliable,omitempty"`
 	CkptIntervalNs int64 `json:"checkpoint_interval_ns,omitempty"`
@@ -122,12 +121,17 @@ func lookup[T any](kind string, table map[string]T, name string) (T, error) {
 	if ok {
 		return v, nil
 	}
-	names := make([]string, 0, len(table))
+	return v, fmt.Errorf("workload: unknown %s %q (want %s)", kind, name, strings.Join(names(table), " | "))
+}
+
+// names returns a table's names, sorted.
+func names[T any](table map[string]T) []string {
+	out := make([]string, 0, len(table))
 	for n := range table {
-		names = append(names, n)
+		out = append(out, n)
 	}
-	sort.Strings(names)
-	return v, fmt.Errorf("workload: unknown %s %q (want %s)", kind, name, strings.Join(names, " | "))
+	sort.Strings(out)
+	return out
 }
 
 // options translates the spec's system settings into abcl options — the one
@@ -163,11 +167,8 @@ func (sp Spec) options() ([]abcl.Option, error) {
 	if sp.Faults != nil {
 		opts = append(opts, abcl.WithFaults(*sp.Faults))
 	}
-	switch {
-	case sp.BatchWindowNs != 0:
-		opts = append(opts, abcl.WithBatching(abcl.Time(sp.BatchWindowNs), sp.BatchBytes))
-	case sp.BatchBytes != 0:
-		errs = append(errs, fmt.Errorf("workload: batch_bytes requires batch_window_ns (a byte budget without a window batches nothing)"))
+	if sp.BatchWindowNs != 0 {
+		opts = append(opts, abcl.WithBatching(abcl.Time(sp.BatchWindowNs), 0))
 	}
 	if sp.Reliable {
 		opts = append(opts, abcl.WithReliable())
@@ -220,10 +221,11 @@ type Outcome struct {
 	Elapsed abcl.Time
 	// Report is the grouped report of the system the program ran on.
 	Report *abcl.Report
-	// Result is the app's own result value (nqueens.Result, hotkey.Result,
-	// ...), for front ends that print app-specific detail. It repeats what
-	// Answer and Report hold, so a scenario report leaves it out.
-	Result any `json:"-"`
+	// Lines writes the app's own result lines, as abclsim prints them; they
+	// are rendered only when called (the n-queens lines run the sequential
+	// baseline). They repeat what Answer and Report hold, so a scenario
+	// report leaves them out.
+	Lines func(w io.Writer) `json:"-"`
 }
 
 // Run executes the spec: defaults, then the spec's options followed by extra

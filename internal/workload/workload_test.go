@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"strings"
@@ -21,8 +22,9 @@ var tiny = map[string]Spec{
 }
 
 // TestEverySettingReachesEveryApp runs each registered app through the one
-// dispatcher and asserts that a fault plan, the profile window and the scheduling
-// policy each leave their mark on the run — whichever app it is.
+// dispatcher and asserts that it renders its result lines and that a fault
+// plan, the profile window and the scheduling policy each leave their mark
+// on the run — whichever app it is.
 func TestEverySettingReachesEveryApp(t *testing.T) {
 	for name := range apps {
 		sp, ok := tiny[name]
@@ -41,6 +43,17 @@ func TestEverySettingReachesEveryApp(t *testing.T) {
 			}
 			if p := clean.Report.Profile; p == nil || p.Window != 0 || p.Slices != nil {
 				t.Errorf("run without a window: profile %+v, want one without slices", p)
+			}
+			// abclsim prints these lines for the app: an entry without them
+			// would make the command call a nil func.
+			if clean.Lines == nil {
+				t.Error("clean run: no result lines")
+			} else {
+				var lines bytes.Buffer
+				clean.Lines(&lines)
+				if l := lines.String(); l == "" || !strings.HasSuffix(l, "\n") {
+					t.Errorf("clean run: result lines %q, want whole lines", l)
+				}
 			}
 
 			lossy := sp
@@ -123,19 +136,14 @@ func TestSpecRejections(t *testing.T) {
 		{Workload: "nqueens", Policy: "naiv"},
 		{Workload: "nqueens", Placement: "rand"},
 		{Workload: "nqueens", BatchWindowNs: -5},
-		{Workload: "forkjoin", Nodes: 4, BatchBytes: 64},                      // no window: batched nothing
-		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5},                 // ran without time slices
-		{Workload: "forkjoin", Nodes: 4, BatchWindowNs: 1000, BatchBytes: -3}, // ran with the 512-B default
-		{Workload: "forkjoin", Depth: -1},                                     // would fork without end
-		{Workload: "nqueens", N: 128},                                         // used to spin in validColumns forever
-		{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5},                      // ran with the stock disabled
+		{Workload: "forkjoin", Nodes: 4, ProfileWindowNs: -5}, // ran without time slices
+		{Workload: "forkjoin", Depth: -1},                     // would fork without end
+		{Workload: "nqueens", N: 128},                         // used to spin in validColumns forever
+		{Workload: "nqueens", N: 6, Nodes: 4, Stock: -5},      // ran with the stock disabled
 	} {
 		if _, err := Run(sp); err == nil {
 			t.Errorf("Run(%+v) accepted the spec", sp)
 		}
-	}
-	if err := (Spec{Workload: "forkjoin", BatchBytes: 64}).Validate(); err == nil || !strings.Contains(err.Error(), "batch_bytes requires batch_window_ns") {
-		t.Errorf("Validate accepted a byte budget without a batch window: %v", err)
 	}
 	if err := (Spec{Workload: "forkjoin", Depth: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "depth must be >= 0") {
 		t.Errorf("Validate accepted a negative fork-join depth: %v", err)
@@ -223,7 +231,6 @@ func TestValidateAgreesWithRun(t *testing.T) {
 			Ungrouped:       rng.Intn(2) == 0,
 			Faults:          draw(rng, nil, drawnFaults[rng.Intn(len(drawnFaults))], &lossless),
 			BatchWindowNs:   draw[int64](rng, 0, 5_000, -5),
-			BatchBytes:      draw(rng, 0, 256, -3),
 			AckDelayNs:      draw[int64](rng, 0, 20_000, -7),
 			Reliable:        rng.Intn(2) == 0,
 			CkptIntervalNs:  draw(rng, 0, drawn.CkptIntervalNs, -7),
@@ -354,7 +361,7 @@ func FuzzSpecValidate(f *testing.F) {
 		`"faults":{"links":[{"drop":0.05}]},"batch_window_ns":5000,"ack_delay_ns":20000,"reliable":true}`))
 	f.Add([]byte(`{"workload":"hotkey","nodes":4,"clients":3,"ops":4,"write_pct":50,"coverage":"none","checkpoint_interval_ns":100000}`))
 	f.Add([]byte(`{"workload":"orderbook","nodes":4,"clients":3,"ops":4,"profile_window_ns":50000,"reliable":true}`))
-	f.Add([]byte(`{"workload":"diffusion","nodes":3,"grid":3,"grid_iters":2,"scatter":true,"policy":"naive","batch_bytes":256,"batch_window_ns":5000}`))
+	f.Add([]byte(`{"workload":"diffusion","nodes":3,"grid":3,"grid_iters":2,"scatter":true,"policy":"naive","batch_window_ns":5000}`))
 	f.Add([]byte(`{"workload":"forkjoin","nodes":4,"depth":4,"stock":-1,"seed":7,"faults":{"links":[{"src":7,"drop":0.01}]}}`))
 	// Plans past the 64-transmission budget the reliable layer once had, at
 	// the drawn depth: a loss storm (with that budget the run stopped with

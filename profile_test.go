@@ -100,13 +100,18 @@ func TestProfilerCompleteness(t *testing.T) {
 	if ck := paths["ckpt"]; ck.StableBytes == 0 {
 		t.Error("checkpointing run attributed no stable-store bytes")
 	}
-	checkPathCounts(t, "nqueens", res.Report)
+	// An n-queens run creates its root, its collector and one object per
+	// search-tree node.
+	tree, _ := nqueens.CountTree(8)
+	checkPathCounts(t, "nqueens", res.Report, uint64(tree)+2)
 
 	hot, err := hotkey.Run(hotkey.Options{Clients: 8, Ops: 20, Coverage: hotkey.CoverFull}, abcl.WithNodes(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPathCounts(t, "grouped hotkey", hot.Report)
+	// A hot-key run on 8 nodes creates 7 store shards, the counter, the
+	// collector and its 8 clients.
+	checkPathCounts(t, "grouped hotkey", hot.Report, 7+1+1+8)
 
 	// Three local sends to a multiactive object: three multi events.
 	sys := abcl.MustNewSystem(abcl.WithNodes(2))
@@ -125,15 +130,16 @@ func TestProfilerCompleteness(t *testing.T) {
 	if got := local.Sched.Counters.LocalToMulti; got != 3 {
 		t.Errorf("local multiactive sends: LocalToMulti = %d, want 3", got)
 	}
-	checkPathCounts(t, "local multiactive", local)
+	checkPathCounts(t, "local multiactive", local, 2)
 }
 
 // checkPathCounts asserts the equalities a report's profile relies on:
 // every counter that restates a path's event count equals that path's
 // Events, the counts kept apart from the path events agree with them, and
 // the multi row, whose instructions are those of its deliveries, has events
-// whenever it has instructions.
-func checkPathCounts(t *testing.T, run string, rep abcl.Report) {
+// whenever it has instructions. creations is the number of objects the
+// program makes, counted from the program itself.
+func checkPathCounts(t *testing.T, run string, rep abcl.Report, creations uint64) {
 	t.Helper()
 	events, packets, instr := map[string]uint64{}, map[string]uint64{}, map[string]uint64{}
 	for _, ps := range rep.Profile.Paths {
@@ -166,9 +172,10 @@ func checkPathCounts(t *testing.T, run string, rep abcl.Report) {
 	if s, p, r := events["remote-send"], packets["remote-send"], events["remote-recv"]; s != p || s != r {
 		t.Errorf("%s: remote-send events %d, packets %d, remote-recv events %d; want equal", run, s, p, r)
 	}
-	// A create event is a creation.
-	if cr := events["create"]; cr != c.Creations() {
-		t.Errorf("%s: create events %d, creations %d", run, cr, c.Creations())
+	// A create event is a creation: Creations() restates the create
+	// events, so both are held to the program's own count.
+	if cr := events["create"]; cr != creations || c.Creations() != creations {
+		t.Errorf("%s: create events %d, Creations() %d, objects made by the program %d", run, cr, c.Creations(), creations)
 	}
 	// Every completed round saved every node.
 	if want := uint64(rep.Ckpt.Rounds) * uint64(rep.Sched.Nodes); c.CkptSaves < want {
@@ -177,23 +184,34 @@ func checkPathCounts(t *testing.T, run string, rep abcl.Report) {
 }
 
 // TestObserverEquivalence asserts the Sink contract's passive side: an
-// attached observer changes no virtual-time result.
+// attached observer changes no virtual-time result, and observers attached
+// side by side each see the whole stream a lone one sees.
 func TestObserverEquivalence(t *testing.T) {
 	base := []abcl.Option{abcl.WithNodes(4), abcl.WithSeed(5)}
 	plain, err := nqueens.Run(nqueens.Options{N: 8}, base...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var solo bytes.Buffer
+	if _, err := nqueens.Run(nqueens.Options{N: 8}, append(base, abcl.WithObserver(trace.NewJSONL(&solo)))...); err != nil {
+		t.Fatal(err)
+	}
 	ring := trace.NewRing(16)
-	res, err := nqueens.Run(nqueens.Options{N: 8}, append(base, abcl.WithObserver(ring))...)
+	var a, b bytes.Buffer
+	res, err := nqueens.Run(nqueens.Options{N: 8}, append(base, abcl.WithObserver(ring),
+		abcl.WithObserver(trace.NewJSONL(&a)), abcl.WithObserver(trace.NewJSONL(&b)))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Elapsed != plain.Elapsed || res.Stats != plain.Stats {
 		t.Error("attaching an observer changed virtual-time results")
 	}
-	if ring.Total() == 0 {
+	if ring.Total() == 0 || solo.Len() == 0 {
 		t.Error("observer saw no events")
+	}
+	if !bytes.Equal(a.Bytes(), solo.Bytes()) || !bytes.Equal(b.Bytes(), solo.Bytes()) {
+		t.Errorf("side-by-side JSONL sinks got %d and %d bytes, a lone sink %d: want the identical stream",
+			a.Len(), b.Len(), solo.Len())
 	}
 }
 
