@@ -142,3 +142,81 @@ func TestRestoreForgetsLaterObjectsNotTheirSlots(t *testing.T) {
 			restocked, stockAtSnap)
 	}
 }
+
+// A creation that misses saves its creator's context in a record its
+// request and reply carry. Checkpoint retention may replay both after the
+// creator has resumed, so under checkpointing that record is never
+// recycled: were it handed to a later creation, the replayed reply would
+// resume that creation instead. Here the maker's creation misses (a stock
+// of depth 0), a snapshot is taken while its request is in flight, and the
+// maker's continuation sets a second object creating; while that one is
+// blocked on its own miss, node 1 restarts and the machine rolls back to
+// the snapshot. The retained request is replayed, and the maker must resume
+// exactly once more, with the address of the object the replayed request
+// created, and the other creator exactly once, with its own.
+func TestReplayedMissResumesItsCreator(t *testing.T) {
+	const target = 1
+	m, err := machine.New(machine.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := core.NewRuntime(m, core.Options{})
+	l := remote.Attach(rt, remote.Options{StockDepth: 0, Reliable: true, Seed: 1})
+	g := New(rt, l, 0)
+
+	spawn := rt.Reg.Register("spawn", 0)
+	cell := rt.DefineClass("cell", 0, nil)
+	var makerAt, otherAt []core.Address // the addresses each creator resumed with
+	restored, snapped := false, false
+	other := rt.DefineClass("other", 0, nil)
+	other.Method(spawn, func(ctx *core.Ctx) {
+		l.CreateOn(ctx, target, cell, nil, func(_ *core.Ctx, a core.Address) { otherAt = append(otherAt, a) })
+		if !restored {
+			restored = true
+			at := ctx.Now()
+			m.Eng.ScheduleFuncOn(0, at, func() { g.restore(at, target) })
+		}
+	})
+	oth := rt.NewObjectOn(0, other)
+	maker := rt.DefineClass("maker", 0, nil)
+	maker.Method(spawn, func(ctx *core.Ctx) {
+		l.CreateOn(ctx, target, cell, nil, func(ctx *core.Ctx, a core.Address) {
+			makerAt = append(makerAt, a)
+			ctx.SendPast(oth, spawn)
+		})
+		if !snapped {
+			snapped = true
+			at := ctx.Now()
+			m.Eng.ScheduleFuncOn(0, at, func() { g.stable = g.capture(1, at) })
+		}
+	})
+	mk := rt.NewObjectOn(0, maker)
+	rt.Inject(mk, spawn)
+	g.Start(nil)
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := rt.TotalStats()
+	if !restored || c.NodeRestarts != 1 || c.ReplayedMsgs == 0 {
+		t.Fatalf("restored=%v restarts=%d replayed=%d, want a rollback that replays the maker's request",
+			restored, c.NodeRestarts, c.ReplayedMsgs)
+	}
+	if c.StockMisses != 3 {
+		t.Errorf("%d stock misses, want 3: the maker's, the other's, and the other's again after the rollback", c.StockMisses)
+	}
+	// Before the rollback: the maker resumed once and the other blocked.
+	// After it: the replayed request created a fresh cell, the maker resumed
+	// with it, and the other, told again, resumed with a cell of its own.
+	if len(makerAt) != 2 || len(otherAt) != 1 {
+		t.Fatalf("the maker resumed %d times and the other %d, want 2 and 1", len(makerAt), len(otherAt))
+	}
+	replayed := makerAt[1]
+	if replayed.Obj == makerAt[0].Obj || replayed.Node != target || replayed.Obj.Class() != cell {
+		t.Errorf("the maker resumed after the rollback with %+v (before it %+v), want a fresh cell on node %d",
+			replayed, makerAt[0], target)
+	}
+	if own := otherAt[0]; own.Obj == replayed.Obj || own.Obj == makerAt[0].Obj || own.Obj.Class() != cell {
+		t.Errorf("the other creator resumed with %+v, want a cell of its own", own)
+	}
+}

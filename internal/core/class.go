@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 )
 
 // MethodFunc is a compiled method body. Method bodies are written in
@@ -33,7 +31,7 @@ type Class struct {
 	dormant   *VFT
 	active    *VFT
 	initTable *VFT
-	waitCache map[string]*VFT
+	waitCache []waitTable
 
 	// Multiactive declarations (Group / Priority). Declaring any
 	// compatibility group makes the class multiactive: its objects keep the
@@ -108,7 +106,6 @@ func (c *Class) buildTables(npat int) {
 		// as a queued message would on the AP1000.
 		c.active.entries[p] = entry{entryQueue, queueEntry}
 	}
-	c.waitCache = make(map[string]*VFT)
 	if len(c.groups) > 0 {
 		c.buildMulti(npat)
 	}
@@ -118,39 +115,50 @@ func (c *Class) buildTables(npat int) {
 // selective reception awaiting the given patterns: awaited entries restore
 // the saved context, all other entries are queuing procedures. The paper
 // constructs one such table per wait site at compile time; memoization gives
-// the same effect.
+// the same effect. A class has a table per awaited pattern set, a handful,
+// so the lookup scans them and allocates nothing; the order of pats and
+// repeats in it do not matter.
 func (c *Class) waitingVFT(pats []PatternID) *VFT {
-	key := waitKey(pats)
-	if v, ok := c.waitCache[key]; ok {
-		return v
+	for _, w := range c.waitCache {
+		if w.awaits(pats) {
+			return w.vft
+		}
 	}
 	npat := len(c.active.entries)
-	v := &VFT{Mode: ModeWaiting, entries: make([]entry, npat)}
-	copy(v.entries, c.active.entries)
+	w := waitTable{vft: &VFT{Mode: ModeWaiting, entries: make([]entry, npat)}}
+	copy(w.vft.entries, c.active.entries)
 	for _, p := range pats {
 		if int(p) < 0 || int(p) >= npat {
 			panic(fmt.Sprintf("core: class %s: awaited pattern %d out of range", c.Name, p))
 		}
-		v.entries[p] = entry{entryRestore, restoreEntry}
+		if w.vft.entries[p].kind != entryRestore {
+			w.n++
+		}
+		w.vft.entries[p] = entry{entryRestore, restoreEntry}
 	}
-	c.waitCache[key] = v
-	return v
+	c.waitCache = append(c.waitCache, w)
+	return w.vft
 }
 
-func waitKey(pats []PatternID) string {
-	ids := make([]int, len(pats))
+// waitTable is a cached waiting-mode table and the number of patterns it
+// awaits.
+type waitTable struct {
+	vft *VFT
+	n   int
+}
+
+// awaits reports whether the table awaits exactly the patterns of pats.
+func (w waitTable) awaits(pats []PatternID) bool {
+	distinct := 0
 	for i, p := range pats {
-		ids[i] = int(p)
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
+		if int(p) < 0 || int(p) >= len(w.vft.entries) || w.vft.entries[p].kind != entryRestore {
+			return false
 		}
-		b.WriteString(strconv.Itoa(id))
+		if !slices.Contains(pats[:i], p) {
+			distinct++
+		}
 	}
-	return b.String()
+	return distinct == w.n
 }
 
 // InitCtx is the limited context available to lazy initializers: it can read

@@ -203,7 +203,7 @@ func (c *Ctx) Yield(k func(*Ctx)) {
 	n.C.HeapFrames++
 	n.node.SetPath(profile.Sched)
 	n.node.Charge(n.cost.SaveContext)
-	n.deferResume(c.self, c.f, k)
+	n.deferResume(n.saveContext(c.self, c.f, k))
 	c.blocked = true
 }
 
@@ -227,15 +227,5 @@ func (c *Ctx) SelfObject() *Object { return c.self }
 func (c *Ctx) CurrentFrame() *Frame { return c.f }
 
 // BlockExternal marks the context blocked; the caller (the remote layer)
-// takes responsibility for resuming the object via ResumeSaved.
+// takes responsibility for resuming the object via ResumeCreation.
 func (c *Ctx) BlockExternal() { c.blocked = true }
-
-// ResumeSaved schedules a saved continuation for obj through the scheduling
-// queue: the inverse of BlockExternal, used by the remote layer when a
-// blocking remote allocation completes.
-func (n *NodeRT) ResumeSaved(obj *Object, frame *Frame, k func(*Ctx)) {
-	n.C.HeapFrames++
-	n.node.SetPath(profile.Create)
-	n.node.Charge(n.cost.SaveContext)
-	n.deferResume(obj, frame, k)
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -748,6 +749,54 @@ func TestYield(t *testing.T) {
 	}
 }
 
+// A parked saved context's record returns to the free list when it resumes,
+// and the next blocked invocation takes it, so a snapshot copies the
+// record's contents: restored, the captured object resumes its own
+// continuation even when its old record now holds another object's.
+func TestSnapshotCopiesParkedSavedContext(t *testing.T) {
+	r := newTestRT(t, Options{})
+	r.EnableSnapshots()
+	start := r.Reg.Register("start", 0)
+	var log []string
+	yielder := func(name string) *Class {
+		return r.DefineClass(name, 0, nil).Method(start, func(ctx *Ctx) {
+			ctx.Yield(func(*Ctx) { log = append(log, name) })
+		})
+	}
+	a := r.NewObjectOn(0, yielder("a"))
+	b := r.NewObjectOn(0, yielder("b"))
+	r.Inject(a, start)
+	n := r.NodeRT(0)
+	for a.Obj.resume == nil {
+		if !n.Step() {
+			t.Fatal("a never parked its yielded context")
+		}
+	}
+	rec := a.Obj.resume
+	img := r.CaptureNode(0)
+	run(t, r)
+
+	r.Inject(b, start)
+	for b.Obj.resume == nil {
+		if !n.Step() {
+			t.Fatal("b never parked its yielded context")
+		}
+	}
+	if b.Obj.resume != rec {
+		t.Fatal("b's yield did not take the record a's resume returned")
+	}
+	r.RestoreNode(img)
+	r.M.Node(0).Wake()
+	if a.Obj.resume == nil || a.Obj.resume == rec || b.Obj.resume != nil {
+		t.Fatalf("restored a's resume to %p (its old record %p), b's to %p; want a fresh record for a and none for b",
+			a.Obj.resume, rec, b.Obj.resume)
+	}
+	run(t, r)
+	if got := strings.Join(log, ","); got != "a,a" {
+		t.Errorf("resumed %q, want a, then a again after the rollback", got)
+	}
+}
+
 func TestFaultChunkBuffersEarlyMessages(t *testing.T) {
 	// Figure 4: messages reaching an object before its creation request are
 	// buffered by the generic fault table and processed after InitChunk.
@@ -845,6 +894,13 @@ func TestWaitingVFTCache(t *testing.T) {
 	v3 := cls.waitingVFT([]PatternID{a})
 	if v3 == v1 {
 		t.Error("different pattern sets must get different tables")
+	}
+	if cls.waitingVFT([]PatternID{b, a, b}) != v1 || cls.waitingVFT([]PatternID{a, a}) != v3 {
+		t.Error("a repeated pattern must not change the set a table is cached under")
+	}
+	pats := []PatternID{b, a}
+	if n := testing.AllocsPerRun(10, func() { cls.waitingVFT(pats) }); n != 0 {
+		t.Errorf("a cached lookup makes %v allocations, want 0: every blocked WaitFor makes one", n)
 	}
 	if v1.Mode != ModeWaiting {
 		t.Errorf("waiting table mode = %v", v1.Mode)

@@ -40,10 +40,11 @@ type Frame struct {
 	next *Frame // message-queue link, reused as the free-list link
 
 	// A remote hop's object, homed on Wire.Dst (a message's receiver or a
-	// creation's stocked chunk), and the continuation a stock miss's request
-	// and reply carry back to the requester, called with the created address.
-	Obj       *Object
-	OnCreated func(Address)
+	// creation's stocked chunk), and the saved context of the creation a
+	// stock miss blocked: its request and reply carry the record back to the
+	// requester, which resumes it with the created address.
+	Obj     *Object
+	Creator *SavedContext
 }
 
 // SetArgs copies args into the frame — into the inline buffer when they

@@ -43,12 +43,6 @@ type groupDef struct {
 	priority int
 }
 
-// savedCont is a continuation parked for scheduling-queue resumption.
-type savedCont struct {
-	k     func(*Ctx)
-	frame *Frame
-}
-
 // multiState is the per-object scheduling state of a multiactive object.
 // Queue index i < len(groups) is declared group i; the last index is the
 // implicit exclusive queue for ungrouped patterns.
@@ -60,9 +54,9 @@ type multiState struct {
 	readyN int          // total parked frames across queues
 
 	// resume holds deferred continuations (yields, deep-stack reply resumes,
-	// blocking remote creations). Serial objects use the single resumeK slot;
+	// blocking remote creations). Serial objects use the single resume slot;
 	// a multiactive object may defer several at once, FIFO.
-	resume []savedCont
+	resume []*SavedContext
 }
 
 func newMultiState(cl *Class) *multiState {
@@ -279,12 +273,11 @@ func makeMultiEntry(cl *Class, p PatternID) entryFunc {
 func (n *NodeRT) multiDispatch(obj *Object) {
 	ms := obj.multi
 	if len(ms.resume) > 0 {
-		sc := ms.resume[0]
+		s := ms.resume[0]
 		copy(ms.resume, ms.resume[1:])
-		ms.resume[len(ms.resume)-1] = savedCont{}
+		ms.resume[len(ms.resume)-1] = nil
 		ms.resume = ms.resume[:len(ms.resume)-1]
-		n.node.Charge(n.cost.RestoreContext)
-		n.invoke(obj, sc.frame, sc.k, false)
+		n.restoreContext(s)
 		n.multiReschedule(obj)
 		return
 	}
@@ -321,18 +314,4 @@ func (n *NodeRT) multiReschedule(obj *Object) {
 	if len(ms.resume) > 0 || !obj.queue.empty() || (ms.readyN > 0 && ms.pick(obj.class) >= 0) {
 		n.enqueueSched(obj)
 	}
-}
-
-// deferResume parks a saved continuation for scheduling-queue resumption.
-// Serial objects use the single resumeK slot (at most one live invocation);
-// a multiactive object may defer several continuations at once, so they
-// queue FIFO in its multi state.
-func (n *NodeRT) deferResume(obj *Object, frame *Frame, k func(*Ctx)) {
-	if obj.multi != nil {
-		obj.multi.resume = append(obj.multi.resume, savedCont{k: k, frame: frame})
-	} else {
-		obj.resumeK = k
-		obj.resumeF = frame
-	}
-	n.enqueueSched(obj)
 }

@@ -26,11 +26,11 @@ type Object struct {
 	// mode: the continuation plus the frame of the blocked invocation.
 	wait *waitState
 
-	// resumeK is a continuation parked for the scheduling queue: either a
-	// preempted/yielded context or a reply continuation deferred because the
-	// stack was deep. The scheduling-queue item's "continuation address".
-	resumeK func(*Ctx)
-	resumeF *Frame
+	// resume is a saved context parked for the scheduling queue: a yielded
+	// invocation, a reply continuation deferred because the stack was deep,
+	// or a creation its reply resumed. The scheduling-queue item's
+	// "continuation address".
+	resume *SavedContext
 
 	state []Value
 }

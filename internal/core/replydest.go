@@ -58,7 +58,7 @@ func replyEntry(n *NodeRT, obj *Object, f *Frame) {
 	if n.stackDepth >= n.rt.maxStackDepth {
 		n.C.Preemptions++
 		n.node.Charge(n.cost.SaveContext)
-		n.deferResume(w, wf, func(ctx *Ctx) { k(ctx, v) })
+		n.deferResume(n.saveContext(w, wf, func(ctx *Ctx) { k(ctx, v) }))
 		return
 	}
 	n.node.Charge(n.cost.RestoreContext)

@@ -89,10 +89,12 @@ type Runtime struct {
 	values  sim.Arena[Value]
 	made    int // host Objects carved (ObjectsMade)
 
-	frames    sim.Arena[Frame] // where frames come from before any is released
-	frameFree *Frame           // recycled message frames, linked via next
-	ctxFree   []*Ctx           // recycled invocation contexts
-	ctxMade   int              // contexts allocated (ContextsMade)
+	frames    sim.Arena[Frame]        // where frames come from before any is released
+	frameFree *Frame                  // recycled message frames, linked via next
+	saved     sim.Arena[SavedContext] // where saved contexts come from before any resumes
+	savedFree *SavedContext           // recycled saved contexts, linked via next
+	ctxFree   []*Ctx                  // recycled invocation contexts
+	ctxMade   int                     // contexts allocated (ContextsMade)
 
 	// sendScratch stages outgoing remote-send arguments for the interface
 	// call into the remote layer. The layer copies what it needs before

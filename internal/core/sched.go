@@ -277,7 +277,7 @@ func (n *NodeRT) Step() bool {
 	// multiactive object's parked frame included, is a queued (active-mode)
 	// dispatch.
 	path := profile.LocalActive
-	if obj.resumeK != nil || obj.wait != nil || obj.multi != nil && len(obj.multi.resume) > 0 {
+	if obj.resume != nil || obj.wait != nil || obj.multi != nil && len(obj.multi.resume) > 0 {
 		path = profile.Restore
 	}
 	n.node.SetPath(path)
@@ -288,12 +288,11 @@ func (n *NodeRT) Step() bool {
 	}
 
 	switch {
-	case obj.resumeK != nil:
-		// A preempted or yielded continuation.
-		k, f := obj.resumeK, obj.resumeF
-		obj.resumeK, obj.resumeF = nil, nil
-		n.node.Charge(n.cost.RestoreContext)
-		n.invoke(obj, f, k, false)
+	case obj.resume != nil:
+		// A saved context: yielded, deferred or a resumed creation.
+		s := obj.resume
+		obj.resume = nil
+		n.restoreContext(s)
 
 	case obj.wait != nil:
 		// A waiting object scheduled because an awaited message was

@@ -22,8 +22,10 @@ package core
 // so an address of the abandoned timeline can never come to name an object
 // of the restored one.
 //
-// Continuation closures (resumeK, wait.k, reply waiters) are captured by
-// reference. This is sound only under the write-once environment contract:
+// A parked saved context is captured by copying its record, which returns
+// to a free list when it resumes, and restored into a fresh one; the
+// continuations in it, wait.k and reply waiters are closures captured by
+// reference. That is sound only under the write-once environment contract:
 // a continuation's captured variables must not be mutated after the closure
 // is parked (see DESIGN.md §10). The bundled applications keep loop cursors
 // in simulated object state for exactly this reason.
@@ -70,9 +72,8 @@ type objImage struct {
 	ctorArgs []Value
 	queue    []*Frame
 	inSchedQ bool
-	wait     *waitState // never mutated after WaitFor, so held by reference
-	resumeK  func(*Ctx)
-	resumeF  *Frame
+	wait     *waitState    // never mutated after WaitFor, so held by reference
+	resume   *SavedContext // a copy of the parked record's contents
 	rd       replyState
 	isRD     bool
 	multi    *multiImage
@@ -87,7 +88,7 @@ type multiImage struct {
 	live      []int
 	totalLive int
 	ready     [][]*Frame
-	resume    []savedCont
+	resume    []*SavedContext // copies, as objImage.resume
 }
 
 // NodeImage is one node's language-level snapshot.
@@ -117,17 +118,6 @@ func immortalize(f *Frame) int {
 	}
 	f.pooled = false
 	return frameHeaderBytes + ArgsSize(f.Args())
-}
-
-// PinFrame removes a frame from pool management before any snapshot sees
-// it. The remote layer's blocking-creation path parks (object, frame,
-// continuation) inside a wire record that checkpoint retention may hold and
-// replay; a replayed resume must find the frame's content intact, so with
-// checkpointing on the frame is never recycled once it rides such a record.
-func (n *NodeRT) PinFrame(f *Frame) {
-	if f != nil {
-		f.pooled = false
-	}
 }
 
 // CaptureNode snapshots the full language-level state of one node: every
@@ -184,9 +174,9 @@ func (img *NodeImage) capture(o *Object) {
 		if o.wait != nil {
 			b += savedCtxBytes + immortalize(o.wait.frame)
 		}
-		if o.resumeK != nil {
-			oi.resumeK, oi.resumeF = o.resumeK, o.resumeF
-			b += savedCtxBytes + immortalize(o.resumeF)
+		if o.resume != nil {
+			oi.resume = o.resume.image()
+			b += savedCtxBytes + immortalize(o.resume.frame)
 		}
 		if o.rd != nil {
 			oi.isRD = true
@@ -205,10 +195,10 @@ func (img *NodeImage) capture(o *Object) {
 					mi.ready[qi] = append(mi.ready[qi], f)
 				}
 			}
-			for _, sc := range o.multi.resume {
-				b += savedCtxBytes + immortalize(sc.frame)
+			for _, s := range o.multi.resume {
+				b += savedCtxBytes + immortalize(s.frame)
+				mi.resume = append(mi.resume, s.image())
 			}
-			mi.resume = append([]savedCont(nil), o.multi.resume...)
 			// Eight bytes per queue, as when each queue also kept an
 			// overtake count beside its live count: the modelled image
 			// size, and with it every checkpoint's cost and virtual time,
@@ -265,7 +255,10 @@ func (r *Runtime) RestoreNode(img *NodeImage) {
 		o.inSchedQ = oi.inSchedQ
 		o.running = false
 		o.wait = oi.wait
-		o.resumeK, o.resumeF = oi.resumeK, oi.resumeF
+		o.resume = nil
+		if oi.resume != nil {
+			o.resume = n.copySaved(oi.resume)
+		}
 		if oi.isRD {
 			*o.rd = oi.rd
 		}
@@ -285,7 +278,10 @@ func (r *Runtime) RestoreNode(img *NodeImage) {
 					ms.readyN++
 				}
 			}
-			ms.resume = append(ms.resume[:0:0], oi.multi.resume...)
+			ms.resume = nil
+			for _, s := range oi.multi.resume {
+				ms.resume = append(ms.resume, n.copySaved(s))
+			}
 		}
 	}
 	clear(n.schedQ.items)

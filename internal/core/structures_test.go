@@ -223,8 +223,8 @@ func TestValueRoundTrips(t *testing.T) {
 	if sz := unsafe.Sizeof(Value{}); sz > 24 {
 		t.Errorf("Value is %d bytes, want <= 24: frames, wire records and state arenas are made of these", sz)
 	}
-	if sz := unsafe.Sizeof(Object{}); sz > 144 {
-		t.Errorf("Object is %d bytes, want <= 144: every object ever created keeps one", sz)
+	if sz := unsafe.Sizeof(Object{}); sz > 136 {
+		t.Errorf("Object is %d bytes, want <= 136: every object ever created keeps one", sz)
 	}
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with payload bits
 	obj := &Object{node: 3}

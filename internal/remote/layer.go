@@ -120,9 +120,11 @@ type Layer struct {
 // (Tag, Load); Obj is a message's receiver or a creation's stocked chunk,
 // homed on the header's Dst; Pattern is a message's pattern or a creation's
 // class id; ReplyTo is a message's reply destination, or in a miss's reply
-// the object created; OnCreated, the only code a record carries, resumes a
-// creation blocked on an empty stock. The reliable protocol sends copies
-// under headers of its own and leaves Wire unused after the hand-off.
+// the object created; Creator is the saved context of a creation blocked on
+// an empty stock, which a miss's request and reply carry as data, for the
+// reply's handler to resume with the created address: a record carries no
+// code. The reliable protocol sends copies under headers of its own and
+// leaves Wire unused after the hand-off.
 const (
 	wmMessage = uint8(iota + 1)
 	wmCreate  // category 2: initialize chunk (allocate one on a miss)
@@ -221,7 +223,7 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		r := l.record(rn, profile.Create, 0, wmChunk)
 		r.Pattern = w.Pattern
 		if w.Obj == nil {
-			r.ReplyTo, r.OnCreated = obj.Addr(), w.OnCreated
+			r.ReplyTo, r.Creator = obj.Addr(), w.Creator
 		}
 		l.launch(rn, r, src, packetHeaderBytes+8, CatChunk)
 	case wmSnapReq, wmSnapAck:
@@ -238,9 +240,9 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		// target's allocator. The slot is the requester's stock toward the
 		// replying target for the requested class.
 		ns.stock.refill(stockKey(src, int(w.Pattern)), l.depth, &l.stockSlots)
-		if w.OnCreated != nil {
+		if w.Creator != nil {
 			// The reply to a stock miss: resume the blocked creation.
-			w.OnCreated(w.ReplyTo)
+			nrt.ResumeCreation(w.Creator, w.ReplyTo)
 		}
 	default:
 		panic(fmt.Sprintf("remote: unknown wire kind %d", w.Wire.Tag))
@@ -405,21 +407,13 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 	}
 
 	// Empty stock: the creating object must block until the target both
-	// creates the object and replies (split-phase round trip).
+	// creates the object and replies (split-phase round trip). Its saved
+	// context rides the request and the reply; checkpoint retention may
+	// replay both after the creator has resumed, so there the record is
+	// retained, never recycled, like the wire records that carry it.
 	mn.Count(profile.Create)
 	n.C.StockMisses++
-	self := ctx.SelfObject()
-	frame := ctx.CurrentFrame()
-	if l.ckpt != nil {
-		// The frame pointer rides the request's continuation, which
-		// checkpoint retention may replay after a crash — long after the
-		// original invocation completed and released the frame. Pin it out
-		// of the pool so the replayed resume finds its content intact.
-		n.PinFrame(frame)
-	}
-	l.sendCreate(mn, target, nil, cl, ctorArgs, func(addr core.Address) {
-		n.ResumeSaved(self, frame, func(ctx2 *core.Ctx) { k(ctx2, addr) })
-	})
+	l.sendCreate(mn, target, nil, cl, ctorArgs, n.SaveCreation(ctx, k, l.ckpt != nil))
 	ctx.BlockExternal()
 }
 
@@ -428,13 +422,13 @@ func (l *Layer) CreateOn(ctx *core.Ctx, target int, cl *core.Class, ctorArgs []c
 // (class-specific handler), allocates a replacement chunk, and sends its
 // address back as a category-3 reply. A nil chunk is a stock miss: the
 // target allocates the object as well, and its reply carries both addresses
-// and onCreated, the blocked requester's continuation.
-func (l *Layer) sendCreate(mn *machine.Node, target int, chunk *core.Object, cl *core.Class, ctorArgs []core.Value, onCreated func(core.Address)) {
+// and creator, the blocked requester's saved context.
+func (l *Layer) sendCreate(mn *machine.Node, target int, chunk *core.Object, cl *core.Class, ctorArgs []core.Value, creator *core.SavedContext) {
 	w := l.record(mn, profile.Create, 0, wmCreate)
 	w.Obj = chunk
 	w.Pattern = core.PatternID(cl.ID())
 	w.SetArgs(ctorArgs)
-	w.OnCreated = onCreated
+	w.Creator = creator
 	size := packetHeaderBytes + core.ArgsSize(ctorArgs)
 	if chunk != nil {
 		size += 8 // the chunk's address
