@@ -11,12 +11,14 @@
 #   make alloc-profile   every allocation of one nqueens N10/P256 run, by allocating function (objects, bytes)
 #   make cpu-profile     the CPU profile of the same run, by function
 #                        (both take ARGS='...', more abclsim flags for the run)
+#   make peak-rss        wall time and peak RSS of one abclsim run, by default nqueens
+#                        N13/P512 (ARGS='...' replaces the run's flags)
 #   make bench           the repository benchmark (BENCHMARK.json): bash bench/run.sh
 #   make bench-trace     its traced pass: per-layer metrics for every workload
 #   make cover           per-package test coverage summary
 #   make loc             non-test and test Go line counts outside bench/, and the docs' line counts
 
-.PHONY: all tier1 vet-race scenario-smoke regress check test-386 cover loc bench bench-trace bench-test fuzz-smoke alloc-profile cpu-profile
+.PHONY: all tier1 vet-race scenario-smoke regress check test-386 cover loc bench bench-trace bench-test fuzz-smoke alloc-profile cpu-profile peak-rss
 
 all: tier1
 
@@ -106,6 +108,16 @@ cpu-profile:
 	$(SMOKE_DIR)/abcl-cpu-profile.bin -workload nqueens -n 10 -nodes 256 \
 		-cpuprofile $(SMOKE_DIR)/abcl-cpu-profile.pprof $(ARGS) >/dev/null
 	go tool pprof -top -nodecount=25 $(SMOKE_DIR)/abcl-cpu-profile.bin $(SMOKE_DIR)/abcl-cpu-profile.pprof
+
+# Wall time and peak resident set size (KiB) of one abclsim run, the
+# figures ROADMAP item 5 records: by default the paper-scale n-queens, N = 13
+# on 512 nodes (about 40 s and 2 GB, so run one at a time on a shared host).
+# ARGS replaces the run's flags. The binary is built first, so the child
+# measured is abclsim, not the compiler.
+PEAK_RUN := $(if $(ARGS),$(ARGS),-workload nqueens -n 13 -nodes 512)
+peak-rss:
+	go build -o $(SMOKE_DIR)/abcl-peak-rss.bin ./cmd/abclsim
+	go run ./cmd/peakrss $(SMOKE_DIR)/abcl-peak-rss.bin $(PEAK_RUN)
 
 cover:
 	go test -cover ./... | grep -v 'no test files'

@@ -116,23 +116,28 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		}
 	})
 
-	neighbours := func(idx int) []abcl.Address {
+	// Cell idx's neighbours (2-4 depending on position) are
+	// adjacent[from[idx]:from[idx+1]] by index and neighbours[idx] by
+	// address, filled once every cell has one: both are built once.
+	adjacent := make([]int, 0, 4*w*h)
+	from := make([]int, w*h+1)
+	for idx := range w * h {
 		x, y := idx%w, idx/w
-		var out []abcl.Address
 		if x > 0 {
-			out = append(out, cells[idx-1])
+			adjacent = append(adjacent, idx-1)
 		}
 		if x < w-1 {
-			out = append(out, cells[idx+1])
+			adjacent = append(adjacent, idx+1)
 		}
 		if y > 0 {
-			out = append(out, cells[idx-w])
+			adjacent = append(adjacent, idx-w)
 		}
 		if y < h-1 {
-			out = append(out, cells[idx+w])
+			adjacent = append(adjacent, idx+w)
 		}
-		return out
+		from[idx+1] = len(adjacent)
 	}
+	neighbours := make([][]abcl.Address, w*h)
 
 	cell := sys.Class("df.cell", 10, func(ic *abcl.InitCtx) {
 		ic.SetState(stIdx, ic.CtorArg(0))
@@ -158,22 +163,25 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 	broadcast := func(ctx *abcl.Ctx, parity int) {
 		idx := int(ctx.State(stIdx).Int())
 		v := ctx.State(stVal)
-		for _, nb := range neighbours(idx) {
+		for _, nb := range neighbours[idx] {
 			ctx.SendPast(nb, valP[parity], v)
 		}
 	}
 
 	// collect joins on the current parity, computes the Jacobi update, and
-	// either starts the next iteration or reports to the collector.
+	// either starts the next iteration or reports to the collector. While it
+	// waits the parity stays in the cell's state, so one continuation
+	// (awaited) serves every wait.
 	var collect func(ctx *abcl.Ctx)
+	awaited := func(ctx *abcl.Ctx, f *abcl.Frame) {
+		absorb(ctx, int(ctx.State(stParity).Int()), f.Arg(0).Float())
+		collect(ctx)
+	}
 	collect = func(ctx *abcl.Ctx) {
 		p := int(ctx.State(stParity).Int())
 		degree := ctx.State(stDegree).Int()
 		if ctx.State(gotOf[p]).Int() < degree {
-			ctx.WaitFor(func(ctx *abcl.Ctx, f *abcl.Frame) {
-				absorb(ctx, p, f.Arg(0).Float())
-				collect(ctx)
-			}, valP[p])
+			ctx.WaitFor(awaited, valP[p])
 			return
 		}
 		ctx.Charge(work)
@@ -221,21 +229,15 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		if x == w/2 && y == h/2 {
 			v = 100.0 // hot spot
 		}
-		d := int64(0)
-		if x > 0 {
-			d++
-		}
-		if x < w-1 {
-			d++
-		}
-		if y > 0 {
-			d++
-		}
-		if y < h-1 {
-			d++
-		}
 		cells[idx] = sys.NewObjectOn(place(idx), cell,
-			abcl.Int(int64(idx)), abcl.Float(v), abcl.Int(int64(opt.Iters)), abcl.Int(d))
+			abcl.Int(int64(idx)), abcl.Float(v), abcl.Int(int64(opt.Iters)), abcl.Int(int64(from[idx+1]-from[idx])))
+	}
+	addrs := make([]abcl.Address, len(adjacent))
+	for i, j := range adjacent {
+		addrs[i] = cells[j]
+	}
+	for idx := range cells {
+		neighbours[idx] = addrs[from[idx]:from[idx+1]]
 	}
 	collector = sys.NewObjectOn(0, coll)
 	for idx := range cells {

@@ -58,7 +58,7 @@ func BuildBoundedBuffer(sys *abcl.System) *BoundedBuffer {
 		ctx.WaitFor(func(ctx *abcl.Ctx, f *abcl.Frame) {
 			// f is the take message: reply the stored value to its reply
 			// destination (take is sent as a now-type message).
-			ctx.SendWithReply(f.ReplyTo, replyPattern(sys), []abcl.Value{ctx.State(0)}, abcl.Address{})
+			ctx.SendWithReply(f.ReplyTo(), replyPattern(sys), []abcl.Value{ctx.State(0)}, abcl.Address{})
 		}, b.Take)
 	})
 	// A take arriving while empty (dormant mode) waits for a put... but the

@@ -186,7 +186,7 @@ func (ic *InitCtx) NumCtorArgs() int { return len(ic.args) }
 func (c *Class) ID() int { return c.id }
 
 // SetState writes state variable i.
-func (ic *InitCtx) SetState(i int, v Value) { ic.obj.state[i] = v }
+func (ic *InitCtx) SetState(i int, v Value) { ic.obj.vars()[i] = v }
 
 // State reads state variable i.
-func (ic *InitCtx) State(i int) Value { return ic.obj.state[i] }
+func (ic *InitCtx) State(i int) Value { return ic.obj.vars()[i] }

@@ -46,10 +46,10 @@ func (c *Ctx) Arg(i int) Value { return c.f.Arg(i) }
 func (c *Ctx) NumArgs() int { return int(c.f.nargs) }
 
 // State reads state variable i.
-func (c *Ctx) State(i int) Value { return c.self.state[i] }
+func (c *Ctx) State(i int) Value { return c.self.vars()[i] }
 
 // SetState writes state variable i.
-func (c *Ctx) SetState(i int, v Value) { c.self.state[i] = v }
+func (c *Ctx) SetState(i int, v Value) { c.self.vars()[i] = v }
 
 // Charge models computation: it advances the node clock by instr
 // instructions (standard operations, Section 2.2 item 5).
@@ -81,17 +81,17 @@ func (c *Ctx) SendWithReply(to Address, p PatternID, args []Value, replyTo Addre
 
 // ReplyTo returns the reply destination of the message being processed
 // (nil address for past-type messages). It is a first-class address.
-func (c *Ctx) ReplyTo() Address { return c.f.ReplyTo }
+func (c *Ctx) ReplyTo() Address { return c.f.ReplyTo() }
 
 // Reply sends v to the current message's reply destination. For past-type
 // messages (no destination) it is a no-op.
 func (c *Ctx) Reply(v Value) {
 	c.checkLive("Reply")
 	c.acted = true
-	if c.f.ReplyTo.IsNil() {
+	if c.f.replyTo == nil {
 		return
 	}
-	c.rt.Send(c.f.ReplyTo, c.rt.rt.PatReply, []Value{v}, NilAddress)
+	c.rt.Send(c.f.ReplyTo(), c.rt.rt.PatReply, []Value{v}, NilAddress)
 }
 
 // SendNow sends an asynchronous message and waits for the reply
@@ -113,7 +113,7 @@ func (c *Ctx) SendNow(to Address, p PatternID, args []Value, k func(*Ctx, Value)
 	// The nested dispatch above may have overwritten the register.
 	n.node.SetPath(profile.NowBlocked)
 	n.node.Charge(n.cost.ReplyCheck)
-	st := rd.rd
+	st := rd.replyState()
 	if st.arrived && !st.consumed {
 		st.consumed = true
 		n.node.SetPath(prev)
@@ -164,8 +164,7 @@ func (c *Ctx) WaitFor(k func(*Ctx, *Frame), pats ...PatternID) {
 	n.C.WaitBlocked++
 	n.C.HeapFrames++
 	n.node.Charge(n.cost.SaveContext + n.cost.SwitchVFTPWait)
-	ws := &waitState{pats: pats, k: k, frame: c.f}
-	c.self.wait = ws
+	c.self.saved = n.saveWait(c.self, c.f, k, pats)
 	c.self.vftp = c.self.class.waitingVFT(pats)
 	c.blocked = true
 	n.node.SetPath(prev)

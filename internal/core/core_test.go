@@ -363,11 +363,48 @@ func TestWaitBlockedContextIsRecycled(t *testing.T) {
 	if c := r.TotalStats(); c.WaitBlocked != waits+1 || c.WaitFast != 0 {
 		t.Fatalf("wait blocked/fast = %d/%d, want %d/0", c.WaitBlocked, c.WaitFast, waits+1)
 	}
-	if sum := obj.Obj.state[0].Int(); sum != waits*(waits-1)/2 {
+	if sum := obj.Obj.State(0).Int(); sum != waits*(waits-1)/2 {
 		t.Errorf("continuations summed %d, want %d", sum, waits*(waits-1)/2)
 	}
 	if r.ctxMade != 1 || len(r.ctxFree) != 1 {
 		t.Errorf("%d contexts made, %d free, want 1 and 1", r.ctxMade, len(r.ctxFree))
+	}
+}
+
+// A blocked selective reception saves its context in a recycled
+// saved-context record that keeps a copy of the awaited patterns, and a
+// now-type send's reply destination is carved from an arena with its
+// payload: once warm, a wait that blocks and resumes, and a now-type send,
+// allocate nothing.
+func TestBlockedWaitAndReplyAllocateNothing(t *testing.T) {
+	r := newTestRT(t, Options{})
+	kick := r.Reg.Register("kick", 0)
+	wait := r.Reg.Register("wait", 0)
+	val := r.Reg.Register("val", 1)
+	other := r.Reg.Register("other", 0)
+	ask := r.Reg.Register("ask", 0)
+	sum, replies := int64(0), int64(0)
+	awaited := func(ctx *Ctx, f *Frame) { sum += f.Arg(0).Int() }
+	waiter := r.NewObjectOn(0, r.DefineClass("waiter", 0, nil).
+		Method(wait, func(ctx *Ctx) { ctx.WaitFor(awaited, val, other) }))
+	echo := r.NewObjectOn(0, r.DefineClass("echo", 0, nil).
+		Method(ask, func(ctx *Ctx) { ctx.Reply(IntV(1)) }))
+	replied := func(ctx *Ctx, v Value) { replies += v.Int() }
+	driver := r.NewObjectOn(0, r.DefineClass("driver", 0, nil).Method(kick, func(ctx *Ctx) {
+		ctx.SendPast(waiter, wait)
+		ctx.SendPast(waiter, val, IntV(2))
+		ctx.SendNow(echo, ask, nil, replied)
+	}))
+	r.Freeze()
+	n := r.NodeRT(0)
+	n.Send(driver, kick, nil, NilAddress) // warm: the first record and its pattern buffer
+	const runs = 1000
+	if a := testing.AllocsPerRun(runs, func() { n.Send(driver, kick, nil, NilAddress) }); a != 0 {
+		t.Errorf("a blocked wait and a now-type send allocated %.0f times per run, want 0", a)
+	}
+	if c := r.TotalStats(); c.WaitBlocked != runs+2 || sum != 2*(runs+2) || replies != runs+2 {
+		t.Errorf("wait blocked %d, continuations summed %d, replies %d; want %d, %d, %d",
+			c.WaitBlocked, sum, replies, runs+2, 2*(runs+2), runs+2)
 	}
 }
 
@@ -767,29 +804,29 @@ func TestSnapshotCopiesParkedSavedContext(t *testing.T) {
 	b := r.NewObjectOn(0, yielder("b"))
 	r.Inject(a, start)
 	n := r.NodeRT(0)
-	for a.Obj.resume == nil {
+	for a.Obj.saved == nil {
 		if !n.Step() {
 			t.Fatal("a never parked its yielded context")
 		}
 	}
-	rec := a.Obj.resume
+	rec := a.Obj.saved
 	img := r.CaptureNode(0)
 	run(t, r)
 
 	r.Inject(b, start)
-	for b.Obj.resume == nil {
+	for b.Obj.saved == nil {
 		if !n.Step() {
 			t.Fatal("b never parked its yielded context")
 		}
 	}
-	if b.Obj.resume != rec {
+	if b.Obj.saved != rec {
 		t.Fatal("b's yield did not take the record a's resume returned")
 	}
 	r.RestoreNode(img)
 	r.M.Node(0).Wake()
-	if a.Obj.resume == nil || a.Obj.resume == rec || b.Obj.resume != nil {
+	if a.Obj.saved == nil || a.Obj.saved == rec || b.Obj.saved != nil {
 		t.Fatalf("restored a's resume to %p (its old record %p), b's to %p; want a fresh record for a and none for b",
-			a.Obj.resume, rec, b.Obj.resume)
+			a.Obj.saved, rec, b.Obj.saved)
 	}
 	run(t, r)
 	if got := strings.Join(log, ","); got != "a,a" {

@@ -10,19 +10,22 @@ import (
 )
 
 // Frame holds one message: its pattern, arguments, and (for now-type sends)
-// the mail address of the reply destination object. In the paper a frame is
-// allocated on the stack when a dormant object is invoked directly and on
-// the heap when a message is buffered (Section 4.3); in Go the distinction
-// is accounted by the cost model rather than by the allocator, but the
-// lifecycle (stack invocation vs queued frame vs saved-context frame) is
-// mirrored exactly.
+// the reply destination object. In the paper a frame is allocated on the
+// stack when a dormant object is invoked directly and on the heap when a
+// message is buffered (Section 4.3); in Go the distinction is accounted by
+// the cost model rather than by the allocator, but the lifecycle (stack
+// invocation vs queued frame vs saved-context frame) is mirrored exactly.
 //
 // A message to another node travels as its frame, which is also the wire
 // record: one record from the runtime's one frame pool, run or queued as it
-// is at the receiver (package remote).
+// is at the receiver (package remote). Its 160 bytes on amd64 are most of
+// the simulator's bytes per message, so nothing is held twice: the header's
+// own link (Packet.Next), free while the frame is out of any batch, is the
+// message-queue and free-list link, and the reply destination is held by
+// its object alone, whose node is its address's.
 type Frame struct {
 	// Wire is the header a remote hop travels under; its Payload points back
-	// at the frame. Unused by a local send.
+	// at the frame. Unused by a local send but for its link.
 	Wire machine.Packet
 
 	Pattern PatternID // a remote creation names its class here, by id
@@ -30,14 +33,13 @@ type Frame struct {
 	hints   SendHint  // compile-time optimization hints of the send site
 	pooled  bool      // obtained from the frame pool; recycled at method end
 
-	// The argument list is argBuf[:nargs] when it fits, otherwise nargs
-	// values from spill: SetArgs copies, so a send's variadic slice never
-	// outlives the call and can live on the sender's stack.
-	spill   *Value
-	ReplyTo Address // reply destination for now-type messages; nil for past-type
-	argBuf  [2]Value
+	replyTo *Object // reply destination for now-type messages; nil for past-type
 
-	next *Frame // message-queue link, reused as the free-list link
+	// The argument list is argBuf[:nargs] when it fits; a longer one is a
+	// separate array whose first element argBuf[0] points at. SetArgs
+	// copies, so a send's variadic slice never outlives the call and can
+	// live on the sender's stack.
+	argBuf [2]Value
 
 	// A remote hop's object, homed on Wire.Dst (a message's receiver or a
 	// creation's stocked chunk), and the saved context of the creation a
@@ -46,6 +48,39 @@ type Frame struct {
 	Obj     *Object
 	Creator *SavedContext
 }
+
+// The header is the frame's first field, so a link to a header is a link to
+// its frame (frameOf).
+const _ uintptr = -unsafe.Offsetof(Frame{}.Wire)
+
+// frameOf returns the frame whose header p is, or nil.
+func frameOf(p *machine.Packet) *Frame { return (*Frame)(unsafe.Pointer(p)) }
+
+// link returns the frame chained after f in a queue or the free list.
+func (f *Frame) link() *Frame { return frameOf(f.Wire.Next()) }
+
+// setLink chains g (nil: none) after f.
+func (f *Frame) setLink(g *Frame) {
+	if g == nil {
+		f.Wire.SetNext(nil)
+		return
+	}
+	f.Wire.SetNext(&g.Wire)
+}
+
+// ReplyTo returns the reply destination (nil address for past-type
+// messages).
+func (f *Frame) ReplyTo() Address {
+	if f.replyTo == nil {
+		return NilAddress
+	}
+	return f.replyTo.Addr()
+}
+
+// SetReplyTo sets the reply destination: a mail address names its node
+// and its object, and the frame keeps the object, whose node is the other
+// half.
+func (f *Frame) SetReplyTo(a Address) { f.replyTo = a.Obj }
 
 // SetArgs copies args into the frame — into the inline buffer when they
 // fit, a fresh array otherwise. The copy is unconditional so the caller's
@@ -59,13 +94,13 @@ func (f *Frame) SetArgs(args []Value) {
 		copy(f.argBuf[:], args)
 		return
 	}
-	f.spill = &slices.Clone(args)[0]
+	f.argBuf[0] = Value{ref: &slices.Clone(args)[0]}
 }
 
 // Args returns the argument list.
 func (f *Frame) Args() []Value {
-	if f.spill != nil {
-		return unsafe.Slice(f.spill, f.nargs)
+	if int(f.nargs) > len(f.argBuf) {
+		return unsafe.Slice(f.argBuf[0].ref.(*Value), f.nargs)
 	}
 	return f.argBuf[:f.nargs:f.nargs]
 }
@@ -79,62 +114,80 @@ func (f *Frame) Arg(i int) Value {
 }
 
 // frameQueue is the per-object message queue: a FIFO of buffered frames
-// (Figure 2's "message queue" component).
+// (Figure 2's "message queue" component), kept as a ring through the
+// frames' links, so it holds its tail alone: the head is the tail's link.
 type frameQueue struct {
-	head, tail *Frame
-	n          int
+	tail *Frame
+	n    uint32
 }
 
-func (q *frameQueue) empty() bool { return q.head == nil }
-func (q *frameQueue) len() int    { return q.n }
+func (q *frameQueue) empty() bool { return q.tail == nil }
+func (q *frameQueue) len() int    { return int(q.n) }
 
 func (q *frameQueue) push(f *Frame) {
-	f.next = nil
 	if q.tail == nil {
-		q.head, q.tail = f, f
+		f.setLink(f)
 	} else {
-		q.tail.next = f
-		q.tail = f
+		f.setLink(q.tail.link())
+		q.tail.setLink(f)
 	}
+	q.tail = f
 	q.n++
 }
 
 func (q *frameQueue) pop() *Frame {
-	f := q.head
-	if f == nil {
+	if q.tail == nil {
 		return nil
 	}
-	q.head = f.next
-	if q.head == nil {
+	return q.unlink(q.tail)
+}
+
+// unlink removes and returns the frame after prev.
+func (q *frameQueue) unlink(prev *Frame) *Frame {
+	f := prev.link()
+	if f == prev {
 		q.tail = nil
+	} else {
+		prev.setLink(f.link())
+		if q.tail == f {
+			q.tail = prev
+		}
 	}
-	f.next = nil
+	f.setLink(nil)
 	q.n--
 	return f
+}
+
+// frames returns the queued frames, oldest first. It panics when the ring
+// does not close after the queue's own length: a frame recycled while still
+// linked.
+func (q *frameQueue) frames() []*Frame {
+	var out []*Frame
+	if q.tail == nil {
+		return out
+	}
+	f := q.tail
+	for range q.n {
+		f = f.link()
+		out = append(out, f)
+	}
+	if f != q.tail {
+		panic("core: message queue longer than its length")
+	}
+	return out
 }
 
 // popMatchingPats removes and returns the first frame whose pattern is one
 // of pats, or nil if none is. Used by selective reception's initial queue
 // scan and by the waiting-object path of the scheduler.
 func (q *frameQueue) popMatchingPats(pats []PatternID) *Frame {
-	var prev *Frame
-	for f := q.head; f != nil; prev, f = f, f.next {
-		for _, p := range pats {
-			if f.Pattern != p {
-				continue
-			}
-			if prev == nil {
-				q.head = f.next
-			} else {
-				prev.next = f.next
-			}
-			if q.tail == f {
-				q.tail = prev
-			}
-			f.next = nil
-			q.n--
-			return f
+	prev := q.tail
+	for range q.n {
+		f := prev.link()
+		if slices.Contains(pats, f.Pattern) {
+			return q.unlink(prev)
 		}
+		prev = f
 	}
 	return nil
 }

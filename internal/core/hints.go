@@ -71,7 +71,7 @@ func (n *NodeRT) sendHinted(to Address, p PatternID, args []Value, replyTo Addre
 		return
 	}
 	f := n.NewFrame()
-	f.Pattern, f.ReplyTo, f.hints = p, replyTo, hints
+	f.Pattern, f.replyTo, f.hints = p, replyTo.Obj, hints
 	f.SetArgs(args)
 	n.DeliverFrame(to.Obj, f, false)
 }

@@ -1,51 +1,48 @@
 package core
 
+import "unsafe"
+
 // Object is a concurrent object as in Figure 2 of the paper: a state
 // variable box, a message queue, and a virtual function table pointer
-// (VFTP) designating the table for its current mode.
+// (VFTP) designating the table for its current mode. Every object ever
+// created keeps one, so it is one 64-byte cache line on a 64-bit host: what
+// only some objects need sits behind a pointer or in a record of its own.
 type Object struct {
 	class *Class
-	node  int
+	vftp  *VFT
+
+	// state is the object's one value-arena box: class.StateSize state
+	// variables, then the nctor constructor arguments held until lazy
+	// initialization consumes them.
+	state *Value
+
+	// saved is the saved context a serial object is parked on: a yielded
+	// invocation, a reply continuation deferred because the stack was deep
+	// or a creation its reply resumed — the scheduling-queue item's
+	// "continuation address" — or, in waiting mode, a selective reception's
+	// context (SavedContext.waiting). A serial object has at most one live
+	// invocation, so never both.
+	saved *SavedContext
 
 	// multi is non-nil for objects of multiactive classes: live-invocation
 	// counts, per-group ready queues, and deferred continuations.
 	multi *multiState
 
-	// rd is non-nil for reply destination objects.
-	rd *replyState
+	queue frameQueue
 
-	vftp     *VFT
-	queue    frameQueue
-	ctorArgs []Value // held until lazy initialization
-
+	node     uint16 // home node (machine.MaxNodes fits)
+	nctor    uint16 // constructor arguments held after the state variables
 	inSchedQ bool
 	running  bool // a method invocation is live on the stack
 	tracked  bool // on its home's checkpoint list (NodeRT.hosted)
-
-	// wait holds the saved selective-reception context while in waiting
-	// mode: the continuation plus the frame of the blocked invocation.
-	wait *waitState
-
-	// resume is a saved context parked for the scheduling queue: a yielded
-	// invocation, a reply continuation deferred because the stack was deep,
-	// or a creation its reply resumed. The scheduling-queue item's
-	// "continuation address".
-	resume *SavedContext
-
-	state []Value
-}
-
-type waitState struct {
-	pats  []PatternID
-	k     func(*Ctx, *Frame)
-	frame *Frame // the invocation frame whose context was saved
+	reply    bool // a reply destination: the Object of a replyDest
 }
 
 // Class returns the object's class (nil for an uninitialized chunk).
 func (o *Object) Class() *Class { return o.class }
 
 // NodeID returns the ID of the node the object lives on.
-func (o *Object) NodeID() int { return o.node }
+func (o *Object) NodeID() int { return int(o.node) }
 
 // Mode returns the object's current mode per its VFTP. For objects created
 // before the runtime froze (no tables yet) the initial mode is derived from
@@ -67,7 +64,7 @@ func (o *Object) Mode() Mode {
 }
 
 // Addr returns the object's mail address.
-func (o *Object) Addr() Address { return Address{Node: o.node, Obj: o} }
+func (o *Object) Addr() Address { return Address{Node: int(o.node), Obj: o} }
 
 // QueueLen returns the number of buffered messages.
 func (o *Object) QueueLen() int { return o.queue.len() }
@@ -92,4 +89,21 @@ func (o *Object) LiveInvocations() int {
 
 // State reads state variable i directly; intended for tests and drivers
 // inspecting a quiescent system, not for method bodies (use Ctx.State).
-func (o *Object) State(i int) Value { return o.state[i] }
+func (o *Object) State(i int) Value { return o.vars()[i] }
+
+// vars returns the state variables.
+func (o *Object) vars() []Value {
+	if o.class == nil {
+		return nil
+	}
+	return unsafe.Slice(o.state, o.class.StateSize)
+}
+
+// ctorArgs returns the constructor arguments still held.
+func (o *Object) ctorArgs() []Value {
+	if o.nctor == 0 {
+		return nil
+	}
+	sz := o.class.StateSize
+	return unsafe.Slice(o.state, sz+int(o.nctor))[sz:]
+}

@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // replyState is the payload of a reply destination object. Reply
 // destinations are first-class concurrent objects (Section 2.2): their mail
 // address may be passed to third parties, and whoever holds it may send the
@@ -16,18 +18,40 @@ type replyState struct {
 	waiterF   *Frame
 }
 
-// newReplyDest allocates a reply destination object on node n.
+// replyDest is a reply destination: the object its address names, and its
+// payload after it. Like every Object it is never released, so it is carved
+// from the runtime's arena of them, payload and all.
+type replyDest struct {
+	Object
+	rd replyState
+}
+
+// The object is a reply destination's first field, so a reply destination's
+// object is the reply destination (Object.replyState).
+const _ uintptr = -unsafe.Offsetof(replyDest{}.Object)
+
+// newReplyDest carves a reply destination object on node n.
 func (n *NodeRT) newReplyDest() *Object {
 	n.rt.Freeze()
-	obj := n.newObjectAt(n.id)
+	d := n.rt.replies.New()
+	obj := n.initObject(&d.Object, n.id)
 	obj.vftp = n.rt.replyVFT
-	obj.rd = &replyState{}
+	obj.reply = true
 	n.rt.trackObject(n.id, obj)
 	return obj
 }
 
 // IsReplyDest reports whether the object is a reply destination.
-func (o *Object) IsReplyDest() bool { return o.rd != nil }
+func (o *Object) IsReplyDest() bool { return o.reply }
+
+// replyState returns a reply destination's payload, or nil for any other
+// object.
+func (o *Object) replyState() *replyState {
+	if !o.reply {
+		return nil
+	}
+	return &(*replyDest)(unsafe.Pointer(o)).rd
+}
 
 // replyEntry is the native handler for the reply: pattern on a reply
 // destination object. If the original sender is already blocked on this
@@ -35,7 +59,7 @@ func (o *Object) IsReplyDest() bool { return o.rd != nil }
 // stack (or via the scheduling queue when the stack is deep); otherwise the
 // value is stored for the sender's post-send check.
 func replyEntry(n *NodeRT, obj *Object, f *Frame) {
-	rd := obj.rd
+	rd := obj.replyState()
 	if rd == nil {
 		panic("core: reply: sent to a non-reply-destination object")
 	}

@@ -83,9 +83,11 @@ type Runtime struct {
 	replyVFT *VFT // native table for reply destination objects
 	faultVFT *VFT // generic fault table for uninitialized chunks
 
-	// Never reclaimed, so carved: every Object, and every state box and
-	// constructor-argument copy.
+	// Never reclaimed, so carved: every Object, every reply destination
+	// (an Object with its payload), and every value box — an object's state
+	// variables and its constructor arguments.
 	objects sim.Arena[Object]
+	replies sim.Arena[replyDest]
 	values  sim.Arena[Value]
 	made    int // host Objects carved (ObjectsMade)
 
@@ -272,11 +274,7 @@ func (r *Runtime) ContextsMade() int { return r.ctxMade }
 func (r *Runtime) newObject(cl *Class, node int, ctorArgs []Value) *Object {
 	n := &r.nodes[node]
 	obj := n.newObjectAt(node)
-	obj.class = cl
-	obj.ctorArgs = n.copyCtorArgs(ctorArgs)
-	if cl.StateSize > 0 {
-		obj.state = n.allocState(cl.StateSize)
-	}
+	n.setClass(obj, cl, ctorArgs)
 	if r.frozen {
 		assignInitialVFT(obj)
 	} else {
@@ -316,18 +314,14 @@ func (n *NodeRT) NewFaultChunk(node int) *Object {
 // proper virtual function table, and is scheduled if early messages were
 // buffered by the fault table.
 func (r *Runtime) InitChunk(n *NodeRT, obj *Object, cl *Class, ctorArgs []Value) {
-	if obj.node != n.id {
+	if int(obj.node) != n.id {
 		panic("core: InitChunk on wrong node")
 	}
 	if obj.class != nil {
 		panic("core: InitChunk on already-initialized object")
 	}
 	r.trackObject(n.id, obj)
-	obj.class = cl
-	obj.ctorArgs = n.copyCtorArgs(ctorArgs)
-	if cl.StateSize > 0 {
-		obj.state = n.allocState(cl.StateSize)
-	}
+	n.setClass(obj, cl, ctorArgs)
 	assignInitialVFT(obj)
 	if !obj.queue.empty() {
 		n.enqueueSched(obj)

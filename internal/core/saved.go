@@ -1,29 +1,41 @@
 package core
 
-import "repro/internal/profile"
+import (
+	"slices"
+
+	"repro/internal/profile"
+)
 
 // SavedContext is a saved context (Section 4.3): the object whose
 // invocation blocked, the invocation's frame, and the continuation it
 // restarts at — the "continuation address" of a scheduling-queue item, made
-// data. It holds one of two continuations: k, a yielded or deferred
-// invocation's, or kc, a remote creation's blocked on an empty chunk stock,
-// called with the address of the object its reply names (created). Such a
-// creation's request and reply carry the record itself (Frame.Creator), so
-// a stock miss allocates no closure.
+// data. It holds one of three continuations: k, a yielded or deferred
+// invocation's; kc, a remote creation's blocked on an empty chunk stock,
+// called with the address of the object its reply names (created); or kw, a
+// selective reception's, called with the awaited frame, with the patterns
+// it awaits (waiting). Such a creation's request and reply carry the record
+// itself (Frame.Creator), so a stock miss allocates no closure.
 //
 // Records are carved from an arena and recycled through the runtime's free
 // list when their context resumes, except a retained creation's
-// (SaveCreation).
+// (SaveCreation). A recycled record keeps its pattern buffer, so a blocked
+// selective reception allocates nothing once its record has awaited as many
+// patterns before.
 type SavedContext struct {
 	obj     *Object
 	frame   *Frame
 	k       func(*Ctx)
 	kc      func(*Ctx, Address)
+	kw      func(*Ctx, *Frame)
+	pats    []PatternID
 	created *Object
 
 	next   *SavedContext // free-list link
 	pooled bool          // recycled when the context resumes
 }
+
+// waiting reports whether the record is a selective reception's.
+func (s *SavedContext) waiting() bool { return s.kw != nil }
 
 // saveContext returns a recycled or carved record holding obj's blocked
 // invocation f and its continuation k.
@@ -35,8 +47,25 @@ func (n *NodeRT) saveContext(obj *Object, f *Frame, k func(*Ctx)) *SavedContext 
 	} else {
 		r.savedFree = s.next
 	}
-	*s = SavedContext{obj: obj, frame: f, k: k, pooled: true}
+	*s = SavedContext{obj: obj, frame: f, k: k, pats: s.pats[:0], pooled: true}
 	return s
+}
+
+// saveWait returns a record holding obj's selective reception: its blocked
+// invocation f, the continuation k and a copy of the awaited patterns.
+func (n *NodeRT) saveWait(obj *Object, f *Frame, k func(*Ctx, *Frame), pats []PatternID) *SavedContext {
+	s := n.saveContext(obj, f, nil)
+	s.kw = k
+	s.pats = append(s.pats, pats...)
+	return s
+}
+
+// freeSaved returns a pooled record to the free list.
+func (n *NodeRT) freeSaved(s *SavedContext) {
+	if s.pooled {
+		*s = SavedContext{next: n.rt.savedFree, pats: s.pats[:0]}
+		n.rt.savedFree = s
+	}
 }
 
 // SaveCreation saves the context of ctx's invocation — the executing
@@ -78,7 +107,7 @@ func (n *NodeRT) deferResume(s *SavedContext) {
 	if obj.multi != nil {
 		obj.multi.resume = append(obj.multi.resume, s)
 	} else {
-		obj.resume = s
+		obj.saved = s
 	}
 	n.enqueueSched(obj)
 }
@@ -87,10 +116,7 @@ func (n *NodeRT) deferResume(s *SavedContext) {
 // the free list, and its continuation runs on a context of its own.
 func (n *NodeRT) restoreContext(s *SavedContext) {
 	obj, f, k, kc, created := s.obj, s.frame, s.k, s.kc, s.created
-	if s.pooled {
-		*s = SavedContext{next: n.rt.savedFree}
-		n.rt.savedFree = s
-	}
+	n.freeSaved(s)
 	n.node.Charge(n.cost.RestoreContext)
 	if kc != nil {
 		n.invoke(obj, f, func(ctx *Ctx) { kc(ctx, created.Addr()) }, false)
@@ -103,13 +129,14 @@ func (n *NodeRT) restoreContext(s *SavedContext) {
 // record returns to the free list when it resumes, so an image must not
 // hold it by reference.
 func (s *SavedContext) image() *SavedContext {
-	return &SavedContext{obj: s.obj, frame: s.frame, k: s.k, kc: s.kc, created: s.created}
+	return &SavedContext{obj: s.obj, frame: s.frame, k: s.k, kc: s.kc, kw: s.kw,
+		pats: slices.Clone(s.pats), created: s.created}
 }
 
 // copySaved returns a fresh record holding an image's contents, for a
-// restored object's resume slot.
+// restored object's saved context.
 func (n *NodeRT) copySaved(img *SavedContext) *SavedContext {
-	s := n.saveContext(img.obj, img.frame, img.k)
-	s.kc, s.created = img.kc, img.created
+	s := n.saveWait(img.obj, img.frame, img.kw, img.pats)
+	s.k, s.kc, s.created = img.k, img.kc, img.created
 	return s
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/machine"
 	"repro/internal/profile"
@@ -51,8 +52,8 @@ func (n *NodeRT) NewFrame() *Frame {
 	if f == nil {
 		f = r.frames.New()
 	} else {
-		r.frameFree = f.next
-		f.next = nil
+		r.frameFree = f.link()
+		f.setLink(nil)
 	}
 	f.pooled = true
 	return f
@@ -68,32 +69,39 @@ func (n *NodeRT) ReleaseFrame(f *Frame) {
 	if f == nil || !f.pooled {
 		return
 	}
-	*f = Frame{next: n.rt.frameFree} // drop every pointer the frame held
+	*f = Frame{} // drop every pointer the frame held
+	f.setLink(n.rt.frameFree)
 	n.rt.frameFree = f
 }
 
-// allocState carves a zeroed, capped state-variable slice, so an append
-// through one can never bleed into a neighbor's storage.
-func (n *NodeRT) allocState(sz int) []Value { return n.rt.values.Slice(sz) }
-
 // newObjectAt carves a zeroed Object homed on node.
 func (n *NodeRT) newObjectAt(node int) *Object {
-	obj := n.rt.objects.New()
-	obj.node = node
+	return n.initObject(n.rt.objects.New(), node)
+}
+
+// initObject homes a freshly carved object on node and counts it.
+func (n *NodeRT) initObject(obj *Object, node int) *Object {
+	obj.node = uint16(node)
 	n.rt.made++
 	return obj
 }
 
-// copyCtorArgs snapshots constructor arguments into the value arena. The
-// caller's slice may be a recycled wire record or a stack-resident variadic
-// list; the object must own a stable copy until its lazy init consumes it.
-func (n *NodeRT) copyCtorArgs(ctorArgs []Value) []Value {
-	if len(ctorArgs) == 0 {
-		return nil
+// setClass gives a class-less object its class and its value box: the
+// class's state variables, zeroed, then a copy of the constructor arguments,
+// carved as one slice of the value arena. The caller's slice may be a
+// recycled wire record or a stack-resident variadic list; the object owns a
+// stable copy until its lazy init consumes it.
+func (n *NodeRT) setClass(obj *Object, cl *Class, ctorArgs []Value) {
+	if len(ctorArgs) > math.MaxUint16 {
+		panic(fmt.Sprintf("core: class %s: %d constructor arguments overflow an object", cl.Name, len(ctorArgs)))
 	}
-	ca := n.allocState(len(ctorArgs))
-	copy(ca, ctorArgs)
-	return ca
+	obj.class = cl
+	obj.nctor = uint16(len(ctorArgs))
+	if sz := cl.StateSize + len(ctorArgs); sz > 0 {
+		box := n.rt.values.Slice(sz)
+		copy(box[cl.StateSize:], ctorArgs)
+		obj.state = &box[0]
+	}
 }
 
 // acquireCtx returns a recycled invocation context (or a fresh one) bound
@@ -127,7 +135,7 @@ func describe(obj *Object) string {
 	if obj == nil {
 		return "<nil>"
 	}
-	if obj.rd != nil {
+	if obj.reply {
 		return "replydest"
 	}
 	if obj.class == nil {
@@ -150,7 +158,7 @@ func (n *NodeRT) Send(to Address, p PatternID, args []Value, replyTo Address) {
 // of Section 6.3 it is always parked and the receiver scheduled through the
 // node scheduling queue.
 func (n *NodeRT) DeliverFrame(obj *Object, f *Frame, remoteIn bool) {
-	if obj.node != n.id {
+	if int(obj.node) != n.id {
 		panic(fmt.Sprintf("core: frame for node %d delivered on node %d", obj.node, n.id))
 	}
 	e := n.lookup(obj, f.Pattern)
@@ -277,7 +285,7 @@ func (n *NodeRT) Step() bool {
 	// multiactive object's parked frame included, is a queued (active-mode)
 	// dispatch.
 	path := profile.LocalActive
-	if obj.resume != nil || obj.wait != nil || obj.multi != nil && len(obj.multi.resume) > 0 {
+	if obj.saved != nil || obj.multi != nil && len(obj.multi.resume) > 0 {
 		path = profile.Restore
 	}
 	n.node.SetPath(path)
@@ -287,18 +295,17 @@ func (n *NodeRT) Step() bool {
 		n.rt.Tracef(n.node.Now(), n.id, trace.EvDispatch, "%s", describe(obj))
 	}
 
-	switch {
-	case obj.resume != nil:
+	switch s := obj.saved; {
+	case s != nil && !s.waiting():
 		// A saved context: yielded, deferred or a resumed creation.
-		s := obj.resume
-		obj.resume = nil
+		obj.saved = nil
 		n.restoreContext(s)
 
-	case obj.wait != nil:
+	case s != nil:
 		// A waiting object scheduled because an awaited message was
 		// buffered (naive policy, or a depth-deferred restoration). With
 		// none buffered it stays parked until an awaited arrival.
-		if f := obj.queue.popMatchingPats(obj.wait.pats); f != nil {
+		if f := obj.queue.popMatchingPats(s.pats); f != nil {
 			n.restoreWait(obj, f)
 		}
 
@@ -390,13 +397,16 @@ func (n *NodeRT) invoke(obj *Object, f *Frame, k func(*Ctx), fresh bool) {
 
 // restoreWait restores a waiting object's saved context and continues the
 // blocked method with the awaited frame f, which is recycled once the
-// continuation returns (Ctx.WaitFor).
+// continuation returns (Ctx.WaitFor). The context's record returns to the
+// free list first.
 func (n *NodeRT) restoreWait(obj *Object, f *Frame) {
-	ws := obj.wait
-	obj.wait = nil
+	s := obj.saved
+	obj.saved = nil
+	frame, k := s.frame, s.kw
+	n.freeSaved(s)
 	n.node.Charge(n.cost.RestoreContext + n.cost.SwitchVFTPActive)
 	obj.vftp = obj.class.active
-	n.invoke(obj, ws.frame, func(ctx *Ctx) { ws.k(ctx, f) }, false)
+	n.invoke(obj, frame, func(ctx *Ctx) { k(ctx, f) }, false)
 	n.ReleaseFrame(f)
 }
 
@@ -467,13 +477,15 @@ func faultEntry(n *NodeRT, obj *Object, f *Frame) {
 func makeInitEntry(cl *Class, p PatternID) entryFunc {
 	return func(n *NodeRT, obj *Object, f *Frame) {
 		n.node.Charge(n.cost.InitObject)
+		args := obj.ctorArgs()
 		if cl.Init != nil {
 			ic := &n.rt.initCtx
-			*ic = InitCtx{obj: obj, args: obj.ctorArgs}
+			*ic = InitCtx{obj: obj, args: args}
 			cl.Init(ic)
 			*ic = InitCtx{}
 		}
-		obj.ctorArgs = nil
+		clear(args)
+		obj.nctor = 0
 		tbl := cl.dormant
 		if cl.multiTable != nil {
 			tbl = cl.multiTable
@@ -487,7 +499,7 @@ func makeInitEntry(cl *Class, p PatternID) entryFunc {
 // restores the saved context and continues the blocked method with the
 // arrived message.
 func restoreEntry(n *NodeRT, obj *Object, f *Frame) {
-	if obj.wait == nil {
+	if obj.saved == nil || !obj.saved.waiting() {
 		panic("core: context restoration without wait state")
 	}
 	if n.stackDepth >= n.rt.maxStackDepth {

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"slices"
+	"unsafe"
+)
+
 // Checkpoint support: capture and restore of a node's complete
 // language-level state. The paper's representation makes this unusually
 // clean — every blocked computation is already a first-class heap value (a
@@ -22,9 +27,9 @@ package core
 // so an address of the abandoned timeline can never come to name an object
 // of the restored one.
 //
-// A parked saved context is captured by copying its record, which returns
-// to a free list when it resumes, and restored into a fresh one; the
-// continuations in it, wait.k and reply waiters are closures captured by
+// A parked or waiting saved context is captured by copying its record,
+// which returns to a free list when it resumes, and restored into a fresh
+// one; the continuations in it and reply waiters are closures captured by
 // reference. That is sound only under the write-once environment contract:
 // a continuation's captured variables must not be mutated after the closure
 // is parked (see DESIGN.md §10). The bundled applications keep loop cursors
@@ -67,13 +72,12 @@ type objImage struct {
 	obj      *Object
 	class    *Class
 	vftp     *VFT
-	state    []Value
-	hasState bool
-	ctorArgs []Value
+	box      *Value  // the object's value box, which is its alone for good
+	vals     []Value // the box's contents: state variables, constructor arguments
+	nctor    uint16
 	queue    []*Frame
 	inSchedQ bool
-	wait     *waitState    // never mutated after WaitFor, so held by reference
-	resume   *SavedContext // a copy of the parked record's contents
+	saved    *SavedContext // a copy of the parked or waiting record's contents
 	rd       replyState
 	isRD     bool
 	multi    *multiImage
@@ -121,7 +125,7 @@ func immortalize(f *Frame) int {
 }
 
 // CaptureNode snapshots the full language-level state of one node: every
-// hosted object (state box, constructor arguments, buffered message queue,
+// hosted object (state variables, constructor arguments, buffered message queue,
 // saved contexts, reply-destination payloads, mode table) and the
 // scheduling-queue order. Must run between engine events.
 func (r *Runtime) CaptureNode(node int) *NodeImage {
@@ -140,75 +144,60 @@ func (r *Runtime) CaptureNode(node int) *NodeImage {
 
 // capture appends one object's image, accounting its stable-store bytes.
 func (img *NodeImage) capture(o *Object) {
-	{
-		if o.running {
-			panic("core: snapshot of a running object")
-		}
-		oi := objImage{
-			obj:      o,
-			class:    o.class,
-			vftp:     o.vftp,
-			inSchedQ: o.inSchedQ,
-			wait:     o.wait,
-		}
-		b := objHeaderBytes
-		if o.state != nil {
-			oi.hasState = true
-			oi.state = append([]Value(nil), o.state...)
-			b += ArgsSize(oi.state)
-		}
-		if o.ctorArgs != nil {
-			oi.ctorArgs = append([]Value(nil), o.ctorArgs...)
-			b += ArgsSize(oi.ctorArgs)
-		}
-		for f := o.queue.head; f != nil; f = f.next {
-			if len(oi.queue) >= o.queue.n {
-				// A frame reachable past the queue's own length means a frame
-				// was recycled while still linked — catch the corruption at
-				// the capture that would otherwise persist it.
-				panic("core: message queue longer than its length during capture")
-			}
-			b += immortalize(f)
-			oi.queue = append(oi.queue, f)
-		}
-		if o.wait != nil {
-			b += savedCtxBytes + immortalize(o.wait.frame)
-		}
-		if o.resume != nil {
-			oi.resume = o.resume.image()
-			b += savedCtxBytes + immortalize(o.resume.frame)
-		}
-		if o.rd != nil {
-			oi.isRD = true
-			oi.rd = *o.rd
-			b += replyDestBytes + immortalize(o.rd.waiterF)
-		}
-		if o.multi != nil {
-			mi := &multiImage{
-				live:      append([]int(nil), o.multi.live...),
-				totalLive: o.multi.totalLive,
-				ready:     make([][]*Frame, len(o.multi.ready)),
-			}
-			for qi := range o.multi.ready {
-				for f := o.multi.ready[qi].head; f != nil; f = f.next {
-					b += immortalize(f)
-					mi.ready[qi] = append(mi.ready[qi], f)
-				}
-			}
-			for _, s := range o.multi.resume {
-				b += savedCtxBytes + immortalize(s.frame)
-				mi.resume = append(mi.resume, s.image())
-			}
-			// Eight bytes per queue, as when each queue also kept an
-			// overtake count beside its live count: the modelled image
-			// size, and with it every checkpoint's cost and virtual time,
-			// stays what it was.
-			b += 8 * len(o.multi.live)
-			oi.multi = mi
-		}
-		img.bytes += b
-		img.objs = append(img.objs, oi)
+	if o.running {
+		panic("core: snapshot of a running object")
 	}
+	oi := objImage{
+		obj:      o,
+		class:    o.class,
+		vftp:     o.vftp,
+		box:      o.state,
+		nctor:    o.nctor,
+		inSchedQ: o.inSchedQ,
+	}
+	b := objHeaderBytes
+	if o.class != nil {
+		oi.vals = slices.Clone(unsafe.Slice(o.state, o.class.StateSize+int(o.nctor)))
+		b += ArgsSize(oi.vals)
+	}
+	oi.queue = o.queue.frames()
+	for _, f := range oi.queue {
+		b += immortalize(f)
+	}
+	if s := o.saved; s != nil {
+		oi.saved = s.image()
+		b += savedCtxBytes + immortalize(s.frame)
+	}
+	if rd := o.replyState(); rd != nil {
+		oi.isRD = true
+		oi.rd = *rd
+		b += replyDestBytes + immortalize(rd.waiterF)
+	}
+	if o.multi != nil {
+		mi := &multiImage{
+			live:      append([]int(nil), o.multi.live...),
+			totalLive: o.multi.totalLive,
+			ready:     make([][]*Frame, len(o.multi.ready)),
+		}
+		for qi := range o.multi.ready {
+			mi.ready[qi] = o.multi.ready[qi].frames()
+			for _, f := range mi.ready[qi] {
+				b += immortalize(f)
+			}
+		}
+		for _, s := range o.multi.resume {
+			b += savedCtxBytes + immortalize(s.frame)
+			mi.resume = append(mi.resume, s.image())
+		}
+		// Eight bytes per queue, as when each queue also kept an
+		// overtake count beside its live count: the modelled image
+		// size, and with it every checkpoint's cost and virtual time,
+		// stays what it was.
+		b += 8 * len(o.multi.live)
+		oi.multi = mi
+	}
+	img.bytes += b
+	img.objs = append(img.objs, oi)
 }
 
 // RestoreNode rolls the node back to the image: every captured object is
@@ -233,34 +222,24 @@ func (r *Runtime) RestoreNode(img *NodeImage) {
 		o := oi.obj
 		o.class = oi.class
 		o.vftp = oi.vftp
-		if oi.hasState {
-			if o.state == nil {
-				// The live object no longer holds a box; restoring must not
-				// write into storage it may have handed away, so a fresh box
-				// is carved from the arena.
-				o.state = n.allocState(len(oi.state))
-			}
-			copy(o.state, oi.state)
-		} else {
-			o.state = nil
-		}
-		// The image's copy is aliased rather than re-copied: constructor
-		// arguments are read-only until the lazy init consumes the pointer,
-		// so a second restore from the same image stays valid.
-		o.ctorArgs = oi.ctorArgs
+		// The box was carved for this object and is never handed to
+		// another, so it takes the image's contents back whatever the
+		// object has held since.
+		o.state, o.nctor = oi.box, oi.nctor
+		copy(unsafe.Slice(oi.box, len(oi.vals)), oi.vals)
 		o.queue = frameQueue{}
 		for _, f := range oi.queue {
 			o.queue.push(f)
 		}
 		o.inSchedQ = oi.inSchedQ
 		o.running = false
-		o.wait = oi.wait
-		o.resume = nil
-		if oi.resume != nil {
-			o.resume = n.copySaved(oi.resume)
+		o.saved = nil
+		if oi.saved != nil {
+			o.saved = n.copySaved(oi.saved)
 		}
+		o.reply = oi.isRD
 		if oi.isRD {
-			*o.rd = oi.rd
+			*o.replyState() = oi.rd
 		}
 		if oi.multi != nil {
 			ms := o.multi

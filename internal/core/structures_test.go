@@ -209,6 +209,15 @@ func TestSchedQueueCompaction(t *testing.T) {
 
 // --- Value -------------------------------------------------------------------
 
+// wordSized returns a size pin's figure for the host's word size: on64 on a
+// 64-bit host, on32 on a 32-bit one.
+func wordSized(on64, on32 uintptr) uintptr {
+	if unsafe.Sizeof(uintptr(0)) == 4 {
+		return on32
+	}
+	return on64
+}
+
 // sized is an opaque payload that reports its own wire size.
 type sized int
 
@@ -223,8 +232,10 @@ func TestValueRoundTrips(t *testing.T) {
 	if sz := unsafe.Sizeof(Value{}); sz > 24 {
 		t.Errorf("Value is %d bytes, want <= 24: frames, wire records and state arenas are made of these", sz)
 	}
-	if sz := unsafe.Sizeof(Object{}); sz > 136 {
-		t.Errorf("Object is %d bytes, want <= 136: every object ever created keeps one", sz)
+	// 64 bytes, one cache line, on a 64-bit host; 36 on a 32-bit one
+	// (make test-386).
+	if sz, want := unsafe.Sizeof(Object{}), wordSized(64, 36); sz > want {
+		t.Errorf("Object is %d bytes, want <= %d: every object ever created keeps one", sz, want)
 	}
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with payload bits
 	obj := &Object{node: 3}
@@ -299,7 +310,7 @@ func FuzzValueRoundTrip(f *testing.F) {
 		vals := []Value{Nil, IntV(i), FloatV(math.Float64frombits(fbits)), BoolV(b), StrV(s)}
 		// AnyV over every payload type that would read as another kind
 		// (a string's data may be a nil *byte), and over a plain one.
-		obj := &Object{node: int(i & 0xff)}
+		obj := &Object{node: uint16(i & 0xff)}
 		payloads := []any{nil, unsafe.StringData(s), obj, (*Object)(nil), intTag{}, boolTag{}, floatTag{}, nilAny{}, &anyBox{s}, i}
 		for _, p := range payloads {
 			v := AnyV(p)

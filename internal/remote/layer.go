@@ -119,11 +119,11 @@ type Layer struct {
 // The kind (wm*) and the sender's load sample ride the header's spare bytes
 // (Tag, Load); Obj is a message's receiver or a creation's stocked chunk,
 // homed on the header's Dst; Pattern is a message's pattern or a creation's
-// class id; ReplyTo is a message's reply destination, or in a miss's reply
-// the object created; Creator is the saved context of a creation blocked on
-// an empty stock, which a miss's request and reply carry as data, for the
-// reply's handler to resume with the created address: a record carries no
-// code. The reliable protocol sends copies under headers of its own and
+// class id; ReplyTo() is a message's reply destination, or in a miss's
+// reply the object created; Creator is the saved context of a creation
+// blocked on an empty stock, which a miss's request and reply carry as data,
+// for the reply's handler to resume with the created address: a record
+// carries no code. The reliable protocol sends copies under headers of its own and
 // leaves Wire unused after the hand-off.
 const (
 	wmMessage = uint8(iota + 1)
@@ -223,7 +223,8 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		r := l.record(rn, profile.Create, 0, wmChunk)
 		r.Pattern = w.Pattern
 		if w.Obj == nil {
-			r.ReplyTo, r.Creator = obj.Addr(), w.Creator
+			r.SetReplyTo(obj.Addr())
+			r.Creator = w.Creator
 		}
 		l.launch(rn, r, src, packetHeaderBytes+8, CatChunk)
 	case wmSnapReq, wmSnapAck:
@@ -242,7 +243,7 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		ns.stock.refill(stockKey(src, int(w.Pattern)), l.depth, &l.stockSlots)
 		if w.Creator != nil {
 			// The reply to a stock miss: resume the blocked creation.
-			nrt.ResumeCreation(w.Creator, w.ReplyTo)
+			nrt.ResumeCreation(w.Creator, w.ReplyTo())
 		}
 	default:
 		panic(fmt.Sprintf("remote: unknown wire kind %d", w.Wire.Tag))
@@ -366,7 +367,7 @@ func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, a
 	w.Obj = to.Obj
 	w.Pattern = p
 	w.SetArgs(args)
-	w.ReplyTo = replyTo
+	w.SetReplyTo(replyTo)
 	l.launch(mn, w, to.Node, size, CatMessage)
 }
 

@@ -50,23 +50,25 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // allocation per created object adds 0.5 per message to either. The
 // all-to-all rows have their allocation budgets about 25 % above their
 // measurements, the hot-key row about 3 % and the n-queens and diffusion
-// rows about 5 %: their counts are exact run to run. The
+// rows about 5 %: their counts are exact run to run. Every byte budget sits
+// at most 5 % above its measurement. The
 // all-to-all rows measure 0.025 and 0.011 allocations per message
 // (construction included: the runtime's tables and blocks — slab blocks, the
 // event queue's heap and bucket blocks), against 0.033 and 0.015 with a stock
 // map made per node and scheduling queues grown from empty, 0.049 and 0.023
 // with each layer's per-node records allocated one at a time. The 64-node row
-// measures 235 bytes per message (234 with scheduling queues grown from
-// empty), one 184-byte
-// record per message (24-byte Values) in blocks that fill their pages, against
-// 249 with 32-byte Values (a 200-byte record), 306 with a 248-byte wire record
+// measures 209 bytes per message, one 160-byte record per message (24-byte
+// Values) in blocks that fill their pages, against 235 with a 184-byte record
+// (234 with scheduling queues grown from empty), 249 with 32-byte Values (a
+// 200-byte record), 306 with a 248-byte wire record
 // beside the frame its arguments were copied into, in blocks of 256 rounded up
 // to whole pages, 308 with a frame and context pool per node, 321 with an
 // event lane per node and the arrivals for a busy node in a second queue per
 // lane, 328 with every lane's first heap of 128 events and 354 with heaps that
-// double to 512 events and receive rings that grow ×4; its byte budget sits
-// about 3 % above, at 241. Reliable n-queens measures 0.0705 allocations, 4.07
-// events and 426 bytes (0.146 and 425 with two closures per stock miss, the
+// double to 512 events and receive rings that grow ×4; its byte budget is
+// 219. Reliable n-queens measures 0.0703 allocations, 4.07 events and 395
+// bytes (0.0705 and 426 with a 136-byte Object and a 184-byte record, 0.146
+// and 425 with two closures per stock miss, the
 // bytes one more because the saved-context records' arena rounds its 123
 // records up to blocks of 248; 0.309 and 429 with a Go map for each node's chunk
 // stocks, every blocked invocation's context dropped and scheduling queues
@@ -82,28 +84,35 @@ func allocatedDuring(run func()) (mallocs, bytes uint64) {
 // 946 bytes with 336-byte link records; its byte budget sits about 5 % above,
 // so none of those comes back. The next two rows are the product's default
 // path (the cost profile always kept, no time slices) and the multiactive scheduler's per-group
-// ready queues: 0.0083 allocations and 202 bytes per message (0.125 and 207
+// ready queues: 0.0076 allocations and 162 bytes per message (0.0083 and 202
+// with a 136-byte Object and a 184-byte record, 0.125 and 207
 // with two closures per stock miss, 0.197 and 211
 // with stock maps, blocked contexts dropped and queues grown from empty,
 // 0.521 and 218 with a method value per internal search node, 0.533 and 257 with 32-byte
 // Values, 0.584 and 275 with a wire record beside its frame, 0.598 and 277
 // with a frame and context pool per node, 0.647 and 313 with an arena per
 // node, 0.660 and 383 with a pool per node and an Object per stocked chunk;
-// what is left is arena blocks) and 0.689 (0.691 with a string built per
+// what is left is arena blocks) and 0.292 (0.689 with a heap record per
+// reply destination, 0.691 with that and a string built per
 // blocked WaitFor; 1.099 with every blocked invocation's context dropped,
 // as a client's now-type send blocks; 1.132 with that and a wire record beside
 // its frame; about 3 640 a run, 1.150 with a
-// frame and context pool per node, 1.193 with an arena per node; the reply
-// destinations' Objects come out of an arena too), exact run to run. Two
+// frame and context pool per node, 1.193 with an arena per node; a reply
+// destination, its payload included, comes out of an arena too), exact run
+// to run. Two
 // closures per stock miss (the blocked creation's resume, a saved-context
 // record the wire records carry instead) added 0.117 to the n-queens
 // figure, and only one hot-key message in sixteen parks in a ready queue, so
-// an allocation per push moves that figure by 5 %: the hot-key budget sits
-// about 3 % above its measurement; the n-queens byte budget, at 213, sits
-// 5 % above. The last row is selective reception's path: diffusion's cells
-// block in WaitFor every iteration, at 3.43 allocations per message (4.86
-// with a string built per blocked WaitFor to find its waiting table), the
-// app's own continuation closures and a wait state per blocked WaitFor.
+// an allocation per push shows well above the noise: the hot-key budget sits
+// about 3 % above its measurement; the n-queens byte budget is 170. The last
+// row is selective reception's path: diffusion's cells block in WaitFor
+// every iteration, at 0.062 allocations per message, what the set-up
+// allocates, since a blocked WaitFor's context is a recycled saved-context
+// record holding a copy of its patterns and the app's continuation and
+// neighbour lists are built once (3.43 with a wait state per blocked
+// WaitFor, a continuation closure per wait and a neighbour list per
+// broadcast; 4.86 with a string built per blocked WaitFor to find its
+// waiting table).
 func TestMessageAllocationBudget(t *testing.T) {
 	allToAll := func(nodes int) func() (msgs, events uint64, err error) {
 		return func() (msgs, events uint64, err error) {
@@ -161,11 +170,11 @@ func TestMessageAllocationBudget(t *testing.T) {
 		bytesBudget  float64 // per message; 0: not budgeted
 	}{
 		{"sequential all-to-all 32x8", allToAll(32), 0.031, 0, 0},
-		{"sequential all-to-all 64x8", allToAll(64), 0.014, 0, 241},
-		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.074, 4.7, 446},
-		{"default n-queens N10 P64, profiler off", defaultQueens, 0.0087, 0, 213},
-		{"hot-key full coverage 16x40 P16", hotKeyFull, 0.71, 0, 0},
-		{"diffusion 16x16 10 iterations P16", diffusion16, 3.60, 0, 0},
+		{"sequential all-to-all 64x8", allToAll(64), 0.014, 0, 219},
+		{"reliable batched delayed-ack n-queens N8 P32", reliableQueens, 0.074, 4.7, 414},
+		{"default n-queens N10 P64, profiler off", defaultQueens, 0.0079, 0, 170},
+		{"hot-key full coverage 16x40 P16", hotKeyFull, 0.30, 0, 0},
+		{"diffusion 16x16 10 iterations P16", diffusion16, 0.065, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			best, bestBytes, perEvent := 0.0, 0.0, 0.0
