@@ -15,10 +15,11 @@
 #                        N13/P512 (ARGS='...' replaces the run's flags)
 #   make bench           the repository benchmark (BENCHMARK.json): bash bench/run.sh
 #   make bench-trace     its traced pass: per-layer metrics for every workload
+#   make bench-ab        an interleaved A/B of one workload, BASE (a commit) against the working tree
 #   make cover           per-package test coverage summary
 #   make loc             non-test and test Go line counts outside bench/, and the docs' line counts
 
-.PHONY: all tier1 vet-race scenario-smoke regress check test-386 cover loc bench bench-trace bench-test fuzz-smoke alloc-profile cpu-profile peak-rss
+.PHONY: all tier1 vet-race scenario-smoke regress check test-386 cover loc bench bench-trace bench-ab bench-test fuzz-smoke alloc-profile cpu-profile peak-rss
 
 all: tier1
 
@@ -75,6 +76,33 @@ bench:
 bench-trace:
 	bash bench/run.sh --trace 1
 
+# An interleaved A/B of one workload: the commit BASE, exported by git archive
+# into .bench_build/ab/base, against the working tree. Each tree's
+# bench/run.sh builds its own harness and runs workload W for SECONDS at
+# SEED, PAIRS times; the side that runs first swaps every pair, so a drift of
+# the host weighs on both. cmd/benchab then prints each end-to-end metric's
+# quartiles on both sides, the pairs the change wins and the digests. The
+# base keeps its .bench_build between runs, so only the first builds cold.
+BASE ?= HEAD
+W ?= nqueens-relbatch
+PAIRS ?= 10
+SECONDS ?= 3
+SEED ?= 1
+AB := .bench_build/ab
+bench-ab:
+	mkdir -p $(AB)/base
+	find $(AB)/base -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
+	git archive $(BASE) | tar -x -C $(AB)/base
+	rm -f $(AB)/base.out $(AB)/change.out
+	for i in $$(seq 1 $(PAIRS)); do \
+		order="base change"; [ $$((i % 2)) = 0 ] && order="change base"; \
+		for side in $$order; do \
+			dir=.; [ $$side = base ] && dir=$(AB)/base; \
+			(cd $$dir && bash bench/run.sh --workload $(W) --seconds $(SECONDS) --seed $(SEED)) >> $(AB)/$$side.out || exit 1; \
+		done; \
+	done
+	go run ./cmd/benchab $(AB)/base.out $(AB)/change.out
+
 bench-test:
 	cd bench && go test ./...
 
@@ -125,6 +153,6 @@ cover:
 # The size a simplicity PR reads its delta off (the ROADMAP's quality-of-design
 # aim counts progress in deleted lines).
 loc:
-	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
-	@echo "test Go lines outside bench/:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines outside bench/:     $$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 	@wc -l README.md DESIGN.md EXPERIMENTS.md

@@ -129,7 +129,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		}).
 		Method(save, func(ctx *abcl.Ctx) {
 			ctx.Charge(500)
-			ctx.Reply(abcl.Int(0))
+			ctx.Reply(ctx.Arg(0)) // the value stored
 		})
 	shards := make([]abcl.Address, nodes-1)
 	for i := range shards {
@@ -152,6 +152,9 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		ctx.SetState(stCursor, abcl.Int(cur+1))
 		return shards[cur%int64(len(shards))]
 	}
+	// A write replies with the value its store acknowledged: the one it
+	// wrote, though overlapping writes may have moved the state since.
+	replyStored := func(ctx *abcl.Ctx, stored abcl.Value) { ctx.Reply(stored) }
 	counter := sys.Class("hk.counter", 3, func(ic *abcl.InitCtx) {
 		ic.SetState(stValue, abcl.Int(0))
 		ic.SetState(stCursor, abcl.Int(0))
@@ -168,9 +171,7 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 			noteLive(ctx)
 			v := ctx.State(stValue).Int() + ctx.Arg(0).Int()
 			ctx.SetState(stValue, abcl.Int(v))
-			ctx.SendNow(nextShard(ctx), save, []abcl.Value{abcl.Int(v)}, func(ctx *abcl.Ctx, _ abcl.Value) {
-				ctx.Reply(abcl.Int(v))
-			})
+			ctx.SendNow(nextShard(ctx), save, []abcl.Value{abcl.Int(v)}, replyStored)
 		})
 	switch opt.Coverage {
 	case CoverPartial:
@@ -194,6 +195,12 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 		}
 	}
 	var collector abcl.Address
+	// An operation's reply steps the client on. The count comes from the
+	// step message's own argument, which the blocked invocation's saved
+	// context keeps, so one continuation serves every operation.
+	stepOn := func(ctx *abcl.Ctx, _ abcl.Value) {
+		ctx.SendPast(ctx.Self(), step, abcl.Int(ctx.Arg(0).Int()-1))
+	}
 	client := sys.Class("hk.client", 1, func(ic *abcl.InitCtx) {
 		ic.SetState(0, ic.CtorArg(0)) // client id
 	}).
@@ -203,17 +210,12 @@ func Run(opt Options, opts ...abcl.Option) (Result, error) {
 				ctx.SendPast(collector, done, ctx.State(0))
 				return
 			}
-			next := abcl.Int(rem - 1)
 			i := int64(opt.Ops) - rem
 			if period > 0 && i%int64(period) == 0 {
-				ctx.SendNow(counterAddr, add, []abcl.Value{abcl.Int(1)}, func(ctx *abcl.Ctx, _ abcl.Value) {
-					ctx.SendPast(ctx.Self(), step, next)
-				})
+				ctx.SendNow(counterAddr, add, []abcl.Value{abcl.Int(1)}, stepOn)
 				return
 			}
-			ctx.SendNow(counterAddr, get, nil, func(ctx *abcl.Ctx, _ abcl.Value) {
-				ctx.SendPast(ctx.Self(), step, next)
-			})
+			ctx.SendNow(counterAddr, get, nil, stepOn)
 		})
 	reported := make([]bool, opt.Clients)
 	finished := 0

@@ -61,10 +61,13 @@ func newBatcher(l *Layer, window sim.Time, maxBytes int) *batcher {
 	return b
 }
 
-// enqueue defers pkt into the link's open batch, opening one (and setting
-// its flush deadline) if the link was idle.
-func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
-	ob := b.l.batchFor(mn, b.l.link(mn.ID, pkt.Dst))
+// enqueue defers pkt into the open batch of its link k (nil: looked up),
+// opening one (and setting its flush deadline) if the link was idle.
+func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet, k *link) {
+	if k == nil {
+		k = b.l.link(mn.ID, pkt.Dst)
+	}
+	ob := b.l.batchFor(mn, k)
 	// The window bounds the spread of the records' *write clocks*, not just
 	// the flush deadline: a long method body advances the processor clock
 	// far beyond the lane's event time, and its flush deadline cannot fire
@@ -153,7 +156,7 @@ func (b *batcher) flush(mn *machine.Node, ob *openBatch) {
 		// reply traffic rarely fills a batch, but almost always has a
 		// reverse-direction data packet for the ack to ride.
 		if l.rel != nil {
-			l.rel.piggybackOnPacket(mn, head, at)
+			l.rel.piggybackOnPacket(mn, ob.k, head, at)
 		}
 		mn.ControllerSend(at, head)
 		return
@@ -170,7 +173,7 @@ func (b *batcher) flush(mn *machine.Node, ob *openBatch) {
 	if l.rel != nil {
 		// A reverse-direction batch carries any acknowledgments this node
 		// owes the destination for free (plus a few bytes of framing).
-		l.rel.piggybackOnPacket(mn, pkt, at)
+		l.rel.piggybackOnPacket(mn, ob.k, pkt, at)
 	}
 	b.l.m.C.BatchesSent++
 	b.l.m.C.BatchedMsgs += uint64(n)
@@ -233,13 +236,13 @@ func (l *Layer) handleBatchDeliver(rn *machine.Node, p *machine.Packet) {
 	ns.batchPos = 0
 }
 
-// send puts pkt on the physical wire: deferred into the destination link's
-// open batch when batching is enabled, transmitted immediately otherwise.
-// The boolean reports deferral, in which case the arrival time is not yet
-// known (zero).
-func (l *Layer) send(mn *machine.Node, pkt *machine.Packet) (sim.Time, bool) {
+// send puts pkt on the physical wire: deferred into the open batch of the
+// destination's link k (nil: looked up) when batching is enabled,
+// transmitted immediately otherwise. The boolean reports deferral, in which
+// case the arrival time is not yet known (zero).
+func (l *Layer) send(mn *machine.Node, pkt *machine.Packet, k *link) (sim.Time, bool) {
 	if l.bat != nil && pkt.Dst != mn.ID {
-		l.bat.enqueue(mn, pkt)
+		l.bat.enqueue(mn, pkt, k)
 		return 0, true
 	}
 	return mn.Send(pkt), false

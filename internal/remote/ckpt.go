@@ -207,7 +207,7 @@ func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 		owed := lk.from(imgs[dst].cursors[int32(src)].recv)
 		first := lk.base + uint64(len(lk.recs)-len(owed))
 		for i, w := range owed {
-			r.xmit(mn, ns, r.pend(ns, k, w, first+uint64(i)))
+			r.xmit(mn, ns, r.pend(ns, k, w, first+uint64(i)), nil, k)
 		}
 		replayed += len(owed)
 	}

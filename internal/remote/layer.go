@@ -123,8 +123,9 @@ type Layer struct {
 // reply the object created; Creator is the saved context of a creation
 // blocked on an empty stock, which a miss's request and reply carry as data,
 // for the reply's handler to resume with the created address: a record
-// carries no code. The reliable protocol sends copies under headers of its own and
-// leaves Wire unused after the hand-off.
+// carries no code. The reliable protocol sends the first attempt under Wire
+// on a machine without faults or checkpoint retention, and every other
+// attempt under a pooled header of its own.
 const (
 	wmMessage = uint8(iota + 1)
 	wmCreate  // category 2: initialize chunk (allocate one on a miss)
@@ -174,7 +175,7 @@ func (l *Layer) launch(mn *machine.Node, w *core.Frame, dst, size int, category 
 		l.rel.send(mn, w)
 		return
 	}
-	l.send(mn, pkt)
+	l.send(mn, pkt, nil)
 }
 
 // handleWire is the single receive-side dispatcher of the layer: the

@@ -202,8 +202,11 @@ func (r *reliable) schedule(ns *nodeState) {
 }
 
 // send assigns the next sequence number on the (src, dst) link, records the
-// message as in-flight, and transmits the first copy. Per-attempt copies are
-// built in xmit; the record's own header is not sent.
+// message as in-flight, and transmits the first copy. On a machine without a
+// fault model or checkpoint retention the first copy is the record's own
+// header: nothing duplicates, delays past a later copy or replays it there,
+// so the header is never in flight twice, and a retransmission follows it on
+// the same FIFO link. Every other attempt travels under a pooled copy.
 func (r *reliable) send(mn *machine.Node, w *core.Frame) {
 	src, dst := mn.ID, w.Wire.Dst
 	ns := r.l.nodes[src]
@@ -214,7 +217,11 @@ func (r *reliable) send(mn *machine.Node, w *core.Frame) {
 		ns.coldFor(dst).ret.retain(src, dst, m)
 	}
 	r.l.m.C.RelSent++
-	r.xmit(mn, ns, m)
+	var p *machine.Packet
+	if r.l.ckpt == nil && r.l.m.Faults() == nil {
+		p = &w.Wire
+	}
+	r.xmit(mn, ns, m, p, k)
 }
 
 // pend makes w the in-flight message seq on k.
@@ -230,19 +237,23 @@ func (r *reliable) pend(ns *nodeState, k *link, w *core.Frame, seq uint64) *relM
 }
 
 // xmit transmits one copy of m and sets the retry deadline of the attempt.
-func (r *reliable) xmit(mn *machine.Node, ns *nodeState, m *relMsg) {
-	p := mn.AcquirePacket()
-	p.Dst = int(m.dst)
+// The copy travels under p, m's record's own header, or under a pooled
+// packet when p is nil. k is m's link, or nil to have the batcher look it up.
+func (r *reliable) xmit(mn *machine.Node, ns *nodeState, m *relMsg, p *machine.Packet, k *link) {
+	if p == nil {
+		p = mn.AcquirePacket()
+		p.Dst = int(m.dst)
+		p.Category = m.category
+		p.Payload = m.payload
+	}
 	p.Size = m.size
-	p.Category = m.category
-	p.Payload = m.payload
 	p.Seq = m.seq
 	// The receiving message controller acknowledges every physical copy the
 	// instant it arrives, independent of how backlogged or paused the
 	// receiving processor is.
 	p.OnArrive = r.hArrive
 	p.Handler = r.hPolled
-	arrival, batched := r.l.send(mn, p)
+	arrival, batched := r.l.send(mn, p, k)
 	// Six doublings already pass the cap, so the shift never overflows.
 	backoff := min(DefaultRetryTimeout<<min(m.attempts, 6), DefaultMaxBackoff)
 	// Time out relative to the copy's scheduled arrival (which includes
@@ -296,7 +307,7 @@ func (r *reliable) retry(mn *machine.Node, ns *nodeState, m *relMsg) {
 		r.l.rt.Tracef(mn.Now(), mn.ID, trace.EvRetry,
 			"retransmit seq %d to n%d (attempt %d)", m.seq, m.dst, m.attempts+1)
 	}
-	r.xmit(mn, ns, m)
+	r.xmit(mn, ns, m, nil, nil)
 }
 
 // dataArrived is the controller hook of every data packet copy: a
@@ -534,33 +545,30 @@ func (r *reliable) emit(rn *machine.Node, ns *nodeState, k *link, at sim.Time) {
 	rn.ControllerSend(at, p)
 }
 
-// owes reports how many arrivals mn still owes dst an acknowledgment for that
-// a carrier departing at the given instant may take along — zero when acks
-// are immediate, nothing is owed, or the carrier departs later than the
-// standalone delayed ack would: stealing the owed acks then would stretch
-// the ack latency past the bound the retransmission timeout budgets.
-func (r *reliable) owes(mn *machine.Node, dst int, at sim.Time) (k *link, owed int32, sel []uint64) {
-	if r.ackDelay == 0 {
-		return nil, 0, nil
-	}
-	k = r.l.nodes[mn.ID].peer(dst)
-	if k == nil || k.owed == 0 || at > k.owedSince+r.ackDelay {
-		return nil, 0, nil
+// owes reports how many arrivals mn still owes the peer of its link k an
+// acknowledgment for that a carrier departing at the given instant may take
+// along — zero when acks are immediate, nothing is owed, or the carrier
+// departs later than the standalone delayed ack would: stealing the owed
+// acks then would stretch the ack latency past the bound the retransmission
+// timeout budgets.
+func (r *reliable) owes(mn *machine.Node, k *link, at sim.Time) (owed int32, sel []uint64) {
+	if r.ackDelay == 0 || k.owed == 0 || at > k.owedSince+r.ackDelay {
+		return 0, nil
 	}
 	owed, sel = k.owed, r.l.nodes[mn.ID].selAcks(k.peer)
 	k.owed = 0
 	r.l.m.C.AcksCoalesced += uint64(owed)
 	r.l.m.Counts().Bytes[profile.Ack] += uint64(8 + 8*len(sel))
-	return k, owed, sel
+	return owed, sel
 }
 
 // piggybackOnPacket attaches the acknowledgments this node owes p's
-// destination to p — a lone data packet or a batch frame departing at the
-// given instant — replacing the owed standalone ack packets entirely, and
-// grows p's wire size by the ack framing.
-func (r *reliable) piggybackOnPacket(mn *machine.Node, p *machine.Packet, at sim.Time) {
-	k, owed, sel := r.owes(mn, p.Dst, at)
-	if k == nil {
+// destination, the peer of its link k, to p — a lone data packet or a batch
+// frame departing at the given instant — replacing the owed standalone ack
+// packets entirely, and grows p's wire size by the ack framing.
+func (r *reliable) piggybackOnPacket(mn *machine.Node, k *link, p *machine.Packet, at sim.Time) {
+	owed, sel := r.owes(mn, k, at)
+	if owed == 0 {
 		return
 	}
 	carry(p, k.cum, sel)

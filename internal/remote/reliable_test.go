@@ -381,3 +381,78 @@ func TestRollbackKeepsFlushDeadlineLive(t *testing.T) {
 		t.Errorf("retransmits = %d, want 0: the batch waited for a retry instead of its flush deadline", c.Retransmits)
 	}
 }
+
+// nullCheckpointer turns retention and colouring on with no snapshot
+// rounds behind them.
+type nullCheckpointer struct{}
+
+func (nullCheckpointer) Colour(node, src int, seq uint64) {}
+func (nullCheckpointer) Acked(round int)                  {}
+
+// TestFirstAttemptRidesItsRecord pins who carries a reliable record. On a
+// machine without a fault model or checkpoint retention the first attempt
+// is the record's own header, so on a lossless run no data record takes a
+// machine packet: the pool serves acks and batch frames alone. Under a
+// jitter-and-duplication plan, where a header could be in flight twice, and
+// under checkpoint retention, which may replay it, every copy is pooled.
+func TestFirstAttemptRidesItsRecord(t *testing.T) {
+	const msgs = 200
+	batched := Options{StockDepth: 2, Reliable: true, BatchWindow: 5 * sim.Microsecond, AckDelay: 20 * sim.Microsecond}
+	for _, tc := range []struct {
+		name   string
+		faults bool // a jitter-and-duplication fault model
+		opt    Options
+		ckpt   bool
+		inline bool // every polled copy is its record's header; false: none is
+	}{
+		{"lossless", false, Options{StockDepth: 2, Reliable: true}, false, true},
+		{"lossless batched delayed acks", false, batched, false, true},
+		{"jitter and duplication", true, Options{StockDepth: 2, Reliable: true}, false, false},
+		{"jitter and duplication batched", true, batched, false, false},
+		{"checkpoint retention", false, batched, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := machine.New(machine.DefaultConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.faults {
+				in, err := fault.NewInjector(fault.UniformLinks(0, 0.3, 4*sim.Microsecond), 3, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetFaults(in)
+			}
+			rt := core.NewRuntime(m, core.Options{})
+			l := Attach(rt, tc.opt)
+			if tc.ckpt {
+				l.EnableCheckpoint(nullCheckpointer{})
+			}
+			var inline, pooled int
+			polled := l.rel.hPolled
+			l.rel.hPolled = func(rn *machine.Node, p *machine.Packet) {
+				if p == &p.Payload.(*core.Frame).Wire {
+					inline++
+				} else {
+					pooled++
+				}
+				polled(rn, p)
+			}
+			order, rt, _ := runCounterStreamOn(t, rt, l, msgs)
+			if len(order) != msgs {
+				t.Fatalf("delivered %d messages, want %d", len(order), msgs)
+			}
+			c := rt.TotalStats()
+			t.Logf("%d copies polled under their record's header, %d pooled; %d retransmits, %d dups suppressed",
+				inline, pooled, c.Retransmits, c.DupSuppressed)
+			switch {
+			case tc.inline && (inline != msgs || pooled != 0):
+				t.Errorf("%d of %d records' copies rode their header, %d a pooled packet; want every one the header", inline, msgs, pooled)
+			case !tc.inline && inline != 0:
+				t.Errorf("%d copies rode their record's header; want every copy pooled", inline)
+			case tc.faults && c.DupSuppressed == 0:
+				t.Error("the fault plan duplicated nothing")
+			}
+		})
+	}
+}

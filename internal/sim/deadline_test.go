@@ -76,60 +76,117 @@ func TestStopTakesSlotOut(t *testing.T) {
 
 }
 
-// TestTimerMovedManyTimes pins the lazy slots a move leaves behind: a timer
-// moved 10 000 times, earlier and later, fires once, at its last position,
-// between the events scheduled just before and after that position was
-// reserved. The old slots count in neither Pending nor Fired, and once they
-// have surfaced every bucket block is back in the slab.
+// TestTimerMovedManyTimes pins the slots a move leaves behind. A timer moved
+// later 10 000 times holds one queued slot throughout; moved at random,
+// earlier and later, it queues a slot per move earlier. Either way it fires
+// once, at its last position, between the events scheduled just before and
+// after that position was reserved; the old slots count in neither Pending
+// nor Fired, and none is left stale after Run.
 func TestTimerMovedManyTimes(t *testing.T) {
+	for _, later := range []bool{true, false} {
+		e := NewEngine()
+		var got []any
+		k := e.Register(func(_ int, _ Time, arg any) { got = append(got, arg) })
+		var tm Timer
+		rng := pqLane{rng: 3}
+		var at Time
+		for i := 0; i < 10_000; i++ {
+			var seq uint64
+			at = Time(1000 + rng.rand(1<<20))
+			if later {
+				at = Time(1000 + 100*i)
+			}
+			if i == 9_999 {
+				e.ScheduleOn(0, 0, at, k, "before")
+				e.ReserveSeq(&seq)
+				e.ScheduleOn(0, 0, at, k, "after")
+			} else {
+				e.ReserveSeq(&seq)
+			}
+			e.StartTimerAt(0, &tm, at, seq, k, i)
+			if p := e.Pending(); i == 9_998 && p != 1 {
+				t.Fatalf("later=%v: after 9 999 moves: %d events pending, want 1", later, p)
+			}
+			if q := e.q.len(); later && q != 1+2*(i/9_999) {
+				t.Fatalf("later=%v: after %d moves: %d slots queued, want the timer's one", later, i+1, q)
+			}
+		}
+		if p := e.Pending(); p != 3 || !tm.Pending() {
+			t.Fatalf("later=%v: before Run: %d events pending, timer queued %v; want 3, true", later, p, tm.Pending())
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := []any{"before", 9_999, "after"}; !reflect.DeepEqual(got, want) || e.Now() != at {
+			t.Fatalf("later=%v: fired %v, the last at %v; want %v at %v", later, got, e.Now(), want, at)
+		}
+		if e.Fired() != 3 || e.Pending() != 0 || tm.Pending() {
+			t.Fatalf("later=%v: after Run: Fired %d, %d pending, timer queued %v; want 3, 0, false", later, e.Fired(), e.Pending(), tm.Pending())
+		}
+		if q := &e.q; q.len() != 0 || q.used != 0 || e.stale != 0 {
+			t.Fatalf("later=%v: after Run: %d slots queued, positions %b in use, %d stale", later, q.len(), q.used, e.stale)
+		}
+	}
+}
+
+// TestTimerLaterEarlierStopRearm pins the slot rule through one sequence:
+// moves later, and a move earlier that stays behind the queued slot, keep
+// that one slot; a move ahead of it queues a second, leaving the first
+// stale; Stop leaves both stale; arming again queues a third. The timer
+// fires once, at its last position, and no slot is left.
+func TestTimerLaterEarlierStopRearm(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+	k := e.Register(func(_ int, at Time, _ any) { got = append(got, at) })
+	var seqs [5]uint64
+	for i := range seqs {
+		e.ReserveSeq(&seqs[i])
+	}
+	var tm Timer
+	check := func(step string, slots, pending int) {
+		t.Helper()
+		if e.q.len() != slots || e.Pending() != pending || tm.Pending() != (pending == 1) {
+			t.Fatalf("%s: %d slots queued, %d pending, timer queued %v; want %d, %d",
+				step, e.q.len(), e.Pending(), tm.Pending(), slots, pending)
+		}
+	}
+	e.StartTimerAt(0, &tm, 20, seqs[1], k, nil)
+	check("armed at 20", 1, 1)
+	e.StartTimerAt(0, &tm, 40, seqs[4], k, nil)
+	check("later, to 40", 1, 1)
+	e.StartTimerAt(0, &tm, 30, seqs[3], k, nil)
+	check("earlier, to 30, behind the slot", 1, 1)
+	e.StartTimerAt(0, &tm, 10, seqs[0], k, nil)
+	check("earlier, to 10, ahead of the slot", 2, 1)
+	tm.Stop()
+	check("stopped", 2, 0)
+	e.StartTimerAt(0, &tm, 25, seqs[2], k, nil)
+	check("armed again at 25", 3, 1)
+	if n, err := e.Run(); err != nil || n != 1 || !reflect.DeepEqual(got, []Time{25}) {
+		t.Fatalf("Run fired %d events at %v (%v), want one at 25", n, got, err)
+	}
+	check("after Run", 0, 0)
+	if e.stale != 0 {
+		t.Fatalf("after Run: %d stale", e.stale)
+	}
+}
+
+// TestTimerRearmedWhereItStopped: a stopped timer armed again at the
+// position it left fires once there, though its old slot is still queued
+// beside the new one.
+func TestTimerRearmedWhereItStopped(t *testing.T) {
 	e := NewEngine()
 	var got []any
 	k := e.Register(func(_ int, _ Time, arg any) { got = append(got, arg) })
 	var tm Timer
-	rng := pqLane{rng: 3}
-	var at Time
-	for i := 0; i < 10_000; i++ {
-		var seq uint64
-		at = Time(1000 + rng.rand(1<<20))
-		if i == 9_999 {
-			e.ScheduleOn(0, 0, at, k, "before")
-			e.ReserveSeq(&seq)
-			e.ScheduleOn(0, 0, at, k, "after")
-		} else {
-			e.ReserveSeq(&seq)
-		}
-		e.StartTimerAt(0, &tm, at, seq, k, i)
-		if p := e.Pending(); i == 9_998 && p != 1 {
-			t.Fatalf("after 9 999 moves: %d events pending, want 1", p)
-		}
-	}
-	if p := e.Pending(); p != 3 || !tm.Pending() {
-		t.Fatalf("before Run: %d events pending, timer queued %v; want 3, true", p, tm.Pending())
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := []any{"before", 9_999, "after"}; !reflect.DeepEqual(got, want) || e.Now() != at {
-		t.Fatalf("fired %v, the last at %v; want %v at %v", got, e.Now(), want, at)
-	}
-	if e.Fired() != 3 || e.Pending() != 0 || tm.Pending() {
-		t.Fatalf("after Run: Fired %d, %d pending, timer queued %v; want 3, 0, false", e.Fired(), e.Pending(), tm.Pending())
-	}
-	if q := &e.q; q.len() != 0 || q.used != 0 || e.stale != 0 || freeBlocks(e) == 0 {
-		t.Fatalf("after Run: %d slots queued, positions %b in use, %d stale, %d blocks free", q.len(), q.used, e.stale, freeBlocks(e))
-	}
-
-	// A stopped timer armed again at the position it left fires once there,
-	// though its old slot is still queued beside the new one.
 	var seq uint64
 	e.ReserveSeq(&seq)
-	e.StartTimerAt(0, &tm, at+10, seq, k, "again")
+	e.StartTimerAt(0, &tm, 1010, seq, k, "again")
 	tm.Stop()
-	e.StartTimerAt(0, &tm, at+10, seq, k, "again")
+	e.StartTimerAt(0, &tm, 1010, seq, k, "again")
 	if p := e.Pending(); p != 1 {
 		t.Fatalf("re-armed: %d events pending, want 1", p)
 	}
-	got = got[:0]
 	if n, err := e.Run(); err != nil || n != 1 || len(got) != 1 || e.Pending() != 0 || e.q.len() != 0 {
 		t.Fatalf("re-armed: Run fired %d (%v), %d pending, %d slots queued; want 1 firing, none left",
 			n, got, e.Pending(), e.q.len())

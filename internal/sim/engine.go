@@ -212,6 +212,14 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 				e.stale--
 				continue
 			}
+			if top.at != t.at || top.key != t.key {
+				// Moved later since the slot was queued: the slot moves on to
+				// the position the timer stands at, without firing.
+				q.pop()
+				t.slotAt, t.slotKey = t.at, t.key
+				q.push(event{at: t.at, key: t.key, arg: t})
+				continue
+			}
 			kind, arg = t.kind, t.arg
 		}
 		if deadline >= 0 && top.at > deadline {
@@ -235,20 +243,24 @@ func (e *Engine) RunUntil(deadline Time) (uint64, error) {
 
 // Timer is a movable queue slot: StartTimerAt puts it at a (time, reserved
 // sequence number) position, and Stop disarms it. One timer can so stand
-// in for many deadlines, following the earliest. A slot left behind by Stop
-// or a move stays queued, counted stale, until it surfaces and is discarded
-// without firing. The zero value is ready to be armed.
+// in for many deadlines, following the earliest. A move later keeps the
+// queued slot, which moves on to the new position when it surfaces, without
+// firing; a move earlier queues a new slot. A slot left behind by Stop or a
+// move earlier stays queued, counted stale, until it surfaces and is
+// discarded without firing. The zero value is ready to be armed.
 type Timer struct {
 	eng     *Engine
 	arg     any // the callback: a func() or the payload of a registered kind
 	at      Time
-	key     uint64 // the live slot's position, while pending
+	key     uint64 // the position the timer fires at, while pending
+	slotAt  Time
+	slotKey uint64 // the live slot's position: at or before the timer's
 	kind    Kind
 	pending bool
 }
 
 // holds reports whether ev is t's live slot.
-func (t *Timer) holds(ev *event) bool { return t.pending && ev.at == t.at && ev.key == t.key }
+func (t *Timer) holds(ev *event) bool { return t.pending && ev.at == t.slotAt && ev.key == t.slotKey }
 
 // Stop disarms the timer: it will not fire, and no longer counts in Pending.
 // Its slot stays queued, stale, until it surfaces. Safe to call more than
@@ -266,18 +278,23 @@ func (t *Timer) Pending() bool { return t.pending }
 // StartTimerAt puts t at an explicit queue position: virtual time at,
 // tie-broken by a sequence number drawn earlier with ReserveSeq, to fire the
 // registered kind's handler on lane with arg there. It consumes no sequence
-// number of its own, and a timer still queued moves rather than fires twice.
-// at must be no earlier than the clock (Now): an earlier time panics.
+// number of its own, and a timer still queued moves rather than fires twice:
+// to a later position without queueing anything, since its slot surfaces
+// first. at must be no earlier than the clock (Now): an earlier time panics.
 func (e *Engine) StartTimerAt(lane int, t *Timer, at Time, seq uint64, kind Kind, arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: StartTimerAt(%v) on lane %d before the clock %v", at, lane, e.now))
 	}
 	t.kind, t.arg = kind, arg
 	key := e.key(seq, lane, kindTimer)
+	t.eng, t.at, t.key = e, at, key
 	if t.pending {
+		if at > t.slotAt || at == t.slotAt && key >= t.slotKey {
+			return
+		}
 		e.stale++
 	}
-	t.eng, t.at, t.key, t.pending = e, at, key, true
+	t.pending, t.slotAt, t.slotKey = true, at, key
 	e.q.push(event{at: at, key: key, arg: t})
 }
 
